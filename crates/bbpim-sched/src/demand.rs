@@ -1,18 +1,15 @@
 //! Service-demand compilation: from real per-shard executions to the
-//! bus/local slice chains the discrete-event schedulers play out.
+//! bus/local slice chains the [`kernel`](crate::kernel) plays out.
 //!
-//! [`run_stream`](crate::run_stream) resolved demands privately until
-//! the serving layer (`bbpim-serve`) needed its own event loop —
-//! closed-loop clients generate arrivals *from completions*, so the
-//! loop cannot be a precomputed workload trace. The compilation step is
-//! the shared contract: [`resolve_query_demand`] plans a query through
-//! the zone-map planner, executes every candidate shard slice
+//! The compilation step is the contract both admission front-ends
+//! share: [`resolve_query_demand`] plans a query through the zone-map
+//! planner, executes every candidate shard slice
 //! ([`StreamEngine::run_on_shard`]), merges the partials exactly as
 //! `run_batch` would, and compiles each shard execution's phase log
-//! into a [`SliceChain`]. Whatever loop replays the chains — batch
-//! stream or multi-tenant server — the merged answer is already fixed,
-//! bit-identical to the batch oracle; only *when* the slices run is up
-//! to the scheduler.
+//! into a [`SliceChain`]. Whichever front-end admits the chains —
+//! [`run_stream`](crate::run_stream) or the multi-tenant server — the
+//! merged answer is already fixed, bit-identical to the batch oracle;
+//! only *when* the slices run is up to the scheduler.
 
 use bbpim_cluster::ClusterExecution;
 use bbpim_core::mutation::MutationReport;

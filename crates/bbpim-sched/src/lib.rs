@@ -56,6 +56,7 @@
 
 pub mod demand;
 pub mod error;
+pub mod kernel;
 pub mod obs;
 pub mod report;
 pub mod sched;

@@ -1,9 +1,15 @@
-//! The deterministic discrete-event streaming scheduler.
+//! The streaming scheduler: the admission front-end of
+//! [`run_stream`] over the shared chain-execution
+//! [`kernel`](crate::kernel).
 //!
 //! [`run_stream`] admits a [`Workload`]'s timestamped arrivals —
 //! queries **and mutations**, interleaved on one clock — into a
-//! [`StreamEngine`] under admission control and plays the resulting
-//! contention out on a discrete-event timeline:
+//! [`StreamEngine`]. This module decides *what runs and when it may
+//! start*; how an admitted job's slice chains then queue on the shared
+//! host channel and the per-lane module servers is the kernel's
+//! business, identical for queries, mutations and the serving layer
+//! (`bbpim-serve`). To the kernel a query arrival and a mutation
+//! arrival are the same kind of job; they differ only here:
 //!
 //! * **Admission control** — at most [`SchedConfig::max_in_flight`]
 //!   queries hold execution state at once; excess arrivals wait in the
@@ -21,7 +27,8 @@
 //!   applied to the engine ([`StreamEngine::apply_mutation`]) — zone
 //!   maps widen, insert cursors advance, cached star join plans fall —
 //!   and its byte-tagged write phases are compiled into per-lane slice
-//!   chains that ride the same shared host channel as query traffic.
+//!   chains. A mutation is durable when its last lane chain finishes;
+//!   it takes no host-side merge.
 //! * **Snapshot consistency** — a query's answer is resolved *at its
 //!   admission*, against exactly the mutations admitted before it (its
 //!   [`QueryCompletion::epoch`]); resolutions are cached per
@@ -33,48 +40,43 @@
 //! * **Planning** — each admitted query is planned through the zone-map
 //!   planner ([`StreamEngine::plan_shards`]); pruned shards receive no
 //!   work, and a query whose candidate set is empty is answered by the
-//!   planner alone, completing at admission.
-//! * **Per-shard queues** — each candidate shard receives the query's
-//!   shard slice on its own FIFO queue; PIM phases of *different*
-//!   queries on *different* shards overlap freely, which is where
-//!   out-of-order completion comes from. Mutation lane chains queue on
-//!   the same per-module servers (fact lanes share indices with query
-//!   shards; auxiliary ingest lanes — star dimension modules — sit
-//!   above [`StreamEngine::active_shards`]).
-//! * **Shared host channel** — with the cluster's contention model on
-//!   (the default, [`StreamEngine::contention`]), *every* tagged host
-//!   phase of every in-flight query **and mutation** rides one
-//!   [`SharedBus`]: per-page dispatch, mask transfers, result-line
-//!   reads, host-gb record fetches, UPDATE mask writes and INSERT row
-//!   transfers, each for its channel occupancy
-//!   ([`bbpim_sim::hostbus::phase_occupancy_ns`]). The host-side merge
-//!   of each query's partials rides the same bus. With contention off,
-//!   only dispatch and merge serialise (the pre-contention optimistic
+//!   planner alone, completing at admission. Once a query's last shard
+//!   chain finishes, the host-side merge of its partials takes one
+//!   more grant on the shared channel.
+//! * **Lanes** — fact-shard lanes share indices (and module servers)
+//!   between query shard slices and mutation chains; auxiliary ingest
+//!   lanes — star dimension modules — sit above
+//!   [`StreamEngine::active_shards`].
+//! * **Contention model** — with [`StreamEngine::contention`] on (the
+//!   default) every tagged host phase of every in-flight query and
+//!   mutation is compiled to a bus slice
+//!   ([`bbpim_sim::hostbus::phase_occupancy_ns`]); with it off only
+//!   dispatch and merge serialise (the pre-contention optimistic
 //!   model) — useful for A/B latency studies.
 //!
 //! Every query service demand is taken from real per-shard executions
 //! ([`StreamEngine::run_on_shard`]) against the admitted-mutation
 //! snapshot, and the merged answers are folded with
 //! [`StreamEngine::merge_executions`] in shard order. For pure-query
-//! workloads this degenerates to the pre-ingest scheduler exactly: the
-//! streamed results are bit-identical to
+//! workloads the streamed results are bit-identical to
 //! [`ClusterEngine::run_batch`] over the same queries; only timing and
 //! completion order differ. The event timeline is a pure function of
 //! `(cluster, workload, config)`.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use bbpim_cluster::{ClusterEngine, ClusterError, ClusterExecution};
 use bbpim_core::mutation::{Mutation, MutationReport};
 use bbpim_core::result::QueryExecution;
 use bbpim_db::plan::{Pred, Query};
 use bbpim_sim::config::HostConfig;
-use bbpim_sim::hostbus::SharedBus;
 use bbpim_trace::{ArgValue, TraceRecorder, TrackId};
 
-use crate::demand::{compile_mutation_demand, resolve_query_demand, MutationDemand, QueryDemand};
+use crate::demand::{
+    compile_mutation_demand, resolve_query_demand, MutationDemand, QueryDemand, ShardDemand,
+};
 use crate::error::SchedError;
+use crate::kernel::{Jobs, Kernel, Moment, SpanArgs, SpanLabels};
 use crate::report::LatencySummary;
 use crate::workload::Workload;
 
@@ -451,7 +453,7 @@ impl StreamOutcome {
     /// **unclamped** — above 1.0 it measures how deeply the stream
     /// oversubscribes the channel, which the saturated
     /// [`StreamOutcome::host_utilisation`] deliberately hides (cf.
-    /// [`SharedBus::demand`]).
+    /// [`bbpim_sim::hostbus::SharedBus::demand`]).
     pub fn host_demand(&self) -> f64 {
         if self.makespan_ns <= 0.0 {
             return 0.0;
@@ -510,121 +512,41 @@ impl StreamOutcome {
     }
 }
 
-/// Mutable per-query-arrival simulation state.
+/// One workload arrival of either kind — the scheduler's only kernel
+/// event, and (see [`Sim::job`]) the decoded form of a kernel job id.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Job {
+    /// Index into [`Workload::arrivals`].
+    Query(usize),
+    /// Index into [`Workload::mutation_arrivals`].
+    Mutation(usize),
+}
+
+/// Per-job admission record, held while the job is in flight.
 #[derive(Clone, Copy)]
 struct Progress {
     admit_ns: f64,
     first_service_ns: f64,
-    remaining: usize,
     epoch: usize,
 }
 
-/// Mutable per-mutation-arrival simulation state.
-#[derive(Clone, Copy)]
-struct MutProgress {
-    admit_ns: f64,
-    remaining: usize,
-    epoch: usize,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Ev {
-    /// A query arrival enters the admission queue.
-    Arrive(usize),
-    /// A mutation arrival enters the ingest queue.
-    MutArrive(usize),
-    /// `(arrival, shard_pos, slice_idx)`: the slice's bus part ended.
-    BusDone(usize, usize, usize),
-    /// `(arrival, shard_pos, slice_idx)`: the slice's local part ended.
-    LocalDone(usize, usize, usize),
-    /// The query's host-side merge ended.
-    MergeDone(usize),
-    /// `(mutation arrival, lane_pos, slice_idx)`: bus part ended.
-    MutBusDone(usize, usize, usize),
-    /// `(mutation arrival, lane_pos, slice_idx)`: local part ended.
-    MutLocalDone(usize, usize, usize),
-}
-
-/// Heap entry ordered by (time, insertion sequence) — the sequence
-/// makes simultaneous events deterministic.
-struct HeapEntry {
-    t_ns: f64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.t_ns.total_cmp(&other.t_ns) == Ordering::Equal && self.seq == other.seq
-    }
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    /// Reversed so `BinaryHeap` pops the *earliest* event first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.t_ns.total_cmp(&self.t_ns).then(other.seq.cmp(&self.seq))
-    }
-}
-
-/// Trace track ids for the scheduler's lanes (present only when the
-/// recorder is enabled).
-struct Tracks {
-    sched: TrackId,
-    host: TrackId,
-    modules: Vec<TrackId>,
-}
-
-impl Tracks {
-    fn new(trace: &mut TraceRecorder, active_shards: usize, lanes: usize) -> Option<Tracks> {
-        if !trace.is_enabled() {
-            return None;
-        }
-        Some(Tracks {
-            sched: trace.track("scheduler"),
-            host: trace.track("host-bus"),
-            modules: (0..lanes)
-                .map(|s| {
-                    if s < active_shards {
-                        trace.track(&format!("module-{s}"))
-                    } else {
-                        trace.track(&format!("ingest-lane-{}", s - active_shards))
-                    }
-                })
-                .collect(),
-        })
-    }
-}
-
-/// The simulation state machine.
+/// The admission front-end over the chain kernel.
 struct Sim<'a, E: StreamEngine> {
     cfg: &'a SchedConfig,
     workload: &'a Workload,
     cluster: &'a mut E,
-    want_detail: bool,
     /// Mutations admitted so far — the snapshot counter.
     epoch: usize,
     /// Resolution cache: `(query index, epoch)` → resolved demand and
     /// merged answer, shared by repeated arrivals between ingests.
     by_query: HashMap<(usize, usize), (QueryDemand, ClusterExecution)>,
-    /// Per query arrival, filled at admission.
-    demands: Vec<Option<QueryDemand>>,
-    executions: Vec<Option<ClusterExecution>>,
+    /// Per query arrival, filled at admission: its resolved demand and
+    /// merged answer.
+    admitted: Vec<Option<(QueryDemand, ClusterExecution)>>,
     /// SCSF candidate-count estimate, planned at arrival.
     cand_est: Vec<usize>,
     /// Per mutation arrival, filled at admission.
     mut_demands: Vec<Option<MutationDemand>>,
-    events: BinaryHeap<HeapEntry>,
-    seq: u64,
-    host: SharedBus,
-    shard_bus: Vec<SharedBus>,
     waiting: Vec<usize>,
     mut_waiting: VecDeque<usize>,
     in_flight: usize,
@@ -634,21 +556,40 @@ struct Sim<'a, E: StreamEngine> {
     stalled_since: Option<f64>,
     ingest_stalls: usize,
     ingest_stall_ns: f64,
+    /// Per kernel job id, while the job runs.
     progress: Vec<Option<Progress>>,
-    mut_progress: Vec<Option<MutProgress>>,
     completions: Vec<QueryCompletion>,
     mutation_completions: Vec<MutationCompletion>,
     timeline: Vec<TimelineEvent>,
-    shard_cell_writes: Vec<u64>,
-    shard_endurance: Vec<f64>,
-    trace: &'a mut TraceRecorder,
-    tracks: Option<Tracks>,
+    sched_track: TrackId,
 }
 
-impl<E: StreamEngine> Sim<'_, E> {
-    fn push_event(&mut self, t_ns: f64, ev: Ev) {
-        self.events.push(HeapEntry { t_ns, seq: self.seq, ev });
-        self.seq += 1;
+impl<E: StreamEngine> Jobs for Sim<'_, E> {
+    fn chains(&self, job: usize) -> &[ShardDemand] {
+        match self.job(job) {
+            Job::Query(ai) => &self.qd(ai).shards,
+            Job::Mutation(mi) => &self.md(mi).lanes,
+        }
+    }
+
+    fn labels(&self, job: usize) -> SpanLabels {
+        let job = self.job(job);
+        let (lane_key, local) = match job {
+            Job::Query(_) => ("shard", "local"),
+            Job::Mutation(_) => ("lane", "ingest"),
+        };
+        SpanLabels { args: self.job_args(job), lane_key, local }
+    }
+}
+
+impl<'a, E: StreamEngine> Sim<'a, E> {
+    /// Kernel job ids: query arrivals keep their index, mutation
+    /// arrivals follow them.
+    fn job(&self, id: usize) -> Job {
+        match id.checked_sub(self.workload.len()) {
+            None => Job::Query(id),
+            Some(mi) => Job::Mutation(mi),
+        }
     }
 
     fn record(&mut self, t_ns: f64, kind: EventKind, arrival: usize, shard: Option<usize>) {
@@ -657,7 +598,7 @@ impl<E: StreamEngine> Sim<'_, E> {
 
     /// The admitted demand of a query arrival.
     fn qd(&self, ai: usize) -> &QueryDemand {
-        self.demands[ai].as_ref().expect("demand resolved at admission")
+        &self.admitted[ai].as_ref().expect("demand resolved at admission").0
     }
 
     /// The admitted demand of a mutation arrival.
@@ -665,33 +606,64 @@ impl<E: StreamEngine> Sim<'_, E> {
         self.mut_demands[mi].as_ref().expect("mutation compiled at admission")
     }
 
-    /// Standard event attributes: the arrival index and its query id.
-    fn query_args(&self, ai: usize) -> Vec<(&'static str, ArgValue)> {
-        let id = self.workload.queries()[self.workload.arrivals()[ai].query].id.clone();
-        vec![("arrival", ArgValue::U64(ai as u64)), ("query", ArgValue::Str(id))]
+    /// The mutation a mutation arrival carries.
+    fn mutation(&self, mi: usize) -> &'a Mutation {
+        &self.workload.mutations()[self.workload.mutation_arrivals()[mi].mutation]
     }
 
-    /// Standard mutation event attributes.
-    fn mutation_args(&self, mi: usize) -> Vec<(&'static str, ArgValue)> {
-        let label =
-            self.workload.mutations()[self.workload.mutation_arrivals()[mi].mutation].label();
-        vec![("ingest", ArgValue::U64(mi as u64)), ("mutation", ArgValue::Str(label))]
+    fn arrive_ns(&self, job: Job) -> f64 {
+        match job {
+            Job::Query(ai) => self.workload.arrivals()[ai].at_ns,
+            Job::Mutation(mi) => self.workload.mutation_arrivals()[mi].at_ns,
+        }
+    }
+
+    /// Standard event attributes: the arrival index and its query id
+    /// or mutation label.
+    fn job_args(&self, job: Job) -> SpanArgs {
+        match job {
+            Job::Query(ai) => {
+                let id = self.workload.queries()[self.workload.arrivals()[ai].query].id.clone();
+                vec![("arrival", ArgValue::U64(ai as u64)), ("query", ArgValue::Str(id))]
+            }
+            Job::Mutation(mi) => {
+                let label = self.mutation(mi).label();
+                vec![("ingest", ArgValue::U64(mi as u64)), ("mutation", ArgValue::Str(label))]
+            }
+        }
+    }
+
+    /// One scheduler-track instant about `job`: the standard attributes
+    /// plus at most one more.
+    fn trace_instant(
+        &self,
+        k: &mut Kernel<'_, Job>,
+        name: &str,
+        t_ns: f64,
+        job: Job,
+        extra: Option<(&'static str, ArgValue)>,
+    ) {
+        let Some(trace) = k.tracer() else { return };
+        let mut args = self.job_args(job);
+        args.extend(extra);
+        trace.instant(self.sched_track, name, t_ns, args);
+    }
+
+    /// The `key` attribute holding how long `job` has been in the
+    /// system at `t_ns`.
+    fn age(&self, key: &'static str, t_ns: f64, job: Job) -> Option<(&'static str, ArgValue)> {
+        Some((key, ArgValue::F64(t_ns - self.arrive_ns(job))))
     }
 
     /// Sample the scheduler counters (admission-queue depth, in-flight
     /// count, and — on HTAP workloads — ingest-queue depth) onto the
     /// scheduler track.
-    fn trace_queue_counters(&mut self, t_ns: f64) {
-        if let Some(tracks) = &self.tracks {
-            let sched = tracks.sched;
-            let depth = self.waiting.len() as f64;
-            let in_flight = self.in_flight as f64;
-            self.trace.counter(sched, "admission-queue", t_ns, depth);
-            self.trace.counter(sched, "in-flight", t_ns, in_flight);
-            if self.workload.has_mutations() {
-                let ingest = self.mut_waiting.len() as f64;
-                self.trace.counter(sched, "ingest-queue", t_ns, ingest);
-            }
+    fn trace_queue_counters(&self, k: &mut Kernel<'_, Job>, t_ns: f64) {
+        let Some(trace) = k.tracer() else { return };
+        trace.counter(self.sched_track, "admission-queue", t_ns, self.waiting.len() as f64);
+        trace.counter(self.sched_track, "in-flight", t_ns, self.in_flight as f64);
+        if self.workload.has_mutations() {
+            trace.counter(self.sched_track, "ingest-queue", t_ns, self.mut_waiting.len() as f64);
         }
     }
 
@@ -711,69 +683,14 @@ impl<E: StreamEngine> Sim<'_, E> {
         }
     }
 
-    /// Start one slice of a query shard chain at `now_ns`: its bus part
-    /// rides the shared channel first (free when zero-width), then its
-    /// local part queues on the shard. Returns the bus grant start when
-    /// the slice touched the bus.
-    fn start_slice(&mut self, now_ns: f64, ai: usize, sp: usize, idx: usize) -> Option<f64> {
-        let slice = self.qd(ai).shards[sp].slices[idx];
-        if slice.bus_ns > 0.0 {
-            let grant = self.host.acquire(now_ns, slice.bus_ns);
-            self.push_event(grant.end_ns, Ev::BusDone(ai, sp, idx));
-            if let Some(tracks) = &self.tracks {
-                let (host, shard) = (tracks.host, self.qd(ai).shards[sp].shard);
-                let name = slice.bus_kind.map_or("bus", |k| k.label());
-                let mut args = self.query_args(ai);
-                args.push(("shard", ArgValue::U64(shard as u64)));
-                args.push(("wait_ns", ArgValue::F64(grant.start_ns - now_ns)));
-                args.push(("bytes", ArgValue::U64(slice.bus_bytes)));
-                self.trace.span(host, name, grant.start_ns, slice.bus_ns, args);
-            }
-            Some(grant.start_ns)
-        } else {
-            self.push_event(now_ns, Ev::BusDone(ai, sp, idx));
-            None
-        }
-    }
-
-    /// Start one slice of a mutation lane chain (same bus-then-local
-    /// shape as query slices — ingest writes queue on the shared
-    /// channel like any transfer).
-    fn start_mut_slice(&mut self, now_ns: f64, mi: usize, lp: usize, idx: usize) {
-        let slice = self.md(mi).lanes[lp].slices[idx];
-        if slice.bus_ns > 0.0 {
-            let grant = self.host.acquire(now_ns, slice.bus_ns);
-            self.push_event(grant.end_ns, Ev::MutBusDone(mi, lp, idx));
-            if let Some(tracks) = &self.tracks {
-                let (host, lane) = (tracks.host, self.md(mi).lanes[lp].shard);
-                let name = slice.bus_kind.map_or("bus", |k| k.label());
-                let mut args = self.mutation_args(mi);
-                args.push(("lane", ArgValue::U64(lane as u64)));
-                args.push(("wait_ns", ArgValue::F64(grant.start_ns - now_ns)));
-                args.push(("bytes", ArgValue::U64(slice.bus_bytes)));
-                self.trace.span(host, name, grant.start_ns, slice.bus_ns, args);
-            }
-        } else {
-            self.push_event(now_ns, Ev::MutBusDone(mi, lp, idx));
-        }
-    }
-
-    /// Admit work while capacity allows: ingest first (strict FIFO
-    /// behind the bounded per-lane buffer), then queries (policy
-    /// order behind the in-flight bound). Mutations admit first so a
-    /// query and a mutation released by the same event see the
-    /// mutation in the query's snapshot — admission order, not
-    /// event-processing luck, defines the epoch.
-    fn try_admit(&mut self, now_ns: f64) -> Result<(), SchedError> {
-        self.try_admit_mutations(now_ns)?;
-        self.try_admit_queries(now_ns)
-    }
-
     /// Strict-FIFO ingest admission behind the bounded per-lane buffer.
-    fn try_admit_mutations(&mut self, now_ns: f64) -> Result<(), SchedError> {
+    fn try_admit_mutations(
+        &mut self,
+        k: &mut Kernel<'_, Job>,
+        now_ns: f64,
+    ) -> Result<(), SchedError> {
         while let Some(&mi) = self.mut_waiting.front() {
-            let m = &self.workload.mutations()[self.workload.mutation_arrivals()[mi].mutation];
-            let lanes = self.cluster.plan_mutation_lanes(m)?;
+            let lanes = self.cluster.plan_mutation_lanes(self.mutation(mi))?;
             let full = lanes.iter().find(|&&l| self.lane_inflight[l] >= self.cfg.ingest_buffer);
             if let Some(&lane) = full {
                 if self.stalled_since.is_none() {
@@ -782,12 +699,8 @@ impl<E: StreamEngine> Sim<'_, E> {
                     self.stalled_since = Some(now_ns);
                     self.ingest_stalls += 1;
                     self.record(now_ns, EventKind::MutationStall, mi, Some(lane));
-                    if let Some(tracks) = &self.tracks {
-                        let sched = tracks.sched;
-                        let mut args = self.mutation_args(mi);
-                        args.push(("lane", ArgValue::U64(lane as u64)));
-                        self.trace.instant(sched, "ingest-stall", now_ns, args);
-                    }
+                    let lane = ("lane", ArgValue::U64(lane as u64));
+                    self.trace_instant(k, "ingest-stall", now_ns, Job::Mutation(mi), Some(lane));
                 }
                 return Ok(());
             }
@@ -795,73 +708,65 @@ impl<E: StreamEngine> Sim<'_, E> {
                 self.ingest_stall_ns += now_ns - since;
             }
             self.mut_waiting.pop_front();
-            self.admit_mutation(now_ns, mi)?;
+            self.admit_mutation(k, now_ns, mi)?;
         }
         Ok(())
     }
 
     /// Admit one mutation: bump the epoch, apply it to the engine (the
     /// snapshot point), compile its lane chains and start them.
-    fn admit_mutation(&mut self, now_ns: f64, mi: usize) -> Result<(), SchedError> {
+    fn admit_mutation(
+        &mut self,
+        k: &mut Kernel<'_, Job>,
+        now_ns: f64,
+        mi: usize,
+    ) -> Result<(), SchedError> {
         self.record(now_ns, EventKind::MutationAdmit, mi, None);
-        if let Some(tracks) = &self.tracks {
-            let sched = tracks.sched;
-            let mut args = self.mutation_args(mi);
-            let arrive = self.workload.mutation_arrivals()[mi].at_ns;
-            args.push(("queued_ns", ArgValue::F64(now_ns - arrive)));
-            self.trace.instant(sched, "ingest-admit", now_ns, args);
-        }
+        let queued = self.age("queued_ns", now_ns, Job::Mutation(mi));
+        self.trace_instant(k, "ingest-admit", now_ns, Job::Mutation(mi), queued);
         self.epoch += 1;
-        let m = &self.workload.mutations()[self.workload.mutation_arrivals()[mi].mutation];
+        let m = self.mutation(mi);
         let applied = self.cluster.apply_mutation(m)?;
         let contention = self.cluster.contention();
         let demand = match self.cluster.host_config() {
             Some(host) => {
-                compile_mutation_demand(m.label(), &applied, &host, contention, self.want_detail)
+                let detail = k.tracer().is_some();
+                compile_mutation_demand(m.label(), &applied, &host, contention, detail)
             }
             None => compile_mutation_demand(m.label(), &[], &HostConfig::default(), false, false),
         };
         for ld in &demand.lanes {
-            self.shard_endurance[ld.shard] =
-                self.shard_endurance[ld.shard].max(ld.required_endurance);
+            self.lane_inflight[ld.shard] += 1;
         }
-        let n_lanes = demand.lanes.len();
-        let epoch = self.epoch;
+        let idle = demand.lanes.is_empty();
         self.mut_demands[mi] = Some(demand);
-        if n_lanes == 0 {
+        let mut p = Progress { admit_ns: now_ns, first_service_ns: now_ns, epoch: self.epoch };
+        if idle {
             // Zone maps admitted nothing (or the engine absorbed the
             // mutation without PIM work): durable at admission.
-            self.complete_mutation(
-                now_ns,
-                mi,
-                MutProgress { admit_ns: now_ns, remaining: 0, epoch },
-            );
+            self.complete_mutation(k, now_ns, mi, p);
             return Ok(());
         }
-        for lp in 0..n_lanes {
-            let lane = self.md(mi).lanes[lp].shard;
-            self.lane_inflight[lane] += 1;
-            self.start_mut_slice(now_ns, mi, lp, 0);
-        }
-        self.mut_progress[mi] = Some(MutProgress { admit_ns: now_ns, remaining: n_lanes, epoch });
-        self.trace_queue_counters(now_ns);
+        let job = self.workload.len() + mi;
+        p.first_service_ns = k.start(now_ns, &*self, job);
+        self.progress[job] = Some(p);
+        self.trace_queue_counters(k, now_ns);
         Ok(())
     }
 
     /// Admit queries from the queue while in-flight slots are free,
     /// resolving each one's demand against the current (admitted-
     /// mutation) engine state.
-    fn try_admit_queries(&mut self, now_ns: f64) -> Result<(), SchedError> {
+    fn try_admit_queries(
+        &mut self,
+        k: &mut Kernel<'_, Job>,
+        now_ns: f64,
+    ) -> Result<(), SchedError> {
         while self.in_flight < self.cfg.max_in_flight && !self.waiting.is_empty() {
             let ai = self.waiting.remove(self.pick_next());
             self.record(now_ns, EventKind::Admit, ai, None);
-            if let Some(tracks) = &self.tracks {
-                let sched = tracks.sched;
-                let mut args = self.query_args(ai);
-                let arrive = self.workload.arrivals()[ai].at_ns;
-                args.push(("queued_ns", ArgValue::F64(now_ns - arrive)));
-                self.trace.instant(sched, "admit", now_ns, args);
-            }
+            let queued = self.age("queued_ns", now_ns, Job::Query(ai));
+            self.trace_instant(k, "admit", now_ns, Job::Query(ai), queued);
             // Snapshot-consistent resolution: plan and execute against
             // exactly the mutations admitted so far, caching per
             // (query, epoch) so repeated arrivals between ingests share
@@ -870,59 +775,34 @@ impl<E: StreamEngine> Sim<'_, E> {
             let key = (qi, self.epoch);
             if !self.by_query.contains_key(&key) {
                 let query = &self.workload.queries()[qi];
-                let resolved = resolve_query_demand(&mut *self.cluster, query, self.want_detail)?;
-                for sd in &resolved.0.shards {
-                    self.shard_endurance[sd.shard] =
-                        self.shard_endurance[sd.shard].max(sd.required_endurance);
-                }
+                let detail = k.tracer().is_some();
+                let resolved = resolve_query_demand(&mut *self.cluster, query, detail)?;
                 self.by_query.insert(key, resolved);
             }
-            let (demand, merged) = self.by_query.get(&key).expect("resolved above");
-            self.demands[ai] = Some(demand.clone());
-            self.executions[ai] = Some(merged.clone());
-            let (n_shards, merge_ns) = (self.qd(ai).shards.len(), self.qd(ai).merge_ns);
-            let epoch = self.epoch;
-            if n_shards == 0 {
+            self.admitted[ai] = self.by_query.get(&key).cloned();
+            let mut p = Progress { admit_ns: now_ns, first_service_ns: now_ns, epoch: self.epoch };
+            if self.qd(ai).shards.is_empty() {
                 // The planner answered the query: nothing to dispatch,
                 // the (empty) merge is free, the slot never fills.
-                debug_assert_eq!(merge_ns, 0.0, "empty merges cost nothing");
-                self.complete(
-                    now_ns,
-                    ai,
-                    Progress { admit_ns: now_ns, first_service_ns: now_ns, remaining: 0, epoch },
-                );
-                self.trace_queue_counters(now_ns);
-                continue;
+                debug_assert_eq!(self.qd(ai).merge_ns, 0.0, "empty merges cost nothing");
+                self.complete(k, now_ns, ai, p);
+            } else {
+                self.in_flight += 1;
+                // The host opens every candidate shard's chain; the
+                // first slice of each (the per-page dispatch)
+                // serialises on the bus against everything in flight.
+                p.first_service_ns = k.start(now_ns, &*self, ai);
+                self.progress[ai] = Some(p);
             }
-            self.in_flight += 1;
-            // The host opens every candidate shard's chain; the first
-            // slice of each (the per-page dispatch) serialises on the
-            // bus against everything else in flight.
-            let mut first_service_ns = f64::INFINITY;
-            for sp in 0..n_shards {
-                if let Some(start) = self.start_slice(now_ns, ai, sp, 0) {
-                    first_service_ns = first_service_ns.min(start);
-                }
-            }
-            if !first_service_ns.is_finite() {
-                first_service_ns = now_ns;
-            }
-            self.progress[ai] =
-                Some(Progress { admit_ns: now_ns, first_service_ns, remaining: n_shards, epoch });
-            self.trace_queue_counters(now_ns);
+            self.trace_queue_counters(k, now_ns);
         }
         Ok(())
     }
 
-    fn complete(&mut self, now_ns: f64, ai: usize, p: Progress) {
+    fn complete(&mut self, k: &mut Kernel<'_, Job>, now_ns: f64, ai: usize, p: Progress) {
         self.record(now_ns, EventKind::Complete, ai, None);
-        if let Some(tracks) = &self.tracks {
-            let sched = tracks.sched;
-            let mut args = self.query_args(ai);
-            let arrive = self.workload.arrivals()[ai].at_ns;
-            args.push(("latency_ns", ArgValue::F64(now_ns - arrive)));
-            self.trace.instant(sched, "complete", now_ns, args);
-        }
+        let latency = self.age("latency_ns", now_ns, Job::Query(ai));
+        self.trace_instant(k, "complete", now_ns, Job::Query(ai), latency);
         let d = self.qd(ai);
         self.completions.push(QueryCompletion {
             arrival: ai,
@@ -937,15 +817,10 @@ impl<E: StreamEngine> Sim<'_, E> {
         });
     }
 
-    fn complete_mutation(&mut self, now_ns: f64, mi: usize, p: MutProgress) {
+    fn complete_mutation(&mut self, k: &mut Kernel<'_, Job>, now_ns: f64, mi: usize, p: Progress) {
         self.record(now_ns, EventKind::MutationComplete, mi, None);
-        if let Some(tracks) = &self.tracks {
-            let sched = tracks.sched;
-            let mut args = self.mutation_args(mi);
-            let arrive = self.workload.mutation_arrivals()[mi].at_ns;
-            args.push(("latency_ns", ArgValue::F64(now_ns - arrive)));
-            self.trace.instant(sched, "ingest-complete", now_ns, args);
-        }
+        let latency = self.age("latency_ns", now_ns, Job::Mutation(mi));
+        self.trace_instant(k, "ingest-complete", now_ns, Job::Mutation(mi), latency);
         let d = self.md(mi);
         self.mutation_completions.push(MutationCompletion {
             arrival: mi,
@@ -960,103 +835,12 @@ impl<E: StreamEngine> Sim<'_, E> {
         });
     }
 
-    /// A query's shard chain finished its last slice.
-    fn shard_done(&mut self, t: f64, ai: usize, sp: usize, shard: usize) {
-        self.record(t, EventKind::ShardDone, ai, Some(shard));
-        self.shard_cell_writes[shard] += self.qd(ai).shards[sp].cell_writes;
-        let p = self.progress[ai].as_mut().expect("in-flight query has progress");
-        p.remaining -= 1;
-        if p.remaining == 0 {
-            let merge_ns = self.qd(ai).merge_ns;
-            let grant = self.host.acquire(t, merge_ns);
-            self.push_event(grant.end_ns, Ev::MergeDone(ai));
-            if merge_ns > 0.0 {
-                if let Some(tracks) = &self.tracks {
-                    let host = tracks.host;
-                    let mut args = self.query_args(ai);
-                    args.push(("wait_ns", ArgValue::F64(grant.start_ns - t)));
-                    self.trace.span(host, "merge", grant.start_ns, merge_ns, args);
-                }
-            }
-        }
-    }
-
-    /// A mutation's lane chain finished its last slice: free the lane's
-    /// ingest-buffer slot (the stalled head may now clear) and complete
-    /// the mutation when it was the last lane.
-    fn mut_lane_done(
-        &mut self,
-        t: f64,
-        mi: usize,
-        lp: usize,
-        lane: usize,
-    ) -> Result<(), SchedError> {
-        self.record(t, EventKind::MutationLaneDone, mi, Some(lane));
-        self.shard_cell_writes[lane] += self.md(mi).lanes[lp].cell_writes;
-        self.lane_inflight[lane] -= 1;
-        let p = self.mut_progress[mi].as_mut().expect("in-flight mutation has progress");
-        p.remaining -= 1;
-        if p.remaining == 0 {
-            let p = self.mut_progress[mi].take().expect("taken once");
-            self.complete_mutation(t, mi, p);
-        }
-        self.trace_queue_counters(t);
-        self.try_admit(t)
-    }
-
-    /// Emit the module-track spans for one local window
-    /// `[start_ns, start_ns + local_ns]`: the per-phase composition
-    /// when the chain was compiled with detail, one opaque `local`
-    /// span otherwise.
-    fn trace_local(&mut self, ai: usize, sp: usize, idx: usize, start_ns: f64, local_ns: f64) {
-        let Some(tracks) = &self.tracks else { return };
-        let shard = self.qd(ai).shards[sp].shard;
-        let module = tracks.modules[shard];
-        let detail = self.qd(ai).shards[sp].detail.get(idx).cloned().unwrap_or_default();
-        if detail.is_empty() {
-            let args = self.query_args(ai);
-            self.trace.span(module, "local", start_ns, local_ns, args);
-            return;
-        }
-        let mut at = start_ns;
-        for (kind, dt) in detail {
-            let args = self.query_args(ai);
-            self.trace.span(module, kind.label(), at, dt, args);
-            at += dt;
-        }
-    }
-
-    /// Module-track spans for one mutation local window.
-    fn trace_mut_local(&mut self, mi: usize, lp: usize, idx: usize, start_ns: f64, local_ns: f64) {
-        let Some(tracks) = &self.tracks else { return };
-        let lane = self.md(mi).lanes[lp].shard;
-        let module = tracks.modules[lane];
-        let detail = self.md(mi).lanes[lp].detail.get(idx).cloned().unwrap_or_default();
-        if detail.is_empty() {
-            let args = self.mutation_args(mi);
-            self.trace.span(module, "ingest", start_ns, local_ns, args);
-            return;
-        }
-        let mut at = start_ns;
-        for (kind, dt) in detail {
-            let args = self.mutation_args(mi);
-            self.trace.span(module, kind.label(), at, dt, args);
-            at += dt;
-        }
-    }
-
-    fn run(mut self) -> Result<StreamOutcome, SchedError> {
-        let policy = self.cfg.policy;
-        while let Some(entry) = self.events.pop() {
-            let t = entry.t_ns;
-            match entry.ev {
-                Ev::Arrive(ai) => {
+    fn run(mut self, mut k: Kernel<'_, Job>) -> Result<StreamOutcome, SchedError> {
+        while let Some((t, moment)) = k.next(&self) {
+            match moment {
+                Moment::Front(Job::Query(ai)) => {
                     self.record(t, EventKind::Arrive, ai, None);
-                    if let Some(tracks) = &self.tracks {
-                        let sched = tracks.sched;
-                        let args = self.query_args(ai);
-                        self.trace.instant(sched, "arrive", t, args);
-                    }
+                    self.trace_instant(&mut k, "arrive", t, Job::Query(ai), None);
                     // SCSF's size estimate, planned against the zone
                     // maps as they stand at arrival (heuristic only —
                     // the real demand is planned at admission).
@@ -1065,79 +849,54 @@ impl<E: StreamEngine> Sim<'_, E> {
                     self.cand_est[ai] =
                         self.cluster.plan_shards(filter)?.iter().filter(|&&b| b).count();
                     self.waiting.push(ai);
-                    self.trace_queue_counters(t);
-                    self.try_admit(t)?;
                 }
-                Ev::MutArrive(mi) => {
+                Moment::Front(Job::Mutation(mi)) => {
                     self.record(t, EventKind::MutationArrive, mi, None);
-                    if let Some(tracks) = &self.tracks {
-                        let sched = tracks.sched;
-                        let args = self.mutation_args(mi);
-                        self.trace.instant(sched, "ingest-arrive", t, args);
-                    }
+                    self.trace_instant(&mut k, "ingest-arrive", t, Job::Mutation(mi), None);
                     self.mut_waiting.push_back(mi);
-                    self.trace_queue_counters(t);
-                    self.try_admit(t)?;
                 }
-                Ev::BusDone(ai, sp, idx) => {
-                    let (shard, slice) = {
-                        let d = &self.qd(ai).shards[sp];
-                        (d.shard, d.slices[idx])
-                    };
-                    if idx == 0 {
-                        self.record(t, EventKind::Dispatched, ai, Some(shard));
+                // The timeline records dispatch for query chains only.
+                Moment::Dispatched { job, lane } => {
+                    if let Job::Query(ai) = self.job(job) {
+                        self.record(t, EventKind::Dispatched, ai, Some(lane));
                     }
-                    if slice.local_ns > 0.0 {
-                        let grant = self.shard_bus[shard].acquire(t, slice.local_ns);
-                        self.push_event(grant.end_ns, Ev::LocalDone(ai, sp, idx));
-                        self.trace_local(ai, sp, idx, grant.start_ns, slice.local_ns);
-                    } else {
-                        self.push_event(t, Ev::LocalDone(ai, sp, idx));
-                    }
+                    continue;
                 }
-                Ev::LocalDone(ai, sp, idx) => {
-                    let (shard, len) = {
-                        let d = &self.qd(ai).shards[sp];
-                        (d.shard, d.slices.len())
-                    };
-                    if idx + 1 < len {
-                        self.start_slice(t, ai, sp, idx + 1);
-                    } else {
-                        self.shard_done(t, ai, sp, shard);
+                Moment::ChainDone { job, lane, last } => match self.job(job) {
+                    Job::Query(ai) => {
+                        self.record(t, EventKind::ShardDone, ai, Some(lane));
+                        if last {
+                            k.merge(t, &self, job, self.qd(ai).merge_ns);
+                        }
+                        continue;
                     }
-                }
-                Ev::MergeDone(ai) => {
+                    // A mutation's lane chain finished: free the lane's
+                    // ingest-buffer slot (the stalled head may now
+                    // clear); the mutation is durable at its last lane,
+                    // with no host-side merge.
+                    Job::Mutation(mi) => {
+                        self.record(t, EventKind::MutationLaneDone, mi, Some(lane));
+                        self.lane_inflight[lane] -= 1;
+                        if last {
+                            let p = self.progress[job].take().expect("in-flight mutation");
+                            self.complete_mutation(&mut k, t, mi, p);
+                        }
+                    }
+                },
+                Moment::MergeDone { job: ai } => {
                     let p = self.progress[ai].take().expect("merging query has progress");
-                    self.complete(t, ai, p);
+                    self.complete(&mut k, t, ai, p);
                     self.in_flight -= 1;
-                    self.trace_queue_counters(t);
-                    self.try_admit(t)?;
-                }
-                Ev::MutBusDone(mi, lp, idx) => {
-                    let (lane, slice) = {
-                        let d = &self.md(mi).lanes[lp];
-                        (d.shard, d.slices[idx])
-                    };
-                    if slice.local_ns > 0.0 {
-                        let grant = self.shard_bus[lane].acquire(t, slice.local_ns);
-                        self.push_event(grant.end_ns, Ev::MutLocalDone(mi, lp, idx));
-                        self.trace_mut_local(mi, lp, idx, grant.start_ns, slice.local_ns);
-                    } else {
-                        self.push_event(t, Ev::MutLocalDone(mi, lp, idx));
-                    }
-                }
-                Ev::MutLocalDone(mi, lp, idx) => {
-                    let (lane, len) = {
-                        let d = &self.md(mi).lanes[lp];
-                        (d.shard, d.slices.len())
-                    };
-                    if idx + 1 < len {
-                        self.start_mut_slice(t, mi, lp, idx + 1);
-                    } else {
-                        self.mut_lane_done(t, mi, lp, lane)?;
-                    }
                 }
             }
+            // A queue grew or capacity freed: admit while capacity
+            // allows. Mutations admit first so a query and a mutation
+            // released by the same event see the mutation in the
+            // query's snapshot — admission order, not event-processing
+            // luck, defines the epoch.
+            self.trace_queue_counters(&mut k, t);
+            self.try_admit_mutations(&mut k, t)?;
+            self.try_admit_queries(&mut k, t)?;
         }
         let makespan_ns = self
             .completions
@@ -1146,21 +905,22 @@ impl<E: StreamEngine> Sim<'_, E> {
             .chain(self.mutation_completions.iter().map(|c| c.complete_ns))
             .fold(0.0, f64::max);
         let executions = self
-            .executions
+            .admitted
             .into_iter()
-            .map(|e| e.expect("every arrival admits and completes"))
+            .map(|e| e.expect("every arrival admits and completes").1)
             .collect();
+        let lanes = k.into_tallies();
         Ok(StreamOutcome {
-            policy,
+            policy: self.cfg.policy,
             completions: self.completions,
             mutation_completions: self.mutation_completions,
             executions,
             timeline: self.timeline,
             makespan_ns,
-            host_busy_ns: self.host.busy_ns(),
-            shard_busy_ns: self.shard_bus.iter().map(SharedBus::busy_ns).collect(),
-            shard_cell_writes: self.shard_cell_writes,
-            shard_required_endurance: self.shard_endurance,
+            host_busy_ns: lanes.host_busy_ns,
+            shard_busy_ns: lanes.busy_ns,
+            shard_cell_writes: lanes.cell_writes,
+            shard_required_endurance: lanes.required_endurance,
             ingest_stalls: self.ingest_stalls,
             ingest_stall_ns: self.ingest_stall_ns,
         })
@@ -1224,7 +984,6 @@ pub fn run_stream_traced<E: StreamEngine>(
     if cfg.ingest_buffer == 0 {
         return Err(SchedError::InvalidConfig("ingest_buffer must be at least 1".into()));
     }
-    let want_detail = trace.is_enabled();
     let active_shards = cluster.active_shards();
     // Pure-query runs keep the per-shard shape; ingest runs widen the
     // lane vectors to every ingest lane (star dimension modules after
@@ -1234,22 +993,24 @@ pub fn run_stream_traced<E: StreamEngine>(
     } else {
         active_shards
     };
-    let tracks = Tracks::new(trace, active_shards, lanes);
-    let mut sim = Sim {
+    let (queries, mutations) = (workload.len(), workload.mutation_arrivals().len());
+    let sched_track = trace.track("scheduler");
+    let mut kernel = Kernel::new(trace, active_shards, lanes);
+    for (ai, arrival) in workload.arrivals().iter().enumerate() {
+        kernel.push(arrival.at_ns, Job::Query(ai));
+    }
+    for (mi, arrival) in workload.mutation_arrivals().iter().enumerate() {
+        kernel.push(arrival.at_ns, Job::Mutation(mi));
+    }
+    let sim = Sim {
         cfg,
         workload,
         cluster,
-        want_detail,
         epoch: 0,
         by_query: HashMap::new(),
-        demands: vec![None; workload.len()],
-        executions: vec![None; workload.len()],
-        cand_est: vec![0; workload.len()],
-        mut_demands: vec![None; workload.mutation_arrivals().len()],
-        events: BinaryHeap::new(),
-        seq: 0,
-        host: SharedBus::new(),
-        shard_bus: vec![SharedBus::new(); lanes],
+        admitted: vec![None; queries],
+        cand_est: vec![0; queries],
+        mut_demands: vec![None; mutations],
         waiting: Vec::new(),
         mut_waiting: VecDeque::new(),
         in_flight: 0,
@@ -1257,23 +1018,13 @@ pub fn run_stream_traced<E: StreamEngine>(
         stalled_since: None,
         ingest_stalls: 0,
         ingest_stall_ns: 0.0,
-        progress: vec![None; workload.len()],
-        mut_progress: vec![None; workload.mutation_arrivals().len()],
-        completions: Vec::with_capacity(workload.len()),
-        mutation_completions: Vec::with_capacity(workload.mutation_arrivals().len()),
+        progress: vec![None; queries + mutations],
+        completions: Vec::with_capacity(queries),
+        mutation_completions: Vec::with_capacity(mutations),
         timeline: Vec::new(),
-        shard_cell_writes: vec![0; lanes],
-        shard_endurance: vec![0.0; lanes],
-        trace,
-        tracks,
+        sched_track,
     };
-    for (ai, arrival) in workload.arrivals().iter().enumerate() {
-        sim.push_event(arrival.at_ns, Ev::Arrive(ai));
-    }
-    for (mi, arrival) in workload.mutation_arrivals().iter().enumerate() {
-        sim.push_event(arrival.at_ns, Ev::MutArrive(mi));
-    }
-    sim.run()
+    sim.run(kernel)
 }
 
 /// The horizon the per-module required-endurance figures assume (the

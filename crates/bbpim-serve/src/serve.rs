@@ -1,9 +1,13 @@
-//! The multi-tenant serving event loop.
+//! The multi-tenant server: the admission front-end of [`run_serve`]
+//! over the chain-execution kernel it shares with the streaming
+//! scheduler ([`bbpim_sched::kernel`]).
 //!
 //! [`run_serve`] multiplexes every tenant's arrival process — seeded
 //! open Poisson/burst streams *and* closed-loop think-time clients —
-//! into one deterministic discrete-event timeline over a
-//! [`StreamEngine`] cluster:
+//! into one deterministic timeline over a [`StreamEngine`] cluster.
+//! The kernel plays admitted requests' slice chains out on the shared
+//! host channel and the module servers; this module decides which
+//! requests run and when:
 //!
 //! * **Rate limits** — each arrival passes its tenant's token bucket;
 //!   over-rate requests are not rejected, their admission eligibility
@@ -28,18 +32,19 @@
 //! bit-identical to the batch oracle; policies only decide which
 //! requests run and when. Closed-loop clients issue their next request
 //! from their completion (or shed) instant plus a seeded think gap,
-//! which is why serving needs its own event loop rather than a
-//! precomputed workload trace.
+//! which is why serving is its own front-end rather than a precomputed
+//! workload trace handed to `run_stream`. Reads and writes alike
+//! complete through a merge grant on the host channel (zero-length for
+//! a write, but still queued behind the bus).
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use bbpim_cluster::ClusterExecution;
 use bbpim_sched::demand::{
     compile_mutation_demand, resolve_query_demand, MutationDemand, QueryDemand, ShardDemand,
 };
+use bbpim_sched::kernel::{Jobs, Kernel, Moment, SpanArgs, SpanLabels};
 use bbpim_sched::StreamEngine;
-use bbpim_sim::hostbus::SharedBus;
 use bbpim_trace::{ArgValue, TraceRecorder, TrackId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -286,7 +291,7 @@ impl ServeOutcome {
     }
 
     /// Raw (unclamped) host-channel demand ratio (cf.
-    /// [`SharedBus::demand`]).
+    /// [`bbpim_sim::hostbus::SharedBus::demand`]).
     pub fn host_demand(&self) -> f64 {
         if self.makespan_ns <= 0.0 {
             return 0.0;
@@ -327,14 +332,10 @@ struct Request {
     eligible_ns: f64,
     /// Always `None` for writes: durable work is never shed.
     deadline_ns: Option<f64>,
-}
-
-/// Mutable per-request execution state.
-#[derive(Clone, Copy)]
-struct Progress {
+    /// Set at admission.
     admit_ns: f64,
+    /// Set at admission: when the first bus slice started.
     first_service_ns: f64,
-    remaining: usize,
 }
 
 /// One closed-loop client: its private think/pick RNG and how many
@@ -344,47 +345,13 @@ struct ClientState {
     remaining: usize,
 }
 
+/// The server's own kernel events.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Ev {
     /// A request enters its tenant's admission queue.
     Arrive(usize),
     /// A deferred admission attempt (head-of-queue eligibility).
     AdmitTick,
-    /// `(request, shard_pos, slice_idx)`: the slice's bus part ended.
-    BusDone(usize, usize, usize),
-    /// `(request, shard_pos, slice_idx)`: the slice's local part ended.
-    LocalDone(usize, usize, usize),
-    /// The request's host-side merge ended.
-    MergeDone(usize),
-}
-
-/// Heap entry ordered by (time, insertion sequence) — the sequence
-/// makes simultaneous events deterministic.
-struct HeapEntry {
-    t_ns: f64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.t_ns.total_cmp(&other.t_ns) == Ordering::Equal && self.seq == other.seq
-    }
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    /// Reversed so `BinaryHeap` pops the *earliest* event first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.t_ns.total_cmp(&self.t_ns).then(other.seq.cmp(&self.seq))
-    }
 }
 
 /// The dynamic window state.
@@ -399,37 +366,6 @@ impl WindowState {
             WindowState::Static(w) => *w,
             WindowState::Aimd(c) => c.window(),
         }
-    }
-}
-
-/// Trace track ids for the serving lanes (present only when the
-/// recorder is enabled).
-struct Tracks {
-    serve: TrackId,
-    host: TrackId,
-    controller: TrackId,
-    modules: Vec<TrackId>,
-}
-
-impl Tracks {
-    fn new(trace: &mut TraceRecorder, active_shards: usize, lanes: usize) -> Option<Tracks> {
-        if !trace.is_enabled() {
-            return None;
-        }
-        Some(Tracks {
-            serve: trace.track("serve"),
-            host: trace.track("host-bus"),
-            controller: trace.track("controller"),
-            modules: (0..lanes)
-                .map(|k| {
-                    if k < active_shards {
-                        trace.track(&format!("module-{k}"))
-                    } else {
-                        trace.track(&format!("ingest-lane-{}", k - active_shards))
-                    }
-                })
-                .collect(),
-        })
     }
 }
 
@@ -472,12 +408,7 @@ struct Server<'a> {
     submitted: Vec<usize>,
     throttled: Vec<usize>,
     window: WindowState,
-    events: BinaryHeap<HeapEntry>,
-    seq: u64,
-    host: SharedBus,
-    shard_bus: Vec<SharedBus>,
     in_flight: usize,
-    progress: Vec<Option<Progress>>,
     /// EWMA of observed per-candidate-shard service time — the
     /// deadline shedder's completion predictor.
     est_per_shard_ns: Option<f64>,
@@ -485,36 +416,35 @@ struct Server<'a> {
     completions: Vec<ServeCompletion>,
     executions: Vec<ClusterExecution>,
     write_completions: Vec<ServeWriteCompletion>,
-    lane_cell_writes: Vec<u64>,
-    lane_required_endurance: Vec<f64>,
     drops: Vec<ServeDrop>,
     timeline: Vec<ServeTimelineEvent>,
     window_trajectory: Vec<(f64, usize)>,
-    trace: &'a mut TraceRecorder,
-    tracks: Option<Tracks>,
+    serve_track: TrackId,
+    controller_track: TrackId,
 }
 
 /// EWMA weight for new per-shard service observations.
 const EST_ALPHA: f64 = 0.3;
 
-impl Server<'_> {
-    fn push_event(&mut self, t_ns: f64, ev: Ev) {
-        self.events.push(HeapEntry { t_ns, seq: self.seq, ev });
-        self.seq += 1;
-    }
-
-    fn record(&mut self, t_ns: f64, kind: ServeEventKind, request: usize, shard: Option<usize>) {
-        self.timeline.push(ServeTimelineEvent { t_ns, kind, request, shard });
-    }
-
-    /// The request's per-lane slice chains: candidate shard chains for
-    /// a query, ingest lane chains for a write.
+impl Jobs for Server<'_> {
+    /// Candidate shard chains for a query, ingest lane chains for a
+    /// write.
     fn chains(&self, ri: usize) -> &[ShardDemand] {
         let r = &self.requests[ri];
         match r.work {
             Work::Query(q) => &self.demands[r.tenant][q].0.shards,
             Work::Write(w) => &self.write_demands[r.tenant][w].lanes,
         }
+    }
+
+    fn labels(&self, ri: usize) -> SpanLabels {
+        SpanLabels { args: self.request_args(ri), lane_key: "shard", local: "local" }
+    }
+}
+
+impl Server<'_> {
+    fn record(&mut self, t_ns: f64, kind: ServeEventKind, request: usize, shard: Option<usize>) {
+        self.timeline.push(ServeTimelineEvent { t_ns, kind, request, shard });
     }
 
     /// The request's host-side merge occupancy (writes have none — a
@@ -538,7 +468,7 @@ impl Server<'_> {
 
     /// Standard event attributes: request index, tenant name, query id
     /// or mutation label.
-    fn request_args(&self, ri: usize) -> Vec<(&'static str, ArgValue)> {
+    fn request_args(&self, ri: usize) -> SpanArgs {
         let r = &self.requests[ri];
         vec![
             ("request", ArgValue::U64(ri as u64)),
@@ -547,22 +477,42 @@ impl Server<'_> {
         ]
     }
 
+    /// One serve-track instant about request `ri`: the standard
+    /// attributes plus `(key, value)`.
+    fn trace_instant(
+        &self,
+        k: &mut Kernel<'_, Ev>,
+        name: &str,
+        t_ns: f64,
+        ri: usize,
+        extra: &[(&'static str, f64)],
+    ) {
+        let Some(trace) = k.tracer() else { return };
+        let mut args = self.request_args(ri);
+        args.extend(extra.iter().map(|&(key, v)| (key, ArgValue::F64(v))));
+        trace.instant(self.serve_track, name, t_ns, args);
+    }
+
     /// Sample the scheduler counters (total queued, in-flight, window)
     /// onto the serve and controller tracks.
-    fn trace_counters(&mut self, t_ns: f64) {
-        if let Some(tracks) = &self.tracks {
-            let (serve, ctl) = (tracks.serve, tracks.controller);
-            let depth: usize = self.queues.iter().map(VecDeque::len).sum();
-            let in_flight = self.in_flight as f64;
-            let window = self.window.window() as f64;
-            self.trace.counter(serve, "admission-queue", t_ns, depth as f64);
-            self.trace.counter(serve, "in-flight", t_ns, in_flight);
-            self.trace.counter(ctl, "in-flight-window", t_ns, window);
-        }
+    fn trace_counters(&self, k: &mut Kernel<'_, Ev>, t_ns: f64) {
+        let Some(trace) = k.tracer() else { return };
+        let depth: usize = self.queues.iter().map(VecDeque::len).sum();
+        trace.counter(self.serve_track, "admission-queue", t_ns, depth as f64);
+        trace.counter(self.serve_track, "in-flight", t_ns, self.in_flight as f64);
+        let window = self.window.window() as f64;
+        trace.counter(self.controller_track, "in-flight-window", t_ns, window);
     }
 
     /// Create one request and schedule its arrival.
-    fn create_request(&mut self, tenant: usize, work: Work, client: Option<usize>, at_ns: f64) {
+    fn create_request(
+        &mut self,
+        k: &mut Kernel<'_, Ev>,
+        tenant: usize,
+        work: Work,
+        client: Option<usize>,
+        at_ns: f64,
+    ) {
         let deadline_ns = match work {
             Work::Query(_) => self.tenants[tenant].slo.deadline_ns.map(|d| at_ns + d),
             Work::Write(_) => None,
@@ -575,15 +525,16 @@ impl Server<'_> {
             arrive_ns: at_ns,
             eligible_ns: at_ns,
             deadline_ns,
+            admit_ns: at_ns,
+            first_service_ns: at_ns,
         });
-        self.progress.push(None);
         self.submitted[tenant] += 1;
-        self.push_event(at_ns, Ev::Arrive(ri));
+        k.push(at_ns, Ev::Arrive(ri));
     }
 
     /// A closed-loop client learned its request's fate at `now_ns`:
     /// think, then issue the next request (if it has any left).
-    fn client_next(&mut self, now_ns: f64, ri: usize) {
+    fn client_next(&mut self, k: &mut Kernel<'_, Ev>, now_ns: f64, ri: usize) {
         let r = self.requests[ri];
         let Some(ci) = r.client else { return };
         let ArrivalProcess::Closed { mean_think_ns, .. } = self.tenants[r.tenant].process else {
@@ -598,7 +549,7 @@ impl Server<'_> {
         st.remaining -= 1;
         let gap = exp_gap_ns(&mut st.rng, mean_think_ns);
         let work = pick_work(&mut st.rng, spec.queries.len(), spec.writes.as_ref());
-        self.create_request(r.tenant, work, Some(ci), now_ns + gap);
+        self.create_request(k, r.tenant, work, Some(ci), now_ns + gap);
     }
 
     /// The shedder's completion predictor: candidate shards × the
@@ -621,10 +572,10 @@ impl Server<'_> {
 
     /// Schedule a deferred admission attempt at `at_ns` unless an
     /// earlier one is already pending.
-    fn schedule_tick(&mut self, at_ns: f64) {
+    fn schedule_tick(&mut self, k: &mut Kernel<'_, Ev>, at_ns: f64) {
         if !self.next_tick_ns.is_some_and(|t| t <= at_ns) {
             self.next_tick_ns = Some(at_ns);
-            self.push_event(at_ns, Ev::AdmitTick);
+            k.push(at_ns, Ev::AdmitTick);
         }
     }
 
@@ -650,42 +601,19 @@ impl Server<'_> {
         (best.map(|(_, t)| t), next_eligible)
     }
 
-    /// Start one slice of a shard chain at `now_ns` (cf. the streaming
-    /// scheduler: bus part first, then the local part queues on the
-    /// shard). Returns the bus grant start when the slice touched the
-    /// bus.
-    fn start_slice(&mut self, now_ns: f64, ri: usize, sp: usize, idx: usize) -> Option<f64> {
-        let slice = self.chains(ri)[sp].slices[idx];
-        if slice.bus_ns > 0.0 {
-            let grant = self.host.acquire(now_ns, slice.bus_ns);
-            self.push_event(grant.end_ns, Ev::BusDone(ri, sp, idx));
-            if let Some(tracks) = &self.tracks {
-                let (host, shard) = (tracks.host, self.chains(ri)[sp].shard);
-                let name = slice.bus_kind.map_or("bus", |k| k.label());
-                let mut args = self.request_args(ri);
-                args.push(("shard", ArgValue::U64(shard as u64)));
-                args.push(("wait_ns", ArgValue::F64(grant.start_ns - now_ns)));
-                args.push(("bytes", ArgValue::U64(slice.bus_bytes)));
-                self.trace.span(host, name, grant.start_ns, slice.bus_ns, args);
-            }
-            Some(grant.start_ns)
-        } else {
-            self.push_event(now_ns, Ev::BusDone(ri, sp, idx));
-            None
-        }
-    }
-
     /// Shed `ri` at admission: its predicted completion blows its
     /// deadline.
-    fn shed(&mut self, now_ns: f64, ri: usize, predicted_ns: f64, deadline_ns: f64) {
+    fn shed(
+        &mut self,
+        k: &mut Kernel<'_, Ev>,
+        now_ns: f64,
+        ri: usize,
+        predicted_ns: f64,
+        deadline_ns: f64,
+    ) {
         self.record(now_ns, ServeEventKind::Shed, ri, None);
-        if let Some(tracks) = &self.tracks {
-            let serve = tracks.serve;
-            let mut args = self.request_args(ri);
-            args.push(("predicted_ns", ArgValue::F64(predicted_ns)));
-            args.push(("deadline_ns", ArgValue::F64(deadline_ns)));
-            self.trace.instant(serve, "shed", now_ns, args);
-        }
+        let extra = [("predicted_ns", predicted_ns), ("deadline_ns", deadline_ns)];
+        self.trace_instant(k, "shed", now_ns, ri, &extra);
         let r = self.requests[ri];
         self.drops.push(ServeDrop {
             request: ri,
@@ -699,16 +627,16 @@ impl Server<'_> {
         });
         // The rejection is the client's signal: it thinks, then retries
         // with its next request.
-        self.client_next(now_ns, ri);
+        self.client_next(k, now_ns, ri);
     }
 
     /// Admit from the tenant queues while in-flight slots are free.
-    fn try_admit(&mut self, now_ns: f64) {
+    fn try_admit(&mut self, k: &mut Kernel<'_, Ev>, now_ns: f64) {
         while self.in_flight < self.window.window() {
             let (pick, next_eligible) = self.pick_tenant(now_ns);
             let Some(t) = pick else {
                 if next_eligible.is_finite() {
-                    self.schedule_tick(next_eligible);
+                    self.schedule_tick(k, next_eligible);
                 }
                 break;
             };
@@ -718,63 +646,36 @@ impl Server<'_> {
             if let Some(d) = self.requests[ri].deadline_ns {
                 let predicted = now_ns + self.estimate_service_ns(self.chains(ri).len());
                 if now_ns > d || predicted > d {
-                    self.shed(now_ns, ri, predicted, d);
+                    self.shed(k, now_ns, ri, predicted, d);
                     continue;
                 }
             }
             self.record(now_ns, ServeEventKind::Admit, ri, None);
-            if let Some(tracks) = &self.tracks {
-                let serve = tracks.serve;
-                let mut args = self.request_args(ri);
-                args.push(("queued_ns", ArgValue::F64(now_ns - self.requests[ri].arrive_ns)));
-                self.trace.instant(serve, "admit", now_ns, args);
-            }
-            let (n_shards, busy) = {
-                let chains = self.chains(ri);
-                let slices: f64 = chains
-                    .iter()
-                    .flat_map(|c| c.slices.iter())
-                    .map(|s| s.bus_ns + s.local_ns)
-                    .sum();
-                (chains.len(), slices + self.merge_ns(ri))
-            };
-            self.served_work[t] += busy;
-            if n_shards == 0 {
+            let queued = now_ns - self.requests[ri].arrive_ns;
+            self.trace_instant(k, "admit", now_ns, ri, &[("queued_ns", queued)]);
+            let chains = self.chains(ri);
+            let slices: f64 =
+                chains.iter().flat_map(|c| c.slices.iter()).map(|s| s.bus_ns + s.local_ns).sum();
+            let idle = chains.is_empty();
+            self.served_work[t] += slices + self.merge_ns(ri);
+            self.requests[ri].admit_ns = now_ns;
+            if idle {
                 // The planner answered the query: nothing to dispatch,
                 // the (empty) merge is free, the slot never fills.
-                self.complete(
-                    now_ns,
-                    ri,
-                    Progress { admit_ns: now_ns, first_service_ns: now_ns, remaining: 0 },
-                );
-                self.trace_counters(now_ns);
-                continue;
+                self.requests[ri].first_service_ns = now_ns;
+                self.complete(k, now_ns, ri);
+            } else {
+                self.in_flight += 1;
+                self.requests[ri].first_service_ns = k.start(now_ns, &*self, ri);
             }
-            self.in_flight += 1;
-            let mut first_service_ns = f64::INFINITY;
-            for sp in 0..n_shards {
-                if let Some(start) = self.start_slice(now_ns, ri, sp, 0) {
-                    first_service_ns = first_service_ns.min(start);
-                }
-            }
-            if !first_service_ns.is_finite() {
-                first_service_ns = now_ns;
-            }
-            self.progress[ri] =
-                Some(Progress { admit_ns: now_ns, first_service_ns, remaining: n_shards });
-            self.trace_counters(now_ns);
+            self.trace_counters(k, now_ns);
         }
     }
 
-    fn complete(&mut self, now_ns: f64, ri: usize, p: Progress) {
+    fn complete(&mut self, k: &mut Kernel<'_, Ev>, now_ns: f64, ri: usize) {
         self.record(now_ns, ServeEventKind::Complete, ri, None);
-        if let Some(tracks) = &self.tracks {
-            let serve = tracks.serve;
-            let mut args = self.request_args(ri);
-            args.push(("latency_ns", ArgValue::F64(now_ns - self.requests[ri].arrive_ns)));
-            self.trace.instant(serve, "complete", now_ns, args);
-        }
         let r = self.requests[ri];
+        self.trace_instant(k, "complete", now_ns, ri, &[("latency_ns", now_ns - r.arrive_ns)]);
         // Feed the controller the SLO-normalised latency: write
         // completions count against the same promise, so a congested
         // ingest path cuts the window exactly as slow queries do.
@@ -788,8 +689,8 @@ impl Server<'_> {
                     query_id: demand.query_id.clone(),
                     arrive_ns: r.arrive_ns,
                     eligible_ns: r.eligible_ns,
-                    admit_ns: p.admit_ns,
-                    first_service_ns: p.first_service_ns,
+                    admit_ns: r.admit_ns,
+                    first_service_ns: r.first_service_ns,
                     complete_ns: now_ns,
                     shards_dispatched: demand.shards.len(),
                     shards_pruned: demand.shards_pruned,
@@ -810,8 +711,8 @@ impl Server<'_> {
                     label: d.label.clone(),
                     arrive_ns: r.arrive_ns,
                     eligible_ns: r.eligible_ns,
-                    admit_ns: p.admit_ns,
-                    first_service_ns: p.first_service_ns,
+                    admit_ns: r.admit_ns,
+                    first_service_ns: r.first_service_ns,
                     complete_ns: now_ns,
                     lanes: d.lanes.len(),
                     records_updated: d.records_updated,
@@ -825,70 +726,21 @@ impl Server<'_> {
         if let WindowState::Aimd(ctl) = &mut self.window {
             if let Some(w) = ctl.on_completion(now_ns, ratio) {
                 self.window_trajectory.push((now_ns, w));
-                if let Some(tracks) = &self.tracks {
-                    let ctl_track = tracks.controller;
-                    self.trace.counter(ctl_track, "in-flight-window", now_ns, w as f64);
+                if let Some(trace) = k.tracer() {
+                    trace.counter(self.controller_track, "in-flight-window", now_ns, w as f64);
                 }
             }
         }
         // The completion is the closed-loop client's signal.
-        self.client_next(now_ns, ri);
+        self.client_next(k, now_ns, ri);
     }
 
-    /// A shard/lane chain finished its last slice.
-    fn shard_done(&mut self, t: f64, ri: usize, sp: usize) {
-        let (shard, cell_writes, endurance) = {
-            let c = &self.chains(ri)[sp];
-            (c.shard, c.cell_writes, c.required_endurance)
-        };
-        self.record(t, ServeEventKind::ShardDone, ri, Some(shard));
-        self.lane_cell_writes[shard] += cell_writes;
-        if endurance > self.lane_required_endurance[shard] {
-            self.lane_required_endurance[shard] = endurance;
-        }
-        let p = self.progress[ri].as_mut().expect("in-flight request has progress");
-        p.remaining -= 1;
-        if p.remaining == 0 {
-            let merge_ns = self.merge_ns(ri);
-            let grant = self.host.acquire(t, merge_ns);
-            self.push_event(grant.end_ns, Ev::MergeDone(ri));
-            if merge_ns > 0.0 {
-                if let Some(tracks) = &self.tracks {
-                    let host = tracks.host;
-                    let mut args = self.request_args(ri);
-                    args.push(("wait_ns", ArgValue::F64(grant.start_ns - t)));
-                    self.trace.span(host, "merge", grant.start_ns, merge_ns, args);
-                }
-            }
-        }
-    }
-
-    /// Emit the module-track spans for one local window.
-    fn trace_local(&mut self, ri: usize, sp: usize, idx: usize, start_ns: f64, local_ns: f64) {
-        let Some(tracks) = &self.tracks else { return };
-        let shard = self.chains(ri)[sp].shard;
-        let module = tracks.modules[shard];
-        let detail = self.chains(ri)[sp].detail.get(idx).cloned().unwrap_or_default();
-        if detail.is_empty() {
-            let args = self.request_args(ri);
-            self.trace.span(module, "local", start_ns, local_ns, args);
-            return;
-        }
-        let mut at = start_ns;
-        for (kind, dt) in detail {
-            let args = self.request_args(ri);
-            self.trace.span(module, kind.label(), at, dt, args);
-            at += dt;
-        }
-    }
-
-    fn run(mut self) -> ServeOutcome {
+    fn run(mut self, mut k: Kernel<'_, Ev>) -> ServeOutcome {
         self.window_trajectory.push((0.0, self.window.window()));
-        self.trace_counters(0.0);
-        while let Some(entry) = self.events.pop() {
-            let t = entry.t_ns;
-            match entry.ev {
-                Ev::Arrive(ri) => {
+        self.trace_counters(&mut k, 0.0);
+        while let Some((t, moment)) = k.next(&self) {
+            match moment {
+                Moment::Front(Ev::Arrive(ri)) => {
                     let tenant = self.requests[ri].tenant;
                     let eligible = match &mut self.buckets[tenant] {
                         Some(b) => b.reserve(t),
@@ -899,54 +751,35 @@ impl Server<'_> {
                         self.throttled[tenant] += 1;
                     }
                     self.record(t, ServeEventKind::Arrive, ri, None);
-                    if let Some(tracks) = &self.tracks {
-                        let serve = tracks.serve;
-                        let mut args = self.request_args(ri);
-                        args.push(("throttle_ns", ArgValue::F64(eligible - t)));
-                        self.trace.instant(serve, "arrive", t, args);
-                    }
+                    self.trace_instant(&mut k, "arrive", t, ri, &[("throttle_ns", eligible - t)]);
                     self.queues[tenant].push_back(ri);
-                    self.trace_counters(t);
-                    self.try_admit(t);
+                    self.trace_counters(&mut k, t);
                 }
-                Ev::AdmitTick => {
+                Moment::Front(Ev::AdmitTick) => {
                     if self.next_tick_ns == Some(t) {
                         self.next_tick_ns = None;
                     }
-                    self.try_admit(t);
                 }
-                Ev::BusDone(ri, sp, idx) => {
-                    let (shard, slice) = {
-                        let d = &self.chains(ri)[sp];
-                        (d.shard, d.slices[idx])
-                    };
-                    if idx == 0 {
-                        self.record(t, ServeEventKind::Dispatched, ri, Some(shard));
-                    }
-                    if slice.local_ns > 0.0 {
-                        let grant = self.shard_bus[shard].acquire(t, slice.local_ns);
-                        self.push_event(grant.end_ns, Ev::LocalDone(ri, sp, idx));
-                        self.trace_local(ri, sp, idx, grant.start_ns, slice.local_ns);
-                    } else {
-                        self.push_event(t, Ev::LocalDone(ri, sp, idx));
-                    }
+                Moment::Dispatched { job: ri, lane } => {
+                    self.record(t, ServeEventKind::Dispatched, ri, Some(lane));
+                    continue;
                 }
-                Ev::LocalDone(ri, sp, idx) => {
-                    let len = self.chains(ri)[sp].slices.len();
-                    if idx + 1 < len {
-                        self.start_slice(t, ri, sp, idx + 1);
-                    } else {
-                        self.shard_done(t, ri, sp);
+                // Reads and writes alike end in a merge grant: a write's
+                // is zero-length, yet still waits its turn on the bus.
+                Moment::ChainDone { job: ri, lane, last } => {
+                    self.record(t, ServeEventKind::ShardDone, ri, Some(lane));
+                    if last {
+                        k.merge(t, &self, ri, self.merge_ns(ri));
                     }
+                    continue;
                 }
-                Ev::MergeDone(ri) => {
-                    let p = self.progress[ri].take().expect("merging request has progress");
-                    self.complete(t, ri, p);
+                Moment::MergeDone { job: ri } => {
+                    self.complete(&mut k, t, ri);
                     self.in_flight -= 1;
-                    self.trace_counters(t);
-                    self.try_admit(t);
+                    self.trace_counters(&mut k, t);
                 }
             }
+            self.try_admit(&mut k, t);
         }
         let makespan_ns = self
             .completions
@@ -959,6 +792,7 @@ impl Server<'_> {
             WindowState::Aimd(ctl) => ctl.decisions().to_vec(),
             WindowState::Static(_) => Vec::new(),
         };
+        let lanes = k.into_tallies();
         ServeOutcome {
             completions: self.completions,
             executions: self.executions,
@@ -970,10 +804,10 @@ impl Server<'_> {
             submitted: self.submitted,
             throttled: self.throttled,
             makespan_ns,
-            host_busy_ns: self.host.busy_ns(),
-            shard_busy_ns: self.shard_bus.iter().map(SharedBus::busy_ns).collect(),
-            lane_cell_writes: self.lane_cell_writes,
-            lane_required_endurance: self.lane_required_endurance,
+            host_busy_ns: lanes.host_busy_ns,
+            shard_busy_ns: lanes.busy_ns,
+            lane_cell_writes: lanes.cell_writes,
+            lane_required_endurance: lanes.required_endurance,
         }
     }
 }
@@ -1079,7 +913,13 @@ pub fn run_serve_traced<E: StreamEngine>(
     // Query-only sessions keep exactly one lane per active shard;
     // write traffic adds the cluster's auxiliary ingest lanes.
     let lanes = if has_writes { cluster.ingest_lanes().max(active_shards) } else { active_shards };
-    let tracks = Tracks::new(trace, active_shards, lanes);
+    // Registration order is part of the export bytes: `serve`,
+    // `host-bus`, `controller`, then the kernel's lane tracks (its own
+    // `host-bus` registration finds this one).
+    let serve_track = trace.track("serve");
+    trace.track("host-bus");
+    let controller_track = trace.track("controller");
+    let mut kernel = Kernel::new(trace, active_shards, lanes);
     let n = tenants.len();
     let mut server = Server {
         tenants,
@@ -1093,24 +933,17 @@ pub fn run_serve_traced<E: StreamEngine>(
         submitted: vec![0; n],
         throttled: vec![0; n],
         window,
-        events: BinaryHeap::new(),
-        seq: 0,
-        host: SharedBus::new(),
-        shard_bus: vec![SharedBus::new(); lanes],
         in_flight: 0,
-        progress: Vec::new(),
         est_per_shard_ns: None,
         next_tick_ns: None,
         completions: Vec::new(),
         executions: Vec::new(),
         write_completions: Vec::new(),
-        lane_cell_writes: vec![0; lanes],
-        lane_required_endurance: vec![0.0; lanes],
         drops: Vec::new(),
         timeline: Vec::new(),
         window_trajectory: Vec::new(),
-        trace,
-        tracks,
+        serve_track,
+        controller_track,
     };
 
     // Seed every tenant's arrival stream.
@@ -1125,14 +958,14 @@ pub fn run_serve_traced<E: StreamEngine>(
                 for _ in 0..arrivals {
                     at += exp_gap_ns(&mut rng, mean_interarrival_ns);
                     let work = pick_work(&mut rng, n_queries, writes);
-                    server.create_request(t, work, None, at);
+                    server.create_request(&mut kernel, t, work, None, at);
                 }
             }
             ArrivalProcess::Burst { arrivals, at_ns } => {
                 let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, t as u64, 0));
                 for _ in 0..arrivals {
                     let work = pick_work(&mut rng, n_queries, writes);
-                    server.create_request(t, work, None, at_ns);
+                    server.create_request(&mut kernel, t, work, None, at_ns);
                 }
             }
             ArrivalProcess::Closed { clients, queries_per_client, mean_think_ns } => {
@@ -1146,7 +979,7 @@ pub fn run_serve_traced<E: StreamEngine>(
                         let gap = exp_gap_ns(&mut st.rng, mean_think_ns);
                         let work = pick_work(&mut st.rng, n_queries, writes);
                         client_states.push(st);
-                        server.create_request(t, work, Some(c), gap);
+                        server.create_request(&mut kernel, t, work, Some(c), gap);
                     } else {
                         client_states.push(st);
                     }
@@ -1156,5 +989,5 @@ pub fn run_serve_traced<E: StreamEngine>(
         server.clients.push(client_states);
     }
 
-    Ok(server.run())
+    Ok(server.run(kernel))
 }
