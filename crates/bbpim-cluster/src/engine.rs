@@ -38,8 +38,6 @@ use bbpim_core::groupby::cost_model::GroupByModel;
 use bbpim_core::modes::EngineMode;
 use bbpim_core::mutation::{Mutation, MutationReport};
 use bbpim_core::result::{PartialGroups, QueryExecution, QueryReport};
-#[allow(deprecated)]
-use bbpim_core::update::UpdateOp;
 use bbpim_core::CoreError;
 use bbpim_db::plan::{FilterBounds, Pred, Query};
 use bbpim_db::stats::{GroupedResult, MultiGrouped};
@@ -201,9 +199,6 @@ pub struct ClusterMutationReport {
     /// Full per-shard reports of the dispatched shards, in shard order.
     pub per_shard: Vec<MutationReport>,
 }
-
-/// v1 name of [`ClusterMutationReport`].
-pub type ClusterUpdateReport = ClusterMutationReport;
 
 /// The host-dispatch slice of one log.
 fn dispatch_ns(log: &RunLog) -> f64 {
@@ -749,18 +744,6 @@ impl ClusterEngine {
             energy_pj: reports.iter().map(|r| r.energy_pj).sum(),
             per_shard: reports,
         })
-    }
-
-    /// Fan a v1 UPDATE out to the shards. Deprecated wrapper over
-    /// [`ClusterEngine::mutate`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard failure.
-    #[allow(deprecated)]
-    #[deprecated(note = "use ClusterEngine::mutate with bbpim_core::mutation::Mutation")]
-    pub fn update(&mut self, op: &UpdateOp) -> Result<ClusterMutationReport, ClusterError> {
-        self.mutate(&op.clone().into())
     }
 
     /// Gather: merge per-shard partial executions (in shard order, as

@@ -27,8 +27,6 @@ use crate::modes::EngineMode;
 use crate::mutation::{run_mutation, Mutation, MutationReport};
 use crate::planner::{plan_pages, PageSet};
 use crate::result::{PartialGroups, QueryExecution, QueryReport};
-#[allow(deprecated)]
-use crate::update::{UpdateOp, UpdateReport};
 
 /// A PIM-resident OLAP engine over one (pre-joined) relation.
 pub struct PimQueryEngine {
@@ -362,18 +360,6 @@ impl PimQueryEngine {
             mutation,
             self.pruning,
         )
-    }
-
-    /// Execute a v1 UPDATE. Deprecated wrapper over
-    /// [`PimQueryEngine::mutate`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates substrate failures.
-    #[allow(deprecated)]
-    #[deprecated(note = "use PimQueryEngine::mutate with bbpim_core::mutation::Mutation")]
-    pub fn update(&mut self, op: &UpdateOp) -> Result<UpdateReport, CoreError> {
-        self.mutate(&op.clone().into())
     }
 
     /// Direct access to the module (inspection in tests and examples).

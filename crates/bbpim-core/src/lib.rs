@@ -20,9 +20,9 @@
 //!   latency model (Eqs. 1–3), assigns the k largest subgroups to
 //!   *pim-gb* and the tail to *host-gb*.
 //! * **Mutations via the PIM multiplexer** (Algorithm 1) — [`mutation`]
-//!   (API v2) maintains PIM-resident data with zero reads: UPDATE with
-//!   full `And`/`Or` filter trees and multi-column SET, plus INSERT
-//!   appending rows online ([`update`] is the deprecated v1 shim).
+//!   maintains PIM-resident data with zero reads: UPDATE with full
+//!   `And`/`Or` filter trees and multi-column SET, plus INSERT
+//!   appending rows online.
 //! * **Zone-map-driven physical planning** — [`planner`] tests a
 //!   query's bound intervals ([`bbpim_db::plan::FilterBounds`]) against
 //!   per-page min/max zone maps built at load time, and every execution
@@ -58,7 +58,6 @@ pub mod obs;
 pub mod planner;
 pub mod result;
 pub mod semijoin;
-pub mod update;
 
 pub use engine::PimQueryEngine;
 pub use error::CoreError;

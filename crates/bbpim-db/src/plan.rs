@@ -23,8 +23,8 @@
 //! String constants are written as strings and resolved to dictionary
 //! codes against a concrete schema. Queries are built fluently through
 //! [`crate::builder`] (`Query::select(...).filter(col("d_year").eq(1993))…`)
-//! or directly as struct literals; the pre-v2 single-aggregate shape
-//! survives as the deprecated [`LegacyQuery`] shim.
+//! or directly as struct literals; [`Query::single`] is the shorthand
+//! for the paper's single-aggregate, conjunctive-filter shape.
 
 use serde::{Deserialize, Serialize};
 
@@ -1078,52 +1078,6 @@ impl Query {
     }
 }
 
-/// The original single-aggregate, conjunctive-filter query shape — kept
-/// as a thin migration shim.
-///
-/// # Migration
-///
-/// ```
-/// # use bbpim_db::plan::{AggExpr, AggFunc, Atom, Query};
-/// # use bbpim_db::builder::col;
-/// // before (v1):
-/// //   LegacyQuery { id, filter: vec![Atom::Eq{..}], group_by,
-/// //                 agg_func: AggFunc::Sum, agg_expr: expr }
-/// // after (v2), equivalent query via the builder:
-/// let q = Query::select([bbpim_db::plan::SelectItem::sum(
-///         "value", AggExpr::mul("lo_extendedprice", "lo_discount"))])
-///     .id("Q1.1-like")
-///     .filter(col("d_year").eq(1993u64))
-///     .build_unchecked();
-/// # assert_eq!(q.select.len(), 1);
-/// ```
-///
-/// `From<LegacyQuery> for Query` produces a bit-identical plan: the
-/// conjunction becomes `Pred::all(filter)` and the aggregate becomes a
-/// one-item SELECT list named `"value"`.
-#[deprecated(note = "use the v2 `Query` (multi-aggregate SELECT list + `Pred` filter tree); \
-                     build it with `Query::select(...)` or `Query::single(...)`")]
-#[derive(Debug, Clone, PartialEq)]
-pub struct LegacyQuery {
-    /// Identifier.
-    pub id: String,
-    /// Conjunctive filter.
-    pub filter: Vec<Atom>,
-    /// GROUP BY attribute names.
-    pub group_by: Vec<String>,
-    /// Aggregate function.
-    pub agg_func: AggFunc,
-    /// Aggregate input expression.
-    pub agg_expr: AggExpr,
-}
-
-#[allow(deprecated)]
-impl From<LegacyQuery> for Query {
-    fn from(q: LegacyQuery) -> Query {
-        Query::single(q.id, q.filter, q.group_by, q.agg_func, q.agg_expr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1502,27 +1456,17 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn legacy_query_converts_bit_identically() {
-        let legacy = LegacyQuery {
-            id: "q".into(),
-            filter: vec![Atom::Gt { attr: "q".into(), value: 10u64.into() }],
-            group_by: vec!["region".into()],
-            agg_func: AggFunc::Sum,
-            agg_expr: AggExpr::attr("q"),
-        };
-        let v2: Query = legacy.clone().into();
-        assert_eq!(
-            v2,
-            Query::single(
-                "q",
-                legacy.filter.clone(),
-                vec!["region".into()],
-                AggFunc::Sum,
-                AggExpr::attr("q")
-            )
+    fn single_is_one_value_column_over_a_conjunction() {
+        let filter = vec![Atom::Gt { attr: "q".into(), value: 10u64.into() }];
+        let q = Query::single(
+            "q",
+            filter.clone(),
+            vec!["region".into()],
+            AggFunc::Sum,
+            AggExpr::attr("q"),
         );
-        assert_eq!(v2.select[0].name, "value");
+        assert_eq!(q.select, vec![SelectItem::sum("value", AggExpr::attr("q"))]);
+        assert_eq!(q.filter, Pred::all(filter));
     }
 
     #[test]

@@ -60,8 +60,6 @@ use bbpim_core::mutation::{Mutation, MutationReport};
 use bbpim_core::planner::PageSet;
 use bbpim_core::result::{PartialGroups, QueryExecution, QueryReport};
 use bbpim_core::semijoin::{build_semijoin_mask_program_in, SemijoinDisjunct, SemijoinTerm};
-#[allow(deprecated)]
-use bbpim_core::update::UpdateOp;
 use bbpim_db::plan::{Atom, FilterBounds, PhysicalPlan, Pred, Query, ResolvedAtom};
 use bbpim_db::ssb::star::{self, StarSchema, TableFootprint, DIMENSIONS};
 use bbpim_db::ssb::SsbDb;
@@ -899,18 +897,6 @@ impl StarCluster {
             energy_pj: reports.iter().map(|r| r.energy_pj).sum(),
             per_shard: reports,
         })
-    }
-
-    /// Apply a v1 UPDATE. Deprecated wrapper over
-    /// [`StarCluster::mutate`].
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`StarCluster::mutate`].
-    #[allow(deprecated)]
-    #[deprecated(note = "use StarCluster::mutate with bbpim_core::mutation::Mutation")]
-    pub fn update(&mut self, op: &UpdateOp) -> Result<ClusterMutationReport, ClusterError> {
-        self.mutate(&op.clone().into())
     }
 }
 

@@ -14,8 +14,6 @@ use bbpim_core::layout::{RecordLayout, MASK_COL, VALID_COL};
 use bbpim_core::loader::{load_relation, LoadedRelation};
 use bbpim_core::mutation::{run_mutation, Mutation, MutationReport};
 use bbpim_core::planner::{plan_pages, PageSet};
-#[allow(deprecated)]
-use bbpim_core::update::{UpdateOp, UpdateReport};
 use bbpim_db::plan::{FilterBounds, ResolvedAtom};
 use bbpim_db::zonemap::ZoneMap;
 use bbpim_db::Relation;
@@ -167,17 +165,6 @@ impl StarTable {
             m,
             prune,
         )?)
-    }
-
-    /// Apply a v1 UPDATE. Deprecated wrapper over [`StarTable::mutate`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates substrate failures.
-    #[allow(deprecated)]
-    #[deprecated(note = "use StarTable::mutate with bbpim_core::mutation::Mutation")]
-    pub fn update(&mut self, op: &UpdateOp, prune: bool) -> Result<UpdateReport, ClusterError> {
-        self.mutate(&op.clone().into(), prune)
     }
 
     /// Split borrow for execution paths that mutate the module while

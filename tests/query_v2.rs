@@ -1,7 +1,7 @@
 //! The v2 query surface, end to end:
 //!
-//! * builder-built queries are bit-identical to legacy-struct queries
-//!   (through the deprecated [`LegacyQuery`] shim);
+//! * builder-built queries are bit-identical to hand-built
+//!   [`Query::single`] queries;
 //! * a k-aggregate query equals k single-aggregate runs result-wise
 //!   while charging at most one filter pass;
 //! * DNF zone-map bounds never prune a page holding a matching record
@@ -43,26 +43,24 @@ fn synthetic_relation(rows: u64) -> Relation {
 }
 
 // ---------------------------------------------------------------------
-// (a) builder == legacy shim, bit-identically
+// (a) builder == hand-built struct, bit-identically
 // ---------------------------------------------------------------------
 
 #[test]
-#[allow(deprecated)]
-fn builder_queries_equal_legacy_struct_queries() {
-    use bbpim::db::plan::LegacyQuery;
+fn builder_queries_equal_hand_built_struct_queries() {
     let rel = synthetic_relation(1200);
-    let cases: Vec<(LegacyQuery, Query)> = vec![
+    let cases: Vec<(Query, Query)> = vec![
         (
-            LegacyQuery {
-                id: "q1".into(),
-                filter: vec![
+            Query::single(
+                "q1",
+                vec![
                     Atom::Eq { attr: "d_year".into(), value: 3u64.into() },
                     Atom::Between { attr: "lo_disc".into(), lo: 1u64.into(), hi: 3u64.into() },
                 ],
-                group_by: vec![],
-                agg_func: AggFunc::Sum,
-                agg_expr: AggExpr::mul("lo_price", "lo_disc"),
-            },
+                vec![],
+                AggFunc::Sum,
+                AggExpr::mul("lo_price", "lo_disc"),
+            ),
             Query::select([SelectItem::sum("value", AggExpr::mul("lo_price", "lo_disc"))])
                 .id("q1")
                 .filter(col("d_year").eq(3u64).and(col("lo_disc").between(1u64, 3u64)))
@@ -70,13 +68,13 @@ fn builder_queries_equal_legacy_struct_queries() {
                 .unwrap(),
         ),
         (
-            LegacyQuery {
-                id: "q2".into(),
-                filter: vec![Atom::Gt { attr: "lo_price".into(), value: 60u64.into() }],
-                group_by: vec!["d_year".into()],
-                agg_func: AggFunc::Max,
-                agg_expr: AggExpr::attr("lo_price"),
-            },
+            Query::single(
+                "q2",
+                vec![Atom::Gt { attr: "lo_price".into(), value: 60u64.into() }],
+                vec!["d_year".into()],
+                AggFunc::Max,
+                AggExpr::attr("lo_price"),
+            ),
             Query::select([SelectItem::max("value", AggExpr::attr("lo_price"))])
                 .id("q2")
                 .filter(col("lo_price").gt(60u64))
@@ -90,16 +88,15 @@ fn builder_queries_equal_legacy_struct_queries() {
     engine
         .calibrate(&bbpim::engine::groupby::calibration::CalibrationConfig::tiny_for_tests())
         .unwrap();
-    for (legacy, built) in cases {
-        let converted: Query = legacy.into();
+    for (hand_built, built) in cases {
         // the logical plans are identical (modulo And-wrapping of a
         // single-atom filter, which normalisation removes)…
-        assert_eq!(converted.id, built.id);
-        assert_eq!(converted.filter.dnf(), built.filter.dnf(), "{}", built.id);
-        assert_eq!(converted.group_by, built.group_by, "{}", built.id);
-        assert_eq!(converted.select, built.select, "{}", built.id);
+        assert_eq!(hand_built.id, built.id);
+        assert_eq!(hand_built.filter.dnf(), built.filter.dnf(), "{}", built.id);
+        assert_eq!(hand_built.group_by, built.group_by, "{}", built.id);
+        assert_eq!(hand_built.select, built.select, "{}", built.id);
         // …and so are executions and phase logs (same program sequence).
-        let a = engine.run(&converted).unwrap();
+        let a = engine.run(&hand_built).unwrap();
         let b = engine.run(&built).unwrap();
         assert_eq!(a.groups, b.groups, "{}", built.id);
         assert_eq!(a.groups, stats::run_oracle(&built, &rel).unwrap(), "{}", built.id);
