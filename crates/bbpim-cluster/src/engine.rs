@@ -22,8 +22,8 @@
 //! Real modules execute concurrently, but the *host* is one resource.
 //! Under the default **contention model**, *everything* that crosses
 //! the host↔module channel serialises across shards: per-page dispatch
-//! ([`PhaseKind::HostDispatch`]) *and* the bandwidth term of every
-//! byte-tagged transfer (mask transfers, result-line reads, host-gb
+//! ([`bbpim_sim::timeline::PhaseKind::HostDispatch`]) *and* the
+//! bandwidth term of every byte-tagged transfer (mask transfers, result-line reads, host-gb
 //! record fetches — `QueryReport::host_bus_ns`). The wall clock for
 //! one query is `Σ host-bus occupancy + max over shards of (shard time
 //! − its occupancy) + host merge`; energy — drawn by every module — is
@@ -37,17 +37,17 @@ use bbpim_core::groupby::calibration::CalibrationConfig;
 use bbpim_core::groupby::cost_model::GroupByModel;
 use bbpim_core::modes::EngineMode;
 use bbpim_core::mutation::{Mutation, MutationReport};
-use bbpim_core::result::{PartialGroups, QueryExecution, QueryReport};
+use bbpim_core::result::{QueryExecution, QueryReport};
 use bbpim_core::CoreError;
 use bbpim_db::plan::{FilterBounds, Pred, Query};
-use bbpim_db::stats::{GroupedResult, MultiGrouped};
+use bbpim_db::stats::MultiGrouped;
 use bbpim_db::zonemap::ZoneMap;
 use bbpim_db::Relation;
 use bbpim_sim::config::SimConfig;
-use bbpim_sim::timeline::{PhaseKind, RunLog};
 
 use crate::error::ClusterError;
 use crate::explain::{HostBytes, PlanExplain, ShardPlan};
+use crate::fold::{self, fold_mutation, serial_slice_ns, ClusterShape};
 use crate::partition::Partitioner;
 
 /// One shard: its position in the cluster plus its engine and zone map.
@@ -198,26 +198,6 @@ pub struct ClusterMutationReport {
     pub energy_pj: f64,
     /// Full per-shard reports of the dispatched shards, in shard order.
     pub per_shard: Vec<MutationReport>,
-}
-
-/// The host-dispatch slice of one log.
-fn dispatch_ns(log: &RunLog) -> f64 {
-    log.time_in(PhaseKind::HostDispatch)
-}
-
-impl ClusterEngine {
-    /// The slice of one shard's execution the host must serialise under
-    /// the current accounting model: the whole channel occupancy
-    /// (`host_bus_ns`) with contention on, only per-page dispatch with
-    /// it off. Single source of truth for `run`, `run_batch` and
-    /// `update` so the three wall clocks can never drift apart.
-    fn serial_slice_ns(&self, host_bus_ns: f64, log: &RunLog) -> f64 {
-        if self.contention {
-            host_bus_ns
-        } else {
-            dispatch_ns(log)
-        }
-    }
 }
 
 impl ClusterEngine {
@@ -615,8 +595,9 @@ impl ClusterEngine {
             })
             .collect();
 
-        let serial =
-            |e: &QueryExecution| self.serial_slice_ns(e.report.host_bus_ns, &e.report.phases);
+        let serial = |e: &QueryExecution| {
+            serial_slice_ns(self.contention, e.report.host_bus_ns, &e.report.phases)
+        };
         let serial_total: f64 =
             per_shard.iter().flat_map(|execs| execs.iter().map(|(_, e)| serial(e))).sum();
         let pim_queue = |shard_execs: &Vec<(usize, QueryExecution)>| -> f64 {
@@ -727,35 +708,16 @@ impl ClusterEngine {
     ///
     /// Propagates the first shard failure.
     pub fn mutate(&mut self, m: &Mutation) -> Result<ClusterMutationReport, ClusterError> {
-        let active = self.shards.len();
         let reports: Vec<MutationReport> =
             self.mutate_on_lanes(m)?.into_iter().map(|(_, r)| r).collect();
-        let dispatch_time_ns: f64 = reports.iter().map(|r| dispatch_ns(&r.phases)).sum();
-        let serial = |r: &MutationReport| self.serial_slice_ns(r.host_bus_ns, &r.phases);
-        let serial_total: f64 = reports.iter().map(serial).sum();
-        let pim_max = reports.iter().map(|r| r.time_ns - serial(r)).fold(0.0, f64::max);
-        Ok(ClusterMutationReport {
-            records_updated: reports.iter().map(|r| r.records_updated).sum(),
-            records_inserted: reports.iter().map(|r| r.records_inserted).sum(),
-            shards_pruned: active - reports.len(),
-            time_ns: serial_total + pim_max,
-            dispatch_time_ns,
-            total_shard_time_ns: reports.iter().map(|r| r.time_ns).sum(),
-            energy_pj: reports.iter().map(|r| r.energy_pj).sum(),
-            per_shard: reports,
-        })
+        let shards_pruned = self.shards.len() - reports.len();
+        Ok(fold_mutation(self.contention, reports, shards_pruned))
     }
 
     /// Gather: merge per-shard partial executions (in shard order, as
     /// produced by [`ClusterEngine::run_on_shard`]) into one cluster
-    /// execution. This is the gather half of [`ClusterEngine::run`];
-    /// `shards_pruned` is reporting-only and does not affect the
-    /// answer. Each *physical* component (sum / min / max / count)
-    /// merges per named output column; derived outputs (`AVG`) are
-    /// computed only afterwards, so they stay bit-exact under sharding.
-    /// Merging commutes with how the partials were obtained, so a
-    /// scheduler that executed the shard slices out of order still gets
-    /// the bit-identical merged result.
+    /// execution — the gather half of [`ClusterEngine::run`], folded by
+    /// [`fold::merge_executions`].
     ///
     /// # Panics
     ///
@@ -767,73 +729,20 @@ impl ClusterEngine {
         executions: &[&QueryExecution],
         shards_pruned: usize,
     ) -> ClusterExecution {
-        let plan = query.physical_plan().expect("executed queries have a valid SELECT list");
-        let mut partials: Vec<PartialGroups> =
-            plan.aggs.iter().map(|a| PartialGroups::new(a.func)).collect();
-        let mut merged_entries = 0u64;
-        for exec in executions {
-            for (acc, part) in partials.iter_mut().zip(&exec.partials) {
-                merged_entries += part.groups.len() as u64;
-                acc.absorb_ref(part);
-            }
-        }
-
-        // Host-side gather cost: the host folds every (shard, group)
-        // partial into the final table, at its hash-aggregation rate.
-        let merge_ns_per_entry = self
-            .shards
-            .first()
-            .map(|s| s.engine.config().host.host_agg_ns_per_record)
-            .unwrap_or(0.0);
-        let merge_time_ns = merged_entries as f64 * merge_ns_per_entry;
-
-        // One host: the serialised slice of each shard is its whole
-        // channel occupancy under the contention model, or just its
-        // per-page dispatch under the optimistic one; everything else
-        // overlaps across modules.
-        let dispatch_time_ns: f64 = executions.iter().map(|e| dispatch_ns(&e.report.phases)).sum();
-        let host_bus_time_ns: f64 = executions.iter().map(|e| e.report.host_bus_ns).sum();
-        let serial =
-            |e: &&QueryExecution| self.serial_slice_ns(e.report.host_bus_ns, &e.report.phases);
-        let serial_total: f64 = executions.iter().map(serial).sum();
-        let pim_max = executions.iter().map(|e| e.report.time_ns - serial(e)).fold(0.0, f64::max);
-        let selected: u64 = executions.iter().map(|e| e.report.selected).sum();
-        let report = ClusterReport {
-            query_id: query.id.clone(),
+        let shape = ClusterShape {
             mode: self.mode,
             shards: self.shard_count,
             active_shards: self.shards.len(),
-            shards_pruned,
             partitioner: self.partitioner.label(),
-            time_ns: serial_total + pim_max + merge_time_ns,
-            dispatch_time_ns,
-            host_bus_time_ns,
-            merge_time_ns,
-            total_shard_time_ns: executions.iter().map(|e| e.report.time_ns).sum(),
-            energy_pj: executions.iter().map(|e| e.report.energy_pj).sum(),
-            peak_chip_power_w: executions
-                .iter()
-                .map(|e| e.report.peak_chip_power_w)
-                .fold(0.0, f64::max),
             records: self.records,
             pages_total: self.shards.iter().map(|s| s.engine.page_count()).sum(),
-            pages_scanned: executions.iter().map(|e| e.report.pages_scanned).sum(),
-            selected,
-            selectivity: if self.records == 0 {
-                0.0
-            } else {
-                selected as f64 / self.records as f64
-            },
-            max_shard_subgroups: executions
-                .iter()
-                .map(|e| e.report.total_subgroups)
-                .max()
-                .unwrap_or(0),
-            per_shard: executions.iter().map(|e| e.report.clone()).collect(),
+            contention: self.contention,
+            host_agg_ns_per_entry: self
+                .shards
+                .first()
+                .map_or(0.0, |s| s.engine.config().host.host_agg_ns_per_record),
         };
-        let per_agg: Vec<GroupedResult> =
-            partials.into_iter().map(PartialGroups::into_groups).collect();
-        ClusterExecution { groups: plan.finalize(&per_agg), report }
+        fold::merge_executions(&shape, query, executions, shards_pruned)
     }
 }
 
@@ -906,6 +815,7 @@ mod tests {
     use bbpim_db::plan::{AggExpr, AggFunc, Atom};
     use bbpim_db::schema::{Attribute, Schema};
     use bbpim_db::stats;
+    use bbpim_sim::timeline::PhaseKind;
 
     fn relation(rows: u64) -> Relation {
         let schema = Schema::new(

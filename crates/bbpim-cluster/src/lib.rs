@@ -25,10 +25,11 @@
 //!   every shard drains its own zone-pruned query queue without
 //!   cluster-wide barriers, so batch wall clock is host dispatch plus
 //!   max-over-shards of PIM queue time.
-//! * [`engine::ClusterEngine::update`] — cluster-wide UPDATE fan-out to
-//!   the shards admitting the WHERE clause; each shard's PIM
-//!   multiplexer rewrites the records it owns, and the touched shards'
-//!   zone maps widen so pruning stays sound after writes.
+//! * [`engine::ClusterEngine::mutate`] — cluster-wide mutation fan-out:
+//!   an UPDATE goes to the shards admitting the WHERE clause, where
+//!   each shard's PIM multiplexer rewrites the records it owns; INSERT
+//!   rows route round-robin. The touched shards' zone maps widen so
+//!   pruning stays sound after writes.
 //! * Scatter and gather are also exposed as building blocks —
 //!   [`engine::ClusterEngine::run_on_shard`] executes one query on one
 //!   shard, [`engine::ClusterEngine::merge_executions`] folds partials
@@ -56,6 +57,7 @@
 pub mod engine;
 pub mod error;
 pub mod explain;
+pub mod fold;
 pub mod obs;
 pub mod partition;
 

@@ -45,9 +45,9 @@
 use std::collections::HashMap;
 
 use bbpim_cluster::engine::ClusterMutationReport;
+use bbpim_cluster::fold::{self, ClusterShape};
 use bbpim_cluster::{
-    ClusterError, ClusterExecution, ClusterReport, HostBytes, JoinTransfer, Partitioner,
-    PlanExplain, ShardPlan,
+    ClusterError, ClusterExecution, HostBytes, JoinTransfer, Partitioner, PlanExplain, ShardPlan,
 };
 use bbpim_core::agg_exec::{aggregate_masked, materialize_exprs};
 use bbpim_core::error::CoreError;
@@ -68,7 +68,7 @@ use bbpim_db::zonemap::ZoneMap;
 use bbpim_sim::hostbus::log_occupancy_ns;
 use bbpim_sim::hostmem::LineSet;
 use bbpim_sim::module::PimModule;
-use bbpim_sim::timeline::{Phase, PhaseKind, RunLog};
+use bbpim_sim::timeline::{Phase, RunLog};
 use bbpim_sim::SimConfig;
 
 use crate::bitmap::KeyBitmap;
@@ -637,9 +637,9 @@ impl StarCluster {
     }
 
     /// Gather: merge per-shard partial executions into one cluster
-    /// execution — the same fold as
-    /// [`bbpim_cluster::ClusterEngine::merge_executions`], so
-    /// schedulers treat both storage models uniformly.
+    /// execution — the same fold
+    /// ([`bbpim_cluster::fold::merge_executions`]) as the pre-joined
+    /// cluster's, so schedulers treat both storage models uniformly.
     ///
     /// # Panics
     ///
@@ -651,72 +651,20 @@ impl StarCluster {
         executions: &[&QueryExecution],
         shards_pruned: usize,
     ) -> ClusterExecution {
-        let plan = query.physical_plan().expect("executed queries have a valid SELECT list");
-        let mut partials: Vec<PartialGroups> =
-            plan.aggs.iter().map(|a| PartialGroups::new(a.func)).collect();
-        let mut merged_entries = 0u64;
-        for exec in executions {
-            for (acc, part) in partials.iter_mut().zip(&exec.partials) {
-                merged_entries += part.groups.len() as u64;
-                acc.absorb_ref(part);
-            }
-        }
-        let merge_ns_per_entry = self
-            .shards
-            .first()
-            .map(|s| s.table.module().config().host.host_agg_ns_per_record)
-            .unwrap_or(0.0);
-        let merge_time_ns = merged_entries as f64 * merge_ns_per_entry;
-
-        let dispatch_time_ns: f64 =
-            executions.iter().map(|e| e.report.phases.time_in(PhaseKind::HostDispatch)).sum();
-        let host_bus_time_ns: f64 = executions.iter().map(|e| e.report.host_bus_ns).sum();
-        let serial = |e: &&QueryExecution| {
-            if self.contention {
-                e.report.host_bus_ns
-            } else {
-                e.report.phases.time_in(PhaseKind::HostDispatch)
-            }
-        };
-        let serial_total: f64 = executions.iter().map(serial).sum();
-        let pim_max = executions.iter().map(|e| e.report.time_ns - serial(e)).fold(0.0, f64::max);
-        let selected: u64 = executions.iter().map(|e| e.report.selected).sum();
-        let report = ClusterReport {
-            query_id: query.id.clone(),
+        let shape = ClusterShape {
             mode: self.mode,
             shards: self.shard_count,
             active_shards: self.shards.len(),
-            shards_pruned,
             partitioner: self.partitioner.label(),
-            time_ns: serial_total + pim_max + merge_time_ns,
-            dispatch_time_ns,
-            host_bus_time_ns,
-            merge_time_ns,
-            total_shard_time_ns: executions.iter().map(|e| e.report.time_ns).sum(),
-            energy_pj: executions.iter().map(|e| e.report.energy_pj).sum(),
-            peak_chip_power_w: executions
-                .iter()
-                .map(|e| e.report.peak_chip_power_w)
-                .fold(0.0, f64::max),
             records: self.records,
             pages_total: self.shards.iter().map(|s| s.table.page_count()).sum(),
-            pages_scanned: executions.iter().map(|e| e.report.pages_scanned).sum(),
-            selected,
-            selectivity: if self.records == 0 {
-                0.0
-            } else {
-                selected as f64 / self.records as f64
-            },
-            max_shard_subgroups: executions
-                .iter()
-                .map(|e| e.report.total_subgroups)
-                .max()
-                .unwrap_or(0),
-            per_shard: executions.iter().map(|e| e.report.clone()).collect(),
+            contention: self.contention,
+            host_agg_ns_per_entry: self
+                .shards
+                .first()
+                .map_or(0.0, |s| s.table.module().config().host.host_agg_ns_per_record),
         };
-        let per_agg: Vec<GroupedResult> =
-            partials.into_iter().map(PartialGroups::into_groups).collect();
-        ClusterExecution { groups: plan.finalize(&per_agg), report }
+        fold::merge_executions(&shape, query, executions, shards_pruned)
     }
 
     /// Which single table an UPDATE routes to: `Some(d)` for dimension
@@ -873,30 +821,8 @@ impl StarCluster {
         let fact_update = matches!(m, Mutation::Update { .. }) && self.route_update(m)?.is_none();
         let reports: Vec<MutationReport> =
             self.mutate_on_lanes(m)?.into_iter().map(|(_, r)| r).collect();
-        let contention = self.contention;
-        let serial = |r: &MutationReport| {
-            if contention {
-                r.host_bus_ns
-            } else {
-                r.phases.time_in(PhaseKind::HostDispatch)
-            }
-        };
         let shards_pruned = if fact_update { self.shards.len() - reports.len() } else { 0 };
-        let serial_total: f64 = reports.iter().map(serial).sum();
-        let pim_max = reports.iter().map(|r| r.time_ns - serial(r)).fold(0.0, f64::max);
-        Ok(ClusterMutationReport {
-            records_updated: reports.iter().map(|r| r.records_updated).sum(),
-            records_inserted: reports.iter().map(|r| r.records_inserted).sum(),
-            shards_pruned,
-            time_ns: serial_total + pim_max,
-            dispatch_time_ns: reports
-                .iter()
-                .map(|r| r.phases.time_in(PhaseKind::HostDispatch))
-                .sum(),
-            total_shard_time_ns: reports.iter().map(|r| r.time_ns).sum(),
-            energy_pj: reports.iter().map(|r| r.energy_pj).sum(),
-            per_shard: reports,
-        })
+        Ok(fold::fold_mutation(self.contention, reports, shards_pruned))
     }
 }
 
