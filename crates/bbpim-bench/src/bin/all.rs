@@ -4,7 +4,8 @@ use bbpim_bench::reports::{print_fig6, print_fig7, print_fig8, print_fig9, print
 use bbpim_bench::{cross_validate, pim_runs, run_monet, setup, BenchConfig};
 
 fn main() {
-    let cfg = BenchConfig::from_args();
+    // optional machine-readable output: --csv <dir>
+    let (cfg, flags) = BenchConfig::from_args_with(&[], &[("--csv", &[])]);
     println!("=== bbpim full experiment run ===");
     println!("sf={} skewed={} seed={:#x} threads={}\n", cfg.sf, cfg.skewed, cfg.seed, cfg.threads);
 
@@ -31,20 +32,10 @@ fn main() {
         }
     );
 
-    // optional machine-readable output: --csv <dir>
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--csv") {
-        if let Some(dir) = args.get(i + 1) {
-            bbpim_bench::reports::write_csvs(
-                std::path::Path::new(dir),
-                &s,
-                &pim,
-                &mnt_join,
-                &mnt_reg,
-            )
+    if let Some(dir) = flags.value("--csv") {
+        bbpim_bench::reports::write_csvs(std::path::Path::new(dir), &s, &pim, &mnt_join, &mnt_reg)
             .expect("csv export");
-            eprintln!("CSVs written to {dir}");
-        }
+        eprintln!("CSVs written to {dir}");
     }
 
     print_fig6(&s, &pim, &mnt_join, &mnt_reg);

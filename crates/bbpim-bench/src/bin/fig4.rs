@@ -10,18 +10,16 @@
 use bbpim_core::groupby::calibration::{run_calibration, CalibrationConfig};
 use bbpim_core::modes::EngineMode;
 
-use bbpim_bench::print_table;
+use bbpim_bench::{print_table, BenchConfig};
 use bbpim_sim::SimConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mode = match args.iter().position(|a| a == "--mode") {
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("pimdb") => EngineMode::PimDb,
-            Some("two_xb") => EngineMode::TwoXb,
-            _ => EngineMode::OneXb,
-        },
-        None => EngineMode::OneXb,
+    let modes = ("--mode", ["pimdb", "two_xb", "one_xb"].as_slice());
+    let (_, flags) = BenchConfig::from_args_with(&[], &[modes]);
+    let mode = match flags.value("--mode") {
+        Some("pimdb") => EngineMode::PimDb,
+        Some("two_xb") => EngineMode::TwoXb,
+        _ => EngineMode::OneXb,
     };
     let cfg = SimConfig::default();
     let cal = CalibrationConfig {

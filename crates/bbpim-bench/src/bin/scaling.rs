@@ -121,8 +121,9 @@ fn lever_table(s: &SsbSetup, prejoined: bool, mode: EngineMode, shards: usize) -
 }
 
 fn main() {
-    let s = setup(BenchConfig::from_args());
-    let prejoined = std::env::args().any(|a| a == "--prejoined");
+    let (cfg, flags) = BenchConfig::from_args_with(&["--prejoined"], &[]);
+    let prejoined = flags.switch("--prejoined");
+    let s = setup(cfg);
     let shard_counts = s.cfg.shards.clone();
     let (mode, points): (EngineMode, Vec<ClusterScalePoint>) = if prejoined {
         let m = EngineMode::OneXb;

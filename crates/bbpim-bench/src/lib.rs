@@ -15,10 +15,15 @@
 //! | `all`    | everything above in one pass (EXPERIMENTS.md source) |
 //!
 //! All binaries accept `--sf <f64>` (default 0.1), `--uniform` (default
-//! is the paper's skewed data), `--seed <u64>` and `--threads <usize>`.
+//! is the paper's skewed data), `--seed <u64>` and `--threads <usize>`;
+//! anything they do not understand is rejected with a usage line and
+//! exit code 2 ([`cli`]).
 //! Criterion micro-benchmarks live under `benches/`.
 
+pub mod cli;
 pub mod reports;
+
+pub use cli::{BenchConfig, BinFlags, CliError};
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -31,7 +36,7 @@ use bbpim_core::modes::EngineMode;
 use bbpim_core::result::QueryExecution;
 use bbpim_db::plan::Query;
 use bbpim_db::relation::Relation;
-use bbpim_db::ssb::{queries, SsbDb, SsbParams};
+use bbpim_db::ssb::{queries, SsbDb};
 use bbpim_db::stats::MultiGrouped;
 use bbpim_join::StarCluster;
 use bbpim_monet::MonetEngine;
@@ -46,157 +51,6 @@ use bbpim_serve::{
 };
 use bbpim_sim::SimConfig;
 use bbpim_trace::{MetricsRegistry, TraceRecorder};
-
-/// Harness configuration (CLI-parsed).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchConfig {
-    /// SSB scale factor.
-    pub sf: f64,
-    /// Skewed data (the paper's setting) vs uniform.
-    pub skewed: bool,
-    /// Generator seed.
-    pub seed: u64,
-    /// Host threads for the baseline engine.
-    pub threads: usize,
-    /// Shard counts for the cluster studies (`--shards 1,2,4,8`).
-    pub shards: Vec<usize>,
-    /// Arrivals in the streaming study (`--arrivals 52`).
-    pub arrivals: usize,
-    /// Offered load of the streaming study as a multiple of cluster
-    /// capacity: mean interarrival = mean per-query service / load
-    /// (`--load 2.0`; >1 means overload, so queues form).
-    pub load: f64,
-    /// Admission-control bound on in-flight queries (`--inflight 4`).
-    pub inflight: usize,
-    /// Write the binary's headline metrics as JSON to this path
-    /// (`--json bench-scaling.json`) — the machine-readable snapshot CI
-    /// merges into `BENCH_PR.json` and gates against
-    /// `bench/baseline.json`.
-    pub json: Option<String>,
-    /// Write a Chrome/Perfetto `trace_event` JSON of the (FIFO)
-    /// streamed run to this path, plus a flat-JSONL sidecar next to it
-    /// (`--trace bench-out/stream-trace.json`).
-    pub trace: Option<String>,
-    /// Write the metrics-registry snapshot as flat JSON to this path,
-    /// plus a Prometheus-text sidecar next to it
-    /// (`--metrics bench-out/metrics.json`).
-    pub metrics: Option<String>,
-}
-
-impl Default for BenchConfig {
-    fn default() -> Self {
-        BenchConfig {
-            sf: 0.1,
-            skewed: true,
-            seed: 0xB1_7B17,
-            threads: 4,
-            shards: vec![1, 2, 4, 8],
-            arrivals: 52,
-            load: 2.0,
-            inflight: 4,
-            json: None,
-            trace: None,
-            metrics: None,
-        }
-    }
-}
-
-impl BenchConfig {
-    /// Parse from `std::env::args` (unknown flags are ignored so every
-    /// binary shares the same surface).
-    pub fn from_args() -> Self {
-        let mut cfg = BenchConfig::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--sf" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        cfg.sf = v;
-                        i += 1;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        cfg.seed = v;
-                        i += 1;
-                    }
-                }
-                "--threads" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        cfg.threads = v;
-                        i += 1;
-                    }
-                }
-                "--shards" => {
-                    if let Some(list) = args.get(i + 1) {
-                        let parsed: Vec<usize> = list
-                            .split(',')
-                            .filter_map(|t| t.trim().parse().ok())
-                            .filter(|&s| s > 0)
-                            .collect();
-                        if !parsed.is_empty() {
-                            cfg.shards = parsed;
-                            i += 1;
-                        }
-                    }
-                }
-                "--arrivals" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        cfg.arrivals = v;
-                        i += 1;
-                    }
-                }
-                "--load" => {
-                    if let Some(v) =
-                        args.get(i + 1).and_then(|s| s.parse().ok()).filter(|v| *v > 0.0)
-                    {
-                        cfg.load = v;
-                        i += 1;
-                    }
-                }
-                "--inflight" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()).filter(|v| *v > 0)
-                    {
-                        cfg.inflight = v;
-                        i += 1;
-                    }
-                }
-                "--json" => {
-                    if let Some(path) = args.get(i + 1) {
-                        cfg.json = Some(path.clone());
-                        i += 1;
-                    }
-                }
-                "--trace" => {
-                    if let Some(path) = args.get(i + 1) {
-                        cfg.trace = Some(path.clone());
-                        i += 1;
-                    }
-                }
-                "--metrics" => {
-                    if let Some(path) = args.get(i + 1) {
-                        cfg.metrics = Some(path.clone());
-                        i += 1;
-                    }
-                }
-                "--uniform" => cfg.skewed = false,
-                "--skewed" => cfg.skewed = true,
-                _ => {}
-            }
-            i += 1;
-        }
-        cfg
-    }
-
-    /// The SSB generator parameters for this configuration.
-    pub fn ssb_params(&self) -> SsbParams {
-        let mut p =
-            if self.skewed { SsbParams::skewed(self.sf) } else { SsbParams::uniform(self.sf) };
-        p.seed = self.seed;
-        p
-    }
-}
 
 /// Generated data plus the (skew-adjusted) queries.
 pub struct SsbSetup {
