@@ -1,6 +1,6 @@
 //! The command line every study binary shares.
 //!
-//! [`BenchConfig::parse_with`] reads an argument slice and **rejects
+//! [`BenchConfig::parse`] reads an argument slice and **rejects
 //! what it does not understand** — an unknown flag, a missing value, an
 //! unparseable or out-of-range value — with a typed [`CliError`];
 //! nothing falls back to a default silently. Binaries with flags of
@@ -10,6 +10,8 @@
 //! rejection it prints the error and one usage line, then exits 2.
 
 use std::fmt;
+use std::ops::RangeInclusive;
+use std::str::FromStr;
 
 use bbpim_db::ssb::SsbParams;
 
@@ -74,15 +76,9 @@ pub enum CliError {
     UnknownFlag(String),
     /// A value-taking flag at the end of the line.
     MissingValue(String),
-    /// A value that does not parse, or parses outside the flag's range.
-    BadValue {
-        /// The flag.
-        flag: String,
-        /// What followed it.
-        value: String,
-        /// What the flag accepts.
-        expected: String,
-    },
+    /// `(flag, value, what the flag accepts)`: the value does not parse
+    /// or parses outside the flag's range.
+    BadValue(String, String, String),
 }
 
 impl fmt::Display for CliError {
@@ -90,14 +86,18 @@ impl fmt::Display for CliError {
         match self {
             CliError::UnknownFlag(flag) => write!(f, "unknown flag {flag:?}"),
             CliError::MissingValue(flag) => write!(f, "{flag} needs a value"),
-            CliError::BadValue { flag, value, expected } => {
-                write!(f, "{flag} {value:?}: expected {expected}")
+            CliError::BadValue(flag, value, accepts) => {
+                write!(f, "{flag} {value:?}: expected {accepts}")
             }
         }
     }
 }
 
 impl std::error::Error for CliError {}
+
+/// A binary-specific value flag: its name and the values it accepts
+/// (empty: any value).
+pub type ValueFlag<'a> = (&'a str, &'a [&'a str]);
 
 /// The binary-specific flags one command line carried.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -109,55 +109,41 @@ impl BinFlags {
         self.0.iter().any(|(f, _)| f == flag)
     }
 
-    /// The value of the registered value flag `flag`, if given (the
-    /// last one wins).
+    /// The value of the registered value flag `flag`, if given.
     pub fn value(&self, flag: &str) -> Option<&str> {
-        self.0.iter().rev().find(|(f, _)| f == flag).and_then(|(_, v)| v.as_deref())
+        self.0.iter().find(|(f, _)| f == flag).and_then(|(_, v)| v.as_deref())
     }
 }
-
-/// A binary-specific value flag: its name and the values it accepts
-/// (empty: any value).
-pub type ValueFlag<'a> = (&'a str, &'a [&'a str]);
 
 /// The shared flags, as the usage line shows them.
 const SHARED_USAGE: &str = "[--sf <f64>] [--uniform|--skewed] [--seed <u64>] [--threads <n>] \
      [--shards <n,n,..>] [--arrivals <n>] [--load <f64>] [--inflight <n>] [--json <path>] \
      [--trace <path>] [--metrics <path>]";
 
+const POSITIVE: RangeInclusive<usize> = 1..=usize::MAX;
+const POSITIVE_F64: RangeInclusive<f64> = f64::MIN_POSITIVE..=f64::MAX;
+
 /// Parse one number and check its range.
-fn number<T: std::str::FromStr>(
+fn number<T: FromStr + PartialOrd + Default>(
     flag: &str,
     value: &str,
-    expected: &str,
-    in_range: impl Fn(&T) -> bool,
+    range: RangeInclusive<T>,
 ) -> Result<T, CliError> {
-    value.trim().parse().ok().filter(in_range).ok_or_else(|| CliError::BadValue {
-        flag: flag.into(),
-        value: value.into(),
-        expected: expected.into(),
-    })
+    let accepts = if range.contains(&T::default()) { "a number >= 0" } else { "a number > 0" };
+    let parsed = value.trim().parse().ok().filter(|v| range.contains(v));
+    parsed.ok_or_else(|| CliError::BadValue(flag.into(), value.into(), accepts.into()))
 }
 
 impl BenchConfig {
-    /// Parse the shared flags from `args` (the command line without the
-    /// program name).
-    ///
-    /// # Errors
-    ///
-    /// Any flag or value the parser does not understand.
-    pub fn parse(args: &[String]) -> Result<BenchConfig, CliError> {
-        Self::parse_with(args, &[], &[]).map(|(cfg, _)| cfg)
-    }
-
-    /// [`BenchConfig::parse`] for a binary with flags of its own:
-    /// `switches` take no value, `values` take one.
+    /// Parse `args` (the command line without the program name). A
+    /// binary with flags of its own registers them: `switches` take no
+    /// value, `values` take one.
     ///
     /// # Errors
     ///
     /// Any flag or value neither the shared parser nor the binary's
     /// registrations understand.
-    pub fn parse_with(
+    pub fn parse(
         args: &[String],
         switches: &[&str],
         values: &[ValueFlag<'_>],
@@ -171,33 +157,16 @@ impl BenchConfig {
             match flag {
                 "--uniform" => cfg.skewed = false,
                 "--skewed" => cfg.skewed = true,
-                "--sf" => {
-                    cfg.sf = number(flag, value()?, "a positive number", |v: &f64| {
-                        v.is_finite() && *v > 0.0
-                    })?;
-                }
-                "--seed" => cfg.seed = number(flag, value()?, "an unsigned integer", |_| true)?,
-                "--threads" => {
-                    cfg.threads = number(flag, value()?, "a positive integer", |v| *v > 0)?;
-                }
+                "--sf" => cfg.sf = number(flag, value()?, POSITIVE_F64)?,
+                "--seed" => cfg.seed = number(flag, value()?, 0..=u64::MAX)?,
+                "--threads" => cfg.threads = number(flag, value()?, POSITIVE)?,
                 "--shards" => {
-                    let expected = "a comma list of positive integers";
-                    cfg.shards = value()?
-                        .split(',')
-                        .map(|count| number(flag, count, expected, |v| *v > 0))
-                        .collect::<Result<_, _>>()?;
+                    let counts = value()?.split(',').map(|n| number(flag, n, POSITIVE));
+                    cfg.shards = counts.collect::<Result<_, _>>()?;
                 }
-                "--arrivals" => {
-                    cfg.arrivals = number(flag, value()?, "an unsigned integer", |_| true)?;
-                }
-                "--load" => {
-                    cfg.load = number(flag, value()?, "a positive number", |v: &f64| {
-                        v.is_finite() && *v > 0.0
-                    })?;
-                }
-                "--inflight" => {
-                    cfg.inflight = number(flag, value()?, "a positive integer", |v| *v > 0)?;
-                }
+                "--arrivals" => cfg.arrivals = number(flag, value()?, 0..=usize::MAX)?,
+                "--load" => cfg.load = number(flag, value()?, POSITIVE_F64)?,
+                "--inflight" => cfg.inflight = number(flag, value()?, POSITIVE)?,
                 "--json" => cfg.json = Some(value()?.clone()),
                 "--trace" => cfg.trace = Some(value()?.clone()),
                 "--metrics" => cfg.metrics = Some(value()?.clone()),
@@ -208,11 +177,8 @@ impl BenchConfig {
                     };
                     let value = value()?;
                     if !accepted.is_empty() && !accepted.contains(&value.as_str()) {
-                        return Err(CliError::BadValue {
-                            flag: flag.into(),
-                            value: value.clone(),
-                            expected: format!("one of {}", accepted.join("|")),
-                        });
+                        let accepts = format!("one of {}", accepted.join("|"));
+                        return Err(CliError::BadValue(flag.into(), value.clone(), accepts));
                     }
                     bin.0.push((flag.into(), Some(value.clone())));
                 }
@@ -228,19 +194,16 @@ impl BenchConfig {
     }
 
     /// [`BenchConfig::from_args`] for a binary with flags of its own
-    /// (see [`BenchConfig::parse_with`]).
+    /// (see [`BenchConfig::parse`]).
     pub fn from_args_with(switches: &[&str], values: &[ValueFlag<'_>]) -> (Self, BinFlags) {
         let mut argv = std::env::args();
-        let program = argv.next().unwrap_or_else(|| "bbpim-bench".into());
+        let program = argv.next().unwrap_or_default();
         let args: Vec<String> = argv.collect();
-        Self::parse_with(&args, switches, values).unwrap_or_else(|err| {
-            let mut own = String::new();
-            for switch in switches {
-                own.push_str(&format!(" [{switch}]"));
-            }
+        Self::parse(&args, switches, values).unwrap_or_else(|err| {
+            let mut own: String = switches.iter().map(|s| format!(" [{s}]")).collect();
             for (name, accepted) in values {
-                let shown = if accepted.is_empty() { "<value>".into() } else { accepted.join("|") };
-                own.push_str(&format!(" [{name} {shown}]"));
+                let shown = if accepted.is_empty() { "value".into() } else { accepted.join("|") };
+                own.push_str(&format!(" [{name} <{shown}>]"));
             }
             eprintln!("error: {err}");
             eprintln!("usage: {program} {SHARED_USAGE}{own}");
@@ -261,132 +224,79 @@ impl BenchConfig {
 mod tests {
     use super::*;
 
-    fn argv(line: &str) -> Vec<String> {
-        line.split_whitespace().map(String::from).collect()
+    const MODES: ValueFlag<'static> = ("--mode", &["pimdb", "two_xb", "one_xb"]);
+
+    /// Parse `line` as the `scaling`/`fig4`/`all` binaries together would.
+    fn parse(line: &str) -> Result<(BenchConfig, BinFlags), CliError> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        BenchConfig::parse(&args, &["--prejoined"], &[MODES, ("--csv", &[])])
     }
 
     #[test]
-    fn an_empty_line_is_the_defaults() {
-        assert_eq!(BenchConfig::parse(&[]), Ok(BenchConfig::default()));
-    }
-
-    #[test]
-    fn every_shared_flag_is_accepted() {
-        let line = "--sf 0.01 --uniform --seed 7 --threads 2 --shards 1,4 --arrivals 26 \
-                    --load 1.5 --inflight 3 --json a.json --trace b.json --metrics c.json";
-        let cfg = BenchConfig::parse(&argv(line)).unwrap();
-        assert_eq!(
-            cfg,
-            BenchConfig {
-                sf: 0.01,
-                skewed: false,
-                seed: 7,
-                threads: 2,
-                shards: vec![1, 4],
-                arrivals: 26,
-                load: 1.5,
-                inflight: 3,
-                json: Some("a.json".into()),
-                trace: Some("b.json".into()),
-                metrics: Some("c.json".into()),
-            }
-        );
-        assert!(BenchConfig::parse(&argv("--uniform --skewed")).unwrap().skewed, "last one wins");
+    fn every_flag_is_accepted() {
+        assert_eq!(parse("").unwrap().0, BenchConfig::default());
+        let (cfg, bin) = parse(
+            "--sf 0.01 --uniform --seed 7 --threads 2 --shards 1,4 --arrivals 26 --load 1.5 \
+             --inflight 3 --json a.json --trace b.json --metrics c.json \
+             --prejoined --mode two_xb --csv out",
+        )
+        .unwrap();
+        let want = BenchConfig {
+            sf: 0.01,
+            skewed: false,
+            seed: 7,
+            threads: 2,
+            shards: vec![1, 4],
+            arrivals: 26,
+            load: 1.5,
+            inflight: 3,
+            json: Some("a.json".into()),
+            trace: Some("b.json".into()),
+            metrics: Some("c.json".into()),
+        };
+        assert_eq!(cfg, want);
+        assert!(bin.switch("--prejoined"));
+        assert_eq!((bin.value("--mode"), bin.value("--csv")), (Some("two_xb"), Some("out")));
+        let (cfg, bin) = parse("--uniform --skewed").unwrap();
+        assert!(cfg.skewed, "the last one wins");
+        assert!(!bin.switch("--prejoined") && bin.value("--mode").is_none());
     }
 
     #[test]
     fn an_unknown_flag_is_rejected() {
-        // `--shard` is one letter short of `--shards`; `--prejoined`
-        // is only known to the binary that registers it
-        for (line, flag) in
-            [("--shard 4", "--shard"), ("--sf 0.01 --prejoined", "--prejoined"), ("stray", "stray")]
-        {
-            assert_eq!(
-                BenchConfig::parse(&argv(line)),
-                Err(CliError::UnknownFlag(flag.into())),
-                "{line}"
-            );
+        // `--shard` is one letter short of `--shards`
+        for (line, flag) in [("--shard 4", "--shard"), ("--sf 0.01 -v", "-v"), ("stray", "stray")] {
+            assert_eq!(parse(line), Err(CliError::UnknownFlag(flag.into())), "{line}");
         }
+        // a binary's own flag is unknown where it is not registered
+        let args = ["--prejoined".to_string()];
+        let err = BenchConfig::parse(&args, &[], &[]).unwrap_err();
+        assert_eq!(err, CliError::UnknownFlag("--prejoined".into()));
     }
 
     #[test]
     fn a_missing_value_is_rejected() {
-        for flag in [
-            "--sf",
-            "--seed",
-            "--threads",
-            "--shards",
-            "--arrivals",
-            "--load",
-            "--inflight",
-            "--json",
-            "--trace",
-            "--metrics",
-        ] {
+        let flags = "--sf --seed --threads --shards --arrivals --load --inflight --json --trace \
+                     --metrics --mode --csv";
+        for flag in flags.split_whitespace() {
             let line = format!("--uniform {flag}");
-            assert_eq!(
-                BenchConfig::parse(&argv(&line)),
-                Err(CliError::MissingValue(flag.into())),
-                "{line}"
-            );
+            assert_eq!(parse(&line), Err(CliError::MissingValue(flag.into())), "{line}");
         }
     }
 
     #[test]
     fn a_non_numeric_or_out_of_range_value_is_rejected() {
-        for (flag, value) in [
-            ("--sf", "abc"),
-            ("--sf", "0"),
-            ("--sf", "nan"),
-            ("--seed", "-1"),
-            ("--threads", "0"),
-            ("--arrivals", "many"),
-            ("--load", "-2"),
-            ("--inflight", "0"),
-            ("--shards", "0"),
-            ("--shards", "1,0,4"),
-            ("--shards", "1,,4"),
-            ("--shards", "two"),
-        ] {
-            match BenchConfig::parse(&argv(&format!("--uniform {flag} {value}"))) {
-                Err(CliError::BadValue { flag: f, value: v, .. }) => {
-                    assert_eq!(f, flag);
-                    assert!(value.contains(&v), "{flag} {value}: blamed {v:?}");
-                }
-                other => panic!("{flag} {value}: expected a BadValue rejection, got {other:?}"),
+        let lines = "--sf abc|--sf 0|--sf nan|--sf inf|--seed -1|--threads 0|--arrivals many|\
+                     --load -2|--inflight 0|--shards 0|--shards 1,0,4|--shards 1,,4|--shards two|\
+                     --mode fast";
+        for line in lines.split('|') {
+            let flag = line.split(' ').next().unwrap();
+            match parse(line) {
+                Err(CliError::BadValue(blamed, ..)) => assert_eq!(blamed, flag, "{line}"),
+                other => panic!("{line}: expected a BadValue rejection, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn binary_flags_register_with_the_same_parser() {
-        let modes: ValueFlag = ("--mode", &["pimdb", "two_xb", "one_xb"]);
-        let (cfg, bin) = BenchConfig::parse_with(
-            &argv("--prejoined --sf 0.02 --mode two_xb --csv out"),
-            &["--prejoined"],
-            &[modes, ("--csv", &[])],
-        )
-        .unwrap();
-        assert_eq!(cfg.sf, 0.02);
-        assert!(bin.switch("--prejoined"));
-        assert_eq!(bin.value("--mode"), Some("two_xb"));
-        assert_eq!(bin.value("--csv"), Some("out"));
-
-        let (_, none) = BenchConfig::parse_with(&[], &["--prejoined"], &[modes]).unwrap();
-        assert!(!none.switch("--prejoined"));
-        assert_eq!(none.value("--mode"), None);
-
-        assert_eq!(
-            BenchConfig::parse_with(&argv("--mode fast"), &[], &[modes]),
-            Err(CliError::BadValue {
-                flag: "--mode".into(),
-                value: "fast".into(),
-                expected: "one of pimdb|two_xb|one_xb".into(),
-            })
-        );
-        assert_eq!(
-            BenchConfig::parse_with(&argv("--csv"), &[], &[("--csv", &[])]),
-            Err(CliError::MissingValue("--csv".into()))
-        );
+        let err = parse("--mode fast").unwrap_err();
+        assert_eq!(err.to_string(), "--mode \"fast\": expected one of pimdb|two_xb|one_xb");
     }
 }

@@ -564,23 +564,31 @@ mod tests {
         crate::groupby::host_gb::read_attr_value(module, layout, loaded, record, name).unwrap()
     }
 
+    /// UPDATE rewrites only the matching records — under a single
+    /// equality (the paper's shape) and under an OR of two — and
+    /// patches the catalog copy to match the PIM contents.
     #[test]
-    fn or_filter_update_rewrites_both_branches() {
-        let (mut module, mut rel, layout, mut loaded) = setup(EngineMode::OneXb);
-        let m = Mutation::update()
-            .filter(col("d_city").eq(7u64).or(col("d_city").eq(11u64)))
-            .set("d_city", 39u64)
-            .build(rel.schema())
-            .unwrap();
-        let before: Vec<u64> = (0..rel.len()).map(|r| rel.value(r, 1)).collect();
-        let rep = run_mutation(&mut module, &layout, &mut loaded, &mut rel, &m, true).unwrap();
-        let expected_hits = before.iter().filter(|v| **v == 7 || **v == 11).count() as u64;
-        assert_eq!(rep.records_updated, expected_hits);
-        for (record, prior) in before.iter().enumerate() {
-            let got = read_attr(&module, &layout, &loaded, record, "d_city");
-            let expected = if *prior == 7 || *prior == 11 { 39 } else { *prior };
-            assert_eq!(got, expected, "record {record}");
-            assert_eq!(rel.value(record, 1), expected);
+    fn update_rewrites_only_matching_records() {
+        let cities = |hits: &'static [u64]| {
+            hits.iter().map(|&c| col("d_city").eq(c)).reduce(|a, b| a.or(b)).unwrap()
+        };
+        for hits in [&[7u64][..], &[7, 11]] {
+            let (mut module, mut rel, layout, mut loaded) = setup(EngineMode::OneXb);
+            let m = Mutation::update()
+                .filter(cities(hits))
+                .set("d_city", 39u64)
+                .build(rel.schema())
+                .unwrap();
+            let before: Vec<u64> = (0..rel.len()).map(|r| rel.value(r, 1)).collect();
+            let rep = run_mutation(&mut module, &layout, &mut loaded, &mut rel, &m, true).unwrap();
+            let expected_hits = before.iter().filter(|v| hits.contains(v)).count() as u64;
+            assert_eq!(rep.records_updated, expected_hits);
+            for (record, prior) in before.iter().enumerate() {
+                let got = read_attr(&module, &layout, &loaded, record, "d_city");
+                let expected = if hits.contains(prior) { 39 } else { *prior };
+                assert_eq!(got, expected, "record {record}");
+                assert_eq!(rel.value(record, 1), expected);
+            }
         }
     }
 
@@ -605,6 +613,10 @@ mod tests {
         // one shared mask: exactly one filter's worth of PIM programs
         // before the two MUX rewrites — the mask is computed once.
         assert!(rep.phases.time_in(PhaseKind::PimLogic) > 0.0);
+        // the paper's point: a one-xb UPDATE uses PIM ops only — no
+        // data movement
+        assert_eq!(rep.phases.time_in(PhaseKind::HostRead), 0.0);
+        assert_eq!(rep.phases.time_in(PhaseKind::HostWrite), 0.0);
     }
 
     #[test]
@@ -680,41 +692,6 @@ mod tests {
             .set("d_city", 5u64)
             .build(schema)
             .is_ok());
-    }
-
-    #[test]
-    fn update_rewrites_only_matching_records() {
-        let (mut module, mut rel, layout, mut loaded) = setup(EngineMode::OneXb);
-        let m = Mutation::update()
-            .filter(col("d_city").eq(7u64))
-            .set("d_city", 39u64)
-            .build(rel.schema())
-            .unwrap();
-        let before: Vec<u64> = (0..rel.len()).map(|r| rel.value(r, 1)).collect();
-        let report = run_mutation(&mut module, &layout, &mut loaded, &mut rel, &m, true).unwrap();
-        assert_eq!(report.records_updated, before.iter().filter(|v| **v == 7).count() as u64);
-        for (record, prior) in before.iter().enumerate() {
-            let got = read_attr(&module, &layout, &loaded, record, "d_city");
-            let expected = if *prior == 7 { 39 } else { *prior };
-            assert_eq!(got, expected, "record {record}");
-            // catalog copy matches PIM contents
-            assert_eq!(rel.value(record, 1), expected);
-        }
-    }
-
-    #[test]
-    fn update_in_one_xb_needs_no_host_reads() {
-        let (mut module, mut rel, layout, mut loaded) = setup(EngineMode::OneXb);
-        let m = Mutation::update()
-            .filter(col("lo_v").lt(10u64))
-            .set("lo_v", 255u64)
-            .build(rel.schema())
-            .unwrap();
-        let report = run_mutation(&mut module, &layout, &mut loaded, &mut rel, &m, true).unwrap();
-        // the paper's point: UPDATE uses PIM ops only — no data movement
-        assert_eq!(report.phases.time_in(PhaseKind::HostRead), 0.0);
-        assert_eq!(report.phases.time_in(PhaseKind::HostWrite), 0.0);
-        assert!(report.records_updated > 0);
     }
 
     #[test]

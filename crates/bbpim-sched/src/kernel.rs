@@ -57,32 +57,19 @@ pub trait Jobs {
     fn labels(&self, job: usize) -> SpanLabels;
 }
 
-/// The moments a front-end reacts to.
+/// The moments a front-end reacts to, each about one `job` (and, for
+/// chain moments, the chain's `lane`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Moment<F> {
     /// A front-end event pushed with [`Kernel::push`] fired.
     Front(F),
-    /// The host bus finished the first slice of one of `job`'s chains.
-    Dispatched {
-        /// The job.
-        job: usize,
-        /// The chain's lane.
-        lane: usize,
-    },
-    /// One of `job`'s chains finished its last slice.
-    ChainDone {
-        /// The job.
-        job: usize,
-        /// The chain's lane.
-        lane: usize,
-        /// Was it the job's last running chain?
-        last: bool,
-    },
+    /// The host bus finished the first slice of one of the job's chains.
+    Dispatched { job: usize, lane: usize },
+    /// One of the job's chains finished its last slice; `last` when no
+    /// other chain of the job is still running.
+    ChainDone { job: usize, lane: usize, last: bool },
     /// The merge granted by [`Kernel::merge`] ended.
-    MergeDone {
-        /// The job.
-        job: usize,
-    },
+    MergeDone { job: usize },
 }
 
 enum Ev<F> {

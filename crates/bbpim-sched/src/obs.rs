@@ -137,23 +137,28 @@ pub fn record_stream_metrics(
         }
     }
 
-    // Per-module cell wear (the dormant endurance model, surfaced).
-    for (m, writes) in outcome.shard_cell_writes.iter().enumerate() {
-        if *writes == 0 {
-            continue;
-        }
-        let module = m.to_string();
+    record_lane_wear(reg, &outcome.shard_cell_writes, &outcome.shard_required_endurance, labels);
+}
+
+/// Per-lane cell wear (the endurance model, surfaced): accumulated
+/// worst-row cell writes and required endurance, one `module=<lane>`
+/// series per lane that wrote. Shared by every front-end of the
+/// [`kernel`](crate::kernel), whose lane tallies these are.
+pub fn record_lane_wear(
+    reg: &mut MetricsRegistry,
+    cell_writes: &[u64],
+    required_endurance: &[f64],
+    labels: &[(&str, &str)],
+) {
+    for (lane, (&writes, &required)) in cell_writes.iter().zip(required_endurance).enumerate() {
+        let module = lane.to_string();
         let mut with_module = labels.to_vec();
         with_module.push(("module", module.as_str()));
-        reg.counter_add(CELL_WRITES, &with_module, *writes as f64);
-    }
-    for (m, req) in outcome.shard_required_endurance.iter().enumerate() {
-        if *req <= 0.0 {
-            continue;
+        if writes > 0 {
+            reg.counter_add(CELL_WRITES, &with_module, writes as f64);
         }
-        let module = m.to_string();
-        let mut with_module = labels.to_vec();
-        with_module.push(("module", module.as_str()));
-        reg.gauge_max(REQUIRED_ENDURANCE, &with_module, *req);
+        if required > 0.0 {
+            reg.gauge_max(REQUIRED_ENDURANCE, &with_module, required);
+        }
     }
 }

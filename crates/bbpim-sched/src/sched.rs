@@ -807,7 +807,7 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
         self.completions.push(QueryCompletion {
             arrival: ai,
             query_id: d.query_id.clone(),
-            arrive_ns: self.workload.arrivals()[ai].at_ns,
+            arrive_ns: self.arrive_ns(Job::Query(ai)),
             admit_ns: p.admit_ns,
             first_service_ns: p.first_service_ns,
             complete_ns: now_ns,
@@ -825,7 +825,7 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
         self.mutation_completions.push(MutationCompletion {
             arrival: mi,
             label: d.label.clone(),
-            arrive_ns: self.workload.mutation_arrivals()[mi].at_ns,
+            arrive_ns: self.arrive_ns(Job::Mutation(mi)),
             admit_ns: p.admit_ns,
             complete_ns: now_ns,
             lanes: d.lanes.len(),
@@ -937,13 +937,8 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
 /// bit-identical to a fresh engine that replayed that admission prefix
 /// and ran the query (for pure-query workloads: bit-identical to
 /// [`ClusterEngine::run_batch`] over the same arrived queries). The
-/// discrete-event timeline then decides *when* each query's slices and
-/// each mutation's write phases run under admission control, bounded
-/// per-lane ingest buffers, per-shard FIFO queues and the shared host
-/// channel. With [`StreamEngine::contention`] on (the default), every
-/// tagged host phase — dispatch, mask transfers, result reads, host-gb
-/// fetches, ingest writes — queues on the one bus; with it off only
-/// dispatch and merge do.
+/// admission rules in the module docs decide when each job may start;
+/// the [`kernel`](crate::kernel) then plays its slice chains out.
 ///
 /// # Errors
 ///
@@ -959,12 +954,10 @@ pub fn run_stream<E: StreamEngine>(
 }
 
 /// [`run_stream`] with a [`TraceRecorder`]: when the recorder is
-/// enabled, every scheduler admission/completion, every ingest
-/// stall/admission, every host-bus grant (with its queueing wait and
-/// byte payload) and every module-local phase window is recorded on
-/// named tracks — `scheduler`, `host-bus`, `module-<k>`, and
-/// `ingest-lane-<d>` for auxiliary ingest lanes — on the simulated
-/// clock. The recorder **never** changes the simulation: the event
+/// enabled, every arrival, admission, ingest stall and completion is
+/// recorded on the `scheduler` track, next to the kernel's `host-bus`,
+/// `module-<k>` and `ingest-lane-<d>` spans, on the simulated clock.
+/// The recorder **never** changes the simulation: the event
 /// timeline, completions and merged executions are identical with
 /// tracing on, off, or disabled (the oracle-equivalence suites assert
 /// exactly this).

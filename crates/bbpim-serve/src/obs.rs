@@ -6,6 +6,7 @@
 //! window trajectory bounds. Bench bins and the CI gate read this
 //! surface instead of scraping printed tables.
 
+use bbpim_sched::obs::record_lane_wear;
 use bbpim_trace::MetricsRegistry;
 
 use crate::report::tenant_reports;
@@ -83,26 +84,8 @@ pub fn record_serve_metrics(
         with_tenant.push(("tenant", tenants[c.tenant].name.as_str()));
         reg.observe(TENANT_LATENCY_NS, &with_tenant, c.latency_ns());
     }
-    // Per-lane cell wear, mirroring the streaming scheduler's series:
-    // the serving layer wears the same modules.
-    for (m, writes) in outcome.lane_cell_writes.iter().enumerate() {
-        if *writes == 0 {
-            continue;
-        }
-        let module = m.to_string();
-        let mut with_module = labels.to_vec();
-        with_module.push(("module", module.as_str()));
-        reg.counter_add(CELL_WRITES, &with_module, *writes as f64);
-    }
-    for (m, req) in outcome.lane_required_endurance.iter().enumerate() {
-        if *req <= 0.0 {
-            continue;
-        }
-        let module = m.to_string();
-        let mut with_module = labels.to_vec();
-        with_module.push(("module", module.as_str()));
-        reg.gauge_max(REQUIRED_ENDURANCE, &with_module, *req);
-    }
+    // The serving layer wears the same modules the scheduler does.
+    record_lane_wear(reg, &outcome.lane_cell_writes, &outcome.lane_required_endurance, labels);
     let (lo, hi) = outcome.window_bounds();
     reg.gauge_set(WINDOW_FINAL, labels, outcome.final_window() as f64);
     reg.gauge_set(WINDOW_MIN, labels, lo as f64);

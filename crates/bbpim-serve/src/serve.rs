@@ -675,11 +675,9 @@ impl Server<'_> {
     fn complete(&mut self, k: &mut Kernel<'_, Ev>, now_ns: f64, ri: usize) {
         self.record(now_ns, ServeEventKind::Complete, ri, None);
         let r = self.requests[ri];
-        self.trace_instant(k, "complete", now_ns, ri, &[("latency_ns", now_ns - r.arrive_ns)]);
-        // Feed the controller the SLO-normalised latency: write
-        // completions count against the same promise, so a congested
-        // ingest path cuts the window exactly as slow queries do.
-        let ratio = match r.work {
+        let latency_ns = now_ns - r.arrive_ns;
+        self.trace_instant(k, "complete", now_ns, ri, &[("latency_ns", latency_ns)]);
+        match r.work {
             Work::Query(q) => {
                 let (demand, exec) = &self.demands[r.tenant][q];
                 let completion = ServeCompletion {
@@ -698,13 +696,11 @@ impl Server<'_> {
                 };
                 self.executions.push(exec.clone());
                 self.note_service(completion.service_ns(), completion.shards_dispatched);
-                let ratio = completion.latency_ns() / self.tenants[r.tenant].slo.p95_target_ns;
                 self.completions.push(completion);
-                ratio
             }
             Work::Write(w) => {
                 let d = &self.write_demands[r.tenant][w];
-                let completion = ServeWriteCompletion {
+                self.write_completions.push(ServeWriteCompletion {
                     request: ri,
                     tenant: r.tenant,
                     client: r.client,
@@ -717,12 +713,13 @@ impl Server<'_> {
                     lanes: d.lanes.len(),
                     records_updated: d.records_updated,
                     records_inserted: d.records_inserted,
-                };
-                let ratio = completion.latency_ns() / self.tenants[r.tenant].slo.p95_target_ns;
-                self.write_completions.push(completion);
-                ratio
+                });
             }
-        };
+        }
+        // Feed the controller the SLO-normalised latency: write
+        // completions count against the same promise, so a congested
+        // ingest path cuts the window exactly as slow queries do.
+        let ratio = latency_ns / self.tenants[r.tenant].slo.p95_target_ns;
         if let WindowState::Aimd(ctl) = &mut self.window {
             if let Some(w) = ctl.on_completion(now_ns, ratio) {
                 self.window_trajectory.push((now_ns, w));
