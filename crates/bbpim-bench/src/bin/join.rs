@@ -12,11 +12,11 @@
 //! `bbpim_bench::BenchConfig`).
 
 use bbpim_bench::{fmt_ms, print_table, reports, setup, write_snapshot, BenchConfig};
+use bbpim_cluster::StarCluster;
 use bbpim_cluster::{ClusterEngine, ClusterReport, Partitioner};
 use bbpim_core::groupby::calibration::CalibrationConfig;
 use bbpim_core::modes::EngineMode;
 use bbpim_db::ssb::star;
-use bbpim_join::StarCluster;
 use bbpim_sim::SimConfig;
 
 /// Host-channel bytes one cluster execution put on the shared bus,

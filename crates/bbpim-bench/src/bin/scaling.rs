@@ -14,13 +14,13 @@
 //! `bbpim_bench::BenchConfig`), and `--prejoined` for the legacy path.
 
 use bbpim_bench::{
-    fmt_ms, geomean_filtered, print_table, report_host_bytes, reports, run_cluster_scaling,
-    run_star_scaling, setup, BenchConfig, ClusterScalePoint, SsbSetup,
+    fmt_ms, geomean_filtered, print_table, report_host_bytes, reports, run_cluster_scaling, setup,
+    BenchConfig, ClusterScalePoint, SsbSetup,
 };
+use bbpim_cluster::StarCluster;
 use bbpim_cluster::{ClusterEngine, ClusterExecution, Partitioner};
 use bbpim_core::groupby::calibration::CalibrationConfig;
 use bbpim_core::modes::EngineMode;
-use bbpim_join::StarCluster;
 use bbpim_sim::{SimConfig, XferPolicy};
 
 /// The lever attribution rows: each byte-diet lever switched off
@@ -127,12 +127,25 @@ fn main() {
     let shard_counts = s.cfg.shards.clone();
     let (mode, points): (EngineMode, Vec<ClusterScalePoint>) = if prejoined {
         let m = EngineMode::OneXb;
-        (m, run_cluster_scaling(&s, m, &shard_counts, &Partitioner::RoundRobin))
+        // One calibration sweep serves every shard count.
+        let model = bbpim_bench::fit_shared_model(&SimConfig::default(), m);
+        let new_cluster = |shards, partitioner| {
+            let mut c =
+                ClusterEngine::new(SimConfig::default(), s.wide.clone(), m, shards, partitioner)
+                    .expect("cluster construction");
+            c.set_model(model.clone());
+            c
+        };
+        (m, run_cluster_scaling(&s, &shard_counts, &Partitioner::RoundRobin, new_cluster))
     } else {
         // the star path runs two-crossbar modules: dimension filters on
         // their own modules, compressed semijoin bitmaps over the bus
         let m = EngineMode::TwoXb;
-        (m, run_star_scaling(&s, m, &shard_counts, &Partitioner::RoundRobin))
+        let new_cluster = |shards, partitioner| {
+            StarCluster::new(SimConfig::default(), &s.db, m, shards, partitioner)
+                .expect("star cluster construction")
+        };
+        (m, run_cluster_scaling(&s, &shard_counts, &Partitioner::RoundRobin, new_cluster))
     };
     println!(
         "scaling path: {}\n",

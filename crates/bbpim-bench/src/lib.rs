@@ -28,7 +28,9 @@ pub use cli::{BenchConfig, BinFlags, CliError};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use bbpim_cluster::{BatchExecution, ClusterEngine, ClusterExecution, Partitioner, PlanExplain};
+use bbpim_cluster::{
+    BatchExecution, Cluster, ClusterEngine, ClusterExecution, Partitioner, PlanExplain, Storage,
+};
 use bbpim_core::engine::PimQueryEngine;
 use bbpim_core::groupby::calibration::{run_calibration, CalibrationConfig};
 use bbpim_core::groupby::cost_model::GroupByModel;
@@ -38,7 +40,6 @@ use bbpim_db::plan::Query;
 use bbpim_db::relation::Relation;
 use bbpim_db::ssb::{queries, SsbDb};
 use bbpim_db::stats::MultiGrouped;
-use bbpim_join::StarCluster;
 use bbpim_monet::MonetEngine;
 use bbpim_sched::demand::resolve_query_demand;
 use bbpim_sched::{
@@ -147,22 +148,24 @@ pub fn optimistic_wall_ns(report: &bbpim_cluster::ClusterReport) -> f64 {
     d_total + pim_max + report.merge_time_ns
 }
 
-/// Run every query through a `ClusterEngine` at each shard count
-/// (full-capacity module per shard; engines constructed, calibrated and
-/// dropped per point), cross-checking each merged answer against the
-/// oracle. Wall clocks use the default shared-host-channel contention
-/// model; [`optimistic_wall_ns`] recovers the free-channel A/B timing
-/// from the same executions.
+/// Run every query through a cluster at each shard count (full-capacity
+/// module per shard; `new_cluster(shards, partitioner)` constructs the
+/// pre-joined [`ClusterEngine`] or the normalized
+/// [`bbpim_cluster::StarCluster`], and
+/// each is dropped after its point), cross-checking each merged answer
+/// against the row-at-a-time oracle. Wall clocks use the default
+/// shared-host-channel contention model; [`optimistic_wall_ns`]
+/// recovers the free-channel A/B timing from the same executions.
 ///
 /// # Panics
 ///
 /// Panics on engine errors or a cluster/oracle mismatch (the harness
 /// runs known-good inputs).
-pub fn run_cluster_scaling(
+pub fn run_cluster_scaling<S: Storage>(
     setup: &SsbSetup,
-    mode: EngineMode,
     shard_counts: &[usize],
     partitioner: &Partitioner,
+    new_cluster: impl Fn(usize, Partitioner) -> Cluster<S>,
 ) -> Vec<ClusterScalePoint> {
     // The oracle answer is shard-count independent: compute it once.
     let oracles: Vec<MultiGrouped> = setup
@@ -170,20 +173,10 @@ pub fn run_cluster_scaling(
         .iter()
         .map(|q| bbpim_db::stats::run_oracle(q, &setup.wide).expect("oracle"))
         .collect();
-    // One calibration sweep serves every shard count.
-    let model = fit_shared_model(&SimConfig::default(), mode);
     shard_counts
         .iter()
         .map(|&shards| {
-            let mut cluster = ClusterEngine::new(
-                SimConfig::default(),
-                setup.wide.clone(),
-                mode,
-                shards,
-                partitioner.clone(),
-            )
-            .expect("cluster construction");
-            cluster.set_model(model.clone());
+            let mut cluster = new_cluster(shards, partitioner.clone());
             let executions: Vec<ClusterExecution> = setup
                 .queries
                 .iter()
@@ -195,60 +188,6 @@ pub fn run_cluster_scaling(
                     assert_eq!(
                         &out.groups, oracle,
                         "cluster/oracle mismatch on {} at {shards} shards",
-                        q.id
-                    );
-                    out
-                })
-                .collect();
-            ClusterScalePoint { shards, partitioner: partitioner.label(), executions }
-        })
-        .collect()
-}
-
-/// Run every query through a normalized [`StarCluster`] at each shard
-/// count — the `scaling` study's default path now that the star
-/// storage model exists (the pre-joined sweep stays behind
-/// `--prejoined`). Same output shape as [`run_cluster_scaling`] so the
-/// two paths share the reports, and every merged answer is
-/// cross-checked against the row-at-a-time oracle.
-///
-/// # Panics
-///
-/// Panics on engine errors or a cluster/oracle mismatch (the harness
-/// runs known-good inputs).
-pub fn run_star_scaling(
-    setup: &SsbSetup,
-    mode: EngineMode,
-    shard_counts: &[usize],
-    partitioner: &Partitioner,
-) -> Vec<ClusterScalePoint> {
-    let oracles: Vec<MultiGrouped> = setup
-        .queries
-        .iter()
-        .map(|q| bbpim_db::stats::run_oracle(q, &setup.wide).expect("oracle"))
-        .collect();
-    shard_counts
-        .iter()
-        .map(|&shards| {
-            let mut cluster = StarCluster::new(
-                SimConfig::default(),
-                &setup.db,
-                mode,
-                shards,
-                partitioner.clone(),
-            )
-            .expect("star cluster construction");
-            let executions: Vec<ClusterExecution> = setup
-                .queries
-                .iter()
-                .zip(&oracles)
-                .map(|(q, oracle)| {
-                    let out = cluster
-                        .run(q)
-                        .unwrap_or_else(|e| panic!("{shards} star shards on {}: {e}", q.id));
-                    assert_eq!(
-                        &out.groups, oracle,
-                        "star/oracle mismatch on {} at {shards} shards",
                         q.id
                     );
                     out

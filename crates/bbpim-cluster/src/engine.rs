@@ -1,15 +1,28 @@
-//! The sharded cluster engine: scatter a query to per-shard
-//! [`PimQueryEngine`]s on OS threads, gather and merge the partials.
+//! The sharded cluster: scatter a query to per-shard [`PimTable`]s on
+//! OS threads, gather and merge the partials.
 //!
 //! The paper evaluates one PIM module, but its memory system is built
 //! from many independent modules; this layer models a rank of `n` such
-//! modules. Each shard owns a horizontal slice of the wide pre-joined
-//! relation (see [`crate::partition`]) inside its own `PimModule`.
+//! modules. Each shard owns a horizontal slice of the fact relation
+//! (see [`crate::partition`]) inside its own `PimModule`.
+//!
+//! ## One cluster, two storage models
+//!
+//! [`Cluster`] is generic over a [`Storage`] model. Everything *around*
+//! per-shard execution — shard bookkeeping, the pruning / contention /
+//! transfer-policy toggles, shard admission, `EXPLAIN`, the threaded
+//! scatter, the report folds, mutation routing — exists once. The
+//! storage model supplies what genuinely differs: [`PreJoined`]
+//! ([`ClusterEngine`]) shards the paper's wide pre-joined relation and
+//! runs its cost-model GROUP BY; [`crate::star::Star`]
+//! ([`crate::StarCluster`]) shards the normalized fact table, keeps the
+//! dimensions on auxiliary modules and joins through PIM-side semijoin
+//! bitmaps. Answers are bit-identical between the two.
 //!
 //! ## Zone-map shard pruning
 //!
 //! Every shard carries a [`ZoneMap`] (per-attribute min/max, built
-//! during partitioning and widened by UPDATE fan-out). Before the
+//! during partitioning and widened by mutation fan-out). Before the
 //! scatter, the query's [`FilterBounds`] are tested against each
 //! shard's map: shards that provably hold no matching record are
 //! *pruned pre-scatter* — no thread, no per-page host dispatch, no PIM
@@ -27,45 +40,203 @@
 //! record fetches — `QueryReport::host_bus_ns`). The wall clock for
 //! one query is `Σ host-bus occupancy + max over shards of (shard time
 //! − its occupancy) + host merge`; energy — drawn by every module — is
-//! the *sum*. [`ClusterEngine::set_contention`]`(false)` restores the
+//! the *sum*. [`Cluster::set_contention`]`(false)` restores the
 //! pre-contention optimistic model (only dispatch serialises, every
 //! transfer rides a free per-module channel) for A/B studies; answers
 //! are bit-identical either way.
 
-use bbpim_core::engine::PimQueryEngine;
-use bbpim_core::groupby::calibration::CalibrationConfig;
+use std::borrow::Cow;
+
+use bbpim_core::engine::run_query;
+use bbpim_core::groupby::calibration::{run_calibration, CalibrationConfig};
 use bbpim_core::groupby::cost_model::GroupByModel;
+use bbpim_core::layout::RecordLayout;
 use bbpim_core::modes::EngineMode;
 use bbpim_core::mutation::{Mutation, MutationReport};
+use bbpim_core::planner::PageSet;
 use bbpim_core::result::{QueryExecution, QueryReport};
-use bbpim_core::CoreError;
-use bbpim_db::plan::{FilterBounds, Pred, Query};
+use bbpim_core::{CoreError, PimTable};
+use bbpim_db::plan::{FilterBounds, Pred, Query, ResolvedAtom};
+use bbpim_db::schema::Schema;
 use bbpim_db::stats::MultiGrouped;
 use bbpim_db::zonemap::ZoneMap;
 use bbpim_db::Relation;
 use bbpim_sim::config::SimConfig;
+use bbpim_sim::XferPolicy;
 
 use crate::error::ClusterError;
-use crate::explain::{HostBytes, PlanExplain, ShardPlan};
-use crate::fold::{self, fold_mutation, serial_slice_ns, ClusterShape};
+use crate::explain::{HostBytes, JoinTransfer, PlanExplain, ShardPlan};
+use crate::fold::{fold_mutation, serial_slice_ns};
 use crate::partition::Partitioner;
 
-/// One shard: its position in the cluster plus its engine and zone map.
-struct Shard {
+/// One fact shard: its position in the cluster plus its table and zone
+/// map.
+pub(crate) struct Shard {
     /// Shard index in `0..shard_count` (empty shards have no entry).
     index: usize,
-    engine: PimQueryEngine,
-    /// Per-attribute min/max over this shard's records; widened after
-    /// UPDATE fan-out so pre-scatter pruning stays sound.
+    pub(crate) table: PimTable,
+    /// Per-attribute min/max over this shard's records; refreshed after
+    /// mutation fan-out so pre-scatter pruning stays sound.
     zone: ZoneMap,
 }
 
-/// A sharded PIM OLAP engine over one (pre-joined) relation.
+/// What a storage model contributes to the one [`Cluster`]: how a
+/// filter bounds the fact table, how one shard executes a query, and
+/// the per-query state its shards share. Auxiliary tables (the star's
+/// dimension modules; none for the pre-joined model) are owned by the
+/// cluster and handed in.
+pub trait Storage: Sync {
+    /// Per-query state compiled once and shared by every shard (the
+    /// star's join plan; nothing for the pre-joined model).
+    type Plan: Sync;
+
+    /// The planner's view of `filter`: a DNF resolved against the
+    /// `fact` schema that every matching fact record satisfies — what
+    /// shard and page zone maps are tested against — plus the ledger of
+    /// join transfers it implies (each broadcast to `broadcast` shards).
+    ///
+    /// # Errors
+    ///
+    /// Attribute resolution failures.
+    fn bounds(
+        &self,
+        fact: &Schema,
+        aux: &[PimTable],
+        filter: &Pred,
+        broadcast: usize,
+    ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError>;
+
+    /// `EXPLAIN`'s estimate of the host-channel bytes the join work of
+    /// `filter` moves, beyond what the fact shards move themselves.
+    ///
+    /// # Errors
+    ///
+    /// Attribute resolution failures.
+    fn join_host_bytes(
+        &self,
+        aux: &[PimTable],
+        filter: &Pred,
+        transfers: &[JoinTransfer],
+        policy: XferPolicy,
+        prune: bool,
+    ) -> Result<HostBytes, ClusterError>;
+
+    /// Take `query`'s shared plan out of the plan cache, compiling it
+    /// when there is none or a `fresh` one is asked for.
+    ///
+    /// # Errors
+    ///
+    /// Resolution or substrate failures.
+    fn take_plan(
+        &mut self,
+        fact: &PimTable,
+        aux: &mut [PimTable],
+        prune: bool,
+        query: &Query,
+        fresh: bool,
+    ) -> Result<Self::Plan, ClusterError>;
+
+    /// Execute `query` on one fact shard. The `lead` shard — the first
+    /// one dispatched — carries whatever the plan still has to charge
+    /// once per query.
+    ///
+    /// # Errors
+    ///
+    /// Resolution or substrate failures.
+    #[allow(clippy::too_many_arguments)]
+    fn exec_shard(
+        &self,
+        plan: &Self::Plan,
+        table: &mut PimTable,
+        aux: &[PimTable],
+        mode: EngineMode,
+        prune: bool,
+        query: &Query,
+        lead: bool,
+    ) -> Result<QueryExecution, ClusterError>;
+
+    /// Put `query`'s plan back once a lead shard has executed under it
+    /// (its once-per-query charges are spent).
+    fn keep_plan(&mut self, query: &Query, plan: Self::Plan);
+
+    /// Drop every cached plan: a toggle or a landed write may change
+    /// any of them.
+    fn invalidate(&mut self);
+}
+
+/// The paper's storage model: one wide pre-joined relation, sharded.
+/// Nothing joins at query time, so there is no shared plan; GROUP BY
+/// runs the cost model the shards share.
+#[derive(Debug, Default)]
+pub struct PreJoined {
+    model: Option<GroupByModel>,
+}
+
+impl Storage for PreJoined {
+    type Plan = ();
+
+    fn bounds(
+        &self,
+        fact: &Schema,
+        _aux: &[PimTable],
+        filter: &Pred,
+        _broadcast: usize,
+    ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError> {
+        Ok((filter.resolve_dnf(fact)?, Vec::new()))
+    }
+
+    fn join_host_bytes(
+        &self,
+        _aux: &[PimTable],
+        _filter: &Pred,
+        _transfers: &[JoinTransfer],
+        _policy: XferPolicy,
+        _prune: bool,
+    ) -> Result<HostBytes, ClusterError> {
+        Ok(HostBytes::default())
+    }
+
+    fn take_plan(
+        &mut self,
+        _fact: &PimTable,
+        _aux: &mut [PimTable],
+        _prune: bool,
+        _query: &Query,
+        _fresh: bool,
+    ) -> Result<(), ClusterError> {
+        Ok(())
+    }
+
+    fn exec_shard(
+        &self,
+        _plan: &(),
+        table: &mut PimTable,
+        _aux: &[PimTable],
+        mode: EngineMode,
+        prune: bool,
+        query: &Query,
+        _lead: bool,
+    ) -> Result<QueryExecution, ClusterError> {
+        Ok(run_query(table, mode, self.model.as_ref(), prune, query)?)
+    }
+
+    fn keep_plan(&mut self, _query: &Query, _plan: ()) {}
+
+    fn invalidate(&mut self) {}
+}
+
+/// A sharded PIM OLAP engine: `n` fact shards, each a [`PimTable`] on
+/// its own module, plus the storage model's auxiliary tables.
 ///
 /// Presents the same `run(&Query)` surface as the single-module
-/// [`PimQueryEngine`], returning bit-identical grouped results.
-pub struct ClusterEngine {
-    shards: Vec<Shard>,
+/// [`bbpim_core::PimQueryEngine`], returning bit-identical grouped
+/// results.
+pub struct Cluster<S> {
+    pub(crate) shards: Vec<Shard>,
+    /// Auxiliary tables on modules of their own (the star's four
+    /// dimensions); table `d` is ingest lane `shards.len() + d`.
+    pub(crate) aux: Vec<PimTable>,
+    pub(crate) storage: S,
     shard_count: usize,
     partitioner: Partitioner,
     mode: EngineMode,
@@ -73,6 +244,9 @@ pub struct ClusterEngine {
     pruning: bool,
     contention: bool,
 }
+
+/// The sharded engine over the paper's wide pre-joined relation.
+pub type ClusterEngine = Cluster<PreJoined>;
 
 /// Everything the cluster reports per query.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,12 +376,11 @@ pub struct ClusterMutationReport {
 
 impl ClusterEngine {
     /// Partition `relation` with `partitioner` into `shards` slices and
-    /// build one [`PimQueryEngine`] (its own `PimModule`, same `cfg`)
-    /// per non-empty slice, each paired with the slice's zone map.
-    /// Empty slices — common when a range split has more buckets than
-    /// distinct values — are dropped: they own no engine and no module,
-    /// and [`ClusterEngine::active_shards`] excludes them while
-    /// [`ClusterEngine::shard_count`] keeps reporting the configured
+    /// load each non-empty slice into its own module (same `cfg`), each
+    /// paired with the slice's zone map. Empty slices — common when a
+    /// range split has more buckets than distinct values — are dropped:
+    /// they own no module, and [`Cluster::active_shards`] excludes them
+    /// while [`Cluster::shard_count`] keeps reporting the configured
     /// count.
     ///
     /// Use [`SimConfig::per_module_of`] on `cfg` first for iso-capacity
@@ -216,8 +389,7 @@ impl ClusterEngine {
     ///
     /// # Errors
     ///
-    /// Partitioning failures and per-shard engine construction
-    /// failures.
+    /// Partitioning failures and per-shard load failures.
     pub fn new(
         cfg: SimConfig,
         relation: Relation,
@@ -225,22 +397,80 @@ impl ClusterEngine {
         shards: usize,
         partitioner: Partitioner,
     ) -> Result<Self, ClusterError> {
-        let records = relation.len();
-        let parts = partitioner.split_zoned(&relation, shards)?;
+        let layout = |schema: &Schema| RecordLayout::build(schema, &cfg, mode, &[]);
+        let aux = Vec::new();
+        Cluster::build(
+            &cfg,
+            &relation,
+            mode,
+            shards,
+            partitioner,
+            aux,
+            PreJoined::default(),
+            layout,
+        )
+    }
+
+    /// Run the GROUP-BY calibration once for every shard (all shards
+    /// have identical hardware, so one sweep suffices).
+    ///
+    /// # Errors
+    ///
+    /// Propagates calibration failures.
+    pub fn calibrate(&mut self, cal: &CalibrationConfig) -> Result<(), ClusterError> {
+        if let Some(first) = self.shards.first() {
+            let (_, model) = run_calibration(first.table.config(), self.mode, cal)?;
+            self.set_model(model);
+        }
+        Ok(())
+    }
+
+    /// The fitted GROUP-BY model the shards share, if any.
+    pub fn model(&self) -> Option<&GroupByModel> {
+        self.storage.model.as_ref()
+    }
+
+    /// Install a pre-fitted model. The calibration is a pure function
+    /// of the hardware configuration and engine mode — not of the data
+    /// — so a model fitted once (by any engine or cluster with the same
+    /// `SimConfig` + [`EngineMode`]) is valid for every cluster
+    /// instance: fit once, share everywhere.
+    pub fn set_model(&mut self, model: GroupByModel) {
+        self.storage.model = Some(model);
+    }
+}
+
+impl<S: Storage> Cluster<S> {
+    /// Partition `fact` into `shards` slices and load each non-empty
+    /// one into its own module under the storage model's `layout`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn build(
+        cfg: &SimConfig,
+        fact: &Relation,
+        mode: EngineMode,
+        shards: usize,
+        partitioner: Partitioner,
+        aux: Vec<PimTable>,
+        storage: S,
+        layout: impl Fn(&Schema) -> Result<RecordLayout, CoreError>,
+    ) -> Result<Self, ClusterError> {
         let mut built = Vec::with_capacity(shards);
-        for (index, (part, zone)) in parts.into_iter().enumerate() {
+        for (index, (part, zone)) in partitioner.split_zoned(fact, shards)?.into_iter().enumerate()
+        {
             if part.is_empty() {
                 continue;
             }
-            let engine = PimQueryEngine::new(cfg.clone(), part, mode)?;
-            built.push(Shard { index, engine, zone });
+            let layout = layout(part.schema())?;
+            built.push(Shard { index, table: PimTable::new(cfg.clone(), part, layout)?, zone });
         }
-        Ok(ClusterEngine {
+        Ok(Cluster {
             shards: built,
+            aux,
+            storage,
             shard_count: shards,
             partitioner,
             mode,
-            records,
+            records: fact.len(),
             pruning: true,
             contention: true,
         })
@@ -251,7 +481,7 @@ impl ClusterEngine {
         self.shard_count
     }
 
-    /// Shards actually holding records.
+    /// Fact shards actually holding records.
     pub fn active_shards(&self) -> usize {
         self.shards.len()
     }
@@ -262,7 +492,7 @@ impl ClusterEngine {
         self.shards.iter().map(|s| s.index).collect()
     }
 
-    /// Records across the cluster.
+    /// Fact records across the cluster.
     pub fn records(&self) -> usize {
         self.records
     }
@@ -272,25 +502,22 @@ impl ClusterEngine {
         self.mode
     }
 
-    /// The partitioning strategy.
+    /// The fact partitioning strategy.
     pub fn partitioner(&self) -> &Partitioner {
         &self.partitioner
     }
 
-    /// Is zone-map pruning (shard-level pre-scatter skip + per-shard
-    /// page pruning) enabled? Defaults to `true`.
+    /// Is zone-map pruning (shard-level pre-scatter skip + page
+    /// planning on every table) enabled? Defaults to `true`.
     pub fn pruning(&self) -> bool {
         self.pruning
     }
 
-    /// Enable or disable zone-map pruning cluster-wide (propagates to
-    /// every shard engine's page-level pruning). Answers are
+    /// Enable or disable zone-map pruning cluster-wide. Answers are
     /// bit-identical either way.
     pub fn set_pruning(&mut self, enabled: bool) {
         self.pruning = enabled;
-        for shard in &mut self.shards {
-            shard.engine.set_pruning(enabled);
-        }
+        self.storage.invalidate();
     }
 
     /// Is the shared-host-channel contention model enabled (default)?
@@ -310,21 +537,23 @@ impl ClusterEngine {
         self.contention = enabled;
     }
 
-    /// The host-transfer policy the shards run under (compressed mask
+    /// The host-transfer policy the tables run under (compressed mask
     /// transfers, batched dispatch descriptors, module-side result
     /// reduction). Defaults to all levers on.
-    pub fn xfer_policy(&self) -> bbpim_sim::XferPolicy {
-        self.shards.first().map(|s| s.engine.xfer_policy()).unwrap_or_default()
+    pub fn xfer_policy(&self) -> XferPolicy {
+        self.shards.first().map(|s| s.table.module().policy()).unwrap_or_default()
     }
 
-    /// Set the host-transfer policy cluster-wide for A/B attribution
-    /// studies (like [`ClusterEngine::set_contention`]). Answers are
-    /// bit-identical under every lever combination — only the bytes on
-    /// the channel (and hence contended wall clock) change.
-    pub fn set_xfer_policy(&mut self, policy: bbpim_sim::XferPolicy) {
-        for shard in &mut self.shards {
-            shard.engine.set_xfer_policy(policy);
+    /// Set the host-transfer policy cluster-wide — fact shards and
+    /// auxiliary tables — for A/B attribution studies (like
+    /// [`Cluster::set_contention`]). Answers are bit-identical under
+    /// every lever combination — only the bytes on the channel (and
+    /// hence contended wall clock) change.
+    pub fn set_xfer_policy(&mut self, policy: XferPolicy) {
+        for table in self.shards.iter_mut().map(|s| &mut s.table).chain(&mut self.aux) {
+            table.set_xfer_policy(policy);
         }
+        self.storage.invalidate();
     }
 
     /// An active shard's zone map; `i` indexes active shards.
@@ -332,50 +561,43 @@ impl ClusterEngine {
         self.shards.get(i).map(|s| &s.zone)
     }
 
-    /// Borrow an active shard's engine (inspection in tests/benches);
+    /// Borrow an active shard's table (inspection in tests/benches);
     /// `i` indexes active shards, not configured slots.
-    pub fn shard_engine(&self, i: usize) -> Option<&PimQueryEngine> {
-        self.shards.get(i).map(|s| &s.engine)
+    pub fn shard_table(&self, i: usize) -> Option<&PimTable> {
+        self.shards.get(i).map(|s| &s.table)
     }
 
-    /// Run the GROUP-BY calibration once and share the fitted model
-    /// with every shard (all shards have identical hardware, so one
-    /// sweep suffices — this is `n`× cheaper than calibrating each).
-    ///
-    /// # Errors
-    ///
-    /// Propagates calibration failures.
-    pub fn calibrate(&mut self, cal: &CalibrationConfig) -> Result<(), ClusterError> {
-        let Some(first) = self.shards.first_mut() else {
-            return Ok(());
-        };
-        first.engine.calibrate(cal)?;
-        let model = first.engine.model().cloned().expect("calibrate() installs a model");
-        self.set_model(model);
-        Ok(())
+    /// Total ingest lanes the scheduler sees: one per active fact shard
+    /// plus one per auxiliary table (table `d` is lane
+    /// `active_shards() + d`).
+    pub fn ingest_lanes(&self) -> usize {
+        self.shards.len() + self.aux.len()
     }
 
-    /// The fitted GROUP-BY model the shards share, if any.
-    pub fn model(&self) -> Option<&GroupByModel> {
-        self.shards.first().and_then(|s| s.engine.model())
-    }
-
-    /// Install a pre-fitted model on every shard. The calibration is a
-    /// pure function of the hardware configuration and engine mode —
-    /// not of the data — so a model fitted once (by any engine or
-    /// cluster with the same `SimConfig` + [`EngineMode`]) is valid for
-    /// every cluster instance: fit once, share everywhere.
-    pub fn set_model(&mut self, model: GroupByModel) {
-        for shard in &mut self.shards {
-            shard.engine.set_model(model.clone());
+    /// The storage model's bounds of `filter` on the fact table (empty
+    /// for a cluster with no active shard).
+    fn bounds(
+        &self,
+        filter: &Pred,
+    ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError> {
+        match self.shards.first() {
+            None => Ok((Vec::new(), Vec::new())),
+            Some(first) => self.storage.bounds(
+                first.table.relation().schema(),
+                &self.aux,
+                filter,
+                self.shards.len(),
+            ),
         }
     }
 
     /// The pre-scatter plan of a filter tree: `true` per active shard
     /// that must be dispatched, `false` where the shard's zone map
     /// proves no record can match any DNF branch (the bounds of an OR
-    /// are the per-attribute interval union of its branches). With
-    /// pruning disabled every shard is dispatched.
+    /// are the per-attribute interval union of its branches; a star
+    /// filter bounds the fact table through its FK hulls, so dimension
+    /// selectivity prunes fact shards through the join). With pruning
+    /// disabled every shard is dispatched.
     ///
     /// # Errors
     ///
@@ -384,19 +606,15 @@ impl ClusterEngine {
         if !self.pruning || filter.is_always() {
             return Ok(vec![true; self.shards.len()]);
         }
-        let Some(first) = self.shards.first() else {
-            return Ok(Vec::new());
-        };
-        let schema = first.engine.relation().schema();
-        let dnf = filter.resolve_dnf(schema).map_err(ClusterError::Db)?;
-        let bounds = FilterBounds::from_dnf(&dnf);
+        let bounds = FilterBounds::from_dnf(&self.bounds(filter)?.0);
         Ok(self.shards.iter().map(|s| bounds.can_match(&s.zone)).collect())
     }
 
     /// The physical plan of `query` without executing anything: the
     /// resolved filter (pretty-printed tree + per-attribute pruning
-    /// intervals), which shards the zone maps admit, and how many pages
-    /// each admitted shard's page-level planner would activate (the
+    /// intervals), which shards the zone maps admit, how many pages
+    /// each admitted shard's page-level planner would activate, the
+    /// join-transfer ledger and the estimated host-channel bytes (the
     /// `EXPLAIN` dump).
     ///
     /// # Errors
@@ -404,33 +622,40 @@ impl ClusterEngine {
     /// Propagates filter resolution failures.
     pub fn explain(&self, query: &Query) -> Result<PlanExplain, ClusterError> {
         let mask = self.plan_shards(&query.filter)?;
+        let (dnf, join_transfers) = self.bounds(&query.filter)?;
         // Per-attribute interval union of the filter bounds, rendered
         // with attribute names (what the zone maps are tested against).
         let filter_bounds = match self.shards.first() {
             None => Vec::new(),
             Some(first) => {
-                let schema = first.engine.relation().schema();
-                let dnf = query.filter.resolve_dnf(schema).map_err(ClusterError::Db)?;
+                let attrs = first.table.relation().schema().attrs();
                 FilterBounds::from_dnf(&dnf)
                     .intervals()
                     .into_iter()
-                    .map(|(idx, intervals)| (schema.attrs()[idx].name.clone(), intervals))
+                    .map(|(idx, intervals)| (attrs[idx].name.clone(), intervals))
                     .collect()
             }
         };
-        let mut host_bytes = HostBytes::default();
+        let mut host_bytes = self.storage.join_host_bytes(
+            &self.aux,
+            &query.filter,
+            &join_transfers,
+            self.xfer_policy(),
+            self.pruning,
+        )?;
+        let aggs = query.physical_plan()?.aggs.len() as u64;
         let mut shards = Vec::with_capacity(self.shards.len());
         for (shard, &dispatched) in self.shards.iter().zip(&mask) {
             let mut candidate_pages = 0;
             if dispatched {
-                let plan = shard.engine.plan(query).map_err(ClusterError::Core)?;
+                let plan = shard.table.plan_dnf(&dnf, self.pruning);
                 candidate_pages = plan.len();
-                host_bytes.absorb(&shard_host_bytes(&shard.engine, query, &plan)?);
+                host_bytes.absorb(&shard_host_bytes(&shard.table, &dnf, aggs, &plan));
             }
             shards.push(ShardPlan {
                 shard_index: shard.index,
-                records: shard.engine.relation().len(),
-                pages: shard.engine.page_count(),
+                records: shard.table.relation().len(),
+                pages: shard.table.page_count(),
                 candidate_pages,
                 dispatched,
             });
@@ -440,8 +665,7 @@ impl ClusterEngine {
             filter: query.filter.to_string(),
             filter_bounds,
             shards,
-            // the pre-joined model never joins: nothing crosses the bus
-            join_transfers: Vec::new(),
+            join_transfers,
             host_bytes,
             actuals: None,
         })
@@ -456,8 +680,7 @@ impl ClusterEngine {
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`ClusterEngine::explain`] and
-    /// [`ClusterEngine::run`].
+    /// Same failure modes as [`Cluster::explain`] and [`Cluster::run`].
     pub fn explain_analyze(
         &mut self,
         query: &Query,
@@ -470,73 +693,134 @@ impl ClusterEngine {
 
     /// Execute `query` on one active shard alone and return that
     /// shard's partial execution — the scatter half of
-    /// [`ClusterEngine::run`] as a reusable building block. The
-    /// streaming scheduler (`bbpim-sched`) uses it to interleave
-    /// *different* queries' shard slices on different modules; folding
-    /// the per-shard partials through
-    /// [`ClusterEngine::merge_executions`] in shard order yields
-    /// answers bit-identical to [`ClusterEngine::run`].
+    /// [`Cluster::run`] as a reusable building block. The streaming
+    /// scheduler (`bbpim-sched`) uses it to interleave *different*
+    /// queries' shard slices on different modules; folding the
+    /// per-shard partials through [`Cluster::merge_executions`] in
+    /// shard order yields answers bit-identical to [`Cluster::run`].
+    /// The first shard to execute a given (query, filter) is its lead
+    /// (a star join's prelude rides in its log); later shards reuse the
+    /// cached plan for free.
     ///
-    /// `i` indexes active shards (like [`ClusterEngine::shard_engine`]).
+    /// `i` indexes active shards (like [`Cluster::shard_table`]).
     ///
     /// # Errors
     ///
     /// [`ClusterError::InvalidCluster`] for an unknown shard index;
-    /// shard engine failures otherwise.
+    /// shard failures otherwise.
     pub fn run_on_shard(
         &mut self,
         i: usize,
         query: &Query,
     ) -> Result<QueryExecution, ClusterError> {
         let active = self.shards.len();
-        let shard = self
-            .shards
-            .get_mut(i)
-            .ok_or_else(|| ClusterError::InvalidCluster(format!("no active shard {i}/{active}")))?;
-        shard.engine.run(query).map_err(ClusterError::from)
+        if i >= active {
+            return Err(ClusterError::InvalidCluster(format!("no active shard {i}/{active}")));
+        }
+        let plan = self.storage.take_plan(
+            &self.shards[0].table,
+            &mut self.aux,
+            self.pruning,
+            query,
+            false,
+        )?;
+        let exec = self.storage.exec_shard(
+            &plan,
+            &mut self.shards[i].table,
+            &self.aux,
+            self.mode,
+            self.pruning,
+            query,
+            true,
+        )?;
+        self.storage.keep_plan(query, plan);
+        Ok(exec)
     }
 
-    /// Run `f` on the masked shard engines concurrently (one OS thread
-    /// per dispatched shard — the scatter phase) and gather the results
-    /// in shard order (`None` for pruned shards). The first shard error
-    /// aborts the cluster operation.
-    fn scatter_planned<T, F>(&mut self, mask: &[bool], f: F) -> Result<Vec<Option<T>>, ClusterError>
-    where
-        T: Send,
-        F: Fn(&mut PimQueryEngine) -> Result<T, CoreError> + Sync,
-    {
-        let results: Vec<Option<Result<T, CoreError>>> = std::thread::scope(|scope| {
+    /// Scatter: every shard drains *its own* queue — the queries whose
+    /// mask admits it, in admission order — on its own OS thread, under
+    /// per-query plans compiled up front (a query no shard admits
+    /// compiles nothing). Returns each shard's `(query index,
+    /// execution)` list in shard order. The first shard error aborts
+    /// the cluster operation.
+    fn scatter(
+        &mut self,
+        queries: &[Query],
+        masks: &[Vec<bool>],
+    ) -> Result<Vec<Vec<(usize, QueryExecution)>>, ClusterError> {
+        let mut plans = Vec::with_capacity(queries.len());
+        for (query, mask) in queries.iter().zip(masks) {
+            plans.push(match mask.contains(&true) {
+                false => None,
+                true => Some(self.storage.take_plan(
+                    &self.shards[0].table,
+                    &mut self.aux,
+                    self.pruning,
+                    query,
+                    true,
+                )?),
+            });
+        }
+        let (storage, aux, plans_ref) = (&self.storage, &self.aux[..], &plans);
+        let (mode, prune) = (self.mode, self.pruning);
+        let per_shard = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
                 .iter_mut()
-                .zip(mask)
-                .map(|(shard, &dispatched)| {
-                    dispatched.then(|| {
-                        let f = &f;
-                        scope.spawn(move || f(&mut shard.engine))
+                .enumerate()
+                .map(|(s, shard)| {
+                    masks.iter().any(|m| m[s]).then(|| {
+                        scope.spawn(move || {
+                            let mut out = Vec::new();
+                            for (qi, query) in queries.iter().enumerate() {
+                                let (mask, Some(plan)) = (&masks[qi], &plans_ref[qi]) else {
+                                    continue;
+                                };
+                                if mask[s] {
+                                    let lead = !mask[..s].contains(&true);
+                                    let exec = storage.exec_shard(
+                                        plan,
+                                        &mut shard.table,
+                                        aux,
+                                        mode,
+                                        prune,
+                                        query,
+                                        lead,
+                                    )?;
+                                    out.push((qi, exec));
+                                }
+                            }
+                            Ok(out)
+                        })
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.map(|h| h.join().expect("shard worker panicked")))
-                .collect()
-        });
-        results.into_iter().map(|r| r.transpose().map_err(ClusterError::from)).collect()
+                .map(|h| h.map_or(Ok(Vec::new()), |h| h.join().expect("shard worker panicked")))
+                .collect::<Result<Vec<_>, ClusterError>>()
+        })?;
+        for (query, plan) in queries.iter().zip(plans) {
+            if let Some(plan) = plan {
+                self.storage.keep_plan(query, plan);
+            }
+        }
+        Ok(per_shard)
     }
 
     /// Execute one query: consult the shard zone maps, scatter to the
     /// surviving shards in parallel, and merge the per-shard partial
     /// aggregates. Pruned shards contribute nothing — provably the same
-    /// nothing they would have computed.
+    /// nothing they would have computed. The query's shared plan is
+    /// compiled afresh per call, so repeated runs charge the same work.
     ///
     /// # Errors
     ///
     /// Propagates the first shard failure.
     pub fn run(&mut self, query: &Query) -> Result<ClusterExecution, ClusterError> {
         let mask = self.plan_shards(&query.filter)?;
-        let results = self.scatter_planned(&mask, |engine| engine.run(query))?;
-        let refs: Vec<&QueryExecution> = results.iter().flatten().collect();
+        let per_shard = self.scatter(std::slice::from_ref(query), std::slice::from_ref(&mask))?;
+        let refs: Vec<&QueryExecution> = per_shard.iter().flatten().map(|(_, e)| e).collect();
         let pruned = mask.iter().filter(|d| !**d).count();
         Ok(self.merge_executions(query, &refs, pruned))
     }
@@ -556,29 +840,7 @@ impl ClusterEngine {
             .iter()
             .map(|q| self.plan_shards(&q.filter))
             .collect::<Result<_, ClusterError>>()?;
-        let shard_lists: Vec<Vec<usize>> = (0..self.shards.len())
-            .map(|s| (0..queries.len()).filter(|&qi| masks[qi][s]).collect())
-            .collect();
-
-        let per_shard: Vec<Vec<(usize, QueryExecution)>> = {
-            let joined: Vec<Result<Vec<(usize, QueryExecution)>, CoreError>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .shards
-                        .iter_mut()
-                        .zip(&shard_lists)
-                        .map(|(shard, list)| {
-                            scope.spawn(move || {
-                                list.iter()
-                                    .map(|&qi| shard.engine.run(&queries[qi]).map(|e| (qi, e)))
-                                    .collect::<Result<Vec<_>, _>>()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
-                });
-            joined.into_iter().collect::<Result<_, _>>().map_err(ClusterError::from)?
-        };
+        let per_shard = self.scatter(queries, &masks)?;
 
         let mut rows: Vec<Vec<&QueryExecution>> = vec![Vec::new(); queries.len()];
         for shard_execs in &per_shard {
@@ -610,25 +872,51 @@ impl ClusterEngine {
         Ok(BatchExecution { executions, wall_time_ns, serial_time_ns })
     }
 
-    /// The active-shard *lanes* a mutation will touch, in lane order —
-    /// the scheduler's ingest-buffer admission check. UPDATE lanes are
-    /// the shards whose zone maps admit the WHERE clause (the full DNF:
-    /// the bounds of an OR are the per-attribute interval union of its
-    /// branches); INSERT lanes are where the deterministic round-robin
-    /// row routing — cursor `records % active` — will land the rows.
+    /// Which single table an UPDATE routes to: `Some(d)` for auxiliary
+    /// table `d`, `None` for the fact shards. Every SET attribute and
+    /// every filter atom must name the same table — cross-table UPDATE
+    /// semantics are not defined.
+    fn route_update(
+        &self,
+        filter: &Pred,
+        set: &[(String, bbpim_db::plan::Const)],
+    ) -> Result<Option<usize>, ClusterError> {
+        let owner =
+            |attr: &str| self.aux.iter().position(|t| t.relation().schema().index_of(attr).is_ok());
+        let target = set.first().and_then(|(attr, _)| owner(attr));
+        let filtered = filter.atoms().into_iter().map(|a| a.attr());
+        for attr in set.iter().map(|(attr, _)| attr.as_str()).chain(filtered) {
+            if owner(attr) != target {
+                return Err(ClusterError::InvalidCluster(format!("UPDATE mixes tables at {attr}")));
+            }
+        }
+        Ok(target)
+    }
+
+    /// The ingest *lanes* a mutation will touch, in lane order — the
+    /// scheduler's ingest-buffer admission check. An UPDATE of an
+    /// auxiliary table occupies that table's lane; a fact UPDATE the
+    /// shards whose zone maps admit the WHERE clause (the full DNF: the
+    /// bounds of an OR are the per-attribute interval union of its
+    /// branches); an INSERT (fact rows only) the lanes its
+    /// deterministic round-robin row routing — cursor
+    /// `records % active` — will land the rows on.
     ///
     /// # Errors
     ///
-    /// Propagates filter resolution failures.
+    /// Cross-table UPDATEs and filter resolution failures.
     pub fn plan_mutation_lanes(&self, m: &Mutation) -> Result<Vec<usize>, ClusterError> {
+        let active = self.shards.len();
         match m {
-            Mutation::Update { filter, .. } => {
-                let mask = self.plan_shards(filter)?;
-                Ok(mask.iter().enumerate().filter_map(|(i, &d)| d.then_some(i)).collect())
-            }
+            Mutation::Update { filter, set } => match self.route_update(filter, set)? {
+                Some(d) => Ok(vec![active + d]),
+                None => {
+                    let mask = self.plan_shards(filter)?;
+                    Ok(mask.iter().enumerate().filter_map(|(i, &d)| d.then_some(i)).collect())
+                }
+            },
             Mutation::Insert { rows } => {
-                let active = self.shards.len();
-                if active == 0 || rows.is_empty() {
+                if active == 0 {
                     return Ok(Vec::new());
                 }
                 let start = self.records % active;
@@ -640,38 +928,37 @@ impl ClusterEngine {
         }
     }
 
-    /// Lane-indexed mutation fan-out: execute `m` on each involved
-    /// active shard *serially* and return the per-lane reports in lane
-    /// order — the scheduler's building block (each lane's write phases
-    /// then serialise independently on the shared bus). UPDATE runs on
-    /// every zone-admitted shard; INSERT routes rows round-robin from
-    /// the deterministic cursor `records % active`, so a given cluster
-    /// history always lands rows on the same lanes. Touched shards'
-    /// zone maps are refreshed afterwards so later pruning decisions
-    /// account for the written values.
+    /// Lane-indexed mutation fan-out: execute `m` on each involved lane
+    /// *serially* and return the per-lane reports in lane order — the
+    /// scheduler's building block (each lane's write phases then
+    /// serialise independently on the shared bus). An UPDATE runs on
+    /// the one auxiliary table it names (cost proportional to that
+    /// table's cardinality — the normalization win over rewriting a
+    /// denormalized column on every fact shard) or on every
+    /// zone-admitted fact shard; an INSERT routes fact rows round-robin
+    /// from the deterministic cursor `records % active`, so a given
+    /// cluster history always lands rows on the same lanes. Touched
+    /// shards' zone maps are refreshed afterwards so later pruning
+    /// decisions account for the written values, and the storage
+    /// model's cached plans are dropped.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::InvalidCluster`] for an INSERT into a cluster
-    /// with no active shards; shard failures otherwise. Mutations are
-    /// not atomic: on a mid-fan-out error earlier lanes have applied.
+    /// [`ClusterError::InvalidCluster`] for a cross-table UPDATE or an
+    /// INSERT into a cluster with no active shards; shard failures
+    /// otherwise. Mutations are not atomic: on a mid-fan-out error
+    /// earlier lanes have applied.
     pub fn mutate_on_lanes(
         &mut self,
         m: &Mutation,
     ) -> Result<Vec<(usize, MutationReport)>, ClusterError> {
-        match m {
+        self.storage.invalidate();
+        let active = self.shards.len();
+        let parts: Vec<(usize, Cow<'_, Mutation>)> = match m {
             Mutation::Update { .. } => {
-                let lanes = self.plan_mutation_lanes(m)?;
-                let mut out = Vec::with_capacity(lanes.len());
-                for lane in lanes {
-                    let report = self.shards[lane].engine.mutate(m).map_err(ClusterError::from)?;
-                    self.shards[lane].zone = self.shards[lane].engine.zone_map();
-                    out.push((lane, report));
-                }
-                Ok(out)
+                self.plan_mutation_lanes(m)?.into_iter().map(|l| (l, Cow::Borrowed(m))).collect()
             }
             Mutation::Insert { rows } => {
-                let active = self.shards.len();
                 if active == 0 {
                     return Err(ClusterError::InvalidCluster(
                         "INSERT into a cluster with no active shards".into(),
@@ -682,86 +969,68 @@ impl ClusterEngine {
                 for (k, row) in rows.iter().enumerate() {
                     per_lane[(start + k) % active].push(row.clone());
                 }
-                let mut out = Vec::new();
-                for (lane, lane_rows) in per_lane.into_iter().enumerate() {
-                    if lane_rows.is_empty() {
-                        continue;
-                    }
-                    let part = Mutation::Insert { rows: lane_rows };
-                    let report =
-                        self.shards[lane].engine.mutate(&part).map_err(ClusterError::from)?;
-                    self.shards[lane].zone = self.shards[lane].engine.zone_map();
-                    self.records += report.records_inserted as usize;
-                    out.push((lane, report));
-                }
-                Ok(out)
+                per_lane
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, rows)| !rows.is_empty())
+                    .map(|(l, rows)| (l, Cow::Owned(Mutation::Insert { rows })))
+                    .collect()
             }
+        };
+        let mut out = Vec::with_capacity(parts.len());
+        for (lane, part) in parts {
+            let report = match lane.checked_sub(active) {
+                Some(d) => self.aux[d].mutate(&part, self.pruning)?,
+                None => {
+                    let shard = &mut self.shards[lane];
+                    let report = shard.table.mutate(&part, self.pruning)?;
+                    shard.zone = shard.table.zone_map();
+                    self.records += report.records_inserted as usize;
+                    report
+                }
+            };
+            out.push((lane, report));
         }
+        Ok(out)
     }
 
     /// Fan a mutation out across the cluster and aggregate one report
-    /// (same wall-clock model as [`ClusterEngine::run`]: host-serial
-    /// channel occupancy plus max-over-shards of the overlappable
-    /// PIM-side time).
+    /// (same wall-clock model as [`Cluster::run`]: host-serial channel
+    /// occupancy plus max-over-lanes of the overlappable PIM-side
+    /// time).
     ///
     /// # Errors
     ///
-    /// Propagates the first shard failure.
+    /// Same failure modes as [`Cluster::mutate_on_lanes`].
     pub fn mutate(&mut self, m: &Mutation) -> Result<ClusterMutationReport, ClusterError> {
-        let reports: Vec<MutationReport> =
-            self.mutate_on_lanes(m)?.into_iter().map(|(_, r)| r).collect();
-        let shards_pruned = self.shards.len() - reports.len();
+        let lanes = self.mutate_on_lanes(m)?;
+        let active = self.shards.len();
+        let on_aux = lanes.iter().any(|(lane, _)| *lane >= active);
+        let shards_pruned = if on_aux { 0 } else { active - lanes.len() };
+        let reports = lanes.into_iter().map(|(_, r)| r).collect();
         Ok(fold_mutation(self.contention, reports, shards_pruned))
-    }
-
-    /// Gather: merge per-shard partial executions (in shard order, as
-    /// produced by [`ClusterEngine::run_on_shard`]) into one cluster
-    /// execution — the gather half of [`ClusterEngine::run`], folded by
-    /// [`fold::merge_executions`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a query whose SELECT list is invalid — impossible for
-    /// executions the engines produced (they validate at run time).
-    pub fn merge_executions(
-        &self,
-        query: &Query,
-        executions: &[&QueryExecution],
-        shards_pruned: usize,
-    ) -> ClusterExecution {
-        let shape = ClusterShape {
-            mode: self.mode,
-            shards: self.shard_count,
-            active_shards: self.shards.len(),
-            partitioner: self.partitioner.label(),
-            records: self.records,
-            pages_total: self.shards.iter().map(|s| s.engine.page_count()).sum(),
-            contention: self.contention,
-            host_agg_ns_per_entry: self
-                .shards
-                .first()
-                .map_or(0.0, |s| s.engine.config().host.host_agg_ns_per_record),
-        };
-        fold::merge_executions(&shape, query, executions, shards_pruned)
     }
 }
 
 /// Planner estimate of one dispatched shard's host-channel bytes under
-/// its engine's transfer policy (see [`HostBytes`] for the category
-/// semantics and the estimate's assumptions).
+/// its module's transfer policy, given the resolved filter `dnf`, the
+/// physical aggregate count and the shard's page plan (see
+/// [`HostBytes`] for the category semantics and the estimate's
+/// assumptions).
 fn shard_host_bytes(
-    engine: &PimQueryEngine,
-    query: &Query,
-    plan: &bbpim_core::planner::PageSet,
-) -> Result<HostBytes, ClusterError> {
+    table: &PimTable,
+    dnf: &[Vec<ResolvedAtom>],
+    aggs: u64,
+    plan: &PageSet,
+) -> HostBytes {
     let mut out = HostBytes::default();
     if plan.is_empty() {
-        return Ok(out);
+        return out;
     }
-    let cfg = engine.config();
+    let cfg = table.config();
     let host = &cfg.host;
-    let policy = engine.xfer_policy();
-    let partitions = engine.layout().partitions();
+    let policy = table.module().policy();
+    let partitions = table.layout().partitions();
     if policy.batch_dispatch {
         out.dispatch_bytes = partitions as u64
             * (host.dispatch_header_bytes + plan.run_count() as u64 * host.dispatch_run_bytes);
@@ -769,37 +1038,32 @@ fn shard_host_bytes(
     if partitions > 1 {
         // one transfer pair per disjunct that touches a dimension
         // partition (the two-xb inter-partition traffic)
-        let schema = engine.relation().schema();
-        let dnf = query.filter.resolve_dnf(schema).map_err(ClusterError::Db)?;
-        let dim_disjuncts = dnf
-            .iter()
-            .filter(|conj| {
-                conj.iter().any(|a| {
-                    let name = &schema.attrs()[a.attr_index()].name;
-                    engine.layout().placement(name).map(|p| p.partition != 0).unwrap_or(false)
-                })
-            })
-            .count() as u64;
+        let attrs = table.relation().schema().attrs();
+        let in_dim_partition = |a: &ResolvedAtom| {
+            table.layout().placement(&attrs[a.attr_index()].name).is_ok_and(|p| p.partition != 0)
+        };
+        let dim_disjuncts =
+            dnf.iter().filter(|conj| conj.iter().any(in_dim_partition)).count() as u64;
         let raw_bytes = plan.len() as u64 * cfg.crossbar_rows as u64 * host.line_bytes as u64;
         let records_per_page =
-            (engine.relation().len() as u64).div_ceil(engine.page_count().max(1) as u64);
+            (table.relation().len() as u64).div_ceil(table.page_count().max(1) as u64);
         let packed = bbpim_sim::maskwire::WIRE_HEADER_BYTES
             + (plan.len() as u64 * records_per_page).div_ceil(8);
         let per_transfer = if policy.compress_masks { packed.min(raw_bytes) } else { raw_bytes };
         out.mask_wire_bytes = dim_disjuncts * 2 * per_transfer;
     }
-    let aggs = query.physical_plan().map_err(ClusterError::Db)?.aggs.len() as u64;
     let chunk_lines = 64u64.div_ceil(cfg.read_width_bits as u64);
     let per_agg = chunk_lines * host.line_bytes as u64;
     out.result_bytes = aggs * per_agg * if policy.module_reduce { 1 } else { plan.len() as u64 };
-    Ok(out)
+    out
 }
 
-impl std::fmt::Debug for ClusterEngine {
+impl<S> std::fmt::Debug for Cluster<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClusterEngine")
+        f.debug_struct("Cluster")
             .field("shards", &self.shard_count)
             .field("active", &self.shards.len())
+            .field("aux", &self.aux.len())
             .field("partitioner", &self.partitioner.label())
             .field("mode", &self.mode)
             .field("records", &self.records)
@@ -811,6 +1075,7 @@ impl std::fmt::Debug for ClusterEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bbpim_core::PimQueryEngine;
     use bbpim_db::builder::col;
     use bbpim_db::plan::{AggExpr, AggFunc, Atom};
     use bbpim_db::schema::{Attribute, Schema};

@@ -54,14 +54,20 @@
 //! # Ok::<(), bbpim_cluster::ClusterError>(())
 //! ```
 
+pub mod bitmap;
 pub mod engine;
 pub mod error;
 pub mod explain;
 pub mod fold;
 pub mod obs;
 pub mod partition;
+pub mod star;
 
-pub use engine::{BatchExecution, ClusterEngine, ClusterExecution, ClusterReport};
+pub use bitmap::KeyBitmap;
+pub use engine::{
+    BatchExecution, Cluster, ClusterEngine, ClusterExecution, ClusterReport, PreJoined, Storage,
+};
 pub use error::ClusterError;
 pub use explain::{HostBytes, JoinTransfer, PlanActuals, PlanExplain, ShardPlan};
 pub use partition::Partitioner;
+pub use star::{Star, StarCluster};

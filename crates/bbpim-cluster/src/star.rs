@@ -1,0 +1,851 @@
+//! The star storage model: sharded normalized fact table plus four
+//! shared dimension modules, joined by PIM-side semijoin bitmaps.
+//!
+//! ## Execution model
+//!
+//! A query's filter is routed per DNF disjunct: atoms on `lo_*` stay
+//! fact-local; atoms on a dimension's attributes run *on the dimension
+//! module* as one bulk-bitwise conjunction, leaving a key bitmap in
+//! its mask column (dimension keys are dense, so the mask **is** the
+//! key bitmap). That bitmap crosses the host channel exactly twice per
+//! disjunct-dimension — one compressed read off the dimension module,
+//! one broadcast write shared by *all* fact shards in a single grant —
+//! and is then AND-ed into each shard's fact mask *through the FK
+//! column*: the bitmap's runs compile to range predicates in one
+//! microprogram ([`bbpim_core::semijoin`]), so no per-fact-row mask
+//! bits ever ride the bus. Everything around that — shard admission,
+//! the threaded scatter, partial merging, mutation routing — is the
+//! one [`Cluster`], and answers are bit-identical to the pre-joined
+//! oracle.
+//!
+//! GROUP BY keys naming dimension attributes are joined at gather
+//! time: the host reads the selected fact records' FK chunks off the
+//! fact shards and the referenced dimension chunks off the dimension
+//! modules (both with exact unique-line accounting — hot dimension
+//! rows amortise across fact records), then hash-aggregates.
+//!
+//! ## Planning
+//!
+//! Shard admission and page planning stay host-side and free of PIM
+//! work: the planner evaluates each dimension conjunction against the
+//! catalog copy (zone maps and catalog are maintained by UPDATEs, so
+//! this is sound) and turns the selected-key hull into a BETWEEN bound
+//! on the fact FK attribute — selective dimension filters prune fact
+//! shards and pages *through the join*.
+//!
+//! ## Accounting approximations
+//!
+//! The dimension-filter phases of a query (its *join prelude*) are
+//! charged once per query, prepended to the lead shard's log; under
+//! the contention model their bus slices serialise like any other host
+//! transfer. Other shards may in reality overlap the dimension filter
+//! with their own dispatch — the model keeps the whole prelude on one
+//! timeline, a conservative simplification.
+
+use std::collections::HashMap;
+
+use bbpim_core::error::CoreError;
+use bbpim_core::filter_exec::{
+    build_dnf_mask_program_in, count_mask_bits, mask_bits, mask_read_phases,
+};
+use bbpim_core::groupby::host_gb::{eval_expr, read_attr_value};
+use bbpim_core::groupby::GroupByOutcome;
+use bbpim_core::layout::{RecordLayout, MASK_COL, VALID_COL};
+use bbpim_core::loader::LoadedRelation;
+use bbpim_core::modes::EngineMode;
+use bbpim_core::planner::PageSet;
+use bbpim_core::result::QueryExecution;
+use bbpim_core::semijoin::{build_semijoin_mask_program_in, SemijoinDisjunct, SemijoinTerm};
+use bbpim_core::PimTable;
+use bbpim_db::plan::{Atom, PhysicalPlan, Pred, Query, ResolvedAtom};
+use bbpim_db::schema::Schema;
+use bbpim_db::ssb::star::{self, StarSchema, TableFootprint, DIMENSIONS};
+use bbpim_db::ssb::SsbDb;
+use bbpim_db::stats::GroupedResult;
+use bbpim_sim::compiler::ColRange;
+use bbpim_sim::hostmem::LineSet;
+use bbpim_sim::module::PimModule;
+use bbpim_sim::timeline::{Phase, RunLog};
+use bbpim_sim::{SimConfig, XferPolicy};
+
+pub use crate::bitmap::KeyBitmap;
+use crate::engine::{Cluster, Storage};
+use crate::explain::{HostBytes, JoinTransfer};
+use crate::{ClusterError, Partitioner};
+
+/// The normalized star storage model: which attributes stay
+/// host-resident per table (fact first, then the four dimensions) and
+/// the compiled join plans, one per (query, filter) text.
+#[derive(Debug)]
+pub struct Star {
+    cold: [Vec<String>; 5],
+    join_cache: HashMap<String, JoinPlan>,
+}
+
+/// A sharded PIM OLAP engine over the *normalized* SSB star schema:
+/// the one [`Cluster`] with the four dimensions as its auxiliary
+/// tables. Same surface and bit-identical answers as
+/// [`crate::ClusterEngine`] — only the storage model and the bytes on
+/// the host channel differ.
+pub type StarCluster = Cluster<Star>;
+
+/// A query's compiled join: the fact-side semijoin program inputs, the
+/// FK-hull bounds the planner derived from the bitmaps, and the
+/// dimension-side phase log (charged once per query). The transfer
+/// ledger lives on [`crate::PlanExplain`] — [`Cluster::explain`]
+/// rebuilds it from the catalog, which the executed bitmaps provably
+/// match.
+#[derive(Debug)]
+pub struct JoinPlan {
+    disjuncts: Vec<SemijoinDisjunct>,
+    bounds_dnf: Vec<Vec<ResolvedAtom>>,
+    prelude: RunLog,
+    prelude_charged: bool,
+}
+
+/// Join-plan cache key: one compiled plan per (query, filter) text.
+fn plan_key(query: &Query) -> String {
+    format!("{}|{}", query.id, query.filter)
+}
+
+/// Split a conjunction by owning table: fact atoms plus per-dimension
+/// atom lists (catalog order).
+fn route_conjunct(conj: &[Atom]) -> (Vec<Atom>, [Vec<Atom>; 4]) {
+    let mut fact = Vec::new();
+    let mut dims: [Vec<Atom>; 4] = Default::default();
+    for atom in conj {
+        match StarSchema::dim_of_attr(atom.attr()) {
+            None => fact.push(atom.clone()),
+            Some(d) => dims[d].push(atom.clone()),
+        }
+    }
+    (fact, dims)
+}
+
+/// Resolve a conjunction against a table's schema.
+fn resolve_all(atoms: &[Atom], schema: &Schema) -> Result<Vec<ResolvedAtom>, ClusterError> {
+    Ok(atoms.iter().map(|a| a.resolve(schema)).collect::<Result<_, _>>()?)
+}
+
+/// An attribute's column range, erroring on cold (host-resident)
+/// attributes.
+fn col_range(table: &PimTable, attr: &str) -> Result<ColRange, ClusterError> {
+    Ok(table.layout().placement(attr)?.range)
+}
+
+/// Host-side evaluation of one dimension conjunction against the
+/// catalog copy — the planner's (free) twin of the on-module filter;
+/// both produce the same bitmap because pruning is a proof of absence
+/// and UPDATEs patch the catalog.
+fn host_dim_bitmap(dim: &PimTable, d: usize, atoms: &[Atom]) -> Result<KeyBitmap, ClusterError> {
+    let rel = dim.relation();
+    let resolved = resolve_all(atoms, rel.schema())?;
+    let bits = (0..rel.len()).map(|row| resolved.iter().all(|a| a.matches(rel, row))).collect();
+    Ok(KeyBitmap::new(DIMENSIONS[d].key_base, bits))
+}
+
+/// Run one conjunctive filter on a dimension's module: dispatch, then
+/// the bulk-bitwise mask program into `MASK_COL`; returns the
+/// per-record mask, charging `log`.
+fn filter_conjunction(
+    dim: &mut PimTable,
+    atoms: &[(ResolvedAtom, ColRange)],
+    pages: &PageSet,
+    log: &mut RunLog,
+) -> Result<Vec<bool>, ClusterError> {
+    let (module, layout, loaded, _) = dim.parts_mut();
+    log.push(pages.dispatch_phase(&module.config().host, module.policy(), 1));
+    if !pages.is_empty() {
+        let prog = build_dnf_mask_program_in(
+            layout.scratch(0),
+            &[atoms.to_vec()],
+            &[VALID_COL],
+            MASK_COL,
+        )?;
+        log.push(module.exec_program(&pages.ids(loaded, 0), &prog).map_err(CoreError::from)?);
+    }
+    Ok(mask_bits(module, loaded, pages, 0, MASK_COL))
+}
+
+/// Compile a query's join: run each disjunct's dimension filters on
+/// their modules, decompose the bitmaps into semijoin runs, and charge
+/// the dimension phases plus the two bitmap transfers (read + one
+/// broadcast grant) to the plan's prelude log.
+fn build_join_plan(
+    fact: &PimTable,
+    dims: &mut [PimTable],
+    prune: bool,
+    query: &Query,
+) -> Result<JoinPlan, ClusterError> {
+    let fact_schema = fact.relation().schema();
+    let mut prelude = RunLog::new();
+    let mut disjuncts = Vec::new();
+    let mut bounds_dnf = Vec::new();
+    for conj in &query.filter.dnf() {
+        let (fact_atoms, dim_atoms) = route_conjunct(conj);
+        let mut bound_atoms = resolve_all(&fact_atoms, fact_schema)?;
+        let mut prog_atoms = Vec::with_capacity(fact_atoms.len());
+        for (a, resolved) in fact_atoms.iter().zip(&bound_atoms) {
+            prog_atoms.push((resolved.clone(), col_range(fact, a.attr())?));
+        }
+        let mut semijoins = Vec::new();
+        let mut dead = false;
+        for (d, da) in dim_atoms.iter().enumerate() {
+            if da.is_empty() {
+                continue;
+            }
+            let dim = &mut dims[d];
+            let resolved = resolve_all(da, dim.relation().schema())?;
+            let mut ranged = Vec::with_capacity(da.len());
+            for (a, r) in da.iter().zip(&resolved) {
+                ranged.push((r.clone(), col_range(dim, a.attr())?));
+            }
+            let pages = dim.plan_dnf(std::slice::from_ref(&resolved), prune);
+            let bits = filter_conjunction(dim, &ranged, &pages, &mut prelude)?;
+            let bitmap = KeyBitmap::new(DIMENSIONS[d].key_base, bits);
+            // the bitmap crosses the channel twice: one read off
+            // the dimension module, one broadcast write shared by
+            // every fact shard (a single grant) — at the compressed
+            // wire size, or bit-packed raw when the compression
+            // lever is off (A/B attribution)
+            let line_bytes = dim.config().host.line_bytes as u64;
+            let lines = if dim.module().policy().compress_masks {
+                bitmap.wire_lines(line_bytes)
+            } else {
+                bitmap.raw_bytes().div_ceil(line_bytes.max(1)).max(1)
+            };
+            prelude.push(dim.module().host_read_phase(lines));
+            prelude.push(dim.module().host_write_phase(lines));
+            match bitmap.hull() {
+                None => {
+                    dead = true;
+                    break;
+                }
+                Some((lo, hi)) => bound_atoms.push(ResolvedAtom::Between {
+                    idx: fact_schema.index_of(DIMENSIONS[d].fk)?,
+                    lo,
+                    hi,
+                }),
+            }
+            semijoins.push(SemijoinTerm::from_bitmap(
+                col_range(fact, DIMENSIONS[d].fk)?,
+                bitmap.bits(),
+                bitmap.base(),
+            ));
+        }
+        if !dead {
+            disjuncts.push(SemijoinDisjunct { atoms: prog_atoms, semijoins });
+            bounds_dnf.push(bound_atoms);
+        }
+    }
+    Ok(JoinPlan { disjuncts, bounds_dnf, prelude, prelude_charged: false })
+}
+
+impl Storage for Star {
+    type Plan = JoinPlan;
+
+    /// Per surviving disjunct, the fact atoms plus one FK-hull BETWEEN
+    /// per filtered dimension, and the transfer ledger. Disjuncts whose
+    /// dimension filter selects nothing are dropped — they can match no
+    /// fact record.
+    fn bounds(
+        &self,
+        fact: &Schema,
+        dims: &[PimTable],
+        filter: &Pred,
+        broadcast: usize,
+    ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError> {
+        let mut dnf_out = Vec::new();
+        let mut transfers = Vec::new();
+        for (disjunct, conj) in filter.dnf().iter().enumerate() {
+            let (fact_atoms, dim_atoms) = route_conjunct(conj);
+            let mut atoms = resolve_all(&fact_atoms, fact)?;
+            let mut dead = false;
+            for (d, da) in dim_atoms.iter().enumerate() {
+                if da.is_empty() {
+                    continue;
+                }
+                let bitmap = host_dim_bitmap(&dims[d], d, da)?;
+                transfers.push(JoinTransfer {
+                    dimension: DIMENSIONS[d].name.to_string(),
+                    disjunct,
+                    keys_selected: bitmap.keys_selected(),
+                    key_space: bitmap.key_space(),
+                    raw_bytes: bitmap.raw_bytes(),
+                    wire_bytes: bitmap.wire_bytes(),
+                    broadcast_shards: broadcast,
+                });
+                match bitmap.hull() {
+                    None => {
+                        // empty bitmap: the disjunct is false; later
+                        // dimensions of it are never filtered
+                        dead = true;
+                        break;
+                    }
+                    Some((lo, hi)) => atoms.push(ResolvedAtom::Between {
+                        idx: fact.index_of(DIMENSIONS[d].fk)?,
+                        lo,
+                        hi,
+                    }),
+                }
+            }
+            if !dead {
+                dnf_out.push(atoms);
+            }
+        }
+        Ok((dnf_out, transfers))
+    }
+
+    fn join_host_bytes(
+        &self,
+        dims: &[PimTable],
+        filter: &Pred,
+        transfers: &[JoinTransfer],
+        policy: XferPolicy,
+        prune: bool,
+    ) -> Result<HostBytes, ClusterError> {
+        let mut host_bytes = HostBytes::default();
+        // semijoin bitmaps: one read + one broadcast each, at the wire
+        // size (or bit-packed raw with the compression lever off)
+        for t in transfers {
+            host_bytes.mask_wire_bytes +=
+                2 * if policy.compress_masks { t.wire_bytes } else { t.raw_bytes };
+        }
+        // dimension-filter dispatch: each filtered dimension of a
+        // disjunct is dispatched once on its module as part of the join
+        // prelude, and those descriptor bytes ride the channel like any
+        // fact dispatch. Charging mirrors `build_join_plan`: a
+        // dimension whose empty bitmap kills the disjunct is still
+        // dispatched; the dimensions after it are never reached.
+        for conj in &filter.dnf() {
+            let (_, dim_atoms) = route_conjunct(conj);
+            for (d, da) in dim_atoms.iter().enumerate() {
+                if da.is_empty() {
+                    continue;
+                }
+                let dim = &dims[d];
+                let resolved = resolve_all(da, dim.relation().schema())?;
+                let pages = dim.plan_dnf(&[resolved], prune);
+                let host = &dim.config().host;
+                if !pages.is_empty() && dim.module().policy().batch_dispatch {
+                    host_bytes.dispatch_bytes += host.dispatch_header_bytes
+                        + pages.run_count() as u64 * host.dispatch_run_bytes;
+                }
+                if host_dim_bitmap(dim, d, da)?.hull().is_none() {
+                    break;
+                }
+            }
+        }
+        Ok(host_bytes)
+    }
+
+    fn take_plan(
+        &mut self,
+        fact: &PimTable,
+        dims: &mut [PimTable],
+        prune: bool,
+        query: &Query,
+        fresh: bool,
+    ) -> Result<JoinPlan, ClusterError> {
+        match self.join_cache.remove(&plan_key(query)) {
+            Some(plan) if !fresh => Ok(plan),
+            _ => build_join_plan(fact, dims, prune, query),
+        }
+    }
+
+    fn exec_shard(
+        &self,
+        plan: &JoinPlan,
+        table: &mut PimTable,
+        dims: &[PimTable],
+        mode: EngineMode,
+        prune: bool,
+        query: &Query,
+        lead: bool,
+    ) -> Result<QueryExecution, ClusterError> {
+        let qplan = query.physical_plan()?;
+        // aggregate operands must be fact-resident: dimension values are
+        // joined for grouping, never materialised per fact row
+        for agg in &qplan.aggs {
+            for a in agg.attrs() {
+                if StarSchema::dim_of_attr(a).is_some() {
+                    return Err(ClusterError::Core(CoreError::Unsupported(format!(
+                        "aggregating dimension attribute {a} on the normalized schema"
+                    ))));
+                }
+            }
+        }
+        let pages = table.plan_dnf(&plan.bounds_dnf, prune);
+        let prelude = (lead && !plan.prelude_charged).then_some(&plan.prelude);
+        let mut log = table.begin_query(&pages, prelude);
+        let (module, layout, loaded, _) = table.parts_mut();
+        let fact_pages = pages.ids(loaded, 0);
+        let selected = if pages.is_empty() {
+            0
+        } else {
+            let prog = build_semijoin_mask_program_in(
+                layout.scratch(0),
+                &plan.disjuncts,
+                &[VALID_COL],
+                MASK_COL,
+            )?;
+            log.push(module.exec_program(&fact_pages, &prog).map_err(CoreError::from)?);
+            count_mask_bits(module, &fact_pages, MASK_COL)
+        };
+        let grouped = match query.has_group_by() {
+            true => {
+                Some(star_gather(module, layout, loaded, dims, query, &qplan, &pages, &mut log)?)
+            }
+            false => None,
+        };
+        Ok(table.finish_query(mode, query, &qplan, &pages, selected, grouped, log)?)
+    }
+
+    fn keep_plan(&mut self, query: &Query, mut plan: JoinPlan) {
+        plan.prelude_charged = true;
+        self.join_cache.insert(plan_key(query), plan);
+    }
+
+    fn invalidate(&mut self) {
+        self.join_cache.clear();
+    }
+}
+
+impl StarCluster {
+    /// Build the normalized cluster from a generated SSB instance: the
+    /// four dimensions each on their own module, the fact table
+    /// partitioned into `shards` (empty slices dropped, as in
+    /// [`crate::ClusterEngine::new`]). Residency is workload-derived
+    /// ([`StarSchema::ssb_cold_attrs`]): attributes no SSB query
+    /// touches stay host-side, dimension keys are positional.
+    ///
+    /// `mode` labels reports and selects the aggregation circuit;
+    /// normalized records are single-partition either way (the two-xb
+    /// fact/dimension split *is* the normalization now).
+    ///
+    /// # Errors
+    ///
+    /// Partitioning or per-table load failures.
+    pub fn new(
+        cfg: SimConfig,
+        db: &SsbDb,
+        mode: EngineMode,
+        shards: usize,
+        partitioner: Partitioner,
+    ) -> Result<Self, ClusterError> {
+        let catalog = StarSchema::of_db(db);
+        let cold = catalog.ssb_cold_attrs();
+        let layout = |schema: &Schema, cold: &[String]| {
+            RecordLayout::build_custom(schema, &cfg, 1, |_| 0, cold)
+        };
+        let mut dims = Vec::with_capacity(4);
+        for (d, cold) in cold[1..].iter().enumerate() {
+            let rel = catalog.dim(d).clone();
+            let layout = layout(rel.schema(), cold)?;
+            dims.push(PimTable::new(cfg.clone(), rel, layout)?);
+        }
+        let fact_layout = |schema: &Schema| layout(schema, &cold[0]);
+        let storage = Star { cold: cold.clone(), join_cache: HashMap::new() };
+        Cluster::build(&cfg, &db.lineorder, mode, shards, partitioner, dims, storage, fact_layout)
+    }
+
+    /// Per-table PIM-resident footprints: the (cluster-wide) fact
+    /// table first, then the four dimensions.
+    pub fn footprints(&self) -> Vec<TableFootprint> {
+        let cold = &self.storage.cold;
+        let mut out = Vec::with_capacity(5);
+        if let Some(table) = self.shard_table(0) {
+            let mut f = star::table_footprint(table.relation(), &cold[0]);
+            f.records = self.records();
+            f.data_bytes = ((f.records * f.resident_bits) as u64).div_ceil(8);
+            out.push(f);
+        }
+        for (dim, cold) in self.aux.iter().zip(&cold[1..]) {
+            out.push(star::table_footprint(dim.relation(), cold));
+        }
+        out
+    }
+
+    /// Total PIM-resident data bytes across the five tables.
+    pub fn total_data_bytes(&self) -> u64 {
+        self.footprints().iter().map(|f| f.data_bytes).sum()
+    }
+}
+
+/// Where one GROUP BY key comes from.
+enum GroupSource {
+    Fact(String),
+    Dim { d: usize, attr: String },
+}
+
+/// Star host-gather: the host reads the mask, the selected fact
+/// records' key/FK/operand chunks, and — for dimension group keys —
+/// the referenced dimension rows' chunks (positional FK probe), then
+/// hash-aggregates every SELECT item in one pass. Mirrors
+/// [`bbpim_core::groupby::host_gb::run_host_gb`]'s exact unique-line
+/// accounting on both the fact and the dimension modules.
+#[allow(clippy::too_many_arguments)]
+fn star_gather(
+    module: &mut PimModule,
+    layout: &RecordLayout,
+    loaded: &LoadedRelation,
+    dims: &[PimTable],
+    query: &Query,
+    qplan: &PhysicalPlan,
+    pages: &PageSet,
+    log: &mut RunLog,
+) -> Result<GroupByOutcome, CoreError> {
+    let sources: Vec<GroupSource> = query
+        .group_by
+        .iter()
+        .map(|g| match StarSchema::dim_of_attr(g) {
+            None => GroupSource::Fact(g.clone()),
+            Some(d) => GroupSource::Dim { d, attr: g.clone() },
+        })
+        .collect();
+
+    // 1. filter-result bit-vector off the fact shard (wire-compressed
+    //    under the byte diet: the mask packs module-side and only the
+    //    wire bytes occupy the shared channel)
+    let mask = mask_bits(module, loaded, pages, 0, MASK_COL);
+    for phase in mask_read_phases(module, loaded, pages, &mask) {
+        log.push(phase);
+    }
+
+    // 2. chunks per table: fact group keys + the FK of every dimension
+    //    key + aggregate operands on the fact side; the referenced
+    //    attributes on each dimension side
+    let mut fact_attrs: Vec<&str> = Vec::new();
+    let mut dim_attrs: [Vec<&str>; 4] = Default::default();
+    for s in &sources {
+        match s {
+            GroupSource::Fact(n) => fact_attrs.push(n),
+            GroupSource::Dim { d, attr } => {
+                fact_attrs.push(DIMENSIONS[*d].fk);
+                dim_attrs[*d].push(attr);
+            }
+        }
+    }
+    for agg in &qplan.aggs {
+        fact_attrs.extend(agg.attrs());
+    }
+    fact_attrs.sort_unstable();
+    fact_attrs.dedup();
+    let chunk_map = layout.chunks_for(fact_attrs.iter().copied())?;
+    let mut dim_chunks = Vec::with_capacity(4);
+    for (d, da) in dim_attrs.iter_mut().enumerate() {
+        da.sort_unstable();
+        da.dedup();
+        dim_chunks.push(if da.is_empty() {
+            None
+        } else {
+            Some(dims[d].layout().chunks_for(da.iter().copied())?)
+        });
+    }
+
+    // 3. exact unique-line accounting: fact and dimension lines live
+    //    on different modules, so each module gets its own set (page
+    //    ids collide across modules)
+    let cfg = module.config().clone();
+    let mut fact_lines = LineSet::new();
+    let mut dim_lines = [LineSet::new(), LineSet::new(), LineSet::new(), LineSet::new()];
+    for (record, selected) in mask.iter().enumerate() {
+        if !selected {
+            continue;
+        }
+        let (pg, slot) = loaded.locate(record);
+        for (&partition, chunks) in &chunk_map {
+            let page_id = loaded.pages(partition)[pg];
+            let s = module.page(page_id).record_slot(slot)?;
+            for &chunk in chunks {
+                fact_lines.touch_bit_range(
+                    &cfg,
+                    page_id.0,
+                    s.row,
+                    chunk * cfg.read_width_bits,
+                    cfg.read_width_bits,
+                );
+            }
+        }
+        for (d, chunks_of_dim) in dim_chunks.iter().enumerate() {
+            let Some(dmap) = chunks_of_dim else { continue };
+            let fk = read_attr_value(module, layout, loaded, record, DIMENSIONS[d].fk)?;
+            let dim_row = (fk - DIMENSIONS[d].key_base) as usize;
+            let dloaded = dims[d].loaded();
+            let dmodule = dims[d].module();
+            let dcfg = dmodule.config();
+            let (dpg, dslot) = dloaded.locate(dim_row);
+            for (&partition, chunks) in dmap {
+                let page_id = dloaded.pages(partition)[dpg];
+                let s = dmodule.page(page_id).record_slot(dslot)?;
+                for &chunk in chunks {
+                    dim_lines[d].touch_bit_range(
+                        dcfg,
+                        page_id.0,
+                        s.row,
+                        chunk * dcfg.read_width_bits,
+                        dcfg.read_width_bits,
+                    );
+                }
+            }
+        }
+    }
+    let total_lines = fact_lines.len() + dim_lines.iter().map(LineSet::len).sum::<u64>();
+    log.push(module.host_read_scattered_phase(total_lines));
+
+    // 4. hash aggregation: dimension keys resolved through the dense
+    //    positional probe, every SELECT item folded in one pass
+    let mut out: Vec<GroupedResult> = vec![GroupedResult::new(); qplan.aggs.len()];
+    let mut folded = 0u64;
+    for (record, selected) in mask.iter().enumerate() {
+        if !selected {
+            continue;
+        }
+        folded += 1;
+        let mut key = Vec::with_capacity(sources.len());
+        for s in &sources {
+            key.push(match s {
+                GroupSource::Fact(n) => read_attr_value(module, layout, loaded, record, n)?,
+                GroupSource::Dim { d, attr } => {
+                    let fk = read_attr_value(module, layout, loaded, record, DIMENSIONS[*d].fk)?;
+                    let dim_row = (fk - DIMENSIONS[*d].key_base) as usize;
+                    read_attr_value(
+                        dims[*d].module(),
+                        dims[*d].layout(),
+                        dims[*d].loaded(),
+                        dim_row,
+                        attr,
+                    )?
+                }
+            });
+        }
+        for (agg, grouped) in qplan.aggs.iter().zip(out.iter_mut()) {
+            let v = match &agg.expr {
+                None => 1,
+                Some(expr) => eval_expr(module, layout, loaded, record, expr)?,
+            };
+            grouped
+                .entry(key.clone())
+                .and_modify(|acc| *acc = agg.func.merge(*acc, v))
+                .or_insert(v);
+        }
+    }
+    let per_record = cfg.host.host_agg_ns_per_record / cfg.host.threads as f64;
+    log.push(Phase::host_compute(folded as f64 * per_record));
+    let kmax = out.first().map_or(0, GroupedResult::len);
+    Ok(GroupByOutcome { per_agg: out, k: 0, kmax, sampled: 0 })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bbpim_core::mutation::Mutation;
+    use bbpim_db::ssb::{queries, SsbParams};
+    use bbpim_db::stats;
+
+    fn db() -> SsbDb {
+        SsbDb::generate(&SsbParams::tiny_for_tests())
+    }
+
+    fn cluster(db: &SsbDb, shards: usize) -> StarCluster {
+        StarCluster::new(
+            SimConfig::small_for_tests(),
+            db,
+            EngineMode::OneXb,
+            shards,
+            Partitioner::RoundRobin,
+        )
+        .unwrap()
+    }
+
+    /// The oracle runs on the pre-joined relation; attribute names are
+    /// globally unique, so the same query text answers both models.
+    fn oracle(db: &SsbDb, q: &Query) -> bbpim_db::stats::MultiGrouped {
+        stats::run_oracle(q, &db.prejoin()).unwrap()
+    }
+
+    #[test]
+    fn q1_matches_prejoined_oracle() {
+        let db = db();
+        let mut c = cluster(&db, 2);
+        let q = queries::standard_query("Q1.1").unwrap();
+        let out = c.run(&q).unwrap();
+        assert_eq!(out.groups, oracle(&db, &q));
+        assert!(out.report.selected > 0);
+        assert!(out.report.time_ns > 0.0);
+    }
+
+    #[test]
+    fn grouped_query_with_dimension_keys_matches_oracle() {
+        let db = db();
+        let mut c = cluster(&db, 2);
+        // Q2.1 groups by d_year, p_brand1 — both dimension attributes
+        let q = queries::standard_query("Q2.1").unwrap();
+        let out = c.run(&q).unwrap();
+        assert_eq!(out.groups, oracle(&db, &q));
+    }
+
+    #[test]
+    fn repeated_runs_are_deterministic() {
+        let db = db();
+        let mut c = cluster(&db, 2);
+        let q = queries::standard_query("Q1.2").unwrap();
+        let a = c.run(&q).unwrap();
+        let b = c.run(&q).unwrap();
+        assert_eq!(a.groups, b.groups);
+        assert_eq!(a.report.time_ns, b.report.time_ns, "prelude must recharge per run");
+    }
+
+    #[test]
+    fn explain_reports_join_transfers_and_hull_bounds() {
+        let db = db();
+        let c = cluster(&db, 2);
+        let q = queries::standard_query("Q1.1").unwrap(); // d_year = 1993
+        let ex = c.explain(&q).unwrap();
+        assert_eq!(ex.join_transfers.len(), 1);
+        let t = &ex.join_transfers[0];
+        assert_eq!(t.dimension, "date");
+        assert_eq!(t.keys_selected, 365);
+        assert_eq!(t.key_space, 2556);
+        assert!(t.wire_bytes < t.raw_bytes, "one-year run must compress");
+        assert_eq!(t.broadcast_shards, 2);
+        // the join hull appears as a bound on the FK attribute
+        assert!(ex.filter_bounds.iter().any(|(a, _)| a == "lo_orderdate"));
+    }
+
+    #[test]
+    fn empty_dimension_selection_prunes_everything() {
+        let db = db();
+        let mut c = cluster(&db, 2);
+        let mut q = queries::standard_query("Q1.1").unwrap();
+        q.filter = Pred::all(vec![Atom::Eq {
+            attr: "d_year".into(),
+            value: bbpim_db::plan::Const::from(2050u64),
+        }]);
+        assert!(c.plan_shards(&q.filter).unwrap().iter().all(|d| !d));
+        let out = c.run(&q).unwrap();
+        assert_eq!(out.report.selected, 0);
+        assert!(out.groups.is_empty());
+    }
+
+    #[test]
+    fn footprints_stay_below_a_third_of_prejoin() {
+        let db = db();
+        let c = cluster(&db, 2);
+        let fps = c.footprints();
+        assert_eq!(fps.len(), 5);
+        assert_eq!(fps[0].table, "lineorder");
+        assert_eq!(fps[0].records, db.lineorder.len());
+        assert!(c.total_data_bytes() > 0);
+    }
+
+    #[test]
+    fn dimension_update_invalidates_plans_and_changes_answers() {
+        let db = db();
+        let mut c = cluster(&db, 2);
+        let q = queries::standard_query("Q1.1").unwrap();
+        let before = c.run(&q).unwrap();
+        // move 1994 into 1993: Q1.1's d_year = 1993 filter now selects
+        // twice the days
+        let m = Mutation::update()
+            .filter(bbpim_db::builder::col("d_year").eq(1994u64))
+            .set("d_year", 1993u64)
+            .build_unchecked();
+        let rep = c.mutate(&m).unwrap();
+        assert_eq!(rep.records_updated, 365);
+        let after = c.run(&q).unwrap();
+        assert!(after.report.selected > before.report.selected);
+        // oracle agreement on the updated data
+        let mut wide = db.prejoin();
+        let widx = wide.schema().index_of("d_year").unwrap();
+        for row in 0..wide.len() {
+            if wide.value(row, widx) == 1994 {
+                wide.set_value(row, widx, 1993).unwrap();
+            }
+        }
+        assert_eq!(after.groups, stats::run_oracle(&q, &wide).unwrap());
+    }
+
+    #[test]
+    fn cross_table_update_rejected() {
+        let db = db();
+        let mut c = cluster(&db, 1);
+        let m = Mutation::update()
+            .filter(bbpim_db::builder::col("d_year").eq(1993u64))
+            .set("lo_discount", 0u64)
+            .build_unchecked();
+        assert!(matches!(c.mutate(&m), Err(ClusterError::InvalidCluster(_))));
+    }
+
+    /// The date dimension (catalog index 3) of a one-shard cluster.
+    const DATE: usize = 3;
+
+    #[test]
+    fn dimension_filter_yields_key_bitmap() {
+        let mut c = cluster(&db(), 1);
+        let t = &mut c.aux[DATE];
+        let schema = t.relation().schema().clone();
+        let atom = Atom::Eq { attr: "d_year".into(), value: 1993u64.into() };
+        let resolved = atom.resolve(&schema).unwrap();
+        let range = col_range(t, "d_year").unwrap();
+        let pages = t.plan_dnf(&[vec![resolved.clone()]], true);
+        let mut log = RunLog::new();
+        let mask = filter_conjunction(t, &[(resolved, range)], &pages, &mut log).unwrap();
+        let year = schema.index_of("d_year").unwrap();
+        for (row, got) in mask.iter().enumerate() {
+            assert_eq!(*got, t.relation().value(row, year) == 1993, "row {row}");
+        }
+        assert_eq!(mask.iter().filter(|b| **b).count(), 365);
+        assert!(log.total_time_ns() > 0.0);
+    }
+
+    #[test]
+    fn update_patches_module_and_catalog() {
+        let mut c = cluster(&db(), 1);
+        let t = &mut c.aux[DATE];
+        let m = Mutation::update()
+            .filter(bbpim_db::builder::col("d_year").eq(1995u64))
+            .set("d_weeknuminyear", 53u64)
+            .build_unchecked();
+        let rep = t.mutate(&m, true).unwrap();
+        assert_eq!(rep.records_updated, 365);
+        let schema = t.relation().schema().clone();
+        let (year, week) =
+            (schema.index_of("d_year").unwrap(), schema.index_of("d_weeknuminyear").unwrap());
+        let mut probe = None;
+        for row in 0..t.relation().len() {
+            if t.relation().value(row, year) == 1995 {
+                assert_eq!(t.relation().value(row, week), 53);
+                probe = Some(row);
+            }
+        }
+        // stored bits agree with the catalog copy
+        let stored =
+            read_attr_value(t.module(), t.layout(), t.loaded(), probe.unwrap(), "d_weeknuminyear")
+                .unwrap();
+        assert_eq!(stored, 53);
+    }
+
+    #[test]
+    fn cold_attributes_stay_host_side() {
+        let c = cluster(&db(), 1);
+        let t = &c.aux[DATE];
+        assert!(col_range(t, "d_datekey").is_err(), "dim keys are positional, not stored");
+        assert!(col_range(t, "d_year").is_ok());
+    }
+
+    #[test]
+    fn failed_run_on_shard_leaves_the_join_prelude_uncharged() {
+        let db = db();
+        let q = queries::standard_query("Q2.1").unwrap();
+        let want = cluster(&db, 2).run(&q).unwrap();
+        let mut c = cluster(&db, 2);
+        assert!(matches!(c.run_on_shard(99, &q), Err(ClusterError::InvalidCluster(_))));
+        let mask = c.plan_shards(&q.filter).unwrap();
+        let execs: Vec<QueryExecution> =
+            (0..mask.len()).filter(|&i| mask[i]).map(|i| c.run_on_shard(i, &q).unwrap()).collect();
+        let refs: Vec<&QueryExecution> = execs.iter().collect();
+        let stepwise = c.merge_executions(&q, &refs, mask.len() - execs.len());
+        assert_eq!(stepwise, want, "a failed shard call must not eat the prelude");
+    }
+}

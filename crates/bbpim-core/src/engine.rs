@@ -1,55 +1,37 @@
 //! The end-to-end PIM query engine.
 //!
-//! [`PimQueryEngine`] owns the PIM module with the pre-joined relation
-//! loaded, plus the host-side catalog copy. `run` executes one logical
-//! query exactly as Section IV describes: bulk-bitwise filter → (for
-//! GROUP BY) one-page sampling and the Eq. (3) decision → pim-gb /
+//! [`PimQueryEngine`] is a [`PimTable`] holding the pre-joined relation
+//! plus what the paper's engine adds on top: the mode, the fitted
+//! GROUP-BY model and the pruning switch. [`run_query`] executes one
+//! logical query exactly as Section IV describes: bulk-bitwise filter →
+//! (for GROUP BY) one-page sampling and the Eq. (3) decision → pim-gb /
 //! host-gb → report. Queries without GROUP BY (SSB Q1.x) aggregate the
 //! whole selection in PIM directly.
 
-use bbpim_db::plan::{FilterBounds, Query};
-use bbpim_db::stats::{self, GroupedResult};
-use bbpim_db::zonemap::ZoneMap;
+use bbpim_db::plan::{Query, ResolvedAtom};
+use bbpim_db::stats;
 use bbpim_db::Relation;
 use bbpim_sim::config::SimConfig;
-use bbpim_sim::module::PimModule;
-use bbpim_sim::timeline::RunLog;
 
-use crate::agg_exec::{aggregate_masked, materialize_exprs};
 use crate::error::CoreError;
 use crate::filter_exec::run_filter;
 use crate::groupby::calibration::{run_calibration, CalibrationConfig, CalibrationData};
 use crate::groupby::cost_model::GroupByModel;
 use crate::groupby::run_group_by;
-use crate::layout::{AttrPlacement, RecordLayout, MASK_COL};
-use crate::loader::{load_relation, LoadedRelation};
+use crate::layout::{AttrPlacement, RecordLayout};
 use crate::modes::EngineMode;
-use crate::mutation::{run_mutation, Mutation, MutationReport};
-use crate::planner::{plan_pages, PageSet};
-use crate::result::{PartialGroups, QueryExecution, QueryReport};
+use crate::mutation::{Mutation, MutationReport};
+use crate::planner::PageSet;
+use crate::result::QueryExecution;
+use crate::table::PimTable;
 
 /// A PIM-resident OLAP engine over one (pre-joined) relation.
+#[derive(Debug)]
 pub struct PimQueryEngine {
-    module: PimModule,
-    relation: Relation,
-    layout: RecordLayout,
-    loaded: LoadedRelation,
+    table: PimTable,
     mode: EngineMode,
     model: Option<GroupByModel>,
     pruning: bool,
-}
-
-impl std::fmt::Debug for PimQueryEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PimQueryEngine")
-            .field("relation", &self.relation.schema().name)
-            .field("records", &self.loaded.records())
-            .field("pages", &self.loaded.page_count())
-            .field("mode", &self.mode)
-            .field("calibrated", &self.model.is_some())
-            .field("pruning", &self.pruning)
-            .finish()
-    }
 }
 
 impl PimQueryEngine {
@@ -86,9 +68,8 @@ impl PimQueryEngine {
                 mode.partitions()
             )));
         }
-        let mut module = PimModule::new(cfg);
-        let loaded = load_relation(&mut module, &relation, &layout)?;
-        Ok(PimQueryEngine { module, relation, layout, loaded, mode, model: None, pruning: true })
+        let table = PimTable::new(cfg, relation, layout)?;
+        Ok(PimQueryEngine { table, mode, model: None, pruning: true })
     }
 
     /// The engine mode.
@@ -96,24 +77,20 @@ impl PimQueryEngine {
         self.mode
     }
 
-    /// The simulator configuration.
-    pub fn config(&self) -> &SimConfig {
-        self.module.config()
+    /// The table-on-a-module underneath (module, layout, loaded image,
+    /// zone map).
+    pub fn table(&self) -> &PimTable {
+        &self.table
     }
 
     /// The host-side catalog copy of the relation.
     pub fn relation(&self) -> &Relation {
-        &self.relation
-    }
-
-    /// The record layout.
-    pub fn layout(&self) -> &RecordLayout {
-        &self.layout
+        self.table.relation()
     }
 
     /// Pages per partition (`M`).
     pub fn page_count(&self) -> usize {
-        self.loaded.page_count()
+        self.table.page_count()
     }
 
     /// Is zone-map page pruning enabled (default) or is every query
@@ -129,22 +106,10 @@ impl PimQueryEngine {
         self.pruning = enabled;
     }
 
-    /// The host-channel transfer policy in effect (byte-diet levers).
-    pub fn xfer_policy(&self) -> bbpim_sim::XferPolicy {
-        self.module.policy()
-    }
-
     /// Set the host-channel transfer policy. Answers are bit-identical
     /// under every lever combination; only bytes, time and energy move.
     pub fn set_xfer_policy(&mut self, policy: bbpim_sim::XferPolicy) {
-        self.module.set_policy(policy);
-    }
-
-    /// The loaded relation's zone map (merge over per-page zones,
-    /// including UPDATE widening) — what the cluster layer consults for
-    /// shard-level pruning.
-    pub fn zone_map(&self) -> ZoneMap {
-        self.loaded.zone_map()
+        self.table.set_xfer_policy(policy);
     }
 
     /// Plan the pages a query's filter must touch under the current
@@ -154,20 +119,8 @@ impl PimQueryEngine {
     ///
     /// Propagates filter resolution failures.
     pub fn plan(&self, query: &Query) -> Result<PageSet, CoreError> {
-        if !self.pruning {
-            return Ok(PageSet::all(self.loaded.page_count()));
-        }
-        let bounds = FilterBounds::of_query(query, self.relation.schema())?;
-        Ok(plan_pages(&bounds, &self.loaded))
-    }
-
-    /// [`PimQueryEngine::plan`] from an already-resolved DNF (avoids a
-    /// second resolution pass inside [`PimQueryEngine::run`]).
-    fn plan_resolved(&self, dnf: &[Vec<bbpim_db::plan::ResolvedAtom>]) -> PageSet {
-        if !self.pruning {
-            return PageSet::all(self.loaded.page_count());
-        }
-        plan_pages(&FilterBounds::from_dnf(dnf), &self.loaded)
+        let dnf = query.resolve_filter(self.table.relation().schema())?;
+        Ok(self.table.plan_dnf(&dnf, self.pruning))
     }
 
     /// The fitted GROUP-BY model, if calibrated.
@@ -187,159 +140,19 @@ impl PimQueryEngine {
     ///
     /// Propagates calibration failures.
     pub fn calibrate(&mut self, cal: &CalibrationConfig) -> Result<CalibrationData, CoreError> {
-        let (data, model) = run_calibration(self.module.config(), self.mode, cal)?;
+        let (data, model) = run_calibration(self.table.config(), self.mode, cal)?;
         self.model = Some(model);
         Ok(data)
     }
 
-    /// Execute one query.
-    ///
-    /// The physical plan comes first: the filter's bound intervals
-    /// (interval union across OR branches) are tested against the
-    /// per-page zone maps and only candidate pages are dispatched —
-    /// pruned pages draw no crossbar ops, no host read lines and no
-    /// per-page orchestration time, while the answer stays bit-identical
-    /// to exhaustive execution.
-    ///
-    /// The filter mask is computed **once** and shared by every
-    /// aggregate of the SELECT list; extra aggregates are charged their
-    /// own value reads and reductions, never extra filter passes.
+    /// Execute one query ([`run_query`] on this engine's table).
     ///
     /// # Errors
     ///
     /// [`CoreError::NotCalibrated`] for GROUP BY queries before
     /// [`PimQueryEngine::calibrate`]; substrate failures otherwise.
     pub fn run(&mut self, query: &Query) -> Result<QueryExecution, CoreError> {
-        let plan = query.physical_plan().map_err(CoreError::Db)?;
-        let schema = self.relation.schema();
-        let dnf = query.resolve_filter(schema)?;
-        let pages = self.plan_resolved(&dnf);
-        let disjuncts: Vec<Vec<(bbpim_db::plan::ResolvedAtom, AttrPlacement)>> = dnf
-            .into_iter()
-            .map(|conj| {
-                conj.into_iter()
-                    .map(|atom| {
-                        let name = &schema.attrs()[atom.attr_index()].name;
-                        Ok((atom, self.layout.placement(name)?))
-                    })
-                    .collect::<Result<Vec<_>, CoreError>>()
-            })
-            .collect::<Result<_, CoreError>>()?;
-
-        let all_pages = self.loaded.all_pages();
-        self.module.reset_endurance(&all_pages);
-        let mut log = RunLog::new();
-
-        // Host orchestration: per-page doorbells, or one run-list
-        // descriptor per partition under batched dispatch.
-        log.push(pages.dispatch_phase(
-            &self.module.config().host,
-            self.module.policy(),
-            self.layout.partitions(),
-        ));
-
-        let outcome =
-            run_filter(&mut self.module, &self.layout, &self.loaded, &disjuncts, &pages, &mut log)?;
-
-        let mut per_agg: Vec<GroupedResult> = vec![GroupedResult::new(); plan.aggs.len()];
-        let (mut k, mut kmax, mut sampled) = (0usize, 0usize, 0usize);
-        if query.has_group_by() {
-            let model = self.model.as_ref().ok_or(CoreError::NotCalibrated)?;
-            let gb = run_group_by(
-                &mut self.module,
-                &self.layout,
-                &self.loaded,
-                &pages,
-                &self.relation,
-                self.mode,
-                query,
-                &plan,
-                model,
-                &mut log,
-            )?;
-            per_agg = gb.per_agg;
-            k = gb.k;
-            kmax = gb.kmax;
-            sampled = gb.sampled;
-        } else if outcome.selected > 0 {
-            // Q1-style: one PIM aggregation per physical component over
-            // the whole selection, all sharing the query mask. Distinct
-            // expressions materialise once even when several components
-            // reduce them; COUNT is the filter pass's own popcount — no
-            // extra PIM work.
-            let exprs: Vec<&bbpim_db::plan::AggExpr> =
-                plan.aggs.iter().filter_map(|a| a.expr.as_ref()).collect();
-            let inputs = materialize_exprs(
-                &mut self.module,
-                &self.layout,
-                &self.loaded,
-                &pages,
-                &exprs,
-                &mut log,
-            )?;
-            let mut inputs_iter = inputs.into_iter();
-            for (agg, grouped) in plan.aggs.iter().zip(per_agg.iter_mut()) {
-                let value = match &agg.expr {
-                    None => outcome.selected,
-                    Some(_) => {
-                        let input = inputs_iter.next().expect("one input per expression");
-                        // run_filter leaves the query mask in partition 0
-                        // only; a value stored elsewhere cannot be
-                        // reduced under it.
-                        if input.partition != 0 {
-                            return Err(CoreError::Unsupported(
-                                "aggregating dimension-partition attributes (the query mask \
-                                 lives in the fact partition)"
-                                    .into(),
-                            ));
-                        }
-                        aggregate_masked(
-                            &mut self.module,
-                            &self.layout,
-                            &self.loaded,
-                            &pages,
-                            self.mode,
-                            &input,
-                            MASK_COL,
-                            agg.func,
-                            &mut log,
-                        )?
-                    }
-                };
-                grouped.insert(Vec::new(), value);
-            }
-            k = 1;
-            kmax = 1;
-        }
-
-        let groups = plan.finalize(&per_agg);
-        let partials: Vec<PartialGroups> = plan
-            .aggs
-            .iter()
-            .zip(per_agg)
-            .map(|(agg, grouped)| PartialGroups { func: agg.func, groups: grouped })
-            .collect();
-
-        let report = QueryReport {
-            query_id: query.id.clone(),
-            mode: self.mode,
-            host_bus_ns: bbpim_sim::hostbus::log_occupancy_ns(&self.module.config().host, &log),
-            time_ns: log.total_time_ns(),
-            energy_pj: log.total_energy_pj(),
-            peak_chip_power_w: log.peak_chip_power_w(),
-            max_row_cell_writes: self.module.max_row_cell_writes(&all_pages),
-            row_cells: self.module.config().crossbar_cols,
-            records: self.loaded.records(),
-            pages: self.loaded.page_count(),
-            pages_scanned: pages.len(),
-            selected: outcome.selected,
-            selectivity: outcome.selectivity,
-            total_subgroups: kmax as u64,
-            subgroups_in_sample: sampled as u64,
-            pim_agg_subgroups: k as u64,
-            phases: log,
-        };
-        Ok(QueryExecution { groups, partials, report })
+        run_query(&mut self.table, self.mode, self.model.as_ref(), self.pruning, query)
     }
 
     /// Execute a mutation (API v2): UPDATE via the PIM multiplexer
@@ -352,19 +165,7 @@ impl PimQueryEngine {
     ///
     /// Propagates substrate failures.
     pub fn mutate(&mut self, mutation: &Mutation) -> Result<MutationReport, CoreError> {
-        run_mutation(
-            &mut self.module,
-            &self.layout,
-            &mut self.loaded,
-            &mut self.relation,
-            mutation,
-            self.pruning,
-        )
-    }
-
-    /// Direct access to the module (inspection in tests and examples).
-    pub fn module(&self) -> &PimModule {
-        &self.module
+        self.table.mutate(mutation, self.pruning)
     }
 
     /// Table II helper: run a query and compare against the row-at-a-time
@@ -376,7 +177,7 @@ impl PimQueryEngine {
     /// bug — used by integration tests).
     pub fn run_checked(&mut self, query: &Query) -> Result<QueryExecution, CoreError> {
         let out = self.run(query)?;
-        let oracle = stats::run_oracle(query, &self.relation)?;
+        let oracle = stats::run_oracle(query, self.table.relation())?;
         if out.groups != oracle {
             return Err(CoreError::Unsupported(format!(
                 "engine/oracle mismatch on {}: {} vs {} groups",
@@ -387,6 +188,60 @@ impl PimQueryEngine {
         }
         Ok(out)
     }
+}
+
+/// Execute one query on a table holding the pre-joined relation.
+///
+/// The physical plan comes first: the filter's bound intervals
+/// (interval union across OR branches) are tested against the per-page
+/// zone maps and only candidate pages are dispatched (every page with
+/// `prune` off) — pruned pages draw no crossbar ops, no host read lines
+/// and no per-page orchestration time, while the answer stays
+/// bit-identical to exhaustive execution.
+///
+/// The filter mask is computed **once** and shared by every aggregate
+/// of the SELECT list; extra aggregates are charged their own value
+/// reads and reductions, never extra filter passes.
+///
+/// # Errors
+///
+/// [`CoreError::NotCalibrated`] for a GROUP BY query without a fitted
+/// `model`; substrate failures otherwise.
+pub fn run_query(
+    table: &mut PimTable,
+    mode: EngineMode,
+    model: Option<&GroupByModel>,
+    prune: bool,
+    query: &Query,
+) -> Result<QueryExecution, CoreError> {
+    let plan = query.physical_plan().map_err(CoreError::Db)?;
+    let schema = table.relation().schema();
+    let dnf = query.resolve_filter(schema)?;
+    let pages = table.plan_dnf(&dnf, prune);
+    let disjuncts: Vec<Vec<(ResolvedAtom, AttrPlacement)>> = dnf
+        .into_iter()
+        .map(|conj| {
+            conj.into_iter()
+                .map(|atom| {
+                    let name = &schema.attrs()[atom.attr_index()].name;
+                    Ok((atom, table.layout().placement(name)?))
+                })
+                .collect::<Result<Vec<_>, CoreError>>()
+        })
+        .collect::<Result<_, CoreError>>()?;
+
+    let mut log = table.begin_query(&pages, None);
+    let (module, layout, loaded, relation) = table.parts_mut();
+    let selected = run_filter(module, layout, loaded, &disjuncts, &pages, &mut log)?.selected;
+    let grouped = if query.has_group_by() {
+        let model = model.ok_or(CoreError::NotCalibrated)?;
+        Some(run_group_by(
+            module, layout, loaded, &pages, relation, mode, query, &plan, model, &mut log,
+        )?)
+    } else {
+        None
+    };
+    table.finish_query(mode, query, &plan, &pages, selected, grouped, log)
 }
 
 #[cfg(test)]

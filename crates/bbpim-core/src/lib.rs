@@ -58,8 +58,10 @@ pub mod obs;
 pub mod planner;
 pub mod result;
 pub mod semijoin;
+pub mod table;
 
 pub use engine::PimQueryEngine;
 pub use error::CoreError;
 pub use modes::EngineMode;
 pub use mutation::{Mutation, MutationBuilder, MutationReport};
+pub use table::PimTable;

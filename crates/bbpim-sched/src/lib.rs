@@ -360,6 +360,37 @@ mod tests {
         assert_eq!(out.ingest_stalls, 0);
     }
 
+    #[test]
+    fn streamed_star_queries_match_direct_runs() {
+        use bbpim_cluster::StarCluster;
+        use bbpim_db::ssb::{queries, SsbDb, SsbParams};
+        let db = SsbDb::generate(&SsbParams::tiny_for_tests());
+        let cluster = || {
+            StarCluster::new(
+                SimConfig::small_for_tests(),
+                &db,
+                EngineMode::OneXb,
+                4,
+                Partitioner::RoundRobin,
+            )
+            .unwrap()
+        };
+        let queries: Vec<Query> = ["Q1.1", "Q1.2", "Q1.3"]
+            .iter()
+            .map(|id| queries::standard_query(id).unwrap())
+            .collect();
+        let workload = Workload::poisson(queries.clone(), 6, 50_000.0, 7);
+        let mut c = cluster();
+        let out = run_stream(&mut c, &workload, &SchedConfig::default()).unwrap();
+        assert_eq!(out.completions.len(), 6);
+        assert!(out.makespan_ns > 0.0);
+        let mut direct = cluster();
+        for (arrival, exec) in workload.arrivals().iter().zip(&out.executions) {
+            let want = direct.run(&queries[arrival.query]).unwrap();
+            assert_eq!(exec.groups, want.groups);
+        }
+    }
+
     // ---- streaming ingest (mutations as first-class arrivals) ----
 
     use bbpim_core::mutation::Mutation;

@@ -59,13 +59,13 @@
 //! snapshot, and the merged answers are folded with
 //! [`StreamEngine::merge_executions`] in shard order. For pure-query
 //! workloads the streamed results are bit-identical to
-//! [`ClusterEngine::run_batch`] over the same queries; only timing and
+//! [`Cluster::run_batch`] over the same queries; only timing and
 //! completion order differ. The event timeline is a pure function of
 //! `(cluster, workload, config)`.
 
 use std::collections::{HashMap, VecDeque};
 
-use bbpim_cluster::{ClusterEngine, ClusterError, ClusterExecution};
+use bbpim_cluster::{Cluster, ClusterError, ClusterExecution, Storage};
 use bbpim_core::mutation::{Mutation, MutationReport};
 use bbpim_core::result::QueryExecution;
 use bbpim_db::plan::{Pred, Query};
@@ -81,11 +81,10 @@ use crate::report::LatencySummary;
 use crate::workload::Workload;
 
 /// The scatter/gather surface the streaming scheduler needs from a
-/// sharded engine. [`ClusterEngine`] (pre-joined storage) implements it
-/// here; the normalized star-join cluster implements it in its own
-/// crate — the scheduler interleaves shard slices identically on both
-/// storage models, so streamed answers stay bit-identical to batch runs
-/// whichever one is underneath.
+/// sharded engine. [`Cluster`] implements it once for every storage
+/// model — the scheduler interleaves shard slices identically on the
+/// pre-joined and the star store, so streamed answers stay
+/// bit-identical to batch runs whichever one is underneath.
 pub trait StreamEngine {
     /// Is the shared-host-channel contention model on?
     fn contention(&self) -> bool;
@@ -153,32 +152,39 @@ pub trait StreamEngine {
     ) -> ClusterExecution;
 }
 
-impl StreamEngine for ClusterEngine {
+/// Both storage models are the one [`Cluster`]: a star join's prelude
+/// is ordinary phases in its lead shard's log, so dimension filters and
+/// bitmap broadcasts queue on the shared channel like any transfer.
+impl<S: Storage> StreamEngine for Cluster<S> {
     fn contention(&self) -> bool {
-        ClusterEngine::contention(self)
+        Cluster::contention(self)
     }
 
     fn host_config(&self) -> Option<HostConfig> {
-        self.shard_engine(0).map(|e| e.config().host.clone())
+        self.shard_table(0).map(|t| t.config().host.clone())
     }
 
     fn active_shards(&self) -> usize {
-        ClusterEngine::active_shards(self)
+        Cluster::active_shards(self)
+    }
+
+    fn ingest_lanes(&self) -> usize {
+        Cluster::ingest_lanes(self)
     }
 
     fn plan_mutation_lanes(&self, mutation: &Mutation) -> Result<Vec<usize>, ClusterError> {
-        ClusterEngine::plan_mutation_lanes(self, mutation)
+        Cluster::plan_mutation_lanes(self, mutation)
     }
 
     fn apply_mutation(
         &mut self,
         mutation: &Mutation,
     ) -> Result<Vec<(usize, MutationReport)>, ClusterError> {
-        ClusterEngine::mutate_on_lanes(self, mutation)
+        Cluster::mutate_on_lanes(self, mutation)
     }
 
     fn plan_shards(&self, filter: &Pred) -> Result<Vec<bool>, ClusterError> {
-        ClusterEngine::plan_shards(self, filter)
+        Cluster::plan_shards(self, filter)
     }
 
     fn run_on_shard(
@@ -186,7 +192,7 @@ impl StreamEngine for ClusterEngine {
         shard: usize,
         query: &Query,
     ) -> Result<QueryExecution, ClusterError> {
-        ClusterEngine::run_on_shard(self, shard, query)
+        Cluster::run_on_shard(self, shard, query)
     }
 
     fn merge_executions(
@@ -195,7 +201,7 @@ impl StreamEngine for ClusterEngine {
         executions: &[&QueryExecution],
         shards_pruned: usize,
     ) -> ClusterExecution {
-        ClusterEngine::merge_executions(self, query, executions, shards_pruned)
+        Cluster::merge_executions(self, query, executions, shards_pruned)
     }
 }
 
@@ -928,7 +934,7 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
 }
 
 /// Stream `workload` through `cluster` — any [`StreamEngine`]: the
-/// pre-joined [`ClusterEngine`] or the normalized star-join cluster —
+/// pre-joined or the star [`Cluster`] —
 /// under `cfg`.
 ///
 /// Query service demands come from real per-shard executions resolved
@@ -936,7 +942,7 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
 /// so each merged answer in [`StreamOutcome::executions`] is
 /// bit-identical to a fresh engine that replayed that admission prefix
 /// and ran the query (for pure-query workloads: bit-identical to
-/// [`ClusterEngine::run_batch`] over the same arrived queries). The
+/// [`Cluster::run_batch`] over the same arrived queries). The
 /// admission rules in the module docs decide when each job may start;
 /// the [`kernel`](crate::kernel) then plays its slice chains out.
 ///

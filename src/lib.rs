@@ -66,9 +66,9 @@
 //! layer's per-tenant SLO report.
 
 pub use bbpim_cluster as cluster;
+pub use bbpim_cluster::star as join;
 pub use bbpim_core as engine;
 pub use bbpim_db as db;
-pub use bbpim_join as join;
 pub use bbpim_monet as monet;
 pub use bbpim_sched as sched;
 pub use bbpim_serve as serve;
