@@ -4,40 +4,49 @@
 //! system is explicitly built from many independent modules, and
 //! bulk-bitwise PIM throughput comes from exploiting that module-level
 //! parallelism. This crate scales the single-module
-//! [`bbpim_core::PimQueryEngine`] horizontally:
+//! [`bbpim_core::PimQueryEngine`] horizontally, with one sharded
+//! cluster over two storage models:
 //!
 //! * [`partition::Partitioner`] — round-robin, hash-by-group-key and
-//!   range-by-attribute horizontal partitioning of the wide pre-joined
-//!   relation into `n` record shards, each paired with its
+//!   range-by-attribute horizontal partitioning of the fact relation
+//!   into `n` record shards, each paired with its
 //!   [`bbpim_db::zonemap::ZoneMap`].
-//! * [`engine::ClusterEngine`] — one `PimQueryEngine` (its own
-//!   `PimModule`) per non-empty shard; `run(&Query)` first tests the
-//!   filter's bound intervals against every shard's zone map and
-//!   *prunes* shards that provably hold no match, scatters the query to
-//!   the survivors on scoped OS threads, gathers the per-shard
+//! * [`engine::Cluster`] — one [`bbpim_core::PimTable`] (its own
+//!   `PimModule`) per non-empty shard, generic over a
+//!   [`engine::Storage`] model. `run(&Query)` first tests the filter's
+//!   bound intervals against every shard's zone map and *prunes* shards
+//!   that provably hold no match, scatters the query to the survivors
+//!   on scoped OS threads, gathers the per-shard
 //!   [`bbpim_core::result::PartialGroups`], and merges them — wrapping
 //!   SUM addition, MIN/MAX folding, and map union for GROUP BY — into
 //!   an answer bit-identical to the single-module engine's. Simulated
-//!   wall clock serialises the host's per-page dispatch across shards
+//!   wall clock serialises the host's channel occupancy across shards
 //!   and overlaps the PIM phases (real modules run concurrently);
 //!   energy sums over modules.
-//! * [`engine::ClusterEngine::run_batch`] — a small batch scheduler:
-//!   every shard drains its own zone-pruned query queue without
-//!   cluster-wide barriers, so batch wall clock is host dispatch plus
+//! * Two storage models instantiate it: [`ClusterEngine`] shards the
+//!   paper's wide pre-joined relation; [`StarCluster`] ([`star`]) keeps
+//!   the SSB star *normalized* — sharded fact table, four dimension
+//!   modules as auxiliary tables — and joins through PIM-side semijoin
+//!   bitmaps that cross the host channel compressed
+//!   ([`bitmap::KeyBitmap`]). Same surface, bit-identical answers.
+//! * [`engine::Cluster::run_batch`] — a small batch scheduler: every
+//!   shard drains its own zone-pruned query queue without cluster-wide
+//!   barriers, so batch wall clock is host dispatch plus
 //!   max-over-shards of PIM queue time.
-//! * [`engine::ClusterEngine::mutate`] — cluster-wide mutation fan-out:
-//!   an UPDATE goes to the shards admitting the WHERE clause, where
-//!   each shard's PIM multiplexer rewrites the records it owns; INSERT
-//!   rows route round-robin. The touched shards' zone maps widen so
-//!   pruning stays sound after writes.
+//! * [`engine::Cluster::mutate`] — cluster-wide mutation fan-out: an
+//!   UPDATE goes to the one auxiliary table it names or to the fact
+//!   shards admitting the WHERE clause, where each shard's PIM
+//!   multiplexer rewrites the records it owns; INSERT rows route
+//!   round-robin. The touched shards' zone maps widen so pruning stays
+//!   sound after writes.
 //! * Scatter and gather are also exposed as building blocks —
-//!   [`engine::ClusterEngine::run_on_shard`] executes one query on one
-//!   shard, [`engine::ClusterEngine::merge_executions`] folds partials
-//!   into a cluster answer, and [`engine::ClusterEngine::explain`]
-//!   dumps the zone-map plan (shards/pages candidate vs pruned) without
-//!   executing — so the streaming scheduler in `bbpim-sched` can
-//!   interleave different queries' shard slices instead of scattering
-//!   whole queries.
+//!   [`engine::Cluster::run_on_shard`] executes one query on one
+//!   shard, [`engine::Cluster::merge_executions`] folds partials into a
+//!   cluster answer, and [`engine::Cluster::explain`] dumps the
+//!   zone-map plan (shards/pages candidate vs pruned) without executing
+//!   — so the streaming scheduler in `bbpim-sched` can interleave
+//!   different queries' shard slices instead of scattering whole
+//!   queries.
 //!
 //! ```
 //! use bbpim_cluster::{ClusterEngine, Partitioner};

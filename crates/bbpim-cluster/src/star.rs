@@ -41,6 +41,21 @@
 //! transfer. Other shards may in reality overlap the dimension filter
 //! with their own dispatch — the model keeps the whole prelude on one
 //! timeline, a conservative simplification.
+//!
+//! ```
+//! use bbpim_cluster::{Partitioner, StarCluster};
+//! use bbpim_core::modes::EngineMode;
+//! use bbpim_db::ssb::{queries, SsbDb, SsbParams};
+//! use bbpim_sim::SimConfig;
+//!
+//! let db = SsbDb::generate(&SsbParams::tiny_for_tests());
+//! let mut star = StarCluster::new(
+//!     SimConfig::small_for_tests(), &db, EngineMode::OneXb, 2, Partitioner::RoundRobin)?;
+//! let q = queries::standard_query("Q1.1").unwrap();
+//! let out = star.run(&q)?;
+//! println!("{}: {} records joined+selected", q.id, out.report.selected);
+//! # Ok::<(), bbpim_cluster::ClusterError>(())
+//! ```
 
 use std::collections::HashMap;
 

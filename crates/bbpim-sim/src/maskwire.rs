@@ -11,9 +11,9 @@
 //!   its length, both LEB128 varints. Selective filters set long runs,
 //!   which this collapses to a handful of bytes.
 //!
-//! The codec lives in `bbpim-sim` so both storage engines can charge
-//! the shared bus wire bytes instead of raw mask lines; `bbpim-join`'s
-//! `KeyBitmap` delegates here for its own wire accounting.
+//! The codec lives in `bbpim-sim` so both storage models can charge
+//! the shared bus wire bytes instead of raw mask lines; the star
+//! model's `KeyBitmap` delegates here for its own wire accounting.
 
 /// Fixed per-transfer header bytes (origin + length + encoding tag).
 pub const WIRE_HEADER_BYTES: u64 = 8;

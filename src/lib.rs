@@ -17,32 +17,30 @@
 //!   one-crossbar / two-crossbar layouts, the hybrid GROUP-BY with its
 //!   empirical cost model, and UPDATE via the PIM multiplexer.
 //! * [`cluster`] — sharded multi-module execution on top of [`engine`]:
-//!   a `ClusterEngine` partitions the wide relation over `n` PIM
+//!   one `Cluster<S>` partitions the fact relation over `n` PIM
 //!   modules (round-robin, hash-by-group-key, or range-by-attr),
 //!   consults per-shard zone maps to skip shards a filter provably
 //!   cannot match, scatters each query to the survivors on scoped
 //!   threads, and merges the per-shard partial aggregates — same
-//!   `run(&Query)` surface, bit-identical answers, host-serial
-//!   dispatch + max-of-shards simulated wall clock. Includes a batch
-//!   scheduler and cluster-wide UPDATE fan-out with zone widening.
+//!   `run(&Query)` surface, bit-identical answers, host-serial channel
+//!   occupancy + max-of-shards simulated wall clock. Includes a batch
+//!   scheduler and cluster-wide mutation fan-out with zone widening.
+//!   Two storage models instantiate it: `ClusterEngine` shards the
+//!   paper's wide pre-joined relation, `StarCluster` the normalized
+//!   star.
+//! * [`join`] — the cluster's star storage model (`cluster::star`
+//!   under its historical name): `lineorder` plus the four dimensions
+//!   stay separate PIM tables (a fraction of the pre-join's capacity),
+//!   dimension filters run on their own modules, and the resulting key
+//!   bitmaps cross the host channel compressed — once — before
+//!   compiling into fact-side range programs through the FK columns.
+//!   Same query surface, answers bit-identical to the pre-joined path.
 //! * [`sched`] — streaming service on top of [`cluster`]: timestamped
 //!   query arrivals (seeded Poisson traces), admission control with
 //!   backpressure (FIFO or shortest-candidate-set-first), per-shard
 //!   queues, a shared host dispatch bus, out-of-order completion, and
 //!   p50/p95/p99 latency + throughput + utilisation accounting —
 //!   deterministic per seed, answers bit-identical to `run_batch`.
-//!
-//! The query path is physically planned end to end: `db`'s
-//! `FilterBounds` + `ZoneMap` feed `engine`'s per-page `PageSet`
-//! planner and `cluster`'s pre-scatter shard pruning, so selective
-//! queries only activate the pages that can matter.
-//! * [`join`] — normalized star-schema storage with PIM-side semijoin
-//!   bitmaps: `lineorder` plus the four dimensions stay separate PIM
-//!   tables (a fraction of the pre-join's capacity), dimension filters
-//!   run on their own modules, and the resulting key bitmaps cross the
-//!   host channel compressed — once — before compiling into fact-side
-//!   range programs through the FK columns. Same query surface, answers
-//!   bit-identical to the pre-joined path.
 //! * [`serve`] — SLO-aware multi-tenant serving on top of [`sched`]'s
 //!   engine surface: named tenants (seeded open Poisson / burst
 //!   arrivals and closed-loop think-time clients) multiplexed into one
@@ -58,6 +56,11 @@
 //!   recorder on the simulated clock (Chrome/Perfetto + JSONL
 //!   exporters) and a metrics registry (Prometheus text + flat JSON
 //!   snapshots) that every layer reports into.
+//!
+//! The query path is physically planned end to end: `db`'s
+//! `FilterBounds` + `ZoneMap` feed `engine`'s per-page `PageSet`
+//! planner and `cluster`'s pre-scatter shard pruning, so selective
+//! queries only activate the pages that can matter.
 //!
 //! See `README.md` for a walkthrough, `examples/quickstart.rs` for a
 //! complete end-to-end query, `examples/cluster_scaling.rs` for
