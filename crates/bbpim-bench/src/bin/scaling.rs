@@ -129,23 +129,23 @@ fn main() {
         let m = EngineMode::OneXb;
         // One calibration sweep serves every shard count.
         let model = bbpim_bench::fit_shared_model(&SimConfig::default(), m);
-        let new_cluster = |shards, partitioner| {
-            let mut c =
-                ClusterEngine::new(SimConfig::default(), s.wide.clone(), m, shards, partitioner)
-                    .expect("cluster construction");
+        let new_cluster = |shards| {
+            let rr = Partitioner::RoundRobin;
+            let mut c = ClusterEngine::new(SimConfig::default(), s.wide.clone(), m, shards, rr)
+                .expect("cluster construction");
             c.set_model(model.clone());
             c
         };
-        (m, run_cluster_scaling(&s, &shard_counts, &Partitioner::RoundRobin, new_cluster))
+        (m, run_cluster_scaling(&s, &shard_counts, new_cluster))
     } else {
         // the star path runs two-crossbar modules: dimension filters on
         // their own modules, compressed semijoin bitmaps over the bus
         let m = EngineMode::TwoXb;
-        let new_cluster = |shards, partitioner| {
-            StarCluster::new(SimConfig::default(), &s.db, m, shards, partitioner)
+        let new_cluster = |shards| {
+            StarCluster::new(SimConfig::default(), &s.db, m, shards, Partitioner::RoundRobin)
                 .expect("star cluster construction")
         };
-        (m, run_cluster_scaling(&s, &shard_counts, &Partitioner::RoundRobin, new_cluster))
+        (m, run_cluster_scaling(&s, &shard_counts, new_cluster))
     };
     println!(
         "scaling path: {}\n",

@@ -149,7 +149,7 @@ pub fn optimistic_wall_ns(report: &bbpim_cluster::ClusterReport) -> f64 {
 }
 
 /// Run every query through a cluster at each shard count (full-capacity
-/// module per shard; `new_cluster(shards, partitioner)` constructs the
+/// module per shard; `new_cluster(shards)` constructs the
 /// pre-joined [`ClusterEngine`] or the normalized
 /// [`bbpim_cluster::StarCluster`], and
 /// each is dropped after its point), cross-checking each merged answer
@@ -164,8 +164,7 @@ pub fn optimistic_wall_ns(report: &bbpim_cluster::ClusterReport) -> f64 {
 pub fn run_cluster_scaling<S: Storage>(
     setup: &SsbSetup,
     shard_counts: &[usize],
-    partitioner: &Partitioner,
-    new_cluster: impl Fn(usize, Partitioner) -> Cluster<S>,
+    new_cluster: impl Fn(usize) -> Cluster<S>,
 ) -> Vec<ClusterScalePoint> {
     // The oracle answer is shard-count independent: compute it once.
     let oracles: Vec<MultiGrouped> = setup
@@ -176,7 +175,7 @@ pub fn run_cluster_scaling<S: Storage>(
     shard_counts
         .iter()
         .map(|&shards| {
-            let mut cluster = new_cluster(shards, partitioner.clone());
+            let mut cluster = new_cluster(shards);
             let executions: Vec<ClusterExecution> = setup
                 .queries
                 .iter()
@@ -193,7 +192,7 @@ pub fn run_cluster_scaling<S: Storage>(
                     out
                 })
                 .collect();
-            ClusterScalePoint { shards, partitioner: partitioner.label(), executions }
+            ClusterScalePoint { shards, partitioner: cluster.partitioner().label(), executions }
         })
         .collect()
 }

@@ -55,7 +55,7 @@ use bbpim_core::modes::EngineMode;
 use bbpim_core::mutation::{Mutation, MutationReport};
 use bbpim_core::planner::PageSet;
 use bbpim_core::result::{QueryExecution, QueryReport};
-use bbpim_core::{CoreError, PimTable};
+use bbpim_core::PimTable;
 use bbpim_db::plan::{FilterBounds, Pred, Query, ResolvedAtom};
 use bbpim_db::schema::Schema;
 use bbpim_db::stats::MultiGrouped;
@@ -397,18 +397,8 @@ impl ClusterEngine {
         shards: usize,
         partitioner: Partitioner,
     ) -> Result<Self, ClusterError> {
-        let layout = |schema: &Schema| RecordLayout::build(schema, &cfg, mode, &[]);
-        let aux = Vec::new();
-        Cluster::build(
-            &cfg,
-            &relation,
-            mode,
-            shards,
-            partitioner,
-            aux,
-            PreJoined::default(),
-            layout,
-        )
+        let layout = RecordLayout::build(relation.schema(), &cfg, mode, &[])?;
+        Cluster::build(&cfg, &relation, layout, mode, shards, partitioner, PreJoined::default())
     }
 
     /// Run the GROUP-BY calibration once for every shard (all shards
@@ -442,17 +432,15 @@ impl ClusterEngine {
 
 impl<S: Storage> Cluster<S> {
     /// Partition `fact` into `shards` slices and load each non-empty
-    /// one into its own module under the storage model's `layout`.
-    #[allow(clippy::too_many_arguments)]
+    /// one into its own module under `layout`; no auxiliary tables yet.
     pub(crate) fn build(
         cfg: &SimConfig,
         fact: &Relation,
+        layout: RecordLayout,
         mode: EngineMode,
         shards: usize,
         partitioner: Partitioner,
-        aux: Vec<PimTable>,
         storage: S,
-        layout: impl Fn(&Schema) -> Result<RecordLayout, CoreError>,
     ) -> Result<Self, ClusterError> {
         let mut built = Vec::with_capacity(shards);
         for (index, (part, zone)) in partitioner.split_zoned(fact, shards)?.into_iter().enumerate()
@@ -460,12 +448,15 @@ impl<S: Storage> Cluster<S> {
             if part.is_empty() {
                 continue;
             }
-            let layout = layout(part.schema())?;
-            built.push(Shard { index, table: PimTable::new(cfg.clone(), part, layout)?, zone });
+            built.push(Shard {
+                index,
+                table: PimTable::new(cfg.clone(), part, layout.clone())?,
+                zone,
+            });
         }
         Ok(Cluster {
             shards: built,
-            aux,
+            aux: Vec::new(),
             storage,
             shard_count: shards,
             partitioner,
@@ -769,28 +760,21 @@ impl<S: Storage> Cluster<S> {
                 .iter_mut()
                 .enumerate()
                 .map(|(s, shard)| {
-                    masks.iter().any(|m| m[s]).then(|| {
+                    let queue: Vec<usize> = (0..queries.len()).filter(|&qi| masks[qi][s]).collect();
+                    (!queue.is_empty()).then(|| {
                         scope.spawn(move || {
-                            let mut out = Vec::new();
-                            for (qi, query) in queries.iter().enumerate() {
-                                let (mask, Some(plan)) = (&masks[qi], &plans_ref[qi]) else {
-                                    continue;
-                                };
-                                if mask[s] {
-                                    let lead = !mask[..s].contains(&true);
-                                    let exec = storage.exec_shard(
-                                        plan,
-                                        &mut shard.table,
-                                        aux,
-                                        mode,
-                                        prune,
-                                        query,
-                                        lead,
-                                    )?;
-                                    out.push((qi, exec));
-                                }
-                            }
-                            Ok(out)
+                            queue
+                                .into_iter()
+                                .map(|qi| {
+                                    let plan =
+                                        plans_ref[qi].as_ref().expect("dispatched queries plan");
+                                    let lead = !masks[qi][..s].contains(&true);
+                                    let (table, query) = (&mut shard.table, &queries[qi]);
+                                    storage
+                                        .exec_shard(plan, table, aux, mode, prune, query, lead)
+                                        .map(|exec| (qi, exec))
+                                })
+                                .collect::<Result<Vec<_>, ClusterError>>()
                         })
                     })
                 })
@@ -1075,7 +1059,7 @@ impl<S> std::fmt::Debug for Cluster<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bbpim_core::PimQueryEngine;
+    use bbpim_core::{CoreError, PimQueryEngine};
     use bbpim_db::builder::col;
     use bbpim_db::plan::{AggExpr, AggFunc, Atom};
     use bbpim_db::schema::{Attribute, Schema};
