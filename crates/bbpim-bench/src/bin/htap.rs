@@ -12,14 +12,10 @@
 //! prefix-replay oracle; the verdict lands in the snapshot as
 //! `snapshot_consistency`, an absolute 0/1 floor in the CI gate.
 //!
-//! Flags: `--sf`, `--seed`, `--uniform`, `--shards 8` (the largest
-//! listed count runs), `--arrivals 52`, `--load 2.0`, `--inflight 4`,
-//! plus the observability outputs — `--trace <path>` writes a
-//! Chrome/Perfetto `trace_event` JSON of the ingest row (mutation
-//! chains queue on the bus track between query slices) with a
-//! flat-JSONL sidecar, and `--metrics <path>` writes the registry
-//! snapshot (`run=pure` / `run=htap` series, including the
-//! `bbpim_ingest_*` surface) with a Prometheus-text sidecar.
+//! The flags it reads are [`ACCEPTS`]: the largest `--shards` count
+//! runs, `--trace` records the ingest row (mutation chains queue on the
+//! bus track between query slices) and `--metrics` carries `run=pure` /
+//! `run=htap` series, including the `bbpim_ingest_*` surface.
 //!
 //! The `--json` snapshot carries the gate headlines CI watches:
 //! `query_p95_under_ingest` (baseline p95 over under-ingest p95,
@@ -27,75 +23,38 @@
 //! a query that answers from no well-defined snapshot is wrong, not
 //! slow).
 
-use bbpim_bench::{reports, run_htap_study_observed, setup, BenchConfig};
+use std::process::ExitCode;
+
+use bbpim_bench::{artifacts, fmt_ms, reports, run_htap_study_observed, study_main, Accepts};
 use bbpim_core::modes::EngineMode;
-use bbpim_trace::export::{jsonl, perfetto_json};
-use bbpim_trace::{MetricsRegistry, TraceRecorder};
+use bbpim_trace::MetricsRegistry;
 
-/// Write `body` to `path`, creating parent directories as needed.
-fn write_out(path: &str, body: &str) {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("output directory");
+const ACCEPTS: Accepts<'static> = Accepts::shared(
+    "--sf --uniform --skewed --seed --shards --arrivals \
+             --load --inflight --json --trace --metrics",
+);
+
+fn main() -> ExitCode {
+    study_main(&ACCEPTS, |s, _| {
+        let shards = s.cfg.shards.iter().copied().max().unwrap_or(8);
+        let mut trace = artifacts::recorder(&s.cfg);
+        let mut reg = MetricsRegistry::new();
+        let study = run_htap_study_observed(&s, EngineMode::OneXb, shards, &mut trace, &mut reg);
+        reports::print_htap(&s, &study);
+        artifacts::write_observability(&s.cfg, &trace, &reg)?;
+
+        if let Some(path) = &s.cfg.json {
+            let p95 = |row| fmt_ms(study.row(row).outcome.latency_summary().p95_ns);
+            let consistent = study.rows.iter().all(|r| r.snapshot_consistent);
+            println!(
+                "\n  gate: query p95 {} -> {} under ingest (ratio {:.3}), snapshots {}",
+                p95("pure-query"),
+                p95("htap"),
+                study.query_p95_under_ingest(),
+                if consistent { "consistent" } else { "INCONSISTENT" },
+            );
+            artifacts::write_snapshot(path, "htap", &study.headlines())?;
         }
-    }
-    std::fs::write(path, body).expect("output write");
-}
-
-/// `path` with its extension replaced by `ext` (the sidecar naming).
-fn sibling(path: &str, ext: &str) -> String {
-    std::path::Path::new(path).with_extension(ext).to_string_lossy().into_owned()
-}
-
-fn main() {
-    let s = setup(BenchConfig::from_args());
-    let shards = s.cfg.shards.iter().copied().max().unwrap_or(8);
-    let mut trace =
-        if s.cfg.trace.is_some() { TraceRecorder::enabled() } else { TraceRecorder::disabled() };
-    let mut reg = MetricsRegistry::new();
-    let study = run_htap_study_observed(&s, EngineMode::OneXb, shards, &mut trace, &mut reg);
-    reports::print_htap(&s, &study);
-
-    if let Some(path) = &s.cfg.trace {
-        write_out(path, &perfetto_json(&trace));
-        let flat = sibling(path, "jsonl");
-        write_out(&flat, &jsonl(&trace));
-        println!("\nwrote Perfetto trace to {path} ({} events; flat JSONL: {flat})", trace.len());
-    }
-    if let Some(path) = &s.cfg.metrics {
-        write_out(path, &reg.snapshot_json());
-        let prom = sibling(path, "prom");
-        write_out(&prom, &reg.prometheus_text());
-        println!("\nwrote metrics snapshot to {path} (Prometheus text: {prom})");
-    }
-
-    if let Some(path) = &s.cfg.json {
-        let pure = study.row("pure-query");
-        let htap = study.row("htap");
-        let consistent = study.rows.iter().all(|r| r.snapshot_consistent);
-        println!(
-            "\n  gate: query p95 {} -> {} under ingest (ratio {:.3}), snapshots {}",
-            bbpim_bench::fmt_ms(pure.outcome.latency_summary().p95_ns),
-            bbpim_bench::fmt_ms(htap.outcome.latency_summary().p95_ns),
-            study.query_p95_under_ingest(),
-            if consistent { "consistent" } else { "INCONSISTENT" },
-        );
-        bbpim_bench::write_snapshot(
-            path,
-            "htap",
-            &[
-                ("query_p95_under_ingest", study.query_p95_under_ingest()),
-                ("snapshot_consistency", if consistent { 1.0 } else { 0.0 }),
-                ("pure_query_p95_ms", pure.outcome.latency_summary().p95_ns / 1e6),
-                ("htap_query_p95_ms", htap.outcome.latency_summary().p95_ns / 1e6),
-                ("mutation_p95_ms", htap.outcome.mutation_latency_summary().p95_ns / 1e6),
-                ("records_written", htap.records_written as f64),
-                ("ingest_stalls", htap.outcome.ingest_stalls as f64),
-                (
-                    "max_required_endurance",
-                    htap.outcome.shard_required_endurance.iter().copied().fold(0.0, f64::max),
-                ),
-            ],
-        );
-    }
+        Ok(())
+    })
 }

@@ -7,28 +7,27 @@
 //! the pre-joined one before anything is reported. The comparison is
 //! host-channel bytes — the journal extension's contended resource —
 //! plus the per-table PIM-resident footprint the normalization frees.
-//! Flags: `--sf`, `--seed`, `--uniform`, `--shards` (the largest count
-//! is used), `--json` for the CI gate snapshot (see
-//! `bbpim_bench::BenchConfig`).
+//! The flags it reads are [`ACCEPTS`]; the largest `--shards` count runs.
 
-use bbpim_bench::{fmt_ms, print_table, reports, setup, write_snapshot, BenchConfig};
-use bbpim_cluster::StarCluster;
-use bbpim_cluster::{ClusterEngine, ClusterReport, Partitioner};
+use std::io;
+use std::process::ExitCode;
+
+use bbpim_bench::{
+    artifacts, fmt_ms, print_table, report_host_bytes, reports, study_main, Accepts, SsbSetup,
+};
+use bbpim_cluster::{ClusterEngine, Partitioner, StarCluster};
 use bbpim_core::groupby::calibration::CalibrationConfig;
 use bbpim_core::modes::EngineMode;
 use bbpim_db::ssb::star;
 use bbpim_sim::SimConfig;
 
-/// Host-channel bytes one cluster execution put on the shared bus,
-/// summed over the per-shard phase logs (the star cluster's semijoin
-/// prelude — dimension-bitmap read + broadcast — rides the first
-/// dispatched shard's log).
-fn host_bytes(report: &ClusterReport) -> u64 {
-    report.per_shard.iter().map(|r| r.phases.host_bytes()).sum()
+const ACCEPTS: Accepts<'static> = Accepts::shared("--sf --uniform --skewed --seed --shards --json");
+
+fn main() -> ExitCode {
+    study_main(&ACCEPTS, |s, _| run(&s))
 }
 
-fn main() {
-    let s = setup(BenchConfig::from_args());
+fn run(s: &SsbSetup) -> io::Result<()> {
     let shards = *s.cfg.shards.iter().max().expect("at least one shard count");
     let mode = EngineMode::TwoXb;
 
@@ -61,8 +60,10 @@ fn main() {
         let star_out = star_cluster.run(q).unwrap_or_else(|e| panic!("star {}: {e}", q.id));
         let pre_out = prejoined.run(q).unwrap_or_else(|e| panic!("pre-joined {}: {e}", q.id));
         assert_eq!(star_out.groups, pre_out.groups, "normalized/pre-join mismatch on {}", q.id);
-        let sb = host_bytes(&star_out.report);
-        let pb = host_bytes(&pre_out.report);
+        // the star cluster's semijoin prelude — dimension-bitmap read +
+        // broadcast — rides the first dispatched shard's log
+        let sb = report_host_bytes(&star_out.report);
+        let pb = report_host_bytes(&pre_out.report);
         let ratio = pb as f64 / sb.max(1) as f64;
         if sb > 0 && pb > 0 {
             ratios_all.push(ratio);
@@ -108,15 +109,13 @@ fn main() {
     // selective-class host-byte win is the gated headline (higher is
     // better), the rest is context.
     if let Some(path) = &s.cfg.json {
-        write_snapshot(
-            path,
-            "join",
-            &[
-                ("host_bytes_ratio_q1", q1_ratio),
-                ("host_bytes_ratio_all", all_ratio),
-                ("footprint_ratio", footprint_ratio),
-                ("shards", shards as f64),
-            ],
-        );
+        let headlines = [
+            ("host_bytes_ratio_q1", q1_ratio),
+            ("host_bytes_ratio_all", all_ratio),
+            ("footprint_ratio", footprint_ratio),
+            ("shards", shards as f64),
+        ];
+        artifacts::write_snapshot(path, "join", &headlines)?;
     }
+    Ok(())
 }

@@ -7,44 +7,35 @@
 //! pre-scatter and most pages inside the survivors; Q2.x (no date
 //! filter) shows the no-pruning baseline behaviour. Both executions of
 //! every query are cross-checked against the row-at-a-time oracle.
-//!
-//! Flags: `--sf`, `--seed`, `--uniform`, `--shards 1,4,8` (see
-//! `bbpim_bench::BenchConfig`).
+//! The flags it reads are [`ACCEPTS`].
 
-use bbpim_bench::{reports, run_pruning_study, setup, BenchConfig};
+use std::io;
+use std::process::ExitCode;
+
+use bbpim_bench::{artifacts, reports, run_pruning_study, study_main, Accepts, SsbSetup};
 use bbpim_core::modes::EngineMode;
+
+const ACCEPTS: Accepts<'static> = Accepts::shared("--sf --uniform --skewed --seed --shards --json");
 
 /// The range-partitioning attribute: the dimension attribute SSB's
 /// selective filters constrain most often.
 const RANGE_ATTR: &str = "d_year";
 
-fn main() {
-    let s = setup(BenchConfig::from_args());
+fn main() -> ExitCode {
+    study_main(&ACCEPTS, |s, _| run(&s))
+}
+
+fn run(s: &SsbSetup) -> io::Result<()> {
     let shard_counts = s.cfg.shards.clone();
-    let points = run_pruning_study(&s, EngineMode::OneXb, &shard_counts, RANGE_ATTR);
-    reports::print_pruning(&s, &points);
+    let points = run_pruning_study(s, EngineMode::OneXb, &shard_counts, RANGE_ATTR);
+    reports::print_pruning(s, &points);
 
     // Machine-readable snapshot for the CI regression gate: the
     // pruned-vs-exhaustive wall-clock headline at the largest shard
     // count (geo-mean over queries the planner did not answer alone).
     if let Some(path) = &s.cfg.json {
         let top = points.iter().max_by_key(|p| p.shards).expect("at least one shard count");
-        let wall: Vec<f64> = (0..s.queries.len())
-            .filter(|&i| top.pruned[i].report.time_ns > 0.0)
-            .map(|i| top.exhaustive[i].report.time_ns / top.pruned[i].report.time_ns)
-            .collect();
-        let energy: Vec<f64> = (0..s.queries.len())
-            .filter(|&i| top.pruned[i].report.energy_pj > 0.0)
-            .map(|i| top.exhaustive[i].report.energy_pj / top.pruned[i].report.energy_pj)
-            .collect();
-        bbpim_bench::write_snapshot(
-            path,
-            "pruning",
-            &[
-                ("wall_clock_speedup", bbpim_bench::geomean_filtered(&wall).0.unwrap_or(1.0)),
-                ("energy_saving", bbpim_bench::geomean_filtered(&energy).0.unwrap_or(1.0)),
-                ("max_shards", top.shards as f64),
-            ],
-        );
+        artifacts::write_snapshot(path, "pruning", &top.headlines())?;
     }
+    Ok(())
 }

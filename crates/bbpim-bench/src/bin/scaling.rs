@@ -9,19 +9,26 @@
 //! behind `--prejoined`.
 //!
 //! Every merged answer is cross-checked against the row-at-a-time
-//! oracle before it is reported. Flags: `--sf`, `--seed`, `--uniform`,
-//! `--shards 1,2,4,8` for the shard counts to sweep (see
-//! `bbpim_bench::BenchConfig`), and `--prejoined` for the legacy path.
+//! oracle before it is reported. The flags it reads are [`ACCEPTS`]:
+//! `--shards` lists the counts to sweep.
+
+use std::io;
+use std::process::ExitCode;
 
 use bbpim_bench::{
-    fmt_ms, geomean_filtered, print_table, report_host_bytes, reports, run_cluster_scaling, setup,
-    BenchConfig, ClusterScalePoint, SsbSetup,
+    artifacts, fmt_ms, print_table, report_host_bytes, reports, run_cluster_scaling,
+    scaling_geomean, study_main, Accepts, ClusterScalePoint, SsbSetup,
 };
-use bbpim_cluster::StarCluster;
-use bbpim_cluster::{ClusterEngine, ClusterExecution, Partitioner};
+use bbpim_cluster::{Cluster, ClusterEngine, ClusterExecution, Partitioner, StarCluster, Storage};
 use bbpim_core::groupby::calibration::CalibrationConfig;
 use bbpim_core::modes::EngineMode;
 use bbpim_sim::{SimConfig, XferPolicy};
+
+const ACCEPTS: Accepts<'static> = Accepts {
+    shared: "--sf --uniform --skewed --seed --shards --json",
+    switches: &["--prejoined"],
+    values: &[],
+};
 
 /// The lever attribution rows: each byte-diet lever switched off
 /// individually against the all-on default, bracketed by the default
@@ -46,30 +53,24 @@ fn run_policy(
     shards: usize,
     policy: XferPolicy,
 ) -> Vec<ClusterExecution> {
+    fn run_all<S: Storage>(
+        mut c: Cluster<S>,
+        s: &SsbSetup,
+        policy: XferPolicy,
+    ) -> Vec<ClusterExecution> {
+        c.set_xfer_policy(policy);
+        let run = |q| c.run(q).unwrap_or_else(|e| panic!("{} under lever A/B: {e}", q.id));
+        s.queries.iter().map(run).collect()
+    }
+    let (sim, rr) = (SimConfig::default(), Partitioner::RoundRobin);
     if prejoined {
-        let mut c = ClusterEngine::new(
-            SimConfig::default(),
-            s.wide.clone(),
-            mode,
-            shards,
-            Partitioner::RoundRobin,
-        )
-        .expect("cluster construction");
+        let mut c = ClusterEngine::new(sim, s.wide.clone(), mode, shards, rr)
+            .expect("cluster construction");
         c.calibrate(&CalibrationConfig::default()).expect("calibration");
-        c.set_xfer_policy(policy);
-        s.queries
-            .iter()
-            .map(|q| c.run(q).unwrap_or_else(|e| panic!("{} under lever A/B: {e}", q.id)))
-            .collect()
+        run_all(c, s, policy)
     } else {
-        let mut c =
-            StarCluster::new(SimConfig::default(), &s.db, mode, shards, Partitioner::RoundRobin)
-                .expect("star cluster construction");
-        c.set_xfer_policy(policy);
-        s.queries
-            .iter()
-            .map(|q| c.run(q).unwrap_or_else(|e| panic!("{} under lever A/B: {e}", q.id)))
-            .collect()
+        let c = StarCluster::new(sim, &s.db, mode, shards, rr).expect("star cluster construction");
+        run_all(c, s, policy)
     }
 }
 
@@ -120,23 +121,19 @@ fn lever_table(s: &SsbSetup, prejoined: bool, mode: EngineMode, shards: usize) -
     bytes_per_query(&runs[0].1)
 }
 
-fn main() {
-    let (cfg, flags) = BenchConfig::from_args_with(&["--prejoined"], &[]);
-    let prejoined = flags.switch("--prejoined");
-    let s = setup(cfg);
+fn main() -> ExitCode {
+    study_main(&ACCEPTS, |s, flags| run(&s, flags.switch("--prejoined")))
+}
+
+fn run(s: &SsbSetup, prejoined: bool) -> io::Result<()> {
     let shard_counts = s.cfg.shards.clone();
     let (mode, points): (EngineMode, Vec<ClusterScalePoint>) = if prejoined {
         let m = EngineMode::OneXb;
         // One calibration sweep serves every shard count.
-        let model = bbpim_bench::fit_shared_model(&SimConfig::default(), m);
-        let new_cluster = |shards| {
-            let rr = Partitioner::RoundRobin;
-            let mut c = ClusterEngine::new(SimConfig::default(), s.wide.clone(), m, shards, rr)
-                .expect("cluster construction");
-            c.set_model(model.clone());
-            c
-        };
-        (m, run_cluster_scaling(&s, &shard_counts, new_cluster))
+        let model = bbpim_bench::fit_shared_model(m);
+        let new_cluster =
+            |shards| bbpim_bench::modelled_cluster(s, m, shards, Partitioner::RoundRobin, &model);
+        (m, run_cluster_scaling(s, &shard_counts, new_cluster))
     } else {
         // the star path runs two-crossbar modules: dimension filters on
         // their own modules, compressed semijoin bitmaps over the bus
@@ -145,13 +142,13 @@ fn main() {
             StarCluster::new(SimConfig::default(), &s.db, m, shards, Partitioner::RoundRobin)
                 .expect("star cluster construction")
         };
-        (m, run_cluster_scaling(&s, &shard_counts, new_cluster))
+        (m, run_cluster_scaling(s, &shard_counts, new_cluster))
     };
     println!(
         "scaling path: {}\n",
         if prejoined { "pre-joined (legacy)" } else { "star (default)" }
     );
-    reports::print_scaling(&s, &points, !prejoined);
+    reports::print_scaling(s, &points, !prejoined);
 
     let max_shards = *shard_counts.iter().max().expect("at least one shard count");
 
@@ -203,7 +200,7 @@ fn main() {
 
     // Lever-by-lever byte attribution at the largest shard count — the
     // A/B table behind the `host_bytes_per_query` headline.
-    let host_bytes_per_query = lever_table(&s, prejoined, mode, max_shards);
+    let host_bytes_per_query = lever_table(s, prejoined, mode, max_shards);
 
     // What this cluster's wide relation costs in PIM capacity next to
     // the normalized star catalog (the `join` study's storage win).
@@ -219,22 +216,16 @@ fn main() {
     // single-aggregate runs), the contended scaling geo-mean — gated
     // absolutely at 1.0 by `bench_gate` — and the byte-diet headline.
     if let Some(path) = &s.cfg.json {
-        let agg3 = bbpim_bench::run_multi_agg_saving(&s, EngineMode::OneXb, max_shards);
+        let agg3 = bbpim_bench::run_multi_agg_saving(s, EngineMode::OneXb, max_shards);
         let base = points.iter().min_by_key(|p| p.shards).expect("scale points");
         let top = points.iter().max_by_key(|p| p.shards).expect("scale points");
-        let ratios: Vec<f64> = (0..s.queries.len())
-            .map(|i| base.executions[i].report.time_ns / top.executions[i].report.time_ns)
-            .collect();
-        let geomean_speedup = geomean_filtered(&ratios).0.unwrap_or(1.0);
-        bbpim_bench::write_snapshot(
-            path,
-            "scaling",
-            &[
-                ("agg3_energy_saving", agg3),
-                ("geomean_speedup_max_shards", geomean_speedup),
-                ("host_bytes_per_query", host_bytes_per_query),
-                ("max_shards", max_shards as f64),
-            ],
-        );
+        let headlines = [
+            ("agg3_energy_saving", agg3),
+            ("geomean_speedup_max_shards", scaling_geomean(base, top, true).unwrap_or(1.0)),
+            ("host_bytes_per_query", host_bytes_per_query),
+            ("max_shards", max_shards as f64),
+        ];
+        artifacts::write_snapshot(path, "scaling", &headlines)?;
     }
+    Ok(())
 }

@@ -10,26 +10,24 @@
 //! row's window trajectory. Every served answer is checked
 //! bit-identical against `run_batch` over the tenant query set.
 //!
-//! Flags: `--sf`, `--seed`, `--uniform`, `--shards 8` (the largest
-//! listed count runs), `--arrivals 26` (per open tenant), `--inflight
-//! 4` (the AIMD initial window and the legacy knob), plus the
-//! observability outputs — `--trace <path>` writes a Chrome/Perfetto
-//! `trace_event` JSON of the gate-overload AIMD session (tenant
-//! arrivals/admissions/sheds on a `serve` track, bus grants, module
-//! windows, and the in-flight window on a `controller` counter track)
-//! with a flat-JSONL sidecar, and `--metrics <path>` writes the
-//! `bbpim_tenant_*` registry snapshot (flat JSON) with a
-//! Prometheus-text sidecar.
+//! The flags it reads are [`ACCEPTS`]: the largest `--shards` count
+//! runs, `--arrivals` is per open tenant, `--inflight` is the AIMD
+//! initial window (the legacy knob), `--trace` records the gate-overload
+//! AIMD session (tenant arrivals/admissions/sheds on a `serve` track,
+//! bus grants, module windows, and the in-flight window on a
+//! `controller` counter track) and `--metrics` carries the
+//! `bbpim_tenant_*` series.
 //!
 //! The `--json` snapshot carries the gate headlines CI watches:
 //! `heavy_tenant_goodput` (regression-gated) and
 //! `light_p95_within_slo` (absolute floor 1.0 — the promise either
 //! held or it did not).
 
-use bbpim_bench::{reports, run_serve_study_observed, setup, BenchConfig};
+use std::process::ExitCode;
+
+use bbpim_bench::{artifacts, reports, run_serve_study_observed, study_main, Accepts};
 use bbpim_core::modes::EngineMode;
-use bbpim_trace::export::{jsonl, perfetto_json};
-use bbpim_trace::{MetricsRegistry, TraceRecorder};
+use bbpim_trace::MetricsRegistry;
 
 /// Overload multiples the AIMD rows sweep.
 const OVERLOADS: &[f64] = &[2.0, 4.0, 10.0];
@@ -38,86 +36,45 @@ const GATE_OVERLOAD: f64 = 4.0;
 /// Static windows swept at the gate overload.
 const STATIC_WINDOWS: &[usize] = &[1, 2, 4, 8, 16];
 
-/// Write `body` to `path`, creating parent directories as needed.
-fn write_out(path: &str, body: &str) {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("output directory");
+const ACCEPTS: Accepts<'static> = Accepts::shared(
+    "--sf --uniform --skewed --seed --shards --arrivals \
+             --inflight --json --trace --metrics",
+);
+
+fn main() -> ExitCode {
+    study_main(&ACCEPTS, |s, _| {
+        let shards = s.cfg.shards.iter().copied().max().unwrap_or(8);
+        let mut trace = artifacts::recorder(&s.cfg);
+        let mut reg = MetricsRegistry::new();
+        let study = run_serve_study_observed(
+            &s,
+            EngineMode::OneXb,
+            shards,
+            OVERLOADS,
+            GATE_OVERLOAD,
+            STATIC_WINDOWS,
+            &mut trace,
+            &mut reg,
+        );
+        reports::print_serve(&s, &study);
+        artifacts::write_observability(&s.cfg, &trace, &reg)?;
+
+        if let Some(path) = &s.cfg.json {
+            let gate = study.gate_row();
+            let light = gate.report("light");
+            let (best_policy, best_goodput) =
+                study.best_static_heavy_goodput().unwrap_or(("none".into(), 0.0));
+            println!(
+                "\n  gate row ({:.0}x aimd): light p95 {:.3} ms vs promise {:.3} ms ({}), heavy \
+                 goodput {:.1}/s vs best static ({best_policy}) {best_goodput:.1}/s",
+                study.gate_overload,
+                light.latency.p95_ns / 1e6,
+                light.p95_target_ns / 1e6,
+                if light.slo_met { "met" } else { "MISSED" },
+                gate.report("heavy").goodput_qps,
+            );
+            artifacts::write_snapshot(path, "serve", &study.headlines())?;
         }
-    }
-    std::fs::write(path, body).expect("output write");
-}
-
-/// `path` with its extension replaced by `ext` (the sidecar naming).
-fn sibling(path: &str, ext: &str) -> String {
-    std::path::Path::new(path).with_extension(ext).to_string_lossy().into_owned()
-}
-
-fn main() {
-    let s = setup(BenchConfig::from_args());
-    let shards = s.cfg.shards.iter().copied().max().unwrap_or(8);
-    let mut trace =
-        if s.cfg.trace.is_some() { TraceRecorder::enabled() } else { TraceRecorder::disabled() };
-    let mut reg = MetricsRegistry::new();
-    let study = run_serve_study_observed(
-        &s,
-        EngineMode::OneXb,
-        shards,
-        OVERLOADS,
-        GATE_OVERLOAD,
-        STATIC_WINDOWS,
-        &mut trace,
-        &mut reg,
-    );
-    reports::print_serve(&s, &study);
-
-    if let Some(path) = &s.cfg.trace {
-        write_out(path, &perfetto_json(&trace));
-        let flat = sibling(path, "jsonl");
-        write_out(&flat, &jsonl(&trace));
-        println!("\nwrote Perfetto trace to {path} ({} events; flat JSONL: {flat})", trace.len());
-    }
-    if let Some(path) = &s.cfg.metrics {
-        write_out(path, &reg.snapshot_json());
-        let prom = sibling(path, "prom");
-        write_out(&prom, &reg.prometheus_text());
-        println!("\nwrote metrics snapshot to {path} (Prometheus text: {prom})");
-    }
-
-    // Machine-readable snapshot for the CI regression gate, read from
-    // the study's gate row: heavy-tenant goodput under AIMD (gated
-    // against the baseline), the light tenant's promise as a 0/1 floor,
-    // and the adaptive-vs-fixed comparison as context.
-    if let Some(path) = &s.cfg.json {
-        let gate = study.gate_row();
-        let light = gate.report("light");
-        let heavy = gate.report("heavy");
-        let (best_policy, best_goodput) =
-            study.best_static_heavy_goodput().unwrap_or(("none".into(), 0.0));
-        println!(
-            "\n  gate row ({:.0}x aimd): light p95 {:.3} ms vs promise {:.3} ms ({}), heavy \
-             goodput {:.1}/s vs best static ({best_policy}) {best_goodput:.1}/s",
-            study.gate_overload,
-            light.latency.p95_ns / 1e6,
-            light.p95_target_ns / 1e6,
-            if light.slo_met { "met" } else { "MISSED" },
-            heavy.goodput_qps,
-        );
-        bbpim_bench::write_snapshot(
-            path,
-            "serve",
-            &[
-                ("heavy_tenant_goodput", heavy.goodput_qps),
-                ("light_p95_within_slo", if light.slo_met { 1.0 } else { 0.0 }),
-                ("light_p95_ms", light.latency.p95_ns / 1e6),
-                ("heavy_drop_rate", heavy.drop_rate),
-                (
-                    "aimd_vs_best_static_goodput",
-                    if best_goodput > 0.0 { heavy.goodput_qps / best_goodput } else { 1.0 },
-                ),
-                ("final_window", gate.outcome.final_window() as f64),
-                ("gate_overload", study.gate_overload),
-            ],
-        );
-    }
+        Ok(())
+    })
 }

@@ -10,14 +10,9 @@
 //! answer is checked bit-identical against `run_batch` over the same
 //! arrived queries — the scheduler changes *when*, never *what*.
 //!
-//! Flags: `--sf`, `--seed`, `--uniform`, `--shards 8` (the largest
-//! listed count runs), `--arrivals 52`, `--load 2.0`, `--inflight 4`,
-//! plus the observability outputs — `--trace <path>` writes a
-//! Chrome/Perfetto `trace_event` JSON of the default-load FIFO run
-//! (one track per module, one for the host bus, one for the
-//! scheduler) with a flat-JSONL sidecar, and `--metrics <path>` writes
-//! the metrics-registry snapshot (flat JSON) with a Prometheus-text
-//! sidecar (see `bbpim_bench::BenchConfig`).
+//! The flags it reads are [`ACCEPTS`]: the largest `--shards` count
+//! runs, and `--trace` records the default-load FIFO run (one track per
+//! module, one for the host bus, one for the scheduler).
 //!
 //! Two rows run: the configured load on the one-crossbar layout, and a
 //! **high-contention** row at 4× that load with a 4×-deeper in-flight
@@ -31,101 +26,70 @@
 //! snapshot numbers are read back out of the registry — the gate and
 //! the observability surface see the same values by construction.
 
-use bbpim_bench::{reports, run_streaming_study_observed, setup, BenchConfig, SsbSetup};
+use std::process::ExitCode;
+
+use bbpim_bench::{artifacts, reports, run_streaming_study_observed, study_main, Accepts};
 use bbpim_core::modes::EngineMode;
 use bbpim_sched::obs::{HOST_UTILISATION, LATENCY_NS};
-use bbpim_trace::export::{jsonl, perfetto_json};
 use bbpim_trace::{MetricsRegistry, TraceRecorder};
 
-/// Write `body` to `path`, creating parent directories as needed.
-fn write_out(path: &str, body: &str) {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("output directory");
-        }
-    }
-    std::fs::write(path, body).expect("output write");
-}
+const ACCEPTS: Accepts<'static> = Accepts::shared(
+    "--sf --uniform --skewed --seed --shards --arrivals \
+             --load --inflight --json --trace --metrics",
+);
 
-/// `path` with its extension replaced by `ext` (the sidecar naming).
-fn sibling(path: &str, ext: &str) -> String {
-    std::path::Path::new(path).with_extension(ext).to_string_lossy().into_owned()
-}
+fn main() -> ExitCode {
+    study_main(&ACCEPTS, |mut s, _| {
+        let shards = s.cfg.shards.iter().copied().max().unwrap_or(8);
+        let mut trace = artifacts::recorder(&s.cfg);
+        let mut reg = MetricsRegistry::new();
+        let study =
+            run_streaming_study_observed(&s, EngineMode::OneXb, shards, &mut trace, &mut reg, "");
+        reports::print_explain(&s, &study.explains);
+        reports::print_streaming(&s, &study);
 
-fn main() {
-    let s = setup(BenchConfig::from_args());
-    let shards = s.cfg.shards.iter().copied().max().unwrap_or(8);
-    let mut trace =
-        if s.cfg.trace.is_some() { TraceRecorder::enabled() } else { TraceRecorder::disabled() };
-    let mut reg = MetricsRegistry::new();
-    let study =
-        run_streaming_study_observed(&s, EngineMode::OneXb, shards, &mut trace, &mut reg, "");
-    reports::print_explain(&s, &study.explains);
-    reports::print_streaming(&s, &study);
+        // High-contention row: same data and trace shape, 4× the offered
+        // load and in-flight window, two-xb layout (per-disjunct mask
+        // transfers ride the bus).
+        s.cfg.load *= 4.0;
+        s.cfg.inflight = (s.cfg.inflight * 4).max(16);
+        println!(
+            "\n== high-contention row: load {:.1}x capacity, {} in flight, two-xb ==",
+            s.cfg.load, s.cfg.inflight
+        );
+        let mut no_trace = TraceRecorder::disabled();
+        let hi_study = run_streaming_study_observed(
+            &s,
+            EngineMode::TwoXb,
+            shards,
+            &mut no_trace,
+            &mut reg,
+            "hi-",
+        );
+        reports::print_streaming(&s, &hi_study);
+        artifacts::write_observability(&s.cfg, &trace, &reg)?;
 
-    // High-contention row: same data and trace shape, 4× the offered
-    // load and in-flight window, two-xb layout (per-disjunct mask
-    // transfers ride the bus).
-    let hi = SsbSetup {
-        cfg: BenchConfig {
-            load: s.cfg.load * 4.0,
-            inflight: (s.cfg.inflight * 4).max(16),
-            ..s.cfg.clone()
-        },
-        db: s.db.clone(),
-        wide: s.wide.clone(),
-        queries: s.queries.clone(),
-    };
-    println!(
-        "\n== high-contention row: load {:.1}x capacity, {} in flight, two-xb ==",
-        hi.cfg.load, hi.cfg.inflight
-    );
-    let mut no_trace = TraceRecorder::disabled();
-    let hi_study = run_streaming_study_observed(
-        &hi,
-        EngineMode::TwoXb,
-        shards,
-        &mut no_trace,
-        &mut reg,
-        "hi-",
-    );
-    reports::print_streaming(&hi, &hi_study);
-
-    if let Some(path) = &s.cfg.trace {
-        write_out(path, &perfetto_json(&trace));
-        let flat = sibling(path, "jsonl");
-        write_out(&flat, &jsonl(&trace));
-        println!("\nwrote Perfetto trace to {path} ({} events; flat JSONL: {flat})", trace.len());
-    }
-    if let Some(path) = &s.cfg.metrics {
-        write_out(path, &reg.snapshot_json());
-        let prom = sibling(path, "prom");
-        write_out(&prom, &reg.prometheus_text());
-        println!("\nwrote metrics snapshot to {path} (Prometheus text: {prom})");
-    }
-
-    // Machine-readable snapshot for the CI regression gate: the
-    // admission-policy headline (FIFO p50 over SCSF p50 — how much the
-    // candidate-set-size heuristic buys) plus bus pressure, all read
-    // back out of the metrics registry.
-    if let Some(path) = &s.cfg.json {
-        let gauge = |name: &str, run: &str| {
-            reg.gauge(name, &[("run", run)])
-                .unwrap_or_else(|| panic!("metric {name}{{run={run}}} was never recorded"))
-        };
-        let p50 = format!("{LATENCY_NS}_p50");
-        let (fifo, scsf) = (gauge(&p50, "fifo"), gauge(&p50, "scsf"));
-        bbpim_bench::write_snapshot(
-            path,
-            "streaming",
-            &[
+        // Machine-readable snapshot for the CI regression gate: the
+        // admission-policy headline (FIFO p50 over SCSF p50 — how much the
+        // candidate-set-size heuristic buys) plus bus pressure, all read
+        // back out of the metrics registry.
+        if let Some(path) = &s.cfg.json {
+            let gauge = |name: &str, run: &str| {
+                reg.gauge(name, &[("run", run)])
+                    .unwrap_or_else(|| panic!("metric {name}{{run={run}}} was never recorded"))
+            };
+            let p50 = format!("{LATENCY_NS}_p50");
+            let (fifo, scsf) = (gauge(&p50, "fifo"), gauge(&p50, "scsf"));
+            let headlines = [
                 ("scsf_vs_fifo_p50", if scsf > 0.0 { fifo / scsf } else { 1.0 }),
                 ("fifo_p50_ms", fifo / 1e6),
                 ("scsf_p50_ms", scsf / 1e6),
                 ("host_utilisation", gauge(HOST_UTILISATION, "fifo")),
                 ("hiload_host_utilisation", gauge(HOST_UTILISATION, "hi-fifo")),
-                ("hiload_load", hi.cfg.load),
-            ],
-        );
-    }
+                ("hiload_load", s.cfg.load),
+            ];
+            artifacts::write_snapshot(path, "streaming", &headlines)?;
+        }
+        Ok(())
+    })
 }

@@ -1,13 +1,15 @@
-//! The command line every study binary shares.
+//! The command line every harness binary shares.
 //!
 //! [`BenchConfig::parse`] reads an argument slice and **rejects
 //! what it does not understand** — an unknown flag, a missing value, an
 //! unparseable or out-of-range value — with a typed [`CliError`];
-//! nothing falls back to a default silently. Binaries with flags of
-//! their own (`scaling --prejoined`, `all --csv <dir>`, `fig4 --mode
-//! <m>`) register them with the same parser and read them back from
-//! [`BinFlags`]. [`BenchConfig::from_args`] is the `main()` entry: on a
-//! rejection it prints the error and one usage line, then exits 2.
+//! nothing falls back to a default silently. Each binary declares what
+//! it [`Accepts`]: the shared flags it actually reads (a shared flag it
+//! would ignore is as unknown to it as a typo) plus flags of its own
+//! (`scaling --prejoined`, `paper --csv <dir> --mode <m>`), read back
+//! from [`BinFlags`]. [`BenchConfig::from_args`] is the `main()` entry:
+//! on a rejection it prints the error and one usage line showing only
+//! the flags that apply, then exits 2.
 
 use std::fmt;
 use std::ops::RangeInclusive;
@@ -115,10 +117,58 @@ impl BinFlags {
     }
 }
 
-/// The shared flags, as the usage line shows them.
-const SHARED_USAGE: &str = "[--sf <f64>] [--uniform|--skewed] [--seed <u64>] [--threads <n>] \
-     [--shards <n,n,..>] [--arrivals <n>] [--load <f64>] [--inflight <n>] [--json <path>] \
-     [--trace <path>] [--metrics <path>]";
+/// Every shared flag and the value the usage line shows for it.
+const SHARED: &[(&str, &str)] = &[
+    ("--sf", " <f64>"),
+    ("--uniform", ""),
+    ("--skewed", ""),
+    ("--seed", " <u64>"),
+    ("--threads", " <n>"),
+    ("--shards", " <n,n,..>"),
+    ("--arrivals", " <n>"),
+    ("--load", " <f64>"),
+    ("--inflight", " <n>"),
+    ("--json", " <path>"),
+    ("--trace", " <path>"),
+    ("--metrics", " <path>"),
+];
+
+/// The flags one binary (or one `paper --fig` selection) accepts.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Accepts<'a> {
+    /// The shared flags it reads, space-separated (`"--sf --uniform"`);
+    /// every other shared flag is rejected.
+    pub shared: &'a str,
+    /// Its own flags that take no value.
+    pub switches: &'a [&'a str],
+    /// Its own flags that take one value.
+    pub values: &'a [ValueFlag<'a>],
+}
+
+impl<'a> Accepts<'a> {
+    /// A binary that reads these shared flags and has none of its own.
+    pub const fn shared(shared: &'a str) -> Self {
+        Accepts { shared, switches: &[], values: &[] }
+    }
+
+    /// Is `flag` among the shared flags this binary reads?
+    fn reads(&self, flag: &str) -> bool {
+        self.shared.split(' ').any(|read| read == flag)
+    }
+
+    /// The usage line's flag list: only what this binary accepts.
+    pub fn usage(&self) -> String {
+        let shared = SHARED.iter().filter(|(flag, _)| self.reads(flag));
+        let mut usage: Vec<String> =
+            shared.map(|(flag, value)| format!("[{flag}{value}]")).collect();
+        usage.extend(self.switches.iter().map(|s| format!("[{s}]")));
+        for (name, accepted) in self.values {
+            let shown = if accepted.is_empty() { "value".into() } else { accepted.join("|") };
+            usage.push(format!("[{name} <{shown}>]"));
+        }
+        usage.join(" ")
+    }
+}
 
 const POSITIVE: RangeInclusive<usize> = 1..=usize::MAX;
 const POSITIVE_F64: RangeInclusive<f64> = f64::MIN_POSITIVE..=f64::MAX;
@@ -135,24 +185,28 @@ fn number<T: FromStr + PartialOrd + Default>(
 }
 
 impl BenchConfig {
-    /// Parse `args` (the command line without the program name). A
-    /// binary with flags of its own registers them: `switches` take no
-    /// value, `values` take one.
+    /// Parse `args` (the command line without the program name) on top
+    /// of `base` — the defaults of whoever is parsing, so a flag that
+    /// was not given keeps the caller's value and one that was given
+    /// always wins.
     ///
     /// # Errors
     ///
-    /// Any flag or value neither the shared parser nor the binary's
-    /// registrations understand.
+    /// Any flag or value `accepts` does not cover.
     pub fn parse(
         args: &[String],
-        switches: &[&str],
-        values: &[ValueFlag<'_>],
+        base: BenchConfig,
+        accepts: &Accepts<'_>,
     ) -> Result<(BenchConfig, BinFlags), CliError> {
-        let mut cfg = BenchConfig::default();
+        let Accepts { switches, values, .. } = accepts;
+        let mut cfg = base;
         let mut bin = BinFlags::default();
         let mut rest = args.iter();
         while let Some(flag) = rest.next() {
             let flag = flag.as_str();
+            if SHARED.iter().any(|(known, _)| *known == flag) && !accepts.reads(flag) {
+                return Err(CliError::UnknownFlag(flag.into()));
+            }
             let mut value = || rest.next().ok_or_else(|| CliError::MissingValue(flag.into()));
             match flag {
                 "--uniform" => cfg.skewed = false,
@@ -187,26 +241,16 @@ impl BenchConfig {
         Ok((cfg, bin))
     }
 
-    /// Parse the process's own command line; on a rejection print the
-    /// error and one usage line to stderr and exit with code 2.
-    pub fn from_args() -> Self {
-        Self::from_args_with(&[], &[]).0
-    }
-
-    /// [`BenchConfig::from_args`] for a binary with flags of its own
-    /// (see [`BenchConfig::parse`]).
-    pub fn from_args_with(switches: &[&str], values: &[ValueFlag<'_>]) -> (Self, BinFlags) {
+    /// Parse the process's own command line on top of the defaults; on
+    /// a rejection print the error and one usage line to stderr and
+    /// exit with code 2.
+    pub fn from_args(accepts: &Accepts<'_>) -> (Self, BinFlags) {
         let mut argv = std::env::args();
         let program = argv.next().unwrap_or_default();
         let args: Vec<String> = argv.collect();
-        Self::parse(&args, switches, values).unwrap_or_else(|err| {
-            let mut own: String = switches.iter().map(|s| format!(" [{s}]")).collect();
-            for (name, accepted) in values {
-                let shown = if accepted.is_empty() { "value".into() } else { accepted.join("|") };
-                own.push_str(&format!(" [{name} <{shown}>]"));
-            }
+        Self::parse(&args, Self::default(), accepts).unwrap_or_else(|err| {
             eprintln!("error: {err}");
-            eprintln!("usage: {program} {SHARED_USAGE}{own}");
+            eprintln!("usage: {program} {}", accepts.usage());
             std::process::exit(2)
         })
     }
@@ -225,11 +269,22 @@ mod tests {
     use super::*;
 
     const MODES: ValueFlag<'static> = ("--mode", &["pimdb", "two_xb", "one_xb"]);
+    const ALL: Accepts<'static> = Accepts {
+        shared: "--sf --uniform --skewed --seed --threads --shards --arrivals --load --inflight \
+                 --json --trace --metrics",
+        switches: &["--prejoined"],
+        values: &[MODES, ("--csv", &[])],
+    };
 
-    /// Parse `line` as the `scaling`/`fig4`/`all` binaries together would.
-    fn parse(line: &str) -> Result<(BenchConfig, BinFlags), CliError> {
+    fn parse_as(line: &str, accepts: &Accepts<'_>) -> Result<(BenchConfig, BinFlags), CliError> {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-        BenchConfig::parse(&args, &["--prejoined"], &[MODES, ("--csv", &[])])
+        BenchConfig::parse(&args, BenchConfig::default(), accepts)
+    }
+
+    /// Parse `line` as a binary reading every shared flag plus the
+    /// `scaling` and `paper` flags would.
+    fn parse(line: &str) -> Result<(BenchConfig, BinFlags), CliError> {
+        parse_as(line, &ALL)
     }
 
     #[test]
@@ -269,9 +324,41 @@ mod tests {
             assert_eq!(parse(line), Err(CliError::UnknownFlag(flag.into())), "{line}");
         }
         // a binary's own flag is unknown where it is not registered
-        let args = ["--prejoined".to_string()];
-        let err = BenchConfig::parse(&args, &[], &[]).unwrap_err();
+        let err = parse_as("--prejoined", &Accepts::default()).unwrap_err();
         assert_eq!(err, CliError::UnknownFlag("--prejoined".into()));
+    }
+
+    #[test]
+    fn a_shared_flag_the_binary_does_not_read_is_rejected() {
+        // `pruning` reads the data flags, `--shards` and `--json`
+        let shared = "--sf --uniform --skewed --seed --shards --json";
+        let pruning = Accepts::shared(shared);
+        assert!(parse_as("--sf 0.01 --uniform --shards 1,4 --json p.json", &pruning).is_ok());
+        for flag in ["--trace", "--metrics", "--threads", "--arrivals", "--load", "--inflight"] {
+            let err = parse_as(&format!("--uniform {flag} 1"), &pruning).unwrap_err();
+            assert_eq!(err, CliError::UnknownFlag(flag.into()));
+            assert!(!pruning.usage().contains(flag), "usage shows only what applies");
+        }
+        assert_eq!(
+            pruning.usage(),
+            "[--sf <f64>] [--uniform] [--skewed] [--seed <u64>] [--shards <n,n,..>] [--json <path>]"
+        );
+        // a binary that reads no command line at all accepts none
+        let err = parse_as("--sf 0.01", &Accepts::default()).unwrap_err();
+        assert_eq!(err, CliError::UnknownFlag("--sf".into()));
+    }
+
+    #[test]
+    fn a_given_flag_beats_the_callers_default_even_at_the_global_default_value() {
+        // `paper --fig ablation` defaults to SF 0.05; `--sf 0.1` (the
+        // global default) used to be mistaken for "not given"
+        let base = BenchConfig { sf: 0.05, ..BenchConfig::default() };
+        let on_base = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            BenchConfig::parse(&args, base.clone(), &ALL).unwrap().0.sf
+        };
+        assert_eq!(on_base("--uniform"), 0.05);
+        assert_eq!(on_base("--sf 0.1"), 0.1);
     }
 
     #[test]

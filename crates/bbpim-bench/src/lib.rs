@@ -1,31 +1,32 @@
 //! # bbpim-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4):
+//! | binary | what it runs |
+//! |--------|--------------|
+//! | `paper --fig <list>` | the paper's tables and figures: `table1`, `table2`, `4`–`9`, the `sweep` and `ablation` studies, or `all` (Figs. 6–9 + Table II in one pass, `--csv <dir>` for the plotted numbers) |
+//! | `scaling`, `pruning`, `join` | cluster studies: shard scaling, zone-map pruning, star join vs pre-join |
+//! | `streaming`, `serve`, `htap` | scheduler studies: admission policies, multi-tenant SLOs, ingest beside queries |
+//! | `bench_gate` | merges the studies' `--json` sections and gates them against `bench/baseline.json` |
 //!
-//! | binary   | reproduces |
-//! |----------|------------|
-//! | `table1` | Table I — architecture and system configuration |
-//! | `table2` | Table II — per-query selectivity / subgroup statistics |
-//! | `fig4`   | Fig. 4 — empirical latency modeling (a, b, c panels) |
-//! | `fig5`   | Fig. 5 — PIM chip area breakdown |
-//! | `fig6`   | Fig. 6 — SSB execution latency, all five systems |
-//! | `fig7`   | Fig. 7 — PIM energy per query |
-//! | `fig8`   | Fig. 8 — peak per-chip power |
-//! | `fig9`   | Fig. 9 — required cell endurance (10-year back-to-back) |
-//! | `all`    | everything above in one pass (EXPERIMENTS.md source) |
-//!
-//! All binaries accept `--sf <f64>` (default 0.1), `--uniform` (default
-//! is the paper's skewed data), `--seed <u64>` and `--threads <usize>`;
-//! anything they do not understand is rejected with a usage line and
-//! exit code 2 ([`cli`]).
-//! Criterion micro-benchmarks live under `benches/`.
+//! The per-query figures are described once as data
+//! ([`reports::Figure`]) and rendered to the console table and the CSV
+//! from that one description; every file any binary writes goes through
+//! [`artifacts`]. The shared flags are `--sf <f64>` (default 0.1),
+//! `--uniform` (default is the paper's skewed data), `--seed <u64>`,
+//! `--threads <usize>`, `--shards`, `--arrivals`, `--load`, `--inflight`,
+//! `--json`, `--trace` and `--metrics`; a binary accepts the ones it
+//! reads and rejects anything else with a usage line and exit code 2
+//! ([`cli`]).
 
+pub mod artifacts;
 pub mod cli;
 pub mod reports;
 
-pub use cli::{BenchConfig, BinFlags, CliError};
+pub use cli::{Accepts, BenchConfig, BinFlags, CliError};
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::io;
+use std::process::ExitCode;
 use std::time::Duration;
 
 use bbpim_cluster::{
@@ -81,6 +82,18 @@ pub fn setup(cfg: BenchConfig) -> SsbSetup {
     SsbSetup { cfg, db, wide, queries }
 }
 
+/// A study binary's `main`: parse the command line against `accepts`
+/// (exit 2 on a rejection), check every requested output path *before*
+/// generating data, generate, run `study`, and turn a failed write into
+/// `error: cannot write …` + exit 1.
+pub fn study_main(
+    accepts: &Accepts<'_>,
+    study: impl FnOnce(SsbSetup, BinFlags) -> io::Result<()>,
+) -> ExitCode {
+    let (cfg, flags) = BenchConfig::from_args(accepts);
+    artifacts::exit_code(artifacts::probe(&cfg).and_then(|()| study(setup(cfg), flags)))
+}
+
 /// All 13 per-query executions of one PIM mode.
 pub struct PimModeRun {
     /// Which mode ran.
@@ -89,26 +102,26 @@ pub struct PimModeRun {
     pub executions: Vec<QueryExecution>,
 }
 
-/// Run every query through one PIM mode (engine constructed, calibrated
-/// and dropped inside, keeping peak memory to one engine).
+/// Run every query through each PIM mode in turn (each engine is
+/// constructed, calibrated and dropped before the next, keeping peak
+/// memory to one engine).
 ///
 /// # Panics
 ///
 /// Panics on engine errors (the harness runs known-good inputs).
-pub fn run_pim_mode(setup: &SsbSetup, mode: EngineMode) -> PimModeRun {
-    let mut engine = PimQueryEngine::new(SimConfig::default(), setup.wide.clone(), mode)
-        .expect("engine construction");
-    engine.calibrate(&CalibrationConfig::default()).expect("calibration");
-    let executions = setup
-        .queries
-        .iter()
-        .map(|q| engine.run(q).unwrap_or_else(|e| panic!("{} on {}: {e}", mode.label(), q.id)))
-        .collect();
-    PimModeRun { mode, executions }
+pub fn pim_runs(setup: &SsbSetup) -> Vec<PimModeRun> {
+    let run_mode = |mode: EngineMode| {
+        let mut engine = PimQueryEngine::new(SimConfig::default(), setup.wide.clone(), mode)
+            .expect("engine construction");
+        engine.calibrate(&CalibrationConfig::default()).expect("calibration");
+        let run = |q| engine.run(q).unwrap_or_else(|e| panic!("{} on {}: {e}", mode.label(), q.id));
+        PimModeRun { mode, executions: setup.queries.iter().map(run).collect() }
+    };
+    EngineMode::all().map(run_mode).into()
 }
 
-/// Fit the GROUP-BY cost model once for a `(SimConfig, EngineMode)`
-/// pair. The calibration is data-independent, so the returned model can
+/// Fit the GROUP-BY cost model once for an engine mode at the default
+/// `SimConfig`. The calibration is data-independent, so the returned model can
 /// be installed on every cluster instance of a study
 /// ([`ClusterEngine::set_model`]) instead of re-running the sweep per
 /// shard count — the in-memory form of cross-instance calibration
@@ -118,10 +131,53 @@ pub fn run_pim_mode(setup: &SsbSetup, mode: EngineMode) -> PimModeRun {
 ///
 /// Panics on calibration failures (the harness runs known-good
 /// configurations).
-pub fn fit_shared_model(cfg: &SimConfig, mode: EngineMode) -> GroupByModel {
-    let (_, model) =
-        run_calibration(cfg, mode, &CalibrationConfig::default()).expect("calibration");
+pub fn fit_shared_model(mode: EngineMode) -> GroupByModel {
+    let (_, model) = run_calibration(&SimConfig::default(), mode, &CalibrationConfig::default())
+        .expect("calibration");
     model
+}
+
+/// A pre-joined cluster over the set-up's wide relation with an
+/// already-fitted model installed ([`fit_shared_model`]).
+///
+/// # Panics
+///
+/// Panics on cluster-construction failures (known-good inputs).
+pub fn modelled_cluster(
+    setup: &SsbSetup,
+    mode: EngineMode,
+    shards: usize,
+    partitioner: Partitioner,
+    model: &GroupByModel,
+) -> ClusterEngine {
+    let mut cluster =
+        ClusterEngine::new(SimConfig::default(), setup.wide.clone(), mode, shards, partitioner)
+            .expect("cluster construction");
+    cluster.set_model(model.clone());
+    cluster
+}
+
+/// The row-at-a-time oracle's answer to every query (independent of
+/// shard count and dispatch: computed once per study).
+fn oracle_answers(setup: &SsbSetup) -> Vec<MultiGrouped> {
+    let oracle = |q| bbpim_db::stats::run_oracle(q, &setup.wide).expect("oracle");
+    setup.queries.iter().map(oracle).collect()
+}
+
+/// Run every query through `cluster`, asserting each merged answer
+/// against its oracle.
+fn run_checked<S: Storage>(
+    cluster: &mut Cluster<S>,
+    setup: &SsbSetup,
+    oracles: &[MultiGrouped],
+) -> Vec<ClusterExecution> {
+    let shards = cluster.shard_count();
+    let run = |(q, oracle): (&Query, &MultiGrouped)| {
+        let out = cluster.run(q).unwrap_or_else(|e| panic!("{shards} shards on {}: {e}", q.id));
+        assert_eq!(&out.groups, oracle, "cluster/oracle mismatch on {} at {shards} shards", q.id);
+        out
+    };
+    setup.queries.iter().zip(oracles).map(run).collect()
 }
 
 /// One shard count's executions in the cluster scaling study.
@@ -134,14 +190,17 @@ pub struct ClusterScalePoint {
     pub executions: Vec<ClusterExecution>,
 }
 
-/// The optimistic (free per-module channels) wall clock of a cluster
-/// execution, recomputed from its per-shard reports: host-serial
-/// dispatch + max-of-shards remaining time + merge. The contended
-/// model's A/B counterpart without re-running anything — answers and
-/// per-shard logs are accounting-independent, so one sweep yields both
-/// clocks.
-pub fn optimistic_wall_ns(report: &bbpim_cluster::ClusterReport) -> f64 {
+/// A cluster execution's wall clock: on the contended model as
+/// reported, or — `contended == false` — on the optimistic one with
+/// free per-module channels, recomputed from the per-shard reports as
+/// host-serial dispatch + max-of-shards remaining time + merge. Answers
+/// and per-shard logs are accounting-independent, so one sweep yields
+/// both clocks without re-running anything.
+pub fn wall_ns(report: &bbpim_cluster::ClusterReport, contended: bool) -> f64 {
     use bbpim_sim::timeline::PhaseKind;
+    if contended {
+        return report.time_ns;
+    }
     let dispatch = |r: &bbpim_core::result::QueryReport| r.phases.time_in(PhaseKind::HostDispatch);
     let d_total: f64 = report.per_shard.iter().map(dispatch).sum();
     let pim_max = report.per_shard.iter().map(|r| r.time_ns - dispatch(r)).fold(0.0, f64::max);
@@ -154,8 +213,8 @@ pub fn optimistic_wall_ns(report: &bbpim_cluster::ClusterReport) -> f64 {
 /// [`bbpim_cluster::StarCluster`], and
 /// each is dropped after its point), cross-checking each merged answer
 /// against the row-at-a-time oracle. Wall clocks use the default
-/// shared-host-channel contention model; [`optimistic_wall_ns`]
-/// recovers the free-channel A/B timing from the same executions.
+/// shared-host-channel contention model; [`wall_ns`] recovers the
+/// free-channel A/B timing from the same executions.
 ///
 /// # Panics
 ///
@@ -166,35 +225,29 @@ pub fn run_cluster_scaling<S: Storage>(
     shard_counts: &[usize],
     new_cluster: impl Fn(usize) -> Cluster<S>,
 ) -> Vec<ClusterScalePoint> {
-    // The oracle answer is shard-count independent: compute it once.
-    let oracles: Vec<MultiGrouped> = setup
-        .queries
-        .iter()
-        .map(|q| bbpim_db::stats::run_oracle(q, &setup.wide).expect("oracle"))
-        .collect();
-    shard_counts
-        .iter()
-        .map(|&shards| {
-            let mut cluster = new_cluster(shards);
-            let executions: Vec<ClusterExecution> = setup
-                .queries
-                .iter()
-                .zip(&oracles)
-                .map(|(q, oracle)| {
-                    let out = cluster
-                        .run(q)
-                        .unwrap_or_else(|e| panic!("{shards} shards on {}: {e}", q.id));
-                    assert_eq!(
-                        &out.groups, oracle,
-                        "cluster/oracle mismatch on {} at {shards} shards",
-                        q.id
-                    );
-                    out
-                })
-                .collect();
-            ClusterScalePoint { shards, partitioner: cluster.partitioner().label(), executions }
-        })
-        .collect()
+    let oracles = oracle_answers(setup);
+    let point = |&shards: &usize| {
+        let mut cluster = new_cluster(shards);
+        let executions = run_checked(&mut cluster, setup, &oracles);
+        ClusterScalePoint { shards, partitioner: cluster.partitioner().label(), executions }
+    };
+    shard_counts.iter().map(point).collect()
+}
+
+/// The contended (`true`) or free-channel (`false`) geo-mean speedup of
+/// scale point `p` over `base`, over the queries with a finite nonzero
+/// ratio (zone-pruned zero-match queries cost ~0 at every shard count);
+/// `None` when the planner answered every query alone. The `scaling`
+/// report prints it and the `scaling` snapshot gates it.
+pub fn scaling_geomean(
+    base: &ClusterScalePoint,
+    p: &ClusterScalePoint,
+    contended: bool,
+) -> Option<f64> {
+    let wall = |e: &ClusterExecution| wall_ns(&e.report, contended);
+    let ratios: Vec<f64> =
+        base.executions.iter().zip(&p.executions).map(|(b, e)| wall(b) / wall(e)).collect();
+    geomean_filtered(&ratios).0
 }
 
 /// Host-channel bytes one cluster execution put on the shared bus,
@@ -234,50 +287,40 @@ pub fn run_pruning_study(
     range_attr: &str,
 ) -> Vec<PruningPoint> {
     let partitioner = Partitioner::range_by_attr(range_attr);
-    let oracles: Vec<MultiGrouped> = setup
-        .queries
-        .iter()
-        .map(|q| bbpim_db::stats::run_oracle(q, &setup.wide).expect("oracle"))
-        .collect();
+    let oracles = oracle_answers(setup);
     // One calibration sweep serves every shard count.
-    let model = fit_shared_model(&SimConfig::default(), mode);
-    shard_counts
-        .iter()
-        .map(|&shards| {
-            let mut cluster = ClusterEngine::new(
-                SimConfig::default(),
-                setup.wide.clone(),
-                mode,
-                shards,
-                partitioner.clone(),
-            )
-            .expect("cluster construction");
-            cluster.set_model(model.clone());
-            let run_all = |cluster: &mut ClusterEngine| -> Vec<ClusterExecution> {
-                setup
-                    .queries
-                    .iter()
-                    .zip(&oracles)
-                    .map(|(q, oracle)| {
-                        let out = cluster
-                            .run(q)
-                            .unwrap_or_else(|e| panic!("{shards} shards on {}: {e}", q.id));
-                        assert_eq!(
-                            &out.groups, oracle,
-                            "cluster/oracle mismatch on {} at {shards} shards",
-                            q.id
-                        );
-                        out
-                    })
-                    .collect()
-            };
-            cluster.set_pruning(false);
-            let exhaustive = run_all(&mut cluster);
-            cluster.set_pruning(true);
-            let pruned = run_all(&mut cluster);
-            PruningPoint { shards, partitioner: partitioner.label(), pruned, exhaustive }
-        })
-        .collect()
+    let model = fit_shared_model(mode);
+    let point = |&shards: &usize| {
+        let mut cluster = modelled_cluster(setup, mode, shards, partitioner.clone(), &model);
+        cluster.set_pruning(false);
+        let exhaustive = run_checked(&mut cluster, setup, &oracles);
+        cluster.set_pruning(true);
+        let pruned = run_checked(&mut cluster, setup, &oracles);
+        PruningPoint { shards, partitioner: partitioner.label(), pruned, exhaustive }
+    };
+    shard_counts.iter().map(point).collect()
+}
+
+impl PruningPoint {
+    /// Exhaustive-over-pruned ratios of `metric`, over the queries
+    /// whose pruned execution has a positive one (a zero pruned time
+    /// means the planner answered without touching a page).
+    pub fn ratios(&self, metric: fn(&bbpim_cluster::ClusterReport) -> f64) -> Vec<f64> {
+        let pairs = self.exhaustive.iter().zip(&self.pruned);
+        let pairs = pairs.map(|(ex, pr)| (metric(&ex.report), metric(&pr.report)));
+        pairs.filter(|(_, pr)| *pr > 0.0).map(|(ex, pr)| ex / pr).collect()
+    }
+
+    /// The `pruning` snapshot section, read at the largest shard count:
+    /// pruned-vs-exhaustive geo-means over the executed queries.
+    pub fn headlines(&self) -> Vec<(&'static str, f64)> {
+        let geomean = |metric| geomean_filtered(&self.ratios(metric)).0.unwrap_or(1.0);
+        vec![
+            ("wall_clock_speedup", geomean(|r| r.time_ns)),
+            ("energy_saving", geomean(|r| r.energy_pj)),
+            ("max_shards", self.shards as f64),
+        ]
+    }
 }
 
 /// One admission policy's streamed run.
@@ -313,37 +356,44 @@ pub struct StreamingStudy {
     pub policies: Vec<StreamingPolicyRun>,
 }
 
+/// The prelude the streamed studies (`streaming`, `serve`, `htap`)
+/// share: a factory for `d_year`-range-partitioned clusters carrying one
+/// once-fitted model, the first cluster it built, and the mean per-query
+/// service time a closed batch of the 13 queries on that cluster
+/// estimates — the capacity the studies express offered load against.
+fn range_study_prelude(
+    setup: &SsbSetup,
+    mode: EngineMode,
+    shards: usize,
+) -> (impl Fn() -> ClusterEngine + '_, ClusterEngine, f64) {
+    let model = fit_shared_model(mode);
+    let fresh =
+        move || modelled_cluster(setup, mode, shards, Partitioner::range_by_attr("d_year"), &model);
+    let mut cluster = fresh();
+    let probe = cluster.run_batch(&setup.queries).expect("capacity probe");
+    (fresh, cluster, probe.serial_time_ns / setup.queries.len() as f64)
+}
+
 /// Stream a seeded Poisson trace of the 13 queries through a
 /// range-partitioned cluster under every admission policy, checking
 /// each streamed answer bit-identical against `run_batch` over the same
 /// arrived queries. The offered load is `cfg.load` times the cluster's
 /// (batch-estimated) capacity, so load > 1 forms queues.
 ///
+/// The observability surface is threaded through: the FIFO run is
+/// recorded into `trace` (host-bus grants, per-module phase windows,
+/// scheduler instants — all on the simulated clock) when the recorder
+/// is enabled, every policy's outcome is folded into `reg` as
+/// `run=<prefix><policy>` series via [`record_stream_metrics`], and the
+/// planner dumps come from `EXPLAIN ANALYZE` — each distinct query runs
+/// once so recorded actuals sit next to the planned shards/pages/bytes
+/// (byte totals recorded as `run=<prefix>explain` series). Tracing and
+/// metrics never change the simulation.
+///
 /// # Panics
 ///
 /// Panics on engine/scheduler errors or a streamed/batch answer
 /// mismatch (the harness runs known-good inputs).
-pub fn run_streaming_study(setup: &SsbSetup, mode: EngineMode, shards: usize) -> StreamingStudy {
-    let mut trace = TraceRecorder::disabled();
-    let mut reg = MetricsRegistry::new();
-    run_streaming_study_observed(setup, mode, shards, &mut trace, &mut reg, "")
-}
-
-/// [`run_streaming_study`] with the observability surface threaded
-/// through: the FIFO run is recorded into `trace` (host-bus grants,
-/// per-module phase windows, scheduler instants — all on the simulated
-/// clock) when the recorder is enabled, every policy's outcome is
-/// folded into `reg` as `run=<prefix><policy>` series via
-/// [`record_stream_metrics`], and the planner dumps come from
-/// `EXPLAIN ANALYZE` — each distinct query runs once so recorded
-/// actuals sit next to the planned shards/pages/bytes (byte totals
-/// recorded as `run=<prefix>explain` series). Tracing and metrics
-/// never change the simulation: outcomes are bit-identical to the
-/// unobserved path.
-///
-/// # Panics
-///
-/// Same as [`run_streaming_study`].
 pub fn run_streaming_study_observed(
     setup: &SsbSetup,
     mode: EngineMode,
@@ -352,21 +402,7 @@ pub fn run_streaming_study_observed(
     reg: &mut MetricsRegistry,
     run_prefix: &str,
 ) -> StreamingStudy {
-    let partitioner = Partitioner::range_by_attr("d_year");
-    let mut cluster = ClusterEngine::new(
-        SimConfig::default(),
-        setup.wide.clone(),
-        mode,
-        shards,
-        partitioner.clone(),
-    )
-    .expect("cluster construction");
-    cluster.set_model(fit_shared_model(&SimConfig::default(), mode));
-
-    // Offered load is expressed relative to capacity: estimate the mean
-    // per-query service time from a closed batch of the 13 queries.
-    let probe = cluster.run_batch(&setup.queries).expect("capacity probe");
-    let mean_service_ns = probe.serial_time_ns / setup.queries.len() as f64;
+    let (_, mut cluster, mean_service_ns) = range_study_prelude(setup, mode, shards);
     let mean_interarrival_ns = mean_service_ns / setup.cfg.load;
     let workload = Workload::poisson(
         setup.queries.clone(),
@@ -416,7 +452,7 @@ pub fn run_streaming_study_observed(
         .collect();
     StreamingStudy {
         shards,
-        partitioner: partitioner.label(),
+        partitioner: cluster.partitioner().label(),
         inflight: setup.cfg.inflight,
         mean_interarrival_ns,
         mean_service_ns,
@@ -483,6 +519,25 @@ impl HtapStudy {
         } else {
             1.0
         }
+    }
+
+    /// The `htap` snapshot section: the gated ingest-interference
+    /// ratio, the snapshot-consistency verdict as a 0/1 floor, context.
+    pub fn headlines(&self) -> Vec<(&'static str, f64)> {
+        let (pure, htap) = (self.row("pure-query"), self.row("htap"));
+        let consistent = self.rows.iter().all(|r| r.snapshot_consistent);
+        let max_endurance =
+            htap.outcome.shard_required_endurance.iter().copied().fold(0.0, f64::max);
+        vec![
+            ("query_p95_under_ingest", self.query_p95_under_ingest()),
+            ("snapshot_consistency", if consistent { 1.0 } else { 0.0 }),
+            ("pure_query_p95_ms", pure.outcome.latency_summary().p95_ns / 1e6),
+            ("htap_query_p95_ms", htap.outcome.latency_summary().p95_ns / 1e6),
+            ("mutation_p95_ms", htap.outcome.mutation_latency_summary().p95_ns / 1e6),
+            ("records_written", htap.records_written as f64),
+            ("ingest_stalls", htap.outcome.ingest_stalls as f64),
+            ("max_required_endurance", max_endurance),
+        ]
     }
 
     /// The per-workload endurance wear series: one entry per (row,
@@ -563,23 +618,7 @@ pub fn run_htap_study_observed(
     trace: &mut TraceRecorder,
     reg: &mut MetricsRegistry,
 ) -> HtapStudy {
-    let partitioner = Partitioner::range_by_attr("d_year");
-    let model = fit_shared_model(&SimConfig::default(), mode);
-    let fresh = || {
-        let mut c = ClusterEngine::new(
-            SimConfig::default(),
-            setup.wide.clone(),
-            mode,
-            shards,
-            partitioner.clone(),
-        )
-        .expect("cluster construction");
-        c.set_model(model.clone());
-        c
-    };
-    let mut cluster = fresh();
-    let probe = cluster.run_batch(&setup.queries).expect("capacity probe");
-    let mean_service_ns = probe.serial_time_ns / setup.queries.len() as f64;
+    let (fresh, probed, mean_service_ns) = range_study_prelude(setup, mode, shards);
     let mean_interarrival_ns = mean_service_ns / setup.cfg.load;
     let mutations = htap_mutations(&setup.wide);
     let sched = SchedConfig { max_in_flight: setup.cfg.inflight, ..SchedConfig::default() };
@@ -665,7 +704,7 @@ pub fn run_htap_study_observed(
         .collect();
     HtapStudy {
         shards,
-        partitioner: partitioner.label(),
+        partitioner: probed.partitioner().label(),
         mean_interarrival_ns,
         mean_service_ns,
         arrivals: setup.cfg.arrivals,
@@ -690,30 +729,17 @@ pub fn run_multi_agg_saving(setup: &SsbSetup, mode: EngineMode, shards: usize) -
     let base = &setup.queries[0]; // Q1.1 (constants re-picked on skewed data)
     let schema = setup.wide.schema();
     let revenue = || AggExpr::mul("lo_extendedprice", "lo_discount");
-    let combined = Query::select([
+    let items = [
         SelectItem::sum("revenue", revenue()),
         SelectItem::count("orders"),
         SelectItem::avg("avg_revenue", revenue()),
-    ])
-    .id("q1-3agg")
-    .filter(base.filter.clone())
-    .build(schema)
-    .expect("combined query");
-    let singles: Vec<Query> = [
-        SelectItem::sum("revenue", revenue()),
-        SelectItem::count("orders"),
-        SelectItem::avg("avg_revenue", revenue()),
-    ]
-    .into_iter()
-    .enumerate()
-    .map(|(i, item)| {
-        Query::select([item])
-            .id(format!("q1-single{i}"))
-            .filter(base.filter.clone())
-            .build(schema)
-            .expect("single-aggregate query")
-    })
-    .collect();
+    ];
+    let select = |id: String, items: Vec<SelectItem>| {
+        Query::select(items).id(id).filter(base.filter.clone()).build(schema).expect("Q1.1 variant")
+    };
+    let combined = select("q1-3agg".into(), items.to_vec());
+    let singles: Vec<Query> =
+        (0..items.len()).map(|i| select(format!("q1-single{i}"), vec![items[i].clone()])).collect();
 
     let mut cluster = ClusterEngine::new(
         SimConfig::default(),
@@ -811,6 +837,26 @@ impl ServeStudy {
             })
             .map(|r| (r.policy.clone(), r.report("heavy").goodput_qps))
             .max_by(|a, b| a.1.total_cmp(&b.1))
+    }
+
+    /// The `serve` snapshot section, read from the gate row: heavy-tenant
+    /// goodput under AIMD (gated against the baseline), the light
+    /// tenant's promise as a 0/1 floor, and the adaptive-vs-fixed
+    /// comparison as context.
+    pub fn headlines(&self) -> Vec<(&'static str, f64)> {
+        let gate = self.gate_row();
+        let (light, heavy) = (gate.report("light"), gate.report("heavy"));
+        let best_static = self.best_static_heavy_goodput().map_or(0.0, |(_, goodput)| goodput);
+        let vs_static = if best_static > 0.0 { heavy.goodput_qps / best_static } else { 1.0 };
+        vec![
+            ("heavy_tenant_goodput", heavy.goodput_qps),
+            ("light_p95_within_slo", if light.slo_met { 1.0 } else { 0.0 }),
+            ("light_p95_ms", light.latency.p95_ns / 1e6),
+            ("heavy_drop_rate", heavy.drop_rate),
+            ("aimd_vs_best_static_goodput", vs_static),
+            ("final_window", gate.outcome.final_window() as f64),
+            ("gate_overload", self.gate_overload),
+        ]
     }
 }
 
@@ -923,13 +969,7 @@ pub fn run_serve_study_observed(
     trace: &mut TraceRecorder,
     reg: &mut MetricsRegistry,
 ) -> ServeStudy {
-    let partitioner = Partitioner::range_by_attr("d_year");
-    let mut cluster =
-        ClusterEngine::new(SimConfig::default(), setup.wide.clone(), mode, shards, partitioner)
-            .expect("cluster construction");
-    cluster.set_model(fit_shared_model(&SimConfig::default(), mode));
-    let probe = cluster.run_batch(&setup.queries).expect("capacity probe");
-    let mean_service_ns = probe.serial_time_ns / setup.queries.len() as f64;
+    let (_, mut cluster, mean_service_ns) = range_study_prelude(setup, mode, shards);
     // Per-query resolved busy time calibrates each tenant's arrival
     // rate and promise against its own query set, not the global mean.
     let per_query_busy_ns: Vec<f64> = setup
@@ -995,26 +1035,6 @@ pub fn run_serve_study_observed(
     ServeStudy { shards, mean_service_ns, gate_overload, rows }
 }
 
-/// Write one binary's headline metrics as a single-section JSON
-/// snapshot: `{"<section>": {"<key>": <value>, …}}`. The `bench_gate`
-/// binary merges these per-bin files into `BENCH_PR.json` and gates
-/// the headline ratios against `bench/baseline.json`.
-///
-/// # Panics
-///
-/// Panics on filesystem failures (CI surfaces them as job errors).
-pub fn write_snapshot(path: &str, section: &str, entries: &[(&str, f64)]) {
-    let body: Vec<String> = entries.iter().map(|(k, v)| format!("    \"{k}\": {v:.6}")).collect();
-    let json = format!("{{\n  \"{section}\": {{\n{}\n  }}\n}}\n", body.join(",\n"));
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("snapshot directory");
-        }
-    }
-    std::fs::write(path, json).expect("snapshot write");
-    println!("\nwrote {section} snapshot to {path}");
-}
-
 /// One baseline measurement.
 pub struct MonetRun {
     /// `mnt_join` or `mnt_reg`.
@@ -1053,36 +1073,45 @@ pub fn run_monet(setup: &SsbSetup, prejoined: bool, repeats: usize) -> MonetRun 
     MonetRun { label: engine.label(), results }
 }
 
-/// Run all three PIM modes (sequentially, bounding peak memory).
-///
-/// # Panics
-///
-/// Panics on engine errors.
-pub fn pim_runs(setup: &SsbSetup) -> Vec<PimModeRun> {
-    EngineMode::all().iter().map(|m| run_pim_mode(setup, *m)).collect()
+/// What the per-query figures (Figs. 6–9, Table II) render from: one
+/// set-up, one run of each PIM mode and — when Fig. 6 is among them —
+/// one run of each baseline. `paper --fig` collects it at most once per
+/// invocation, whatever the selection.
+pub struct PaperRuns {
+    /// The generated data and queries.
+    pub setup: SsbSetup,
+    /// One run per PIM mode, in [`EngineMode::all`] order.
+    pub pim: Vec<PimModeRun>,
+    /// `mnt_join` then `mnt_reg` (best of three), or empty.
+    pub monet: Vec<MonetRun>,
 }
 
-/// Check that every system produced identical answers per query.
-/// Returns the list of mismatching query ids (empty = all agree).
-pub fn cross_validate(
-    queries: &[Query],
-    pim_runs: &[&PimModeRun],
-    monet_runs: &[&MonetRun],
-) -> Vec<String> {
-    let mut bad = Vec::new();
-    for (i, q) in queries.iter().enumerate() {
-        let reference = &pim_runs
-            .first()
-            .map(|r| r.executions[i].groups.clone())
-            .or_else(|| monet_runs.first().map(|r| r.results[i].1.clone()))
-            .expect("at least one system");
-        let pim_ok = pim_runs.iter().all(|r| &r.executions[i].groups == reference);
-        let mnt_ok = monet_runs.iter().all(|r| &r.results[i].1 == reference);
-        if !(pim_ok && mnt_ok) {
-            bad.push(q.id.clone());
-        }
+impl PaperRuns {
+    /// Generate the data and run every system once.
+    ///
+    /// # Panics
+    ///
+    /// Panics on engine errors (known-good inputs).
+    pub fn collect(cfg: BenchConfig, with_baselines: bool) -> Self {
+        let setup = setup(cfg);
+        eprintln!("data generated: {} lineorders; running 3 PIM modes…", setup.wide.len());
+        let pim = pim_runs(&setup);
+        let prejoined = [true, false].into_iter().filter(|_| with_baselines);
+        let monet = prejoined.map(|prejoined| run_monet(&setup, prejoined, 3)).collect();
+        PaperRuns { setup, pim, monet }
     }
-    bad
+
+    /// Ids of the queries on which some system's answer differs from
+    /// `one_xb`'s (empty = every system agrees).
+    pub fn mismatches(&self) -> Vec<String> {
+        let reference = &self.pim[0].executions;
+        let agrees = |i: usize| {
+            self.pim.iter().all(|r| r.executions[i].groups == reference[i].groups)
+                && self.monet.iter().all(|r| r.results[i].1 == reference[i].groups)
+        };
+        let ids = self.setup.queries.iter().enumerate();
+        ids.filter(|(i, _)| !agrees(*i)).map(|(_, q)| q.id.clone()).collect()
+    }
 }
 
 /// Geometric mean of positive values.
@@ -1121,8 +1150,8 @@ pub fn fmt_geomean(values: &[f64]) -> String {
     }
 }
 
-/// Fixed-width table printer for the figure binaries.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+/// Render a fixed-width, right-aligned table, one line per row.
+pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -1131,16 +1160,35 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             }
         }
     }
-    let line = |cells: Vec<String>| {
+    let mut out = String::new();
+    let mut line = |cells: Vec<String>| {
         let joined: Vec<String> =
             cells.iter().zip(&widths).map(|(c, w)| format!("{c:>w$}", w = w)).collect();
-        println!("  {}", joined.join("  "));
+        let _ = writeln!(out, "  {}", joined.join("  "));
     };
     line(headers.iter().map(|h| h.to_string()).collect());
     line(widths.iter().map(|w| "-".repeat(*w)).collect());
     for row in rows {
         line(row.clone());
     }
+    out
+}
+
+/// Print [`render_table`]'s output.
+pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+    print!("{}", render_table(headers, rows));
+}
+
+/// One column of a table described column by column: its header and
+/// the cell it shows for a row.
+pub type Col<'a, R> = (&'a str, &'a dyn Fn(&R) -> String);
+
+/// Print a table of `rows` described by its `columns` — each header
+/// next to the code that fills it, so the two cannot drift apart.
+pub fn print_columns<R>(rows: &[R], columns: &[Col<'_, R>]) {
+    let headers: Vec<&str> = columns.iter().map(|(header, _)| *header).collect();
+    let cells = |row| columns.iter().map(|(_, cell)| cell(row)).collect();
+    print_table(&headers, &rows.iter().map(cells).collect::<Vec<Vec<String>>>());
 }
 
 /// Pretty nanoseconds (ms with 3 decimals).
@@ -1151,11 +1199,6 @@ pub fn fmt_ms(ns: f64) -> String {
 /// Speedups of `base` over `other` per query, as positive ratios.
 pub fn speedups(base_ns: &[f64], other_ns: &[f64]) -> Vec<f64> {
     base_ns.iter().zip(other_ns).map(|(b, o)| o / b).collect()
-}
-
-/// Map query id → value for report assembly.
-pub fn by_query<T: Clone>(queries: &[Query], values: &[T]) -> BTreeMap<String, T> {
-    queries.iter().map(|q| q.id.clone()).zip(values.iter().cloned()).collect()
 }
 
 #[cfg(test)]
@@ -1234,15 +1277,6 @@ mod tests {
         assert!((c.sf - 0.1).abs() < 1e-12);
         assert_eq!(c.threads, 4);
         assert_eq!(c.shards, vec![1, 2, 4, 8]);
-    }
-
-    #[test]
-    fn shard_list_parsing() {
-        let parsed: Vec<usize> =
-            "1, 4,8".split(',').filter_map(|t| t.trim().parse().ok()).collect();
-        assert_eq!(parsed, vec![1, 4, 8]);
-        let empty: Vec<usize> = "x,y".split(',').filter_map(|t| t.trim().parse().ok()).collect();
-        assert!(empty.is_empty()); // bad lists keep the default
     }
 
     #[test]

@@ -1,62 +1,190 @@
-//! Shared report printers for the figure binaries (`fig6`–`fig9`,
-//! `table2`, `all`), the cluster scaling study (`scaling`) and the
-//! streaming scheduler study (`streaming`).
+//! What the harness prints: the paper's per-query figures described as
+//! data ([`Figure`]: [`FIG6`] … [`TABLE2`]) with one renderer for both the console
+//! table and the CSV, and the report printers of the six studies.
+
+use std::fmt::Write as _;
+use std::time::Duration;
 
 use crate::{
-    fmt_ms, geomean, print_table, ClusterScalePoint, HtapStudy, MonetRun, PimModeRun, PruningPoint,
-    ServeStudy, SsbSetup, StreamingStudy,
+    fmt_geomean, fmt_ms, geomean_filtered, print_columns, print_table, render_table,
+    scaling_geomean, speedups, wall_ns, ClusterScalePoint, HtapRow, HtapStudy, MonetRun, PaperRuns,
+    PimModeRun, PruningPoint, ServeStudy, SsbSetup, StreamingStudy,
 };
 use bbpim_cluster::PlanExplain;
+use bbpim_core::result::QueryReport;
 use bbpim_db::ssb::star::TableFootprint;
 
-/// Fig. 6: execution latency of all five systems plus the paper's
-/// headline geo-means.
-pub fn print_fig6(setup: &SsbSetup, pim: &[PimModeRun], mnt_join: &MonetRun, mnt_reg: &MonetRun) {
-    println!(
-        "Fig. 6 — SSB execution latency [ms] (SF={}, {} data, {} records, {} pages)\n",
-        setup.cfg.sf,
-        if setup.cfg.skewed { "skewed" } else { "uniform" },
-        setup.wide.len(),
-        pim.first().map(|r| r.executions[0].report.pages).unwrap_or(0),
-    );
-    let mut rows = Vec::new();
-    for (i, q) in setup.queries.iter().enumerate() {
-        let mut row = vec![q.id.clone()];
-        for run in pim {
-            row.push(fmt_ms(run.executions[i].report.time_ns));
+/// `"skewed"` or `"uniform"`, as the report headers name the data.
+fn data_label(setup: &SsbSetup) -> &'static str {
+    if setup.cfg.skewed {
+        "skewed"
+    } else {
+        "uniform"
+    }
+}
+
+/// One table cell: the value and the digits its console form keeps.
+/// The CSV form always keeps six, so plots do not inherit the console's
+/// rounding.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell {
+    /// Fixed-point with this many decimals on the console.
+    Fixed(f64, usize),
+    /// Scientific notation with this many mantissa decimals.
+    Sci(f64, usize),
+    /// An exact count.
+    Count(u64),
+}
+
+impl Cell {
+    /// The cell as the console table shows it.
+    pub fn console(self) -> String {
+        match self {
+            Cell::Fixed(v, digits) => format!("{v:.digits$}"),
+            Cell::Sci(v, digits) => format!("{v:.digits$e}"),
+            Cell::Count(n) => n.to_string(),
         }
-        row.push(fmt_ms(mnt_join.results[i].0.as_nanos() as f64));
-        row.push(fmt_ms(mnt_reg.results[i].0.as_nanos() as f64));
-        rows.push(row);
-    }
-    print_table(&["query", "one_xb", "two_xb", "pimdb", "mnt_join", "mnt_reg"], &rows);
-
-    let t = |run: &PimModeRun| -> Vec<f64> {
-        run.executions.iter().map(|e| e.report.time_ns).collect()
-    };
-    let one = t(&pim[0]);
-    let two = t(&pim[1]);
-    let pdb = t(&pim[2]);
-    let mj: Vec<f64> = mnt_join.results.iter().map(|(d, _)| d.as_nanos() as f64).collect();
-    let mr: Vec<f64> = mnt_reg.results.iter().map(|(d, _)| d.as_nanos() as f64).collect();
-
-    let gm = |a: &[f64], b: &[f64]| crate::fmt_geomean(&crate::speedups(a, b));
-    let any_skipped = [(&one, &mr), (&one, &mj), (&one, &pdb), (&one, &two), (&two, &mj)]
-        .iter()
-        .any(|(a, b)| crate::geomean_filtered(&crate::speedups(a, b)).1 > 0);
-    println!("\ngeo-mean speedups (ratio > 1 = first system faster):");
-    println!("  one_xb vs mnt_reg : {:>8}   (paper: 7.46x)", gm(&one, &mr));
-    println!("  one_xb vs mnt_join: {:>8}   (paper: 4.65x)", gm(&one, &mj));
-    println!("  one_xb vs pimdb   : {:>8}   (paper: 1.83x)", gm(&one, &pdb));
-    println!("  one_xb vs two_xb  : {:>8}   (paper: 3.39x)", gm(&one, &two));
-    println!("  two_xb vs mnt_join: {:>8}   (paper: 1.37x)", gm(&two, &mj));
-    if any_skipped {
-        println!("  * zero-time rows skipped (planner-only queries have no measurable latency)");
     }
 
-    println!("\nshape checks:");
-    let check = |name: &str, ok: bool| {
-        println!("  [{}] {name}", if ok { "PASS" } else { "FAIL" });
+    /// The cell as the CSV carries it.
+    pub fn csv(self) -> String {
+        match self {
+            Cell::Fixed(v, _) => format!("{v:.6}"),
+            Cell::Sci(v, _) => format!("{v:.6e}"),
+            Cell::Count(n) => n.to_string(),
+        }
+    }
+}
+
+/// A column: console header, CSV header, and the cell one query's
+/// report yields. In a per-system column `{}` in either header stands
+/// for the system's label (`one_xb`, … `mnt_reg`).
+type Column = (&'static str, &'static str, fn(&QueryReport) -> Cell);
+
+/// One per-query figure of the paper, described once: the console table
+/// and the CSV are both rendered from this, so they cannot disagree.
+pub struct Figure {
+    /// CSV file stem (`fig7` → `fig7.csv`).
+    pub name: &'static str,
+    /// The line above the table.
+    title: fn(&PaperRuns) -> String,
+    /// Columns read from the `one_xb` run alone (Table II's per-query
+    /// statistics), left of the per-system ones.
+    lead: &'static [Column],
+    /// The column every system contributes.
+    per_system: Column,
+    /// The cell a Monet baseline's wall clock yields, when the
+    /// baselines are systems of this figure (Fig. 6). Host time measured
+    /// with `Instant`, not simulated: never gate on these columns.
+    baseline: Option<fn(Duration) -> Cell>,
+    /// What follows the table: derived geo-means, shape checks, the
+    /// paper's reference numbers. Empty or starting with a blank line.
+    footer: fn(&PaperRuns) -> String,
+}
+
+impl Figure {
+    /// Does rendering need [`PaperRuns::monet`]?
+    pub fn wants_baselines(&self) -> bool {
+        self.baseline.is_some()
+    }
+
+    /// The table in its console or CSV form, header row first, query
+    /// id in front of each row — the one place the figure's data is
+    /// assembled.
+    fn grid(&self, runs: &PaperRuns, csv: bool) -> Vec<Vec<String>> {
+        let show = |cell: Cell| if csv { cell.csv() } else { cell.console() };
+        let column = |(console, csv_header, _): Column, system: &str, cells: Vec<Cell>| {
+            let header = if csv { csv_header } else { console }.replace("{}", system);
+            std::iter::once(header).chain(cells.into_iter().map(show)).collect::<Vec<_>>()
+        };
+        let of_run = |run: &PimModeRun, col: Column| {
+            column(col, run.mode.label(), run.executions.iter().map(|e| col.2(&e.report)).collect())
+        };
+        let ids = runs.setup.queries.iter().map(|q| q.id.clone());
+        let mut columns = vec![std::iter::once("query".to_string()).chain(ids).collect()];
+        columns.extend(self.lead.iter().map(|col| of_run(&runs.pim[0], *col)));
+        columns.extend(runs.pim.iter().map(|run| of_run(run, self.per_system)));
+        if let Some(baseline) = self.baseline {
+            let of_baseline = |run: &MonetRun| {
+                let walls = run.results.iter().map(|(wall, _)| baseline(*wall));
+                column(self.per_system, run.label, walls.collect())
+            };
+            columns.extend(runs.monet.iter().map(of_baseline));
+        }
+        (0..columns[0].len()).map(|i| columns.iter().map(|c| c[i].clone()).collect()).collect()
+    }
+
+    /// The figure as the console shows it: title, table, footer.
+    pub fn console(&self, runs: &PaperRuns) -> String {
+        let grid = self.grid(runs, false);
+        let headers: Vec<&str> = grid[0].iter().map(String::as_str).collect();
+        let table = render_table(&headers, &grid[1..]);
+        format!("{}\n\n{table}{}", (self.title)(runs), (self.footer)(runs))
+    }
+
+    /// The figure's table as CSV, header line first.
+    pub fn csv(&self, runs: &PaperRuns) -> String {
+        self.grid(runs, true).iter().map(|row| row.join(",") + "\n").collect()
+    }
+}
+
+/// Per-query values of `metric` for PIM mode `mode` (figure order:
+/// 0 `one_xb`, 1 `two_xb`, 2 `pimdb`).
+fn per_query(runs: &PaperRuns, mode: usize, metric: fn(&QueryReport) -> f64) -> Vec<f64> {
+    runs.pim[mode].executions.iter().map(|e| metric(&e.report)).collect()
+}
+
+/// `pimdb / one_xb` ratios of `metric` on the queries where both modes
+/// aggregate in PIM (the paper's Q1.1–1.3, Q3.4 comparisons), with the
+/// ids of those queries.
+fn pim_agg_ratios(runs: &PaperRuns, metric: fn(&QueryReport) -> f64) -> (Vec<&str>, Vec<f64>) {
+    let report = |mode: usize, i: usize| &runs.pim[mode].executions[i].report;
+    let in_pim =
+        |i: &usize| report(2, *i).pim_agg_subgroups > 0 && report(0, *i).pim_agg_subgroups > 0;
+    let ratio = |i: usize| metric(report(2, i)) / metric(report(0, i));
+    let both = (0..runs.setup.queries.len()).filter(in_pim);
+    both.map(|i| (runs.setup.queries[i].id.as_str(), ratio(i))).unzip()
+}
+
+fn fig6_title(runs: &PaperRuns) -> String {
+    format!(
+        "Fig. 6 — SSB execution latency [ms] (SF={}, {} data, {} records, {} pages)",
+        runs.setup.cfg.sf,
+        data_label(&runs.setup),
+        runs.setup.wide.len(),
+        runs.pim.first().map(|r| r.executions[0].report.pages).unwrap_or(0),
+    )
+}
+
+/// The paper's headline geo-means and the shape checks.
+fn fig6_footer(runs: &PaperRuns) -> String {
+    let t = |mode| per_query(runs, mode, |r| r.time_ns);
+    let (one, two, pdb) = (t(0), t(1), t(2));
+    let wall = |r: &MonetRun| r.results.iter().map(|(d, _)| d.as_nanos() as f64).collect();
+    let (mj, mr): (Vec<f64>, Vec<f64>) = (wall(&runs.monet[0]), wall(&runs.monet[1]));
+    let mut out = String::new();
+
+    let pairs = [
+        ("one_xb vs mnt_reg ", &one, &mr, "7.46x"),
+        ("one_xb vs mnt_join", &one, &mj, "4.65x"),
+        ("one_xb vs pimdb   ", &one, &pdb, "1.83x"),
+        ("one_xb vs two_xb  ", &one, &two, "3.39x"),
+        ("two_xb vs mnt_join", &two, &mj, "1.37x"),
+    ];
+    let _ = writeln!(out, "\ngeo-mean speedups (ratio > 1 = first system faster):");
+    for (label, a, b, paper) in pairs {
+        let _ = writeln!(out, "  {label}: {:>8}   (paper: {paper})", fmt_geomean(&speedups(a, b)));
+    }
+    if pairs.iter().any(|(_, a, b, _)| geomean_filtered(&speedups(a, b)).1 > 0) {
+        let _ = writeln!(
+            out,
+            "  * zero-time rows skipped (planner-only queries have no measurable latency)"
+        );
+    }
+
+    let _ = writeln!(out, "\nshape checks:");
+    let mut check = |name: &str, ok: bool| {
+        let _ = writeln!(out, "  [{}] {name}", if ok { "PASS" } else { "FAIL" });
     };
     // On Q1.x all modes run the identical plan (filter + one PIM
     // aggregation), so the aggregation-circuit benefit shows cleanly.
@@ -74,7 +202,7 @@ pub fn print_fig6(setup: &SsbSetup, pim: &[PimModeRun], mnt_join: &MonetRun, mnt
     });
     check(
         "one_xb beats mnt_reg in geo-mean",
-        crate::geomean_filtered(&crate::speedups(&one, &mr)).0.is_some_and(|m| m > 1.0),
+        geomean_filtered(&speedups(&one, &mr)).0.is_some_and(|m| m > 1.0),
     );
     // GROUP BY queries may pick different k per mode; flag only large
     // self-inflicted regressions of the hybrid decision.
@@ -86,233 +214,119 @@ pub fn print_fig6(setup: &SsbSetup, pim: &[PimModeRun], mnt_join: &MonetRun, mnt
             worst / best < 4.0 + 1e3 * f64::EPSILON || worst < 1e6 // ignore sub-ms noise
         }),
     );
+    out
 }
+
+/// paper: on the queries where PIMDB aggregates in PIM it spends 4.31x
+/// more energy (geo-mean) than one_xb.
+fn fig7_footer(runs: &PaperRuns) -> String {
+    let (ids, ratios) = pim_agg_ratios(runs, |r| r.energy_pj);
+    let head = "\npimdb / one_xb energy";
+    match geomean_filtered(&ratios) {
+        _ if ids.is_empty() => String::new(),
+        (Some(m), 0) => format!(
+            "{head} on PIM-aggregating queries {ids:?}: {m:.2}x geo-mean (paper: 4.31x)\n"
+        ),
+        (Some(m), skipped) => format!(
+            "{head} on PIM-aggregating queries {ids:?}: {m:.2}x geo-mean over {} rows ({skipped} zero-energy rows skipped; paper: 4.31x)\n",
+            ratios.len() - skipped
+        ),
+        (None, _) => format!(
+            "{head} comparison skipped: no query drew measurable energy in both modes\n"
+        ),
+    }
+}
+
+fn fig8_footer(runs: &PaperRuns) -> String {
+    let peaks = (0..runs.pim.len()).flat_map(|m| per_query(runs, m, |r| r.peak_chip_power_w));
+    let max = peaks.fold(0.0, f64::max);
+    format!(
+        "\nmax observed: {max:.3} W per chip (paper at SF=10: < 44 W; power scales with\nactive pages, so smaller SF draws proportionally less)\n"
+    )
+}
+
+/// Lifetime comparison on the queries where both one_xb and pimdb
+/// aggregate in PIM (the paper's 3.21x case: Q1.1-1.3, Q3.4).
+fn fig9_footer(runs: &PaperRuns) -> String {
+    let mut out =
+        "\nRRAM endurance reference: 1e12 writes per cell (paper ref. [22]).\n".to_string();
+    let (_, ratios) = pim_agg_ratios(runs, |r| r.required_endurance(10.0));
+    if let (Some(m), skipped) = geomean_filtered(&ratios) {
+        let note = match skipped {
+            0 => String::new(),
+            n => format!(" ({n} zero-endurance rows skipped)"),
+        };
+        let _ = writeln!(
+            out,
+            "pimdb / one_xb required endurance on PIM-aggregating queries: {m:.2}x geo-mean{note} (paper lifetime gain: 3.21x)"
+        );
+    }
+    out
+}
+
+/// Fig. 6: execution latency of all five systems.
+pub static FIG6: Figure = Figure {
+    name: "fig6",
+    title: fig6_title,
+    lead: &[],
+    per_system: ("{}", "{}_ms", |r| Cell::Fixed(r.time_ns / 1e6, 3)),
+    baseline: Some(|wall| Cell::Fixed(wall.as_nanos() as f64 / 1e6, 3)),
+    footer: fig6_footer,
+};
 
 /// Fig. 7: PIM energy per query, per mode.
-pub fn print_fig7(setup: &SsbSetup, pim: &[PimModeRun]) {
-    println!("Fig. 7 — PIM memory energy [mJ] per query (SF={})\n", setup.cfg.sf);
-    let mut rows = Vec::new();
-    for (i, q) in setup.queries.iter().enumerate() {
-        let mut row = vec![q.id.clone()];
-        for run in pim {
-            row.push(format!("{:.4}", run.executions[i].report.energy_pj * 1e-9));
-        }
-        rows.push(row);
-    }
-    print_table(&["query", "one_xb", "two_xb", "pimdb"], &rows);
-
-    // paper: on the queries where PIMDB aggregates in PIM it spends
-    // 4.31x more energy (geo-mean) than one_xb.
-    let both_pim_agg: Vec<usize> = (0..setup.queries.len())
-        .filter(|&i| {
-            pim[2].executions[i].report.pim_agg_subgroups > 0
-                && pim[0].executions[i].report.pim_agg_subgroups > 0
-        })
-        .collect();
-    if !both_pim_agg.is_empty() {
-        let ratios: Vec<f64> = both_pim_agg
-            .iter()
-            .map(|&i| pim[2].executions[i].report.energy_pj / pim[0].executions[i].report.energy_pj)
-            .collect();
-        let ids: Vec<&str> = both_pim_agg.iter().map(|&i| setup.queries[i].id.as_str()).collect();
-        let (mean, skipped) = crate::geomean_filtered(&ratios);
-        match mean {
-            Some(m) if skipped == 0 => println!(
-                "\npimdb / one_xb energy on PIM-aggregating queries {ids:?}: {m:.2}x geo-mean (paper: 4.31x)"
-            ),
-            Some(m) => println!(
-                "\npimdb / one_xb energy on PIM-aggregating queries {ids:?}: {m:.2}x geo-mean over {} rows ({skipped} zero-energy rows skipped; paper: 4.31x)",
-                ratios.len() - skipped
-            ),
-            None => println!(
-                "\npimdb / one_xb energy comparison skipped: no query drew measurable energy in both modes"
-            ),
-        }
-    }
-}
+pub static FIG7: Figure = Figure {
+    name: "fig7",
+    title: |runs| format!("Fig. 7 — PIM memory energy [mJ] per query (SF={})", runs.setup.cfg.sf),
+    lead: &[],
+    per_system: ("{}", "{}_mj", |r| Cell::Fixed(r.energy_pj * 1e-9, 4)),
+    baseline: None,
+    footer: fig7_footer,
+};
 
 /// Fig. 8: peak per-chip power, per mode.
-pub fn print_fig8(setup: &SsbSetup, pim: &[PimModeRun]) {
-    println!("Fig. 8 — peak power per PIM chip [W] (SF={})\n", setup.cfg.sf);
-    let mut rows = Vec::new();
-    for (i, q) in setup.queries.iter().enumerate() {
-        let mut row = vec![q.id.clone()];
-        for run in pim {
-            row.push(format!("{:.4}", run.executions[i].report.peak_chip_power_w));
-        }
-        rows.push(row);
-    }
-    print_table(&["query", "one_xb", "two_xb", "pimdb"], &rows);
-    let max = pim
-        .iter()
-        .flat_map(|r| r.executions.iter().map(|e| e.report.peak_chip_power_w))
-        .fold(0.0, f64::max);
-    println!(
-        "\nmax observed: {max:.3} W per chip (paper at SF=10: < 44 W; power scales with\nactive pages, so smaller SF draws proportionally less)"
-    );
-}
+pub static FIG8: Figure = Figure {
+    name: "fig8",
+    title: |runs| format!("Fig. 8 — peak power per PIM chip [W] (SF={})", runs.setup.cfg.sf),
+    lead: &[],
+    per_system: ("{}", "{}_w", |r| Cell::Fixed(r.peak_chip_power_w, 4)),
+    baseline: None,
+    footer: fig8_footer,
+};
 
 /// Fig. 9: required cell endurance for ten years of back-to-back runs.
-pub fn print_fig9(setup: &SsbSetup, pim: &[PimModeRun]) {
-    println!(
-        "Fig. 9 — required cell endurance [writes] for 10 years back-to-back (SF={})\n",
-        setup.cfg.sf
-    );
-    let mut rows = Vec::new();
-    for (i, q) in setup.queries.iter().enumerate() {
-        let mut row = vec![q.id.clone()];
-        for run in pim {
-            row.push(format!("{:.2e}", run.executions[i].report.required_endurance(10.0)));
-        }
-        rows.push(row);
-    }
-    print_table(&["query", "one_xb", "two_xb", "pimdb"], &rows);
-    println!("\nRRAM endurance reference: 1e12 writes per cell (paper ref. [22]).");
-
-    // lifetime comparison on queries where both one_xb and pimdb perform
-    // few PIM aggregations (the paper's 3.21x case: Q1.1-1.3, Q3.4).
-    let candidates: Vec<usize> = (0..setup.queries.len())
-        .filter(|&i| {
-            pim[2].executions[i].report.pim_agg_subgroups > 0
-                && pim[0].executions[i].report.pim_agg_subgroups > 0
-        })
-        .collect();
-    if !candidates.is_empty() {
-        let ratios: Vec<f64> = candidates
-            .iter()
-            .map(|&i| {
-                let one = pim[0].executions[i].report.required_endurance(10.0);
-                let pdb = pim[2].executions[i].report.required_endurance(10.0);
-                pdb / one
-            })
-            .collect();
-        let (mean, skipped) = crate::geomean_filtered(&ratios);
-        if let Some(m) = mean {
-            let note = if skipped > 0 {
-                format!(" ({skipped} zero-endurance rows skipped)")
-            } else {
-                String::new()
-            };
-            println!(
-                "pimdb / one_xb required endurance on PIM-aggregating queries: {m:.2}x geo-mean{note} (paper lifetime gain: 3.21x)"
-            );
-        }
-    }
-}
-
-/// Write machine-readable CSVs (fig6.csv … table2.csv) for downstream
-/// plotting into `dir`.
-///
-/// # Errors
-///
-/// Propagates filesystem failures.
-pub fn write_csvs(
-    dir: &std::path::Path,
-    setup: &SsbSetup,
-    pim: &[PimModeRun],
-    mnt_join: &MonetRun,
-    mnt_reg: &MonetRun,
-) -> std::io::Result<()> {
-    use std::fmt::Write as _;
-    std::fs::create_dir_all(dir)?;
-
-    let mut fig6 = String::from("query,one_xb_ms,two_xb_ms,pimdb_ms,mnt_join_ms,mnt_reg_ms\n");
-    let mut fig7 = String::from("query,one_xb_mj,two_xb_mj,pimdb_mj\n");
-    let mut fig8 = String::from("query,one_xb_w,two_xb_w,pimdb_w\n");
-    let mut fig9 = String::from("query,one_xb_writes,two_xb_writes,pimdb_writes\n");
-    let mut table2 =
-        String::from("query,selectivity,total_subgroups,in_sample,k_one_xb,k_two_xb,k_pimdb\n");
-    for (i, q) in setup.queries.iter().enumerate() {
-        let r = |m: usize| &pim[m].executions[i].report;
-        let _ = writeln!(
-            fig6,
-            "{},{:.6},{:.6},{:.6},{:.6},{:.6}",
-            q.id,
-            r(0).time_ns / 1e6,
-            r(1).time_ns / 1e6,
-            r(2).time_ns / 1e6,
-            mnt_join.results[i].0.as_nanos() as f64 / 1e6,
-            mnt_reg.results[i].0.as_nanos() as f64 / 1e6,
-        );
-        let _ = writeln!(
-            fig7,
-            "{},{:.6},{:.6},{:.6}",
-            q.id,
-            r(0).energy_pj * 1e-9,
-            r(1).energy_pj * 1e-9,
-            r(2).energy_pj * 1e-9,
-        );
-        let _ = writeln!(
-            fig8,
-            "{},{:.6},{:.6},{:.6}",
-            q.id,
-            r(0).peak_chip_power_w,
-            r(1).peak_chip_power_w,
-            r(2).peak_chip_power_w,
-        );
-        let _ = writeln!(
-            fig9,
-            "{},{:.6e},{:.6e},{:.6e}",
-            q.id,
-            r(0).required_endurance(10.0),
-            r(1).required_endurance(10.0),
-            r(2).required_endurance(10.0),
-        );
-        let _ = writeln!(
-            table2,
-            "{},{:.6e},{},{},{},{},{}",
-            q.id,
-            r(0).selectivity,
-            r(0).total_subgroups,
-            r(0).subgroups_in_sample,
-            r(0).pim_agg_subgroups,
-            r(1).pim_agg_subgroups,
-            r(2).pim_agg_subgroups,
-        );
-    }
-    std::fs::write(dir.join("fig6.csv"), fig6)?;
-    std::fs::write(dir.join("fig7.csv"), fig7)?;
-    std::fs::write(dir.join("fig8.csv"), fig8)?;
-    std::fs::write(dir.join("fig9.csv"), fig9)?;
-    std::fs::write(dir.join("table2.csv"), table2)?;
-    Ok(())
-}
+pub static FIG9: Figure = Figure {
+    name: "fig9",
+    title: |runs| {
+        let sf = runs.setup.cfg.sf;
+        format!("Fig. 9 — required cell endurance [writes] for 10 years back-to-back (SF={sf})")
+    },
+    lead: &[],
+    per_system: ("{}", "{}_writes", |r| Cell::Sci(r.required_endurance(10.0), 2)),
+    baseline: None,
+    footer: fig9_footer,
+};
 
 /// Table II: per-query selectivity and subgroup statistics.
-pub fn print_table2(setup: &SsbSetup, pim: &[PimModeRun]) {
-    println!(
-        "Table II — query summary (SF={}, {} data)\n",
-        setup.cfg.sf,
-        if setup.cfg.skewed { "skewed" } else { "uniform" }
-    );
-    let mut rows = Vec::new();
-    for (i, q) in setup.queries.iter().enumerate() {
-        let r0 = &pim[0].executions[i].report;
-        rows.push(vec![
-            q.id.clone(),
-            format!("{:.2e}", r0.selectivity),
-            r0.total_subgroups.to_string(),
-            r0.subgroups_in_sample.to_string(),
-            pim[0].executions[i].report.pim_agg_subgroups.to_string(),
-            pim[1].executions[i].report.pim_agg_subgroups.to_string(),
-            pim[2].executions[i].report.pim_agg_subgroups.to_string(),
-        ]);
-    }
-    print_table(
-        &[
-            "query",
-            "selectivity",
-            "total subgroups",
-            "in sample",
-            "k one_xb",
-            "k two_xb",
-            "k pimdb",
-        ],
-        &rows,
-    );
-    println!("\npaper (SF=10): Q1.x always aggregate once in PIM; one_xb assigns many");
-    println!("subgroups to PIM (e.g. Q2.2: 56, Q3.1: 150), two_xb assigns none, pimdb few.");
-}
+pub static TABLE2: Figure = Figure {
+    name: "table2",
+    title: |runs| {
+        let setup = &runs.setup;
+        format!("Table II — query summary (SF={}, {} data)", setup.cfg.sf, data_label(setup))
+    },
+    lead: &[
+        ("selectivity", "selectivity", |r| Cell::Sci(r.selectivity, 2)),
+        ("total subgroups", "total_subgroups", |r| Cell::Count(r.total_subgroups)),
+        ("in sample", "in_sample", |r| Cell::Count(r.subgroups_in_sample)),
+    ],
+    per_system: ("k {}", "k_{}", |r| Cell::Count(r.pim_agg_subgroups)),
+    baseline: None,
+    footer: |_| {
+        "\npaper (SF=10): Q1.x always aggregate once in PIM; one_xb assigns many\n\
+         subgroups to PIM (e.g. Q2.2: 56, Q3.1: 150), two_xb assigns none, pimdb few.\n"
+            .to_string()
+    },
+};
 
 /// Pruning study: zone-map-pruned vs exhaustive dispatch per query and
 /// shard count on a range-partitioned cluster.
@@ -320,56 +334,40 @@ pub fn print_pruning(setup: &SsbSetup, points: &[PruningPoint]) {
     println!(
         "Zone-map pruning — pruned vs exhaustive dispatch (SF={}, {} data, {} records)\n",
         setup.cfg.sf,
-        if setup.cfg.skewed { "skewed" } else { "uniform" },
+        data_label(setup),
         setup.wide.len(),
     );
     for point in points {
         println!("{} shards, {} partitioning:", point.shards, point.partitioner);
-        let mut rows = Vec::new();
-        let mut ratios = Vec::new();
-        let mut planner_only = 0usize;
-        for (i, q) in setup.queries.iter().enumerate() {
-            let ex = &point.exhaustive[i].report;
-            let pr = &point.pruned[i].report;
-            // A zero pruned time means the planner answered the query
-            // without touching a single page: report it as such and
-            // keep the geo-mean over the queries that did execute.
-            let speedup_cell = if pr.time_ns > 0.0 {
-                let speedup = ex.time_ns / pr.time_ns;
-                ratios.push(speedup);
-                format!("{speedup:.2}")
+        // A zero pruned time means the planner answered the query
+        // without touching a single page: report it as such and keep
+        // the geo-mean over the queries that did execute.
+        let ratios = point.ratios(|r| r.time_ns);
+        let planner_only = setup.queries.len() - ratios.len();
+        let ratio = |ex: f64, pr: f64, zero: &str| {
+            if pr > 0.0 {
+                format!("{:.2}", ex / pr)
             } else {
-                planner_only += 1;
-                "planner-only".into()
-            };
-            let energy_cell = if pr.energy_pj > 0.0 {
-                format!("{:.2}", ex.energy_pj / pr.energy_pj)
-            } else {
-                "-".into()
-            };
-            rows.push(vec![
-                q.id.clone(),
-                fmt_ms(ex.time_ns),
-                fmt_ms(pr.time_ns),
-                speedup_cell,
-                format!("{}/{}", pr.shards_pruned, pr.active_shards),
-                format!("{}/{}", pr.pages_scanned, pr.pages_total),
-                energy_cell,
-            ]);
-        }
-        print_table(
-            &[
-                "query",
-                "exhaustive",
-                "pruned",
-                "speedup",
-                "shards pruned",
-                "pages scanned",
-                "energy x",
-            ],
+                zero.into()
+            }
+        };
+        let reports =
+            point.exhaustive.iter().zip(&point.pruned).map(|(ex, pr)| (&ex.report, &pr.report));
+        let rows: Vec<_> =
+            setup.queries.iter().zip(reports).map(|(q, (ex, pr))| (q, ex, pr)).collect();
+        print_columns(
             &rows,
+            &[
+                ("query", &|(q, ..)| q.id.clone()),
+                ("exhaustive", &|(_, ex, _)| fmt_ms(ex.time_ns)),
+                ("pruned", &|(.., pr)| fmt_ms(pr.time_ns)),
+                ("speedup", &|(_, ex, pr)| ratio(ex.time_ns, pr.time_ns, "planner-only")),
+                ("shards pruned", &|(.., pr)| format!("{}/{}", pr.shards_pruned, pr.active_shards)),
+                ("pages scanned", &|(.., pr)| format!("{}/{}", pr.pages_scanned, pr.pages_total)),
+                ("energy x", &|(_, ex, pr)| ratio(ex.energy_pj, pr.energy_pj, "-")),
+            ],
         );
-        match crate::geomean_filtered(&ratios) {
+        match geomean_filtered(&ratios) {
             (None, _) => println!("  every query answered by the planner alone\n"),
             (Some(m), skipped) => {
                 let note = if skipped > 0 {
@@ -401,44 +399,34 @@ pub fn print_explain(setup: &SsbSetup, explains: &[PlanExplain]) {
     } else {
         println!("EXPLAIN — zone-map plan per query (no execution)\n");
     }
-    let rows: Vec<Vec<String>> = setup
-        .queries
-        .iter()
-        .zip(explains)
-        .map(|(q, e)| {
-            vec![
-                q.id.clone(),
-                format!("{}/{}", e.shards_dispatched(), e.shards.len()),
-                format!("{}/{}", e.pages_candidate(), e.pages_total()),
-                e.pages_pruned().to_string(),
-                if e.planner_only() { "yes".into() } else { "-".into() },
-            ]
-        })
-        .collect();
-    print_table(&["query", "shards", "pages", "pages pruned", "planner-only"], &rows);
+    let rows: Vec<_> = setup.queries.iter().zip(explains).collect();
+    print_columns(
+        &rows,
+        &[
+            ("query", &|(q, _)| q.id.clone()),
+            ("shards", &|(_, e)| format!("{}/{}", e.shards_dispatched(), e.shards.len())),
+            ("pages", &|(_, e)| format!("{}/{}", e.pages_candidate(), e.pages_total())),
+            ("pages pruned", &|(_, e)| e.pages_pruned().to_string()),
+            ("planner-only", &|(_, e)| if e.planner_only() { "yes" } else { "-" }.into()),
+        ],
+    );
 
     if analyzed {
         println!("\nrecorded actuals (run / planned; bytes split by channel direction):");
-        let rows: Vec<Vec<String>> = explains
-            .iter()
-            .filter_map(|e| {
-                let a = e.actuals?;
-                Some(vec![
-                    e.query_id.clone(),
-                    format!("{}/{}", a.shards_executed, e.shards_dispatched()),
-                    format!("{}/{}", a.pages_scanned, e.pages_candidate()),
-                    a.total_bytes().to_string(),
-                    a.dispatch_bytes.to_string(),
-                    a.read_bytes.to_string(),
-                    a.write_bytes.to_string(),
-                    fmt_ms(a.time_ns),
-                    format!("{:.3}", a.energy_pj / 1e6),
-                ])
-            })
-            .collect();
-        print_table(
-            &["query", "shards", "pages", "bytes", "dispatch", "read", "write", "ms", "uJ"],
+        let rows: Vec<_> = explains.iter().filter_map(|e| Some((e, e.actuals?))).collect();
+        print_columns(
             &rows,
+            &[
+                ("query", &|(e, _)| e.query_id.clone()),
+                ("shards", &|(e, a)| format!("{}/{}", a.shards_executed, e.shards_dispatched())),
+                ("pages", &|(e, a)| format!("{}/{}", a.pages_scanned, e.pages_candidate())),
+                ("bytes", &|(_, a)| a.total_bytes().to_string()),
+                ("dispatch", &|(_, a)| a.dispatch_bytes.to_string()),
+                ("read", &|(_, a)| a.read_bytes.to_string()),
+                ("write", &|(_, a)| a.write_bytes.to_string()),
+                ("ms", &|(_, a)| fmt_ms(a.time_ns)),
+                ("uJ", &|(_, a)| format!("{:.3}", a.energy_pj / 1e6)),
+            ],
         );
     }
 
@@ -504,7 +492,7 @@ pub fn print_streaming(setup: &SsbSetup, study: &StreamingStudy) {
     println!(
         "Streaming — open-loop arrivals through the cluster scheduler (SF={}, {} data)\n",
         setup.cfg.sf,
-        if setup.cfg.skewed { "skewed" } else { "uniform" },
+        data_label(setup),
     );
     println!(
         "  {} arrivals over the 13 queries, mean interarrival {} ms (load {:.2}x of the\n  \
@@ -519,40 +507,27 @@ pub fn print_streaming(setup: &SsbSetup, study: &StreamingStudy) {
         study.inflight,
     );
 
-    let mut rows = Vec::new();
-    for run in &study.policies {
-        let s = run.outcome.latency_summary();
-        rows.push(vec![
-            run.policy.label().to_string(),
-            s.completed.to_string(),
-            fmt_ms(s.p50_ns),
-            fmt_ms(s.p95_ns),
-            fmt_ms(s.p99_ns),
-            fmt_ms(s.mean_ns),
-            fmt_ms(s.mean_wait_ns),
-            format!("{:.1}", run.outcome.throughput_qps()),
-            format!("{:.2}", run.outcome.host_utilisation()),
-            format!("{:.2}", run.outcome.host_demand()),
-            format!("{:.2}", run.outcome.mean_shard_utilisation()),
-            run.outcome.overtaken().to_string(),
-        ]);
-    }
-    print_table(
-        &[
-            "policy",
-            "done",
-            "p50",
-            "p95",
-            "p99",
-            "mean",
-            "wait",
-            "q/s",
-            "host util",
-            "demand",
-            "shard util",
-            "overtaken",
-        ],
+    let rows: Vec<_> = study
+        .policies
+        .iter()
+        .map(|run| (run, &run.outcome, run.outcome.latency_summary()))
+        .collect();
+    print_columns(
         &rows,
+        &[
+            ("policy", &|(run, ..)| run.policy.label().to_string()),
+            ("done", &|(.., s)| s.completed.to_string()),
+            ("p50", &|(.., s)| fmt_ms(s.p50_ns)),
+            ("p95", &|(.., s)| fmt_ms(s.p95_ns)),
+            ("p99", &|(.., s)| fmt_ms(s.p99_ns)),
+            ("mean", &|(.., s)| fmt_ms(s.mean_ns)),
+            ("wait", &|(.., s)| fmt_ms(s.mean_wait_ns)),
+            ("q/s", &|(_, outcome, _)| format!("{:.1}", outcome.throughput_qps())),
+            ("host util", &|(_, outcome, _)| format!("{:.2}", outcome.host_utilisation())),
+            ("demand", &|(_, outcome, _)| format!("{:.2}", outcome.host_demand())),
+            ("shard util", &|(_, outcome, _)| format!("{:.2}", outcome.mean_shard_utilisation())),
+            ("overtaken", &|(_, outcome, _)| outcome.overtaken().to_string()),
+        ],
     );
     println!(
         "\n(latencies in ms; wait = mean time before first service; demand = raw host-channel\ndemand ratio, unclamped — above 1.00 the bus is oversubscribed and utilisation\nsaturates; overtaken = queries that finished after a later arrival, i.e.\nout-of-order completions.)"
@@ -586,7 +561,7 @@ pub fn print_serve(setup: &SsbSetup, study: &ServeStudy) {
     println!(
         "Serving — multi-tenant SLO study (SF={}, {} data, {} shards)\n",
         setup.cfg.sf,
-        if setup.cfg.skewed { "skewed" } else { "uniform" },
+        data_label(setup),
         study.shards,
     );
     let gate = study.gate_row();
@@ -604,33 +579,26 @@ pub fn print_serve(setup: &SsbSetup, study: &ServeStudy) {
         study.gate_overload,
     );
 
-    let mut rows = Vec::new();
-    for row in &study.rows {
-        for r in &row.reports {
-            rows.push(vec![
-                format!("{:.0}x", row.overload),
-                row.policy.clone(),
-                r.name.clone(),
-                r.submitted.to_string(),
-                r.completed.to_string(),
-                r.dropped.to_string(),
-                r.throttled.to_string(),
-                fmt_ms(r.latency.p50_ns),
-                fmt_ms(r.latency.p95_ns),
-                fmt_ms(r.latency.p99_ns),
-                fmt_ms(r.latency.p999_ns),
-                format!("{:.1}", r.goodput_qps),
-                format!("{:.0}%", 100.0 * r.drop_rate),
-                if r.slo_met { "ok".into() } else { "MISS".into() },
-            ]);
-        }
-    }
-    print_table(
-        &[
-            "load", "policy", "tenant", "sub", "done", "drop", "thr", "p50", "p95", "p99", "p999",
-            "good/s", "shed", "slo",
-        ],
+    let rows: Vec<_> =
+        study.rows.iter().flat_map(|row| row.reports.iter().map(move |r| (row, r))).collect();
+    print_columns(
         &rows,
+        &[
+            ("load", &|(row, _)| format!("{:.0}x", row.overload)),
+            ("policy", &|(row, _)| row.policy.clone()),
+            ("tenant", &|(_, r)| r.name.clone()),
+            ("sub", &|(_, r)| r.submitted.to_string()),
+            ("done", &|(_, r)| r.completed.to_string()),
+            ("drop", &|(_, r)| r.dropped.to_string()),
+            ("thr", &|(_, r)| r.throttled.to_string()),
+            ("p50", &|(_, r)| fmt_ms(r.latency.p50_ns)),
+            ("p95", &|(_, r)| fmt_ms(r.latency.p95_ns)),
+            ("p99", &|(_, r)| fmt_ms(r.latency.p99_ns)),
+            ("p999", &|(_, r)| fmt_ms(r.latency.p999_ns)),
+            ("good/s", &|(_, r)| format!("{:.1}", r.goodput_qps)),
+            ("shed", &|(_, r)| format!("{:.0}%", 100.0 * r.drop_rate)),
+            ("slo", &|(_, r)| if r.slo_met { "ok" } else { "MISS" }.into()),
+        ],
     );
     println!(
         "\n(latencies in ms; good/s = deadline-met completions per second; shed = share of\nsubmissions dropped at admission; slo compares observed p95 to the tenant's promise.)"
@@ -667,7 +635,7 @@ pub fn print_serve(setup: &SsbSetup, study: &ServeStudy) {
 /// Cluster scaling study: simulated latency and speedup per shard
 /// count, per query, under the default shared-host-channel contention
 /// model. The free-per-module-channel A/B timing is recovered from the
-/// same executions with [`crate::optimistic_wall_ns`] — the gap between
+/// same executions with [`crate::wall_ns`] — the gap between
 /// the two clocks is exactly the journal extension's host-channel
 /// bound. The point with the fewest shards is the baseline (normally 1
 /// shard), regardless of sweep order.
@@ -676,7 +644,7 @@ pub fn print_scaling(setup: &SsbSetup, points: &[ClusterScalePoint], star: bool)
     println!(
         "Cluster scaling — simulated latency [ms] (SF={}, {} data, {} records, {} partitioning)\n",
         setup.cfg.sf,
-        if setup.cfg.skewed { "skewed" } else { "uniform" },
+        data_label(setup),
         setup.wide.len(),
         base.partitioner,
     );
@@ -712,23 +680,9 @@ pub fn print_scaling(setup: &SsbSetup, points: &[ClusterScalePoint], star: bool)
     // reported, and the optimistic free-channel model recomputed from
     // the same per-shard logs.
     let wall = |p: &ClusterScalePoint, i: usize, contended: bool| -> f64 {
-        if contended {
-            p.executions[i].report.time_ns
-        } else {
-            crate::optimistic_wall_ns(&p.executions[i].report)
-        }
+        wall_ns(&p.executions[i].report, contended)
     };
-    let geomean_speedups = |p: &ClusterScalePoint, contended: bool| -> Option<f64> {
-        let ratios: Vec<f64> = (0..setup.queries.len())
-            .map(|i| wall(base, i, contended) / wall(p, i, contended))
-            .filter(|r| r.is_finite() && *r > 0.0)
-            .collect();
-        if ratios.is_empty() {
-            None
-        } else {
-            Some(geomean(&ratios))
-        }
-    };
+    let geomean_speedups = |p, contended| scaling_geomean(base, p, contended);
     println!("\ngeo-mean speedup over {}-shard (queries with nonzero time):", base.shards);
     for p in &compared {
         match (geomean_speedups(p, true), geomean_speedups(p, false)) {
@@ -801,7 +755,7 @@ pub fn print_htap(setup: &SsbSetup, study: &HtapStudy) {
     println!(
         "HTAP — mutations as scheduler citizens (SF={}, {} data)\n",
         setup.cfg.sf,
-        if setup.cfg.skewed { "skewed" } else { "uniform" },
+        data_label(setup),
     );
     println!(
         "  {} arrivals per row, baseline mean interarrival {} ms (load {:.2}x of the\n  \
@@ -816,39 +770,24 @@ pub fn print_htap(setup: &SsbSetup, study: &HtapStudy) {
         study.ingest_buffer,
     );
 
-    let mut rows = Vec::new();
-    for r in &study.rows {
-        let q = r.outcome.latency_summary();
-        let m = r.outcome.mutation_latency_summary();
-        rows.push(vec![
-            r.label.to_string(),
-            format!("{:.0}%", r.mutation_frac * 100.0),
-            q.completed.to_string(),
-            fmt_ms(q.p50_ns),
-            fmt_ms(q.p95_ns),
-            m.completed.to_string(),
-            if m.completed > 0 { fmt_ms(m.p95_ns) } else { "-".into() },
-            r.records_written.to_string(),
-            r.outcome.ingest_stalls.to_string(),
-            fmt_ms(r.outcome.ingest_stall_ns),
-            if r.snapshot_consistent { "yes".into() } else { "NO".into() },
-        ]);
-    }
-    print_table(
-        &[
-            "row",
-            "mut %",
-            "queries",
-            "q p50",
-            "q p95",
-            "ingests",
-            "m p95",
-            "records",
-            "stalls",
-            "stall time",
-            "snapshot ok",
-        ],
+    let summaries =
+        |r: &HtapRow| (r.outcome.latency_summary(), r.outcome.mutation_latency_summary());
+    let rows: Vec<_> = study.rows.iter().map(|r| (r, summaries(r))).collect();
+    print_columns(
         &rows,
+        &[
+            ("row", &|(r, _)| r.label.to_string()),
+            ("mut %", &|(r, _)| format!("{:.0}%", r.mutation_frac * 100.0)),
+            ("queries", &|(_, (q, _))| q.completed.to_string()),
+            ("q p50", &|(_, (q, _))| fmt_ms(q.p50_ns)),
+            ("q p95", &|(_, (q, _))| fmt_ms(q.p95_ns)),
+            ("ingests", &|(_, (_, m))| m.completed.to_string()),
+            ("m p95", &|(_, (_, m))| if m.completed > 0 { fmt_ms(m.p95_ns) } else { "-".into() }),
+            ("records", &|(r, _)| r.records_written.to_string()),
+            ("stalls", &|(r, _)| r.outcome.ingest_stalls.to_string()),
+            ("stall time", &|(r, _)| fmt_ms(r.outcome.ingest_stall_ns)),
+            ("snapshot ok", &|(r, _)| if r.snapshot_consistent { "yes" } else { "NO" }.into()),
+        ],
     );
     println!(
         "\n(latencies in ms; snapshot ok = every streamed answer equals a fresh engine\nthat replayed exactly the first `epoch` arrived mutations — the HTAP\ncorrectness bar, gated as an absolute floor.)"
@@ -857,19 +796,74 @@ pub fn print_htap(setup: &SsbSetup, study: &HtapStudy) {
     // Per-workload endurance wear series: UPDATE-heavy streams wear
     // lanes unevenly, and the ingest row's extra write traffic shows up
     // as required endurance the pure-query row never demands.
-    let wear = study.endurance_rows();
-    let mut wear_rows = Vec::new();
-    for (label, lane, writes, endurance) in &wear {
-        if *writes == 0 && *endurance <= 0.0 {
-            continue;
-        }
-        wear_rows.push(vec![
-            (*label).to_string(),
-            format!("module-{lane}"),
-            writes.to_string(),
-            format!("{endurance:.3e}"),
-        ]);
-    }
+    let mut wear = study.endurance_rows();
+    wear.retain(|(_, _, writes, endurance)| *writes > 0 || *endurance > 0.0);
     println!("\nper-workload endurance wear (10-year back-to-back, per lane):\n");
-    print_table(&["row", "lane", "cell writes", "required endurance"], &wear_rows);
+    print_columns(
+        &wear,
+        &[
+            ("row", &|(label, ..)| label.to_string()),
+            ("lane", &|(_, lane, ..)| format!("module-{lane}")),
+            ("cell writes", &|(_, _, writes, _)| writes.to_string()),
+            ("required endurance", &|(.., endurance)| format!("{endurance:.3e}")),
+        ],
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::BenchConfig;
+    use bbpim_core::modes::EngineMode;
+
+    /// Half a unit in the last digit a printed number keeps
+    /// (`"0.143"` → 0.0005, `"1.23e5"` → 500).
+    fn half_ulp(printed: &str) -> f64 {
+        let (mantissa, exponent) = printed.split_once('e').unwrap_or((printed, "0"));
+        let decimals = mantissa.split_once('.').map_or(0, |(_, frac)| frac.len()) as i32;
+        0.5 * 10f64.powi(exponent.parse::<i32>().unwrap() - decimals)
+    }
+
+    /// Every figure renders both its forms from the one [`PaperRuns`]
+    /// that `paper --fig all` collects — one run per PIM mode, one per
+    /// baseline — and the two forms carry the same numbers: for every
+    /// (figure, query, system) the console cell is the CSV cell rounded
+    /// to the console's digits.
+    #[test]
+    fn every_figure_renders_console_and_csv_from_one_pass_and_they_agree() {
+        let figures = [&FIG6, &FIG7, &FIG8, &FIG9, &TABLE2];
+        let cfg = BenchConfig { sf: 0.001, skewed: false, ..BenchConfig::default() };
+        let runs = PaperRuns::collect(cfg, figures.iter().any(|f| f.wants_baselines()));
+        let modes: Vec<EngineMode> = runs.pim.iter().map(|r| r.mode).collect();
+        assert_eq!(modes, EngineMode::all(), "each PIM mode ran exactly once");
+        assert_eq!(runs.monet.len(), 2, "each baseline ran exactly once");
+        assert_eq!(runs.mismatches(), Vec::<String>::new());
+
+        for figure in figures {
+            let (console, csv) = (figure.console(&runs), figure.csv(&runs));
+            // console table rows sit between the dashed rule and the next blank line
+            let console_rows: Vec<Vec<&str>> = console
+                .lines()
+                .skip_while(|l| !l.trim_start().starts_with("--"))
+                .skip(1)
+                .take_while(|l| !l.is_empty())
+                .map(|l| l.split_whitespace().collect())
+                .collect();
+            let csv_rows: Vec<Vec<&str>> =
+                csv.lines().skip(1).map(|l| l.split(',').collect()).collect();
+            assert_eq!(console_rows.len(), 13, "{}: one row per query", figure.name);
+            assert_eq!(csv_rows.len(), 13, "{}", figure.name);
+            let systems = if figure.wants_baselines() { 5 } else { 3 };
+            let columns = csv.lines().next().unwrap().split(',').count();
+            assert!(columns > systems, "{}: {columns} columns", figure.name);
+            for (shown, stored) in console_rows.iter().zip(&csv_rows) {
+                assert_eq!((shown[0], shown.len()), (stored[0], columns), "{}", figure.name);
+                for (shown, stored) in shown.iter().zip(stored).skip(1) {
+                    let (a, b): (f64, f64) = (shown.parse().unwrap(), stored.parse().unwrap());
+                    let slack = half_ulp(shown) + half_ulp(stored);
+                    assert!((a - b).abs() <= slack, "{}: {shown} vs {stored}", figure.name);
+                }
+            }
+        }
+    }
 }

@@ -23,7 +23,7 @@
 //! Attributes listed in `exclude` (by default the synthetic `*_phone`
 //! columns, which no SSB query reads) stay in host memory only; this is
 //! what lets the wide record meet the paper's fits-in-one-row claim
-//! with honest bit widths (see DESIGN.md).
+//! with honest bit widths.
 
 use std::collections::{BTreeMap, BTreeSet};
 
