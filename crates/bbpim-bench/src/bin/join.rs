@@ -48,7 +48,7 @@ fn run(s: &SsbSetup) -> io::Result<()> {
         "Star join — normalized semijoin vs pre-join, host-channel bytes (SF={}, {} data, \
          {} fact records, {} shards, {mode:?})\n",
         s.cfg.sf,
-        if s.cfg.skewed { "skewed" } else { "uniform" },
+        s.cfg.data_label(),
         s.db.lineorder.len(),
         shards,
     );

@@ -192,10 +192,12 @@ fn run(inv: &Invocation, cfg: BenchConfig, flags: &BinFlags) -> io::Result<()> {
         if i > 0 {
             rule();
         }
-        match (selector.section, &runs) {
-            (Section::Figure(figure), Some(runs)) => print!("{}", figure.console(runs)),
-            (Section::Figure(_), None) => unreachable!("a selected figure collects the runs"),
-            (Section::Standalone(section), _) => {
+        match selector.section {
+            Section::Figure(figure) => {
+                let runs = runs.as_ref().expect("a selected figure collects the runs");
+                print!("{}", figure.console(runs));
+            }
+            Section::Standalone(section) => {
                 let (cfg, flags) = inv.config(selector.default_sf).expect("parsed once already");
                 section(&cfg, &flags);
             }
@@ -373,7 +375,7 @@ fn fig5(_: &BenchConfig, _: &BinFlags) {
 /// pim-gb per subgroup stays nearly flat, so PIM-aggregated subgroup
 /// counts and the one_xb advantage both grow with scale.
 fn sweep(base: &BenchConfig, _: &BinFlags) {
-    println!("Scale sweep ({} data)\n", if base.skewed { "skewed" } else { "uniform" });
+    println!("Scale sweep ({} data)\n", base.data_label());
     let mut rows = Vec::new();
     for sf in [0.02f64, 0.05, 0.1] {
         eprintln!("sf={sf}: generating + running…");

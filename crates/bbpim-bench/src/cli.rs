@@ -255,6 +255,15 @@ impl BenchConfig {
         })
     }
 
+    /// `"skewed"` or `"uniform"`, as the report headers name the data.
+    pub fn data_label(&self) -> &'static str {
+        if self.skewed {
+            "skewed"
+        } else {
+            "uniform"
+        }
+    }
+
     /// The SSB generator parameters for this configuration.
     pub fn ssb_params(&self) -> SsbParams {
         let mut p =

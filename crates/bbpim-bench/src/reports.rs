@@ -14,15 +14,6 @@ use bbpim_cluster::PlanExplain;
 use bbpim_core::result::QueryReport;
 use bbpim_db::ssb::star::TableFootprint;
 
-/// `"skewed"` or `"uniform"`, as the report headers name the data.
-fn data_label(setup: &SsbSetup) -> &'static str {
-    if setup.cfg.skewed {
-        "skewed"
-    } else {
-        "uniform"
-    }
-}
-
 /// One table cell: the value and the digits its console form keeps.
 /// The CSV form always keeps six, so plots do not inherit the console's
 /// rounding.
@@ -150,7 +141,7 @@ fn fig6_title(runs: &PaperRuns) -> String {
     format!(
         "Fig. 6 — SSB execution latency [ms] (SF={}, {} data, {} records, {} pages)",
         runs.setup.cfg.sf,
-        data_label(&runs.setup),
+        runs.setup.cfg.data_label(),
         runs.setup.wide.len(),
         runs.pim.first().map(|r| r.executions[0].report.pages).unwrap_or(0),
     )
@@ -312,7 +303,7 @@ pub static TABLE2: Figure = Figure {
     name: "table2",
     title: |runs| {
         let setup = &runs.setup;
-        format!("Table II — query summary (SF={}, {} data)", setup.cfg.sf, data_label(setup))
+        format!("Table II — query summary (SF={}, {} data)", setup.cfg.sf, setup.cfg.data_label())
     },
     lead: &[
         ("selectivity", "selectivity", |r| Cell::Sci(r.selectivity, 2)),
@@ -334,7 +325,7 @@ pub fn print_pruning(setup: &SsbSetup, points: &[PruningPoint]) {
     println!(
         "Zone-map pruning — pruned vs exhaustive dispatch (SF={}, {} data, {} records)\n",
         setup.cfg.sf,
-        data_label(setup),
+        setup.cfg.data_label(),
         setup.wide.len(),
     );
     for point in points {
@@ -492,7 +483,7 @@ pub fn print_streaming(setup: &SsbSetup, study: &StreamingStudy) {
     println!(
         "Streaming — open-loop arrivals through the cluster scheduler (SF={}, {} data)\n",
         setup.cfg.sf,
-        data_label(setup),
+        setup.cfg.data_label(),
     );
     println!(
         "  {} arrivals over the 13 queries, mean interarrival {} ms (load {:.2}x of the\n  \
@@ -561,7 +552,7 @@ pub fn print_serve(setup: &SsbSetup, study: &ServeStudy) {
     println!(
         "Serving — multi-tenant SLO study (SF={}, {} data, {} shards)\n",
         setup.cfg.sf,
-        data_label(setup),
+        setup.cfg.data_label(),
         study.shards,
     );
     let gate = study.gate_row();
@@ -644,7 +635,7 @@ pub fn print_scaling(setup: &SsbSetup, points: &[ClusterScalePoint], star: bool)
     println!(
         "Cluster scaling — simulated latency [ms] (SF={}, {} data, {} records, {} partitioning)\n",
         setup.cfg.sf,
-        data_label(setup),
+        setup.cfg.data_label(),
         setup.wide.len(),
         base.partitioner,
     );
@@ -755,7 +746,7 @@ pub fn print_htap(setup: &SsbSetup, study: &HtapStudy) {
     println!(
         "HTAP — mutations as scheduler citizens (SF={}, {} data)\n",
         setup.cfg.sf,
-        data_label(setup),
+        setup.cfg.data_label(),
     );
     println!(
         "  {} arrivals per row, baseline mean interarrival {} ms (load {:.2}x of the\n  \
