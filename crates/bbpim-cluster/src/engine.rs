@@ -558,6 +558,12 @@ impl<S: Storage> Cluster<S> {
         self.shards.get(i).map(|s| &s.table)
     }
 
+    /// Borrow auxiliary table `d` (a star dimension; inspection in
+    /// tests/benches).
+    pub fn aux_table(&self, d: usize) -> Option<&PimTable> {
+        self.aux.get(d)
+    }
+
     /// Total ingest lanes the scheduler sees: one per active fact shard
     /// plus one per auxiliary table (table `d` is lane
     /// `active_shards() + d`).

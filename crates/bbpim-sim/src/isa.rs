@@ -208,6 +208,29 @@ impl Microprogram {
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
+
+    /// Fold the op sequence into the running 64-bit FNV-1a digest `h`:
+    /// the op count, then per op a tag and its operands. Programs fold
+    /// alike only when they are op-for-op identical, so a chain of
+    /// these pins everything a module was asked to execute.
+    pub fn digest(&self, h: u64) -> u64 {
+        let word = |h: u64, w: usize| {
+            (w as u64)
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        };
+        self.ops.iter().fold(word(h, self.ops.len()), |h, op| match op {
+            MicroOp::InitCol { dst } => [0, *dst].into_iter().fold(h, word),
+            MicroOp::NorCols { a, b, dst } => [1, *a, *b, *dst].into_iter().fold(h, word),
+            MicroOp::NorManyCols { inputs, dst } => {
+                let h = inputs.iter().fold(word(word(h, 2), inputs.len()), |h, c| word(h, *c));
+                word(h, *dst)
+            }
+            MicroOp::InitRow { dst } => [3, *dst].into_iter().fold(h, word),
+            MicroOp::NorRows { a, b, dst } => [4, *a, *b, *dst].into_iter().fold(h, word),
+        })
+    }
 }
 
 #[cfg(test)]

@@ -78,6 +78,9 @@ pub struct PimModule {
     cfg: SimConfig,
     pages: Vec<PimPage>,
     policy: XferPolicy,
+    /// `(programs executed, chained op digest)` — see
+    /// [`PimModule::program_digest`].
+    programs: (u64, u64),
 }
 
 impl PimModule {
@@ -89,7 +92,12 @@ impl PimModule {
     /// module cannot exist with inconsistent geometry.
     pub fn new(cfg: SimConfig) -> Self {
         cfg.validate().expect("invalid simulator configuration");
-        PimModule { cfg, pages: Vec::new(), policy: XferPolicy::default() }
+        PimModule {
+            cfg,
+            pages: Vec::new(),
+            policy: XferPolicy::default(),
+            programs: (0, 0xcbf2_9ce4_8422_2325),
+        }
     }
 
     /// The configuration this module was built with.
@@ -106,6 +114,14 @@ impl PimModule {
     /// byte-diet levers).
     pub fn set_policy(&mut self, policy: XferPolicy) {
         self.policy = policy;
+    }
+
+    /// How many microprograms this module has executed and the chained
+    /// [`Microprogram::digest`] of their op sequences, in execution
+    /// order — the program-level pin a refactor of the compilers above
+    /// is checked against.
+    pub fn program_digest(&self) -> (u64, u64) {
+        self.programs
     }
 
     /// Pages currently allocated.
@@ -178,6 +194,7 @@ impl PimModule {
         program: &Microprogram,
     ) -> Result<Phase, SimError> {
         program.validate(self.cfg.crossbar_rows, self.cfg.crossbar_cols)?;
+        self.programs = (self.programs.0 + 1, program.digest(self.programs.1));
         let mut cells_total = 0u64;
         for id in pages {
             self.try_page(*id)?;
