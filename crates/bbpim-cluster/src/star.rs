@@ -60,18 +60,12 @@
 use std::collections::HashMap;
 
 use bbpim_core::error::CoreError;
-use bbpim_core::filter_exec::{
-    build_dnf_mask_program_in, count_mask_bits, mask_bits, mask_read_phases,
-};
-use bbpim_core::groupby::host_gb::{eval_expr, read_attr_value};
 use bbpim_core::groupby::GroupByOutcome;
-use bbpim_core::layout::{RecordLayout, MASK_COL, VALID_COL};
-use bbpim_core::loader::LoadedRelation;
+use bbpim_core::layout::{RecordLayout, MASK_COL};
 use bbpim_core::modes::EngineMode;
-use bbpim_core::planner::PageSet;
 use bbpim_core::result::QueryExecution;
-use bbpim_core::semijoin::{build_semijoin_mask_program_in, SemijoinDisjunct, SemijoinTerm};
-use bbpim_core::PimTable;
+use bbpim_core::semijoin::{SemijoinDisjunct, SemijoinTerm};
+use bbpim_core::{PimTable, Scan};
 use bbpim_db::plan::{Atom, PhysicalPlan, Pred, Query, ResolvedAtom};
 use bbpim_db::schema::Schema;
 use bbpim_db::ssb::star::{self, StarSchema, TableFootprint, DIMENSIONS};
@@ -80,7 +74,6 @@ use bbpim_db::stats::GroupedResult;
 use bbpim_db::Relation;
 use bbpim_sim::compiler::ColRange;
 use bbpim_sim::hostmem::LineSet;
-use bbpim_sim::module::PimModule;
 use bbpim_sim::timeline::{Phase, RunLog};
 use bbpim_sim::{SimConfig, XferPolicy};
 
@@ -160,27 +153,69 @@ fn host_dim_bitmap(dim: &PimTable, d: usize, atoms: &[Atom]) -> Result<KeyBitmap
     Ok(KeyBitmap::new(DIMENSIONS[d].key_base, bits))
 }
 
-/// Run one conjunctive filter on a dimension's module: dispatch, then
-/// the bulk-bitwise mask program into `MASK_COL`; returns the
-/// per-record mask, charging `log`.
+/// Run one conjunctive filter on a dimension's module — dispatch, then
+/// the bulk-bitwise mask program — and return the per-record mask,
+/// charging `log`.
 fn filter_conjunction(
     dim: &mut PimTable,
-    atoms: &[(ResolvedAtom, ColRange)],
-    pages: &PageSet,
+    atoms: &[Atom],
+    prune: bool,
     log: &mut RunLog,
 ) -> Result<Vec<bool>, ClusterError> {
-    let (module, layout, loaded, _) = dim.parts_mut();
-    log.push(pages.dispatch_phase(&module.config().host, module.policy(), 1));
-    if !pages.is_empty() {
-        let prog = build_dnf_mask_program_in(
-            layout.scratch(0),
-            &[atoms.to_vec()],
-            &[VALID_COL],
-            MASK_COL,
-        )?;
-        log.push(module.exec_program(&pages.ids(loaded, 0), &prog).map_err(CoreError::from)?);
+    let conj = [resolve_all(atoms, dim.relation().schema())?];
+    let mut scan = dim.resume(dim.plan_dnf(&conj, prune), None);
+    scan.filter(&conj)?;
+    log.extend(&scan.take_log());
+    Ok(scan.mask(0, MASK_COL))
+}
+
+/// One surviving disjunct of a routed star filter.
+struct RoutedDisjunct {
+    /// The fact-local atoms.
+    fact_atoms: Vec<Atom>,
+    /// The (non-empty) key bitmap of every filtered dimension, catalog
+    /// order.
+    bitmaps: Vec<(usize, KeyBitmap)>,
+}
+
+impl RoutedDisjunct {
+    /// What the disjunct bounds on the fact table: its fact atoms
+    /// resolved, then one FK-hull BETWEEN per filtered dimension.
+    fn bounds(&self, fact: &Schema) -> Result<Vec<ResolvedAtom>, ClusterError> {
+        let mut bounds = resolve_all(&self.fact_atoms, fact)?;
+        for (d, keys) in &self.bitmaps {
+            let (lo, hi) = keys.hull().expect("the walk drops empty bitmaps");
+            bounds.push(ResolvedAtom::Between { idx: fact.index_of(DIMENSIONS[*d].fk)?, lo, hi });
+        }
+        Ok(bounds)
     }
-    Ok(mask_bits(module, loaded, pages, 0, MASK_COL))
+}
+
+/// The one walk over a star filter. Per DNF disjunct the atoms are
+/// routed by owning table; per filtered dimension (catalog order)
+/// `bitmap(disjunct, d, atoms)` supplies the key bitmap of that
+/// dimension's conjunction — evaluated on the catalog copy when
+/// planning, on the dimension's module when executing. An empty bitmap
+/// makes the disjunct false: it is dropped (it can match no fact
+/// record) and its later dimensions are never visited.
+fn route_filter(
+    filter: &Pred,
+    mut bitmap: impl FnMut(usize, usize, &[Atom]) -> Result<KeyBitmap, ClusterError>,
+) -> Result<Vec<RoutedDisjunct>, ClusterError> {
+    let mut routed = Vec::new();
+    'disjuncts: for (disjunct, conj) in filter.dnf().iter().enumerate() {
+        let (fact_atoms, dim_atoms) = route_conjunct(conj);
+        let mut bitmaps = Vec::new();
+        for (d, atoms) in dim_atoms.iter().enumerate().filter(|(_, atoms)| !atoms.is_empty()) {
+            let keys = bitmap(disjunct, d, atoms)?;
+            if keys.hull().is_none() {
+                continue 'disjuncts;
+            }
+            bitmaps.push((d, keys));
+        }
+        routed.push(RoutedDisjunct { fact_atoms, bitmaps });
+    }
+    Ok(routed)
 }
 
 /// Compile a query's join: run each disjunct's dimension filters on
@@ -193,66 +228,41 @@ fn build_join_plan(
     prune: bool,
     query: &Query,
 ) -> Result<JoinPlan, ClusterError> {
-    let fact_schema = fact.relation().schema();
     let mut prelude = RunLog::new();
-    let mut disjuncts = Vec::new();
-    let mut bounds_dnf = Vec::new();
-    for conj in &query.filter.dnf() {
-        let (fact_atoms, dim_atoms) = route_conjunct(conj);
-        let mut bound_atoms = resolve_all(&fact_atoms, fact_schema)?;
-        let mut prog_atoms = Vec::with_capacity(fact_atoms.len());
-        for (a, resolved) in fact_atoms.iter().zip(&bound_atoms) {
-            prog_atoms.push((resolved.clone(), col_range(fact, a.attr())?));
+    let routed = route_filter(&query.filter, |_, d, atoms| {
+        let dim = &mut dims[d];
+        let bits = filter_conjunction(dim, atoms, prune, &mut prelude)?;
+        let bitmap = KeyBitmap::new(DIMENSIONS[d].key_base, bits);
+        // the bitmap crosses the channel twice: one read off the
+        // dimension module, one broadcast write shared by every fact
+        // shard (a single grant) — at the compressed wire size, or
+        // bit-packed raw when the compression lever is off (A/B
+        // attribution)
+        let line_bytes = dim.config().host.line_bytes as u64;
+        let lines = if dim.module().policy().compress_masks {
+            bitmap.wire_lines(line_bytes)
+        } else {
+            bitmap.raw_bytes().div_ceil(line_bytes.max(1)).max(1)
+        };
+        prelude.push(dim.module().host_read_phase(lines));
+        prelude.push(dim.module().host_write_phase(lines));
+        Ok(bitmap)
+    })?;
+    let mut disjuncts = Vec::with_capacity(routed.len());
+    let mut bounds_dnf = Vec::with_capacity(routed.len());
+    for r in routed {
+        let bounds = r.bounds(fact.relation().schema())?;
+        let mut atoms = Vec::with_capacity(r.fact_atoms.len());
+        for (a, resolved) in r.fact_atoms.iter().zip(&bounds) {
+            atoms.push((resolved.clone(), col_range(fact, a.attr())?));
         }
-        let mut semijoins = Vec::new();
-        let mut dead = false;
-        for (d, da) in dim_atoms.iter().enumerate() {
-            if da.is_empty() {
-                continue;
-            }
-            let dim = &mut dims[d];
-            let resolved = resolve_all(da, dim.relation().schema())?;
-            let mut ranged = Vec::with_capacity(da.len());
-            for (a, r) in da.iter().zip(&resolved) {
-                ranged.push((r.clone(), col_range(dim, a.attr())?));
-            }
-            let pages = dim.plan_dnf(std::slice::from_ref(&resolved), prune);
-            let bits = filter_conjunction(dim, &ranged, &pages, &mut prelude)?;
-            let bitmap = KeyBitmap::new(DIMENSIONS[d].key_base, bits);
-            // the bitmap crosses the channel twice: one read off
-            // the dimension module, one broadcast write shared by
-            // every fact shard (a single grant) — at the compressed
-            // wire size, or bit-packed raw when the compression
-            // lever is off (A/B attribution)
-            let line_bytes = dim.config().host.line_bytes as u64;
-            let lines = if dim.module().policy().compress_masks {
-                bitmap.wire_lines(line_bytes)
-            } else {
-                bitmap.raw_bytes().div_ceil(line_bytes.max(1)).max(1)
-            };
-            prelude.push(dim.module().host_read_phase(lines));
-            prelude.push(dim.module().host_write_phase(lines));
-            match bitmap.hull() {
-                None => {
-                    dead = true;
-                    break;
-                }
-                Some((lo, hi)) => bound_atoms.push(ResolvedAtom::Between {
-                    idx: fact_schema.index_of(DIMENSIONS[d].fk)?,
-                    lo,
-                    hi,
-                }),
-            }
-            semijoins.push(SemijoinTerm::from_bitmap(
-                col_range(fact, DIMENSIONS[d].fk)?,
-                bitmap.bits(),
-                bitmap.base(),
-            ));
+        let mut semijoins = Vec::with_capacity(r.bitmaps.len());
+        for (d, bitmap) in &r.bitmaps {
+            let fk = col_range(fact, DIMENSIONS[*d].fk)?;
+            semijoins.push(SemijoinTerm::from_bitmap(fk, bitmap.bits(), bitmap.base()));
         }
-        if !dead {
-            disjuncts.push(SemijoinDisjunct { atoms: prog_atoms, semijoins });
-            bounds_dnf.push(bound_atoms);
-        }
+        disjuncts.push(SemijoinDisjunct { atoms, semijoins });
+        bounds_dnf.push(bounds);
     }
     Ok(JoinPlan { disjuncts, bounds_dnf, prelude, prelude_charged: false })
 }
@@ -261,9 +271,8 @@ impl Storage for Star {
     type Plan = JoinPlan;
 
     /// Per surviving disjunct, the fact atoms plus one FK-hull BETWEEN
-    /// per filtered dimension, and the transfer ledger. Disjuncts whose
-    /// dimension filter selects nothing are dropped — they can match no
-    /// fact record.
+    /// per filtered dimension, and the transfer ledger of every bitmap
+    /// the walk asked for.
     fn bounds(
         &self,
         fact: &Schema,
@@ -271,45 +280,22 @@ impl Storage for Star {
         filter: &Pred,
         broadcast: usize,
     ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError> {
-        let mut dnf_out = Vec::new();
         let mut transfers = Vec::new();
-        for (disjunct, conj) in filter.dnf().iter().enumerate() {
-            let (fact_atoms, dim_atoms) = route_conjunct(conj);
-            let mut atoms = resolve_all(&fact_atoms, fact)?;
-            let mut dead = false;
-            for (d, da) in dim_atoms.iter().enumerate() {
-                if da.is_empty() {
-                    continue;
-                }
-                let bitmap = host_dim_bitmap(&dims[d], d, da)?;
-                transfers.push(JoinTransfer {
-                    dimension: DIMENSIONS[d].name.to_string(),
-                    disjunct,
-                    keys_selected: bitmap.keys_selected(),
-                    key_space: bitmap.key_space(),
-                    raw_bytes: bitmap.raw_bytes(),
-                    wire_bytes: bitmap.wire_bytes(),
-                    broadcast_shards: broadcast,
-                });
-                match bitmap.hull() {
-                    None => {
-                        // empty bitmap: the disjunct is false; later
-                        // dimensions of it are never filtered
-                        dead = true;
-                        break;
-                    }
-                    Some((lo, hi)) => atoms.push(ResolvedAtom::Between {
-                        idx: fact.index_of(DIMENSIONS[d].fk)?,
-                        lo,
-                        hi,
-                    }),
-                }
-            }
-            if !dead {
-                dnf_out.push(atoms);
-            }
-        }
-        Ok((dnf_out, transfers))
+        let routed = route_filter(filter, |disjunct, d, atoms| {
+            let bitmap = host_dim_bitmap(&dims[d], d, atoms)?;
+            transfers.push(JoinTransfer {
+                dimension: DIMENSIONS[d].name.to_string(),
+                disjunct,
+                keys_selected: bitmap.keys_selected(),
+                key_space: bitmap.key_space(),
+                raw_bytes: bitmap.raw_bytes(),
+                wire_bytes: bitmap.wire_bytes(),
+                broadcast_shards: broadcast,
+            });
+            Ok(bitmap)
+        })?;
+        let dnf = routed.iter().map(|r| r.bounds(fact)).collect::<Result<_, _>>()?;
+        Ok((dnf, transfers))
     }
 
     fn join_host_bytes(
@@ -327,31 +313,20 @@ impl Storage for Star {
             host_bytes.mask_wire_bytes +=
                 2 * if policy.compress_masks { t.wire_bytes } else { t.raw_bytes };
         }
-        // dimension-filter dispatch: each filtered dimension of a
-        // disjunct is dispatched once on its module as part of the join
-        // prelude, and those descriptor bytes ride the channel like any
-        // fact dispatch. Charging mirrors `build_join_plan`: a
-        // dimension whose empty bitmap kills the disjunct is still
-        // dispatched; the dimensions after it are never reached.
-        for conj in &filter.dnf() {
-            let (_, dim_atoms) = route_conjunct(conj);
-            for (d, da) in dim_atoms.iter().enumerate() {
-                if da.is_empty() {
-                    continue;
-                }
-                let dim = &dims[d];
-                let resolved = resolve_all(da, dim.relation().schema())?;
-                let pages = dim.plan_dnf(&[resolved], prune);
-                let host = &dim.config().host;
-                if !pages.is_empty() && dim.module().policy().batch_dispatch {
-                    host_bytes.dispatch_bytes += host.dispatch_header_bytes
-                        + pages.run_count() as u64 * host.dispatch_run_bytes;
-                }
-                if host_dim_bitmap(dim, d, da)?.hull().is_none() {
-                    break;
-                }
+        // dimension-filter dispatch: every dimension the walk visits is
+        // dispatched once on its module as part of the join prelude, and
+        // those descriptor bytes ride the channel like any fact dispatch
+        route_filter(filter, |_, d, atoms| {
+            let dim = &dims[d];
+            let resolved = resolve_all(atoms, dim.relation().schema())?;
+            let pages = dim.plan_dnf(&[resolved], prune);
+            let host = &dim.config().host;
+            if !pages.is_empty() && dim.module().policy().batch_dispatch {
+                host_bytes.dispatch_bytes +=
+                    host.dispatch_header_bytes + pages.run_count() as u64 * host.dispatch_run_bytes;
             }
-        }
+            host_dim_bitmap(dim, d, atoms)
+        })?;
         Ok(host_bytes)
     }
 
@@ -393,28 +368,13 @@ impl Storage for Star {
         }
         let pages = table.plan_dnf(&plan.bounds_dnf, prune);
         let prelude = (lead && !plan.prelude_charged).then_some(&plan.prelude);
-        let mut log = table.begin_query(&pages, prelude);
-        let (module, layout, loaded, _) = table.parts_mut();
-        let fact_pages = pages.ids(loaded, 0);
-        let selected = if pages.is_empty() {
-            0
-        } else {
-            let prog = build_semijoin_mask_program_in(
-                layout.scratch(0),
-                &plan.disjuncts,
-                &[VALID_COL],
-                MASK_COL,
-            )?;
-            log.push(module.exec_program(&fact_pages, &prog).map_err(CoreError::from)?);
-            count_mask_bits(module, &fact_pages, MASK_COL)
-        };
+        let mut scan = table.begin(pages, prelude);
+        let selected = scan.filter_joined(&plan.disjuncts)?;
         let grouped = match query.has_group_by() {
-            true => {
-                Some(star_gather(module, layout, loaded, dims, query, &qplan, &pages, &mut log)?)
-            }
+            true => Some(star_gather(&mut scan, dims, query, &qplan)?),
             false => None,
         };
-        Ok(table.finish_query(mode, query, &qplan, &pages, selected, grouped, log)?)
+        Ok(scan.finish(mode, query, &qplan, selected, grouped)?)
     }
 
     fn keep_plan(&mut self, query: &Query, mut plan: JoinPlan) {
@@ -500,18 +460,13 @@ enum GroupSource {
 /// records' key/FK/operand chunks, and — for dimension group keys —
 /// the referenced dimension rows' chunks (positional FK probe), then
 /// hash-aggregates every SELECT item in one pass. Mirrors
-/// [`bbpim_core::groupby::host_gb::run_host_gb`]'s exact unique-line
-/// accounting on both the fact and the dimension modules.
-#[allow(clippy::too_many_arguments)]
+/// [`Scan::host_gb`]'s exact unique-line accounting on both the fact
+/// and the dimension modules.
 fn star_gather(
-    module: &mut PimModule,
-    layout: &RecordLayout,
-    loaded: &LoadedRelation,
+    scan: &mut Scan<'_>,
     dims: &[PimTable],
     query: &Query,
     qplan: &PhysicalPlan,
-    pages: &PageSet,
-    log: &mut RunLog,
 ) -> Result<GroupByOutcome, CoreError> {
     let sources: Vec<GroupSource> = query
         .group_by
@@ -525,10 +480,8 @@ fn star_gather(
     // 1. filter-result bit-vector off the fact shard (wire-compressed
     //    under the byte diet: the mask packs module-side and only the
     //    wire bytes occupy the shared channel)
-    let mask = mask_bits(module, loaded, pages, 0, MASK_COL);
-    for phase in mask_read_phases(module, loaded, pages, &mask) {
-        log.push(phase);
-    }
+    let mask = scan.move_mask(0, MASK_COL, None)?;
+    let fact = scan.table();
 
     // 2. chunks per table: fact group keys + the FK of every dimension
     //    key + aggregate operands on the fact side; the referenced
@@ -549,7 +502,7 @@ fn star_gather(
     }
     fact_attrs.sort_unstable();
     fact_attrs.dedup();
-    let chunk_map = layout.chunks_for(fact_attrs.iter().copied())?;
+    let chunk_map = fact.layout().chunks_for(fact_attrs.iter().copied())?;
     let mut dim_chunks = Vec::with_capacity(4);
     for (d, da) in dim_attrs.iter_mut().enumerate() {
         da.sort_unstable();
@@ -564,52 +517,35 @@ fn star_gather(
     // 3. exact unique-line accounting: fact and dimension lines live
     //    on different modules, so each module gets its own set (page
     //    ids collide across modules)
-    let cfg = module.config().clone();
+    let cfg = fact.config();
     let mut fact_lines = LineSet::new();
     let mut dim_lines = [LineSet::new(), LineSet::new(), LineSet::new(), LineSet::new()];
     for (record, selected) in mask.iter().enumerate() {
         if !selected {
             continue;
         }
-        let (pg, slot) = loaded.locate(record);
-        for (&partition, chunks) in &chunk_map {
-            let page_id = loaded.pages(partition)[pg];
-            let s = module.page(page_id).record_slot(slot)?;
-            for &chunk in chunks {
-                fact_lines.touch_bit_range(
-                    &cfg,
-                    page_id.0,
-                    s.row,
-                    chunk * cfg.read_width_bits,
-                    cfg.read_width_bits,
-                );
-            }
-        }
-        for (d, chunks_of_dim) in dim_chunks.iter().enumerate() {
-            let Some(dmap) = chunks_of_dim else { continue };
-            let fk = read_attr_value(module, layout, loaded, record, DIMENSIONS[d].fk)?;
-            let dim_row = (fk - DIMENSIONS[d].key_base) as usize;
-            let dloaded = dims[d].loaded();
-            let dmodule = dims[d].module();
-            let dcfg = dmodule.config();
-            let (dpg, dslot) = dloaded.locate(dim_row);
-            for (&partition, chunks) in dmap {
-                let page_id = dloaded.pages(partition)[dpg];
-                let s = dmodule.page(page_id).record_slot(dslot)?;
+        let touch = |lines: &mut LineSet, table: &PimTable, row: usize, chunks| {
+            let (loaded, cfg) = (table.loaded(), table.config());
+            let (pg, slot) = loaded.locate(row);
+            for (&partition, chunks) in chunks {
+                let page_id = loaded.pages(partition)[pg];
+                let s = table.module().page(page_id).record_slot(slot)?;
                 for &chunk in chunks {
-                    dim_lines[d].touch_bit_range(
-                        dcfg,
-                        page_id.0,
-                        s.row,
-                        chunk * dcfg.read_width_bits,
-                        dcfg.read_width_bits,
-                    );
+                    let (lo, width) = (chunk * cfg.read_width_bits, cfg.read_width_bits);
+                    lines.touch_bit_range(cfg, page_id.0, s.row, lo, width);
                 }
             }
+            Ok::<(), CoreError>(())
+        };
+        touch(&mut fact_lines, fact, record, &chunk_map)?;
+        for (d, chunks_of_dim) in dim_chunks.iter().enumerate() {
+            let Some(dmap) = chunks_of_dim else { continue };
+            let fk = fact.read_attr(record, DIMENSIONS[d].fk)?;
+            touch(&mut dim_lines[d], &dims[d], (fk - DIMENSIONS[d].key_base) as usize, dmap)?;
         }
     }
     let total_lines = fact_lines.len() + dim_lines.iter().map(LineSet::len).sum::<u64>();
-    log.push(module.host_read_scattered_phase(total_lines));
+    let fetch = fact.module().host_read_scattered_phase(total_lines);
 
     // 4. hash aggregation: dimension keys resolved through the dense
     //    positional probe, every SELECT item folded in one pass
@@ -623,24 +559,17 @@ fn star_gather(
         let mut key = Vec::with_capacity(sources.len());
         for s in &sources {
             key.push(match s {
-                GroupSource::Fact(n) => read_attr_value(module, layout, loaded, record, n)?,
+                GroupSource::Fact(n) => fact.read_attr(record, n)?,
                 GroupSource::Dim { d, attr } => {
-                    let fk = read_attr_value(module, layout, loaded, record, DIMENSIONS[*d].fk)?;
-                    let dim_row = (fk - DIMENSIONS[*d].key_base) as usize;
-                    read_attr_value(
-                        dims[*d].module(),
-                        dims[*d].layout(),
-                        dims[*d].loaded(),
-                        dim_row,
-                        attr,
-                    )?
+                    let fk = fact.read_attr(record, DIMENSIONS[*d].fk)?;
+                    dims[*d].read_attr((fk - DIMENSIONS[*d].key_base) as usize, attr)?
                 }
             });
         }
         for (agg, grouped) in qplan.aggs.iter().zip(out.iter_mut()) {
             let v = match &agg.expr {
                 None => 1,
-                Some(expr) => eval_expr(module, layout, loaded, record, expr)?,
+                Some(expr) => fact.eval_expr(record, expr)?,
             };
             grouped
                 .entry(key.clone())
@@ -649,7 +578,8 @@ fn star_gather(
         }
     }
     let per_record = cfg.host.host_agg_ns_per_record / cfg.host.threads as f64;
-    log.push(Phase::host_compute(folded as f64 * per_record));
+    scan.push(fetch);
+    scan.push(Phase::host_compute(folded as f64 * per_record));
     let kmax = out.first().map_or(0, GroupedResult::len);
     Ok(GroupByOutcome { per_agg: out, k: 0, kmax, sampled: 0 })
 }
@@ -802,14 +732,10 @@ mod tests {
     fn dimension_filter_yields_key_bitmap() {
         let mut c = cluster(&db(), 1);
         let t = &mut c.aux[DATE];
-        let schema = t.relation().schema().clone();
         let atom = Atom::Eq { attr: "d_year".into(), value: 1993u64.into() };
-        let resolved = atom.resolve(&schema).unwrap();
-        let range = col_range(t, "d_year").unwrap();
-        let pages = t.plan_dnf(&[vec![resolved.clone()]], true);
         let mut log = RunLog::new();
-        let mask = filter_conjunction(t, &[(resolved, range)], &pages, &mut log).unwrap();
-        let year = schema.index_of("d_year").unwrap();
+        let mask = filter_conjunction(t, &[atom], true, &mut log).unwrap();
+        let year = t.relation().schema().index_of("d_year").unwrap();
         for (row, got) in mask.iter().enumerate() {
             assert_eq!(*got, t.relation().value(row, year) == 1993, "row {row}");
         }
@@ -838,10 +764,7 @@ mod tests {
             }
         }
         // stored bits agree with the catalog copy
-        let stored =
-            read_attr_value(t.module(), t.layout(), t.loaded(), probe.unwrap(), "d_weeknuminyear")
-                .unwrap();
-        assert_eq!(stored, 53);
+        assert_eq!(t.read_attr(probe.unwrap(), "d_weeknuminyear").unwrap(), 53);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! peripheral-circuit (or pure-bitwise) reduction, and the host combine.
 //!
 //! SSB Q1 aggregates `extendedprice · discount` and Q4 aggregates
-//! `revenue − supplycost`; [`materialize_expr`] compiles the arithmetic
+//! `revenue − supplycost`; [`Scan::materialize`] compiles the arithmetic
 //! to a column-parallel program that computes the expression for every
 //! record of every page at once, into a reserved slice of the scratch
-//! region. [`aggregate_masked`] then reduces the (possibly computed)
+//! region. [`Scan::aggregate`] then reduces the (possibly computed)
 //! value under a mask column: through the aggregation circuit
 //! (`one-xb`/`two-xb`) or the PIMDB bulk-bitwise reduction tree
 //! (`pimdb`), followed by one cache line per result chunk per page and a
@@ -15,14 +15,11 @@ use bbpim_db::plan::{AggExpr, PhysFunc};
 use bbpim_sim::aggcircuit::AggRequest;
 use bbpim_sim::compiler::reduce::ReduceOp;
 use bbpim_sim::compiler::{arith, CodeBuilder, ColRange, ScratchPool};
-use bbpim_sim::module::PimModule;
-use bbpim_sim::timeline::{Phase, RunLog};
+use bbpim_sim::timeline::Phase;
 
 use crate::error::CoreError;
-use crate::layout::RecordLayout;
-use crate::loader::LoadedRelation;
 use crate::modes::EngineMode;
-use crate::planner::PageSet;
+use crate::scan::Scan;
 
 /// Host nanoseconds to fold one per-crossbar partial into the total.
 const COMBINE_NS_PER_PARTIAL: f64 = 2.0;
@@ -50,197 +47,6 @@ pub fn reduce_op(func: PhysFunc) -> ReduceOp {
     }
 }
 
-/// Prepare the aggregation input: a plain attribute is used in place; a
-/// `Mul`/`Sub` expression is computed into scratch by one bulk-bitwise
-/// program (executed here, charged to `log`).
-///
-/// # Errors
-///
-/// [`CoreError::Unsupported`] when operands sit in different partitions
-/// (cannot happen for SSB: expression operands are fact attributes);
-/// compiler and simulator failures otherwise.
-pub fn materialize_expr(
-    module: &mut PimModule,
-    layout: &RecordLayout,
-    loaded: &LoadedRelation,
-    pages: &PageSet,
-    expr: &AggExpr,
-    log: &mut RunLog,
-) -> Result<AggInput, CoreError> {
-    match expr {
-        AggExpr::Attr(name) => {
-            let p = layout.placement(name)?;
-            Ok(AggInput {
-                partition: p.partition,
-                value: p.range,
-                scratch_left: layout.scratch(p.partition),
-            })
-        }
-        AggExpr::Mul(a, b) | AggExpr::Sub(a, b) => {
-            let pa = layout.placement(a)?;
-            let pb = layout.placement(b)?;
-            if pa.partition != pb.partition {
-                return Err(CoreError::Unsupported(format!(
-                    "aggregate expression operands `{a}` and `{b}` live in different partitions"
-                )));
-            }
-            let scratch = layout.scratch(pa.partition);
-            let width = match expr {
-                AggExpr::Mul(..) => pa.range.width + pb.range.width,
-                _ => pa.range.width.max(pb.range.width),
-            };
-            if width + crate::layout::MIN_SCRATCH_COLS > scratch.width {
-                return Err(CoreError::Layout(format!(
-                    "expression needs {width} result columns plus workspace; scratch has {}",
-                    scratch.width
-                )));
-            }
-            let dst = ColRange::new(scratch.lo, width);
-            let rest = ColRange::new(scratch.lo + width, scratch.width - width);
-            let mut pool = ScratchPool::new(rest);
-            let mut builder = CodeBuilder::new(&mut pool);
-            match expr {
-                AggExpr::Mul(..) => arith::compile_mul(&mut builder, pa.range, pb.range, dst)?,
-                AggExpr::Sub(..) => arith::compile_sub(&mut builder, pa.range, pb.range, dst)?,
-                AggExpr::Attr(..) => unreachable!("handled above"),
-            }
-            let prog = builder.finish();
-            let phase = module.exec_program(&pages.ids(loaded, pa.partition), &prog)?;
-            log.push(phase);
-            Ok(AggInput { partition: pa.partition, value: dst, scratch_left: rest })
-        }
-    }
-}
-
-/// Materialise *several* aggregate expressions at once, stacking the
-/// computed ones into disjoint scratch slices so they stay live
-/// together — the multi-aggregate GROUP BY needs every input resident
-/// while it walks subgroup keys (one group-mask program per key feeds
-/// *all* aggregates). Plain attributes are used in place; duplicate
-/// expressions share one materialisation.
-///
-/// Every returned [`AggInput`]'s `scratch_left` is the scratch
-/// remaining in its partition *after* all stacked values, so follow-up
-/// mask programs cannot clobber any materialised input.
-///
-/// # Errors
-///
-/// [`CoreError::Layout`] when the stacked widths leave less than the
-/// minimum program workspace; the per-expression errors of
-/// [`materialize_expr`] otherwise.
-pub fn materialize_exprs(
-    module: &mut PimModule,
-    layout: &RecordLayout,
-    loaded: &LoadedRelation,
-    pages: &PageSet,
-    exprs: &[&AggExpr],
-    log: &mut RunLog,
-) -> Result<Vec<AggInput>, CoreError> {
-    // Pass 1: place every computed expression (deduplicated), tracking
-    // per-partition stacked usage.
-    let mut used: std::collections::BTreeMap<usize, usize> = std::collections::BTreeMap::new();
-    let mut placed: Vec<(AggExpr, usize, ColRange)> = Vec::new(); // (expr, partition, dst)
-    for expr in exprs {
-        let (a, b) = match expr {
-            AggExpr::Attr(_) => continue,
-            AggExpr::Mul(a, b) | AggExpr::Sub(a, b) => (a, b),
-        };
-        if placed.iter().any(|(e, _, _)| e == *expr) {
-            continue;
-        }
-        let pa = layout.placement(a)?;
-        let pb = layout.placement(b)?;
-        if pa.partition != pb.partition {
-            return Err(CoreError::Unsupported(format!(
-                "aggregate expression operands `{a}` and `{b}` live in different partitions"
-            )));
-        }
-        let width = match expr {
-            AggExpr::Mul(..) => pa.range.width + pb.range.width,
-            _ => pa.range.width.max(pb.range.width),
-        };
-        let scratch = layout.scratch(pa.partition);
-        let offset = used.entry(pa.partition).or_insert(0);
-        if *offset + width + crate::layout::MIN_SCRATCH_COLS > scratch.width {
-            return Err(CoreError::Layout(format!(
-                "stacked expressions need {} result columns plus workspace; scratch has {}",
-                *offset + width,
-                scratch.width
-            )));
-        }
-        let dst = ColRange::new(scratch.lo + *offset, width);
-        *offset += width;
-        placed.push(((*expr).clone(), pa.partition, dst));
-    }
-
-    // Pass 2: compile + execute one program per computed expression,
-    // with the workspace pool confined to the region past every stacked
-    // value of that partition.
-    let remaining = |partition: usize| -> ColRange {
-        let scratch = layout.scratch(partition);
-        let off = used.get(&partition).copied().unwrap_or(0);
-        ColRange::new(scratch.lo + off, scratch.width - off)
-    };
-    for (expr, partition, dst) in &placed {
-        let (a, b) = match expr {
-            AggExpr::Mul(a, b) | AggExpr::Sub(a, b) => (a, b),
-            AggExpr::Attr(_) => unreachable!("only computed expressions are placed"),
-        };
-        let pa = layout.placement(a)?;
-        let pb = layout.placement(b)?;
-        let mut pool = ScratchPool::new(remaining(*partition));
-        let mut builder = CodeBuilder::new(&mut pool);
-        match expr {
-            AggExpr::Mul(..) => arith::compile_mul(&mut builder, pa.range, pb.range, *dst)?,
-            AggExpr::Sub(..) => arith::compile_sub(&mut builder, pa.range, pb.range, *dst)?,
-            AggExpr::Attr(..) => unreachable!("only computed expressions are placed"),
-        }
-        let prog = builder.finish();
-        let phase = module.exec_program(&pages.ids(loaded, *partition), &prog)?;
-        log.push(phase);
-    }
-
-    // Pass 3: assemble the inputs in request order.
-    exprs
-        .iter()
-        .map(|expr| match expr {
-            AggExpr::Attr(name) => {
-                let p = layout.placement(name)?;
-                Ok(AggInput {
-                    partition: p.partition,
-                    value: p.range,
-                    scratch_left: remaining(p.partition),
-                })
-            }
-            computed => {
-                let (_, partition, dst) = placed
-                    .iter()
-                    .find(|(e, _, _)| e == *computed)
-                    .expect("computed expressions were placed in pass 1");
-                Ok(AggInput {
-                    partition: *partition,
-                    value: *dst,
-                    scratch_left: remaining(*partition),
-                })
-            }
-        })
-        .collect()
-}
-
-/// Result-slot width for a reduction: the value width plus carry room
-/// for `rows` addends, clamped to the slot.
-pub fn partial_width(
-    layout: &RecordLayout,
-    partition: usize,
-    value: ColRange,
-    rows: usize,
-) -> ColRange {
-    let slot = layout.result_slot(partition);
-    let need =
-        (value.width + (usize::BITS - (rows - 1).leading_zeros()) as usize).min(slot.width).min(64);
-    ColRange::new(slot.lo, need)
-}
-
 /// Reads (`n` of the paper's Eq. 2) the aggregation circuit performs per
 /// row for a value range: its 16-bit chunks.
 pub fn reads_per_value(layout_cols_chunk_bits: usize, value: ColRange) -> usize {
@@ -249,303 +55,252 @@ pub fn reads_per_value(layout_cols_chunk_bits: usize, value: ColRange) -> usize 
     last - first + 1
 }
 
-/// Aggregate `input` under `mask_col` over the partition's pages,
-/// returning the combined value. Phases (PIM aggregation, result-line
-/// reads, host combine) are pushed to `log`.
-///
-/// # Errors
-///
-/// Propagates simulator failures.
-#[allow(clippy::too_many_arguments)] // engine plumbing: module + layout + log threading
-pub fn aggregate_masked(
-    module: &mut PimModule,
-    layout: &RecordLayout,
-    loaded: &LoadedRelation,
-    page_set: &PageSet,
-    mode: EngineMode,
-    input: &AggInput,
-    mask_col: usize,
-    func: PhysFunc,
-    log: &mut RunLog,
-) -> Result<u64, CoreError> {
-    let rows = module.config().crossbar_rows;
-    let dst = partial_width(layout, input.partition, input.value, rows);
-    let req = AggRequest { op: reduce_op(func), value: input.value, mask_col, dst_row: 0, dst };
-    let pages = page_set.ids(loaded, input.partition);
-    let (partials, phase) = if mode.uses_agg_circuit() {
-        module.agg_circuit(&pages, &req)?
-    } else {
-        module.bitwise_reduce(&pages, &req)?
-    };
-    log.push(phase);
-
-    let chunk_bits = module.config().read_width_bits;
-    let chunks = reads_per_value(chunk_bits, dst) as u64;
-    let flat: Vec<u64> = partials.into_iter().flatten().collect();
-    if module.policy().module_reduce {
-        // Page controllers fold the per-crossbar partials locally, so
-        // one finalised partial crosses the channel instead of one
-        // result line per page.
-        log.push(module.partial_combine_phase(pages.len(), flat.len() as u64));
-        log.push(module.host_read_phase(if pages.is_empty() { 0 } else { chunks }));
-        log.push(Phase::host_compute(flat.len().min(1) as f64 * COMBINE_NS_PER_PARTIAL));
-    } else {
-        // Host fetches one line per result chunk per page and folds the
-        // per-crossbar partials itself.
-        log.push(module.host_read_phase(pages.len() as u64 * chunks));
-        log.push(Phase::host_compute(flat.len() as f64 * COMBINE_NS_PER_PARTIAL));
-    }
-    let combined = match func {
-        PhysFunc::Sum | PhysFunc::Count => flat.iter().fold(0u64, |acc, v| acc.wrapping_add(*v)),
-        PhysFunc::Min => flat.into_iter().min().unwrap_or(u64::MAX),
-        PhysFunc::Max => flat.into_iter().max().unwrap_or(0),
-    };
-    Ok(combined)
-}
-
-/// Like [`aggregate_masked`], with the count register enabled: returns
-/// `(aggregate, selected_rows)`. The result slot is split — the value
-/// partial in its low 48 bits, the count in the top 16-bit chunk — so
-/// the host still reads one extra line per page at most.
-///
-/// Used by pim-gb, where SQL semantics need to know whether a subgroup
-/// was empty. Under `pimdb` the count costs a second reduction tree
-/// (no count register in pure bulk-bitwise logic).
-///
-/// Per-crossbar SUM partials wrap at 48 bits: size aggregated values so
-/// `value.width + log2(rows)` ≤ 48 (every SSB attribute and expression
-/// is ≤ 37; cross-engine tests would catch a violation as an oracle
-/// mismatch).
-///
-/// # Errors
-///
-/// Propagates simulator failures.
-#[allow(clippy::too_many_arguments)] // engine plumbing: module + layout + log threading
-pub fn aggregate_masked_counted(
-    module: &mut PimModule,
-    layout: &RecordLayout,
-    loaded: &LoadedRelation,
-    page_set: &PageSet,
-    mode: EngineMode,
-    input: &AggInput,
-    mask_col: usize,
-    func: PhysFunc,
-    log: &mut RunLog,
-) -> Result<(u64, u64), CoreError> {
-    let rows = module.config().crossbar_rows;
-    let slot = layout.result_slot(input.partition);
-    let carry = (usize::BITS - (rows - 1).leading_zeros()) as usize;
-    let sum_width = (input.value.width + carry).min(slot.width.saturating_sub(16)).min(48);
-    let dst = ColRange::new(slot.lo, sum_width.max(1));
-    let count_dst = ColRange::new(slot.lo + slot.width - 16, 16);
-    let req = AggRequest { op: reduce_op(func), value: input.value, mask_col, dst_row: 0, dst };
-    let pages = page_set.ids(loaded, input.partition);
-    let ((sums, counts), phase) = if mode.uses_agg_circuit() {
-        module.agg_circuit_counted(&pages, &req, count_dst)?
-    } else {
-        module.bitwise_reduce_counted(&pages, &req, count_dst)?
-    };
-    log.push(phase);
-
-    let chunk_bits = module.config().read_width_bits;
-    let chunks = reads_per_value(chunk_bits, dst) as u64 + 1; // + the count chunk
-    let flat_sums: Vec<u64> = sums.into_iter().flatten().collect();
-    let flat_counts: Vec<u64> = counts.into_iter().flatten().collect();
-    if module.policy().module_reduce {
-        // both streams (value + count) fold module-side
-        log.push(module.partial_combine_phase(pages.len(), 2 * flat_sums.len() as u64));
-        log.push(module.host_read_phase(if pages.is_empty() { 0 } else { chunks }));
-        log.push(Phase::host_compute(flat_sums.len().min(1) as f64 * COMBINE_NS_PER_PARTIAL));
-    } else {
-        log.push(module.host_read_phase(pages.len() as u64 * chunks));
-        log.push(Phase::host_compute(flat_sums.len() as f64 * COMBINE_NS_PER_PARTIAL));
-    }
-    let count: u64 = flat_counts.iter().sum();
-    let combined = match func {
-        PhysFunc::Sum | PhysFunc::Count => {
-            flat_sums.iter().fold(0u64, |acc, v| acc.wrapping_add(*v))
+impl Scan<'_> {
+    /// Prepare the aggregation inputs: a plain attribute is used in
+    /// place; a `Mul`/`Sub` expression is computed into scratch by one
+    /// bulk-bitwise program (executed here and charged). The computed
+    /// ones stack into disjoint scratch slices so they stay live
+    /// together — the multi-aggregate GROUP BY needs every input
+    /// resident while it walks subgroup keys (one group-mask program
+    /// per key feeds *all* aggregates). Duplicate expressions share one
+    /// materialisation.
+    ///
+    /// Every returned [`AggInput`]'s `scratch_left` is the scratch
+    /// remaining in its partition *after* all stacked values, so
+    /// follow-up mask programs cannot clobber any materialised input.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Unsupported`] when an expression's operands sit in
+    /// different partitions (cannot happen for SSB: expression operands
+    /// are fact attributes); [`CoreError::Layout`] when the stacked
+    /// widths leave less than the minimum program workspace; compiler
+    /// and simulator failures otherwise.
+    pub fn materialize(&mut self, exprs: &[&AggExpr]) -> Result<Vec<AggInput>, CoreError> {
+        let layout = &self.table.layout;
+        // Pass 1: place every computed expression (deduplicated), tracking
+        // per-partition stacked usage.
+        let mut used: std::collections::BTreeMap<usize, usize> = std::collections::BTreeMap::new();
+        // (expr, partition, operand ranges, dst)
+        let mut placed: Vec<(&AggExpr, usize, [ColRange; 2], ColRange)> = Vec::new();
+        for expr in exprs {
+            let (a, b) = match expr {
+                AggExpr::Attr(_) => continue,
+                AggExpr::Mul(a, b) | AggExpr::Sub(a, b) => (a, b),
+            };
+            if placed.iter().any(|(e, ..)| e == expr) {
+                continue;
+            }
+            let pa = layout.placement(a)?;
+            let pb = layout.placement(b)?;
+            if pa.partition != pb.partition {
+                return Err(CoreError::Unsupported(format!(
+                    "aggregate expression operands `{a}` and `{b}` live in different partitions"
+                )));
+            }
+            let width = match expr {
+                AggExpr::Mul(..) => pa.range.width + pb.range.width,
+                _ => pa.range.width.max(pb.range.width),
+            };
+            let scratch = layout.scratch(pa.partition);
+            let offset = used.entry(pa.partition).or_insert(0);
+            if *offset + width + crate::layout::MIN_SCRATCH_COLS > scratch.width {
+                return Err(CoreError::Layout(format!(
+                    "stacked expressions need {} result columns plus workspace; scratch has {}",
+                    *offset + width,
+                    scratch.width
+                )));
+            }
+            let dst = ColRange::new(scratch.lo + *offset, width);
+            *offset += width;
+            placed.push((expr, pa.partition, [pa.range, pb.range], dst));
         }
-        PhysFunc::Min => flat_sums
+        let remaining = |partition: usize| -> ColRange {
+            let scratch = layout.scratch(partition);
+            let off = used.get(&partition).copied().unwrap_or(0);
+            ColRange::new(scratch.lo + off, scratch.width - off)
+        };
+
+        // Pass 2: assemble the inputs in request order.
+        let inputs = exprs
             .iter()
-            .zip(&flat_counts)
-            .filter(|(_, c)| **c > 0)
-            .map(|(v, _)| *v)
-            .min()
-            .unwrap_or(u64::MAX),
-        PhysFunc::Max => flat_sums
-            .iter()
-            .zip(&flat_counts)
-            .filter(|(_, c)| **c > 0)
-            .map(|(v, _)| *v)
-            .max()
-            .unwrap_or(0),
-    };
-    Ok((combined, count))
+            .map(|expr| {
+                let (partition, value) = match expr {
+                    AggExpr::Attr(name) => {
+                        let p = layout.placement(name)?;
+                        (p.partition, p.range)
+                    }
+                    computed => {
+                        let (_, partition, _, dst) = placed
+                            .iter()
+                            .find(|(e, ..)| e == computed)
+                            .expect("computed expressions were placed in pass 1");
+                        (*partition, *dst)
+                    }
+                };
+                Ok(AggInput { partition, value, scratch_left: remaining(partition) })
+            })
+            .collect::<Result<Vec<_>, CoreError>>()?;
+
+        // Pass 3: compile + execute one program per computed expression,
+        // with the workspace pool confined to the region past every
+        // stacked value of that partition.
+        let programs = placed
+            .into_iter()
+            .map(|(expr, partition, [a, b], dst)| {
+                let mut pool = ScratchPool::new(remaining(partition));
+                let mut builder = CodeBuilder::new(&mut pool);
+                match expr {
+                    AggExpr::Mul(..) => arith::compile_mul(&mut builder, a, b, dst)?,
+                    _ => arith::compile_sub(&mut builder, a, b, dst)?,
+                }
+                Ok((partition, builder.finish()))
+            })
+            .collect::<Result<Vec<_>, CoreError>>()?;
+        for (partition, program) in &programs {
+            self.exec(*partition, program)?;
+        }
+        Ok(inputs)
+    }
+
+    /// Aggregate `input` under `mask_col` over the planned pages of its
+    /// partition — through the aggregation circuit, or under
+    /// [`EngineMode::PimDb`] the reduction tree — returning the
+    /// combined value. Charges the PIM aggregation, the result-line
+    /// reads and the host combine.
+    ///
+    /// With `counted` the request also returns the selected-row count —
+    /// what pim-gb needs, since SQL must tell an empty subgroup from a
+    /// zero sum. The result slot is split — the value partial in its
+    /// low 48 bits, the count in the top 16-bit chunk — so the host
+    /// still reads one extra line per page at most. Under `pimdb` the
+    /// count costs a second reduction tree (no count register in pure
+    /// bulk-bitwise logic). Per-crossbar SUM partials then wrap at 48
+    /// bits: size aggregated values so `value.width + log2(rows)` ≤ 48
+    /// (every SSB attribute and expression is ≤ 37; cross-engine tests
+    /// would catch a violation as an oracle mismatch).
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator failures.
+    pub fn aggregate(
+        &mut self,
+        mode: EngineMode,
+        input: &AggInput,
+        mask_col: usize,
+        func: PhysFunc,
+        counted: bool,
+    ) -> Result<(u64, Option<u64>), CoreError> {
+        let module = &mut self.table.module;
+        // Result slot: the value plus carry room for `rows` addends,
+        // clamped to what the count chunk leaves of the slot.
+        let slot = self.table.layout.result_slot(input.partition);
+        let carry = (usize::BITS - (module.config().crossbar_rows - 1).leading_zeros()) as usize;
+        let count_dst = counted.then(|| ColRange::new(slot.end() - 16, 16));
+        let room = slot.width - count_dst.map_or(0, |c| c.width);
+        let dst = ColRange::new(slot.lo, (input.value.width + carry).min(room));
+        let req = AggRequest { op: reduce_op(func), value: input.value, mask_col, dst_row: 0, dst };
+        let pages = self.pages.ids(&self.table.loaded, input.partition);
+        let (partials, phase) =
+            module.aggregate(&pages, &req, count_dst, mode.uses_agg_circuit())?;
+        self.log.push(phase);
+
+        // value chunks + the count chunk
+        let chunks =
+            (reads_per_value(module.config().read_width_bits, dst) + usize::from(counted)) as u64;
+        let values: Vec<u64> = partials.values.into_iter().flatten().collect();
+        let counts: Option<Vec<u64>> =
+            counted.then(|| partials.counts.into_iter().flatten().collect());
+        if module.policy().module_reduce {
+            // Page controllers fold the per-crossbar partials (both
+            // streams, value + count) locally, so one finalised partial
+            // crosses the channel instead of one result line per page.
+            let streams = 1 + u64::from(counted);
+            self.log.push(module.partial_combine_phase(pages.len(), streams * values.len() as u64));
+            self.log.push(module.host_read_phase(if pages.is_empty() { 0 } else { chunks }));
+            self.log.push(Phase::host_compute(values.len().min(1) as f64 * COMBINE_NS_PER_PARTIAL));
+        } else {
+            // Host fetches one line per result chunk per page and folds the
+            // per-crossbar partials itself.
+            self.log.push(module.host_read_phase(pages.len() as u64 * chunks));
+            self.log.push(Phase::host_compute(values.len() as f64 * COMBINE_NS_PER_PARTIAL));
+        }
+        // MIN/MAX must skip crossbars that selected nothing, when known
+        let live = |i: usize| counts.as_ref().is_none_or(|c| c[i] > 0);
+        let extremes = || values.iter().enumerate().filter(|(i, _)| live(*i)).map(|(_, v)| *v);
+        let combined = match func {
+            PhysFunc::Sum | PhysFunc::Count => {
+                values.iter().fold(0u64, |acc, v| acc.wrapping_add(*v))
+            }
+            PhysFunc::Min => extremes().min().unwrap_or(u64::MAX),
+            PhysFunc::Max => extremes().max().unwrap_or(0),
+        };
+        Ok((combined, counts.map(|c| c.iter().sum())))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter_exec::run_filter;
-    use crate::layout::{RecordLayout, MASK_COL};
-    use crate::loader::load_relation;
-    use bbpim_db::plan::{Atom, Query};
-    use bbpim_db::schema::{Attribute, Schema};
-    use bbpim_db::Relation;
-    use bbpim_sim::SimConfig;
+    use crate::filter_exec::build_conjunction_program;
+    use crate::fixture;
+    use crate::layout::{MASK_COL, VALID_COL};
+    use crate::table::PimTable;
+    use bbpim_db::builder::col;
+    use bbpim_db::plan::Pred;
 
-    fn all(loaded: &LoadedRelation) -> PageSet {
-        PageSet::all(loaded.page_count())
+    fn table(mode: EngineMode) -> PimTable {
+        let rows = (0..500).map(|i| vec![(i * 7) % 256, i % 11, i % 8]);
+        fixture::table(mode, &[("lo_price", 8), ("lo_disc", 4), ("d_g", 4)], rows)
     }
 
-    fn setup(mode: EngineMode) -> (PimModule, Relation, RecordLayout, LoadedRelation) {
-        let cfg = SimConfig::small_for_tests();
-        let schema = Schema::new(
-            "t",
-            vec![
-                Attribute::numeric("lo_price", 8),
-                Attribute::numeric("lo_disc", 4),
-                Attribute::numeric("d_g", 4),
-            ],
-        );
-        let mut rel = Relation::new(schema);
-        for i in 0..500u64 {
-            rel.push_row(&[(i * 7) % 256, i % 11, i % 8]).unwrap();
-        }
-        let layout = RecordLayout::build(rel.schema(), &cfg, mode, &[]).unwrap();
-        let mut module = PimModule::new(cfg);
-        let loaded = load_relation(&mut module, &rel, &layout).unwrap();
-        (module, rel, layout, loaded)
-    }
-
-    fn filter_all(
-        module: &mut PimModule,
-        rel: &Relation,
-        layout: &RecordLayout,
-        loaded: &LoadedRelation,
-        filter: Vec<Atom>,
-        log: &mut RunLog,
-    ) -> Query {
-        let q = Query::single(
-            "t",
-            filter,
-            vec![],
-            bbpim_db::plan::AggFunc::Sum,
-            AggExpr::attr("lo_price"),
-        );
-        let schema = rel.schema();
-        let dnf: Vec<Vec<_>> = q
-            .resolve_filter(schema)
-            .unwrap()
-            .into_iter()
-            .map(|conj| {
-                conj.into_iter()
-                    .map(|a| {
-                        let name = &schema.attrs()[a.attr_index()].name;
-                        let p = layout.placement(name).unwrap();
-                        (a, p)
-                    })
-                    .collect()
-            })
-            .collect();
-        run_filter(module, layout, loaded, &dnf, &PageSet::all(loaded.page_count()), log).unwrap();
-        q
+    /// Filter by `pred`, then reduce `expr` under the query mask.
+    fn aggregate(
+        t: &mut PimTable,
+        mode: EngineMode,
+        pred: &Pred,
+        expr: &AggExpr,
+        f: PhysFunc,
+    ) -> u64 {
+        let mut scan = fixture::filtered(t, pred);
+        let input = scan.materialize(&[expr]).unwrap()[0];
+        scan.aggregate(mode, &input, MASK_COL, f, false).unwrap().0
     }
 
     #[test]
     fn plain_attribute_sum_matches_oracle() {
         for mode in [EngineMode::OneXb, EngineMode::PimDb] {
-            let (mut module, rel, layout, loaded) = setup(mode);
-            let mut log = RunLog::new();
-            filter_all(
-                &mut module,
-                &rel,
-                &layout,
-                &loaded,
-                vec![Atom::Lt { attr: "lo_price".into(), value: 100u64.into() }],
-                &mut log,
-            );
-            let input = materialize_expr(
-                &mut module,
-                &layout,
-                &loaded,
-                &PageSet::all(loaded.page_count()),
-                &AggExpr::Attr("lo_price".into()),
-                &mut log,
-            )
-            .unwrap();
-            let total = aggregate_masked(
-                &mut module,
-                &layout,
-                &loaded,
-                &all(&loaded),
-                mode,
-                &input,
-                MASK_COL,
-                PhysFunc::Sum,
-                &mut log,
-            )
-            .unwrap();
-            let expected: u64 =
-                rel.column_by_name("lo_price").unwrap().values().iter().filter(|v| **v < 100).sum();
+            let mut t = table(mode);
+            let (pred, expr) = (col("lo_price").lt(100u64), AggExpr::attr("lo_price"));
+            let total = aggregate(&mut t, mode, &pred, &expr, PhysFunc::Sum);
+            let prices = t.relation().column_by_name("lo_price").unwrap();
+            let expected: u64 = prices.values().iter().filter(|v| **v < 100).sum();
             assert_eq!(total, expected, "{mode:?}");
         }
     }
 
     #[test]
     fn mul_expression_matches_oracle() {
-        let (mut module, rel, layout, loaded) = setup(EngineMode::OneXb);
-        let mut log = RunLog::new();
-        filter_all(&mut module, &rel, &layout, &loaded, vec![], &mut log);
-        let expr = AggExpr::Mul("lo_price".into(), "lo_disc".into());
-        let input = materialize_expr(&mut module, &layout, &loaded, &all(&loaded), &expr, &mut log)
-            .unwrap();
+        let mut t = table(EngineMode::OneXb);
+        let expr = AggExpr::mul("lo_price", "lo_disc");
+        let mut scan = fixture::filtered(&mut t, &Pred::always());
+        let input = scan.materialize(&[&expr]).unwrap()[0];
         assert_eq!(input.value.width, 12);
-        let total = aggregate_masked(
-            &mut module,
-            &layout,
-            &loaded,
-            &all(&loaded),
-            EngineMode::OneXb,
-            &input,
-            MASK_COL,
-            PhysFunc::Sum,
-            &mut log,
-        )
-        .unwrap();
+        let total =
+            scan.aggregate(EngineMode::OneXb, &input, MASK_COL, PhysFunc::Sum, false).unwrap().0;
+        let rel = t.relation();
         let expected: u64 = (0..rel.len()).map(|r| rel.value(r, 0) * rel.value(r, 1)).sum();
         assert_eq!(total, expected);
     }
 
     #[test]
     fn sub_expression_matches_oracle() {
-        let (mut module, rel, layout, loaded) = setup(EngineMode::OneXb);
         // price >= disc always here (disc ≤ 10 < price except small ones);
         // restrict to rows where price ≥ disc to stay in unsigned range.
-        let mut log = RunLog::new();
-        filter_all(
-            &mut module,
-            &rel,
-            &layout,
-            &loaded,
-            vec![Atom::Gt { attr: "lo_price".into(), value: 15u64.into() }],
-            &mut log,
-        );
-        let expr = AggExpr::Sub("lo_price".into(), "lo_disc".into());
-        let input = materialize_expr(&mut module, &layout, &loaded, &all(&loaded), &expr, &mut log)
-            .unwrap();
-        let total = aggregate_masked(
-            &mut module,
-            &layout,
-            &loaded,
-            &all(&loaded),
-            EngineMode::OneXb,
-            &input,
-            MASK_COL,
-            PhysFunc::Sum,
-            &mut log,
-        )
-        .unwrap();
+        let mut t = table(EngineMode::OneXb);
+        let (pred, expr) = (col("lo_price").gt(15u64), AggExpr::sub("lo_price", "lo_disc"));
+        let total = aggregate(&mut t, EngineMode::OneXb, &pred, &expr, PhysFunc::Sum);
+        let rel = t.relation();
         let expected: u64 = (0..rel.len())
             .filter(|&r| rel.value(r, 0) > 15)
             .map(|r| rel.value(r, 0) - rel.value(r, 1))
@@ -555,99 +310,27 @@ mod tests {
 
     #[test]
     fn min_max_aggregation() {
-        let (mut module, rel, layout, loaded) = setup(EngineMode::OneXb);
-        let mut log = RunLog::new();
-        filter_all(&mut module, &rel, &layout, &loaded, vec![], &mut log);
-        let input = materialize_expr(
-            &mut module,
-            &layout,
-            &loaded,
-            &all(&loaded),
-            &AggExpr::Attr("lo_price".into()),
-            &mut log,
-        )
-        .unwrap();
-        let min = aggregate_masked(
-            &mut module,
-            &layout,
-            &loaded,
-            &all(&loaded),
-            EngineMode::OneXb,
-            &input,
-            MASK_COL,
-            PhysFunc::Min,
-            &mut log,
-        )
-        .unwrap();
-        let max = aggregate_masked(
-            &mut module,
-            &layout,
-            &loaded,
-            &all(&loaded),
-            EngineMode::OneXb,
-            &input,
-            MASK_COL,
-            PhysFunc::Max,
-            &mut log,
-        )
-        .unwrap();
-        let col = rel.column_by_name("lo_price").unwrap();
-        assert_eq!(min, *col.values().iter().min().unwrap());
-        assert_eq!(max, *col.values().iter().max().unwrap());
+        let mut t = table(EngineMode::OneXb);
+        let (all, expr) = (Pred::always(), AggExpr::attr("lo_price"));
+        let min = aggregate(&mut t, EngineMode::OneXb, &all, &expr, PhysFunc::Min);
+        let max = aggregate(&mut t, EngineMode::OneXb, &all, &expr, PhysFunc::Max);
+        let prices = t.relation().column_by_name("lo_price").unwrap();
+        assert_eq!(min, *prices.values().iter().min().unwrap());
+        assert_eq!(max, *prices.values().iter().max().unwrap());
     }
 
     #[test]
     fn pimdb_aggregation_costs_more_time_and_energy() {
-        let (mut m1, rel1, l1, ld1) = setup(EngineMode::OneXb);
-        let (mut m2, _rel2, l2, ld2) = setup(EngineMode::PimDb);
-        let mut log1 = RunLog::new();
-        let mut log2 = RunLog::new();
-        filter_all(&mut m1, &rel1, &l1, &ld1, vec![], &mut log1);
-        filter_all(&mut m2, &rel1, &l2, &ld2, vec![], &mut log2);
-        let i1 = materialize_expr(
-            &mut m1,
-            &l1,
-            &ld1,
-            &all(&ld1),
-            &AggExpr::Attr("lo_price".into()),
-            &mut log1,
-        )
-        .unwrap();
-        let i2 = materialize_expr(
-            &mut m2,
-            &l2,
-            &ld2,
-            &all(&ld2),
-            &AggExpr::Attr("lo_price".into()),
-            &mut log2,
-        )
-        .unwrap();
-        let mut a1 = RunLog::new();
-        let mut a2 = RunLog::new();
-        let v1 = aggregate_masked(
-            &mut m1,
-            &l1,
-            &ld1,
-            &all(&ld1),
-            EngineMode::OneXb,
-            &i1,
-            MASK_COL,
-            PhysFunc::Sum,
-            &mut a1,
-        )
-        .unwrap();
-        let v2 = aggregate_masked(
-            &mut m2,
-            &l2,
-            &ld2,
-            &all(&ld2),
-            EngineMode::PimDb,
-            &i2,
-            MASK_COL,
-            PhysFunc::Sum,
-            &mut a2,
-        )
-        .unwrap();
+        let run = |mode| {
+            let mut t = table(mode);
+            let mut scan = fixture::filtered(&mut t, &Pred::always());
+            let input = scan.materialize(&[&AggExpr::attr("lo_price")]).unwrap()[0];
+            scan.take_log();
+            let value = scan.aggregate(mode, &input, MASK_COL, PhysFunc::Sum, false).unwrap().0;
+            (value, scan.take_log())
+        };
+        let (v1, a1) = run(EngineMode::OneXb);
+        let (v2, a2) = run(EngineMode::PimDb);
         assert_eq!(v1, v2);
         assert!(a2.total_time_ns() > a1.total_time_ns());
         assert!(a2.total_energy_pj() > a1.total_energy_pj());
@@ -655,19 +338,13 @@ mod tests {
 
     #[test]
     fn scratch_reservation_leaves_room_for_more_programs() {
-        let (mut module, _rel, layout, loaded) = setup(EngineMode::OneXb);
-        let mut log = RunLog::new();
-        let expr = AggExpr::Mul("lo_price".into(), "lo_disc".into());
-        let input = materialize_expr(&mut module, &layout, &loaded, &all(&loaded), &expr, &mut log)
-            .unwrap();
+        let mut t = table(EngineMode::OneXb);
+        let mut scan = fixture::scan(&mut t);
+        let input = scan.materialize(&[&AggExpr::mul("lo_price", "lo_disc")]).unwrap()[0];
         // A follow-up mask program must compile inside the remaining
         // scratch without touching the materialised product.
-        let prog = crate::filter_exec::build_mask_program_in(
-            input.scratch_left,
-            &[],
-            &[crate::layout::VALID_COL],
-            MASK_COL,
-        );
+        let prog =
+            build_conjunction_program(input.scratch_left, &[], &[VALID_COL], MASK_COL, false);
         assert!(prog.is_ok());
         assert!(input.scratch_left.width >= crate::layout::MIN_SCRATCH_COLS);
         assert!(input.scratch_left.lo >= input.value.end());

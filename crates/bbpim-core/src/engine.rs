@@ -3,22 +3,21 @@
 //! [`PimQueryEngine`] is a [`PimTable`] holding the pre-joined relation
 //! plus what the paper's engine adds on top: the mode, the fitted
 //! GROUP-BY model and the pruning switch. [`run_query`] executes one
-//! logical query exactly as Section IV describes: bulk-bitwise filter →
+//! logical query exactly as Section IV describes, as one sequence of
+//! calls on one [`crate::scan::Scan`]: begin → bulk-bitwise filter →
 //! (for GROUP BY) one-page sampling and the Eq. (3) decision → pim-gb /
-//! host-gb → report. Queries without GROUP BY (SSB Q1.x) aggregate the
+//! host-gb → finish. Queries without GROUP BY (SSB Q1.x) aggregate the
 //! whole selection in PIM directly.
 
-use bbpim_db::plan::{Query, ResolvedAtom};
+use bbpim_db::plan::Query;
 use bbpim_db::stats;
 use bbpim_db::Relation;
 use bbpim_sim::config::SimConfig;
 
 use crate::error::CoreError;
-use crate::filter_exec::run_filter;
 use crate::groupby::calibration::{run_calibration, CalibrationConfig, CalibrationData};
 use crate::groupby::cost_model::GroupByModel;
-use crate::groupby::run_group_by;
-use crate::layout::{AttrPlacement, RecordLayout};
+use crate::layout::RecordLayout;
 use crate::modes::EngineMode;
 use crate::mutation::{Mutation, MutationReport};
 use crate::planner::PageSet;
@@ -215,33 +214,14 @@ pub fn run_query(
     query: &Query,
 ) -> Result<QueryExecution, CoreError> {
     let plan = query.physical_plan().map_err(CoreError::Db)?;
-    let schema = table.relation().schema();
-    let dnf = query.resolve_filter(schema)?;
-    let pages = table.plan_dnf(&dnf, prune);
-    let disjuncts: Vec<Vec<(ResolvedAtom, AttrPlacement)>> = dnf
-        .into_iter()
-        .map(|conj| {
-            conj.into_iter()
-                .map(|atom| {
-                    let name = &schema.attrs()[atom.attr_index()].name;
-                    Ok((atom, table.layout().placement(name)?))
-                })
-                .collect::<Result<Vec<_>, CoreError>>()
-        })
-        .collect::<Result<_, CoreError>>()?;
-
-    let mut log = table.begin_query(&pages, None);
-    let (module, layout, loaded, relation) = table.parts_mut();
-    let selected = run_filter(module, layout, loaded, &disjuncts, &pages, &mut log)?.selected;
-    let grouped = if query.has_group_by() {
-        let model = model.ok_or(CoreError::NotCalibrated)?;
-        Some(run_group_by(
-            module, layout, loaded, &pages, relation, mode, query, &plan, model, &mut log,
-        )?)
-    } else {
-        None
+    let dnf = query.resolve_filter(table.relation().schema())?;
+    let mut scan = table.begin(table.plan_dnf(&dnf, prune), None);
+    let selected = scan.filter(&dnf)?;
+    let grouped = match query.has_group_by() {
+        true => Some(scan.group_by(mode, query, &plan, model.ok_or(CoreError::NotCalibrated)?)?),
+        false => None,
     };
-    table.finish_query(mode, query, &plan, &pages, selected, grouped, log)
+    scan.finish(mode, query, &plan, selected, grouped)
 }
 
 #[cfg(test)]

@@ -18,19 +18,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::agg_exec::materialize_expr;
 use crate::error::CoreError;
-use crate::filter_exec::run_filter;
 use crate::groupby::cost_model::{GroupByModel, HostGbModel, PimGbModel};
 use crate::groupby::fitting::{fit_linear, fit_sqrt};
-use crate::groupby::pim_gb::run_pim_gb;
+use crate::groupby::pim_gb::PreparedAgg;
 use crate::layout::RecordLayout;
-use crate::loader::load_relation;
 use crate::modes::EngineMode;
+use crate::planner::PageSet;
+use crate::table::PimTable;
 use bbpim_sim::config::SimConfig;
 use bbpim_sim::hostmem;
-use bbpim_sim::module::PimModule;
-use bbpim_sim::timeline::RunLog;
 
 /// Calibration sweep parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -224,41 +221,20 @@ fn measure_pim_point(
         rel.push_row(&[rng.gen::<u64>() & value_mask & 0xFFFF, rng.gen_range(0..1000u64)])?;
     }
     let layout = RecordLayout::build(rel.schema(), cfg, mode, &[])?;
-    let mut module = PimModule::new(cfg.clone());
-    let loaded = load_relation(&mut module, &rel, &layout)?;
+    let mut table = PimTable::new(cfg.clone(), rel, layout)?;
 
-    // Query mask: everything (filter cost is not part of T_pim-gb).
     // Calibration is always exhaustive — the fitted tables describe
     // per-page costs, which the planner then applies to candidate pages.
-    let pages = crate::planner::PageSet::all(loaded.page_count());
-    let mut pre = RunLog::new();
-    // One empty conjunction = the TRUE filter (select everything).
-    run_filter(&mut module, &layout, &loaded, &[Vec::new()], &pages, &mut pre)?;
-    let input = materialize_expr(
-        &mut module,
-        &layout,
-        &loaded,
-        &pages,
-        &AggExpr::Attr("lo_value".into()),
-        &mut pre,
-    )?;
-    let gp = vec![("d_key".to_string(), layout.placement("d_key")?)];
-
-    let mut log = RunLog::new();
-    let scratch = input.scratch_left;
-    run_pim_gb(
-        &mut module,
-        &layout,
-        &loaded,
-        &pages,
-        mode,
-        &gp,
-        &[vec![42u64]],
-        &[crate::groupby::pim_gb::PreparedAgg::Reduce { func: PhysFunc::Sum, input }],
-        scratch,
-        &mut log,
-    )?;
-    Ok(log.total_time_ns())
+    let mut scan = table.begin(PageSet::all(table.page_count()), None);
+    // Query mask: everything — one empty conjunction is the TRUE filter.
+    scan.filter(&[Vec::new()])?;
+    let input = scan.materialize(&[&AggExpr::Attr("lo_value".into())])?[0];
+    let gp = vec![("d_key".to_string(), scan.table().layout().placement("d_key")?)];
+    // Dispatch and filter cost are not part of T_pim-gb.
+    scan.take_log();
+    let aggs = [PreparedAgg::Reduce { func: PhysFunc::Sum, input }];
+    scan.pim_gb(mode, &gp, &[vec![42u64]], &aggs, input.scratch_left)?;
+    Ok(scan.take_log().total_time_ns())
 }
 
 #[cfg(test)]

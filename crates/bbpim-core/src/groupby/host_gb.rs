@@ -13,17 +13,14 @@
 
 use std::collections::HashSet;
 
-use bbpim_db::plan::{AggExpr, PhysAgg};
+use bbpim_db::plan::PhysAgg;
 use bbpim_db::stats::GroupedResult;
 use bbpim_sim::hostmem::LineSet;
-use bbpim_sim::module::PimModule;
-use bbpim_sim::timeline::{Phase, RunLog};
+use bbpim_sim::timeline::Phase;
 
 use crate::error::CoreError;
-use crate::filter_exec::{mask_bits, mask_read_phases};
-use crate::layout::{AttrPlacement, RecordLayout, MASK_COL};
-use crate::loader::LoadedRelation;
-use crate::planner::PageSet;
+use crate::layout::{AttrPlacement, MASK_COL};
+use crate::scan::Scan;
 
 /// One host-gb run.
 #[derive(Debug)]
@@ -37,244 +34,160 @@ pub struct HostGbRequest<'a> {
     pub skip: &'a HashSet<Vec<u64>>,
 }
 
-/// Read an attribute of one record straight from the stored bits.
-///
-/// # Errors
-///
-/// Propagates placement/slot failures.
-pub fn read_attr_value(
-    module: &PimModule,
-    layout: &RecordLayout,
-    loaded: &LoadedRelation,
-    record: usize,
-    name: &str,
-) -> Result<u64, CoreError> {
-    let placement = layout.placement(name)?;
-    let (pg, slot) = loaded.locate(record);
-    let page = module.page(loaded.pages(placement.partition)[pg]);
-    Ok(page.read_record_bits(slot, placement.range.lo, placement.range.width)?)
-}
+impl Scan<'_> {
+    /// Execute host-gb. Charges mask-read, record-read and host-compute
+    /// phases and returns the aggregated tail groups — one
+    /// [`GroupedResult`] per requested physical aggregate, in request
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates placement/slot failures.
+    pub fn host_gb(&mut self, req: &HostGbRequest<'_>) -> Result<Vec<GroupedResult>, CoreError> {
+        // 1. Filter-result bit-vector of the planned pages only (pruned
+        //    pages hold no selected records and are not read).
+        let mask = self.move_mask(0, MASK_COL, None)?;
+        let table = &*self.table;
 
-/// Evaluate an aggregate expression for one record from stored bits.
-///
-/// # Errors
-///
-/// Propagates attribute-read failures.
-pub fn eval_expr(
-    module: &PimModule,
-    layout: &RecordLayout,
-    loaded: &LoadedRelation,
-    record: usize,
-    expr: &AggExpr,
-) -> Result<u64, CoreError> {
-    Ok(match expr {
-        AggExpr::Attr(a) => read_attr_value(module, layout, loaded, record, a)?,
-        AggExpr::Mul(a, b) => read_attr_value(module, layout, loaded, record, a)?
-            .wrapping_mul(read_attr_value(module, layout, loaded, record, b)?),
-        AggExpr::Sub(a, b) => read_attr_value(module, layout, loaded, record, a)?
-            .wrapping_sub(read_attr_value(module, layout, loaded, record, b)?),
-    })
-}
-
-/// Execute host-gb. Charges mask-read, record-read and host-compute
-/// phases to `log` and returns the aggregated tail groups — one
-/// [`GroupedResult`] per requested physical aggregate, in request
-/// order.
-///
-/// # Errors
-///
-/// Propagates placement/slot failures.
-pub fn run_host_gb(
-    module: &mut PimModule,
-    layout: &RecordLayout,
-    loaded: &LoadedRelation,
-    pages: &PageSet,
-    req: &HostGbRequest<'_>,
-    log: &mut RunLog,
-) -> Result<Vec<GroupedResult>, CoreError> {
-    // 1. Filter-result bit-vector of the planned pages only (pruned
-    //    pages hold no selected records and are not read).
-    let mask = mask_bits(module, loaded, pages, 0, MASK_COL);
-    for phase in mask_read_phases(module, loaded, pages, &mask) {
-        log.push(phase);
-    }
-
-    // 2. Which chunks must be read per record: group keys + the union
-    //    of every aggregate's operands (shared operands read once).
-    let mut read_attrs: Vec<&str> = req.group_placements.iter().map(|(n, _)| n.as_str()).collect();
-    for agg in req.aggs {
-        read_attrs.extend(agg.attrs());
-    }
-    read_attrs.sort_unstable();
-    read_attrs.dedup();
-    let chunk_map = layout.chunks_for(read_attrs.iter().copied())?;
-
-    // 3. Exact unique-line accounting over the selected records.
-    let mut lines = LineSet::new();
-    let cfg = module.config().clone();
-    for (record, selected) in mask.iter().enumerate() {
-        if !selected {
-            continue;
+        // 2. Which chunks must be read per record: group keys + the union
+        //    of every aggregate's operands (shared operands read once).
+        let mut read_attrs: Vec<&str> =
+            req.group_placements.iter().map(|(n, _)| n.as_str()).collect();
+        for agg in req.aggs {
+            read_attrs.extend(agg.attrs());
         }
-        let (pg, slot) = loaded.locate(record);
-        for (&partition, chunks) in &chunk_map {
-            let page_id = loaded.pages(partition)[pg];
-            let page = module.page(page_id);
-            let s = page.record_slot(slot)?;
-            for &chunk in chunks {
-                lines.touch_bit_range(
-                    &cfg,
-                    page_id.0,
-                    s.row,
-                    chunk * cfg.read_width_bits,
-                    cfg.read_width_bits,
-                );
+        read_attrs.sort_unstable();
+        read_attrs.dedup();
+        let chunk_map = table.layout.chunks_for(read_attrs.iter().copied())?;
+
+        // 3. Exact unique-line accounting over the selected records.
+        let mut lines = LineSet::new();
+        let cfg = table.module.config();
+        for (record, selected) in mask.iter().enumerate() {
+            if !selected {
+                continue;
+            }
+            let (pg, slot) = table.loaded.locate(record);
+            for (&partition, chunks) in &chunk_map {
+                let page_id = table.loaded.pages(partition)[pg];
+                let s = table.module.page(page_id).record_slot(slot)?;
+                for &chunk in chunks {
+                    lines.touch_bit_range(
+                        cfg,
+                        page_id.0,
+                        s.row,
+                        chunk * cfg.read_width_bits,
+                        cfg.read_width_bits,
+                    );
+                }
             }
         }
-    }
-    // Record fetches are mask-directed (data-dependent addresses):
-    // latency-bound scattered reads, per the paper's host-gb behaviour.
-    log.push(module.host_read_scattered_phase(lines.len()));
+        // Record fetches are mask-directed (data-dependent addresses):
+        // latency-bound scattered reads, per the paper's host-gb behaviour.
+        self.log.push(table.module.host_read_scattered_phase(lines.len()));
 
-    // 4. Hash aggregation at the host, all physical aggregates folded
-    //    in one pass over the selected records.
-    let mut out: Vec<GroupedResult> = vec![GroupedResult::new(); req.aggs.len()];
-    for (record, selected) in mask.iter().enumerate() {
-        if !selected {
-            continue;
+        // 4. Hash aggregation at the host, all physical aggregates folded
+        //    in one pass over the selected records.
+        let mut out: Vec<GroupedResult> = vec![GroupedResult::new(); req.aggs.len()];
+        for (record, selected) in mask.iter().enumerate() {
+            if !selected {
+                continue;
+            }
+            let mut key = Vec::with_capacity(req.group_placements.len());
+            for (name, _) in req.group_placements {
+                key.push(table.read_attr(record, name)?);
+            }
+            if req.skip.contains(&key) {
+                continue;
+            }
+            for (agg, grouped) in req.aggs.iter().zip(out.iter_mut()) {
+                let v = match &agg.expr {
+                    None => 1,
+                    Some(expr) => table.eval_expr(record, expr)?,
+                };
+                grouped
+                    .entry(key.clone())
+                    .and_modify(|acc| *acc = agg.func.merge(*acc, v))
+                    .or_insert(v);
+            }
         }
-        let mut key = Vec::with_capacity(req.group_placements.len());
-        for (name, _) in req.group_placements {
-            key.push(read_attr_value(module, layout, loaded, record, name)?);
-        }
-        if req.skip.contains(&key) {
-            continue;
-        }
-        for (agg, grouped) in req.aggs.iter().zip(out.iter_mut()) {
-            let v = match &agg.expr {
-                None => 1,
-                Some(expr) => eval_expr(module, layout, loaded, record, expr)?,
-            };
-            grouped
-                .entry(key.clone())
-                .and_modify(|acc| *acc = agg.func.merge(*acc, v))
-                .or_insert(v);
-        }
+        let per_record = cfg.host.host_agg_ns_per_record / cfg.host.threads as f64;
+        self.log.push(Phase::host_compute(mask.iter().filter(|m| **m).count() as f64 * per_record));
+        Ok(out)
     }
-    let per_record = cfg.host.host_agg_ns_per_record / cfg.host.threads as f64;
-    log.push(Phase::host_compute(mask.iter().filter(|m| **m).count() as f64 * per_record));
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter_exec::run_filter;
-    use crate::layout::RecordLayout;
-    use crate::loader::load_relation;
+    use crate::fixture;
     use crate::modes::EngineMode;
-    use bbpim_db::plan::{AggFunc, Atom, PhysFunc, Query};
-    use bbpim_db::schema::{Attribute, Schema};
+    use crate::table::PimTable;
+    use bbpim_db::builder::col;
+    use bbpim_db::plan::{AggExpr, PhysFunc, Pred, Query, SelectItem};
     use bbpim_db::stats;
-    use bbpim_db::Relation;
-    use bbpim_sim::SimConfig;
+    use bbpim_sim::timeline::{PhaseKind, RunLog};
 
-    fn filter_dnf(
-        q: &Query,
-        rel: &Relation,
-        layout: &RecordLayout,
-    ) -> Vec<Vec<(bbpim_db::plan::ResolvedAtom, AttrPlacement)>> {
-        let schema = rel.schema();
-        q.resolve_filter(schema)
+    fn table(mode: EngineMode) -> PimTable {
+        let rows = (0..800).map(|i| vec![(3 * i) % 251, i % 50, i % 9, (i / 9) % 5]);
+        fixture::table(mode, &[("lo_v", 8), ("lo_w", 6), ("d_g", 4), ("d_h", 3)], rows)
+    }
+
+    /// `SELECT SUM(expr) WHERE filter GROUP BY d_g, d_h`.
+    fn query(t: &PimTable, filter: Pred, expr: AggExpr) -> Query {
+        Query::select([SelectItem::sum("value", expr)])
+            .filter(filter)
+            .group_by(["d_g", "d_h"])
+            .build(t.relation().schema())
             .unwrap()
-            .into_iter()
-            .map(|conj| {
-                conj.into_iter()
-                    .map(|a| {
-                        let name = &schema.attrs()[a.attr_index()].name;
-                        let p = layout.placement(name).unwrap();
-                        (a, p)
-                    })
-                    .collect()
-            })
-            .collect()
     }
 
-    fn setup(mode: EngineMode) -> (PimModule, Relation, RecordLayout, LoadedRelation, Query) {
-        let cfg = SimConfig::small_for_tests();
-        let schema = Schema::new(
-            "t",
-            vec![
-                Attribute::numeric("lo_v", 8),
-                Attribute::numeric("lo_w", 6),
-                Attribute::numeric("d_g", 4),
-                Attribute::numeric("d_h", 3),
-            ],
-        );
-        let mut rel = Relation::new(schema);
-        for i in 0..800u64 {
-            rel.push_row(&[(3 * i) % 251, i % 50, i % 9, (i / 9) % 5]).unwrap();
-        }
-        let q = Query::single(
-            "t",
-            vec![Atom::Lt { attr: "lo_v".into(), value: 170u64.into() }],
-            vec!["d_g".into(), "d_h".into()],
-            AggFunc::Sum,
-            AggExpr::attr("lo_v"),
-        );
-        let layout = RecordLayout::build(rel.schema(), &cfg, mode, &[]).unwrap();
-        let mut module = PimModule::new(cfg);
-        let loaded = load_relation(&mut module, &rel, &layout).unwrap();
-        let dnf = filter_dnf(&q, &rel, &layout);
-        let mut log = RunLog::new();
-        let pages = PageSet::all(loaded.page_count());
-        run_filter(&mut module, &layout, &loaded, &dnf, &pages, &mut log).unwrap();
-        (module, rel, layout, loaded, q)
+    /// Filter by `q`'s WHERE, then host-gb `aggs` by `q`'s keys; returns
+    /// the groups and the host-gb phases alone.
+    fn run(
+        t: &mut PimTable,
+        q: &Query,
+        aggs: &[PhysAgg],
+        skip: &HashSet<Vec<u64>>,
+    ) -> (Vec<GroupedResult>, RunLog) {
+        let mut scan = fixture::filtered(t, &q.filter);
+        let layout = scan.table().layout();
+        let gp: Vec<_> =
+            q.group_by.iter().map(|g| (g.clone(), layout.placement(g).unwrap())).collect();
+        scan.take_log();
+        let req = HostGbRequest { group_placements: &gp, aggs, skip };
+        (scan.host_gb(&req).unwrap(), scan.take_log())
     }
 
-    fn placements(layout: &RecordLayout, q: &Query) -> Vec<(String, AttrPlacement)> {
-        q.group_by.iter().map(|g| (g.clone(), layout.placement(g).unwrap())).collect()
-    }
-
-    fn sum_aggs(q: &Query) -> Vec<PhysAgg> {
-        q.physical_plan().unwrap().aggs
+    fn oracle(t: &PimTable, q: &Query) -> GroupedResult {
+        stats::column(&stats::run_oracle(q, t.relation()).unwrap(), 0)
     }
 
     #[test]
     fn host_gb_matches_oracle() {
         for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
-            let (mut module, rel, layout, loaded, q) = setup(mode);
-            let gp = placements(&layout, &q);
-            let skip = HashSet::new();
-            let aggs = sum_aggs(&q);
-            let req = HostGbRequest { group_placements: &gp, aggs: &aggs, skip: &skip };
-            let mut log = RunLog::new();
-            let pages = PageSet::all(loaded.page_count());
-            let got = run_host_gb(&mut module, &layout, &loaded, &pages, &req, &mut log).unwrap();
-            let expected = stats::column(&stats::run_oracle(&q, &rel).unwrap(), 0);
+            let mut t = table(mode);
+            let q = query(&t, col("lo_v").lt(170u64), AggExpr::attr("lo_v"));
+            let (got, log) = run(&mut t, &q, &q.physical_plan().unwrap().aggs, &HashSet::new());
             assert_eq!(got.len(), 1);
-            assert_eq!(got[0], expected, "{mode:?}");
+            assert_eq!(got[0], oracle(&t, &q), "{mode:?}");
             assert!(log.total_time_ns() > 0.0);
         }
     }
 
     #[test]
     fn multi_aggregate_host_gb_single_pass() {
-        use bbpim_sim::timeline::PhaseKind;
-        let (mut module, rel, layout, loaded, q) = setup(EngineMode::OneXb);
-        let gp = placements(&layout, &q);
-        let skip = HashSet::new();
+        let mut t = table(EngineMode::OneXb);
+        let q = query(&t, col("lo_v").lt(170u64), AggExpr::attr("lo_v"));
         let aggs = vec![
             PhysAgg { func: PhysFunc::Sum, expr: Some(AggExpr::attr("lo_v")) },
             PhysAgg { func: PhysFunc::Count, expr: None },
             PhysAgg { func: PhysFunc::Max, expr: Some(AggExpr::sub("lo_v", "lo_w")) },
         ];
-        let req = HostGbRequest { group_placements: &gp, aggs: &aggs, skip: &skip };
-        let mut multi_log = RunLog::new();
-        let pages = PageSet::all(loaded.page_count());
-        let got = run_host_gb(&mut module, &layout, &loaded, &pages, &req, &mut multi_log).unwrap();
+        let (got, multi_log) = run(&mut t, &q, &aggs, &HashSet::new());
         assert_eq!(got.len(), 3);
         // reference per column
+        let rel = t.relation();
         let mut sums = GroupedResult::new();
         let mut counts = GroupedResult::new();
         let mut maxs = GroupedResult::new();
@@ -295,10 +208,7 @@ mod tests {
         // one record-read pass: compare against a single-aggregate run
         // reading the same operand set — the multi run must not read per
         // aggregate.
-        let single = vec![PhysAgg { func: PhysFunc::Sum, expr: Some(AggExpr::attr("lo_v")) }];
-        let req1 = HostGbRequest { group_placements: &gp, aggs: &single, skip: &skip };
-        let mut single_log = RunLog::new();
-        run_host_gb(&mut module, &layout, &loaded, &pages, &req1, &mut single_log).unwrap();
+        let (_, single_log) = run(&mut t, &q, &aggs[..1], &HashSet::new());
         let reads = |log: &RunLog| log.time_in(PhaseKind::HostRead);
         // the three-aggregate pass reads one extra operand (lo_w), never
         // three times the lines
@@ -307,60 +217,32 @@ mod tests {
 
     #[test]
     fn skip_set_excludes_groups() {
-        let (mut module, rel, layout, loaded, q) = setup(EngineMode::OneXb);
-        let gp = placements(&layout, &q);
-        let expected = stats::column(&stats::run_oracle(&q, &rel).unwrap(), 0);
+        let mut t = table(EngineMode::OneXb);
+        let q = query(&t, col("lo_v").lt(170u64), AggExpr::attr("lo_v"));
+        let expected = oracle(&t, &q);
         let skipped_key = expected.keys().next().unwrap().clone();
-        let mut skip = HashSet::new();
-        skip.insert(skipped_key.clone());
-        let aggs = sum_aggs(&q);
-        let req = HostGbRequest { group_placements: &gp, aggs: &aggs, skip: &skip };
-        let mut log = RunLog::new();
-        let pages = PageSet::all(loaded.page_count());
-        let got = run_host_gb(&mut module, &layout, &loaded, &pages, &req, &mut log).unwrap();
+        let skip = HashSet::from([skipped_key.clone()]);
+        let (got, _) = run(&mut t, &q, &q.physical_plan().unwrap().aggs, &skip);
         assert!(!got[0].contains_key(&skipped_key));
         assert_eq!(got[0].len(), expected.len() - 1);
     }
 
     #[test]
     fn denser_selection_reads_fewer_lines_per_record() {
-        // r=1.0 vs sparse: lines per selected record shrink with density.
-        let (mut module, rel, layout, loaded, mut q) = setup(EngineMode::OneXb);
-        let gp = placements(&layout, &q);
-        let skip = HashSet::new();
-        // dense: the filter already selected ~2/3; rerun with everything
-        q.filter = bbpim_db::plan::Pred::always();
-        let dnf = filter_dnf(&q, &rel, &layout);
-        let mut log0 = RunLog::new();
-        let pages = PageSet::all(loaded.page_count());
-        run_filter(&mut module, &layout, &loaded, &dnf, &pages, &mut log0).unwrap();
-        let aggs = sum_aggs(&q);
-        let req = HostGbRequest { group_placements: &gp, aggs: &aggs, skip: &skip };
-        let mut dense_log = RunLog::new();
-        let dense =
-            run_host_gb(&mut module, &layout, &loaded, &pages, &req, &mut dense_log).unwrap();
-        assert_eq!(dense[0].len(), stats::run_oracle(&q, &rel).unwrap().len());
-        use bbpim_sim::timeline::PhaseKind;
-        let dense_read = dense_log.time_in(PhaseKind::HostRead);
-        // dense read time is positive yet far below selected × s × line time
-        assert!(dense_read > 0.0);
+        // r=1.0: every record selected; the read time is positive yet far
+        // below selected × s × line time
+        let mut t = table(EngineMode::OneXb);
+        let q = query(&t, Pred::always(), AggExpr::attr("lo_v"));
+        let (dense, dense_log) = run(&mut t, &q, &q.physical_plan().unwrap().aggs, &HashSet::new());
+        assert_eq!(dense[0].len(), stats::run_oracle(&q, t.relation()).unwrap().len());
+        assert!(dense_log.time_in(PhaseKind::HostRead) > 0.0);
     }
 
     #[test]
     fn expression_evaluated_host_side() {
-        let (mut module, rel, layout, loaded, mut q) = setup(EngineMode::OneXb);
-        q.select[0].expr = Some(AggExpr::sub("lo_v", "lo_w"));
-        q.filter =
-            bbpim_db::plan::Pred::all(vec![Atom::Gt { attr: "lo_v".into(), value: 60u64.into() }]);
-        let dnf = filter_dnf(&q, &rel, &layout);
-        let mut log = RunLog::new();
-        let pages = PageSet::all(loaded.page_count());
-        run_filter(&mut module, &layout, &loaded, &dnf, &pages, &mut log).unwrap();
-        let gp = placements(&layout, &q);
-        let skip = HashSet::new();
-        let aggs = sum_aggs(&q);
-        let req = HostGbRequest { group_placements: &gp, aggs: &aggs, skip: &skip };
-        let got = run_host_gb(&mut module, &layout, &loaded, &pages, &req, &mut log).unwrap();
-        assert_eq!(got[0], stats::column(&stats::run_oracle(&q, &rel).unwrap(), 0));
+        let mut t = table(EngineMode::OneXb);
+        let q = query(&t, col("lo_v").gt(60u64), AggExpr::sub("lo_v", "lo_w"));
+        let (got, _) = run(&mut t, &q, &q.physical_plan().unwrap().aggs, &HashSet::new());
+        assert_eq!(got[0], oracle(&t, &q));
     }
 }

@@ -26,16 +26,12 @@ use std::collections::HashSet;
 
 use bbpim_db::plan::{PhysicalPlan, Query};
 use bbpim_db::stats::{self, GroupedResult};
-use bbpim_db::Relation;
-use bbpim_sim::module::PimModule;
-use bbpim_sim::timeline::RunLog;
 
-use crate::agg_exec::{materialize_exprs, reads_per_value, AggInput};
+use crate::agg_exec::reads_per_value;
 use crate::error::CoreError;
 use crate::layout::{AttrPlacement, RecordLayout};
-use crate::loader::LoadedRelation;
 use crate::modes::EngineMode;
-use crate::planner::PageSet;
+use crate::scan::Scan;
 use cost_model::{GbParams, GroupByModel};
 use pim_gb::PreparedAgg;
 
@@ -83,158 +79,134 @@ pub fn plan_n(
     Ok(reads_per_value(cfg.read_width_bits, range))
 }
 
-/// Execute the hybrid GROUP-BY over the planned pages for every
-/// physical aggregate of `plan`. The filter must already have produced
-/// the mask in partition 0 of those pages. `relation` serves as the
-/// catalog for the potential-subgroup enumeration (`k_MAX`). An empty
-/// plan returns the empty outcome without touching the module — the
-/// planner proved no record matches.
-///
-/// # Errors
-///
-/// Propagates substrate failures; [`CoreError::NotCalibrated`] never
-/// arises here (the caller passes a fitted model).
-#[allow(clippy::too_many_arguments)]
-pub fn run_group_by(
-    module: &mut PimModule,
-    layout: &RecordLayout,
-    loaded: &LoadedRelation,
-    pages: &PageSet,
-    relation: &Relation,
-    mode: EngineMode,
-    query: &Query,
-    plan: &PhysicalPlan,
-    model: &GroupByModel,
-    log: &mut RunLog,
-) -> Result<GroupByOutcome, CoreError> {
-    if pages.is_empty() {
-        return Ok(GroupByOutcome {
-            per_agg: vec![GroupedResult::new(); plan.aggs.len()],
-            k: 0,
-            kmax: 0,
-            sampled: 0,
-        });
-    }
-    let group_placements: Vec<(String, AttrPlacement)> = query
-        .group_by
-        .iter()
-        .map(|g| Ok((g.clone(), layout.placement(g)?)))
-        .collect::<Result<_, CoreError>>()?;
-
-    // 1. Sample one candidate page, estimate subgroup sizes (shared by
-    //    every aggregate).
-    let estimate = sampling::sample_page(module, layout, loaded, pages, &group_placements, log)?;
-
-    // 2. Candidate ordering: sampled keys by size, then unseen potential
-    //    keys from the catalog.
-    let domains = stats::group_domains(query, relation)?;
-    let kmax: usize = domains.iter().fold(1usize, |acc, d| acc.saturating_mul(d.len().max(1)));
-    let mut candidates: Vec<Vec<u64>> = estimate.groups.iter().map(|(k, _)| k.clone()).collect();
-    let sampled_set: HashSet<Vec<u64>> = candidates.iter().cloned().collect();
-    for key in cross_product(&domains) {
-        if !sampled_set.contains(&key) {
-            candidates.push(key);
+impl Scan<'_> {
+    /// Execute the hybrid GROUP-BY over the planned pages for every
+    /// physical aggregate of `plan`. The filter must already have
+    /// produced the mask in partition 0 of those pages. The table's
+    /// catalog copy serves the potential-subgroup enumeration (`k_MAX`).
+    /// An empty plan returns the empty outcome without touching the
+    /// module — the planner proved no record matches.
+    ///
+    /// # Errors
+    ///
+    /// Propagates substrate failures.
+    pub fn group_by(
+        &mut self,
+        mode: EngineMode,
+        query: &Query,
+        plan: &PhysicalPlan,
+        model: &GroupByModel,
+    ) -> Result<GroupByOutcome, CoreError> {
+        if self.pages.is_empty() {
+            return Ok(GroupByOutcome {
+                per_agg: vec![GroupedResult::new(); plan.aggs.len()],
+                k: 0,
+                kmax: 0,
+                sampled: 0,
+            });
         }
-    }
-    // The catalog may enumerate fewer combinations than the sample saw
-    // keys (never in practice); clamp kmax to the candidate count.
-    let kmax = kmax.max(candidates.len().min(kmax)).min(candidates.len());
+        let group_placements: Vec<(String, AttrPlacement)> = query
+            .group_by
+            .iter()
+            .map(|g| Ok((g.clone(), self.table.layout.placement(g)?)))
+            .collect::<Result<_, CoreError>>()?;
 
-    // 3. Decide k (Eq. 3) once for the whole SELECT list: the host-side
-    //    cost reads every operand (s covers them all); the PIM-side cost
-    //    model is driven by the widest aggregate's read count.
-    let cfg = module.config().clone();
-    let agg_attrs: Vec<&str> = plan.aggs.iter().flat_map(|a| a.attrs()).collect();
-    let s = layout.reads_per_record(query.group_by.iter().map(String::as_str).chain(agg_attrs))?;
-    let n = plan
-        .aggs
-        .iter()
-        .filter_map(|a| a.expr.as_ref())
-        .map(|e| plan_n(layout, &cfg, e))
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .max()
-        .unwrap_or(1);
-    // Both gb paths touch only the planned candidate pages, so the cost
-    // model's page count `M` is the plan's, not the whole relation's.
-    let params = GbParams { m: pages.len(), n, s, kmax };
-    let k = model.choose_k(&params, &|k| estimate.r_of_k(k));
+        // 1. Sample one candidate page, estimate subgroup sizes (shared by
+        //    every aggregate).
+        let estimate = self.sample(&group_placements)?;
 
-    // 4. pim-gb for the k largest candidates: materialise every distinct
-    //    expression once (stacked into scratch), then one shared group
-    //    mask per key feeds all reductions.
-    let mut per_agg: Vec<GroupedResult> = vec![GroupedResult::new(); plan.aggs.len()];
-    let mut skip: HashSet<Vec<u64>> = HashSet::new();
-    if k > 0 {
-        let exprs: Vec<&bbpim_db::plan::AggExpr> =
-            plan.aggs.iter().filter_map(|a| a.expr.as_ref()).collect();
-        let inputs: Vec<AggInput> = materialize_exprs(module, layout, loaded, pages, &exprs, log)?;
-        let mut inputs_iter = inputs.into_iter();
-        let prepared: Vec<PreparedAgg> = plan
-            .aggs
-            .iter()
-            .map(|agg| match &agg.expr {
-                None => PreparedAgg::Count,
-                Some(_) => PreparedAgg::Reduce {
-                    func: agg.func,
-                    input: inputs_iter.next().expect("one input per expression"),
-                },
-            })
-            .collect();
-        // Scratch past every stacked value, in the mask partition.
-        let mask_partition = prepared
-            .iter()
-            .find_map(|a| match a {
-                PreparedAgg::Reduce { input, .. } => Some(input.partition),
-                PreparedAgg::Count => None,
-            })
-            .unwrap_or(0);
-        let mask_scratch = prepared
-            .iter()
-            .find_map(|a| match a {
-                PreparedAgg::Reduce { input, .. } if input.partition == mask_partition => {
-                    Some(input.scratch_left)
-                }
-                _ => None,
-            })
-            .unwrap_or_else(|| layout.scratch(mask_partition));
-        let keys: Vec<Vec<u64>> = candidates[..k].to_vec();
-        let entries = pim_gb::run_pim_gb(
-            module,
-            layout,
-            loaded,
-            pages,
-            mode,
-            &group_placements,
-            &keys,
-            &prepared,
-            mask_scratch,
-            log,
-        )?;
-        for e in entries {
-            skip.insert(e.key.clone());
-            if e.count > 0 {
-                for (grouped, value) in per_agg.iter_mut().zip(&e.values) {
-                    grouped.insert(e.key.clone(), *value);
-                }
+        // 2. Candidate ordering: sampled keys by size, then unseen potential
+        //    keys from the catalog.
+        let domains = stats::group_domains(query, &self.table.relation)?;
+        let kmax: usize = domains.iter().fold(1usize, |acc, d| acc.saturating_mul(d.len().max(1)));
+        let mut candidates: Vec<Vec<u64>> =
+            estimate.groups.iter().map(|(k, _)| k.clone()).collect();
+        let sampled_set: HashSet<Vec<u64>> = candidates.iter().cloned().collect();
+        for key in cross_product(&domains) {
+            if !sampled_set.contains(&key) {
+                candidates.push(key);
             }
         }
-    }
+        // The catalog may enumerate fewer combinations than the sample saw
+        // keys (never in practice); clamp kmax to the candidate count.
+        let kmax = kmax.max(candidates.len().min(kmax)).min(candidates.len());
 
-    // 5. host-gb for the tail, all aggregates in one read pass.
-    if k < kmax {
-        let req = host_gb::HostGbRequest {
-            group_placements: &group_placements,
-            aggs: &plan.aggs,
-            skip: &skip,
-        };
-        let tail = host_gb::run_host_gb(module, layout, loaded, pages, &req, log)?;
-        for (grouped, tail_col) in per_agg.iter_mut().zip(tail) {
-            grouped.extend(tail_col);
+        // 3. Decide k (Eq. 3) once for the whole SELECT list: the host-side
+        //    cost reads every operand (s covers them all); the PIM-side cost
+        //    model is driven by the widest aggregate's read count.
+        let (layout, cfg) = (&self.table.layout, self.table.module.config());
+        let agg_attrs: Vec<&str> = plan.aggs.iter().flat_map(|a| a.attrs()).collect();
+        let s =
+            layout.reads_per_record(query.group_by.iter().map(String::as_str).chain(agg_attrs))?;
+        let n = plan
+            .aggs
+            .iter()
+            .filter_map(|a| a.expr.as_ref())
+            .map(|e| plan_n(layout, cfg, e))
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .max()
+            .unwrap_or(1);
+        // Both gb paths touch only the planned candidate pages, so the cost
+        // model's page count `M` is the plan's, not the whole relation's.
+        let params = GbParams { m: self.pages.len(), n, s, kmax };
+        let k = model.choose_k(&params, &|k| estimate.r_of_k(k));
+
+        // 4. pim-gb for the k largest candidates: materialise every distinct
+        //    expression once (stacked into scratch), then one shared group
+        //    mask per key feeds all reductions.
+        let mut per_agg: Vec<GroupedResult> = vec![GroupedResult::new(); plan.aggs.len()];
+        let mut skip: HashSet<Vec<u64>> = HashSet::new();
+        if k > 0 {
+            let exprs: Vec<&bbpim_db::plan::AggExpr> =
+                plan.aggs.iter().filter_map(|a| a.expr.as_ref()).collect();
+            let mut inputs = self.materialize(&exprs)?.into_iter();
+            let prepared: Vec<PreparedAgg> = plan
+                .aggs
+                .iter()
+                .map(|agg| match &agg.expr {
+                    None => PreparedAgg::Count,
+                    Some(_) => PreparedAgg::Reduce {
+                        func: agg.func,
+                        input: inputs.next().expect("one input per expression"),
+                    },
+                })
+                .collect();
+            // Scratch past every stacked value, in the mask partition
+            // (the first reduced value's; partition 0 for a pure COUNT).
+            let mask_scratch = prepared
+                .iter()
+                .find_map(|a| match a {
+                    PreparedAgg::Reduce { input, .. } => Some(input.scratch_left),
+                    PreparedAgg::Count => None,
+                })
+                .unwrap_or_else(|| self.table.layout.scratch(0));
+            for e in
+                self.pim_gb(mode, &group_placements, &candidates[..k], &prepared, mask_scratch)?
+            {
+                if e.count > 0 {
+                    for (grouped, value) in per_agg.iter_mut().zip(&e.values) {
+                        grouped.insert(e.key.clone(), *value);
+                    }
+                }
+                skip.insert(e.key);
+            }
         }
-    }
 
-    Ok(GroupByOutcome { per_agg, k, kmax, sampled: estimate.seen() })
+        // 5. host-gb for the tail, all aggregates in one read pass.
+        if k < kmax {
+            let req = host_gb::HostGbRequest {
+                group_placements: &group_placements,
+                aggs: &plan.aggs,
+                skip: &skip,
+            };
+            for (grouped, tail_col) in per_agg.iter_mut().zip(self.host_gb(&req)?) {
+                grouped.extend(tail_col);
+            }
+        }
+
+        Ok(GroupByOutcome { per_agg, k, kmax, sampled: estimate.seen() })
+    }
 }
 
 /// Cross product of per-attribute domains, deterministic order.
@@ -261,106 +233,63 @@ fn cross_product(domains: &[Vec<u64>]) -> Vec<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter_exec::run_filter;
+    use crate::fixture;
     use crate::groupby::calibration::{run_calibration, CalibrationConfig};
-    use crate::layout::RecordLayout;
-    use crate::loader::load_relation;
-    use bbpim_db::plan::{AggExpr, AggFunc, Atom, ResolvedAtom, SelectItem};
-    use bbpim_db::schema::{Attribute, Schema};
+    use crate::groupby::cost_model::{HostGbModel, PimGbModel};
+    use crate::groupby::fitting::{LinFit, SqrtFit};
+    use crate::table::PimTable;
+    use bbpim_db::plan::{AggExpr, AggFunc, Atom, SelectItem};
     use bbpim_sim::SimConfig;
 
-    fn run_test_filter(
-        module: &mut PimModule,
-        rel: &Relation,
-        layout: &RecordLayout,
-        loaded: &LoadedRelation,
-        q: &Query,
-        log: &mut RunLog,
-    ) {
-        let schema = rel.schema();
-        let dnf: Vec<Vec<(ResolvedAtom, AttrPlacement)>> = q
-            .resolve_filter(schema)
-            .unwrap()
-            .into_iter()
-            .map(|conj| {
-                conj.into_iter()
-                    .map(|a| {
-                        let name = &schema.attrs()[a.attr_index()].name;
-                        let p = layout.placement(name).unwrap();
-                        (a, p)
-                    })
-                    .collect()
-            })
-            .collect();
-        let pages = PageSet::all(loaded.page_count());
-        run_filter(module, layout, loaded, &dnf, &pages, log).unwrap();
-    }
-
-    fn setup(
-        mode: EngineMode,
-    ) -> (PimModule, Relation, RecordLayout, LoadedRelation, Query, GroupByModel) {
-        let cfg = SimConfig::small_for_tests();
-        let schema =
-            Schema::new("t", vec![Attribute::numeric("lo_v", 8), Attribute::numeric("d_g", 4)]);
-        let mut rel = Relation::new(schema);
-        // Zipf-ish groups: group 0 huge, tail small.
-        for i in 0..2000u64 {
+    /// Zipf-ish groups: group 0 huge, tail small.
+    fn table(mode: EngineMode) -> PimTable {
+        let rows = (0..2000u64).map(|i| {
             let g = match i % 10 {
                 0..=5 => 0,
                 6..=7 => 1,
                 8 => 2,
                 _ => 3 + (i % 5),
             };
-            rel.push_row(&[(7 * i) % 251, g]).unwrap();
-        }
-        let q = Query::single(
+            vec![(7 * i) % 251, g]
+        });
+        fixture::table(mode, &[("lo_v", 8), ("d_g", 4)], rows)
+    }
+
+    fn query() -> Query {
+        Query::single(
             "t",
             vec![Atom::Lt { attr: "lo_v".into(), value: 240u64.into() }],
             vec!["d_g".into()],
             AggFunc::Sum,
             AggExpr::attr("lo_v"),
-        );
-        let layout = RecordLayout::build(rel.schema(), &cfg, mode, &[]).unwrap();
-        let mut module = PimModule::new(cfg.clone());
-        let loaded = load_relation(&mut module, &rel, &layout).unwrap();
-        let mut log = RunLog::new();
-        run_test_filter(&mut module, &rel, &layout, &loaded, &q, &mut log);
-        let (_, model) = run_calibration(&cfg, mode, &CalibrationConfig::tiny_for_tests()).unwrap();
-        (module, rel, layout, loaded, q, model)
+        )
     }
 
-    fn run(
-        module: &mut PimModule,
-        layout: &RecordLayout,
-        loaded: &LoadedRelation,
-        rel: &Relation,
-        mode: EngineMode,
-        q: &Query,
-        model: &GroupByModel,
-    ) -> GroupByOutcome {
-        let plan = q.physical_plan().unwrap();
-        let mut log = RunLog::new();
-        run_group_by(
-            module,
-            layout,
-            loaded,
-            &PageSet::all(loaded.page_count()),
-            rel,
-            mode,
-            q,
-            &plan,
-            model,
-            &mut log,
-        )
-        .unwrap()
+    fn fitted(mode: EngineMode) -> GroupByModel {
+        let cfg = SimConfig::small_for_tests();
+        run_calibration(&cfg, mode, &CalibrationConfig::tiny_for_tests()).unwrap().1
+    }
+
+    /// A model with only these two fits (host `a = b`, PIM intercept).
+    fn forced(host: f64, pim: f64) -> GroupByModel {
+        GroupByModel {
+            host: HostGbModel::new([(2, SqrtFit { a: host, b: host, r2: 1.0 })].into()),
+            pim: PimGbModel::new([(1, LinFit { slope: 0.0, intercept: pim, r2: 1.0 })].into()),
+        }
+    }
+
+    /// Filter, then the hybrid GROUP BY, as the engine runs them.
+    fn run(t: &mut PimTable, mode: EngineMode, q: &Query, model: &GroupByModel) -> GroupByOutcome {
+        let mut scan = fixture::filtered(t, &q.filter);
+        scan.group_by(mode, q, &q.physical_plan().unwrap(), model).unwrap()
     }
 
     #[test]
     fn hybrid_group_by_matches_oracle_all_modes() {
         for mode in [EngineMode::OneXb, EngineMode::TwoXb, EngineMode::PimDb] {
-            let (mut module, rel, layout, loaded, q, model) = setup(mode);
-            let out = run(&mut module, &layout, &loaded, &rel, mode, &q, &model);
-            let expected = stats::column(&stats::run_oracle(&q, &rel).unwrap(), 0);
+            let (mut t, q) = (table(mode), query());
+            let out = run(&mut t, mode, &q, &fitted(mode));
+            let expected = stats::column(&stats::run_oracle(&q, t.relation()).unwrap(), 0);
             assert_eq!(out.per_agg.len(), 1);
             assert_eq!(out.per_agg[0], expected, "{mode:?} (k={})", out.k);
             assert!(out.kmax >= out.per_agg[0].len());
@@ -371,7 +300,7 @@ mod tests {
     #[test]
     fn multi_aggregate_group_by_matches_oracle() {
         for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
-            let (mut module, rel, layout, loaded, base, model) = setup(mode);
+            let mut t = table(mode);
             let q = Query {
                 select: vec![
                     SelectItem::sum("total", AggExpr::attr("lo_v")),
@@ -379,25 +308,11 @@ mod tests {
                     SelectItem::avg("mean", AggExpr::attr("lo_v")),
                     SelectItem::max("hi", AggExpr::attr("lo_v")),
                 ],
-                ..base
+                ..query()
             };
-            let plan = q.physical_plan().unwrap();
-            let mut log = RunLog::new();
-            let out = run_group_by(
-                &mut module,
-                &layout,
-                &loaded,
-                &PageSet::all(loaded.page_count()),
-                &rel,
-                mode,
-                &q,
-                &plan,
-                &model,
-                &mut log,
-            )
-            .unwrap();
-            let finalized = plan.finalize(&out.per_agg);
-            let expected = stats::run_oracle(&q, &rel).unwrap();
+            let out = run(&mut t, mode, &q, &fitted(mode));
+            let finalized = q.physical_plan().unwrap().finalize(&out.per_agg);
+            let expected = stats::run_oracle(&q, t.relation()).unwrap();
             assert_eq!(finalized, expected, "{mode:?} (k={})", out.k);
         }
     }
@@ -405,34 +320,18 @@ mod tests {
     #[test]
     fn forced_all_pim_still_matches_oracle() {
         // A model with free PIM and absurdly expensive host forces k=kmax.
-        use crate::groupby::cost_model::{HostGbModel, PimGbModel};
-        use crate::groupby::fitting::{LinFit, SqrtFit};
-        use std::collections::BTreeMap;
-        let (mut module, rel, layout, loaded, q, _) = setup(EngineMode::OneXb);
-        let mut per_s = BTreeMap::new();
-        per_s.insert(2, SqrtFit { a: 1e12, b: 1e12, r2: 1.0 });
-        let mut per_n = BTreeMap::new();
-        per_n.insert(1, LinFit { slope: 0.0, intercept: 1.0, r2: 1.0 });
-        let model = GroupByModel { host: HostGbModel::new(per_s), pim: PimGbModel::new(per_n) };
-        let out = run(&mut module, &layout, &loaded, &rel, EngineMode::OneXb, &q, &model);
+        let (mut t, q) = (table(EngineMode::OneXb), query());
+        let out = run(&mut t, EngineMode::OneXb, &q, &forced(1e12, 1.0));
         assert_eq!(out.k, out.kmax, "everything must go to PIM");
-        assert_eq!(out.per_agg[0], stats::column(&stats::run_oracle(&q, &rel).unwrap(), 0));
+        assert_eq!(out.per_agg[0], stats::column(&stats::run_oracle(&q, t.relation()).unwrap(), 0));
     }
 
     #[test]
     fn forced_all_host_still_matches_oracle() {
-        use crate::groupby::cost_model::{HostGbModel, PimGbModel};
-        use crate::groupby::fitting::{LinFit, SqrtFit};
-        use std::collections::BTreeMap;
-        let (mut module, rel, layout, loaded, q, _) = setup(EngineMode::OneXb);
-        let mut per_s = BTreeMap::new();
-        per_s.insert(2, SqrtFit { a: 1.0, b: 1.0, r2: 1.0 });
-        let mut per_n = BTreeMap::new();
-        per_n.insert(1, LinFit { slope: 0.0, intercept: 1e12, r2: 1.0 });
-        let model = GroupByModel { host: HostGbModel::new(per_s), pim: PimGbModel::new(per_n) };
-        let out = run(&mut module, &layout, &loaded, &rel, EngineMode::OneXb, &q, &model);
+        let (mut t, q) = (table(EngineMode::OneXb), query());
+        let out = run(&mut t, EngineMode::OneXb, &q, &forced(1.0, 1e12));
         assert_eq!(out.k, 0);
-        assert_eq!(out.per_agg[0], stats::column(&stats::run_oracle(&q, &rel).unwrap(), 0));
+        assert_eq!(out.per_agg[0], stats::column(&stats::run_oracle(&q, t.relation()).unwrap(), 0));
     }
 
     #[test]
@@ -445,12 +344,11 @@ mod tests {
 
     #[test]
     fn empty_selection_yields_empty_groups() {
-        let (mut module, rel, layout, loaded, mut q, model) = setup(EngineMode::OneXb);
+        let mut t = table(EngineMode::OneXb);
+        let mut q = query();
         q.filter =
             bbpim_db::plan::Pred::all(vec![Atom::Lt { attr: "lo_v".into(), value: 0u64.into() }]);
-        let mut log = RunLog::new();
-        run_test_filter(&mut module, &rel, &layout, &loaded, &q, &mut log);
-        let out = run(&mut module, &layout, &loaded, &rel, EngineMode::OneXb, &q, &model);
+        let out = run(&mut t, EngineMode::OneXb, &q, &fitted(EngineMode::OneXb));
         assert!(out.per_agg[0].is_empty());
     }
 }

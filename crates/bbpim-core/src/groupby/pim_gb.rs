@@ -16,20 +16,13 @@
 
 use bbpim_db::plan::{PhysFunc, ResolvedAtom};
 use bbpim_sim::compiler::ColRange;
-use bbpim_sim::module::PimModule;
-use bbpim_sim::timeline::RunLog;
 
-use crate::agg_exec::{aggregate_masked_counted, AggInput};
+use crate::agg_exec::AggInput;
 use crate::error::CoreError;
-use crate::filter_exec::{
-    build_mask_program_in, count_mask_bits, mask_bits, mask_transfer_phases, write_transfer_bits,
-};
-use crate::layout::{
-    AttrPlacement, RecordLayout, GROUP_MASK_COL, MASK_COL, TRANSFER_COL, VALID_COL,
-};
-use crate::loader::LoadedRelation;
+use crate::filter_exec::build_conjunction_program;
+use crate::layout::{AttrPlacement, GROUP_MASK_COL, MASK_COL, TRANSFER_COL, VALID_COL};
 use crate::modes::EngineMode;
-use crate::planner::PageSet;
+use crate::scan::Scan;
 
 /// One physical aggregate prepared for in-PIM GROUP BY.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,239 +53,207 @@ pub struct PimGbEntry {
     pub count: u64,
 }
 
-/// Aggregate each `key` in PIM; returns one entry per key with every
-/// prepared aggregate's value. The group mask is formed once per key
-/// and shared across aggregates.
-///
-/// `mask_scratch` is the free scratch of the partition holding the
-/// query/group masks (past any materialised expression values).
-///
-/// # Errors
-///
-/// Propagates compiler/simulator failures;
-/// [`CoreError::Unsupported`] when group attributes or aggregate
-/// inputs span partitions.
-#[allow(clippy::too_many_arguments)] // engine plumbing: module + layout + log threading
-pub fn run_pim_gb(
-    module: &mut PimModule,
-    layout: &RecordLayout,
-    loaded: &LoadedRelation,
-    pages: &PageSet,
-    mode: EngineMode,
-    group_placements: &[(String, AttrPlacement)],
-    keys: &[Vec<u64>],
-    aggs: &[PreparedAgg],
-    mask_scratch: ColRange,
-    log: &mut RunLog,
-) -> Result<Vec<PimGbEntry>, CoreError> {
-    // The partition holding the aggregated values (and the final group
-    // mask). With no value reductions (pure COUNT) it is the fact
-    // partition 0, where the query mask lives.
-    let fact_partition = aggs
-        .iter()
-        .find_map(|a| match a {
-            PreparedAgg::Reduce { input, .. } => Some(input.partition),
-            PreparedAgg::Count => None,
-        })
-        .unwrap_or(0);
-    if aggs.iter().any(
-        |a| matches!(a, PreparedAgg::Reduce { input, .. } if input.partition != fact_partition),
-    ) {
-        return Err(CoreError::Unsupported("aggregate inputs spanning partitions".into()));
-    }
-    // The query mask only exists in partition 0 (run_filter's contract);
-    // aggregating a value stored in another partition would AND the
-    // group key with a column that never saw the fact-side predicates.
-    if fact_partition != 0 {
-        return Err(CoreError::Unsupported(
-            "aggregating dimension-partition attributes (the query mask lives in the fact \
-             partition)"
-                .into(),
-        ));
-    }
-    let key_partition = match group_placements.first() {
-        Some((_, p)) => p.partition,
-        None => fact_partition,
-    };
-    if group_placements.iter().any(|(_, p)| p.partition != key_partition) {
-        return Err(CoreError::Unsupported("GROUP BY attributes spanning partitions".into()));
-    }
-
-    let fact_pages = pages.ids(loaded, fact_partition);
-    let mut out = Vec::with_capacity(keys.len());
-    for key in keys {
-        let eq_atoms: Vec<(ResolvedAtom, ColRange)> = group_placements
+impl Scan<'_> {
+    /// Aggregate each `key` in PIM; returns one entry per key with
+    /// every prepared aggregate's value. The group mask is formed once
+    /// per key and shared across aggregates.
+    ///
+    /// `mask_scratch` is the free scratch of the partition holding the
+    /// query/group masks (past any materialised expression values).
+    ///
+    /// # Errors
+    ///
+    /// Propagates compiler/simulator failures;
+    /// [`CoreError::Unsupported`] when group attributes or aggregate
+    /// inputs span partitions.
+    pub fn pim_gb(
+        &mut self,
+        mode: EngineMode,
+        group_placements: &[(String, AttrPlacement)],
+        keys: &[Vec<u64>],
+        aggs: &[PreparedAgg],
+        mask_scratch: ColRange,
+    ) -> Result<Vec<PimGbEntry>, CoreError> {
+        // The partition holding the aggregated values (and the final group
+        // mask). With no value reductions (pure COUNT) it is the fact
+        // partition 0, where the query mask lives.
+        let fact_partition = aggs
             .iter()
-            .zip(key)
-            .map(|((_, p), v)| (ResolvedAtom::Eq { idx: 0, value: *v }, p.range))
-            .collect();
-
-        if key_partition == fact_partition {
-            // Same crossbar: one program forms the group mask.
-            let prog = build_mask_program_in(mask_scratch, &eq_atoms, &[MASK_COL], GROUP_MASK_COL)?;
-            log.push(module.exec_program(&fact_pages, &prog)?);
-        } else {
-            // two-xb: key equality in the dimension partition…
-            let key_pages = pages.ids(loaded, key_partition);
-            let prog = build_mask_program_in(
-                layout.scratch(key_partition),
-                &eq_atoms,
-                &[VALID_COL],
-                GROUP_MASK_COL,
-            )?;
-            log.push(module.exec_program(&key_pages, &prog)?);
-            // …travels through the host per subgroup (compressed wire
-            // format when the policy allows)…
-            let bits = mask_bits(module, loaded, pages, key_partition, GROUP_MASK_COL);
-            for phase in mask_transfer_phases(module, loaded, pages, &bits) {
-                log.push(phase);
-            }
-            write_transfer_bits(module, loaded, &bits, pages)?;
-            // …and combines with the query mask in the fact partition.
-            let prog = build_mask_program_in(
-                mask_scratch,
-                &[],
-                &[MASK_COL, TRANSFER_COL],
-                GROUP_MASK_COL,
-            )?;
-            log.push(module.exec_program(&fact_pages, &prog)?);
+            .find_map(|a| match a {
+                PreparedAgg::Reduce { input, .. } => Some(input.partition),
+                PreparedAgg::Count => None,
+            })
+            .unwrap_or(0);
+        if aggs.iter().any(
+            |a| matches!(a, PreparedAgg::Reduce { input, .. } if input.partition != fact_partition),
+        ) {
+            return Err(CoreError::Unsupported("aggregate inputs spanning partitions".into()));
         }
-
-        // One reduction per physical aggregate under the shared mask;
-        // the count rides the first reduction's count register (a
-        // COUNT-only plan reads the mask popcount lines instead).
-        let mut values = vec![0u64; aggs.len()];
-        let mut count: Option<u64> = None;
-        for (i, agg) in aggs.iter().enumerate() {
-            if let PreparedAgg::Reduce { func, input } = agg {
-                let (value, c) = aggregate_masked_counted(
-                    module,
-                    layout,
-                    loaded,
-                    pages,
-                    mode,
-                    input,
-                    GROUP_MASK_COL,
-                    *func,
-                    log,
-                )?;
-                values[i] = value;
-                count.get_or_insert(c);
-            }
+        // The query mask only exists in partition 0 (the filter's contract);
+        // aggregating a value stored in another partition would AND the
+        // group key with a column that never saw the fact-side predicates.
+        if fact_partition != 0 {
+            return Err(CoreError::Unsupported(
+                "aggregating dimension-partition attributes (the query mask lives in the fact \
+                 partition)"
+                    .into(),
+            ));
         }
-        let count = match count {
-            Some(c) => c,
-            None => {
-                // Pure COUNT: the host reads the per-page count lines —
-                // or, under module-side reduction, the module folds them
-                // first and one finalised line crosses the channel.
-                if module.policy().module_reduce {
-                    log.push(
-                        module.partial_combine_phase(fact_pages.len(), fact_pages.len() as u64),
-                    );
-                    log.push(module.host_read_phase(if fact_pages.is_empty() { 0 } else { 1 }));
-                } else {
-                    log.push(module.host_read_phase(fact_pages.len() as u64));
-                }
-                count_mask_bits(module, &fact_pages, GROUP_MASK_COL)
-            }
+        let key_partition = match group_placements.first() {
+            Some((_, p)) => p.partition,
+            None => fact_partition,
         };
-        for (i, agg) in aggs.iter().enumerate() {
-            if matches!(agg, PreparedAgg::Count) {
-                values[i] = count;
-            }
+        if group_placements.iter().any(|(_, p)| p.partition != key_partition) {
+            return Err(CoreError::Unsupported("GROUP BY attributes spanning partitions".into()));
         }
-        out.push(PimGbEntry { key: key.clone(), values, count });
+
+        let fact_pages = self.pages.len();
+        let mut out = Vec::with_capacity(keys.len());
+        for key in keys {
+            let eq_atoms: Vec<(ResolvedAtom, ColRange)> = group_placements
+                .iter()
+                .zip(key)
+                .map(|((_, p), v)| (ResolvedAtom::Eq { idx: 0, value: *v }, p.range))
+                .collect();
+
+            if key_partition == fact_partition {
+                // Same crossbar: one program forms the group mask.
+                let prog = build_conjunction_program(
+                    mask_scratch,
+                    &eq_atoms,
+                    &[MASK_COL],
+                    GROUP_MASK_COL,
+                    false,
+                )?;
+                self.exec(fact_partition, &prog)?;
+            } else {
+                // two-xb: key equality in the dimension partition…
+                let prog = build_conjunction_program(
+                    self.table.layout.scratch(key_partition),
+                    &eq_atoms,
+                    &[VALID_COL],
+                    GROUP_MASK_COL,
+                    false,
+                )?;
+                self.exec(key_partition, &prog)?;
+                // …travels through the host per subgroup (compressed wire
+                // format when the policy allows)…
+                self.move_mask(key_partition, GROUP_MASK_COL, Some(fact_partition))?;
+                // …and combines with the query mask in the fact partition.
+                let prog = build_conjunction_program(
+                    mask_scratch,
+                    &[],
+                    &[MASK_COL, TRANSFER_COL],
+                    GROUP_MASK_COL,
+                    false,
+                )?;
+                self.exec(fact_partition, &prog)?;
+            }
+
+            // One reduction per physical aggregate under the shared mask;
+            // the count rides the first reduction's count register (a
+            // COUNT-only plan reads the mask popcount lines instead).
+            let mut values = vec![0u64; aggs.len()];
+            let mut count: Option<u64> = None;
+            for (i, agg) in aggs.iter().enumerate() {
+                if let PreparedAgg::Reduce { func, input } = agg {
+                    let (value, c) = self.aggregate(mode, input, GROUP_MASK_COL, *func, true)?;
+                    values[i] = value;
+                    count = count.or(c);
+                }
+            }
+            let count = match count {
+                Some(c) => c,
+                None => {
+                    // Pure COUNT: the host reads the per-page count lines —
+                    // or, under module-side reduction, the module folds them
+                    // first and one finalised line crosses the channel.
+                    let module = &self.table.module;
+                    if module.policy().module_reduce {
+                        self.log.push(module.partial_combine_phase(fact_pages, fact_pages as u64));
+                        self.log.push(module.host_read_phase(fact_pages.min(1) as u64));
+                    } else {
+                        self.log.push(module.host_read_phase(fact_pages as u64));
+                    }
+                    self.count(GROUP_MASK_COL)
+                }
+            };
+            for (i, agg) in aggs.iter().enumerate() {
+                if matches!(agg, PreparedAgg::Count) {
+                    values[i] = count;
+                }
+            }
+            out.push(PimGbEntry { key: key.clone(), values, count });
+        }
+        Ok(out)
     }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg_exec::{materialize_expr, materialize_exprs};
-    use crate::filter_exec::run_filter;
-    use crate::layout::RecordLayout;
-    use crate::loader::load_relation;
-    use bbpim_db::plan::{AggExpr, AggFunc, Atom, Query};
-    use bbpim_db::schema::{Attribute, Schema};
-    use bbpim_db::stats;
-    use bbpim_db::Relation;
-    use bbpim_sim::SimConfig;
+    use crate::fixture;
+    use crate::table::PimTable;
+    use bbpim_db::builder::col;
+    use bbpim_db::plan::{AggExpr, Query, SelectItem};
+    use bbpim_db::stats::{self, GroupedResult};
+    use bbpim_sim::timeline::{PhaseKind, RunLog};
 
-    fn setup(
+    fn table(mode: EngineMode) -> PimTable {
+        fixture::table(
+            mode,
+            &[("lo_v", 8), ("d_g", 4)],
+            (0..700).map(|i| vec![(5 * i) % 241, i % 6]),
+        )
+    }
+
+    /// The oracle's `SELECT item WHERE lo_v < 200 GROUP BY d_g`.
+    fn oracle(t: &PimTable, item: SelectItem) -> GroupedResult {
+        let q = Query::select([item])
+            .filter(col("lo_v").lt(200u64))
+            .group_by(["d_g"])
+            .build(t.relation().schema())
+            .unwrap();
+        stats::column(&stats::run_oracle(&q, t.relation()).unwrap(), 0)
+    }
+
+    fn lo_v() -> AggExpr {
+        AggExpr::attr("lo_v")
+    }
+
+    /// Filter `lo_v < 200`, materialise `exprs`, then pim-gb `keys` of
+    /// `d_g` under `aggs(inputs)`; returns the entries and the pim-gb
+    /// phases alone.
+    fn run(
+        t: &mut PimTable,
         mode: EngineMode,
-    ) -> (PimModule, Relation, RecordLayout, LoadedRelation, Query, AggInput, RunLog) {
-        let cfg = SimConfig::small_for_tests();
-        let schema =
-            Schema::new("t", vec![Attribute::numeric("lo_v", 8), Attribute::numeric("d_g", 4)]);
-        let mut rel = Relation::new(schema);
-        for i in 0..700u64 {
-            rel.push_row(&[(5 * i) % 241, i % 6]).unwrap();
-        }
-        let q = Query::single(
-            "t",
-            vec![Atom::Lt { attr: "lo_v".into(), value: 200u64.into() }],
-            vec!["d_g".into()],
-            AggFunc::Sum,
-            AggExpr::attr("lo_v"),
-        );
-        let layout = RecordLayout::build(rel.schema(), &cfg, mode, &[]).unwrap();
-        let mut module = PimModule::new(cfg);
-        let loaded = load_relation(&mut module, &rel, &layout).unwrap();
-        let schema_ref = rel.schema();
-        let dnf: Vec<Vec<_>> = q
-            .resolve_filter(schema_ref)
-            .unwrap()
-            .into_iter()
-            .map(|conj| {
-                conj.into_iter()
-                    .map(|a| {
-                        let name = &schema_ref.attrs()[a.attr_index()].name;
-                        (a.clone(), layout.placement(name).unwrap())
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut log = RunLog::new();
-        let pages = PageSet::all(loaded.page_count());
-        run_filter(&mut module, &layout, &loaded, &dnf, &pages, &mut log).unwrap();
-        let expr = AggExpr::attr("lo_v");
-        let input =
-            materialize_expr(&mut module, &layout, &loaded, &pages, &expr, &mut log).unwrap();
-        (module, rel, layout, loaded, q, input, log)
+        exprs: &[&AggExpr],
+        aggs: impl Fn(&[AggInput]) -> Vec<PreparedAgg>,
+        keys: &[u64],
+    ) -> (Vec<PimGbEntry>, RunLog) {
+        let mut scan = fixture::filtered(t, &col("lo_v").lt(200u64));
+        let inputs = scan.materialize(exprs).unwrap();
+        let gp = [("d_g".to_string(), scan.table().layout().placement("d_g").unwrap())];
+        let scratch =
+            inputs.last().map_or_else(|| scan.table().layout().scratch(0), |i| i.scratch_left);
+        let keys: Vec<Vec<u64>> = keys.iter().map(|g| vec![*g]).collect();
+        scan.take_log();
+        let entries = scan.pim_gb(mode, &gp, &keys, &aggs(&inputs), scratch).unwrap();
+        (entries, scan.take_log())
     }
 
-    fn oracle(q: &Query, rel: &Relation) -> bbpim_db::stats::GroupedResult {
-        stats::column(&stats::run_oracle(q, rel).unwrap(), 0)
+    fn sum(inputs: &[AggInput]) -> Vec<PreparedAgg> {
+        vec![PreparedAgg::Reduce { func: PhysFunc::Sum, input: inputs[0] }]
     }
 
-    fn sum_agg(input: AggInput) -> Vec<PreparedAgg> {
-        vec![PreparedAgg::Reduce { func: PhysFunc::Sum, input }]
-    }
+    const ALL_KEYS: [u64; 6] = [0, 1, 2, 3, 4, 5];
 
     #[test]
     fn per_group_aggregates_match_oracle() {
         for mode in [EngineMode::OneXb, EngineMode::TwoXb, EngineMode::PimDb] {
-            let (mut module, rel, layout, loaded, q, input, mut log) = setup(mode);
-            let gp: Vec<_> =
-                q.group_by.iter().map(|g| (g.clone(), layout.placement(g).unwrap())).collect();
-            let keys: Vec<Vec<u64>> = (0..6u64).map(|g| vec![g]).collect();
-            let scratch = input.scratch_left;
-            let entries = run_pim_gb(
-                &mut module,
-                &layout,
-                &loaded,
-                &PageSet::all(loaded.page_count()),
-                mode,
-                &gp,
-                &keys,
-                &sum_agg(input),
-                scratch,
-                &mut log,
-            )
-            .unwrap();
-            let expected = oracle(&q, &rel);
+            let mut t = table(mode);
+            let (entries, _) = run(&mut t, mode, &[&lo_v()], sum, &ALL_KEYS);
+            let expected = oracle(&t, SelectItem::sum("v", lo_v()));
             for e in &entries {
                 assert_eq!(Some(&e.values[0]), expected.get(&e.key), "{mode:?} key {:?}", e.key);
                 assert!(e.count > 0);
@@ -303,38 +264,18 @@ mod tests {
 
     #[test]
     fn multiple_aggregates_share_one_mask_per_key() {
-        use bbpim_sim::timeline::PhaseKind;
         // sum + max + count over the same shared group mask
-        let (mut module, rel, layout, loaded, q, input, _) = setup(EngineMode::OneXb);
-        let gp: Vec<_> =
-            q.group_by.iter().map(|g| (g.clone(), layout.placement(g).unwrap())).collect();
-        let keys: Vec<Vec<u64>> = (0..6u64).map(|g| vec![g]).collect();
-        let scratch = input.scratch_left;
-        let aggs = vec![
-            PreparedAgg::Reduce { func: PhysFunc::Sum, input },
-            PreparedAgg::Reduce { func: PhysFunc::Max, input },
-            PreparedAgg::Count,
-        ];
-        let mut log = RunLog::new();
-        let entries = run_pim_gb(
-            &mut module,
-            &layout,
-            &loaded,
-            &PageSet::all(loaded.page_count()),
-            EngineMode::OneXb,
-            &gp,
-            &keys,
-            &aggs,
-            scratch,
-            &mut log,
-        )
-        .unwrap();
-        let mut q_sum = q.clone();
-        q_sum.select[0].func = AggFunc::Sum;
-        let mut q_max = q.clone();
-        q_max.select[0].func = AggFunc::Max;
-        let sums = oracle(&q_sum, &rel);
-        let maxs = oracle(&q_max, &rel);
+        let mut t = table(EngineMode::OneXb);
+        let aggs = |i: &[AggInput]| {
+            vec![
+                PreparedAgg::Reduce { func: PhysFunc::Sum, input: i[0] },
+                PreparedAgg::Reduce { func: PhysFunc::Max, input: i[0] },
+                PreparedAgg::Count,
+            ]
+        };
+        let (entries, log) = run(&mut t, EngineMode::OneXb, &[&lo_v()], aggs, &ALL_KEYS);
+        let sums = oracle(&t, SelectItem::sum("v", lo_v()));
+        let maxs = oracle(&t, SelectItem::max("v", lo_v()));
         for e in &entries {
             assert_eq!(Some(&e.values[0]), sums.get(&e.key), "sum key {:?}", e.key);
             assert_eq!(Some(&e.values[1]), maxs.get(&e.key), "max key {:?}", e.key);
@@ -343,39 +284,17 @@ mod tests {
         // the shared-mask contract: exactly one mask program (PimLogic)
         // and two reductions (PimAggCircuit) per key — three aggregates
         // never cost three masks.
-        let masks = log.phases().iter().filter(|p| p.kind == PhaseKind::PimLogic).count();
-        let reductions = log.phases().iter().filter(|p| p.kind == PhaseKind::PimAggCircuit).count();
-        assert_eq!(masks, keys.len());
-        assert_eq!(reductions, keys.len() * 2);
+        let of = |kind| log.phases().iter().filter(|p| p.kind == kind).count();
+        assert_eq!(of(PhaseKind::PimLogic), ALL_KEYS.len());
+        assert_eq!(of(PhaseKind::PimAggCircuit), ALL_KEYS.len() * 2);
     }
 
     #[test]
     fn count_only_group_by_reads_popcount() {
-        let (mut module, rel, layout, loaded, q, _input, _) = setup(EngineMode::OneXb);
-        let gp: Vec<_> =
-            q.group_by.iter().map(|g| (g.clone(), layout.placement(g).unwrap())).collect();
-        let keys: Vec<Vec<u64>> = (0..6u64).map(|g| vec![g]).collect();
-        let mut log = RunLog::new();
-        let entries = run_pim_gb(
-            &mut module,
-            &layout,
-            &loaded,
-            &PageSet::all(loaded.page_count()),
-            EngineMode::OneXb,
-            &gp,
-            &keys,
-            &[PreparedAgg::Count],
-            layout.scratch(0),
-            &mut log,
-        )
-        .unwrap();
-        // oracle counts per group under the filter
-        let mut expected = std::collections::BTreeMap::new();
-        for row in 0..rel.len() {
-            if rel.value(row, 0) < 200 {
-                *expected.entry(vec![rel.value(row, 1)]).or_insert(0u64) += 1;
-            }
-        }
+        let mut t = table(EngineMode::OneXb);
+        let (entries, _) =
+            run(&mut t, EngineMode::OneXb, &[], |_| vec![PreparedAgg::Count], &ALL_KEYS);
+        let expected = oracle(&t, SelectItem::count("n"));
         for e in &entries {
             assert_eq!(Some(&e.count), expected.get(&e.key), "key {:?}", e.key);
             assert_eq!(e.values, vec![e.count]);
@@ -386,36 +305,17 @@ mod tests {
     fn stacked_expressions_aggregate_together() {
         // materialize lo_v (in place) and lo_v*d_g (scratch) and reduce
         // both under shared masks
-        let (mut module, rel, layout, loaded, q, _input, _) = setup(EngineMode::OneXb);
-        let attr = AggExpr::attr("lo_v");
-        let prod = AggExpr::mul("lo_v", "d_g");
-        let mut log = RunLog::new();
-        let pages = PageSet::all(loaded.page_count());
-        let inputs =
-            materialize_exprs(&mut module, &layout, &loaded, &pages, &[&attr, &prod], &mut log)
-                .unwrap();
-        let gp: Vec<_> =
-            q.group_by.iter().map(|g| (g.clone(), layout.placement(g).unwrap())).collect();
-        let keys: Vec<Vec<u64>> = (0..6u64).map(|g| vec![g]).collect();
-        let scratch = inputs[1].scratch_left;
-        let aggs = vec![
-            PreparedAgg::Reduce { func: PhysFunc::Sum, input: inputs[0] },
-            PreparedAgg::Reduce { func: PhysFunc::Sum, input: inputs[1] },
-        ];
-        let entries = run_pim_gb(
-            &mut module,
-            &layout,
-            &loaded,
-            &pages,
-            EngineMode::OneXb,
-            &gp,
-            &keys,
-            &aggs,
-            scratch,
-            &mut log,
-        )
-        .unwrap();
+        let mut t = table(EngineMode::OneXb);
+        let (attr, prod) = (lo_v(), AggExpr::mul("lo_v", "d_g"));
+        let aggs = |i: &[AggInput]| {
+            vec![
+                PreparedAgg::Reduce { func: PhysFunc::Sum, input: i[0] },
+                PreparedAgg::Reduce { func: PhysFunc::Sum, input: i[1] },
+            ]
+        };
+        let (entries, _) = run(&mut t, EngineMode::OneXb, &[&attr, &prod], aggs, &ALL_KEYS);
         // oracle both columns
+        let rel = t.relation();
         let mut sum_v = std::collections::BTreeMap::new();
         let mut sum_p = std::collections::BTreeMap::new();
         for row in 0..rel.len() {
@@ -433,73 +333,20 @@ mod tests {
 
     #[test]
     fn empty_subgroup_reports_zero_count() {
-        let (mut module, _rel, layout, loaded, q, input, mut log) = setup(EngineMode::OneXb);
-        let gp: Vec<_> =
-            q.group_by.iter().map(|g| (g.clone(), layout.placement(g).unwrap())).collect();
         // group 15 never occurs (d_g < 6)
-        let scratch = input.scratch_left;
-        let entries = run_pim_gb(
-            &mut module,
-            &layout,
-            &loaded,
-            &PageSet::all(loaded.page_count()),
-            EngineMode::OneXb,
-            &gp,
-            &[vec![15u64]],
-            &sum_agg(input),
-            scratch,
-            &mut log,
-        )
-        .unwrap();
+        let mut t = table(EngineMode::OneXb);
+        let (entries, _) = run(&mut t, EngineMode::OneXb, &[&lo_v()], sum, &[15]);
         assert_eq!(entries[0].count, 0);
         assert_eq!(entries[0].values, vec![0]);
     }
 
     #[test]
     fn two_xb_charges_transfer_per_subgroup() {
-        use bbpim_sim::timeline::PhaseKind;
-        let (mut m1, _r1, l1, ld1, q1, i1, _) = setup(EngineMode::OneXb);
-        let (mut m2, _r2, l2, ld2, q2, i2, _) = setup(EngineMode::TwoXb);
-        let gp1: Vec<_> =
-            q1.group_by.iter().map(|g| (g.clone(), l1.placement(g).unwrap())).collect();
-        let gp2: Vec<_> =
-            q2.group_by.iter().map(|g| (g.clone(), l2.placement(g).unwrap())).collect();
-        let keys: Vec<Vec<u64>> = (0..4u64).map(|g| vec![g]).collect();
-        let mut log1 = RunLog::new();
-        let mut log2 = RunLog::new();
-        let all1 = PageSet::all(ld1.page_count());
-        let all2 = PageSet::all(ld2.page_count());
-        let s1 = i1.scratch_left;
-        let s2 = i2.scratch_left;
-        run_pim_gb(
-            &mut m1,
-            &l1,
-            &ld1,
-            &all1,
-            EngineMode::OneXb,
-            &gp1,
-            &keys,
-            &sum_agg(i1),
-            s1,
-            &mut log1,
-        )
-        .unwrap();
-        run_pim_gb(
-            &mut m2,
-            &l2,
-            &ld2,
-            &all2,
-            EngineMode::TwoXb,
-            &gp2,
-            &keys,
-            &sum_agg(i2),
-            s2,
-            &mut log2,
-        )
-        .unwrap();
-        assert_eq!(log1.time_in(PhaseKind::HostWrite), 0.0);
-        assert!(log2.time_in(PhaseKind::HostWrite) > 0.0);
-        assert!(log2.total_time_ns() > log1.total_time_ns());
+        let logs = [EngineMode::OneXb, EngineMode::TwoXb]
+            .map(|mode| run(&mut table(mode), mode, &[&lo_v()], sum, &ALL_KEYS[..4]).1);
+        assert_eq!(logs[0].time_in(PhaseKind::HostWrite), 0.0);
+        assert!(logs[1].time_in(PhaseKind::HostWrite) > 0.0);
+        assert!(logs[1].total_time_ns() > logs[0].total_time_ns());
     }
 
     #[test]
@@ -508,38 +355,9 @@ mod tests {
         // wildly different group sizes: key 1 is populated (d_g ∈ 0..6),
         // key 8 is empty. The equality program's cycle count depends on
         // the key's set bits, so popcount must match for the comparison.
-        let (mut module, _rel, layout, loaded, q, input, _) = setup(EngineMode::OneXb);
-        let gp: Vec<_> =
-            q.group_by.iter().map(|g| (g.clone(), layout.placement(g).unwrap())).collect();
-        let mut log_a = RunLog::new();
-        let mut log_b = RunLog::new();
-        let scratch = input.scratch_left;
-        let a = run_pim_gb(
-            &mut module,
-            &layout,
-            &loaded,
-            &PageSet::all(loaded.page_count()),
-            EngineMode::OneXb,
-            &gp,
-            &[vec![1u64]],
-            &sum_agg(input),
-            scratch,
-            &mut log_a,
-        )
-        .unwrap();
-        let b = run_pim_gb(
-            &mut module,
-            &layout,
-            &loaded,
-            &PageSet::all(loaded.page_count()),
-            EngineMode::OneXb,
-            &gp,
-            &[vec![8u64]],
-            &sum_agg(input),
-            scratch,
-            &mut log_b,
-        )
-        .unwrap();
+        let mut t = table(EngineMode::OneXb);
+        let (a, log_a) = run(&mut t, EngineMode::OneXb, &[&lo_v()], sum, &[1]);
+        let (b, log_b) = run(&mut t, EngineMode::OneXb, &[&lo_v()], sum, &[8]);
         assert!(a[0].count > 0);
         assert_eq!(b[0].count, 0);
         assert!((log_a.total_time_ns() - log_b.total_time_ns()).abs() < 1e-6);

@@ -8,13 +8,10 @@
 use std::collections::HashMap;
 
 use bbpim_sim::hostmem::LineSet;
-use bbpim_sim::module::PimModule;
-use bbpim_sim::timeline::RunLog;
 
 use crate::error::CoreError;
-use crate::layout::{AttrPlacement, RecordLayout, MASK_COL};
-use crate::loader::LoadedRelation;
-use crate::planner::PageSet;
+use crate::layout::{AttrPlacement, MASK_COL};
+use crate::scan::Scan;
 
 /// Subgroup-size estimate from one sampled page.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,161 +54,126 @@ impl SampleEstimate {
     }
 }
 
-/// Read one candidate page's mask and group keys, estimate subgroup
-/// sizes. The sampled page is the plan's first candidate — sampling a
-/// pruned page would see only mask bits the filter never wrote.
-///
-/// Charges the mask lines (one per row) and the key-chunk lines of the
-/// selected sampled records to `log`.
-///
-/// # Errors
-///
-/// Propagates simulator failures; the plan must be non-empty.
-pub fn sample_page(
-    module: &mut PimModule,
-    _layout: &RecordLayout,
-    loaded: &LoadedRelation,
-    pages: &PageSet,
-    group_placements: &[(String, AttrPlacement)],
-    log: &mut RunLog,
-) -> Result<SampleEstimate, CoreError> {
-    let sample_idx = pages
-        .first()
-        .ok_or_else(|| CoreError::Unsupported("sampling an empty page plan".into()))?;
-    let first_record = loaded.record_at(sample_idx, 0);
-    let sample_records =
-        loaded.records_per_page().min(loaded.records().saturating_sub(first_record));
+impl Scan<'_> {
+    /// Read one candidate page's mask and group keys, estimate subgroup
+    /// sizes. The sampled page is the plan's first candidate — sampling
+    /// a pruned page would see only mask bits the filter never wrote.
+    ///
+    /// Charges the mask lines (one per row) and the key-chunk lines of
+    /// the selected sampled records.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator failures; the plan must be non-empty.
+    pub fn sample(
+        &mut self,
+        group_placements: &[(String, AttrPlacement)],
+    ) -> Result<SampleEstimate, CoreError> {
+        let (module, loaded) = (&self.table.module, &self.table.loaded);
+        let sample_idx = self
+            .pages
+            .first()
+            .ok_or_else(|| CoreError::Unsupported("sampling an empty page plan".into()))?;
+        let first_record = loaded.record_at(sample_idx, 0);
+        let sample_records =
+            loaded.records_per_page().min(loaded.records().saturating_sub(first_record));
 
-    // Mask of the sampled page (partition 0): one line per occupied row.
-    let rows_used = sample_records.div_ceil(module.config().crossbars_per_page());
-    log.push(module.host_read_phase(rows_used as u64));
+        // Mask of the sampled page (partition 0): one line per occupied row.
+        let rows_used = sample_records.div_ceil(module.config().crossbars_per_page());
+        self.log.push(module.host_read_phase(rows_used as u64));
 
-    let mask_page = module.page(loaded.pages(0)[sample_idx]);
-    let mut selected_slots = Vec::new();
-    for slot in 0..sample_records {
-        let s = mask_page.record_slot(slot)?;
-        if mask_page.crossbar(s.crossbar).bits().get(s.row, MASK_COL) {
-            selected_slots.push(slot);
+        let mask_page = module.page(loaded.pages(0)[sample_idx]);
+        let mut selected_slots = Vec::new();
+        for slot in 0..sample_records {
+            let s = mask_page.record_slot(slot)?;
+            if mask_page.crossbar(s.crossbar).bits().get(s.row, MASK_COL) {
+                selected_slots.push(slot);
+            }
         }
-    }
 
-    // Group-key chunks of the selected sampled records.
-    let mut lines = LineSet::new();
-    let mut counts: HashMap<Vec<u64>, u64> = HashMap::new();
-    for &slot in &selected_slots {
-        let mut key = Vec::with_capacity(group_placements.len());
-        for (_, placement) in group_placements {
-            let page_id = loaded.pages(placement.partition)[sample_idx];
-            let page = module.page(page_id);
-            let s = page.record_slot(slot)?;
-            lines.touch_bit_range(
-                module.config(),
-                page_id.0,
-                s.row,
-                placement.range.lo,
-                placement.range.width,
-            );
-            key.push(page.crossbar(s.crossbar).read_row_bits(
-                s.row,
-                placement.range.lo,
-                placement.range.width,
-            ));
+        // Group-key chunks of the selected sampled records.
+        let mut lines = LineSet::new();
+        let mut counts: HashMap<Vec<u64>, u64> = HashMap::new();
+        for &slot in &selected_slots {
+            let mut key = Vec::with_capacity(group_placements.len());
+            for (_, placement) in group_placements {
+                let page_id = loaded.pages(placement.partition)[sample_idx];
+                let page = module.page(page_id);
+                let s = page.record_slot(slot)?;
+                lines.touch_bit_range(
+                    module.config(),
+                    page_id.0,
+                    s.row,
+                    placement.range.lo,
+                    placement.range.width,
+                );
+                key.push(page.crossbar(s.crossbar).read_row_bits(
+                    s.row,
+                    placement.range.lo,
+                    placement.range.width,
+                ));
+            }
+            *counts.entry(key).or_default() += 1;
         }
-        *counts.entry(key).or_default() += 1;
-    }
-    log.push(module.host_read_scattered_phase(lines.len()));
+        self.log.push(module.host_read_scattered_phase(lines.len()));
 
-    // Selected records exist only on candidate pages (pruned pages are
-    // proven matchless), so the sample scales up to the *candidate*
-    // record count, not the whole relation.
-    let candidate_records: usize = pages
-        .indices()
-        .iter()
-        .map(|&idx| {
-            loaded.records_per_page().min(loaded.records().saturating_sub(loaded.record_at(idx, 0)))
-        })
-        .sum();
-    let scale =
-        if sample_records == 0 { 0.0 } else { candidate_records as f64 / sample_records as f64 };
-    let mut groups: Vec<(Vec<u64>, f64)> =
-        counts.into_iter().map(|(k, c)| (k, c as f64 * scale)).collect();
-    groups.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-
-    let sample_selected = selected_slots.len();
-    Ok(SampleEstimate {
-        sample_records,
-        sample_selected,
-        est_selectivity: if sample_records == 0 {
+        // Selected records exist only on candidate pages (pruned pages are
+        // proven matchless), so the sample scales up to the *candidate*
+        // record count, not the whole relation.
+        let candidate_records: usize = self
+            .pages
+            .indices()
+            .iter()
+            .map(|&idx| {
+                loaded
+                    .records_per_page()
+                    .min(loaded.records().saturating_sub(loaded.record_at(idx, 0)))
+            })
+            .sum();
+        let scale = if sample_records == 0 {
             0.0
         } else {
-            sample_selected as f64 / sample_records as f64
-        },
-        groups,
-        est_selected_total: sample_selected as f64 * scale,
-    })
+            candidate_records as f64 / sample_records as f64
+        };
+        let mut groups: Vec<(Vec<u64>, f64)> =
+            counts.into_iter().map(|(k, c)| (k, c as f64 * scale)).collect();
+        groups.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+
+        let sample_selected = selected_slots.len();
+        Ok(SampleEstimate {
+            sample_records,
+            sample_selected,
+            est_selectivity: if sample_records == 0 {
+                0.0
+            } else {
+                sample_selected as f64 / sample_records as f64
+            },
+            groups,
+            est_selected_total: sample_selected as f64 * scale,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter_exec::run_filter;
-    use crate::layout::RecordLayout;
-    use crate::loader::load_relation;
+    use crate::fixture;
     use crate::modes::EngineMode;
-    use bbpim_db::plan::{AggExpr, AggFunc, Atom, Query};
-    use bbpim_db::schema::{Attribute, Schema};
-    use bbpim_db::Relation;
-    use bbpim_sim::SimConfig;
+    use bbpim_db::builder::col;
+    use bbpim_db::plan::Pred;
 
-    fn setup() -> (PimModule, Relation, RecordLayout, LoadedRelation) {
-        let cfg = SimConfig::small_for_tests();
-        let schema =
-            Schema::new("t", vec![Attribute::numeric("lo_v", 8), Attribute::numeric("d_g", 4)]);
-        let mut rel = Relation::new(schema);
-        // skewed groups: group 0 gets half the rows
-        for i in 0..1000u64 {
-            let g = if i % 2 == 0 { 0 } else { 1 + (i % 7) };
-            rel.push_row(&[i % 250, g]).unwrap();
-        }
-        let layout = RecordLayout::build(rel.schema(), &cfg, EngineMode::OneXb, &[]).unwrap();
-        let mut module = PimModule::new(cfg);
-        let loaded = load_relation(&mut module, &rel, &layout).unwrap();
-        (module, rel, layout, loaded)
-    }
-
-    fn filter_and_sample(selectivity_filter: Vec<Atom>) -> SampleEstimate {
-        let (mut module, rel, layout, loaded) = setup();
-        let q = Query::single(
-            "t",
-            selectivity_filter,
-            vec!["d_g".into()],
-            AggFunc::Sum,
-            AggExpr::attr("lo_v"),
-        );
-        let schema = rel.schema();
-        let dnf: Vec<Vec<_>> = q
-            .resolve_filter(schema)
-            .unwrap()
-            .into_iter()
-            .map(|conj| {
-                conj.into_iter()
-                    .map(|a| {
-                        let name = &schema.attrs()[a.attr_index()].name;
-                        (a, layout.placement(name).unwrap())
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut log = RunLog::new();
-        let pages = PageSet::all(loaded.page_count());
-        run_filter(&mut module, &layout, &loaded, &dnf, &pages, &mut log).unwrap();
-        let placements = vec![("d_g".to_string(), layout.placement("d_g").unwrap())];
-        sample_page(&mut module, &layout, &loaded, &pages, &placements, &mut log).unwrap()
+    /// Skewed groups (group 0 gets half the rows), filtered, sampled.
+    fn filter_and_sample(filter: Pred) -> SampleEstimate {
+        let rows = (0..1000).map(|i| vec![i % 250, if i % 2 == 0 { 0 } else { 1 + (i % 7) }]);
+        let mut t = fixture::table(EngineMode::OneXb, &[("lo_v", 8), ("d_g", 4)], rows);
+        let mut scan = fixture::filtered(&mut t, &filter);
+        let placements = [("d_g".to_string(), scan.table().layout().placement("d_g").unwrap())];
+        scan.sample(&placements).unwrap()
     }
 
     #[test]
     fn estimates_ordered_and_head_heavy() {
-        let est = filter_and_sample(vec![]);
+        let est = filter_and_sample(Pred::always());
         assert!(est.sample_selected > 0);
         assert!((est.est_selectivity - 1.0).abs() < 1e-9);
         // group 0 holds ~half the records and must rank first
@@ -224,7 +186,7 @@ mod tests {
 
     #[test]
     fn r_of_k_decreases_and_respects_selectivity() {
-        let est = filter_and_sample(vec![Atom::Lt { attr: "lo_v".into(), value: 125u64.into() }]);
+        let est = filter_and_sample(col("lo_v").lt(125u64));
         let r0 = est.r_of_k(0);
         assert!((r0 - est.est_selectivity).abs() < 1e-9);
         let mut prev = r0;
@@ -240,7 +202,7 @@ mod tests {
     #[test]
     fn empty_selection_gives_zero_estimates() {
         // lo_v < 0 is impossible
-        let est = filter_and_sample(vec![Atom::Lt { attr: "lo_v".into(), value: 0u64.into() }]);
+        let est = filter_and_sample(col("lo_v").lt(0u64));
         assert_eq!(est.sample_selected, 0);
         assert_eq!(est.seen(), 0);
         assert_eq!(est.r_of_k(0), 0.0);
@@ -249,7 +211,7 @@ mod tests {
 
     #[test]
     fn estimated_counts_scale_to_relation() {
-        let est = filter_and_sample(vec![]);
+        let est = filter_and_sample(Pred::always());
         // sample is the full first page; totals scale by records/sample
         let total_est: f64 = est.groups.iter().map(|(_, c)| c).sum();
         assert!((total_est - 1000.0).abs() / 1000.0 < 0.25, "total {total_est}");

@@ -49,6 +49,8 @@ pub mod agg_exec;
 pub mod engine;
 pub mod error;
 pub mod filter_exec;
+#[cfg(test)]
+pub(crate) mod fixture;
 pub mod groupby;
 pub mod layout;
 pub mod loader;
@@ -57,6 +59,7 @@ pub mod mutation;
 pub mod obs;
 pub mod planner;
 pub mod result;
+pub mod scan;
 pub mod semijoin;
 pub mod table;
 
@@ -64,4 +67,5 @@ pub use engine::PimQueryEngine;
 pub use error::CoreError;
 pub use modes::EngineMode;
 pub use mutation::{Mutation, MutationBuilder, MutationReport};
+pub use scan::Scan;
 pub use table::PimTable;

@@ -34,17 +34,12 @@ use bbpim_db::schema::Schema;
 use bbpim_db::Relation;
 use bbpim_sim::compiler::{mux, CodeBuilder, ScratchPool};
 use bbpim_sim::endurance;
-use bbpim_sim::module::PimModule;
 use bbpim_sim::timeline::RunLog;
 
 use crate::error::CoreError;
-use crate::filter_exec::{
-    count_mask_bits, mask_bits, mask_transfer_phases, run_filter, write_transfer_bits_to,
-};
-use crate::layout::{RecordLayout, MASK_COL, TRANSFER_COL};
-use crate::loader::{append_rows, LoadedRelation};
-use crate::planner::{plan_pages, PageSet};
-use bbpim_db::plan::FilterBounds;
+use crate::layout::{MASK_COL, TRANSFER_COL};
+use crate::loader::append_rows;
+use crate::table::PimTable;
 
 /// One logical mutation against a PIM-resident relation.
 #[derive(Debug, Clone, PartialEq)]
@@ -353,64 +348,52 @@ fn resolve_const(schema: &Schema, attr: &str, value: &Const) -> Result<(usize, u
     Ok((attr_idx, imm))
 }
 
-/// Execute a mutation against one module-resident relation.
+/// Execute a mutation against one table.
 ///
 /// **UPDATE** — plan → filter → one Algorithm 1 MUX per SET column →
 /// zone widening. The WHERE tree is resolved to DNF and planned against
 /// the per-page zone maps like any query filter (`prune = false` for
-/// exhaustive execution); [`run_filter`] leaves one shared select mask,
-/// and each SET column is rewritten under it (the mask travels to a
-/// target's partition at most once). Every candidate page's zone map is
-/// then widened per written attribute — for an OR filter the candidate
-/// set is the interval-union plan, so every page any disjunct could
-/// have touched stays soundly covered.
+/// exhaustive execution); [`Scan::filter`](crate::scan::Scan::filter)
+/// leaves one shared select mask, and each SET column is rewritten
+/// under it (the mask travels to a target's partition at most once).
+/// Every candidate page's zone map is then widened per written
+/// attribute — for an OR filter the candidate set is the interval-union
+/// plan, so every page any disjunct could have touched stays soundly
+/// covered.
 ///
 /// **INSERT** — rows are appended behind the loaded image
 /// ([`append_rows`]): fresh pages allocated on demand, VALID bits set,
 /// byte-tagged host-write phases charged, zone maps grown over the new
 /// rows.
 ///
-/// Both arms keep `relation` (the host-side catalog copy) in sync, so
-/// catalog-derived statistics and the replay oracle stay bit-identical
-/// to the PIM contents.
+/// Both arms keep the table's catalog copy in sync, so catalog-derived
+/// statistics and the replay oracle stay bit-identical to the PIM
+/// contents.
 ///
 /// # Errors
 ///
 /// Propagates resolution/compiler/simulator failures.
 pub fn run_mutation(
-    module: &mut PimModule,
-    layout: &RecordLayout,
-    loaded: &mut LoadedRelation,
-    relation: &mut Relation,
+    table: &mut PimTable,
     mutation: &Mutation,
     prune: bool,
 ) -> Result<MutationReport, CoreError> {
-    match mutation {
-        Mutation::Insert { rows } => run_insert(module, layout, loaded, relation, rows),
-        Mutation::Update { filter, set } => {
-            run_multi_update(module, layout, loaded, relation, filter, set, prune)
+    let (counts, touched, log) = match mutation {
+        Mutation::Insert { rows } => {
+            mutation.validate(table.relation.schema())?;
+            let PimTable { module, relation, layout, loaded } = table;
+            let (log, touched) = append_rows(module, layout, loaded, relation, rows)?;
+            (MutationCounts { updated: 0, inserted: rows.len() as u64 }, touched, log)
         }
-    }
-}
-
-fn run_insert(
-    module: &mut PimModule,
-    layout: &RecordLayout,
-    loaded: &mut LoadedRelation,
-    relation: &mut Relation,
-    rows: &[Vec<u64>],
-) -> Result<MutationReport, CoreError> {
-    let mutation = Mutation::Insert { rows: rows.to_vec() };
-    mutation.validate(relation.schema())?;
-    let (log, touched) = append_rows(module, layout, loaded, relation, rows)?;
-    let touched_ids: Vec<_> = touched
-        .iter()
-        .flat_map(|&pg| (0..layout.partitions()).map(move |p| (p, pg)))
-        .map(|(p, pg)| loaded.pages(p)[pg])
+        Mutation::Update { filter, set } => run_update(table, filter, set, prune)?,
+    };
+    let PimTable { module, layout, loaded, .. } = &*table;
+    let touched_ids: Vec<_> = (0..layout.partitions())
+        .flat_map(|p| touched.iter().map(move |&pg| loaded.pages(p)[pg]))
         .collect();
     Ok(MutationReport {
-        records_updated: 0,
-        records_inserted: rows.len() as u64,
+        records_updated: counts.updated,
+        records_inserted: counts.inserted,
         pages_scanned: touched.len(),
         time_ns: log.total_time_ns(),
         host_bus_ns: bbpim_sim::hostbus::log_occupancy_ns(&module.config().host, &log),
@@ -421,54 +404,30 @@ fn run_insert(
     })
 }
 
-fn run_multi_update(
-    module: &mut PimModule,
-    layout: &RecordLayout,
-    loaded: &mut LoadedRelation,
-    relation: &mut Relation,
+/// The UPDATE arm: `(rows rewritten, page indices touched, phases)`.
+fn run_update(
+    table: &mut PimTable,
     filter: &Pred,
     set: &[(String, Const)],
     prune: bool,
-) -> Result<MutationReport, CoreError> {
-    let mut log = RunLog::new();
-
-    // Filter (reusing the query path, zone maps included): the resolved
-    // DNF may have several disjuncts; planning unions their bounds.
-    let probe = probe_query(filter);
-    let schema = relation.schema();
-    let dnf = probe.resolve_filter(schema)?;
-    let disjuncts: Vec<Vec<_>> = dnf
-        .iter()
-        .map(|conj| {
-            conj.iter()
-                .map(|a| {
-                    let name = &schema.attrs()[a.attr_index()].name;
-                    Ok((a.clone(), layout.placement(name)?))
-                })
-                .collect::<Result<Vec<_>, CoreError>>()
-        })
-        .collect::<Result<_, CoreError>>()?;
-    let pages = if prune {
-        plan_pages(&FilterBounds::from_dnf(&dnf), loaded)
-    } else {
-        PageSet::all(loaded.page_count())
-    };
-    log.push(pages.dispatch_phase(&module.config().host, module.policy(), layout.partitions()));
-    run_filter(module, layout, loaded, &disjuncts, &pages, &mut log)?;
-
+) -> Result<(MutationCounts, Vec<usize>, RunLog), CoreError> {
     // Resolve every SET target up front (placement + immediate).
     let targets: Vec<(crate::layout::AttrPlacement, usize, u64)> = set
         .iter()
         .map(|(attr, value)| {
-            let placement = layout.placement(attr)?;
-            let (attr_idx, imm) = resolve_const(relation.schema(), attr, value)?;
+            let placement = table.layout.placement(attr)?;
+            let (attr_idx, imm) = resolve_const(table.relation.schema(), attr, value)?;
             Ok((placement, attr_idx, imm))
         })
         .collect::<Result<_, CoreError>>()?;
 
-    let updated = if pages.is_empty() {
-        0
-    } else {
+    // Filter (the query path, zone maps included): the resolved DNF may
+    // have several disjuncts; planning unions their bounds.
+    let dnf = filter.resolve_dnf(table.relation.schema())?;
+    let mut scan = table.resume(table.plan_dnf(&dnf, prune), None);
+    let updated = scan.filter(&dnf)?;
+
+    if !scan.pages().is_empty() {
         // The select bit lives in partition 0's mask column; transfer
         // it at most once per other partition a target lives in, then
         // rewrite each SET column under the shared mask (Algorithm 1).
@@ -478,90 +437,48 @@ fn run_multi_update(
                 MASK_COL
             } else {
                 if !transferred.contains(&placement.partition) {
-                    let bits = mask_bits(module, loaded, &pages, 0, MASK_COL);
-                    for phase in mask_transfer_phases(module, loaded, &pages, &bits) {
-                        log.push(phase);
-                    }
-                    write_transfer_bits_to(module, loaded, &bits, placement.partition, &pages)?;
+                    scan.move_mask(0, MASK_COL, Some(placement.partition))?;
                     transferred.push(placement.partition);
                 }
                 TRANSFER_COL
             };
-            let mut pool = ScratchPool::new(layout.scratch(placement.partition));
+            let mut pool = ScratchPool::new(scan.table().layout().scratch(placement.partition));
             let mut b = CodeBuilder::new(&mut pool);
             mux::compile_mux_update(&mut b, placement.range, imm, select_col)?;
-            let prog = b.finish();
-            let phase = module.exec_program(&pages.ids(loaded, placement.partition), &prog)?;
-            log.push(phase);
+            scan.exec(placement.partition, &b.finish())?;
         }
+    }
+    let (touched, log) = (scan.pages().indices().to_vec(), scan.take_log());
 
-        // Zone maintenance: every candidate page may now hold each
-        // written immediate.
-        for &(_, attr_idx, imm) in &targets {
-            loaded.widen_zones(pages.indices(), attr_idx, imm);
-        }
-
-        count_mask_bits(module, &pages.ids(loaded, 0), MASK_COL)
-    };
+    // Zone maintenance: every candidate page may now hold each written
+    // immediate.
+    for &(_, attr_idx, imm) in &targets {
+        table.loaded.widen_zones(&touched, attr_idx, imm);
+    }
 
     // Keep the host-side catalog copy in sync (hits computed against
     // pre-mutation values, then every SET column patched).
-    let selected = bbpim_db::stats::filter_bitvec(&probe, relation)?;
+    let selected = bbpim_db::stats::filter_bitvec(&probe_query(filter), &table.relation)?;
     for (row, hit) in selected.into_iter().enumerate() {
         if hit {
             for &(_, attr_idx, imm) in &targets {
-                relation.set_value(row, attr_idx, imm)?;
+                table.relation.set_value(row, attr_idx, imm)?;
             }
         }
     }
-
-    let touched_ids: Vec<_> = (0..layout.partitions()).flat_map(|p| pages.ids(loaded, p)).collect();
-    Ok(MutationReport {
-        records_updated: updated,
-        records_inserted: 0,
-        pages_scanned: pages.len(),
-        time_ns: log.total_time_ns(),
-        host_bus_ns: bbpim_sim::hostbus::log_occupancy_ns(&module.config().host, &log),
-        energy_pj: log.total_energy_pj(),
-        max_row_cell_writes: module.max_row_cell_writes(&touched_ids),
-        row_cells: module.config().crossbar_cols,
-        phases: log,
-    })
+    Ok((MutationCounts { updated, inserted: 0 }, touched, log))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::RecordLayout;
-    use crate::loader::load_relation;
+    use crate::fixture;
     use crate::modes::EngineMode;
     use bbpim_db::builder::col;
-    use bbpim_db::schema::{Attribute, Schema};
     use bbpim_sim::timeline::PhaseKind;
-    use bbpim_sim::SimConfig;
 
-    fn setup(mode: EngineMode) -> (PimModule, Relation, RecordLayout, LoadedRelation) {
-        let cfg = SimConfig::small_for_tests();
-        let schema =
-            Schema::new("t", vec![Attribute::numeric("lo_v", 8), Attribute::numeric("d_city", 6)]);
-        let mut rel = Relation::new(schema);
-        for i in 0..500u64 {
-            rel.push_row(&[i % 256, i % 40]).unwrap();
-        }
-        let layout = RecordLayout::build(rel.schema(), &cfg, mode, &[]).unwrap();
-        let mut module = PimModule::new(cfg);
-        let loaded = load_relation(&mut module, &rel, &layout).unwrap();
-        (module, rel, layout, loaded)
-    }
-
-    fn read_attr(
-        module: &PimModule,
-        layout: &RecordLayout,
-        loaded: &LoadedRelation,
-        record: usize,
-        name: &str,
-    ) -> u64 {
-        crate::groupby::host_gb::read_attr_value(module, layout, loaded, record, name).unwrap()
+    fn table(mode: EngineMode) -> PimTable {
+        fixture::table(mode, &[("lo_v", 8), ("d_city", 6)], (0..500).map(|i| vec![i % 256, i % 40]))
     }
 
     /// UPDATE rewrites only the matching records — under a single
@@ -573,41 +490,43 @@ mod tests {
             hits.iter().map(|&c| col("d_city").eq(c)).reduce(|a, b| a.or(b)).unwrap()
         };
         for hits in [&[7u64][..], &[7, 11]] {
-            let (mut module, mut rel, layout, mut loaded) = setup(EngineMode::OneXb);
+            let mut t = table(EngineMode::OneXb);
             let m = Mutation::update()
                 .filter(cities(hits))
                 .set("d_city", 39u64)
-                .build(rel.schema())
+                .build(t.relation().schema())
                 .unwrap();
-            let before: Vec<u64> = (0..rel.len()).map(|r| rel.value(r, 1)).collect();
-            let rep = run_mutation(&mut module, &layout, &mut loaded, &mut rel, &m, true).unwrap();
+            let before: Vec<u64> =
+                (0..t.relation().len()).map(|r| t.relation().value(r, 1)).collect();
+            let rep = t.mutate(&m, true).unwrap();
             let expected_hits = before.iter().filter(|v| hits.contains(v)).count() as u64;
             assert_eq!(rep.records_updated, expected_hits);
             for (record, prior) in before.iter().enumerate() {
-                let got = read_attr(&module, &layout, &loaded, record, "d_city");
+                let got = t.read_attr(record, "d_city").unwrap();
                 let expected = if hits.contains(prior) { 39 } else { *prior };
                 assert_eq!(got, expected, "record {record}");
-                assert_eq!(rel.value(record, 1), expected);
+                assert_eq!(t.relation().value(record, 1), expected);
             }
         }
     }
 
     #[test]
     fn multi_column_set_shares_one_filter_pass() {
-        let (mut module, mut rel, layout, mut loaded) = setup(EngineMode::OneXb);
+        let mut t = table(EngineMode::OneXb);
         let m = Mutation::update()
             .filter(col("lo_v").lt(10u64))
             .set("lo_v", 255u64)
             .set("d_city", 3u64)
-            .build(rel.schema())
+            .build(t.relation().schema())
             .unwrap();
-        let hit: Vec<bool> = (0..rel.len()).map(|r| rel.value(r, 0) < 10).collect();
-        let rep = run_mutation(&mut module, &layout, &mut loaded, &mut rel, &m, true).unwrap();
+        let hit: Vec<bool> =
+            (0..t.relation().len()).map(|r| t.relation().value(r, 0) < 10).collect();
+        let rep = t.mutate(&m, true).unwrap();
         assert_eq!(rep.records_updated, hit.iter().filter(|h| **h).count() as u64);
         for (record, was_hit) in hit.iter().enumerate() {
             if *was_hit {
-                assert_eq!(read_attr(&module, &layout, &loaded, record, "lo_v"), 255);
-                assert_eq!(read_attr(&module, &layout, &loaded, record, "d_city"), 3);
+                assert_eq!(t.read_attr(record, "lo_v").unwrap(), 255);
+                assert_eq!(t.read_attr(record, "d_city").unwrap(), 3);
             }
         }
         // one shared mask: exactly one filter's worth of PIM programs
@@ -621,23 +540,23 @@ mod tests {
 
     #[test]
     fn insert_appends_rows_and_widens_zones() {
-        let (mut module, mut rel, layout, mut loaded) = setup(EngineMode::OneXb);
-        let before = loaded.records();
-        let zone_before = loaded.zone_map();
+        let mut t = table(EngineMode::OneXb);
+        let before = t.loaded().records();
+        let zone_before = t.loaded().zone_map();
         assert!(zone_before.range(1).unwrap().1 < 63);
         let m = Mutation::insert()
             .row(vec![200u64, 63u64])
             .row(vec![201u64, 62u64])
-            .build(rel.schema())
+            .build(t.relation().schema())
             .unwrap();
-        let rep = run_mutation(&mut module, &layout, &mut loaded, &mut rel, &m, true).unwrap();
+        let rep = t.mutate(&m, true).unwrap();
         assert_eq!(rep.records_inserted, 2);
-        assert_eq!(loaded.records(), before + 2);
-        assert_eq!(rel.len(), before + 2);
-        assert_eq!(read_attr(&module, &layout, &loaded, before, "d_city"), 63);
-        assert_eq!(read_attr(&module, &layout, &loaded, before + 1, "lo_v"), 201);
+        assert_eq!(t.loaded().records(), before + 2);
+        assert_eq!(t.relation().len(), before + 2);
+        assert_eq!(t.read_attr(before, "d_city").unwrap(), 63);
+        assert_eq!(t.read_attr(before + 1, "lo_v").unwrap(), 201);
         // zones grew to cover the new value
-        assert_eq!(loaded.zone_map().range(1).unwrap().1, 63);
+        assert_eq!(t.loaded().zone_map().range(1).unwrap().1, 63);
         // inserts cross the host channel as byte-tagged writes
         assert!(rep.phases.time_in(PhaseKind::HostWrite) > 0.0);
         assert!(rep.phases.host_bytes_in(PhaseKind::HostWrite) > 0);
@@ -645,43 +564,43 @@ mod tests {
 
     #[test]
     fn insert_allocates_fresh_pages_when_the_image_is_full() {
-        let (mut module, mut rel, layout, mut loaded) = setup(EngineMode::OneXb);
-        let rpp = loaded.records_per_page();
-        let pages_before = loaded.page_count();
-        let free = pages_before * rpp - loaded.records();
+        let mut t = table(EngineMode::OneXb);
+        let rpp = t.loaded().records_per_page();
+        let pages_before = t.loaded().page_count();
+        let free = pages_before * rpp - t.loaded().records();
         let mut b = Mutation::insert();
         for i in 0..(free + 3) as u64 {
             b = b.row(vec![i % 256, i % 40]);
         }
-        let m = b.build(rel.schema()).unwrap();
-        run_mutation(&mut module, &layout, &mut loaded, &mut rel, &m, true).unwrap();
-        assert_eq!(loaded.page_count(), pages_before + 1);
-        assert_eq!(loaded.records(), rel.len());
+        let m = b.build(t.relation().schema()).unwrap();
+        t.mutate(&m, true).unwrap();
+        assert_eq!(t.loaded().page_count(), pages_before + 1);
+        assert_eq!(t.loaded().records(), t.relation().len());
         // new rows are readable from the fresh page
-        let last = loaded.records() - 1;
-        assert_eq!(read_attr(&module, &layout, &loaded, last, "lo_v"), ((free + 2) % 256) as u64);
+        let last = t.loaded().records() - 1;
+        assert_eq!(t.read_attr(last, "lo_v").unwrap(), ((free + 2) % 256) as u64);
     }
 
     #[test]
     fn inserted_rows_are_selected_by_later_filters() {
-        let (mut module, mut rel, layout, mut loaded) = setup(EngineMode::OneXb);
+        let mut t = table(EngineMode::OneXb);
         // no existing row has d_city == 63
-        let m = Mutation::insert().row(vec![9u64, 63u64]).build(rel.schema()).unwrap();
-        run_mutation(&mut module, &layout, &mut loaded, &mut rel, &m, true).unwrap();
+        let m = Mutation::insert().row(vec![9u64, 63u64]).build(t.relation().schema()).unwrap();
+        t.mutate(&m, true).unwrap();
         let upd = Mutation::update()
             .filter(col("d_city").eq(63u64))
             .set("lo_v", 77u64)
-            .build(rel.schema())
+            .build(t.relation().schema())
             .unwrap();
-        let rep = run_mutation(&mut module, &layout, &mut loaded, &mut rel, &upd, true).unwrap();
+        let rep = t.mutate(&upd, true).unwrap();
         assert_eq!(rep.records_updated, 1);
-        assert_eq!(read_attr(&module, &layout, &loaded, loaded.records() - 1, "lo_v"), 77);
+        assert_eq!(t.read_attr(t.loaded().records() - 1, "lo_v").unwrap(), 77);
     }
 
     #[test]
     fn builder_validates_against_schema() {
-        let (_, rel, _, _) = setup(EngineMode::OneXb);
-        let schema = rel.schema();
+        let t = table(EngineMode::OneXb);
+        let schema = t.relation().schema();
         assert!(Mutation::update().set("nope", 1u64).build(schema).is_err());
         assert!(Mutation::update().filter(col("lo_v").eq(1u64)).build(schema).is_err());
         assert!(Mutation::update().set("lo_v", 1u64).set("lo_v", 2u64).build(schema).is_err());
@@ -696,18 +615,18 @@ mod tests {
 
     #[test]
     fn two_xb_update_of_dimension_attr_transfers_mask() {
-        let (mut module, mut rel, layout, mut loaded) = setup(EngineMode::TwoXb);
+        let mut t = table(EngineMode::TwoXb);
         // fact-side filter, dimension-side target: mask must travel
         let m = Mutation::update()
             .filter(col("lo_v").lt(50u64))
             .set("d_city", 1u64)
-            .build(rel.schema())
+            .build(t.relation().schema())
             .unwrap();
-        let report = run_mutation(&mut module, &layout, &mut loaded, &mut rel, &m, true).unwrap();
+        let report = t.mutate(&m, true).unwrap();
         assert!(report.phases.time_in(PhaseKind::HostWrite) > 0.0);
-        for record in 0..rel.len() {
-            let v = read_attr(&module, &layout, &loaded, record, "lo_v");
-            let city = read_attr(&module, &layout, &loaded, record, "d_city");
+        for record in 0..t.relation().len() {
+            let v = t.read_attr(record, "lo_v").unwrap();
+            let city = t.read_attr(record, "d_city").unwrap();
             if v < 50 {
                 assert_eq!(city, 1);
             }
@@ -716,15 +635,13 @@ mod tests {
 
     #[test]
     fn update_cost_independent_of_matched_count() {
-        let (mut m1, mut r1, l1, mut ld1) = setup(EngineMode::OneXb);
-        let (mut m2, mut r2, l2, mut ld2) = setup(EngineMode::OneXb);
         let zero_city = |filter| {
-            Mutation::update().filter(filter).set("d_city", 0u64).build(r1.schema()).unwrap()
+            let mut t = table(EngineMode::OneXb);
+            let m = Mutation::update().filter(filter).set("d_city", 0u64);
+            t.mutate(&m.build(t.relation().schema()).unwrap(), true).unwrap()
         };
-        let narrow = zero_city(col("lo_v").eq(3u64));
-        let wide = zero_city(col("lo_v").lt(250u64));
-        let t1 = run_mutation(&mut m1, &l1, &mut ld1, &mut r1, &narrow, true).unwrap();
-        let t2 = run_mutation(&mut m2, &l2, &mut ld2, &mut r2, &wide, true).unwrap();
+        let t1 = zero_city(col("lo_v").eq(3u64));
+        let t2 = zero_city(col("lo_v").lt(250u64));
         assert!(t2.records_updated > 50 * t1.records_updated.max(1));
         // The MUX pass itself is selection-size independent: the last
         // PIM-logic phase (the rewrite) takes identical time for 2 and
@@ -744,34 +661,34 @@ mod tests {
 
     #[test]
     fn oracle_apply_matches_pim_state() {
-        let (mut module, mut rel, layout, mut loaded) = setup(EngineMode::OneXb);
-        let mut oracle = rel.clone();
+        let mut t = table(EngineMode::OneXb);
+        let mut oracle = t.relation().clone();
         let ms = vec![
             Mutation::update()
                 .filter(col("d_city").eq(5u64).or(col("lo_v").gt(250u64)))
                 .set("d_city", 1u64)
-                .build(rel.schema())
+                .build(t.relation().schema())
                 .unwrap(),
-            Mutation::insert().row(vec![130u64, 22u64]).build(rel.schema()).unwrap(),
+            Mutation::insert().row(vec![130u64, 22u64]).build(t.relation().schema()).unwrap(),
             Mutation::update()
                 .filter(col("lo_v").eq(130u64))
                 .set("lo_v", 131u64)
                 .set("d_city", 2u64)
-                .build(rel.schema())
+                .build(t.relation().schema())
                 .unwrap(),
         ];
         for m in &ms {
-            run_mutation(&mut module, &layout, &mut loaded, &mut rel, m, true).unwrap();
+            t.mutate(m, true).unwrap();
             m.apply_to(&mut oracle).unwrap();
         }
-        assert_eq!(rel.len(), oracle.len());
-        for row in 0..rel.len() {
-            assert_eq!(rel.row(row), oracle.row(row), "row {row}");
+        assert_eq!(t.relation().len(), oracle.len());
+        for row in 0..t.relation().len() {
+            assert_eq!(t.relation().row(row), oracle.row(row), "row {row}");
         }
         // and the PIM image agrees with both
-        for row in 0..rel.len() {
-            assert_eq!(read_attr(&module, &layout, &loaded, row, "lo_v"), oracle.value(row, 0));
-            assert_eq!(read_attr(&module, &layout, &loaded, row, "d_city"), oracle.value(row, 1));
+        for row in 0..t.relation().len() {
+            assert_eq!(t.read_attr(row, "lo_v").unwrap(), oracle.value(row, 0));
+            assert_eq!(t.read_attr(row, "d_city").unwrap(), oracle.value(row, 1));
         }
     }
 }

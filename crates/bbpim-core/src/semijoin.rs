@@ -25,9 +25,9 @@
 //! costs PIM-logic time but still no bus traffic — the trade the
 //! paper's channel-bound analysis argues for.
 //!
-//! The builder mirrors
-//! [`crate::filter_exec::build_dnf_mask_program_in`], adding the inner
-//! OR level; run predicates reuse the same compiled-predicate library
+//! [`build_dnf_mask_program`] is the one DNF builder: a plain
+//! single-partition query filter is the case where no disjunct carries
+//! a semijoin term. Run predicates reuse the compiled-predicate library
 //! via [`compile_atom`].
 
 use bbpim_db::plan::ResolvedAtom;
@@ -84,11 +84,12 @@ impl SemijoinTerm {
     }
 }
 
-/// One disjunct of a star-join filter as the fact module sees it:
-/// local atoms plus one semijoin term per participating dimension.
+/// One disjunct of a filter as a single-partition module sees it:
+/// local atoms plus — on a star join's fact shard — one semijoin term
+/// per participating dimension.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SemijoinDisjunct {
-    /// Fact-table atoms, pre-resolved to column ranges.
+    /// Local atoms, pre-resolved to column ranges.
     pub atoms: Vec<(ResolvedAtom, ColRange)>,
     /// Semijoin terms (one per dimension this disjunct filters).
     pub semijoins: Vec<SemijoinTerm>,
@@ -124,17 +125,18 @@ fn compile_runs(b: &mut CodeBuilder<'_>, term: &SemijoinTerm) -> Result<usize, C
     Ok(acc.expect("at least one run"))
 }
 
-/// Build the fact-side program of a star join: per disjunct, AND the
-/// fact atoms with every semijoin term's run-OR; OR across disjuncts;
-/// AND `and_cols` (validity); write the result to `dst_col`. A
-/// disjunct with no atoms and no semijoins contributes constant true;
-/// zero disjuncts write an all-false mask (same conventions as
-/// [`crate::filter_exec::build_dnf_mask_program_in`]).
+/// Build one program evaluating a whole DNF inside a single partition
+/// (`scratch` is its workspace): per disjunct, AND the local atoms with
+/// every semijoin term's run-OR; OR across disjuncts; AND `and_cols`
+/// (validity); write the result to `dst_col`. A disjunct with no atoms
+/// and no semijoins contributes constant true; zero disjuncts write an
+/// all-false mask — an executed filter must still leave a well-defined
+/// mask on the touched pages.
 ///
 /// # Errors
 ///
 /// Propagates compiler failures (scratch exhaustion, bad constants).
-pub fn build_semijoin_mask_program_in(
+pub fn build_dnf_mask_program(
     scratch: ColRange,
     disjuncts: &[SemijoinDisjunct],
     and_cols: &[usize],
@@ -188,42 +190,29 @@ pub fn build_semijoin_mask_program_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter_exec::{count_mask_bits, mask_bits};
-    use crate::layout::{RecordLayout, MASK_COL, VALID_COL};
-    use crate::loader::{load_relation, LoadedRelation};
+    use crate::fixture;
+    use crate::layout::MASK_COL;
     use crate::modes::EngineMode;
-    use crate::planner::PageSet;
-    use bbpim_db::schema::{Attribute, Schema};
-    use bbpim_db::Relation;
-    use bbpim_sim::module::PimModule;
-    use bbpim_sim::SimConfig;
+    use crate::table::PimTable;
 
-    fn setup() -> (PimModule, Relation, RecordLayout, LoadedRelation) {
-        let cfg = SimConfig::small_for_tests();
-        let schema =
-            Schema::new("f", vec![Attribute::numeric("fk", 8), Attribute::numeric("v", 8)]);
-        let mut rel = Relation::new(schema);
-        for i in 0..700u64 {
-            rel.push_row(&[(i * 7) % 200, i % 100]).unwrap();
-        }
-        let layout = RecordLayout::build(rel.schema(), &cfg, EngineMode::OneXb, &[]).unwrap();
-        let mut module = PimModule::new(cfg);
-        let loaded = load_relation(&mut module, &rel, &layout).unwrap();
-        (module, rel, layout, loaded)
+    fn table() -> PimTable {
+        let rows = (0..700).map(|i| vec![(i * 7) % 200, i % 100]);
+        fixture::table(EngineMode::OneXb, &[("fk", 8), ("v", 8)], rows)
     }
 
-    fn run(
-        module: &mut PimModule,
-        layout: &RecordLayout,
-        loaded: &LoadedRelation,
-        disjuncts: &[SemijoinDisjunct],
-    ) -> Vec<bool> {
-        let prog =
-            build_semijoin_mask_program_in(layout.scratch(0), disjuncts, &[VALID_COL], MASK_COL)
-                .unwrap();
-        let pages = PageSet::all(loaded.page_count());
-        module.exec_program(&pages.ids(loaded, 0), &prog).unwrap();
-        mask_bits(module, loaded, &pages, 0, MASK_COL)
+    /// The column range of `attr`.
+    fn range(t: &PimTable, attr: &str) -> ColRange {
+        t.layout().placement(attr).unwrap().range
+    }
+
+    /// Filter by `disjuncts` over every page; the selected count must be
+    /// the mask's popcount. Returns the per-record mask.
+    fn run(t: &mut PimTable, disjuncts: &[SemijoinDisjunct]) -> Vec<bool> {
+        let mut scan = fixture::scan(t);
+        let selected = scan.filter_joined(disjuncts).unwrap();
+        let mask = scan.mask(0, MASK_COL);
+        assert_eq!(selected, mask.iter().filter(|b| **b).count() as u64);
+        mask
     }
 
     #[test]
@@ -242,44 +231,44 @@ mod tests {
 
     #[test]
     fn run_predicates_match_bitmap_semantics() {
-        let (mut module, rel, layout, loaded) = setup();
+        let mut t = table();
         // keys 20..=35 and 100, 102 selected
         let mut bits = vec![false; 200];
         bits[20..=35].fill(true);
         bits[100] = true;
         bits[102] = true;
-        let fk_range = layout.placement("fk").unwrap().range;
+        let fk_range = range(&t, "fk");
         let term = SemijoinTerm::from_bitmap(fk_range, &bits, 0);
         assert_eq!(term.runs.len(), 3);
         let d = SemijoinDisjunct { atoms: vec![], semijoins: vec![term] };
-        let mask = run(&mut module, &layout, &loaded, &[d]);
+        let mask = run(&mut t, &[d]);
         for (row, got) in mask.iter().enumerate() {
-            let fk = rel.value(row, 0) as usize;
+            let fk = t.relation().value(row, 0) as usize;
             assert_eq!(*got, bits[fk], "row {row} fk {fk}");
         }
     }
 
     #[test]
     fn semijoin_ands_with_fact_atoms() {
-        let (mut module, rel, layout, loaded) = setup();
-        let fk_range = layout.placement("fk").unwrap().range;
-        let v_range = layout.placement("v").unwrap().range;
+        let mut t = table();
+        let fk_range = range(&t, "fk");
+        let v_range = range(&t, "v");
         let term = SemijoinTerm { fk_range, runs: vec![(0, 49)] };
         let d = SemijoinDisjunct {
             atoms: vec![(ResolvedAtom::Lt { idx: 1, value: 30 }, v_range)],
             semijoins: vec![term],
         };
-        let mask = run(&mut module, &layout, &loaded, &[d]);
+        let mask = run(&mut t, &[d]);
         for (row, got) in mask.iter().enumerate() {
-            let expect = rel.value(row, 0) < 50 && rel.value(row, 1) < 30;
+            let expect = t.relation().value(row, 0) < 50 && t.relation().value(row, 1) < 30;
             assert_eq!(*got, expect, "row {row}");
         }
     }
 
     #[test]
     fn disjuncts_or_together() {
-        let (mut module, rel, layout, loaded) = setup();
-        let fk_range = layout.placement("fk").unwrap().range;
+        let mut t = table();
+        let fk_range = range(&t, "fk");
         let d1 = SemijoinDisjunct {
             atoms: vec![],
             semijoins: vec![SemijoinTerm { fk_range, runs: vec![(0, 9)] }],
@@ -288,47 +277,45 @@ mod tests {
             atoms: vec![],
             semijoins: vec![SemijoinTerm { fk_range, runs: vec![(150, 199)] }],
         };
-        let mask = run(&mut module, &layout, &loaded, &[d1, d2]);
+        let mask = run(&mut t, &[d1, d2]);
         for (row, got) in mask.iter().enumerate() {
-            let fk = rel.value(row, 0);
+            let fk = t.relation().value(row, 0);
             assert_eq!(*got, !(10..150).contains(&fk), "row {row}");
         }
     }
 
     #[test]
     fn empty_runs_make_disjunct_false_and_no_disjuncts_make_all_false() {
-        let (mut module, _rel, layout, loaded) = setup();
-        let fk_range = layout.placement("fk").unwrap().range;
+        let mut t = table();
+        let fk_range = range(&t, "fk");
         let d = SemijoinDisjunct {
             atoms: vec![],
             semijoins: vec![SemijoinTerm { fk_range, runs: vec![] }],
         };
-        assert!(run(&mut module, &layout, &loaded, &[d]).iter().all(|b| !b));
-        assert!(run(&mut module, &layout, &loaded, &[]).iter().all(|b| !b));
+        assert!(run(&mut t, &[d]).iter().all(|b| !b));
+        assert!(run(&mut t, &[]).iter().all(|b| !b));
     }
 
     #[test]
     fn empty_disjunct_selects_all_valid() {
-        let (mut module, rel, layout, loaded) = setup();
+        let mut t = table();
         let d = SemijoinDisjunct { atoms: vec![], semijoins: vec![] };
-        let mask = run(&mut module, &layout, &loaded, &[d]);
-        assert_eq!(mask.iter().filter(|b| **b).count(), rel.len());
-        let pages = PageSet::all(loaded.page_count());
-        assert_eq!(count_mask_bits(&module, &pages.ids(&loaded, 0), MASK_COL), rel.len() as u64);
+        let mask = run(&mut t, &[d]);
+        assert_eq!(mask.iter().filter(|b| **b).count(), t.relation().len());
     }
 
     #[test]
     fn many_scattered_runs_stay_within_scratch() {
-        let (mut module, rel, layout, loaded) = setup();
-        let fk_range = layout.placement("fk").unwrap().range;
+        let mut t = table();
+        let fk_range = range(&t, "fk");
         // every third key: 67 single-key runs
         let bits: Vec<bool> = (0..200).map(|k| k % 3 == 0).collect();
         let term = SemijoinTerm::from_bitmap(fk_range, &bits, 0);
         assert!(term.runs.len() > 60);
         let d = SemijoinDisjunct { atoms: vec![], semijoins: vec![term] };
-        let mask = run(&mut module, &layout, &loaded, &[d]);
+        let mask = run(&mut t, &[d]);
         for (row, got) in mask.iter().enumerate() {
-            assert_eq!(*got, rel.value(row, 0) % 3 == 0, "row {row}");
+            assert_eq!(*got, t.relation().value(row, 0).is_multiple_of(3), "row {row}");
         }
     }
 }

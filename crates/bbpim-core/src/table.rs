@@ -4,35 +4,29 @@
 //! the relation, the [`RecordLayout`] and the loaded image. It is the
 //! storage half every engine shares — the pre-joined wide relation of
 //! the paper, a fact shard or a dimension of the normalized star — and
-//! exposes the primitives they compose: zone-map page planning, the
-//! split borrow execution needs, mutations through the PIM multiplexer,
-//! and the head and tail every query execution has in common
-//! ([`PimTable::begin_query`], [`PimTable::finish_query`]).
+//! exposes the primitives they compose: zone-map page planning,
+//! mutations through the PIM multiplexer, reads of the stored bits, and
+//! [`PimTable::begin`], which opens the [`crate::scan::Scan`] every
+//! execution path drives.
 
-use bbpim_db::plan::{FilterBounds, PhysicalPlan, Query, ResolvedAtom};
-use bbpim_db::stats::GroupedResult;
+use bbpim_db::plan::{AggExpr, FilterBounds, ResolvedAtom};
 use bbpim_db::zonemap::ZoneMap;
 use bbpim_db::Relation;
 use bbpim_sim::config::SimConfig;
 use bbpim_sim::module::PimModule;
-use bbpim_sim::timeline::RunLog;
 
-use crate::agg_exec::{aggregate_masked, materialize_exprs};
 use crate::error::CoreError;
-use crate::groupby::GroupByOutcome;
-use crate::layout::{RecordLayout, MASK_COL};
+use crate::layout::RecordLayout;
 use crate::loader::{load_relation, LoadedRelation};
-use crate::modes::EngineMode;
 use crate::mutation::{run_mutation, Mutation, MutationReport};
 use crate::planner::{plan_pages, PageSet};
-use crate::result::{PartialGroups, QueryExecution, QueryReport};
 
 /// A relation loaded into a PIM module of its own.
 pub struct PimTable {
-    module: PimModule,
-    relation: Relation,
-    layout: RecordLayout,
-    loaded: LoadedRelation,
+    pub(crate) module: PimModule,
+    pub(crate) relation: Relation,
+    pub(crate) layout: RecordLayout,
+    pub(crate) loaded: LoadedRelation,
 }
 
 impl PimTable {
@@ -117,124 +111,37 @@ impl PimTable {
     /// Propagates substrate failures (host-resident SET attributes
     /// included — they cannot be rewritten in PIM).
     pub fn mutate(&mut self, m: &Mutation, prune: bool) -> Result<MutationReport, CoreError> {
-        run_mutation(&mut self.module, &self.layout, &mut self.loaded, &mut self.relation, m, prune)
+        run_mutation(self, m, prune)
     }
 
-    /// Split borrow for execution paths that drive the module while
-    /// reading the layout, the loaded image and the catalog copy.
-    pub fn parts_mut(&mut self) -> (&mut PimModule, &RecordLayout, &LoadedRelation, &Relation) {
-        (&mut self.module, &self.layout, &self.loaded, &self.relation)
-    }
-
-    /// Open one query's phase log: reset the wear counters, charge
-    /// `prelude` (work done elsewhere on this query's behalf — a star
-    /// join's dimension filters) and the host's dispatch of `pages` —
-    /// per-page doorbells, or one run-list descriptor per partition
-    /// under batched dispatch.
-    pub fn begin_query(&mut self, pages: &PageSet, prelude: Option<&RunLog>) -> RunLog {
-        self.module.reset_endurance(&self.loaded.all_pages());
-        let mut log = RunLog::new();
-        if let Some(prelude) = prelude {
-            log.extend(prelude);
-        }
-        log.push(pages.dispatch_phase(
-            &self.module.config().host,
-            self.module.policy(),
-            self.layout.partitions(),
-        ));
-        log
-    }
-
-    /// Close one query whose filter left `selected` records' mask bits
-    /// in partition 0 of `pages`: aggregate, derive the SELECT list and
-    /// assemble the report. `grouped` is the GROUP-BY result when the
-    /// query has one; without it every physical component is one PIM
-    /// aggregation over the whole selection, all sharing the query
-    /// mask. Distinct expressions materialise once even when several
-    /// components reduce them; COUNT is the filter pass's own popcount
-    /// — no extra PIM work.
+    /// Read an attribute of one record straight from the stored bits.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Unsupported`] for an aggregate over attributes
-    /// outside partition 0; substrate failures otherwise.
-    #[allow(clippy::too_many_arguments)]
-    pub fn finish_query(
-        &mut self,
-        mode: EngineMode,
-        query: &Query,
-        plan: &PhysicalPlan,
-        pages: &PageSet,
-        selected: u64,
-        grouped: Option<GroupByOutcome>,
-        mut log: RunLog,
-    ) -> Result<QueryExecution, CoreError> {
-        let (module, layout, loaded) = (&mut self.module, &self.layout, &self.loaded);
-        let gb = match grouped {
-            Some(gb) => gb,
-            None => {
-                let mut per_agg = vec![GroupedResult::new(); plan.aggs.len()];
-                if selected > 0 {
-                    let exprs: Vec<_> = plan.aggs.iter().filter_map(|a| a.expr.as_ref()).collect();
-                    let mut inputs =
-                        materialize_exprs(module, layout, loaded, pages, &exprs, &mut log)?
-                            .into_iter();
-                    for (agg, grouped) in plan.aggs.iter().zip(per_agg.iter_mut()) {
-                        let value = match &agg.expr {
-                            None => selected,
-                            Some(_) => {
-                                let input = inputs.next().expect("one input per expression");
-                                // the query mask lives in partition 0
-                                // only; a value stored elsewhere cannot
-                                // be reduced under it
-                                if input.partition != 0 {
-                                    return Err(CoreError::Unsupported(
-                                        "aggregating dimension-partition attributes (the query \
-                                         mask lives in the fact partition)"
-                                            .into(),
-                                    ));
-                                }
-                                aggregate_masked(
-                                    module, layout, loaded, pages, mode, &input, MASK_COL,
-                                    agg.func, &mut log,
-                                )?
-                            }
-                        };
-                        grouped.insert(Vec::new(), value);
-                    }
-                }
-                let flat = usize::from(selected > 0);
-                GroupByOutcome { per_agg, k: flat, kmax: flat, sampled: 0 }
+    /// Propagates placement/slot failures.
+    pub fn read_attr(&self, record: usize, name: &str) -> Result<u64, CoreError> {
+        let placement = self.layout.placement(name)?;
+        let (pg, slot) = self.loaded.locate(record);
+        let page = self.module.page(self.loaded.pages(placement.partition)[pg]);
+        Ok(page.read_record_bits(slot, placement.range.lo, placement.range.width)?)
+    }
+
+    /// Evaluate an aggregate expression for one record from stored
+    /// bits.
+    ///
+    /// # Errors
+    ///
+    /// Propagates attribute-read failures.
+    pub fn eval_expr(&self, record: usize, expr: &AggExpr) -> Result<u64, CoreError> {
+        Ok(match expr {
+            AggExpr::Attr(a) => self.read_attr(record, a)?,
+            AggExpr::Mul(a, b) => {
+                self.read_attr(record, a)?.wrapping_mul(self.read_attr(record, b)?)
             }
-        };
-        let groups = plan.finalize(&gb.per_agg);
-        let partials = plan
-            .aggs
-            .iter()
-            .zip(gb.per_agg)
-            .map(|(agg, groups)| PartialGroups { func: agg.func, groups })
-            .collect();
-        let records = loaded.records();
-        let report = QueryReport {
-            query_id: query.id.clone(),
-            mode,
-            host_bus_ns: bbpim_sim::hostbus::log_occupancy_ns(&module.config().host, &log),
-            time_ns: log.total_time_ns(),
-            energy_pj: log.total_energy_pj(),
-            peak_chip_power_w: log.peak_chip_power_w(),
-            max_row_cell_writes: module.max_row_cell_writes(&loaded.all_pages()),
-            row_cells: module.config().crossbar_cols,
-            records,
-            pages: loaded.page_count(),
-            pages_scanned: pages.len(),
-            selected,
-            selectivity: if records == 0 { 0.0 } else { selected as f64 / records as f64 },
-            total_subgroups: gb.kmax as u64,
-            subgroups_in_sample: gb.sampled as u64,
-            pim_agg_subgroups: gb.k as u64,
-            phases: log,
-        };
-        Ok(QueryExecution { groups, partials, report })
+            AggExpr::Sub(a, b) => {
+                self.read_attr(record, a)?.wrapping_sub(self.read_attr(record, b)?)
+            }
+        })
     }
 }
 

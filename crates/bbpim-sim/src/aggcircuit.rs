@@ -105,34 +105,30 @@ impl AggRequest {
         AggCost { reads, bits_read, bits_written, time_ns }
     }
 
-    /// Like [`AggRequest::apply`], but the ALU also keeps a *count*
-    /// register (selected rows), written back to `count_dst` in the same
-    /// row. One serial pass yields both — the circuit already reads the
-    /// mask bit of every row, so the extra cost is only the second
-    /// write-back (see [`AggRequest::counted_extra_bits`]).
+    /// Validate a count slot next to this request's value slot: the
+    /// ALU's *count* register (selected rows) is written back to
+    /// `count_dst` in the result row by the same serial pass — the
+    /// circuit already reads the mask bit of every row, so the extra
+    /// cost is only the second write-back.
     ///
     /// # Errors
     ///
-    /// Propagates [`AggRequest::validate`]; the count slot must not
-    /// overlap the value slot.
-    pub fn apply_counted(
-        &self,
-        xb: &mut Crossbar,
-        count_dst: ColRange,
-    ) -> Result<(u64, u64), SimError> {
+    /// Returns [`SimError::InvalidAggregation`] for an empty or
+    /// out-of-range slot, or one overlapping the value slot.
+    pub fn validate_count_slot(&self, count_dst: ColRange, cols: usize) -> Result<(), SimError> {
         if count_dst.lo < self.dst.end() && self.dst.lo < count_dst.end() {
             return Err(SimError::InvalidAggregation("count slot overlaps the value slot".into()));
         }
-        if count_dst.width == 0 || count_dst.end() > xb.cols() {
+        if count_dst.width == 0 || count_dst.end() > cols {
             return Err(SimError::InvalidAggregation("bad count slot".into()));
         }
-        let value = self.apply(xb)?;
-        let mut count = 0u64;
-        for r in 0..xb.rows() {
-            if xb.bits().get(r, self.mask_col) {
-                count += 1;
-            }
-        }
+        Ok(())
+    }
+
+    /// Write the selected-row count, wrapped at the slot width, into a
+    /// validated `count_dst` of the result row; returns it.
+    pub(crate) fn count_into(&self, xb: &mut Crossbar, count_dst: ColRange) -> u64 {
+        let count = (0..xb.rows()).filter(|&r| xb.bits().get(r, self.mask_col)).count() as u64;
         let wrapped =
             if count_dst.width >= 64 { count } else { count & ((1 << count_dst.width) - 1) };
         xb.bits_mut_unaccounted().write_row_bits(
@@ -142,13 +138,7 @@ impl AggRequest {
             wrapped,
         );
         xb.note_row_writes(self.dst_row, count_dst.width as u64);
-        Ok((value, wrapped))
-    }
-
-    /// Extra bits written when the count register is used (the serial
-    /// read stream is unchanged).
-    pub fn counted_extra_bits(count_dst: ColRange) -> u64 {
-        count_dst.width as u64
+        wrapped
     }
 
     /// Execute functionally on one crossbar: fold the masked values and
@@ -162,6 +152,15 @@ impl AggRequest {
     /// Propagates [`AggRequest::validate`].
     pub fn apply(&self, xb: &mut Crossbar) -> Result<u64, SimError> {
         self.validate(xb.rows(), xb.cols())?;
+        let result = self.fold(xb);
+        xb.note_row_writes(self.dst_row, self.dst.width as u64);
+        Ok(result)
+    }
+
+    /// The functional half of a validated request, shared by the
+    /// circuit and the reduction tree (which leave the same value and
+    /// differ in wear): fold, wrap, write the slot — no endurance.
+    pub(crate) fn fold(&self, xb: &mut Crossbar) -> u64 {
         let rows = xb.rows();
         let mut values = Vec::with_capacity(rows);
         let mut mask = Vec::with_capacity(rows);
@@ -170,13 +169,11 @@ impl AggRequest {
             mask.push(xb.bits().get(r, self.mask_col));
         }
         // The ALU register is dst.width wide; MIN's identity must match it.
-        let wrapped: Vec<u64> = values.to_vec();
-        let result = masked_reduce(&wrapped, &mask, self.dst.width.max(self.value.width), self.op);
+        let result = masked_reduce(&values, &mask, self.dst.width.max(self.value.width), self.op);
         let result =
             if self.dst.width == 64 { result } else { result & ((1u64 << self.dst.width) - 1) };
         xb.bits_mut_unaccounted().write_row_bits(self.dst_row, self.dst.lo, self.dst.width, result);
-        xb.note_row_writes(self.dst_row, self.dst.width as u64);
-        Ok(result)
+        result
     }
 }
 

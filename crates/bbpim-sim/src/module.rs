@@ -10,7 +10,8 @@
 //! per chip, which determines the per-chip power draw.
 
 use crate::aggcircuit::AggRequest;
-use crate::compiler::reduce::{masked_reduce, reduce_cost};
+use crate::compiler::reduce::{reduce_cost, ReduceCost, ReduceOp};
+use crate::compiler::ColRange;
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::hostmem;
@@ -57,6 +58,27 @@ impl XferPolicy {
     pub fn legacy() -> Self {
         XferPolicy { compress_masks: false, batch_dispatch: false, module_reduce: false }
     }
+}
+
+/// Which way a one-bit mask column crosses the host channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MaskPath {
+    /// Module → host: the filter-result fetch of a host-side gather.
+    ToHost,
+    /// Module → host → module: an inter-partition transfer, read as
+    /// cache lines and rewritten into the other partition's transfer
+    /// chunk.
+    ThroughHost,
+}
+
+/// Per-crossbar results of one [`PimModule::aggregate`] request; the
+/// outer index is the position in the request's page list.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct AggPartials {
+    /// Each crossbar's reduced value.
+    pub values: Vec<Vec<u64>>,
+    /// Each crossbar's selected-row count; empty without a count slot.
+    pub counts: Vec<Vec<u64>>,
 }
 
 /// A bulk-bitwise PIM module.
@@ -214,224 +236,109 @@ impl PimModule {
         })
     }
 
-    /// Run the peripheral aggregation circuit on every crossbar of the
-    /// given pages; returns the per-crossbar partials (outer index:
-    /// position in `pages`) alongside the phase.
+    /// Aggregate on every crossbar of the given pages — the one PIM
+    /// aggregation request. `circuit` picks the backend: the paper's
+    /// peripheral aggregation circuit, or (off) the PIMDB baseline,
+    /// functionally identical but costed and worn as the in-crossbar
+    /// reduction tree of [`crate::compiler::reduce`].
+    ///
+    /// With a `count_dst` slot the request also leaves each crossbar's
+    /// selected-row count there: the circuit's count register rides the
+    /// same serial pass (one more write-back); PIMDB has no such
+    /// register, so the count costs a second tree over
+    /// `log₂(rows)+1`-bit partials.
     ///
     /// # Errors
     ///
-    /// Propagates aggregation validation failures and unknown page ids.
-    pub fn agg_circuit(
+    /// Propagates aggregation and count-slot validation failures and
+    /// unknown page ids.
+    pub fn aggregate(
         &mut self,
         pages: &[PageId],
         req: &AggRequest,
-    ) -> Result<(Vec<Vec<u64>>, Phase), SimError> {
-        req.validate(self.cfg.crossbar_rows, self.cfg.crossbar_cols)?;
-        let cost = req.cost(&self.cfg);
-        let mut partials = Vec::with_capacity(pages.len());
-        let mut crossbars_total = 0u64;
-        for id in pages {
-            self.try_page(*id)?;
-            let page = &mut self.pages[id.0];
-            let mut page_partials = Vec::with_capacity(page.crossbar_count());
-            for xb in page.crossbars_mut() {
-                page_partials.push(req.apply(xb)?);
-            }
-            crossbars_total += page_partials.len() as u64;
-            partials.push(page_partials);
+        count_dst: Option<ColRange>,
+        circuit: bool,
+    ) -> Result<(AggPartials, Phase), SimError> {
+        let (rows, cols) = (self.cfg.crossbar_rows, self.cfg.crossbar_cols);
+        req.validate(rows, cols)?;
+        if let Some(slot) = count_dst {
+            req.validate_count_slot(slot, cols)?;
         }
-        let time_ns = self.issue_time_ns(pages.len()) + cost.time_ns;
-        let per_xb_pj = cost.bits_read as f64 * self.cfg.read_energy_pj_per_bit
-            + cost.bits_written as f64 * self.cfg.write_energy_pj_per_bit
-            + self.cfg.agg_circuit_power_uw * cost.time_ns * 1e-3;
-        let energy_pj =
-            per_xb_pj * crossbars_total as f64 + self.controller_energy_pj(pages.len(), time_ns);
-        Ok((
-            partials,
-            Phase {
-                kind: PhaseKind::PimAggCircuit,
-                time_ns,
-                energy_pj,
-                chip_power_w: self.agg_chip_power_w(pages.len(), req),
-                host_bytes: 0,
-            },
-        ))
-    }
-
-    /// [`PimModule::agg_circuit`] with the ALU's count register enabled:
-    /// the same serial pass also writes the selected-row count to
-    /// `count_dst` of each crossbar. Returns `(sums, counts)` partials.
-    ///
-    /// # Errors
-    ///
-    /// Propagates aggregation validation failures and unknown page ids.
-    #[allow(clippy::type_complexity)]
-    pub fn agg_circuit_counted(
-        &mut self,
-        pages: &[PageId],
-        req: &AggRequest,
-        count_dst: crate::compiler::ColRange,
-    ) -> Result<((Vec<Vec<u64>>, Vec<Vec<u64>>), Phase), SimError> {
-        req.validate(self.cfg.crossbar_rows, self.cfg.crossbar_cols)?;
-        let cost = req.cost(&self.cfg);
-        let extra_bits = AggRequest::counted_extra_bits(count_dst);
-        let mut sums = Vec::with_capacity(pages.len());
-        let mut counts = Vec::with_capacity(pages.len());
-        let mut crossbars_total = 0u64;
-        for id in pages {
-            self.try_page(*id)?;
-            let page = &mut self.pages[id.0];
-            let mut page_sums = Vec::with_capacity(page.crossbar_count());
-            let mut page_counts = Vec::with_capacity(page.crossbar_count());
-            for xb in page.crossbars_mut() {
-                let (s, c) = req.apply_counted(xb, count_dst)?;
-                page_sums.push(s);
-                page_counts.push(c);
-            }
-            crossbars_total += page_sums.len() as u64;
-            sums.push(page_sums);
-            counts.push(page_counts);
-        }
-        let time_ns = self.issue_time_ns(pages.len()) + cost.time_ns + self.cfg.write_latency_ns; // the count write-back
-        let per_xb_pj = cost.bits_read as f64 * self.cfg.read_energy_pj_per_bit
-            + (cost.bits_written + extra_bits) as f64 * self.cfg.write_energy_pj_per_bit
-            + self.cfg.agg_circuit_power_uw * cost.time_ns * 1e-3;
-        let energy_pj =
-            per_xb_pj * crossbars_total as f64 + self.controller_energy_pj(pages.len(), time_ns);
-        Ok((
-            (sums, counts),
-            Phase {
-                kind: PhaseKind::PimAggCircuit,
-                time_ns,
-                energy_pj,
-                chip_power_w: self.agg_chip_power_w(pages.len(), req),
-                host_bytes: 0,
-            },
-        ))
-    }
-
-    /// Pure bulk-bitwise aggregation (the PIMDB baseline): functionally
-    /// identical to [`PimModule::agg_circuit`] but costed as the
-    /// in-crossbar reduction tree of [`crate::compiler::reduce`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates aggregation validation failures and unknown page ids.
-    pub fn bitwise_reduce(
-        &mut self,
-        pages: &[PageId],
-        req: &AggRequest,
-    ) -> Result<(Vec<Vec<u64>>, Phase), SimError> {
-        req.validate(self.cfg.crossbar_rows, self.cfg.crossbar_cols)?;
-        let rows = self.cfg.crossbar_rows;
-        let cols = self.cfg.crossbar_cols;
-        let cost = reduce_cost(rows, cols, req.value.width, req.op);
         let levels = rows.trailing_zeros() as u64;
-        let mut partials = Vec::with_capacity(pages.len());
+        let tree = reduce_cost(rows, cols, req.value.width, req.op);
+        // PIMDB's second tree, folding the selection bits themselves
+        let count_tree = count_dst.filter(|_| !circuit).map(|slot| {
+            reduce_cost(rows, cols, (levels as usize + 1).min(slot.width), ReduceOp::Sum)
+        });
+        let mut partials = AggPartials::default();
         let mut crossbars_total = 0u64;
         for id in pages {
             self.try_page(*id)?;
             let page = &mut self.pages[id.0];
-            let mut page_partials = Vec::with_capacity(page.crossbar_count());
+            let mut values = Vec::with_capacity(page.crossbar_count());
+            let mut counts = Vec::new();
             for xb in page.crossbars_mut() {
-                // Functional result identical to the tree's output.
-                let mut values = Vec::with_capacity(rows);
-                let mut mask = Vec::with_capacity(rows);
-                for r in 0..rows {
-                    values.push(xb.read_row_bits(r, req.value.lo, req.value.width));
-                    mask.push(xb.bits().get(r, req.mask_col));
-                }
-                let width = req.dst.width.max(req.value.width).min(64);
-                let result = masked_reduce(&values, &mask, width, req.op);
-                let result = if req.dst.width == 64 {
-                    result
+                values.push(if circuit {
+                    req.apply(xb)?
                 } else {
-                    result & ((1u64 << req.dst.width) - 1)
-                };
-                xb.bits_mut_unaccounted().write_row_bits(
-                    req.dst_row,
-                    req.dst.lo,
-                    req.dst.width,
-                    result,
-                );
-                // Endurance of the modeled tree: every row takes the
-                // column ops; the fold's copy destinations additionally
-                // take 4 row-ops × cols cells per level.
-                xb.note_all_rows_writes(cost.col_ops);
-                xb.note_row_writes(req.dst_row, 4 * levels * cols as u64);
-                page_partials.push(result);
+                    // Endurance of the modeled tree: every row takes the
+                    // column ops; the fold's copy destinations additionally
+                    // take 4 row-ops × cols cells per level.
+                    xb.note_all_rows_writes(tree.col_ops);
+                    xb.note_row_writes(req.dst_row, 4 * levels * cols as u64);
+                    req.fold(xb)
+                });
+                if let Some(slot) = count_dst {
+                    counts.push(req.count_into(xb, slot));
+                }
+                if let Some(extra) = count_tree {
+                    xb.note_all_rows_writes(extra.col_ops);
+                }
             }
-            crossbars_total += page_partials.len() as u64;
-            partials.push(page_partials);
+            crossbars_total += values.len() as u64;
+            partials.values.push(values);
+            if count_dst.is_some() {
+                partials.counts.push(counts);
+            }
         }
-        let time_ns =
-            self.issue_time_ns(pages.len()) + cost.cycles as f64 * self.cfg.logic_cycle_ns;
-        let bits = cost.col_ops * rows as u64 + cost.row_ops * cols as u64;
-        let energy_pj =
-            bits as f64 * crossbars_total as f64 * self.cfg.logic_energy_fj_per_bit * 1e-3
-                + self.controller_energy_pj(pages.len(), time_ns);
-        Ok((
-            partials,
+        let xbs = crossbars_total as f64;
+        let issue_ns = self.issue_time_ns(pages.len());
+        let phase = if circuit {
+            let cost = req.cost(&self.cfg);
+            // a count slot costs its write-back
+            let (count_ns, count_bits) =
+                count_dst.map_or((0.0, 0), |slot| (self.cfg.write_latency_ns, slot.width as u64));
+            let time_ns = issue_ns + cost.time_ns + count_ns;
+            let per_xb_pj = cost.bits_read as f64 * self.cfg.read_energy_pj_per_bit
+                + (cost.bits_written + count_bits) as f64 * self.cfg.write_energy_pj_per_bit
+                + self.cfg.agg_circuit_power_uw * cost.time_ns * 1e-3;
             Phase {
+                kind: PhaseKind::PimAggCircuit,
+                time_ns,
+                energy_pj: per_xb_pj * xbs + self.controller_energy_pj(pages.len(), time_ns),
+                chip_power_w: self.agg_chip_power_w(pages.len(), req),
+                host_bytes: 0,
+            }
+        } else {
+            let tree_pj = |cost: ReduceCost| {
+                let bits = cost.col_ops * rows as u64 + cost.row_ops * cols as u64;
+                bits as f64 * xbs * self.cfg.logic_energy_fj_per_bit * 1e-3
+            };
+            let time_ns = issue_ns + tree.cycles as f64 * self.cfg.logic_cycle_ns;
+            let mut phase = Phase {
                 kind: PhaseKind::PimReduce,
                 time_ns,
-                energy_pj,
+                energy_pj: tree_pj(tree) + self.controller_energy_pj(pages.len(), time_ns),
                 chip_power_w: self.logic_chip_power_w(pages.len()),
                 host_bytes: 0,
-            },
-        ))
-    }
-
-    /// [`PimModule::bitwise_reduce`] plus a second reduction tree that
-    /// counts the selected rows (PIMDB has no count register, so the
-    /// count costs another full tree over `log₂(rows)+1`-bit partials).
-    ///
-    /// # Errors
-    ///
-    /// Propagates aggregation validation failures and unknown page ids.
-    #[allow(clippy::type_complexity)]
-    pub fn bitwise_reduce_counted(
-        &mut self,
-        pages: &[PageId],
-        req: &AggRequest,
-        count_dst: crate::compiler::ColRange,
-    ) -> Result<((Vec<Vec<u64>>, Vec<Vec<u64>>), Phase), SimError> {
-        let (sums, mut phase) = self.bitwise_reduce(pages, req)?;
-        let rows = self.cfg.crossbar_rows;
-        let cols = self.cfg.crossbar_cols;
-        let count_width = (rows.trailing_zeros() as usize + 1).min(count_dst.width);
-        let extra = reduce_cost(rows, cols, count_width, crate::compiler::reduce::ReduceOp::Sum);
-        let mut crossbars_total = 0u64;
-        let mut counts = Vec::with_capacity(pages.len());
-        for id in pages {
-            let page = &mut self.pages[id.0];
-            let mut page_counts = Vec::with_capacity(page.crossbar_count());
-            for xb in page.crossbars_mut() {
-                let mut count = 0u64;
-                for r in 0..rows {
-                    if xb.bits().get(r, req.mask_col) {
-                        count += 1;
-                    }
-                }
-                xb.bits_mut_unaccounted().write_row_bits(
-                    req.dst_row,
-                    count_dst.lo,
-                    count_dst.width,
-                    count,
-                );
-                xb.note_all_rows_writes(extra.col_ops);
-                xb.note_row_writes(req.dst_row, count_dst.width as u64);
-                page_counts.push(count);
+            };
+            if let Some(extra) = count_tree {
+                phase.time_ns += extra.cycles as f64 * self.cfg.logic_cycle_ns;
+                phase.energy_pj += tree_pj(extra);
             }
-            crossbars_total += page_counts.len() as u64;
-            counts.push(page_counts);
-        }
-        let extra_time = extra.cycles as f64 * self.cfg.logic_cycle_ns;
-        let extra_bits = extra.col_ops * rows as u64 + extra.row_ops * cols as u64;
-        phase.time_ns += extra_time;
-        phase.energy_pj +=
-            extra_bits as f64 * crossbars_total as f64 * self.cfg.logic_energy_fj_per_bit * 1e-3;
-        Ok(((sums, counts), phase))
+            phase
+        };
+        Ok((partials, phase))
     }
 
     /// Phase for the host reading `lines` cache lines from this module.
@@ -480,59 +387,47 @@ impl PimModule {
         }
     }
 
-    /// Phases of one compressed mask transfer: the wire-sized host read
-    /// and write that actually cross the channel, plus the module-local
-    /// pack/unpack phase covering the same crossbar cell traffic the
-    /// legacy raw-line transfer would have driven from the host.
+    /// The host-channel phases of moving a one-bit mask column of
+    /// `raw_lines` (one line per page row) along `path`, when its wire
+    /// encoding ([`crate::maskwire`]) takes `wire_lines`.
     ///
-    /// Constructed so the three phases together cost exactly what the
-    /// legacy `host_read_phase(raw_lines)` + `host_write_phase(raw_lines)`
-    /// pair did in time and energy — the lever moves work off the shared
-    /// channel (only `wire_lines` are byte-tagged), it does not change
-    /// the cell reads/writes the mask movement requires. When the wire
-    /// format does not win (`wire_lines ≥ raw_lines`, tiny masks where
-    /// the header dominates) callers should fall back to the raw
-    /// transfer.
-    pub fn compressed_mask_phases(&self, raw_lines: u64, wire_lines: u64) -> (Phase, Phase, Phase) {
-        let read = self.host_read_phase(wire_lines);
-        let write = self.host_write_phase(wire_lines);
-        let time_ns = (hostmem::read_time_ns(&self.cfg, raw_lines) - read.time_ns
-            + hostmem::write_time_ns(&self.cfg, raw_lines)
-            - write.time_ns)
-            .max(0.0);
-        let energy_pj = (hostmem::read_energy_pj(&self.cfg, raw_lines) - read.energy_pj
-            + hostmem::write_energy_pj(&self.cfg, raw_lines)
-            - write.energy_pj)
-            .max(0.0);
-        let unpack = Phase {
-            kind: PhaseKind::PimUnpack,
-            time_ns,
-            energy_pj,
-            chip_power_w: hostmem::chip_power_w(&self.cfg, energy_pj, time_ns),
-            host_bytes: 0,
-        };
-        (read, write, unpack)
-    }
-
-    /// Phases of one compressed mask *read* (module → host): the
-    /// wire-sized host read that actually crosses the channel plus the
-    /// module-local pack phase covering the same crossbar cell traffic
-    /// the legacy raw-line read would have driven from the host. Same
-    /// conservation as [`PimModule::compressed_mask_phases`]: the two
-    /// phases together cost exactly what `host_read_phase(raw_lines)`
-    /// did in time and energy; only `wire_lines` occupy the channel.
-    pub fn compressed_mask_read_phases(&self, raw_lines: u64, wire_lines: u64) -> (Phase, Phase) {
-        let read = self.host_read_phase(wire_lines);
-        let time_ns = (hostmem::read_time_ns(&self.cfg, raw_lines) - read.time_ns).max(0.0);
-        let energy_pj = (hostmem::read_energy_pj(&self.cfg, raw_lines) - read.energy_pj).max(0.0);
-        let pack = Phase {
-            kind: PhaseKind::PimPack,
-            time_ns,
-            energy_pj,
-            chip_power_w: hostmem::chip_power_w(&self.cfg, energy_pj, time_ns),
-            host_bytes: 0,
-        };
-        (read, pack)
+    /// Raw, the host reads (and for a transfer rewrites) every line.
+    /// When the wire format wins (`wire_lines < raw_lines`; tiny masks
+    /// where the header dominates fall back to raw) only `wire_lines`
+    /// are byte-tagged and cross the channel, and a module-local phase
+    /// — [`PhaseKind::PimPack`] before a read-back,
+    /// [`PhaseKind::PimUnpack`] after a transfer — covers the same
+    /// crossbar cell traffic the raw lines would have driven from the
+    /// host. Constructed so the phases together cost exactly what the
+    /// raw movement did in time and energy: compression moves work off
+    /// the shared channel, it does not change the cell reads/writes the
+    /// mask movement requires.
+    pub fn mask_phases(&self, raw_lines: u64, wire_lines: u64, path: MaskPath) -> Vec<Phase> {
+        let transfer = path == MaskPath::ThroughHost;
+        let lines = raw_lines.min(wire_lines);
+        let mut phases = vec![self.host_read_phase(lines)];
+        if transfer {
+            phases.push(self.host_write_phase(lines));
+        }
+        if wire_lines < raw_lines {
+            let mut time_ns = hostmem::read_time_ns(&self.cfg, raw_lines) - phases[0].time_ns;
+            let mut energy_pj = hostmem::read_energy_pj(&self.cfg, raw_lines) - phases[0].energy_pj;
+            if transfer {
+                time_ns =
+                    time_ns + hostmem::write_time_ns(&self.cfg, raw_lines) - phases[1].time_ns;
+                energy_pj = energy_pj + hostmem::write_energy_pj(&self.cfg, raw_lines)
+                    - phases[1].energy_pj;
+            }
+            let (time_ns, energy_pj) = (time_ns.max(0.0), energy_pj.max(0.0));
+            phases.push(Phase {
+                kind: if transfer { PhaseKind::PimUnpack } else { PhaseKind::PimPack },
+                time_ns,
+                energy_pj,
+                chip_power_w: hostmem::chip_power_w(&self.cfg, energy_pj, time_ns),
+                host_bytes: 0,
+            });
+        }
+        phases
     }
 
     /// Module-side fold of `partials` aggregation partials into one
@@ -607,8 +502,6 @@ impl PimModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::reduce::ReduceOp;
-    use crate::compiler::ColRange;
 
     fn module() -> PimModule {
         PimModule::new(SimConfig::small_for_tests())
@@ -676,11 +569,12 @@ mod tests {
             dst_row: 0,
             dst: ColRange::new(32, 32),
         };
-        let (partials, phase) = m.agg_circuit(&pages, &req).unwrap();
+        let (partials, phase) = m.aggregate(&pages, &req, None, true).unwrap();
         assert_eq!(phase.kind, PhaseKind::PimAggCircuit);
-        assert_eq!(partials.len(), 1);
-        assert_eq!(partials[0].len(), 4);
-        let total: u64 = partials[0].iter().sum();
+        assert!(partials.counts.is_empty());
+        assert_eq!(partials.values.len(), 1);
+        assert_eq!(partials.values[0].len(), 4);
+        let total: u64 = partials.values[0].iter().sum();
         let expected: u64 = (0..m.page(p).record_capacity() as u64).sum();
         assert_eq!(total, expected);
     }
@@ -702,12 +596,12 @@ mod tests {
             dst: ColRange::new(32, 32),
         };
         let count_dst = ColRange::new(80, 16);
-        let ((sums, counts), phase) = m.agg_circuit_counted(&pages, &req, count_dst).unwrap();
+        let (circuit, phase) = m.aggregate(&pages, &req, Some(count_dst), true).unwrap();
         let expected_count = m.page(p).record_capacity() as u64 / 4;
-        assert_eq!(counts[0].iter().sum::<u64>(), expected_count);
+        assert_eq!(circuit.counts[0].iter().sum::<u64>(), expected_count);
         let expected_sum: u64 =
             (0..m.page(p).record_capacity() as u64).filter(|r| r % 4 == 0).map(|r| r % 13).sum();
-        assert_eq!(sums[0].iter().sum::<u64>(), expected_sum);
+        assert_eq!(circuit.values[0].iter().sum::<u64>(), expected_sum);
         assert!(phase.time_ns > 0.0);
 
         // the pimdb path agrees functionally and costs more
@@ -717,10 +611,8 @@ mod tests {
             m.page_mut(p2).write_record_bits(r, 0, 16, (r % 13) as u64).unwrap();
             m.page_mut(p2).write_record_bits(r, 20, 1, (r % 4 == 0) as u64).unwrap();
         }
-        let ((sums2, counts2), phase2) =
-            m.bitwise_reduce_counted(&pages2, &req, count_dst).unwrap();
-        assert_eq!(sums2, sums);
-        assert_eq!(counts2, counts);
+        let (tree, phase2) = m.aggregate(&pages2, &req, Some(count_dst), false).unwrap();
+        assert_eq!(tree, circuit);
         assert!(phase2.time_ns > phase.time_ns);
     }
 
@@ -735,8 +627,20 @@ mod tests {
             dst_row: 0,
             dst: ColRange::new(32, 32),
         };
-        let overlapping = ColRange::new(40, 16);
-        assert!(m.agg_circuit_counted(&pages, &req, overlapping).is_err());
+        // overlapping the value slot, past the last column, empty
+        let cols = m.config().crossbar_cols;
+        for bad in [ColRange::new(40, 16), ColRange::new(cols - 8, 16), ColRange::new(80, 0)] {
+            for circuit in [true, false] {
+                let before = m.page(pages[0]).crossbar(0).read_row_bits(0, 32, 32);
+                let got = m.aggregate(&pages, &req, Some(bad), circuit);
+                assert!(
+                    matches!(got, Err(SimError::InvalidAggregation(_))),
+                    "{bad:?} circuit={circuit}: {got:?}"
+                );
+                // rejected before any crossbar was touched
+                assert_eq!(m.page(pages[0]).crossbar(0).read_row_bits(0, 32, 32), before);
+            }
+        }
     }
 
     #[test]
@@ -757,8 +661,8 @@ mod tests {
             dst_row: 0,
             dst: ColRange::new(32, 32),
         };
-        let (p_circ, t_circ) = m.agg_circuit(&a, &req).unwrap();
-        let (p_red, t_red) = m.bitwise_reduce(&b, &req).unwrap();
+        let (p_circ, t_circ) = m.aggregate(&a, &req, None, true).unwrap();
+        let (p_red, t_red) = m.aggregate(&b, &req, None, false).unwrap();
         assert_eq!(p_circ, p_red, "both paths must aggregate identically");
         assert!(t_red.time_ns > t_circ.time_ns, "reduction tree must be slower");
         assert!(t_red.energy_pj > t_circ.energy_pj, "and cost more energy");
@@ -778,8 +682,8 @@ mod tests {
         };
         m.reset_endurance(&a);
         m.reset_endurance(&b);
-        m.agg_circuit(&a, &req).unwrap();
-        m.bitwise_reduce(&b, &req).unwrap();
+        m.aggregate(&a, &req, None, true).unwrap();
+        m.aggregate(&b, &req, None, false).unwrap();
         assert!(m.max_row_cell_writes(&b) > 10 * m.max_row_cell_writes(&a));
     }
 

@@ -78,8 +78,8 @@ fn aggregation_over_a_full_paper_page_matches_direct_sum() {
         dst_row: 0,
         dst: ColRange::new(448, 40),
     };
-    let (partials, phase) = module.agg_circuit(&pages, &req).unwrap();
-    let total: u64 = partials.iter().flatten().sum();
+    let (partials, phase) = module.aggregate(&pages, &req, None, true).unwrap();
+    let total: u64 = partials.values.iter().flatten().sum();
     assert_eq!(total, expected);
     // 1024 rows × (2 value chunks + mask chunk) reads at 10 ns each,
     // plus issue + write-back: tens of microseconds.
