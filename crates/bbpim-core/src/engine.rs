@@ -420,6 +420,7 @@ mod tests {
         assert_eq!(r.records, 1500);
         assert_eq!(r.pages, e.page_count());
         assert!(r.selectivity > 0.0 && r.selectivity <= 1.0);
+        assert_eq!(r.selectivity, r.selected as f64 / r.records as f64);
         assert!(r.max_row_cell_writes > 0);
         assert!(r.peak_chip_power_w > 0.0);
         assert!(r.required_endurance(10.0) > 0.0);

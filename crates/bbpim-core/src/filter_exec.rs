@@ -96,26 +96,6 @@ pub fn build_conjunction_program(
     Ok(b.finish())
 }
 
-impl PimTable {
-    /// The per-record mask bits of the *planned* pages, in page order —
-    /// the payload a mask movement actually carries. `bits` is the full
-    /// per-record vector ([`Scan::mask`]).
-    fn planned_mask_payload(&self, pages: &crate::planner::PageSet, bits: &[bool]) -> Vec<bool> {
-        let loaded = &self.loaded;
-        let mut out = Vec::with_capacity(pages.len() * loaded.records_per_page());
-        for &pg_idx in pages.indices() {
-            for slot in 0..loaded.records_per_page() {
-                let record = loaded.record_at(pg_idx, slot);
-                if record >= loaded.records() {
-                    break;
-                }
-                out.push(bits[record]);
-            }
-        }
-        out
-    }
-}
-
 impl Scan<'_> {
     /// Read a one-bit column of a partition's planned pages into a
     /// per-record vector, free of charge (the simulator peeking, not
@@ -127,11 +107,7 @@ impl Scan<'_> {
         let mut out = vec![false; loaded.records()];
         for (pg_idx, pid) in self.pages.entries(loaded, partition) {
             let page = module.page(pid);
-            for slot in 0..loaded.records_per_page() {
-                let record = loaded.record_at(pg_idx, slot);
-                if record >= loaded.records() {
-                    break;
-                }
+            for (slot, record) in loaded.page_records(pg_idx).enumerate() {
                 let s = page.record_slot(slot).expect("slot within page");
                 out[record] = page.crossbar(s.crossbar).bits().get(s.row, col);
             }
@@ -179,10 +155,13 @@ impl Scan<'_> {
         to: Option<usize>,
     ) -> Result<Vec<bool>, CoreError> {
         let bits = self.mask(from, col);
-        let cfg = self.table.module.config();
+        let (cfg, loaded) = (self.table.module.config(), &self.table.loaded);
         let raw_lines = self.pages.len() as u64 * cfg.crossbar_rows as u64;
         let wire_lines = if self.table.module.policy().compress_masks {
-            let payload = self.table.planned_mask_payload(&self.pages, &bits);
+            // what the movement carries: the planned pages' bits, page order
+            let planned = self.pages.indices().iter();
+            let payload: Vec<bool> =
+                planned.flat_map(|&pg| &bits[loaded.page_records(pg)]).copied().collect();
             debug_assert_eq!(
                 maskwire::decode_rle(payload.len() as u64, &maskwire::encode_rle(&payload))
                     .as_deref(),
@@ -201,11 +180,7 @@ impl Scan<'_> {
             let PimTable { module, loaded, .. } = &mut *self.table;
             for (pg_idx, pid) in self.pages.entries(loaded, partition) {
                 let page = module.page_mut(pid);
-                for slot in 0..loaded.records_per_page() {
-                    let record = loaded.record_at(pg_idx, slot);
-                    if record >= bits.len() {
-                        break;
-                    }
+                for (slot, record) in loaded.page_records(pg_idx).enumerate() {
                     page.write_record_bits(slot, TRANSFER_COL, 16, bits[record] as u64)?;
                 }
             }

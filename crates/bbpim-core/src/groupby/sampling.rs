@@ -74,9 +74,7 @@ impl Scan<'_> {
             .pages
             .first()
             .ok_or_else(|| CoreError::Unsupported("sampling an empty page plan".into()))?;
-        let first_record = loaded.record_at(sample_idx, 0);
-        let sample_records =
-            loaded.records_per_page().min(loaded.records().saturating_sub(first_record));
+        let sample_records = loaded.page_records(sample_idx).len();
 
         // Mask of the sampled page (partition 0): one line per occupied row.
         let rows_used = sample_records.div_ceil(module.config().crossbars_per_page());
@@ -120,16 +118,8 @@ impl Scan<'_> {
         // Selected records exist only on candidate pages (pruned pages are
         // proven matchless), so the sample scales up to the *candidate*
         // record count, not the whole relation.
-        let candidate_records: usize = self
-            .pages
-            .indices()
-            .iter()
-            .map(|&idx| {
-                loaded
-                    .records_per_page()
-                    .min(loaded.records().saturating_sub(loaded.record_at(idx, 0)))
-            })
-            .sum();
+        let candidate_records: usize =
+            self.pages.indices().iter().map(|&idx| loaded.page_records(idx).len()).sum();
         let scale = if sample_records == 0 {
             0.0
         } else {

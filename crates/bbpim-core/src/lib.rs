@@ -15,6 +15,18 @@
 //!   ([`filter_exec`]), in-crossbar arithmetic for aggregate
 //!   expressions, and aggregation through the peripheral circuit or the
 //!   pure bulk-bitwise PIMDB baseline ([`agg_exec`], [`modes`]).
+//! * **One query path** — [`PimTable::begin`] opens a [`scan::Scan`]
+//!   (table, page plan, phase log) and the stages are its methods:
+//!
+//!   ```text
+//!   begin → filter → ( sample → choose k → pim-gb / host-gb | aggregate ) → finish
+//!   ```
+//!
+//!   which is the paper's Section IV read top to bottom: the
+//!   bulk-bitwise filter, then for GROUP BY the one-page sample and the
+//!   Eq. (3) choice of `k`, else one aggregation through the
+//!   per-crossbar circuit; UPDATE (Algorithm 1) opens the same scan for
+//!   its select bit.
 //! * **Hybrid GROUP-BY** (Section IV) — [`groupby`] samples one 2 MB
 //!   page, estimates subgroup sizes, fits/evaluates the empirical
 //!   latency model (Eqs. 1–3), assigns the k largest subgroups to

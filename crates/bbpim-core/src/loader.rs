@@ -73,6 +73,13 @@ impl LoadedRelation {
         page_index * self.records_per_page + slot
     }
 
+    /// The global record indices one page index holds (its occupied
+    /// slots, in slot order).
+    pub fn page_records(&self, page_index: usize) -> std::ops::Range<usize> {
+        let first = self.record_at(page_index, 0);
+        first.min(self.records)..(first + self.records_per_page).min(self.records)
+    }
+
     /// The zone map of one page index.
     ///
     /// # Panics
