@@ -117,7 +117,7 @@ impl Scan<'_> {
 
     /// Count the set bits of a one-bit column over partition 0's
     /// planned pages (the popcount a mask program leaves for free).
-    pub fn count(&self, col: usize) -> u64 {
+    pub(crate) fn count(&self, col: usize) -> u64 {
         let module = &self.table.module;
         let popcount = |xb: &bbpim_sim::crossbar::Crossbar| xb.bits().popcount_col(col) as u64;
         self.pages
@@ -300,7 +300,7 @@ mod tests {
     fn one_xb_filter_matches_oracle() {
         let mut t = table(EngineMode::OneXb);
         let scan = check(&mut t, &col("lo_v").lt(50u64).and(col("d_g").eq(3u64)), "one-xb");
-        assert!(scan.log().total_time_ns() > 0.0);
+        assert!(scan.log.total_time_ns() > 0.0);
     }
 
     #[test]
@@ -326,7 +326,7 @@ mod tests {
         let scan = check(&mut t, &pred, "two-xb");
         // exactly two host read+write transfer pairs (the lo_v disjunct
         // stays fact-side)
-        let of = |kind| scan.log().phases().iter().filter(|p| p.kind == kind).count();
+        let of = |kind| scan.log.phases().iter().filter(|p| p.kind == kind).count();
         assert_eq!(of(PhaseKind::HostRead), 2);
         assert_eq!(of(PhaseKind::HostWrite), 2);
     }
@@ -337,15 +337,15 @@ mod tests {
         let pred = col("lo_v").lt(120u64).and(col("d_g").is_in([2u64, 7u64]));
         let scan = check(&mut t, &pred, "two-xb");
         // transfer phases present: at least one host read + one host write
-        assert!(scan.log().time_in(PhaseKind::HostRead) > 0.0);
-        assert!(scan.log().time_in(PhaseKind::HostWrite) > 0.0);
+        assert!(scan.log.time_in(PhaseKind::HostRead) > 0.0);
+        assert!(scan.log.time_in(PhaseKind::HostWrite) > 0.0);
     }
 
     #[test]
     fn two_xb_without_dim_atoms_skips_transfer() {
         let mut t = table(EngineMode::TwoXb);
         let scan = fixture::filtered(&mut t, &col("lo_v").gt(150u64));
-        assert_eq!(scan.log().time_in(PhaseKind::HostRead), 0.0);
+        assert_eq!(scan.log.time_in(PhaseKind::HostRead), 0.0);
     }
 
     #[test]
@@ -386,6 +386,6 @@ mod tests {
         scan.take_log();
         scan.move_mask(0, MASK_COL, None).unwrap();
         let lines = (pages * cfg.crossbar_rows) as u64;
-        assert_eq!(scan.log().host_bytes(), lines * cfg.host.line_bytes as u64);
+        assert_eq!(scan.log.host_bytes(), lines * cfg.host.line_bytes as u64);
     }
 }

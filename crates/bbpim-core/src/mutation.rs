@@ -427,7 +427,7 @@ fn run_update(
     let mut scan = table.resume(table.plan_dnf(&dnf, prune), None);
     let updated = scan.filter(&dnf)?;
 
-    if !scan.pages().is_empty() {
+    if !scan.pages.is_empty() {
         // The select bit lives in partition 0's mask column; transfer
         // it at most once per other partition a target lives in, then
         // rewrite each SET column under the shared mask (Algorithm 1).
@@ -448,7 +448,7 @@ fn run_update(
             scan.exec(placement.partition, &b.finish())?;
         }
     }
-    let (touched, log) = (scan.pages().indices().to_vec(), scan.take_log());
+    let (touched, log) = (scan.pages.indices().to_vec(), scan.take_log());
 
     // Zone maintenance: every candidate page may now hold each written
     // immediate.

@@ -83,16 +83,6 @@ impl Scan<'_> {
         self.table
     }
 
-    /// The planned pages every stage runs over.
-    pub fn pages(&self) -> &PageSet {
-        &self.pages
-    }
-
-    /// The phases charged so far.
-    pub fn log(&self) -> &RunLog {
-        &self.log
-    }
-
     /// Charge a phase a caller accounted itself (a gather that also
     /// reads other modules).
     pub fn push(&mut self, phase: Phase) {
@@ -112,7 +102,11 @@ impl Scan<'_> {
     /// # Errors
     ///
     /// Propagates program validation failures.
-    pub fn exec(&mut self, partition: usize, program: &Microprogram) -> Result<(), CoreError> {
+    pub(crate) fn exec(
+        &mut self,
+        partition: usize,
+        program: &Microprogram,
+    ) -> Result<(), CoreError> {
         let ids = self.pages.ids(&self.table.loaded, partition);
         self.log.push(self.table.module.exec_program(&ids, program)?);
         Ok(())

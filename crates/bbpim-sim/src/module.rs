@@ -404,19 +404,19 @@ impl PimModule {
     /// mask movement requires.
     pub fn mask_phases(&self, raw_lines: u64, wire_lines: u64, path: MaskPath) -> Vec<Phase> {
         let transfer = path == MaskPath::ThroughHost;
-        let lines = raw_lines.min(wire_lines);
-        let mut phases = vec![self.host_read_phase(lines)];
-        if transfer {
-            phases.push(self.host_write_phase(lines));
-        }
+        let legs: &[fn(&Self, u64) -> Phase] = match transfer {
+            true => &[Self::host_read_phase, Self::host_write_phase],
+            false => &[Self::host_read_phase],
+        };
+        let mut phases: Vec<Phase> =
+            legs.iter().map(|leg| leg(self, raw_lines.min(wire_lines))).collect();
         if wire_lines < raw_lines {
-            let mut time_ns = hostmem::read_time_ns(&self.cfg, raw_lines) - phases[0].time_ns;
-            let mut energy_pj = hostmem::read_energy_pj(&self.cfg, raw_lines) - phases[0].energy_pj;
-            if transfer {
-                time_ns =
-                    time_ns + hostmem::write_time_ns(&self.cfg, raw_lines) - phases[1].time_ns;
-                energy_pj = energy_pj + hostmem::write_energy_pj(&self.cfg, raw_lines)
-                    - phases[1].energy_pj;
+            // what the raw legs would have cost beyond the wire-sized ones
+            let (mut time_ns, mut energy_pj) = (0.0, 0.0);
+            for (leg, wire) in legs.iter().zip(&phases) {
+                let raw = leg(self, raw_lines);
+                time_ns = time_ns + raw.time_ns - wire.time_ns;
+                energy_pj = energy_pj + raw.energy_pj - wire.energy_pj;
             }
             let (time_ns, energy_pj) = (time_ns.max(0.0), energy_pj.max(0.0));
             phases.push(Phase {
