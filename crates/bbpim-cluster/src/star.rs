@@ -163,7 +163,7 @@ fn filter_conjunction(
     log: &mut RunLog,
 ) -> Result<Vec<bool>, ClusterError> {
     let conj = [resolve_all(atoms, dim.relation().schema())?];
-    let mut scan = dim.resume(dim.plan_dnf(&conj, prune), None);
+    let mut scan = dim.begin(dim.plan_dnf(&conj, prune), None);
     scan.filter(&conj)?;
     log.extend(&scan.take_log());
     Ok(scan.mask(0, MASK_COL))

@@ -304,9 +304,10 @@ pub struct MutationReport {
     pub host_bus_ns: f64,
     /// PIM energy, picojoules.
     pub energy_pj: f64,
-    /// Worst-row accumulated cell writes over the touched pages after
-    /// this mutation — the endurance model's input (Fig. 9), surfaced
-    /// so write-heavy streams report device wear, not just latency.
+    /// Worst-row cell writes this mutation caused over the pages it
+    /// touched (the counters reset when it starts, as for a query) —
+    /// the endurance model's input (Fig. 9), surfaced so write-heavy
+    /// streams report device wear, not just latency.
     pub max_row_cell_writes: u64,
     /// Cells per crossbar row (the endurance model's write-spread
     /// denominator).
@@ -382,6 +383,8 @@ pub fn run_mutation(
         Mutation::Insert { rows } => {
             mutation.validate(table.relation.schema())?;
             let PimTable { module, relation, layout, loaded } = table;
+            // like a scan, report the wear of this mutation alone
+            module.reset_endurance(&loaded.all_pages());
             let (log, touched) = append_rows(module, layout, loaded, relation, rows)?;
             (MutationCounts { updated: 0, inserted: rows.len() as u64 }, touched, log)
         }
@@ -424,7 +427,7 @@ fn run_update(
     // Filter (the query path, zone maps included): the resolved DNF may
     // have several disjuncts; planning unions their bounds.
     let dnf = filter.resolve_dnf(table.relation.schema())?;
-    let mut scan = table.resume(table.plan_dnf(&dnf, prune), None);
+    let mut scan = table.begin(table.plan_dnf(&dnf, prune), None);
     let updated = scan.filter(&dnf)?;
 
     if !scan.pages.is_empty() {
@@ -657,6 +660,30 @@ mod tests {
                 .unwrap()
         };
         assert!((mux_time(&t1) - mux_time(&t2)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn identical_mutations_report_equal_wear() {
+        // wear is measured per mutation, not accumulated since the last
+        // query: the same work must report the same cell writes and the
+        // same required endurance every time
+        for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
+            let mut t = table(mode);
+            let update = Mutation::update()
+                .filter(col("lo_v").lt(10u64))
+                .set("d_city", 3u64)
+                .build(t.relation().schema())
+                .unwrap();
+            let insert = Mutation::insert().row([7u64, 7u64]).build(t.relation().schema()).unwrap();
+            for m in [&update, &insert] {
+                let reports: Vec<_> = (0..3).map(|_| t.mutate(m, true).unwrap()).collect();
+                assert!(reports[0].max_row_cell_writes > 0, "{mode:?} {}", m.label());
+                for r in &reports[1..] {
+                    assert_eq!(r.max_row_cell_writes, reports[0].max_row_cell_writes, "{mode:?}");
+                    assert_eq!(r.required_endurance(10.0), reports[0].required_endurance(10.0));
+                }
+            }
+        }
     }
 
     #[test]

@@ -51,19 +51,14 @@ pub struct Scan<'t> {
 }
 
 impl PimTable {
-    /// Open one scan over `pages`: reset the wear counters, charge
-    /// `prelude` (work done elsewhere on this query's behalf — a star
-    /// join's dimension filters) and the host's dispatch of the plan —
-    /// per-page doorbells, or one run-list descriptor per partition
-    /// under batched dispatch.
+    /// Open one scan over `pages`: reset the wear counters — whatever
+    /// the scan reports, a query's or a mutation's, is the wear of this
+    /// scan alone — then charge `prelude` (work done elsewhere on this
+    /// query's behalf — a star join's dimension filters) and the host's
+    /// dispatch of the plan — per-page doorbells, or one run-list
+    /// descriptor per partition under batched dispatch.
     pub fn begin(&mut self, pages: PageSet, prelude: Option<&RunLog>) -> Scan<'_> {
         self.module.reset_endurance(&self.loaded.all_pages());
-        self.resume(pages, prelude)
-    }
-
-    /// [`PimTable::begin`] without the wear reset: the cell writes of
-    /// this scan add to those counted since the last reset.
-    pub fn resume(&mut self, pages: PageSet, prelude: Option<&RunLog>) -> Scan<'_> {
         let mut log = RunLog::new();
         if let Some(prelude) = prelude {
             log.extend(prelude);

@@ -221,10 +221,10 @@ fn run_stream_matches_the_pinned_digests() {
     assert_pinned(
         &got,
         &[
-            [0x4613_4e5c_4e9b_f9c9, 0xbf81_390d_3119_5d85, 0x325d_2b5c_2306_3767],
-            [0xf7e4_4580_d6aa_300b, 0x78f6_e21e_9187_9d9a, 0x0814_d582_a7f4_37b7],
-            [0x1c46_2ae2_442a_7980, 0x0f3e_5fe8_6a64_8a9a, 0x5fef_018a_817a_bcbe],
-            [0x3996_6458_ebf3_cdaa, 0x78f6_e21e_9187_9d9a, 0x0814_d582_a7f4_37b7],
+            [0x547a_a577_3040_d7ab, 0xbf81_390d_3119_5d85, 0x325d_2b5c_2306_3767],
+            [0xf555_a2b7_babf_619e, 0x78f6_e21e_9187_9d9a, 0x0814_d582_a7f4_37b7],
+            [0x4215_09b7_4882_1acf, 0x0f3e_5fe8_6a64_8a9a, 0x5fef_018a_817a_bcbe],
+            [0x028f_0dd1_be3d_67cd, 0x78f6_e21e_9187_9d9a, 0x0814_d582_a7f4_37b7],
         ],
     );
 }
