@@ -166,7 +166,7 @@ fn filter_conjunction(
     let mut scan = dim.begin(dim.plan_dnf(&conj, prune), None);
     scan.filter(&conj)?;
     log.extend(&scan.take_log());
-    Ok(scan.mask(0, MASK_COL))
+    Ok(scan.mask(0, MASK_COL).iter().collect())
 }
 
 /// One surviving disjunct of a routed star filter.
@@ -520,10 +520,7 @@ fn star_gather(
     let cfg = fact.config();
     let mut fact_lines = LineSet::new();
     let mut dim_lines = [LineSet::new(), LineSet::new(), LineSet::new(), LineSet::new()];
-    for (record, selected) in mask.iter().enumerate() {
-        if !selected {
-            continue;
-        }
+    for record in mask.ones() {
         let touch = |lines: &mut LineSet, table: &PimTable, row: usize, chunks| {
             let (loaded, cfg) = (table.loaded(), table.config());
             let (pg, slot) = loaded.locate(row);
@@ -551,10 +548,7 @@ fn star_gather(
     //    positional probe, every SELECT item folded in one pass
     let mut out: Vec<GroupedResult> = vec![GroupedResult::new(); qplan.aggs.len()];
     let mut folded = 0u64;
-    for (record, selected) in mask.iter().enumerate() {
-        if !selected {
-            continue;
-        }
+    for record in mask.ones() {
         folded += 1;
         let mut key = Vec::with_capacity(sources.len());
         for s in &sources {

@@ -17,14 +17,17 @@
 //! point: aggregates cost aggregate passes, not extra filter passes.
 
 use bbpim_db::plan::ResolvedAtom;
+use bbpim_sim::bitmat::word_ones;
 use bbpim_sim::compiler::predicate;
 use bbpim_sim::compiler::{CodeBuilder, ColRange, ScratchPool};
 use bbpim_sim::isa::Microprogram;
-use bbpim_sim::maskwire;
+use bbpim_sim::maskwire::{self, PackedBits};
 use bbpim_sim::module::MaskPath;
+use bbpim_sim::page::RecordSlot;
 
 use crate::error::CoreError;
 use crate::layout::{MASK_COL, TRANSFER_COL, VALID_COL};
+use crate::loader::LoadedRelation;
 use crate::scan::Scan;
 use crate::semijoin::{build_dnf_mask_program, SemijoinDisjunct};
 use crate::table::PimTable;
@@ -96,20 +99,34 @@ pub fn build_conjunction_program(
     Ok(b.finish())
 }
 
+/// The words of a per-record bit-vector that hold one page's records,
+/// bit 0 its slot 0: whole words, because a page's slot count
+/// (crossbars × rows) is a multiple of 64 and only the relation's last
+/// page can be partly filled.
+fn page_words<'a>(bits: &'a PackedBits, loaded: &LoadedRelation, page_index: usize) -> &'a [u64] {
+    let records = loaded.page_records(page_index);
+    &bits.words()[records.start / 64..records.end.div_ceil(64)]
+}
+
 impl Scan<'_> {
     /// Read a one-bit column of a partition's planned pages into a
-    /// per-record vector, free of charge (the simulator peeking, not
-    /// the host reading — [`Scan::move_mask`] is the charged read);
+    /// per-record bit-vector, free of charge (the simulator peeking,
+    /// not the host reading — [`Scan::move_mask`] is the charged read);
     /// records on pruned pages read `false`, the all-false mask
-    /// semantics pruning guarantees.
-    pub fn mask(&self, partition: usize, col: usize) -> Vec<bool> {
+    /// semantics pruning guarantees. Only the column's set cells are
+    /// visited, each mapped back to its record slot.
+    pub fn mask(&self, partition: usize, col: usize) -> PackedBits {
         let (module, loaded) = (&self.table.module, &self.table.loaded);
-        let mut out = vec![false; loaded.records()];
+        let mut out = PackedBits::zeros(loaded.records());
         for (pg_idx, pid) in self.pages.entries(loaded, partition) {
-            let page = module.page(pid);
-            for (slot, record) in loaded.page_records(pg_idx).enumerate() {
-                let s = page.record_slot(slot).expect("slot within page");
-                out[record] = page.crossbar(s.crossbar).bits().get(s.row, col);
+            let (page, records) = (module.page(pid), loaded.page_records(pg_idx));
+            for (crossbar, xb) in page.crossbars().enumerate() {
+                for row in xb.bits().ones_in_col(col) {
+                    let slot = page.slot_record(RecordSlot { crossbar, row });
+                    if slot < records.len() {
+                        out.set(records.start + slot);
+                    }
+                }
             }
         }
         out
@@ -142,8 +159,8 @@ impl Scan<'_> {
     /// and the leftover cell traffic becomes a module-local pack /
     /// unpack phase that never touches the channel
     /// ([`bbpim_sim::module::PimModule::mask_phases`]). Answers are
-    /// unaffected either way — the mask bits are moved exactly, which
-    /// the round-trip debug assertion checks.
+    /// unaffected either way — the mask bits are moved exactly; only
+    /// their wire *size* is computed, from the packed words.
     ///
     /// # Errors
     ///
@@ -153,22 +170,16 @@ impl Scan<'_> {
         from: usize,
         col: usize,
         to: Option<usize>,
-    ) -> Result<Vec<bool>, CoreError> {
+    ) -> Result<PackedBits, CoreError> {
         let bits = self.mask(from, col);
         let (cfg, loaded) = (self.table.module.config(), &self.table.loaded);
         let raw_lines = self.pages.len() as u64 * cfg.crossbar_rows as u64;
         let wire_lines = if self.table.module.policy().compress_masks {
             // what the movement carries: the planned pages' bits, page order
             let planned = self.pages.indices().iter();
-            let payload: Vec<bool> =
-                planned.flat_map(|&pg| &bits[loaded.page_records(pg)]).copied().collect();
-            debug_assert_eq!(
-                maskwire::decode_rle(payload.len() as u64, &maskwire::encode_rle(&payload))
-                    .as_deref(),
-                Some(payload.as_slice()),
-                "mask wire format must round-trip bit-identically"
-            );
-            maskwire::wire_lines(&payload, cfg.host.line_bytes as u64)
+            let len: usize = planned.clone().map(|&pg| loaded.page_records(pg).len()).sum();
+            let payload = planned.flat_map(|&pg| page_words(&bits, loaded, pg)).copied();
+            maskwire::packed_wire_lines(payload, len as u64, cfg.host.line_bytes as u64)
         } else {
             raw_lines
         };
@@ -179,10 +190,9 @@ impl Scan<'_> {
         if let Some(partition) = to {
             let PimTable { module, loaded, .. } = &mut *self.table;
             for (pg_idx, pid) in self.pages.entries(loaded, partition) {
-                let page = module.page_mut(pid);
-                for (slot, record) in loaded.page_records(pg_idx).enumerate() {
-                    page.write_record_bits(slot, TRANSFER_COL, 16, bits[record] as u64)?;
-                }
+                let records = loaded.page_records(pg_idx).len();
+                let set = word_ones(page_words(&bits, loaded, pg_idx));
+                module.page_mut(pid).write_record_flags(TRANSFER_COL, 16, records, set)?;
             }
         }
         Ok(bits)
@@ -276,6 +286,7 @@ mod tests {
     use super::*;
     use crate::fixture;
     use crate::modes::EngineMode;
+    use crate::planner::PageSet;
     use bbpim_db::builder::col;
     use bbpim_db::plan::Pred;
     use bbpim_sim::timeline::PhaseKind;
@@ -292,7 +303,7 @@ mod tests {
         let mut scan = fixture::scan(table);
         let selected = fixture::filter(&mut scan, pred);
         assert_eq!(selected, expected.iter().filter(|b| **b).count() as u64, "{what}");
-        assert_eq!(scan.mask(0, MASK_COL), expected, "{what}");
+        assert_eq!(scan.mask(0, MASK_COL).iter().collect::<Vec<_>>(), expected, "{what}");
         scan
     }
 
@@ -356,7 +367,7 @@ mod tests {
             let mut t = table(mode);
             let mut scan = fixture::scan(&mut t);
             assert_eq!(scan.filter(&[]).unwrap(), 0, "{mode:?}");
-            assert!(scan.mask(0, MASK_COL).iter().all(|b| !b));
+            assert_eq!(scan.mask(0, MASK_COL).count_ones(), 0);
         }
     }
 
@@ -374,6 +385,84 @@ mod tests {
         let records = t.relation().len() as u64;
         let mut scan = fixture::scan(&mut t);
         assert_eq!(fixture::filter(&mut scan, &Pred::always()), records);
+    }
+
+    /// The stored bit of `col` for every record of `partition`, read
+    /// cell by cell.
+    fn stored_bits(t: &PimTable, partition: usize, col: usize) -> Vec<bool> {
+        (0..t.loaded().records())
+            .map(|record| {
+                let (pg, slot) = t.loaded().locate(record);
+                let page = t.module().page(t.loaded().pages(partition)[pg]);
+                let s = page.record_slot(slot).unwrap();
+                page.crossbar(s.crossbar).bits().get(s.row, col)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn mask_equals_per_record_get_and_pruned_pages_read_false() {
+        // 600 records: two full pages and a partly filled third; the
+        // plan prunes the middle one
+        for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
+            let mut t = table(mode);
+            let plan = PageSet::from_indices(vec![0, 2], t.page_count());
+            let g = t.layout().placement("d_g").unwrap();
+            // the validity bit is set on every page, pruned ones too;
+            // an attribute bit mixes ones and zeros
+            for (partition, col) in [(0, VALID_COL), (g.partition, g.range.lo)] {
+                let stored = stored_bits(&t, partition, col);
+                assert!(stored[256..512].contains(&true), "the pruned page holds set bits");
+                let scan = t.begin(plan.clone(), None);
+                let got = scan.mask(partition, col);
+                let planned = |record| plan.indices().contains(&scan.table.loaded.locate(record).0);
+                for (record, bit) in stored.iter().enumerate() {
+                    assert_eq!(
+                        got.get(record),
+                        *bit && planned(record),
+                        "{mode:?} record {record}"
+                    );
+                }
+                assert_eq!(got.len(), stored.len());
+            }
+        }
+    }
+
+    #[test]
+    fn transfer_writes_every_planned_chunk_and_charges_the_codec_size() {
+        let mut t = table(EngineMode::TwoXb);
+        let plan = PageSet::from_indices(vec![0, 2], t.page_count());
+        let g = t.layout().placement("d_g").unwrap();
+        assert_eq!(g.partition, 1);
+        let moved = stored_bits(&t, 1, g.range.lo);
+        let mut scan = t.begin(plan.clone(), None);
+        scan.take_log();
+        scan.move_mask(1, g.range.lo, Some(0)).unwrap();
+        // charged at the byte codec's size of the planned pages' bits
+        let loaded = &scan.table.loaded;
+        let payload: Vec<bool> = plan
+            .indices()
+            .iter()
+            .flat_map(|&pg| &moved[loaded.page_records(pg)])
+            .copied()
+            .collect();
+        let cfg = scan.table.module.config();
+        let wire = maskwire::wire_lines(&payload, cfg.host.line_bytes as u64);
+        let raw = (plan.len() * cfg.crossbar_rows) as u64;
+        assert!(wire < raw);
+        let expected = scan.table.module.mask_phases(raw, wire, MaskPath::ThroughHost);
+        assert_eq!(scan.log.phases(), expected.as_slice());
+        // every planned record's chunk holds its bit, zero above it;
+        // the pruned page's chunks were never written
+        for (record, bit) in moved.iter().enumerate() {
+            let chunk = u64::from(*bit && loaded.locate(record).0 != 1);
+            let (pg, slot) = loaded.locate(record);
+            let page = scan.table.module.page(loaded.pages(0)[pg]);
+            assert_eq!(page.read_record_bits(slot, TRANSFER_COL, 16).unwrap(), chunk, "{record}");
+        }
+        // a 16-cell write on every written row, none elsewhere
+        let wear = |pg: usize| scan.table.module.max_row_cell_writes(&[loaded.pages(0)[pg]]);
+        assert_eq!([wear(0), wear(1), wear(2)], [16, 0, 16]);
     }
 
     #[test]

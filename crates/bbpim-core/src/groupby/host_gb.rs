@@ -11,11 +11,10 @@
 //! subgroup are read (the key must be seen to be skipped) but not
 //! folded.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 use bbpim_db::plan::PhysAgg;
 use bbpim_db::stats::GroupedResult;
-use bbpim_sim::hostmem::LineSet;
 use bbpim_sim::timeline::Phase;
 
 use crate::error::CoreError;
@@ -60,39 +59,26 @@ impl Scan<'_> {
         read_attrs.dedup();
         let chunk_map = table.layout.chunks_for(read_attrs.iter().copied())?;
 
-        // 3. Exact unique-line accounting over the selected records.
-        let mut lines = LineSet::new();
+        // 3. Exact unique-line accounting over the selected records: a
+        //    line holds one chunk of one row across the page's crossbars,
+        //    so every row with a selected record costs each chunk once.
+        //    Records arrive ascending, a row's records back to back.
         let cfg = table.module.config();
-        for (record, selected) in mask.iter().enumerate() {
-            if !selected {
-                continue;
-            }
-            let (pg, slot) = table.loaded.locate(record);
-            for (&partition, chunks) in &chunk_map {
-                let page_id = table.loaded.pages(partition)[pg];
-                let s = table.module.page(page_id).record_slot(slot)?;
-                for &chunk in chunks {
-                    lines.touch_bit_range(
-                        cfg,
-                        page_id.0,
-                        s.row,
-                        chunk * cfg.read_width_bits,
-                        cfg.read_width_bits,
-                    );
-                }
+        let (mut rows_touched, mut last_row) = (0u64, None);
+        for row in mask.ones().map(|record| record / cfg.crossbars_per_page()) {
+            if last_row.replace(row) != Some(row) {
+                rows_touched += 1;
             }
         }
+        let chunks_per_row: usize = chunk_map.values().map(BTreeSet::len).sum();
         // Record fetches are mask-directed (data-dependent addresses):
         // latency-bound scattered reads, per the paper's host-gb behaviour.
-        self.log.push(table.module.host_read_scattered_phase(lines.len()));
+        self.log.push(table.module.host_read_scattered_phase(rows_touched * chunks_per_row as u64));
 
         // 4. Hash aggregation at the host, all physical aggregates folded
         //    in one pass over the selected records.
         let mut out: Vec<GroupedResult> = vec![GroupedResult::new(); req.aggs.len()];
-        for (record, selected) in mask.iter().enumerate() {
-            if !selected {
-                continue;
-            }
+        for record in mask.ones() {
             let mut key = Vec::with_capacity(req.group_placements.len());
             for (name, _) in req.group_placements {
                 key.push(table.read_attr(record, name)?);
@@ -112,7 +98,7 @@ impl Scan<'_> {
             }
         }
         let per_record = cfg.host.host_agg_ns_per_record / cfg.host.threads as f64;
-        self.log.push(Phase::host_compute(mask.iter().filter(|m| **m).count() as f64 * per_record));
+        self.log.push(Phase::host_compute(mask.count_ones() as f64 * per_record));
         Ok(out)
     }
 }
@@ -225,6 +211,36 @@ mod tests {
         let (got, _) = run(&mut t, &q, &q.physical_plan().unwrap().aggs, &skip);
         assert!(!got[0].contains_key(&skipped_key));
         assert_eq!(got[0].len(), expected.len() - 1);
+    }
+
+    #[test]
+    fn record_fetch_charges_the_unique_lines_of_the_selection() {
+        // the reference: touch every selected record's chunks in a
+        // deduplicating line set, record by record
+        use bbpim_sim::hostmem::LineSet;
+        for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
+            let mut t = table(mode);
+            let pred = col("lo_v").lt(40u64).or(col("d_h").eq(3u64));
+            let q = query(&t, pred.clone(), AggExpr::sub("lo_v", "lo_w"));
+            let (_, log) = run(&mut t, &q, &q.physical_plan().unwrap().aggs, &HashSet::new());
+            let cfg = t.config();
+            let chunk_map = t.layout().chunks_for(["d_g", "d_h", "lo_v", "lo_w"]).unwrap();
+            let mut lines = LineSet::new();
+            for (record, _) in fixture::oracle_mask(&t, &pred).iter().enumerate().filter(|m| *m.1) {
+                let (pg, slot) = t.loaded().locate(record);
+                for (&partition, chunks) in &chunk_map {
+                    let page_id = t.loaded().pages(partition)[pg];
+                    let row = t.module().page(page_id).record_slot(slot).unwrap().row;
+                    for &chunk in chunks {
+                        let (lo, width) = (chunk * cfg.read_width_bits, cfg.read_width_bits);
+                        lines.touch_bit_range(cfg, page_id.0, row, lo, width);
+                    }
+                }
+            }
+            assert!(!lines.is_empty());
+            let fetch = t.module().host_read_scattered_phase(lines.len());
+            assert!(log.phases().contains(&fetch), "{mode:?}: {} lines", lines.len());
+        }
     }
 
     #[test]

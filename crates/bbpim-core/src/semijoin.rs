@@ -211,8 +211,8 @@ mod tests {
         let mut scan = fixture::scan(t);
         let selected = scan.filter_joined(disjuncts).unwrap();
         let mask = scan.mask(0, MASK_COL);
-        assert_eq!(selected, mask.iter().filter(|b| **b).count() as u64);
-        mask
+        assert_eq!(selected, mask.count_ones());
+        mask.iter().collect()
     }
 
     #[test]

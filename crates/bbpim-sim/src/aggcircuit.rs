@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::compiler::reduce::{masked_reduce, ReduceOp};
+use crate::compiler::reduce::{reduce_selected, ReduceOp};
 use crate::compiler::ColRange;
 use crate::config::SimConfig;
 use crate::crossbar::Crossbar;
@@ -113,13 +113,14 @@ impl AggRequest {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidAggregation`] for an empty or
-    /// out-of-range slot, or one overlapping the value slot.
+    /// Returns [`SimError::InvalidAggregation`] for a slot width
+    /// outside `1..=64`, an out-of-range slot, or one overlapping the
+    /// value slot.
     pub fn validate_count_slot(&self, count_dst: ColRange, cols: usize) -> Result<(), SimError> {
         if count_dst.lo < self.dst.end() && self.dst.lo < count_dst.end() {
             return Err(SimError::InvalidAggregation("count slot overlaps the value slot".into()));
         }
-        if count_dst.width == 0 || count_dst.end() > cols {
+        if count_dst.width == 0 || count_dst.width > 64 || count_dst.end() > cols {
             return Err(SimError::InvalidAggregation("bad count slot".into()));
         }
         Ok(())
@@ -128,7 +129,7 @@ impl AggRequest {
     /// Write the selected-row count, wrapped at the slot width, into a
     /// validated `count_dst` of the result row; returns it.
     pub(crate) fn count_into(&self, xb: &mut Crossbar, count_dst: ColRange) -> u64 {
-        let count = (0..xb.rows()).filter(|&r| xb.bits().get(r, self.mask_col)).count() as u64;
+        let count = xb.bits().popcount_col(self.mask_col) as u64;
         let wrapped =
             if count_dst.width >= 64 { count } else { count & ((1 << count_dst.width) - 1) };
         xb.bits_mut_unaccounted().write_row_bits(
@@ -161,15 +162,13 @@ impl AggRequest {
     /// circuit and the reduction tree (which leave the same value and
     /// differ in wear): fold, wrap, write the slot — no endurance.
     pub(crate) fn fold(&self, xb: &mut Crossbar) -> u64 {
-        let rows = xb.rows();
-        let mut values = Vec::with_capacity(rows);
-        let mut mask = Vec::with_capacity(rows);
-        for r in 0..rows {
-            values.push(xb.read_row_bits(r, self.value.lo, self.value.width));
-            mask.push(xb.bits().get(r, self.mask_col));
-        }
+        // only the mask column's set rows are read
+        let selected = xb
+            .bits()
+            .ones_in_col(self.mask_col)
+            .map(|r| xb.read_row_bits(r, self.value.lo, self.value.width));
         // The ALU register is dst.width wide; MIN's identity must match it.
-        let result = masked_reduce(&values, &mask, self.dst.width.max(self.value.width), self.op);
+        let result = reduce_selected(selected, self.dst.width.max(self.value.width), self.op);
         let result =
             if self.dst.width == 64 { result } else { result & ((1u64 << self.dst.width) - 1) };
         xb.bits_mut_unaccounted().write_row_bits(self.dst_row, self.dst.lo, self.dst.width, result);

@@ -6,7 +6,15 @@
 //! vector and a column-parallel MAGIC NOR is a handful of word ops.
 //!
 //! [`BitMatrix`] is purely functional storage — timing, energy and
-//! endurance accounting live in [`crate::crossbar::Crossbar`].
+//! endurance accounting live in [`crate::crossbar::Crossbar`]. The
+//! kernels here cost what the layout says they should: a column op is
+//! `rows / 64` word ops, a row access strides one word/bit position
+//! down the columns, a column's set rows are walked by
+//! `trailing_zeros`. Nothing here is per row, and neither is the wear
+//! that goes with it: the crossbar counts a column op as one increment
+//! of its all-rows counter and keeps a per-row vector only for
+//! row-specific writes (row `r` took `all_rows_writes +
+//! row_cell_writes[r]` — see the crossbar's module docs).
 
 /// A `rows × cols` bit matrix stored column-major.
 ///
@@ -95,33 +103,65 @@ impl BitMatrix {
         }
     }
 
+    /// Column `dst` mutably, beside a reader of every *other* column —
+    /// the operands of a column-parallel gate, whose output differs
+    /// from its inputs.
+    fn gate_cols<'a>(&'a mut self, dst: usize) -> (&'a mut [u64], impl Fn(usize) -> &'a [u64]) {
+        let wpc = self.wpc;
+        let (below, rest) = self.data.split_at_mut(dst * wpc);
+        let (out, above) = rest.split_at_mut(wpc);
+        let (below, above): (&'a [u64], &'a [u64]) = (below, above);
+        let input = move |c: usize| {
+            debug_assert!(c != dst, "MAGIC output must differ from inputs");
+            if c < dst {
+                &below[c * wpc..(c + 1) * wpc]
+            } else {
+                &above[(c - dst - 1) * wpc..(c - dst) * wpc]
+            }
+        };
+        (out, input)
+    }
+
     /// MAGIC column-parallel NOR: `dst &= !(a | b)`.
     ///
     /// MAGIC's stateful NOR can only switch a pre-initialised `1` output
     /// cell to `0`; an output cell already at `0` stays `0`. Callers that
     /// want a true NOR must [`BitMatrix::fill_col`] `dst` with `1` first
     /// (that is exactly what the `INIT` micro-op does).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is one of the inputs.
     pub fn magic_nor_cols(&mut self, a: usize, b: usize, dst: usize) {
-        debug_assert!(a != dst && b != dst, "MAGIC output must differ from inputs");
-        let (ar, br, dr) = (self.idx(a), self.idx(b), self.idx(dst));
-        for i in 0..self.wpc {
-            let v = !(self.data[ar.start + i] | self.data[br.start + i]);
-            self.data[dr.start + i] &= v;
+        let (out, input) = self.gate_cols(dst);
+        for ((d, a), b) in out.iter_mut().zip(input(a)).zip(input(b)) {
+            *d &= !(a | b);
         }
     }
 
     /// MAGIC column-parallel multi-input NOR: `dst &= !(c₀ | c₁ | …)`.
     ///
     /// Same stateful-output semantics as [`BitMatrix::magic_nor_cols`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is one of the inputs.
     pub fn magic_nor_many_cols(&mut self, inputs: &[usize], dst: usize) {
-        debug_assert!(inputs.iter().all(|c| *c != dst));
-        let dr = self.idx(dst);
-        for i in 0..self.wpc {
-            let mut acc = 0u64;
-            for &c in inputs {
-                acc |= self.data[c * self.wpc + i];
+        let (out, input) = self.gate_cols(dst);
+        for &c in inputs {
+            for (d, w) in out.iter_mut().zip(input(c)) {
+                *d &= !w;
             }
-            self.data[dr.start + i] &= !acc;
+        }
+    }
+
+    /// Clear the cells of rows `0..rows` of a column.
+    pub fn clear_col_prefix(&mut self, col: usize, rows: usize) {
+        debug_assert!(rows <= self.rows);
+        let words = self.col_mut(col);
+        words[..rows / 64].fill(0);
+        if !rows.is_multiple_of(64) {
+            words[rows / 64] &= u64::MAX << (rows % 64);
         }
     }
 
@@ -145,22 +185,30 @@ impl BitMatrix {
     }
 
     /// Read `width ≤ 64` bits of a row starting at `col_lo` (LSB first).
+    ///
+    /// A row's cells sit one column stride apart at a fixed word and
+    /// bit position, so the read strides that one position down the
+    /// columns.
     pub fn read_row_bits(&self, row: usize, col_lo: usize, width: usize) -> u64 {
-        debug_assert!(width <= 64 && col_lo + width <= self.cols);
+        debug_assert!(row < self.rows && width <= 64 && col_lo + width <= self.cols);
+        let (mut at, bit) = (col_lo * self.wpc + row / 64, row % 64);
         let mut v = 0u64;
         for i in 0..width {
-            if self.get(row, col_lo + i) {
-                v |= 1 << i;
-            }
+            v |= ((self.data[at] >> bit) & 1) << i;
+            at += self.wpc;
         }
         v
     }
 
-    /// Write `width ≤ 64` bits into a row starting at `col_lo` (LSB first).
+    /// Write `width ≤ 64` bits into a row starting at `col_lo` (LSB
+    /// first), striding like [`BitMatrix::read_row_bits`].
     pub fn write_row_bits(&mut self, row: usize, col_lo: usize, width: usize, value: u64) {
-        debug_assert!(width <= 64 && col_lo + width <= self.cols);
+        debug_assert!(row < self.rows && width <= 64 && col_lo + width <= self.cols);
+        let (mut at, bit) = (col_lo * self.wpc + row / 64, row % 64);
         for i in 0..width {
-            self.set(row, col_lo + i, (value >> i) & 1 == 1);
+            let w = &mut self.data[at];
+            *w = (*w & !(1 << bit)) | (((value >> i) & 1) << bit);
+            at += self.wpc;
         }
     }
 
@@ -171,20 +219,23 @@ impl BitMatrix {
 
     /// Iterate the row indices whose cell in `col` is set.
     pub fn ones_in_col(&self, col: usize) -> impl Iterator<Item = usize> + '_ {
-        let words = self.col(col);
-        words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let tz = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + tz)
-                }
+        word_ones(self.col(col))
+    }
+}
+
+/// The indices of the set bits of a bit-vector packed LSB-first into
+/// `words`, ascending.
+pub fn word_ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut bits = w;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let tz = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                wi * 64 + tz
             })
         })
-    }
+    })
 }
 
 #[cfg(test)]

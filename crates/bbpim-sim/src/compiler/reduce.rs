@@ -88,7 +88,19 @@ pub fn reduce_cost(rows: usize, cols: usize, width: usize, op: ReduceOp) -> Redu
 }
 
 /// The value the reduction tree leaves behind: fold of `values[i]` for
-/// rows with `mask[i]` set, wrapped to `width` bits for SUM.
+/// rows with `mask[i]` set, wrapped to `width` bits for SUM — the dense
+/// statement of [`reduce_selected`], which the aggregation kernels are
+/// checked against.
+///
+/// # Panics
+///
+/// Panics if `values` and `mask` lengths differ or `width` is 0 or > 64.
+pub fn masked_reduce(values: &[u64], mask: &[bool], width: usize, op: ReduceOp) -> u64 {
+    assert_eq!(values.len(), mask.len(), "values/mask length mismatch");
+    reduce_selected(values.iter().zip(mask).filter(|(_, &m)| m).map(|(&v, _)| v), width, op)
+}
+
+/// Fold the `selected` values at `width` bits.
 ///
 /// Identities follow the hardware: SUM starts at 0, MIN at all-ones
 /// (`2^width − 1`), MAX at 0 — so an empty selection yields the
@@ -96,12 +108,11 @@ pub fn reduce_cost(rows: usize, cols: usize, width: usize, op: ReduceOp) -> Redu
 ///
 /// # Panics
 ///
-/// Panics if `values` and `mask` lengths differ or `width` is 0 or > 64.
-pub fn masked_reduce(values: &[u64], mask: &[bool], width: usize, op: ReduceOp) -> u64 {
-    assert_eq!(values.len(), mask.len(), "values/mask length mismatch");
+/// Panics if `width` is 0 or > 64.
+pub fn reduce_selected(selected: impl Iterator<Item = u64>, width: usize, op: ReduceOp) -> u64 {
     assert!(width > 0 && width <= 64, "width must be in 1..=64");
     let modulus_mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
-    let selected = values.iter().zip(mask).filter(|(_, &m)| m).map(|(&v, _)| v & modulus_mask);
+    let selected = selected.map(|v| v & modulus_mask);
     match op {
         ReduceOp::Sum => selected.fold(0u64, |acc, v| acc.wrapping_add(v)) & modulus_mask,
         ReduceOp::Min => selected.fold(modulus_mask, u64::min),

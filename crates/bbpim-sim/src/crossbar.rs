@@ -6,6 +6,20 @@
 //! [`Microprogram`]s gate-by-gate on its real bits and keeps count of the
 //! cell writes each row has experienced, which feeds the paper's
 //! endurance analysis (Fig. 9).
+//!
+//! # Wear representation
+//!
+//! A column-parallel op writes one cell in *every* row, so it wears all
+//! rows alike. The crossbar therefore keeps one counter for the writes
+//! every row took plus a per-row vector for the row-specific rest (row
+//! ops, host writes, result write-backs), and the largest entry of that
+//! vector. The invariants: row `r` has taken
+//! `all_rows_writes + row_cell_writes[r]` cell writes since the last
+//! [`Crossbar::reset_endurance`], and `row_max` is the maximum of
+//! `row_cell_writes` (counters only grow between resets, so a running
+//! maximum is exact). A column op costs the simulator one increment
+//! however many rows it covers — like the hardware it models — and the
+//! worst row is read off in O(1).
 
 use crate::bitmat::BitMatrix;
 use crate::error::SimError;
@@ -42,9 +56,14 @@ pub struct ExecSummary {
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     bits: BitMatrix,
-    /// Cumulative cell writes per row (wear-leveling spreads them over
-    /// the row's cells, per the paper's endurance assumption).
+    /// Cell writes every row has taken (column-parallel work).
+    all_rows_writes: u64,
+    /// Cumulative cell writes per row beyond `all_rows_writes`
+    /// (wear-leveling spreads them over the row's cells, per the
+    /// paper's endurance assumption).
     row_cell_writes: Vec<u64>,
+    /// The largest entry of `row_cell_writes`.
+    row_max: u64,
 }
 
 impl Crossbar {
@@ -55,7 +74,12 @@ impl Crossbar {
     /// Panics if `rows` is not a positive multiple of 64 or `cols` is 0
     /// (see [`BitMatrix::new`]).
     pub fn new(rows: usize, cols: usize) -> Self {
-        Crossbar { bits: BitMatrix::new(rows, cols), row_cell_writes: vec![0; rows] }
+        Crossbar {
+            bits: BitMatrix::new(rows, cols),
+            all_rows_writes: 0,
+            row_cell_writes: vec![0; rows],
+            row_max: 0,
+        }
     }
 
     /// Rows (records) in this crossbar.
@@ -93,49 +117,59 @@ impl Crossbar {
     /// cells outside this crossbar.
     pub fn execute(&mut self, program: &Microprogram) -> Result<ExecSummary, SimError> {
         program.validate(self.rows(), self.cols())?;
-        let mut cells = 0u64;
+        Ok(self.execute_validated(program))
+    }
+
+    /// [`Crossbar::execute`] for a program the caller has validated
+    /// against this geometry (a page validates once for its lock-step
+    /// crossbars).
+    pub(crate) fn execute_validated(&mut self, program: &Microprogram) -> ExecSummary {
+        let (rows, cols) = (self.rows() as u64, self.cols() as u64);
+        let mut row_ops = 0u64;
         for op in program.ops() {
             match *op {
-                MicroOp::InitCol { dst } => {
-                    self.bits.fill_col(dst, true);
-                    for w in self.row_cell_writes.iter_mut() {
-                        *w += 1;
-                    }
-                    cells += self.rows() as u64;
-                }
-                MicroOp::NorCols { a, b, dst } => {
-                    self.bits.magic_nor_cols(a, b, dst);
-                    for w in self.row_cell_writes.iter_mut() {
-                        *w += 1;
-                    }
-                    cells += self.rows() as u64;
-                }
+                MicroOp::InitCol { dst } => self.bits.fill_col(dst, true),
+                MicroOp::NorCols { a, b, dst } => self.bits.magic_nor_cols(a, b, dst),
                 MicroOp::NorManyCols { ref inputs, dst } => {
                     self.bits.magic_nor_many_cols(inputs, dst);
-                    for w in self.row_cell_writes.iter_mut() {
-                        *w += 1;
-                    }
-                    cells += self.rows() as u64;
                 }
                 MicroOp::InitRow { dst } => {
                     self.bits.fill_row(dst, true);
-                    self.row_cell_writes[dst] += self.cols() as u64;
-                    cells += self.cols() as u64;
+                    self.note_row_writes(dst, cols);
+                    row_ops += 1;
                 }
                 MicroOp::NorRows { a, b, dst } => {
                     self.bits.magic_nor_rows(a, b, dst);
-                    self.row_cell_writes[dst] += self.cols() as u64;
-                    cells += self.cols() as u64;
+                    self.note_row_writes(dst, cols);
+                    row_ops += 1;
                 }
             }
         }
-        Ok(ExecSummary { cycles: program.cycles(), cells_written: cells })
+        let col_ops = program.cycles() - row_ops;
+        self.all_rows_writes += col_ops;
+        ExecSummary { cycles: program.cycles(), cells_written: col_ops * rows + row_ops * cols }
     }
 
     /// Host/loader write of `width` bits into a row (endurance-counted).
     pub fn write_row_bits(&mut self, row: usize, col_lo: usize, width: usize, value: u64) {
         self.bits.write_row_bits(row, col_lo, width, value);
-        self.row_cell_writes[row] += width as u64;
+        self.note_row_writes(row, width as u64);
+    }
+
+    /// Host write of zeros into `[col_lo, col_lo + width)` of rows
+    /// `0..rows`, a column at a time — the bits and wear of
+    /// [`Crossbar::write_row_bits`] with value 0 on each of those rows.
+    pub fn clear_rows(&mut self, rows: usize, col_lo: usize, width: usize) {
+        for col in col_lo..col_lo + width {
+            self.bits.clear_col_prefix(col, rows);
+        }
+        if rows == self.rows() {
+            self.all_rows_writes += width as u64;
+        } else {
+            for row in 0..rows {
+                self.note_row_writes(row, width as u64);
+            }
+        }
     }
 
     /// Read `width ≤ 64` bits of a row (no endurance impact).
@@ -148,24 +182,25 @@ impl Crossbar {
     /// reduction trees) that mutate bits through
     /// [`Crossbar::bits_mut_unaccounted`].
     pub fn note_row_writes(&mut self, row: usize, width: u64) {
-        self.row_cell_writes[row] += width;
+        let writes = &mut self.row_cell_writes[row];
+        *writes += width;
+        self.row_max = self.row_max.max(*writes);
     }
 
     /// Record `per_row` cell writes against *every* row (modeled
     /// column-parallel work).
     pub fn note_all_rows_writes(&mut self, per_row: u64) {
-        for w in self.row_cell_writes.iter_mut() {
-            *w += per_row;
-        }
+        self.all_rows_writes += per_row;
     }
 
     /// The largest cell-write count any row has accumulated.
     pub fn max_row_cell_writes(&self) -> u64 {
-        self.row_cell_writes.iter().copied().max().unwrap_or(0)
+        self.all_rows_writes + self.row_max
     }
 
     /// Reset endurance counters (e.g. after load, before measuring a query).
     pub fn reset_endurance(&mut self) {
+        (self.all_rows_writes, self.row_max) = (0, 0);
         self.row_cell_writes.iter_mut().for_each(|w| *w = 0);
     }
 }

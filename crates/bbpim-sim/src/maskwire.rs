@@ -14,6 +14,15 @@
 //! The codec lives in `bbpim-sim` so both storage models can charge
 //! the shared bus wire bytes instead of raw mask lines; the star
 //! model's `KeyBitmap` delegates here for its own wire accounting.
+//!
+//! A mask column leaves the crossbars 64 rows to a word, and charging
+//! its transfer needs the encoded *size*, never the bytes. So the
+//! per-record masks of the query path stay word-packed
+//! ([`PackedBits`]) and are sized from the words ([`rle_len`],
+//! [`packed_wire_lines`]); the `&[bool]` codec is the byte-exact
+//! statement of the format, which the sizes are tested against.
+
+use crate::bitmat::word_ones;
 
 /// Fixed per-transfer header bytes (origin + length + encoding tag).
 pub const WIRE_HEADER_BYTES: u64 = 8;
@@ -43,6 +52,80 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
             return Some(v);
         }
         shift += 7;
+    }
+}
+
+/// A bit-vector packed 64 to a word, bit `i` at bit `i % 64` of word
+/// `i / 64`; bits past the length are zero.
+///
+/// ```
+/// use bbpim_sim::maskwire::PackedBits;
+/// let mut bits = PackedBits::zeros(130);
+/// bits.set(3);
+/// bits.set(129);
+/// assert!(bits.get(129) && !bits.get(64));
+/// assert_eq!(bits.ones().collect::<Vec<_>>(), vec![3, 129]);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedBits {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl PackedBits {
+    /// `len` clear bits.
+    pub fn zeros(len: usize) -> Self {
+        PackedBits { words: vec![0; len.div_ceil(64)], len }
+    }
+
+    /// Number of bits.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True for the zero-length vector.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The packed words (`⌈len/64⌉` of them).
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Read bit `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn get(&self, i: usize) -> bool {
+        assert!(i < self.len, "bit {i} out of {}", self.len);
+        (self.words[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    /// Set bit `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn set(&mut self, i: usize) {
+        assert!(i < self.len, "bit {i} out of {}", self.len);
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Number of set bits.
+    pub fn count_ones(&self) -> u64 {
+        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+
+    /// The indices of the set bits, ascending.
+    pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        word_ones(&self.words)
+    }
+
+    /// Every bit in index order.
+    pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
+        (0..self.len).map(|i| self.get(i))
     }
 }
 
@@ -103,6 +186,44 @@ pub fn decode_rle(len: u64, payload: &[u8]) -> Option<Vec<bool>> {
     Some(bits)
 }
 
+/// Bytes [`push_varint`] appends for `v`.
+fn varint_len(v: u64) -> u64 {
+    u64::from((64 - (v | 1).leading_zeros()).div_ceil(7))
+}
+
+/// `encode_rle(bits).len()` for the bits packed LSB-first in `words`
+/// (zero past the vector's length, as [`PackedBits`] keeps them) —
+/// sized run by run from the words, nothing is encoded.
+pub fn rle_len(words: impl IntoIterator<Item = u64>) -> u64 {
+    // `cursor`: end of the last closed run; `open`: start of the run
+    // the scan is inside (it may span words); `base`: the word's offset.
+    let (mut bytes, mut cursor, mut open, mut base) = (0u64, 0u64, None::<u64>, 0u64);
+    for w in words {
+        let mut at = 0u32;
+        while at < 64 {
+            let rest = w >> at;
+            match open {
+                None if rest == 0 => break,
+                None => {
+                    at += rest.trailing_zeros();
+                    open = Some(base + u64::from(at));
+                }
+                Some(start) => {
+                    at += rest.trailing_ones();
+                    if at < 64 {
+                        let stop = base + u64::from(at);
+                        bytes += varint_len(start - cursor) + varint_len(stop - start);
+                        (cursor, open) = (stop, None);
+                    }
+                }
+            }
+        }
+        base += 64;
+    }
+    // a run still open ends with the vector (the tail bits are zero)
+    bytes + open.map_or(0, |start| varint_len(start - cursor) + varint_len(base - start))
+}
+
 /// Bytes actually sent for `bits`: the header plus the smaller encoding.
 pub fn wire_bytes(bits: &[bool]) -> u64 {
     WIRE_HEADER_BYTES + raw_bytes(bits.len() as u64).min(encode_rle(bits).len() as u64)
@@ -111,6 +232,11 @@ pub fn wire_bytes(bits: &[bool]) -> u64 {
 /// Host-channel lines the transfer occupies at `line_bytes` per line.
 pub fn wire_lines(bits: &[bool], line_bytes: u64) -> u64 {
     wire_bytes(bits).div_ceil(line_bytes.max(1))
+}
+
+/// [`wire_lines`] of the `len` bits packed LSB-first in `words`.
+pub fn packed_wire_lines(words: impl IntoIterator<Item = u64>, len: u64, line_bytes: u64) -> u64 {
+    (WIRE_HEADER_BYTES + raw_bytes(len).min(rle_len(words))).div_ceil(line_bytes.max(1))
 }
 
 #[cfg(test)]
@@ -137,22 +263,70 @@ mod tests {
         assert_eq!(read_varint(&[0x80], &mut 0), None);
     }
 
+    /// The shapes the cluster's key-bitmap sweep uses, over `len` bits.
+    fn adversarial_shapes(len: usize) -> Vec<Vec<usize>> {
+        let mut shapes: Vec<Vec<usize>> = vec![
+            vec![],                                    // empty
+            (0..len).collect(),                        // full
+            (0..len).step_by(2).collect(),             // alternating
+            (1..len).step_by(2).collect(),             // anti-phase alternating
+            vec![0],                                   // lone head
+            vec![len - 1],                             // lone tail
+            (7..len - 9).collect(),                    // one long run
+            (0..len).step_by(8).collect(),             // every byte boundary
+            (0..len).filter(|i| i % 37 < 3).collect(), // short periodic runs
+            (60..70).chain(120..200).collect(),        // runs across word boundaries
+            (64..128).collect(),                       // exactly one word
+            vec![0, 1, 2, 700, 701, len - 2],          // mixed
+        ];
+        // deterministic xorshift at three densities
+        let mut state = 0x2545F4914F6CDD1Du64;
+        for density_shift in [1u64, 3, 6] {
+            shapes.push(
+                (0..len)
+                    .filter(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state.is_multiple_of(1 << density_shift)
+                    })
+                    .collect(),
+            );
+        }
+        shapes
+    }
+
     #[test]
     fn rle_roundtrips_adversarial_shapes() {
         let len = 2048usize;
-        let shapes: Vec<Vec<usize>> = vec![
-            vec![],                        // empty
-            (0..len).collect(),            // full
-            (0..len).step_by(2).collect(), // alternating
-            vec![0],                       // lone head
-            vec![len - 1],                 // lone tail
-            (100..1700).collect(),         // one long run
-            vec![0, 1, 2, 700, 701, 2000], // mixed
-        ];
-        for set in shapes {
+        for set in adversarial_shapes(len) {
             let b = bits(&set, len);
             let back = decode_rle(len as u64, &encode_rle(&b)).unwrap();
             assert_eq!(back, b);
+        }
+    }
+
+    #[test]
+    fn packed_sizes_equal_the_encoded_lengths() {
+        // lengths on and off a word boundary, down to a single word
+        for len in [2048usize, 2000, 1031, 64, 47] {
+            for set in adversarial_shapes(len.max(256)) {
+                let set: Vec<usize> = set.into_iter().filter(|i| *i < len).collect();
+                let b = bits(&set, len);
+                let mut packed = PackedBits::zeros(len);
+                set.iter().for_each(|&i| packed.set(i));
+                assert_eq!(packed.iter().collect::<Vec<_>>(), b);
+                assert_eq!(packed.ones().collect::<Vec<_>>(), set);
+                assert_eq!(packed.count_ones(), set.len() as u64);
+                let words = || packed.words().iter().copied();
+                assert_eq!(rle_len(words()), encode_rle(&b).len() as u64, "{len} bits, {set:?}");
+                for line_bytes in [64, 32, 8] {
+                    assert_eq!(
+                        packed_wire_lines(words(), len as u64, line_bytes),
+                        wire_lines(&b, line_bytes)
+                    );
+                }
+            }
         }
     }
 

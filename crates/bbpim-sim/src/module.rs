@@ -209,19 +209,22 @@ impl PimModule {
     ///
     /// # Errors
     ///
-    /// Propagates program validation failures and unknown page ids.
+    /// Propagates program validation failures and unknown page ids,
+    /// both before any crossbar, wear counter or the program digest is
+    /// touched.
     pub fn exec_program(
         &mut self,
         pages: &[PageId],
         program: &Microprogram,
     ) -> Result<Phase, SimError> {
         program.validate(self.cfg.crossbar_rows, self.cfg.crossbar_cols)?;
+        self.check_pages(pages)?;
         self.programs = (self.programs.0 + 1, program.digest(self.programs.1));
         let mut cells_total = 0u64;
         for id in pages {
-            self.try_page(*id)?;
-            let summary = self.pages[id.0].execute(program)?;
-            cells_total += summary.cells_written * self.pages[id.0].crossbar_count() as u64;
+            let page = &mut self.pages[id.0];
+            let summary = page.execute_validated(program);
+            cells_total += summary.cells_written * page.crossbar_count() as u64;
         }
         let time_ns =
             self.issue_time_ns(pages.len()) + program.cycles() as f64 * self.cfg.logic_cycle_ns;
@@ -251,7 +254,7 @@ impl PimModule {
     /// # Errors
     ///
     /// Propagates aggregation and count-slot validation failures and
-    /// unknown page ids.
+    /// unknown page ids, all before any crossbar is touched.
     pub fn aggregate(
         &mut self,
         pages: &[PageId],
@@ -264,6 +267,7 @@ impl PimModule {
         if let Some(slot) = count_dst {
             req.validate_count_slot(slot, cols)?;
         }
+        self.check_pages(pages)?;
         let levels = rows.trailing_zeros() as u64;
         let tree = reduce_cost(rows, cols, req.value.width, req.op);
         // PIMDB's second tree, folding the selection bits themselves
@@ -273,7 +277,6 @@ impl PimModule {
         let mut partials = AggPartials::default();
         let mut crossbars_total = 0u64;
         for id in pages {
-            self.try_page(*id)?;
             let page = &mut self.pages[id.0];
             let mut values = Vec::with_capacity(page.crossbar_count());
             let mut counts = Vec::new();
@@ -466,6 +469,11 @@ impl PimModule {
     // Internal accounting helpers
     // ------------------------------------------------------------------
 
+    /// Every id names an allocated page.
+    fn check_pages(&self, pages: &[PageId]) -> Result<(), SimError> {
+        pages.iter().try_for_each(|id| self.try_page(*id).map(drop))
+    }
+
     fn issue_time_ns(&self, pages: usize) -> f64 {
         pages as f64 * self.cfg.request_issue_ns
     }
@@ -627,19 +635,59 @@ mod tests {
             dst_row: 0,
             dst: ColRange::new(32, 32),
         };
-        // overlapping the value slot, past the last column, empty
+        // overlapping the value slot, past the last column, empty, wider
+        // than the 64-bit count register
         let cols = m.config().crossbar_cols;
-        for bad in [ColRange::new(40, 16), ColRange::new(cols - 8, 16), ColRange::new(80, 0)] {
+        for bad in [
+            ColRange::new(40, 16),
+            ColRange::new(cols - 8, 16),
+            ColRange::new(80, 0),
+            ColRange::new(100, 70),
+        ] {
             for circuit in [true, false] {
-                let before = m.page(pages[0]).crossbar(0).read_row_bits(0, 32, 32);
+                let before = m.page(pages[0]).crossbar(0).bits().clone();
                 let got = m.aggregate(&pages, &req, Some(bad), circuit);
                 assert!(
                     matches!(got, Err(SimError::InvalidAggregation(_))),
                     "{bad:?} circuit={circuit}: {got:?}"
                 );
                 // rejected before any crossbar was touched
-                assert_eq!(m.page(pages[0]).crossbar(0).read_row_bits(0, 32, 32), before);
+                assert_eq!(m.page(pages[0]).crossbar(0).bits(), &before);
+                assert_eq!(m.max_row_cell_writes(&pages), 0);
             }
+        }
+    }
+
+    #[test]
+    fn unknown_page_is_rejected_before_anything_runs() {
+        let mut m = module();
+        let good = m.alloc_pages(1).unwrap()[0];
+        for r in 0..m.page(good).record_capacity() {
+            m.page_mut(good).write_record_bits(r, 0, 16, r as u64).unwrap();
+            m.page_mut(good).write_record_bits(r, 20, 1, 1).unwrap();
+        }
+        m.reset_endurance(&[good]);
+        let snapshot = |m: &PimModule| {
+            let bits: Vec<_> = m.page(good).crossbars().map(|xb| xb.bits().clone()).collect();
+            (bits, m.max_row_cell_writes(&[good]), m.program_digest())
+        };
+        let before = snapshot(&m);
+        let mut prog = Microprogram::new();
+        prog.gate_not(0, 1);
+        let ids = [good, PageId(99)];
+        assert!(matches!(m.exec_program(&ids, &prog), Err(SimError::NoSuchPage(99))));
+        assert!(snapshot(&m) == before, "exec_program ran on the good page first");
+        let req = AggRequest {
+            op: ReduceOp::Sum,
+            value: ColRange::new(0, 16),
+            mask_col: 20,
+            dst_row: 0,
+            dst: ColRange::new(32, 32),
+        };
+        for circuit in [true, false] {
+            let got = m.aggregate(&ids, &req, Some(ColRange::new(80, 16)), circuit);
+            assert!(matches!(got, Err(SimError::NoSuchPage(99))), "circuit={circuit}: {got:?}");
+            assert!(snapshot(&m) == before, "aggregate (circuit={circuit}) touched the good page");
         }
     }
 

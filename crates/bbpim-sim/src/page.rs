@@ -27,6 +27,7 @@ pub struct RecordSlot {
 pub struct PimPage {
     crossbars: Vec<Crossbar>,
     rows: usize,
+    cols: usize,
 }
 
 impl PimPage {
@@ -35,7 +36,7 @@ impl PimPage {
         let n = cfg.crossbars_per_page();
         let crossbars =
             (0..n).map(|_| Crossbar::new(cfg.crossbar_rows, cfg.crossbar_cols)).collect();
-        PimPage { crossbars, rows: cfg.crossbar_rows }
+        PimPage { crossbars, rows: cfg.crossbar_rows, cols: cfg.crossbar_cols }
     }
 
     /// Crossbars in this page.
@@ -95,18 +96,27 @@ impl PimPage {
 
     /// Execute one microprogram on every crossbar (lock-step).
     ///
-    /// Returns the per-crossbar summary (identical for all of them) and
-    /// the page's crossbar count for energy scaling.
+    /// The crossbars of a page share one geometry, so the program is
+    /// validated once for all of them. Returns the per-crossbar summary
+    /// (identical for all of them); scale by
+    /// [`PimPage::crossbar_count`] for energy.
     ///
     /// # Errors
     ///
-    /// Propagates program validation failures.
+    /// Propagates program validation failures; no crossbar is touched.
     pub fn execute(&mut self, program: &Microprogram) -> Result<ExecSummary, SimError> {
+        program.validate(self.rows, self.cols)?;
+        Ok(self.execute_validated(program))
+    }
+
+    /// [`PimPage::execute`] for a program the caller has validated
+    /// against the module's crossbar geometry.
+    pub(crate) fn execute_validated(&mut self, program: &Microprogram) -> ExecSummary {
         let mut summary = ExecSummary::default();
         for xb in self.crossbars.iter_mut() {
-            summary = xb.execute(program)?;
+            summary = xb.execute_validated(program);
         }
-        Ok(summary)
+        summary
     }
 
     /// Write `width` bits of a record's row at bit offset `col_lo`
@@ -124,6 +134,47 @@ impl PimPage {
     ) -> Result<(), SimError> {
         let slot = self.record_slot(record)?;
         self.crossbars[slot.crossbar].write_row_bits(slot.row, col_lo, width, value);
+        Ok(())
+    }
+
+    /// Host write of one flag per record into the chunk
+    /// `[col_lo, col_lo + width)` of the page's first `records` slots.
+    /// The host writes whole chunks: each record's chunk takes its flag
+    /// at `col_lo` and zeros above it, and every written row wears
+    /// `width` cells — [`PimPage::write_record_bits`] per record, done
+    /// a column at a time. `set` yields the slots whose flag is 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero `width`: the chunk holds at least the flag.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::RowOutOfRange`] for `records` past the page capacity
+    /// or a set slot past `records`; on the latter the chunks are
+    /// already cleared.
+    pub fn write_record_flags(
+        &mut self,
+        col_lo: usize,
+        width: usize,
+        records: usize,
+        set: impl Iterator<Item = usize>,
+    ) -> Result<(), SimError> {
+        assert!(width > 0, "a flag chunk holds at least the flag");
+        if records > self.record_capacity() {
+            return Err(SimError::RowOutOfRange { row: records, rows: self.record_capacity() });
+        }
+        let n = self.crossbars.len();
+        for (i, xb) in self.crossbars.iter_mut().enumerate() {
+            // crossbar i holds slots i, i + n, …: its first ⌈(records − i)/n⌉ rows
+            xb.clear_rows(records.saturating_sub(i).div_ceil(n), col_lo, width);
+        }
+        for slot in set {
+            if slot >= records {
+                return Err(SimError::RowOutOfRange { row: slot, rows: records });
+            }
+            self.crossbars[slot % n].bits_mut_unaccounted().set(slot / n, col_lo, true);
+        }
         Ok(())
     }
 

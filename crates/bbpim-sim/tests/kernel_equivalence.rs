@@ -1,0 +1,324 @@
+//! The simulator's fast kernels against their plain statements.
+//!
+//! Column-parallel work is accounted and executed a word (or a counter)
+//! at a time; each test here keeps the row-at-a-time or bit-at-a-time
+//! model it replaced as a reference and drives both with seeded random
+//! inputs:
+//!
+//! * wear — one counter per row, bumped row by row, against
+//!   `max_row_cell_writes` at crossbar, page and module level;
+//! * aggregation — `masked_reduce` over every row plus a per-row count,
+//!   against `PimModule::aggregate` on both backends;
+//! * row access — cell-by-cell `get` / `set` against
+//!   `read_row_bits` / `write_row_bits`.
+
+use bbpim_sim::aggcircuit::AggRequest;
+use bbpim_sim::bitmat::BitMatrix;
+use bbpim_sim::compiler::reduce::{masked_reduce, ReduceOp};
+use bbpim_sim::compiler::ColRange;
+use bbpim_sim::crossbar::Crossbar;
+use bbpim_sim::isa::{MicroOp, Microprogram};
+use bbpim_sim::module::{PageId, PimModule};
+use bbpim_sim::SimConfig;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// A random program of column ops and row ops inside a `rows × cols`
+/// frame.
+fn random_program(rng: &mut StdRng, rows: usize, cols: usize) -> Microprogram {
+    let mut p = Microprogram::new();
+    for _ in 0..rng.gen_range(0usize..12) {
+        // distinct operands: a MAGIC output differs from its inputs
+        let (c, r) = (rng.gen_range(0..cols - 2), rng.gen_range(0..rows - 2));
+        p.push(match rng.gen_range(0u32..5) {
+            0 => MicroOp::InitCol { dst: c },
+            1 => MicroOp::NorCols { a: c + 1, b: c + 2, dst: c },
+            2 => MicroOp::NorManyCols { inputs: vec![c + 1, c + 2], dst: c },
+            3 => MicroOp::InitRow { dst: r },
+            _ => MicroOp::NorRows { a: r + 1, b: r + 2, dst: r },
+        });
+    }
+    p
+}
+
+/// The per-row wear model the crossbar used to keep: one counter per
+/// row, every write bumping the rows it covers one by one.
+#[derive(Clone)]
+struct PerRowWear {
+    rows: Vec<u64>,
+    cols: u64,
+}
+
+impl PerRowWear {
+    fn run(&mut self, program: &Microprogram) {
+        for op in program.ops() {
+            match op {
+                MicroOp::InitRow { dst } | MicroOp::NorRows { dst, .. } => {
+                    self.rows[*dst] += self.cols;
+                }
+                _ => self.all(1),
+            }
+        }
+    }
+
+    fn all(&mut self, cells: u64) {
+        for w in self.rows.iter_mut() {
+            *w += cells;
+        }
+    }
+
+    fn max(&self) -> u64 {
+        self.rows.iter().copied().max().unwrap_or(0)
+    }
+}
+
+#[test]
+fn wear_matches_the_per_row_reference_at_every_level() {
+    let cfg = SimConfig::small_for_tests();
+    let (rows, cols, xbs) = (cfg.crossbar_rows, cfg.crossbar_cols, cfg.crossbars_per_page());
+    let mut module = PimModule::new(cfg);
+    let pages = module.alloc_pages(3).unwrap();
+    let fresh = PerRowWear { rows: vec![0; rows], cols: cols as u64 };
+    // reference[page][crossbar]
+    let mut reference = vec![vec![fresh; xbs]; pages.len()];
+    let mut rng = StdRng::seed_from_u64(0x5EED_0018);
+    for step in 0..1500 {
+        let (p, x) = (rng.gen_range(0..pages.len()), rng.gen_range(0..xbs));
+        let (row, cells) = (rng.gen_range(0..rows), rng.gen_range(0u64..40));
+        match rng.gen_range(0u32..10) {
+            0 => {
+                // the module's entry point: a random subset of the pages
+                let subset: Vec<PageId> =
+                    pages.iter().copied().filter(|_| rng.gen::<bool>()).collect();
+                let program = random_program(&mut rng, rows, cols);
+                module.exec_program(&subset, &program).unwrap();
+                for id in subset {
+                    reference[id.0].iter_mut().for_each(|xb| xb.run(&program));
+                }
+            }
+            1 => {
+                let program = random_program(&mut rng, rows, cols);
+                module.page_mut(pages[p]).execute(&program).unwrap();
+                reference[p].iter_mut().for_each(|xb| xb.run(&program));
+            }
+            2 => {
+                let program = random_program(&mut rng, rows, cols);
+                module.page_mut(pages[p]).crossbar_mut(x).execute(&program).unwrap();
+                reference[p][x].run(&program);
+            }
+            3 => {
+                let width = rng.gen_range(0usize..=64);
+                let col_lo = rng.gen_range(0..=cols - width);
+                let xb = module.page_mut(pages[p]).crossbar_mut(x);
+                xb.write_row_bits(row, col_lo, width, rng.gen());
+                reference[p][x].rows[row] += width as u64;
+            }
+            4 => {
+                module.page_mut(pages[p]).crossbar_mut(x).note_row_writes(row, cells);
+                reference[p][x].rows[row] += cells;
+            }
+            5 => {
+                module.page_mut(pages[p]).crossbar_mut(x).note_all_rows_writes(cells);
+                reference[p][x].all(cells);
+            }
+            6 => {
+                // one flag per record, a column at a time: the wear of a
+                // chunk write on every written record's row
+                let records = match rng.gen_range(0u32..3) {
+                    0 => rows * xbs,
+                    _ => rng.gen_range(0..=rows * xbs),
+                };
+                let set = (0..records).filter(|r| r % 3 == step % 3);
+                module.page_mut(pages[p]).write_record_flags(32, 16, records, set).unwrap();
+                for record in 0..records {
+                    reference[p][record % xbs].rows[record / xbs] += 16;
+                }
+            }
+            7 => {
+                module.page_mut(pages[p]).crossbar_mut(x).reset_endurance();
+                reference[p][x].rows.fill(0);
+            }
+            8 => {
+                module.page_mut(pages[p]).reset_endurance();
+                reference[p].iter_mut().for_each(|xb| xb.rows.fill(0));
+            }
+            _ => {
+                if rng.gen_range(0u32..4) == 0 {
+                    module.reset_endurance(&pages[p..]);
+                    reference[p..].iter_mut().flatten().for_each(|xb| xb.rows.fill(0));
+                }
+            }
+        }
+        for (id, page_ref) in pages.iter().zip(&reference) {
+            let page = module.page(*id);
+            for (xb, xb_ref) in page.crossbars().zip(page_ref) {
+                assert_eq!(xb.max_row_cell_writes(), xb_ref.max(), "step {step}, crossbar");
+            }
+            let page_max = page_ref.iter().map(PerRowWear::max).max().unwrap();
+            assert_eq!(page.max_row_cell_writes(), page_max, "step {step}, page");
+            assert_eq!(module.max_row_cell_writes(&[*id]), page_max, "step {step}, module");
+        }
+        let module_max = reference.iter().flatten().map(PerRowWear::max).max().unwrap();
+        assert_eq!(module.max_row_cell_writes(&pages), module_max, "step {step}, module");
+    }
+}
+
+#[test]
+fn program_wear_formula_matches_execution() {
+    let (rows, cols) = (64, 48);
+    for case in 0..200 {
+        let mut rng = StdRng::seed_from_u64(0xF0_0000 + case);
+        let mut program = random_program(&mut rng, rows, cols);
+        program.extend(&random_program(&mut rng, rows, cols));
+        let mut xb = Crossbar::new(rows, cols);
+        let summary = xb.execute(&program).unwrap();
+        assert_eq!(program.max_row_cell_writes(rows, cols), xb.max_row_cell_writes(), "{case}");
+        assert_eq!(summary.cells_written, program.cells_written(rows, cols), "case {case}");
+    }
+}
+
+/// `write_record_flags` leaves the bits `write_record_bits` per record
+/// does, and touches nothing else.
+#[test]
+fn record_flags_match_per_record_chunk_writes() {
+    let cfg = SimConfig::small_for_tests();
+    let capacity = cfg.records_per_page();
+    let mut rng = StdRng::seed_from_u64(0xF1A6);
+    for records in [0, 1, 3, 4, 5, capacity / 2 + 1, capacity - 1, capacity] {
+        let mut module = PimModule::new(cfg.clone());
+        let pages = module.alloc_pages(2).unwrap();
+        // old contents everywhere, so cleared and untouched cells show
+        for r in 0..capacity {
+            for &p in &pages {
+                module.page_mut(p).write_record_bits(r, 24, 32, 0xDEAD_BEEF).unwrap();
+            }
+        }
+        let flags: Vec<bool> = (0..records).map(|_| rng.gen()).collect();
+        let set = flags.iter().enumerate().filter(|(_, f)| **f).map(|(r, _)| r);
+        module.page_mut(pages[0]).write_record_flags(32, 16, records, set).unwrap();
+        for (r, flag) in flags.iter().enumerate() {
+            module.page_mut(pages[1]).write_record_bits(r, 32, 16, u64::from(*flag)).unwrap();
+        }
+        let [fast, plain] = [pages[0], pages[1]].map(|p| module.page(p));
+        for (a, b) in fast.crossbars().zip(plain.crossbars()) {
+            assert_eq!(a.bits(), b.bits(), "{records} records");
+        }
+    }
+    // a flag past the written records is the caller's bug
+    let mut module = PimModule::new(cfg);
+    let page = module.alloc_pages(1).unwrap()[0];
+    assert!(module.page_mut(page).write_record_flags(32, 16, 4, [4].into_iter()).is_err());
+    assert!(module
+        .page_mut(page)
+        .write_record_flags(32, 16, capacity + 1, [].into_iter())
+        .is_err());
+}
+
+/// Every row's value and selection bit, read cell by cell.
+fn dense_inputs(xb: &Crossbar, value: ColRange, mask_col: usize) -> (Vec<u64>, Vec<bool>) {
+    (0..xb.rows())
+        .map(|r| {
+            let v = (0..value.width)
+                .fold(0u64, |v, i| v | u64::from(xb.bits().get(r, value.lo + i)) << i);
+            (v, xb.bits().get(r, mask_col))
+        })
+        .unzip()
+}
+
+fn wrap(value: u64, width: usize) -> u64 {
+    if width == 64 {
+        value
+    } else {
+        value & ((1 << width) - 1)
+    }
+}
+
+#[test]
+fn aggregation_matches_the_dense_fold_on_both_backends() {
+    let cfg = SimConfig::small_for_tests();
+    let (rows, xbs) = (cfg.crossbar_rows, cfg.crossbars_per_page());
+    let (mask_col, dst_row) = (70, 5);
+    for case in 0..120u64 {
+        let mut rng = StdRng::seed_from_u64(0xA66_0000 + case);
+        // every width from 1 to 64 comes up, with the result slot both
+        // wider and narrower than the value
+        let value = ColRange::new(0, 1 + (case as usize * 7) % 64);
+        let dst = ColRange::new(80, rng.gen_range(1usize..=64));
+        let count_slot = ColRange::new(150, rng.gen_range(1usize..=64));
+        let op = [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max][case as usize % 3];
+        let req = AggRequest { op, value, mask_col, dst_row, dst };
+        for circuit in [true, false] {
+            let mut module = PimModule::new(cfg.clone());
+            let pages = module.alloc_pages(1).unwrap();
+            let page = module.page_mut(pages[0]);
+            for (x, xb) in page.crossbars_mut().enumerate() {
+                for r in 0..rows {
+                    xb.write_row_bits(r, value.lo, value.width, rng.gen());
+                    // crossbar 0 selects nothing, crossbar 1 everything
+                    let selected = match x {
+                        0 => false,
+                        1 => true,
+                        _ => rng.gen_range(0u32..4) == 0,
+                    };
+                    xb.bits_mut_unaccounted().set(r, mask_col, selected);
+                }
+            }
+            let expected: Vec<(u64, u64)> = module
+                .page(pages[0])
+                .crossbars()
+                .map(|xb| {
+                    let (values, mask) = dense_inputs(xb, value, mask_col);
+                    let folded = masked_reduce(&values, &mask, dst.width.max(value.width), op);
+                    let count = mask.iter().filter(|m| **m).count() as u64;
+                    (wrap(folded, dst.width), wrap(count, count_slot.width))
+                })
+                .collect();
+            let (partials, _) = module.aggregate(&pages, &req, Some(count_slot), circuit).unwrap();
+            let what = format!("case {case} circuit={circuit} {op:?} {value:?} -> {dst:?}");
+            assert_eq!(partials.values[0].len(), xbs);
+            for (x, xb) in module.page(pages[0]).crossbars().enumerate() {
+                let (value, count) = expected[x];
+                assert_eq!(
+                    (partials.values[0][x], partials.counts[0][x]),
+                    (value, count),
+                    "{what}"
+                );
+                // and the same bits sit in the result row
+                let (slot, _) = dense_inputs(xb, dst, mask_col);
+                let (count_bits, _) = dense_inputs(xb, count_slot, mask_col);
+                assert_eq!((slot[dst_row], count_bits[dst_row]), (value, count), "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn row_bits_round_trip_across_word_boundaries() {
+    let (rows, cols) = (192, 80);
+    let mut rng = StdRng::seed_from_u64(0xB175);
+    let mut fast = BitMatrix::new(rows, cols);
+    let mut plain = BitMatrix::new(rows, cols);
+    for c in 0..cols {
+        for r in 0..rows {
+            let bit = rng.gen();
+            fast.set(r, c, bit);
+            plain.set(r, c, bit);
+        }
+    }
+    for row in [0, 1, 62, 63, 64, 65, 127, 128, 191] {
+        for width in [0, 1, 2, 17, 63, 64] {
+            for col_lo in [0, 1, 7, cols - width] {
+                let value: u64 = rng.gen();
+                fast.write_row_bits(row, col_lo, width, value);
+                for i in 0..width {
+                    plain.set(row, col_lo + i, (value >> i) & 1 == 1);
+                }
+                assert_eq!(fast, plain, "write row {row} col {col_lo} width {width}");
+                let cell_by_cell =
+                    (0..width).fold(0u64, |v, i| v | u64::from(plain.get(row, col_lo + i)) << i);
+                assert_eq!(cell_by_cell, wrap(value, width.max(1)) * u64::from(width > 0));
+                assert_eq!(fast.read_row_bits(row, col_lo, width), cell_by_cell);
+            }
+        }
+    }
+}
