@@ -63,17 +63,17 @@ use bbpim_core::error::CoreError;
 use bbpim_core::groupby::GroupByOutcome;
 use bbpim_core::layout::{RecordLayout, MASK_COL};
 use bbpim_core::modes::EngineMode;
+use bbpim_core::record::{fold_record, scattered_lines};
 use bbpim_core::result::QueryExecution;
 use bbpim_core::semijoin::{SemijoinDisjunct, SemijoinTerm};
 use bbpim_core::{PimTable, Scan};
-use bbpim_db::plan::{Atom, PhysicalPlan, Pred, Query, ResolvedAtom};
+use bbpim_db::plan::{Atom, PhysAgg, PhysicalPlan, Pred, Query, ResolvedAtom};
 use bbpim_db::schema::Schema;
 use bbpim_db::ssb::star::{self, StarSchema, TableFootprint, DIMENSIONS};
 use bbpim_db::ssb::SsbDb;
 use bbpim_db::stats::GroupedResult;
-use bbpim_db::Relation;
+use bbpim_db::{DbError, Relation};
 use bbpim_sim::compiler::ColRange;
-use bbpim_sim::hostmem::LineSet;
 use bbpim_sim::timeline::{Phase, RunLog};
 use bbpim_sim::{SimConfig, XferPolicy};
 
@@ -450,132 +450,99 @@ impl StarCluster {
     }
 }
 
-/// Where one GROUP BY key comes from.
-enum GroupSource {
-    Fact(String),
-    Dim { d: usize, attr: String },
+/// Where one GROUP BY key comes from: its position among the fact
+/// values, or a dimension and its position among that dimension's.
+enum KeySource {
+    Fact(usize),
+    Dim(usize, usize),
+}
+
+/// The one positional FK probe: the row of dimension `d` a foreign key
+/// references. Dimension keys are dense from `key_base`, so a key below
+/// it or past the dimension's last row dangles.
+fn probe_row(d: usize, fk: u64, dim: &PimTable) -> Result<usize, CoreError> {
+    fk.checked_sub(DIMENSIONS[d].key_base)
+        .and_then(|row| usize::try_from(row).ok())
+        .filter(|&row| row < dim.loaded().records())
+        .ok_or_else(|| DbError::DanglingKey { relation: DIMENSIONS[d].name.into(), key: fk }.into())
 }
 
 /// Star host-gather: the host reads the mask, the selected fact
 /// records' key/FK/operand chunks, and — for dimension group keys —
 /// the referenced dimension rows' chunks (positional FK probe), then
-/// hash-aggregates every SELECT item in one pass. Mirrors
-/// [`Scan::host_gb`]'s exact unique-line accounting on both the fact
-/// and the dimension modules.
+/// hash-aggregates every SELECT item in one pass. [`Scan::host_gb`]
+/// with a second projection per probed dimension: same reader, same
+/// line rule (on each module's own rows), same fold.
 fn star_gather(
     scan: &mut Scan<'_>,
     dims: &[PimTable],
     query: &Query,
     qplan: &PhysicalPlan,
 ) -> Result<GroupByOutcome, CoreError> {
-    let sources: Vec<GroupSource> = query
-        .group_by
-        .iter()
-        .map(|g| match StarSchema::dim_of_attr(g) {
-            None => GroupSource::Fact(g.clone()),
-            Some(d) => GroupSource::Dim { d, attr: g.clone() },
-        })
-        .collect();
-
     // 1. filter-result bit-vector off the fact shard (wire-compressed
     //    under the byte diet: the mask packs module-side and only the
     //    wire bytes occupy the shared channel)
     let mask = scan.move_mask(0, MASK_COL, None)?;
     let fact = scan.table();
 
-    // 2. chunks per table: fact group keys + the FK of every dimension
-    //    key + aggregate operands on the fact side; the referenced
-    //    attributes on each dimension side
+    // 2. what is read per table: fact group keys, the FK of every
+    //    probed dimension and the aggregate operands on the fact side;
+    //    the referenced attributes on each dimension side
     let mut fact_attrs: Vec<&str> = Vec::new();
     let mut dim_attrs: [Vec<&str>; 4] = Default::default();
-    for s in &sources {
-        match s {
-            GroupSource::Fact(n) => fact_attrs.push(n),
-            GroupSource::Dim { d, attr } => {
-                fact_attrs.push(DIMENSIONS[*d].fk);
-                dim_attrs[*d].push(attr);
-            }
-        }
+    let mut sources = Vec::with_capacity(query.group_by.len());
+    for g in &query.group_by {
+        let dim = StarSchema::dim_of_attr(g);
+        let attrs = dim.map_or(&mut fact_attrs, |d| &mut dim_attrs[d]);
+        sources.push(dim.map_or(KeySource::Fact(attrs.len()), |d| KeySource::Dim(d, attrs.len())));
+        attrs.push(g);
     }
-    for agg in &qplan.aggs {
-        fact_attrs.extend(agg.attrs());
+    // (dimension, its projection, where its FK sits among the fact values)
+    let mut probes = Vec::new();
+    for (d, attrs) in dim_attrs.iter().enumerate().filter(|(_, attrs)| !attrs.is_empty()) {
+        probes.push((d, dims[d].layout().project(attrs.iter().copied())?, fact_attrs.len()));
+        fact_attrs.push(DIMENSIONS[d].fk);
     }
-    fact_attrs.sort_unstable();
-    fact_attrs.dedup();
-    let chunk_map = fact.layout().chunks_for(fact_attrs.iter().copied())?;
-    let mut dim_chunks = Vec::with_capacity(4);
-    for (d, da) in dim_attrs.iter_mut().enumerate() {
-        da.sort_unstable();
-        da.dedup();
-        dim_chunks.push(if da.is_empty() {
-            None
-        } else {
-            Some(dims[d].layout().chunks_for(da.iter().copied())?)
-        });
-    }
+    let operands_at = fact_attrs.len();
+    let fact_attrs = fact_attrs.into_iter().chain(qplan.aggs.iter().flat_map(PhysAgg::attrs));
+    let fact_projection = fact.layout().project(fact_attrs)?;
 
-    // 3. exact unique-line accounting: fact and dimension lines live
-    //    on different modules, so each module gets its own set (page
-    //    ids collide across modules)
-    let cfg = fact.config();
-    let mut fact_lines = LineSet::new();
-    let mut dim_lines = [LineSet::new(), LineSet::new(), LineSet::new(), LineSet::new()];
-    for record in mask.ones() {
-        let touch = |lines: &mut LineSet, table: &PimTable, row: usize, chunks| {
-            let (loaded, cfg) = (table.loaded(), table.config());
-            let (pg, slot) = loaded.locate(row);
-            for (&partition, chunks) in chunks {
-                let page_id = loaded.pages(partition)[pg];
-                let s = table.module().page(page_id).record_slot(slot)?;
-                for &chunk in chunks {
-                    let (lo, width) = (chunk * cfg.read_width_bits, cfg.read_width_bits);
-                    lines.touch_bit_range(cfg, page_id.0, s.row, lo, width);
-                }
-            }
-            Ok::<(), CoreError>(())
-        };
-        touch(&mut fact_lines, fact, record, &chunk_map)?;
-        for (d, chunks_of_dim) in dim_chunks.iter().enumerate() {
-            let Some(dmap) = chunks_of_dim else { continue };
-            let fk = fact.read_attr(record, DIMENSIONS[d].fk)?;
-            touch(&mut dim_lines[d], &dims[d], (fk - DIMENSIONS[d].key_base) as usize, dmap)?;
-        }
-    }
-    let total_lines = fact_lines.len() + dim_lines.iter().map(LineSet::len).sum::<u64>();
-    let fetch = fact.module().host_read_scattered_phase(total_lines);
-
-    // 4. hash aggregation: dimension keys resolved through the dense
+    // 3. hash aggregation: dimension keys resolved through the dense
     //    positional probe, every SELECT item folded in one pass
-    let mut out: Vec<GroupedResult> = vec![GroupedResult::new(); qplan.aggs.len()];
-    let mut folded = 0u64;
+    let mut per_agg = vec![GroupedResult::new(); qplan.aggs.len()];
+    let mut probed: [Vec<usize>; 4] = Default::default();
+    let mut dim_values: [Vec<u64>; 4] = Default::default();
+    let (mut values, mut key) = (Vec::new(), Vec::with_capacity(sources.len()));
     for record in mask.ones() {
-        folded += 1;
-        let mut key = Vec::with_capacity(sources.len());
-        for s in &sources {
-            key.push(match s {
-                GroupSource::Fact(n) => fact.read_attr(record, n)?,
-                GroupSource::Dim { d, attr } => {
-                    let fk = fact.read_attr(record, DIMENSIONS[*d].fk)?;
-                    dims[*d].read_attr((fk - DIMENSIONS[*d].key_base) as usize, attr)?
-                }
-            });
+        fact.read(&fact_projection, record, &mut values)?;
+        for (d, projection, fk_at) in &probes {
+            let row = probe_row(*d, values[*fk_at], &dims[*d])?;
+            dims[*d].read(projection, row, &mut dim_values[*d])?;
+            probed[*d].push(row);
         }
-        for (agg, grouped) in qplan.aggs.iter().zip(out.iter_mut()) {
-            let v = match &agg.expr {
-                None => 1,
-                Some(expr) => fact.eval_expr(record, expr)?,
-            };
-            grouped
-                .entry(key.clone())
-                .and_modify(|acc| *acc = agg.func.merge(*acc, v))
-                .or_insert(v);
-        }
+        key.clear();
+        key.extend(sources.iter().map(|source| match *source {
+            KeySource::Fact(at) => values[at],
+            KeySource::Dim(d, at) => dim_values[d][at],
+        }));
+        fold_record(&qplan.aggs, &mut per_agg, &key, &values[operands_at..]);
     }
+
+    // 4. the unique lines of the selection on the fact shard and of the
+    //    probed rows on each dimension module (hot dimension rows
+    //    amortise across fact records)
+    let cfg = fact.config();
+    let mut lines = scattered_lines(cfg, mask.ones(), fact_projection.chunks_per_row());
+    for (d, projection, _) in &probes {
+        let rows = probed[*d].iter().copied();
+        lines += scattered_lines(dims[*d].config(), rows, projection.chunks_per_row());
+    }
+    let fetch = fact.module().host_read_scattered_phase(lines);
     let per_record = cfg.host.host_agg_ns_per_record / cfg.host.threads as f64;
     scan.push(fetch);
-    scan.push(Phase::host_compute(folded as f64 * per_record));
-    let kmax = out.first().map_or(0, GroupedResult::len);
-    Ok(GroupByOutcome { per_agg: out, k: 0, kmax, sampled: 0 })
+    scan.push(Phase::host_compute(mask.count_ones() as f64 * per_record));
+    let kmax = per_agg.first().map_or(0, GroupedResult::len);
+    Ok(GroupByOutcome { per_agg, k: 0, kmax, sampled: 0 })
 }
 
 #[cfg(test)]
@@ -625,6 +592,90 @@ mod tests {
         let q = queries::standard_query("Q2.1").unwrap();
         let out = c.run(&q).unwrap();
         assert_eq!(out.groups, oracle(&db, &q));
+    }
+
+    #[test]
+    fn dangling_foreign_key_is_a_typed_error() {
+        // INSERT validates arity and bit width only, so a fact row can
+        // reference a customer that does not exist: key 0 sits below
+        // the dimension's key base, the widest key past its last row
+        let db = db();
+        let fk = db.lineorder.schema().index_of("lo_custkey").unwrap();
+        let widest = (1u64 << db.lineorder.schema().attrs()[fk].bits) - 1;
+        assert!(widest > db.customer.len() as u64);
+        for key in [0, widest] {
+            let mut c = cluster(&db, 2);
+            let mut row = db.lineorder.row(0);
+            row[fk] = key;
+            c.mutate(&Mutation::Insert { rows: vec![row] }).unwrap();
+            let q = Query::select([bbpim_db::plan::SelectItem::sum(
+                "revenue",
+                bbpim_db::plan::AggExpr::attr("lo_revenue"),
+            )])
+            .filter(bbpim_db::builder::col("lo_quantity").lt(60u64))
+            .group_by(["c_nation"])
+            .build_unchecked();
+            let dangling = DbError::DanglingKey { relation: "customer".into(), key };
+            assert_eq!(c.run(&q).unwrap_err(), ClusterError::Core(CoreError::Db(dangling)));
+            // the fact-only grouping of the same selection still answers
+            let q = Query { group_by: vec!["lo_discount".into()], ..q };
+            assert!(!c.run(&q).unwrap().groups.is_empty());
+        }
+    }
+
+    #[test]
+    fn gather_charges_the_unique_lines_of_fact_and_dimension_reads() {
+        // the reference: touch every attribute the gather reads — on the
+        // fact shard and, through the FK, on each dimension module — in
+        // a deduplicating line set per module, record by record
+        use bbpim_sim::hostmem::LineSet;
+        fn touch(lines: &mut LineSet, t: &PimTable, record: usize, attr: &str) {
+            let p = t.layout().placement(attr).unwrap();
+            let (pg, slot) = t.loaded().locate(record);
+            let page_id = t.loaded().pages(p.partition)[pg];
+            let row = t.module().page(page_id).record_slot(slot).unwrap().row;
+            lines.touch_bit_range(t.config(), page_id.0, row, p.range.lo, p.range.width);
+        }
+        let db = db();
+        for id in ["Q2.1", "Q3.1"] {
+            let mut c = cluster(&db, 2);
+            let q = queries::standard_query(id).unwrap();
+            let out = c.run(&q).unwrap();
+            assert_eq!(out.report.per_shard.len(), 2, "{id}: round-robin prunes no shard");
+            let operands: Vec<&str> =
+                q.select.iter().flat_map(|item| item.expr.iter().flat_map(|e| e.attrs())).collect();
+            for (shard, report) in out.report.per_shard.iter().enumerate() {
+                let fact = c.shard_table(shard).unwrap();
+                // fact lines first, then one set per dimension module
+                let mut lines: [LineSet; 5] = Default::default();
+                for record in 0..fact.loaded().records() {
+                    // the query's mask is still in the shard's mask column
+                    let (pg, slot) = fact.loaded().locate(record);
+                    let page = fact.module().page(fact.loaded().pages(0)[pg]);
+                    if page.read_record_bits(slot, MASK_COL, 1).unwrap() == 0 {
+                        continue;
+                    }
+                    for attr in &operands {
+                        touch(&mut lines[0], fact, record, attr);
+                    }
+                    for g in &q.group_by {
+                        let Some(d) = StarSchema::dim_of_attr(g) else {
+                            touch(&mut lines[0], fact, record, g);
+                            continue;
+                        };
+                        touch(&mut lines[0], fact, record, DIMENSIONS[d].fk);
+                        let fk = fact.read_attr(record, DIMENSIONS[d].fk).unwrap();
+                        let row = (fk - DIMENSIONS[d].key_base) as usize;
+                        touch(&mut lines[1 + d], &c.aux[d], row, g);
+                    }
+                }
+                let dims_read = lines[1..].iter().filter(|l| !l.is_empty()).count();
+                assert_eq!(dims_read, q.group_by.len(), "{id}: every key is a dimension's");
+                let total = lines.iter().map(LineSet::len).sum();
+                let fetch = fact.module().host_read_scattered_phase(total);
+                assert!(report.phases.phases().contains(&fetch), "{id} shard {shard}: {total}");
+            }
+        }
     }
 
     #[test]

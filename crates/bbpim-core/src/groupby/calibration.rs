@@ -25,6 +25,7 @@ use crate::groupby::pim_gb::PreparedAgg;
 use crate::layout::RecordLayout;
 use crate::modes::EngineMode;
 use crate::planner::PageSet;
+use crate::record::scattered_lines;
 use crate::table::PimTable;
 use bbpim_sim::config::SimConfig;
 use bbpim_sim::hostmem;
@@ -110,18 +111,10 @@ pub struct CalibrationData {
 /// streaming mask read + scattered unique-line record read +
 /// host-aggregation model the real host-gb path charges.
 pub fn host_gb_time_ns(cfg: &SimConfig, m: usize, s: usize, mask: &[bool]) -> f64 {
-    let rows = cfg.crossbar_rows;
-    let per_row = cfg.crossbars_per_page();
-    let mask_lines = (m * rows) as u64;
-    // Unique data lines: a row-group of `per_row` records shares each of
-    // its `s` chunk lines.
-    let mut data_lines = 0u64;
-    for group in mask.chunks(per_row) {
-        if group.iter().any(|b| *b) {
-            data_lines += s as u64;
-        }
-    }
-    let selected = mask.iter().filter(|b| **b).count() as f64;
+    let mask_lines = (m * cfg.crossbar_rows) as u64;
+    let selected = mask.iter().enumerate().filter(|(_, b)| **b).map(|(record, _)| record);
+    let data_lines = scattered_lines(cfg, selected.clone(), s);
+    let selected = selected.count() as f64;
     hostmem::read_time_ns(cfg, mask_lines)
         + hostmem::scattered_read_time_ns(cfg, data_lines)
         + selected * cfg.host.host_agg_ns_per_record / cfg.host.threads as f64
@@ -229,7 +222,7 @@ fn measure_pim_point(
     // Query mask: everything — one empty conjunction is the TRUE filter.
     scan.filter(&[Vec::new()])?;
     let input = scan.materialize(&[&AggExpr::Attr("lo_value".into())])?[0];
-    let gp = vec![("d_key".to_string(), scan.table().layout().placement("d_key")?)];
+    let gp = scan.table().layout().project(["d_key"])?;
     // Dispatch and filter cost are not part of T_pim-gb.
     scan.take_log();
     let aggs = [PreparedAgg::Reduce { func: PhysFunc::Sum, input }];
@@ -269,6 +262,26 @@ mod tests {
         assert!(more_m > base);
         assert!(more_s > base);
         assert!(more_r > base);
+    }
+
+    #[test]
+    fn host_time_counts_the_lines_its_old_statement_did() {
+        // the statement the line rule replaced: a row-group of `per_row`
+        // records shares each of its `s` chunk lines
+        for c in [cfg(), SimConfig::default()] {
+            let mut rng = StdRng::seed_from_u64(0x01D);
+            for (m, s, r) in [(1, 2, 0.0), (2, 4, 0.003), (3, 6, 0.3), (1, 8, 1.0)] {
+                let mask: Vec<bool> =
+                    (0..m * c.records_per_page()).map(|_| rng.gen::<f64>() < r).collect();
+                let groups = mask.chunks(c.crossbars_per_page()).filter(|g| g.contains(&true));
+                let data_lines = groups.count() as u64 * s as u64;
+                let selected = mask.iter().filter(|b| **b).count() as f64;
+                let expected = hostmem::read_time_ns(&c, (m * c.crossbar_rows) as u64)
+                    + hostmem::scattered_read_time_ns(&c, data_lines)
+                    + selected * c.host.host_agg_ns_per_record / c.host.threads as f64;
+                assert_eq!(host_gb_time_ns(&c, m, s, &mask), expected, "m={m} s={s} r={r}");
+            }
+        }
     }
 
     #[test]

@@ -11,95 +11,67 @@
 //! subgroup are read (the key must be seen to be skipped) but not
 //! folded.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
 use bbpim_db::plan::PhysAgg;
 use bbpim_db::stats::GroupedResult;
 use bbpim_sim::timeline::Phase;
 
 use crate::error::CoreError;
-use crate::layout::{AttrPlacement, MASK_COL};
+use crate::layout::MASK_COL;
+use crate::record::{fold_record, scattered_lines};
 use crate::scan::Scan;
 
-/// One host-gb run.
-#[derive(Debug)]
-pub struct HostGbRequest<'a> {
-    /// GROUP BY attributes with placements (key order = plan order).
-    pub group_placements: &'a [(String, AttrPlacement)],
-    /// The physical aggregates to evaluate host-side (plan order).
-    /// `Count` components contribute 1 per selected record.
-    pub aggs: &'a [PhysAgg],
-    /// Keys already aggregated in PIM — read but not folded.
-    pub skip: &'a HashSet<Vec<u64>>,
-}
-
 impl Scan<'_> {
-    /// Execute host-gb. Charges mask-read, record-read and host-compute
-    /// phases and returns the aggregated tail groups — one
+    /// Execute host-gb: group the selected records by `group_by` (key
+    /// order = plan order) and evaluate the physical aggregates `aggs`
+    /// host-side, leaving out the keys in `skip` — already aggregated
+    /// in PIM, read but not folded. Charges mask-read, record-read and
+    /// host-compute phases and returns the aggregated tail groups — one
     /// [`GroupedResult`] per requested physical aggregate, in request
     /// order.
     ///
     /// # Errors
     ///
     /// Propagates placement/slot failures.
-    pub fn host_gb(&mut self, req: &HostGbRequest<'_>) -> Result<Vec<GroupedResult>, CoreError> {
+    pub fn host_gb(
+        &mut self,
+        group_by: &[String],
+        aggs: &[PhysAgg],
+        skip: &HashSet<Vec<u64>>,
+    ) -> Result<Vec<GroupedResult>, CoreError> {
         // 1. Filter-result bit-vector of the planned pages only (pruned
         //    pages hold no selected records and are not read).
         let mask = self.move_mask(0, MASK_COL, None)?;
         let table = &*self.table;
 
-        // 2. Which chunks must be read per record: group keys + the union
-        //    of every aggregate's operands (shared operands read once).
-        let mut read_attrs: Vec<&str> =
-            req.group_placements.iter().map(|(n, _)| n.as_str()).collect();
-        for agg in req.aggs {
-            read_attrs.extend(agg.attrs());
-        }
-        read_attrs.sort_unstable();
-        read_attrs.dedup();
-        let chunk_map = table.layout.chunks_for(read_attrs.iter().copied())?;
+        // 2. What is read per record: group keys + every aggregate's
+        //    operands (the chunks they share are charged once).
+        let operands = aggs.iter().flat_map(PhysAgg::attrs);
+        let attrs = group_by.iter().map(String::as_str).chain(operands);
+        let projection = table.layout.project(attrs)?;
 
-        // 3. Exact unique-line accounting over the selected records: a
-        //    line holds one chunk of one row across the page's crossbars,
-        //    so every row with a selected record costs each chunk once.
-        //    Records arrive ascending, a row's records back to back.
+        // 3. Record fetches are mask-directed (data-dependent addresses):
+        //    latency-bound scattered reads, per the paper's host-gb
+        //    behaviour, over the unique lines of the selection.
         let cfg = table.module.config();
-        let (mut rows_touched, mut last_row) = (0u64, None);
-        for row in mask.ones().map(|record| record / cfg.crossbars_per_page()) {
-            if last_row.replace(row) != Some(row) {
-                rows_touched += 1;
-            }
-        }
-        let chunks_per_row: usize = chunk_map.values().map(BTreeSet::len).sum();
-        // Record fetches are mask-directed (data-dependent addresses):
-        // latency-bound scattered reads, per the paper's host-gb behaviour.
-        self.log.push(table.module.host_read_scattered_phase(rows_touched * chunks_per_row as u64));
+        let lines = scattered_lines(cfg, mask.ones(), projection.chunks_per_row());
+        self.log.push(table.module.host_read_scattered_phase(lines));
 
         // 4. Hash aggregation at the host, all physical aggregates folded
         //    in one pass over the selected records.
-        let mut out: Vec<GroupedResult> = vec![GroupedResult::new(); req.aggs.len()];
+        let mut per_agg = vec![GroupedResult::new(); aggs.len()];
+        let mut values = Vec::new();
         for record in mask.ones() {
-            let mut key = Vec::with_capacity(req.group_placements.len());
-            for (name, _) in req.group_placements {
-                key.push(table.read_attr(record, name)?);
-            }
-            if req.skip.contains(&key) {
-                continue;
-            }
-            for (agg, grouped) in req.aggs.iter().zip(out.iter_mut()) {
-                let v = match &agg.expr {
-                    None => 1,
-                    Some(expr) => table.eval_expr(record, expr)?,
-                };
-                grouped
-                    .entry(key.clone())
-                    .and_modify(|acc| *acc = agg.func.merge(*acc, v))
-                    .or_insert(v);
+            table.read(&projection, record, &mut values)?;
+            let (key, operands) = values.split_at(group_by.len());
+            if !skip.contains(key) {
+                fold_record(aggs, &mut per_agg, key, operands);
             }
         }
         let per_record = cfg.host.host_agg_ns_per_record / cfg.host.threads as f64;
         self.log.push(Phase::host_compute(mask.count_ones() as f64 * per_record));
-        Ok(out)
+        Ok(per_agg)
     }
 }
 
@@ -137,12 +109,8 @@ mod tests {
         skip: &HashSet<Vec<u64>>,
     ) -> (Vec<GroupedResult>, RunLog) {
         let mut scan = fixture::filtered(t, &q.filter);
-        let layout = scan.table().layout();
-        let gp: Vec<_> =
-            q.group_by.iter().map(|g| (g.clone(), layout.placement(g).unwrap())).collect();
         scan.take_log();
-        let req = HostGbRequest { group_placements: &gp, aggs, skip };
-        (scan.host_gb(&req).unwrap(), scan.take_log())
+        (scan.host_gb(&q.group_by, aggs, skip).unwrap(), scan.take_log())
     }
 
     fn oracle(t: &PimTable, q: &Query) -> GroupedResult {
@@ -223,18 +191,14 @@ mod tests {
             let pred = col("lo_v").lt(40u64).or(col("d_h").eq(3u64));
             let q = query(&t, pred.clone(), AggExpr::sub("lo_v", "lo_w"));
             let (_, log) = run(&mut t, &q, &q.physical_plan().unwrap().aggs, &HashSet::new());
-            let cfg = t.config();
-            let chunk_map = t.layout().chunks_for(["d_g", "d_h", "lo_v", "lo_w"]).unwrap();
             let mut lines = LineSet::new();
             for (record, _) in fixture::oracle_mask(&t, &pred).iter().enumerate().filter(|m| *m.1) {
                 let (pg, slot) = t.loaded().locate(record);
-                for (&partition, chunks) in &chunk_map {
-                    let page_id = t.loaded().pages(partition)[pg];
+                for attr in ["d_g", "d_h", "lo_v", "lo_w"] {
+                    let p = t.layout().placement(attr).unwrap();
+                    let page_id = t.loaded().pages(p.partition)[pg];
                     let row = t.module().page(page_id).record_slot(slot).unwrap().row;
-                    for &chunk in chunks {
-                        let (lo, width) = (chunk * cfg.read_width_bits, cfg.read_width_bits);
-                        lines.touch_bit_range(cfg, page_id.0, row, lo, width);
-                    }
+                    lines.touch_bit_range(t.config(), page_id.0, row, p.range.lo, p.range.width);
                 }
             }
             assert!(!lines.is_empty());

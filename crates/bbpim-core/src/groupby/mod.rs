@@ -29,7 +29,7 @@ use bbpim_db::stats::{self, GroupedResult};
 
 use crate::agg_exec::reads_per_value;
 use crate::error::CoreError;
-use crate::layout::{AttrPlacement, RecordLayout};
+use crate::layout::RecordLayout;
 use crate::modes::EngineMode;
 use crate::scan::Scan;
 use cost_model::{GbParams, GroupByModel};
@@ -105,15 +105,12 @@ impl Scan<'_> {
                 sampled: 0,
             });
         }
-        let group_placements: Vec<(String, AttrPlacement)> = query
-            .group_by
-            .iter()
-            .map(|g| Ok((g.clone(), self.table.layout.placement(g)?)))
-            .collect::<Result<_, CoreError>>()?;
+        let group_by = || query.group_by.iter().map(String::as_str);
+        let keys = self.table.layout.project(group_by())?;
 
         // 1. Sample one candidate page, estimate subgroup sizes (shared by
         //    every aggregate).
-        let estimate = self.sample(&group_placements)?;
+        let estimate = self.sample(&keys)?;
 
         // 2. Candidate ordering: sampled keys by size, then unseen potential
         //    keys from the catalog.
@@ -135,9 +132,8 @@ impl Scan<'_> {
         //    cost reads every operand (s covers them all); the PIM-side cost
         //    model is driven by the widest aggregate's read count.
         let (layout, cfg) = (&self.table.layout, self.table.module.config());
-        let agg_attrs: Vec<&str> = plan.aggs.iter().flat_map(|a| a.attrs()).collect();
-        let s =
-            layout.reads_per_record(query.group_by.iter().map(String::as_str).chain(agg_attrs))?;
+        let agg_attrs = plan.aggs.iter().flat_map(|a| a.attrs());
+        let s = layout.project(group_by().chain(agg_attrs))?.chunks_per_row();
         let n = plan
             .aggs
             .iter()
@@ -181,9 +177,7 @@ impl Scan<'_> {
                     PreparedAgg::Count => None,
                 })
                 .unwrap_or_else(|| self.table.layout.scratch(0));
-            for e in
-                self.pim_gb(mode, &group_placements, &candidates[..k], &prepared, mask_scratch)?
-            {
+            for e in self.pim_gb(mode, &keys, &candidates[..k], &prepared, mask_scratch)? {
                 if e.count > 0 {
                     for (grouped, value) in per_agg.iter_mut().zip(&e.values) {
                         grouped.insert(e.key.clone(), *value);
@@ -195,12 +189,8 @@ impl Scan<'_> {
 
         // 5. host-gb for the tail, all aggregates in one read pass.
         if k < kmax {
-            let req = host_gb::HostGbRequest {
-                group_placements: &group_placements,
-                aggs: &plan.aggs,
-                skip: &skip,
-            };
-            for (grouped, tail_col) in per_agg.iter_mut().zip(self.host_gb(&req)?) {
+            let tail = self.host_gb(&query.group_by, &plan.aggs, &skip)?;
+            for (grouped, tail_col) in per_agg.iter_mut().zip(tail) {
                 grouped.extend(tail_col);
             }
         }

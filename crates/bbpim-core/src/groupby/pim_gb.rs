@@ -20,7 +20,7 @@ use bbpim_sim::compiler::ColRange;
 use crate::agg_exec::AggInput;
 use crate::error::CoreError;
 use crate::filter_exec::build_conjunction_program;
-use crate::layout::{AttrPlacement, GROUP_MASK_COL, MASK_COL, TRANSFER_COL, VALID_COL};
+use crate::layout::{Projection, GROUP_MASK_COL, MASK_COL, TRANSFER_COL, VALID_COL};
 use crate::modes::EngineMode;
 use crate::scan::Scan;
 
@@ -69,7 +69,7 @@ impl Scan<'_> {
     pub fn pim_gb(
         &mut self,
         mode: EngineMode,
-        group_placements: &[(String, AttrPlacement)],
+        group_by: &Projection,
         keys: &[Vec<u64>],
         aggs: &[PreparedAgg],
         mask_scratch: ColRange,
@@ -99,21 +99,19 @@ impl Scan<'_> {
                     .into(),
             ));
         }
-        let key_partition = match group_placements.first() {
-            Some((_, p)) => p.partition,
-            None => fact_partition,
-        };
-        if group_placements.iter().any(|(_, p)| p.partition != key_partition) {
+        let group_by = group_by.placements();
+        let key_partition = group_by.first().map_or(fact_partition, |p| p.partition);
+        if group_by.iter().any(|p| p.partition != key_partition) {
             return Err(CoreError::Unsupported("GROUP BY attributes spanning partitions".into()));
         }
 
         let fact_pages = self.pages.len();
         let mut out = Vec::with_capacity(keys.len());
         for key in keys {
-            let eq_atoms: Vec<(ResolvedAtom, ColRange)> = group_placements
+            let eq_atoms: Vec<(ResolvedAtom, ColRange)> = group_by
                 .iter()
                 .zip(key)
-                .map(|((_, p), v)| (ResolvedAtom::Eq { idx: 0, value: *v }, p.range))
+                .map(|(p, v)| (ResolvedAtom::Eq { idx: 0, value: *v }, p.range))
                 .collect();
 
             if key_partition == fact_partition {
@@ -233,7 +231,7 @@ mod tests {
     ) -> (Vec<PimGbEntry>, RunLog) {
         let mut scan = fixture::filtered(t, &col("lo_v").lt(200u64));
         let inputs = scan.materialize(exprs).unwrap();
-        let gp = [("d_g".to_string(), scan.table().layout().placement("d_g").unwrap())];
+        let gp = scan.table().layout().project(["d_g"]).unwrap();
         let scratch =
             inputs.last().map_or_else(|| scan.table().layout().scratch(0), |i| i.scratch_left);
         let keys: Vec<Vec<u64>> = keys.iter().map(|g| vec![*g]).collect();

@@ -5,13 +5,16 @@
 //! per-key counts up to the whole relation. The estimate drives both
 //! `r(k)` in Eq. (3) and the ordering of subgroups by size.
 
-use std::collections::HashMap;
-
-use bbpim_sim::hostmem::LineSet;
+use bbpim_db::plan::{PhysAgg, PhysFunc};
+use bbpim_db::stats::GroupedResult;
 
 use crate::error::CoreError;
-use crate::layout::{AttrPlacement, MASK_COL};
+use crate::layout::{Projection, MASK_COL};
+use crate::record::{fold_record, scattered_lines};
 use crate::scan::Scan;
+
+/// What the sample folds per key: a record count.
+const COUNT: &[PhysAgg] = &[PhysAgg { func: PhysFunc::Count, expr: None }];
 
 /// Subgroup-size estimate from one sampled page.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,55 +68,36 @@ impl Scan<'_> {
     /// # Errors
     ///
     /// Propagates simulator failures; the plan must be non-empty.
-    pub fn sample(
-        &mut self,
-        group_placements: &[(String, AttrPlacement)],
-    ) -> Result<SampleEstimate, CoreError> {
-        let (module, loaded) = (&self.table.module, &self.table.loaded);
+    pub fn sample(&mut self, keys: &Projection) -> Result<SampleEstimate, CoreError> {
+        let table = &*self.table;
+        let (module, loaded) = (&table.module, &table.loaded);
         let sample_idx = self
             .pages
             .first()
             .ok_or_else(|| CoreError::Unsupported("sampling an empty page plan".into()))?;
-        let sample_records = loaded.page_records(sample_idx).len();
+        let sampled = loaded.page_records(sample_idx);
+        let sample_records = sampled.len();
 
         // Mask of the sampled page (partition 0): one line per occupied row.
-        let rows_used = sample_records.div_ceil(module.config().crossbars_per_page());
-        self.log.push(module.host_read_phase(rows_used as u64));
-
+        let xbs = module.config().crossbars_per_page();
+        self.log.push(module.host_read_phase(sample_records.div_ceil(xbs) as u64));
         let mask_page = module.page(loaded.pages(0)[sample_idx]);
-        let mut selected_slots = Vec::new();
-        for slot in 0..sample_records {
-            let s = mask_page.record_slot(slot)?;
-            if mask_page.crossbar(s.crossbar).bits().get(s.row, MASK_COL) {
-                selected_slots.push(slot);
-            }
-        }
+        let selected: Vec<usize> = (0..sample_records)
+            .filter(|slot| mask_page.crossbar(slot % xbs).bits().get(slot / xbs, MASK_COL))
+            .map(|slot| sampled.start + slot)
+            .collect();
 
-        // Group-key chunks of the selected sampled records.
-        let mut lines = LineSet::new();
-        let mut counts: HashMap<Vec<u64>, u64> = HashMap::new();
-        for &slot in &selected_slots {
-            let mut key = Vec::with_capacity(group_placements.len());
-            for (_, placement) in group_placements {
-                let page_id = loaded.pages(placement.partition)[sample_idx];
-                let page = module.page(page_id);
-                let s = page.record_slot(slot)?;
-                lines.touch_bit_range(
-                    module.config(),
-                    page_id.0,
-                    s.row,
-                    placement.range.lo,
-                    placement.range.width,
-                );
-                key.push(page.crossbar(s.crossbar).read_row_bits(
-                    s.row,
-                    placement.range.lo,
-                    placement.range.width,
-                ));
-            }
-            *counts.entry(key).or_default() += 1;
+        // Group-key chunks of the selected sampled records, counted per key.
+        let lines =
+            scattered_lines(module.config(), selected.iter().copied(), keys.chunks_per_row());
+        self.log.push(module.host_read_scattered_phase(lines));
+        let mut counts = [GroupedResult::new()];
+        let mut key = Vec::new();
+        for &record in &selected {
+            table.read(keys, record, &mut key)?;
+            fold_record(COUNT, &mut counts, &key, &[]);
         }
-        self.log.push(module.host_read_scattered_phase(lines.len()));
+        let [counts] = counts;
 
         // Selected records exist only on candidate pages (pruned pages are
         // proven matchless), so the sample scales up to the *candidate*
@@ -129,7 +113,7 @@ impl Scan<'_> {
             counts.into_iter().map(|(k, c)| (k, c as f64 * scale)).collect();
         groups.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
 
-        let sample_selected = selected_slots.len();
+        let sample_selected = selected.len();
         Ok(SampleEstimate {
             sample_records,
             sample_selected,
@@ -157,8 +141,8 @@ mod tests {
         let rows = (0..1000).map(|i| vec![i % 250, if i % 2 == 0 { 0 } else { 1 + (i % 7) }]);
         let mut t = fixture::table(EngineMode::OneXb, &[("lo_v", 8), ("d_g", 4)], rows);
         let mut scan = fixture::filtered(&mut t, &filter);
-        let placements = [("d_g".to_string(), scan.table().layout().placement("d_g").unwrap())];
-        scan.sample(&placements).unwrap()
+        let keys = scan.table().layout().project(["d_g"]).unwrap();
+        scan.sample(&keys).unwrap()
     }
 
     #[test]

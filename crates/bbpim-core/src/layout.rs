@@ -232,37 +232,48 @@ impl RecordLayout {
         self.result_slot[partition]
     }
 
-    /// 16-bit chunks (per partition) the host must read to fetch the
-    /// given attributes of one record — the paper's `s` parameter is the
-    /// total count over partitions.
+    /// Resolve a set of attributes once: their placements in request
+    /// order and the distinct 16-bit chunks they span.
     ///
     /// # Errors
     ///
     /// Propagates [`RecordLayout::placement`] failures.
-    pub fn chunks_for<'a>(
+    pub fn project<'a>(
         &self,
         names: impl IntoIterator<Item = &'a str>,
-    ) -> Result<BTreeMap<usize, BTreeSet<usize>>, CoreError> {
-        let mut out: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
+    ) -> Result<Projection, CoreError> {
+        let mut cols = Vec::new();
+        let mut chunks = BTreeSet::new();
         for name in names {
             let p = self.placement(name)?;
-            let first = p.range.lo / self.chunk_bits;
-            let last = (p.range.end() - 1) / self.chunk_bits;
-            out.entry(p.partition).or_default().extend(first..=last);
+            let span = p.range.lo / self.chunk_bits..=(p.range.end() - 1) / self.chunk_bits;
+            chunks.extend(span.map(|chunk| (p.partition, chunk)));
+            cols.push(p);
         }
-        Ok(out)
+        Ok(Projection { cols, chunks_per_row: chunks.len() })
+    }
+}
+
+/// A set of attributes of one layout, resolved once per request — what
+/// the record path ([`crate::record`], [`crate::loader`]) reads and
+/// writes by position instead of by name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Projection {
+    cols: Vec<AttrPlacement>,
+    chunks_per_row: usize,
+}
+
+impl Projection {
+    /// The attributes' placements, in request order (repeats kept).
+    pub fn placements(&self) -> &[AttrPlacement] {
+        &self.cols
     }
 
-    /// Total reads per record (`s`) for a set of attributes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RecordLayout::placement`] failures.
-    pub fn reads_per_record<'a>(
-        &self,
-        names: impl IntoIterator<Item = &'a str>,
-    ) -> Result<usize, CoreError> {
-        Ok(self.chunks_for(names)?.values().map(BTreeSet::len).sum())
+    /// 16-bit chunks the host reads to fetch these attributes of one
+    /// record, over all partitions — the paper's `s`. Every record of a
+    /// crossbar row shares them (one cache line per chunk per row).
+    pub fn chunks_per_row(&self) -> usize {
+        self.chunks_per_row
     }
 }
 
@@ -325,12 +336,10 @@ mod tests {
             RecordLayout::build(&wide_schema(), &SimConfig::default(), EngineMode::OneXb, &[])
                 .unwrap();
         // reading the same attribute twice costs its chunks once
-        let s1 = layout.reads_per_record(["lo_revenue"]).unwrap();
-        let s2 = layout.reads_per_record(["lo_revenue", "lo_revenue"]).unwrap();
-        assert_eq!(s1, s2);
+        let s = |names: &[&str]| layout.project(names.iter().copied()).unwrap().chunks_per_row();
+        assert_eq!(s(&["lo_revenue"]), s(&["lo_revenue", "lo_revenue"]));
         // adding a far-away attribute adds chunks
-        let s3 = layout.reads_per_record(["lo_revenue", "d_year"]).unwrap();
-        assert!(s3 > s1);
+        assert!(s(&["lo_revenue", "d_year"]) > s(&["lo_revenue"]));
     }
 
     #[test]

@@ -27,6 +27,15 @@
 //!   Eq. (3) choice of `k`, else one aggregation through the
 //!   per-crossbar circuit; UPDATE (Algorithm 1) opens the same scan for
 //!   its select bit.
+//! * **One record path** — wherever the host touches stored records it
+//!   goes through a [`layout::Projection`]: a set of attributes resolved
+//!   once per request to their placements and the 16-bit chunks they
+//!   span (the paper's `s`). Load and INSERT are the callers of one
+//!   column-at-a-time writer ([`loader`]); the sample, host-gb and the
+//!   star gather of one reader and one fold ([`record`]), charged by one
+//!   rule — a scattered read costs `distinct(record /
+//!   crossbars-per-page) × chunks per row` lines, Section V-B's "reading
+//!   a single record brings 32 records" counted exactly.
 //! * **Hybrid GROUP-BY** (Section IV) — [`groupby`] samples one 2 MB
 //!   page, estimates subgroup sizes, fits/evaluates the empirical
 //!   latency model (Eqs. 1–3), assigns the k largest subgroups to
@@ -70,6 +79,7 @@ pub mod modes;
 pub mod mutation;
 pub mod obs;
 pub mod planner;
+pub mod record;
 pub mod result;
 pub mod scan;
 pub mod semijoin;

@@ -7,6 +7,12 @@
 //!
 //! Loading is a one-time cost outside query measurement; endurance
 //! counters are reset after the load.
+//!
+//! This is the host's write path to stored records: the load and the
+//! online INSERT are the two callers of one writer
+//! (`LoadedRelation::store`), which differ in what brackets it —
+//! allocate + write + reset against reserve + write + charge. INSERT's
+//! capacity contract is all-or-nothing (see [`append_rows`]).
 
 use bbpim_db::relation::Relation;
 use bbpim_db::zonemap::ZoneMap;
@@ -119,7 +125,72 @@ impl LoadedRelation {
     }
 }
 
-/// Write `rel` into `module` under `layout`.
+impl LoadedRelation {
+    /// Grow the image to hold `records` records. Every partition's new
+    /// pages come out of one allocation, so either all partitions grow
+    /// or — out of capacity — nothing changes.
+    fn reserve(
+        &mut self,
+        module: &mut PimModule,
+        records: usize,
+        arity: usize,
+    ) -> Result<(), CoreError> {
+        let page_count = records.div_ceil(self.records_per_page).max(1);
+        let new = page_count.saturating_sub(self.page_count());
+        let fresh = module.alloc_pages(new * self.pages.len())?;
+        for (run, ids) in self.pages.iter_mut().zip(fresh.chunks(new.max(1))) {
+            run.extend_from_slice(ids);
+        }
+        self.page_zones.resize(self.page_count(), ZoneMap::empty(arity));
+        Ok(())
+    }
+
+    /// The one writer: store the catalog rows the image does not hold
+    /// yet (`self.records()..rel.len()`) into the reserved pages, page
+    /// by page and within a page a column at a time — VALID in every
+    /// partition, each resident attribute in its own — and widen the
+    /// pages' zone maps over every attribute. `layout` is the one the
+    /// image was loaded under. Returns the touched page indices, in
+    /// page order.
+    fn store(
+        &mut self,
+        module: &mut PimModule,
+        layout: &RecordLayout,
+        rel: &Relation,
+    ) -> Result<Vec<usize>, CoreError> {
+        let attrs = rel.schema().attrs();
+        let resident: Vec<usize> =
+            (0..attrs.len()).filter(|&a| !layout.is_excluded(&attrs[a].name)).collect();
+        let stored = layout.project(resident.iter().map(|&a| attrs[a].name.as_str()))?;
+        let valid = vec![1; (rel.len() - self.records).min(self.records_per_page)];
+        let mut touched = Vec::new();
+        while self.records < rel.len() {
+            let (pg, slot) = self.locate(self.records);
+            let run = self.records..rel.len().min(self.record_at(pg + 1, 0));
+            let column = |attr: usize| &rel.column(attr).values()[run.clone()];
+            for pages in &self.pages {
+                let page = module.page_mut(pages[pg]);
+                page.write_records(slot, VALID_COL, 1, &valid[..run.len()])?;
+            }
+            for (&attr, p) in resident.iter().zip(stored.placements()) {
+                let page = module.page_mut(self.pages[p.partition][pg]);
+                page.write_records(slot, p.range.lo, p.range.width, column(attr))?;
+            }
+            for attr in 0..attrs.len() {
+                let values = column(attr);
+                for bound in [values.iter().min(), values.iter().max()].into_iter().flatten() {
+                    self.page_zones[pg].widen(attr, *bound);
+                }
+            }
+            touched.push(pg);
+            self.records = run.end;
+        }
+        Ok(touched)
+    }
+}
+
+/// Write `rel` into `module` under `layout`: allocate the page runs,
+/// store every row, reset the wear the load caused.
 ///
 /// # Errors
 ///
@@ -130,41 +201,14 @@ pub fn load_relation(
     rel: &Relation,
     layout: &RecordLayout,
 ) -> Result<LoadedRelation, CoreError> {
-    let records_per_page = module.config().records_per_page();
-    let page_count = rel.len().div_ceil(records_per_page).max(1);
-    let mut pages = Vec::with_capacity(layout.partitions());
-    for _ in 0..layout.partitions() {
-        pages.push(module.alloc_pages(page_count)?);
-    }
-
-    // Resolve attribute columns once.
-    let mut cols: Vec<(usize, crate::layout::AttrPlacement)> = Vec::new();
-    for (idx, attr) in rel.schema().attrs().iter().enumerate() {
-        if layout.is_excluded(&attr.name) {
-            continue;
-        }
-        cols.push((idx, layout.placement(&attr.name)?));
-    }
-
-    let mut page_zones = vec![ZoneMap::empty(rel.schema().arity()); page_count];
-    for record in 0..rel.len() {
-        let page_idx = record / records_per_page;
-        let slot = record % records_per_page;
-        for partition_pages in &pages {
-            let page = module.page_mut(partition_pages[page_idx]);
-            page.write_record_bits(slot, VALID_COL, 1, 1)?;
-        }
-        for &(col_idx, placement) in &cols {
-            let value = rel.value(record, col_idx);
-            let page = module.page_mut(pages[placement.partition][page_idx]);
-            page.write_record_bits(slot, placement.range.lo, placement.range.width, value)?;
-        }
-        for attr_idx in 0..rel.schema().arity() {
-            page_zones[page_idx].widen(attr_idx, rel.value(record, attr_idx));
-        }
-    }
-
-    let loaded = LoadedRelation { pages, page_zones, records: rel.len(), records_per_page };
+    let mut loaded = LoadedRelation {
+        pages: vec![Vec::new(); layout.partitions()],
+        page_zones: Vec::new(),
+        records: 0,
+        records_per_page: module.config().records_per_page(),
+    };
+    loaded.reserve(module, rel.len(), rel.schema().arity())?;
+    loaded.store(module, layout, rel)?;
     // Loading is not part of query endurance.
     module.reset_endurance(&loaded.all_pages());
     Ok(loaded)
@@ -177,19 +221,24 @@ pub fn load_relation(
 /// (INSERT data crosses the bus) plus a dispatch phase for the touched
 /// pages, and it does **not** reset endurance counters: streamed
 /// inserts wear cells, which is exactly what the endurance model wants
-/// to see. Fresh pages are allocated on demand when the current image
-/// is full; new rows keep the aligned slot/page invariant and the
-/// touched pages' zone maps are widened over the new values. The
-/// host-side catalog copy `rel` is appended in lockstep.
+/// to see. Fresh pages are reserved when the current image is full; new
+/// rows keep the aligned slot/page invariant and the touched pages'
+/// zone maps are widened over the new values. The host-side catalog
+/// copy `rel` is appended in lockstep.
+///
+/// Capacity is all-or-nothing: every partition must be able to take
+/// every new page of the batch before the first bit, zone or catalog
+/// row is written, so a batch the module cannot hold leaves the table
+/// exactly as it was.
 ///
 /// Returns the phase log and the touched page indices (in page order).
 ///
 /// # Errors
 ///
-/// Row arity/domain violations, allocation failures
-/// ([`bbpim_sim::SimError::OutOfCapacity`]), and placement errors. On
-/// error some rows may already be applied (mutations are not atomic);
-/// callers treat this as fatal for the stream.
+/// [`bbpim_sim::SimError::OutOfCapacity`], with nothing applied; row
+/// arity/domain violations (callers validate first —
+/// [`crate::Mutation::validate`]), with the rows before the offending
+/// one stored and the image still equal to the catalog.
 pub fn append_rows(
     module: &mut PimModule,
     layout: &RecordLayout,
@@ -201,45 +250,11 @@ pub fn append_rows(
     if rows.is_empty() {
         return Ok((log, Vec::new()));
     }
-
-    let mut cols: Vec<(usize, crate::layout::AttrPlacement)> = Vec::new();
-    for (idx, attr) in rel.schema().attrs().iter().enumerate() {
-        if layout.is_excluded(&attr.name) {
-            continue;
-        }
-        cols.push((idx, layout.placement(&attr.name)?));
-    }
-
-    let mut touched: Vec<usize> = Vec::new();
-    for row in rows {
-        // catalog first: push_row validates arity and bit domains
-        rel.push_row(row)?;
-        let record = loaded.records;
-        let page_idx = record / loaded.records_per_page;
-        let slot = record % loaded.records_per_page;
-        if page_idx == loaded.page_count() {
-            // image full: grow every partition by one aligned page
-            for partition_pages in &mut loaded.pages {
-                partition_pages.push(module.alloc_pages(1)?[0]);
-            }
-            loaded.page_zones.push(ZoneMap::empty(rel.schema().arity()));
-        }
-        for partition_pages in &loaded.pages {
-            let page = module.page_mut(partition_pages[page_idx]);
-            page.write_record_bits(slot, VALID_COL, 1, 1)?;
-        }
-        for &(col_idx, placement) in &cols {
-            let page = module.page_mut(loaded.pages[placement.partition][page_idx]);
-            page.write_record_bits(slot, placement.range.lo, placement.range.width, row[col_idx])?;
-        }
-        for (attr_idx, &value) in row.iter().enumerate() {
-            loaded.page_zones[page_idx].widen(attr_idx, value);
-        }
-        loaded.records += 1;
-        if touched.last() != Some(&page_idx) {
-            touched.push(page_idx);
-        }
-    }
+    loaded.reserve(module, loaded.records + rows.len(), rel.schema().arity())?;
+    // catalog first: push_row validates arity and bit domains
+    let pushed = rows.iter().try_for_each(|row| rel.push_row(row));
+    let touched = loaded.store(module, layout, rel)?;
+    pushed?;
 
     // Host-channel accounting: one dispatch over the touched pages plus
     // the row payload itself, written per partition as memory lines.
@@ -379,6 +394,196 @@ mod tests {
         loaded.widen_zones(&[1], 0, 255);
         assert_eq!(loaded.page_zone(0), &before[0]);
         assert_eq!(loaded.page_zone(1).range(0).unwrap().1, 255);
+    }
+
+    /// The retired row-at-a-time writer, kept as the reference: one
+    /// `write_record_bits` per cell, one zone widening per value. Stores
+    /// catalog rows `records` into `pages[partition][page]`.
+    fn store_per_record(
+        module: &mut PimModule,
+        layout: &RecordLayout,
+        pages: &[Vec<PageId>],
+        zones: &mut [ZoneMap],
+        rel: &Relation,
+        records: std::ops::Range<usize>,
+    ) {
+        let rpp = module.config().records_per_page();
+        for record in records {
+            let (pg, slot) = (record / rpp, record % rpp);
+            for run in pages {
+                module.page_mut(run[pg]).write_record_bits(slot, VALID_COL, 1, 1).unwrap();
+            }
+            for (idx, attr) in rel.schema().attrs().iter().enumerate() {
+                zones[pg].widen(idx, rel.value(record, idx));
+                if !layout.is_excluded(&attr.name) {
+                    let p = layout.placement(&attr.name).unwrap();
+                    let page = module.page_mut(pages[p.partition][pg]);
+                    let value = rel.value(record, idx);
+                    page.write_record_bits(slot, p.range.lo, p.range.width, value).unwrap();
+                }
+            }
+        }
+    }
+
+    /// Seeded rows over a schema with a host-only attribute, a wide one
+    /// and both two-xb sides.
+    fn seeded(records: usize, seed: u64) -> Relation {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let attrs = [("lo_a", 8), ("c_phone", 12), ("lo_wide", 37), ("d_b", 6), ("d_c", 1)];
+        let attrs = attrs.map(|(name, bits)| Attribute::numeric(name, bits));
+        let mut rel = Relation::new(Schema::new("t", attrs.to_vec()));
+        for _ in 0..records {
+            let row: Vec<u64> =
+                rel.schema().attrs().iter().map(|a| rng.gen::<u64>() >> (64 - a.bits)).collect();
+            rel.push_row(&row).unwrap();
+        }
+        rel
+    }
+
+    /// Every stored bit (VALID and padding rows included), the per-page
+    /// worst-row wear and the zone maps of the image against the
+    /// reference module's.
+    fn assert_same_image(
+        (module, loaded): (&PimModule, &LoadedRelation),
+        (ref_module, ref_pages, ref_zones): (&PimModule, &[Vec<PageId>], &[ZoneMap]),
+        what: &str,
+    ) {
+        assert_eq!(loaded.page_zones(), ref_zones, "{what}: zones");
+        for (partition, ref_run) in ref_pages.iter().enumerate() {
+            assert_eq!(loaded.pages(partition).len(), ref_run.len(), "{what}: page run");
+            for (pg, (id, ref_id)) in loaded.pages(partition).iter().zip(ref_run).enumerate() {
+                let (page, ref_page) = (module.page(*id), ref_module.page(*ref_id));
+                for (xb, ref_xb) in page.crossbars().zip(ref_page.crossbars()) {
+                    assert_eq!(xb.bits(), ref_xb.bits(), "{what}: partition {partition} page {pg}");
+                }
+                assert_eq!(
+                    page.max_row_cell_writes(),
+                    ref_page.max_row_cell_writes(),
+                    "{what}: wear of partition {partition} page {pg}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn writer_matches_the_per_record_reference() {
+        let cfg = SimConfig::small_for_tests();
+        let rpp = cfg.records_per_page();
+        for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
+            for records in [0, 1, 5, rpp - 1, rpp, rpp + 1, 2 * rpp + 77] {
+                let what = format!("{mode:?}, {records} records");
+                let rel = seeded(records, 0x10AD + records as u64);
+                let layout = RecordLayout::build(rel.schema(), &cfg, mode, &[]).unwrap();
+                let arity = rel.schema().arity();
+
+                // the load, before its reset: the writer's own wear shows
+                let mut module = PimModule::new(cfg.clone());
+                let mut loaded = LoadedRelation {
+                    pages: vec![Vec::new(); layout.partitions()],
+                    page_zones: Vec::new(),
+                    records: 0,
+                    records_per_page: rpp,
+                };
+                loaded.reserve(&mut module, records, arity).unwrap();
+                let touched = loaded.store(&mut module, &layout, &rel).unwrap();
+                assert_eq!(touched, (0..records.div_ceil(rpp)).collect::<Vec<_>>(), "{what}");
+                assert_eq!(loaded.records(), records, "{what}");
+
+                let mut ref_module = PimModule::new(cfg.clone());
+                let page_count = records.div_ceil(rpp).max(1);
+                let ref_pages: Vec<Vec<PageId>> = (0..layout.partitions())
+                    .map(|_| ref_module.alloc_pages(page_count).unwrap())
+                    .collect();
+                let mut ref_zones = vec![ZoneMap::empty(arity); page_count];
+                let everything = 0..records;
+                store_per_record(
+                    &mut ref_module,
+                    &layout,
+                    &ref_pages,
+                    &mut ref_zones,
+                    &rel,
+                    everything,
+                );
+                assert_same_image(
+                    (&module, &loaded),
+                    (&ref_module, &ref_pages, &ref_zones),
+                    &format!("{what}, load before reset"),
+                );
+                // and load_relation is that image with the wear reset
+                let mut fresh = PimModule::new(cfg.clone());
+                let image = load_relation(&mut fresh, &rel, &layout).unwrap();
+                ref_module.reset_endurance(&ref_pages.concat());
+                assert_same_image(
+                    (&fresh, &image),
+                    (&ref_module, &ref_pages, &ref_zones),
+                    &format!("{what}, loaded"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn insert_batches_match_the_per_record_reference() {
+        let cfg = SimConfig::small_for_tests();
+        let rpp = cfg.records_per_page();
+        for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
+            let mut rel = seeded(rpp / 2 + 3, 0xBA7C);
+            let layout = RecordLayout::build(rel.schema(), &cfg, mode, &[]).unwrap();
+            let arity = rel.schema().arity();
+            let mut module = PimModule::new(cfg.clone());
+            let mut loaded = load_relation(&mut module, &rel, &layout).unwrap();
+
+            let mut ref_module = PimModule::new(cfg.clone());
+            let mut ref_pages: Vec<Vec<PageId>> =
+                (0..layout.partitions()).map(|_| ref_module.alloc_pages(1).unwrap()).collect();
+            let mut ref_zones = vec![ZoneMap::empty(arity)];
+            store_per_record(
+                &mut ref_module,
+                &layout,
+                &ref_pages,
+                &mut ref_zones,
+                &rel,
+                0..rel.len(),
+            );
+
+            // batches that start mid-page, end mid-page, end on a page
+            // boundary, start on one, and cross one (or two)
+            let to_boundary = rpp - (rel.len() + 7);
+            for (i, batch) in [7, to_boundary, 1, rpp + 5, 2 * rpp].into_iter().enumerate() {
+                let what = format!("{mode:?}, batch {i} of {batch} rows");
+                let rows: Vec<Vec<u64>> = {
+                    let fresh = seeded(batch, 0xF00 + i as u64);
+                    (0..batch).map(|r| fresh.row(r)).collect()
+                };
+                let before = rel.len();
+                // like run_mutation: the batch reports its own wear
+                module.reset_endurance(&loaded.all_pages());
+                ref_module.reset_endurance(&ref_pages.concat());
+                let (_, touched) =
+                    append_rows(&mut module, &layout, &mut loaded, &mut rel, &rows).unwrap();
+                assert_eq!(rel.len(), before + batch, "{what}");
+                assert_eq!(loaded.records(), rel.len(), "{what}");
+                let pages = before / rpp..(rel.len() - 1) / rpp + 1;
+                assert_eq!(touched, pages.collect::<Vec<_>>(), "{what}");
+
+                while ref_zones.len() < rel.len().div_ceil(rpp) {
+                    for run in &mut ref_pages {
+                        run.push(ref_module.alloc_pages(1).unwrap()[0]);
+                    }
+                    ref_zones.push(ZoneMap::empty(arity));
+                }
+                store_per_record(
+                    &mut ref_module,
+                    &layout,
+                    &ref_pages,
+                    &mut ref_zones,
+                    &rel,
+                    before..rel.len(),
+                );
+                assert_same_image((&module, &loaded), (&ref_module, &ref_pages, &ref_zones), &what);
+            }
+        }
     }
 
     #[test]

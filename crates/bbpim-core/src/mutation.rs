@@ -22,8 +22,9 @@
 //!   widened).
 //! * [`Mutation::Insert`] — encoded rows appended behind the loaded
 //!   image ([`crate::loader::append_rows`]): byte-tagged host writes,
-//!   fresh pages allocated on demand, zone maps grown to cover the new
-//!   rows.
+//!   fresh pages reserved when the image is full, zone maps grown to
+//!   cover the new rows. Capacity is all-or-nothing: an INSERT the
+//!   module cannot hold fails with the table unchanged.
 //!
 //! Mutations are built fluently through [`Mutation::update`] /
 //! [`Mutation::insert`] (schema-validated, mirroring
@@ -363,9 +364,10 @@ fn resolve_const(schema: &Schema, attr: &str, value: &Const) -> Result<(usize, u
 /// covered.
 ///
 /// **INSERT** — rows are appended behind the loaded image
-/// ([`append_rows`]): fresh pages allocated on demand, VALID bits set,
-/// byte-tagged host-write phases charged, zone maps grown over the new
-/// rows.
+/// ([`append_rows`]): fresh pages reserved up front for the whole batch
+/// (all partitions or none — out of capacity leaves the table
+/// unchanged), VALID bits set, byte-tagged host-write phases charged,
+/// zone maps grown over the new rows.
 ///
 /// Both arms keep the table's catalog copy in sync, so catalog-derived
 /// statistics and the replay oracle stay bit-identical to the PIM
@@ -582,6 +584,55 @@ mod tests {
         // new rows are readable from the fresh page
         let last = t.loaded().records() - 1;
         assert_eq!(t.read_attr(last, "lo_v").unwrap(), ((free + 2) % 256) as u64);
+    }
+
+    #[test]
+    fn insert_out_of_capacity_leaves_the_table_unchanged() {
+        use bbpim_db::plan::SelectItem;
+        use bbpim_sim::{SimConfig, SimError};
+        for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
+            // a three-page module holding one full page per partition
+            let mut cfg = SimConfig::small_for_tests();
+            cfg.module_capacity_bytes = 3 * cfg.page_bytes as u64;
+            let rpp = cfg.records_per_page();
+            let mut rel = Relation::new(table(mode).relation().schema().clone());
+            for i in 0..rpp as u64 {
+                rel.push_row(&[i % 256, i % 40]).unwrap();
+            }
+            let layout = crate::layout::RecordLayout::build(rel.schema(), &cfg, mode, &[]).unwrap();
+            let mut t = PimTable::new(cfg, rel, layout).unwrap();
+            let insert = |rows: usize| Mutation::Insert { rows: vec![vec![9, 9]; rows] };
+            let consistent = |t: &mut PimTable, records: usize, pages: usize| {
+                assert_eq!((t.relation().len(), t.loaded().records()), (records, records));
+                for partition in 0..t.layout().partitions() {
+                    assert_eq!(t.loaded().pages(partition).len(), pages, "{mode:?}: aligned");
+                }
+                assert_eq!(t.loaded().page_zones().len(), pages);
+                let count = Query::select([SelectItem::count("n")]).build_unchecked();
+                let out = crate::engine::run_query(t, mode, None, true, &count).unwrap();
+                assert_eq!(out.groups[&vec![]], vec![records as u64], "{mode:?}: COUNT answers");
+            };
+            // a batch that only partly fits is refused whole
+            let err = t.mutate(&insert(2 * rpp + 1), true).unwrap_err();
+            assert!(matches!(err, CoreError::Sim(SimError::OutOfCapacity { .. })), "{err}");
+            consistent(&mut t, rpp, 1);
+            // one row at a time until the module is full: two more pages
+            // under one-xb, none under two-xb (one free page, two needed)
+            let mut inserted = 0;
+            let err = loop {
+                match t.mutate(&insert(1), true) {
+                    Ok(_) => inserted += 1,
+                    Err(err) => break err,
+                }
+            };
+            assert!(matches!(err, CoreError::Sim(SimError::OutOfCapacity { .. })), "{err}");
+            let fits = if mode == EngineMode::OneXb { 2 } else { 0 };
+            assert_eq!(inserted, fits * rpp, "{mode:?}");
+            consistent(&mut t, (1 + fits) * rpp, 1 + fits);
+            // and the refusal repeats, the table still whole
+            assert!(t.mutate(&insert(1), true).is_err());
+            consistent(&mut t, (1 + fits) * rpp, 1 + fits);
+        }
     }
 
     #[test]

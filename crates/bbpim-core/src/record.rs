@@ -1,0 +1,189 @@
+//! The host's read path to stored records: one reader, one unique-line
+//! rule, one fold.
+//!
+//! The paper's host reads selected records back in three places — the
+//! one-page sample and host-gb of Section IV, and the FK-probing gather
+//! of a star join — and each is "which records, which [`Projection`],
+//! which charge" over the primitives here: [`PimTable::read`] turns a
+//! record into the projection's values, [`scattered_lines`] prices the
+//! fetch, and [`fold_record`] folds key and operand values into the
+//! per-aggregate groups. (The write path — load and INSERT — is
+//! [`crate::loader`].)
+
+use bbpim_db::plan::{AggExpr, PhysAgg};
+use bbpim_db::stats::GroupedResult;
+use bbpim_sim::config::SimConfig;
+use bbpim_sim::SimError;
+
+use crate::error::CoreError;
+use crate::layout::Projection;
+use crate::table::PimTable;
+
+impl PimTable {
+    /// The one reader: the projection's values of one record, straight
+    /// from the stored bits, into `out` (cleared first).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::RowOutOfRange`] for a record past the data — padding
+    /// slots and unallocated pages are not records.
+    pub fn read(
+        &self,
+        projection: &Projection,
+        record: usize,
+        out: &mut Vec<u64>,
+    ) -> Result<(), CoreError> {
+        let records = self.loaded.records();
+        if record >= records {
+            return Err(SimError::RowOutOfRange { row: record, rows: records }.into());
+        }
+        let (pg, slot) = self.loaded.locate(record);
+        out.clear();
+        for p in projection.placements() {
+            let page = self.module.page(self.loaded.pages(p.partition)[pg]);
+            out.push(page.read_record_bits(slot, p.range.lo, p.range.width)?);
+        }
+        Ok(())
+    }
+}
+
+/// The one unique-line rule: cache lines behind a scattered read of
+/// `chunks_per_row` chunks of each of `records`. A line holds one chunk
+/// of one crossbar row across the page's crossbars (Section V-B: reading
+/// one record brings its 31 row siblings along), so the read costs
+/// `distinct(record / crossbars_per_page) × chunks_per_row` — whatever
+/// the order of `records` and however often one repeats (an ascending
+/// selection, one sampled page, the probed rows of a foreign key).
+pub fn scattered_lines(
+    cfg: &SimConfig,
+    records: impl IntoIterator<Item = usize>,
+    chunks_per_row: usize,
+) -> u64 {
+    let mut rows: Vec<u64> = Vec::new();
+    for record in records {
+        let row = record / cfg.crossbars_per_page();
+        if rows.len() <= row / 64 {
+            rows.resize(row / 64 + 1, 0);
+        }
+        rows[row / 64] |= 1 << (row % 64);
+    }
+    rows.iter().map(|w| u64::from(w.count_ones())).sum::<u64>() * chunks_per_row as u64
+}
+
+/// The one fold of host-read records into groups: fold one record —
+/// its group `key` and its `operands`, the values of every aggregate's
+/// [`PhysAgg::attrs`] in plan order — into `per_agg`, one
+/// [`GroupedResult`] per physical aggregate of the SELECT list (`Count`
+/// contributes 1 per record). A caller projects its key attributes
+/// followed by those operand attributes; an operand two aggregates
+/// share is read twice but, sharing its chunks, charged once.
+pub fn fold_record(aggs: &[PhysAgg], per_agg: &mut [GroupedResult], key: &[u64], operands: &[u64]) {
+    let mut operands = operands.iter();
+    let mut next = || *operands.next().expect("one value per operand");
+    for (agg, grouped) in aggs.iter().zip(per_agg) {
+        let v = match &agg.expr {
+            None => 1,
+            Some(AggExpr::Attr(_)) => next(),
+            Some(AggExpr::Mul(..)) => next().wrapping_mul(next()),
+            Some(AggExpr::Sub(..)) => next().wrapping_sub(next()),
+        };
+        match grouped.get_mut(key) {
+            Some(acc) => *acc = agg.func.merge(*acc, v),
+            None => drop(grouped.insert(key.to_vec(), v)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixture;
+    use crate::modes::EngineMode;
+    use bbpim_sim::hostmem::{LineAddr, LineSet};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The reference: touch every chunk of every record's row in a
+    /// deduplicating line set, record by record.
+    fn line_set(cfg: &SimConfig, records: &[usize], chunks_per_row: usize) -> u64 {
+        let mut lines = LineSet::new();
+        for record in records {
+            let (page, slot) = (record / cfg.records_per_page(), record % cfg.records_per_page());
+            for chunk in 0..chunks_per_row {
+                lines.touch(LineAddr { page, row: slot / cfg.crossbars_per_page(), chunk });
+            }
+        }
+        lines.len()
+    }
+
+    #[test]
+    fn line_rule_matches_the_line_set_on_seeded_selections() {
+        for cfg in [SimConfig::small_for_tests(), SimConfig::default()] {
+            let mut rng = StdRng::seed_from_u64(0x11E5);
+            let records = 3 * cfg.records_per_page() + 17;
+            let sparse: Vec<usize> =
+                (0..records).filter(|_| rng.gen_range(0u32..97) == 0).collect();
+            let one_page: Vec<usize> = (cfg.records_per_page()..2 * cfg.records_per_page())
+                .filter(|_| rng.gen_range(0u32..5) == 0)
+                .collect();
+            // an FK probe: unordered, hot rows over and over
+            let probe: Vec<usize> = (0..4000)
+                .map(|_| match rng.gen_range(0u32..3) {
+                    0 => rng.gen_range(0..records),
+                    _ => rng.gen_range(0..40),
+                })
+                .collect();
+            let selections =
+                [vec![], (0..records).collect(), sparse, one_page, probe, vec![records - 1]];
+            for (i, selection) in selections.iter().enumerate() {
+                for s in [0, 1, 3, 8] {
+                    assert_eq!(
+                        scattered_lines(&cfg, selection.iter().copied(), s),
+                        line_set(&cfg, selection, s),
+                        "selection {i}, {s} chunks per row, {} rows per crossbar",
+                        cfg.crossbar_rows
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reading_past_the_data_is_an_error() {
+        let rows = (0..300).map(|i| vec![i % 251, i % 61]);
+        let t = fixture::table(EngineMode::TwoXb, &[("lo_a", 8), ("d_b", 6)], rows);
+        assert_eq!(t.read_attr(299, "lo_a").unwrap(), 299 % 251);
+        assert_eq!(t.read_attr(299, "d_b").unwrap(), 299 % 61);
+        // a padding slot of the last page, and a page that does not exist
+        for record in [300, 400, 5000, usize::MAX] {
+            for attr in ["lo_a", "d_b"] {
+                let err = t.read_attr(record, attr).unwrap_err();
+                let expected = SimError::RowOutOfRange { row: record, rows: 300 };
+                assert_eq!(err, CoreError::Sim(expected), "record {record}");
+            }
+        }
+    }
+
+    #[test]
+    fn fold_evaluates_every_aggregate_per_key() {
+        use bbpim_db::plan::PhysFunc;
+        let aggs = [
+            PhysAgg { func: PhysFunc::Sum, expr: Some(AggExpr::mul("a", "b")) },
+            PhysAgg { func: PhysFunc::Count, expr: None },
+            PhysAgg { func: PhysFunc::Min, expr: Some(AggExpr::sub("b", "a")) },
+            PhysAgg { func: PhysFunc::Max, expr: Some(AggExpr::attr("a")) },
+        ];
+        let mut per_agg = vec![GroupedResult::new(); aggs.len()];
+        for (key, a, b) in [(1, 3, 5), (2, 7, 7), (1, 4, 2)] {
+            fold_record(&aggs, &mut per_agg, &[key], &[a, b, b, a, a]);
+        }
+        let of = |pairs: &[(u64, u64)]| pairs.iter().map(|(k, v)| (vec![*k], *v)).collect();
+        let expected: Vec<GroupedResult> = vec![
+            of(&[(1, 15 + 8), (2, 49)]),
+            of(&[(1, 2), (2, 1)]),
+            of(&[(1, 2), (2, 0)]),
+            of(&[(1, 4), (2, 7)]),
+        ];
+        assert_eq!(per_agg, expected);
+    }
+}

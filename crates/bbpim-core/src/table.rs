@@ -5,11 +5,11 @@
 //! storage half every engine shares — the pre-joined wide relation of
 //! the paper, a fact shard or a dimension of the normalized star — and
 //! exposes the primitives they compose: zone-map page planning,
-//! mutations through the PIM multiplexer, reads of the stored bits, and
-//! [`PimTable::begin`], which opens the [`crate::scan::Scan`] every
-//! execution path drives.
+//! mutations through the PIM multiplexer, reads of the stored bits
+//! ([`crate::record`]), and [`PimTable::begin`], which opens the
+//! [`crate::scan::Scan`] every execution path drives.
 
-use bbpim_db::plan::{AggExpr, FilterBounds, ResolvedAtom};
+use bbpim_db::plan::{FilterBounds, ResolvedAtom};
 use bbpim_db::zonemap::ZoneMap;
 use bbpim_db::Relation;
 use bbpim_sim::config::SimConfig;
@@ -114,34 +114,16 @@ impl PimTable {
         run_mutation(self, m, prune)
     }
 
-    /// Read an attribute of one record straight from the stored bits.
+    /// Read an attribute of one record straight from the stored bits —
+    /// the by-name, single-record form of [`PimTable::read`].
     ///
     /// # Errors
     ///
-    /// Propagates placement/slot failures.
+    /// Placement failures; a record past the data.
     pub fn read_attr(&self, record: usize, name: &str) -> Result<u64, CoreError> {
-        let placement = self.layout.placement(name)?;
-        let (pg, slot) = self.loaded.locate(record);
-        let page = self.module.page(self.loaded.pages(placement.partition)[pg]);
-        Ok(page.read_record_bits(slot, placement.range.lo, placement.range.width)?)
-    }
-
-    /// Evaluate an aggregate expression for one record from stored
-    /// bits.
-    ///
-    /// # Errors
-    ///
-    /// Propagates attribute-read failures.
-    pub fn eval_expr(&self, record: usize, expr: &AggExpr) -> Result<u64, CoreError> {
-        Ok(match expr {
-            AggExpr::Attr(a) => self.read_attr(record, a)?,
-            AggExpr::Mul(a, b) => {
-                self.read_attr(record, a)?.wrapping_mul(self.read_attr(record, b)?)
-            }
-            AggExpr::Sub(a, b) => {
-                self.read_attr(record, a)?.wrapping_sub(self.read_attr(record, b)?)
-            }
-        })
+        let mut value = Vec::with_capacity(1);
+        self.read(&self.layout.project([name])?, record, &mut value)?;
+        Ok(value[0])
     }
 }
 

@@ -163,12 +163,37 @@ impl Crossbar {
         for col in col_lo..col_lo + width {
             self.bits.clear_col_prefix(col, rows);
         }
-        if rows == self.rows() {
-            self.all_rows_writes += width as u64;
-        } else {
-            for row in 0..rows {
-                self.note_row_writes(row, width as u64);
+        self.note_row_run_writes(0..rows, width as u64);
+    }
+
+    /// Host write of one value per row into `[col_lo, col_lo + width)`
+    /// of consecutive rows from `row_lo`, a column at a time (each
+    /// column's words are touched together) — the bits and wear of
+    /// [`Crossbar::write_row_bits`] on each of those rows.
+    pub fn write_rows_bits(
+        &mut self,
+        row_lo: usize,
+        col_lo: usize,
+        width: usize,
+        values: impl ExactSizeIterator<Item = u64> + Clone,
+    ) {
+        for i in 0..width {
+            let words = self.bits.col_mut(col_lo + i);
+            for (row, v) in (row_lo..).zip(values.clone()) {
+                let (w, bit) = (&mut words[row / 64], row % 64);
+                *w = (*w & !(1 << bit)) | (((v >> i) & 1) << bit);
             }
+        }
+        self.note_row_run_writes(row_lo..row_lo + values.len(), width as u64);
+    }
+
+    /// Record `width` cell writes against each row of a run; a run over
+    /// every row is one bump of the all-rows counter.
+    fn note_row_run_writes(&mut self, rows: std::ops::Range<usize>, width: u64) {
+        if rows == (0..self.rows()) {
+            self.all_rows_writes += width;
+        } else {
+            rows.for_each(|row| self.note_row_writes(row, width));
         }
     }
 

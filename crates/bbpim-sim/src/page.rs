@@ -120,7 +120,8 @@ impl PimPage {
     }
 
     /// Write `width` bits of a record's row at bit offset `col_lo`
-    /// (endurance-counted; used by the loader and host-side writes).
+    /// (endurance-counted; the single-record statement of
+    /// [`PimPage::write_records`]).
     ///
     /// # Errors
     ///
@@ -134,6 +135,37 @@ impl PimPage {
     ) -> Result<(), SimError> {
         let slot = self.record_slot(record)?;
         self.crossbars[slot.crossbar].write_row_bits(slot.row, col_lo, width, value);
+        Ok(())
+    }
+
+    /// Host write of one value per record into `[col_lo, col_lo + width)`
+    /// of the slots `first..first + values.len()` — the bits and wear of
+    /// [`PimPage::write_record_bits`] per record, done a column at a
+    /// time.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::RowOutOfRange`] for a run past the page capacity;
+    /// nothing is written.
+    pub fn write_records(
+        &mut self,
+        first: usize,
+        col_lo: usize,
+        width: usize,
+        values: &[u64],
+    ) -> Result<(), SimError> {
+        let end = first + values.len();
+        if end > self.record_capacity() {
+            return Err(SimError::RowOutOfRange { row: end, rows: self.record_capacity() });
+        }
+        let n = self.crossbars.len();
+        for (i, xb) in self.crossbars.iter_mut().enumerate() {
+            // crossbar i holds slots i, i + n, …: the run enters it at
+            // row ⌈(first − i)/n⌉ and takes every n-th value from there
+            let row_lo = first.saturating_sub(i).div_ceil(n);
+            let run = values.iter().copied().skip(row_lo * n + i - first).step_by(n);
+            xb.write_rows_bits(row_lo, col_lo, width, run);
+        }
         Ok(())
     }
 
