@@ -113,8 +113,8 @@ pub struct CalibrationData {
 pub fn host_gb_time_ns(cfg: &SimConfig, m: usize, s: usize, mask: &[bool]) -> f64 {
     let mask_lines = (m * cfg.crossbar_rows) as u64;
     let selected = mask.iter().enumerate().filter(|(_, b)| **b).map(|(record, _)| record);
-    let data_lines = scattered_lines(cfg, selected.clone(), s);
-    let selected = selected.count() as f64;
+    let data_lines = scattered_lines(cfg, selected, s);
+    let selected = mask.iter().filter(|b| **b).count() as f64;
     hostmem::read_time_ns(cfg, mask_lines)
         + hostmem::scattered_read_time_ns(cfg, data_lines)
         + selected * cfg.host.host_agg_ns_per_record / cfg.host.threads as f64

@@ -59,13 +59,20 @@ pub fn scattered_lines(
     records: impl IntoIterator<Item = usize>,
     chunks_per_row: usize,
 ) -> u64 {
+    let per_row = cfg.crossbars_per_page();
     let mut rows: Vec<u64> = Vec::new();
+    // the records of the row marked last: its siblings need no lookup
+    let mut marked = 0..0;
     for record in records {
-        let row = record / cfg.crossbars_per_page();
+        if marked.contains(&record) {
+            continue;
+        }
+        let row = record / per_row;
         if rows.len() <= row / 64 {
             rows.resize(row / 64 + 1, 0);
         }
         rows[row / 64] |= 1 << (row % 64);
+        marked = row * per_row..(row + 1) * per_row;
     }
     rows.iter().map(|w| u64::from(w.count_ones())).sum::<u64>() * chunks_per_row as u64
 }

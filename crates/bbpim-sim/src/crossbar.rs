@@ -167,22 +167,23 @@ impl Crossbar {
     }
 
     /// Host write of one value per row into `[col_lo, col_lo + width)`
-    /// of consecutive rows from `row_lo`, a column at a time (each
-    /// column's words are touched together) — the bits and wear of
+    /// of the rows `row_lo..row_lo + values.len()`, a column at a time:
+    /// per 64-row word of a column, the rows' bits are gathered in a
+    /// register and stored once — the bits and wear of
     /// [`Crossbar::write_row_bits`] on each of those rows.
-    pub fn write_rows_bits(
-        &mut self,
-        row_lo: usize,
-        col_lo: usize,
-        width: usize,
-        values: impl ExactSizeIterator<Item = u64> + Clone,
-    ) {
-        for i in 0..width {
-            let words = self.bits.col_mut(col_lo + i);
-            for (row, v) in (row_lo..).zip(values.clone()) {
-                let (w, bit) = (&mut words[row / 64], row % 64);
-                *w = (*w & !(1 << bit)) | (((v >> i) & 1) << bit);
+    pub fn write_rows_bits(&mut self, row_lo: usize, col_lo: usize, width: usize, values: &[u64]) {
+        let (mut row, mut rest) = (row_lo, values);
+        while !rest.is_empty() {
+            // the rows of `rest` that share the word `row` falls in
+            let (word, bit) = (row / 64, row % 64);
+            let (block, after) = rest.split_at(rest.len().min(64 - bit));
+            let mask = (u64::MAX >> (64 - block.len())) << bit;
+            for i in 0..width {
+                let set = block.iter().rev().fold(0, |w, v| w << 1 | ((v >> i) & 1)) << bit;
+                let w = &mut self.bits.col_mut(col_lo + i)[word];
+                *w = *w & !mask | set;
             }
+            (row, rest) = (row + block.len(), after);
         }
         self.note_row_run_writes(row_lo..row_lo + values.len(), width as u64);
     }

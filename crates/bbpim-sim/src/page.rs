@@ -159,12 +159,15 @@ impl PimPage {
             return Err(SimError::RowOutOfRange { row: end, rows: self.record_capacity() });
         }
         let n = self.crossbars.len();
+        let mut run = Vec::with_capacity(values.len().div_ceil(n));
         for (i, xb) in self.crossbars.iter_mut().enumerate() {
             // crossbar i holds slots i, i + n, …: the run enters it at
-            // row ⌈(first − i)/n⌉ and takes every n-th value from there
+            // row ⌈(first − i)/n⌉ and takes every n-th value from there,
+            // gathered once so the per-column passes read them in place
             let row_lo = first.saturating_sub(i).div_ceil(n);
-            let run = values.iter().copied().skip(row_lo * n + i - first).step_by(n);
-            xb.write_rows_bits(row_lo, col_lo, width, run);
+            run.clear();
+            run.extend(values.iter().skip(row_lo * n + i - first).step_by(n));
+            xb.write_rows_bits(row_lo, col_lo, width, &run);
         }
         Ok(())
     }
