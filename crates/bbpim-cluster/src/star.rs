@@ -63,7 +63,7 @@ use bbpim_core::error::CoreError;
 use bbpim_core::groupby::GroupByOutcome;
 use bbpim_core::layout::{RecordLayout, MASK_COL};
 use bbpim_core::modes::EngineMode;
-use bbpim_core::record::{fold_record, scattered_lines};
+use bbpim_core::record::{fold_record, ScatteredRead};
 use bbpim_core::result::QueryExecution;
 use bbpim_core::semijoin::{SemijoinDisjunct, SemijoinTerm};
 use bbpim_core::{PimTable, Scan};
@@ -497,10 +497,13 @@ fn star_gather(
         sources.push(dim.map_or(KeySource::Fact(attrs.len()), |d| KeySource::Dim(d, attrs.len())));
         attrs.push(g);
     }
-    // (dimension, its projection, where its FK sits among the fact values)
+    // (dimension, its projection, where its FK sits among the fact
+    // values, its rows read so far)
     let mut probes = Vec::new();
     for (d, attrs) in dim_attrs.iter().enumerate().filter(|(_, attrs)| !attrs.is_empty()) {
-        probes.push((d, dims[d].layout().project(attrs.iter().copied())?, fact_attrs.len()));
+        let projection = dims[d].layout().project(attrs.iter().copied())?;
+        let fetched = ScatteredRead::new(dims[d].config(), dims[d].loaded().records());
+        probes.push((d, projection, fact_attrs.len(), fetched));
         fact_attrs.push(DIMENSIONS[d].fk);
     }
     let operands_at = fact_attrs.len();
@@ -509,16 +512,18 @@ fn star_gather(
 
     // 3. hash aggregation: dimension keys resolved through the dense
     //    positional probe, every SELECT item folded in one pass
+    let cfg = fact.config();
+    let mut fetched = ScatteredRead::new(cfg, fact.loaded().records());
     let mut per_agg = vec![GroupedResult::new(); qplan.aggs.len()];
-    let mut probed: [Vec<usize>; 4] = Default::default();
     let mut dim_values: [Vec<u64>; 4] = Default::default();
     let (mut values, mut key) = (Vec::new(), Vec::with_capacity(sources.len()));
     for record in mask.ones() {
+        fetched.mark(record);
         fact.read(&fact_projection, record, &mut values)?;
-        for (d, projection, fk_at) in &probes {
+        for (d, projection, fk_at, fetched) in &mut probes {
             let row = probe_row(*d, values[*fk_at], &dims[*d])?;
+            fetched.mark(row);
             dims[*d].read(projection, row, &mut dim_values[*d])?;
-            probed[*d].push(row);
         }
         key.clear();
         key.extend(sources.iter().map(|source| match *source {
@@ -531,11 +536,9 @@ fn star_gather(
     // 4. the unique lines of the selection on the fact shard and of the
     //    probed rows on each dimension module (hot dimension rows
     //    amortise across fact records)
-    let cfg = fact.config();
-    let mut lines = scattered_lines(cfg, mask.ones(), fact_projection.chunks_per_row());
-    for (d, projection, _) in &probes {
-        let rows = probed[*d].iter().copied();
-        lines += scattered_lines(dims[*d].config(), rows, projection.chunks_per_row());
+    let mut lines = fetched.lines(fact_projection.chunks_per_row());
+    for (_, projection, _, fetched) in &probes {
+        lines += fetched.lines(projection.chunks_per_row());
     }
     let fetch = fact.module().host_read_scattered_phase(lines);
     let per_record = cfg.host.host_agg_ns_per_record / cfg.host.threads as f64;

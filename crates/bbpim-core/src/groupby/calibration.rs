@@ -25,7 +25,7 @@ use crate::groupby::pim_gb::PreparedAgg;
 use crate::layout::RecordLayout;
 use crate::modes::EngineMode;
 use crate::planner::PageSet;
-use crate::record::scattered_lines;
+use crate::record::ScatteredRead;
 use crate::table::PimTable;
 use bbpim_sim::config::SimConfig;
 use bbpim_sim::hostmem;
@@ -112,11 +112,14 @@ pub struct CalibrationData {
 /// host-aggregation model the real host-gb path charges.
 pub fn host_gb_time_ns(cfg: &SimConfig, m: usize, s: usize, mask: &[bool]) -> f64 {
     let mask_lines = (m * cfg.crossbar_rows) as u64;
-    let selected = mask.iter().enumerate().filter(|(_, b)| **b).map(|(record, _)| record);
-    let data_lines = scattered_lines(cfg, selected, s);
-    let selected = mask.iter().filter(|b| **b).count() as f64;
+    let mut fetched = ScatteredRead::new(cfg, mask.len());
+    let mut selected = 0.0;
+    for (record, _) in mask.iter().enumerate().filter(|(_, b)| **b) {
+        fetched.mark(record);
+        selected += 1.0;
+    }
     hostmem::read_time_ns(cfg, mask_lines)
-        + hostmem::scattered_read_time_ns(cfg, data_lines)
+        + hostmem::scattered_read_time_ns(cfg, fetched.lines(s))
         + selected * cfg.host.host_agg_ns_per_record / cfg.host.threads as f64
 }
 

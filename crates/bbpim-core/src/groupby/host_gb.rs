@@ -19,7 +19,7 @@ use bbpim_sim::timeline::Phase;
 
 use crate::error::CoreError;
 use crate::layout::MASK_COL;
-use crate::record::{fold_record, scattered_lines};
+use crate::record::{fold_record, ScatteredRead};
 use crate::scan::Scan;
 
 impl Scan<'_> {
@@ -51,24 +51,26 @@ impl Scan<'_> {
         let attrs = group_by.iter().map(String::as_str).chain(operands);
         let projection = table.layout.project(attrs)?;
 
-        // 3. Record fetches are mask-directed (data-dependent addresses):
-        //    latency-bound scattered reads, per the paper's host-gb
-        //    behaviour, over the unique lines of the selection.
-        let cfg = table.module.config();
-        let lines = scattered_lines(cfg, mask.ones(), projection.chunks_per_row());
-        self.log.push(table.module.host_read_scattered_phase(lines));
-
-        // 4. Hash aggregation at the host, all physical aggregates folded
+        // 3. Hash aggregation at the host, all physical aggregates folded
         //    in one pass over the selected records.
+        let cfg = table.module.config();
+        let mut fetched = ScatteredRead::new(cfg, table.loaded.records());
         let mut per_agg = vec![GroupedResult::new(); aggs.len()];
         let mut values = Vec::new();
         for record in mask.ones() {
+            fetched.mark(record);
             table.read(&projection, record, &mut values)?;
             let (key, operands) = values.split_at(group_by.len());
             if !skip.contains(key) {
                 fold_record(aggs, &mut per_agg, key, operands);
             }
         }
+
+        // 4. Record fetches are mask-directed (data-dependent addresses):
+        //    latency-bound scattered reads, per the paper's host-gb
+        //    behaviour, over the unique lines of the selection.
+        let lines = fetched.lines(projection.chunks_per_row());
+        self.log.push(table.module.host_read_scattered_phase(lines));
         let per_record = cfg.host.host_agg_ns_per_record / cfg.host.threads as f64;
         self.log.push(Phase::host_compute(mask.count_ones() as f64 * per_record));
         Ok(per_agg)

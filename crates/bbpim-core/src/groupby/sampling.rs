@@ -10,7 +10,7 @@ use bbpim_db::stats::GroupedResult;
 
 use crate::error::CoreError;
 use crate::layout::{Projection, MASK_COL};
-use crate::record::{fold_record, scattered_lines};
+use crate::record::{fold_record, ScatteredRead};
 use crate::scan::Scan;
 
 /// What the sample folds per key: a record count.
@@ -79,24 +79,24 @@ impl Scan<'_> {
         let sample_records = sampled.len();
 
         // Mask of the sampled page (partition 0): one line per occupied row.
-        let xbs = module.config().crossbars_per_page();
-        self.log.push(module.host_read_phase(sample_records.div_ceil(xbs) as u64));
+        let cfg = module.config();
+        self.log
+            .push(module.host_read_phase(sample_records.div_ceil(cfg.crossbars_per_page()) as u64));
         let mask_page = module.page(loaded.pages(0)[sample_idx]);
-        let selected: Vec<usize> = (0..sample_records)
-            .filter(|slot| mask_page.crossbar(slot % xbs).bits().get(slot / xbs, MASK_COL))
-            .map(|slot| sampled.start + slot)
-            .collect();
 
         // Group-key chunks of the selected sampled records, counted per key.
-        let lines =
-            scattered_lines(module.config(), selected.iter().copied(), keys.chunks_per_row());
-        self.log.push(module.host_read_scattered_phase(lines));
+        let mut fetched = ScatteredRead::new(cfg, loaded.records());
         let mut counts = [GroupedResult::new()];
-        let mut key = Vec::new();
-        for &record in &selected {
-            table.read(keys, record, &mut key)?;
-            fold_record(COUNT, &mut counts, &key, &[]);
+        let (mut key, mut sample_selected) = (Vec::new(), 0usize);
+        for (slot, record) in sampled.enumerate() {
+            if mask_page.read_record_bits(slot, MASK_COL, 1)? == 1 {
+                fetched.mark(record);
+                table.read(keys, record, &mut key)?;
+                fold_record(COUNT, &mut counts, &key, &[]);
+                sample_selected += 1;
+            }
         }
+        self.log.push(module.host_read_scattered_phase(fetched.lines(keys.chunks_per_row())));
         let [counts] = counts;
 
         // Selected records exist only on candidate pages (pruned pages are
@@ -113,7 +113,6 @@ impl Scan<'_> {
             counts.into_iter().map(|(k, c)| (k, c as f64 * scale)).collect();
         groups.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
 
-        let sample_selected = selected.len();
         Ok(SampleEstimate {
             sample_records,
             sample_selected,

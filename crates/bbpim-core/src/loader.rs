@@ -11,8 +11,9 @@
 //! This is the host's write path to stored records: the load and the
 //! online INSERT are the two callers of one writer
 //! (`LoadedRelation::store`), which differ in what brackets it —
-//! allocate + write + reset against reserve + write + charge. INSERT's
-//! capacity contract is all-or-nothing (see [`append_rows`]).
+//! allocate + write + reset against reserve + write + charge. An INSERT
+//! batch is all-or-nothing: a bad row or a module out of capacity
+//! leaves the table unchanged (see [`append_rows`]).
 
 use bbpim_db::relation::Relation;
 use bbpim_db::zonemap::ZoneMap;
@@ -123,9 +124,7 @@ impl LoadedRelation {
             self.page_zones[idx].widen(attr_idx, value);
         }
     }
-}
 
-impl LoadedRelation {
     /// Grow the image to hold `records` records. Every partition's new
     /// pages come out of one allocation, so either all partitions grow
     /// or — out of capacity — nothing changes.
@@ -226,19 +225,17 @@ pub fn load_relation(
 /// zone maps are widened over the new values. The host-side catalog
 /// copy `rel` is appended in lockstep.
 ///
-/// Capacity is all-or-nothing: every partition must be able to take
-/// every new page of the batch before the first bit, zone or catalog
-/// row is written, so a batch the module cannot hold leaves the table
-/// exactly as it was.
+/// The batch is all-or-nothing: every row must be a row of the schema
+/// and every partition must be able to take every new page before the
+/// first bit, zone or catalog row is written, so a batch with a bad row
+/// or one the module cannot hold leaves the table exactly as it was.
 ///
 /// Returns the phase log and the touched page indices (in page order).
 ///
 /// # Errors
 ///
-/// [`bbpim_sim::SimError::OutOfCapacity`], with nothing applied; row
-/// arity/domain violations (callers validate first —
-/// [`crate::Mutation::validate`]), with the rows before the offending
-/// one stored and the image still equal to the catalog.
+/// Row arity/domain violations ([`bbpim_db::Schema::check_row`]) and
+/// [`bbpim_sim::SimError::OutOfCapacity`], each with nothing applied.
 pub fn append_rows(
     module: &mut PimModule,
     layout: &RecordLayout,
@@ -250,11 +247,10 @@ pub fn append_rows(
     if rows.is_empty() {
         return Ok((log, Vec::new()));
     }
+    rows.iter().try_for_each(|row| rel.schema().check_row(row))?;
     loaded.reserve(module, loaded.records + rows.len(), rel.schema().arity())?;
-    // catalog first: push_row validates arity and bit domains
-    let pushed = rows.iter().try_for_each(|row| rel.push_row(row));
+    rows.iter().try_for_each(|row| rel.push_row(row))?;
     let touched = loaded.store(module, layout, rel)?;
-    pushed?;
 
     // Host-channel accounting: one dispatch over the touched pages plus
     // the row payload itself, written per partition as memory lines.
@@ -397,7 +393,7 @@ mod tests {
     }
 
     /// The retired row-at-a-time writer, kept as the reference: one
-    /// `write_record_bits` per cell, one zone widening per value. Stores
+    /// single-record write per cell, one zone widening per value. Stores
     /// catalog rows `records` into `pages[partition][page]`.
     fn store_per_record(
         module: &mut PimModule,
@@ -411,7 +407,7 @@ mod tests {
         for record in records {
             let (pg, slot) = (record / rpp, record % rpp);
             for run in pages {
-                module.page_mut(run[pg]).write_record_bits(slot, VALID_COL, 1, 1).unwrap();
+                module.page_mut(run[pg]).write_records(slot, VALID_COL, 1, &[1]).unwrap();
             }
             for (idx, attr) in rel.schema().attrs().iter().enumerate() {
                 zones[pg].widen(idx, rel.value(record, idx));
@@ -419,7 +415,7 @@ mod tests {
                     let p = layout.placement(&attr.name).unwrap();
                     let page = module.page_mut(pages[p.partition][pg]);
                     let value = rel.value(record, idx);
-                    page.write_record_bits(slot, p.range.lo, p.range.width, value).unwrap();
+                    page.write_records(slot, p.range.lo, p.range.width, &[value]).unwrap();
                 }
             }
         }
@@ -583,6 +579,24 @@ mod tests {
                 );
                 assert_same_image((&module, &loaded), (&ref_module, &ref_pages, &ref_zones), &what);
             }
+        }
+    }
+
+    #[test]
+    fn a_batch_with_a_bad_row_leaves_the_table_unchanged() {
+        let (mut module, mut rel, layout) = small_setup(250);
+        let mut loaded = load_relation(&mut module, &rel, &layout).unwrap();
+        // ten good rows — enough to need a second page — then one past
+        // d_b's 6 bits, or one of the wrong arity
+        for bad in [vec![1, 64], vec![1]] {
+            let mut rows = vec![vec![1, 1]; 10];
+            rows.push(bad);
+            let err = append_rows(&mut module, &layout, &mut loaded, &mut rel, &rows).unwrap_err();
+            assert!(matches!(err, CoreError::Db(_)), "{err}");
+            assert_eq!((rel.len(), loaded.records()), (250, 250));
+            assert_eq!((loaded.page_count(), module.allocated_pages()), (1, 1));
+            assert_eq!(loaded.zone_map(), rel.zone_map());
+            assert_eq!(module.max_row_cell_writes(&loaded.all_pages()), 0);
         }
     }
 

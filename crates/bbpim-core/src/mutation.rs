@@ -106,25 +106,7 @@ impl Mutation {
     pub fn validate(&self, schema: &Schema) -> Result<(), CoreError> {
         match self {
             Mutation::Insert { rows } => {
-                for (i, row) in rows.iter().enumerate() {
-                    if row.len() != schema.arity() {
-                        return Err(CoreError::Unsupported(format!(
-                            "insert row {i} has {} values, schema {} has {}",
-                            row.len(),
-                            schema.name,
-                            schema.arity()
-                        )));
-                    }
-                    for (attr, &v) in schema.attrs().iter().zip(row) {
-                        if attr.bits < 64 && v >> attr.bits != 0 {
-                            return Err(CoreError::Unsupported(format!(
-                                "insert row {i}: value {v} exceeds {} bits of {}",
-                                attr.bits, attr.name
-                            )));
-                        }
-                    }
-                }
-                Ok(())
+                Ok(rows.iter().try_for_each(|row| schema.check_row(row))?)
             }
             Mutation::Update { filter, set } => {
                 if set.is_empty() {

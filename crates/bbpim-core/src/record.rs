@@ -5,7 +5,7 @@
 //! one-page sample and host-gb of Section IV, and the FK-probing gather
 //! of a star join — and each is "which records, which [`Projection`],
 //! which charge" over the primitives here: [`PimTable::read`] turns a
-//! record into the projection's values, [`scattered_lines`] prices the
+//! record into the projection's values, [`ScatteredRead`] prices the
 //! fetch, and [`fold_record`] folds key and operand values into the
 //! per-aggregate groups. (The write path — load and INSERT — is
 //! [`crate::loader`].)
@@ -13,6 +13,7 @@
 use bbpim_db::plan::{AggExpr, PhysAgg};
 use bbpim_db::stats::GroupedResult;
 use bbpim_sim::config::SimConfig;
+use bbpim_sim::maskwire::PackedBits;
 use bbpim_sim::SimError;
 
 use crate::error::CoreError;
@@ -47,34 +48,40 @@ impl PimTable {
     }
 }
 
-/// The one unique-line rule: cache lines behind a scattered read of
-/// `chunks_per_row` chunks of each of `records`. A line holds one chunk
-/// of one crossbar row across the page's crossbars (Section V-B: reading
-/// one record brings its 31 row siblings along), so the read costs
-/// `distinct(record / crossbars_per_page) × chunks_per_row` — whatever
-/// the order of `records` and however often one repeats (an ascending
+/// The one unique-line rule: the cache lines behind a scattered read of
+/// the records [`ScatteredRead::mark`]ed. A line holds one chunk of one
+/// crossbar row across the page's crossbars (Section V-B: reading one
+/// record brings its 31 row siblings along), so reading `s` chunks of
+/// each costs `distinct(record / crossbars_per_page) × s` — whatever the
+/// order of the records and however often one repeats (an ascending
 /// selection, one sampled page, the probed rows of a foreign key).
-pub fn scattered_lines(
-    cfg: &SimConfig,
-    records: impl IntoIterator<Item = usize>,
-    chunks_per_row: usize,
-) -> u64 {
-    let per_row = cfg.crossbars_per_page();
-    let mut rows: Vec<u64> = Vec::new();
-    // the records of the row marked last: its siblings need no lookup
-    let mut marked = 0..0;
-    for record in records {
-        if marked.contains(&record) {
-            continue;
-        }
-        let row = record / per_row;
-        if rows.len() <= row / 64 {
-            rows.resize(row / 64 + 1, 0);
-        }
-        rows[row / 64] |= 1 << (row % 64);
-        marked = row * per_row..(row + 1) * per_row;
+#[derive(Debug, Clone)]
+pub struct ScatteredRead {
+    per_row: usize,
+    rows: PackedBits,
+}
+
+impl ScatteredRead {
+    /// Nothing read yet, of a table of `records` records.
+    pub fn new(cfg: &SimConfig, records: usize) -> Self {
+        let per_row = cfg.crossbars_per_page();
+        Self { per_row, rows: PackedBits::zeros(records.div_ceil(per_row)) }
     }
-    rows.iter().map(|w| u64::from(w.count_ones())).sum::<u64>() * chunks_per_row as u64
+
+    /// Read one record.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a record past the table.
+    pub fn mark(&mut self, record: usize) {
+        self.rows.set(record / self.per_row);
+    }
+
+    /// Lines fetched when `chunks_per_row` chunks of every marked
+    /// record are read.
+    pub fn lines(&self, chunks_per_row: usize) -> u64 {
+        self.rows.count_ones() * chunks_per_row as u64
+    }
 }
 
 /// The one fold of host-read records into groups: fold one record —
@@ -144,8 +151,10 @@ mod tests {
                 [vec![], (0..records).collect(), sparse, one_page, probe, vec![records - 1]];
             for (i, selection) in selections.iter().enumerate() {
                 for s in [0, 1, 3, 8] {
+                    let mut read = ScatteredRead::new(&cfg, records);
+                    selection.iter().for_each(|&record| read.mark(record));
                     assert_eq!(
-                        scattered_lines(&cfg, selection.iter().copied(), s),
+                        read.lines(s),
                         line_set(&cfg, selection, s),
                         "selection {i}, {s} chunks per row, {} rows per crossbar",
                         cfg.crossbar_rows

@@ -58,27 +58,11 @@ impl Relation {
     ///
     /// # Errors
     ///
-    /// [`DbError::ArityMismatch`] on wrong arity;
-    /// [`DbError::ValueOutOfRange`] (with the attribute name filled in)
-    /// when a value exceeds its width. The row is either fully appended
-    /// or not at all.
+    /// [`Schema::check_row`]'s. The row is either fully appended or not
+    /// at all.
     pub fn push_row(&mut self, values: &[u64]) -> Result<(), DbError> {
-        if values.len() != self.schema.arity() {
-            return Err(DbError::ArityMismatch {
-                got: values.len(),
-                expected: self.schema.arity(),
-            });
-        }
         // Validate first so a failure cannot leave ragged columns.
-        for (attr, &v) in self.schema.attrs().iter().zip(values) {
-            if attr.bits < 64 && v >> attr.bits != 0 {
-                return Err(DbError::ValueOutOfRange {
-                    attr: attr.name.clone(),
-                    value: v,
-                    bits: attr.bits,
-                });
-            }
-        }
+        self.schema.check_row(values)?;
         for (col, &v) in self.columns.iter_mut().zip(values) {
             col.push(v).expect("validated above");
         }

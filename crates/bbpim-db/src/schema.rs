@@ -123,6 +123,30 @@ impl Schema {
     pub fn record_bits(&self) -> usize {
         self.attrs.iter().map(|a| a.bits).sum()
     }
+
+    /// Whether `values` is a row of this schema: one encoded value per
+    /// attribute, each within its attribute's width.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::ArityMismatch`] on wrong arity;
+    /// [`DbError::ValueOutOfRange`] (with the attribute name filled in)
+    /// when a value exceeds its width.
+    pub fn check_row(&self, values: &[u64]) -> Result<(), DbError> {
+        if values.len() != self.arity() {
+            return Err(DbError::ArityMismatch { got: values.len(), expected: self.arity() });
+        }
+        for (attr, &v) in self.attrs.iter().zip(values) {
+            if attr.bits < 64 && v >> attr.bits != 0 {
+                return Err(DbError::ValueOutOfRange {
+                    attr: attr.name.clone(),
+                    value: v,
+                    bits: attr.bits,
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -163,38 +163,12 @@ impl Crossbar {
         for col in col_lo..col_lo + width {
             self.bits.clear_col_prefix(col, rows);
         }
-        self.note_row_run_writes(0..rows, width as u64);
-    }
-
-    /// Host write of one value per row into `[col_lo, col_lo + width)`
-    /// of the rows `row_lo..row_lo + values.len()`, a column at a time:
-    /// per 64-row word of a column, the rows' bits are gathered in a
-    /// register and stored once — the bits and wear of
-    /// [`Crossbar::write_row_bits`] on each of those rows.
-    pub fn write_rows_bits(&mut self, row_lo: usize, col_lo: usize, width: usize, values: &[u64]) {
-        let (mut row, mut rest) = (row_lo, values);
-        while !rest.is_empty() {
-            // the rows of `rest` that share the word `row` falls in
-            let (word, bit) = (row / 64, row % 64);
-            let (block, after) = rest.split_at(rest.len().min(64 - bit));
-            let mask = (u64::MAX >> (64 - block.len())) << bit;
-            for i in 0..width {
-                let set = block.iter().rev().fold(0, |w, v| w << 1 | ((v >> i) & 1)) << bit;
-                let w = &mut self.bits.col_mut(col_lo + i)[word];
-                *w = *w & !mask | set;
-            }
-            (row, rest) = (row + block.len(), after);
-        }
-        self.note_row_run_writes(row_lo..row_lo + values.len(), width as u64);
-    }
-
-    /// Record `width` cell writes against each row of a run; a run over
-    /// every row is one bump of the all-rows counter.
-    fn note_row_run_writes(&mut self, rows: std::ops::Range<usize>, width: u64) {
-        if rows == (0..self.rows()) {
-            self.all_rows_writes += width;
+        if rows == self.rows() {
+            self.all_rows_writes += width as u64;
         } else {
-            rows.for_each(|row| self.note_row_writes(row, width));
+            for row in 0..rows {
+                self.note_row_writes(row, width as u64);
+            }
         }
     }
 

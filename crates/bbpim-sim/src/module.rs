@@ -530,7 +530,7 @@ mod tests {
         let pages = m.alloc_pages(2).unwrap();
         for &p in &pages {
             for r in 0..m.page(p).record_capacity() {
-                m.page_mut(p).write_record_bits(r, 0, 1, 1).unwrap();
+                m.page_mut(p).write_records(r, 0, 1, &[1]).unwrap();
             }
         }
         let mut prog = Microprogram::new();
@@ -567,8 +567,8 @@ mod tests {
         let p = pages[0];
         // value = record index, mask = all records
         for r in 0..m.page(p).record_capacity() {
-            m.page_mut(p).write_record_bits(r, 0, 16, r as u64).unwrap();
-            m.page_mut(p).write_record_bits(r, 20, 1, 1).unwrap();
+            m.page_mut(p).write_records(r, 0, 16, &[r as u64]).unwrap();
+            m.page_mut(p).write_records(r, 20, 1, &[1]).unwrap();
         }
         let req = AggRequest {
             op: ReduceOp::Sum,
@@ -593,8 +593,8 @@ mod tests {
         let pages = m.alloc_pages(1).unwrap();
         let p = pages[0];
         for r in 0..m.page(p).record_capacity() {
-            m.page_mut(p).write_record_bits(r, 0, 16, (r % 13) as u64).unwrap();
-            m.page_mut(p).write_record_bits(r, 20, 1, (r % 4 == 0) as u64).unwrap();
+            m.page_mut(p).write_records(r, 0, 16, &[(r % 13) as u64]).unwrap();
+            m.page_mut(p).write_records(r, 20, 1, &[(r % 4 == 0) as u64]).unwrap();
         }
         let req = AggRequest {
             op: ReduceOp::Sum,
@@ -616,8 +616,8 @@ mod tests {
         let pages2 = m.alloc_pages(1).unwrap();
         let p2 = pages2[0];
         for r in 0..m.page(p2).record_capacity() {
-            m.page_mut(p2).write_record_bits(r, 0, 16, (r % 13) as u64).unwrap();
-            m.page_mut(p2).write_record_bits(r, 20, 1, (r % 4 == 0) as u64).unwrap();
+            m.page_mut(p2).write_records(r, 0, 16, &[(r % 13) as u64]).unwrap();
+            m.page_mut(p2).write_records(r, 20, 1, &[(r % 4 == 0) as u64]).unwrap();
         }
         let (tree, phase2) = m.aggregate(&pages2, &req, Some(count_dst), false).unwrap();
         assert_eq!(tree, circuit);
@@ -663,8 +663,8 @@ mod tests {
         let mut m = module();
         let good = m.alloc_pages(1).unwrap()[0];
         for r in 0..m.page(good).record_capacity() {
-            m.page_mut(good).write_record_bits(r, 0, 16, r as u64).unwrap();
-            m.page_mut(good).write_record_bits(r, 20, 1, 1).unwrap();
+            m.page_mut(good).write_records(r, 0, 16, &[r as u64]).unwrap();
+            m.page_mut(good).write_records(r, 20, 1, &[1]).unwrap();
         }
         m.reset_endurance(&[good]);
         let snapshot = |m: &PimModule| {
@@ -698,8 +698,8 @@ mod tests {
         let b = m.alloc_pages(1).unwrap();
         for &pg in a.iter().chain(b.iter()) {
             for r in 0..m.page(pg).record_capacity() {
-                m.page_mut(pg).write_record_bits(r, 0, 16, (r % 50) as u64).unwrap();
-                m.page_mut(pg).write_record_bits(r, 20, 1, (r % 3 == 0) as u64).unwrap();
+                m.page_mut(pg).write_records(r, 0, 16, &[(r % 50) as u64]).unwrap();
+                m.page_mut(pg).write_records(r, 20, 1, &[(r % 3 == 0) as u64]).unwrap();
             }
         }
         let req = AggRequest {

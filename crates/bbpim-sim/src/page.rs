@@ -119,29 +119,10 @@ impl PimPage {
         summary
     }
 
-    /// Write `width` bits of a record's row at bit offset `col_lo`
-    /// (endurance-counted; the single-record statement of
-    /// [`PimPage::write_records`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates slot errors.
-    pub fn write_record_bits(
-        &mut self,
-        record: usize,
-        col_lo: usize,
-        width: usize,
-        value: u64,
-    ) -> Result<(), SimError> {
-        let slot = self.record_slot(record)?;
-        self.crossbars[slot.crossbar].write_row_bits(slot.row, col_lo, width, value);
-        Ok(())
-    }
-
     /// Host write of one value per record into `[col_lo, col_lo + width)`
-    /// of the slots `first..first + values.len()` — the bits and wear of
-    /// [`PimPage::write_record_bits`] per record, done a column at a
-    /// time.
+    /// of the slots `first..first + values.len()` (endurance-counted:
+    /// every written record's row wears `width` cells; the loader and
+    /// INSERT store rows through it).
     ///
     /// # Errors
     ///
@@ -159,15 +140,8 @@ impl PimPage {
             return Err(SimError::RowOutOfRange { row: end, rows: self.record_capacity() });
         }
         let n = self.crossbars.len();
-        let mut run = Vec::with_capacity(values.len().div_ceil(n));
-        for (i, xb) in self.crossbars.iter_mut().enumerate() {
-            // crossbar i holds slots i, i + n, …: the run enters it at
-            // row ⌈(first − i)/n⌉ and takes every n-th value from there,
-            // gathered once so the per-column passes read them in place
-            let row_lo = first.saturating_sub(i).div_ceil(n);
-            run.clear();
-            run.extend(values.iter().skip(row_lo * n + i - first).step_by(n));
-            xb.write_rows_bits(row_lo, col_lo, width, &run);
+        for (slot, v) in (first..).zip(values) {
+            self.crossbars[slot % n].write_row_bits(slot / n, col_lo, width, *v);
         }
         Ok(())
     }
@@ -176,7 +150,7 @@ impl PimPage {
     /// `[col_lo, col_lo + width)` of the page's first `records` slots.
     /// The host writes whole chunks: each record's chunk takes its flag
     /// at `col_lo` and zeros above it, and every written row wears
-    /// `width` cells — [`PimPage::write_record_bits`] per record, done
+    /// `width` cells — [`PimPage::write_records`] per record, done
     /// a column at a time. `set` yields the slots whose flag is 1.
     ///
     /// # Panics
@@ -291,10 +265,28 @@ mod tests {
     #[test]
     fn record_bits_roundtrip() {
         let mut p = page();
-        p.write_record_bits(37, 8, 16, 0xBEEF).unwrap();
+        p.write_records(37, 8, 16, &[0xBEEF]).unwrap();
         assert_eq!(p.read_record_bits(37, 8, 16).unwrap(), 0xBEEF);
         // sibling record untouched
         assert_eq!(p.read_record_bits(36, 8, 16).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_run_fills_consecutive_slots_or_nothing() {
+        let mut p = page();
+        let capacity = p.record_capacity();
+        p.write_records(capacity - 3, 8, 16, &[7, 8, 9]).unwrap();
+        for (slot, v) in
+            [(capacity - 4, 0), (capacity - 3, 7), (capacity - 2, 8), (capacity - 1, 9)]
+        {
+            assert_eq!(p.read_record_bits(slot, 8, 16).unwrap(), v, "slot {slot}");
+        }
+        // each written row wore its 16 cells, once
+        assert_eq!(p.max_row_cell_writes(), 16);
+        // a run past the page is refused before its first cell
+        assert!(p.write_records(capacity - 1, 30, 8, &[1, 2]).is_err());
+        assert_eq!(p.read_record_bits(capacity - 1, 30, 8).unwrap(), 0);
+        assert_eq!(p.max_row_cell_writes(), 16);
     }
 
     #[test]
@@ -302,7 +294,7 @@ mod tests {
         let mut p = page();
         // set column 0 of every record, derive NOT into column 1
         for r in 0..p.record_capacity() {
-            p.write_record_bits(r, 0, 1, 1).unwrap();
+            p.write_records(r, 0, 1, &[1]).unwrap();
         }
         let mut prog = Microprogram::new();
         prog.gate_not(0, 1);
@@ -315,8 +307,8 @@ mod tests {
     #[test]
     fn endurance_rollup_is_max_over_crossbars() {
         let mut p = page();
-        p.write_record_bits(0, 0, 8, 0xFF).unwrap(); // crossbar 0, row 0: 8 writes
-        p.write_record_bits(1, 0, 4, 0xF).unwrap(); // crossbar 1: 4 writes
+        p.write_records(0, 0, 8, &[0xFF]).unwrap(); // crossbar 0, row 0: 8 writes
+        p.write_records(1, 0, 4, &[0xF]).unwrap(); // crossbar 1: 4 writes
         assert_eq!(p.max_row_cell_writes(), 8);
         p.reset_endurance();
         assert_eq!(p.max_row_cell_writes(), 0);

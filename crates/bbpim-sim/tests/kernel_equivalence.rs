@@ -7,8 +7,6 @@
 //!
 //! * wear — one counter per row, bumped row by row, against
 //!   `max_row_cell_writes` at crossbar, page and module level;
-//! * record runs — `write_record_bits` record by record, against the
-//!   column-at-a-time `write_records` the loader stores rows with;
 //! * aggregation — `masked_reduce` over every row plus a per-row count,
 //!   against `PimModule::aggregate` on both backends;
 //! * row access — cell-by-cell `get` / `set` against
@@ -87,7 +85,7 @@ fn wear_matches_the_per_row_reference_at_every_level() {
     for step in 0..1500 {
         let (p, x) = (rng.gen_range(0..pages.len()), rng.gen_range(0..xbs));
         let (row, cells) = (rng.gen_range(0..rows), rng.gen_range(0u64..40));
-        match rng.gen_range(0u32..11) {
+        match rng.gen_range(0u32..10) {
             0 => {
                 // the module's entry point: a random subset of the pages
                 let subset: Vec<PageId> =
@@ -136,21 +134,6 @@ fn wear_matches_the_per_row_reference_at_every_level() {
                     reference[p][record % xbs].rows[record / xbs] += 16;
                 }
             }
-            9 => {
-                // a run of records, a column at a time: the wear of a
-                // `width`-cell write on every written record's row
-                let first = rng.gen_range(0..=rows * xbs);
-                let len = match rng.gen_range(0u32..3) {
-                    0 => rows * xbs - first,
-                    _ => rng.gen_range(0..=rows * xbs - first),
-                };
-                let width = rng.gen_range(0usize..=64);
-                let values: Vec<u64> = (0..len).map(|_| rng.gen()).collect();
-                module.page_mut(pages[p]).write_records(first, 40, width, &values).unwrap();
-                for record in first..first + len {
-                    reference[p][record % xbs].rows[record / xbs] += width as u64;
-                }
-            }
             7 => {
                 module.page_mut(pages[p]).crossbar_mut(x).reset_endurance();
                 reference[p][x].rows.fill(0);
@@ -194,8 +177,8 @@ fn program_wear_formula_matches_execution() {
     }
 }
 
-/// `write_record_flags` leaves the bits `write_record_bits` per record
-/// does, and touches nothing else.
+/// `write_record_flags` leaves the bits a one-record `write_records`
+/// per record does, and touches nothing else.
 #[test]
 fn record_flags_match_per_record_chunk_writes() {
     let cfg = SimConfig::small_for_tests();
@@ -207,14 +190,14 @@ fn record_flags_match_per_record_chunk_writes() {
         // old contents everywhere, so cleared and untouched cells show
         for r in 0..capacity {
             for &p in &pages {
-                module.page_mut(p).write_record_bits(r, 24, 32, 0xDEAD_BEEF).unwrap();
+                module.page_mut(p).write_records(r, 24, 32, &[0xDEAD_BEEF]).unwrap();
             }
         }
         let flags: Vec<bool> = (0..records).map(|_| rng.gen()).collect();
         let set = flags.iter().enumerate().filter(|(_, f)| **f).map(|(r, _)| r);
         module.page_mut(pages[0]).write_record_flags(32, 16, records, set).unwrap();
         for (r, flag) in flags.iter().enumerate() {
-            module.page_mut(pages[1]).write_record_bits(r, 32, 16, u64::from(*flag)).unwrap();
+            module.page_mut(pages[1]).write_records(r, 32, 16, &[u64::from(*flag)]).unwrap();
         }
         let [fast, plain] = [pages[0], pages[1]].map(|p| module.page(p));
         for (a, b) in fast.crossbars().zip(plain.crossbars()) {
@@ -229,52 +212,6 @@ fn record_flags_match_per_record_chunk_writes() {
         .page_mut(page)
         .write_record_flags(32, 16, capacity + 1, [].into_iter())
         .is_err());
-}
-
-/// `write_records` leaves the bits `write_record_bits` per record does,
-/// and touches nothing else.
-#[test]
-fn record_runs_match_per_record_writes() {
-    let cfg = SimConfig::small_for_tests();
-    let (capacity, xbs) = (cfg.records_per_page(), cfg.crossbars_per_page());
-    let mut rng = StdRng::seed_from_u64(0x5708E);
-    for (first, len) in [
-        (0, 0),
-        (0, 1),
-        (0, capacity),
-        (3, 1),
-        (3, xbs),
-        (xbs - 1, 2 * xbs + 3),
-        (capacity / 2 + 1, capacity / 4),
-        (capacity - 1, 1),
-        (capacity, 0),
-    ] {
-        for width in [1, 5, 16, 37, 64] {
-            let mut module = PimModule::new(cfg.clone());
-            let pages = module.alloc_pages(2).unwrap();
-            // old contents everywhere, so overwritten and untouched cells show
-            for r in 0..capacity {
-                for &p in &pages {
-                    module.page_mut(p).write_record_bits(r, 24, 64, 0xDEAD_BEEF_F00D_CAFE).unwrap();
-                }
-            }
-            let values: Vec<u64> = (0..len).map(|_| rng.gen()).collect();
-            module.page_mut(pages[0]).write_records(first, 30, width, &values).unwrap();
-            for (r, v) in (first..).zip(&values) {
-                module.page_mut(pages[1]).write_record_bits(r, 30, width, *v).unwrap();
-            }
-            let [fast, plain] = [pages[0], pages[1]].map(|p| module.page(p));
-            for (a, b) in fast.crossbars().zip(plain.crossbars()) {
-                assert_eq!(a.bits(), b.bits(), "{len} records from {first}, {width} bits");
-                assert_eq!(a.max_row_cell_writes(), b.max_row_cell_writes(), "{first}+{len}");
-            }
-        }
-    }
-    // a run past the page is the caller's bug, and writes nothing
-    let mut module = PimModule::new(cfg);
-    let page = module.alloc_pages(1).unwrap()[0];
-    assert!(module.page_mut(page).write_records(capacity - 1, 30, 8, &[1, 2]).is_err());
-    assert!(module.page(page).crossbars().all(|xb| xb.max_row_cell_writes() == 0));
 }
 
 /// Every row's value and selection bit, read cell by cell.

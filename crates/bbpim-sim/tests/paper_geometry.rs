@@ -64,9 +64,9 @@ fn aggregation_over_a_full_paper_page_matches_direct_sum() {
     let mut expected = 0u64;
     for r in 0..capacity {
         let v = ((r as u64).wrapping_mul(48_271)) % 50_000;
-        module.page_mut(p).write_record_bits(r, 32, 20, v).unwrap();
+        module.page_mut(p).write_records(r, 32, 20, &[v]).unwrap();
         let selected = r % 7 == 0;
-        module.page_mut(p).write_record_bits(r, 1, 1, selected as u64).unwrap();
+        module.page_mut(p).write_records(r, 1, 1, &[selected as u64]).unwrap();
         if selected {
             expected += v;
         }
