@@ -518,12 +518,12 @@ fn star_gather(
     let mut dim_values: [Vec<u64>; 4] = Default::default();
     let (mut values, mut key) = (Vec::new(), Vec::with_capacity(sources.len()));
     for record in mask.ones() {
-        fetched.mark(record);
         fact.read(&fact_projection, record, &mut values)?;
+        fetched.mark(record);
         for (d, projection, fk_at, fetched) in &mut probes {
             let row = probe_row(*d, values[*fk_at], &dims[*d])?;
-            fetched.mark(row);
             dims[*d].read(projection, row, &mut dim_values[*d])?;
+            fetched.mark(row);
         }
         key.clear();
         key.extend(sources.iter().map(|source| match *source {

@@ -58,8 +58,8 @@ impl Scan<'_> {
         let mut per_agg = vec![GroupedResult::new(); aggs.len()];
         let mut values = Vec::new();
         for record in mask.ones() {
-            fetched.mark(record);
             table.read(&projection, record, &mut values)?;
+            fetched.mark(record);
             let (key, operands) = values.split_at(group_by.len());
             if !skip.contains(key) {
                 fold_record(aggs, &mut per_agg, key, operands);

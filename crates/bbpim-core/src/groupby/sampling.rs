@@ -90,8 +90,8 @@ impl Scan<'_> {
         let (mut key, mut sample_selected) = (Vec::new(), 0usize);
         for (slot, record) in sampled.enumerate() {
             if mask_page.read_record_bits(slot, MASK_COL, 1)? == 1 {
-                fetched.mark(record);
                 table.read(keys, record, &mut key)?;
+                fetched.mark(record);
                 fold_record(COUNT, &mut counts, &key, &[]);
                 sample_selected += 1;
             }
