@@ -18,18 +18,23 @@
 //!
 //! plus a fixed 8-byte header (key base, length, encoding tag).
 //!
-//! The codec itself is [`bbpim_sim::maskwire`] — shared with the
-//! pre-joined engine's two-crossbar mask transfers so the two wire
-//! accountings cannot drift; `KeyBitmap` adds the dense-key view
-//! (base offset, runs as key ranges, the FK hull).
+//! `KeyBitmap` holds the mask as it left the crossbars — the one
+//! word-packed [`PackedBits`] of [`bbpim_sim::maskwire`]'s size path,
+//! the same object and the same size functions the pre-joined engine's
+//! two-crossbar mask transfers are charged through — and adds the
+//! dense-key view: base offset, runs as key ranges (the fact-side
+//! semijoin's range predicates), the FK hull. This is the size path:
+//! nothing here encodes a byte. The format itself is stated by
+//! maskwire's unpacked reference codec (`encode_rle` / `decode_rle`),
+//! which this file's tests compare the sizes and runs against.
 
-use bbpim_sim::maskwire;
+use bbpim_sim::maskwire::{self, PackedBits};
 
 /// A bitmap over a dimension's dense key space.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyBitmap {
     base: u64,
-    bits: Vec<bool>,
+    bits: PackedBits,
 }
 
 /// Fixed per-transfer header bytes (key base + length + encoding tag).
@@ -37,18 +42,8 @@ pub const WIRE_HEADER_BYTES: u64 = maskwire::WIRE_HEADER_BYTES;
 
 impl KeyBitmap {
     /// Wrap a mask over keys `base..base + bits.len()`.
-    pub fn new(base: u64, bits: Vec<bool>) -> Self {
+    pub fn new(base: u64, bits: PackedBits) -> Self {
         KeyBitmap { base, bits }
-    }
-
-    /// Key value of bit 0.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// The raw bits (indexed by `key − base`).
-    pub fn bits(&self) -> &[bool] {
-        &self.bits
     }
 
     /// Size of the key space (bitmap length).
@@ -58,52 +53,38 @@ impl KeyBitmap {
 
     /// Selected key count.
     pub fn keys_selected(&self) -> u64 {
-        self.bits.iter().filter(|b| **b).count() as u64
+        self.bits.count_ones()
     }
 
     /// Maximal runs of consecutive selected keys, as inclusive
     /// `[lo, hi]` key-value ranges, ascending.
-    pub fn runs(&self) -> Vec<(u64, u64)> {
-        maskwire::bit_runs(&self.bits)
-            .into_iter()
-            .map(|(lo, hi)| (self.base + lo, self.base + hi))
-            .collect()
+    pub fn runs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.bits.runs().map(|(lo, hi)| (self.base + lo, self.base + hi))
     }
 
     /// Convex hull `[lo, hi]` of the selected keys (`None` when empty)
     /// — the BETWEEN bound shard pruning tests against the FK zone.
     pub fn hull(&self) -> Option<(u64, u64)> {
-        let first = self.bits.iter().position(|b| *b)?;
-        let last = self.bits.iter().rposition(|b| *b)?;
-        Some((self.base + first as u64, self.base + last as u64))
+        let mut runs = self.runs();
+        let (lo, hi) = runs.next()?;
+        Some((lo, runs.last().map_or(hi, |last| last.1)))
     }
 
     /// Bit-packed payload size, bytes.
     pub fn raw_bytes(&self) -> u64 {
-        maskwire::raw_bytes(self.bits.len() as u64)
-    }
-
-    /// Run-length payload: per run, (gap since previous run's end,
-    /// run length) as varints.
-    pub fn encode_rle(&self) -> Vec<u8> {
-        maskwire::encode_rle(&self.bits)
-    }
-
-    /// Rebuild a bitmap from its run-length payload; `None` on corrupt
-    /// input (truncated varint, runs past `key_space`).
-    pub fn decode_rle(base: u64, key_space: u64, payload: &[u8]) -> Option<KeyBitmap> {
-        Some(KeyBitmap { base, bits: maskwire::decode_rle(key_space, payload)? })
+        maskwire::raw_bytes(self.key_space())
     }
 
     /// Bytes actually sent: the header plus the smaller encoding.
     pub fn wire_bytes(&self) -> u64 {
-        maskwire::wire_bytes(&self.bits)
+        maskwire::packed_wire_bytes(self.bits.words().iter().copied(), self.key_space())
     }
 
     /// Host-channel lines the transfer occupies at `line_bytes` per
     /// line.
     pub fn wire_lines(&self, line_bytes: u64) -> u64 {
-        maskwire::wire_lines(&self.bits, line_bytes)
+        let words = self.bits.words().iter().copied();
+        maskwire::packed_wire_lines(words, self.key_space(), line_bytes)
     }
 }
 
@@ -111,41 +92,34 @@ impl KeyBitmap {
 mod tests {
     use super::*;
 
-    fn bitmap(base: u64, set: &[usize], len: usize) -> KeyBitmap {
+    /// The bits as the `&[bool]` reference codec takes them.
+    fn reference(set: &[usize], len: usize) -> Vec<bool> {
         let mut bits = vec![false; len];
         for &i in set {
             bits[i] = true;
         }
+        bits
+    }
+
+    fn bitmap(base: u64, set: &[usize], len: usize) -> KeyBitmap {
+        let mut bits = PackedBits::zeros(len);
+        set.iter().for_each(|&i| bits.set(i));
         KeyBitmap::new(base, bits)
     }
 
     #[test]
     fn runs_hull_and_counts() {
         let b = bitmap(10, &[0, 1, 3, 6, 7], 9);
-        assert_eq!(b.runs(), vec![(10, 11), (13, 13), (16, 17)]);
+        assert_eq!(b.runs().collect::<Vec<_>>(), vec![(10, 11), (13, 13), (16, 17)]);
         assert_eq!(b.hull(), Some((10, 17)));
         assert_eq!(b.keys_selected(), 5);
         assert_eq!(b.key_space(), 9);
+        let lone = bitmap(10, &[70], 130);
+        assert_eq!(lone.hull(), Some((80, 80)));
         let empty = bitmap(0, &[], 4);
-        assert!(empty.runs().is_empty());
+        assert_eq!(empty.runs().count(), 0);
         assert_eq!(empty.hull(), None);
-    }
-
-    #[test]
-    fn rle_roundtrips() {
-        for set in [
-            vec![],
-            vec![0],
-            vec![2555],
-            (0..2556).collect::<Vec<_>>(),
-            vec![0, 1, 2, 100, 101, 900],
-            (0..2556).filter(|i| i % 3 == 0).collect(),
-        ] {
-            let b = bitmap(0, &set, 2556);
-            let payload = b.encode_rle();
-            let back = KeyBitmap::decode_rle(0, 2556, &payload).unwrap();
-            assert_eq!(back, b);
-        }
+        assert_eq!(empty.keys_selected(), 0);
     }
 
     #[test]
@@ -153,24 +127,17 @@ mod tests {
         // one year of the date dimension: a single 365-day run
         let b = bitmap(0, &(365..730).collect::<Vec<_>>(), 2556);
         assert_eq!(b.raw_bytes(), 320);
-        assert!(b.encode_rle().len() <= 4, "{} B", b.encode_rle().len());
-        assert!(b.wire_bytes() <= WIRE_HEADER_BYTES + 4);
+        assert!(b.wire_bytes() <= WIRE_HEADER_BYTES + 4, "{} B", b.wire_bytes());
         assert_eq!(b.wire_lines(64), 1);
     }
 
     #[test]
     fn scattered_bitmaps_fall_back_to_bitpacked() {
-        let b = bitmap(1, &(0..3000).step_by(2).collect::<Vec<_>>(), 3000);
+        let set: Vec<usize> = (0..3000).step_by(2).collect();
+        let b = bitmap(1, &set, 3000);
         // 1500 runs of length 1 cost ~2 B each in RLE — packed wins
-        assert!(b.encode_rle().len() as u64 > b.raw_bytes());
+        assert!(maskwire::encode_rle(&reference(&set, 3000)).len() as u64 > b.raw_bytes());
         assert_eq!(b.wire_bytes(), WIRE_HEADER_BYTES + b.raw_bytes());
-    }
-
-    #[test]
-    fn corrupt_payloads_rejected() {
-        assert!(KeyBitmap::decode_rle(0, 10, &[0x80]).is_none()); // truncated
-        assert!(KeyBitmap::decode_rle(0, 10, &[0, 11]).is_none()); // past end
-        assert!(KeyBitmap::decode_rle(0, 10, &[0, 0]).is_none()); // zero run
     }
 
     /// Deterministic xorshift so the adversarial sweep needs no RNG dep.
@@ -183,9 +150,10 @@ mod tests {
 
     #[test]
     fn adversarial_masks_roundtrip_and_never_beat_raw_lines() {
-        // Every adversarial shape must (a) round-trip bit-identically
-        // through the wire codec and (b) cost no more channel lines
-        // than the uncompressed line-per-row transfer it replaces.
+        // Every adversarial shape must (a) come back bit-identically
+        // from its key runs — what the fact side rebuilds the bitmap
+        // from — and (b) cost no more channel lines than the
+        // uncompressed line-per-row transfer it replaces.
         let len = 4096usize;
         let mut shapes: Vec<Vec<usize>> = vec![
             vec![],                                    // empty
@@ -209,8 +177,9 @@ mod tests {
         for (base, line_bytes) in [(0u64, 64u64), (1000, 64), (0, 32)] {
             for set in &shapes {
                 let b = bitmap(base, set, len);
-                let back = KeyBitmap::decode_rle(base, len as u64, &b.encode_rle()).unwrap();
-                assert_eq!(back, b, "round-trip, base {base}, {} set", set.len());
+                let keys: Vec<usize> =
+                    b.runs().flat_map(|(lo, hi)| lo..=hi).map(|k| (k - base) as usize).collect();
+                assert_eq!(&keys, set, "round-trip, base {base}, {} set", set.len());
                 assert!(
                     b.wire_bytes() <= WIRE_HEADER_BYTES + b.raw_bytes(),
                     "wire must never exceed header + bit-packed"
@@ -226,11 +195,14 @@ mod tests {
 
     #[test]
     fn wire_format_matches_shared_codec_exactly() {
-        // KeyBitmap is a view over bbpim_sim::maskwire — same bytes.
-        use bbpim_sim::maskwire;
-        let b = bitmap(42, &[0, 1, 5, 6, 7, 300], 512);
-        assert_eq!(b.encode_rle(), maskwire::encode_rle(b.bits()));
-        assert_eq!(b.wire_bytes(), maskwire::wire_bytes(b.bits()));
+        // KeyBitmap is sized by bbpim_sim::maskwire's packed path —
+        // the sizes of the bytes the `&[bool]` reference encodes.
+        let set = [0, 1, 5, 6, 7, 300];
+        let (b, bits) = (bitmap(42, &set, 512), reference(&set, 512));
+        assert_eq!(b.wire_bytes(), maskwire::wire_bytes(&bits));
+        assert_eq!(b.wire_lines(8), maskwire::wire_lines(&bits, 8));
         assert_eq!(b.raw_bytes(), maskwire::raw_bytes(512));
+        let runs: Vec<_> = maskwire::bit_runs(&bits).iter().map(|r| (r.0 + 42, r.1 + 42)).collect();
+        assert_eq!(b.runs().collect::<Vec<_>>(), runs);
     }
 }

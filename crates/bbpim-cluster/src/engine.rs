@@ -477,12 +477,6 @@ impl<S: Storage> Cluster<S> {
         self.shards.len()
     }
 
-    /// Configured indices of the shards that hold records (hash and
-    /// range partitioning can leave some of `0..shard_count` empty).
-    pub fn active_shard_indices(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.index).collect()
-    }
-
     /// Fact records across the cluster.
     pub fn records(&self) -> usize {
         self.records
@@ -545,11 +539,6 @@ impl<S: Storage> Cluster<S> {
             table.set_xfer_policy(policy);
         }
         self.storage.invalidate();
-    }
-
-    /// An active shard's zone map; `i` indexes active shards.
-    pub fn shard_zone(&self, i: usize) -> Option<&ZoneMap> {
-        self.shards.get(i).map(|s| &s.zone)
     }
 
     /// Borrow an active shard's table (inspection in tests/benches);
@@ -618,15 +607,18 @@ impl<S: Storage> Cluster<S> {
     ///
     /// Propagates filter resolution failures.
     pub fn explain(&self, query: &Query) -> Result<PlanExplain, ClusterError> {
-        let mask = self.plan_shards(&query.filter)?;
+        // the filter is evaluated once: its bounds admit the shards
+        // (as in `plan_shards`), render below and plan every shard's pages
         let (dnf, join_transfers) = self.bounds(&query.filter)?;
+        let bounds = FilterBounds::from_dnf(&dnf);
+        let admit_all = !self.pruning || query.filter.is_always();
         // Per-attribute interval union of the filter bounds, rendered
         // with attribute names (what the zone maps are tested against).
         let filter_bounds = match self.shards.first() {
             None => Vec::new(),
             Some(first) => {
                 let attrs = first.table.relation().schema().attrs();
-                FilterBounds::from_dnf(&dnf)
+                bounds
                     .intervals()
                     .into_iter()
                     .map(|(idx, intervals)| (attrs[idx].name.clone(), intervals))
@@ -642,7 +634,8 @@ impl<S: Storage> Cluster<S> {
         )?;
         let aggs = query.physical_plan()?.aggs.len() as u64;
         let mut shards = Vec::with_capacity(self.shards.len());
-        for (shard, &dispatched) in self.shards.iter().zip(&mask) {
+        for shard in &self.shards {
+            let dispatched = admit_all || bounds.can_match(&shard.zone);
             let mut candidate_pages = 0;
             if dispatched {
                 let plan = shard.table.plan_dnf(&dnf, self.pruning);
@@ -1284,9 +1277,7 @@ mod tests {
         c.calibrate(&CalibrationConfig::tiny_for_tests()).unwrap();
         assert!(c.active_shards() <= 7);
         assert_eq!(c.shard_count(), 7);
-        let indices = c.active_shard_indices();
-        assert_eq!(indices.len(), c.active_shards());
-        assert!(indices.iter().all(|&i| i < 7));
+        assert!(c.shards.iter().all(|s| s.index < 7));
         let out = c.run(&q).unwrap();
         assert_eq!(out.groups, stats::run_oracle(&q, &rel).unwrap());
         assert_eq!(out.report.shards, 7);
@@ -1307,7 +1298,6 @@ mod tests {
         .unwrap();
         assert_eq!(c.shard_count(), 16);
         assert!(c.active_shards() < 16, "some buckets must be empty");
-        assert_eq!(c.active_shard_indices().len(), c.active_shards());
         c.calibrate(&CalibrationConfig::tiny_for_tests()).unwrap();
         let out = c.run(&q).unwrap();
         assert_eq!(out.groups, stats::run_oracle(&q, &rel).unwrap());

@@ -1,56 +1,18 @@
-//! Metrics glue for cluster executions and `EXPLAIN ANALYZE` plans.
+//! Metrics glue for `EXPLAIN ANALYZE` plans.
 //!
 //! The cluster layer is where planner estimates meet recorded actuals,
-//! so this module records both: per-execution phase breakdowns and
-//! wear, and planned-vs-actual pages/bytes per analyzed query.
+//! so this module records both sides of an analyzed query: the bytes
+//! the planner estimated and the bytes the run moved.
 
-use bbpim_trace::phases::{record_run_log, CELL_WRITES, REQUIRED_ENDURANCE};
 use bbpim_trace::MetricsRegistry;
 
-use crate::engine::ClusterExecution;
 use crate::explain::PlanExplain;
 
-/// Executed cluster queries, counter.
-pub const QUERIES: &str = "bbpim_cluster_queries_total";
-/// Pages the dispatched shards' planners activated, counter.
-pub const PAGES_SCANNED: &str = "bbpim_pages_scanned_total";
-/// Pages the planner proved irrelevant (shard- plus page-level),
-/// counter.
-pub const PAGES_PRUNED: &str = "bbpim_pages_pruned_total";
 /// Planner-estimated host-channel bytes over analyzed queries,
 /// counter.
 pub const PLANNED_BYTES: &str = "bbpim_planned_host_bytes_total";
 /// Recorded host-channel bytes over analyzed queries, counter.
 pub const ACTUAL_BYTES: &str = "bbpim_actual_host_bytes_total";
-
-/// Record one merged cluster execution: per-phase-kind breakdowns
-/// over every dispatched shard's log, page-pruning effectiveness, and
-/// cell wear (worst shard) for queries that write PIM cells.
-pub fn record_cluster_execution(
-    reg: &mut MetricsRegistry,
-    exec: &ClusterExecution,
-    labels: &[(&str, &str)],
-) {
-    let report = &exec.report;
-    reg.counter_add(QUERIES, labels, 1.0);
-    reg.counter_add(PAGES_SCANNED, labels, report.pages_scanned as f64);
-    reg.counter_add(
-        PAGES_PRUNED,
-        labels,
-        report.pages_total.saturating_sub(report.pages_scanned) as f64,
-    );
-    for shard in &report.per_shard {
-        record_run_log(reg, &shard.phases, labels);
-        if shard.max_row_cell_writes > 0 {
-            reg.counter_add(CELL_WRITES, labels, shard.max_row_cell_writes as f64);
-            reg.gauge_max(
-                REQUIRED_ENDURANCE,
-                labels,
-                shard.required_endurance(bbpim_core::obs::ENDURANCE_YEARS),
-            );
-        }
-    }
-}
 
 /// Record an `EXPLAIN ANALYZE` plan: the planner's byte estimate next
 /// to the recorded bytes (no-op for a plain `EXPLAIN` with no

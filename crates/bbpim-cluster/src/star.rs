@@ -74,6 +74,7 @@ use bbpim_db::ssb::SsbDb;
 use bbpim_db::stats::GroupedResult;
 use bbpim_db::{DbError, Relation};
 use bbpim_sim::compiler::ColRange;
+use bbpim_sim::maskwire::PackedBits;
 use bbpim_sim::timeline::{Phase, RunLog};
 use bbpim_sim::{SimConfig, XferPolicy};
 
@@ -149,24 +150,26 @@ fn col_range(table: &PimTable, attr: &str) -> Result<ColRange, ClusterError> {
 fn host_dim_bitmap(dim: &PimTable, d: usize, atoms: &[Atom]) -> Result<KeyBitmap, ClusterError> {
     let rel = dim.relation();
     let resolved = resolve_all(atoms, rel.schema())?;
-    let bits = (0..rel.len()).map(|row| resolved.iter().all(|a| a.matches(rel, row))).collect();
+    let mut bits = PackedBits::zeros(rel.len());
+    let selected = (0..rel.len()).filter(|&row| resolved.iter().all(|a| a.matches(rel, row)));
+    selected.for_each(|row| bits.set(row));
     Ok(KeyBitmap::new(DIMENSIONS[d].key_base, bits))
 }
 
 /// Run one conjunctive filter on a dimension's module — dispatch, then
-/// the bulk-bitwise mask program — and return the per-record mask,
-/// charging `log`.
+/// the bulk-bitwise mask program — and return the per-record mask as
+/// it sits in the mask column, charging `log`.
 fn filter_conjunction(
     dim: &mut PimTable,
     atoms: &[Atom],
     prune: bool,
     log: &mut RunLog,
-) -> Result<Vec<bool>, ClusterError> {
+) -> Result<PackedBits, ClusterError> {
     let conj = [resolve_all(atoms, dim.relation().schema())?];
     let mut scan = dim.begin(dim.plan_dnf(&conj, prune), None);
     scan.filter(&conj)?;
     log.extend(&scan.take_log());
-    Ok(scan.mask(0, MASK_COL).iter().collect())
+    Ok(scan.mask(0, MASK_COL))
 }
 
 /// One surviving disjunct of a routed star filter.
@@ -259,7 +262,7 @@ fn build_join_plan(
         let mut semijoins = Vec::with_capacity(r.bitmaps.len());
         for (d, bitmap) in &r.bitmaps {
             let fk = col_range(fact, DIMENSIONS[*d].fk)?;
-            semijoins.push(SemijoinTerm::from_bitmap(fk, bitmap.bits(), bitmap.base()));
+            semijoins.push(SemijoinTerm { fk_range: fk, runs: bitmap.runs().collect() });
         }
         disjuncts.push(SemijoinDisjunct { atoms, semijoins });
         bounds_dnf.push(bounds);
@@ -307,26 +310,28 @@ impl Storage for Star {
         prune: bool,
     ) -> Result<HostBytes, ClusterError> {
         let mut host_bytes = HostBytes::default();
-        // semijoin bitmaps: one read + one broadcast each, at the wire
-        // size (or bit-packed raw with the compression lever off)
+        let dnf = filter.dnf();
         for t in transfers {
+            // semijoin bitmaps: one read + one broadcast each, at the
+            // wire size (or bit-packed raw with the compression lever off)
             host_bytes.mask_wire_bytes +=
                 2 * if policy.compress_masks { t.wire_bytes } else { t.raw_bytes };
-        }
-        // dimension-filter dispatch: every dimension the walk visits is
-        // dispatched once on its module as part of the join prelude, and
-        // those descriptor bytes ride the channel like any fact dispatch
-        route_filter(filter, |_, d, atoms| {
-            let dim = &dims[d];
-            let resolved = resolve_all(atoms, dim.relation().schema())?;
-            let pages = dim.plan_dnf(&[resolved], prune);
+            // dimension-filter dispatch: every (disjunct, dimension) the
+            // ledger names is dispatched once on the dimension's module as
+            // part of the join prelude, and those descriptor bytes ride the
+            // channel like any fact dispatch
+            let d = DIMENSIONS
+                .iter()
+                .position(|meta| meta.name == t.dimension)
+                .expect("the ledger names star dimensions");
+            let (dim, atoms) = (&dims[d], &route_conjunct(&dnf[t.disjunct]).1[d]);
+            let pages = dim.plan_dnf(&[resolve_all(atoms, dim.relation().schema())?], prune);
             let host = &dim.config().host;
             if !pages.is_empty() && dim.module().policy().batch_dispatch {
                 host_bytes.dispatch_bytes +=
                     host.dispatch_header_bytes + pages.run_count() as u64 * host.dispatch_run_bytes;
             }
-            host_dim_bitmap(dim, d, atoms)
-        })?;
+        }
         Ok(host_bytes)
     }
 
@@ -782,13 +787,16 @@ mod tests {
         let t = &mut c.aux[DATE];
         let atom = Atom::Eq { attr: "d_year".into(), value: 1993u64.into() };
         let mut log = RunLog::new();
-        let mask = filter_conjunction(t, &[atom], true, &mut log).unwrap();
+        let mask = filter_conjunction(t, std::slice::from_ref(&atom), true, &mut log).unwrap();
         let year = t.relation().schema().index_of("d_year").unwrap();
         for (row, got) in mask.iter().enumerate() {
-            assert_eq!(*got, t.relation().value(row, year) == 1993, "row {row}");
+            assert_eq!(got, t.relation().value(row, year) == 1993, "row {row}");
         }
-        assert_eq!(mask.iter().filter(|b| **b).count(), 365);
+        assert_eq!(mask.count_ones(), 365);
         assert!(log.total_time_ns() > 0.0);
+        // the planner's catalog-side twin is the same bitmap
+        let executed = KeyBitmap::new(DIMENSIONS[DATE].key_base, mask);
+        assert_eq!(host_dim_bitmap(t, DATE, &[atom]).unwrap(), executed);
     }
 
     #[test]

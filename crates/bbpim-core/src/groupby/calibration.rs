@@ -123,26 +123,37 @@ pub fn host_gb_time_ns(cfg: &SimConfig, m: usize, s: usize, mask: &[bool]) -> f6
         + selected * cfg.host.host_agg_ns_per_record / cfg.host.threads as f64
 }
 
+/// Does a grid hold two distinct values — what a line fit over it needs?
+fn spans<T: PartialEq>(grid: &[T]) -> bool {
+    grid.first().is_some_and(|first| grid.iter().any(|v| v != first))
+}
+
 /// Run the full calibration for a mode; returns the raw measurements
 /// and the fitted [`GroupByModel`].
 ///
 /// # Errors
 ///
-/// Propagates simulator/loader failures.
+/// [`CoreError::Unsupported`], before anything is built, for a sweep
+/// the fits cannot use: fewer than two distinct page counts or `r`
+/// values, an empty `s` or `n` grid, `n = 0` (a zero-bit value), or an
+/// `r` that is negative or not finite (the fit is in `√r`). Simulator
+/// and loader failures otherwise.
 pub fn run_calibration(
     cfg: &SimConfig,
     mode: EngineMode,
     cal: &CalibrationConfig,
 ) -> Result<(CalibrationData, GroupByModel), CoreError> {
-    if cal.ms.len() < 2
-        || cal.r_values.len() < 2
-        || cal.s_values.is_empty()
-        || cal.n_values.is_empty()
-    {
-        return Err(CoreError::Unsupported(
-            "calibration needs at least two page counts, two r values, and non-empty s/n grids"
-                .into(),
-        ));
+    let checks = [
+        (spans(&cal.ms) && spans(&cal.r_values), "two distinct page counts and two distinct r"),
+        (!cal.s_values.is_empty() && !cal.n_values.is_empty(), "non-empty s and n grids"),
+        (!cal.n_values.contains(&0), "every n to be at least one read per value"),
+        (
+            cal.r_values.iter().all(|r| r.is_finite() && *r >= 0.0),
+            "every r finite and not negative",
+        ),
+    ];
+    if let Some((_, need)) = checks.iter().find(|(ok, _)| !ok) {
+        return Err(CoreError::Unsupported(format!("calibration needs {need}")));
     }
     let mut rng = StdRng::seed_from_u64(cal.seed);
     let mut data = CalibrationData::default();
@@ -249,6 +260,28 @@ mod tests {
         assert_eq!(data.pim_points.len(), cal.ms.len() * cal.n_values.len());
         assert_eq!(model.host.s_values().count(), cal.s_values.len());
         assert_eq!(model.pim.n_values().count(), cal.n_values.len());
+    }
+
+    #[test]
+    fn unusable_grids_are_rejected_before_anything_is_built() {
+        let tiny = CalibrationConfig::tiny_for_tests;
+        let bad = [
+            CalibrationConfig { n_values: vec![0, 1], ..tiny() },
+            CalibrationConfig { ms: vec![2, 2], ..tiny() },
+            CalibrationConfig { r_values: vec![0.2, 0.2], ..tiny() },
+            CalibrationConfig { r_values: vec![f64::NAN, 0.5], ..tiny() },
+            CalibrationConfig { r_values: vec![-0.5, 0.5], ..tiny() },
+            CalibrationConfig { r_values: vec![0.5, f64::INFINITY], ..tiny() },
+            CalibrationConfig { s_values: vec![], ..tiny() },
+        ];
+        for cal in bad {
+            let got = run_calibration(&SimConfig::default(), EngineMode::OneXb, &cal);
+            assert!(matches!(got, Err(CoreError::Unsupported(_))), "{cal:?}: {got:?}");
+        }
+        // a repeated value beside two distinct ones is still a usable grid
+        let repeated =
+            CalibrationConfig { ms: vec![1, 1, 2], r_values: vec![0.05, 0.4, 0.4], ..tiny() };
+        assert!(run_calibration(&cfg(), EngineMode::OneXb, &repeated).is_ok());
     }
 
     #[test]

@@ -77,7 +77,6 @@ pub mod layout;
 pub mod loader;
 pub mod modes;
 pub mod mutation;
-pub mod obs;
 pub mod planner;
 pub mod record;
 pub mod result;

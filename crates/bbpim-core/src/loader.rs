@@ -594,7 +594,8 @@ mod tests {
             let err = append_rows(&mut module, &layout, &mut loaded, &mut rel, &rows).unwrap_err();
             assert!(matches!(err, CoreError::Db(_)), "{err}");
             assert_eq!((rel.len(), loaded.records()), (250, 250));
-            assert_eq!((loaded.page_count(), module.allocated_pages()), (1, 1));
+            assert_eq!(loaded.page_count(), 1);
+            assert!(module.try_page(PageId(1)).is_err(), "no second page was reserved");
             assert_eq!(loaded.zone_map(), rel.zone_map());
             assert_eq!(module.max_row_cell_writes(&loaded.all_pages()), 0);
         }

@@ -87,14 +87,6 @@ impl Mutation {
         }
     }
 
-    /// The attributes an UPDATE writes (empty for INSERT).
-    pub fn set_attrs(&self) -> Vec<&str> {
-        match self {
-            Mutation::Insert { .. } => Vec::new(),
-            Mutation::Update { set, .. } => set.iter().map(|(a, _)| a.as_str()).collect(),
-        }
-    }
-
     /// Validate against a schema: SET attributes exist with encodable
     /// constants and no duplicates, the filter resolves, INSERT rows
     /// have the right arity and in-range values.

@@ -197,7 +197,7 @@ mod tests {
             bbpim_db::plan::AggFunc::Sum,
             bbpim_db::plan::AggExpr::attr("lo_v"),
         );
-        FilterBounds::of_query(&q, rel.schema()).unwrap()
+        FilterBounds::from_dnf(&q.resolve_filter(rel.schema()).unwrap())
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl PartialGroups {
         stats::merge_grouped_ref_into(&mut self.groups, &other.groups, self.func);
     }
 
-    /// Merge a raw grouped result carrying the same component.
-    pub fn absorb_groups(&mut self, groups: GroupedResult) {
-        stats::merge_grouped_into(&mut self.groups, groups, self.func);
-    }
-
     /// The merged grouped result.
     pub fn into_groups(self) -> GroupedResult {
         self.groups
@@ -201,7 +196,7 @@ mod tests {
         b.insert(vec![1], 6);
         b.insert(vec![2], 1);
         acc.absorb(PartialGroups { func: PhysFunc::Sum, groups: a });
-        acc.absorb_groups(b);
+        acc.absorb(PartialGroups { func: PhysFunc::Sum, groups: b });
         let merged = acc.into_groups();
         assert_eq!(merged[&vec![1u64]], 10);
         assert_eq!(merged[&vec![2u64]], 1);

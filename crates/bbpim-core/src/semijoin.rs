@@ -44,44 +44,11 @@ pub struct SemijoinTerm {
     /// The fact-partition column range holding the foreign key.
     pub fk_range: ColRange,
     /// Inclusive `[lo, hi]` runs of selected key *values* (not rows),
-    /// ascending and non-overlapping. Empty = the dimension filter
-    /// selected nothing, so the term (and its disjunct) is false.
+    /// ascending and non-overlapping — the runs of the dimension's key
+    /// bitmap ([`bbpim_sim::maskwire::PackedBits::runs`]) offset by its
+    /// key base. Empty = the dimension filter selected nothing, so the
+    /// term (and its disjunct) is false.
     pub runs: Vec<(u64, u64)>,
-}
-
-impl SemijoinTerm {
-    /// Decompose a dense key bitmap into runs. `key_base` is the key
-    /// value of bit 0 (dimension keys are dense in
-    /// `key_base..key_base+len`).
-    pub fn from_bitmap(fk_range: ColRange, bits: &[bool], key_base: u64) -> SemijoinTerm {
-        let mut runs: Vec<(u64, u64)> = Vec::new();
-        for (i, &set) in bits.iter().enumerate() {
-            if !set {
-                continue;
-            }
-            let key = key_base + i as u64;
-            match runs.last_mut() {
-                Some((_, hi)) if *hi + 1 == key => *hi = key,
-                _ => runs.push((key, key)),
-            }
-        }
-        SemijoinTerm { fk_range, runs }
-    }
-
-    /// Selected keys (sum of run widths).
-    pub fn keys_selected(&self) -> u64 {
-        self.runs.iter().map(|(lo, hi)| hi - lo + 1).sum()
-    }
-
-    /// The convex hull `[lo, hi]` of every run — `None` when nothing
-    /// is selected. The planner turns this into a BETWEEN bound on the
-    /// FK attribute for zone pruning.
-    pub fn hull(&self) -> Option<(u64, u64)> {
-        match (self.runs.first(), self.runs.last()) {
-            (Some(&(lo, _)), Some(&(_, hi))) => Some((lo, hi)),
-            _ => None,
-        }
-    }
 }
 
 /// One disjunct of a filter as a single-partition module sees it:
@@ -194,10 +161,20 @@ mod tests {
     use crate::layout::MASK_COL;
     use crate::modes::EngineMode;
     use crate::table::PimTable;
+    use bbpim_sim::maskwire::PackedBits;
 
     fn table() -> PimTable {
         let rows = (0..700).map(|i| vec![(i * 7) % 200, i % 100]);
         fixture::table(EngineMode::OneXb, &[("fk", 8), ("v", 8)], rows)
+    }
+
+    /// The term of the key bitmap `bits` over keys from `key_base`, as
+    /// the star path builds it: the bitmap's runs as key values.
+    fn term_of(fk_range: ColRange, bits: &[bool], key_base: u64) -> SemijoinTerm {
+        let mut packed = PackedBits::zeros(bits.len());
+        bits.iter().enumerate().filter(|(_, set)| **set).for_each(|(i, _)| packed.set(i));
+        let runs = packed.runs().map(|(lo, hi)| (key_base + lo, key_base + hi)).collect();
+        SemijoinTerm { fk_range, runs }
     }
 
     /// The column range of `attr`.
@@ -219,14 +196,10 @@ mod tests {
     fn bitmap_decomposes_into_maximal_runs() {
         let range = ColRange { lo: 0, width: 8 };
         let bits = [true, true, false, true, false, false, true, true];
-        let t = SemijoinTerm::from_bitmap(range, &bits, 10);
+        let t = term_of(range, &bits, 10);
         assert_eq!(t.runs, vec![(10, 11), (13, 13), (16, 17)]);
-        assert_eq!(t.keys_selected(), 5);
-        assert_eq!(t.hull(), Some((10, 17)));
-        let empty = SemijoinTerm::from_bitmap(range, &[false; 4], 0);
+        let empty = term_of(range, &[false; 4], 0);
         assert!(empty.runs.is_empty());
-        assert_eq!(empty.hull(), None);
-        assert_eq!(empty.keys_selected(), 0);
     }
 
     #[test]
@@ -238,7 +211,7 @@ mod tests {
         bits[100] = true;
         bits[102] = true;
         let fk_range = range(&t, "fk");
-        let term = SemijoinTerm::from_bitmap(fk_range, &bits, 0);
+        let term = term_of(fk_range, &bits, 0);
         assert_eq!(term.runs.len(), 3);
         let d = SemijoinDisjunct { atoms: vec![], semijoins: vec![term] };
         let mask = run(&mut t, &[d]);
@@ -310,7 +283,7 @@ mod tests {
         let fk_range = range(&t, "fk");
         // every third key: 67 single-key runs
         let bits: Vec<bool> = (0..200).map(|k| k % 3 == 0).collect();
-        let term = SemijoinTerm::from_bitmap(fk_range, &bits, 0);
+        let term = term_of(fk_range, &bits, 0);
         assert!(term.runs.len() > 60);
         let d = SemijoinDisjunct { atoms: vec![], semijoins: vec![term] };
         let mask = run(&mut t, &[d]);

@@ -92,14 +92,6 @@ impl Column {
         &self.data
     }
 
-    /// Distinct values, sorted ascending.
-    pub fn distinct_sorted(&self) -> Vec<u64> {
-        let mut v = self.data.clone();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     /// Largest value (None when empty).
     pub fn max(&self) -> Option<u64> {
         self.data.iter().copied().max()
@@ -131,15 +123,6 @@ mod tests {
         let mut c = Column::new(64);
         c.push(u64::MAX).unwrap();
         assert_eq!(c.get(0), u64::MAX);
-    }
-
-    #[test]
-    fn distinct_sorted_dedups() {
-        let mut c = Column::new(8);
-        for v in [5u64, 1, 5, 3, 1] {
-            c.push(v).unwrap();
-        }
-        assert_eq!(c.distinct_sorted(), vec![1, 3, 5]);
     }
 
     #[test]

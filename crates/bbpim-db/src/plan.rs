@@ -599,15 +599,6 @@ impl FilterBounds {
         FilterBounds { disjuncts: dnf.iter().map(|c| ConjunctBounds::from_atoms(c)).collect() }
     }
 
-    /// Extract the bounds of a query's filter against a schema.
-    ///
-    /// # Errors
-    ///
-    /// Propagates atom resolution failures.
-    pub fn of_query(query: &Query, schema: &Schema) -> Result<Self, DbError> {
-        Ok(Self::from_dnf(&query.resolve_filter(schema)?))
-    }
-
     /// False when the interval analysis proved no value assignment can
     /// satisfy the filter (every zone may be pruned).
     pub fn satisfiable(&self) -> bool {
@@ -862,16 +853,6 @@ impl PhysicalPlan {
             out.insert(key.clone(), row);
         }
         out
-    }
-
-    /// Output column names in SELECT order.
-    pub fn column_names(&self) -> Vec<&str> {
-        self.outputs.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
-    /// Index of a named output column.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.outputs.iter().position(|(n, _)| n == name)
     }
 }
 
@@ -1348,7 +1329,7 @@ mod tests {
             AggFunc::Sum,
             AggExpr::attr("q"),
         );
-        let b = FilterBounds::of_query(&q, rel.schema()).unwrap();
+        let b = FilterBounds::from_dnf(&q.resolve_filter(rel.schema()).unwrap());
         let zone = ZoneMap::of(&rel);
         assert!(b.can_match(&zone));
     }
@@ -1398,8 +1379,6 @@ mod tests {
                 ("mean".into(), Derivation::Ratio(0, 1)),
             ]
         );
-        assert_eq!(plan.column_names(), vec!["total", "n", "mean"]);
-        assert_eq!(plan.column_index("mean"), Some(2));
     }
 
     #[test]

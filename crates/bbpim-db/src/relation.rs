@@ -196,22 +196,6 @@ impl Relation {
     pub fn zone_map(&self) -> ZoneMap {
         ZoneMap::of(self)
     }
-
-    /// Decode a row for display: dictionary attributes as strings.
-    pub fn row_display(&self, row: usize) -> Vec<String> {
-        self.schema
-            .attrs()
-            .iter()
-            .zip(self.columns.iter())
-            .map(|(attr, col)| {
-                let v = col.get(row);
-                match attr.dictionary().and_then(|d| d.decode(v)) {
-                    Some(s) => s.to_owned(),
-                    None => v.to_string(),
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -301,12 +285,5 @@ mod tests {
         for (part, zone) in &parts {
             assert_eq!(zone, &part.zone_map());
         }
-    }
-
-    #[test]
-    fn row_display_decodes_dictionary() {
-        let mut r = rel();
-        r.push_row(&[3, 1]).unwrap();
-        assert_eq!(r.row_display(0), vec!["3".to_string(), "hi".to_string()]);
     }
 }

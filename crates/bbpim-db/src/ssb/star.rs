@@ -20,7 +20,6 @@ use crate::error::DbError;
 use crate::plan::Query;
 use crate::relation::Relation;
 use crate::ssb::SsbDb;
-use crate::zonemap::ZoneMap;
 
 /// Static metadata of one dimension of the SSB star schema.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,11 +159,6 @@ impl StarSchema {
         &self.fact
     }
 
-    /// Mutable fact relation (UPDATE maintenance).
-    pub fn fact_mut(&mut self) -> &mut Relation {
-        &mut self.fact
-    }
-
     /// One dimension relation by catalog index (see [`DIMENSIONS`]).
     ///
     /// # Panics
@@ -172,15 +166,6 @@ impl StarSchema {
     /// Panics when `d >= 4`.
     pub fn dim(&self, d: usize) -> &Relation {
         &self.dims[d]
-    }
-
-    /// Mutable dimension relation (UPDATE maintenance).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `d >= 4`.
-    pub fn dim_mut(&mut self, d: usize) -> &mut Relation {
-        &mut self.dims[d]
     }
 
     /// All four dimensions in catalog order.
@@ -216,31 +201,6 @@ impl StarSchema {
                 Ok(Some(d))
             }
         }
-    }
-
-    /// Zone map of the fact table.
-    pub fn fact_zone(&self) -> ZoneMap {
-        self.fact.zone_map()
-    }
-
-    /// Zone map of one dimension.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `d >= 4`.
-    pub fn dim_zone(&self, d: usize) -> ZoneMap {
-        self.dims[d].zone_map()
-    }
-
-    /// Positional lookup of a dimension attribute through a fact
-    /// foreign-key value (dense keys: the "hash" probe is an array
-    /// index).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a dangling key or out-of-range indices.
-    pub fn dim_value(&self, d: usize, fk_value: u64, col: usize) -> u64 {
-        self.dims[d].value((fk_value - DIMENSIONS[d].key_base) as usize, col)
     }
 
     /// Cold (host-resident) attribute lists for the five tables under
@@ -318,11 +278,14 @@ mod tests {
         let s = StarSchema::of_db(&db);
         let city_col = s.dim(0).schema().index_of("c_city").unwrap();
         let year_col = s.dim(3).schema().index_of("d_year").unwrap();
+        // the positional probe: dense keys make the "hash" lookup an index
+        let probe =
+            |d: usize, fk: u64, col| s.dim(d).value((fk - DIMENSIONS[d].key_base) as usize, col);
         for row in (0..wide.len()).step_by(131) {
             let ck = wide.value_by_name(row, "lo_custkey").unwrap();
-            assert_eq!(s.dim_value(0, ck, city_col), wide.value_by_name(row, "c_city").unwrap());
+            assert_eq!(probe(0, ck, city_col), wide.value_by_name(row, "c_city").unwrap());
             let day = wide.value_by_name(row, "lo_orderdate").unwrap();
-            assert_eq!(s.dim_value(3, day, year_col), wide.value_by_name(row, "d_year").unwrap());
+            assert_eq!(probe(3, day, year_col), wide.value_by_name(row, "d_year").unwrap());
         }
     }
 
@@ -388,7 +351,6 @@ mod tests {
     fn zone_maps_reflect_table_contents() {
         let s = star();
         let year_idx = s.dim(3).schema().index_of("d_year").unwrap();
-        assert_eq!(s.dim_zone(3).range(year_idx), Some((1992, 1998)));
-        assert_eq!(s.fact_zone(), s.fact().zone_map());
+        assert_eq!(s.dim(3).zone_map().range(year_idx), Some((1992, 1998)));
     }
 }

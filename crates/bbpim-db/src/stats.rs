@@ -225,19 +225,6 @@ pub fn merge_grouped_ref_into(acc: &mut GroupedResult, part: &GroupedResult, fun
     }
 }
 
-/// Fold any number of partial grouped results (see
-/// [`merge_grouped_into`]).
-pub fn merge_grouped<I>(parts: I, func: PhysFunc) -> GroupedResult
-where
-    I: IntoIterator<Item = GroupedResult>,
-{
-    let mut acc = GroupedResult::new();
-    for part in parts {
-        merge_grouped_into(&mut acc, part, func);
-    }
-    acc
-}
-
 /// Number of distinct group keys among rows matching the filter (the
 /// non-empty subgroups; `run_oracle(..).len()` without the aggregates).
 ///
@@ -421,8 +408,9 @@ mod tests {
         let mut b = GroupedResult::new();
         b.insert(vec![2], 7);
         b.insert(vec![3], 1);
-        let ab = merge_grouped([a.clone(), b.clone()], PhysFunc::Sum);
-        let ba = merge_grouped([b, a], PhysFunc::Sum);
+        let (mut ab, mut ba) = (a.clone(), b.clone());
+        merge_grouped_into(&mut ab, b, PhysFunc::Sum);
+        merge_grouped_into(&mut ba, a, PhysFunc::Sum);
         assert_eq!(ab, ba);
         assert_eq!(ab[&vec![2u64]], 12);
         assert_eq!(ab.len(), 3);
@@ -435,7 +423,8 @@ mod tests {
         let mut b = GroupedResult::new();
         b.insert(vec![1], 2);
         b.insert(vec![2], 9);
-        let merged = merge_grouped([a, b], PhysFunc::Count);
+        let mut merged = a;
+        merge_grouped_into(&mut merged, b, PhysFunc::Count);
         assert_eq!(merged[&vec![1u64]], 6);
         assert_eq!(merged[&vec![2u64]], 9);
     }

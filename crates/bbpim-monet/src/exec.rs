@@ -3,8 +3,8 @@
 
 use std::collections::HashMap;
 
-use bbpim_db::plan::{AggExpr, PhysAgg, PhysFunc, Query, ResolvedAtom};
-use bbpim_db::stats::{GroupedResult, MultiGrouped};
+use bbpim_db::plan::{AggExpr, PhysAgg, PhysFunc, ResolvedAtom};
+use bbpim_db::stats::GroupedResult;
 use bbpim_db::{DbError, Relation};
 
 use crate::selection::{refine, select_all, SelectionVector};
@@ -50,15 +50,6 @@ pub fn union_selections(mut parts: Vec<SelectionVector>) -> SelectionVector {
             all
         }
     }
-}
-
-/// Filter a relation with a resolved DNF over a base row range.
-pub fn filter_dnf(
-    rel: &Relation,
-    dnf: &[Vec<ResolvedAtom>],
-    base: &SelectionVector,
-) -> SelectionVector {
-    union_selections(dnf.iter().map(|conj| refine_conj(rel, conj, base)).collect())
 }
 
 /// Column-index-resolved aggregate expression.
@@ -180,39 +171,14 @@ pub fn merge_table(
     }
 }
 
-/// Hash GROUP-BY over a selection of a single (wide) relation,
-/// evaluating the query's whole physical plan and finalising the
-/// multi-column answer.
-///
-/// # Errors
-///
-/// Unknown attribute names / invalid SELECT lists.
-pub fn group_aggregate(
-    rel: &Relation,
-    query: &Query,
-    sel: &SelectionVector,
-) -> Result<MultiGrouped, DbError> {
-    let plan = query.physical_plan()?;
-    let key_cols: Vec<usize> =
-        query.group_by.iter().map(|g| rel.schema().index_of(g)).collect::<Result<_, _>>()?;
-    let aggs = ResolvedAggs::resolve(&plan.aggs, rel)?;
-    let mut table: HashMap<Vec<u64>, Vec<u64>> = HashMap::new();
-    for &row in sel {
-        let row = row as usize;
-        let key: Vec<u64> = key_cols.iter().map(|&c| rel.value(row, c)).collect();
-        fold_row(&mut table, key, aggs.row_values(rel, row), &aggs.funcs);
-    }
-    let mut per_agg = vec![GroupedResult::new(); aggs.len()];
-    merge_table(&mut per_agg, table, &aggs.funcs);
-    Ok(plan.finalize(&per_agg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MonetEngine;
     use bbpim_db::builder::col;
-    use bbpim_db::plan::{AggFunc, Atom, SelectItem};
+    use bbpim_db::plan::{AggFunc, Atom, Query, SelectItem};
     use bbpim_db::schema::{Attribute, Schema};
+    use bbpim_db::stats::MultiGrouped;
 
     fn rel() -> Relation {
         let schema = Schema::new(
@@ -240,6 +206,12 @@ mod tests {
         )
     }
 
+    /// The operators above as `MonetEngine::run` composes them over
+    /// `threads` row partitions of the wide relation.
+    fn run(rel: &Relation, q: &Query, threads: usize) -> MultiGrouped {
+        MonetEngine::prejoined(rel, threads).run(q).unwrap().groups
+    }
+
     #[test]
     fn filter_then_group_matches_oracle() {
         let rel = rel();
@@ -248,10 +220,7 @@ mod tests {
             vec!["g"],
             AggExpr::attr("v"),
         );
-        let dnf = q.resolve_filter(rel.schema()).unwrap();
-        let sel = filter_dnf(&rel, &dnf, &select_all(rel.len()));
-        let got = group_aggregate(&rel, &q, &sel).unwrap();
-        assert_eq!(got, bbpim_db::stats::run_oracle(&q, &rel).unwrap());
+        assert_eq!(run(&rel, &q, 1), bbpim_db::stats::run_oracle(&q, &rel).unwrap());
     }
 
     #[test]
@@ -263,13 +232,13 @@ mod tests {
             .build(rel.schema())
             .unwrap();
         let dnf = q.resolve_filter(rel.schema()).unwrap();
-        let sel = filter_dnf(&rel, &dnf, &select_all(rel.len()));
+        let base = select_all(rel.len());
+        let sel = union_selections(dnf.iter().map(|c| refine_conj(&rel, c, &base)).collect());
         // rows are unique even when both branches select them
         let mut sorted = sel.clone();
         sorted.dedup();
         assert_eq!(sel, sorted);
-        let got = group_aggregate(&rel, &q, &sel).unwrap();
-        assert_eq!(got, bbpim_db::stats::run_oracle(&q, &rel).unwrap());
+        assert_eq!(run(&rel, &q, 1), bbpim_db::stats::run_oracle(&q, &rel).unwrap());
     }
 
     #[test]
@@ -281,7 +250,8 @@ mod tests {
             AggExpr::attr("v"),
         );
         let dnf = q.resolve_filter(rel.schema()).unwrap();
-        assert!(filter_dnf(&rel, &dnf, &select_all(rel.len())).is_empty());
+        assert!(filter(&rel, &dnf[0]).is_empty());
+        assert!(run(&rel, &q, 1).is_empty());
     }
 
     #[test]
@@ -289,9 +259,7 @@ mod tests {
         let rel = rel();
         for expr in [AggExpr::mul("v", "w"), AggExpr::sub("w", "g")] {
             let q = query(vec![], vec!["g"], expr);
-            let sel = select_all(rel.len());
-            let got = group_aggregate(&rel, &q, &sel).unwrap();
-            assert_eq!(got, bbpim_db::stats::run_oracle(&q, &rel).unwrap(), "{q:?}");
+            assert_eq!(run(&rel, &q, 1), bbpim_db::stats::run_oracle(&q, &rel).unwrap(), "{q:?}");
         }
     }
 
@@ -307,8 +275,8 @@ mod tests {
         .group_by(["g"])
         .build(rel.schema())
         .unwrap();
-        let got = group_aggregate(&rel, &q, &select_all(rel.len())).unwrap();
-        assert_eq!(got, bbpim_db::stats::run_oracle(&q, &rel).unwrap());
+        // three partitions: the thread-local tables merge per column
+        assert_eq!(run(&rel, &q, 3), bbpim_db::stats::run_oracle(&q, &rel).unwrap());
     }
 
     #[test]

@@ -70,6 +70,7 @@ use bbpim_core::mutation::{Mutation, MutationReport};
 use bbpim_core::result::QueryExecution;
 use bbpim_db::plan::{Pred, Query};
 use bbpim_sim::config::HostConfig;
+pub use bbpim_sim::endurance::ENDURANCE_YEARS;
 use bbpim_trace::{ArgValue, TraceRecorder, TrackId};
 
 use crate::demand::{
@@ -1025,7 +1026,3 @@ pub fn run_stream_traced<E: StreamEngine>(
     };
     sim.run(kernel)
 }
-
-/// The horizon the per-module required-endurance figures assume (the
-/// paper's Fig. 9 runs each query back-to-back for ten years).
-pub const ENDURANCE_YEARS: f64 = 10.0;

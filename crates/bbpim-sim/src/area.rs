@@ -31,17 +31,6 @@ pub struct AreaBreakdown {
     pub total_mm2: f64,
 }
 
-impl AreaBreakdown {
-    /// Percentage share of a component (0 if absent).
-    pub fn percent(&self, name: &str) -> f64 {
-        self.components
-            .iter()
-            .find(|c| c.name == name)
-            .map(|c| 100.0 * c.area_mm2 / self.total_mm2)
-            .unwrap_or(0.0)
-    }
-}
-
 /// Area model calibrated to the paper's Fig. 5 / 28 nm numbers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AreaModel {
@@ -140,7 +129,8 @@ mod tests {
     #[test]
     fn agg_circuits_take_13_9_percent() {
         let b = AreaModel::default().breakdown();
-        assert!((b.percent("aggregation circuits") - 13.9).abs() < 1e-9);
+        let agg = b.components.iter().find(|c| c.name == "aggregation circuits").unwrap();
+        assert!((100.0 * agg.area_mm2 / b.total_mm2 - 13.9).abs() < 1e-9);
     }
 
     #[test]

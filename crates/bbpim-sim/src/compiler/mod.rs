@@ -110,11 +110,6 @@ impl ScratchPool {
         self.free.push(col);
     }
 
-    /// Columns currently available.
-    pub fn available(&self) -> usize {
-        self.free.len()
-    }
-
     /// Most columns ever simultaneously allocated.
     pub fn high_water(&self) -> usize {
         self.high_water
@@ -454,7 +449,8 @@ mod tests {
         let _b = pool.alloc().unwrap();
         assert!(pool.alloc().is_err());
         pool.release(a);
-        assert_eq!(pool.available(), 1);
+        assert_eq!(pool.alloc().unwrap(), a, "exactly the released column is free again");
+        assert!(pool.alloc().is_err());
         assert_eq!(pool.high_water(), 2);
     }
 

@@ -47,22 +47,6 @@ pub fn compile_eq_const(
     Ok(out)
 }
 
-/// Compile `attr != value` into a fresh result column.
-///
-/// # Errors
-///
-/// Same conditions as [`compile_eq_const`].
-pub fn compile_neq_const(
-    b: &mut CodeBuilder<'_>,
-    attr: ColRange,
-    value: u64,
-) -> Result<usize, SimError> {
-    let eq = compile_eq_const(b, attr, value)?;
-    let out = b.emit_not(eq)?;
-    b.release(eq);
-    Ok(out)
-}
-
 /// Compile `attr < value` (unsigned) into a fresh result column.
 ///
 /// MSB-to-LSB scan maintaining `lt` (already strictly less) and `eq`
@@ -258,14 +242,6 @@ mod tests {
         let (xb, out) = run(|b| compile_eq_const(b, ATTR, 0));
         assert_eq!(xb.bits().popcount_col(out), 1);
         assert!(xb.bits().get(0, out));
-    }
-
-    #[test]
-    fn neq_const_is_complement() {
-        let (xb, out) = run(|b| compile_neq_const(b, ATTR, 7));
-        for r in 0..256 {
-            assert_eq!(xb.bits().get(r, out), r != 7, "row {r}");
-        }
     }
 
     #[test]

@@ -194,17 +194,6 @@ impl SimConfig {
         self.crossbar_cols / self.read_width_bits
     }
 
-    /// Energy of one bulk-bitwise logic op on a full column, in picojoules
-    /// (one output cell is written per row).
-    pub fn column_op_energy_pj(&self) -> f64 {
-        self.crossbar_rows as f64 * self.logic_energy_fj_per_bit / 1000.0
-    }
-
-    /// Energy of one bulk-bitwise logic op on a full row, in picojoules.
-    pub fn row_op_energy_pj(&self) -> f64 {
-        self.crossbar_cols as f64 * self.logic_energy_fj_per_bit / 1000.0
-    }
-
     /// Validate internal consistency.
     ///
     /// # Errors
@@ -285,18 +274,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Set crossbar geometry (rows × cols), keeping the current number of
-    /// crossbars per page and resizing the page and cache line to match
-    /// (a line always gathers one chunk per crossbar of a page).
-    pub fn geometry(&mut self, rows: usize, cols: usize) -> &mut Self {
-        let n = self.cfg.crossbars_per_page();
-        self.cfg.crossbar_rows = rows;
-        self.cfg.crossbar_cols = cols;
-        self.cfg.page_bytes = self.cfg.crossbar_bytes() * n;
-        self.cfg.host.line_bytes = n * self.cfg.read_width_bits / 8;
-        self
-    }
-
     /// Set the number of crossbars composing one page (resizes the page
     /// and the cache line accordingly).
     pub fn crossbars_per_page(&mut self, n: usize) -> &mut Self {
@@ -308,12 +285,6 @@ impl SimConfigBuilder {
     /// Set the number of host worker threads.
     pub fn threads(&mut self, n: usize) -> &mut Self {
         self.cfg.host.threads = n;
-        self
-    }
-
-    /// Set total module capacity in bytes.
-    pub fn capacity_bytes(&mut self, bytes: u64) -> &mut Self {
-        self.cfg.module_capacity_bytes = bytes;
         self
     }
 
@@ -450,12 +421,5 @@ mod tests {
         assert!((cfg.logic_cycle_ns - 40.0).abs() < 1e-12);
         // untouched values keep Table I defaults
         assert_eq!(cfg.crossbar_rows, 1024);
-    }
-
-    #[test]
-    fn column_op_energy_is_rows_times_per_bit() {
-        let cfg = SimConfig::default();
-        let pj = cfg.column_op_energy_pj();
-        assert!((pj - 1024.0 * 81.6 / 1000.0).abs() < 1e-9);
     }
 }

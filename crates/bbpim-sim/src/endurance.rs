@@ -12,6 +12,11 @@ pub const SECONDS_PER_YEAR: f64 = 365.25 * 24.0 * 3600.0;
 /// Endurance RRAM provides per the paper's reference \[22\].
 pub const RRAM_ENDURANCE_WRITES: f64 = 1e12;
 
+/// The horizon the required-endurance figures assume (the paper's
+/// Fig. 9 runs each query back-to-back for ten years) — the `years` of
+/// [`required_endurance`].
+pub const ENDURANCE_YEARS: f64 = 10.0;
+
 /// Writes-per-cell one query charges: the worst row's cell writes spread
 /// over the row's `cols` cells.
 pub fn writes_per_cell_per_query(max_row_cell_writes: u64, cols: usize) -> f64 {

@@ -23,8 +23,8 @@
 //! * [`hostbus`] — a single-server FIFO resource modeling contention on
 //!   a shared host channel (the streaming scheduler in `bbpim-sched`
 //!   serialises per-page dispatch of concurrent queries through it).
-//! * [`timeline`], [`energy`], [`endurance`], [`area`] — simulated time,
-//!   energy, peak per-chip power, cell endurance, and chip area
+//! * [`timeline`], [`endurance`], [`area`] — simulated time, energy and
+//!   peak per-chip power (the phase log), cell endurance, and chip area
 //!   accounting (Table I constants, Figs. 5 and 9).
 //!
 //! ## Quick start
@@ -47,7 +47,6 @@ pub mod compiler;
 pub mod config;
 pub mod crossbar;
 pub mod endurance;
-pub mod energy;
 pub mod error;
 pub mod hostbus;
 pub mod hostmem;

@@ -11,16 +11,26 @@
 //!   its length, both LEB128 varints. Selective filters set long runs,
 //!   which this collapses to a handful of bytes.
 //!
-//! The codec lives in `bbpim-sim` so both storage models can charge
-//! the shared bus wire bytes instead of raw mask lines; the star
-//! model's `KeyBitmap` delegates here for its own wire accounting.
+//! The codec lives in `bbpim-sim` so both storage models charge the
+//! shared bus wire bytes instead of raw mask lines.
 //!
-//! A mask column leaves the crossbars 64 rows to a word, and charging
-//! its transfer needs the encoded *size*, never the bytes. So the
-//! per-record masks of the query path stay word-packed
-//! ([`PackedBits`]) and are sized from the words ([`rle_len`],
-//! [`packed_wire_lines`]); the `&[bool]` codec is the byte-exact
-//! statement of the format, which the sizes are tested against.
+//! The module has two halves:
+//!
+//! * **The size path** — what every production caller uses. A mask
+//!   column leaves the crossbars 64 rows to a word, and charging its
+//!   transfer needs the encoded *size*, never the bytes. So a filter
+//!   result stays word-packed ([`PackedBits`]) on both storage models —
+//!   the pre-joined engine's per-record masks and the star model's
+//!   `KeyBitmap` alike — its runs of set bits come from the one word
+//!   scanner ([`PackedBits::runs`]), and its wire size from the words
+//!   ([`rle_len`], [`packed_wire_bytes`], [`packed_wire_lines`]).
+//! * **The format's reference** — the `&[bool]` codec ([`bit_runs`],
+//!   [`encode_rle`] / [`decode_rle`] over [`push_varint`] /
+//!   [`read_varint`], [`wire_bytes`], [`wire_lines`]): the byte-exact
+//!   statement of the format, which the sizes and the run scanner are
+//!   tested against. It has no non-test caller and finds its runs on
+//!   its own — a reference derived from the scanner it checks would
+//!   check nothing.
 
 use crate::bitmat::word_ones;
 
@@ -127,23 +137,64 @@ impl PackedBits {
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(|i| self.get(i))
     }
+
+    /// Maximal runs of consecutive set bits, as inclusive `(lo, hi)`
+    /// index ranges, ascending. Found a word at a time, stepping by
+    /// `trailing_zeros` / `trailing_ones`: a word costs one step per run
+    /// boundary in it, never one per bit.
+    pub fn runs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        word_runs(self.words.iter().copied())
+    }
+}
+
+/// The run scanner behind [`PackedBits::runs`] and [`rle_len`]: the
+/// maximal runs of set bits of a bit-vector packed LSB-first into a
+/// stream of words (zero past the vector's length).
+fn word_runs(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = (u64, u64)> {
+    let mut words = words.into_iter();
+    // the word being scanned, the scan position in it (64 = spent) and
+    // the bit offset one past it
+    let (mut word, mut at, mut end) = (0u64, 64u32, 0u64);
+    std::iter::from_fn(move || {
+        // start of the run the scan is inside (it may span words)
+        let mut open = None::<u64>;
+        loop {
+            if at == 64 {
+                let Some(next) = words.next() else {
+                    // a run still open ends with the vector (the tail bits are zero)
+                    return open.map(|lo| (lo, end - 1));
+                };
+                (word, at, end) = (next, 0, end + 64);
+            }
+            let (rest, base) = (word >> at, end - 64);
+            match open {
+                None if rest == 0 => at = 64,
+                None => {
+                    at += rest.trailing_zeros();
+                    open = Some(base + u64::from(at));
+                }
+                Some(lo) => {
+                    at += rest.trailing_ones();
+                    if at < 64 {
+                        return Some((lo, base + u64::from(at) - 1));
+                    }
+                }
+            }
+        }
+    })
 }
 
 /// Maximal runs of consecutive set bits, as inclusive `[lo, hi]` index
-/// ranges, ascending.
+/// ranges, ascending — the reference [`PackedBits::runs`] is tested
+/// against: the groups of equal neighbours that hold set bits.
 pub fn bit_runs(bits: &[bool]) -> Vec<(u64, u64)> {
-    let mut runs: Vec<(u64, u64)> = Vec::new();
-    for (i, &set) in bits.iter().enumerate() {
-        if !set {
-            continue;
-        }
-        let i = i as u64;
-        match runs.last_mut() {
-            Some((_, hi)) if *hi + 1 == i => *hi = i,
-            _ => runs.push((i, i)),
-        }
-    }
-    runs
+    let mut end = 0u64;
+    bits.chunk_by(|a, b| a == b)
+        .filter_map(|group| {
+            end += group.len() as u64;
+            group[0].then(|| (end - group.len() as u64, end - 1))
+        })
+        .collect()
 }
 
 /// Bit-packed payload size, bytes.
@@ -195,33 +246,11 @@ fn varint_len(v: u64) -> u64 {
 /// (zero past the vector's length, as [`PackedBits`] keeps them) —
 /// sized run by run from the words, nothing is encoded.
 pub fn rle_len(words: impl IntoIterator<Item = u64>) -> u64 {
-    // `cursor`: end of the last closed run; `open`: start of the run
-    // the scan is inside (it may span words); `base`: the word's offset.
-    let (mut bytes, mut cursor, mut open, mut base) = (0u64, 0u64, None::<u64>, 0u64);
-    for w in words {
-        let mut at = 0u32;
-        while at < 64 {
-            let rest = w >> at;
-            match open {
-                None if rest == 0 => break,
-                None => {
-                    at += rest.trailing_zeros();
-                    open = Some(base + u64::from(at));
-                }
-                Some(start) => {
-                    at += rest.trailing_ones();
-                    if at < 64 {
-                        let stop = base + u64::from(at);
-                        bytes += varint_len(start - cursor) + varint_len(stop - start);
-                        (cursor, open) = (stop, None);
-                    }
-                }
-            }
-        }
-        base += 64;
-    }
-    // a run still open ends with the vector (the tail bits are zero)
-    bytes + open.map_or(0, |start| varint_len(start - cursor) + varint_len(base - start))
+    // (bytes so far, end of the previous run)
+    let sized = word_runs(words).fold((0, 0), |(bytes, cursor), (lo, hi)| {
+        (bytes + varint_len(lo - cursor) + varint_len(hi + 1 - lo), hi + 1)
+    });
+    sized.0
 }
 
 /// Bytes actually sent for `bits`: the header plus the smaller encoding.
@@ -234,9 +263,15 @@ pub fn wire_lines(bits: &[bool], line_bytes: u64) -> u64 {
     wire_bytes(bits).div_ceil(line_bytes.max(1))
 }
 
+/// [`wire_bytes`] of the `len` bits packed LSB-first in `words`: the
+/// header plus the smaller encoding.
+pub fn packed_wire_bytes(words: impl IntoIterator<Item = u64>, len: u64) -> u64 {
+    WIRE_HEADER_BYTES + raw_bytes(len).min(rle_len(words))
+}
+
 /// [`wire_lines`] of the `len` bits packed LSB-first in `words`.
 pub fn packed_wire_lines(words: impl IntoIterator<Item = u64>, len: u64, line_bytes: u64) -> u64 {
-    (WIRE_HEADER_BYTES + raw_bytes(len).min(rle_len(words))).div_ceil(line_bytes.max(1))
+    packed_wire_bytes(words, len).div_ceil(line_bytes.max(1))
 }
 
 #[cfg(test)]
@@ -277,6 +312,7 @@ mod tests {
             (0..len).filter(|i| i % 37 < 3).collect(), // short periodic runs
             (60..70).chain(120..200).collect(),        // runs across word boundaries
             (64..128).collect(),                       // exactly one word
+            (63..130).collect(),                       // one run spanning three words
             vec![0, 1, 2, 700, 701, len - 2],          // mixed
         ];
         // deterministic xorshift at three densities
@@ -310,7 +346,9 @@ mod tests {
     fn packed_sizes_equal_the_encoded_lengths() {
         // lengths on and off a word boundary, down to a single word
         for len in [2048usize, 2000, 1031, 64, 47] {
-            for set in adversarial_shapes(len.max(256)) {
+            // plus two runs still open where the vector ends
+            let open_ended = [(len - 3..len).collect(), (len / 2..len).collect()];
+            for set in adversarial_shapes(len.max(256)).into_iter().chain(open_ended) {
                 let set: Vec<usize> = set.into_iter().filter(|i| *i < len).collect();
                 let b = bits(&set, len);
                 let mut packed = PackedBits::zeros(len);
@@ -318,8 +356,10 @@ mod tests {
                 assert_eq!(packed.iter().collect::<Vec<_>>(), b);
                 assert_eq!(packed.ones().collect::<Vec<_>>(), set);
                 assert_eq!(packed.count_ones(), set.len() as u64);
+                assert_eq!(packed.runs().collect::<Vec<_>>(), bit_runs(&b), "{len} bits, {set:?}");
                 let words = || packed.words().iter().copied();
                 assert_eq!(rle_len(words()), encode_rle(&b).len() as u64, "{len} bits, {set:?}");
+                assert_eq!(packed_wire_bytes(words(), len as u64), wire_bytes(&b));
                 for line_bytes in [64, 32, 8] {
                     assert_eq!(
                         packed_wire_lines(words(), len as u64, line_bytes),

@@ -146,11 +146,6 @@ impl PimModule {
         self.programs
     }
 
-    /// Pages currently allocated.
-    pub fn allocated_pages(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Allocate `n` zeroed pages.
     ///
     /// # Errors

@@ -91,11 +91,6 @@ impl Histogram {
     pub fn bounds(&self) -> &[f64] {
         &self.bounds
     }
-
-    /// Per-bucket (non-cumulative) observation counts, +Inf last.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
 }
 
 /// Default histogram bounds: three-per-decade from 1 µs to 10 s (in
@@ -290,7 +285,7 @@ mod tests {
         let h = r.histogram("lat", &[]).unwrap();
         assert_eq!(h.count(), 2);
         assert!((h.sum() - (2e3 + 1e12)).abs() < 1.0);
-        assert_eq!(*h.bucket_counts().last().unwrap(), 1);
+        assert_eq!(*h.counts.last().unwrap(), 1); // the +Inf bucket
     }
 
     #[test]

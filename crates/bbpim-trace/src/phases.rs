@@ -16,8 +16,8 @@ pub const PHASE_ENERGY_PJ: &str = "bbpim_phase_energy_pj_total";
 /// Per-phase-kind host-channel byte counter.
 pub const HOST_BYTES: &str = "bbpim_host_bytes_total";
 /// Accumulated worst-row cell writes, counter (the endurance model's
-/// input — shared across layers so per-query and per-module wear land
-/// in the same series family).
+/// input — defined here so the scheduler's and the serving layer's
+/// per-module wear land in the same series family).
 pub const CELL_WRITES: &str = "bbpim_cell_writes_total";
 /// Required cell endurance (write cycles over the paper's ten-year
 /// horizon), gauge.
