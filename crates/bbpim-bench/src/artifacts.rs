@@ -1,13 +1,14 @@
-//! Every file the harness writes goes through this module: the `--json`
-//! headline section `bench_gate` merges, the `--trace` Perfetto export
-//! with its `.jsonl` sidecar, the `--metrics` registry snapshot with its
-//! `.prom` sidecar, and the `paper --csv` figure tables.
+//! Every file the harness writes goes through this module: the
+//! `--trace` Perfetto export with its `.jsonl` sidecar, the `--metrics`
+//! registry snapshot with its `.prom` sidecar, and the `paper --csv`
+//! figure tables. (The simulated numbers CI gates are not written here:
+//! they are `bbpim-perf`'s result files, checked against `bench/sim/`.)
 //!
 //! Nothing here panics on a filesystem failure: every writer returns an
 //! `io::Result` whose error names the path, and a binary's `main` hands
 //! its result to [`exit_code`] (`error: cannot write <path>: <why>`,
 //! exit 1). [`probe`] / [`probe_dir`] run *before* data generation, so
-//! a long study cannot end in a lost snapshot.
+//! a long study cannot end in a lost trace.
 
 use std::fs;
 use std::io;
@@ -45,9 +46,9 @@ pub fn probe(cfg: &BenchConfig) -> io::Result<()> {
     let with_sidecar = |path: &Option<String>, ext| {
         path.iter().flat_map(|p| [p.clone(), sibling(p, ext)]).collect::<Vec<_>>()
     };
-    let observability =
+    let paths =
         with_sidecar(&cfg.trace, "jsonl").into_iter().chain(with_sidecar(&cfg.metrics, "prom"));
-    for path in cfg.json.iter().cloned().chain(observability) {
+    for path in paths {
         let create = || fs::OpenOptions::new().append(true).create(true).open(&path).map(drop);
         named(&path, create_parent(&path).and_then(|()| create()))?;
     }
@@ -66,21 +67,6 @@ pub fn probe_dir(dir: &str) -> io::Result<()> {
 /// Write `body` to `path`, creating parent directories as needed.
 fn write(path: &str, body: &str) -> io::Result<()> {
     named(path, create_parent(path).and_then(|()| fs::write(path, body)))
-}
-
-/// Write one binary's headline metrics as a single-section JSON
-/// snapshot: `{"<section>": {"<key>": <value>, …}}`. The `bench_gate`
-/// binary merges these per-bin files into `BENCH_PR.json` and gates
-/// the headline ratios against `bench/baseline.json`.
-///
-/// # Errors
-///
-/// `path` cannot be written.
-pub fn write_snapshot(path: &str, section: &str, entries: &[(&str, f64)]) -> io::Result<()> {
-    let body: Vec<String> = entries.iter().map(|(k, v)| format!("    \"{k}\": {v:.6}")).collect();
-    write(path, &format!("{{\n  \"{section}\": {{\n{}\n  }}\n}}\n", body.join(",\n")))?;
-    println!("\nwrote {section} snapshot to {path}");
-    Ok(())
 }
 
 /// The recorder a study threads through its traced run: collecting

@@ -9,19 +9,16 @@
 //! table (accumulated cell writes and 10-year required endurance per
 //! lane — UPDATE-heavy streams wear modules unevenly). Every streamed
 //! answer in both rows is verified bit-identical against a
-//! prefix-replay oracle; the verdict lands in the snapshot as
-//! `snapshot_consistency`, an absolute 0/1 floor in the CI gate.
+//! prefix-replay oracle; a row that is not fails the run with exit
+//! code 1 after the report (a query that answers from no well-defined
+//! snapshot is wrong, not slow).
 //!
 //! The flags it reads are [`ACCEPTS`]: the largest `--shards` count
 //! runs, `--trace` records the ingest row (mutation chains queue on the
 //! bus track between query slices) and `--metrics` carries `run=pure` /
-//! `run=htap` series, including the `bbpim_ingest_*` surface.
-//!
-//! The `--json` snapshot carries the gate headlines CI watches:
-//! `query_p95_under_ingest` (baseline p95 over under-ingest p95,
-//! regression-gated) and `snapshot_consistency` (absolute floor 1.0 —
-//! a query that answers from no well-defined snapshot is wrong, not
-//! slow).
+//! `run=htap` series, including the `bbpim_ingest_*` surface. The
+//! closing `gate:` line reads the ingest-interference headline
+//! (baseline query p95 over under-ingest p95) and the verdict.
 
 use std::process::ExitCode;
 
@@ -31,7 +28,7 @@ use bbpim_trace::MetricsRegistry;
 
 const ACCEPTS: Accepts<'static> = Accepts::shared(
     "--sf --uniform --skewed --seed --shards --arrivals \
-             --load --inflight --json --trace --metrics",
+             --load --inflight --trace --metrics",
 );
 
 fn main() -> ExitCode {
@@ -43,18 +40,15 @@ fn main() -> ExitCode {
         reports::print_htap(&s, &study);
         artifacts::write_observability(&s.cfg, &trace, &reg)?;
 
-        if let Some(path) = &s.cfg.json {
-            let p95 = |row| fmt_ms(study.row(row).outcome.latency_summary().p95_ns);
-            let consistent = study.rows.iter().all(|r| r.snapshot_consistent);
-            println!(
-                "\n  gate: query p95 {} -> {} under ingest (ratio {:.3}), snapshots {}",
-                p95("pure-query"),
-                p95("htap"),
-                study.query_p95_under_ingest(),
-                if consistent { "consistent" } else { "INCONSISTENT" },
-            );
-            artifacts::write_snapshot(path, "htap", &study.headlines())?;
-        }
-        Ok(())
+        let p95 = |row| fmt_ms(study.row(row).outcome.latency_summary().p95_ns);
+        let verdict = study.verdict();
+        println!(
+            "\n  gate: query p95 {} -> {} under ingest (ratio {:.3}), snapshots {}",
+            p95("pure-query"),
+            p95("htap"),
+            study.query_p95_under_ingest(),
+            if verdict.is_ok() { "consistent" } else { "INCONSISTENT" },
+        );
+        verdict
     })
 }

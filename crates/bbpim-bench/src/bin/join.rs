@@ -12,16 +12,14 @@
 use std::io;
 use std::process::ExitCode;
 
-use bbpim_bench::{
-    artifacts, fmt_ms, print_table, report_host_bytes, reports, study_main, Accepts, SsbSetup,
-};
+use bbpim_bench::{fmt_ms, print_table, report_host_bytes, reports, study_main, Accepts, SsbSetup};
 use bbpim_cluster::{ClusterEngine, Partitioner, StarCluster};
 use bbpim_core::groupby::calibration::CalibrationConfig;
 use bbpim_core::modes::EngineMode;
 use bbpim_db::ssb::star;
 use bbpim_sim::SimConfig;
 
-const ACCEPTS: Accepts<'static> = Accepts::shared("--sf --uniform --skewed --seed --shards --json");
+const ACCEPTS: Accepts<'static> = Accepts::shared("--sf --uniform --skewed --seed --shards");
 
 fn main() -> ExitCode {
     study_main(&ACCEPTS, |s, _| run(&s))
@@ -102,20 +100,5 @@ fn run(s: &SsbSetup) -> io::Result<()> {
     let normalized = star_cluster.footprints();
     let prejoin_fp = star::table_footprint(&s.wide, &[]);
     reports::print_star_footprint(&normalized, &prejoin_fp);
-    let star_bytes: u64 = normalized.iter().map(|f| f.data_bytes).sum();
-    let footprint_ratio = prejoin_fp.data_bytes as f64 / star_bytes.max(1) as f64;
-
-    // Machine-readable snapshot for the CI regression gate: the
-    // selective-class host-byte win is the gated headline (higher is
-    // better), the rest is context.
-    if let Some(path) = &s.cfg.json {
-        let headlines = [
-            ("host_bytes_ratio_q1", q1_ratio),
-            ("host_bytes_ratio_all", all_ratio),
-            ("footprint_ratio", footprint_ratio),
-            ("shards", shards as f64),
-        ];
-        artifacts::write_snapshot(path, "join", &headlines)?;
-    }
     Ok(())
 }

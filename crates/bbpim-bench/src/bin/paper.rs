@@ -587,7 +587,7 @@ mod tests {
             ("--fig 5 --sf 0.01", "--sf"),
             ("--fig 4 --seed 7", "--seed"),
             ("--fig 7 --threads 2", "--threads"),
-            ("--fig 7 --json x.json", "--json"),
+            ("--fig 7 --trace t.json", "--trace"),
             ("--fig 6 --mode one_xb", "--mode"),
             ("--fig sweep --sf 0.01", "--sf"),
             ("--fig table1 --csv out", "--csv"),

@@ -12,10 +12,10 @@
 use std::io;
 use std::process::ExitCode;
 
-use bbpim_bench::{artifacts, reports, run_pruning_study, study_main, Accepts, SsbSetup};
+use bbpim_bench::{reports, run_pruning_study, study_main, Accepts, SsbSetup};
 use bbpim_core::modes::EngineMode;
 
-const ACCEPTS: Accepts<'static> = Accepts::shared("--sf --uniform --skewed --seed --shards --json");
+const ACCEPTS: Accepts<'static> = Accepts::shared("--sf --uniform --skewed --seed --shards");
 
 /// The range-partitioning attribute: the dimension attribute SSB's
 /// selective filters constrain most often.
@@ -29,13 +29,5 @@ fn run(s: &SsbSetup) -> io::Result<()> {
     let shard_counts = s.cfg.shards.clone();
     let points = run_pruning_study(s, EngineMode::OneXb, &shard_counts, RANGE_ATTR);
     reports::print_pruning(s, &points);
-
-    // Machine-readable snapshot for the CI regression gate: the
-    // pruned-vs-exhaustive wall-clock headline at the largest shard
-    // count (geo-mean over queries the planner did not answer alone).
-    if let Some(path) = &s.cfg.json {
-        let top = points.iter().max_by_key(|p| p.shards).expect("at least one shard count");
-        artifacts::write_snapshot(path, "pruning", &top.headlines())?;
-    }
     Ok(())
 }

@@ -16,8 +16,8 @@ use std::io;
 use std::process::ExitCode;
 
 use bbpim_bench::{
-    artifacts, fmt_ms, print_table, report_host_bytes, reports, run_cluster_scaling,
-    scaling_geomean, study_main, Accepts, ClusterScalePoint, SsbSetup,
+    fmt_ms, print_table, report_host_bytes, reports, run_cluster_scaling, scaling_verdict,
+    study_main, Accepts, ClusterScalePoint, SsbSetup,
 };
 use bbpim_cluster::{Cluster, ClusterEngine, ClusterExecution, Partitioner, StarCluster, Storage};
 use bbpim_core::groupby::calibration::CalibrationConfig;
@@ -25,7 +25,7 @@ use bbpim_core::modes::EngineMode;
 use bbpim_sim::{SimConfig, XferPolicy};
 
 const ACCEPTS: Accepts<'static> = Accepts {
-    shared: "--sf --uniform --skewed --seed --shards --json",
+    shared: "--sf --uniform --skewed --seed --shards",
     switches: &["--prejoined"],
     values: &[],
 };
@@ -76,9 +76,8 @@ fn run_policy(
 
 /// The A/B lever table at `shards`: per configuration, mean host bytes
 /// per query and the contended-wall-clock geo-mean speedup over the
-/// legacy policy. Returns the all-on mean host bytes per query (the
-/// `host_bytes_per_query` snapshot headline).
-fn lever_table(s: &SsbSetup, prejoined: bool, mode: EngineMode, shards: usize) -> f64 {
+/// legacy policy.
+fn lever_table(s: &SsbSetup, prejoined: bool, mode: EngineMode, shards: usize) {
     println!("\nhost-channel byte diet at {shards} shards, contended (per-lever attribution):\n");
     let runs: Vec<(&str, Vec<ClusterExecution>)> = lever_rows()
         .into_iter()
@@ -118,7 +117,6 @@ fn lever_table(s: &SsbSetup, prejoined: bool, mode: EngineMode, shards: usize) -
         &["policy", "host B/query", "bytes vs legacy", "total ms", "speedup vs legacy"],
         &rows,
     );
-    bytes_per_query(&runs[0].1)
 }
 
 fn main() -> ExitCode {
@@ -198,9 +196,8 @@ fn run(s: &SsbSetup, prejoined: bool) -> io::Result<()> {
         print_table(&["query", "partitioner", "round-robin", "hash-by-key", "rr/hash"], &rows);
     }
 
-    // Lever-by-lever byte attribution at the largest shard count — the
-    // A/B table behind the `host_bytes_per_query` headline.
-    let host_bytes_per_query = lever_table(s, prejoined, mode, max_shards);
+    // Lever-by-lever byte attribution at the largest shard count.
+    lever_table(s, prejoined, mode, max_shards);
 
     // What this cluster's wide relation costs in PIM capacity next to
     // the normalized star catalog (the `join` study's storage win).
@@ -211,21 +208,5 @@ fn run(s: &SsbSetup, prejoined: bool) -> io::Result<()> {
         &bbpim_db::ssb::star::table_footprint(&s.wide, &[]),
     );
 
-    // Machine-readable snapshot for the CI regression gate: the
-    // multi-aggregate sharing headline (one 3-aggregate query vs three
-    // single-aggregate runs), the contended scaling geo-mean — gated
-    // absolutely at 1.0 by `bench_gate` — and the byte-diet headline.
-    if let Some(path) = &s.cfg.json {
-        let agg3 = bbpim_bench::run_multi_agg_saving(s, EngineMode::OneXb, max_shards);
-        let base = points.iter().min_by_key(|p| p.shards).expect("scale points");
-        let top = points.iter().max_by_key(|p| p.shards).expect("scale points");
-        let headlines = [
-            ("agg3_energy_saving", agg3),
-            ("geomean_speedup_max_shards", scaling_geomean(base, top, true).unwrap_or(1.0)),
-            ("host_bytes_per_query", host_bytes_per_query),
-            ("max_shards", max_shards as f64),
-        ];
-        artifacts::write_snapshot(path, "scaling", &headlines)?;
-    }
-    Ok(())
+    scaling_verdict(&points)
 }

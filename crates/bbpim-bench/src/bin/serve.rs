@@ -18,10 +18,11 @@
 //! `controller` counter track) and `--metrics` carries the
 //! `bbpim_tenant_*` series.
 //!
-//! The `--json` snapshot carries the gate headlines CI watches:
-//! `heavy_tenant_goodput` (regression-gated) and
-//! `light_p95_within_slo` (absolute floor 1.0 — the promise either
-//! held or it did not).
+//! The closing `gate row` line reads the AIMD row at the gate overload:
+//! the light tenant's p95 against its promise and the heavy tenant's
+//! goodput against the best SLO-respecting static window. A missed
+//! promise fails the run with exit code 1 — it either held or it did
+//! not.
 
 use std::process::ExitCode;
 
@@ -31,14 +32,15 @@ use bbpim_trace::MetricsRegistry;
 
 /// Overload multiples the AIMD rows sweep.
 const OVERLOADS: &[f64] = &[2.0, 4.0, 10.0];
-/// The overload whose rows feed the gate headlines and static sweep.
+/// The overload whose rows feed the gate line, the verdict and the
+/// static sweep.
 const GATE_OVERLOAD: f64 = 4.0;
 /// Static windows swept at the gate overload.
 const STATIC_WINDOWS: &[usize] = &[1, 2, 4, 8, 16];
 
 const ACCEPTS: Accepts<'static> = Accepts::shared(
     "--sf --uniform --skewed --seed --shards --arrivals \
-             --inflight --json --trace --metrics",
+             --inflight --trace --metrics",
 );
 
 fn main() -> ExitCode {
@@ -59,22 +61,19 @@ fn main() -> ExitCode {
         reports::print_serve(&s, &study);
         artifacts::write_observability(&s.cfg, &trace, &reg)?;
 
-        if let Some(path) = &s.cfg.json {
-            let gate = study.gate_row();
-            let light = gate.report("light");
-            let (best_policy, best_goodput) =
-                study.best_static_heavy_goodput().unwrap_or(("none".into(), 0.0));
-            println!(
-                "\n  gate row ({:.0}x aimd): light p95 {:.3} ms vs promise {:.3} ms ({}), heavy \
-                 goodput {:.1}/s vs best static ({best_policy}) {best_goodput:.1}/s",
-                study.gate_overload,
-                light.latency.p95_ns / 1e6,
-                light.p95_target_ns / 1e6,
-                if light.slo_met { "met" } else { "MISSED" },
-                gate.report("heavy").goodput_qps,
-            );
-            artifacts::write_snapshot(path, "serve", &study.headlines())?;
-        }
-        Ok(())
+        let gate = study.gate_row();
+        let light = gate.report("light");
+        let (best_policy, best_goodput) =
+            study.best_static_heavy_goodput().unwrap_or(("none".into(), 0.0));
+        println!(
+            "\n  gate row ({:.0}x aimd): light p95 {:.3} ms vs promise {:.3} ms ({}), heavy \
+             goodput {:.1}/s vs best static ({best_policy}) {best_goodput:.1}/s",
+            study.gate_overload,
+            light.latency.p95_ns / 1e6,
+            light.p95_target_ns / 1e6,
+            if light.slo_met { "met" } else { "MISSED" },
+            gate.report("heavy").goodput_qps,
+        );
+        study.verdict()
     })
 }

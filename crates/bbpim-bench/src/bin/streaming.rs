@@ -20,22 +20,19 @@
 //! whose host-bus pressure the byte-diet levers exist to relieve. The
 //! default row leaves the shared channel mostly idle (utilisation
 //! ~0.15 in the PR-5 baseline), so only the high-contention row
-//! exercises the saturated regime the contention model is for; its
-//! utilisation is snapshotted and gated. Both rows label their metric
-//! series by policy (`run=fifo` … `run=hi-scsf`), and the `--json`
-//! snapshot numbers are read back out of the registry — the gate and
-//! the observability surface see the same values by construction.
+//! exercises the saturated regime the contention model is for. Both
+//! rows label their metric series by policy (`run=fifo` …
+//! `run=hi-scsf`) in the `--metrics` snapshot.
 
 use std::process::ExitCode;
 
 use bbpim_bench::{artifacts, reports, run_streaming_study_observed, study_main, Accepts};
 use bbpim_core::modes::EngineMode;
-use bbpim_sched::obs::{HOST_UTILISATION, LATENCY_NS};
 use bbpim_trace::{MetricsRegistry, TraceRecorder};
 
 const ACCEPTS: Accepts<'static> = Accepts::shared(
     "--sf --uniform --skewed --seed --shards --arrivals \
-             --load --inflight --json --trace --metrics",
+             --load --inflight --trace --metrics",
 );
 
 fn main() -> ExitCode {
@@ -67,29 +64,6 @@ fn main() -> ExitCode {
             "hi-",
         );
         reports::print_streaming(&s, &hi_study);
-        artifacts::write_observability(&s.cfg, &trace, &reg)?;
-
-        // Machine-readable snapshot for the CI regression gate: the
-        // admission-policy headline (FIFO p50 over SCSF p50 — how much the
-        // candidate-set-size heuristic buys) plus bus pressure, all read
-        // back out of the metrics registry.
-        if let Some(path) = &s.cfg.json {
-            let gauge = |name: &str, run: &str| {
-                reg.gauge(name, &[("run", run)])
-                    .unwrap_or_else(|| panic!("metric {name}{{run={run}}} was never recorded"))
-            };
-            let p50 = format!("{LATENCY_NS}_p50");
-            let (fifo, scsf) = (gauge(&p50, "fifo"), gauge(&p50, "scsf"));
-            let headlines = [
-                ("scsf_vs_fifo_p50", if scsf > 0.0 { fifo / scsf } else { 1.0 }),
-                ("fifo_p50_ms", fifo / 1e6),
-                ("scsf_p50_ms", scsf / 1e6),
-                ("host_utilisation", gauge(HOST_UTILISATION, "fifo")),
-                ("hiload_host_utilisation", gauge(HOST_UTILISATION, "hi-fifo")),
-                ("hiload_load", s.cfg.load),
-            ];
-            artifacts::write_snapshot(path, "streaming", &headlines)?;
-        }
-        Ok(())
+        artifacts::write_observability(&s.cfg, &trace, &reg)
     })
 }

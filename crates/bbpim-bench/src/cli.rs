@@ -38,11 +38,6 @@ pub struct BenchConfig {
     pub load: f64,
     /// Admission-control bound on in-flight queries (`--inflight 4`).
     pub inflight: usize,
-    /// Write the binary's headline metrics as JSON to this path
-    /// (`--json bench-scaling.json`) — the machine-readable snapshot CI
-    /// merges into `BENCH_PR.json` and gates against
-    /// `bench/baseline.json`.
-    pub json: Option<String>,
     /// Write a Chrome/Perfetto `trace_event` JSON of the (FIFO)
     /// streamed run to this path, plus a flat-JSONL sidecar next to it
     /// (`--trace bench-out/stream-trace.json`).
@@ -64,7 +59,6 @@ impl Default for BenchConfig {
             arrivals: 52,
             load: 2.0,
             inflight: 4,
-            json: None,
             trace: None,
             metrics: None,
         }
@@ -128,7 +122,6 @@ const SHARED: &[(&str, &str)] = &[
     ("--arrivals", " <n>"),
     ("--load", " <f64>"),
     ("--inflight", " <n>"),
-    ("--json", " <path>"),
     ("--trace", " <path>"),
     ("--metrics", " <path>"),
 ];
@@ -221,7 +214,6 @@ impl BenchConfig {
                 "--arrivals" => cfg.arrivals = number(flag, value()?, 0..=usize::MAX)?,
                 "--load" => cfg.load = number(flag, value()?, POSITIVE_F64)?,
                 "--inflight" => cfg.inflight = number(flag, value()?, POSITIVE)?,
-                "--json" => cfg.json = Some(value()?.clone()),
                 "--trace" => cfg.trace = Some(value()?.clone()),
                 "--metrics" => cfg.metrics = Some(value()?.clone()),
                 _ if switches.contains(&flag) => bin.0.push((flag.into(), None)),
@@ -280,7 +272,7 @@ mod tests {
     const MODES: ValueFlag<'static> = ("--mode", &["pimdb", "two_xb", "one_xb"]);
     const ALL: Accepts<'static> = Accepts {
         shared: "--sf --uniform --skewed --seed --threads --shards --arrivals --load --inflight \
-                 --json --trace --metrics",
+                 --trace --metrics",
         switches: &["--prejoined"],
         values: &[MODES, ("--csv", &[])],
     };
@@ -301,7 +293,7 @@ mod tests {
         assert_eq!(parse("").unwrap().0, BenchConfig::default());
         let (cfg, bin) = parse(
             "--sf 0.01 --uniform --seed 7 --threads 2 --shards 1,4 --arrivals 26 --load 1.5 \
-             --inflight 3 --json a.json --trace b.json --metrics c.json \
+             --inflight 3 --trace b.json --metrics c.json \
              --prejoined --mode two_xb --csv out",
         )
         .unwrap();
@@ -314,7 +306,6 @@ mod tests {
             arrivals: 26,
             load: 1.5,
             inflight: 3,
-            json: Some("a.json".into()),
             trace: Some("b.json".into()),
             metrics: Some("c.json".into()),
         };
@@ -328,8 +319,15 @@ mod tests {
 
     #[test]
     fn an_unknown_flag_is_rejected() {
-        // `--shard` is one letter short of `--shards`
-        for (line, flag) in [("--shard 4", "--shard"), ("--sf 0.01 -v", "-v"), ("stray", "stray")] {
+        // `--shard` is one letter short of `--shards`; `--json` fed the
+        // retired snapshot gate and is no flag of any binary now
+        let lines = [
+            ("--shard 4", "--shard"),
+            ("--sf 0.01 -v", "-v"),
+            ("stray", "stray"),
+            ("--json x.json", "--json"),
+        ];
+        for (line, flag) in lines {
             assert_eq!(parse(line), Err(CliError::UnknownFlag(flag.into())), "{line}");
         }
         // a binary's own flag is unknown where it is not registered
@@ -339,10 +337,9 @@ mod tests {
 
     #[test]
     fn a_shared_flag_the_binary_does_not_read_is_rejected() {
-        // `pruning` reads the data flags, `--shards` and `--json`
-        let shared = "--sf --uniform --skewed --seed --shards --json";
-        let pruning = Accepts::shared(shared);
-        assert!(parse_as("--sf 0.01 --uniform --shards 1,4 --json p.json", &pruning).is_ok());
+        // `pruning` reads the data flags and `--shards`
+        let pruning = Accepts::shared("--sf --uniform --skewed --seed --shards");
+        assert!(parse_as("--sf 0.01 --uniform --shards 1,4", &pruning).is_ok());
         for flag in ["--trace", "--metrics", "--threads", "--arrivals", "--load", "--inflight"] {
             let err = parse_as(&format!("--uniform {flag} 1"), &pruning).unwrap_err();
             assert_eq!(err, CliError::UnknownFlag(flag.into()));
@@ -350,7 +347,7 @@ mod tests {
         }
         assert_eq!(
             pruning.usage(),
-            "[--sf <f64>] [--uniform] [--skewed] [--seed <u64>] [--shards <n,n,..>] [--json <path>]"
+            "[--sf <f64>] [--uniform] [--skewed] [--seed <u64>] [--shards <n,n,..>]"
         );
         // a binary that reads no command line at all accepts none
         let err = parse_as("--sf 0.01", &Accepts::default()).unwrap_err();
@@ -372,8 +369,9 @@ mod tests {
 
     #[test]
     fn a_missing_value_is_rejected() {
-        let flags = "--sf --seed --threads --shards --arrivals --load --inflight --json --trace \
-                     --metrics --mode --csv";
+        let flags =
+            "--sf --seed --threads --shards --arrivals --load --inflight --trace --metrics \
+                     --mode --csv";
         for flag in flags.split_whitespace() {
             let line = format!("--uniform {flag}");
             assert_eq!(parse(&line), Err(CliError::MissingValue(flag.into())), "{line}");

@@ -5,7 +5,6 @@
 //! | `paper --fig <list>` | the paper's tables and figures: `table1`, `table2`, `4`–`9`, the `sweep` and `ablation` studies, or `all` (Figs. 6–9 + Table II in one pass, `--csv <dir>` for the plotted numbers) |
 //! | `scaling`, `pruning`, `join` | cluster studies: shard scaling, zone-map pruning, star join vs pre-join |
 //! | `streaming`, `serve`, `htap` | scheduler studies: admission policies, multi-tenant SLOs, ingest beside queries |
-//! | `bench_gate` | merges the studies' `--json` sections and gates them against `bench/baseline.json` |
 //!
 //! The per-query figures are described once as data
 //! ([`reports::Figure`]) and rendered to the console table and the CSV
@@ -13,9 +12,13 @@
 //! [`artifacts`]. The shared flags are `--sf <f64>` (default 0.1),
 //! `--uniform` (default is the paper's skewed data), `--seed <u64>`,
 //! `--threads <usize>`, `--shards`, `--arrivals`, `--load`, `--inflight`,
-//! `--json`, `--trace` and `--metrics`; a binary accepts the ones it
-//! reads and rejects anything else with a usage line and exit code 2
-//! ([`cli`]).
+//! `--trace` and `--metrics`; a binary accepts the ones it reads and
+//! rejects anything else with a usage line and exit code 2 ([`cli`]).
+//!
+//! Three studies carry a verdict of their own and exit 1 on it
+//! ([`scaling_verdict`], [`ServeStudy::verdict`], [`HtapStudy::verdict`]).
+//! The simulated numbers CI gates are not the studies': `bbpim-perf all`
+//! is compared by `bbpim-perf check` against the rows in `bench/sim/`.
 
 pub mod artifacts;
 pub mod cli;
@@ -84,8 +87,8 @@ pub fn setup(cfg: BenchConfig) -> SsbSetup {
 
 /// A study binary's `main`: parse the command line against `accepts`
 /// (exit 2 on a rejection), check every requested output path *before*
-/// generating data, generate, run `study`, and turn a failed write into
-/// `error: cannot write …` + exit 1.
+/// generating data, generate, run `study`, and turn a failed write or a
+/// failed verdict of the study's own into `error: …` + exit 1.
 pub fn study_main(
     accepts: &Accepts<'_>,
     study: impl FnOnce(SsbSetup, BinFlags) -> io::Result<()>,
@@ -238,7 +241,7 @@ pub fn run_cluster_scaling<S: Storage>(
 /// scale point `p` over `base`, over the queries with a finite nonzero
 /// ratio (zone-pruned zero-match queries cost ~0 at every shard count);
 /// `None` when the planner answered every query alone. The `scaling`
-/// report prints it and the `scaling` snapshot gates it.
+/// report prints it and [`scaling_verdict`] floors it.
 pub fn scaling_geomean(
     base: &ClusterScalePoint,
     p: &ClusterScalePoint,
@@ -248,6 +251,35 @@ pub fn scaling_geomean(
     let ratios: Vec<f64> =
         base.executions.iter().zip(&p.executions).map(|(b, e)| wall(b) / wall(e)).collect();
     geomean_filtered(&ratios).0
+}
+
+/// A study's failed verdict, on [`study_main`]'s exit-1 path.
+fn failed(verdict: String) -> io::Result<()> {
+    Err(io::Error::other(verdict))
+}
+
+/// The `scaling` study's verdict: the contended geo-mean speedup of the
+/// largest shard count over the smallest may not drop below 1.0 — below
+/// it the shared host channel eats all module parallelism again, the
+/// regression the byte diet exists to prevent.
+///
+/// # Errors
+///
+/// The geo-mean is below 1.0.
+pub fn scaling_verdict(points: &[ClusterScalePoint]) -> io::Result<()> {
+    let by_shards = |p: &&ClusterScalePoint| p.shards;
+    let (Some(base), Some(top)) =
+        (points.iter().min_by_key(by_shards), points.iter().max_by_key(by_shards))
+    else {
+        return Ok(());
+    };
+    match scaling_geomean(base, top, true) {
+        Some(speedup) if speedup < 1.0 => failed(format!(
+            "contended geo-mean speedup at {} shards is {speedup:.2}x, below 1.0x",
+            top.shards
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// Host-channel bytes one cluster execution put on the shared bus,
@@ -309,17 +341,6 @@ impl PruningPoint {
         let pairs = self.exhaustive.iter().zip(&self.pruned);
         let pairs = pairs.map(|(ex, pr)| (metric(&ex.report), metric(&pr.report)));
         pairs.filter(|(_, pr)| *pr > 0.0).map(|(ex, pr)| ex / pr).collect()
-    }
-
-    /// The `pruning` snapshot section, read at the largest shard count:
-    /// pruned-vs-exhaustive geo-means over the executed queries.
-    pub fn headlines(&self) -> Vec<(&'static str, f64)> {
-        let geomean = |metric| geomean_filtered(&self.ratios(metric)).0.unwrap_or(1.0);
-        vec![
-            ("wall_clock_speedup", geomean(|r| r.time_ns)),
-            ("energy_saving", geomean(|r| r.energy_pj)),
-            ("max_shards", self.shards as f64),
-        ]
     }
 }
 
@@ -508,9 +529,9 @@ impl HtapStudy {
         self.rows.iter().find(|r| r.label == label).expect("study row")
     }
 
-    /// The gate headline: baseline query p95 over under-ingest query
-    /// p95 (1.0 = ingest is free; lower = queries pay more; higher is
-    /// better, like every gated ratio).
+    /// The ingest-interference headline: baseline query p95 over
+    /// under-ingest query p95 (1.0 = ingest is free; lower = queries
+    /// pay more).
     pub fn query_p95_under_ingest(&self) -> f64 {
         let base = self.row("pure-query").outcome.latency_summary().p95_ns;
         let htap = self.row("htap").outcome.latency_summary().p95_ns;
@@ -521,23 +542,21 @@ impl HtapStudy {
         }
     }
 
-    /// The `htap` snapshot section: the gated ingest-interference
-    /// ratio, the snapshot-consistency verdict as a 0/1 floor, context.
-    pub fn headlines(&self) -> Vec<(&'static str, f64)> {
-        let (pure, htap) = (self.row("pure-query"), self.row("htap"));
-        let consistent = self.rows.iter().all(|r| r.snapshot_consistent);
-        let max_endurance =
-            htap.outcome.shard_required_endurance.iter().copied().fold(0.0, f64::max);
-        vec![
-            ("query_p95_under_ingest", self.query_p95_under_ingest()),
-            ("snapshot_consistency", if consistent { 1.0 } else { 0.0 }),
-            ("pure_query_p95_ms", pure.outcome.latency_summary().p95_ns / 1e6),
-            ("htap_query_p95_ms", htap.outcome.latency_summary().p95_ns / 1e6),
-            ("mutation_p95_ms", htap.outcome.mutation_latency_summary().p95_ns / 1e6),
-            ("records_written", htap.records_written as f64),
-            ("ingest_stalls", htap.outcome.ingest_stalls as f64),
-            ("max_required_endurance", max_endurance),
-        ]
+    /// The study's verdict: every row answered every query from a
+    /// consistent snapshot. A streamed answer that differs from its
+    /// prefix-replay oracle is wrong, not slow — the `htap` bin exits 1.
+    ///
+    /// # Errors
+    ///
+    /// A row is not snapshot-consistent.
+    pub fn verdict(&self) -> io::Result<()> {
+        match self.rows.iter().find(|r| !r.snapshot_consistent) {
+            Some(row) => failed(format!(
+                "the {} row answered a query differently from its prefix-replay oracle",
+                row.label
+            )),
+            None => Ok(()),
+        }
     }
 
     /// The per-workload endurance wear series: one entry per (row,
@@ -566,7 +585,7 @@ impl HtapStudy {
 /// (already-encoded) row. The UPDATEs rewrite `lo_tax` — an attribute
 /// no SSB query filters or aggregates — so their write phases load the
 /// bus and wear cells without reshaping the value distributions the
-/// zone-map planner prunes on: the gate headline then measures ingest
+/// zone-map planner prunes on: the p95 headline then measures ingest
 /// *interference*, not a data-distribution shift. (Answer-changing
 /// mutations are the ingest equivalence suite's job; the INSERT here
 /// still moves every aggregate so prefix-replay stays a real check.)
@@ -597,15 +616,15 @@ pub fn htap_mutations(wide: &Relation) -> Vec<bbpim_core::mutation::Mutation> {
 /// mutation stream overlaid at half the query rate (one in three
 /// events is a mutation), both FIFO on a range-partitioned cluster.
 /// Holding the query arrivals fixed makes the p95 comparison measure
-/// ingest interference alone — the gate headline is not polluted by a
+/// ingest interference alone — the p95 headline is not polluted by a
 /// re-drawn query mix. Every query answer in both rows is verified
 /// bit-identical against a prefix-replay oracle (a fresh cluster that
 /// applies exactly the first [`bbpim_sched::QueryCompletion::epoch`]
 /// arrived mutations and then runs the query); the verdict rides the
-/// row instead of panicking so the snapshot can gate it as an absolute
-/// floor. Both rows' outcomes are folded into `reg` (`run=pure` /
-/// `run=htap`) and the ingest row is recorded into `trace` when
-/// enabled.
+/// row instead of panicking, so the report shows which row lost it
+/// before [`HtapStudy::verdict`] fails the run. Both rows' outcomes
+/// are folded into `reg` (`run=pure` / `run=htap`) and the ingest row
+/// is recorded into `trace` when enabled.
 ///
 /// # Panics
 ///
@@ -713,60 +732,6 @@ pub fn run_htap_study_observed(
     }
 }
 
-/// The multi-aggregate sharing headline: energy of one 3-aggregate
-/// reporting query (SUM + COUNT + AVG over the Q1.1 filter) versus the
-/// three single-aggregate runs it replaces, on a cluster at `shards`
-/// shards. The combined query computes its filter mask once and shares
-/// it across the SELECT list, so the ratio (`Σ singles / combined`)
-/// sits well above 1 — the regression gate watches it.
-///
-/// # Panics
-///
-/// Panics on engine errors or a combined/singles answer mismatch (the
-/// harness runs known-good inputs).
-pub fn run_multi_agg_saving(setup: &SsbSetup, mode: EngineMode, shards: usize) -> f64 {
-    use bbpim_db::plan::{AggExpr, SelectItem};
-    let base = &setup.queries[0]; // Q1.1 (constants re-picked on skewed data)
-    let schema = setup.wide.schema();
-    let revenue = || AggExpr::mul("lo_extendedprice", "lo_discount");
-    let items = [
-        SelectItem::sum("revenue", revenue()),
-        SelectItem::count("orders"),
-        SelectItem::avg("avg_revenue", revenue()),
-    ];
-    let select = |id: String, items: Vec<SelectItem>| {
-        Query::select(items).id(id).filter(base.filter.clone()).build(schema).expect("Q1.1 variant")
-    };
-    let combined = select("q1-3agg".into(), items.to_vec());
-    let singles: Vec<Query> =
-        (0..items.len()).map(|i| select(format!("q1-single{i}"), vec![items[i].clone()])).collect();
-
-    let mut cluster = ClusterEngine::new(
-        SimConfig::default(),
-        setup.wide.clone(),
-        mode,
-        shards,
-        Partitioner::RoundRobin,
-    )
-    .expect("cluster construction");
-    let combined_exec = cluster.run(&combined).expect("combined run");
-    let mut singles_energy = 0.0;
-    for (i, q) in singles.iter().enumerate() {
-        let e = cluster.run(q).expect("single run");
-        let row = |m: &bbpim_db::stats::MultiGrouped| m.get(&Vec::new()).map(|v| v[0]);
-        assert_eq!(
-            row(&e.groups),
-            combined_exec.groups.get(&Vec::new()).map(|v| v[i]),
-            "combined column {i} must equal its dedicated run"
-        );
-        singles_energy += e.report.energy_pj;
-    }
-    if combined_exec.report.energy_pj <= 0.0 {
-        return 1.0;
-    }
-    singles_energy / combined_exec.report.energy_pj
-}
-
 /// One serve-study row: the three-tenant mix at one overload under one
 /// window policy.
 pub struct ServeStudyRow {
@@ -801,7 +766,7 @@ pub struct ServeStudy {
     pub shards: usize,
     /// Batch-estimated mean per-query service time, nanoseconds.
     pub mean_service_ns: f64,
-    /// The overload at which the static sweep ran and headlines gate.
+    /// The overload at which the static sweep ran and the verdict reads.
     pub gate_overload: f64,
     /// All rows, AIMD first per overload.
     pub rows: Vec<ServeStudyRow>,
@@ -813,8 +778,8 @@ impl ServeStudy {
         self.rows.iter().find(|r| (r.overload - overload).abs() < 1e-9 && r.policy == policy)
     }
 
-    /// The AIMD row at the gate overload — where the headlines and the
-    /// CI gate read from.
+    /// The AIMD row at the gate overload — where the summary line and
+    /// the verdict read from.
     ///
     /// # Panics
     ///
@@ -839,25 +804,29 @@ impl ServeStudy {
             .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 
-    /// The `serve` snapshot section, read from the gate row: heavy-tenant
-    /// goodput under AIMD (gated against the baseline), the light
-    /// tenant's promise as a 0/1 floor, and the adaptive-vs-fixed
-    /// comparison as context.
-    pub fn headlines(&self) -> Vec<(&'static str, f64)> {
-        let gate = self.gate_row();
-        let (light, heavy) = (gate.report("light"), gate.report("heavy"));
-        let best_static = self.best_static_heavy_goodput().map_or(0.0, |(_, goodput)| goodput);
-        let vs_static = if best_static > 0.0 { heavy.goodput_qps / best_static } else { 1.0 };
-        vec![
-            ("heavy_tenant_goodput", heavy.goodput_qps),
-            ("light_p95_within_slo", if light.slo_met { 1.0 } else { 0.0 }),
-            ("light_p95_ms", light.latency.p95_ns / 1e6),
-            ("heavy_drop_rate", heavy.drop_rate),
-            ("aimd_vs_best_static_goodput", vs_static),
-            ("final_window", gate.outcome.final_window() as f64),
-            ("gate_overload", self.gate_overload),
-        ]
+    /// The study's verdict: the light tenant kept its p95 promise under
+    /// the AIMD window at the gate overload. A promise either held or
+    /// it did not — the `serve` bin exits 1 when it did not.
+    ///
+    /// # Errors
+    ///
+    /// The light tenant's observed p95 exceeds its promise on the gate
+    /// row.
+    pub fn verdict(&self) -> io::Result<()> {
+        promise_verdict(self.gate_row().report("light"), self.gate_overload)
     }
+}
+
+/// [`ServeStudy::verdict`] on the gate row's light-tenant report.
+fn promise_verdict(light: &TenantReport, overload: f64) -> io::Result<()> {
+    if light.slo_met {
+        return Ok(());
+    }
+    failed(format!(
+        "the light tenant missed its p95 promise under aimd at {overload:.0}x: {} ms against {} ms",
+        fmt_ms(light.latency.p95_ns),
+        fmt_ms(light.p95_target_ns)
+    ))
 }
 
 /// The serve study's AIMD parameters: start at the legacy `--inflight`
@@ -1256,6 +1225,97 @@ mod tests {
             .counter(bbpim_sched::obs::INGEST_COMPLETIONS, &[("run", "htap")])
             .is_some_and(|v| v > 0.0));
         assert!(reg.counter(bbpim_sched::obs::INGEST_COMPLETIONS, &[("run", "pure")]).is_none());
+    }
+
+    /// `htap` fails itself on a row that lost snapshot consistency and
+    /// names the row; two consistent rows pass.
+    #[test]
+    fn an_inconsistent_htap_row_fails_the_study() {
+        let row = |label, snapshot_consistent| HtapRow {
+            label,
+            mutation_frac: 0.0,
+            outcome: StreamOutcome {
+                policy: AdmissionPolicy::Fifo,
+                completions: Vec::new(),
+                mutation_completions: Vec::new(),
+                executions: Vec::new(),
+                timeline: Vec::new(),
+                makespan_ns: 0.0,
+                host_busy_ns: 0.0,
+                shard_busy_ns: Vec::new(),
+                shard_cell_writes: Vec::new(),
+                shard_required_endurance: Vec::new(),
+                ingest_stalls: 0,
+                ingest_stall_ns: 0.0,
+            },
+            snapshot_consistent,
+            records_written: 0,
+        };
+        let study = |htap_consistent| HtapStudy {
+            shards: 1,
+            partitioner: "range",
+            mean_interarrival_ns: 1.0,
+            mean_service_ns: 1.0,
+            arrivals: 0,
+            ingest_buffer: 1,
+            rows: vec![row("pure-query", true), row("htap", htap_consistent)],
+        };
+        assert!(study(true).verdict().is_ok());
+        let err = study(false).verdict().unwrap_err().to_string();
+        assert!(err.contains("the htap row"), "{err}");
+    }
+
+    /// `scaling` fails itself when the largest shard count is slower
+    /// than the smallest on the contended clock: a real one-query
+    /// execution against a copy whose wall clock is doubled.
+    #[test]
+    fn a_contended_geomean_below_one_fails_the_scaling_study() {
+        let s = setup(BenchConfig { sf: 0.001, skewed: false, ..BenchConfig::default() });
+        let mut cluster = ClusterEngine::new(
+            SimConfig::default(),
+            s.wide.clone(),
+            EngineMode::OneXb,
+            1,
+            Partitioner::RoundRobin,
+        )
+        .unwrap();
+        let fast = cluster.run(&s.queries[0]).unwrap();
+        let mut slow = fast.clone();
+        slow.report.time_ns *= 2.0;
+        let point = |shards, e: &ClusterExecution| ClusterScalePoint {
+            shards,
+            partitioner: "round-robin",
+            executions: vec![e.clone()],
+        };
+        assert!(scaling_verdict(&[point(1, &slow), point(4, &fast)]).is_ok());
+        assert!(scaling_verdict(&[point(1, &fast), point(4, &fast)]).is_ok(), "1.0x is the floor");
+        assert!(scaling_verdict(&[point(1, &fast)]).is_ok() && scaling_verdict(&[]).is_ok());
+        let err = scaling_verdict(&[point(4, &slow), point(1, &fast)]).unwrap_err().to_string();
+        assert!(err.contains("at 4 shards is 0.50x"), "{err}");
+    }
+
+    /// `serve` fails itself when the light tenant's report on the gate
+    /// row says the p95 promise was missed.
+    #[test]
+    fn a_missed_light_promise_fails_the_serve_study() {
+        let light = |p95_ns: f64| TenantReport {
+            name: "light".into(),
+            weight: 2.0,
+            submitted: 1,
+            completed: 1,
+            writes_completed: 0,
+            dropped: 0,
+            throttled: 0,
+            latency: bbpim_sched::LatencySummary::from_parts(vec![p95_ns], &[0.0], &[p95_ns], 0),
+            goodput_qps: 1.0,
+            drop_rate: 0.0,
+            p95_target_ns: 365_000.0,
+            deadline_ns: None,
+            slo_met: p95_ns <= 365_000.0,
+        };
+        assert!(promise_verdict(&light(353_000.0), 4.0).is_ok());
+        let err = promise_verdict(&light(400_000.0), 4.0).unwrap_err().to_string();
+        assert!(err.contains("at 4x: 0.400 ms against 0.365 ms"), "{err}");
     }
 
     #[test]

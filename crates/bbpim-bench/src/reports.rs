@@ -692,9 +692,9 @@ pub fn print_scaling(setup: &SsbSetup, points: &[ClusterScalePoint], star: bool)
     if star {
         // The star path answers GROUP BY by host-side gather, so the
         // pim-gb parallelism target below does not apply; the shape
-        // that matters here (and that bench_gate floors absolutely) is
-        // that module parallelism survives the contended host channel
-        // at the widest sweep point.
+        // that matters here (and that `scaling_verdict` floors at 1.0)
+        // is that module parallelism survives the contended host
+        // channel at the widest sweep point.
         if let Some(p) = compared.iter().max_by_key(|p| p.shards) {
             if let Some(c) = geomean_speedups(p, true) {
                 println!(

@@ -1014,10 +1014,7 @@ fn shard_host_bytes(
     let host = &cfg.host;
     let policy = table.module().policy();
     let partitions = table.layout().partitions();
-    if policy.batch_dispatch {
-        out.dispatch_bytes = partitions as u64
-            * (host.dispatch_header_bytes + plan.run_count() as u64 * host.dispatch_run_bytes);
-    }
+    out.dispatch_bytes = plan.dispatch_bytes(host, policy, partitions);
     if partitions > 1 {
         // one transfer pair per disjunct that touches a dimension
         // partition (the two-xb inter-partition traffic)

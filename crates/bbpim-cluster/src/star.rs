@@ -326,11 +326,11 @@ impl Storage for Star {
                 .expect("the ledger names star dimensions");
             let (dim, atoms) = (&dims[d], &route_conjunct(&dnf[t.disjunct]).1[d]);
             let pages = dim.plan_dnf(&[resolve_all(atoms, dim.relation().schema())?], prune);
-            let host = &dim.config().host;
-            if !pages.is_empty() && dim.module().policy().batch_dispatch {
-                host_bytes.dispatch_bytes +=
-                    host.dispatch_header_bytes + pages.run_count() as u64 * host.dispatch_run_bytes;
-            }
+            host_bytes.dispatch_bytes += pages.dispatch_bytes(
+                &dim.config().host,
+                dim.module().policy(),
+                dim.layout().partitions(),
+            );
         }
         Ok(host_bytes)
     }

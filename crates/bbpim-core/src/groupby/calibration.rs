@@ -16,7 +16,6 @@ use bbpim_db::schema::{Attribute, Schema};
 use bbpim_db::Relation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
 use crate::groupby::cost_model::{GroupByModel, HostGbModel, PimGbModel};
@@ -31,7 +30,7 @@ use bbpim_sim::config::SimConfig;
 use bbpim_sim::hostmem;
 
 /// Calibration sweep parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationConfig {
     /// Page counts to sweep (the paper sweeps to ~500; a handful
     /// suffices because the response is linear in M by construction).
@@ -75,7 +74,7 @@ impl CalibrationConfig {
 }
 
 /// One host-gb measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostPoint {
     /// Pages.
     pub m: usize,
@@ -88,7 +87,7 @@ pub struct HostPoint {
 }
 
 /// One pim-gb measurement (single subgroup).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PimPoint {
     /// Pages.
     pub m: usize,
@@ -99,7 +98,7 @@ pub struct PimPoint {
 }
 
 /// All measurements of one calibration run (the data behind Fig. 4).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CalibrationData {
     /// Host-gb sweep.
     pub host_points: Vec<HostPoint>,

@@ -11,12 +11,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::groupby::fitting::{LinFit, SqrtFit};
 
 /// Eq. (1): host-gb latency model with `a(s)`, `b(s)` lookup tables.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HostGbModel {
     per_s: BTreeMap<usize, SqrtFit>,
 }
@@ -50,7 +48,7 @@ impl HostGbModel {
 }
 
 /// Eq. (2): pim-gb single-subgroup latency model with `n` lookup tables.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PimGbModel {
     per_n: BTreeMap<usize, LinFit>,
 }
@@ -83,7 +81,7 @@ impl PimGbModel {
 }
 
 /// The combined model used by the hybrid GROUP-BY decision.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GroupByModel {
     /// Eq. (1) tables.
     pub host: HostGbModel,

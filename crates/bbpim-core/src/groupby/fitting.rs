@@ -5,10 +5,8 @@
 //! (Fig. 4c). Both are ordinary least squares in one transformed
 //! regressor; fit quality is reported as R².
 
-use serde::{Deserialize, Serialize};
-
 /// A fit `y = a·√r + b`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SqrtFit {
     /// Coefficient of √r.
     pub a: f64,
@@ -26,7 +24,7 @@ impl SqrtFit {
 }
 
 /// A fit `y = slope·x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinFit {
     /// Slope.
     pub slope: f64,

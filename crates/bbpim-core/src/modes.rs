@@ -1,9 +1,7 @@
 //! Engine modes — the three systems Fig. 6–9 of the paper compare.
 
-use serde::{Deserialize, Serialize};
-
 /// Which variant of the PIM engine executes queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineMode {
     /// `one-xb`: the whole pre-joined record in a single crossbar row;
     /// aggregation through the peripheral circuit (the paper's best

@@ -119,6 +119,21 @@ impl PageSet {
         self.runs().len()
     }
 
+    /// The descriptor bytes posting this plan to `partitions` vertical
+    /// partitions puts on the host channel under `policy`: one
+    /// descriptor per partition, `header + runs × run_bytes` each, under
+    /// batched dispatch; none for an empty plan or per-page doorbells
+    /// (which carry no byte tag). The dispatch phase charges exactly
+    /// this and both `EXPLAIN` estimators call it, so planned equals
+    /// recorded by construction.
+    pub fn dispatch_bytes(&self, host: &HostConfig, policy: XferPolicy, partitions: usize) -> u64 {
+        if self.indices.is_empty() || !policy.batch_dispatch {
+            return 0;
+        }
+        let runs = self.run_count() as u64;
+        partitions as u64 * (host.dispatch_header_bytes + runs * host.dispatch_run_bytes)
+    }
+
     /// The host-dispatch phase for posting this plan to `partitions`
     /// vertical partitions under `policy`.
     ///
@@ -127,7 +142,7 @@ impl PageSet {
     /// occupancy is the duration). Batched: one descriptor per
     /// partition whose run-list covers the candidate set, costing one
     /// doorbell per *run* and tagging the descriptor bytes
-    /// (`header + runs × run_bytes`) for the ledger. All-singleton runs
+    /// ([`PageSet::dispatch_bytes`]) for the ledger. All-singleton runs
     /// degenerate to exactly the legacy cost.
     pub fn dispatch_phase(
         &self,
@@ -143,11 +158,8 @@ impl PageSet {
                 (self.indices.len() * partitions) as f64 * host.dispatch_ns_per_page,
             );
         }
-        let runs = self.run_count() as u64;
-        let time_ns = (runs as usize * partitions) as f64 * host.dispatch_ns_per_page;
-        let bytes =
-            partitions as u64 * (host.dispatch_header_bytes + runs * host.dispatch_run_bytes);
-        Phase::host_dispatch_batched(time_ns, bytes)
+        let time_ns = (self.run_count() * partitions) as f64 * host.dispatch_ns_per_page;
+        Phase::host_dispatch_batched(time_ns, self.dispatch_bytes(host, policy, partitions))
     }
 }
 

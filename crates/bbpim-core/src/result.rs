@@ -4,12 +4,11 @@ use bbpim_db::plan::PhysFunc;
 use bbpim_db::stats::{self, GroupedResult, MultiGrouped};
 use bbpim_sim::endurance;
 use bbpim_sim::timeline::RunLog;
-use serde::Serialize;
 
 use crate::modes::EngineMode;
 
 /// Everything the paper reports per query (Figs. 6–9, Table II).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryReport {
     /// Query identifier.
     pub query_id: String,

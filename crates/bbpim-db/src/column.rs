@@ -1,11 +1,9 @@
 //! Width-checked columnar storage.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DbError;
 
 /// A column of unsigned integers, each fitting `bits`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     bits: usize,
     data: Vec<u64>,

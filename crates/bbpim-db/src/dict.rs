@@ -9,8 +9,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DbError;
 
 /// An immutable, order-preserving string dictionary.
@@ -21,10 +19,9 @@ use crate::error::DbError;
 /// assert_eq!(d.encode("EMEA"), Some(1));
 /// assert_eq!(d.decode(0), Some("APAC"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dictionary {
     values: Vec<String>,
-    #[serde(skip)]
     index: HashMap<String, u64>,
 }
 

@@ -26,15 +26,13 @@
 //! or directly as struct literals; [`Query::single`] is the shorthand
 //! for the paper's single-aggregate, conjunctive-filter shape.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DbError;
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::stats::{GroupedResult, MultiGrouped};
 
 /// A query constant: numeric, or a string to be dictionary-encoded.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Const {
     /// Plain number.
     Num(u64),
@@ -64,7 +62,7 @@ impl std::fmt::Display for Const {
 }
 
 /// One atomic predicate over a single attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Atom {
     /// `attr = c`
     Eq {
@@ -184,7 +182,7 @@ impl std::fmt::Display for Atom {
 /// Execution and pruning work on the disjunctive normal form
 /// ([`Pred::dnf`]): an OR of conjunctions. `And(vec![])` is the trivial
 /// `TRUE` filter; `Or(vec![])` is `FALSE` (matches nothing).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Pred {
     /// A single atomic predicate.
     Atom(Atom),
@@ -395,7 +393,7 @@ impl std::fmt::Display for Pred {
 }
 
 /// An atom with the attribute index and constants resolved.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResolvedAtom {
     /// `attr = value`
     Eq {
@@ -652,7 +650,7 @@ impl FilterBounds {
 }
 
 /// The aggregate's input expression.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AggExpr {
     /// A single attribute.
     Attr(String),
@@ -715,7 +713,7 @@ impl std::fmt::Display for AggExpr {
 }
 
 /// The logical aggregate function of one SELECT item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// Sum (wrapping at 64 bits).
     Sum,
@@ -748,7 +746,7 @@ impl AggFunc {
 /// A *physical*, mergeable aggregate component. `Avg` never appears
 /// here — [`Query::physical_plan`] decomposes it into `Sum` + `Count`,
 /// and the host derives the quotient after all partials merged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhysFunc {
     /// Wrapping sum.
     Sum,
@@ -857,7 +855,7 @@ impl PhysicalPlan {
 }
 
 /// One named aggregate of a SELECT list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectItem {
     /// Output column name (unique within the query).
     pub name: String,
@@ -900,7 +898,7 @@ impl SelectItem {
 /// Execution computes the planned filter mask **once** and reuses it
 /// across every SELECT item, so extra aggregates cost aggregate
 /// passes — not extra filter passes (the crossbar-dominant stage).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Identifier (e.g. `"Q2.1"`).
     pub id: String,

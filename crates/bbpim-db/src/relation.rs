@@ -1,7 +1,5 @@
 //! Columnar relations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::column::Column;
 use crate::error::DbError;
 use crate::schema::Schema;
@@ -20,7 +18,7 @@ use crate::zonemap::ZoneMap;
 /// assert_eq!(rel.value(0, rel.schema().index_of("y")?), 3);
 /// # Ok::<(), bbpim_db::DbError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Relation {
     schema: Schema,
     columns: Vec<Column>,

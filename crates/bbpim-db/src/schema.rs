@@ -2,18 +2,16 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::dict::Dictionary;
 use crate::error::DbError;
 
 /// How an attribute's integer codes should be interpreted.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum AttrKind {
     /// A plain unsigned integer.
     Numeric,
     /// Codes into an order-preserving string dictionary.
-    Dict(#[serde(skip)] Option<Arc<Dictionary>>),
+    Dict(Option<Arc<Dictionary>>),
 }
 
 impl PartialEq for AttrKind {
@@ -26,7 +24,7 @@ impl PartialEq for AttrKind {
 }
 
 /// One attribute: a name, a width in bits, and an interpretation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Attribute {
     /// Attribute name (prefixed by relation: `lo_quantity`, `d_year`…).
     pub name: String,
@@ -75,7 +73,7 @@ impl Attribute {
 }
 
 /// An ordered set of attributes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
     /// Relation name.
     pub name: String,

@@ -18,12 +18,11 @@ pub mod star;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::relation::Relation;
 
 /// Generator parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsbParams {
     /// Scale factor: SF = 1 ≈ 6 M lineorders (the paper uses SF = 10;
     /// any positive value works, fractional included).

@@ -12,8 +12,6 @@
 //! value to the range but cannot cheaply remove the old one), so they
 //! stay sound over-approximations of the live contents.
 
-use serde::{Deserialize, Serialize};
-
 use crate::relation::Relation;
 
 /// Per-attribute `[min, max]` (inclusive) over one zone of records.
@@ -21,7 +19,7 @@ use crate::relation::Relation;
 /// `None` means the zone holds no observed value for that attribute —
 /// i.e. the zone is empty (all attributes of a zone are observed
 /// together, row by row).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZoneMap {
     ranges: Vec<Option<(u64, u64)>>,
 }

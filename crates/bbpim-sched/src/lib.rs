@@ -68,7 +68,7 @@ pub use demand::{
 };
 pub use error::SchedError;
 pub use obs::record_stream_metrics;
-pub use report::LatencySummary;
+pub use report::{LatencySummary, RunRates};
 pub use sched::{
     run_stream, run_stream_traced, AdmissionPolicy, EventKind, MutationCompletion, QueryCompletion,
     SchedConfig, StreamEngine, StreamOutcome, TimelineEvent, ENDURANCE_YEARS,

@@ -1,4 +1,5 @@
-//! Latency-distribution accounting for streamed runs.
+//! Latency-distribution and per-makespan rate accounting for streamed
+//! runs.
 
 use crate::sched::QueryCompletion;
 
@@ -24,6 +25,46 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
         exact.ceil() as usize
     };
     sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// The rates a finished run reports over its makespan, stated once:
+/// [`crate::StreamOutcome`] and `bbpim_serve::ServeOutcome` both answer
+/// `throughput_qps` / `host_utilisation` / `host_demand` through it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunRates {
+    /// When the last query or mutation completed.
+    pub makespan_ns: f64,
+    /// Host-channel busy time over the run.
+    pub host_busy_ns: f64,
+}
+
+impl RunRates {
+    /// `completed` requests per second of simulated time.
+    pub fn throughput_qps(&self, completed: usize) -> f64 {
+        if self.makespan_ns <= 0.0 {
+            0.0
+        } else {
+            completed as f64 / (self.makespan_ns / 1e9)
+        }
+    }
+
+    /// Raw host-channel demand ratio `host_busy_ns / makespan_ns`,
+    /// **unclamped** — above 1.0 it measures how deeply the run
+    /// oversubscribes the channel (cf.
+    /// [`bbpim_sim::hostbus::SharedBus::demand`]).
+    pub fn host_demand(&self) -> f64 {
+        if self.makespan_ns <= 0.0 {
+            return 0.0;
+        }
+        self.host_busy_ns / self.makespan_ns
+    }
+
+    /// Fraction of the makespan the host channel was busy: the demand
+    /// saturated to `[0, 1]` (eager FIFO grants can stretch past the
+    /// last completion, so the raw ratio could drift above 1).
+    pub fn host_utilisation(&self) -> f64 {
+        self.host_demand().clamp(0.0, 1.0)
+    }
 }
 
 /// The latency distribution of one streamed run.

@@ -78,7 +78,7 @@ use crate::demand::{
 };
 use crate::error::SchedError;
 use crate::kernel::{Jobs, Kernel, Moment, SpanArgs, SpanLabels};
-use crate::report::LatencySummary;
+use crate::report::{LatencySummary, RunRates};
 use crate::workload::Workload;
 
 /// The scatter/gather surface the streaming scheduler needs from a
@@ -437,23 +437,22 @@ impl StreamOutcome {
         LatencySummary::of(&self.completions)
     }
 
+    /// The run's makespan and host-busy time, as the one statement of
+    /// the three rates below.
+    fn rates(&self) -> RunRates {
+        RunRates { makespan_ns: self.makespan_ns, host_busy_ns: self.host_busy_ns }
+    }
+
     /// Completed queries per second of simulated time.
     pub fn throughput_qps(&self) -> f64 {
-        if self.makespan_ns <= 0.0 {
-            0.0
-        } else {
-            self.completions.len() as f64 / (self.makespan_ns / 1e9)
-        }
+        self.rates().throughput_qps(self.completions.len())
     }
 
     /// Fraction of the makespan the host channel was busy, saturated to
     /// `[0, 1]` (eager FIFO grants can stretch past the last
     /// completion, so the raw ratio could drift above 1).
     pub fn host_utilisation(&self) -> f64 {
-        if self.makespan_ns <= 0.0 {
-            return 0.0;
-        }
-        (self.host_busy_ns / self.makespan_ns).clamp(0.0, 1.0)
+        self.rates().host_utilisation()
     }
 
     /// Raw host-channel demand ratio `offered_ns / makespan_ns`,
@@ -462,10 +461,7 @@ impl StreamOutcome {
     /// [`StreamOutcome::host_utilisation`] deliberately hides (cf.
     /// [`bbpim_sim::hostbus::SharedBus::demand`]).
     pub fn host_demand(&self) -> f64 {
-        if self.makespan_ns <= 0.0 {
-            return 0.0;
-        }
-        self.host_busy_ns / self.makespan_ns
+        self.rates().host_demand()
     }
 
     /// Latency distribution over the mutation completions (all-zero

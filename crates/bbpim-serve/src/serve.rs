@@ -44,7 +44,7 @@ use bbpim_sched::demand::{
     compile_mutation_demand, resolve_query_demand, MutationDemand, QueryDemand, ShardDemand,
 };
 use bbpim_sched::kernel::{Jobs, Kernel, Moment, SpanArgs, SpanLabels};
-use bbpim_sched::StreamEngine;
+use bbpim_sched::{RunRates, StreamEngine};
 use bbpim_trace::{ArgValue, TraceRecorder, TrackId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -273,30 +273,26 @@ pub struct ServeOutcome {
 }
 
 impl ServeOutcome {
+    /// The session's makespan and host-busy time: the three rates below
+    /// are [`RunRates`]', spelled once for streamed and served runs.
+    fn rates(&self) -> RunRates {
+        RunRates { makespan_ns: self.makespan_ns, host_busy_ns: self.host_busy_ns }
+    }
+
     /// Completed requests per second of simulated time.
     pub fn throughput_qps(&self) -> f64 {
-        if self.makespan_ns <= 0.0 {
-            0.0
-        } else {
-            self.completions.len() as f64 / (self.makespan_ns / 1e9)
-        }
+        self.rates().throughput_qps(self.completions.len())
     }
 
     /// Saturated host-channel utilisation over the makespan.
     pub fn host_utilisation(&self) -> f64 {
-        if self.makespan_ns <= 0.0 {
-            return 0.0;
-        }
-        (self.host_busy_ns / self.makespan_ns).clamp(0.0, 1.0)
+        self.rates().host_utilisation()
     }
 
     /// Raw (unclamped) host-channel demand ratio (cf.
     /// [`bbpim_sim::hostbus::SharedBus::demand`]).
     pub fn host_demand(&self) -> f64 {
-        if self.makespan_ns <= 0.0 {
-            return 0.0;
-        }
-        self.host_busy_ns / self.makespan_ns
+        self.rates().host_demand()
     }
 
     /// The smallest and largest window the session ever ran under.

@@ -12,8 +12,6 @@
 //! writes for ~2 k cell *reads* — the source of the paper's 1.83×
 //! latency, 4.31× energy and 3.21× lifetime improvements.
 
-use serde::{Deserialize, Serialize};
-
 use crate::compiler::reduce::{reduce_selected, ReduceOp};
 use crate::compiler::ColRange;
 use crate::config::SimConfig;
@@ -22,7 +20,7 @@ use crate::error::SimError;
 
 /// One aggregation request, executed by every crossbar of the targeted
 /// pages in parallel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggRequest {
     /// Aggregation operator.
     pub op: ReduceOp,
@@ -38,7 +36,7 @@ pub struct AggRequest {
 }
 
 /// Per-crossbar cost of serving one [`AggRequest`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggCost {
     /// Serial crossbar reads performed (rows × (value chunks + mask)).
     pub reads: u64,

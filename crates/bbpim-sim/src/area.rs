@@ -9,12 +9,10 @@
 //! alongside as a sanity check. All downstream uses in the paper are
 //! additive bookkeeping, which this reproduces exactly.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::SimConfig;
 
 /// One chip-area component.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaComponent {
     /// Component name as in Fig. 5.
     pub name: &'static str,
@@ -23,7 +21,7 @@ pub struct AreaComponent {
 }
 
 /// Chip area breakdown.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaBreakdown {
     /// Components, largest first.
     pub components: Vec<AreaComponent>,
@@ -32,7 +30,7 @@ pub struct AreaBreakdown {
 }
 
 /// Area model calibrated to the paper's Fig. 5 / 28 nm numbers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaModel {
     /// Chip area in mm² (paper: 346 mm² per chip, 8 chips per module).
     pub chip_mm2: f64,

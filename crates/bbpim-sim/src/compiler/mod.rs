@@ -23,14 +23,12 @@ pub mod mux;
 pub mod predicate;
 pub mod reduce;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SimError;
 use crate::isa::Microprogram;
 
 /// A contiguous range of crossbar columns holding one attribute,
 /// LSB at `lo`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ColRange {
     /// First (least significant) column.
     pub lo: usize,

@@ -17,10 +17,8 @@
 //! tree would leave in the result slot. Unit tests pin the cost formula;
 //! the result path is verified against plain iterator folds.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregation operator supported in-memory (paper: SUM, MIN, MAX).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReduceOp {
     /// Wrapping sum at the result width.
     Sum,
@@ -31,7 +29,7 @@ pub enum ReduceOp {
 }
 
 /// Cost of one pure-bitwise reduction over a crossbar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReduceCost {
     /// Total logic cycles (one per micro-op).
     pub cycles: u64,

@@ -5,15 +5,13 @@
 //! host memory model. Defaults reproduce Table I of the paper; a builder
 //! allows deviating for sensitivity studies.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SimError;
 
 /// Host (CPU-side) system parameters used by [`crate::hostmem`].
 ///
 /// The paper runs queries on 4 threads of a 6-core out-of-order x86 at
 /// 3.6 GHz with DDR4-2400 main memory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostConfig {
     /// Number of worker threads executing a query (paper: 4).
     pub threads: usize,
@@ -86,7 +84,7 @@ impl Default for HostConfig {
 /// assert_eq!(cfg.crossbars_per_page(), 32);
 /// assert_eq!(cfg.records_per_page(), 32 * 1024);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Rows per crossbar (records per crossbar). Paper: 1024.
     pub crossbar_rows: usize,

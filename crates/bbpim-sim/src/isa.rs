@@ -13,12 +13,10 @@
 //! `INIT`/`NOR` sequences by [`crate::compiler`]. One micro-op costs one
 //! logic cycle (Table I: 30 ns).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SimError;
 
 /// One micro-operation. Costs one bulk-bitwise logic cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MicroOp {
     /// Pre-charge every cell of column `dst` to `1` (MAGIC output init).
     InitCol {
@@ -92,7 +90,7 @@ impl MicroOp {
 /// p.nor_cols(0, 1, 2);
 /// assert_eq!(p.cycles(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Microprogram {
     ops: Vec<MicroOp>,
 }

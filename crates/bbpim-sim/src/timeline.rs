@@ -8,10 +8,8 @@
 //! quantities the paper reports per query: execution latency (Fig. 6),
 //! PIM energy (Fig. 7) and peak per-chip power (Fig. 8).
 
-use serde::{Deserialize, Serialize};
-
 /// What a phase was doing (used for reporting breakdowns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhaseKind {
     /// Bulk-bitwise logic executing a microprogram (incl. request issue).
     PimLogic,
@@ -79,7 +77,7 @@ impl PhaseKind {
 }
 
 /// One sequential slice of a query's execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// What was running.
     pub kind: PhaseKind,
@@ -139,7 +137,7 @@ impl Phase {
 }
 
 /// Accumulated phases of one query (or one calibration run).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunLog {
     phases: Vec<Phase>,
 }

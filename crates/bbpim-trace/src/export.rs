@@ -1,7 +1,7 @@
 //! Trace exporters: Chrome/Perfetto `trace_event` JSON and flat JSONL.
 //!
-//! Both exports are hand-rolled (the vendored `serde` is an offline
-//! no-op stub) and byte-deterministic: event order is recording order,
+//! Both exports are hand-rolled (the workspace carries no JSON
+//! library) and byte-deterministic: event order is recording order,
 //! track ids are registration order, and floats print through Rust's
 //! shortest-roundtrip `Display`, which is itself deterministic.
 
