@@ -383,13 +383,15 @@ impl ClusterEngine {
     /// while [`Cluster::shard_count`] keeps reporting the configured
     /// count.
     ///
-    /// Use [`SimConfig::per_module_of`] on `cfg` first for iso-capacity
-    /// scaling experiments; pass `cfg` unchanged to model a cluster of
-    /// full-size modules.
+    /// Every shard gets `cfg` unchanged: a cluster of full-size modules.
+    /// For an iso-capacity scaling experiment divide
+    /// `module_capacity_bytes` by the shard count first (whole pages, at
+    /// least one).
     ///
     /// # Errors
     ///
-    /// Partitioning failures and per-shard load failures.
+    /// A `cfg` that fails [`SimConfig::validate`], partitioning failures
+    /// and per-shard load failures.
     pub fn new(
         cfg: SimConfig,
         relation: Relation,
@@ -413,11 +415,6 @@ impl ClusterEngine {
             self.set_model(model);
         }
         Ok(())
-    }
-
-    /// The fitted GROUP-BY model the shards share, if any.
-    pub fn model(&self) -> Option<&GroupByModel> {
-        self.storage.model.as_ref()
     }
 
     /// Install a pre-fitted model. The calibration is a pure function
@@ -1113,6 +1110,19 @@ mod tests {
         .unwrap();
         c.calibrate(&CalibrationConfig::tiny_for_tests()).unwrap();
         c
+    }
+
+    #[test]
+    fn a_configuration_that_fails_validate_is_a_typed_error() {
+        use bbpim_sim::SimError;
+        let cfg = SimConfig { chips: 3, ..SimConfig::default() };
+        let err =
+            ClusterEngine::new(cfg, relation(10), EngineMode::OneXb, 2, Partitioner::RoundRobin)
+                .unwrap_err();
+        assert!(
+            matches!(err, ClusterError::Core(CoreError::Sim(SimError::InvalidConfig(_)))),
+            "{err}"
+        );
     }
 
     #[test]

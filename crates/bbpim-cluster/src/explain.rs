@@ -167,11 +167,6 @@ impl PlanExplain {
         self.shards.iter().filter(|s| s.dispatched).count()
     }
 
-    /// Shards pruned pre-scatter.
-    pub fn shards_pruned(&self) -> usize {
-        self.shards.len() - self.shards_dispatched()
-    }
-
     /// Candidate pages over the dispatched shards.
     pub fn pages_candidate(&self) -> usize {
         self.shards.iter().map(|s| s.candidate_pages).sum()
@@ -381,7 +376,6 @@ mod tests {
     fn totals_add_up() {
         let p = plan();
         assert_eq!(p.shards_dispatched(), 1);
-        assert_eq!(p.shards_pruned(), 1);
         assert_eq!(p.pages_candidate(), 2);
         assert_eq!(p.pages_total(), 8);
         assert_eq!(p.pages_pruned(), 6);

@@ -582,6 +582,18 @@ mod tests {
     }
 
     #[test]
+    fn a_configuration_that_fails_validate_is_a_typed_error() {
+        use bbpim_sim::SimError;
+        let cfg = SimConfig { chips: 3, ..SimConfig::default() };
+        let err = StarCluster::new(cfg, &db(), EngineMode::OneXb, 2, Partitioner::RoundRobin)
+            .unwrap_err();
+        assert!(
+            matches!(err, ClusterError::Core(CoreError::Sim(SimError::InvalidConfig(_)))),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn q1_matches_prejoined_oracle() {
         let db = db();
         let mut c = cluster(&db, 2);

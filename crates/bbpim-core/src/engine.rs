@@ -10,7 +10,6 @@
 //! whole selection in PIM directly.
 
 use bbpim_db::plan::Query;
-use bbpim_db::stats;
 use bbpim_db::Relation;
 use bbpim_sim::config::SimConfig;
 
@@ -166,27 +165,6 @@ impl PimQueryEngine {
     pub fn mutate(&mut self, mutation: &Mutation) -> Result<MutationReport, CoreError> {
         self.table.mutate(mutation, self.pruning)
     }
-
-    /// Table II helper: run a query and compare against the row-at-a-time
-    /// oracle, returning the execution if they agree.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Unsupported`] if results diverge (indicates an engine
-    /// bug — used by integration tests).
-    pub fn run_checked(&mut self, query: &Query) -> Result<QueryExecution, CoreError> {
-        let out = self.run(query)?;
-        let oracle = stats::run_oracle(query, self.table.relation())?;
-        if out.groups != oracle {
-            return Err(CoreError::Unsupported(format!(
-                "engine/oracle mismatch on {}: {} vs {} groups",
-                query.id,
-                out.groups.len(),
-                oracle.len()
-            )));
-        }
-        Ok(out)
-    }
 }
 
 /// Execute one query on a table holding the pre-joined relation.
@@ -230,6 +208,7 @@ mod tests {
     use bbpim_db::builder::col;
     use bbpim_db::plan::{AggExpr, AggFunc, Atom, SelectItem};
     use bbpim_db::schema::{Attribute, Schema};
+    use bbpim_db::stats;
     use bbpim_sim::timeline::PhaseKind;
 
     fn relation(rows: u64) -> Relation {
@@ -247,6 +226,16 @@ mod tests {
             rel.push_row(&[(3 * i + 1) % 251, i % 11, i % 7, (i * i) % 30]).unwrap();
         }
         rel
+    }
+
+    impl PimQueryEngine {
+        /// Run a query and hold its answer against the row-at-a-time oracle.
+        fn run_checked(&mut self, query: &Query) -> Result<QueryExecution, CoreError> {
+            let out = self.run(query)?;
+            let oracle = stats::run_oracle(query, self.table.relation())?;
+            assert_eq!(out.groups, oracle, "engine/oracle mismatch on {}", query.id);
+            Ok(out)
+        }
     }
 
     fn engine(mode: EngineMode) -> PimQueryEngine {
@@ -277,6 +266,20 @@ mod tests {
             AggFunc::Sum,
             AggExpr::attr("lo_price"),
         )
+    }
+
+    #[test]
+    fn a_configuration_that_fails_validate_is_a_typed_error() {
+        use bbpim_sim::SimError;
+        let mut unpriced = SimConfig::small_for_tests();
+        unpriced.host.dram_bandwidth_gib_s = 0.0;
+        // 32 crossbars per page do not divide over 3 chips
+        for cfg in [SimConfig { chips: 3, ..SimConfig::default() }, unpriced] {
+            for mode in EngineMode::all() {
+                let err = PimQueryEngine::new(cfg.clone(), relation(10), mode).unwrap_err();
+                assert!(matches!(err, CoreError::Sim(SimError::InvalidConfig(_))), "{err}");
+            }
+        }
     }
 
     #[test]

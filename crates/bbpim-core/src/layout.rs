@@ -63,7 +63,6 @@ pub struct AttrPlacement {
 pub struct RecordLayout {
     partitions: usize,
     chunk_bits: usize,
-    cols: usize,
     placements: BTreeMap<String, AttrPlacement>,
     excluded: BTreeSet<String>,
     scratch: Vec<ColRange>,
@@ -168,7 +167,6 @@ impl RecordLayout {
         Ok(RecordLayout {
             partitions,
             chunk_bits: cfg.read_width_bits,
-            cols,
             placements,
             excluded,
             scratch,
@@ -179,11 +177,6 @@ impl RecordLayout {
     /// Number of vertical partitions.
     pub fn partitions(&self) -> usize {
         self.partitions
-    }
-
-    /// Crossbar width this layout was built for.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Placement of an attribute.
@@ -207,11 +200,6 @@ impl RecordLayout {
     /// Is the attribute excluded from PIM storage?
     pub fn is_excluded(&self, name: &str) -> bool {
         self.excluded.contains(name)
-    }
-
-    /// Iterate `(name, placement)` of all PIM-resident attributes.
-    pub fn placements(&self) -> impl Iterator<Item = (&str, AttrPlacement)> {
-        self.placements.iter().map(|(n, p)| (n.as_str(), *p))
     }
 
     /// Scratch region of a partition.
@@ -321,7 +309,7 @@ mod tests {
         let layout =
             RecordLayout::build(&wide_schema(), &SimConfig::default(), EngineMode::OneXb, &[])
                 .unwrap();
-        let mut ranges: Vec<ColRange> = layout.placements().map(|(_, p)| p.range).collect();
+        let mut ranges: Vec<ColRange> = layout.placements.values().map(|p| p.range).collect();
         ranges.sort_by_key(|r| r.lo);
         assert!(ranges[0].lo >= DATA_START_COL);
         for w in ranges.windows(2) {

@@ -35,7 +35,7 @@ pub struct LoadedRelation {
     /// Pages per partition: `pages[partition][page_index]`.
     pages: Vec<Vec<PageId>>,
     /// Per page index (shared across partitions): min/max per attribute.
-    page_zones: Vec<ZoneMap>,
+    pub(crate) page_zones: Vec<ZoneMap>,
     records: usize,
     records_per_page: usize,
 }
@@ -58,11 +58,6 @@ impl LoadedRelation {
     /// Page count per partition (the paper's `M`).
     pub fn page_count(&self) -> usize {
         self.pages[0].len()
-    }
-
-    /// Records per page.
-    pub fn records_per_page(&self) -> usize {
-        self.records_per_page
     }
 
     /// All pages of all partitions (for endurance resets).
@@ -94,11 +89,6 @@ impl LoadedRelation {
     /// Panics if `page_index` is out of range.
     pub fn page_zone(&self, page_index: usize) -> &ZoneMap {
         &self.page_zones[page_index]
-    }
-
-    /// All per-page zone maps, in page order.
-    pub fn page_zones(&self) -> &[ZoneMap] {
-        &self.page_zones
     }
 
     /// The whole loaded relation's zone map (merge over pages).
@@ -283,7 +273,7 @@ mod tests {
             rel.push_row(&[(i % 251) as u64, (i % 61) as u64]).unwrap();
         }
         let layout = RecordLayout::build(rel.schema(), &cfg, EngineMode::OneXb, &[]).unwrap();
-        (PimModule::new(cfg), rel, layout)
+        (PimModule::new(cfg).unwrap(), rel, layout)
     }
 
     #[test]
@@ -305,7 +295,7 @@ mod tests {
         let (mut module, rel, layout) = small_setup(300);
         let loaded = load_relation(&mut module, &rel, &layout).unwrap();
         // capacity = 256 records/page in the small config (4 xb × 64 rows)
-        let rpp = loaded.records_per_page();
+        let rpp = loaded.records_per_page;
         let last_page = module.page(loaded.pages(0)[loaded.page_count() - 1]);
         let in_last = 300 - rpp; // records in the final page
         for slot in 0..rpp {
@@ -318,8 +308,8 @@ mod tests {
     fn page_count_covers_records() {
         let (mut module, rel, layout) = small_setup(513);
         let loaded = load_relation(&mut module, &rel, &layout).unwrap();
-        assert_eq!(loaded.page_count(), 513usize.div_ceil(loaded.records_per_page()));
-        assert_eq!(loaded.record_at(1, 3), loaded.records_per_page() + 3);
+        assert_eq!(loaded.page_count(), 513usize.div_ceil(loaded.records_per_page));
+        assert_eq!(loaded.record_at(1, 3), loaded.records_per_page + 3);
     }
 
     #[test]
@@ -332,7 +322,7 @@ mod tests {
             rel.push_row(&[i % 256, i % 60]).unwrap();
         }
         let layout = RecordLayout::build(rel.schema(), &cfg, EngineMode::TwoXb, &[]).unwrap();
-        let mut module = PimModule::new(cfg);
+        let mut module = PimModule::new(cfg).unwrap();
         let loaded = load_relation(&mut module, &rel, &layout).unwrap();
         let b = layout.placement("d_b").unwrap();
         assert_eq!(b.partition, 1);
@@ -356,7 +346,7 @@ mod tests {
             rel.push_row(&[(i % 251) as u64]).unwrap();
         }
         let layout = RecordLayout::build(rel.schema(), &cfg, EngineMode::OneXb, &[]).unwrap();
-        let mut module = PimModule::new(cfg);
+        let mut module = PimModule::new(cfg).unwrap();
         let err = load_relation(&mut module, &rel, &layout).unwrap_err();
         assert!(matches!(
             err,
@@ -368,9 +358,9 @@ mod tests {
     fn page_zones_cover_each_pages_records() {
         let (mut module, rel, layout) = small_setup(600);
         let loaded = load_relation(&mut module, &rel, &layout).unwrap();
-        assert_eq!(loaded.page_zones().len(), loaded.page_count());
-        let rpp = loaded.records_per_page();
-        for (pg, zone) in loaded.page_zones().iter().enumerate() {
+        assert_eq!(loaded.page_zones.len(), loaded.page_count());
+        let rpp = loaded.records_per_page;
+        for (pg, zone) in loaded.page_zones.iter().enumerate() {
             let recs = (pg * rpp)..((pg + 1) * rpp).min(loaded.records());
             for attr in 0..rel.schema().arity() {
                 let lo = recs.clone().map(|r| rel.value(r, attr)).min().unwrap();
@@ -386,7 +376,7 @@ mod tests {
     fn widen_zones_grows_the_named_pages_only() {
         let (mut module, rel, layout) = small_setup(600);
         let mut loaded = load_relation(&mut module, &rel, &layout).unwrap();
-        let before: Vec<_> = loaded.page_zones().to_vec();
+        let before: Vec<_> = loaded.page_zones.to_vec();
         loaded.widen_zones(&[1], 0, 255);
         assert_eq!(loaded.page_zone(0), &before[0]);
         assert_eq!(loaded.page_zone(1).range(0).unwrap().1, 255);
@@ -445,7 +435,7 @@ mod tests {
         (ref_module, ref_pages, ref_zones): (&PimModule, &[Vec<PageId>], &[ZoneMap]),
         what: &str,
     ) {
-        assert_eq!(loaded.page_zones(), ref_zones, "{what}: zones");
+        assert_eq!(loaded.page_zones, ref_zones, "{what}: zones");
         for (partition, ref_run) in ref_pages.iter().enumerate() {
             assert_eq!(loaded.pages(partition).len(), ref_run.len(), "{what}: page run");
             for (pg, (id, ref_id)) in loaded.pages(partition).iter().zip(ref_run).enumerate() {
@@ -474,7 +464,7 @@ mod tests {
                 let arity = rel.schema().arity();
 
                 // the load, before its reset: the writer's own wear shows
-                let mut module = PimModule::new(cfg.clone());
+                let mut module = PimModule::new(cfg.clone()).unwrap();
                 let mut loaded = LoadedRelation {
                     pages: vec![Vec::new(); layout.partitions()],
                     page_zones: Vec::new(),
@@ -486,7 +476,7 @@ mod tests {
                 assert_eq!(touched, (0..records.div_ceil(rpp)).collect::<Vec<_>>(), "{what}");
                 assert_eq!(loaded.records(), records, "{what}");
 
-                let mut ref_module = PimModule::new(cfg.clone());
+                let mut ref_module = PimModule::new(cfg.clone()).unwrap();
                 let page_count = records.div_ceil(rpp).max(1);
                 let ref_pages: Vec<Vec<PageId>> = (0..layout.partitions())
                     .map(|_| ref_module.alloc_pages(page_count).unwrap())
@@ -507,7 +497,7 @@ mod tests {
                     &format!("{what}, load before reset"),
                 );
                 // and load_relation is that image with the wear reset
-                let mut fresh = PimModule::new(cfg.clone());
+                let mut fresh = PimModule::new(cfg.clone()).unwrap();
                 let image = load_relation(&mut fresh, &rel, &layout).unwrap();
                 ref_module.reset_endurance(&ref_pages.concat());
                 assert_same_image(
@@ -527,10 +517,10 @@ mod tests {
             let mut rel = seeded(rpp / 2 + 3, 0xBA7C);
             let layout = RecordLayout::build(rel.schema(), &cfg, mode, &[]).unwrap();
             let arity = rel.schema().arity();
-            let mut module = PimModule::new(cfg.clone());
+            let mut module = PimModule::new(cfg.clone()).unwrap();
             let mut loaded = load_relation(&mut module, &rel, &layout).unwrap();
 
-            let mut ref_module = PimModule::new(cfg.clone());
+            let mut ref_module = PimModule::new(cfg.clone()).unwrap();
             let mut ref_pages: Vec<Vec<PageId>> =
                 (0..layout.partitions()).map(|_| ref_module.alloc_pages(1).unwrap()).collect();
             let mut ref_zones = vec![ZoneMap::empty(arity)];

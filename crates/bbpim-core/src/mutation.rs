@@ -544,7 +544,7 @@ mod tests {
     #[test]
     fn insert_allocates_fresh_pages_when_the_image_is_full() {
         let mut t = table(EngineMode::OneXb);
-        let rpp = t.loaded().records_per_page();
+        let rpp = t.config().records_per_page();
         let pages_before = t.loaded().page_count();
         let free = pages_before * rpp - t.loaded().records();
         let mut b = Mutation::insert();
@@ -581,7 +581,7 @@ mod tests {
                 for partition in 0..t.layout().partitions() {
                     assert_eq!(t.loaded().pages(partition).len(), pages, "{mode:?}: aligned");
                 }
-                assert_eq!(t.loaded().page_zones().len(), pages);
+                assert_eq!(t.loaded().page_zones.len(), pages);
                 let count = Query::select([SelectItem::count("n")]).build_unchecked();
                 let out = crate::engine::run_query(t, mode, None, true, &count).unwrap();
                 assert_eq!(out.groups[&vec![]], vec![records as u64], "{mode:?}: COUNT answers");

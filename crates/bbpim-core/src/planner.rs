@@ -27,14 +27,12 @@ use crate::loader::LoadedRelation;
 pub struct PageSet {
     /// Candidate page indices, ascending and deduplicated.
     indices: Vec<usize>,
-    /// Pages per partition in the loaded relation.
-    total: usize,
 }
 
 impl PageSet {
     /// The exhaustive plan: every one of `total` pages is a candidate.
     pub fn all(total: usize) -> Self {
-        PageSet { indices: (0..total).collect(), total }
+        PageSet { indices: (0..total).collect() }
     }
 
     /// A plan from explicit page indices (sorted and deduplicated).
@@ -46,7 +44,7 @@ impl PageSet {
         indices.sort_unstable();
         indices.dedup();
         assert!(indices.last().is_none_or(|&i| i < total), "page index out of range");
-        PageSet { indices, total }
+        PageSet { indices }
     }
 
     /// Candidate page count.
@@ -57,21 +55,6 @@ impl PageSet {
     /// True when every page was pruned.
     pub fn is_empty(&self) -> bool {
         self.indices.is_empty()
-    }
-
-    /// Pages per partition the plan was made over.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Pages proven irrelevant (`total − len`).
-    pub fn pruned(&self) -> usize {
-        self.total - self.indices.len()
-    }
-
-    /// True when nothing was pruned.
-    pub fn is_exhaustive(&self) -> bool {
-        self.indices.len() == self.total
     }
 
     /// The candidate page indices, ascending.
@@ -196,7 +179,7 @@ mod tests {
             rel.push_row(&[i, i % 10]).unwrap();
         }
         let layout = RecordLayout::build(rel.schema(), &cfg, EngineMode::OneXb, &[]).unwrap();
-        let mut module = PimModule::new(cfg);
+        let mut module = PimModule::new(cfg).unwrap();
         let loaded = load_relation(&mut module, &rel, &layout).unwrap();
         (module, rel, loaded)
     }
@@ -219,8 +202,6 @@ mod tests {
         let b = bounds(&rel, vec![Atom::Eq { attr: "lo_v".into(), value: 300u64.into() }]);
         let plan = plan_pages(&b, &loaded);
         assert_eq!(plan.indices(), &[1]);
-        assert_eq!(plan.pruned(), loaded.page_count() - 1);
-        assert!(!plan.is_exhaustive());
     }
 
     #[test]
@@ -239,9 +220,10 @@ mod tests {
         let (_m, rel, loaded) = sorted_setup();
         // every page holds all d_g values 0..10
         let b = bounds(&rel, vec![Atom::Eq { attr: "d_g".into(), value: 3u64.into() }]);
-        assert!(plan_pages(&b, &loaded).is_exhaustive());
+        let every_page = PageSet::all(loaded.page_count());
+        assert_eq!(plan_pages(&b, &loaded), every_page);
         let b = bounds(&rel, vec![]);
-        assert!(plan_pages(&b, &loaded).is_exhaustive());
+        assert_eq!(plan_pages(&b, &loaded), every_page);
     }
 
     #[test]
@@ -250,7 +232,6 @@ mod tests {
         let b = bounds(&rel, vec![Atom::Lt { attr: "lo_v".into(), value: 0u64.into() }]);
         let plan = plan_pages(&b, &loaded);
         assert!(plan.is_empty());
-        assert_eq!(plan.pruned(), loaded.page_count());
     }
 
     #[test]
@@ -258,10 +239,8 @@ mod tests {
         let set = PageSet::from_indices(vec![3, 1, 3], 5);
         assert_eq!(set.indices(), &[1, 3]);
         assert_eq!(set.len(), 2);
-        assert_eq!(set.total(), 5);
-        assert_eq!(set.pruned(), 3);
         assert_eq!(set.first(), Some(1));
-        assert!(PageSet::all(4).is_exhaustive());
+        assert_eq!(PageSet::all(4).indices(), &[0, 1, 2, 3]);
         assert!(PageSet::from_indices(vec![], 4).is_empty());
     }
 

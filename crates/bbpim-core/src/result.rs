@@ -61,19 +61,6 @@ impl QueryReport {
         }
         endurance::required_endurance(self.max_row_cell_writes, self.row_cells, self.time_ns, years)
     }
-
-    /// Lifetime in years at the RRAM endurance of the paper's ref. \[22\].
-    pub fn lifetime_years(&self) -> f64 {
-        if self.time_ns <= 0.0 {
-            return f64::INFINITY;
-        }
-        endurance::lifetime_years(
-            self.max_row_cell_writes,
-            self.row_cells,
-            self.time_ns,
-            endurance::RRAM_ENDURANCE_WRITES,
-        )
-    }
 }
 
 /// A query's answer plus its report.
@@ -99,7 +86,7 @@ pub struct QueryExecution {
 ///
 /// Engines running over disjoint record slices each produce a
 /// `PartialGroups` per physical aggregate; folding them with
-/// [`PartialGroups::absorb`] reproduces the whole-relation component
+/// [`PartialGroups::absorb_ref`] reproduces the whole-relation component
 /// bit-exactly, because SUM (wrapping), MIN, MAX and COUNT (addition)
 /// are commutative and associative. This is the gather half of the
 /// cluster layer's scatter–gather; derived outputs (`AVG`) are computed
@@ -118,23 +105,13 @@ impl PartialGroups {
         PartialGroups { func, groups: GroupedResult::new() }
     }
 
-    /// Merge another partial of the same component into this one.
+    /// Merge another partial of the same component into this one
+    /// (clones only keys new to the accumulator).
     ///
     /// # Panics
     ///
     /// Panics when the functions differ — merging a MIN partial into a
     /// SUM accumulator is always a caller bug.
-    pub fn absorb(&mut self, other: PartialGroups) {
-        assert_eq!(self.func, other.func, "cannot merge partials of different aggregates");
-        stats::merge_grouped_into(&mut self.groups, other.groups, self.func);
-    }
-
-    /// Merge a reference to another partial of the same component
-    /// (clones only keys new to the accumulator).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the functions differ (caller bug).
     pub fn absorb_ref(&mut self, other: &PartialGroups) {
         assert_eq!(self.func, other.func, "cannot merge partials of different aggregates");
         stats::merge_grouped_ref_into(&mut self.groups, &other.groups, self.func);
@@ -182,7 +159,6 @@ mod tests {
     #[test]
     fn zero_writes_means_infinite_lifetime() {
         let r = report(1e6, 0);
-        assert!(r.lifetime_years().is_infinite());
         assert_eq!(r.required_endurance(10.0), 0.0);
     }
 
@@ -194,8 +170,8 @@ mod tests {
         let mut b = GroupedResult::new();
         b.insert(vec![1], 6);
         b.insert(vec![2], 1);
-        acc.absorb(PartialGroups { func: PhysFunc::Sum, groups: a });
-        acc.absorb(PartialGroups { func: PhysFunc::Sum, groups: b });
+        acc.absorb_ref(&PartialGroups { func: PhysFunc::Sum, groups: a });
+        acc.absorb_ref(&PartialGroups { func: PhysFunc::Sum, groups: b });
         let merged = acc.into_groups();
         assert_eq!(merged[&vec![1u64]], 10);
         assert_eq!(merged[&vec![2u64]], 1);
@@ -208,7 +184,7 @@ mod tests {
         a.insert(vec![7], 3);
         let mut b = GroupedResult::new();
         b.insert(vec![7], 5);
-        acc.absorb(PartialGroups { func: PhysFunc::Count, groups: a });
+        acc.absorb_ref(&PartialGroups { func: PhysFunc::Count, groups: a });
         acc.absorb_ref(&PartialGroups { func: PhysFunc::Count, groups: b });
         assert_eq!(acc.into_groups()[&vec![7u64]], 8);
     }
@@ -217,6 +193,6 @@ mod tests {
     #[should_panic(expected = "different aggregates")]
     fn partial_groups_reject_mixed_functions() {
         let mut acc = PartialGroups::new(PhysFunc::Sum);
-        acc.absorb(PartialGroups::new(PhysFunc::Min));
+        acc.absorb_ref(&PartialGroups::new(PhysFunc::Min));
     }
 }

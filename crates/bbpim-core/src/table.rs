@@ -35,13 +35,14 @@ impl PimTable {
     ///
     /// # Errors
     ///
-    /// Module capacity and loader failures.
+    /// A configuration that fails `SimConfig::validate`, module capacity
+    /// and loader failures.
     pub fn new(
         cfg: SimConfig,
         relation: Relation,
         layout: RecordLayout,
     ) -> Result<Self, CoreError> {
-        let mut module = PimModule::new(cfg);
+        let mut module = PimModule::new(cfg)?;
         let loaded = load_relation(&mut module, &relation, &layout)?;
         Ok(PimTable { module, relation, layout, loaded })
     }

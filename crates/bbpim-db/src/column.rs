@@ -31,11 +31,6 @@ impl Column {
         c
     }
 
-    /// Width in bits.
-    pub fn bits(&self) -> usize {
-        self.bits
-    }
-
     /// Number of values.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -88,11 +83,6 @@ impl Column {
     /// The raw values.
     pub fn values(&self) -> &[u64] {
         &self.data
-    }
-
-    /// Largest value (None when empty).
-    pub fn max(&self) -> Option<u64> {
-        self.data.iter().copied().max()
     }
 }
 

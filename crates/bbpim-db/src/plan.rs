@@ -317,22 +317,6 @@ impl Pred {
         }
     }
 
-    /// The atoms of a pure conjunction (`None` when the tree contains an
-    /// `OR`) — the shapes UPDATE statements and the legacy API accept.
-    pub fn as_conjunction(&self) -> Option<Vec<&Atom>> {
-        match self {
-            Pred::Atom(atom) => Some(vec![atom]),
-            Pred::And(children) => {
-                let mut out = Vec::new();
-                for c in children {
-                    out.extend(c.as_conjunction()?);
-                }
-                Some(out)
-            }
-            Pred::Or(_) => None,
-        }
-    }
-
     /// Does `row` of `rel` satisfy the filter? (Oracle semantics.)
     ///
     /// # Errors
@@ -535,11 +519,6 @@ impl ConjunctBounds {
         self.satisfiable
     }
 
-    /// The atoms the bounds were extracted from.
-    pub fn atoms(&self) -> &[ResolvedAtom] {
-        &self.atoms
-    }
-
     /// Could a zone summarised by `zone` hold a record satisfying this
     /// conjunction?
     pub fn can_match(&self, zone: &ZoneMap) -> bool {
@@ -586,12 +565,6 @@ pub struct FilterBounds {
 }
 
 impl FilterBounds {
-    /// Bounds of a single resolved conjunction (the pre-v2 shape; also
-    /// what UPDATE WHERE clauses use).
-    pub fn from_atoms(atoms: &[ResolvedAtom]) -> Self {
-        FilterBounds { disjuncts: vec![ConjunctBounds::from_atoms(atoms)] }
-    }
-
     /// Bounds of a resolved DNF (zero disjuncts = `FALSE`).
     pub fn from_dnf(dnf: &[Vec<ResolvedAtom>]) -> Self {
         FilterBounds { disjuncts: dnf.iter().map(|c| ConjunctBounds::from_atoms(c)).collect() }
@@ -601,11 +574,6 @@ impl FilterBounds {
     /// satisfy the filter (every zone may be pruned).
     pub fn satisfiable(&self) -> bool {
         self.disjuncts.iter().any(ConjunctBounds::satisfiable)
-    }
-
-    /// The per-disjunct bounds.
-    pub fn disjuncts(&self) -> &[ConjunctBounds] {
-        &self.disjuncts
     }
 
     /// Could a zone summarised by `zone` hold a matching record?
@@ -1074,6 +1042,11 @@ mod tests {
         rel
     }
 
+    /// Bounds of a single resolved conjunction.
+    fn bounds_of(atoms: &[ResolvedAtom]) -> FilterBounds {
+        FilterBounds::from_dnf(&[atoms.to_vec()])
+    }
+
     #[test]
     fn atom_resolution_encodes_strings() {
         let rel = schema_and_rel();
@@ -1171,7 +1144,7 @@ mod tests {
             ResolvedAtom::Lt { idx: 0, value: 20 },
             ResolvedAtom::Eq { idx: 1, value: 3 },
         ];
-        let b = FilterBounds::from_atoms(&atoms);
+        let b = bounds_of(&atoms);
         assert!(b.satisfiable());
         let mut zone = ZoneMap::empty(2);
         zone.observe_row(&[15, 3]);
@@ -1187,12 +1160,12 @@ mod tests {
         // empty zone never matches a constrained filter
         assert!(!b.can_match(&ZoneMap::empty(2)));
         // the empty conjunction matches any zone
-        assert!(FilterBounds::from_atoms(&[]).can_match(&ZoneMap::empty(2)));
+        assert!(bounds_of(&[]).can_match(&ZoneMap::empty(2)));
     }
 
     #[test]
     fn contradictory_bounds_are_unsatisfiable() {
-        let b = FilterBounds::from_atoms(&[
+        let b = bounds_of(&[
             ResolvedAtom::Gt { idx: 0, value: 20 },
             ResolvedAtom::Lt { idx: 0, value: 10 },
         ]);
@@ -1200,7 +1173,7 @@ mod tests {
         let mut zone = ZoneMap::empty(1);
         zone.observe_row(&[15]);
         assert!(!b.can_match(&zone));
-        assert!(!FilterBounds::from_atoms(&[ResolvedAtom::Lt { idx: 0, value: 0 }]).satisfiable());
+        assert!(!bounds_of(&[ResolvedAtom::Lt { idx: 0, value: 0 }]).satisfiable());
     }
 
     #[test]
@@ -1280,8 +1253,7 @@ mod tests {
         assert!(Pred::always().is_always());
         assert!(!p.is_always());
         assert_eq!(p.atoms().len(), 3);
-        assert!(p.as_conjunction().is_none());
-        assert_eq!(Pred::all(vec![a(), b()]).as_conjunction().unwrap().len(), 2);
+        assert_eq!(Pred::all(vec![a(), b()]).dnf(), vec![vec![a(), b()]]);
     }
 
     #[test]

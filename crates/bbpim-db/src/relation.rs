@@ -131,29 +131,13 @@ impl Relation {
 
     /// Horizontally partition the relation into `n` relations by a
     /// per-row assignment function (`assign(row) -> shard`), preserving
-    /// relative row order within each part. Rows assigned outside
-    /// `0..n` are rejected.
-    ///
-    /// This is the substrate for sharded (multi-module) execution: each
-    /// part keeps the full schema, so every shard can answer the same
-    /// logical queries over its slice of the records.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::InvalidQuery`] when `n` is zero or `assign` returns an
-    /// out-of-range shard.
-    pub fn partition_by<F>(&self, n: usize, assign: F) -> Result<Vec<Relation>, DbError>
-    where
-        F: FnMut(usize) -> usize,
-    {
-        Ok(self.partition_by_zoned(n, assign)?.into_iter().map(|(part, _)| part).collect())
-    }
-
-    /// [`Relation::partition_by`], additionally building each part's
+    /// relative row order within each part, and build each part's
     /// [`ZoneMap`] (per-attribute min/max) in the same pass over the
-    /// rows. This is the load-time half of zone-map-driven pruning: the
-    /// cluster layer keeps the per-shard maps and skips shards whose
-    /// ranges cannot satisfy a query's filter.
+    /// rows. Each part keeps the full schema, so every shard can answer
+    /// the same logical queries over its slice of the records. This is
+    /// the load-time half of zone-map-driven pruning: the cluster layer
+    /// keeps the per-shard maps and skips shards whose ranges cannot
+    /// satisfy a query's filter.
     ///
     /// # Errors
     ///
@@ -241,13 +225,13 @@ mod tests {
         for i in 0..10u64 {
             r.push_row(&[i, i % 2]).unwrap();
         }
-        let parts = r.partition_by(3, |row| row % 3).unwrap();
+        let parts = r.partition_by_zoned(3, |row| row % 3).unwrap();
         assert_eq!(parts.len(), 3);
-        assert_eq!(parts.iter().map(Relation::len).sum::<usize>(), 10);
+        assert_eq!(parts.iter().map(|(p, _)| p.len()).sum::<usize>(), 10);
         // shard 0 got rows 0,3,6,9 in order
-        assert_eq!(parts[0].row(0), vec![0, 0]);
-        assert_eq!(parts[0].row(3), vec![9, 1]);
-        for p in &parts {
+        assert_eq!(parts[0].0.row(0), vec![0, 0]);
+        assert_eq!(parts[0].0.row(3), vec![9, 1]);
+        for (p, _) in &parts {
             assert_eq!(p.schema(), r.schema());
         }
     }
@@ -256,17 +240,17 @@ mod tests {
     fn partition_by_rejects_bad_arguments() {
         let mut r = rel();
         r.push_row(&[1, 0]).unwrap();
-        assert!(matches!(r.partition_by(0, |_| 0), Err(DbError::InvalidQuery(_))));
-        assert!(matches!(r.partition_by(2, |_| 5), Err(DbError::InvalidQuery(_))));
+        assert!(matches!(r.partition_by_zoned(0, |_| 0), Err(DbError::InvalidQuery(_))));
+        assert!(matches!(r.partition_by_zoned(2, |_| 5), Err(DbError::InvalidQuery(_))));
     }
 
     #[test]
     fn partition_by_allows_empty_parts() {
         let mut r = rel();
         r.push_row(&[1, 0]).unwrap();
-        let parts = r.partition_by(4, |_| 2).unwrap();
-        assert_eq!(parts[2].len(), 1);
-        assert!(parts[0].is_empty() && parts[1].is_empty() && parts[3].is_empty());
+        let parts = r.partition_by_zoned(4, |_| 2).unwrap();
+        assert_eq!(parts[2].0.len(), 1);
+        assert!([0, 1, 3].iter().all(|&i| parts[i].0.is_empty()));
     }
 
     #[test]

@@ -49,32 +49,12 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True when the sampler covers no items (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Draw one value in `1..=n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen();
         // first index with cdf >= u
         let idx = self.cdf.partition_point(|&c| c < u);
         (idx.min(self.cdf.len() - 1) + 1) as u64
-    }
-
-    /// Probability mass of item `i` (1-based).
-    pub fn pmf(&self, i: usize) -> f64 {
-        assert!(i >= 1 && i <= self.cdf.len());
-        if i == 1 {
-            self.cdf[0]
-        } else {
-            self.cdf[i - 1] - self.cdf[i - 2]
-        }
     }
 }
 
@@ -83,6 +63,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl Zipf {
+        /// Probability mass of item `i` (1-based).
+        fn pmf(&self, i: usize) -> f64 {
+            self.cdf[i - 1] - if i == 1 { 0.0 } else { self.cdf[i - 2] }
+        }
+    }
 
     #[test]
     fn uniform_when_theta_zero() {

@@ -16,7 +16,6 @@
 
 use std::collections::BTreeSet;
 
-use crate::error::DbError;
 use crate::plan::Query;
 use crate::relation::Relation;
 use crate::ssb::SsbDb;
@@ -154,11 +153,6 @@ impl StarSchema {
         }
     }
 
-    /// The fact relation (`lineorder`).
-    pub fn fact(&self) -> &Relation {
-        &self.fact
-    }
-
     /// One dimension relation by catalog index (see [`DIMENSIONS`]).
     ///
     /// # Panics
@@ -166,11 +160,6 @@ impl StarSchema {
     /// Panics when `d >= 4`.
     pub fn dim(&self, d: usize) -> &Relation {
         &self.dims[d]
-    }
-
-    /// All four dimensions in catalog order.
-    pub fn dims(&self) -> &[Relation; 4] {
-        &self.dims
     }
 
     /// Which dimension owns an attribute name (`None` = the fact
@@ -181,26 +170,6 @@ impl StarSchema {
             return None;
         }
         DIMENSIONS.iter().position(|m| attr.starts_with(m.prefix))
-    }
-
-    /// The table an attribute belongs to: `None` for fact, `Some(d)`
-    /// for dimension `d` — erroring on names no table has.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::NoSuchAttribute`] when neither the fact schema nor
-    /// the owning dimension resolves the name.
-    pub fn resolve_attr(&self, attr: &str) -> Result<Option<usize>, DbError> {
-        match Self::dim_of_attr(attr) {
-            None => {
-                self.fact.schema().index_of(attr)?;
-                Ok(None)
-            }
-            Some(d) => {
-                self.dims[d].schema().index_of(attr)?;
-                Ok(Some(d))
-            }
-        }
     }
 
     /// Cold (host-resident) attribute lists for the five tables under
@@ -230,11 +199,6 @@ impl StarSchema {
         }
         out
     }
-
-    /// Total resident data bytes across the five tables.
-    pub fn total_data_bytes(&self, excluded: &[Vec<String>; 5]) -> u64 {
-        self.footprints(excluded).iter().map(|f| f.data_bytes).sum()
-    }
 }
 
 #[cfg(test)]
@@ -248,21 +212,18 @@ mod tests {
 
     #[test]
     fn attr_resolution_routes_by_prefix() {
-        let s = star();
-        assert_eq!(s.resolve_attr("lo_revenue").unwrap(), None);
-        assert_eq!(s.resolve_attr("c_region").unwrap(), Some(0));
-        assert_eq!(s.resolve_attr("s_city").unwrap(), Some(1));
-        assert_eq!(s.resolve_attr("p_brand1").unwrap(), Some(2));
-        assert_eq!(s.resolve_attr("d_year").unwrap(), Some(3));
-        assert!(s.resolve_attr("x_unknown").is_err());
-        assert!(s.resolve_attr("lo_nonexistent").is_err());
+        assert_eq!(StarSchema::dim_of_attr("lo_revenue"), None);
+        assert_eq!(StarSchema::dim_of_attr("c_region"), Some(0));
+        assert_eq!(StarSchema::dim_of_attr("s_city"), Some(1));
+        assert_eq!(StarSchema::dim_of_attr("p_brand1"), Some(2));
+        assert_eq!(StarSchema::dim_of_attr("d_year"), Some(3));
     }
 
     #[test]
     fn fk_metadata_matches_prejoin_wiring() {
         let s = star();
         for (d, meta) in DIMENSIONS.iter().enumerate() {
-            assert!(s.fact().schema().index_of(meta.fk).is_ok(), "{}", meta.fk);
+            assert!(s.fact.schema().index_of(meta.fk).is_ok(), "{}", meta.fk);
             let key_idx = s.dim(d).schema().index_of(meta.key).unwrap();
             // dense, key_base-based: key k at row k - key_base
             for row in [0usize, s.dim(d).len() - 1] {
@@ -322,7 +283,7 @@ mod tests {
         let db = SsbDb::generate(&SsbParams::uniform(0.002));
         let wide = db.prejoin();
         let s = StarSchema::of_db(&db);
-        let normalized = s.total_data_bytes(&s.ssb_cold_attrs());
+        let normalized: u64 = s.footprints(&s.ssb_cold_attrs()).iter().map(|f| f.data_bytes).sum();
         let prejoined = table_footprint(&wide, &[]).data_bytes;
         assert!(
             normalized * 3 <= prejoined,

@@ -204,16 +204,11 @@ pub fn group_domains(query: &Query, rel: &Relation) -> Result<Vec<Vec<u64>>, DbE
 /// the single-engine answer bit-exactly. `AVG` never merges directly —
 /// it is derived from merged SUM + COUNT components afterwards
 /// ([`crate::plan::PhysicalPlan::finalize`]).
-pub fn merge_grouped_into(acc: &mut GroupedResult, part: GroupedResult, func: PhysFunc) {
-    for (key, v) in part {
-        acc.entry(key).and_modify(|a| *a = func.merge(*a, v)).or_insert(v);
-    }
-}
-
-/// [`merge_grouped_into`] from a borrowed partial: clones only the
-/// keys that are new to the accumulator, not the whole map — the
-/// cluster gather path merges many shard partials per query and must
-/// not deep-copy each one first.
+///
+/// The partial is borrowed: only the keys that are new to the
+/// accumulator are cloned, not the whole map — the cluster gather path
+/// merges many shard partials per query and must not deep-copy each one
+/// first.
 pub fn merge_grouped_ref_into(acc: &mut GroupedResult, part: &GroupedResult, func: PhysFunc) {
     for (key, v) in part {
         match acc.get_mut(key) {
@@ -386,14 +381,14 @@ mod tests {
             q.select[0].func = func;
             let whole = run_oracle(&q, &rel).unwrap();
             let plan = q.physical_plan().unwrap();
-            let parts = rel.partition_by(3, |row| row % 3).unwrap();
+            let parts = rel.partition_by_zoned(3, |row| row % 3).unwrap();
             // merge each physical component across partitions, then derive
             let mut merged: Vec<GroupedResult> = vec![GroupedResult::new(); plan.aggs.len()];
-            for p in &parts {
+            for (p, _) in &parts {
                 let partial = run_oracle_physical(&q, p).unwrap();
                 for (acc, (part, agg)) in merged.iter_mut().zip(partial.into_iter().zip(&plan.aggs))
                 {
-                    merge_grouped_into(acc, part, agg.func);
+                    merge_grouped_ref_into(acc, &part, agg.func);
                 }
             }
             assert_eq!(plan.finalize(&merged), whole, "{func:?}");
@@ -409,8 +404,8 @@ mod tests {
         b.insert(vec![2], 7);
         b.insert(vec![3], 1);
         let (mut ab, mut ba) = (a.clone(), b.clone());
-        merge_grouped_into(&mut ab, b, PhysFunc::Sum);
-        merge_grouped_into(&mut ba, a, PhysFunc::Sum);
+        merge_grouped_ref_into(&mut ab, &b, PhysFunc::Sum);
+        merge_grouped_ref_into(&mut ba, &a, PhysFunc::Sum);
         assert_eq!(ab, ba);
         assert_eq!(ab[&vec![2u64]], 12);
         assert_eq!(ab.len(), 3);
@@ -424,7 +419,7 @@ mod tests {
         b.insert(vec![1], 2);
         b.insert(vec![2], 9);
         let mut merged = a;
-        merge_grouped_into(&mut merged, b, PhysFunc::Count);
+        merge_grouped_ref_into(&mut merged, &b, PhysFunc::Count);
         assert_eq!(merged[&vec![1u64]], 6);
         assert_eq!(merged[&vec![2u64]], 9);
     }

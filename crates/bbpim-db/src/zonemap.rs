@@ -50,11 +50,6 @@ impl ZoneMap {
         self.ranges.len()
     }
 
-    /// True when no row has been observed.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.iter().all(Option::is_none)
-    }
-
     /// The `[min, max]` range of one attribute (`None`: empty zone).
     ///
     /// # Panics
@@ -124,14 +119,12 @@ mod tests {
         let zm = ZoneMap::of(&rel(&[[5, 200], [9, 3], [7, 100]]));
         assert_eq!(zm.range(0), Some((5, 9)));
         assert_eq!(zm.range(1), Some((3, 200)));
-        assert!(!zm.is_empty());
     }
 
     #[test]
     fn empty_relation_gives_empty_zone() {
         let zm = ZoneMap::of(&rel(&[]));
-        assert!(zm.is_empty());
-        assert_eq!(zm.range(0), None);
+        assert_eq!((zm.range(0), zm.range(1)), (None, None));
     }
 
     #[test]

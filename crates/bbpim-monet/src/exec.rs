@@ -116,16 +116,6 @@ impl ResolvedAggs {
         Ok(ResolvedAggs { funcs, exprs })
     }
 
-    /// Number of aggregates.
-    pub fn len(&self) -> usize {
-        self.funcs.len()
-    }
-
-    /// Is the aggregate list empty?
-    pub fn is_empty(&self) -> bool {
-        self.funcs.is_empty()
-    }
-
     /// The per-aggregate contributions of one row.
     #[inline]
     pub fn row_values(&self, rel: &Relation, row: usize) -> Vec<u64> {

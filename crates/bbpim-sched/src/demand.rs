@@ -259,13 +259,6 @@ pub struct MutationDemand {
     pub records_inserted: u64,
 }
 
-impl MutationDemand {
-    /// Total busy time across the host channel and every lane module.
-    pub fn total_busy_ns(&self) -> f64 {
-        self.lanes.iter().flat_map(|ld| ld.slices.iter()).map(|s| s.bus_ns + s.local_ns).sum()
-    }
-}
-
 /// Compile the per-lane reports an applied mutation produced
 /// ([`crate::StreamEngine::apply_mutation`]) into a [`MutationDemand`]:
 /// each lane's phase log becomes a bus/local slice chain exactly as

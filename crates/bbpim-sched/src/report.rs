@@ -28,8 +28,8 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// The rates a finished run reports over its makespan, stated once:
-/// [`crate::StreamOutcome`] and `bbpim_serve::ServeOutcome` both answer
-/// `throughput_qps` / `host_utilisation` / `host_demand` through it.
+/// [`crate::StreamOutcome`] answers `throughput_qps` / `host_utilisation`
+/// / `host_demand` through it, `bbpim_serve::ServeOutcome` the last two.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunRates {
     /// When the last query or mutation completed.
@@ -50,8 +50,9 @@ impl RunRates {
 
     /// Raw host-channel demand ratio `host_busy_ns / makespan_ns`,
     /// **unclamped** — above 1.0 it measures how deeply the run
-    /// oversubscribes the channel (cf.
-    /// [`bbpim_sim::hostbus::SharedBus::demand`]).
+    /// oversubscribes the channel: a demand of 1.8 means the channel was
+    /// asked for 80 % more service than the makespan holds. A
+    /// non-positive makespan reports 0.
     pub fn host_demand(&self) -> f64 {
         if self.makespan_ns <= 0.0 {
             return 0.0;
@@ -159,6 +160,23 @@ mod tests {
             shards_dispatched: 1,
             shards_pruned: 0,
             epoch: 0,
+        }
+    }
+
+    #[test]
+    fn host_utilisation_saturates_where_demand_keeps_the_depth() {
+        // 120 ns of grants issued eagerly at t = 0
+        let over = |makespan_ns| RunRates { makespan_ns, host_busy_ns: 120.0 };
+        // below saturation the two ratios agree
+        assert!((over(1000.0).host_utilisation() - 0.12).abs() < 1e-12);
+        assert!((over(1000.0).host_demand() - 0.12).abs() < 1e-12);
+        // a makespan shorter than the granted service: utilisation
+        // saturates, demand keeps the oversubscription depth
+        assert_eq!(over(100.0).host_utilisation(), 1.0);
+        assert!((over(100.0).host_demand() - 1.2).abs() < 1e-12);
+        for makespan_ns in [0.0, -5.0] {
+            assert_eq!(over(makespan_ns).host_utilisation(), 0.0);
+            assert_eq!(over(makespan_ns).host_demand(), 0.0);
         }
     }
 

@@ -458,8 +458,8 @@ impl StreamOutcome {
     /// Raw host-channel demand ratio `offered_ns / makespan_ns`,
     /// **unclamped** — above 1.0 it measures how deeply the stream
     /// oversubscribes the channel, which the saturated
-    /// [`StreamOutcome::host_utilisation`] deliberately hides (cf.
-    /// [`bbpim_sim::hostbus::SharedBus::demand`]).
+    /// [`StreamOutcome::host_utilisation`] deliberately hides
+    /// ([`RunRates::host_demand`]).
     pub fn host_demand(&self) -> f64 {
         self.rates().host_demand()
     }

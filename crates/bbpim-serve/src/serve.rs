@@ -148,11 +148,6 @@ impl ServeCompletion {
         self.complete_ns - self.first_service_ns
     }
 
-    /// Was the request delayed by its tenant's rate limit?
-    pub fn throttled(&self) -> bool {
-        self.eligible_ns > self.arrive_ns
-    }
-
     /// Did the answer arrive in time to count toward goodput?
     /// (Trivially true without a deadline.)
     pub fn met_deadline(&self) -> bool {
@@ -273,15 +268,10 @@ pub struct ServeOutcome {
 }
 
 impl ServeOutcome {
-    /// The session's makespan and host-busy time: the three rates below
+    /// The session's makespan and host-busy time: the two rates below
     /// are [`RunRates`]', spelled once for streamed and served runs.
     fn rates(&self) -> RunRates {
         RunRates { makespan_ns: self.makespan_ns, host_busy_ns: self.host_busy_ns }
-    }
-
-    /// Completed requests per second of simulated time.
-    pub fn throughput_qps(&self) -> f64 {
-        self.rates().throughput_qps(self.completions.len())
     }
 
     /// Saturated host-channel utilisation over the makespan.
@@ -289,8 +279,8 @@ impl ServeOutcome {
         self.rates().host_utilisation()
     }
 
-    /// Raw (unclamped) host-channel demand ratio (cf.
-    /// [`bbpim_sim::hostbus::SharedBus::demand`]).
+    /// Raw (unclamped) host-channel demand ratio
+    /// ([`RunRates::host_demand`]).
     pub fn host_demand(&self) -> f64 {
         self.rates().host_demand()
     }

@@ -56,11 +56,6 @@ impl ColRange {
     pub fn end(&self) -> usize {
         self.lo + self.width
     }
-
-    /// Iterate the columns, LSB first.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.lo..self.end()
-    }
 }
 
 /// Allocator for scratch columns inside the crossbar's reserved compute
@@ -72,13 +67,12 @@ impl ColRange {
 pub struct ScratchPool {
     region: ColRange,
     free: Vec<usize>,
-    high_water: usize,
 }
 
 impl ScratchPool {
     /// A pool over the given column region.
     pub fn new(region: ColRange) -> Self {
-        ScratchPool { region, free: (region.lo..region.end()).rev().collect(), high_water: 0 }
+        ScratchPool { region, free: (region.lo..region.end()).rev().collect() }
     }
 
     /// Allocate one scratch column.
@@ -88,14 +82,12 @@ impl ScratchPool {
     /// Returns [`SimError::InvalidProgram`] when the compute region is
     /// exhausted — the relation layout must reserve more scratch space.
     pub fn alloc(&mut self) -> Result<usize, SimError> {
-        let col = self.free.pop().ok_or_else(|| {
+        self.free.pop().ok_or_else(|| {
             SimError::InvalidProgram(format!(
                 "scratch region exhausted ({} columns at {})",
                 self.region.width, self.region.lo
             ))
-        })?;
-        self.high_water = self.high_water.max(self.region.width - self.free.len());
-        Ok(col)
+        })
     }
 
     /// Return a column to the pool.
@@ -106,16 +98,6 @@ impl ScratchPool {
     pub fn release(&mut self, col: usize) {
         debug_assert!(col >= self.region.lo && col < self.region.end());
         self.free.push(col);
-    }
-
-    /// Most columns ever simultaneously allocated.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// The managed region.
-    pub fn region(&self) -> ColRange {
-        self.region
     }
 }
 
@@ -449,7 +431,6 @@ mod tests {
         pool.release(a);
         assert_eq!(pool.alloc().unwrap(), a, "exactly the released column is free again");
         assert!(pool.alloc().is_err());
-        assert_eq!(pool.high_water(), 2);
     }
 
     #[test]
@@ -472,7 +453,6 @@ mod tests {
         assert_eq!(r.bit(0), 10);
         assert_eq!(r.bit(3), 13);
         assert_eq!(r.end(), 14);
-        assert_eq!(r.iter().collect::<Vec<_>>(), vec![10, 11, 12, 13]);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! [`SimConfig`] carries the PIM module parameters (geometry, latencies,
 //! energies) and [`HostConfig`] the host-system parameters used by the
-//! host memory model. Defaults reproduce Table I of the paper; a builder
-//! allows deviating for sensitivity studies.
+//! host memory model. Defaults reproduce Table I of the paper; a
+//! sensitivity study deviates by struct update, and every constructor
+//! that takes a configuration runs [`SimConfig::validate`] on it.
 
 use crate::error::SimError;
 
@@ -74,8 +75,8 @@ impl Default for HostConfig {
 
 /// Full simulator configuration (the paper's Table I).
 ///
-/// Construct with [`SimConfig::default`] for the paper's parameters, or
-/// use [`SimConfig::builder`] to override individual values.
+/// Construct with [`SimConfig::default`] for the paper's parameters and
+/// override individual values by struct update.
 ///
 /// ```
 /// use bbpim_sim::config::SimConfig;
@@ -150,11 +151,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Start building a configuration from the Table I defaults.
-    pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder { cfg: SimConfig::default() }
-    }
-
     /// Bytes stored by one crossbar (rows × cols / 8).
     pub fn crossbar_bytes(&self) -> usize {
         self.crossbar_rows * self.crossbar_cols / 8
@@ -187,18 +183,16 @@ impl SimConfig {
         self.crossbars_per_page() / self.chips
     }
 
-    /// Number of 16-bit chunks in one crossbar row.
-    pub fn chunks_per_row(&self) -> usize {
-        self.crossbar_cols / self.read_width_bits
-    }
-
     /// Validate internal consistency.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when the geometry does not
     /// divide evenly (rows not a multiple of 64, page not a multiple of
-    /// the crossbar size, crossbars per page not a multiple of chips…).
+    /// the crossbar size, crossbars per page not a multiple of chips…),
+    /// and when a cost constant would turn simulated time or energy
+    /// into `inf` / `NaN`: a rate the model divides by must be finite
+    /// and positive, a latency, energy or power finite and non-negative.
     pub fn validate(&self) -> Result<(), SimError> {
         if self.crossbar_rows == 0 || !self.crossbar_rows.is_multiple_of(64) {
             return Err(SimError::InvalidConfig(format!(
@@ -238,97 +232,36 @@ impl SimConfig {
                 self.crossbars_per_page()
             )));
         }
-        Ok(())
-    }
-}
-
-/// Builder for [`SimConfig`] (non-consuming terminal method).
-///
-/// ```
-/// use bbpim_sim::config::SimConfig;
-/// let cfg = SimConfig::builder()
-///     .logic_cycle_ns(25.0)
-///     .threads(2)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.logic_cycle_ns, 25.0);
-/// assert_eq!(cfg.host.threads, 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SimConfigBuilder {
-    cfg: SimConfig,
-}
-
-impl SimConfigBuilder {
-    /// Set the bulk-bitwise logic cycle in nanoseconds.
-    pub fn logic_cycle_ns(&mut self, ns: f64) -> &mut Self {
-        self.cfg.logic_cycle_ns = ns;
-        self
-    }
-
-    /// Set the crossbar read latency in nanoseconds.
-    pub fn read_latency_ns(&mut self, ns: f64) -> &mut Self {
-        self.cfg.read_latency_ns = ns;
-        self
-    }
-
-    /// Set the number of crossbars composing one page (resizes the page
-    /// and the cache line accordingly).
-    pub fn crossbars_per_page(&mut self, n: usize) -> &mut Self {
-        self.cfg.page_bytes = self.cfg.crossbar_bytes() * n;
-        self.cfg.host.line_bytes = n * self.cfg.read_width_bits / 8;
-        self
-    }
-
-    /// Set the number of host worker threads.
-    pub fn threads(&mut self, n: usize) -> &mut Self {
-        self.cfg.host.threads = n;
-        self
-    }
-
-    /// Set the number of chips per module.
-    pub fn chips(&mut self, n: usize) -> &mut Self {
-        self.cfg.chips = n;
-        self
-    }
-
-    /// Finish, validating the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimConfig::validate`] failures.
-    pub fn build(&self) -> Result<SimConfig, SimError> {
-        let cfg = self.cfg.clone();
-        cfg.validate()?;
-        Ok(cfg)
-    }
-}
-
-impl SimConfig {
-    /// Configuration for one module of an `n`-module cluster.
-    ///
-    /// Geometry, latencies and energies are identical to `self` — every
-    /// module of a rank is physically the same part — and only the
-    /// capacity is divided, so an `n`-shard cluster holds the same
-    /// total data as the single module it is compared against
-    /// (iso-capacity scaling). Capacity is rounded down to whole pages
-    /// but never below one page.
-    ///
-    /// Use plain [`Clone`] instead when modeling a cluster of
-    /// full-capacity modules (capacity scaling *and* parallelism).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] when `n` is zero.
-    pub fn per_module_of(&self, n: usize) -> Result<SimConfig, SimError> {
-        if n == 0 {
-            return Err(SimError::InvalidConfig("cluster needs at least one module".into()));
+        // (field, value, may be zero): the model divides by the rates;
+        // a cost of zero is legal (it switches the mechanism off).
+        let host = &self.host;
+        for (name, value, zero_ok) in [
+            ("host.dram_bandwidth_gib_s", host.dram_bandwidth_gib_s, false),
+            ("host.mlp", host.mlp, false),
+            ("host.scatter_mlp", host.scatter_mlp, false),
+            ("host.clock_ghz", host.clock_ghz, false),
+            ("logic_cycle_ns", self.logic_cycle_ns, true),
+            ("read_latency_ns", self.read_latency_ns, true),
+            ("write_latency_ns", self.write_latency_ns, true),
+            ("read_energy_pj_per_bit", self.read_energy_pj_per_bit, true),
+            ("write_energy_pj_per_bit", self.write_energy_pj_per_bit, true),
+            ("logic_energy_fj_per_bit", self.logic_energy_fj_per_bit, true),
+            ("agg_circuit_power_uw", self.agg_circuit_power_uw, true),
+            ("controller_power_uw", self.controller_power_uw, true),
+            ("request_issue_ns", self.request_issue_ns, true),
+            ("combine_ns_per_partial", self.combine_ns_per_partial, true),
+            ("host.dram_latency_ns", host.dram_latency_ns, true),
+            ("host.host_agg_ns_per_record", host.host_agg_ns_per_record, true),
+            ("host.dispatch_ns_per_page", host.dispatch_ns_per_page, true),
+        ] {
+            if !value.is_finite() || value < 0.0 || (value == 0.0 && !zero_ok) {
+                let wanted = if zero_ok { "non-negative" } else { "positive" };
+                return Err(SimError::InvalidConfig(format!(
+                    "{name} must be finite and {wanted}, got {value}"
+                )));
+            }
         }
-        let mut cfg = self.clone();
-        let pages = (self.module_pages() / n).max(1) as u64;
-        cfg.module_capacity_bytes = pages * self.page_bytes as u64;
-        cfg.validate()?;
-        Ok(cfg)
+        Ok(())
     }
 
     /// A fast geometry for unit tests: 64×256 crossbars, 4 per page, 2
@@ -373,7 +306,6 @@ mod tests {
         assert_eq!(cfg.records_per_page(), 32 * 1024); // the 32K-record sample page
         assert_eq!(cfg.module_pages(), 16 * 1024);
         assert_eq!(cfg.page_crossbars_per_chip(), 4);
-        assert_eq!(cfg.chunks_per_row(), 32);
     }
 
     #[test]
@@ -400,24 +332,41 @@ mod tests {
     }
 
     #[test]
-    fn per_module_divides_capacity_only() {
-        let cfg = SimConfig::default();
-        let shard = cfg.per_module_of(4).unwrap();
-        assert_eq!(shard.module_pages(), cfg.module_pages() / 4);
-        assert_eq!(shard.crossbar_rows, cfg.crossbar_rows);
-        assert_eq!(shard.page_bytes, cfg.page_bytes);
-        assert!((shard.logic_cycle_ns - cfg.logic_cycle_ns).abs() < 1e-12);
-        // never below one page, and zero shards is rejected
-        let tiny = cfg.per_module_of(usize::MAX).unwrap();
-        assert_eq!(tiny.module_pages(), 1);
-        assert!(cfg.per_module_of(0).is_err());
-    }
-
-    #[test]
-    fn builder_roundtrip() {
-        let cfg = SimConfig::builder().logic_cycle_ns(40.0).build().unwrap();
-        assert!((cfg.logic_cycle_ns - 40.0).abs() < 1e-12);
-        // untouched values keep Table I defaults
-        assert_eq!(cfg.crossbar_rows, 1024);
+    fn validation_rejects_constants_that_make_time_infinite_or_nan() {
+        type Edit = fn(&mut SimConfig, f64);
+        // (field, its setter, may be zero)
+        let fields: [(&str, Edit, bool); 17] = [
+            ("dram_bandwidth_gib_s", |c, v| c.host.dram_bandwidth_gib_s = v, false),
+            ("mlp", |c, v| c.host.mlp = v, false),
+            ("scatter_mlp", |c, v| c.host.scatter_mlp = v, false),
+            ("clock_ghz", |c, v| c.host.clock_ghz = v, false),
+            ("logic_cycle_ns", |c, v| c.logic_cycle_ns = v, true),
+            ("read_latency_ns", |c, v| c.read_latency_ns = v, true),
+            ("write_latency_ns", |c, v| c.write_latency_ns = v, true),
+            ("read_energy_pj_per_bit", |c, v| c.read_energy_pj_per_bit = v, true),
+            ("write_energy_pj_per_bit", |c, v| c.write_energy_pj_per_bit = v, true),
+            ("logic_energy_fj_per_bit", |c, v| c.logic_energy_fj_per_bit = v, true),
+            ("agg_circuit_power_uw", |c, v| c.agg_circuit_power_uw = v, true),
+            ("controller_power_uw", |c, v| c.controller_power_uw = v, true),
+            ("request_issue_ns", |c, v| c.request_issue_ns = v, true),
+            ("combine_ns_per_partial", |c, v| c.combine_ns_per_partial = v, true),
+            ("dram_latency_ns", |c, v| c.host.dram_latency_ns = v, true),
+            ("host_agg_ns_per_record", |c, v| c.host.host_agg_ns_per_record = v, true),
+            ("dispatch_ns_per_page", |c, v| c.host.dispatch_ns_per_page = v, true),
+        ];
+        for (name, edit, zero_ok) in fields {
+            for value in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+                let mut cfg = SimConfig::small_for_tests();
+                edit(&mut cfg, value);
+                match cfg.validate() {
+                    // the fidelity study switches dispatch off with a zero cost
+                    Ok(()) => assert!(zero_ok && value == 0.0, "{name} = {value} must be rejected"),
+                    Err(SimError::InvalidConfig(msg)) => {
+                        assert!(!(zero_ok && value == 0.0) && msg.contains(name), "{name}: {msg}")
+                    }
+                    Err(other) => panic!("{name} = {value}: {other:?}"),
+                }
+            }
+        }
     }
 }

@@ -9,9 +9,6 @@
 /// Seconds in one (Julian) year.
 pub const SECONDS_PER_YEAR: f64 = 365.25 * 24.0 * 3600.0;
 
-/// Endurance RRAM provides per the paper's reference \[22\].
-pub const RRAM_ENDURANCE_WRITES: f64 = 1e12;
-
 /// The horizon the required-endurance figures assume (the paper's
 /// Fig. 9 runs each query back-to-back for ten years) — the `years` of
 /// [`required_endurance`].
@@ -43,29 +40,6 @@ pub fn required_endurance(
     per_query * queries
 }
 
-/// Expected lifetime in years before a cell exhausts `endurance` writes
-/// when the query runs back-to-back.
-///
-/// Returns `f64::INFINITY` for a query that performs no PIM writes.
-///
-/// # Panics
-///
-/// Panics if `query_time_ns` is not positive.
-pub fn lifetime_years(
-    max_row_cell_writes: u64,
-    cols: usize,
-    query_time_ns: f64,
-    endurance: f64,
-) -> f64 {
-    assert!(query_time_ns > 0.0, "query time must be positive");
-    let per_query = writes_per_cell_per_query(max_row_cell_writes, cols);
-    if per_query == 0.0 {
-        return f64::INFINITY;
-    }
-    let queries = endurance / per_query;
-    queries * query_time_ns / 1e9 / SECONDS_PER_YEAR
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,16 +68,8 @@ mod tests {
 
     #[test]
     fn no_writes_means_infinite_lifetime() {
-        assert!(lifetime_years(0, 512, 1e6, RRAM_ENDURANCE_WRITES).is_infinite());
-    }
-
-    #[test]
-    fn lifetime_and_required_endurance_are_inverse() {
-        let writes = 300u64;
-        let t = 5e6;
-        let required = required_endurance(writes, 512, t, 10.0);
-        let life = lifetime_years(writes, 512, t, required);
-        assert!((life - 10.0).abs() < 1e-6);
+        // no endurance is required of a cell that is never written
+        assert_eq!(required_endurance(0, 512, 1e6, ENDURANCE_YEARS), 0.0);
     }
 
     #[test]

@@ -12,14 +12,11 @@
 //! server that grants requests in the order they are made, each grant
 //! starting no earlier than the previous one ended.
 //!
-//! Two grant shapes exist:
-//!
-//! * [`SharedBus::acquire`] — a fixed service time (host dispatch,
-//!   host-side merges: per-descriptor work, not data volume);
-//! * [`SharedBus::acquire_bytes`] — a *byte-accounted* grant whose
-//!   duration is the channel occupancy of moving that many bytes at
-//!   the configured [`HostConfig::dram_bandwidth_gib_s`]. Zero bytes
-//!   cost zero bus time, always.
+//! There is one grant shape: [`SharedBus::acquire`] takes a service
+//! time. Host dispatch and host-side merges are per-descriptor work and
+//! pass their duration; a transfer passes the channel occupancy of its
+//! bytes at the configured [`HostConfig::dram_bandwidth_gib_s`]
+//! ([`transfer_ns`]; zero bytes occupy zero time, always).
 //!
 //! The distinction matters for latency-bound phases: a scattered
 //! host-gb fetch takes far longer end-to-end than its bytes occupy the
@@ -36,10 +33,8 @@
 //! Grants are computed eagerly: because a discrete-event simulation
 //! requests the bus in nondecreasing event-time order, `max(now,
 //! free_at)` is precisely FIFO service. The bus also accumulates its
-//! busy time so callers can report utilisation —
-//! [`SharedBus::utilisation`] saturates at 1.0, because eagerly issued
-//! grants can stretch past whatever horizon the caller measures
-//! against.
+//! busy time ([`SharedBus::busy_ns`]); the ratios a run reports from it
+//! are stated once, in `bbpim_sched::RunRates`.
 
 use crate::config::HostConfig;
 use crate::timeline::{Phase, PhaseKind, RunLog};
@@ -94,25 +89,12 @@ pub struct BusGrant {
     pub end_ns: f64,
 }
 
-impl BusGrant {
-    /// How long the request waited before service began.
-    pub fn wait_ns(&self, requested_at_ns: f64) -> f64 {
-        self.start_ns - requested_at_ns
-    }
-
-    /// The granted service duration.
-    pub fn duration_ns(&self) -> f64 {
-        self.end_ns - self.start_ns
-    }
-}
-
 /// A single-server FIFO resource: requests are served one at a time in
 /// request order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SharedBus {
     free_at_ns: f64,
     busy_ns: f64,
-    grants: usize,
 }
 
 impl SharedBus {
@@ -134,59 +116,12 @@ impl SharedBus {
         let end_ns = start_ns + duration_ns;
         self.free_at_ns = end_ns;
         self.busy_ns += duration_ns;
-        self.grants += 1;
         BusGrant { start_ns, end_ns }
-    }
-
-    /// Byte-accounted grant: exclusive bus time for the channel
-    /// occupancy of `bytes` at `cfg`'s bandwidth ([`transfer_ns`]).
-    /// Zero-byte requests are free — they neither wait behind the
-    /// queue-end nor extend it.
-    pub fn acquire_bytes(&mut self, now_ns: f64, bytes: u64, cfg: &HostConfig) -> BusGrant {
-        if bytes == 0 {
-            return BusGrant { start_ns: now_ns, end_ns: now_ns };
-        }
-        self.acquire(now_ns, transfer_ns(cfg, bytes))
-    }
-
-    /// When the bus next becomes idle (0 if never used).
-    pub fn free_at_ns(&self) -> f64 {
-        self.free_at_ns
     }
 
     /// Total time the bus spent serving requests.
     pub fn busy_ns(&self) -> f64 {
         self.busy_ns
-    }
-
-    /// Number of grants issued (zero-byte grants excluded).
-    pub fn grants(&self) -> usize {
-        self.grants
-    }
-
-    /// Fraction of `horizon_ns` the bus spent busy, saturated to
-    /// `[0, 1]`: eager FIFO grants can end past the caller's horizon
-    /// (e.g. a makespan measured at the last *completion*), and a raw
-    /// `busy / horizon` would then drift above 1. A non-positive
-    /// horizon reports 0.
-    pub fn utilisation(&self, horizon_ns: f64) -> f64 {
-        if horizon_ns <= 0.0 {
-            return 0.0;
-        }
-        (self.busy_ns / horizon_ns).clamp(0.0, 1.0)
-    }
-
-    /// Raw demand ratio `offered_ns / horizon_ns`, **unclamped**: the
-    /// total service time offered to the bus over the horizon. Values
-    /// above 1.0 measure oversubscription depth — a demand of 1.8
-    /// means the channel was asked for 80 % more service than the
-    /// horizon holds, which the saturated [`SharedBus::utilisation`]
-    /// deliberately hides. A non-positive horizon reports 0.
-    pub fn demand(&self, horizon_ns: f64) -> f64 {
-        if horizon_ns <= 0.0 {
-            return 0.0;
-        }
-        self.busy_ns / horizon_ns
     }
 }
 
@@ -203,8 +138,6 @@ mod tests {
         assert_eq!(a.end_ns, 10.0);
         assert_eq!(b.start_ns, 10.0, "second request waits for the first");
         assert_eq!(b.end_ns, 15.0);
-        assert_eq!(b.wait_ns(0.0), 10.0);
-        assert_eq!(bus.grants(), 2);
     }
 
     #[test]
@@ -229,15 +162,13 @@ mod tests {
         let cfg = HostConfig::default(); // 19.2 GiB/s
         let mut bus = SharedBus::new();
         let bytes = 1 << 20; // 1 MiB
-        let g = bus.acquire_bytes(0.0, bytes, &cfg);
+        let g = bus.acquire(0.0, transfer_ns(&cfg, bytes));
         let expected = bytes as f64 / (19.2 * 1.073_741_824);
-        assert!((g.duration_ns() - expected).abs() < 1e-9);
+        assert!((g.end_ns - g.start_ns - expected).abs() < 1e-9);
         assert!((bus.busy_ns() - expected).abs() < 1e-9);
         // halving the bandwidth doubles the occupancy
         let slow = HostConfig { dram_bandwidth_gib_s: 9.6, ..HostConfig::default() };
-        let mut bus2 = SharedBus::new();
-        let g2 = bus2.acquire_bytes(0.0, bytes, &slow);
-        assert!((g2.duration_ns() - 2.0 * expected).abs() < 1e-9);
+        assert!((transfer_ns(&slow, bytes) - 2.0 * expected).abs() < 1e-9);
     }
 
     #[test]
@@ -245,14 +176,11 @@ mod tests {
         let cfg = HostConfig::default();
         let mut bus = SharedBus::new();
         bus.acquire(0.0, 50.0);
-        // a zero-byte request while the bus is busy neither waits nor
-        // occupies: it completes instantly at its request time
-        let g = bus.acquire_bytes(10.0, 0, &cfg);
-        assert_eq!(g.start_ns, 10.0);
-        assert_eq!(g.end_ns, 10.0);
+        // a zero-byte transfer queues like any request but occupies nothing
+        let g = bus.acquire(10.0, transfer_ns(&cfg, 0));
+        assert_eq!(g.start_ns, g.end_ns);
         assert_eq!(bus.busy_ns(), 50.0);
-        assert_eq!(bus.grants(), 1, "zero-byte grants are not queued");
-        assert_eq!(bus.free_at_ns(), 50.0, "the queue end is unchanged");
+        assert_eq!(bus.acquire(50.0, 1.0).start_ns, 50.0, "the queue end is unchanged");
     }
 
     #[test]
@@ -261,22 +189,18 @@ mod tests {
         // call order, deterministically, and busy time matches the
         // event timeline exactly (disjoint contiguous windows).
         let cfg = HostConfig::default();
+        let requests = [transfer_ns(&cfg, 4096), transfer_ns(&cfg, 8192), 7.0];
         let mut bus = SharedBus::new();
-        let a = bus.acquire_bytes(0.0, 4096, &cfg);
-        let b = bus.acquire_bytes(0.0, 8192, &cfg);
-        let c = bus.acquire(0.0, 7.0);
+        let [a, b, c] = requests.map(|ns| bus.acquire(0.0, ns));
         assert_eq!(a.start_ns, 0.0);
         assert!((b.start_ns - a.end_ns).abs() < 1e-12, "b starts exactly when a ends");
         assert!((c.start_ns - b.end_ns).abs() < 1e-12, "c starts exactly when b ends");
         // busy time == sum of grant windows == last end (no gaps formed)
-        let windows = a.duration_ns() + b.duration_ns() + c.duration_ns();
-        assert!((bus.busy_ns() - windows).abs() < 1e-9);
-        assert!((bus.free_at_ns() - c.end_ns).abs() < 1e-12);
+        assert!((bus.busy_ns() - requests.iter().sum::<f64>()).abs() < 1e-9);
+        assert!((bus.busy_ns() - c.end_ns).abs() < 1e-9);
         // replay: the same request sequence reproduces the same grants
         let mut replay = SharedBus::new();
-        assert_eq!(replay.acquire_bytes(0.0, 4096, &cfg), a);
-        assert_eq!(replay.acquire_bytes(0.0, 8192, &cfg), b);
-        assert_eq!(replay.acquire(0.0, 7.0), c);
+        assert_eq!(requests.map(|ns| replay.acquire(0.0, ns)), [a, b, c]);
     }
 
     #[test]
@@ -286,44 +210,15 @@ mod tests {
         let mut windows = 0.0;
         let mut last_end = 0.0f64;
         for (t, bytes) in [(0.0, 1024u64), (1.0, 2048), (5e6, 512), (6e6, 0)] {
-            let g = bus.acquire_bytes(t, bytes, &cfg);
+            let g = bus.acquire(t, transfer_ns(&cfg, bytes));
             assert!(g.start_ns >= last_end - 1e-12, "windows never overlap");
-            if bytes > 0 {
-                last_end = g.end_ns;
-            } else {
-                // zero-byte grants neither occupy nor extend the queue
-                assert_eq!(g.start_ns, g.end_ns);
-                assert!((bus.free_at_ns() - last_end).abs() < 1e-12);
+            if bytes == 0 {
+                assert_eq!(g.start_ns, g.end_ns, "zero bytes occupy nothing");
             }
-            windows += g.duration_ns();
+            last_end = g.end_ns;
+            windows += g.end_ns - g.start_ns;
         }
         assert!((bus.busy_ns() - windows).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilisation_saturates_at_one() {
-        let mut bus = SharedBus::new();
-        bus.acquire(0.0, 80.0);
-        bus.acquire(0.0, 40.0); // eager grant stretches to t=120
-        assert!((bus.utilisation(1000.0) - 0.12).abs() < 1e-12);
-        // horizon shorter than the granted service: saturate, don't drift
-        assert_eq!(bus.utilisation(100.0), 1.0);
-        assert_eq!(bus.utilisation(0.0), 0.0);
-        assert_eq!(bus.utilisation(-5.0), 0.0);
-    }
-
-    #[test]
-    fn demand_ratio_is_unclamped() {
-        let mut bus = SharedBus::new();
-        bus.acquire(0.0, 80.0);
-        bus.acquire(0.0, 40.0);
-        // below saturation the two ratios agree
-        assert!((bus.demand(1000.0) - bus.utilisation(1000.0)).abs() < 1e-12);
-        // past saturation, demand keeps the oversubscription depth
-        assert!((bus.demand(100.0) - 1.2).abs() < 1e-12);
-        assert_eq!(bus.utilisation(100.0), 1.0);
-        assert_eq!(bus.demand(0.0), 0.0);
-        assert_eq!(bus.demand(-5.0), 0.0);
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl LineSet {
     pub fn is_empty(&self) -> bool {
         self.lines.is_empty()
     }
-
-    /// Iterate the unique lines in address order.
-    pub fn iter(&self) -> impl Iterator<Item = &LineAddr> {
-        self.lines.iter()
-    }
 }
 
 /// Time for the host to read `lines` cache lines from the PIM rank with

@@ -62,7 +62,7 @@ pub enum MicroOp {
 
 impl MicroOp {
     /// Cells written by this op on a `rows × cols` crossbar.
-    pub fn cells_written(&self, rows: usize, cols: usize) -> u64 {
+    fn cells_written(&self, rows: usize, cols: usize) -> u64 {
         match self {
             MicroOp::InitCol { .. } | MicroOp::NorCols { .. } | MicroOp::NorManyCols { .. } => {
                 rows as u64
@@ -72,7 +72,7 @@ impl MicroOp {
     }
 
     /// True for column-parallel ops.
-    pub fn is_column_op(&self) -> bool {
+    fn is_column_op(&self) -> bool {
         matches!(
             self,
             MicroOp::InitCol { .. } | MicroOp::NorCols { .. } | MicroOp::NorManyCols { .. }

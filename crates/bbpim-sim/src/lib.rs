@@ -34,7 +34,7 @@
 //! use bbpim_sim::module::PimModule;
 //!
 //! let cfg = SimConfig::default();
-//! let mut module = PimModule::new(cfg);
+//! let mut module = PimModule::new(cfg).expect("Table I is consistent");
 //! let pages = module.alloc_pages(1).expect("module has capacity");
 //! assert_eq!(module.config().crossbars_per_page(), 32);
 //! assert_eq!(module.page(pages[0]).crossbar_count(), 32);

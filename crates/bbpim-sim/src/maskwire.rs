@@ -25,8 +25,8 @@
 //!   scanner ([`PackedBits::runs`]), and its wire size from the words
 //!   ([`rle_len`], [`packed_wire_bytes`], [`packed_wire_lines`]).
 //! * **The format's reference** — the `&[bool]` codec ([`bit_runs`],
-//!   [`encode_rle`] / [`decode_rle`] over [`push_varint`] /
-//!   [`read_varint`], [`wire_bytes`], [`wire_lines`]): the byte-exact
+//!   [`encode_rle`] / [`decode_rle`] over LEB128 varints,
+//!   [`wire_bytes`], [`wire_lines`]): the byte-exact
 //!   statement of the format, which the sizes and the run scanner are
 //!   tested against. It has no non-test caller and finds its runs on
 //!   its own — a reference derived from the scanner it checks would
@@ -38,7 +38,7 @@ use crate::bitmat::word_ones;
 pub const WIRE_HEADER_BYTES: u64 = 8;
 
 /// Append a LEB128 varint.
-pub fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -51,7 +51,7 @@ pub fn push_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Read a LEB128 varint; `None` on truncated input.
-pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {

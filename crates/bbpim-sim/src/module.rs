@@ -87,7 +87,7 @@ pub struct AggPartials {
 /// use bbpim_sim::{PimModule, SimConfig};
 /// use bbpim_sim::isa::Microprogram;
 ///
-/// let mut module = PimModule::new(SimConfig::small_for_tests());
+/// let mut module = PimModule::new(SimConfig::small_for_tests())?;
 /// let pages = module.alloc_pages(2)?;
 /// let mut prog = Microprogram::new();
 /// prog.gate_not(0, 1);
@@ -108,18 +108,20 @@ pub struct PimModule {
 impl PimModule {
     /// Create an empty module.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the configuration fails [`SimConfig::validate`] — a
-    /// module cannot exist with inconsistent geometry.
-    pub fn new(cfg: SimConfig) -> Self {
-        cfg.validate().expect("invalid simulator configuration");
-        PimModule {
+    /// [`SimError::InvalidConfig`] if the configuration fails
+    /// [`SimConfig::validate`] — a module cannot exist with inconsistent
+    /// geometry or a cost constant that turns simulated time into
+    /// `inf` / `NaN`.
+    pub fn new(cfg: SimConfig) -> Result<Self, SimError> {
+        cfg.validate()?;
+        Ok(PimModule {
             cfg,
             pages: Vec::new(),
             policy: XferPolicy::default(),
             programs: (0, 0xcbf2_9ce4_8422_2325),
-        }
+        })
     }
 
     /// The configuration this module was built with.
@@ -507,7 +509,7 @@ mod tests {
     use super::*;
 
     fn module() -> PimModule {
-        PimModule::new(SimConfig::small_for_tests())
+        PimModule::new(SimConfig::small_for_tests()).unwrap()
     }
 
     #[test]
@@ -756,7 +758,7 @@ mod tests {
     fn paper_geometry_chip_power_is_plausible() {
         // SF=10-scale: ~1832 pages active → the paper reports < 44 W
         // peak per chip; our logic-phase model must land in that order.
-        let m = PimModule::new(SimConfig::default());
+        let m = PimModule::new(SimConfig::default()).unwrap();
         let w = m.logic_chip_power_w(1832);
         assert!(w > 1.0 && w < 60.0, "got {w} W");
     }

@@ -76,7 +76,7 @@ impl PerRowWear {
 fn wear_matches_the_per_row_reference_at_every_level() {
     let cfg = SimConfig::small_for_tests();
     let (rows, cols, xbs) = (cfg.crossbar_rows, cfg.crossbar_cols, cfg.crossbars_per_page());
-    let mut module = PimModule::new(cfg);
+    let mut module = PimModule::new(cfg).unwrap();
     let pages = module.alloc_pages(3).unwrap();
     let fresh = PerRowWear { rows: vec![0; rows], cols: cols as u64 };
     // reference[page][crossbar]
@@ -185,7 +185,7 @@ fn record_flags_match_per_record_chunk_writes() {
     let capacity = cfg.records_per_page();
     let mut rng = StdRng::seed_from_u64(0xF1A6);
     for records in [0, 1, 3, 4, 5, capacity / 2 + 1, capacity - 1, capacity] {
-        let mut module = PimModule::new(cfg.clone());
+        let mut module = PimModule::new(cfg.clone()).unwrap();
         let pages = module.alloc_pages(2).unwrap();
         // old contents everywhere, so cleared and untouched cells show
         for r in 0..capacity {
@@ -205,7 +205,7 @@ fn record_flags_match_per_record_chunk_writes() {
         }
     }
     // a flag past the written records is the caller's bug
-    let mut module = PimModule::new(cfg);
+    let mut module = PimModule::new(cfg).unwrap();
     let page = module.alloc_pages(1).unwrap()[0];
     assert!(module.page_mut(page).write_record_flags(32, 16, 4, [4].into_iter()).is_err());
     assert!(module
@@ -248,7 +248,7 @@ fn aggregation_matches_the_dense_fold_on_both_backends() {
         let op = [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max][case as usize % 3];
         let req = AggRequest { op, value, mask_col, dst_row, dst };
         for circuit in [true, false] {
-            let mut module = PimModule::new(cfg.clone());
+            let mut module = PimModule::new(cfg.clone()).unwrap();
             let pages = module.alloc_pages(1).unwrap();
             let page = module.page_mut(pages[0]);
             for (x, xb) in page.crossbars_mut().enumerate() {

@@ -10,7 +10,7 @@ use bbpim_sim::SimConfig;
 
 #[test]
 fn one_page_is_32k_records_and_32_crossbars() {
-    let mut module = PimModule::new(SimConfig::default());
+    let mut module = PimModule::new(SimConfig::default()).unwrap();
     let pages = module.alloc_pages(1).unwrap();
     let page = module.page(pages[0]);
     assert_eq!(page.crossbar_count(), 32);
@@ -23,7 +23,7 @@ fn filter_latency_is_page_count_independent_but_issue_grows() {
     // issue serialises. Doubling the page count must add exactly the
     // issue overhead.
     let cfg = SimConfig::default();
-    let mut module = PimModule::new(cfg.clone());
+    let mut module = PimModule::new(cfg.clone()).unwrap();
     let p4 = module.alloc_pages(4).unwrap();
     let p8 = module.alloc_pages(8).unwrap();
 
@@ -46,7 +46,7 @@ fn result_read_amplification_is_one_line_per_row() {
     // Reading a page's one-bit filter result costs rows lines (64 KB for
     // a 2 MB page): the 32x reduction of Section II-B.
     let cfg = SimConfig::default();
-    let module = PimModule::new(cfg.clone());
+    let module = PimModule::new(cfg.clone()).unwrap();
     let lines_per_page = cfg.crossbar_rows as u64;
     let phase = module.host_read_phase(lines_per_page);
     let bytes = lines_per_page * cfg.host.line_bytes as u64;
@@ -57,7 +57,7 @@ fn result_read_amplification_is_one_line_per_row() {
 #[test]
 fn aggregation_over_a_full_paper_page_matches_direct_sum() {
     let cfg = SimConfig::default();
-    let mut module = PimModule::new(cfg);
+    let mut module = PimModule::new(cfg).unwrap();
     let pages = module.alloc_pages(1).unwrap();
     let p = pages[0];
     let capacity = module.page(p).record_capacity();
@@ -91,7 +91,7 @@ fn chip_power_scales_linearly_to_the_papers_operating_point() {
     // At the paper's SF=10 the fact relation occupies ~1832 pages; the
     // logic-phase model must stay inside the paper's 44 W envelope.
     let cfg = SimConfig::default();
-    let mut module = PimModule::new(cfg);
+    let mut module = PimModule::new(cfg).unwrap();
     let few = module.alloc_pages(2).unwrap();
     let mut prog_builder_pool = ScratchPool::new(ColRange::new(400, 100));
     let mut b = CodeBuilder::new(&mut prog_builder_pool);

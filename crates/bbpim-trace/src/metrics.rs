@@ -57,7 +57,7 @@ impl MetricKey {
 /// style). `counts[i]` counts observations `<= bounds[i]`; the last
 /// slot is the +Inf overflow bucket.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
+struct Histogram {
     bounds: Vec<f64>,
     counts: Vec<u64>,
     sum: f64,
@@ -75,21 +75,6 @@ impl Histogram {
         self.counts[idx] += 1;
         self.sum += v;
         self.count += 1;
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observed values.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Bucket upper bounds (the +Inf bucket is implicit).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
     }
 }
 
@@ -153,31 +138,6 @@ impl MetricsRegistry {
     /// Read a counter (`None` if never touched).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
         self.counters.get(&MetricKey::new(name, labels)).copied()
-    }
-
-    /// Read a gauge (`None` if never set).
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        self.gauges.get(&MetricKey::new(name, labels)).copied()
-    }
-
-    /// Read a histogram (`None` if never observed).
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Histogram> {
-        self.histograms.get(&MetricKey::new(name, labels))
-    }
-
-    /// All counters, sorted by key.
-    pub fn counters(&self) -> impl Iterator<Item = (&MetricKey, f64)> {
-        self.counters.iter().map(|(k, v)| (k, *v))
-    }
-
-    /// All gauges, sorted by key.
-    pub fn gauges(&self) -> impl Iterator<Item = (&MetricKey, f64)> {
-        self.gauges.iter().map(|(k, v)| (k, *v))
-    }
-
-    /// Is the registry empty?
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Prometheus text exposition: `# TYPE` headers, one sample per
@@ -274,7 +234,7 @@ mod tests {
         r.gauge_max("wear", &[], 3.0);
         r.gauge_max("wear", &[], 1.0);
         r.gauge_max("wear", &[], 7.0);
-        assert_eq!(r.gauge("wear", &[]), Some(7.0));
+        assert_eq!(r.gauges[&MetricKey::new("wear", &[])], 7.0);
     }
 
     #[test]
@@ -282,9 +242,9 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.observe("lat", &[], 2e3); // <= 2.5e3
         r.observe("lat", &[], 1e12); // overflow
-        let h = r.histogram("lat", &[]).unwrap();
-        assert_eq!(h.count(), 2);
-        assert!((h.sum() - (2e3 + 1e12)).abs() < 1.0);
+        let h = &r.histograms[&MetricKey::new("lat", &[])];
+        assert_eq!(h.count, 2);
+        assert!((h.sum - (2e3 + 1e12)).abs() < 1.0);
         assert_eq!(*h.counts.last().unwrap(), 1); // the +Inf bucket
     }
 
