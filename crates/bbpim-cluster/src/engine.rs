@@ -1068,7 +1068,8 @@ mod tests {
                 Attribute::numeric("d_year", 3),
                 Attribute::numeric("d_brand", 5),
             ],
-        );
+        )
+        .unwrap();
         let mut rel = Relation::new(schema);
         for i in 0..rows {
             rel.push_row(&[(3 * i + 1) % 251, i % 11, i % 7, (i * i) % 30]).unwrap();

@@ -274,7 +274,7 @@ mod tests {
             let (pred, expr) = (col("lo_price").lt(100u64), AggExpr::attr("lo_price"));
             let total = aggregate(&mut t, mode, &pred, &expr, PhysFunc::Sum);
             let prices = t.relation().column_by_name("lo_price").unwrap();
-            let expected: u64 = prices.values().iter().filter(|v| **v < 100).sum();
+            let expected: u64 = (0..prices.len()).map(|r| prices.get(r)).filter(|v| *v < 100).sum();
             assert_eq!(total, expected, "{mode:?}");
         }
     }
@@ -315,8 +315,9 @@ mod tests {
         let min = aggregate(&mut t, EngineMode::OneXb, &all, &expr, PhysFunc::Min);
         let max = aggregate(&mut t, EngineMode::OneXb, &all, &expr, PhysFunc::Max);
         let prices = t.relation().column_by_name("lo_price").unwrap();
-        assert_eq!(min, *prices.values().iter().min().unwrap());
-        assert_eq!(max, *prices.values().iter().max().unwrap());
+        let values = || (0..prices.len()).map(|r| prices.get(r));
+        assert_eq!(min, values().min().unwrap());
+        assert_eq!(max, values().max().unwrap());
     }
 
     #[test]

@@ -81,7 +81,8 @@ impl PimQueryEngine {
         &self.table
     }
 
-    /// The host-side catalog copy of the relation.
+    /// The host-side catalog of the relation: shared with the relation
+    /// the engine was built from, copied on the first mutation.
     pub fn relation(&self) -> &Relation {
         self.table.relation()
     }
@@ -220,7 +221,8 @@ mod tests {
                 Attribute::numeric("d_year", 3),
                 Attribute::numeric("d_brand", 5),
             ],
-        );
+        )
+        .unwrap();
         let mut rel = Relation::new(schema);
         for i in 0..rows {
             rel.push_row(&[(3 * i + 1) % 251, i % 11, i % 7, (i * i) % 30]).unwrap();
@@ -266,6 +268,60 @@ mod tests {
             AggFunc::Sum,
             AggExpr::attr("lo_price"),
         )
+    }
+
+    /// Engines built from clones of one relation share its storage
+    /// until one of them writes: an UPDATE and an INSERT through one
+    /// engine patch that engine's catalog alone. The caller's relation,
+    /// the other engines' catalogs and their answers stay what they
+    /// were, and every engine stays bit-identical to the oracle on its
+    /// own catalog.
+    #[test]
+    fn a_mutation_copies_the_shared_catalog_for_its_engine_only() {
+        let wide = relation(1500);
+        let pristine = relation(1500);
+        let mut engines: Vec<PimQueryEngine> = EngineMode::all()
+            .into_iter()
+            .map(|mode| {
+                let mut e =
+                    PimQueryEngine::new(SimConfig::small_for_tests(), wide.clone(), mode).unwrap();
+                e.calibrate(&CalibrationConfig::tiny_for_tests()).unwrap();
+                e
+            })
+            .collect();
+        let queries = [q1_like(), q2_like()];
+        let before: Vec<Vec<QueryExecution>> = engines[1..]
+            .iter_mut()
+            .map(|e| queries.iter().map(|q| e.run_checked(q).unwrap()).collect())
+            .collect();
+
+        let schema = wide.schema();
+        let update = Mutation::update()
+            .filter(col("d_year").eq(3u64))
+            .set("lo_price", 250u64)
+            .build(schema)
+            .unwrap();
+        let insert = Mutation::insert()
+            .row(vec![200u64, 2, 3, 29])
+            .row(vec![77u64, 1, 3, 0])
+            .build(schema)
+            .unwrap();
+        assert!(engines[0].mutate(&update).unwrap().records_updated > 0);
+        engines[0].mutate(&insert).unwrap();
+
+        assert_eq!(wide, pristine, "the caller's relation is untouched");
+        assert_eq!(engines[0].relation().len(), wide.len() + 2);
+        assert_ne!(engines[0].relation(), &wide);
+        for (e, before) in engines[1..].iter_mut().zip(&before) {
+            assert_eq!(e.relation(), &pristine, "{:?} kept the shared catalog", e.mode());
+            for (q, before) in queries.iter().zip(before) {
+                assert_eq!(e.run_checked(q).unwrap().groups, before.groups, "{}", q.id);
+            }
+        }
+        for q in &queries {
+            let moved = engines[0].run_checked(q).unwrap();
+            assert_ne!(moved.groups, stats::run_oracle(q, &wide).unwrap(), "{}", q.id);
+        }
     }
 
     #[test]
@@ -434,7 +490,8 @@ mod tests {
         let schema = Schema::new(
             "t",
             vec![Attribute::numeric("lo_price", 12), Attribute::numeric("d_year", 3)],
-        );
+        )
+        .unwrap();
         let mut rel = Relation::new(schema);
         for i in 0..rows {
             rel.push_row(&[i, i % 7]).unwrap();
@@ -574,7 +631,8 @@ mod tests {
         let schema = Schema::new(
             "t",
             vec![Attribute::numeric("lo_v", 8), Attribute::numeric("c_phone", 30)],
-        );
+        )
+        .unwrap();
         let mut rel = Relation::new(schema);
         rel.push_row(&[1, 123_456_789]).unwrap();
         let mut e =

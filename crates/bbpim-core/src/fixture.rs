@@ -22,7 +22,7 @@ pub(crate) fn table(
 ) -> PimTable {
     let cfg = SimConfig::small_for_tests();
     let attrs = attrs.iter().map(|(name, bits)| Attribute::numeric(*name, *bits)).collect();
-    let mut rel = Relation::new(Schema::new("t", attrs));
+    let mut rel = Relation::new(Schema::new("t", attrs).expect("fixture schemas are valid"));
     for row in rows {
         rel.push_row(&row).unwrap();
     }

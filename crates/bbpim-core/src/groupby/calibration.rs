@@ -219,7 +219,7 @@ fn measure_pim_point(
     let schema = Schema::new(
         "cal",
         vec![Attribute::numeric("lo_value", value_bits), Attribute::numeric("d_key", 10)],
-    );
+    )?;
     let records = m * cfg.records_per_page();
     let mut rel = Relation::with_capacity(schema, records);
     let value_mask = if value_bits >= 64 { u64::MAX } else { (1u64 << value_bits) - 1 };

@@ -151,22 +151,28 @@ impl LoadedRelation {
         let resident: Vec<usize> =
             (0..attrs.len()).filter(|&a| !layout.is_excluded(&attrs[a].name)).collect();
         let stored = layout.project(resident.iter().map(|&a| attrs[a].name.as_str()))?;
+        let mut placement = vec![None; attrs.len()];
+        for (&attr, p) in resident.iter().zip(stored.placements()) {
+            placement[attr] = Some(p);
+        }
         let valid = vec![1; (rel.len() - self.records).min(self.records_per_page)];
+        // One attribute's values over one page's run of rows, decoded
+        // from the column's lane once per run into a reused buffer.
+        let mut values = Vec::with_capacity(valid.len());
         let mut touched = Vec::new();
         while self.records < rel.len() {
             let (pg, slot) = self.locate(self.records);
             let run = self.records..rel.len().min(self.record_at(pg + 1, 0));
-            let column = |attr: usize| &rel.column(attr).values()[run.clone()];
             for pages in &self.pages {
                 let page = module.page_mut(pages[pg]);
                 page.write_records(slot, VALID_COL, 1, &valid[..run.len()])?;
             }
-            for (&attr, p) in resident.iter().zip(stored.placements()) {
-                let page = module.page_mut(self.pages[p.partition][pg]);
-                page.write_records(slot, p.range.lo, p.range.width, column(attr))?;
-            }
-            for attr in 0..attrs.len() {
-                let values = column(attr);
+            for (attr, placed) in placement.iter().enumerate() {
+                rel.column(attr).decode_into(run.clone(), &mut values);
+                if let Some(p) = placed {
+                    let page = module.page_mut(self.pages[p.partition][pg]);
+                    page.write_records(slot, p.range.lo, p.range.width, &values)?;
+                }
                 for bound in [values.iter().min(), values.iter().max()].into_iter().flatten() {
                     self.page_zones[pg].widen(attr, *bound);
                 }
@@ -267,7 +273,8 @@ mod tests {
     fn small_setup(records: usize) -> (PimModule, Relation, RecordLayout) {
         let cfg = SimConfig::small_for_tests();
         let schema =
-            Schema::new("t", vec![Attribute::numeric("lo_a", 8), Attribute::numeric("d_b", 6)]);
+            Schema::new("t", vec![Attribute::numeric("lo_a", 8), Attribute::numeric("d_b", 6)])
+                .unwrap();
         let mut rel = Relation::new(schema);
         for i in 0..records {
             rel.push_row(&[(i % 251) as u64, (i % 61) as u64]).unwrap();
@@ -316,7 +323,8 @@ mod tests {
     fn two_partition_load_is_aligned() {
         let cfg = SimConfig::small_for_tests();
         let schema =
-            Schema::new("t", vec![Attribute::numeric("lo_a", 8), Attribute::numeric("d_b", 6)]);
+            Schema::new("t", vec![Attribute::numeric("lo_a", 8), Attribute::numeric("d_b", 6)])
+                .unwrap();
         let mut rel = Relation::new(schema);
         for i in 0..100 {
             rel.push_row(&[i % 256, i % 60]).unwrap();
@@ -339,7 +347,7 @@ mod tests {
         // shrink the module to 2 pages, then load 3 pages worth
         let mut cfg = SimConfig::small_for_tests();
         cfg.module_capacity_bytes = (cfg.page_bytes as u64) * 2;
-        let schema = Schema::new("t", vec![Attribute::numeric("lo_a", 8)]);
+        let schema = Schema::new("t", vec![Attribute::numeric("lo_a", 8)]).unwrap();
         let mut rel = Relation::new(schema);
         let rpp = cfg.records_per_page();
         for i in 0..(3 * rpp) {
@@ -369,7 +377,7 @@ mod tests {
             }
         }
         // merged zone equals the relation's own
-        assert_eq!(loaded.zone_map(), rel.zone_map());
+        assert_eq!(loaded.zone_map(), ZoneMap::of(&rel));
     }
 
     #[test]
@@ -418,7 +426,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let attrs = [("lo_a", 8), ("c_phone", 12), ("lo_wide", 37), ("d_b", 6), ("d_c", 1)];
         let attrs = attrs.map(|(name, bits)| Attribute::numeric(name, bits));
-        let mut rel = Relation::new(Schema::new("t", attrs.to_vec()));
+        let mut rel = Relation::new(Schema::new("t", attrs.to_vec()).unwrap());
         for _ in 0..records {
             let row: Vec<u64> =
                 rel.schema().attrs().iter().map(|a| rng.gen::<u64>() >> (64 - a.bits)).collect();
@@ -586,7 +594,7 @@ mod tests {
             assert_eq!((rel.len(), loaded.records()), (250, 250));
             assert_eq!(loaded.page_count(), 1);
             assert!(module.try_page(PageId(1)).is_err(), "no second page was reserved");
-            assert_eq!(loaded.zone_map(), rel.zone_map());
+            assert_eq!(loaded.zone_map(), ZoneMap::of(&rel));
             assert_eq!(module.max_row_cell_writes(&loaded.all_pages()), 0);
         }
     }

@@ -173,7 +173,8 @@ mod tests {
     fn sorted_setup() -> (PimModule, Relation, LoadedRelation) {
         let cfg = SimConfig::small_for_tests();
         let schema =
-            Schema::new("t", vec![Attribute::numeric("lo_v", 10), Attribute::numeric("d_g", 4)]);
+            Schema::new("t", vec![Attribute::numeric("lo_v", 10), Attribute::numeric("d_g", 4)])
+                .unwrap();
         let mut rel = Relation::new(schema);
         for i in 0..1000u64 {
             rel.push_row(&[i, i % 10]).unwrap();

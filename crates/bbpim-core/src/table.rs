@@ -1,7 +1,9 @@
 //! One relation resident on its own PIM module.
 //!
-//! A [`PimTable`] owns a [`PimModule`], the host-side catalog copy of
-//! the relation, the [`RecordLayout`] and the loaded image. It is the
+//! A [`PimTable`] owns a [`PimModule`], the host-side catalog of the
+//! relation — shared with every other holder of the same
+//! [`Relation`], copied on this table's first mutation — the
+//! [`RecordLayout`] and the loaded image. It is the
 //! storage half every engine shares — the pre-joined wide relation of
 //! the paper, a fact shard or a dimension of the normalized star — and
 //! exposes the primitives they compose: zone-map page planning,
@@ -57,8 +59,9 @@ impl PimTable {
         self.module.config()
     }
 
-    /// The host-side catalog copy of the relation (patched by
-    /// mutations).
+    /// The host-side catalog of the relation: the shared catalog the
+    /// table was built from, copied on the first mutation and patched
+    /// by every one.
     pub fn relation(&self) -> &Relation {
         &self.relation
     }
@@ -104,8 +107,8 @@ impl PimTable {
     /// (Algorithm 1) — full `Pred` filter, multi-column SET, WHERE
     /// clause zone-map-planned like a query filter unless `prune` is
     /// off — or INSERT appending rows behind the loaded image. Touched
-    /// pages' zone maps widen and the catalog copy is patched, so
-    /// pruning stays sound.
+    /// pages' zone maps widen and the catalog (this table's own from
+    /// its first mutation on) is patched, so pruning stays sound.
     ///
     /// # Errors
     ///

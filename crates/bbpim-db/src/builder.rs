@@ -164,6 +164,7 @@ mod tests {
                 Attribute::numeric("d_year", 3),
             ],
         )
+        .unwrap()
     }
 
     #[test]

@@ -22,6 +22,21 @@ pub enum DbError {
         /// Declared width in bits.
         bits: usize,
     },
+    /// A schema declared an attribute width outside `1..=64`.
+    InvalidWidth {
+        /// Attribute name.
+        attr: String,
+        /// Declared width in bits.
+        bits: usize,
+    },
+    /// A schema declared two attributes of one name (the second could
+    /// never be reached by name).
+    DuplicateAttribute {
+        /// The repeated name.
+        name: String,
+        /// The schema declaring it.
+        schema: String,
+    },
     /// A row had the wrong number of values for the schema.
     ArityMismatch {
         /// Values supplied.
@@ -63,6 +78,12 @@ impl fmt::Display for DbError {
             }
             DbError::ValueOutOfRange { attr, value, bits } => {
                 write!(f, "value {value} does not fit `{attr}` ({bits} bits)")
+            }
+            DbError::InvalidWidth { attr, bits } => {
+                write!(f, "attribute `{attr}` is {bits} bits wide, widths are 1..=64")
+            }
+            DbError::DuplicateAttribute { name, schema } => {
+                write!(f, "schema `{schema}` declares attribute `{name}` twice")
             }
             DbError::ArityMismatch { got, expected } => {
                 write!(f, "row has {got} values, schema expects {expected}")

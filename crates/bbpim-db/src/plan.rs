@@ -1034,7 +1034,8 @@ mod tests {
     fn schema_and_rel() -> Relation {
         let d = Dictionary::from_sorted(vec!["AFRICA".into(), "ASIA".into()]).unwrap();
         let schema =
-            Schema::new("t", vec![Attribute::numeric("q", 8), Attribute::dict("region", d)]);
+            Schema::new("t", vec![Attribute::numeric("q", 8), Attribute::dict("region", d)])
+                .unwrap();
         let mut rel = Relation::new(schema);
         for (q, r) in [(5u64, 0u64), (20, 1), (30, 1), (40, 0)] {
             rel.push_row(&[q, r]).unwrap();
@@ -1137,6 +1138,15 @@ mod tests {
         assert!(!ResolvedAtom::Between { idx: 0, lo: 3, hi: 6 }.can_match_range(7, 9));
     }
 
+    /// The zone of one row.
+    fn zone_of(row: &[u64]) -> ZoneMap {
+        let mut zone = ZoneMap::empty(row.len());
+        for (attr, &v) in row.iter().enumerate() {
+            zone.widen(attr, v);
+        }
+        zone
+    }
+
     #[test]
     fn filter_bounds_intersection_and_zone_test() {
         let atoms = vec![
@@ -1146,17 +1156,11 @@ mod tests {
         ];
         let b = bounds_of(&atoms);
         assert!(b.satisfiable());
-        let mut zone = ZoneMap::empty(2);
-        zone.observe_row(&[15, 3]);
-        assert!(b.can_match(&zone));
+        assert!(b.can_match(&zone_of(&[15, 3])));
         // zone outside the idx-0 window
-        let mut far = ZoneMap::empty(2);
-        far.observe_row(&[25, 3]);
-        assert!(!b.can_match(&far));
+        assert!(!b.can_match(&zone_of(&[25, 3])));
         // zone missing the idx-1 constant
-        let mut off = ZoneMap::empty(2);
-        off.observe_row(&[15, 4]);
-        assert!(!b.can_match(&off));
+        assert!(!b.can_match(&zone_of(&[15, 4])));
         // empty zone never matches a constrained filter
         assert!(!b.can_match(&ZoneMap::empty(2)));
         // the empty conjunction matches any zone
@@ -1170,9 +1174,7 @@ mod tests {
             ResolvedAtom::Lt { idx: 0, value: 10 },
         ]);
         assert!(!b.satisfiable());
-        let mut zone = ZoneMap::empty(1);
-        zone.observe_row(&[15]);
-        assert!(!b.can_match(&zone));
+        assert!(!b.can_match(&zone_of(&[15])));
         assert!(!bounds_of(&[ResolvedAtom::Lt { idx: 0, value: 0 }]).satisfiable());
     }
 
@@ -1186,11 +1188,7 @@ mod tests {
         ];
         let b = FilterBounds::from_dnf(&dnf);
         assert!(b.satisfiable());
-        let zone_at = |v: u64| {
-            let mut z = ZoneMap::empty(1);
-            z.observe_row(&[v]);
-            z
-        };
+        let zone_at = |v: u64| zone_of(&[v]);
         assert!(b.can_match(&zone_at(5)));
         assert!(b.can_match(&zone_at(105)));
         assert!(!b.can_match(&zone_at(50)), "the gap between the branches must prune");

@@ -1,5 +1,7 @@
 //! Columnar relations.
 
+use std::sync::Arc;
+
 use crate::column::Column;
 use crate::error::DbError;
 use crate::schema::Schema;
@@ -7,11 +9,18 @@ use crate::zonemap::ZoneMap;
 
 /// A columnar relation: a [`Schema`] plus one [`Column`] per attribute.
 ///
+/// The columns sit behind one [`Arc`], so `clone()` is a pointer copy:
+/// the engines of one process built from clones of one relation share
+/// one catalog image. The first [`Relation::push_row`] /
+/// [`Relation::set_value`] through a shared handle copies the columns
+/// for that handle alone (copy-on-write at relation granularity, one
+/// `Arc::make_mut` per call); every other handle keeps what it had.
+///
 /// ```
 /// use bbpim_db::relation::Relation;
 /// use bbpim_db::schema::{Attribute, Schema};
 ///
-/// let schema = Schema::new("t", vec![Attribute::numeric("x", 8), Attribute::numeric("y", 4)]);
+/// let schema = Schema::new("t", vec![Attribute::numeric("x", 8), Attribute::numeric("y", 4)])?;
 /// let mut rel = Relation::new(schema);
 /// rel.push_row(&[7, 3])?;
 /// assert_eq!(rel.len(), 1);
@@ -21,20 +30,23 @@ use crate::zonemap::ZoneMap;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Relation {
     schema: Schema,
-    columns: Vec<Column>,
+    columns: Arc<Vec<Column>>,
 }
 
 impl Relation {
     /// Empty relation for a schema.
     pub fn new(schema: Schema) -> Self {
         let columns = schema.attrs().iter().map(|a| Column::new(a.bits)).collect();
-        Relation { schema, columns }
+        Relation { schema, columns: Arc::new(columns) }
     }
 
     /// Empty relation with row capacity reserved.
     pub fn with_capacity(schema: Schema, rows: usize) -> Self {
-        let columns = schema.attrs().iter().map(|a| Column::with_capacity(a.bits, rows)).collect();
-        Relation { schema, columns }
+        let mut rel = Relation::new(schema);
+        for col in Arc::make_mut(&mut rel.columns) {
+            col.reserve(rows);
+        }
+        rel
     }
 
     /// The schema.
@@ -59,10 +71,11 @@ impl Relation {
     /// [`Schema::check_row`]'s. The row is either fully appended or not
     /// at all.
     pub fn push_row(&mut self, values: &[u64]) -> Result<(), DbError> {
-        // Validate first so a failure cannot leave ragged columns.
+        // The one check; after it no column can refuse its value, so a
+        // failure cannot leave ragged columns.
         self.schema.check_row(values)?;
-        for (col, &v) in self.columns.iter_mut().zip(values) {
-            col.push(v).expect("validated above");
+        for (col, &v) in Arc::make_mut(&mut self.columns).iter_mut().zip(values) {
+            col.push_checked(v);
         }
         Ok(())
     }
@@ -72,6 +85,7 @@ impl Relation {
     /// # Panics
     ///
     /// Panics when either index is out of bounds.
+    #[inline]
     pub fn value(&self, row: usize, attr_index: usize) -> u64 {
         self.columns[attr_index].get(row)
     }
@@ -96,7 +110,7 @@ impl Relation {
     ///
     /// Panics when either index is out of bounds.
     pub fn set_value(&mut self, row: usize, attr_index: usize, value: u64) -> Result<(), DbError> {
-        self.columns[attr_index].set(row, value).map_err(|e| match e {
+        Arc::make_mut(&mut self.columns)[attr_index].set(row, value).map_err(|e| match e {
             DbError::ValueOutOfRange { value, bits, .. } => DbError::ValueOutOfRange {
                 attr: self.schema.attrs()[attr_index].name.clone(),
                 value,
@@ -130,14 +144,20 @@ impl Relation {
     }
 
     /// Horizontally partition the relation into `n` relations by a
-    /// per-row assignment function (`assign(row) -> shard`), preserving
-    /// relative row order within each part, and build each part's
-    /// [`ZoneMap`] (per-attribute min/max) in the same pass over the
-    /// rows. Each part keeps the full schema, so every shard can answer
-    /// the same logical queries over its slice of the records. This is
-    /// the load-time half of zone-map-driven pruning: the cluster layer
-    /// keeps the per-shard maps and skips shards whose ranges cannot
-    /// satisfy a query's filter.
+    /// per-row assignment function (`assign(row) -> shard`, called once
+    /// per row in row order), preserving relative row order within each
+    /// part, and build each part's [`ZoneMap`] (per-attribute min/max)
+    /// in the same pass over the values. Each part keeps the full
+    /// schema, so every shard can answer the same logical queries over
+    /// its slice of the records. This is the load-time half of
+    /// zone-map-driven pruning: the cluster layer keeps the per-shard
+    /// maps and skips shards whose ranges cannot satisfy a query's
+    /// filter.
+    ///
+    /// The values come out of a valid relation and go into columns of
+    /// the same widths, so nothing is re-validated: each part's columns
+    /// are allocated at their exact length and filled a source column
+    /// at a time.
     ///
     /// # Errors
     ///
@@ -154,10 +174,8 @@ impl Relation {
         if n == 0 {
             return Err(DbError::InvalidQuery("cannot partition into 0 parts".into()));
         }
-        let mut parts: Vec<(Relation, ZoneMap)> = (0..n)
-            .map(|_| (Relation::new(self.schema.clone()), ZoneMap::empty(self.schema.arity())))
-            .collect();
-        let mut row_buf = Vec::with_capacity(self.schema.arity());
+        let mut shard_of = Vec::with_capacity(self.len());
+        let mut rows_in = vec![0usize; n];
         for row in 0..self.len() {
             let shard = assign(row);
             if shard >= n {
@@ -165,18 +183,37 @@ impl Relation {
                     "row {row} assigned to shard {shard}, but only {n} shards exist"
                 )));
             }
-            row_buf.clear();
-            row_buf.extend(self.columns.iter().map(|c| c.get(row)));
-            let (part, zone) = &mut parts[shard];
-            part.push_row(&row_buf).expect("values came from a valid relation");
-            zone.observe_row(&row_buf);
+            rows_in[shard] += 1;
+            shard_of.push(shard);
         }
-        Ok(parts)
-    }
-
-    /// The whole relation's [`ZoneMap`].
-    pub fn zone_map(&self) -> ZoneMap {
-        ZoneMap::of(self)
+        let arity = self.schema.arity();
+        let mut columns: Vec<Vec<Column>> = (0..n).map(|_| Vec::with_capacity(arity)).collect();
+        let mut zones = vec![ZoneMap::empty(arity); n];
+        for (attr, source) in self.columns.iter().enumerate() {
+            let mut split: Vec<Column> = rows_in
+                .iter()
+                .map(|&rows| {
+                    let mut col = Column::new(source.bits());
+                    col.reserve(rows);
+                    col
+                })
+                .collect();
+            source.read(0..source.len(), |row, v| {
+                let shard = shard_of[row];
+                split[shard].push_checked(v);
+                zones[shard].widen(attr, v);
+            });
+            for (part, col) in columns.iter_mut().zip(split) {
+                part.push(col);
+            }
+        }
+        Ok(columns
+            .into_iter()
+            .zip(zones)
+            .map(|(cols, zone)| {
+                (Relation { schema: self.schema.clone(), columns: Arc::new(cols) }, zone)
+            })
+            .collect())
     }
 }
 
@@ -188,7 +225,8 @@ mod tests {
 
     fn rel() -> Relation {
         let d = Dictionary::from_sorted(vec!["lo".into(), "hi".into()]).unwrap();
-        let schema = Schema::new("t", vec![Attribute::numeric("n", 8), Attribute::dict("s", d)]);
+        let schema =
+            Schema::new("t", vec![Attribute::numeric("n", 8), Attribute::dict("s", d)]).unwrap();
         Relation::new(schema)
     }
 
@@ -217,6 +255,38 @@ mod tests {
             other => panic!("unexpected error {other:?}"),
         }
         assert_eq!(r.len(), 0);
+    }
+
+    /// Clones are pointer copies until one of them writes; the write
+    /// copies the columns for that handle alone.
+    #[test]
+    fn clones_share_storage_until_one_is_written() {
+        let mut r = rel();
+        for i in 0..10u64 {
+            r.push_row(&[i, i % 2]).unwrap();
+        }
+        let (mut a, mut b, c) = (r.clone(), r.clone(), r.clone());
+        for handle in [&a, &b, &c] {
+            assert!(Arc::ptr_eq(&handle.columns, &r.columns), "a clone is a pointer copy");
+        }
+        // a rejected write validates before it copies
+        assert!(a.push_row(&[256, 0]).is_err());
+        assert!(Arc::ptr_eq(&a.columns, &r.columns));
+
+        a.set_value(3, 0, 200).unwrap();
+        b.push_row(&[99, 1]).unwrap();
+        assert!(!Arc::ptr_eq(&a.columns, &r.columns) && !Arc::ptr_eq(&b.columns, &r.columns));
+        assert!(Arc::ptr_eq(&c.columns, &r.columns), "the untouched clone still shares");
+        assert_eq!((a.value(3, 0), a.len()), (200, 10));
+        assert_eq!((b.row(10), b.value(3, 0)), (vec![99, 1], 3));
+        assert_eq!(c, r);
+        assert_eq!((r.value(3, 0), r.len()), (3, 10), "the original saw neither write");
+
+        // a sole owner writes in place: no second copy
+        let held = Arc::as_ptr(&a.columns);
+        a.set_value(4, 0, 201).unwrap();
+        a.push_row(&[1, 1]).unwrap();
+        assert_eq!(Arc::as_ptr(&a.columns), held);
     }
 
     #[test]
@@ -265,7 +335,7 @@ mod tests {
         assert_eq!(parts[1].1.range(0), Some((10, 90)));
         // zones match recomputation from the part itself
         for (part, zone) in &parts {
-            assert_eq!(zone, &part.zone_map());
+            assert_eq!(zone, &ZoneMap::of(part));
         }
     }
 }

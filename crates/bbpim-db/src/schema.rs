@@ -81,9 +81,27 @@ pub struct Schema {
 }
 
 impl Schema {
-    /// Build a schema.
-    pub fn new(name: impl Into<String>, attrs: Vec<Attribute>) -> Self {
-        Schema { name: name.into(), attrs }
+    /// Build a schema. This is the one door a width passes through:
+    /// behind it every attribute is `1..=64` bits wide (the width picks
+    /// the storage lane of its [`crate::column::Column`]) and reachable
+    /// by its name.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::InvalidWidth`] for an attribute width of 0 or above
+    /// 64; [`DbError::DuplicateAttribute`] when two attributes share a
+    /// name.
+    pub fn new(name: impl Into<String>, attrs: Vec<Attribute>) -> Result<Self, DbError> {
+        let name = name.into();
+        for (i, a) in attrs.iter().enumerate() {
+            if !(1..=64).contains(&a.bits) {
+                return Err(DbError::InvalidWidth { attr: a.name.clone(), bits: a.bits });
+            }
+            if attrs[..i].iter().any(|b| b.name == a.name) {
+                return Err(DbError::DuplicateAttribute { name: a.name.clone(), schema: name });
+            }
+        }
+        Ok(Schema { name, attrs })
     }
 
     /// The attributes in declaration order.
@@ -162,6 +180,34 @@ mod tests {
                 ),
             ],
         )
+        .unwrap()
+    }
+
+    #[test]
+    fn width_outside_1_to_64_is_a_typed_error() {
+        for bits in [0usize, 65, usize::MAX] {
+            let attrs = vec![Attribute::numeric("ok", 8), Attribute::numeric("x", bits)];
+            assert_eq!(
+                Schema::new("t", attrs).unwrap_err(),
+                DbError::InvalidWidth { attr: "x".into(), bits }
+            );
+        }
+        for bits in [1usize, 64] {
+            assert!(Schema::new("t", vec![Attribute::numeric("x", bits)]).is_ok());
+        }
+    }
+
+    #[test]
+    fn duplicate_attribute_name_is_a_typed_error() {
+        let attrs = vec![
+            Attribute::numeric("x", 8),
+            Attribute::numeric("y", 8),
+            Attribute::numeric("x", 4),
+        ];
+        assert_eq!(
+            Schema::new("t", attrs).unwrap_err(),
+            DbError::DuplicateAttribute { name: "x".into(), schema: "t".into() }
+        );
     }
 
     #[test]

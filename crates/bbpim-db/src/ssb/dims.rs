@@ -48,7 +48,7 @@ pub fn customer(n: usize, rng: &mut StdRng) -> Result<Relation, DbError> {
             Attribute::numeric("c_phone", PHONE_BITS),
             Attribute::dict("c_mktsegment", seg_d),
         ],
-    );
+    )?;
     let mut rel = Relation::with_capacity(schema, n);
     for key in 1..=n as u64 {
         let nation = rng.gen_range(0..25u64);
@@ -79,7 +79,7 @@ pub fn supplier(n: usize, rng: &mut StdRng) -> Result<Relation, DbError> {
             Attribute::dict("s_region", region_d),
             Attribute::numeric("s_phone", PHONE_BITS),
         ],
-    );
+    )?;
     let mut rel = Relation::with_capacity(schema, n);
     for key in 1..=n as u64 {
         let nation = rng.gen_range(0..25u64);
@@ -117,7 +117,7 @@ pub fn part(n: usize, rng: &mut StdRng) -> Result<Relation, DbError> {
             Attribute::numeric("p_size", 6),
             Attribute::dict("p_container", cont_d),
         ],
-    );
+    )?;
     let mut rel = Relation::with_capacity(schema, n);
     for key in 1..=n as u64 {
         let mfgr = rng.gen_range(0..5u64);
@@ -173,7 +173,7 @@ pub fn date() -> Result<Relation, DbError> {
             Attribute::numeric("d_holidayfl", 1),
             Attribute::numeric("d_weekdayfl", 1),
         ],
-    );
+    )?;
     let mut rel = Relation::with_capacity(schema, calendar::TOTAL_DAYS);
     for day in 0..calendar::TOTAL_DAYS {
         let (y, m, dom) = calendar::day_to_ymd(day);
@@ -270,8 +270,9 @@ mod tests {
     fn date_dimension_has_2556_days_and_7_years() {
         let d = date().unwrap();
         assert_eq!(d.len(), 2556);
+        let year = d.schema().index_of("d_year").unwrap();
         let years: std::collections::BTreeSet<u64> =
-            d.column_by_name("d_year").unwrap().values().iter().copied().collect();
+            (0..d.len()).map(|row| d.value(row, year)).collect();
         assert_eq!(years, (1992..=1998).collect());
     }
 

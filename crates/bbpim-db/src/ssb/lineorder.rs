@@ -92,7 +92,7 @@ pub fn generate(spec: &LineorderSpec, rng: &mut StdRng) -> Result<Relation, DbEr
             Attribute::numeric("lo_commitdate", bits_for(calendar::TOTAL_DAYS as u64 - 1)),
             Attribute::dict("lo_shipmode", ship_d),
         ],
-    );
+    )?;
 
     let cust = KeySampler::new(spec.customers, spec.skew_theta);
     let part = KeySampler::new(spec.parts, spec.skew_theta);
@@ -222,7 +222,7 @@ mod tests {
         let skewed = gen_with(Some(1.0));
         let share = |rel: &Relation| {
             let col = rel.column_by_name("lo_custkey").unwrap();
-            let top = col.values().iter().filter(|v| **v == 1).count();
+            let top = (0..col.len()).filter(|&row| col.get(row) == 1).count();
             top as f64 / rel.len() as f64
         };
         assert!(share(&skewed) > 4.0 * share(&uniform), "zipf head should dominate");

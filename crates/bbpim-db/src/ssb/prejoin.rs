@@ -40,7 +40,7 @@ pub fn prejoin(fact: &Relation, dims: &[(&Relation, &str)]) -> Result<Relation, 
             }
         }
     }
-    let wide_schema = Schema::new(format!("{}_prejoined", fact.schema().name), attrs);
+    let wide_schema = Schema::new(format!("{}_prejoined", fact.schema().name), attrs)?;
 
     // Resolve indices once.
     let fact_arity = fact.schema().arity();

@@ -306,9 +306,7 @@ pub fn adjust_pred(pred: &mut Pred, rel: &Relation) -> Result<(), DbError> {
 
 fn frequency_map(rel: &Relation, idx: usize) -> HashMap<u64, f64> {
     let mut counts: HashMap<u64, u64> = HashMap::new();
-    for &v in rel.column(idx).values() {
-        *counts.entry(v).or_default() += 1;
-    }
+    rel.column(idx).read(0..rel.len(), |_, v| *counts.entry(v).or_default() += 1);
     let n = rel.len().max(1) as f64;
     counts.into_iter().map(|(v, c)| (v, c as f64 / n)).collect()
 }

@@ -312,6 +312,6 @@ mod tests {
     fn zone_maps_reflect_table_contents() {
         let s = star();
         let year_idx = s.dim(3).schema().index_of("d_year").unwrap();
-        assert_eq!(s.dim(3).zone_map().range(year_idx), Some((1992, 1998)));
+        assert_eq!(crate::ZoneMap::of(s.dim(3)).range(year_idx), Some((1992, 1998)));
     }
 }

@@ -176,18 +176,25 @@ pub fn group_domains(query: &Query, rel: &Relation) -> Result<Vec<Vec<u64>>, DbE
         })
         .collect::<Result<_, _>>()?;
     let mut out = Vec::with_capacity(query.group_by.len());
+    // One flag per row, reused: does the row pass the disjunct's
+    // same-dimension atoms? Filled a constraint column at a time, so
+    // each column's lane is selected once, not once per row.
+    let mut passes = vec![true; rel.len()];
     for name in &query.group_by {
         let idx = rel.schema().index_of(name)?;
         let dim = prefix(name);
         let mut seen = std::collections::BTreeSet::new();
         for conj in &resolved {
-            let constraints: Vec<&ResolvedAtom> =
-                conj.iter().filter(|(p, _)| *p == dim).map(|(_, a)| a).collect();
-            for row in 0..rel.len() {
-                if constraints.iter().all(|a| a.matches(rel, row)) {
-                    seen.insert(rel.value(row, idx));
-                }
+            passes.fill(true);
+            for (_, atom) in conj.iter().filter(|(p, _)| *p == dim) {
+                rel.column(atom.attr_index())
+                    .read(0..rel.len(), |row, v| passes[row] &= atom.matches_value(v));
             }
+            rel.column(idx).read(0..rel.len(), |row, v| {
+                if passes[row] {
+                    seen.insert(v);
+                }
+            });
         }
         out.push(seen.into_iter().collect());
     }
@@ -245,7 +252,8 @@ mod tests {
                 Attribute::numeric("h", 4),
                 Attribute::numeric("v", 8),
             ],
-        );
+        )
+        .unwrap();
         let mut rel = Relation::new(schema);
         // g in {0,1,2}, h in {0,1}, v = 10*row
         for row in 0..12u64 {

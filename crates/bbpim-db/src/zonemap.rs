@@ -33,14 +33,8 @@ impl ZoneMap {
     /// Build the zone map of a whole relation.
     pub fn of(rel: &Relation) -> Self {
         let mut zm = ZoneMap::empty(rel.schema().arity());
-        for row in 0..rel.len() {
-            for (idx, range) in zm.ranges.iter_mut().enumerate() {
-                let v = rel.value(row, idx);
-                *range = match *range {
-                    None => Some((v, v)),
-                    Some((lo, hi)) => Some((lo.min(v), hi.max(v))),
-                };
-            }
+        for attr in 0..zm.arity() {
+            rel.column(attr).read(0..rel.len(), |_, v| zm.widen(attr, v));
         }
         zm
     }
@@ -72,17 +66,6 @@ impl ZoneMap {
         };
     }
 
-    /// Observe one full row (values in schema order).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `values` is longer than the map's arity.
-    pub fn observe_row(&mut self, values: &[u64]) {
-        for (idx, &v) in values.iter().enumerate() {
-            self.widen(idx, v);
-        }
-    }
-
     /// Widen this map to cover everything `other` covers.
     ///
     /// # Panics
@@ -106,7 +89,8 @@ mod tests {
     use crate::schema::{Attribute, Schema};
 
     fn rel(rows: &[[u64; 2]]) -> Relation {
-        let schema = Schema::new("t", vec![Attribute::numeric("a", 8), Attribute::numeric("b", 8)]);
+        let schema =
+            Schema::new("t", vec![Attribute::numeric("a", 8), Attribute::numeric("b", 8)]).unwrap();
         let mut r = Relation::new(schema);
         for row in rows {
             r.push_row(row).unwrap();
@@ -135,15 +119,6 @@ mod tests {
         zm.widen(0, 4);
         zm.widen(0, 7); // inside: no change
         assert_eq!(zm.range(0), Some((4, 10)));
-    }
-
-    #[test]
-    fn observe_row_widens_every_attribute() {
-        let mut zm = ZoneMap::empty(2);
-        zm.observe_row(&[3, 30]);
-        zm.observe_row(&[1, 50]);
-        assert_eq!(zm.range(0), Some((1, 3)));
-        assert_eq!(zm.range(1), Some((30, 50)));
     }
 
     #[test]

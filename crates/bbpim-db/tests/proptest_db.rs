@@ -84,7 +84,8 @@ fn column_width_is_enforced() {
 }
 
 fn two_attr_relation(rng: &mut StdRng) -> Relation {
-    let schema = Schema::new("t", vec![Attribute::numeric("g", 3), Attribute::numeric("v", 7)]);
+    let schema =
+        Schema::new("t", vec![Attribute::numeric("g", 3), Attribute::numeric("v", 7)]).unwrap();
     let mut rel = Relation::new(schema);
     for _ in 0..rng.gen_range(10usize..200) {
         rel.push_row(&[rng.gen_range(0u64..8), rng.gen_range(0u64..100)]).unwrap();
@@ -159,7 +160,8 @@ fn potential_subgroups_bounds_occupied() {
                 Attribute::numeric("d_h", 2),
                 Attribute::numeric("lo_v", 6),
             ],
-        );
+        )
+        .unwrap();
         let mut rel = Relation::new(schema);
         for _ in 0..rng.gen_range(20usize..200) {
             rel.push_row(&[

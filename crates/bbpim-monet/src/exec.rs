@@ -178,7 +178,8 @@ mod tests {
                 Attribute::numeric("v", 8),
                 Attribute::numeric("w", 8),
             ],
-        );
+        )
+        .unwrap();
         let mut rel = Relation::new(schema);
         for i in 0..40u64 {
             rel.push_row(&[i % 4, i % 100, (i * 2) % 100]).unwrap();

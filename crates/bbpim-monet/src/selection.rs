@@ -16,31 +16,25 @@ pub fn select_all(len: usize) -> SelectionVector {
 /// This is the vectorized kernel: one tight loop per atom over the
 /// candidate rows, no per-row interpretation.
 pub fn refine(col: &Column, atom: &ResolvedAtom, input: &SelectionVector) -> SelectionVector {
-    let values = col.values();
     match atom {
-        ResolvedAtom::Eq { value, .. } => {
-            input.iter().copied().filter(|&i| values[i as usize] == *value).collect()
-        }
-        ResolvedAtom::Between { lo, hi, .. } => input
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let v = values[i as usize];
-                v >= *lo && v <= *hi
-            })
-            .collect(),
-        ResolvedAtom::Lt { value, .. } => {
-            input.iter().copied().filter(|&i| values[i as usize] < *value).collect()
-        }
-        ResolvedAtom::Gt { value, .. } => {
-            input.iter().copied().filter(|&i| values[i as usize] > *value).collect()
-        }
-        ResolvedAtom::In { values: set, .. } => input
-            .iter()
-            .copied()
-            .filter(|&i| set.binary_search(&values[i as usize]).is_ok())
-            .collect(),
+        ResolvedAtom::Eq { value, .. } => keep(col, input, |v| v == *value),
+        ResolvedAtom::Between { lo, hi, .. } => keep(col, input, |v| v >= *lo && v <= *hi),
+        ResolvedAtom::Lt { value, .. } => keep(col, input, |v| v < *value),
+        ResolvedAtom::Gt { value, .. } => keep(col, input, |v| v > *value),
+        ResolvedAtom::In { values: set, .. } => keep(col, input, |v| set.binary_search(&v).is_ok()),
     }
+}
+
+/// The candidates of `input` whose value in `col` passes `pred`: one
+/// gather over the column's lane per atom.
+fn keep(col: &Column, input: &SelectionVector, pred: impl Fn(u64) -> bool) -> SelectionVector {
+    let mut out = SelectionVector::new();
+    col.read(input.iter().map(|&i| i as usize), |row, v| {
+        if pred(v) {
+            out.push(row as u32);
+        }
+    });
+    out
 }
 
 /// A per-key bitmap for dense 1-based (or 0-based) key spaces —

@@ -31,9 +31,11 @@
 //!   it takes no host-side merge.
 //! * **Snapshot consistency** — a query's answer is resolved *at its
 //!   admission*, against exactly the mutations admitted before it (its
-//!   [`QueryCompletion::epoch`]); resolutions are cached per
-//!   `(query, epoch)` so repeated arrivals between ingests still share
-//!   one execution. Replaying the first `epoch` mutations into a fresh
+//!   [`QueryCompletion::epoch`]); resolutions are cached per query
+//!   within one epoch, so repeated arrivals between ingests still share
+//!   one execution, and the cache is emptied when a mutation is
+//!   admitted (nothing resolved before it can be served again).
+//!   Replaying the first `epoch` mutations into a fresh
 //!   engine and running the query reproduces the streamed answer
 //!   bit-identically — the ingest-equivalence suites assert exactly
 //!   this at every admission prefix.
@@ -540,9 +542,11 @@ struct Sim<'a, E: StreamEngine> {
     cluster: &'a mut E,
     /// Mutations admitted so far — the snapshot counter.
     epoch: usize,
-    /// Resolution cache: `(query index, epoch)` → resolved demand and
-    /// merged answer, shared by repeated arrivals between ingests.
-    by_query: HashMap<(usize, usize), (QueryDemand, ClusterExecution)>,
+    /// Resolution cache of the current epoch: query index → resolved
+    /// demand and merged answer, shared by repeated arrivals between
+    /// ingests and emptied where the epoch is bumped — at most one
+    /// entry per distinct query is ever held.
+    by_query: HashMap<usize, (QueryDemand, ClusterExecution)>,
     /// Per query arrival, filled at admission: its resolved demand and
     /// merged answer.
     admitted: Vec<Option<(QueryDemand, ClusterExecution)>>,
@@ -728,6 +732,7 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
         let queued = self.age("queued_ns", now_ns, Job::Mutation(mi));
         self.trace_instant(k, "ingest-admit", now_ns, Job::Mutation(mi), queued);
         self.epoch += 1;
+        self.by_query.clear();
         let m = self.mutation(mi);
         let applied = self.cluster.apply_mutation(m)?;
         let contention = self.cluster.contention();
@@ -771,18 +776,17 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
             let queued = self.age("queued_ns", now_ns, Job::Query(ai));
             self.trace_instant(k, "admit", now_ns, Job::Query(ai), queued);
             // Snapshot-consistent resolution: plan and execute against
-            // exactly the mutations admitted so far, caching per
-            // (query, epoch) so repeated arrivals between ingests share
-            // one deterministic, read-only resolution.
+            // exactly the mutations admitted so far, caching per query
+            // within the epoch so repeated arrivals between ingests
+            // share one deterministic, read-only resolution.
             let qi = self.workload.arrivals()[ai].query;
-            let key = (qi, self.epoch);
-            if !self.by_query.contains_key(&key) {
+            if !self.by_query.contains_key(&qi) {
                 let query = &self.workload.queries()[qi];
                 let detail = k.tracer().is_some();
                 let resolved = resolve_query_demand(&mut *self.cluster, query, detail)?;
-                self.by_query.insert(key, resolved);
+                self.by_query.insert(qi, resolved);
             }
-            self.admitted[ai] = self.by_query.get(&key).cloned();
+            self.admitted[ai] = self.by_query.get(&qi).cloned();
             let mut p = Progress { admit_ns: now_ns, first_service_ns: now_ns, epoch: self.epoch };
             if self.qd(ai).shards.is_empty() {
                 // The planner answered the query: nothing to dispatch,
@@ -838,12 +842,13 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
         });
     }
 
-    fn run(mut self, mut k: Kernel<'_, Job>) -> Result<StreamOutcome, SchedError> {
-        while let Some((t, moment)) = k.next(&self) {
+    /// Play the kernel's events out until every job has completed.
+    fn drive(&mut self, k: &mut Kernel<'_, Job>) -> Result<(), SchedError> {
+        while let Some((t, moment)) = k.next(&*self) {
             match moment {
                 Moment::Front(Job::Query(ai)) => {
                     self.record(t, EventKind::Arrive, ai, None);
-                    self.trace_instant(&mut k, "arrive", t, Job::Query(ai), None);
+                    self.trace_instant(k, "arrive", t, Job::Query(ai), None);
                     // SCSF's size estimate, planned against the zone
                     // maps as they stand at arrival (heuristic only —
                     // the real demand is planned at admission).
@@ -855,7 +860,7 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
                 }
                 Moment::Front(Job::Mutation(mi)) => {
                     self.record(t, EventKind::MutationArrive, mi, None);
-                    self.trace_instant(&mut k, "ingest-arrive", t, Job::Mutation(mi), None);
+                    self.trace_instant(k, "ingest-arrive", t, Job::Mutation(mi), None);
                     self.mut_waiting.push_back(mi);
                 }
                 // The timeline records dispatch for query chains only.
@@ -869,7 +874,7 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
                     Job::Query(ai) => {
                         self.record(t, EventKind::ShardDone, ai, Some(lane));
                         if last {
-                            k.merge(t, &self, job, self.qd(ai).merge_ns);
+                            k.merge(t, &*self, job, self.qd(ai).merge_ns);
                         }
                         continue;
                     }
@@ -882,13 +887,13 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
                         self.lane_inflight[lane] -= 1;
                         if last {
                             let p = self.progress[job].take().expect("in-flight mutation");
-                            self.complete_mutation(&mut k, t, mi, p);
+                            self.complete_mutation(k, t, mi, p);
                         }
                     }
                 },
                 Moment::MergeDone { job: ai } => {
                     let p = self.progress[ai].take().expect("merging query has progress");
-                    self.complete(&mut k, t, ai, p);
+                    self.complete(k, t, ai, p);
                     self.in_flight -= 1;
                 }
             }
@@ -897,10 +902,15 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
             // released by the same event see the mutation in the
             // query's snapshot — admission order, not event-processing
             // luck, defines the epoch.
-            self.trace_queue_counters(&mut k, t);
-            self.try_admit_mutations(&mut k, t)?;
-            self.try_admit_queries(&mut k, t)?;
+            self.trace_queue_counters(k, t);
+            self.try_admit_mutations(k, t)?;
+            self.try_admit_queries(k, t)?;
         }
+        Ok(())
+    }
+
+    fn run(mut self, mut k: Kernel<'_, Job>) -> Result<StreamOutcome, SchedError> {
+        self.drive(&mut k)?;
         let makespan_ns = self
             .completions
             .iter()
@@ -974,6 +984,18 @@ pub fn run_stream_traced<E: StreamEngine>(
     cfg: &SchedConfig,
     trace: &mut TraceRecorder,
 ) -> Result<StreamOutcome, SchedError> {
+    let (sim, kernel) = open(cluster, workload, cfg, trace)?;
+    sim.run(kernel)
+}
+
+/// Check `cfg` and set a stream up: the admission front-end with
+/// nothing admitted, and the kernel holding every arrival.
+fn open<'a, E: StreamEngine>(
+    cluster: &'a mut E,
+    workload: &'a Workload,
+    cfg: &'a SchedConfig,
+    trace: &'a mut TraceRecorder,
+) -> Result<(Sim<'a, E>, Kernel<'a, Job>), SchedError> {
     if cfg.max_in_flight == 0 {
         return Err(SchedError::InvalidConfig("max_in_flight must be at least 1".into()));
     }
@@ -1020,5 +1042,90 @@ pub fn run_stream_traced<E: StreamEngine>(
         timeline: Vec::new(),
         sched_track,
     };
-    sim.run(kernel)
+    Ok((sim, kernel))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bbpim_cluster::{ClusterEngine, Partitioner};
+    use bbpim_core::modes::EngineMode;
+    use bbpim_core::mutation::Mutation;
+    use bbpim_db::builder::col;
+    use bbpim_db::plan::{AggExpr, AggFunc, Atom, Query};
+    use bbpim_db::schema::{Attribute, Schema};
+    use bbpim_db::Relation;
+    use bbpim_sim::config::SimConfig;
+
+    /// The resolution cache never outgrows the query set: an entry of
+    /// an older epoch can never be served again, so admitting a
+    /// mutation empties the cache instead of leaving a `QueryDemand`
+    /// and a whole `ClusterExecution` behind per (query, epoch).
+    #[test]
+    fn resolution_cache_holds_one_entry_per_query_across_mutations() {
+        let schema = Schema::new(
+            "t",
+            vec![Attribute::numeric("lo_price", 8), Attribute::numeric("d_year", 3)],
+        )
+        .unwrap();
+        let mut rel = Relation::new(schema);
+        for i in 0..600u64 {
+            rel.push_row(&[(3 * i + 1) % 251, i % 7]).unwrap();
+        }
+        let probe = |y: u64| {
+            Query::single(
+                format!("y{y}"),
+                vec![Atom::Eq { attr: "d_year".into(), value: y.into() }],
+                vec![],
+                AggFunc::Sum,
+                AggExpr::Attr("lo_price".into()),
+            )
+        };
+        let update = |y: u64| {
+            Mutation::update()
+                .filter(col("d_year").eq(y))
+                .set("lo_price", 7u64)
+                .build(rel.schema())
+                .unwrap()
+        };
+        let queries = vec![probe(1), probe(3), probe(5)];
+        let workload = Workload::poisson_htap(
+            queries.clone(),
+            (0..6).map(update).collect(),
+            40,
+            0.25,
+            40_000.0,
+            11,
+        );
+        let mutations = workload.mutation_arrivals().len();
+        assert!(mutations >= 3, "the seed draws mutations between the queries");
+        let mut cluster = ClusterEngine::new(
+            SimConfig::small_for_tests(),
+            rel.clone(),
+            EngineMode::OneXb,
+            3,
+            Partitioner::range_by_attr("d_year"),
+        )
+        .unwrap();
+        let cfg = SchedConfig::default();
+        let mut trace = TraceRecorder::disabled();
+        let (mut sim, mut kernel) = open(&mut cluster, &workload, &cfg, &mut trace).unwrap();
+        sim.drive(&mut kernel).unwrap();
+        assert_eq!(sim.epoch, mutations, "every mutation was admitted");
+        assert_eq!(sim.completions.len(), workload.len());
+        // What a cache keyed by (query, epoch) would still be holding.
+        let resolved: std::collections::BTreeSet<(usize, usize)> = sim
+            .completions
+            .iter()
+            .map(|c| (workload.arrivals()[c.arrival].query, c.epoch))
+            .collect();
+        assert!(resolved.len() > queries.len(), "the stream re-resolves across epochs");
+        assert!(
+            sim.by_query.len() <= queries.len(),
+            "{} cached resolutions for {} distinct queries",
+            sim.by_query.len(),
+            queries.len()
+        );
+        assert!(sim.by_query.keys().all(|&qi| qi < queries.len()));
+    }
 }

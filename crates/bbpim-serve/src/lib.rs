@@ -116,7 +116,8 @@ mod tests {
                 Attribute::numeric("lo_disc", 4),
                 Attribute::numeric("d_year", 3),
             ],
-        );
+        )
+        .unwrap();
         let mut rel = Relation::new(schema);
         for i in 0..rows {
             rel.push_row(&[(3 * i + 1) % 251, i % 11, i % 7]).unwrap();

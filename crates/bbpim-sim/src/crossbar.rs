@@ -20,6 +20,12 @@
 //! maximum is exact). A column op costs the simulator one increment
 //! however many rows it covers — like the hardware it models — and the
 //! worst row is read off in O(1).
+//!
+//! The per-row vector is *empty* — every entry an implied zero — until
+//! the first row-specific write since the last reset, and a reset
+//! empties it again rather than zeroing it: a crossbar that only ever
+//! runs column ops after its load (most of a loaded relation) holds no
+//! counters at all, 8 KB less than its 64 KB of cells.
 
 use crate::bitmat::BitMatrix;
 use crate::error::SimError;
@@ -60,7 +66,8 @@ pub struct Crossbar {
     all_rows_writes: u64,
     /// Cumulative cell writes per row beyond `all_rows_writes`
     /// (wear-leveling spreads them over the row's cells, per the
-    /// paper's endurance assumption).
+    /// paper's endurance assumption). Empty — all zeros — until the
+    /// first row-specific write since the last reset.
     row_cell_writes: Vec<u64>,
     /// The largest entry of `row_cell_writes`.
     row_max: u64,
@@ -77,7 +84,7 @@ impl Crossbar {
         Crossbar {
             bits: BitMatrix::new(rows, cols),
             all_rows_writes: 0,
-            row_cell_writes: vec![0; rows],
+            row_cell_writes: Vec::new(),
             row_max: 0,
         }
     }
@@ -181,10 +188,26 @@ impl Crossbar {
     /// used by modeled operations (aggregation-circuit write-back,
     /// reduction trees) that mutate bits through
     /// [`Crossbar::bits_mut_unaccounted`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `row` is out of bounds.
     pub fn note_row_writes(&mut self, row: usize, width: u64) {
+        if self.row_cell_writes.is_empty() {
+            self.alloc_row_counters();
+        }
         let writes = &mut self.row_cell_writes[row];
         *writes += width;
         self.row_max = self.row_max.max(*writes);
+    }
+
+    /// Out of line: the loader's per-value writes inline
+    /// [`Crossbar::note_row_writes`], and the allocation runs once per
+    /// crossbar per reset.
+    #[cold]
+    #[inline(never)]
+    fn alloc_row_counters(&mut self) {
+        self.row_cell_writes = vec![0; self.rows()];
     }
 
     /// Record `per_row` cell writes against *every* row (modeled
@@ -201,7 +224,8 @@ impl Crossbar {
     /// Reset endurance counters (e.g. after load, before measuring a query).
     pub fn reset_endurance(&mut self) {
         (self.all_rows_writes, self.row_max) = (0, 0);
-        self.row_cell_writes.iter_mut().for_each(|w| *w = 0);
+        // Dropped, not zeroed: the counters' memory goes back too.
+        self.row_cell_writes = Vec::new();
     }
 }
 
@@ -265,6 +289,60 @@ mod tests {
         assert_eq!(xb.max_row_cell_writes(), 32);
         xb.reset_endurance();
         assert_eq!(xb.max_row_cell_writes(), 0);
+    }
+
+    /// The lazily allocated counters against a dense per-row reference
+    /// (one `u64` per row, every write applied to it directly): the
+    /// worst row and every row's total agree before any row-specific
+    /// write, across row-specific writes, a reset, and writes again.
+    #[test]
+    fn lazy_row_counters_match_the_dense_reference() {
+        const ROWS: usize = 128;
+        const COLS: usize = 16;
+        let mut xb = Crossbar::new(ROWS, COLS);
+        let mut dense = vec![0u64; ROWS];
+        let agree = |xb: &Crossbar, dense: &[u64], at: &str| {
+            let totals: Vec<u64> = (0..ROWS)
+                .map(|r| xb.all_rows_writes + xb.row_cell_writes.get(r).copied().unwrap_or(0))
+                .collect();
+            assert_eq!(totals, dense, "per-row totals {at}");
+            assert_eq!(xb.max_row_cell_writes(), *dense.iter().max().unwrap(), "worst row {at}");
+        };
+        let mut column_ops = Microprogram::new();
+        column_ops.gate_nor(0, 1, 2);
+        let mut row_ops = Microprogram::new();
+        row_ops.push(MicroOp::InitRow { dst: 9 });
+        row_ops.push(MicroOp::NorRows { a: 1, b: 2, dst: 9 });
+        row_ops.gate_not(2, 3);
+
+        for round in 0..2 {
+            // column-parallel work only: no counters are held
+            xb.execute(&column_ops).unwrap();
+            xb.clear_rows(ROWS, 4, 3);
+            xb.note_all_rows_writes(5);
+            dense.iter_mut().for_each(|w| *w += 2 + 3 + 5);
+            assert!(xb.row_cell_writes.is_empty(), "round {round}: column ops allocate nothing");
+            agree(&xb, &dense, "after column ops");
+
+            // row-specific writes of every kind
+            xb.write_row_bits(5 + round, 0, 12, 0xabc);
+            dense[5 + round] += 12;
+            xb.note_row_writes(ROWS - 1, 7);
+            dense[ROWS - 1] += 7;
+            xb.clear_rows(70, 8, 2);
+            dense[..70].iter_mut().for_each(|w| *w += 2);
+            xb.execute(&row_ops).unwrap();
+            dense[9] += 2 * COLS as u64;
+            dense.iter_mut().for_each(|w| *w += 2);
+            assert_eq!(xb.row_cell_writes.len(), ROWS);
+            agree(&xb, &dense, "after row-specific writes");
+
+            xb.reset_endurance();
+            dense.fill(0);
+            assert!(xb.row_cell_writes.is_empty(), "round {round}: a reset holds nothing");
+            assert_eq!(xb.row_cell_writes.capacity(), 0, "and gives the memory back");
+            agree(&xb, &dense, "after the reset");
+        }
     }
 
     #[test]

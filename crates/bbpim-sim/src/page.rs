@@ -140,8 +140,22 @@ impl PimPage {
             return Err(SimError::RowOutOfRange { row: end, rows: self.record_capacity() });
         }
         let n = self.crossbars.len();
+        // A run over the whole page wears `width` cells in every row of
+        // every crossbar alike: one all-rows count per crossbar, and no
+        // per-row counters come into being for a full page's load.
+        let whole_page = values.len() == self.record_capacity();
         for (slot, v) in (first..).zip(values) {
-            self.crossbars[slot % n].write_row_bits(slot / n, col_lo, width, *v);
+            let xb = &mut self.crossbars[slot % n];
+            if whole_page {
+                xb.bits_mut_unaccounted().write_row_bits(slot / n, col_lo, width, *v);
+            } else {
+                xb.write_row_bits(slot / n, col_lo, width, *v);
+            }
+        }
+        if whole_page {
+            for xb in &mut self.crossbars {
+                xb.note_all_rows_writes(width as u64);
+            }
         }
         Ok(())
     }
@@ -283,6 +297,14 @@ mod tests {
         }
         // each written row wore its 16 cells, once
         assert_eq!(p.max_row_cell_writes(), 16);
+        // a run over the whole page wears every row alike and holds no
+        // per-row counters; a partial run after it adds to its rows
+        let mut full = page();
+        full.write_records(0, 8, 16, &vec![0xABCD; capacity]).unwrap();
+        assert_eq!(full.read_record_bits(capacity - 1, 8, 16).unwrap(), 0xABCD);
+        assert_eq!(full.max_row_cell_writes(), 16);
+        full.write_records(5, 24, 4, &[3]).unwrap();
+        assert_eq!(full.max_row_cell_writes(), 20);
         // a run past the page is refused before its first cell
         assert!(p.write_records(capacity - 1, 30, 8, &[1, 2]).is_err());
         assert_eq!(p.read_record_bits(capacity - 1, 30, 8).unwrap(), 0);

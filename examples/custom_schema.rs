@@ -42,7 +42,7 @@ fn build_telemetry(rows: usize) -> Result<Relation, Box<dyn std::error::Error>> 
             Attribute::dict("s_site", site_dict),
             Attribute::dict("s_kind", kind_dict),
         ],
-    );
+    )?;
     let mut rel = Relation::with_capacity(schema, rows);
     let mut rng = StdRng::seed_from_u64(2024);
     for _ in 0..rows {

@@ -23,13 +23,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The denormalisation hazard: customer 42's city is duplicated into
     // every lineorder they ever placed.
     let custkey = 42u64;
-    let duplicates = engine
-        .relation()
-        .column_by_name("lo_custkey")?
-        .values()
-        .iter()
-        .filter(|v| **v == custkey)
-        .count();
+    let custkeys = engine.relation().column_by_name("lo_custkey")?;
+    let mut duplicates = 0;
+    custkeys.read(0..custkeys.len(), |_, v| duplicates += usize::from(v == custkey));
     println!("customer {custkey} appears in {duplicates} pre-joined records");
 
     // UPDATE wide SET c_city = 'UNITED KI1' WHERE lo_custkey = 42

@@ -127,7 +127,8 @@ fn random_relation(rng: &mut StdRng) -> Relation {
             Attribute::numeric("d_g", 4),
             Attribute::numeric("d_year", 3),
         ],
-    );
+    )
+    .unwrap();
     let mut rel = Relation::with_capacity(schema, rows);
     for _ in 0..rows {
         rel.push_row(&[rng.gen_range(0u64..256), rng.gen_range(0u64..16), rng.gen_range(0u64..8)])

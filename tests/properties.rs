@@ -36,7 +36,8 @@ fn random_relation(rng: &mut StdRng) -> Relation {
             Attribute::numeric("d_g", 4),
             Attribute::numeric("d_h", 3),
         ],
-    );
+    )
+    .unwrap();
     let mut rel = Relation::with_capacity(schema, rows);
     for _ in 0..rows {
         let row = [

@@ -34,7 +34,8 @@ fn synthetic_relation(rows: u64) -> Relation {
             Attribute::numeric("d_year", 3),
             Attribute::numeric("d_brand", 5),
         ],
-    );
+    )
+    .unwrap();
     let mut rel = Relation::new(schema);
     for i in 0..rows {
         rel.push_row(&[(3 * i + 1) % 251, i % 11, i % 7, (i * i) % 30]).unwrap();
@@ -116,7 +117,8 @@ fn dnf_bounds_never_prune_a_matching_page() {
     // aggressive; random OR-of-windows filters try to catch an unsound
     // prune.
     let schema =
-        Schema::new("t", vec![Attribute::numeric("lo_v", 11), Attribute::numeric("d_g", 4)]);
+        Schema::new("t", vec![Attribute::numeric("lo_v", 11), Attribute::numeric("d_g", 4)])
+            .unwrap();
     let mut rel = Relation::new(schema);
     let rows = 1500u64;
     for i in 0..rows {
