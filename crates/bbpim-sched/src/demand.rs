@@ -2,7 +2,7 @@
 //! bus/local slice chains the [`kernel`](crate::kernel) plays out.
 //!
 //! The compilation step is the contract both admission front-ends
-//! share: [`resolve_query_demand`] plans a query through the zone-map
+//! share: a [`ResolutionCache`] plans a query through the zone-map
 //! planner, executes every candidate shard slice
 //! ([`StreamEngine::run_on_shard`]), merges the partials exactly as
 //! `run_batch` would, and compiles each shard execution's phase log
@@ -11,8 +11,11 @@
 //! merged answer is already fixed, bit-identical to the batch oracle;
 //! only *when* the slices run is up to the scheduler.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use bbpim_cluster::ClusterExecution;
-use bbpim_core::mutation::MutationReport;
+use bbpim_core::mutation::{Mutation, MutationReport};
 use bbpim_core::result::QueryExecution;
 use bbpim_db::plan::Query;
 use bbpim_sim::config::HostConfig;
@@ -70,6 +73,31 @@ pub struct ShardDemand {
     pub detail: Vec<Vec<(PhaseKind, f64)>>,
 }
 
+impl ShardDemand {
+    /// The one per-lane compile, shared by a query's shard executions
+    /// and a mutation's lanes: `log` (`time_ns` long) becomes the lane's
+    /// slice chain, and the run's `(worst-row cell writes, required
+    /// endurance)` travel with it.
+    fn compile(
+        shard: usize,
+        log: &RunLog,
+        time_ns: f64,
+        wear: (u64, f64),
+        host: &HostConfig,
+        contention: bool,
+        want_detail: bool,
+    ) -> ShardDemand {
+        let chain = compile_log_slices(log, time_ns, host, contention, want_detail);
+        ShardDemand {
+            shard,
+            cell_writes: wear.0,
+            required_endurance: wear.1,
+            slices: chain.slices,
+            detail: chain.detail,
+        }
+    }
+}
+
 /// One query's resolved service demand across its candidate shards.
 #[derive(Clone, Debug)]
 pub struct QueryDemand {
@@ -95,8 +123,10 @@ impl QueryDemand {
     }
 }
 
-/// Compile one shard execution's phase log into the slice chain the
-/// discrete-event simulation plays out.
+/// Compile one phase log — a query shard execution's or a mutation
+/// lane's ([`MutationReport`]) — and its total time into the slice
+/// chain the discrete-event simulation plays out, so byte-tagged write
+/// phases ride the same shared channel query transfers do.
 ///
 /// Under contention every phase contributes its channel occupancy
 /// ([`phase_occupancy_ns`]) as a bus slice and the remainder as local
@@ -104,20 +134,6 @@ impl QueryDemand {
 /// filter really does re-queue on the bus between two PIM programs.
 /// Without contention the whole log collapses to the optimistic shape:
 /// one bus slice for the per-page dispatch, everything else local.
-pub fn compile_slices(
-    exec: &QueryExecution,
-    host: &HostConfig,
-    contention: bool,
-    want_detail: bool,
-) -> SliceChain {
-    compile_log_slices(&exec.report.phases, exec.report.time_ns, host, contention, want_detail)
-}
-
-/// [`compile_slices`] generalised over any phase log: the same
-/// compilation working straight off a [`RunLog`] and its total time, so
-/// mutation reports ([`MutationReport`]) compile to slice chains with
-/// the identical bus/local decomposition queries get — their
-/// byte-tagged write phases ride the same shared channel.
 pub fn compile_log_slices(
     log: &RunLog,
     total_time_ns: f64,
@@ -186,9 +202,192 @@ pub fn compile_log_slices(
     SliceChain { slices, detail }
 }
 
-/// Resolve one query's full service demand against `cluster`: zone-map
-/// plan, execute every candidate shard slice, merge the partials in
-/// shard order, and compile each shard execution into its slice chain.
+/// A resolved query: its compiled service demand and its merged answer,
+/// each behind an [`Arc`] so every admission, completion and outcome
+/// holding them shares one copy.
+pub type Resolution = (Arc<QueryDemand>, Arc<ClusterExecution>);
+
+/// One query's execution on one shard, stamped with the shard state it
+/// ran against.
+struct ShardRun {
+    stamp: u64,
+    exec: QueryExecution,
+    demand: ShardDemand,
+}
+
+/// A query's last merged resolution and the shard mask it merged under.
+struct Merged {
+    mask: Vec<bool>,
+    resolution: Resolution,
+}
+
+/// One active shard's state versions (0: as loaded).
+#[derive(Default)]
+struct ShardVersions {
+    /// The version of the shard's last INSERT — or of the last mutation
+    /// anywhere, on an engine with auxiliary lanes.
+    inserted: u64,
+    /// Per attribute, the version of the last UPDATE that set it here.
+    written: HashMap<String, u64>,
+}
+
+/// The one resolution path: stamped per-shard executions of keyed
+/// queries, re-run only where a mutation touched what they read.
+///
+/// On the pre-joined model, [`StreamEngine::run_on_shard`]`(s, q)` is a
+/// pure function of `q` and of shard `s`'s state — its record count and
+/// the values and page zones of [`Query::referenced_attrs`]. So each
+/// cached shard execution carries a **stamp**: the highest version, at
+/// the time it ran, among the shard's insert version and its versions
+/// of the attributes the query reads. Versions come from one clock that
+/// only counts up, so a stamp that still equals the shard's current
+/// stamp proves nothing the execution depends on has changed since it
+/// ran — a fresh run would reproduce it bit-identically.
+///
+/// [`ResolutionCache::mutated`] bumps versions on the lanes a mutation
+/// reports: an UPDATE its SET attributes, an INSERT the insert version.
+/// One stated exception: on an engine with auxiliary ingest lanes (the
+/// star model, `ingest_lanes() > active_shards()`) any mutation bumps
+/// every shard, because applying it drops the shared join plan and the
+/// plan's prelude is then charged to whichever shard leads next.
+///
+/// [`ResolutionCache::resolve`] re-plans the query's shard mask on every
+/// call, runs only the candidate shards whose stamp changed, and merges
+/// again only when a shard re-ran or the mask moved.
+pub struct ResolutionCache {
+    want_detail: bool,
+    /// The last version handed out.
+    clock: u64,
+    /// Per active shard (grown on first touch).
+    versions: Vec<ShardVersions>,
+    /// `(query key, shard)` → its stamped execution (behind an `Arc`,
+    /// so the table's buckets stay pointer-sized).
+    runs: HashMap<(usize, usize), Arc<ShardRun>>,
+    /// Query key → its last merged resolution.
+    merged: HashMap<usize, Merged>,
+}
+
+impl ResolutionCache {
+    /// An empty cache compiling chains with (`want_detail`, when
+    /// tracing) or without per-slice phase detail.
+    pub fn new(want_detail: bool) -> ResolutionCache {
+        ResolutionCache {
+            want_detail,
+            clock: 0,
+            versions: Vec::new(),
+            runs: HashMap::new(),
+            merged: HashMap::new(),
+        }
+    }
+
+    /// Shard `s`'s current stamp for a query reading `attrs`.
+    fn stamp(&self, s: usize, attrs: &[&str]) -> u64 {
+        self.versions.get(s).map_or(0, |v| {
+            let written = attrs.iter().filter_map(|&a| v.written.get(a));
+            written.copied().fold(v.inserted, u64::max)
+        })
+    }
+
+    fn versions_mut(&mut self, s: usize) -> &mut ShardVersions {
+        if s >= self.versions.len() {
+            self.versions.resize_with(s + 1, ShardVersions::default);
+        }
+        &mut self.versions[s]
+    }
+
+    /// Record that `mutation` was applied to `cluster`, where
+    /// [`StreamEngine::apply_mutation`] returned `applied`: bump the
+    /// versions it changed (see the type docs for the rule).
+    pub fn mutated<E: StreamEngine>(
+        &mut self,
+        cluster: &E,
+        mutation: &Mutation,
+        applied: &[(usize, MutationReport)],
+    ) {
+        self.clock += 1;
+        let version = self.clock;
+        let shards = cluster.active_shards();
+        if cluster.ingest_lanes() > shards {
+            for s in 0..shards {
+                self.versions_mut(s).inserted = version;
+            }
+            return;
+        }
+        for &(lane, _) in applied {
+            let v = self.versions_mut(lane);
+            match mutation {
+                Mutation::Update { set, .. } => {
+                    for (attr, _) in set {
+                        v.written.insert(attr.clone(), version);
+                    }
+                }
+                Mutation::Insert { .. } => v.inserted = version,
+            }
+        }
+    }
+
+    /// Resolve `query` (cached under `key`) against `cluster`'s current
+    /// state: plan its shard mask, run every candidate shard whose
+    /// stamp changed, merge the partials in shard order, and compile
+    /// each shard execution into its slice chain.
+    ///
+    /// # Errors
+    ///
+    /// Planner attribute-resolution failures or shard execution
+    /// failures, as [`SchedError::Cluster`].
+    pub fn resolve<E: StreamEngine>(
+        &mut self,
+        cluster: &mut E,
+        key: usize,
+        query: &Query,
+    ) -> Result<Resolution, SchedError> {
+        let mask = cluster.plan_shards(&query.filter)?;
+        let candidates: Vec<usize> =
+            mask.iter().enumerate().filter(|(_, &d)| d).map(|(s, _)| s).collect();
+        let attrs = query.referenced_attrs();
+        let mut fresh = self.merged.get(&key).is_some_and(|m| m.mask == mask);
+        for &s in &candidates {
+            let stamp = self.stamp(s, &attrs);
+            if self.runs.get(&(key, s)).is_some_and(|r| r.stamp == stamp) {
+                continue;
+            }
+            let exec = cluster.run_on_shard(s, query)?;
+            let report = &exec.report;
+            let demand = ShardDemand::compile(
+                s,
+                &report.phases,
+                report.time_ns,
+                (report.max_row_cell_writes, report.required_endurance(ENDURANCE_YEARS)),
+                &cluster.host_config().expect("candidate shards imply an active shard"),
+                cluster.contention(),
+                self.want_detail,
+            );
+            self.runs.insert((key, s), Arc::new(ShardRun { stamp, exec, demand }));
+            fresh = false;
+        }
+        if let Some(m) = self.merged.get(&key).filter(|_| fresh) {
+            return Ok(m.resolution.clone());
+        }
+        let runs: Vec<&ShardRun> = candidates.iter().map(|&s| &*self.runs[&(key, s)]).collect();
+        let refs: Vec<&QueryExecution> = runs.iter().map(|r| &r.exec).collect();
+        let shards_pruned = mask.len() - candidates.len();
+        let merged = cluster.merge_executions(query, &refs, shards_pruned);
+        let demand = QueryDemand {
+            query_id: query.id.clone(),
+            shards: runs.iter().map(|r| r.demand.clone()).collect(),
+            shards_pruned,
+            merge_ns: merged.report.merge_time_ns,
+        };
+        let resolution = (Arc::new(demand), Arc::new(merged));
+        self.merged.insert(key, Merged { mask, resolution: resolution.clone() });
+        Ok(resolution)
+    }
+}
+
+/// Resolve one query's full service demand against `cluster` once: a
+/// fresh [`ResolutionCache`]'s one use — zone-map plan, execute every
+/// candidate shard slice, merge the partials in shard order, and
+/// compile each shard execution into its slice chain.
 ///
 /// The returned [`ClusterExecution`] **is** the query's answer — it is
 /// fixed here, before any scheduling happens, which is what makes every
@@ -205,39 +404,8 @@ pub fn resolve_query_demand<E: StreamEngine>(
     query: &Query,
     want_detail: bool,
 ) -> Result<(QueryDemand, ClusterExecution), SchedError> {
-    let contention = cluster.contention();
-    let mask = cluster.plan_shards(&query.filter)?;
-    let candidates: Vec<usize> =
-        mask.iter().enumerate().filter(|(_, &d)| d).map(|(s, _)| s).collect();
-    let mut shard_execs = Vec::with_capacity(candidates.len());
-    for &s in &candidates {
-        shard_execs.push((s, cluster.run_on_shard(s, query)?));
-    }
-    let refs: Vec<&QueryExecution> = shard_execs.iter().map(|(_, e)| e).collect();
-    let shards_pruned = mask.len() - candidates.len();
-    let merged = cluster.merge_executions(query, &refs, shards_pruned);
-    let host_cfg = cluster.host_config();
-    let shards = shard_execs
-        .iter()
-        .map(|(s, e)| {
-            let host = host_cfg.as_ref().expect("candidate shards imply an active shard");
-            let chain = compile_slices(e, host, contention, want_detail);
-            ShardDemand {
-                shard: *s,
-                cell_writes: e.report.max_row_cell_writes,
-                required_endurance: e.report.required_endurance(ENDURANCE_YEARS),
-                slices: chain.slices,
-                detail: chain.detail,
-            }
-        })
-        .collect();
-    let demand = QueryDemand {
-        query_id: query.id.clone(),
-        shards,
-        shards_pruned,
-        merge_ns: merged.report.merge_time_ns,
-    };
-    Ok((demand, merged))
+    let (demand, exec) = ResolutionCache::new(want_detail).resolve(cluster, 0, query)?;
+    Ok((Arc::unwrap_or_clone(demand), Arc::unwrap_or_clone(exec)))
 }
 
 /// One admitted mutation's compiled service demand across its ingest
@@ -274,14 +442,16 @@ pub fn compile_mutation_demand(
     let lanes = applied
         .iter()
         .map(|(lane, rep)| {
-            let chain = compile_log_slices(&rep.phases, rep.time_ns, host, contention, want_detail);
-            ShardDemand {
-                shard: *lane,
-                cell_writes: rep.max_row_cell_writes,
-                required_endurance: rep.required_endurance(ENDURANCE_YEARS),
-                slices: chain.slices,
-                detail: chain.detail,
-            }
+            let wear = (rep.max_row_cell_writes, rep.required_endurance(ENDURANCE_YEARS));
+            ShardDemand::compile(
+                *lane,
+                &rep.phases,
+                rep.time_ns,
+                wear,
+                host,
+                contention,
+                want_detail,
+            )
         })
         .collect();
     MutationDemand {
@@ -293,12 +463,29 @@ pub fn compile_mutation_demand(
 }
 
 #[cfg(test)]
+impl ResolutionCache {
+    /// `(merged resolutions, per-shard executions)` held.
+    pub(crate) fn entries(&self) -> (usize, usize) {
+        (self.merged.len(), self.runs.len())
+    }
+}
+
+#[cfg(test)]
 mod slice_tests {
     use super::*;
     use bbpim_sim::timeline::{Phase, RunLog};
 
     fn phase(kind: PhaseKind, time_ns: f64, host_bytes: u64) -> Phase {
         Phase { kind, time_ns, energy_pj: 0.0, chip_power_w: 0.0, host_bytes }
+    }
+
+    fn compile_slices(
+        exec: &QueryExecution,
+        host: &HostConfig,
+        contention: bool,
+        want_detail: bool,
+    ) -> SliceChain {
+        compile_log_slices(&exec.report.phases, exec.report.time_ns, host, contention, want_detail)
     }
 
     fn exec_with(phases: Vec<Phase>) -> QueryExecution {

@@ -31,14 +31,23 @@
 //!   it takes no host-side merge.
 //! * **Snapshot consistency** — a query's answer is resolved *at its
 //!   admission*, against exactly the mutations admitted before it (its
-//!   [`QueryCompletion::epoch`]); resolutions are cached per query
-//!   within one epoch, so repeated arrivals between ingests still share
-//!   one execution, and the cache is emptied when a mutation is
-//!   admitted (nothing resolved before it can be served again).
-//!   Replaying the first `epoch` mutations into a fresh
-//!   engine and running the query reproduces the streamed answer
-//!   bit-identically — the ingest-equivalence suites assert exactly
-//!   this at every admission prefix.
+//!   [`QueryCompletion::epoch`]). Replaying the first `epoch` mutations
+//!   into a fresh engine and running the query reproduces the streamed
+//!   answer — the whole execution, phase logs included —
+//!   bit-identically; the ingest-equivalence suites assert exactly this
+//!   at every admission prefix. Resolutions are cached per (query,
+//!   shard) in a [`ResolutionCache`], each shard execution **stamped**
+//!   with the versions of the shard state it read: the shard's insert
+//!   version and its version of every attribute the query references.
+//!   An admitted UPDATE bumps its SET attributes on the lanes it
+//!   reports, an INSERT the insert version of the lane it lands on, so
+//!   an admission re-plans the query's shards, re-runs only the
+//!   candidates whose stamp moved and merges again only when a shard
+//!   re-ran or the mask changed — an UPDATE of an attribute no query
+//!   reads re-runs nothing. *Stated exception:* on an engine with
+//!   auxiliary ingest lanes (the star model) any mutation bumps every
+//!   shard, since applying it drops the shared join plan and its
+//!   prelude is then charged to whichever shard leads next.
 //! * **Planning** — each admitted query is planned through the zone-map
 //!   planner ([`StreamEngine::plan_shards`]); pruned shards receive no
 //!   work, and a query whose candidate set is empty is answered by the
@@ -65,7 +74,8 @@
 //! completion order differ. The event timeline is a pure function of
 //! `(cluster, workload, config)`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 use bbpim_cluster::{Cluster, ClusterError, ClusterExecution, Storage};
 use bbpim_core::mutation::{Mutation, MutationReport};
@@ -76,7 +86,7 @@ pub use bbpim_sim::endurance::ENDURANCE_YEARS;
 use bbpim_trace::{ArgValue, TraceRecorder, TrackId};
 
 use crate::demand::{
-    compile_mutation_demand, resolve_query_demand, MutationDemand, QueryDemand, ShardDemand,
+    compile_mutation_demand, MutationDemand, QueryDemand, Resolution, ResolutionCache, ShardDemand,
 };
 use crate::error::SchedError;
 use crate::kernel::{Jobs, Kernel, Moment, SpanArgs, SpanLabels};
@@ -122,6 +132,11 @@ pub trait StreamEngine {
     /// Apply `mutation` to the engine state (zone maps widen, catalog
     /// copies patch, cached plans invalidate) and return the per-lane
     /// reports whose phase logs become the mutation's slice chains.
+    ///
+    /// Implementers must report **every lane they changed**, including
+    /// lanes where zero records matched (an UPDATE may still rewrite
+    /// page zones there): the scheduler re-runs cached shard executions
+    /// only on the lanes this list names.
     ///
     /// # Errors
     ///
@@ -403,8 +418,9 @@ pub struct StreamOutcome {
     pub mutation_completions: Vec<MutationCompletion>,
     /// Merged executions in query arrival order — each bit-identical to
     /// a fresh engine that replayed the first
-    /// [`QueryCompletion::epoch`] mutations and ran the query.
-    pub executions: Vec<ClusterExecution>,
+    /// [`QueryCompletion::epoch`] mutations and ran the query. Arrivals
+    /// answered by one resolution share it.
+    pub executions: Vec<Arc<ClusterExecution>>,
     /// The full event timeline (deterministic per input).
     pub timeline: Vec<TimelineEvent>,
     /// When the last query or mutation completed.
@@ -542,14 +558,16 @@ struct Sim<'a, E: StreamEngine> {
     cluster: &'a mut E,
     /// Mutations admitted so far — the snapshot counter.
     epoch: usize,
-    /// Resolution cache of the current epoch: query index → resolved
-    /// demand and merged answer, shared by repeated arrivals between
-    /// ingests and emptied where the epoch is bumped — at most one
-    /// entry per distinct query is ever held.
-    by_query: HashMap<usize, (QueryDemand, ClusterExecution)>,
+    /// Resolutions keyed by query index, stamped per shard: repeated
+    /// arrivals share one resolution until an admitted mutation touches
+    /// a shard state it read, and then only that shard re-runs. Holds
+    /// at most one merged resolution per distinct query and one
+    /// execution per (query, active shard).
+    by_query: ResolutionCache,
     /// Per query arrival, filled at admission: its resolved demand and
-    /// merged answer.
-    admitted: Vec<Option<(QueryDemand, ClusterExecution)>>,
+    /// merged answer, shared with every arrival the same resolution
+    /// answered.
+    admitted: Vec<Option<Resolution>>,
     /// SCSF candidate-count estimate, planned at arrival.
     cand_est: Vec<usize>,
     /// Per mutation arrival, filled at admission.
@@ -721,7 +739,8 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
     }
 
     /// Admit one mutation: bump the epoch, apply it to the engine (the
-    /// snapshot point), compile its lane chains and start them.
+    /// snapshot point), bump the resolution stamps of what it touched,
+    /// compile its lane chains and start them.
     fn admit_mutation(
         &mut self,
         k: &mut Kernel<'_, Job>,
@@ -732,9 +751,9 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
         let queued = self.age("queued_ns", now_ns, Job::Mutation(mi));
         self.trace_instant(k, "ingest-admit", now_ns, Job::Mutation(mi), queued);
         self.epoch += 1;
-        self.by_query.clear();
         let m = self.mutation(mi);
         let applied = self.cluster.apply_mutation(m)?;
+        self.by_query.mutated(&*self.cluster, m, &applied);
         let contention = self.cluster.contention();
         let demand = match self.cluster.host_config() {
             Some(host) => {
@@ -776,17 +795,11 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
             let queued = self.age("queued_ns", now_ns, Job::Query(ai));
             self.trace_instant(k, "admit", now_ns, Job::Query(ai), queued);
             // Snapshot-consistent resolution: plan and execute against
-            // exactly the mutations admitted so far, caching per query
-            // within the epoch so repeated arrivals between ingests
-            // share one deterministic, read-only resolution.
+            // exactly the mutations admitted so far, re-running only
+            // the shards whose stamp an admitted mutation moved.
             let qi = self.workload.arrivals()[ai].query;
-            if !self.by_query.contains_key(&qi) {
-                let query = &self.workload.queries()[qi];
-                let detail = k.tracer().is_some();
-                let resolved = resolve_query_demand(&mut *self.cluster, query, detail)?;
-                self.by_query.insert(qi, resolved);
-            }
-            self.admitted[ai] = self.by_query.get(&qi).cloned();
+            let query = &self.workload.queries()[qi];
+            self.admitted[ai] = Some(self.by_query.resolve(&mut *self.cluster, qi, query)?);
             let mut p = Progress { admit_ns: now_ns, first_service_ns: now_ns, epoch: self.epoch };
             if self.qd(ai).shards.is_empty() {
                 // The planner answered the query: nothing to dispatch,
@@ -1013,6 +1026,7 @@ fn open<'a, E: StreamEngine>(
     };
     let (queries, mutations) = (workload.len(), workload.mutation_arrivals().len());
     let sched_track = trace.track("scheduler");
+    let by_query = ResolutionCache::new(trace.is_enabled());
     let mut kernel = Kernel::new(trace, active_shards, lanes);
     for (ai, arrival) in workload.arrivals().iter().enumerate() {
         kernel.push(arrival.at_ns, Job::Query(ai));
@@ -1025,7 +1039,7 @@ fn open<'a, E: StreamEngine>(
         workload,
         cluster,
         epoch: 0,
-        by_query: HashMap::new(),
+        by_query,
         admitted: vec![None; queries],
         cand_est: vec![0; queries],
         mut_demands: vec![None; mutations],
@@ -1048,50 +1062,236 @@ fn open<'a, E: StreamEngine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bbpim_cluster::{ClusterEngine, Partitioner};
+    use std::collections::BTreeSet;
+
+    use bbpim_cluster::{ClusterEngine, Partitioner, StarCluster};
     use bbpim_core::modes::EngineMode;
     use bbpim_core::mutation::Mutation;
     use bbpim_db::builder::col;
     use bbpim_db::plan::{AggExpr, AggFunc, Atom, Query};
     use bbpim_db::schema::{Attribute, Schema};
+    use bbpim_db::ssb::{queries, SsbDb, SsbParams};
     use bbpim_db::Relation;
     use bbpim_sim::config::SimConfig;
 
-    /// The resolution cache never outgrows the query set: an entry of
-    /// an older epoch can never be served again, so admitting a
-    /// mutation empties the cache instead of leaving a `QueryDemand`
-    /// and a whole `ClusterExecution` behind per (query, epoch).
-    #[test]
-    fn resolution_cache_holds_one_entry_per_query_across_mutations() {
+    use crate::workload::{Arrival, MutationArrival};
+
+    fn relation() -> Relation {
         let schema = Schema::new(
             "t",
-            vec![Attribute::numeric("lo_price", 8), Attribute::numeric("d_year", 3)],
+            vec![
+                Attribute::numeric("lo_price", 8),
+                Attribute::numeric("lo_tax", 4),
+                Attribute::numeric("d_year", 3),
+            ],
         )
         .unwrap();
         let mut rel = Relation::new(schema);
         for i in 0..600u64 {
-            rel.push_row(&[(3 * i + 1) % 251, i % 7]).unwrap();
+            rel.push_row(&[(3 * i + 1) % 251, i % 9, i % 7]).unwrap();
         }
-        let probe = |y: u64| {
-            Query::single(
-                format!("y{y}"),
-                vec![Atom::Eq { attr: "d_year".into(), value: y.into() }],
-                vec![],
-                AggFunc::Sum,
-                AggExpr::Attr("lo_price".into()),
-            )
-        };
-        let update = |y: u64| {
-            Mutation::update()
-                .filter(col("d_year").eq(y))
-                .set("lo_price", 7u64)
-                .build(rel.schema())
-                .unwrap()
-        };
+        rel
+    }
+
+    fn cluster(shards: usize) -> ClusterEngine {
+        ClusterEngine::new(
+            SimConfig::small_for_tests(),
+            relation(),
+            EngineMode::OneXb,
+            shards,
+            Partitioner::range_by_attr("d_year"),
+        )
+        .unwrap()
+    }
+
+    /// `SUM(lo_price) WHERE d_year = y`: reads `d_year` and `lo_price`.
+    fn probe(y: u64) -> Query {
+        Query::single(
+            format!("y{y}"),
+            vec![Atom::Eq { attr: "d_year".into(), value: y.into() }],
+            vec![],
+            AggFunc::Sum,
+            AggExpr::Attr("lo_price".into()),
+        )
+    }
+
+    fn update(set: &str, year: u64) -> Mutation {
+        Mutation::update()
+            .filter(col("d_year").eq(year))
+            .set(set, 7u64)
+            .build(relation().schema())
+            .unwrap()
+    }
+
+    /// Forwards to an engine, logging each `run_on_shard` call as
+    /// `(mutations applied so far, shard, query id)` and each applied
+    /// mutation's lanes.
+    struct Counting<E> {
+        inner: E,
+        lanes: Vec<Vec<usize>>,
+        runs: Vec<(usize, usize, String)>,
+    }
+
+    impl<E: StreamEngine> StreamEngine for Counting<E> {
+        fn contention(&self) -> bool {
+            self.inner.contention()
+        }
+
+        fn host_config(&self) -> Option<HostConfig> {
+            self.inner.host_config()
+        }
+
+        fn active_shards(&self) -> usize {
+            self.inner.active_shards()
+        }
+
+        fn ingest_lanes(&self) -> usize {
+            self.inner.ingest_lanes()
+        }
+
+        fn plan_mutation_lanes(&self, mutation: &Mutation) -> Result<Vec<usize>, ClusterError> {
+            self.inner.plan_mutation_lanes(mutation)
+        }
+
+        fn apply_mutation(
+            &mut self,
+            mutation: &Mutation,
+        ) -> Result<Vec<(usize, MutationReport)>, ClusterError> {
+            let applied = self.inner.apply_mutation(mutation)?;
+            self.lanes.push(applied.iter().map(|(lane, _)| *lane).collect());
+            Ok(applied)
+        }
+
+        fn plan_shards(&self, filter: &Pred) -> Result<Vec<bool>, ClusterError> {
+            self.inner.plan_shards(filter)
+        }
+
+        fn run_on_shard(
+            &mut self,
+            shard: usize,
+            query: &Query,
+        ) -> Result<QueryExecution, ClusterError> {
+            self.runs.push((self.lanes.len(), shard, query.id.clone()));
+            self.inner.run_on_shard(shard, query)
+        }
+
+        fn merge_executions(
+            &self,
+            query: &Query,
+            executions: &[&QueryExecution],
+            shards_pruned: usize,
+        ) -> ClusterExecution {
+            self.inner.merge_executions(query, executions, shards_pruned)
+        }
+    }
+
+    /// Stream every query at 0 s, `mutation` at 1 s and every query
+    /// again at 2 s through `engine` — each phase drains long before
+    /// the next — and return the engine, the mutation's lanes, and the
+    /// `(shard, query id)` runs after it (each at most once).
+    fn reruns<E: StreamEngine>(
+        engine: E,
+        queries: Vec<Query>,
+        mutation: Mutation,
+    ) -> (Counting<E>, Vec<usize>, BTreeSet<(usize, String)>) {
+        let n = queries.len();
+        let at = |i: usize| if i < n { 0.0 } else { 2e9 };
+        let arrivals = (0..2 * n).map(|i| Arrival { at_ns: at(i), query: i % n }).collect();
+        let mutations = vec![MutationArrival { at_ns: 1e9, mutation: 0 }];
+        let workload = Workload::with_mutations(queries, arrivals, vec![mutation], mutations);
+        let mut engine = Counting { inner: engine, lanes: Vec::new(), runs: Vec::new() };
+        let out = run_stream(&mut engine, &workload.unwrap(), &SchedConfig::default()).unwrap();
+        assert_eq!(out.completions.len(), 2 * n);
+        assert!(out.completions.iter().all(|c| c.epoch == usize::from(c.arrival >= n)));
+        let after: Vec<(usize, String)> =
+            engine.runs.iter().filter(|r| r.0 == 1).map(|r| (r.1, r.2.clone())).collect();
+        let set: BTreeSet<_> = after.iter().cloned().collect();
+        assert_eq!(set.len(), after.len(), "a shard re-ran one query twice");
+        let lanes = engine.lanes[0].clone();
+        (engine, lanes, set)
+    }
+
+    /// Every `(shard, query id)` among `lanes` that `engine`'s planner
+    /// now admits.
+    fn candidates<E: StreamEngine>(
+        engine: &E,
+        queries: &[Query],
+        lanes: &[usize],
+    ) -> BTreeSet<(usize, String)> {
+        let mut out = BTreeSet::new();
+        for q in queries {
+            let mask = engine.plan_shards(&q.filter).unwrap();
+            out.extend(lanes.iter().filter(|&&s| mask[s]).map(|&s| (s, q.id.clone())));
+        }
+        out
+    }
+
+    #[test]
+    fn an_update_of_an_unread_attribute_reruns_nothing() {
+        let queries = vec![probe(1), probe(4)];
+        let (engine, lanes, after) = reruns(cluster(3), queries, update("lo_tax", 1));
+        assert!(!lanes.is_empty(), "the UPDATE reached a lane");
+        assert!(after.is_empty(), "re-ran {after:?} after an UPDATE no query reads");
+        assert!(!engine.runs.is_empty());
+    }
+
+    #[test]
+    fn an_update_of_a_read_attribute_reruns_its_readers_on_its_lanes_only() {
+        let queries = vec![probe(1), probe(4)];
+        let (engine, lanes, after) = reruns(cluster(3), queries.clone(), update("lo_price", 1));
+        assert!(!lanes.is_empty() && lanes.len() < engine.active_shards(), "lanes {lanes:?}");
+        assert!(!after.is_empty());
+        assert_eq!(after, candidates(&engine, &queries, &lanes));
+    }
+
+    #[test]
+    fn an_insert_reruns_only_the_lane_it_lands_on() {
+        let queries = vec![probe(1), probe(4), probe(6)];
+        let insert = Mutation::insert().row([5u64, 2, 4]).build(relation().schema()).unwrap();
+        let (engine, lanes, after) = reruns(cluster(3), queries.clone(), insert);
+        assert_eq!(lanes.len(), 1, "a one-row INSERT lands on one lane");
+        assert!(after.iter().all(|(s, _)| *s == lanes[0]), "re-ran {after:?}");
+        assert_eq!(after, candidates(&engine, &queries, &lanes));
+    }
+
+    /// The stated exception: on the star model a mutation drops the
+    /// shared join plans, so even one no probe reads re-runs every
+    /// candidate shard.
+    #[test]
+    fn on_the_star_any_mutation_reruns_every_candidate_shard() {
+        let db = SsbDb::generate(&SsbParams::tiny_for_tests());
+        let star = StarCluster::new(
+            SimConfig::small_for_tests(),
+            &db,
+            EngineMode::OneXb,
+            2,
+            Partitioner::RoundRobin,
+        )
+        .unwrap();
+        let queries: Vec<Query> =
+            ["Q2.1", "Q3.1"].iter().map(|id| queries::standard_query(id).unwrap()).collect();
+        assert!(queries.iter().all(|q| !q.referenced_attrs().contains(&"lo_discount")));
+        let update = Mutation::update()
+            .filter(col("lo_discount").eq(3u64))
+            .set("lo_discount", 4u64)
+            .build(db.lineorder.schema())
+            .unwrap();
+        let (engine, _, after) = reruns(star, queries.clone(), update);
+        let every: Vec<usize> = (0..engine.active_shards()).collect();
+        let want = candidates(&engine, &queries, &every);
+        assert!(!want.is_empty());
+        assert_eq!(after, want);
+    }
+
+    /// The resolution cache never outgrows the query set: at most one
+    /// merged resolution per distinct query and one shard execution per
+    /// (query, active shard), however many epochs the stream crosses.
+    #[test]
+    fn resolution_cache_holds_one_entry_per_query_across_mutations() {
         let queries = vec![probe(1), probe(3), probe(5)];
         let workload = Workload::poisson_htap(
             queries.clone(),
-            (0..6).map(update).collect(),
+            (0..6).map(|y| update("lo_price", y)).collect(),
             40,
             0.25,
             40_000.0,
@@ -1099,14 +1299,8 @@ mod tests {
         );
         let mutations = workload.mutation_arrivals().len();
         assert!(mutations >= 3, "the seed draws mutations between the queries");
-        let mut cluster = ClusterEngine::new(
-            SimConfig::small_for_tests(),
-            rel.clone(),
-            EngineMode::OneXb,
-            3,
-            Partitioner::range_by_attr("d_year"),
-        )
-        .unwrap();
+        let mut cluster = cluster(3);
+        let shards = cluster.active_shards();
         let cfg = SchedConfig::default();
         let mut trace = TraceRecorder::disabled();
         let (mut sim, mut kernel) = open(&mut cluster, &workload, &cfg, &mut trace).unwrap();
@@ -1114,18 +1308,18 @@ mod tests {
         assert_eq!(sim.epoch, mutations, "every mutation was admitted");
         assert_eq!(sim.completions.len(), workload.len());
         // What a cache keyed by (query, epoch) would still be holding.
-        let resolved: std::collections::BTreeSet<(usize, usize)> = sim
+        let resolved: BTreeSet<(usize, usize)> = sim
             .completions
             .iter()
             .map(|c| (workload.arrivals()[c.arrival].query, c.epoch))
             .collect();
         assert!(resolved.len() > queries.len(), "the stream re-resolves across epochs");
+        let (merged, runs) = sim.by_query.entries();
         assert!(
-            sim.by_query.len() <= queries.len(),
-            "{} cached resolutions for {} distinct queries",
-            sim.by_query.len(),
+            merged <= queries.len(),
+            "{merged} merged resolutions for {} queries",
             queries.len()
         );
-        assert!(sim.by_query.keys().all(|&qi| qi < queries.len()));
+        assert!(runs <= queries.len() * shards, "{runs} shard executions for {shards} shards");
     }
 }

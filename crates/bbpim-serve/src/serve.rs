@@ -38,6 +38,7 @@
 //! a write, but still queued behind the bus).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use bbpim_cluster::ClusterExecution;
 use bbpim_sched::demand::{
@@ -231,8 +232,9 @@ pub struct ServeOutcome {
     /// Per-request latency records, in completion order.
     pub completions: Vec<ServeCompletion>,
     /// Merged executions parallel to `completions` — each is
-    /// bit-identical to the batch answer for its query.
-    pub executions: Vec<ClusterExecution>,
+    /// bit-identical to the batch answer for its query, and shared by
+    /// every completion of that query.
+    pub executions: Vec<Arc<ClusterExecution>>,
     /// Per-write-request latency records, in completion order (empty
     /// for sessions without write traffic).
     pub write_completions: Vec<ServeWriteCompletion>,
@@ -379,8 +381,9 @@ fn stream_seed(seed: u64, tenant: u64, stream: u64) -> u64 {
 /// The serving state machine.
 struct Server<'a> {
     tenants: &'a [TenantSpec],
-    /// `demands[t][q]`: tenant t's query q, resolved once.
-    demands: Vec<Vec<(QueryDemand, ClusterExecution)>>,
+    /// `demands[t][q]`: tenant t's query q, resolved once; its answer
+    /// is shared with every completion of it.
+    demands: Vec<Vec<(QueryDemand, Arc<ClusterExecution>)>>,
     /// `write_demands[t][w]`: tenant t's mutation w, applied to the
     /// cluster once at session start and compiled to its lane chains.
     write_demands: Vec<Vec<MutationDemand>>,
@@ -400,7 +403,7 @@ struct Server<'a> {
     est_per_shard_ns: Option<f64>,
     next_tick_ns: Option<f64>,
     completions: Vec<ServeCompletion>,
-    executions: Vec<ClusterExecution>,
+    executions: Vec<Arc<ClusterExecution>>,
     write_completions: Vec<ServeWriteCompletion>,
     drops: Vec<ServeDrop>,
     timeline: Vec<ServeTimelineEvent>,
@@ -680,7 +683,7 @@ impl Server<'_> {
                     shards_pruned: demand.shards_pruned,
                     deadline_ns: r.deadline_ns,
                 };
-                self.executions.push(exec.clone());
+                self.executions.push(Arc::clone(exec));
                 self.note_service(completion.service_ns(), completion.shards_dispatched);
                 self.completions.push(completion);
             }
@@ -887,7 +890,8 @@ pub fn run_serve_traced<E: StreamEngine>(
     for t in tenants {
         let mut per_query = Vec::with_capacity(t.queries.len());
         for q in &t.queries {
-            per_query.push(resolve_query_demand(cluster, q, want_detail)?);
+            let (demand, exec) = resolve_query_demand(cluster, q, want_detail)?;
+            per_query.push((demand, Arc::new(exec)));
         }
         demands.push(per_query);
     }

@@ -1,12 +1,16 @@
 //! HTAP ingest equivalence: an interleaved query/mutation stream must
 //! answer every query bit-identically to a prefix-replay oracle — a
-//! fresh engine that applies exactly the first
-//! [`QueryCompletion::epoch`] arrived mutations and then runs the
-//! query — on both storage models (pre-joined wide cluster and
+//! fresh engine under the same contention setting that applies exactly
+//! the first [`QueryCompletion::epoch`] arrived mutations and then runs
+//! the query — on both storage models (pre-joined wide cluster and
 //! normalized star cluster), across shard counts and contention
-//! settings. On top of snapshot equivalence: the interleaving must be
-//! a pure function of the seed, and a full ingest buffer must stall
-//! arrivals (backpressure) without deadlocking the stream.
+//! settings. The whole [`ClusterExecution`] must match — groups, report
+//! and per-shard phase logs — so a shard execution the scheduler reused
+//! after a mutation it should have re-run fails here even where the
+//! groups happen to agree. On top of snapshot equivalence: the
+//! interleaving must be a pure function of the seed, and a full ingest
+//! buffer must stall arrivals (backpressure) without deadlocking the
+//! stream.
 
 use bbpim::cluster::{ClusterEngine, ClusterExecution, Partitioner};
 use bbpim::db::builder::col;
@@ -144,9 +148,10 @@ impl Replay for StarCluster {
     }
 }
 
-/// Every streamed answer must equal a fresh engine that replayed
-/// exactly the first `epoch` arrived mutations. Completions are walked
-/// in epoch order so one replay engine serves the whole stream.
+/// Every streamed execution must equal that of a fresh engine that
+/// replayed exactly the first `epoch` arrived mutations. Completions
+/// are walked in epoch order so one replay engine serves the whole
+/// stream.
 fn assert_prefix_replay(
     label: &str,
     out: &StreamOutcome,
@@ -166,7 +171,7 @@ fn assert_prefix_replay(
         let q = &workload.queries()[workload.arrivals()[c.arrival].query];
         let oracle = fresh.answer(q);
         assert_eq!(
-            out.executions[c.arrival].groups, oracle.groups,
+            *out.executions[c.arrival], oracle,
             "{label}: {} (arrival {}, epoch {}) diverged from its prefix-replay oracle",
             c.query_id, c.arrival, c.epoch
         );
@@ -209,6 +214,7 @@ fn mixed_stream_matches_prefix_replay_on_the_wide_model() {
             assert!(written > 0, "mutations must land records");
             assert!(out.shard_cell_writes.iter().sum::<u64>() > 0, "ingest must wear cells");
             let mut fresh = wide_cluster(&wide, shards, &model);
+            fresh.set_contention(contention);
             assert_prefix_replay(
                 &format!("wide, {shards} shards, contention {contention}"),
                 &out,
@@ -240,6 +246,7 @@ fn mixed_stream_matches_prefix_replay_on_the_star_model() {
                 "the dimension UPDATE must wear a dimension-module lane"
             );
             let mut fresh = star_cluster(&db, shards);
+            fresh.set_contention(contention);
             assert_prefix_replay(
                 &format!("star, {shards} shards, contention {contention}"),
                 &out,
