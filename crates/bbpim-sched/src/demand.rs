@@ -2,8 +2,8 @@
 //! bus/local slice chains the [`kernel`](crate::kernel) plays out.
 //!
 //! The compilation step is the contract both admission front-ends
-//! share: a [`ResolutionCache`] plans a query through the zone-map
-//! planner, executes every candidate shard slice
+//! share: one crate-internal resolution cache plans a query through
+//! the zone-map planner, executes every candidate shard slice
 //! ([`StreamEngine::run_on_shard`]), merges the partials exactly as
 //! `run_batch` would, and compiles each shard execution's phase log
 //! into a [`SliceChain`]. Whichever front-end admits the chains —
@@ -104,8 +104,9 @@ pub struct QueryDemand {
     /// The query's identifier (trace/report labels).
     pub query_id: String,
     /// Per-candidate-shard chains (empty when the planner answered the
-    /// query outright — nothing to dispatch).
-    pub shards: Vec<ShardDemand>,
+    /// query outright — nothing to dispatch), each shared with the
+    /// cached shard execution it was compiled from.
+    pub shards: Vec<Arc<ShardDemand>>,
     /// Active shards the zone-map planner pruned.
     pub shards_pruned: usize,
     /// Host-side merge occupancy once every shard chain finishes.
@@ -205,19 +206,21 @@ pub fn compile_log_slices(
 /// A resolved query: its compiled service demand and its merged answer,
 /// each behind an [`Arc`] so every admission, completion and outcome
 /// holding them shares one copy.
-pub type Resolution = (Arc<QueryDemand>, Arc<ClusterExecution>);
+pub(crate) type Resolution = (Arc<QueryDemand>, Arc<ClusterExecution>);
 
 /// One query's execution on one shard, stamped with the shard state it
 /// ran against.
 struct ShardRun {
     stamp: u64,
     exec: QueryExecution,
-    demand: ShardDemand,
+    demand: Arc<ShardDemand>,
 }
 
-/// A query's last merged resolution and the shard mask it merged under.
+/// A query's last merged resolution, the shard mask it merged under and
+/// the cluster-wide insert version it saw.
 struct Merged {
     mask: Vec<bool>,
+    inserted: u64,
     resolution: Resolution,
 }
 
@@ -251,13 +254,24 @@ struct ShardVersions {
 /// every shard, because applying it drops the shared join plan and the
 /// plan's prelude is then charged to whichever shard leads next.
 ///
+/// A merge also reads cluster-wide state the shard executions do not:
+/// the record and page counts of every shard, pruned ones included
+/// ([`StreamEngine::merge_executions`] reports them). Both move only
+/// with an INSERT, so each merged resolution is stamped with the
+/// version of the last INSERT anywhere (of the last mutation, on the
+/// star model).
+///
 /// [`ResolutionCache::resolve`] re-plans the query's shard mask on every
 /// call, runs only the candidate shards whose stamp changed, and merges
-/// again only when a shard re-ran or the mask moved.
-pub struct ResolutionCache {
+/// again only when a shard re-ran, the mask moved or an INSERT landed
+/// anywhere since the last merge.
+pub(crate) struct ResolutionCache {
     want_detail: bool,
     /// The last version handed out.
     clock: u64,
+    /// The version of the last INSERT on any shard (or of the last
+    /// mutation, on an engine with auxiliary lanes).
+    inserted: u64,
     /// Per active shard (grown on first touch).
     versions: Vec<ShardVersions>,
     /// `(query key, shard)` → its stamped execution (behind an `Arc`,
@@ -270,10 +284,11 @@ pub struct ResolutionCache {
 impl ResolutionCache {
     /// An empty cache compiling chains with (`want_detail`, when
     /// tracing) or without per-slice phase detail.
-    pub fn new(want_detail: bool) -> ResolutionCache {
+    pub(crate) fn new(want_detail: bool) -> ResolutionCache {
         ResolutionCache {
             want_detail,
             clock: 0,
+            inserted: 0,
             versions: Vec::new(),
             runs: HashMap::new(),
             merged: HashMap::new(),
@@ -298,7 +313,7 @@ impl ResolutionCache {
     /// Record that `mutation` was applied to `cluster`, where
     /// [`StreamEngine::apply_mutation`] returned `applied`: bump the
     /// versions it changed (see the type docs for the rule).
-    pub fn mutated<E: StreamEngine>(
+    pub(crate) fn mutated<E: StreamEngine>(
         &mut self,
         cluster: &E,
         mutation: &Mutation,
@@ -307,7 +322,11 @@ impl ResolutionCache {
         self.clock += 1;
         let version = self.clock;
         let shards = cluster.active_shards();
-        if cluster.ingest_lanes() > shards {
+        let star = cluster.ingest_lanes() > shards;
+        if star || matches!(mutation, Mutation::Insert { .. }) {
+            self.inserted = version;
+        }
+        if star {
             for s in 0..shards {
                 self.versions_mut(s).inserted = version;
             }
@@ -335,7 +354,7 @@ impl ResolutionCache {
     ///
     /// Planner attribute-resolution failures or shard execution
     /// failures, as [`SchedError::Cluster`].
-    pub fn resolve<E: StreamEngine>(
+    pub(crate) fn resolve<E: StreamEngine>(
         &mut self,
         cluster: &mut E,
         key: usize,
@@ -345,7 +364,8 @@ impl ResolutionCache {
         let candidates: Vec<usize> =
             mask.iter().enumerate().filter(|(_, &d)| d).map(|(s, _)| s).collect();
         let attrs = query.referenced_attrs();
-        let mut fresh = self.merged.get(&key).is_some_and(|m| m.mask == mask);
+        let mut fresh =
+            self.merged.get(&key).is_some_and(|m| m.mask == mask && m.inserted == self.inserted);
         for &s in &candidates {
             let stamp = self.stamp(s, &attrs);
             if self.runs.get(&(key, s)).is_some_and(|r| r.stamp == stamp) {
@@ -362,6 +382,7 @@ impl ResolutionCache {
                 cluster.contention(),
                 self.want_detail,
             );
+            let demand = Arc::new(demand);
             self.runs.insert((key, s), Arc::new(ShardRun { stamp, exec, demand }));
             fresh = false;
         }
@@ -374,20 +395,22 @@ impl ResolutionCache {
         let merged = cluster.merge_executions(query, &refs, shards_pruned);
         let demand = QueryDemand {
             query_id: query.id.clone(),
-            shards: runs.iter().map(|r| r.demand.clone()).collect(),
+            shards: runs.iter().map(|r| Arc::clone(&r.demand)).collect(),
             shards_pruned,
             merge_ns: merged.report.merge_time_ns,
         };
         let resolution = (Arc::new(demand), Arc::new(merged));
-        self.merged.insert(key, Merged { mask, resolution: resolution.clone() });
+        let inserted = self.inserted;
+        self.merged.insert(key, Merged { mask, inserted, resolution: resolution.clone() });
         Ok(resolution)
     }
 }
 
 /// Resolve one query's full service demand against `cluster` once: a
-/// fresh [`ResolutionCache`]'s one use — zone-map plan, execute every
+/// fresh resolution cache's one use — zone-map plan, execute every
 /// candidate shard slice, merge the partials in shard order, and
-/// compile each shard execution into its slice chain.
+/// compile each shard execution into its slice chain. The cache is
+/// dropped before the result is unwrapped, so nothing is copied out.
 ///
 /// The returned [`ClusterExecution`] **is** the query's answer — it is
 /// fixed here, before any scheduling happens, which is what makes every
@@ -419,8 +442,10 @@ pub struct MutationDemand {
     /// Per-lane chains (the [`ShardDemand::shard`] field holds the
     /// *ingest lane* index — fact-shard lanes share indices with query
     /// shard slices; auxiliary lanes, e.g. star dimension modules, sit
-    /// above [`crate::StreamEngine::active_shards`]).
-    pub lanes: Vec<ShardDemand>,
+    /// above [`crate::StreamEngine::active_shards`]). Held behind
+    /// [`Arc`]s like a query's chains, so the kernel reads both as one
+    /// slice type.
+    pub lanes: Vec<Arc<ShardDemand>>,
     /// Records the mutation rewrote (UPDATE), summed over lanes.
     pub records_updated: u64,
     /// Records the mutation appended (INSERT), summed over lanes.
@@ -443,7 +468,7 @@ pub fn compile_mutation_demand(
         .iter()
         .map(|(lane, rep)| {
             let wear = (rep.max_row_cell_writes, rep.required_endurance(ENDURANCE_YEARS));
-            ShardDemand::compile(
+            Arc::new(ShardDemand::compile(
                 *lane,
                 &rep.phases,
                 rep.time_ns,
@@ -451,7 +476,7 @@ pub fn compile_mutation_demand(
                 host,
                 contention,
                 want_detail,
-            )
+            ))
         })
         .collect();
     MutationDemand {
@@ -605,7 +630,7 @@ mod slice_tests {
         let d = QueryDemand {
             query_id: "t".into(),
             shards: vec![
-                ShardDemand {
+                Arc::new(ShardDemand {
                     shard: 0,
                     cell_writes: 0,
                     required_endurance: 0.0,
@@ -614,8 +639,8 @@ mod slice_tests {
                         Slice { bus_ns: 5.0, local_ns: 45.0, bus_kind: None, bus_bytes: 0 },
                     ],
                     detail: Vec::new(),
-                },
-                ShardDemand {
+                }),
+                Arc::new(ShardDemand {
                     shard: 2,
                     cell_writes: 0,
                     required_endurance: 0.0,
@@ -626,7 +651,7 @@ mod slice_tests {
                         bus_bytes: 0,
                     }],
                     detail: Vec::new(),
-                },
+                }),
             ],
             shards_pruned: 1,
             merge_ns: 25.0,

@@ -27,6 +27,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use bbpim_sim::hostbus::SharedBus;
 use bbpim_trace::{ArgValue, TraceRecorder, TrackId};
@@ -50,7 +51,7 @@ pub struct SpanLabels {
 /// What the kernel asks its front-end about a job.
 pub trait Jobs {
     /// The job's slice chains, one per lane it occupies.
-    fn chains(&self, job: usize) -> &[ShardDemand];
+    fn chains(&self, job: usize) -> &[Arc<ShardDemand>];
 
     /// The job's trace labels. Asked once per recorded span and never
     /// on a disabled recorder, so it may allocate.

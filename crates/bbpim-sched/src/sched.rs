@@ -36,18 +36,20 @@
 //!   answer — the whole execution, phase logs included —
 //!   bit-identically; the ingest-equivalence suites assert exactly this
 //!   at every admission prefix. Resolutions are cached per (query,
-//!   shard) in a [`ResolutionCache`], each shard execution **stamped**
-//!   with the versions of the shard state it read: the shard's insert
-//!   version and its version of every attribute the query references.
-//!   An admitted UPDATE bumps its SET attributes on the lanes it
-//!   reports, an INSERT the insert version of the lane it lands on, so
-//!   an admission re-plans the query's shards, re-runs only the
-//!   candidates whose stamp moved and merges again only when a shard
-//!   re-ran or the mask changed — an UPDATE of an attribute no query
-//!   reads re-runs nothing. *Stated exception:* on an engine with
-//!   auxiliary ingest lanes (the star model) any mutation bumps every
-//!   shard, since applying it drops the shared join plan and its
-//!   prelude is then charged to whichever shard leads next.
+//!   shard), each shard execution **stamped** with the versions of the
+//!   shard state it read: the shard's insert version and its version
+//!   of every attribute the query references. An admitted UPDATE bumps
+//!   its SET attributes on the lanes it reports, an INSERT the insert
+//!   version of the lane it lands on, so an admission re-plans the
+//!   query's shards and re-runs only the candidates whose stamp moved
+//!   — an UPDATE of an attribute no query reads re-runs nothing. The
+//!   merge is redone when a shard re-ran, the mask changed or an
+//!   INSERT landed anywhere since, pruned shards included: the merged
+//!   report counts every shard's records and pages. *Stated
+//!   exception:* on an engine with auxiliary ingest lanes (the star
+//!   model) any mutation bumps every shard, since applying it drops
+//!   the shared join plan and its prelude is then charged to whichever
+//!   shard leads next.
 //! * **Planning** — each admitted query is planned through the zone-map
 //!   planner ([`StreamEngine::plan_shards`]); pruned shards receive no
 //!   work, and a query whose candidate set is empty is answered by the
@@ -560,9 +562,10 @@ struct Sim<'a, E: StreamEngine> {
     epoch: usize,
     /// Resolutions keyed by query index, stamped per shard: repeated
     /// arrivals share one resolution until an admitted mutation touches
-    /// a shard state it read, and then only that shard re-runs. Holds
-    /// at most one merged resolution per distinct query and one
-    /// execution per (query, active shard).
+    /// a shard state it read, and then only that shard re-runs (an
+    /// INSERT anywhere re-merges, since the merged report counts every
+    /// shard's records). Holds at most one merged resolution per
+    /// distinct query and one execution per (query, active shard).
     by_query: ResolutionCache,
     /// Per query arrival, filled at admission: its resolved demand and
     /// merged answer, shared with every arrival the same resolution
@@ -590,7 +593,7 @@ struct Sim<'a, E: StreamEngine> {
 }
 
 impl<E: StreamEngine> Jobs for Sim<'_, E> {
-    fn chains(&self, job: usize) -> &[ShardDemand] {
+    fn chains(&self, job: usize) -> &[Arc<ShardDemand>] {
         match self.job(job) {
             Job::Query(ai) => &self.qd(ai).shards,
             Job::Mutation(mi) => &self.md(mi).lanes,
@@ -1185,24 +1188,41 @@ mod tests {
         }
     }
 
+    /// `(shard, query id)` pairs of `run_on_shard` calls.
+    type Runs = BTreeSet<(usize, String)>;
+
     /// Stream every query at 0 s, `mutation` at 1 s and every query
-    /// again at 2 s through `engine` — each phase drains long before
-    /// the next — and return the engine, the mutation's lanes, and the
-    /// `(shard, query id)` runs after it (each at most once).
-    fn reruns<E: StreamEngine>(
-        engine: E,
+    /// again at 2 s through an engine from `make` — each phase drains
+    /// long before the next — and check every streamed execution, whole,
+    /// against a fresh engine from `make` that replayed the mutations
+    /// its arrival saw. Return the streamed engine, the mutation's
+    /// lanes, and the `(shard, query id)` runs after it (each at most
+    /// once).
+    fn reruns<S: Storage>(
+        make: impl Fn() -> Cluster<S>,
         queries: Vec<Query>,
         mutation: Mutation,
-    ) -> (Counting<E>, Vec<usize>, BTreeSet<(usize, String)>) {
+    ) -> (Counting<Cluster<S>>, Vec<usize>, Runs) {
         let n = queries.len();
         let at = |i: usize| if i < n { 0.0 } else { 2e9 };
         let arrivals = (0..2 * n).map(|i| Arrival { at_ns: at(i), query: i % n }).collect();
         let mutations = vec![MutationArrival { at_ns: 1e9, mutation: 0 }];
-        let workload = Workload::with_mutations(queries, arrivals, vec![mutation], mutations);
-        let mut engine = Counting { inner: engine, lanes: Vec::new(), runs: Vec::new() };
+        let workload =
+            Workload::with_mutations(queries.clone(), arrivals, vec![mutation.clone()], mutations);
+        let mut engine = Counting { inner: make(), lanes: Vec::new(), runs: Vec::new() };
         let out = run_stream(&mut engine, &workload.unwrap(), &SchedConfig::default()).unwrap();
         assert_eq!(out.completions.len(), 2 * n);
         assert!(out.completions.iter().all(|c| c.epoch == usize::from(c.arrival >= n)));
+        let mut fresh = make();
+        for epoch in 0..2 {
+            if epoch == 1 {
+                fresh.mutate(&mutation).unwrap();
+            }
+            for c in out.completions.iter().filter(|c| c.epoch == epoch) {
+                let oracle = fresh.run(&queries[c.arrival % n]).unwrap();
+                assert_eq!(*out.executions[c.arrival], oracle, "{} at epoch {epoch}", c.query_id);
+            }
+        }
         let after: Vec<(usize, String)> =
             engine.runs.iter().filter(|r| r.0 == 1).map(|r| (r.1, r.2.clone())).collect();
         let set: BTreeSet<_> = after.iter().cloned().collect();
@@ -1213,11 +1233,7 @@ mod tests {
 
     /// Every `(shard, query id)` among `lanes` that `engine`'s planner
     /// now admits.
-    fn candidates<E: StreamEngine>(
-        engine: &E,
-        queries: &[Query],
-        lanes: &[usize],
-    ) -> BTreeSet<(usize, String)> {
+    fn candidates<E: StreamEngine>(engine: &E, queries: &[Query], lanes: &[usize]) -> Runs {
         let mut out = BTreeSet::new();
         for q in queries {
             let mask = engine.plan_shards(&q.filter).unwrap();
@@ -1229,7 +1245,7 @@ mod tests {
     #[test]
     fn an_update_of_an_unread_attribute_reruns_nothing() {
         let queries = vec![probe(1), probe(4)];
-        let (engine, lanes, after) = reruns(cluster(3), queries, update("lo_tax", 1));
+        let (engine, lanes, after) = reruns(|| cluster(3), queries, update("lo_tax", 1));
         assert!(!lanes.is_empty(), "the UPDATE reached a lane");
         assert!(after.is_empty(), "re-ran {after:?} after an UPDATE no query reads");
         assert!(!engine.runs.is_empty());
@@ -1238,17 +1254,20 @@ mod tests {
     #[test]
     fn an_update_of_a_read_attribute_reruns_its_readers_on_its_lanes_only() {
         let queries = vec![probe(1), probe(4)];
-        let (engine, lanes, after) = reruns(cluster(3), queries.clone(), update("lo_price", 1));
+        let (engine, lanes, after) = reruns(|| cluster(3), queries.clone(), update("lo_price", 1));
         assert!(!lanes.is_empty() && lanes.len() < engine.active_shards(), "lanes {lanes:?}");
         assert!(!after.is_empty());
         assert_eq!(after, candidates(&engine, &queries, &lanes));
     }
 
+    /// `probe(6)` plans only a shard the INSERT misses, yet its merged
+    /// report must count the new record: `reruns` checks it against a
+    /// replay.
     #[test]
     fn an_insert_reruns_only_the_lane_it_lands_on() {
         let queries = vec![probe(1), probe(4), probe(6)];
         let insert = Mutation::insert().row([5u64, 2, 4]).build(relation().schema()).unwrap();
-        let (engine, lanes, after) = reruns(cluster(3), queries.clone(), insert);
+        let (engine, lanes, after) = reruns(|| cluster(3), queries.clone(), insert);
         assert_eq!(lanes.len(), 1, "a one-row INSERT lands on one lane");
         assert!(after.iter().all(|(s, _)| *s == lanes[0]), "re-ran {after:?}");
         assert_eq!(after, candidates(&engine, &queries, &lanes));
@@ -1260,14 +1279,10 @@ mod tests {
     #[test]
     fn on_the_star_any_mutation_reruns_every_candidate_shard() {
         let db = SsbDb::generate(&SsbParams::tiny_for_tests());
-        let star = StarCluster::new(
-            SimConfig::small_for_tests(),
-            &db,
-            EngineMode::OneXb,
-            2,
-            Partitioner::RoundRobin,
-        )
-        .unwrap();
+        let star = || {
+            let cfg = SimConfig::small_for_tests();
+            StarCluster::new(cfg, &db, EngineMode::OneXb, 2, Partitioner::RoundRobin).unwrap()
+        };
         let queries: Vec<Query> =
             ["Q2.1", "Q3.1"].iter().map(|id| queries::standard_query(id).unwrap()).collect();
         assert!(queries.iter().all(|q| !q.referenced_attrs().contains(&"lo_discount")));

@@ -418,7 +418,7 @@ const EST_ALPHA: f64 = 0.3;
 impl Jobs for Server<'_> {
     /// Candidate shard chains for a query, ingest lane chains for a
     /// write.
-    fn chains(&self, ri: usize) -> &[ShardDemand] {
+    fn chains(&self, ri: usize) -> &[Arc<ShardDemand>] {
         let r = &self.requests[ri];
         match r.work {
             Work::Query(q) => &self.demands[r.tenant][q].0.shards,
