@@ -101,7 +101,6 @@ pub trait Storage: Sync {
     fn bounds(
         &self,
         fact: &Schema,
-        aux: &[PimTable],
         filter: &Pred,
         broadcast: usize,
     ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError>;
@@ -159,6 +158,14 @@ pub trait Storage: Sync {
     /// (its once-per-query charges are spent).
     fn keep_plan(&mut self, query: &Query, plan: Self::Plan);
 
+    /// Bring the model's host-side state in step with `m`, just applied
+    /// to auxiliary table `d` (the star's dimension catalogs).
+    ///
+    /// # Errors
+    ///
+    /// Resolution failures.
+    fn aux_mutated(&mut self, d: usize, m: &Mutation) -> Result<(), ClusterError>;
+
     /// Drop every cached plan: a toggle or a landed write may change
     /// any of them.
     fn invalidate(&mut self);
@@ -178,7 +185,6 @@ impl Storage for PreJoined {
     fn bounds(
         &self,
         fact: &Schema,
-        _aux: &[PimTable],
         filter: &Pred,
         _broadcast: usize,
     ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError> {
@@ -221,6 +227,10 @@ impl Storage for PreJoined {
     }
 
     fn keep_plan(&mut self, _query: &Query, _plan: ()) {}
+
+    fn aux_mutated(&mut self, _d: usize, _m: &Mutation) -> Result<(), ClusterError> {
+        Ok(())
+    }
 
     fn invalidate(&mut self) {}
 }
@@ -447,7 +457,7 @@ impl<S: Storage> Cluster<S> {
             }
             built.push(Shard {
                 index,
-                table: PimTable::new(cfg.clone(), part, layout.clone())?,
+                table: PimTable::new(cfg.clone(), &part, layout.clone())?,
                 zone,
             });
         }
@@ -565,12 +575,7 @@ impl<S: Storage> Cluster<S> {
     ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError> {
         match self.shards.first() {
             None => Ok((Vec::new(), Vec::new())),
-            Some(first) => self.storage.bounds(
-                first.table.relation().schema(),
-                &self.aux,
-                filter,
-                self.shards.len(),
-            ),
+            Some(first) => self.storage.bounds(first.table.schema(), filter, self.shards.len()),
         }
     }
 
@@ -614,7 +619,7 @@ impl<S: Storage> Cluster<S> {
         let filter_bounds = match self.shards.first() {
             None => Vec::new(),
             Some(first) => {
-                let attrs = first.table.relation().schema().attrs();
+                let attrs = first.table.schema().attrs();
                 bounds
                     .intervals()
                     .into_iter()
@@ -641,7 +646,7 @@ impl<S: Storage> Cluster<S> {
             }
             shards.push(ShardPlan {
                 shard_index: shard.index,
-                records: shard.table.relation().len(),
+                records: shard.table.records(),
                 pages: shard.table.page_count(),
                 candidate_pages,
                 dispatched,
@@ -861,8 +866,7 @@ impl<S: Storage> Cluster<S> {
         filter: &Pred,
         set: &[(String, bbpim_db::plan::Const)],
     ) -> Result<Option<usize>, ClusterError> {
-        let owner =
-            |attr: &str| self.aux.iter().position(|t| t.relation().schema().index_of(attr).is_ok());
+        let owner = |attr: &str| self.aux.iter().position(|t| t.schema().index_of(attr).is_ok());
         let target = set.first().and_then(|(attr, _)| owner(attr));
         let filtered = filter.atoms().into_iter().map(|a| a.attr());
         for attr in set.iter().map(|(attr, _)| attr.as_str()).chain(filtered) {
@@ -960,7 +964,11 @@ impl<S: Storage> Cluster<S> {
         let mut out = Vec::with_capacity(parts.len());
         for (lane, part) in parts {
             let report = match lane.checked_sub(active) {
-                Some(d) => self.aux[d].mutate(&part, self.pruning)?,
+                Some(d) => {
+                    let report = self.aux[d].mutate(&part, self.pruning)?;
+                    self.storage.aux_mutated(d, &part)?;
+                    report
+                }
                 None => {
                     let shard = &mut self.shards[lane];
                     let report = shard.table.mutate(&part, self.pruning)?;
@@ -1015,15 +1023,14 @@ fn shard_host_bytes(
     if partitions > 1 {
         // one transfer pair per disjunct that touches a dimension
         // partition (the two-xb inter-partition traffic)
-        let attrs = table.relation().schema().attrs();
+        let attrs = table.schema().attrs();
         let in_dim_partition = |a: &ResolvedAtom| {
             table.layout().placement(&attrs[a.attr_index()].name).is_ok_and(|p| p.partition != 0)
         };
         let dim_disjuncts =
             dnf.iter().filter(|conj| conj.iter().any(in_dim_partition)).count() as u64;
         let raw_bytes = plan.len() as u64 * cfg.crossbar_rows as u64 * host.line_bytes as u64;
-        let records_per_page =
-            (table.relation().len() as u64).div_ceil(table.page_count().max(1) as u64);
+        let records_per_page = (table.records() as u64).div_ceil(table.page_count().max(1) as u64);
         let packed = bbpim_sim::maskwire::WIRE_HEADER_BYTES
             + (plan.len() as u64 * records_per_page).div_ceil(8);
         let per_transfer = if policy.compress_masks { packed.min(raw_bytes) } else { raw_bytes };

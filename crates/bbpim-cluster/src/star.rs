@@ -27,11 +27,13 @@
 //! ## Planning
 //!
 //! Shard admission and page planning stay host-side and free of PIM
-//! work: the planner evaluates each dimension conjunction against the
-//! catalog copy (zone maps and catalog are maintained by UPDATEs, so
-//! this is sound) and turns the selected-key hull into a BETWEEN bound
-//! on the fact FK attribute — selective dimension filters prune fact
-//! shards and pages *through the join*.
+//! work: the planner evaluates each dimension conjunction against that
+//! dimension's catalog (zone maps and catalogs are maintained by
+//! UPDATEs, so this is sound) and turns the selected-key hull into a
+//! BETWEEN bound on the fact FK attribute — selective dimension filters
+//! prune fact shards and pages *through the join*. The four small
+//! dimension catalogs are the model's stated exception to keeping no
+//! rows on the host (see [`Star`]); the fact shards hold none.
 //!
 //! ## Accounting approximations
 //!
@@ -63,6 +65,7 @@ use bbpim_core::error::CoreError;
 use bbpim_core::groupby::GroupByOutcome;
 use bbpim_core::layout::{RecordLayout, MASK_COL};
 use bbpim_core::modes::EngineMode;
+use bbpim_core::mutation::Mutation;
 use bbpim_core::record::{fold_record, ScatteredRead};
 use bbpim_core::result::QueryExecution;
 use bbpim_core::semijoin::{SemijoinDisjunct, SemijoinTerm};
@@ -84,12 +87,21 @@ use crate::explain::{HostBytes, JoinTransfer};
 use crate::{ClusterError, Partitioner};
 
 /// The normalized star storage model: which attributes stay
-/// host-resident per table (fact first, then the four dimensions) and
-/// the compiled join plans, one per (query, filter) text.
+/// host-resident per table (fact first, then the four dimensions), the
+/// compiled join plans, one per (query, filter) text, and the four
+/// dimension catalogs.
+///
+/// The catalogs are the one stated exception to "the image is the
+/// table": the planner's `host_dim_bitmap` evaluates dimension
+/// conjunctions on them for free, so shard and page pruning through the
+/// join costs no PIM work. They are small (one row per dimension key)
+/// and every dimension UPDATE patches them
+/// ([`Storage::aux_mutated`]); the fact shards keep no rows.
 #[derive(Debug)]
 pub struct Star {
     cold: [Vec<String>; 5],
     join_cache: HashMap<String, JoinPlan>,
+    dims: Vec<Relation>,
 }
 
 /// A sharded PIM OLAP engine over the *normalized* SSB star schema:
@@ -143,12 +155,11 @@ fn col_range(table: &PimTable, attr: &str) -> Result<ColRange, ClusterError> {
     Ok(table.layout().placement(attr)?.range)
 }
 
-/// Host-side evaluation of one dimension conjunction against the
-/// catalog copy — the planner's (free) twin of the on-module filter;
-/// both produce the same bitmap because pruning is a proof of absence
-/// and UPDATEs patch the catalog.
-fn host_dim_bitmap(dim: &PimTable, d: usize, atoms: &[Atom]) -> Result<KeyBitmap, ClusterError> {
-    let rel = dim.relation();
+/// Host-side evaluation of one dimension conjunction against its
+/// catalog — the planner's (free) twin of the on-module filter; both
+/// produce the same bitmap because pruning is a proof of absence and
+/// UPDATEs patch the catalog.
+fn host_dim_bitmap(rel: &Relation, d: usize, atoms: &[Atom]) -> Result<KeyBitmap, ClusterError> {
     let resolved = resolve_all(atoms, rel.schema())?;
     let mut bits = PackedBits::zeros(rel.len());
     let selected = (0..rel.len()).filter(|&row| resolved.iter().all(|a| a.matches(rel, row)));
@@ -165,7 +176,7 @@ fn filter_conjunction(
     prune: bool,
     log: &mut RunLog,
 ) -> Result<PackedBits, ClusterError> {
-    let conj = [resolve_all(atoms, dim.relation().schema())?];
+    let conj = [resolve_all(atoms, dim.schema())?];
     let mut scan = dim.begin(dim.plan_dnf(&conj, prune), None);
     scan.filter(&conj)?;
     log.extend(&scan.take_log());
@@ -197,7 +208,7 @@ impl RoutedDisjunct {
 /// The one walk over a star filter. Per DNF disjunct the atoms are
 /// routed by owning table; per filtered dimension (catalog order)
 /// `bitmap(disjunct, d, atoms)` supplies the key bitmap of that
-/// dimension's conjunction — evaluated on the catalog copy when
+/// dimension's conjunction — evaluated on the dimension's catalog when
 /// planning, on the dimension's module when executing. An empty bitmap
 /// makes the disjunct false: it is dropped (it can match no fact
 /// record) and its later dimensions are never visited.
@@ -254,7 +265,7 @@ fn build_join_plan(
     let mut disjuncts = Vec::with_capacity(routed.len());
     let mut bounds_dnf = Vec::with_capacity(routed.len());
     for r in routed {
-        let bounds = r.bounds(fact.relation().schema())?;
+        let bounds = r.bounds(fact.schema())?;
         let mut atoms = Vec::with_capacity(r.fact_atoms.len());
         for (a, resolved) in r.fact_atoms.iter().zip(&bounds) {
             atoms.push((resolved.clone(), col_range(fact, a.attr())?));
@@ -279,13 +290,12 @@ impl Storage for Star {
     fn bounds(
         &self,
         fact: &Schema,
-        dims: &[PimTable],
         filter: &Pred,
         broadcast: usize,
     ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError> {
         let mut transfers = Vec::new();
         let routed = route_filter(filter, |disjunct, d, atoms| {
-            let bitmap = host_dim_bitmap(&dims[d], d, atoms)?;
+            let bitmap = host_dim_bitmap(&self.dims[d], d, atoms)?;
             transfers.push(JoinTransfer {
                 dimension: DIMENSIONS[d].name.to_string(),
                 disjunct,
@@ -325,7 +335,7 @@ impl Storage for Star {
                 .position(|meta| meta.name == t.dimension)
                 .expect("the ledger names star dimensions");
             let (dim, atoms) = (&dims[d], &route_conjunct(&dnf[t.disjunct]).1[d]);
-            let pages = dim.plan_dnf(&[resolve_all(atoms, dim.relation().schema())?], prune);
+            let pages = dim.plan_dnf(&[resolve_all(atoms, dim.schema())?], prune);
             host_bytes.dispatch_bytes += pages.dispatch_bytes(
                 &dim.config().host,
                 dim.module().policy(),
@@ -387,6 +397,11 @@ impl Storage for Star {
         self.join_cache.insert(plan_key(query), plan);
     }
 
+    fn aux_mutated(&mut self, d: usize, m: &Mutation) -> Result<(), ClusterError> {
+        m.apply_to(&mut self.dims[d])?;
+        Ok(())
+    }
+
     fn invalidate(&mut self) {
         self.join_cache.clear();
     }
@@ -418,33 +433,31 @@ impl StarCluster {
         let cold = catalog.ssb_cold_attrs();
         let layout =
             |rel: &Relation, cold| RecordLayout::build_custom(rel.schema(), &cfg, 1, |_| 0, cold);
+        let mut aux = Vec::with_capacity(4);
         let mut dims = Vec::with_capacity(4);
         for (d, cold) in cold[1..].iter().enumerate() {
             let rel = catalog.dim(d).clone();
-            let layout = layout(&rel, cold)?;
-            dims.push(PimTable::new(cfg.clone(), rel, layout)?);
+            aux.push(PimTable::new(cfg.clone(), &rel, layout(&rel, cold)?)?);
+            dims.push(rel);
         }
         let fact_layout = layout(&db.lineorder, &cold[0])?;
-        let storage = Star { cold, join_cache: HashMap::new() };
+        let storage = Star { cold, join_cache: HashMap::new(), dims };
         let mut cluster =
             Cluster::build(&cfg, &db.lineorder, fact_layout, mode, shards, partitioner, storage)?;
-        cluster.aux = dims;
+        cluster.aux = aux;
         Ok(cluster)
     }
 
     /// Per-table PIM-resident footprints: the (cluster-wide) fact
     /// table first, then the four dimensions.
     pub fn footprints(&self) -> Vec<TableFootprint> {
-        let cold = &self.storage.cold;
+        let Star { cold, dims, .. } = &self.storage;
         let mut out = Vec::with_capacity(5);
         if let Some(table) = self.shard_table(0) {
-            let mut f = star::table_footprint(table.relation(), &cold[0]);
-            f.records = self.records();
-            f.data_bytes = ((f.records * f.resident_bits) as u64).div_ceil(8);
-            out.push(f);
+            out.push(star::schema_footprint(table.schema(), self.records(), &cold[0]));
         }
-        for (dim, cold) in self.aux.iter().zip(&cold[1..]) {
-            out.push(star::table_footprint(dim.relation(), cold));
+        for (dim, cold) in dims.iter().zip(&cold[1..]) {
+            out.push(star::table_footprint(dim, cold));
         }
         out
     }
@@ -556,7 +569,6 @@ fn star_gather(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bbpim_core::mutation::Mutation;
     use bbpim_db::ssb::{queries, SsbParams};
     use bbpim_db::stats;
 
@@ -800,38 +812,39 @@ mod tests {
         let atom = Atom::Eq { attr: "d_year".into(), value: 1993u64.into() };
         let mut log = RunLog::new();
         let mask = filter_conjunction(t, std::slice::from_ref(&atom), true, &mut log).unwrap();
-        let year = t.relation().schema().index_of("d_year").unwrap();
+        let catalog = &c.storage.dims[DATE];
+        let year = catalog.schema().index_of("d_year").unwrap();
         for (row, got) in mask.iter().enumerate() {
-            assert_eq!(got, t.relation().value(row, year) == 1993, "row {row}");
+            assert_eq!(got, catalog.value(row, year) == 1993, "row {row}");
         }
         assert_eq!(mask.count_ones(), 365);
         assert!(log.total_time_ns() > 0.0);
         // the planner's catalog-side twin is the same bitmap
         let executed = KeyBitmap::new(DIMENSIONS[DATE].key_base, mask);
-        assert_eq!(host_dim_bitmap(t, DATE, &[atom]).unwrap(), executed);
+        assert_eq!(host_dim_bitmap(catalog, DATE, &[atom]).unwrap(), executed);
     }
 
     #[test]
     fn update_patches_module_and_catalog() {
         let mut c = cluster(&db(), 1);
-        let t = &mut c.aux[DATE];
         let m = Mutation::update()
             .filter(bbpim_db::builder::col("d_year").eq(1995u64))
             .set("d_weeknuminyear", 53u64)
             .build_unchecked();
-        let rep = t.mutate(&m, true).unwrap();
+        let rep = c.mutate(&m).unwrap();
         assert_eq!(rep.records_updated, 365);
-        let schema = t.relation().schema().clone();
+        let (t, catalog) = (&c.aux[DATE], &c.storage.dims[DATE]);
+        let schema = catalog.schema();
         let (year, week) =
             (schema.index_of("d_year").unwrap(), schema.index_of("d_weeknuminyear").unwrap());
         let mut probe = None;
-        for row in 0..t.relation().len() {
-            if t.relation().value(row, year) == 1995 {
-                assert_eq!(t.relation().value(row, week), 53);
+        for row in 0..catalog.len() {
+            if catalog.value(row, year) == 1995 {
+                assert_eq!(catalog.value(row, week), 53);
                 probe = Some(row);
             }
         }
-        // stored bits agree with the catalog copy
+        // stored bits agree with the catalog
         assert_eq!(t.read_attr(probe.unwrap(), "d_weeknuminyear").unwrap(), 53);
     }
 

@@ -248,8 +248,9 @@ mod tests {
     use crate::table::PimTable;
     use bbpim_db::builder::col;
     use bbpim_db::plan::Pred;
+    use bbpim_db::Relation;
 
-    fn table(mode: EngineMode) -> PimTable {
+    fn table(mode: EngineMode) -> (PimTable, Relation) {
         let rows = (0..500).map(|i| vec![(i * 7) % 256, i % 11, i % 8]);
         fixture::table(mode, &[("lo_price", 8), ("lo_disc", 4), ("d_g", 4)], rows)
     }
@@ -270,10 +271,10 @@ mod tests {
     #[test]
     fn plain_attribute_sum_matches_oracle() {
         for mode in [EngineMode::OneXb, EngineMode::PimDb] {
-            let mut t = table(mode);
+            let (mut t, rel) = table(mode);
             let (pred, expr) = (col("lo_price").lt(100u64), AggExpr::attr("lo_price"));
             let total = aggregate(&mut t, mode, &pred, &expr, PhysFunc::Sum);
-            let prices = t.relation().column_by_name("lo_price").unwrap();
+            let prices = rel.column_by_name("lo_price").unwrap();
             let expected: u64 = (0..prices.len()).map(|r| prices.get(r)).filter(|v| *v < 100).sum();
             assert_eq!(total, expected, "{mode:?}");
         }
@@ -281,14 +282,13 @@ mod tests {
 
     #[test]
     fn mul_expression_matches_oracle() {
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, rel) = table(EngineMode::OneXb);
         let expr = AggExpr::mul("lo_price", "lo_disc");
         let mut scan = fixture::filtered(&mut t, &Pred::always());
         let input = scan.materialize(&[&expr]).unwrap()[0];
         assert_eq!(input.value.width, 12);
         let total =
             scan.aggregate(EngineMode::OneXb, &input, MASK_COL, PhysFunc::Sum, false).unwrap().0;
-        let rel = t.relation();
         let expected: u64 = (0..rel.len()).map(|r| rel.value(r, 0) * rel.value(r, 1)).sum();
         assert_eq!(total, expected);
     }
@@ -297,10 +297,9 @@ mod tests {
     fn sub_expression_matches_oracle() {
         // price >= disc always here (disc ≤ 10 < price except small ones);
         // restrict to rows where price ≥ disc to stay in unsigned range.
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, rel) = table(EngineMode::OneXb);
         let (pred, expr) = (col("lo_price").gt(15u64), AggExpr::sub("lo_price", "lo_disc"));
         let total = aggregate(&mut t, EngineMode::OneXb, &pred, &expr, PhysFunc::Sum);
-        let rel = t.relation();
         let expected: u64 = (0..rel.len())
             .filter(|&r| rel.value(r, 0) > 15)
             .map(|r| rel.value(r, 0) - rel.value(r, 1))
@@ -310,11 +309,11 @@ mod tests {
 
     #[test]
     fn min_max_aggregation() {
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, rel) = table(EngineMode::OneXb);
         let (all, expr) = (Pred::always(), AggExpr::attr("lo_price"));
         let min = aggregate(&mut t, EngineMode::OneXb, &all, &expr, PhysFunc::Min);
         let max = aggregate(&mut t, EngineMode::OneXb, &all, &expr, PhysFunc::Max);
-        let prices = t.relation().column_by_name("lo_price").unwrap();
+        let prices = rel.column_by_name("lo_price").unwrap();
         let values = || (0..prices.len()).map(|r| prices.get(r));
         assert_eq!(min, values().min().unwrap());
         assert_eq!(max, values().max().unwrap());
@@ -323,7 +322,7 @@ mod tests {
     #[test]
     fn pimdb_aggregation_costs_more_time_and_energy() {
         let run = |mode| {
-            let mut t = table(mode);
+            let (mut t, _) = table(mode);
             let mut scan = fixture::filtered(&mut t, &Pred::always());
             let input = scan.materialize(&[&AggExpr::attr("lo_price")]).unwrap()[0];
             scan.take_log();
@@ -339,7 +338,7 @@ mod tests {
 
     #[test]
     fn scratch_reservation_leaves_room_for_more_programs() {
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, _) = table(EngineMode::OneXb);
         let mut scan = fixture::scan(&mut t);
         let input = scan.materialize(&[&AggExpr::mul("lo_price", "lo_disc")]).unwrap()[0];
         // A follow-up mask program must compile inside the remaining

@@ -2,7 +2,8 @@
 //!
 //! [`PimQueryEngine`] is a [`PimTable`] holding the pre-joined relation
 //! plus what the paper's engine adds on top: the mode, the fitted
-//! GROUP-BY model and the pruning switch. [`run_query`] executes one
+//! GROUP-BY model and the pruning switch; it drops the relation it
+//! loads (the image is the table). [`run_query`] executes one
 //! logical query exactly as Section IV describes, as one sequence of
 //! calls on one [`crate::scan::Scan`]: begin → bulk-bitwise filter →
 //! (for GROUP BY) one-page sampling and the Eq. (3) decision → pim-gb /
@@ -66,7 +67,7 @@ impl PimQueryEngine {
                 mode.partitions()
             )));
         }
-        let table = PimTable::new(cfg, relation, layout)?;
+        let table = PimTable::new(cfg, &relation, layout)?;
         Ok(PimQueryEngine { table, mode, model: None, pruning: true })
     }
 
@@ -79,12 +80,6 @@ impl PimQueryEngine {
     /// zone map).
     pub fn table(&self) -> &PimTable {
         &self.table
-    }
-
-    /// The host-side catalog of the relation: shared with the relation
-    /// the engine was built from, copied on the first mutation.
-    pub fn relation(&self) -> &Relation {
-        self.table.relation()
     }
 
     /// Pages per partition (`M`).
@@ -118,7 +113,7 @@ impl PimQueryEngine {
     ///
     /// Propagates filter resolution failures.
     pub fn plan(&self, query: &Query) -> Result<PageSet, CoreError> {
-        let dnf = query.resolve_filter(self.table.relation().schema())?;
+        let dnf = query.resolve_filter(self.table.schema())?;
         Ok(self.table.plan_dnf(&dnf, self.pruning))
     }
 
@@ -154,11 +149,8 @@ impl PimQueryEngine {
         run_query(&mut self.table, self.mode, self.model.as_ref(), self.pruning, query)
     }
 
-    /// Execute a mutation (API v2): UPDATE via the PIM multiplexer
-    /// (Algorithm 1) with full `Pred` filters and multi-column SET, or
-    /// INSERT appending rows behind the loaded image. UPDATE WHERE
-    /// clauses are zone-map-planned like query filters, and the touched
-    /// pages' zone maps are widened/grown to keep pruning sound.
+    /// Execute a mutation ([`PimTable::mutate`] under this engine's
+    /// pruning setting).
     ///
     /// # Errors
     ///
@@ -193,7 +185,7 @@ pub fn run_query(
     query: &Query,
 ) -> Result<QueryExecution, CoreError> {
     let plan = query.physical_plan().map_err(CoreError::Db)?;
-    let dnf = query.resolve_filter(table.relation().schema())?;
+    let dnf = query.resolve_filter(table.schema())?;
     let mut scan = table.begin(table.plan_dnf(&dnf, prune), None);
     let selected = scan.filter(&dnf)?;
     let grouped = match query.has_group_by() {
@@ -231,20 +223,27 @@ mod tests {
     }
 
     impl PimQueryEngine {
-        /// Run a query and hold its answer against the row-at-a-time oracle.
-        fn run_checked(&mut self, query: &Query) -> Result<QueryExecution, CoreError> {
+        /// Run a query and hold its answer against the row-at-a-time
+        /// oracle on `rel`, the relation the engine holds (mutations
+        /// replayed).
+        fn run_checked(
+            &mut self,
+            rel: &Relation,
+            query: &Query,
+        ) -> Result<QueryExecution, CoreError> {
             let out = self.run(query)?;
-            let oracle = stats::run_oracle(query, self.table.relation())?;
+            let oracle = stats::run_oracle(query, rel)?;
             assert_eq!(out.groups, oracle, "engine/oracle mismatch on {}", query.id);
             Ok(out)
         }
     }
 
-    fn engine(mode: EngineMode) -> PimQueryEngine {
-        let mut e =
-            PimQueryEngine::new(SimConfig::small_for_tests(), relation(1500), mode).unwrap();
+    /// A calibrated engine over `relation(1500)`, beside that relation.
+    fn engine(mode: EngineMode) -> (PimQueryEngine, Relation) {
+        let rel = relation(1500);
+        let mut e = PimQueryEngine::new(SimConfig::small_for_tests(), rel.clone(), mode).unwrap();
         e.calibrate(&CalibrationConfig::tiny_for_tests()).unwrap();
-        e
+        (e, rel)
     }
 
     fn q1_like() -> Query {
@@ -270,14 +269,15 @@ mod tests {
         )
     }
 
-    /// Engines built from clones of one relation share its storage
-    /// until one of them writes: an UPDATE and an INSERT through one
-    /// engine patch that engine's catalog alone. The caller's relation,
-    /// the other engines' catalogs and their answers stay what they
-    /// were, and every engine stays bit-identical to the oracle on its
-    /// own catalog.
+    /// Engines built from clones of one relation keep no copy of it:
+    /// an UPDATE and an INSERT through one engine change that engine's
+    /// image alone. The caller's relation and the other engines'
+    /// answers stay what they were, and every engine stays
+    /// bit-identical to the oracle on the relation it holds — the
+    /// caller's, with the mutations replayed for the engine that took
+    /// them.
     #[test]
-    fn a_mutation_copies_the_shared_catalog_for_its_engine_only() {
+    fn a_mutation_through_one_engine_leaves_the_others_alone() {
         let wide = relation(1500);
         let pristine = relation(1500);
         let mut engines: Vec<PimQueryEngine> = EngineMode::all()
@@ -292,7 +292,7 @@ mod tests {
         let queries = [q1_like(), q2_like()];
         let before: Vec<Vec<QueryExecution>> = engines[1..]
             .iter_mut()
-            .map(|e| queries.iter().map(|q| e.run_checked(q).unwrap()).collect())
+            .map(|e| queries.iter().map(|q| e.run_checked(&wide, q).unwrap()).collect())
             .collect();
 
         let schema = wide.schema();
@@ -306,20 +306,22 @@ mod tests {
             .row(vec![77u64, 1, 3, 0])
             .build(schema)
             .unwrap();
-        assert!(engines[0].mutate(&update).unwrap().records_updated > 0);
-        engines[0].mutate(&insert).unwrap();
+        let mut replayed = wide.clone();
+        for m in [&update, &insert] {
+            assert!(engines[0].mutate(m).unwrap().time_ns > 0.0);
+            m.apply_to(&mut replayed).unwrap();
+        }
 
         assert_eq!(wide, pristine, "the caller's relation is untouched");
-        assert_eq!(engines[0].relation().len(), wide.len() + 2);
-        assert_ne!(engines[0].relation(), &wide);
+        assert_eq!(engines[0].table().records(), wide.len() + 2);
         for (e, before) in engines[1..].iter_mut().zip(&before) {
-            assert_eq!(e.relation(), &pristine, "{:?} kept the shared catalog", e.mode());
+            assert_eq!(e.table().records(), wide.len(), "{:?}", e.mode());
             for (q, before) in queries.iter().zip(before) {
-                assert_eq!(e.run_checked(q).unwrap().groups, before.groups, "{}", q.id);
+                assert_eq!(e.run_checked(&wide, q).unwrap().groups, before.groups, "{}", q.id);
             }
         }
         for q in &queries {
-            let moved = engines[0].run_checked(q).unwrap();
+            let moved = engines[0].run_checked(&replayed, q).unwrap();
             assert_ne!(moved.groups, stats::run_oracle(q, &wide).unwrap(), "{}", q.id);
         }
     }
@@ -341,8 +343,8 @@ mod tests {
     #[test]
     fn q1_like_matches_oracle_all_modes() {
         for mode in EngineMode::all() {
-            let mut e = engine(mode);
-            let out = e.run_checked(&q1_like()).unwrap();
+            let (mut e, rel) = engine(mode);
+            let out = e.run_checked(&rel, &q1_like()).unwrap();
             assert_eq!(out.report.pim_agg_subgroups, 1, "{mode:?}");
             assert!(out.report.time_ns > 0.0);
             assert!(out.report.energy_pj > 0.0);
@@ -352,8 +354,8 @@ mod tests {
     #[test]
     fn group_by_matches_oracle_all_modes() {
         for mode in EngineMode::all() {
-            let mut e = engine(mode);
-            let out = e.run_checked(&q2_like()).unwrap();
+            let (mut e, rel) = engine(mode);
+            let out = e.run_checked(&rel, &q2_like()).unwrap();
             assert!(!out.groups.is_empty(), "{mode:?}");
             assert!(out.report.total_subgroups >= out.groups.len() as u64);
         }
@@ -365,7 +367,7 @@ mod tests {
         // four single-aggregate runs, while the filter's PIM program
         // runs once.
         for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
-            let mut e = engine(mode);
+            let (mut e, rel) = engine(mode);
             let combined = Query::select([
                 SelectItem::sum("revenue", AggExpr::mul("lo_price", "lo_disc")),
                 SelectItem::count("orders"),
@@ -374,9 +376,9 @@ mod tests {
             ])
             .id("combo")
             .filter(col("d_year").eq(3u64).and(col("lo_disc").between(1u64, 3u64)))
-            .build(e.relation().schema())
+            .build(rel.schema())
             .unwrap();
-            let out = e.run_checked(&combined).unwrap();
+            let out = e.run_checked(&rel, &combined).unwrap();
             let row = out.groups.get(&Vec::new()).unwrap().clone();
             // compare column-wise against dedicated single-aggregate runs
             let singles = [
@@ -392,7 +394,7 @@ mod tests {
                     group_by: vec![],
                     select: vec![SelectItem { name: "value".into(), func, expr }],
                 };
-                let single = e.run_checked(&q).unwrap();
+                let single = e.run_checked(&rel, &q).unwrap();
                 assert_eq!(single.groups[&Vec::new()][0], row[i], "{mode:?} column {i} ({func:?})");
             }
             // exactly one filter program before any aggregation: the
@@ -412,16 +414,16 @@ mod tests {
     fn shared_expression_materialises_once_without_group_by() {
         // SUM and MAX over the same computed product: one filter program
         // plus exactly one arithmetic program — never one per aggregate.
-        let mut e = engine(EngineMode::OneXb);
+        let (mut e, rel) = engine(EngineMode::OneXb);
         let q = Query::select([
             SelectItem::sum("total", AggExpr::mul("lo_price", "lo_disc")),
             SelectItem::max("peak", AggExpr::mul("lo_price", "lo_disc")),
         ])
         .id("shared-expr")
         .filter(col("lo_price").gt(10u64))
-        .build(e.relation().schema())
+        .build(rel.schema())
         .unwrap();
-        let out = e.run_checked(&q).unwrap();
+        let out = e.run_checked(&rel, &q).unwrap();
         let pim_logic =
             out.report.phases.phases().iter().filter(|p| p.kind == PhaseKind::PimLogic).count();
         assert_eq!(pim_logic, 2, "filter + one shared materialisation");
@@ -429,7 +431,7 @@ mod tests {
 
     #[test]
     fn disjunctive_filter_end_to_end() {
-        let mut e = engine(EngineMode::OneXb);
+        let (mut e, rel) = engine(EngineMode::OneXb);
         let q = Query::select([
             SelectItem::sum("total", AggExpr::attr("lo_price")),
             SelectItem::count("n"),
@@ -441,9 +443,9 @@ mod tests {
                 .and(col("lo_disc").lt(3u64))
                 .or(col("d_year").eq(5u64).and(col("lo_disc").gt(7u64))),
         )
-        .build(e.relation().schema())
+        .build(rel.schema())
         .unwrap();
-        let out = e.run_checked(&q).unwrap();
+        let out = e.run_checked(&rel, &q).unwrap();
         assert!(!out.groups.is_empty());
         assert!(out.report.selected > 0);
     }
@@ -460,7 +462,7 @@ mod tests {
 
     #[test]
     fn empty_selection_returns_empty_groups() {
-        let mut e = engine(EngineMode::OneXb);
+        let (mut e, _) = engine(EngineMode::OneXb);
         let mut q = q1_like();
         q.filter = bbpim_db::plan::Pred::all(vec![Atom::Gt {
             attr: "lo_price".into(),
@@ -473,7 +475,7 @@ mod tests {
 
     #[test]
     fn report_counts_are_consistent() {
-        let mut e = engine(EngineMode::OneXb);
+        let (mut e, _) = engine(EngineMode::OneXb);
         let out = e.run(&q2_like()).unwrap();
         let r = &out.report;
         assert_eq!(r.records, 1500);
@@ -520,9 +522,9 @@ mod tests {
             ..bbpim_sim::XferPolicy::default()
         });
         assert!(e.pruning());
-        let pruned = e.run_checked(&q).unwrap();
+        let pruned = e.run_checked(&rel, &q).unwrap();
         e.set_pruning(false);
-        let exhaustive = e.run_checked(&q).unwrap();
+        let exhaustive = e.run_checked(&rel, &q).unwrap();
         assert_eq!(pruned.groups, exhaustive.groups);
         // 256 records/page: [300, 400] spans pages 1..=1
         assert_eq!(pruned.report.pages_scanned, 1);
@@ -550,12 +552,13 @@ mod tests {
         .build(rel.schema())
         .unwrap();
         let mut e =
-            PimQueryEngine::new(SimConfig::small_for_tests(), rel, EngineMode::OneXb).unwrap();
-        let pruned = e.run_checked(&q).unwrap();
+            PimQueryEngine::new(SimConfig::small_for_tests(), rel.clone(), EngineMode::OneXb)
+                .unwrap();
+        let pruned = e.run_checked(&rel, &q).unwrap();
         // 256 records/page: window one is page 0, window two page 5
         assert_eq!(pruned.report.pages_scanned, 2);
         e.set_pruning(false);
-        let exhaustive = e.run_checked(&q).unwrap();
+        let exhaustive = e.run_checked(&rel, &q).unwrap();
         assert_eq!(pruned.groups, exhaustive.groups);
         assert!(pruned.report.energy_pj < exhaustive.report.energy_pj);
     }
@@ -571,8 +574,9 @@ mod tests {
             AggExpr::attr("lo_price"),
         );
         let mut e =
-            PimQueryEngine::new(SimConfig::small_for_tests(), rel, EngineMode::OneXb).unwrap();
-        let out = e.run_checked(&q).unwrap();
+            PimQueryEngine::new(SimConfig::small_for_tests(), rel.clone(), EngineMode::OneXb)
+                .unwrap();
+        let out = e.run_checked(&rel, &q).unwrap();
         assert_eq!(out.report.pages_scanned, 0);
         assert_eq!(out.report.selected, 0);
         assert!(out.groups.is_empty());
@@ -581,7 +585,7 @@ mod tests {
 
     #[test]
     fn update_widens_zones_so_pruning_stays_sound() {
-        let rel = sorted_relation(1500);
+        let mut rel = sorted_relation(1500);
         // probe for a value that exists only after the update
         let q = Query::single(
             "post",
@@ -591,8 +595,9 @@ mod tests {
             AggExpr::attr("d_year"),
         );
         let mut e =
-            PimQueryEngine::new(SimConfig::small_for_tests(), rel, EngineMode::OneXb).unwrap();
-        assert_eq!(e.run_checked(&q).unwrap().report.pages_scanned, 0);
+            PimQueryEngine::new(SimConfig::small_for_tests(), rel.clone(), EngineMode::OneXb)
+                .unwrap();
+        assert_eq!(e.run_checked(&rel, &q).unwrap().report.pages_scanned, 0);
         // move the d_year=3 records to lo_price=4000 (they live on many pages)
         let m = Mutation::update()
             .filter(col("d_year").eq(3u64))
@@ -600,8 +605,9 @@ mod tests {
             .build_unchecked();
         let rep = e.mutate(&m).unwrap();
         assert!(rep.records_updated > 0);
+        m.apply_to(&mut rel).unwrap();
         // the probe must now find them: zone maps widened to cover 4000
-        let out = e.run_checked(&q).unwrap();
+        let out = e.run_checked(&rel, &q).unwrap();
         assert_eq!(out.report.selected, rep.records_updated);
         assert!(out.report.pages_scanned > 0);
     }
@@ -617,12 +623,13 @@ mod tests {
             AggExpr::attr("lo_price"),
         );
         let mut e =
-            PimQueryEngine::new(SimConfig::small_for_tests(), rel, EngineMode::OneXb).unwrap();
+            PimQueryEngine::new(SimConfig::small_for_tests(), rel.clone(), EngineMode::OneXb)
+                .unwrap();
         e.calibrate(&CalibrationConfig::tiny_for_tests()).unwrap();
-        let pruned = e.run_checked(&q).unwrap();
+        let pruned = e.run_checked(&rel, &q).unwrap();
         assert!(pruned.report.pages_scanned < pruned.report.pages);
         e.set_pruning(false);
-        let exhaustive = e.run_checked(&q).unwrap();
+        let exhaustive = e.run_checked(&rel, &q).unwrap();
         assert_eq!(pruned.groups, exhaustive.groups);
     }
 
@@ -636,7 +643,8 @@ mod tests {
         let mut rel = Relation::new(schema);
         rel.push_row(&[1, 123_456_789]).unwrap();
         let mut e =
-            PimQueryEngine::new(SimConfig::small_for_tests(), rel, EngineMode::OneXb).unwrap();
+            PimQueryEngine::new(SimConfig::small_for_tests(), rel.clone(), EngineMode::OneXb)
+                .unwrap();
         let q = Query::single(
             "t",
             vec![Atom::Eq { attr: "c_phone".into(), value: 123_456_789u64.into() }],
@@ -649,7 +657,7 @@ mod tests {
 
     #[test]
     fn unknown_attribute_is_a_db_error() {
-        let mut e = engine(EngineMode::OneXb);
+        let (mut e, _) = engine(EngineMode::OneXb);
         let q = Query::single(
             "t",
             vec![Atom::Eq { attr: "nope".into(), value: 1u64.into() }],
@@ -662,7 +670,7 @@ mod tests {
 
     #[test]
     fn empty_select_list_is_a_db_error() {
-        let mut e = engine(EngineMode::OneXb);
+        let (mut e, _) = engine(EngineMode::OneXb);
         let q = Query {
             id: "t".into(),
             filter: bbpim_db::plan::Pred::always(),
@@ -711,7 +719,8 @@ mod tests {
             &[],
         )
         .unwrap();
-        let mut e = PimQueryEngine::with_layout(cfg, rel, EngineMode::TwoXb, layout).unwrap();
+        let mut e =
+            PimQueryEngine::with_layout(cfg, rel.clone(), EngineMode::TwoXb, layout).unwrap();
         e.calibrate(&CalibrationConfig::tiny_for_tests()).unwrap();
         let q = Query::single(
             "t",
@@ -720,13 +729,13 @@ mod tests {
             AggFunc::Sum,
             AggExpr::attr("lo_price"),
         );
-        let out = e.run_checked(&q).unwrap();
+        let out = e.run_checked(&rel, &q).unwrap();
         assert!(!out.groups.is_empty());
     }
 
     #[test]
     fn update_then_query_sees_new_values() {
-        let mut e = engine(EngineMode::OneXb);
+        let (mut e, mut rel) = engine(EngineMode::OneXb);
         // move every year-3 record to brand 29, then group by brand
         let m = Mutation::update()
             .filter(col("d_year").eq(3u64))
@@ -734,7 +743,8 @@ mod tests {
             .build_unchecked();
         let rep = e.mutate(&m).unwrap();
         assert!(rep.records_updated > 0);
-        let out = e.run_checked(&q2_like()).unwrap();
+        m.apply_to(&mut rel).unwrap();
+        let out = e.run_checked(&rel, &q2_like()).unwrap();
         // all year-3 groups now carry brand 29
         for key in out.groups.keys() {
             if key[0] == 3 {
@@ -749,10 +759,10 @@ mod tests {
         // transfer through the host, one-xb must not. (For GROUP BY
         // queries the modes may legitimately pick different k, so the
         // clean comparison is the fixed-plan query.)
-        let mut e1 = engine(EngineMode::OneXb);
-        let mut e2 = engine(EngineMode::TwoXb);
-        let t1 = e1.run_checked(&q1_like()).unwrap().report.time_ns;
-        let t2 = e2.run_checked(&q1_like()).unwrap().report.time_ns;
+        let (mut e1, rel) = engine(EngineMode::OneXb);
+        let (mut e2, _) = engine(EngineMode::TwoXb);
+        let t1 = e1.run_checked(&rel, &q1_like()).unwrap().report.time_ns;
+        let t2 = e2.run_checked(&rel, &q1_like()).unwrap().report.time_ns;
         assert!(t2 > t1, "two-xb {t2} must pay the transfer over one-xb {t1}");
     }
 }

@@ -213,7 +213,7 @@ impl Scan<'_> {
     /// [`CoreError::Unsupported`] for an atom on a host-resident
     /// attribute; compiler/simulator failures otherwise.
     pub fn filter(&mut self, dnf: &[Vec<ResolvedAtom>]) -> Result<u64, CoreError> {
-        let (layout, schema) = (&self.table.layout, self.table.relation.schema());
+        let (layout, schema) = (&self.table.layout, &self.table.schema);
         let mut disjuncts = Vec::with_capacity(dnf.len());
         for conj in dnf {
             // the conjunction's atoms with their column ranges, split
@@ -289,17 +289,18 @@ mod tests {
     use crate::planner::PageSet;
     use bbpim_db::builder::col;
     use bbpim_db::plan::Pred;
+    use bbpim_db::Relation;
     use bbpim_sim::timeline::PhaseKind;
     use bbpim_sim::XferPolicy;
 
-    fn table(mode: EngineMode) -> PimTable {
+    fn table(mode: EngineMode) -> (PimTable, Relation) {
         fixture::table(mode, &[("lo_v", 8), ("d_g", 4)], (0..600).map(|i| vec![i % 200, i % 10]))
     }
 
     /// Run `pred` over every page; the selected count and the mask must
     /// equal the oracle's. Returns the scan for phase checks.
-    fn check<'t>(table: &'t mut PimTable, pred: &Pred, what: &str) -> Scan<'t> {
-        let expected = fixture::oracle_mask(table, pred);
+    fn check<'t>(table: &'t mut PimTable, rel: &Relation, pred: &Pred, what: &str) -> Scan<'t> {
+        let expected = fixture::oracle_mask(rel, pred);
         let mut scan = fixture::scan(table);
         let selected = fixture::filter(&mut scan, pred);
         assert_eq!(selected, expected.iter().filter(|b| **b).count() as u64, "{what}");
@@ -309,15 +310,15 @@ mod tests {
 
     #[test]
     fn one_xb_filter_matches_oracle() {
-        let mut t = table(EngineMode::OneXb);
-        let scan = check(&mut t, &col("lo_v").lt(50u64).and(col("d_g").eq(3u64)), "one-xb");
+        let (mut t, rel) = table(EngineMode::OneXb);
+        let scan = check(&mut t, &rel, &col("lo_v").lt(50u64).and(col("d_g").eq(3u64)), "one-xb");
         assert!(scan.log.total_time_ns() > 0.0);
     }
 
     #[test]
     fn disjunctive_filter_matches_oracle_both_modes() {
         for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
-            let mut t = table(mode);
+            let (mut t, rel) = table(mode);
             // (lo_v < 30 AND d_g = 2) OR (lo_v > 150) OR (d_g = 7)
             let pred = col("lo_v")
                 .lt(30u64)
@@ -325,16 +326,16 @@ mod tests {
                 .or(col("lo_v").gt(150u64))
                 .or(col("d_g").eq(7u64));
             assert_eq!(pred.dnf().len(), 3, "three disjuncts");
-            check(&mut t, &pred, &format!("{mode:?}"));
+            check(&mut t, &rel, &pred, &format!("{mode:?}"));
         }
     }
 
     #[test]
     fn two_xb_disjunction_charges_one_transfer_per_dim_disjunct() {
-        let mut t = table(EngineMode::TwoXb);
+        let (mut t, rel) = table(EngineMode::TwoXb);
         // two disjuncts with dimension atoms, one without
         let pred = col("d_g").eq(1u64).or(col("d_g").eq(5u64)).or(col("lo_v").lt(10u64));
-        let scan = check(&mut t, &pred, "two-xb");
+        let scan = check(&mut t, &rel, &pred, "two-xb");
         // exactly two host read+write transfer pairs (the lo_v disjunct
         // stays fact-side)
         let of = |kind| scan.log.phases().iter().filter(|p| p.kind == kind).count();
@@ -344,9 +345,9 @@ mod tests {
 
     #[test]
     fn two_xb_filter_matches_oracle_and_charges_transfer() {
-        let mut t = table(EngineMode::TwoXb);
+        let (mut t, rel) = table(EngineMode::TwoXb);
         let pred = col("lo_v").lt(120u64).and(col("d_g").is_in([2u64, 7u64]));
-        let scan = check(&mut t, &pred, "two-xb");
+        let scan = check(&mut t, &rel, &pred, "two-xb");
         // transfer phases present: at least one host read + one host write
         assert!(scan.log.time_in(PhaseKind::HostRead) > 0.0);
         assert!(scan.log.time_in(PhaseKind::HostWrite) > 0.0);
@@ -354,7 +355,7 @@ mod tests {
 
     #[test]
     fn two_xb_without_dim_atoms_skips_transfer() {
-        let mut t = table(EngineMode::TwoXb);
+        let (mut t, _) = table(EngineMode::TwoXb);
         let scan = fixture::filtered(&mut t, &col("lo_v").gt(150u64));
         assert_eq!(scan.log.time_in(PhaseKind::HostRead), 0.0);
     }
@@ -364,7 +365,7 @@ mod tests {
         // an empty DNF (Pred::Or(vec![])) run over all pages must leave
         // an all-false mask
         for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
-            let mut t = table(mode);
+            let (mut t, _) = table(mode);
             let mut scan = fixture::scan(&mut t);
             assert_eq!(scan.filter(&[]).unwrap(), 0, "{mode:?}");
             assert_eq!(scan.mask(0, MASK_COL).count_ones(), 0);
@@ -375,14 +376,14 @@ mod tests {
     fn padding_rows_never_selected() {
         // trivially-true filter: v < 255 selects every *valid* record —
         // 600 records, none of the padding slots counted
-        let mut t = table(EngineMode::OneXb);
-        check(&mut t, &col("lo_v").lt(255u64), "padding");
+        let (mut t, rel) = table(EngineMode::OneXb);
+        check(&mut t, &rel, &col("lo_v").lt(255u64), "padding");
     }
 
     #[test]
     fn empty_filter_selects_all_valid() {
-        let mut t = table(EngineMode::OneXb);
-        let records = t.relation().len() as u64;
+        let (mut t, rel) = table(EngineMode::OneXb);
+        let records = rel.len() as u64;
         let mut scan = fixture::scan(&mut t);
         assert_eq!(fixture::filter(&mut scan, &Pred::always()), records);
     }
@@ -405,7 +406,7 @@ mod tests {
         // 600 records: two full pages and a partly filled third; the
         // plan prunes the middle one
         for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
-            let mut t = table(mode);
+            let (mut t, _) = table(mode);
             let plan = PageSet::from_indices(vec![0, 2], t.page_count());
             let g = t.layout().placement("d_g").unwrap();
             // the validity bit is set on every page, pruned ones too;
@@ -430,7 +431,7 @@ mod tests {
 
     #[test]
     fn transfer_writes_every_planned_chunk_and_charges_the_codec_size() {
-        let mut t = table(EngineMode::TwoXb);
+        let (mut t, _) = table(EngineMode::TwoXb);
         let plan = PageSet::from_indices(vec![0, 2], t.page_count());
         let g = t.layout().placement("d_g").unwrap();
         assert_eq!(g.partition, 1);
@@ -468,7 +469,7 @@ mod tests {
     #[test]
     fn mask_read_lines_is_rows_times_pages() {
         // an uncompressed mask read-back costs one line per (page, row)
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, _) = table(EngineMode::OneXb);
         t.set_xfer_policy(XferPolicy::legacy());
         let (pages, cfg) = (t.page_count(), t.config().clone());
         let mut scan = fixture::filtered(&mut t, &Pred::always());

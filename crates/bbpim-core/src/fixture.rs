@@ -14,12 +14,13 @@ use crate::table::PimTable;
 
 /// A table of numeric attributes `(name, bits)` holding `rows`, in
 /// `mode`'s layout on the small test geometry (`lo_*` attributes are
-/// the fact side under two-xb).
+/// the fact side under two-xb), beside the relation it was loaded from
+/// (the oracle a mutating test replays its mutations on).
 pub(crate) fn table(
     mode: EngineMode,
     attrs: &[(&str, usize)],
     rows: impl IntoIterator<Item = Vec<u64>>,
-) -> PimTable {
+) -> (PimTable, Relation) {
     let cfg = SimConfig::small_for_tests();
     let attrs = attrs.iter().map(|(name, bits)| Attribute::numeric(*name, *bits)).collect();
     let mut rel = Relation::new(Schema::new("t", attrs).expect("fixture schemas are valid"));
@@ -27,7 +28,7 @@ pub(crate) fn table(
         rel.push_row(&row).unwrap();
     }
     let layout = RecordLayout::build(rel.schema(), &cfg, mode, &[]).unwrap();
-    PimTable::new(cfg, rel, layout).unwrap()
+    (PimTable::new(cfg, &rel, layout).unwrap(), rel)
 }
 
 /// Open a scan over every page.
@@ -36,14 +37,13 @@ pub(crate) fn scan(table: &mut PimTable) -> Scan<'_> {
 }
 
 /// The row-at-a-time oracle's per-record mask of `pred`.
-pub(crate) fn oracle_mask(table: &PimTable, pred: &Pred) -> Vec<bool> {
-    let rel = table.relation();
+pub(crate) fn oracle_mask(rel: &Relation, pred: &Pred) -> Vec<bool> {
     (0..rel.len()).map(|row| pred.matches_row(rel, row).unwrap()).collect()
 }
 
 /// Run `filter` on an open scan; returns the selected-record count.
 pub(crate) fn filter(scan: &mut Scan<'_>, filter: &Pred) -> u64 {
-    let dnf = filter.resolve_dnf(scan.table().relation().schema()).unwrap();
+    let dnf = filter.resolve_dnf(scan.table().schema()).unwrap();
     scan.filter(&dnf).unwrap()
 }
 

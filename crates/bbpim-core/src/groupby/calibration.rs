@@ -222,12 +222,12 @@ fn measure_pim_point(
     )?;
     let records = m * cfg.records_per_page();
     let mut rel = Relation::with_capacity(schema, records);
-    let value_mask = if value_bits >= 64 { u64::MAX } else { (1u64 << value_bits) - 1 };
+    // values of at most 16 bits fit every `value_bits` (≥ 16)
     for _ in 0..records {
-        rel.push_row(&[rng.gen::<u64>() & value_mask & 0xFFFF, rng.gen_range(0..1000u64)])?;
+        rel.push_row(&[rng.gen::<u64>() & 0xFFFF, rng.gen_range(0..1000u64)])?;
     }
     let layout = RecordLayout::build(rel.schema(), cfg, mode, &[])?;
-    let mut table = PimTable::new(cfg.clone(), rel, layout)?;
+    let mut table = PimTable::new(cfg.clone(), &rel, layout)?;
 
     // Calibration is always exhaustive — the fitted tables describe
     // per-page costs, which the planner then applies to candidate pages.

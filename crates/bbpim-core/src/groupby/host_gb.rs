@@ -85,10 +85,10 @@ mod tests {
     use crate::table::PimTable;
     use bbpim_db::builder::col;
     use bbpim_db::plan::{AggExpr, PhysFunc, Pred, Query, SelectItem};
-    use bbpim_db::stats;
+    use bbpim_db::{stats, Relation};
     use bbpim_sim::timeline::{PhaseKind, RunLog};
 
-    fn table(mode: EngineMode) -> PimTable {
+    fn table(mode: EngineMode) -> (PimTable, Relation) {
         let rows = (0..800).map(|i| vec![(3 * i) % 251, i % 50, i % 9, (i / 9) % 5]);
         fixture::table(mode, &[("lo_v", 8), ("lo_w", 6), ("d_g", 4), ("d_h", 3)], rows)
     }
@@ -98,7 +98,7 @@ mod tests {
         Query::select([SelectItem::sum("value", expr)])
             .filter(filter)
             .group_by(["d_g", "d_h"])
-            .build(t.relation().schema())
+            .build(t.schema())
             .unwrap()
     }
 
@@ -115,25 +115,25 @@ mod tests {
         (scan.host_gb(&q.group_by, aggs, skip).unwrap(), scan.take_log())
     }
 
-    fn oracle(t: &PimTable, q: &Query) -> GroupedResult {
-        stats::column(&stats::run_oracle(q, t.relation()).unwrap(), 0)
+    fn oracle(rel: &Relation, q: &Query) -> GroupedResult {
+        stats::column(&stats::run_oracle(q, rel).unwrap(), 0)
     }
 
     #[test]
     fn host_gb_matches_oracle() {
         for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
-            let mut t = table(mode);
+            let (mut t, rel) = table(mode);
             let q = query(&t, col("lo_v").lt(170u64), AggExpr::attr("lo_v"));
             let (got, log) = run(&mut t, &q, &q.physical_plan().unwrap().aggs, &HashSet::new());
             assert_eq!(got.len(), 1);
-            assert_eq!(got[0], oracle(&t, &q), "{mode:?}");
+            assert_eq!(got[0], oracle(&rel, &q), "{mode:?}");
             assert!(log.total_time_ns() > 0.0);
         }
     }
 
     #[test]
     fn multi_aggregate_host_gb_single_pass() {
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, rel) = table(EngineMode::OneXb);
         let q = query(&t, col("lo_v").lt(170u64), AggExpr::attr("lo_v"));
         let aggs = vec![
             PhysAgg { func: PhysFunc::Sum, expr: Some(AggExpr::attr("lo_v")) },
@@ -143,7 +143,6 @@ mod tests {
         let (got, multi_log) = run(&mut t, &q, &aggs, &HashSet::new());
         assert_eq!(got.len(), 3);
         // reference per column
-        let rel = t.relation();
         let mut sums = GroupedResult::new();
         let mut counts = GroupedResult::new();
         let mut maxs = GroupedResult::new();
@@ -173,9 +172,9 @@ mod tests {
 
     #[test]
     fn skip_set_excludes_groups() {
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, rel) = table(EngineMode::OneXb);
         let q = query(&t, col("lo_v").lt(170u64), AggExpr::attr("lo_v"));
-        let expected = oracle(&t, &q);
+        let expected = oracle(&rel, &q);
         let skipped_key = expected.keys().next().unwrap().clone();
         let skip = HashSet::from([skipped_key.clone()]);
         let (got, _) = run(&mut t, &q, &q.physical_plan().unwrap().aggs, &skip);
@@ -189,12 +188,13 @@ mod tests {
         // deduplicating line set, record by record
         use bbpim_sim::hostmem::LineSet;
         for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
-            let mut t = table(mode);
+            let (mut t, rel) = table(mode);
             let pred = col("lo_v").lt(40u64).or(col("d_h").eq(3u64));
             let q = query(&t, pred.clone(), AggExpr::sub("lo_v", "lo_w"));
             let (_, log) = run(&mut t, &q, &q.physical_plan().unwrap().aggs, &HashSet::new());
             let mut lines = LineSet::new();
-            for (record, _) in fixture::oracle_mask(&t, &pred).iter().enumerate().filter(|m| *m.1) {
+            for (record, _) in fixture::oracle_mask(&rel, &pred).iter().enumerate().filter(|m| *m.1)
+            {
                 let (pg, slot) = t.loaded().locate(record);
                 for attr in ["d_g", "d_h", "lo_v", "lo_w"] {
                     let p = t.layout().placement(attr).unwrap();
@@ -213,18 +213,18 @@ mod tests {
     fn denser_selection_reads_fewer_lines_per_record() {
         // r=1.0: every record selected; the read time is positive yet far
         // below selected × s × line time
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, rel) = table(EngineMode::OneXb);
         let q = query(&t, Pred::always(), AggExpr::attr("lo_v"));
         let (dense, dense_log) = run(&mut t, &q, &q.physical_plan().unwrap().aggs, &HashSet::new());
-        assert_eq!(dense[0].len(), stats::run_oracle(&q, t.relation()).unwrap().len());
+        assert_eq!(dense[0].len(), stats::run_oracle(&q, &rel).unwrap().len());
         assert!(dense_log.time_in(PhaseKind::HostRead) > 0.0);
     }
 
     #[test]
     fn expression_evaluated_host_side() {
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, rel) = table(EngineMode::OneXb);
         let q = query(&t, col("lo_v").gt(60u64), AggExpr::sub("lo_v", "lo_w"));
         let (got, _) = run(&mut t, &q, &q.physical_plan().unwrap().aggs, &HashSet::new());
-        assert_eq!(got[0], oracle(&t, &q));
+        assert_eq!(got[0], oracle(&rel, &q));
     }
 }

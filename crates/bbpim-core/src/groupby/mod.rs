@@ -25,7 +25,7 @@ pub mod sampling;
 use std::collections::HashSet;
 
 use bbpim_db::plan::{PhysicalPlan, Query};
-use bbpim_db::stats::{self, GroupedResult};
+use bbpim_db::stats::GroupedResult;
 
 use crate::agg_exec::reads_per_value;
 use crate::error::CoreError;
@@ -63,17 +63,13 @@ pub fn plan_n(
     use bbpim_db::plan::AggExpr;
     let range = match expr {
         AggExpr::Attr(a) => layout.placement(a)?.range,
-        AggExpr::Mul(a, b) => {
-            let pa = layout.placement(a)?;
-            let pb = layout.placement(b)?;
-            let scratch = layout.scratch(pa.partition);
-            bbpim_sim::compiler::ColRange::new(scratch.lo, pa.range.width + pb.range.width)
-        }
-        AggExpr::Sub(a, b) => {
-            let pa = layout.placement(a)?;
-            let pb = layout.placement(b)?;
-            let scratch = layout.scratch(pa.partition);
-            bbpim_sim::compiler::ColRange::new(scratch.lo, pa.range.width.max(pb.range.width))
+        AggExpr::Mul(a, b) | AggExpr::Sub(a, b) => {
+            let (pa, pb) = (layout.placement(a)?, layout.placement(b)?);
+            let width = match expr {
+                AggExpr::Mul(..) => pa.range.width + pb.range.width,
+                _ => pa.range.width.max(pb.range.width),
+            };
+            bbpim_sim::compiler::ColRange::new(layout.scratch(pa.partition).lo, width)
         }
     };
     Ok(reads_per_value(cfg.read_width_bits, range))
@@ -83,7 +79,7 @@ impl Scan<'_> {
     /// Execute the hybrid GROUP-BY over the planned pages for every
     /// physical aggregate of `plan`. The filter must already have
     /// produced the mask in partition 0 of those pages. The table's
-    /// catalog copy serves the potential-subgroup enumeration (`k_MAX`).
+    /// domain index serves the potential-subgroup enumeration (`k_MAX`).
     /// An empty plan returns the empty outcome without touching the
     /// module — the planner proved no record matches.
     ///
@@ -113,8 +109,8 @@ impl Scan<'_> {
         let estimate = self.sample(&keys)?;
 
         // 2. Candidate ordering: sampled keys by size, then unseen potential
-        //    keys from the catalog.
-        let domains = stats::group_domains(query, &self.table.relation)?;
+        //    keys from the domain index.
+        let domains = self.table.group_domains(query)?;
         let kmax: usize = domains.iter().fold(1usize, |acc, d| acc.saturating_mul(d.len().max(1)));
         let mut candidates: Vec<Vec<u64>> =
             estimate.groups.iter().map(|(k, _)| k.clone()).collect();
@@ -124,9 +120,9 @@ impl Scan<'_> {
                 candidates.push(key);
             }
         }
-        // The catalog may enumerate fewer combinations than the sample saw
-        // keys (never in practice); clamp kmax to the candidate count.
-        let kmax = kmax.max(candidates.len().min(kmax)).min(candidates.len());
+        // The product counts an empty domain as 1, but enumerates nothing
+        // from it: clamp kmax to the candidates actually enumerated.
+        let kmax = kmax.min(candidates.len());
 
         // 3. Decide k (Eq. 3) once for the whole SELECT list: the host-side
         //    cost reads every operand (s covers them all); the PIM-side cost
@@ -199,25 +195,13 @@ impl Scan<'_> {
     }
 }
 
-/// Cross product of per-attribute domains, deterministic order.
+/// Cross product of per-attribute domains, deterministic order (empty
+/// without domains).
 fn cross_product(domains: &[Vec<u64>]) -> Vec<Vec<u64>> {
-    let mut out: Vec<Vec<u64>> = vec![Vec::new()];
-    for domain in domains {
-        let mut next = Vec::with_capacity(out.len() * domain.len().max(1));
-        for prefix in &out {
-            for &v in domain {
-                let mut key = prefix.clone();
-                key.push(v);
-                next.push(key);
-            }
-        }
-        out = next;
-    }
-    if domains.is_empty() {
-        Vec::new()
-    } else {
-        out
-    }
+    let seed = if domains.is_empty() { Vec::new() } else { vec![Vec::new()] };
+    domains.iter().fold(seed, |keys, domain| {
+        keys.iter().flat_map(|key| domain.iter().map(move |&v| [&key[..], &[v]].concat())).collect()
+    })
 }
 
 #[cfg(test)]
@@ -229,10 +213,11 @@ mod tests {
     use crate::groupby::fitting::{LinFit, SqrtFit};
     use crate::table::PimTable;
     use bbpim_db::plan::{AggExpr, AggFunc, Atom, SelectItem};
+    use bbpim_db::{stats, Relation};
     use bbpim_sim::SimConfig;
 
     /// Zipf-ish groups: group 0 huge, tail small.
-    fn table(mode: EngineMode) -> PimTable {
+    fn table(mode: EngineMode) -> (PimTable, Relation) {
         let rows = (0..2000u64).map(|i| {
             let g = match i % 10 {
                 0..=5 => 0,
@@ -277,9 +262,9 @@ mod tests {
     #[test]
     fn hybrid_group_by_matches_oracle_all_modes() {
         for mode in [EngineMode::OneXb, EngineMode::TwoXb, EngineMode::PimDb] {
-            let (mut t, q) = (table(mode), query());
+            let ((mut t, rel), q) = (table(mode), query());
             let out = run(&mut t, mode, &q, &fitted(mode));
-            let expected = stats::column(&stats::run_oracle(&q, t.relation()).unwrap(), 0);
+            let expected = stats::column(&stats::run_oracle(&q, &rel).unwrap(), 0);
             assert_eq!(out.per_agg.len(), 1);
             assert_eq!(out.per_agg[0], expected, "{mode:?} (k={})", out.k);
             assert!(out.kmax >= out.per_agg[0].len());
@@ -290,7 +275,7 @@ mod tests {
     #[test]
     fn multi_aggregate_group_by_matches_oracle() {
         for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
-            let mut t = table(mode);
+            let (mut t, rel) = table(mode);
             let q = Query {
                 select: vec![
                     SelectItem::sum("total", AggExpr::attr("lo_v")),
@@ -302,7 +287,7 @@ mod tests {
             };
             let out = run(&mut t, mode, &q, &fitted(mode));
             let finalized = q.physical_plan().unwrap().finalize(&out.per_agg);
-            let expected = stats::run_oracle(&q, t.relation()).unwrap();
+            let expected = stats::run_oracle(&q, &rel).unwrap();
             assert_eq!(finalized, expected, "{mode:?} (k={})", out.k);
         }
     }
@@ -310,18 +295,18 @@ mod tests {
     #[test]
     fn forced_all_pim_still_matches_oracle() {
         // A model with free PIM and absurdly expensive host forces k=kmax.
-        let (mut t, q) = (table(EngineMode::OneXb), query());
+        let ((mut t, rel), q) = (table(EngineMode::OneXb), query());
         let out = run(&mut t, EngineMode::OneXb, &q, &forced(1e12, 1.0));
         assert_eq!(out.k, out.kmax, "everything must go to PIM");
-        assert_eq!(out.per_agg[0], stats::column(&stats::run_oracle(&q, t.relation()).unwrap(), 0));
+        assert_eq!(out.per_agg[0], stats::column(&stats::run_oracle(&q, &rel).unwrap(), 0));
     }
 
     #[test]
     fn forced_all_host_still_matches_oracle() {
-        let (mut t, q) = (table(EngineMode::OneXb), query());
+        let ((mut t, rel), q) = (table(EngineMode::OneXb), query());
         let out = run(&mut t, EngineMode::OneXb, &q, &forced(1.0, 1e12));
         assert_eq!(out.k, 0);
-        assert_eq!(out.per_agg[0], stats::column(&stats::run_oracle(&q, t.relation()).unwrap(), 0));
+        assert_eq!(out.per_agg[0], stats::column(&stats::run_oracle(&q, &rel).unwrap(), 0));
     }
 
     #[test]
@@ -334,7 +319,7 @@ mod tests {
 
     #[test]
     fn empty_selection_yields_empty_groups() {
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, _) = table(EngineMode::OneXb);
         let mut q = query();
         q.filter =
             bbpim_db::plan::Pred::all(vec![Atom::Lt { attr: "lo_v".into(), value: 0u64.into() }]);

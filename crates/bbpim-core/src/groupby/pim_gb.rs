@@ -195,9 +195,10 @@ mod tests {
     use bbpim_db::builder::col;
     use bbpim_db::plan::{AggExpr, Query, SelectItem};
     use bbpim_db::stats::{self, GroupedResult};
+    use bbpim_db::Relation;
     use bbpim_sim::timeline::{PhaseKind, RunLog};
 
-    fn table(mode: EngineMode) -> PimTable {
+    fn table(mode: EngineMode) -> (PimTable, Relation) {
         fixture::table(
             mode,
             &[("lo_v", 8), ("d_g", 4)],
@@ -206,13 +207,13 @@ mod tests {
     }
 
     /// The oracle's `SELECT item WHERE lo_v < 200 GROUP BY d_g`.
-    fn oracle(t: &PimTable, item: SelectItem) -> GroupedResult {
+    fn oracle(rel: &Relation, item: SelectItem) -> GroupedResult {
         let q = Query::select([item])
             .filter(col("lo_v").lt(200u64))
             .group_by(["d_g"])
-            .build(t.relation().schema())
+            .build(rel.schema())
             .unwrap();
-        stats::column(&stats::run_oracle(&q, t.relation()).unwrap(), 0)
+        stats::column(&stats::run_oracle(&q, rel).unwrap(), 0)
     }
 
     fn lo_v() -> AggExpr {
@@ -249,9 +250,9 @@ mod tests {
     #[test]
     fn per_group_aggregates_match_oracle() {
         for mode in [EngineMode::OneXb, EngineMode::TwoXb, EngineMode::PimDb] {
-            let mut t = table(mode);
+            let (mut t, rel) = table(mode);
             let (entries, _) = run(&mut t, mode, &[&lo_v()], sum, &ALL_KEYS);
-            let expected = oracle(&t, SelectItem::sum("v", lo_v()));
+            let expected = oracle(&rel, SelectItem::sum("v", lo_v()));
             for e in &entries {
                 assert_eq!(Some(&e.values[0]), expected.get(&e.key), "{mode:?} key {:?}", e.key);
                 assert!(e.count > 0);
@@ -263,7 +264,7 @@ mod tests {
     #[test]
     fn multiple_aggregates_share_one_mask_per_key() {
         // sum + max + count over the same shared group mask
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, rel) = table(EngineMode::OneXb);
         let aggs = |i: &[AggInput]| {
             vec![
                 PreparedAgg::Reduce { func: PhysFunc::Sum, input: i[0] },
@@ -272,8 +273,8 @@ mod tests {
             ]
         };
         let (entries, log) = run(&mut t, EngineMode::OneXb, &[&lo_v()], aggs, &ALL_KEYS);
-        let sums = oracle(&t, SelectItem::sum("v", lo_v()));
-        let maxs = oracle(&t, SelectItem::max("v", lo_v()));
+        let sums = oracle(&rel, SelectItem::sum("v", lo_v()));
+        let maxs = oracle(&rel, SelectItem::max("v", lo_v()));
         for e in &entries {
             assert_eq!(Some(&e.values[0]), sums.get(&e.key), "sum key {:?}", e.key);
             assert_eq!(Some(&e.values[1]), maxs.get(&e.key), "max key {:?}", e.key);
@@ -289,10 +290,10 @@ mod tests {
 
     #[test]
     fn count_only_group_by_reads_popcount() {
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, rel) = table(EngineMode::OneXb);
         let (entries, _) =
             run(&mut t, EngineMode::OneXb, &[], |_| vec![PreparedAgg::Count], &ALL_KEYS);
-        let expected = oracle(&t, SelectItem::count("n"));
+        let expected = oracle(&rel, SelectItem::count("n"));
         for e in &entries {
             assert_eq!(Some(&e.count), expected.get(&e.key), "key {:?}", e.key);
             assert_eq!(e.values, vec![e.count]);
@@ -303,7 +304,7 @@ mod tests {
     fn stacked_expressions_aggregate_together() {
         // materialize lo_v (in place) and lo_v*d_g (scratch) and reduce
         // both under shared masks
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, rel) = table(EngineMode::OneXb);
         let (attr, prod) = (lo_v(), AggExpr::mul("lo_v", "d_g"));
         let aggs = |i: &[AggInput]| {
             vec![
@@ -313,7 +314,6 @@ mod tests {
         };
         let (entries, _) = run(&mut t, EngineMode::OneXb, &[&attr, &prod], aggs, &ALL_KEYS);
         // oracle both columns
-        let rel = t.relation();
         let mut sum_v = std::collections::BTreeMap::new();
         let mut sum_p = std::collections::BTreeMap::new();
         for row in 0..rel.len() {
@@ -332,7 +332,7 @@ mod tests {
     #[test]
     fn empty_subgroup_reports_zero_count() {
         // group 15 never occurs (d_g < 6)
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, _) = table(EngineMode::OneXb);
         let (entries, _) = run(&mut t, EngineMode::OneXb, &[&lo_v()], sum, &[15]);
         assert_eq!(entries[0].count, 0);
         assert_eq!(entries[0].values, vec![0]);
@@ -341,7 +341,7 @@ mod tests {
     #[test]
     fn two_xb_charges_transfer_per_subgroup() {
         let logs = [EngineMode::OneXb, EngineMode::TwoXb]
-            .map(|mode| run(&mut table(mode), mode, &[&lo_v()], sum, &ALL_KEYS[..4]).1);
+            .map(|mode| run(&mut table(mode).0, mode, &[&lo_v()], sum, &ALL_KEYS[..4]).1);
         assert_eq!(logs[0].time_in(PhaseKind::HostWrite), 0.0);
         assert!(logs[1].time_in(PhaseKind::HostWrite) > 0.0);
         assert!(logs[1].total_time_ns() > logs[0].total_time_ns());
@@ -353,7 +353,7 @@ mod tests {
         // wildly different group sizes: key 1 is populated (d_g ∈ 0..6),
         // key 8 is empty. The equality program's cycle count depends on
         // the key's set bits, so popcount must match for the comparison.
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, _) = table(EngineMode::OneXb);
         let (a, log_a) = run(&mut t, EngineMode::OneXb, &[&lo_v()], sum, &[1]);
         let (b, log_b) = run(&mut t, EngineMode::OneXb, &[&lo_v()], sum, &[8]);
         assert!(a[0].count > 0);

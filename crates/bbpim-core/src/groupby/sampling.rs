@@ -104,11 +104,9 @@ impl Scan<'_> {
         // record count, not the whole relation.
         let candidate_records: usize =
             self.pages.indices().iter().map(|&idx| loaded.page_records(idx).len()).sum();
-        let scale = if sample_records == 0 {
-            0.0
-        } else {
-            candidate_records as f64 / sample_records as f64
-        };
+        // (a sampled page with no records means an empty relation)
+        let per_sampled = |n: usize| n as f64 / sample_records.max(1) as f64;
+        let scale = per_sampled(candidate_records);
         let mut groups: Vec<(Vec<u64>, f64)> =
             counts.into_iter().map(|(k, c)| (k, c as f64 * scale)).collect();
         groups.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -116,11 +114,7 @@ impl Scan<'_> {
         Ok(SampleEstimate {
             sample_records,
             sample_selected,
-            est_selectivity: if sample_records == 0 {
-                0.0
-            } else {
-                sample_selected as f64 / sample_records as f64
-            },
+            est_selectivity: per_sampled(sample_selected),
             groups,
             est_selected_total: sample_selected as f64 * scale,
         })
@@ -138,7 +132,7 @@ mod tests {
     /// Skewed groups (group 0 gets half the rows), filtered, sampled.
     fn filter_and_sample(filter: Pred) -> SampleEstimate {
         let rows = (0..1000).map(|i| vec![i % 250, if i % 2 == 0 { 0 } else { 1 + (i % 7) }]);
-        let mut t = fixture::table(EngineMode::OneXb, &[("lo_v", 8), ("d_g", 4)], rows);
+        let (mut t, _) = fixture::table(EngineMode::OneXb, &[("lo_v", 8), ("d_g", 4)], rows);
         let mut scan = fixture::filtered(&mut t, &filter);
         let keys = scan.table().layout().project(["d_g"]).unwrap();
         scan.sample(&keys).unwrap()

@@ -91,19 +91,8 @@ impl RecordLayout {
         extra_exclude: &[String],
     ) -> Result<Self, CoreError> {
         let partitions = mode.partitions();
-        Self::build_custom(
-            schema,
-            cfg,
-            partitions,
-            |name| {
-                if partitions == 1 || name.starts_with("lo_") {
-                    0
-                } else {
-                    1
-                }
-            },
-            extra_exclude,
-        )
+        let assign = |name: &str| usize::from(partitions > 1 && !name.starts_with("lo_"));
+        Self::build_custom(schema, cfg, partitions, assign, extra_exclude)
     }
 
     /// Compute a layout with an explicit attribute→partition assignment.

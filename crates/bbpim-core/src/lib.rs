@@ -41,7 +41,7 @@
 //!   latency model (Eqs. 1–3), assigns the k largest subgroups to
 //!   *pim-gb* and the tail to *host-gb*.
 //! * **Mutations via the PIM multiplexer** (Algorithm 1) — [`mutation`]
-//!   maintains PIM-resident data with zero reads: UPDATE with full
+//!   maintains PIM-resident data with no priced read: UPDATE with full
 //!   `And`/`Or` filter trees and multi-column SET, plus INSERT
 //!   appending rows online.
 //! * **Zone-map-driven physical planning** — [`planner`] tests a

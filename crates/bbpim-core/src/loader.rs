@@ -15,13 +15,35 @@
 //! batch is all-or-nothing: a bad row or a module out of capacity
 //! leaves the table unchanged (see [`append_rows`]).
 
+use std::ops::Range;
+use std::sync::Mutex;
+
+use bbpim_db::domain::DomainIndex;
 use bbpim_db::relation::Relation;
+use bbpim_db::schema::Schema;
 use bbpim_db::zonemap::ZoneMap;
+use bbpim_sim::config::SimConfig;
 use bbpim_sim::module::{PageId, PimModule};
 use bbpim_sim::timeline::{Phase, RunLog};
 
 use crate::error::CoreError;
 use crate::layout::{RecordLayout, VALID_COL};
+use crate::table::PimTable;
+
+impl PimTable {
+    /// Allocate pages on a fresh module and load `rel` under `layout`.
+    ///
+    /// # Errors
+    ///
+    /// A configuration that fails `SimConfig::validate`, module capacity
+    /// and loader failures.
+    pub fn new(cfg: SimConfig, rel: &Relation, layout: RecordLayout) -> Result<Self, CoreError> {
+        let mut module = PimModule::new(cfg)?;
+        let loaded = load_relation(&mut module, rel, &layout)?;
+        let domains = Mutex::new(DomainIndex::new(rel.schema(), |name| !layout.is_excluded(name)));
+        Ok(PimTable { module, schema: rel.schema().clone(), layout, loaded, domains })
+    }
+}
 
 /// A relation resident in PIM.
 ///
@@ -134,20 +156,22 @@ impl LoadedRelation {
         Ok(())
     }
 
-    /// The one writer: store the catalog rows the image does not hold
-    /// yet (`self.records()..rel.len()`) into the reserved pages, page
-    /// by page and within a page a column at a time — VALID in every
-    /// partition, each resident attribute in its own — and widen the
-    /// pages' zone maps over every attribute. `layout` is the one the
-    /// image was loaded under. Returns the touched page indices, in
-    /// page order.
+    /// The one writer: store `count` new records behind the image into
+    /// the reserved pages, page by page and within a page a column at a
+    /// time — VALID in every partition, each resident attribute in its
+    /// own — and widen the pages' zone maps over every attribute.
+    /// `column(attr, run, values)` puts attribute `attr` of the new
+    /// records `run` (positions in the batch) into `values`. Returns the
+    /// touched page indices, in page order.
     fn store(
         &mut self,
         module: &mut PimModule,
         layout: &RecordLayout,
-        rel: &Relation,
+        schema: &Schema,
+        count: usize,
+        mut column: impl FnMut(usize, Range<usize>, &mut Vec<u64>),
     ) -> Result<Vec<usize>, CoreError> {
-        let attrs = rel.schema().attrs();
+        let attrs = schema.attrs();
         let resident: Vec<usize> =
             (0..attrs.len()).filter(|&a| !layout.is_excluded(&attrs[a].name)).collect();
         let stored = layout.project(resident.iter().map(|&a| attrs[a].name.as_str()))?;
@@ -155,20 +179,21 @@ impl LoadedRelation {
         for (&attr, p) in resident.iter().zip(stored.placements()) {
             placement[attr] = Some(p);
         }
-        let valid = vec![1; (rel.len() - self.records).min(self.records_per_page)];
-        // One attribute's values over one page's run of rows, decoded
-        // from the column's lane once per run into a reused buffer.
+        let (first, end) = (self.records, self.records + count);
+        let valid = vec![1; count.min(self.records_per_page)];
+        // One attribute's values over one page's run of rows, put into a
+        // reused buffer once per run.
         let mut values = Vec::with_capacity(valid.len());
         let mut touched = Vec::new();
-        while self.records < rel.len() {
+        while self.records < end {
             let (pg, slot) = self.locate(self.records);
-            let run = self.records..rel.len().min(self.record_at(pg + 1, 0));
+            let run = self.records..end.min(self.record_at(pg + 1, 0));
             for pages in &self.pages {
                 let page = module.page_mut(pages[pg]);
                 page.write_records(slot, VALID_COL, 1, &valid[..run.len()])?;
             }
             for (attr, placed) in placement.iter().enumerate() {
-                rel.column(attr).decode_into(run.clone(), &mut values);
+                column(attr, run.start - first..run.end - first, &mut values);
                 if let Some(p) = placed {
                     let page = module.page_mut(self.pages[p.partition][pg]);
                     page.write_records(slot, p.range.lo, p.range.width, &values)?;
@@ -203,7 +228,8 @@ pub fn load_relation(
         records_per_page: module.config().records_per_page(),
     };
     loaded.reserve(module, rel.len(), rel.schema().arity())?;
-    loaded.store(module, layout, rel)?;
+    let column = |attr, run, values: &mut Vec<u64>| rel.column(attr).decode_into(run, values);
+    loaded.store(module, layout, rel.schema(), rel.len(), column)?;
     // Loading is not part of query endurance.
     module.reset_endurance(&loaded.all_pages());
     Ok(loaded)
@@ -218,13 +244,12 @@ pub fn load_relation(
 /// inserts wear cells, which is exactly what the endurance model wants
 /// to see. Fresh pages are reserved when the current image is full; new
 /// rows keep the aligned slot/page invariant and the touched pages'
-/// zone maps are widened over the new values. The host-side catalog
-/// copy `rel` is appended in lockstep.
+/// zone maps are widened over the new values.
 ///
 /// The batch is all-or-nothing: every row must be a row of the schema
 /// and every partition must be able to take every new page before the
-/// first bit, zone or catalog row is written, so a batch with a bad row
-/// or one the module cannot hold leaves the table exactly as it was.
+/// first bit or zone is written, so a batch with a bad row or one the
+/// module cannot hold leaves the table exactly as it was.
 ///
 /// Returns the phase log and the touched page indices (in page order).
 ///
@@ -236,17 +261,20 @@ pub fn append_rows(
     module: &mut PimModule,
     layout: &RecordLayout,
     loaded: &mut LoadedRelation,
-    rel: &mut Relation,
+    schema: &Schema,
     rows: &[Vec<u64>],
 ) -> Result<(RunLog, Vec<usize>), CoreError> {
     let mut log = RunLog::new();
     if rows.is_empty() {
         return Ok((log, Vec::new()));
     }
-    rows.iter().try_for_each(|row| rel.schema().check_row(row))?;
-    loaded.reserve(module, loaded.records + rows.len(), rel.schema().arity())?;
-    rows.iter().try_for_each(|row| rel.push_row(row))?;
-    let touched = loaded.store(module, layout, rel)?;
+    rows.iter().try_for_each(|row| schema.check_row(row))?;
+    loaded.reserve(module, loaded.records + rows.len(), schema.arity())?;
+    let column = |attr, run: Range<usize>, values: &mut Vec<u64>| {
+        values.clear();
+        values.extend(rows[run].iter().map(|row| row[attr]));
+    };
+    let touched = loaded.store(module, layout, schema, rows.len(), column)?;
 
     // Host-channel accounting: one dispatch over the touched pages plus
     // the row payload itself, written per partition as memory lines.
@@ -265,10 +293,8 @@ pub fn append_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::RecordLayout;
     use crate::modes::EngineMode;
-    use bbpim_db::schema::{Attribute, Schema};
-    use bbpim_sim::SimConfig;
+    use bbpim_db::schema::Attribute;
 
     fn small_setup(records: usize) -> (PimModule, Relation, RecordLayout) {
         let cfg = SimConfig::small_for_tests();
@@ -480,7 +506,11 @@ mod tests {
                     records_per_page: rpp,
                 };
                 loaded.reserve(&mut module, records, arity).unwrap();
-                let touched = loaded.store(&mut module, &layout, &rel).unwrap();
+                let column = |attr, run, values: &mut Vec<u64>| {
+                    rel.column(attr).decode_into(run, values);
+                };
+                let touched =
+                    loaded.store(&mut module, &layout, rel.schema(), records, column).unwrap();
                 assert_eq!(touched, (0..records.div_ceil(rpp)).collect::<Vec<_>>(), "{what}");
                 assert_eq!(loaded.records(), records, "{what}");
 
@@ -555,7 +585,10 @@ mod tests {
                 module.reset_endurance(&loaded.all_pages());
                 ref_module.reset_endurance(&ref_pages.concat());
                 let (_, touched) =
-                    append_rows(&mut module, &layout, &mut loaded, &mut rel, &rows).unwrap();
+                    append_rows(&mut module, &layout, &mut loaded, rel.schema(), &rows).unwrap();
+                for row in &rows {
+                    rel.push_row(row).unwrap();
+                }
                 assert_eq!(rel.len(), before + batch, "{what}");
                 assert_eq!(loaded.records(), rel.len(), "{what}");
                 let pages = before / rpp..(rel.len() - 1) / rpp + 1;
@@ -582,20 +615,31 @@ mod tests {
 
     #[test]
     fn a_batch_with_a_bad_row_leaves_the_table_unchanged() {
-        let (mut module, mut rel, layout) = small_setup(250);
-        let mut loaded = load_relation(&mut module, &rel, &layout).unwrap();
-        // ten good rows — enough to need a second page — then one past
-        // d_b's 6 bits, or one of the wrong arity
+        use crate::mutation::Mutation;
+        use bbpim_db::plan::{Query, SelectItem};
+        let (_, rel, layout) = small_setup(250);
+        let mut t = PimTable::new(SimConfig::small_for_tests(), &rel, layout).unwrap();
+        // builds the d_b prefix: 61 tuples over 250 records are kept
+        let by_b = Query::select([SelectItem::count("n")]).group_by(["d_b"]).build_unchecked();
+        let domains = t.group_domains(&by_b).unwrap();
+        assert_eq!(domains, bbpim_db::stats::group_domains(&by_b, &rel).unwrap());
+        // ten good rows with a d_b no record holds — enough to need a
+        // second page — then one past d_b's 6 bits, or one of the wrong
+        // arity: refused by the writer and by the INSERT alike
         for bad in [vec![1, 64], vec![1]] {
-            let mut rows = vec![vec![1, 1]; 10];
+            let mut rows = vec![vec![1, 62]; 10];
             rows.push(bad);
-            let err = append_rows(&mut module, &layout, &mut loaded, &mut rel, &rows).unwrap_err();
+            let PimTable { module, schema, layout, loaded, .. } = &mut t;
+            let err = append_rows(module, layout, loaded, schema, &rows).unwrap_err();
             assert!(matches!(err, CoreError::Db(_)), "{err}");
-            assert_eq!((rel.len(), loaded.records()), (250, 250));
-            assert_eq!(loaded.page_count(), 1);
-            assert!(module.try_page(PageId(1)).is_err(), "no second page was reserved");
-            assert_eq!(loaded.zone_map(), ZoneMap::of(&rel));
-            assert_eq!(module.max_row_cell_writes(&loaded.all_pages()), 0);
+            let err = t.mutate(&Mutation::Insert { rows }, true).unwrap_err();
+            assert!(matches!(err, CoreError::Db(_)), "{err}");
+            assert_eq!(t.records(), 250);
+            assert_eq!(t.page_count(), 1);
+            assert!(t.module.try_page(PageId(1)).is_err(), "no second page was reserved");
+            assert_eq!(t.zone_map(), ZoneMap::of(&rel));
+            assert_eq!(t.module.max_row_cell_writes(&t.loaded.all_pages()), 0);
+            assert_eq!(t.group_domains(&by_b).unwrap(), domains, "the index counted nothing");
         }
     }
 

@@ -30,8 +30,11 @@
 //! [`Mutation::insert`] (schema-validated, mirroring
 //! [`bbpim_db::builder::QueryBuilder`]).
 
-use bbpim_db::plan::{Const, Pred, Query, SelectItem};
+use std::sync::PoisonError;
+
+use bbpim_db::plan::{Const, Pred};
 use bbpim_db::schema::Schema;
+use bbpim_db::stats::row_matches_dnf;
 use bbpim_db::Relation;
 use bbpim_sim::compiler::{mux, CodeBuilder, ScratchPool};
 use bbpim_sim::endurance;
@@ -122,50 +125,38 @@ impl Mutation {
 
     /// Apply this mutation to a host-side [`Relation`] — the oracle's
     /// half of snapshot consistency: a replayed prefix of admitted
-    /// mutations applied here must leave the catalog bit-identical to
-    /// what the PIM engines hold.
+    /// mutations applied here must leave the relation bit-identical to
+    /// what the PIM engines hold (and it keeps the star's dimension
+    /// catalogs in step with their modules). Returns the records
+    /// rewritten or appended.
     ///
     /// # Errors
     ///
     /// Resolution failures; arity/domain violations on INSERT rows.
-    pub fn apply_to(&self, rel: &mut Relation) -> Result<MutationCounts, CoreError> {
+    pub fn apply_to(&self, rel: &mut Relation) -> Result<u64, CoreError> {
         match self {
             Mutation::Insert { rows } => {
                 for row in rows {
                     rel.push_row(row)?;
                 }
-                Ok(MutationCounts { updated: 0, inserted: rows.len() as u64 })
+                Ok(rows.len() as u64)
             }
             Mutation::Update { filter, set } => {
-                let probe = probe_query(filter);
                 let schema = rel.schema();
-                let targets: Vec<(usize, u64)> = set
-                    .iter()
-                    .map(|(attr, value)| resolve_const(schema, attr, value))
-                    .collect::<Result<_, CoreError>>()?;
-                let hits = bbpim_db::stats::filter_bitvec(&probe, rel)?;
-                let mut updated = 0u64;
-                for (row, hit) in hits.into_iter().enumerate() {
-                    if hit {
-                        updated += 1;
-                        for &(attr_idx, imm) in &targets {
-                            rel.set_value(row, attr_idx, imm)?;
-                        }
+                let resolve = |(attr, value): &(String, Const)| resolve_const(schema, attr, value);
+                let targets = set.iter().map(resolve).collect::<Result<Vec<_>, _>>()?;
+                let dnf = filter.resolve_dnf(schema)?;
+                let hits: Vec<usize> =
+                    (0..rel.len()).filter(|&row| row_matches_dnf(&dnf, rel, row)).collect();
+                for &row in &hits {
+                    for &(attr_idx, imm) in &targets {
+                        rel.set_value(row, attr_idx, imm)?;
                     }
                 }
-                Ok(MutationCounts { updated, inserted: 0 })
+                Ok(hits.len() as u64)
             }
         }
     }
-}
-
-/// Row counts of one applied mutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MutationCounts {
-    /// Records rewritten.
-    pub updated: u64,
-    /// Records appended.
-    pub inserted: u64,
 }
 
 /// Fluent UPDATE builder (schema-validated at [`MutationBuilder::build`]).
@@ -303,17 +294,6 @@ impl MutationReport {
     }
 }
 
-/// The COUNT probe wrapping a mutation's filter for planning and
-/// catalog maintenance.
-fn probe_query(filter: &Pred) -> Query {
-    Query {
-        id: "mutation".into(),
-        filter: filter.clone(),
-        group_by: vec![],
-        select: vec![SelectItem::count("n")],
-    }
-}
-
 /// Resolve one SET target: attribute index plus encoded immediate.
 fn resolve_const(schema: &Schema, attr: &str, value: &Const) -> Result<(usize, u64), CoreError> {
     let attr_idx = schema.index_of(attr)?;
@@ -324,28 +304,17 @@ fn resolve_const(schema: &Schema, attr: &str, value: &Const) -> Result<(usize, u
     Ok((attr_idx, imm))
 }
 
-/// Execute a mutation against one table.
+/// Execute a mutation against one table, as the module docs describe:
+/// an UPDATE is planned like a query filter (`prune = false` for
+/// exhaustive execution) and rewrites each SET column under the one
+/// shared select mask, which travels to a target's partition at most
+/// once; an INSERT is [`append_rows`].
 ///
-/// **UPDATE** — plan → filter → one Algorithm 1 MUX per SET column →
-/// zone widening. The WHERE tree is resolved to DNF and planned against
-/// the per-page zone maps like any query filter (`prune = false` for
-/// exhaustive execution); [`Scan::filter`](crate::scan::Scan::filter)
-/// leaves one shared select mask, and each SET column is rewritten
-/// under it (the mask travels to a target's partition at most once).
-/// Every candidate page's zone map is then widened per written
-/// attribute — for an OR filter the candidate set is the interval-union
-/// plan, so every page any disjunct could have touched stays soundly
-/// covered.
-///
-/// **INSERT** — rows are appended behind the loaded image
-/// ([`append_rows`]): fresh pages reserved up front for the whole batch
-/// (all partitions or none — out of capacity leaves the table
-/// unchanged), VALID bits set, byte-tagged host-write phases charged,
-/// zone maps grown over the new rows.
-///
-/// Both arms keep the table's catalog copy in sync, so catalog-derived
-/// statistics and the replay oracle stay bit-identical to the PIM
-/// contents.
+/// Both arms keep the table's domain index in step with the image: an
+/// INSERT counts its rows in once the image holds them, and an UPDATE of
+/// an indexed prefix reads the selected records' pre-update tuples
+/// before the MUX rewrites them (host metadata, unpriced) and moves
+/// their counts after. A refused mutation leaves the index as it was.
 ///
 /// # Errors
 ///
@@ -355,24 +324,28 @@ pub fn run_mutation(
     mutation: &Mutation,
     prune: bool,
 ) -> Result<MutationReport, CoreError> {
-    let (counts, touched, log) = match mutation {
+    let (updated, inserted, touched, log) = match mutation {
         Mutation::Insert { rows } => {
-            mutation.validate(table.relation.schema())?;
-            let PimTable { module, relation, layout, loaded } = table;
+            let PimTable { module, schema, layout, loaded, domains } = &mut *table;
             // like a scan, report the wear of this mutation alone
             module.reset_endurance(&loaded.all_pages());
-            let (log, touched) = append_rows(module, layout, loaded, relation, rows)?;
-            (MutationCounts { updated: 0, inserted: rows.len() as u64 }, touched, log)
+            let (log, touched) = append_rows(module, layout, loaded, schema, rows)?;
+            let index = domains.get_mut().unwrap_or_else(PoisonError::into_inner);
+            index.insert(rows, loaded.records());
+            (0, rows.len() as u64, touched, log)
         }
-        Mutation::Update { filter, set } => run_update(table, filter, set, prune)?,
+        Mutation::Update { filter, set } => {
+            let (updated, touched, log) = run_update(table, filter, set, prune)?;
+            (updated, 0, touched, log)
+        }
     };
     let PimTable { module, layout, loaded, .. } = &*table;
     let touched_ids: Vec<_> = (0..layout.partitions())
         .flat_map(|p| touched.iter().map(move |&pg| loaded.pages(p)[pg]))
         .collect();
     Ok(MutationReport {
-        records_updated: counts.updated,
-        records_inserted: counts.inserted,
+        records_updated: updated,
+        records_inserted: inserted,
         pages_scanned: touched.len(),
         time_ns: log.total_time_ns(),
         host_bus_ns: bbpim_sim::hostbus::log_occupancy_ns(&module.config().host, &log),
@@ -383,35 +356,46 @@ pub fn run_mutation(
     })
 }
 
-/// The UPDATE arm: `(rows rewritten, page indices touched, phases)`.
+/// The UPDATE arm: `(records rewritten, page indices touched, phases)`.
 fn run_update(
     table: &mut PimTable,
     filter: &Pred,
     set: &[(String, Const)],
     prune: bool,
-) -> Result<(MutationCounts, Vec<usize>, RunLog), CoreError> {
-    // Resolve every SET target up front (placement + immediate).
-    let targets: Vec<(crate::layout::AttrPlacement, usize, u64)> = set
-        .iter()
-        .map(|(attr, value)| {
-            let placement = table.layout.placement(attr)?;
-            let (attr_idx, imm) = resolve_const(table.relation.schema(), attr, value)?;
-            Ok((placement, attr_idx, imm))
-        })
-        .collect::<Result<_, CoreError>>()?;
+) -> Result<(u64, Vec<usize>, RunLog), CoreError> {
+    // Resolve every SET target up front: placement, then attribute
+    // index and immediate.
+    let place = |(attr, _): &(String, Const)| table.layout.placement(attr);
+    let placements = set.iter().map(place).collect::<Result<Vec<_>, _>>()?;
+    let resolve = |(attr, value): &(String, Const)| resolve_const(&table.schema, attr, value);
+    let assigned = set.iter().map(resolve).collect::<Result<Vec<_>, _>>()?;
+    let domains = table.domains.get_mut().unwrap_or_else(PoisonError::into_inner);
+    let mut reads = domains.update_reads(&assigned, &table.schema);
 
     // Filter (the query path, zone maps included): the resolved DNF may
     // have several disjuncts; planning unions their bounds.
-    let dnf = filter.resolve_dnf(table.relation.schema())?;
+    let dnf = filter.resolve_dnf(&table.schema)?;
     let mut scan = table.begin(table.plan_dnf(&dnf, prune), None);
     let updated = scan.filter(&dnf)?;
 
     if !scan.pages.is_empty() {
+        // The selected records' tuples of every indexed prefix the SET
+        // list moves, read under the mask before the rewrite below.
+        if let Some(reads) = &mut reads {
+            let t = scan.table();
+            let names = reads.attrs().iter().map(|&a| t.schema.attrs()[a].name.as_str());
+            let projection = t.layout.project(names)?;
+            let mut values = Vec::with_capacity(reads.attrs().len());
+            for record in scan.mask(0, MASK_COL).ones() {
+                t.read(&projection, record, &mut values)?;
+                reads.record(&values);
+            }
+        }
         // The select bit lives in partition 0's mask column; transfer
         // it at most once per other partition a target lives in, then
         // rewrite each SET column under the shared mask (Algorithm 1).
         let mut transferred: Vec<usize> = Vec::new();
-        for &(placement, _, imm) in &targets {
+        for (&placement, &(_, imm)) in placements.iter().zip(&assigned) {
             let select_col = if placement.partition == 0 {
                 MASK_COL
             } else {
@@ -431,21 +415,14 @@ fn run_update(
 
     // Zone maintenance: every candidate page may now hold each written
     // immediate.
-    for &(_, attr_idx, imm) in &targets {
+    for &(attr_idx, imm) in &assigned {
         table.loaded.widen_zones(&touched, attr_idx, imm);
     }
-
-    // Keep the host-side catalog copy in sync (hits computed against
-    // pre-mutation values, then every SET column patched).
-    let selected = bbpim_db::stats::filter_bitvec(&probe_query(filter), &table.relation)?;
-    for (row, hit) in selected.into_iter().enumerate() {
-        if hit {
-            for &(_, attr_idx, imm) in &targets {
-                table.relation.set_value(row, attr_idx, imm)?;
-            }
-        }
+    if let Some(reads) = reads {
+        let domains = table.domains.get_mut().unwrap_or_else(PoisonError::into_inner);
+        domains.apply_update(reads, table.loaded.records());
     }
-    Ok((MutationCounts { updated, inserted: 0 }, touched, log))
+    Ok((updated, touched, log))
 }
 
 #[cfg(test)]
@@ -454,52 +431,74 @@ mod tests {
     use crate::fixture;
     use crate::modes::EngineMode;
     use bbpim_db::builder::col;
+    use bbpim_db::plan::{Query, SelectItem};
+    use bbpim_db::stats;
     use bbpim_sim::timeline::PhaseKind;
 
-    fn table(mode: EngineMode) -> PimTable {
+    fn table(mode: EngineMode) -> (PimTable, Relation) {
         fixture::table(mode, &[("lo_v", 8), ("d_city", 6)], (0..500).map(|i| vec![i % 256, i % 40]))
     }
 
+    /// `SELECT COUNT(*) WHERE filter GROUP BY keys`.
+    fn grouped(filter: Pred, keys: &[&str]) -> Query {
+        let q = Query::select([SelectItem::count("n")]).filter(filter);
+        q.group_by(keys.iter().copied()).build_unchecked()
+    }
+
+    /// The table's GROUP-BY domains of every probe equal the row scan
+    /// of the replayed relation.
+    fn assert_domains(t: &mut PimTable, rel: &Relation, probes: &[Query], what: &str) {
+        for q in probes {
+            let want = stats::group_domains(q, rel).unwrap();
+            assert_eq!(
+                t.group_domains(q).unwrap(),
+                want,
+                "{what}: {} by {:?}",
+                q.filter,
+                q.group_by
+            );
+        }
+    }
+
     /// UPDATE rewrites only the matching records — under a single
-    /// equality (the paper's shape) and under an OR of two — and
-    /// patches the catalog copy to match the PIM contents.
+    /// equality (the paper's shape) and under an OR of two — exactly as
+    /// the replayed relation does.
     #[test]
     fn update_rewrites_only_matching_records() {
         let cities = |hits: &'static [u64]| {
             hits.iter().map(|&c| col("d_city").eq(c)).reduce(|a, b| a.or(b)).unwrap()
         };
         for hits in [&[7u64][..], &[7, 11]] {
-            let mut t = table(EngineMode::OneXb);
+            let (mut t, mut rel) = table(EngineMode::OneXb);
             let m = Mutation::update()
                 .filter(cities(hits))
                 .set("d_city", 39u64)
-                .build(t.relation().schema())
+                .build(t.schema())
                 .unwrap();
-            let before: Vec<u64> =
-                (0..t.relation().len()).map(|r| t.relation().value(r, 1)).collect();
+            let before: Vec<u64> = (0..rel.len()).map(|r| rel.value(r, 1)).collect();
             let rep = t.mutate(&m, true).unwrap();
             let expected_hits = before.iter().filter(|v| hits.contains(v)).count() as u64;
             assert_eq!(rep.records_updated, expected_hits);
+            assert_eq!(m.apply_to(&mut rel).unwrap(), expected_hits);
             for (record, prior) in before.iter().enumerate() {
                 let got = t.read_attr(record, "d_city").unwrap();
                 let expected = if hits.contains(prior) { 39 } else { *prior };
                 assert_eq!(got, expected, "record {record}");
-                assert_eq!(t.relation().value(record, 1), expected);
+                assert_eq!(rel.value(record, 1), expected);
             }
         }
     }
 
     #[test]
     fn multi_column_set_shares_one_filter_pass() {
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, rel) = table(EngineMode::OneXb);
         let m = Mutation::update()
             .filter(col("lo_v").lt(10u64))
             .set("lo_v", 255u64)
             .set("d_city", 3u64)
-            .build(t.relation().schema())
+            .build(t.schema())
             .unwrap();
-        let hit: Vec<bool> =
-            (0..t.relation().len()).map(|r| t.relation().value(r, 0) < 10).collect();
+        let hit: Vec<bool> = (0..rel.len()).map(|r| rel.value(r, 0) < 10).collect();
         let rep = t.mutate(&m, true).unwrap();
         assert_eq!(rep.records_updated, hit.iter().filter(|h| **h).count() as u64);
         for (record, was_hit) in hit.iter().enumerate() {
@@ -519,19 +518,18 @@ mod tests {
 
     #[test]
     fn insert_appends_rows_and_widens_zones() {
-        let mut t = table(EngineMode::OneXb);
-        let before = t.loaded().records();
+        let (mut t, _) = table(EngineMode::OneXb);
+        let before = t.records();
         let zone_before = t.loaded().zone_map();
         assert!(zone_before.range(1).unwrap().1 < 63);
         let m = Mutation::insert()
             .row(vec![200u64, 63u64])
             .row(vec![201u64, 62u64])
-            .build(t.relation().schema())
+            .build(t.schema())
             .unwrap();
         let rep = t.mutate(&m, true).unwrap();
         assert_eq!(rep.records_inserted, 2);
-        assert_eq!(t.loaded().records(), before + 2);
-        assert_eq!(t.relation().len(), before + 2);
+        assert_eq!(t.records(), before + 2);
         assert_eq!(t.read_attr(before, "d_city").unwrap(), 63);
         assert_eq!(t.read_attr(before + 1, "lo_v").unwrap(), 201);
         // zones grew to cover the new value
@@ -543,41 +541,49 @@ mod tests {
 
     #[test]
     fn insert_allocates_fresh_pages_when_the_image_is_full() {
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, rel) = table(EngineMode::OneXb);
         let rpp = t.config().records_per_page();
         let pages_before = t.loaded().page_count();
-        let free = pages_before * rpp - t.loaded().records();
+        let free = pages_before * rpp - t.records();
         let mut b = Mutation::insert();
         for i in 0..(free + 3) as u64 {
             b = b.row(vec![i % 256, i % 40]);
         }
-        let m = b.build(t.relation().schema()).unwrap();
+        let m = b.build(t.schema()).unwrap();
         t.mutate(&m, true).unwrap();
         assert_eq!(t.loaded().page_count(), pages_before + 1);
-        assert_eq!(t.loaded().records(), t.relation().len());
+        assert_eq!(t.records(), rel.len() + free + 3);
         // new rows are readable from the fresh page
-        let last = t.loaded().records() - 1;
+        let last = t.records() - 1;
         assert_eq!(t.read_attr(last, "lo_v").unwrap(), ((free + 2) % 256) as u64);
     }
 
+    /// A refused INSERT — a batch the module cannot hold — leaves the
+    /// image, the zones and the domain index exactly as they were: the
+    /// rows carry a `d_city` no record holds, so a count taken before
+    /// the refusal would show in the domains.
     #[test]
     fn insert_out_of_capacity_leaves_the_table_unchanged() {
-        use bbpim_db::plan::SelectItem;
         use bbpim_sim::{SimConfig, SimError};
+        let probes = [
+            grouped(col("d_city").gt(5u64), &["d_city"]),
+            grouped(col("lo_v").lt(100u64), &["lo_v"]),
+        ];
         for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
             // a three-page module holding one full page per partition
             let mut cfg = SimConfig::small_for_tests();
             cfg.module_capacity_bytes = 3 * cfg.page_bytes as u64;
             let rpp = cfg.records_per_page();
-            let mut rel = Relation::new(table(mode).relation().schema().clone());
+            let mut rel = Relation::new(table(mode).1.schema().clone());
             for i in 0..rpp as u64 {
                 rel.push_row(&[i % 256, i % 40]).unwrap();
             }
             let layout = crate::layout::RecordLayout::build(rel.schema(), &cfg, mode, &[]).unwrap();
-            let mut t = PimTable::new(cfg, rel, layout).unwrap();
-            let insert = |rows: usize| Mutation::Insert { rows: vec![vec![9, 9]; rows] };
-            let consistent = |t: &mut PimTable, records: usize, pages: usize| {
-                assert_eq!((t.relation().len(), t.loaded().records()), (records, records));
+            let mut t = PimTable::new(cfg, &rel, layout).unwrap();
+            let insert = |rows: usize| Mutation::Insert { rows: vec![vec![9, 41]; rows] };
+            let consistent = |t: &mut PimTable, rel: &Relation, pages: usize| {
+                let records = rel.len();
+                assert_eq!(t.records(), records);
                 for partition in 0..t.layout().partitions() {
                     assert_eq!(t.loaded().pages(partition).len(), pages, "{mode:?}: aligned");
                 }
@@ -585,50 +591,91 @@ mod tests {
                 let count = Query::select([SelectItem::count("n")]).build_unchecked();
                 let out = crate::engine::run_query(t, mode, None, true, &count).unwrap();
                 assert_eq!(out.groups[&vec![]], vec![records as u64], "{mode:?}: COUNT answers");
+                assert_domains(t, rel, &probes, &format!("{mode:?}, {records} records"));
             };
+            consistent(&mut t, &rel, 1);
             // a batch that only partly fits is refused whole
             let err = t.mutate(&insert(2 * rpp + 1), true).unwrap_err();
             assert!(matches!(err, CoreError::Sim(SimError::OutOfCapacity { .. })), "{err}");
-            consistent(&mut t, rpp, 1);
+            consistent(&mut t, &rel, 1);
             // one row at a time until the module is full: two more pages
             // under one-xb, none under two-xb (one free page, two needed)
             let mut inserted = 0;
             let err = loop {
-                match t.mutate(&insert(1), true) {
-                    Ok(_) => inserted += 1,
+                let one = insert(1);
+                match t.mutate(&one, true) {
+                    Ok(_) => inserted += one.apply_to(&mut rel).unwrap(),
                     Err(err) => break err,
                 }
             };
             assert!(matches!(err, CoreError::Sim(SimError::OutOfCapacity { .. })), "{err}");
             let fits = if mode == EngineMode::OneXb { 2 } else { 0 };
-            assert_eq!(inserted, fits * rpp, "{mode:?}");
-            consistent(&mut t, (1 + fits) * rpp, 1 + fits);
+            assert_eq!(inserted as usize, fits * rpp, "{mode:?}");
+            consistent(&mut t, &rel, 1 + fits);
             // and the refusal repeats, the table still whole
             assert!(t.mutate(&insert(1), true).is_err());
-            consistent(&mut t, (1 + fits) * rpp, 1 + fits);
+            consistent(&mut t, &rel, 1 + fits);
+        }
+    }
+
+    /// An UPDATE whose SET list falls in an indexed prefix moves the
+    /// prefix's counts: the selected records' tuples are read before the
+    /// MUX rewrites them. Read after it, the tuples of `d_year = 2` would
+    /// never leave the index, and `2` would stay in the year domain.
+    #[test]
+    fn an_update_of_an_indexed_prefix_moves_its_domains() {
+        let probes = [
+            grouped(col("d_city").lt(25u64), &["d_year"]),
+            grouped(col("d_year").eq(7u64).or(col("lo_v").gt(200u64)), &["d_city"]),
+            grouped(col("lo_v").lt(100u64), &["d_city", "d_year"]),
+        ];
+        for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
+            let attrs = [("lo_v", 8), ("d_city", 6), ("d_year", 3)];
+            let rows = (0..600).map(|i| vec![i % 256, i % 40, (i % 40) / 6]);
+            let (mut t, mut rel) = fixture::table(mode, &attrs, rows);
+            assert_domains(&mut t, &rel, &probes, "loaded");
+            let schema = t.schema().clone();
+            let updates = [
+                Mutation::update().filter(col("d_year").eq(2u64)).set("d_year", 7u64),
+                // a cross-prefix filter moves part of city 3 only
+                Mutation::update()
+                    .filter(col("lo_v").lt(128u64).and(col("d_city").eq(3u64)))
+                    .set("d_city", 63u64)
+                    .set("d_year", 5u64),
+                // a fact-side SET moves no dimension tuple
+                Mutation::update().filter(col("d_city").eq(4u64)).set("lo_v", 1u64),
+            ];
+            for m in updates {
+                let m = m.build(&schema).unwrap();
+                assert!(t.mutate(&m, true).unwrap().records_updated > 0, "{}", m.label());
+                m.apply_to(&mut rel).unwrap();
+                assert_domains(&mut t, &rel, &probes, &format!("{mode:?}, {}", m.label()));
+            }
+            let years = t.group_domains(&probes[0]).unwrap();
+            assert!(!years[0].contains(&2), "{mode:?}: year 2 left every record");
         }
     }
 
     #[test]
     fn inserted_rows_are_selected_by_later_filters() {
-        let mut t = table(EngineMode::OneXb);
+        let (mut t, _) = table(EngineMode::OneXb);
         // no existing row has d_city == 63
-        let m = Mutation::insert().row(vec![9u64, 63u64]).build(t.relation().schema()).unwrap();
+        let m = Mutation::insert().row(vec![9u64, 63u64]).build(t.schema()).unwrap();
         t.mutate(&m, true).unwrap();
         let upd = Mutation::update()
             .filter(col("d_city").eq(63u64))
             .set("lo_v", 77u64)
-            .build(t.relation().schema())
+            .build(t.schema())
             .unwrap();
         let rep = t.mutate(&upd, true).unwrap();
         assert_eq!(rep.records_updated, 1);
-        assert_eq!(t.read_attr(t.loaded().records() - 1, "lo_v").unwrap(), 77);
+        assert_eq!(t.read_attr(t.records() - 1, "lo_v").unwrap(), 77);
     }
 
     #[test]
     fn builder_validates_against_schema() {
-        let t = table(EngineMode::OneXb);
-        let schema = t.relation().schema();
+        let (t, _) = table(EngineMode::OneXb);
+        let schema = t.schema();
         assert!(Mutation::update().set("nope", 1u64).build(schema).is_err());
         assert!(Mutation::update().filter(col("lo_v").eq(1u64)).build(schema).is_err());
         assert!(Mutation::update().set("lo_v", 1u64).set("lo_v", 2u64).build(schema).is_err());
@@ -643,16 +690,16 @@ mod tests {
 
     #[test]
     fn two_xb_update_of_dimension_attr_transfers_mask() {
-        let mut t = table(EngineMode::TwoXb);
+        let (mut t, _) = table(EngineMode::TwoXb);
         // fact-side filter, dimension-side target: mask must travel
         let m = Mutation::update()
             .filter(col("lo_v").lt(50u64))
             .set("d_city", 1u64)
-            .build(t.relation().schema())
+            .build(t.schema())
             .unwrap();
         let report = t.mutate(&m, true).unwrap();
         assert!(report.phases.time_in(PhaseKind::HostWrite) > 0.0);
-        for record in 0..t.relation().len() {
+        for record in 0..t.records() {
             let v = t.read_attr(record, "lo_v").unwrap();
             let city = t.read_attr(record, "d_city").unwrap();
             if v < 50 {
@@ -664,9 +711,9 @@ mod tests {
     #[test]
     fn update_cost_independent_of_matched_count() {
         let zero_city = |filter| {
-            let mut t = table(EngineMode::OneXb);
+            let (mut t, _) = table(EngineMode::OneXb);
             let m = Mutation::update().filter(filter).set("d_city", 0u64);
-            t.mutate(&m.build(t.relation().schema()).unwrap(), true).unwrap()
+            t.mutate(&m.build(t.schema()).unwrap(), true).unwrap()
         };
         let t1 = zero_city(col("lo_v").eq(3u64));
         let t2 = zero_city(col("lo_v").lt(250u64));
@@ -693,13 +740,13 @@ mod tests {
         // query: the same work must report the same cell writes and the
         // same required endurance every time
         for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
-            let mut t = table(mode);
+            let (mut t, _) = table(mode);
             let update = Mutation::update()
                 .filter(col("lo_v").lt(10u64))
                 .set("d_city", 3u64)
-                .build(t.relation().schema())
+                .build(t.schema())
                 .unwrap();
-            let insert = Mutation::insert().row([7u64, 7u64]).build(t.relation().schema()).unwrap();
+            let insert = Mutation::insert().row([7u64, 7u64]).build(t.schema()).unwrap();
             for m in [&update, &insert] {
                 let reports: Vec<_> = (0..3).map(|_| t.mutate(m, true).unwrap()).collect();
                 assert!(reports[0].max_row_cell_writes > 0, "{mode:?} {}", m.label());
@@ -713,32 +760,31 @@ mod tests {
 
     #[test]
     fn oracle_apply_matches_pim_state() {
-        let mut t = table(EngineMode::OneXb);
-        let mut oracle = t.relation().clone();
+        let (mut t, mut oracle) = table(EngineMode::OneXb);
+        let probes = [grouped(col("lo_v").gt(20u64), &["d_city"])];
+        assert_domains(&mut t, &oracle, &probes, "loaded");
         let ms = vec![
             Mutation::update()
                 .filter(col("d_city").eq(5u64).or(col("lo_v").gt(250u64)))
                 .set("d_city", 1u64)
-                .build(t.relation().schema())
+                .build(t.schema())
                 .unwrap(),
-            Mutation::insert().row(vec![130u64, 22u64]).build(t.relation().schema()).unwrap(),
+            Mutation::insert().row(vec![130u64, 22u64]).build(t.schema()).unwrap(),
             Mutation::update()
                 .filter(col("lo_v").eq(130u64))
                 .set("lo_v", 131u64)
                 .set("d_city", 2u64)
-                .build(t.relation().schema())
+                .build(t.schema())
                 .unwrap(),
         ];
         for m in &ms {
             t.mutate(m, true).unwrap();
             m.apply_to(&mut oracle).unwrap();
+            assert_domains(&mut t, &oracle, &probes, &m.label());
         }
-        assert_eq!(t.relation().len(), oracle.len());
-        for row in 0..t.relation().len() {
-            assert_eq!(t.relation().row(row), oracle.row(row), "row {row}");
-        }
-        // and the PIM image agrees with both
-        for row in 0..t.relation().len() {
+        // the PIM image agrees with the replayed relation
+        assert_eq!(t.records(), oracle.len());
+        for row in 0..oracle.len() {
             assert_eq!(t.read_attr(row, "lo_v").unwrap(), oracle.value(row, 0));
             assert_eq!(t.read_attr(row, "d_city").unwrap(), oracle.value(row, 1));
         }

@@ -1,5 +1,5 @@
 //! The host's read path to stored records: one reader, one unique-line
-//! rule, one fold.
+//! rule, one fold — and the GROUP-BY domain index's unpriced decoder.
 //!
 //! The paper's host reads selected records back in three places — the
 //! one-page sample and host-gb of Section IV, and the FK-probing gather
@@ -10,7 +10,10 @@
 //! per-aggregate groups. (The write path — load and INSERT — is
 //! [`crate::loader`].)
 
-use bbpim_db::plan::{AggExpr, PhysAgg};
+use std::sync::PoisonError;
+
+use bbpim_db::domain::RecordSink;
+use bbpim_db::plan::{AggExpr, PhysAgg, Query};
 use bbpim_db::stats::GroupedResult;
 use bbpim_sim::config::SimConfig;
 use bbpim_sim::maskwire::PackedBits;
@@ -45,6 +48,39 @@ impl PimTable {
             out.push(page.read_record_bits(slot, p.range.lo, p.range.width)?);
         }
         Ok(())
+    }
+
+    /// Per GROUP BY key of `query`, the values it can take under the
+    /// query's same-prefix constraints, from the domain index
+    /// ([`bbpim_db::domain::DomainIndex`]). Where the index reads the
+    /// image, the attributes it asks for are decoded a page and a column
+    /// at a time; host metadata, so nothing is charged.
+    ///
+    /// # Errors
+    ///
+    /// Resolution and placement failures.
+    pub fn group_domains(&self, query: &Query) -> Result<Vec<Vec<u64>>, CoreError> {
+        let decode = |attrs: &[usize], sink: &mut RecordSink<'_>| -> Result<(), CoreError> {
+            let names = attrs.iter().map(|&a| self.schema.attrs()[a].name.as_str());
+            let projection = self.layout.project(names)?;
+            let (mut columns, mut values) = (vec![Vec::new(); attrs.len()], vec![0; attrs.len()]);
+            for pg in 0..self.loaded.page_count() {
+                let run = self.loaded.page_records(pg);
+                for (column, p) in columns.iter_mut().zip(projection.placements()) {
+                    let page = self.module.page(self.loaded.pages(p.partition)[pg]);
+                    page.read_records(p.range.lo, p.range.width, run.len(), column)?;
+                }
+                for slot in 0..run.len() {
+                    values.iter_mut().zip(&columns).for_each(|(v, column)| *v = column[slot]);
+                    if sink(&values).is_break() {
+                        return Ok(());
+                    }
+                }
+            }
+            Ok(())
+        };
+        let mut index = self.domains.lock().unwrap_or_else(PoisonError::into_inner);
+        index.domains(query, &self.schema, self.records(), decode)
     }
 }
 
@@ -167,7 +203,7 @@ mod tests {
     #[test]
     fn reading_past_the_data_is_an_error() {
         let rows = (0..300).map(|i| vec![i % 251, i % 61]);
-        let t = fixture::table(EngineMode::TwoXb, &[("lo_a", 8), ("d_b", 6)], rows);
+        let (t, _) = fixture::table(EngineMode::TwoXb, &[("lo_a", 8), ("d_b", 6)], rows);
         assert_eq!(t.read_attr(299, "lo_a").unwrap(), 299 % 251);
         assert_eq!(t.read_attr(299, "d_b").unwrap(), 299 % 61);
         // a padding slot of the last page, and a page that does not exist

@@ -41,8 +41,8 @@ use crate::planner::PageSet;
 use crate::result::{PartialGroups, QueryExecution, QueryReport};
 use crate::table::PimTable;
 
-/// An open scan: the table (module, layout, loaded image, catalog
-/// copy), the page plan, and the phase log every stage charges.
+/// An open scan: the table (module, layout, loaded image), the page
+/// plan, and the phase log every stage charges.
 #[derive(Debug)]
 pub struct Scan<'t> {
     pub(crate) table: &'t mut PimTable,
@@ -73,7 +73,7 @@ impl PimTable {
 }
 
 impl Scan<'_> {
-    /// The table under the scan (stored bits, layout, catalog copy).
+    /// The table under the scan (stored bits, layout, schema).
     pub fn table(&self) -> &PimTable {
         self.table
     }

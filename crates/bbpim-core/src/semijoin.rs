@@ -161,9 +161,10 @@ mod tests {
     use crate::layout::MASK_COL;
     use crate::modes::EngineMode;
     use crate::table::PimTable;
+    use bbpim_db::Relation;
     use bbpim_sim::maskwire::PackedBits;
 
-    fn table() -> PimTable {
+    fn table() -> (PimTable, Relation) {
         let rows = (0..700).map(|i| vec![(i * 7) % 200, i % 100]);
         fixture::table(EngineMode::OneXb, &[("fk", 8), ("v", 8)], rows)
     }
@@ -204,7 +205,7 @@ mod tests {
 
     #[test]
     fn run_predicates_match_bitmap_semantics() {
-        let mut t = table();
+        let (mut t, rel) = table();
         // keys 20..=35 and 100, 102 selected
         let mut bits = vec![false; 200];
         bits[20..=35].fill(true);
@@ -216,14 +217,14 @@ mod tests {
         let d = SemijoinDisjunct { atoms: vec![], semijoins: vec![term] };
         let mask = run(&mut t, &[d]);
         for (row, got) in mask.iter().enumerate() {
-            let fk = t.relation().value(row, 0) as usize;
+            let fk = rel.value(row, 0) as usize;
             assert_eq!(*got, bits[fk], "row {row} fk {fk}");
         }
     }
 
     #[test]
     fn semijoin_ands_with_fact_atoms() {
-        let mut t = table();
+        let (mut t, rel) = table();
         let fk_range = range(&t, "fk");
         let v_range = range(&t, "v");
         let term = SemijoinTerm { fk_range, runs: vec![(0, 49)] };
@@ -233,14 +234,14 @@ mod tests {
         };
         let mask = run(&mut t, &[d]);
         for (row, got) in mask.iter().enumerate() {
-            let expect = t.relation().value(row, 0) < 50 && t.relation().value(row, 1) < 30;
+            let expect = rel.value(row, 0) < 50 && rel.value(row, 1) < 30;
             assert_eq!(*got, expect, "row {row}");
         }
     }
 
     #[test]
     fn disjuncts_or_together() {
-        let mut t = table();
+        let (mut t, rel) = table();
         let fk_range = range(&t, "fk");
         let d1 = SemijoinDisjunct {
             atoms: vec![],
@@ -252,14 +253,14 @@ mod tests {
         };
         let mask = run(&mut t, &[d1, d2]);
         for (row, got) in mask.iter().enumerate() {
-            let fk = t.relation().value(row, 0);
+            let fk = rel.value(row, 0);
             assert_eq!(*got, !(10..150).contains(&fk), "row {row}");
         }
     }
 
     #[test]
     fn empty_runs_make_disjunct_false_and_no_disjuncts_make_all_false() {
-        let mut t = table();
+        let (mut t, _) = table();
         let fk_range = range(&t, "fk");
         let d = SemijoinDisjunct {
             atoms: vec![],
@@ -271,15 +272,15 @@ mod tests {
 
     #[test]
     fn empty_disjunct_selects_all_valid() {
-        let mut t = table();
+        let (mut t, rel) = table();
         let d = SemijoinDisjunct { atoms: vec![], semijoins: vec![] };
         let mask = run(&mut t, &[d]);
-        assert_eq!(mask.iter().filter(|b| **b).count(), t.relation().len());
+        assert_eq!(mask.iter().filter(|b| **b).count(), rel.len());
     }
 
     #[test]
     fn many_scattered_runs_stay_within_scratch() {
-        let mut t = table();
+        let (mut t, rel) = table();
         let fk_range = range(&t, "fk");
         // every third key: 67 single-key runs
         let bits: Vec<bool> = (0..200).map(|k| k % 3 == 0).collect();
@@ -288,7 +289,7 @@ mod tests {
         let d = SemijoinDisjunct { atoms: vec![], semijoins: vec![term] };
         let mask = run(&mut t, &[d]);
         for (row, got) in mask.iter().enumerate() {
-            assert_eq!(*got, t.relation().value(row, 0).is_multiple_of(3), "row {row}");
+            assert_eq!(*got, rel.value(row, 0).is_multiple_of(3), "row {row}");
         }
     }
 }

@@ -1,54 +1,42 @@
 //! One relation resident on its own PIM module.
 //!
-//! A [`PimTable`] owns a [`PimModule`], the host-side catalog of the
-//! relation — shared with every other holder of the same
-//! [`Relation`], copied on this table's first mutation — the
-//! [`RecordLayout`] and the loaded image. It is the
-//! storage half every engine shares — the pre-joined wide relation of
-//! the paper, a fact shard or a dimension of the normalized star — and
-//! exposes the primitives they compose: zone-map page planning,
-//! mutations through the PIM multiplexer, reads of the stored bits
-//! ([`crate::record`]), and [`PimTable::begin`], which opens the
+//! A [`PimTable`] owns a [`PimModule`], the loaded image and the
+//! [`RecordLayout`]. The image *is* the table: the host keeps only the
+//! [`Schema`], the page zone maps and the GROUP-BY [`DomainIndex`]. It
+//! is the storage half every engine shares — the pre-joined wide
+//! relation of the paper, a fact shard or a dimension of the normalized
+//! star — and exposes the primitives they compose: zone-map page
+//! planning, mutations through the PIM multiplexer, reads of the stored
+//! bits ([`crate::record`]), and [`PimTable::begin`], which opens the
 //! [`crate::scan::Scan`] every execution path drives.
 
+use std::sync::Mutex;
+
+use bbpim_db::domain::DomainIndex;
 use bbpim_db::plan::{FilterBounds, ResolvedAtom};
+use bbpim_db::schema::Schema;
 use bbpim_db::zonemap::ZoneMap;
-use bbpim_db::Relation;
 use bbpim_sim::config::SimConfig;
 use bbpim_sim::module::PimModule;
 
 use crate::error::CoreError;
 use crate::layout::RecordLayout;
-use crate::loader::{load_relation, LoadedRelation};
+use crate::loader::LoadedRelation;
 use crate::mutation::{run_mutation, Mutation, MutationReport};
 use crate::planner::{plan_pages, PageSet};
 
 /// A relation loaded into a PIM module of its own.
 pub struct PimTable {
     pub(crate) module: PimModule,
-    pub(crate) relation: Relation,
+    pub(crate) schema: Schema,
     pub(crate) layout: RecordLayout,
     pub(crate) loaded: LoadedRelation,
+    /// Filled on first use by shared readers, hence the lock; a build
+    /// stores its prefix only once complete, so poisoning leaves it whole.
+    pub(crate) domains: Mutex<DomainIndex>,
 }
 
 impl PimTable {
-    /// Allocate pages on a fresh module and load `relation` under
-    /// `layout`.
-    ///
-    /// # Errors
-    ///
-    /// A configuration that fails `SimConfig::validate`, module capacity
-    /// and loader failures.
-    pub fn new(
-        cfg: SimConfig,
-        relation: Relation,
-        layout: RecordLayout,
-    ) -> Result<Self, CoreError> {
-        let mut module = PimModule::new(cfg)?;
-        let loaded = load_relation(&mut module, &relation, &layout)?;
-        Ok(PimTable { module, relation, layout, loaded })
-    }
-
     /// The module (inspection, line accounting).
     pub fn module(&self) -> &PimModule {
         &self.module
@@ -59,11 +47,14 @@ impl PimTable {
         self.module.config()
     }
 
-    /// The host-side catalog of the relation: the shared catalog the
-    /// table was built from, copied on the first mutation and patched
-    /// by every one.
-    pub fn relation(&self) -> &Relation {
-        &self.relation
+    /// The schema the image was loaded under.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// Records the image holds.
+    pub fn records(&self) -> usize {
+        self.loaded.records()
     }
 
     /// The record layout.
@@ -107,8 +98,8 @@ impl PimTable {
     /// (Algorithm 1) — full `Pred` filter, multi-column SET, WHERE
     /// clause zone-map-planned like a query filter unless `prune` is
     /// off — or INSERT appending rows behind the loaded image. Touched
-    /// pages' zone maps widen and the catalog (this table's own from
-    /// its first mutation on) is patched, so pruning stays sound.
+    /// pages' zone maps widen and the domain index follows, so pruning
+    /// and the GROUP-BY enumeration stay sound.
     ///
     /// # Errors
     ///
@@ -134,7 +125,7 @@ impl PimTable {
 impl std::fmt::Debug for PimTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PimTable")
-            .field("table", &self.relation.schema().name)
+            .field("table", &self.schema.name)
             .field("records", &self.loaded.records())
             .field("pages", &self.loaded.page_count())
             .finish()

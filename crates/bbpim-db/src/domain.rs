@@ -1,0 +1,528 @@
+//! The GROUP-BY domain index: what the host keeps instead of a catalog
+//! to enumerate a query's potential subgroups.
+//!
+//! The paper's `k_MAX` (Table II) is the product over GROUP BY keys of
+//! the distinct values each key takes among the records that pass the
+//! filter atoms *of the key's own dimension* — attributes share a
+//! dimension when their names share the [`prefix`] before the first `_`
+//! ([`crate::stats::group_domains`] is the row-at-a-time reference).
+//! Within one dimension the records repeat a small set of tuples (every
+//! purchase of one part carries that part's brand, category and
+//! colour), so a [`DomainIndex`] keeps, per prefix, one count per
+//! distinct tuple of the prefix's indexed attributes, and the domain
+//! filter walks those tuples instead of the records: at most one
+//! dimension's cardinality, whatever the fact row count.
+//!
+//! The index does not read the records itself: a prefix is built the
+//! first time a GROUP BY names one of its attributes, through a
+//! `decode` callback that walks the named attributes of every record
+//! (the PIM engine decodes them from the stored bits), and kept up to
+//! date by [`DomainIndex::insert`] and [`DomainIndex::update_reads`] /
+//! [`DomainIndex::apply_update`].
+//!
+//! **Threshold.** A prefix is kept only while it holds at most half as
+//! many distinct tuples as the table has records. A build that finds
+//! more stops early and marks the prefix *decoded*, and so does an
+//! INSERT or UPDATE that pushes a kept prefix past the bound; the
+//! decision is final for that table. A GROUP BY key of a decoded prefix
+//! decodes the key's and its constraints' columns afresh on every query
+//! and runs the same filter over what it read. The fact prefix (`lo_`),
+//! nearly one tuple per record, is the case the rule exists for: kept,
+//! it would cost a catalog's memory and every UPDATE of a fact
+//! attribute would re-read whole fact tuples.
+
+use std::collections::{BTreeSet, HashMap};
+use std::ops::ControlFlow;
+
+use crate::error::DbError;
+use crate::plan::{Query, ResolvedAtom};
+use crate::schema::Schema;
+
+/// The dimension an attribute belongs to: its name up to the first `_`
+/// (`p_category` and `p_brand1` share `p`; a name without `_` is its own
+/// prefix).
+pub fn prefix(name: &str) -> &str {
+    name.split('_').next().unwrap_or("")
+}
+
+/// The sink a `decode` callback feeds: one record's values in the order
+/// of the attributes asked for; [`ControlFlow::Break`] stops the walk.
+pub type RecordSink<'a> = dyn FnMut(&[u64]) -> ControlFlow<()> + 'a;
+
+/// Distinct tuples of a fixed attribute list with their record counts.
+/// A tuple is bit-packed LSB-first at the attributes' declared widths
+/// into as many words as it needs, so a tuple wider than 64 bits is two
+/// words, not one word per attribute.
+#[derive(Debug, Clone)]
+struct TupleCounts {
+    /// Schema indices of the attributes, in tuple order.
+    attrs: Vec<usize>,
+    /// Declared width of each attribute, bits.
+    widths: Vec<usize>,
+    /// Bit offset of each attribute in the packed tuple.
+    offsets: Vec<usize>,
+    counts: HashMap<Box<[u64]>, u64>,
+    /// The packed form of the tuple being added or removed.
+    key: Vec<u64>,
+}
+
+impl TupleCounts {
+    fn new(attrs: Vec<usize>, schema: &Schema) -> Self {
+        let widths: Vec<usize> = attrs.iter().map(|&a| schema.attrs()[a].bits).collect();
+        let offsets = widths.iter().scan(0, |at, w| Some(std::mem::replace(at, *at + w))).collect();
+        let words = widths.iter().sum::<usize>().div_ceil(64);
+        TupleCounts { attrs, widths, offsets, counts: HashMap::new(), key: vec![0; words] }
+    }
+
+    /// Distinct tuples held.
+    fn len(&self) -> usize {
+        self.counts.len()
+    }
+
+    fn pack(&mut self, values: impl IntoIterator<Item = u64>) {
+        self.key.fill(0);
+        for ((v, &at), &width) in values.into_iter().zip(&self.offsets).zip(&self.widths) {
+            let (word, shift) = (at / 64, at % 64);
+            self.key[word] |= v << shift;
+            if shift + width > 64 {
+                self.key[word + 1] |= v >> (64 - shift);
+            }
+        }
+    }
+
+    /// The value at tuple position `i` of a packed tuple.
+    fn value(&self, packed: &[u64], i: usize) -> u64 {
+        let (at, width) = (self.offsets[i], self.widths[i]);
+        let (word, shift) = (at / 64, at % 64);
+        let mut v = packed[word] >> shift;
+        if shift + width > 64 {
+            v |= packed[word + 1] << (64 - shift);
+        }
+        if width < 64 {
+            v &= (1 << width) - 1;
+        }
+        v
+    }
+
+    /// Count `n` more records holding the tuple `values` (tuple order).
+    fn add(&mut self, values: impl IntoIterator<Item = u64>, n: u64) {
+        self.pack(values);
+        match self.counts.get_mut(&self.key[..]) {
+            Some(count) => *count += n,
+            None => drop(self.counts.insert(self.key.clone().into_boxed_slice(), n)),
+        }
+    }
+
+    /// Count `n` records fewer holding `values`; the tuple goes at zero.
+    fn remove(&mut self, values: impl IntoIterator<Item = u64>, n: u64) {
+        self.pack(values);
+        if let Some(count) = self.counts.get_mut(&self.key[..]) {
+            if *count > n {
+                *count -= n;
+            } else {
+                self.counts.remove(&self.key[..]);
+            }
+        }
+    }
+
+    /// Every tuple, unpacked, with its count.
+    fn tuples(&self) -> impl Iterator<Item = (Vec<u64>, u64)> + '_ {
+        self.counts
+            .iter()
+            .map(|(packed, &n)| ((0..self.attrs.len()).map(|i| self.value(packed, i)).collect(), n))
+    }
+
+    /// The tuple position of schema attribute `attr`.
+    fn position(&self, attr: usize, schema: &Schema) -> Result<usize, DbError> {
+        self.attrs.iter().position(|&a| a == attr).ok_or_else(|| {
+            DbError::InvalidQuery(format!(
+                "`{}` is host-only: no domain index covers it",
+                schema.attrs()[attr].name
+            ))
+        })
+    }
+
+    /// The filter: add to `seen` the value of attribute `group` in every
+    /// tuple whose values satisfy all of `atoms`.
+    fn collect(
+        &self,
+        schema: &Schema,
+        group: usize,
+        atoms: &[&ResolvedAtom],
+        seen: &mut BTreeSet<u64>,
+    ) -> Result<(), DbError> {
+        let at = self.position(group, schema)?;
+        let checks: Vec<(usize, &ResolvedAtom)> = atoms
+            .iter()
+            .map(|a| Ok((self.position(a.attr_index(), schema)?, *a)))
+            .collect::<Result<_, DbError>>()?;
+        for packed in self.counts.keys() {
+            if checks.iter().all(|(i, atom)| atom.matches_value(self.value(packed, *i))) {
+                seen.insert(self.value(packed, at));
+            }
+        }
+        Ok(())
+    }
+
+    /// Count the tuples `decode` yields over `attrs`, stopping as soon
+    /// as they pass the threshold of a `records`-record table.
+    fn read<E>(
+        attrs: Vec<usize>,
+        schema: &Schema,
+        records: usize,
+        decode: &mut impl FnMut(&[usize], &mut RecordSink<'_>) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let mut tuples = TupleCounts::new(attrs.clone(), schema);
+        decode(&attrs, &mut |values| {
+            tuples.add(values.iter().copied(), 1);
+            match over_threshold(tuples.len(), records) {
+                true => ControlFlow::Break(()),
+                false => ControlFlow::Continue(()),
+            }
+        })?;
+        Ok(tuples)
+    }
+}
+
+/// The index threshold: more distinct tuples than half the records.
+fn over_threshold(tuples: usize, records: usize) -> bool {
+    tuples.saturating_mul(2) > records
+}
+
+/// Where one prefix stands.
+#[derive(Debug, Clone)]
+enum State {
+    /// No GROUP BY has named the prefix yet.
+    Unbuilt,
+    /// Kept and maintained.
+    Built(TupleCounts),
+    /// Past the threshold: read from the records on every use.
+    Decoded,
+}
+
+#[derive(Debug, Clone)]
+struct Prefix {
+    /// Schema indices of the prefix's indexed attributes.
+    attrs: Vec<usize>,
+    state: State,
+}
+
+/// Per attribute prefix, a count per distinct tuple of the prefix's
+/// indexed attributes — built on first use, maintained by mutations,
+/// dropped past the threshold (see the module docs).
+#[derive(Debug, Clone, Default)]
+pub struct DomainIndex {
+    prefixes: Vec<Prefix>,
+    /// The prefix of each schema attribute; `None` for one not indexed.
+    prefix_of: Vec<Option<usize>>,
+}
+
+impl DomainIndex {
+    /// An index over the attributes of `schema` that `indexed` admits
+    /// (the ones a query may filter or group on), nothing built yet.
+    pub fn new(schema: &Schema, indexed: impl Fn(&str) -> bool) -> Self {
+        let mut names: Vec<&str> = Vec::new();
+        let mut prefixes: Vec<Prefix> = Vec::new();
+        let mut prefix_of = Vec::with_capacity(schema.arity());
+        for (idx, attr) in schema.attrs().iter().enumerate() {
+            if !indexed(&attr.name) {
+                prefix_of.push(None);
+                continue;
+            }
+            let name = prefix(&attr.name);
+            let p = names.iter().position(|n| *n == name).unwrap_or_else(|| {
+                names.push(name);
+                prefixes.push(Prefix { attrs: Vec::new(), state: State::Unbuilt });
+                prefixes.len() - 1
+            });
+            prefixes[p].attrs.push(idx);
+            prefix_of.push(Some(p));
+        }
+        DomainIndex { prefixes, prefix_of }
+    }
+
+    /// Per GROUP BY key of `query`, the distinct values it takes among
+    /// the records passing any one disjunct's atoms on the key's prefix
+    /// (ascending) — [`crate::stats::group_domains`]'s answer, from the
+    /// index. A key's prefix is built here on first use; `decode(attrs,
+    /// sink)` walks the attributes `attrs` (schema indices) of each of
+    /// the table's `records` records.
+    ///
+    /// # Errors
+    ///
+    /// Resolution failures, a key or constraint on an attribute the
+    /// index does not cover, and `decode`'s.
+    pub fn domains<E: From<DbError>>(
+        &mut self,
+        query: &Query,
+        schema: &Schema,
+        records: usize,
+        mut decode: impl FnMut(&[usize], &mut RecordSink<'_>) -> Result<(), E>,
+    ) -> Result<Vec<Vec<u64>>, E> {
+        let dnf = query.resolve_filter(schema)?;
+        let mut out = Vec::with_capacity(query.group_by.len());
+        for name in &query.group_by {
+            let group = schema.index_of(name)?;
+            let p = self.prefix_of[group].ok_or_else(|| {
+                DbError::InvalidQuery(format!("`{name}` is host-only: no domain index covers it"))
+            })?;
+            // each disjunct's atoms on the key's prefix
+            let constraints: Vec<Vec<&ResolvedAtom>> = dnf
+                .iter()
+                .map(|conj| {
+                    let same = |a: &&ResolvedAtom| {
+                        prefix(&schema.attrs()[a.attr_index()].name) == prefix(name)
+                    };
+                    conj.iter().filter(same).collect()
+                })
+                .collect();
+            if let State::Unbuilt = self.prefixes[p].state {
+                let attrs = self.prefixes[p].attrs.clone();
+                let tuples = TupleCounts::read(attrs, schema, records, &mut decode)?;
+                self.prefixes[p].state = match over_threshold(tuples.len(), records) {
+                    true => State::Decoded,
+                    false => State::Built(tuples),
+                };
+            }
+            let read;
+            let tuples = match &self.prefixes[p].state {
+                State::Built(tuples) => tuples,
+                _ => {
+                    // past the threshold: the key's and its constraints'
+                    // columns, afresh and whole
+                    let mut attrs: Vec<usize> =
+                        constraints.iter().flatten().map(|a| a.attr_index()).collect();
+                    attrs.push(group);
+                    attrs.sort_unstable();
+                    attrs.dedup();
+                    read = TupleCounts::read(attrs, schema, usize::MAX, &mut decode)?;
+                    &read
+                }
+            };
+            let mut seen = BTreeSet::new();
+            for conj in &constraints {
+                tuples.collect(schema, group, conj, &mut seen)?;
+            }
+            out.push(seen.into_iter().collect());
+        }
+        Ok(out)
+    }
+
+    /// Count appended rows (full rows, schema order) into every built
+    /// prefix; `records` is the table's record count after the append.
+    pub fn insert(&mut self, rows: &[Vec<u64>], records: usize) {
+        for prefix in &mut self.prefixes {
+            if let State::Built(tuples) = &mut prefix.state {
+                for row in rows {
+                    tuples.add(prefix.attrs.iter().map(|&a| row[a]), 1);
+                }
+            }
+        }
+        self.settle(records);
+    }
+
+    /// What an UPDATE with the SET list `set` (schema index, new value)
+    /// must read before it rewrites anything: `None` when no built
+    /// prefix holds a SET attribute, else the pre-update tuples of those
+    /// prefixes, to be filled record by record through
+    /// [`UpdateReads::record`].
+    pub fn update_reads(&self, set: &[(usize, u64)], schema: &Schema) -> Option<UpdateReads> {
+        let mut prefixes = Vec::new();
+        for (p, prefix) in self.prefixes.iter().enumerate() {
+            let touched = set.iter().any(|&(a, _)| self.prefix_of.get(a) == Some(&Some(p)));
+            if touched && matches!(prefix.state, State::Built(_)) {
+                prefixes.push((p, TupleCounts::new(prefix.attrs.clone(), schema)));
+            }
+        }
+        let attrs = prefixes.iter().flat_map(|(_, t)| t.attrs.iter().copied()).collect();
+        (!prefixes.is_empty()).then(|| UpdateReads { attrs, prefixes, set: set.to_vec() })
+    }
+
+    /// Move the counts an UPDATE changed: every pre-update tuple in
+    /// `reads` leaves its prefix and comes back with the SET values; a
+    /// tuple left with no record goes. `records` is the table's record
+    /// count.
+    pub fn apply_update(&mut self, reads: UpdateReads, records: usize) {
+        for (p, old) in reads.prefixes {
+            let State::Built(tuples) = &mut self.prefixes[p].state else { continue };
+            for (mut values, n) in old.tuples() {
+                tuples.remove(values.iter().copied(), n);
+                for (at, &attr) in old.attrs.iter().enumerate() {
+                    if let Some(&(_, v)) = reads.set.iter().find(|(a, _)| *a == attr) {
+                        values[at] = v;
+                    }
+                }
+                tuples.add(values, n);
+            }
+        }
+        self.settle(records);
+    }
+
+    /// Drop every built prefix past the threshold.
+    fn settle(&mut self, records: usize) {
+        for prefix in &mut self.prefixes {
+            if let State::Built(tuples) = &prefix.state {
+                if over_threshold(tuples.len(), records) {
+                    prefix.state = State::Decoded;
+                }
+            }
+        }
+    }
+}
+
+/// The pre-update tuples of the built prefixes an UPDATE moves (see
+/// [`DomainIndex::update_reads`]).
+#[derive(Debug, Clone)]
+pub struct UpdateReads {
+    /// Schema indices to read per selected record, prefix by prefix.
+    attrs: Vec<usize>,
+    prefixes: Vec<(usize, TupleCounts)>,
+    /// The SET list.
+    set: Vec<(usize, u64)>,
+}
+
+impl UpdateReads {
+    /// The attributes (schema indices) to read of every record the
+    /// UPDATE selects, in the order [`UpdateReads::record`] takes them.
+    pub fn attrs(&self) -> &[usize] {
+        &self.attrs
+    }
+
+    /// One selected record's pre-update values, in
+    /// [`UpdateReads::attrs`] order.
+    pub fn record(&mut self, values: &[u64]) {
+        let mut rest = values;
+        for (_, tuples) in &mut self.prefixes {
+            let (mine, others) = rest.split_at(tuples.attrs.len().min(rest.len()));
+            tuples.add(mine.iter().copied(), 1);
+            rest = others;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::col;
+    use crate::plan::{AggExpr, SelectItem};
+    use crate::relation::Relation;
+    use crate::schema::Attribute;
+    use crate::stats::group_domains;
+
+    /// `d_g` / `d_h` (one prefix, 13 bits), a 60-bit-plus-9-bit `w_`
+    /// prefix (its tuples straddle a word), a fact value and a host-only
+    /// `d_phone`.
+    fn rel(rows: u64) -> Relation {
+        let schema = Schema::new(
+            "t",
+            vec![
+                Attribute::numeric("lo_v", 16),
+                Attribute::numeric("d_g", 6),
+                Attribute::numeric("d_phone", 30),
+                Attribute::numeric("d_h", 7),
+                Attribute::numeric("w_big", 60),
+                Attribute::numeric("w_small", 9),
+            ],
+        )
+        .unwrap();
+        let mut rel = Relation::new(schema);
+        for i in 0..rows {
+            let big = (1u64 << 59) | (i % 5) << 40 | (i % 3);
+            rel.push_row(&[i, i % 7, i * 977, (i % 7) * 3 + i % 2, big, (i % 4) + 500]).unwrap();
+        }
+        rel
+    }
+
+    /// The decode callback a catalog would give: the named columns of
+    /// every row.
+    fn decode(
+        rel: &Relation,
+    ) -> impl FnMut(&[usize], &mut RecordSink<'_>) -> Result<(), DbError> + '_ {
+        |attrs, sink| {
+            for row in 0..rel.len() {
+                let values: Vec<u64> = attrs.iter().map(|&a| rel.value(row, a)).collect();
+                if sink(&values).is_break() {
+                    break;
+                }
+            }
+            Ok(())
+        }
+    }
+
+    fn index(rel: &Relation) -> DomainIndex {
+        DomainIndex::new(rel.schema(), |name| !name.ends_with("_phone"))
+    }
+
+    fn queries() -> Vec<Query> {
+        let q = |filter, keys: &[&str]| {
+            Query::select([SelectItem::sum("s", AggExpr::attr("lo_v"))])
+                .filter(filter)
+                .group_by(keys.iter().copied())
+                .build_unchecked()
+        };
+        vec![
+            q(col("d_g").lt(3u64), &["d_h"]),
+            q(col("d_g").eq(2u64).or(col("lo_v").gt(5u64).and(col("d_h").gt(12u64))), &["d_h"]),
+            q(col("w_small").between(501u64, 502u64), &["w_big", "d_g"]),
+            q(col("lo_v").lt(40u64), &["lo_v", "w_small"]),
+            q(col("d_g").eq(9u64), &["d_g"]),
+        ]
+    }
+
+    #[test]
+    fn domains_equal_the_row_scan() {
+        for rows in [0, 1, 2, 40, 300] {
+            let rel = rel(rows);
+            let mut idx = index(&rel);
+            for q in queries() {
+                let got = idx.domains(&q, rel.schema(), rel.len(), decode(&rel)).unwrap();
+                assert_eq!(got, group_domains(&q, &rel).unwrap(), "{rows} rows, {}", q.filter);
+            }
+        }
+    }
+
+    #[test]
+    fn the_threshold_keeps_dimensions_and_decodes_the_fact_prefix() {
+        let rel = rel(300);
+        let mut idx = index(&rel);
+        for q in queries() {
+            idx.domains(&q, rel.schema(), rel.len(), decode(&rel)).unwrap();
+        }
+        let kept: Vec<bool> =
+            idx.prefixes.iter().map(|p| matches!(p.state, State::Built(_))).collect();
+        // lo (300 tuples) is decoded; d (14) and w (60) are kept
+        assert_eq!(kept, [false, true, true]);
+        // a key on the host-only attribute is refused, not answered
+        let q = Query { group_by: vec!["d_phone".into()], ..queries().remove(0) };
+        assert!(idx.domains(&q, rel.schema(), rel.len(), decode(&rel)).is_err());
+    }
+
+    #[test]
+    fn maintained_counts_follow_a_replayed_relation() {
+        let mut rel = rel(60);
+        let mut idx = index(&rel);
+        let q = || queries().remove(1);
+        idx.domains(&q(), rel.schema(), rel.len(), decode(&rel)).unwrap();
+        // UPDATE d_h = 99 WHERE d_g = 2: read the selected rows first
+        let (g, h) = (1, 3);
+        let mut reads = idx.update_reads(&[(h, 99)], rel.schema()).expect("d is built");
+        let selected: Vec<usize> = (0..rel.len()).filter(|&r| rel.value(r, g) == 2).collect();
+        for row in selected {
+            let values: Vec<u64> = reads.attrs().iter().map(|&a| rel.value(row, a)).collect();
+            reads.record(&values);
+            rel.set_value(row, h, 99).unwrap();
+        }
+        idx.apply_update(reads, rel.len());
+        assert!(idx.update_reads(&[(0, 1)], rel.schema()).is_none(), "lo is not built");
+        // INSERT two rows, one with a fresh d tuple
+        let rows = vec![vec![1, 6, 0, 100, 1, 3], rel.row(0)];
+        for row in &rows {
+            rel.push_row(row).unwrap();
+        }
+        idx.insert(&rows, rel.len());
+        for q in queries() {
+            let got = idx.domains(&q, rel.schema(), rel.len(), decode(&rel)).unwrap();
+            assert_eq!(got, group_domains(&q, &rel).unwrap(), "{}", q.filter);
+        }
+    }
+}

@@ -25,6 +25,9 @@
 //!   with [`plan::FilterBounds`] they let the execution layers prove a
 //!   zone holds no matching record and skip it untouched.
 //! * [`stats`] — oracles for selectivity and subgroup counts (Table II).
+//! * [`domain`] — the GROUP-BY domain index: per attribute prefix, the
+//!   distinct tuples of its attributes with counts, which the engines
+//!   enumerate potential subgroups from instead of scanning records.
 //!
 //! ## Quick start
 //!
@@ -40,6 +43,7 @@
 pub mod builder;
 pub mod column;
 pub mod dict;
+pub mod domain;
 pub mod error;
 pub mod plan;
 pub mod relation;

@@ -10,8 +10,9 @@ use crate::zonemap::ZoneMap;
 /// A columnar relation: a [`Schema`] plus one [`Column`] per attribute.
 ///
 /// The columns sit behind one [`Arc`], so `clone()` is a pointer copy:
-/// the engines of one process built from clones of one relation share
-/// one catalog image. The first [`Relation::push_row`] /
+/// handing clones of one relation to several engines (which load it and
+/// drop it) or to replay oracles costs no copy of the rows. The first
+/// [`Relation::push_row`] /
 /// [`Relation::set_value`] through a shared handle copies the columns
 /// for that handle alone (copy-on-write at relation granularity, one
 /// `Arc::make_mut` per call); every other handle keeps what it had.

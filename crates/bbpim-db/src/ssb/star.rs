@@ -18,6 +18,7 @@ use std::collections::BTreeSet;
 
 use crate::plan::Query;
 use crate::relation::Relation;
+use crate::schema::Schema;
 use crate::ssb::SsbDb;
 
 /// Static metadata of one dimension of the SSB star schema.
@@ -49,7 +50,7 @@ pub const DIMENSIONS: [DimMeta; 4] = [
 
 /// Fact attributes no SSB query (standard or combined) ever reads —
 /// filter, GROUP BY or aggregate. A PIM layout for the normalized fact
-/// table may leave them host-resident (they stay in the catalog copy),
+/// table may leave them off the module (no query can reach them there),
 /// shrinking the PIM-resident record the same way the engine already
 /// drops `*_phone`. Matches [`cold_attrs`] derived from the SSB
 /// workload with the four foreign keys kept (tested below).
@@ -119,18 +120,23 @@ pub struct TableFootprint {
 /// comparison is about: page counts depend on a config's
 /// records-per-page and hide the width difference entirely.
 pub fn table_footprint(rel: &Relation, excluded: &[String]) -> TableFootprint {
-    let resident_bits: usize = rel
-        .schema()
+    schema_footprint(rel.schema(), rel.len(), excluded)
+}
+
+/// [`table_footprint`] of `records` records of `schema` — for a table
+/// whose records live only in PIM.
+pub fn schema_footprint(schema: &Schema, records: usize, excluded: &[String]) -> TableFootprint {
+    let resident_bits: usize = schema
         .attrs()
         .iter()
         .filter(|a| !a.name.ends_with("_phone") && !excluded.iter().any(|e| e == &a.name))
         .map(|a| a.bits)
         .sum();
     TableFootprint {
-        table: rel.schema().name.clone(),
-        records: rel.len(),
+        table: schema.name.clone(),
+        records,
         resident_bits,
-        data_bytes: ((rel.len() * resident_bits) as u64).div_ceil(8),
+        data_bytes: ((records * resident_bits) as u64).div_ceil(8),
     }
 }
 

@@ -159,11 +159,15 @@ pub fn potential_subgroups(query: &Query, rel: &Relation) -> Result<u64, DbError
 /// the PIM engine needs when it decides to aggregate *all* subgroups in
 /// PIM, including ones the sample never saw.
 ///
+/// This is the row-at-a-time reference: the engines answer it from a
+/// [`crate::domain::DomainIndex`], which the equivalence tests hold
+/// against this scan.
+///
 /// # Errors
 ///
 /// Propagates resolution failures.
 pub fn group_domains(query: &Query, rel: &Relation) -> Result<Vec<Vec<u64>>, DbError> {
-    let prefix = |name: &str| name.split('_').next().unwrap_or("").to_owned();
+    let prefix = |name: &str| crate::domain::prefix(name).to_owned();
     let dnf = query.filter.dnf();
     // Resolve each disjunct alongside its raw atoms (the raw names carry
     // the dimension prefix).

@@ -131,8 +131,8 @@ pub trait StreamEngine {
     /// Attribute resolution / routing failures.
     fn plan_mutation_lanes(&self, mutation: &Mutation) -> Result<Vec<usize>, ClusterError>;
 
-    /// Apply `mutation` to the engine state (zone maps widen, catalog
-    /// copies patch, cached plans invalidate) and return the per-lane
+    /// Apply `mutation` to the engine state (zone maps widen, domain
+    /// indexes follow, cached plans invalidate) and return the per-lane
     /// reports whose phase logs become the mutation's slice chains.
     ///
     /// Implementers must report **every lane they changed**, including

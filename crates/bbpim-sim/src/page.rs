@@ -216,6 +216,42 @@ impl PimPage {
         Ok(self.crossbars[slot.crossbar].read_row_bits(slot.row, col_lo, width))
     }
 
+    /// Read `width ≤ 64` bits at `col_lo` of the slots `0..records` into
+    /// `out` (cleared first, slot order) — [`PimPage::read_record_bits`]
+    /// for a whole run, a column at a time: each of the `width` columns
+    /// of each crossbar is walked by its set cells, so the cost follows
+    /// the ones stored, not rows × width.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::RowOutOfRange`] for a run past the page capacity;
+    /// nothing is read.
+    pub fn read_records(
+        &self,
+        col_lo: usize,
+        width: usize,
+        records: usize,
+        out: &mut Vec<u64>,
+    ) -> Result<(), SimError> {
+        if records > self.record_capacity() {
+            return Err(SimError::RowOutOfRange { row: records, rows: self.record_capacity() });
+        }
+        debug_assert!(width <= 64 && col_lo + width <= self.cols);
+        out.clear();
+        out.resize(records, 0);
+        let n = self.crossbars.len();
+        for (i, xb) in self.crossbars.iter().enumerate() {
+            // crossbar i holds slots i, i + n, …: its first ⌈(records − i)/n⌉ rows
+            let rows = records.saturating_sub(i).div_ceil(n);
+            for bit in 0..width {
+                for row in xb.bits().ones_in_col(col_lo + bit).take_while(|&row| row < rows) {
+                    out[row * n + i] |= 1 << bit;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The worst per-row cell-write count over all crossbars.
     pub fn max_row_cell_writes(&self) -> u64 {
         self.crossbars.iter().map(Crossbar::max_row_cell_writes).max().unwrap_or(0)
@@ -309,6 +345,31 @@ mod tests {
         assert!(p.write_records(capacity - 1, 30, 8, &[1, 2]).is_err());
         assert_eq!(p.read_record_bits(capacity - 1, 30, 8).unwrap(), 0);
         assert_eq!(p.max_row_cell_writes(), 16);
+    }
+
+    /// The run reader equals the per-record reader on every prefix of
+    /// a page (partial rows included), at widths up to 64.
+    #[test]
+    fn a_run_reads_what_the_record_reader_reads() {
+        let mut p = page();
+        let capacity = p.record_capacity();
+        let fields = [(3usize, 1usize), (4, 13), (17, 64), (81, 7)];
+        for (k, &(lo, width)) in fields.iter().enumerate() {
+            let mask = if width == 64 { u64::MAX } else { (1 << width) - 1 };
+            let hash = |s: u64| (s ^ k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask;
+            let v: Vec<u64> = (0..capacity as u64).map(hash).collect();
+            p.write_records(0, lo, width, &v).unwrap();
+        }
+        let mut out = vec![7; 3];
+        for records in [0, 1, 3, 4, 5, 63, 129, capacity - 1, capacity] {
+            for &(lo, width) in &fields {
+                p.read_records(lo, width, records, &mut out).unwrap();
+                let want: Vec<u64> =
+                    (0..records).map(|s| p.read_record_bits(s, lo, width).unwrap()).collect();
+                assert_eq!(out, want, "{records} records of bits {lo}..{}", lo + width);
+            }
+        }
+        assert!(p.read_records(0, 1, capacity + 1, &mut out).is_err());
     }
 
     #[test]

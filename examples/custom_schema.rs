@@ -59,7 +59,7 @@ fn build_telemetry(rows: usize) -> Result<Relation, Box<dyn std::error::Error>> 
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rel = build_telemetry(100_000)?;
-    let mut engine = PimQueryEngine::new(SimConfig::default(), rel, EngineMode::TwoXb)?;
+    let mut engine = PimQueryEngine::new(SimConfig::default(), rel.clone(), EngineMode::TwoXb)?;
     engine.calibrate(&CalibrationConfig::default())?;
     println!("telemetry warehouse loaded: {} readings, two-crossbar layout", 100_000);
 
@@ -77,13 +77,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         col("s_kind").eq("temperature").and(col("lo_hour").lt(6u64).or(col("lo_hour").gt(21u64))),
     )
     .group_by(["s_site"])
-    .build(engine.relation().schema())?;
+    .build(rel.schema())?;
     println!("filter: {}", q.filter);
 
     let out = engine.run(&q)?;
-    assert_eq!(out.groups, stats::run_oracle(&q, engine.relation())?);
+    assert_eq!(out.groups, stats::run_oracle(&q, &rel)?);
 
-    let site_dict = engine.relation().schema().attr("s_site")?.dictionary().expect("dict").clone();
+    let site_dict = rel.schema().attr("s_site")?.dictionary().expect("dict").clone();
     println!("\noff-hours drift, temperature sensors (value - baseline):");
     println!("  {:<8} {:>10} {:>10} {:>9}", "site", "peak", "avg", "readings");
     for (key, row) in &out.groups {

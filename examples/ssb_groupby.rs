@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let wide = db.prejoin();
     let query_set = queries::adjusted_queries(&wide)?;
 
-    let mut engine = PimQueryEngine::new(SimConfig::default(), wide, EngineMode::OneXb)?;
+    let mut engine = PimQueryEngine::new(SimConfig::default(), wide.clone(), EngineMode::OneXb)?;
 
     // Calibration: synthetic host-gb / pim-gb measurements fitted to
     // T_host-gb = M(a(s)√r + b(s)) and T_pim-gb = M·slope(n) + T0(n).
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let q = query_set.iter().find(|q| q.id == id).expect("known query");
         let out = engine.run(q)?;
         // cross-check against the row-at-a-time oracle
-        let oracle = stats::run_oracle(q, engine.relation())?;
+        let oracle = stats::run_oracle(q, &wide)?;
         assert_eq!(out.groups, oracle, "{id} must match the oracle");
         let r = &out.report;
         println!(

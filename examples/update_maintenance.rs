@@ -18,21 +18,25 @@ use bbpim::sim::SimConfig;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = SsbDb::generate(&SsbParams::uniform(0.01));
     let wide = db.prejoin();
-    let mut engine = PimQueryEngine::new(SimConfig::default(), wide, EngineMode::OneXb)?;
+    let mut engine = PimQueryEngine::new(SimConfig::default(), wide.clone(), EngineMode::OneXb)?;
 
     // The denormalisation hazard: customer 42's city is duplicated into
     // every lineorder they ever placed.
     let custkey = 42u64;
-    let custkeys = engine.relation().column_by_name("lo_custkey")?;
-    let mut duplicates = 0;
-    custkeys.read(0..custkeys.len(), |_, v| duplicates += usize::from(v == custkey));
-    println!("customer {custkey} appears in {duplicates} pre-joined records");
+    let mut purchases = Vec::new();
+    let custkeys = wide.column_by_name("lo_custkey")?;
+    custkeys.read(0..custkeys.len(), |row, v| {
+        if v == custkey {
+            purchases.push(row);
+        }
+    });
+    println!("customer {custkey} appears in {} pre-joined records", purchases.len());
 
     // UPDATE wide SET c_city = 'UNITED KI1' WHERE lo_custkey = 42
     let m = Mutation::update()
         .filter(col("lo_custkey").eq(custkey))
         .set("c_city", "UNITED KI1")
-        .build(engine.relation().schema())?;
+        .build(wide.schema())?;
     let report = engine.mutate(&m)?;
     println!("\nUPDATE via Algorithm 1 (filter + PIM MUX):");
     println!("  records rewritten : {}", report.records_updated);
@@ -43,23 +47,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.phases.time_in(PhaseKind::HostRead).abs() / 1e3
     );
 
-    // Verify through the engine's own storage.
-    let city_dict = engine
-        .relation()
-        .schema()
-        .attr("c_city")?
-        .dictionary()
-        .expect("city is dictionary-encoded")
-        .clone();
-    let mut checked = 0;
-    for row in 0..engine.relation().len() {
-        if engine.relation().value_by_name(row, "lo_custkey")? == custkey {
-            let city = engine.relation().value_by_name(row, "c_city")?;
-            assert_eq!(city_dict.decode(city), Some("UNITED KI1"));
-            checked += 1;
-        }
+    // Verify through the engine's own storage: the stored bits of every
+    // purchase the customer made.
+    let table = engine.table();
+    let city_dict =
+        table.schema().attr("c_city")?.dictionary().expect("city is dictionary-encoded").clone();
+    for &record in &purchases {
+        let city = table.read_attr(record, "c_city")?;
+        assert_eq!(city_dict.decode(city), Some("UNITED KI1"));
     }
-    println!("\nverified {checked} records now read c_city = UNITED KI1");
-    assert_eq!(checked as u64, report.records_updated);
+    println!("\nverified {} records now read c_city = UNITED KI1", purchases.len());
+    assert_eq!(purchases.len() as u64, report.records_updated);
     Ok(())
 }
