@@ -200,7 +200,7 @@ fn run(s: &SsbSetup, prejoined: bool) -> io::Result<()> {
     lever_table(s, prejoined, mode, max_shards);
 
     // What this cluster's wide relation costs in PIM capacity next to
-    // the normalized star catalog (the `join` study's storage win).
+    // the normalized star catalog (the star path's storage win).
     println!();
     let catalog = bbpim_db::ssb::star::StarSchema::of_db(&s.db);
     reports::print_star_footprint(

@@ -30,38 +30,11 @@ pub struct BenchConfig {
     pub threads: usize,
     /// Shard counts for the cluster studies (`--shards 1,2,4,8`).
     pub shards: Vec<usize>,
-    /// Arrivals in the streaming study (`--arrivals 52`).
-    pub arrivals: usize,
-    /// Offered load of the streaming study as a multiple of cluster
-    /// capacity: mean interarrival = mean per-query service / load
-    /// (`--load 2.0`; >1 means overload, so queues form).
-    pub load: f64,
-    /// Admission-control bound on in-flight queries (`--inflight 4`).
-    pub inflight: usize,
-    /// Write a Chrome/Perfetto `trace_event` JSON of the (FIFO)
-    /// streamed run to this path, plus a flat-JSONL sidecar next to it
-    /// (`--trace bench-out/stream-trace.json`).
-    pub trace: Option<String>,
-    /// Write the metrics-registry snapshot as flat JSON to this path,
-    /// plus a Prometheus-text sidecar next to it
-    /// (`--metrics bench-out/metrics.json`).
-    pub metrics: Option<String>,
 }
 
 impl Default for BenchConfig {
     fn default() -> Self {
-        BenchConfig {
-            sf: 0.1,
-            skewed: true,
-            seed: 0xB1_7B17,
-            threads: 4,
-            shards: vec![1, 2, 4, 8],
-            arrivals: 52,
-            load: 2.0,
-            inflight: 4,
-            trace: None,
-            metrics: None,
-        }
+        BenchConfig { sf: 0.1, skewed: true, seed: 0xB1_7B17, threads: 4, shards: vec![1, 2, 4, 8] }
     }
 }
 
@@ -119,11 +92,6 @@ const SHARED: &[(&str, &str)] = &[
     ("--seed", " <u64>"),
     ("--threads", " <n>"),
     ("--shards", " <n,n,..>"),
-    ("--arrivals", " <n>"),
-    ("--load", " <f64>"),
-    ("--inflight", " <n>"),
-    ("--trace", " <path>"),
-    ("--metrics", " <path>"),
 ];
 
 /// The flags one binary (or one `paper --fig` selection) accepts.
@@ -211,11 +179,6 @@ impl BenchConfig {
                     let counts = value()?.split(',').map(|n| number(flag, n, POSITIVE));
                     cfg.shards = counts.collect::<Result<_, _>>()?;
                 }
-                "--arrivals" => cfg.arrivals = number(flag, value()?, 0..=usize::MAX)?,
-                "--load" => cfg.load = number(flag, value()?, POSITIVE_F64)?,
-                "--inflight" => cfg.inflight = number(flag, value()?, POSITIVE)?,
-                "--trace" => cfg.trace = Some(value()?.clone()),
-                "--metrics" => cfg.metrics = Some(value()?.clone()),
                 _ if switches.contains(&flag) => bin.0.push((flag.into(), None)),
                 _ => {
                     let Some((_, accepted)) = values.iter().find(|(name, _)| *name == flag) else {
@@ -271,8 +234,7 @@ mod tests {
 
     const MODES: ValueFlag<'static> = ("--mode", &["pimdb", "two_xb", "one_xb"]);
     const ALL: Accepts<'static> = Accepts {
-        shared: "--sf --uniform --skewed --seed --threads --shards --arrivals --load --inflight \
-                 --trace --metrics",
+        shared: "--sf --uniform --skewed --seed --threads --shards",
         switches: &["--prejoined"],
         values: &[MODES, ("--csv", &[])],
     };
@@ -292,23 +254,11 @@ mod tests {
     fn every_flag_is_accepted() {
         assert_eq!(parse("").unwrap().0, BenchConfig::default());
         let (cfg, bin) = parse(
-            "--sf 0.01 --uniform --seed 7 --threads 2 --shards 1,4 --arrivals 26 --load 1.5 \
-             --inflight 3 --trace b.json --metrics c.json \
-             --prejoined --mode two_xb --csv out",
+            "--sf 0.01 --uniform --seed 7 --threads 2 --shards 1,4 --prejoined --mode two_xb \
+             --csv out",
         )
         .unwrap();
-        let want = BenchConfig {
-            sf: 0.01,
-            skewed: false,
-            seed: 7,
-            threads: 2,
-            shards: vec![1, 4],
-            arrivals: 26,
-            load: 1.5,
-            inflight: 3,
-            trace: Some("b.json".into()),
-            metrics: Some("c.json".into()),
-        };
+        let want = BenchConfig { sf: 0.01, skewed: false, seed: 7, threads: 2, shards: vec![1, 4] };
         assert_eq!(cfg, want);
         assert!(bin.switch("--prejoined"));
         assert_eq!((bin.value("--mode"), bin.value("--csv")), (Some("two_xb"), Some("out")));
@@ -320,12 +270,14 @@ mod tests {
     #[test]
     fn an_unknown_flag_is_rejected() {
         // `--shard` is one letter short of `--shards`; `--json` fed the
-        // retired snapshot gate and is no flag of any binary now
+        // retired snapshot gate and `--trace` the retired streamed-study
+        // export: neither is a flag of any binary now
         let lines = [
             ("--shard 4", "--shard"),
             ("--sf 0.01 -v", "-v"),
             ("stray", "stray"),
             ("--json x.json", "--json"),
+            ("--trace t.json", "--trace"),
         ];
         for (line, flag) in lines {
             assert_eq!(parse(line), Err(CliError::UnknownFlag(flag.into())), "{line}");
@@ -340,11 +292,9 @@ mod tests {
         // `pruning` reads the data flags and `--shards`
         let pruning = Accepts::shared("--sf --uniform --skewed --seed --shards");
         assert!(parse_as("--sf 0.01 --uniform --shards 1,4", &pruning).is_ok());
-        for flag in ["--trace", "--metrics", "--threads", "--arrivals", "--load", "--inflight"] {
-            let err = parse_as(&format!("--uniform {flag} 1"), &pruning).unwrap_err();
-            assert_eq!(err, CliError::UnknownFlag(flag.into()));
-            assert!(!pruning.usage().contains(flag), "usage shows only what applies");
-        }
+        let err = parse_as("--uniform --threads 1", &pruning).unwrap_err();
+        assert_eq!(err, CliError::UnknownFlag("--threads".into()));
+        assert!(!pruning.usage().contains("--threads"), "usage shows only what applies");
         assert_eq!(
             pruning.usage(),
             "[--sf <f64>] [--uniform] [--skewed] [--seed <u64>] [--shards <n,n,..>]"
@@ -369,9 +319,7 @@ mod tests {
 
     #[test]
     fn a_missing_value_is_rejected() {
-        let flags =
-            "--sf --seed --threads --shards --arrivals --load --inflight --trace --metrics \
-                     --mode --csv";
+        let flags = "--sf --seed --threads --shards --mode --csv";
         for flag in flags.split_whitespace() {
             let line = format!("--uniform {flag}");
             assert_eq!(parse(&line), Err(CliError::MissingValue(flag.into())), "{line}");
@@ -380,9 +328,8 @@ mod tests {
 
     #[test]
     fn a_non_numeric_or_out_of_range_value_is_rejected() {
-        let lines = "--sf abc|--sf 0|--sf nan|--sf inf|--seed -1|--threads 0|--arrivals many|\
-                     --load -2|--inflight 0|--shards 0|--shards 1,0,4|--shards 1,,4|--shards two|\
-                     --mode fast";
+        let lines = "--sf abc|--sf 0|--sf nan|--sf inf|--seed -1|--threads 0|--shards 0|\
+                     --shards 1,0,4|--shards 1,,4|--shards two|--mode fast";
         for line in lines.split('|') {
             let flag = line.split(' ').next().unwrap();
             match parse(line) {

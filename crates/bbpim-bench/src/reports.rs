@@ -1,16 +1,16 @@
 //! What the harness prints: the paper's per-query figures described as
 //! data ([`Figure`]: [`FIG6`] … [`TABLE2`]) with one renderer for both the console
-//! table and the CSV, and the report printers of the six studies.
+//! table and the CSV, and the report printers of the `scaling` and
+//! `pruning` studies.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use crate::{
     fmt_geomean, fmt_ms, geomean_filtered, print_columns, print_table, render_table,
-    scaling_geomean, speedups, wall_ns, ClusterScalePoint, HtapRow, HtapStudy, MonetRun, PaperRuns,
-    PimModeRun, PruningPoint, ServeStudy, SsbSetup, StreamingStudy,
+    scaling_geomean, speedups, wall_ns, ClusterScalePoint, MonetRun, PaperRuns, PimModeRun,
+    PruningPoint, SsbSetup,
 };
-use bbpim_cluster::PlanExplain;
 use bbpim_core::result::QueryReport;
 use bbpim_db::ssb::star::TableFootprint;
 
@@ -378,70 +378,6 @@ pub fn print_pruning(setup: &SsbSetup, points: &[PruningPoint]) {
     );
 }
 
-/// `EXPLAIN` dump: the zone-map planner's per-query statistics — how
-/// many shards/pages each query would dispatch vs what the planner
-/// proves irrelevant. Plans carrying `EXPLAIN ANALYZE` actuals get a
-/// second table with the recorded shards/pages/bytes/time/energy next
-/// to the estimates.
-pub fn print_explain(setup: &SsbSetup, explains: &[PlanExplain]) {
-    let analyzed = explains.iter().any(|e| e.actuals.is_some());
-    if analyzed {
-        println!("EXPLAIN ANALYZE — zone-map plan per query, with recorded actuals\n");
-    } else {
-        println!("EXPLAIN — zone-map plan per query (no execution)\n");
-    }
-    let rows: Vec<_> = setup.queries.iter().zip(explains).collect();
-    print_columns(
-        &rows,
-        &[
-            ("query", &|(q, _)| q.id.clone()),
-            ("shards", &|(_, e)| format!("{}/{}", e.shards_dispatched(), e.shards.len())),
-            ("pages", &|(_, e)| format!("{}/{}", e.pages_candidate(), e.pages_total())),
-            ("pages pruned", &|(_, e)| e.pages_pruned().to_string()),
-            ("planner-only", &|(_, e)| if e.planner_only() { "yes" } else { "-" }.into()),
-        ],
-    );
-
-    if analyzed {
-        println!("\nrecorded actuals (run / planned; bytes split by channel direction):");
-        let rows: Vec<_> = explains.iter().filter_map(|e| Some((e, e.actuals?))).collect();
-        print_columns(
-            &rows,
-            &[
-                ("query", &|(e, _)| e.query_id.clone()),
-                ("shards", &|(e, a)| format!("{}/{}", a.shards_executed, e.shards_dispatched())),
-                ("pages", &|(e, a)| format!("{}/{}", a.pages_scanned, e.pages_candidate())),
-                ("bytes", &|(_, a)| a.total_bytes().to_string()),
-                ("dispatch", &|(_, a)| a.dispatch_bytes.to_string()),
-                ("read", &|(_, a)| a.read_bytes.to_string()),
-                ("write", &|(_, a)| a.write_bytes.to_string()),
-                ("ms", &|(_, a)| fmt_ms(a.time_ns)),
-                ("uJ", &|(_, a)| format!("{:.3}", a.energy_pj / 1e6)),
-            ],
-        );
-    }
-
-    // The resolved filters the zone maps were tested against: the
-    // pretty-printed predicate tree and its per-attribute pruning
-    // intervals (interval union across OR branches).
-    println!("\nresolved filters and pruning bounds:");
-    for e in explains {
-        println!("  {:<6} {}", e.query_id, e.filter);
-        for (attr, intervals) in &e.filter_bounds {
-            println!("         {attr} ∈ {}", bbpim_cluster::explain::render_intervals(intervals));
-        }
-    }
-
-    let total: usize = explains.iter().map(PlanExplain::pages_total).sum();
-    let candidate: usize = explains.iter().map(PlanExplain::pages_candidate).sum();
-    println!(
-        "\n  {} of {} page dispatches pruned across the query set ({:.1}%)\n",
-        total - candidate,
-        total,
-        if total == 0 { 0.0 } else { 100.0 * (total - candidate) as f64 / total as f64 },
-    );
-}
-
 /// Per-table PIM-resident memory footprint of the normalized star
 /// schema next to the single pre-joined wide table it replaces. The
 /// normalized rows list `lineorder` plus the four dimensions (their
@@ -474,152 +410,6 @@ pub fn print_star_footprint(normalized: &[TableFootprint], prejoin: &TableFootpr
         100.0 * total as f64 / prejoin.data_bytes.max(1) as f64,
         prejoin.data_bytes,
         prejoin.data_bytes as f64 / total.max(1) as f64,
-    );
-}
-
-/// Streaming study: per-admission-policy latency distribution,
-/// throughput and utilisation, plus the out-of-order evidence.
-pub fn print_streaming(setup: &SsbSetup, study: &StreamingStudy) {
-    println!(
-        "Streaming — open-loop arrivals through the cluster scheduler (SF={}, {} data)\n",
-        setup.cfg.sf,
-        setup.cfg.data_label(),
-    );
-    println!(
-        "  {} arrivals over the 13 queries, mean interarrival {} ms (load {:.2}x of the\n  \
-         batch-estimated {} ms mean service), {} shards ({} partitioning), at most {}\n  \
-         queries in flight.\n",
-        study.arrivals,
-        fmt_ms(study.mean_interarrival_ns),
-        setup.cfg.load,
-        fmt_ms(study.mean_service_ns),
-        study.shards,
-        study.partitioner,
-        study.inflight,
-    );
-
-    let rows: Vec<_> = study
-        .policies
-        .iter()
-        .map(|run| (run, &run.outcome, run.outcome.latency_summary()))
-        .collect();
-    print_columns(
-        &rows,
-        &[
-            ("policy", &|(run, ..)| run.policy.label().to_string()),
-            ("done", &|(.., s)| s.completed.to_string()),
-            ("p50", &|(.., s)| fmt_ms(s.p50_ns)),
-            ("p95", &|(.., s)| fmt_ms(s.p95_ns)),
-            ("p99", &|(.., s)| fmt_ms(s.p99_ns)),
-            ("mean", &|(.., s)| fmt_ms(s.mean_ns)),
-            ("wait", &|(.., s)| fmt_ms(s.mean_wait_ns)),
-            ("q/s", &|(_, outcome, _)| format!("{:.1}", outcome.throughput_qps())),
-            ("host util", &|(_, outcome, _)| format!("{:.2}", outcome.host_utilisation())),
-            ("demand", &|(_, outcome, _)| format!("{:.2}", outcome.host_demand())),
-            ("shard util", &|(_, outcome, _)| format!("{:.2}", outcome.mean_shard_utilisation())),
-            ("overtaken", &|(_, outcome, _)| outcome.overtaken().to_string()),
-        ],
-    );
-    println!(
-        "\n(latencies in ms; wait = mean time before first service; demand = raw host-channel\ndemand ratio, unclamped — above 1.00 the bus is oversubscribed and utilisation\nsaturates; overtaken = queries that finished after a later arrival, i.e.\nout-of-order completions.)"
-    );
-
-    for run in &study.policies {
-        if let Some(c) = run.outcome.first_overtaker() {
-            println!(
-                "  {}: arrival #{} ({}, {} of {} shards pruned) finished before at least \
-                 one earlier arrival",
-                run.policy.label(),
-                c.arrival,
-                c.query_id,
-                c.shards_pruned,
-                c.shards_pruned + c.shards_dispatched,
-            );
-        }
-    }
-    println!(
-        "\n  streamed answers verified bit-identical to run_batch over the same {} queries\n  \
-         (batch wall clock {} ms; streaming spreads the same work over the arrival span).",
-        study.arrivals,
-        fmt_ms(study.batch.wall_time_ns),
-    );
-}
-
-/// Serve study: per-(overload, policy, tenant) latency distribution,
-/// goodput, drops and the SLO verdict, plus each AIMD row's window
-/// trajectory summary.
-pub fn print_serve(setup: &SsbSetup, study: &ServeStudy) {
-    println!(
-        "Serving — multi-tenant SLO study (SF={}, {} data, {} shards)\n",
-        setup.cfg.sf,
-        setup.cfg.data_label(),
-        study.shards,
-    );
-    let gate = study.gate_row();
-    let light = gate.report("light");
-    let heavy = gate.report("heavy");
-    println!(
-        "  batch-estimated mean service {} ms; tenants: `light` (cheap probes, p95\n  \
-         promise {} ms, weight 2), `heavy` (the most expensive scans at the row's\n  \
-         overload multiple behind a token bucket, deadline {} ms), `batch` (2\n  \
-         closed-loop think-time clients). Policies: closed-loop AIMD window vs the\n  \
-         static sweep at {:.0}x.\n",
-        fmt_ms(study.mean_service_ns),
-        fmt_ms(light.p95_target_ns),
-        fmt_ms(heavy.deadline_ns.unwrap_or(f64::NAN)),
-        study.gate_overload,
-    );
-
-    let rows: Vec<_> =
-        study.rows.iter().flat_map(|row| row.reports.iter().map(move |r| (row, r))).collect();
-    print_columns(
-        &rows,
-        &[
-            ("load", &|(row, _)| format!("{:.0}x", row.overload)),
-            ("policy", &|(row, _)| row.policy.clone()),
-            ("tenant", &|(_, r)| r.name.clone()),
-            ("sub", &|(_, r)| r.submitted.to_string()),
-            ("done", &|(_, r)| r.completed.to_string()),
-            ("drop", &|(_, r)| r.dropped.to_string()),
-            ("thr", &|(_, r)| r.throttled.to_string()),
-            ("p50", &|(_, r)| fmt_ms(r.latency.p50_ns)),
-            ("p95", &|(_, r)| fmt_ms(r.latency.p95_ns)),
-            ("p99", &|(_, r)| fmt_ms(r.latency.p99_ns)),
-            ("p999", &|(_, r)| fmt_ms(r.latency.p999_ns)),
-            ("good/s", &|(_, r)| format!("{:.1}", r.goodput_qps)),
-            ("shed", &|(_, r)| format!("{:.0}%", 100.0 * r.drop_rate)),
-            ("slo", &|(_, r)| if r.slo_met { "ok" } else { "MISS" }.into()),
-        ],
-    );
-    println!(
-        "\n(latencies in ms; good/s = deadline-met completions per second; shed = share of\nsubmissions dropped at admission; slo compares observed p95 to the tenant's promise.)"
-    );
-
-    for row in &study.rows {
-        if row.policy != "aimd" {
-            continue;
-        }
-        let (lo, hi) = row.outcome.window_bounds();
-        println!(
-            "  {:>3.0}x aimd: window {} -> {} (range [{lo}, {hi}]) over {} decisions",
-            row.overload,
-            row.outcome.window_trajectory.first().map_or(0, |(_, w)| *w),
-            row.outcome.final_window(),
-            row.outcome.decisions.len(),
-        );
-    }
-    if let Some((policy, goodput)) = study.best_static_heavy_goodput() {
-        let gate = study.gate_row();
-        println!(
-            "\n  at {:.0}x: AIMD heavy goodput {:.1}/s vs best SLO-respecting static ({policy}) \
-             {goodput:.1}/s",
-            study.gate_overload,
-            gate.report("heavy").goodput_qps,
-        );
-    }
-    println!(
-        "\n  served answers verified bit-identical to run_batch over the tenant query set\n  \
-         (admission, shedding and the window policy decide when and whether — never what)."
     );
 }
 
@@ -737,68 +527,6 @@ pub fn print_scaling(setup: &SsbSetup, points: &[ClusterScalePoint], star: bool)
             );
         }
     }
-}
-
-/// The HTAP streaming-ingest study: per-row query and mutation
-/// latencies, backpressure counters, the snapshot-consistency verdict,
-/// and the per-workload endurance wear table.
-pub fn print_htap(setup: &SsbSetup, study: &HtapStudy) {
-    println!(
-        "HTAP — mutations as scheduler citizens (SF={}, {} data)\n",
-        setup.cfg.sf,
-        setup.cfg.data_label(),
-    );
-    println!(
-        "  {} arrivals per row, baseline mean interarrival {} ms (load {:.2}x of the\n  \
-         batch-estimated {} ms mean service), {} shards ({} partitioning),\n  \
-         ingest buffer {} per lane.\n",
-        study.arrivals,
-        fmt_ms(study.mean_interarrival_ns),
-        setup.cfg.load,
-        fmt_ms(study.mean_service_ns),
-        study.shards,
-        study.partitioner,
-        study.ingest_buffer,
-    );
-
-    let summaries =
-        |r: &HtapRow| (r.outcome.latency_summary(), r.outcome.mutation_latency_summary());
-    let rows: Vec<_> = study.rows.iter().map(|r| (r, summaries(r))).collect();
-    print_columns(
-        &rows,
-        &[
-            ("row", &|(r, _)| r.label.to_string()),
-            ("mut %", &|(r, _)| format!("{:.0}%", r.mutation_frac * 100.0)),
-            ("queries", &|(_, (q, _))| q.completed.to_string()),
-            ("q p50", &|(_, (q, _))| fmt_ms(q.p50_ns)),
-            ("q p95", &|(_, (q, _))| fmt_ms(q.p95_ns)),
-            ("ingests", &|(_, (_, m))| m.completed.to_string()),
-            ("m p95", &|(_, (_, m))| if m.completed > 0 { fmt_ms(m.p95_ns) } else { "-".into() }),
-            ("records", &|(r, _)| r.records_written.to_string()),
-            ("stalls", &|(r, _)| r.outcome.ingest_stalls.to_string()),
-            ("stall time", &|(r, _)| fmt_ms(r.outcome.ingest_stall_ns)),
-            ("snapshot ok", &|(r, _)| if r.snapshot_consistent { "yes" } else { "NO" }.into()),
-        ],
-    );
-    println!(
-        "\n(latencies in ms; snapshot ok = every streamed answer equals a fresh engine\nthat replayed exactly the first `epoch` arrived mutations — the HTAP\ncorrectness bar, gated as an absolute floor.)"
-    );
-
-    // Per-workload endurance wear series: UPDATE-heavy streams wear
-    // lanes unevenly, and the ingest row's extra write traffic shows up
-    // as required endurance the pure-query row never demands.
-    let mut wear = study.endurance_rows();
-    wear.retain(|(_, _, writes, endurance)| *writes > 0 || *endurance > 0.0);
-    println!("\nper-workload endurance wear (10-year back-to-back, per lane):\n");
-    print_columns(
-        &wear,
-        &[
-            ("row", &|(label, ..)| label.to_string()),
-            ("lane", &|(_, lane, ..)| format!("module-{lane}")),
-            ("cell writes", &|(_, _, writes, _)| writes.to_string()),
-            ("required endurance", &|(.., endurance)| format!("{endurance:.3e}")),
-        ],
-    );
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ fn bad_command_lines_exit_2_with_usage() {
     assert!(rejected(scaling, &["--shards", "0"]).contains("a number > 0"));
     // a binary's own flag is unknown to every other binary
     assert!(rejected(scaling, &["--prejoined", "--x"]).contains("[--prejoined]"));
-    assert!(rejected(env!("CARGO_BIN_EXE_streaming"), &["--prejoined"]).contains("--prejoined"));
+    assert!(rejected(env!("CARGO_BIN_EXE_pruning"), &["--prejoined"]).contains("--prejoined"));
     let paper = env!("CARGO_BIN_EXE_paper");
     assert!(rejected(paper, &["--fig", "4", "--mode", "fast"]).contains("pimdb|two_xb"));
     assert!(rejected(paper, &["--fig", "fig7"]).contains("table1|table2|4|5|6|7|8|9"));
@@ -36,51 +36,41 @@ fn bad_command_lines_exit_2_with_usage() {
 
 #[test]
 fn a_shared_flag_the_binary_would_ignore_exits_2() {
-    // accepted-and-ignored used to be the rule: `pruning --trace t.json`
-    // wrote nothing, `table1 --bogus` exited 0
-    let usage = rejected(env!("CARGO_BIN_EXE_pruning"), &["--trace", "t.json"]);
-    assert!(usage.contains("unknown flag \"--trace\"") && usage.contains("[--shards <n,n,..>]"));
-    assert!(!usage.contains("--metrics"), "the usage line shows only what applies: {usage}");
-    rejected(env!("CARGO_BIN_EXE_scaling"), &["--arrivals", "5"]);
-    rejected(env!("CARGO_BIN_EXE_serve"), &["--load", "2"]);
+    // a flag the binary would not read is rejected, never accepted and
+    // ignored: `pruning` runs no baseline threads, `table1` reads nothing
+    let usage = rejected(env!("CARGO_BIN_EXE_pruning"), &["--threads", "2"]);
+    assert!(usage.contains("unknown flag \"--threads\"") && usage.contains("[--shards <n,n,..>]"));
+    assert!(!usage.contains("[--threads"), "the usage line shows only what applies: {usage}");
+    rejected(env!("CARGO_BIN_EXE_scaling"), &["--threads", "2"]);
     let paper = env!("CARGO_BIN_EXE_paper");
     rejected(paper, &["--fig", "table1", "--bogus"]);
     rejected(paper, &["--fig", "5", "--sf", "0.01"]);
-    rejected(paper, &["--fig", "6", "--trace", "t.json"]);
+    rejected(paper, &["--fig", "6", "--shards", "4"]);
     rejected(paper, &["--fig", "sweep", "--sf", "0.01"]);
     rejected(paper, &["--fig", "table1", "--csv", "out"]);
 }
 
 #[test]
 fn the_retired_snapshot_flag_exits_2_on_every_study() {
-    // `--json` fed the snapshot gate `bbpim-perf check` replaced; a
-    // flag that writes nothing is not accepted and ignored
-    let studies = [
-        env!("CARGO_BIN_EXE_scaling"),
-        env!("CARGO_BIN_EXE_pruning"),
-        env!("CARGO_BIN_EXE_streaming"),
-        env!("CARGO_BIN_EXE_join"),
-        env!("CARGO_BIN_EXE_serve"),
-        env!("CARGO_BIN_EXE_htap"),
-    ];
+    // `--json` fed the snapshot gate `bbpim-perf check` replaced, and
+    // `--trace` / `--metrics` the exports of the retired streamed
+    // studies; a flag that writes nothing is not accepted and ignored
+    let studies = [env!("CARGO_BIN_EXE_scaling"), env!("CARGO_BIN_EXE_pruning")];
     for bin in studies {
-        let usage = rejected(bin, &["--sf", "0.002", "--json", "x.json"]);
-        assert!(usage.contains("unknown flag \"--json\""), "{bin}: {usage}");
-        assert!(!usage.lines().any(|l| l.starts_with("usage: ") && l.contains("json")), "{usage}");
+        for flag in ["--json", "--trace", "--metrics"] {
+            let usage = rejected(bin, &["--sf", "0.002", flag, "x.json"]);
+            assert!(usage.contains(&format!("unknown flag \"{flag}\"")), "{bin}: {usage}");
+            let shown = |l: &str| l.starts_with("usage: ") && l.contains(&flag[2..]);
+            assert!(!usage.lines().any(shown), "{usage}");
+        }
     }
 }
 
 #[test]
 fn an_unwritable_output_path_exits_1_before_the_study_runs() {
     // a path under a regular file can never be created
-    let under_a_file = format!("{}/trace.json", env!("CARGO_BIN_EXE_scaling"));
-    let cannot_write = format!("error: cannot write {under_a_file}: ");
-    for flag in ["--metrics", "--trace"] {
-        for bin in [env!("CARGO_BIN_EXE_streaming"), env!("CARGO_BIN_EXE_htap")] {
-            let stderr = fails(bin, &["--sf", "0.002", flag, &under_a_file], 1);
-            assert!(stderr.starts_with(&cannot_write), "{bin} {flag}: {stderr}");
-        }
-    }
+    let under_a_file = format!("{}/out", env!("CARGO_BIN_EXE_scaling"));
     let args = ["--fig", "7", "--sf", "0.002", "--csv", &under_a_file];
-    assert!(fails(env!("CARGO_BIN_EXE_paper"), &args, 1).contains("error: cannot write"));
+    let stderr = fails(env!("CARGO_BIN_EXE_paper"), &args, 1);
+    assert!(stderr.starts_with(&format!("error: cannot write {under_a_file}: ")), "{stderr}");
 }

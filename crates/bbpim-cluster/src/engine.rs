@@ -1475,4 +1475,23 @@ mod tests {
         // Q1-style works uncalibrated
         assert!(c.run(&q1_like()).is_ok());
     }
+
+    /// An installed model without fits is no model: every shard's worker
+    /// returns the typed error instead of panicking inside the join.
+    #[test]
+    fn a_model_without_fits_is_no_model_on_every_shard() {
+        let mut c = ClusterEngine::new(
+            SimConfig::small_for_tests(),
+            relation(300),
+            EngineMode::OneXb,
+            2,
+            Partitioner::RoundRobin,
+        )
+        .unwrap();
+        c.set_model(GroupByModel::default());
+        assert!(matches!(
+            c.run(&q2_like(AggFunc::Sum)),
+            Err(ClusterError::Core(CoreError::NotCalibrated))
+        ));
+    }
 }

@@ -177,16 +177,6 @@ impl PlanExplain {
         self.shards.iter().map(|s| s.pages).sum()
     }
 
-    /// Pages the planner proves irrelevant (shard- plus page-level).
-    pub fn pages_pruned(&self) -> usize {
-        self.pages_total() - self.pages_candidate()
-    }
-
-    /// Does the planner answer the query alone (nothing dispatched)?
-    pub fn planner_only(&self) -> bool {
-        self.pages_candidate() == 0
-    }
-
     /// One-line summary, e.g. `Q1.1: 2/8 shards, 3/64 pages`.
     pub fn summary(&self) -> String {
         format!(
@@ -378,8 +368,6 @@ mod tests {
         assert_eq!(p.shards_dispatched(), 1);
         assert_eq!(p.pages_candidate(), 2);
         assert_eq!(p.pages_total(), 8);
-        assert_eq!(p.pages_pruned(), 6);
-        assert!(!p.planner_only());
         assert_eq!(p.summary(), "q: 1/2 shards, 2/8 pages");
     }
 

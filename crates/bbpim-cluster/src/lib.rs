@@ -68,7 +68,6 @@ pub mod engine;
 pub mod error;
 pub mod explain;
 pub mod fold;
-pub mod obs;
 pub mod partition;
 pub mod star;
 

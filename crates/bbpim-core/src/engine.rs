@@ -175,8 +175,9 @@ impl PimQueryEngine {
 ///
 /// # Errors
 ///
-/// [`CoreError::NotCalibrated`] for a GROUP BY query without a fitted
-/// `model`; substrate failures otherwise.
+/// [`CoreError::NotCalibrated`] for a GROUP BY query without a
+/// [fitted](GroupByModel::is_fitted) `model`; substrate failures
+/// otherwise.
 pub fn run_query(
     table: &mut PimTable,
     mode: EngineMode,
@@ -189,7 +190,10 @@ pub fn run_query(
     let mut scan = table.begin(table.plan_dnf(&dnf, prune), None);
     let selected = scan.filter(&dnf)?;
     let grouped = match query.has_group_by() {
-        true => Some(scan.group_by(mode, query, &plan, model.ok_or(CoreError::NotCalibrated)?)?),
+        true => {
+            let model = model.filter(|m| m.is_fitted()).ok_or(CoreError::NotCalibrated)?;
+            Some(scan.group_by(mode, query, &plan, model)?)
+        }
         false => None,
     };
     scan.finish(mode, query, &plan, selected, grouped)
@@ -458,6 +462,22 @@ mod tests {
         assert!(matches!(e.run(&q2_like()), Err(CoreError::NotCalibrated)));
         // Q1-style works uncalibrated
         assert!(e.run(&q1_like()).is_ok());
+    }
+
+    #[test]
+    fn a_model_without_fits_is_no_model() {
+        let mut e =
+            PimQueryEngine::new(SimConfig::small_for_tests(), relation(500), EngineMode::OneXb)
+                .unwrap();
+        e.set_model(GroupByModel::default());
+        assert!(matches!(e.run(&q2_like()), Err(CoreError::NotCalibrated)));
+        // one empty table is enough to make Eq. (3) unevaluable
+        e.calibrate(&CalibrationConfig::tiny_for_tests()).unwrap();
+        let fitted = e.model().unwrap().clone();
+        e.set_model(GroupByModel { pim: Default::default(), ..fitted.clone() });
+        assert!(matches!(e.run(&q2_like()), Err(CoreError::NotCalibrated)));
+        e.set_model(GroupByModel { host: Default::default(), ..fitted });
+        assert!(matches!(e.run(&q2_like()), Err(CoreError::NotCalibrated)));
     }
 
     #[test]

@@ -103,6 +103,13 @@ pub struct GbParams {
 }
 
 impl GroupByModel {
+    /// Does each table hold at least one fit? A model without (e.g.
+    /// `GroupByModel::default()`) cannot evaluate Eq. (3), so the engines
+    /// treat it as no model at all.
+    pub fn is_fitted(&self) -> bool {
+        !self.host.per_s.is_empty() && !self.pim.per_n.is_empty()
+    }
+
     /// Eq. (3): total GROUP-BY time for a given `k`, where `r_k` is the
     /// estimated ratio of *relation* records left to host-gb after the
     /// `k` largest subgroups go to PIM.

@@ -57,7 +57,6 @@
 pub mod demand;
 pub mod error;
 pub mod kernel;
-pub mod obs;
 pub mod report;
 pub mod sched;
 pub mod workload;
@@ -67,7 +66,6 @@ pub use demand::{
     ShardDemand, Slice, SliceChain,
 };
 pub use error::SchedError;
-pub use obs::record_stream_metrics;
 pub use report::{LatencySummary, RunRates};
 pub use sched::{
     run_stream, run_stream_traced, AdmissionPolicy, EventKind, MutationCompletion, QueryCompletion,

@@ -399,12 +399,6 @@ impl MutationCompletion {
     pub fn latency_ns(&self) -> f64 {
         self.complete_ns - self.arrive_ns
     }
-
-    /// Ingest-queue wait (arrival → admission), including any
-    /// backpressure stall.
-    pub fn wait_ns(&self) -> f64 {
-        self.admit_ns - self.arrive_ns
-    }
 }
 
 /// Everything one streamed run produces.
@@ -482,22 +476,6 @@ impl StreamOutcome {
     /// ([`RunRates::host_demand`]).
     pub fn host_demand(&self) -> f64 {
         self.rates().host_demand()
-    }
-
-    /// Latency distribution over the mutation completions (all-zero
-    /// for pure-query runs): wait is the ingest-queue sojourn
-    /// (backpressure included), service is admission → durable.
-    pub fn mutation_latency_summary(&self) -> LatencySummary {
-        LatencySummary::from_parts(
-            self.mutation_completions.iter().map(MutationCompletion::latency_ns).collect(),
-            &self.mutation_completions.iter().map(MutationCompletion::wait_ns).collect::<Vec<_>>(),
-            &self
-                .mutation_completions
-                .iter()
-                .map(|c| c.complete_ns - c.admit_ns)
-                .collect::<Vec<_>>(),
-            0,
-        )
     }
 
     /// Mean per-lane PIM utilisation over the makespan.

@@ -24,9 +24,8 @@
 //!   those ratios raises the window additively while promises hold and
 //!   cuts it multiplicatively on violation, replacing the static
 //!   `max_in_flight` guess.
-//! * [`report::tenant_reports`] / [`obs::record_serve_metrics`] —
-//!   per-tenant p50/p95/p99/p999, goodput, drop rate, SLO verdict, as
-//!   structs and as `bbpim_tenant_*` registry series.
+//! * [`report::tenant_reports`] — per-tenant p50/p95/p99/p999, goodput,
+//!   drop rate and SLO verdict.
 //!
 //! Admission policies decide *which* requests run and *when* — never
 //! *what* they answer: every admitted request's execution is resolved
@@ -80,14 +79,12 @@
 
 pub mod controller;
 pub mod error;
-pub mod obs;
 pub mod report;
 pub mod serve;
 pub mod tenant;
 
 pub use controller::{AimdConfig, AimdController, WindowDecision, WindowPolicy};
 pub use error::ServeError;
-pub use obs::record_serve_metrics;
 pub use report::{tenant_reports, TenantReport};
 pub use serve::{
     run_serve, run_serve_traced, ServeCompletion, ServeConfig, ServeDrop, ServeEventKind,
@@ -641,54 +638,6 @@ mod tests {
         assert!(out.completions.is_empty());
         assert!(!out.decisions.is_empty(), "write completions feed the controller");
         assert_eq!(out.final_window(), 1, "persistent write-latency violation pins the floor");
-    }
-
-    /// Pin the wear series names end to end: a serve session with write
-    /// traffic must land on exactly the registry series the rest of the
-    /// stack (bench gate, dashboards) reads.
-    #[test]
-    fn serve_metrics_pin_the_wear_series_names() {
-        use bbpim_trace::{export::fmt_num, MetricsRegistry};
-        let mut htap = tenant(
-            "htap",
-            vec![year_probe(1)],
-            ArrivalProcess::OpenPoisson { arrivals: 10, mean_interarrival_ns: 20_000.0 },
-        );
-        htap.writes = Some(WriteMix { mutations: vec![disc_update(1, 3)], write_frac: 0.5 });
-        let mut c = cluster(4);
-        let out = run_serve(&mut c, &[htap.clone()], &ServeConfig::default()).unwrap();
-        assert!(!out.write_completions.is_empty());
-        let mut reg = MetricsRegistry::new();
-        record_serve_metrics(&mut reg, &[htap], &out, &[("run", "pin")]);
-        // The exact strings are the contract.
-        assert_eq!(obs::CELL_WRITES, "bbpim_cell_writes_total");
-        assert_eq!(obs::REQUIRED_ENDURANCE, "bbpim_required_endurance_cycles");
-        assert_eq!(obs::TENANT_WRITES, "bbpim_tenant_writes_total");
-        let worn: Vec<usize> = out
-            .lane_cell_writes
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w > 0)
-            .map(|(m, _)| m)
-            .collect();
-        assert!(!worn.is_empty());
-        let exported = reg.prometheus_text();
-        for m in worn {
-            let module = m.to_string();
-            let labels = [("run", "pin"), ("module", module.as_str())];
-            assert_eq!(
-                reg.counter("bbpim_cell_writes_total", &labels),
-                Some(out.lane_cell_writes[m] as f64)
-            );
-            assert!(exported.contains(&format!(
-                "bbpim_required_endurance_cycles{{module=\"{m}\",run=\"pin\"}} {}\n",
-                fmt_num(out.lane_required_endurance[m])
-            )));
-        }
-        assert_eq!(
-            reg.counter("bbpim_tenant_writes_total", &[("run", "pin"), ("tenant", "htap")]),
-            Some(out.write_completions.len() as f64)
-        );
     }
 
     #[test]

@@ -1,13 +1,9 @@
-//! Observability substrate for the bulk-bitwise PIM stack.
+//! Tracing substrate for the bulk-bitwise PIM stack.
 //!
 //! The paper's evaluation attributes end-to-end time and energy to
 //! phases (Figs. 6–9), and the journal extension shows host
-//! orchestration and channel occupancy dominating selective queries —
-//! quantities the simulator models but, before this crate, reported
-//! through four disconnected surfaces (per-shard phase logs, scheduler
-//! timelines, planner byte ledgers, ad-hoc bench printouts). This crate
-//! is the single substrate the rest of the workspace threads those
-//! observations through:
+//! orchestration and channel occupancy dominating selective queries.
+//! This crate records those observations as one timeline:
 //!
 //! * [`TraceRecorder`] — a zero-cost-when-disabled structured span /
 //!   instant / counter recorder on the *simulated* clock. Tracks are
@@ -15,20 +11,13 @@
 //!   the scheduler) so bus serialisation vs module overlap is visible.
 //! * [`export`] — Chrome/Perfetto `trace_event` JSON and a flat JSONL
 //!   event stream, both byte-deterministic for a deterministic input.
-//! * [`MetricsRegistry`] — counters / gauges / histograms keyed by
-//!   name + sorted labels, with Prometheus-text and flat JSON snapshot
-//!   exporters (the JSON shape is readable by the bench gate's flat
-//!   scanner).
-//! * [`phases`] — glue that folds a [`bbpim_sim::timeline::RunLog`]
-//!   into per-phase-kind time / energy / host-byte metrics.
 //!
 //! Everything here is pure data: no I/O, no wall clock, no threads —
 //! recording the same simulation twice yields byte-identical exports.
+//! Numbers per run and per layer are `bbpim-perf`'s per-layer catalogue
+//! (`bench/perf`), not a registry here.
 
 pub mod export;
-pub mod metrics;
-pub mod phases;
 pub mod trace;
 
-pub use metrics::MetricsRegistry;
 pub use trace::{ArgValue, EventShape, TraceEvent, TraceRecorder, TrackId};

@@ -52,10 +52,9 @@
 //!   reports, every admitted answer bit-identical to the batch oracle.
 //! * [`monet`] — the in-memory column-store baseline (`mnt-reg` /
 //!   `mnt-join`).
-//! * [`trace`] — the observability substrate: a structured span/event
-//!   recorder on the simulated clock (Chrome/Perfetto + JSONL
-//!   exporters) and a metrics registry (Prometheus text + flat JSON
-//!   snapshots) that every layer reports into.
+//! * [`trace`] — the tracing substrate: a structured span/event
+//!   recorder on the simulated clock that the scheduler and serving
+//!   loops report into, with Chrome/Perfetto + JSONL exporters.
 //!
 //! The query path is physically planned end to end: `db`'s
 //! `FilterBounds` + `ZoneMap` feed `engine`'s per-page `PageSet`

@@ -299,6 +299,37 @@ fn assert_year_updates_replay<R: Replay>(label: &str, insert: Mutation, build: i
     assert_prefix_replay(&format!("{label}, d_year updates"), &out, &workload, &mut build());
 }
 
+/// Ingest wears cells beyond what the queries write: one seeded query
+/// trace streamed bare and again under a mutation overlay must show
+/// strictly more summed per-lane cell writes with the overlay, on both
+/// storage models.
+#[test]
+fn a_mutation_overlay_wears_more_than_its_query_trace_alone() {
+    let db = ssb();
+    let wide = db.prejoin();
+    let model = shared_model();
+    assert_overlay_wears_more("wide", wide_mutations(&wide), || wide_cluster(&wide, 4, &model));
+    assert_overlay_wears_more("star", star_mutations(&db), || star_cluster(&db, 4));
+}
+
+/// Stream a seeded probe trace on an engine from `build`, bare and with
+/// `muts` overlaid evenly over its horizon, and compare the wear.
+fn assert_overlay_wears_more<R: Replay>(label: &str, muts: Vec<Mutation>, build: impl Fn() -> R) {
+    let bare = Workload::poisson(probe_queries(), 24, MEAN_INTERARRIVAL_NS, 0xA11_CE0);
+    let horizon_ns = bare.arrivals().last().map_or(0.0, |a| a.at_ns);
+    let overlay = (0..6)
+        .map(|k| MutationArrival { at_ns: horizon_ns * k as f64 / 6.0, mutation: k % muts.len() })
+        .collect();
+    let ingest = Workload::with_mutations(probe_queries(), bare.arrivals().to_vec(), muts, overlay)
+        .expect("workload");
+    let wear = |w: &Workload| build().stream(w).shard_cell_writes.iter().sum::<u64>();
+    let (queries_only, with_ingest) = (wear(&bare), wear(&ingest));
+    assert!(
+        with_ingest > queries_only,
+        "{label}: the overlay wore {with_ingest} cell writes, the query trace alone {queries_only}"
+    );
+}
+
 #[test]
 fn the_interleaving_is_a_pure_function_of_the_seed() {
     let db = ssb();

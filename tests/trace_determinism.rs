@@ -1,10 +1,9 @@
-//! Trace and metrics determinism, plus the no-observer guarantee: with
-//! a fixed seed and config the Perfetto, JSONL, Prometheus-text and
-//! JSON-snapshot exports are byte-identical across two runs — for both
-//! storage models (pre-joined `ClusterEngine` and normalized
-//! `StarCluster`) and with the host-channel contention model on and
-//! off — and enabling tracing changes no answer, no timeline and no
-//! simulated total. The recorded shape is also checked structurally:
+//! Trace determinism, plus the no-observer guarantee: with a fixed seed
+//! and config the Perfetto and JSONL exports are byte-identical across
+//! two runs — for both storage models (pre-joined `ClusterEngine` and
+//! normalized `StarCluster`) and with the host-channel contention model
+//! on and off — and enabling tracing changes no answer, no timeline and
+//! no simulated total. The recorded shape is also checked structurally:
 //! host-bus spans are serialised (single shared channel) while module
 //! spans overlap (independent modules).
 
@@ -14,12 +13,10 @@ use bbpim::db::Relation;
 use bbpim::engine::groupby::calibration::{run_calibration, CalibrationConfig};
 use bbpim::engine::modes::EngineMode;
 use bbpim::join::StarCluster;
-use bbpim::sched::{
-    record_stream_metrics, run_stream_traced, SchedConfig, StreamEngine, StreamOutcome, Workload,
-};
+use bbpim::sched::{run_stream_traced, SchedConfig, StreamEngine, StreamOutcome, Workload};
 use bbpim::sim::SimConfig;
 use bbpim::trace::export::{jsonl, perfetto_json};
-use bbpim::trace::{EventShape, MetricsRegistry, TraceRecorder};
+use bbpim::trace::{EventShape, TraceRecorder};
 
 const SHARDS: usize = 4;
 
@@ -75,19 +72,10 @@ fn traced<E: StreamEngine>(cluster: &mut E, enabled: bool) -> (StreamOutcome, Tr
 /// proves the recorder never perturbs the simulation.
 fn assert_deterministic<E: StreamEngine, F: FnMut() -> E>(mut mk: F, tag: &str) {
     let (out_a, tr_a) = traced(&mut mk(), true);
-    let (out_b, tr_b) = traced(&mut mk(), true);
+    let (_, tr_b) = traced(&mut mk(), true);
     assert!(!tr_a.is_empty(), "{tag}: the trace captured events");
     assert_eq!(perfetto_json(&tr_a), perfetto_json(&tr_b), "{tag}: Perfetto bytes");
     assert_eq!(jsonl(&tr_a), jsonl(&tr_b), "{tag}: JSONL bytes");
-
-    let registry = |o: &StreamOutcome| {
-        let mut r = MetricsRegistry::new();
-        record_stream_metrics(&mut r, o, &[("run", "det")]);
-        r
-    };
-    let (ra, rb) = (registry(&out_a), registry(&out_b));
-    assert_eq!(ra.prometheus_text(), rb.prometheus_text(), "{tag}: Prometheus bytes");
-    assert_eq!(ra.snapshot_json(), rb.snapshot_json(), "{tag}: snapshot bytes");
 
     let (untraced, empty) = traced(&mut mk(), false);
     assert!(empty.is_empty(), "{tag}: a disabled recorder stays empty");
