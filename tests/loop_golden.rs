@@ -6,6 +6,12 @@
 //! `perfetto_json` + `jsonl` trace exports, so a refactor of the loops
 //! is checked against the commit *before* it. A digest may only change
 //! together with a deliberate, explained model change.
+//!
+//! The `Debug` digest moves whenever a record type gains a field. The
+//! *projection* digests do not: they hash a fixed selection of every
+//! outcome — events, completions, drops, the window, the lane tallies
+//! (floats as bits) and each execution's `Debug` — read field by field
+//! and rendered as plain tuples, so they name no type and no field.
 
 use bbpim::cluster::{ClusterEngine, Partitioner};
 use bbpim::db::builder::col;
@@ -16,10 +22,14 @@ use bbpim::engine::groupby::calibration::{run_calibration, CalibrationConfig};
 use bbpim::engine::modes::EngineMode;
 use bbpim::engine::mutation::Mutation;
 use bbpim::join::StarCluster;
-use bbpim::sched::{run_stream_traced, AdmissionPolicy, SchedConfig, StreamEngine, Workload};
+use std::fmt::Write;
+
+use bbpim::sched::{
+    run_stream_traced, AdmissionPolicy, SchedConfig, StreamEngine, StreamOutcome, Workload,
+};
 use bbpim::serve::{
-    run_serve_traced, AimdConfig, ArrivalProcess, RateLimit, ServeConfig, SloSpec, TenantSpec,
-    WindowPolicy, WriteMix,
+    run_serve_traced, AimdConfig, ArrivalProcess, RateLimit, ServeConfig, ServeOutcome, SloSpec,
+    TenantSpec, WindowPolicy, WriteMix,
 };
 use bbpim::sim::SimConfig;
 use bbpim::trace::export::{jsonl, perfetto_json};
@@ -127,14 +137,85 @@ fn stream_digests<E: StreamEngine>(
     cluster: &mut E,
     mutations: Vec<Mutation>,
     policy: AdmissionPolicy,
-) -> [u64; 3] {
+) -> ([u64; 3], u64) {
     let workload = Workload::poisson_htap(probe_queries(), mutations, 48, 0.4, 20_000.0, 0x60_1DE4);
     assert!(workload.has_mutations());
     let cfg = SchedConfig { max_in_flight: 3, policy, ingest_buffer: 1 };
     let mut trace = TraceRecorder::enabled();
     let out = run_stream_traced(cluster, &workload, &cfg, &mut trace).expect("stream");
     assert!(!out.mutation_completions.is_empty());
-    digests(&out, &trace)
+    (digests(&out, &trace), fnv1a(stream_projection(&out).as_bytes()))
+}
+
+/// The stream outcome, field by field (see the module docs).
+fn stream_projection(out: &StreamOutcome) -> String {
+    let mut s = String::new();
+    for e in &out.timeline {
+        writeln!(s, "{:?}", (e.t_ns.to_bits(), e.kind, e.arrival, e.shard)).unwrap();
+    }
+    for c in &out.completions {
+        let times = [c.arrive_ns, c.admit_ns, c.first_service_ns, c.complete_ns].map(f64::to_bits);
+        let shards = (c.shards_dispatched, c.shards_pruned);
+        writeln!(s, "{:?}", (c.arrival, times, c.epoch, shards, &c.query_id)).unwrap();
+    }
+    for m in &out.mutation_completions {
+        let times = [m.arrive_ns, m.admit_ns, m.complete_ns].map(f64::to_bits);
+        let records = (m.records_updated, m.records_inserted);
+        writeln!(s, "{:?}", (m.arrival, &m.label, times, m.lanes, records, m.epoch)).unwrap();
+    }
+    let stalls = (out.ingest_stalls, out.ingest_stall_ns.to_bits());
+    let tallies = (
+        [out.makespan_ns, out.host_busy_ns].map(f64::to_bits),
+        bits(&out.shard_busy_ns),
+        &out.shard_cell_writes,
+        bits(&out.shard_required_endurance),
+    );
+    writeln!(s, "{:?}", (stalls, tallies)).unwrap();
+    for e in &out.executions {
+        writeln!(s, "{e:?}").unwrap();
+    }
+    s
+}
+
+/// The serve outcome, field by field (see the module docs).
+fn serve_projection(out: &ServeOutcome) -> String {
+    let mut s = String::new();
+    for e in &out.timeline {
+        writeln!(s, "{:?}", (e.t_ns.to_bits(), e.kind, e.request, e.shard)).unwrap();
+    }
+    for c in &out.completions {
+        let times = [c.arrive_ns, c.admit_ns, c.first_service_ns, c.complete_ns].map(f64::to_bits);
+        let shards = (c.shards_dispatched, c.shards_pruned);
+        let who = (c.tenant, c.client, c.eligible_ns.to_bits(), c.deadline_ns.map(f64::to_bits));
+        writeln!(s, "{:?}", (c.request, times, shards, &c.query_id, who)).unwrap();
+    }
+    writeln!(s, "{:?}", out.write_completions.len()).unwrap();
+    for d in &out.drops {
+        let times =
+            [d.arrive_ns, d.shed_ns, d.predicted_complete_ns, d.deadline_ns].map(f64::to_bits);
+        writeln!(s, "{:?}", (d.request, d.tenant, d.client, &d.query_id, times)).unwrap();
+    }
+    for (t, w) in &out.window_trajectory {
+        writeln!(s, "{:?}", (t.to_bits(), w)).unwrap();
+    }
+    for d in &out.decisions {
+        writeln!(s, "{:?}", (d.t_ns.to_bits(), d.p95_ratio.to_bits(), d.window)).unwrap();
+    }
+    let tallies = (
+        [out.makespan_ns, out.host_busy_ns].map(f64::to_bits),
+        bits(&out.shard_busy_ns),
+        &out.lane_cell_writes,
+        bits(&out.lane_required_endurance),
+    );
+    writeln!(s, "{:?}", (&out.submitted, &out.throttled, tallies)).unwrap();
+    for e in &out.executions {
+        writeln!(s, "{e:?}").unwrap();
+    }
+    s
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// An open, a rate-limited deadline-bound burst, a closed-loop and a
@@ -186,38 +267,70 @@ fn tenants(writes: Vec<Mutation>) -> Vec<TenantSpec> {
 }
 
 fn serve_digests<E: StreamEngine>(cluster: &mut E, writes: Vec<Mutation>) -> [u64; 3] {
+    let (out, trace) = serve(cluster, tenants(writes));
+    assert!(!out.write_completions.is_empty(), "the write mix must land writes");
+    digests(&out, &trace)
+}
+
+/// The [`tenants`] mix without its `ingest` tenant: no write in the
+/// session. Returns the `[outcome, perfetto, jsonl]` digests and the
+/// projection digest.
+fn query_only_serve_digests<E: StreamEngine>(cluster: &mut E) -> ([u64; 3], u64) {
+    let mut specs = tenants(Vec::new());
+    specs.retain(|t| t.writes.is_none());
+    let (out, trace) = serve(cluster, specs);
+    assert!(out.write_completions.is_empty());
+    (digests(&out, &trace), fnv1a(serve_projection(&out).as_bytes()))
+}
+
+/// One traced serve session under the AIMD window; it must shed,
+/// throttle and decide.
+fn serve<E: StreamEngine>(
+    cluster: &mut E,
+    specs: Vec<TenantSpec>,
+) -> (ServeOutcome, TraceRecorder) {
     let cfg = ServeConfig {
         seed: 0x5E_47E5,
         window: WindowPolicy::Aimd(AimdConfig { sample_window: 4, ..AimdConfig::default() }),
     };
     let mut trace = TraceRecorder::enabled();
-    let out = run_serve_traced(cluster, &tenants(writes), &cfg, &mut trace).expect("serve");
-    assert!(!out.write_completions.is_empty(), "the write mix must land writes");
+    let out = run_serve_traced(cluster, &specs, &cfg, &mut trace).expect("serve");
     assert!(!out.drops.is_empty(), "the deadline must shed");
     assert!(out.throttled.iter().sum::<usize>() > 0, "the token bucket must throttle");
     assert!(!out.decisions.is_empty(), "the AIMD window must decide");
-    digests(&out, &trace)
+    (out, trace)
 }
 
 /// Compare every scenario at once, so one failing run lists all the
 /// digests that moved.
-fn assert_pinned(got: &[(String, [u64; 3])], want: &[[u64; 3]]) {
+fn assert_pinned<const N: usize>(got: &[(String, [u64; N])], want: &[[u64; N]]) {
     let rendered: Vec<String> = got.iter().map(|(n, d)| format!("{d:#018x?} // {n}")).collect();
-    let got: Vec<[u64; 3]> = got.iter().map(|(_, d)| *d).collect();
-    assert_eq!(got, want, "[outcome, perfetto, jsonl] digests moved:\n{}", rendered.join("\n"));
+    let got: Vec<[u64; N]> = got.iter().map(|(_, d)| *d).collect();
+    assert_eq!(got, want, "digests moved:\n{}", rendered.join("\n"));
 }
 
 #[test]
 fn run_stream_matches_the_pinned_digests() {
     let db = ssb();
     let wide = db.prejoin();
-    let mut got = Vec::new();
+    let (mut got, mut projections) = (Vec::new(), Vec::new());
     for policy in AdmissionPolicy::all() {
-        let d = stream_digests(&mut wide_cluster(&wide), wide_mutations(&wide), policy);
+        let (d, p) = stream_digests(&mut wide_cluster(&wide), wide_mutations(&wide), policy);
         got.push((format!("ClusterEngine, {}", policy.label()), d));
-        let d = stream_digests(&mut star_cluster(&db), star_mutations(&db), policy);
+        projections.push((format!("ClusterEngine, {}", policy.label()), [p]));
+        let (d, p) = stream_digests(&mut star_cluster(&db), star_mutations(&db), policy);
         got.push((format!("StarCluster, {}", policy.label()), d));
+        projections.push((format!("StarCluster, {}", policy.label()), [p]));
     }
+    assert_pinned(
+        &projections,
+        &[
+            [0x3e1c_1c9e_cc96_78fb], // ClusterEngine, fifo
+            [0x2523_5925_65a3_9444], // StarCluster, fifo
+            [0x89b7_aa9b_942a_bb33], // ClusterEngine, scsf
+            [0x2523_5925_65a3_9444], // StarCluster, scsf
+        ],
+    );
     assert_pinned(
         &got,
         &[
@@ -245,6 +358,28 @@ fn run_serve_matches_the_pinned_digests() {
         &[
             [0x0f89_b3dc_5663_6b3d, 0xc55a_b969_4983_35b8, 0x25d3_e5a3_23b1_71a5],
             [0x42db_f95b_4761_a6eb, 0xdc5e_7127_9d0b_9c95, 0x1bfd_cc7b_5234_28c3],
+        ],
+    );
+}
+
+#[test]
+fn query_only_run_serve_matches_the_pinned_digests() {
+    let db = ssb();
+    let wide = db.prejoin();
+    let (mut got, mut projections) = (Vec::new(), Vec::new());
+    for (name, (d, p)) in [
+        ("ClusterEngine", query_only_serve_digests(&mut wide_cluster(&wide))),
+        ("StarCluster", query_only_serve_digests(&mut star_cluster(&db))),
+    ] {
+        got.push((name.to_string(), d));
+        projections.push((name.to_string(), [p]));
+    }
+    assert_pinned(&projections, &[[0xa439_be83_d21e_8daf], [0x4e8a_09f6_5314_022c]]);
+    assert_pinned(
+        &got,
+        &[
+            [0xf161_f227_812b_7565, 0x53bd_ab19_20eb_0024, 0xf6a6_c549_5668_0e32],
+            [0x1f57_ced7_486f_ef15, 0x3f6f_97fb_4d2f_3777, 0x39b2_fb08_a813_e13d],
         ],
     );
 }
