@@ -1,15 +1,16 @@
 //! Service-demand compilation: from real per-shard executions to the
-//! bus/local slice chains the [`kernel`](crate::kernel) plays out.
+//! bus/local slice chains the kernel plays out.
 //!
-//! The compilation step is the contract both admission front-ends
-//! share: one crate-internal resolution cache plans a query through
-//! the zone-map planner, executes every candidate shard slice
-//! ([`StreamEngine::run_on_shard`]), merges the partials exactly as
-//! `run_batch` would, and compiles each shard execution's phase log
-//! into a [`SliceChain`]. Whichever front-end admits the chains —
-//! [`run_stream`](crate::run_stream) or the multi-tenant server — the
-//! merged answer is already fixed, bit-identical to the batch oracle;
-//! only *when* the slices run is up to the scheduler.
+//! A query is resolved at its admission by the one resolution cache: it
+//! is planned through the zone-map planner, every candidate shard slice
+//! is executed ([`StreamEngine::run_on_shard`]) — or reused while
+//! nothing it read has changed — the partials are merged exactly as
+//! `run_batch` would, and each shard execution's phase log is compiled
+//! into a [`SliceChain`]. Whichever front-end admits the query —
+//! [`run_stream`](crate::run_stream) or the multi-tenant server — its
+//! answer is fixed at that admission, bit-identical to a fresh engine
+//! that replayed the mutations admitted before it; only *when* the
+//! slices run is up to the scheduler.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -118,10 +119,13 @@ impl QueryDemand {
     /// every module: the work-conserving cost a fair-share accountant
     /// charges the owning tenant, independent of queueing.
     pub fn total_busy_ns(&self) -> f64 {
-        let slices: f64 =
-            self.shards.iter().flat_map(|sd| sd.slices.iter()).map(|s| s.bus_ns + s.local_ns).sum();
-        slices + self.merge_ns
+        busy_ns(&self.shards) + self.merge_ns
     }
+}
+
+/// Busy time `chains` occupy on the host channel and their lanes.
+pub(crate) fn busy_ns(chains: &[Arc<ShardDemand>]) -> f64 {
+    chains.iter().flat_map(|sd| sd.slices.iter()).map(|s| s.bus_ns + s.local_ns).sum()
 }
 
 /// Compile one phase log — a query shard execution's or a mutation
@@ -206,7 +210,7 @@ pub fn compile_log_slices(
 /// A resolved query: its compiled service demand and its merged answer,
 /// each behind an [`Arc`] so every admission, completion and outcome
 /// holding them shares one copy.
-pub(crate) type Resolution = (Arc<QueryDemand>, Arc<ClusterExecution>);
+pub type Resolution = (Arc<QueryDemand>, Arc<ClusterExecution>);
 
 /// One query's execution on one shard, stamped with the shard state it
 /// ran against.
@@ -216,11 +220,12 @@ struct ShardRun {
     demand: Arc<ShardDemand>,
 }
 
-/// A query's last merged resolution, the shard mask it merged under and
-/// the cluster-wide insert version it saw.
+/// A query's last merged resolution, the shard mask it merged under, the
+/// cluster-wide insert version it saw and the clock it was merged at.
 struct Merged {
     mask: Vec<bool>,
     inserted: u64,
+    clock: u64,
     resolution: Resolution,
 }
 
@@ -261,10 +266,13 @@ struct ShardVersions {
 /// version of the last INSERT anywhere (of the last mutation, on the
 /// star model).
 ///
-/// [`ResolutionCache::resolve`] re-plans the query's shard mask on every
-/// call, runs only the candidate shards whose stamp changed, and merges
-/// again only when a shard re-ran, the mask moved or an INSERT landed
-/// anywhere since the last merge.
+/// [`ResolutionCache::resolve`] returns the last merged resolution
+/// outright while no mutation has been recorded since it was merged (the
+/// clock has not moved: the zone maps, and so the plan, are unchanged
+/// too). Otherwise it re-plans the query's shard mask, runs only the
+/// candidate shards whose stamp changed, and merges again only when a
+/// shard re-ran, the mask moved or an INSERT landed anywhere since the
+/// last merge.
 pub(crate) struct ResolutionCache {
     want_detail: bool,
     /// The last version handed out.
@@ -346,9 +354,10 @@ impl ResolutionCache {
     }
 
     /// Resolve `query` (cached under `key`) against `cluster`'s current
-    /// state: plan its shard mask, run every candidate shard whose
-    /// stamp changed, merge the partials in shard order, and compile
-    /// each shard execution into its slice chain.
+    /// state: unless no mutation was recorded since its last merge, plan
+    /// its shard mask, run every candidate shard whose stamp changed,
+    /// merge the partials in shard order, and compile each shard
+    /// execution into its slice chain.
     ///
     /// # Errors
     ///
@@ -360,6 +369,9 @@ impl ResolutionCache {
         key: usize,
         query: &Query,
     ) -> Result<Resolution, SchedError> {
+        if let Some(m) = self.merged.get(&key).filter(|m| m.clock == self.clock) {
+            return Ok(m.resolution.clone());
+        }
         let mask = cluster.plan_shards(&query.filter)?;
         let candidates: Vec<usize> =
             mask.iter().enumerate().filter(|(_, &d)| d).map(|(s, _)| s).collect();
@@ -400,8 +412,8 @@ impl ResolutionCache {
             merge_ns: merged.report.merge_time_ns,
         };
         let resolution = (Arc::new(demand), Arc::new(merged));
-        let inserted = self.inserted;
-        self.merged.insert(key, Merged { mask, inserted, resolution: resolution.clone() });
+        let (inserted, clock) = (self.inserted, self.clock);
+        self.merged.insert(key, Merged { mask, inserted, clock, resolution: resolution.clone() });
         Ok(resolution)
     }
 }
@@ -412,11 +424,11 @@ impl ResolutionCache {
 /// compile each shard execution into its slice chain. The cache is
 /// dropped before the result is unwrapped, so nothing is copied out.
 ///
-/// The returned [`ClusterExecution`] **is** the query's answer — it is
-/// fixed here, before any scheduling happens, which is what makes every
-/// downstream event loop answer-bit-identical to the batch oracle by
-/// construction. Resolution is deterministic and read-only, so repeated
-/// arrivals of the same query may share one resolution.
+/// The returned [`ClusterExecution`] is the query's answer against the
+/// engine's current state, bit-identical to the batch oracle, and the
+/// [`QueryDemand`] is what the query would occupy if admitted now (a
+/// fair-share or calibration probe). Resolution is deterministic and
+/// read-only.
 ///
 /// # Errors
 ///
@@ -436,28 +448,28 @@ pub fn resolve_query_demand<E: StreamEngine>(
 /// host channel and the per-lane module servers. Unlike queries there
 /// is no merge — a mutation completes when its last lane chain does.
 #[derive(Clone, Debug)]
-pub struct MutationDemand {
+pub(crate) struct MutationDemand {
     /// The mutation's label (trace/report lines).
-    pub label: String,
+    pub(crate) label: String,
     /// Per-lane chains (the [`ShardDemand::shard`] field holds the
     /// *ingest lane* index — fact-shard lanes share indices with query
     /// shard slices; auxiliary lanes, e.g. star dimension modules, sit
-    /// above [`crate::StreamEngine::active_shards`]). Held behind
+    /// above [`StreamEngine::active_shards`]). Held behind
     /// [`Arc`]s like a query's chains, so the kernel reads both as one
     /// slice type.
-    pub lanes: Vec<Arc<ShardDemand>>,
+    pub(crate) lanes: Vec<Arc<ShardDemand>>,
     /// Records the mutation rewrote (UPDATE), summed over lanes.
-    pub records_updated: u64,
+    pub(crate) records_updated: u64,
     /// Records the mutation appended (INSERT), summed over lanes.
-    pub records_inserted: u64,
+    pub(crate) records_inserted: u64,
 }
 
 /// Compile the per-lane reports an applied mutation produced
-/// ([`crate::StreamEngine::apply_mutation`]) into a [`MutationDemand`]:
+/// ([`StreamEngine::apply_mutation`]) into a [`MutationDemand`]:
 /// each lane's phase log becomes a bus/local slice chain exactly as
 /// query shard executions do, so UPDATE mask writes and INSERT row
 /// transfers queue on the shared channel alongside query traffic.
-pub fn compile_mutation_demand(
+pub(crate) fn compile_mutation_demand(
     label: String,
     applied: &[(usize, MutationReport)],
     host: &HostConfig,

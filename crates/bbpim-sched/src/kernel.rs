@@ -1,5 +1,7 @@
-//! The chain-execution kernel: the discrete-event machinery under both
-//! [`run_stream`](crate::run_stream) and `bbpim_serve::run_serve`.
+//! The chain-execution kernel: the discrete-event machinery under the
+//! one admission loop ([`Core`](crate::Core)), which is the only thing
+//! that drives it — for [`run_stream`](crate::run_stream) and
+//! `bbpim_serve::run_serve` alike.
 //!
 //! A *job* is anything whose service demand is a set of per-lane slice
 //! chains ([`ShardDemand`]): a query's candidate-shard chains or a
@@ -17,21 +19,21 @@
 //! * the `host-bus` / `module-<k>` / `ingest-lane-<d>` trace spans;
 //! * per-lane busy time, cell writes and required endurance.
 //!
-//! It knows nothing about *policy*. A front-end pushes its own events
-//! (`F`: arrivals, admission ticks), starts jobs when its admission
-//! rules allow ([`Kernel::start`]), and reads [`Kernel::next`] for the
-//! only moments policy cares about ([`Moment`]). What a job *is* stays
-//! with the front-end, which answers the kernel's two questions through
-//! [`Jobs`]: the job's chains, and — only while tracing — how its spans
+//! It knows nothing about *policy*. The core pushes the front-end's own
+//! events (`F`: arrivals, admission ticks), starts jobs as they are
+//! admitted ([`Kernel::start`]), and reads [`Kernel::next`] for the only
+//! moments admission cares about ([`Moment`]). What a job *is* stays
+//! with the core's [`Started`] table, which answers the kernel's two
+//! questions: the job's chains, and — only while tracing — how its spans
 //! are labelled.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use bbpim_sim::hostbus::SharedBus;
 use bbpim_trace::{ArgValue, TraceRecorder, TrackId};
 
+use crate::admission::{Finished, Started};
 use crate::demand::ShardDemand;
 
 /// Trace event attributes, in export order.
@@ -46,16 +48,6 @@ pub struct SpanLabels {
     /// The module-span name of a local window compiled without
     /// per-phase detail.
     pub local: &'static str,
-}
-
-/// What the kernel asks its front-end about a job.
-pub trait Jobs {
-    /// The job's slice chains, one per lane it occupies.
-    fn chains(&self, job: usize) -> &[Arc<ShardDemand>];
-
-    /// The job's trace labels. Asked once per recorded span and never
-    /// on a disabled recorder, so it may allocate.
-    fn labels(&self, job: usize) -> SpanLabels;
 }
 
 /// The moments a front-end reacts to, each about one `job` (and, for
@@ -117,19 +109,6 @@ struct Tracks {
     modules: Vec<TrackId>,
 }
 
-/// What the lanes did over a whole run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneTallies {
-    /// Host-channel busy time: every bus slice and merge.
-    pub host_busy_ns: f64,
-    /// Per-lane module-local busy time.
-    pub busy_ns: Vec<f64>,
-    /// Per-lane worst-row cell writes, summed over finished chains.
-    pub cell_writes: Vec<u64>,
-    /// Per-lane maximum required endurance over finished chains.
-    pub required_endurance: Vec<f64>,
-}
-
 /// The chain-execution state machine (see the module docs).
 pub struct Kernel<'t, F> {
     events: BinaryHeap<HeapEntry<F>>,
@@ -172,10 +151,15 @@ impl<'t, F> Kernel<'t, F> {
         }
     }
 
-    /// The recorder, when it is collecting: front-ends build their
-    /// event attributes only inside `if let Some(..)`.
+    /// The recorder, when it is collecting: event attributes are built
+    /// only inside `if let Some(..)`.
     pub fn tracer(&mut self) -> Option<&mut TraceRecorder> {
         self.trace.is_enabled().then_some(&mut *self.trace)
+    }
+
+    /// Is the recorder collecting?
+    pub fn tracing(&self) -> bool {
+        self.tracks.is_some()
     }
 
     /// Schedule a front-end event.
@@ -193,7 +177,7 @@ impl<'t, F> Kernel<'t, F> {
     /// job's first service instant: the earliest bus grant start, or
     /// `now_ns` when no first slice touches the bus. The job must have
     /// at least one chain — a job without chains never runs.
-    pub fn start<J: Jobs>(&mut self, now_ns: f64, jobs: &J, job: usize) -> f64 {
+    pub fn start(&mut self, now_ns: f64, jobs: &Started, job: usize) -> f64 {
         let chains = jobs.chains(job).len();
         if self.running.len() <= job {
             self.running.resize(job + 1, 0);
@@ -212,10 +196,10 @@ impl<'t, F> Kernel<'t, F> {
     /// Start one slice: its bus part rides the shared channel first
     /// (free when zero-width), then its local part queues on the lane.
     /// Returns the bus grant start when the slice touched the bus.
-    fn start_slice<J: Jobs>(
+    fn start_slice(
         &mut self,
         now_ns: f64,
-        jobs: &J,
+        jobs: &Started,
         job: usize,
         pos: usize,
         idx: usize,
@@ -242,9 +226,9 @@ impl<'t, F> Kernel<'t, F> {
     /// Queue `job`'s host-side merge of `merge_ns` on the shared
     /// channel; [`Moment::MergeDone`] fires when it ends. A zero-length
     /// merge is not free — it still waits behind everything already
-    /// granted — so a front-end whose jobs complete without the channel
-    /// (streamed mutations) must not call this at all.
-    pub fn merge<J: Jobs>(&mut self, now_ns: f64, jobs: &J, job: usize, merge_ns: f64) {
+    /// granted — so jobs that complete without the channel (mutations)
+    /// must not call this at all.
+    pub fn merge(&mut self, now_ns: f64, jobs: &Started, job: usize, merge_ns: f64) {
         let grant = self.host.acquire(now_ns, merge_ns);
         self.push_ev(grant.end_ns, Ev::MergeDone(job));
         if merge_ns > 0.0 {
@@ -258,7 +242,7 @@ impl<'t, F> Kernel<'t, F> {
 
     /// Advance the simulation to the next [`Moment`] and return it with
     /// its simulated time; `None` once the heap has drained.
-    pub fn next<J: Jobs>(&mut self, jobs: &J) -> Option<(f64, Moment<F>)> {
+    pub fn next(&mut self, jobs: &Started) -> Option<(f64, Moment<F>)> {
         while let Some(HeapEntry { t_ns: t, ev, .. }) = self.events.pop() {
             match ev {
                 Ev::Front(f) => return Some((t, Moment::Front(f))),
@@ -304,14 +288,13 @@ impl<'t, F> Kernel<'t, F> {
         None
     }
 
-    /// The run's lane accounting (call once the heap has drained).
-    pub fn into_tallies(self) -> LaneTallies {
-        LaneTallies {
-            host_busy_ns: self.host.busy_ns(),
-            busy_ns: self.lanes.iter().map(SharedBus::busy_ns).collect(),
-            cell_writes: self.cell_writes,
-            required_endurance: self.required_endurance,
-        }
+    /// Write the run's lane accounting into `run` (call once the heap
+    /// has drained).
+    pub fn tally(self, run: &mut Finished) {
+        run.host_busy_ns = self.host.busy_ns();
+        run.busy_ns = self.lanes.iter().map(SharedBus::busy_ns).collect();
+        run.cell_writes = self.cell_writes;
+        run.required_endurance = self.required_endurance;
     }
 }
 

@@ -28,6 +28,12 @@
 //!   queries — each answer reflects exactly the mutations admitted
 //!   before it ([`QueryCompletion::epoch`]), bit-identical to a
 //!   prefix-replay oracle.
+//! * [`Core`] — the one admission loop under [`run_stream`] and
+//!   `bbpim_serve::run_serve`: each a [`Front`] that keeps only its
+//!   admission policy, while the core resolves queries and applies
+//!   mutations at admission, drives the chain kernel and keeps one
+//!   record family ([`QueryCompletion`], [`MutationCompletion`],
+//!   [`TimelineEvent`]).
 //! * [`report::LatencySummary`] — per-query queue-wait vs service
 //!   decomposition, p50/p95/p99/mean/max latency, plus throughput and
 //!   host/shard utilisation on [`sched::StreamOutcome`].
@@ -54,22 +60,27 @@
 //! # Ok::<(), bbpim_sched::SchedError>(())
 //! ```
 
+pub mod admission;
 pub mod demand;
 pub mod error;
-pub mod kernel;
+mod kernel;
 pub mod report;
 pub mod sched;
 pub mod workload;
 
+pub use admission::{
+    Admitted, Core, Done, EventKind, Finished, Front, MutationCompletion, QueryCompletion, Ticket,
+    TimelineEvent,
+};
 pub use demand::{
-    compile_log_slices, compile_mutation_demand, resolve_query_demand, MutationDemand, QueryDemand,
-    ShardDemand, Slice, SliceChain,
+    compile_log_slices, resolve_query_demand, QueryDemand, Resolution, ShardDemand, Slice,
+    SliceChain,
 };
 pub use error::SchedError;
 pub use report::{LatencySummary, RunRates};
 pub use sched::{
-    run_stream, run_stream_traced, AdmissionPolicy, EventKind, MutationCompletion, QueryCompletion,
-    SchedConfig, StreamEngine, StreamOutcome, TimelineEvent, ENDURANCE_YEARS,
+    run_stream, run_stream_traced, AdmissionPolicy, SchedConfig, StreamEngine, StreamOutcome,
+    ENDURANCE_YEARS,
 };
 pub use workload::{Arrival, MutationArrival, Workload};
 

@@ -1,7 +1,7 @@
 //! Latency-distribution and per-makespan rate accounting for streamed
 //! runs.
 
-use crate::sched::QueryCompletion;
+use crate::admission::QueryCompletion;
 
 /// Nearest-rank percentile of an ascending-sorted slice (`p` in
 /// percent). Returns 0 for an empty slice.
@@ -106,8 +106,8 @@ impl LatencySummary {
     }
 
     /// Summarise raw latency/wait/service samples (any order) plus a
-    /// dropped count — the constructor serving layers with their own
-    /// completion types share with [`LatencySummary::of`].
+    /// dropped count — what a per-tenant report folding queries and
+    /// mutations together shares with [`LatencySummary::of`].
     pub fn from_parts(
         mut latencies: Vec<f64>,
         waits: &[f64],
@@ -152,13 +152,17 @@ mod tests {
     fn completion(arrive: f64, first: f64, complete: f64) -> QueryCompletion {
         QueryCompletion {
             arrival: 0,
+            tenant: 0,
+            client: None,
             query_id: "q".into(),
             arrive_ns: arrive,
+            eligible_ns: arrive,
             admit_ns: first,
             first_service_ns: first,
             complete_ns: complete,
             shards_dispatched: 1,
             shards_pruned: 0,
+            deadline_ns: None,
             epoch: 0,
         }
     }

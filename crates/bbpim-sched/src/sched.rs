@@ -1,80 +1,33 @@
-//! The streaming scheduler: the admission front-end of
-//! [`run_stream`] over the shared chain-execution
-//! [`kernel`](crate::kernel).
+//! The streaming scheduler: [`run_stream`], the stream front-end of the
+//! one admission loop ([`Core`]), and the [`StreamEngine`] surface that
+//! loop drives.
 //!
-//! [`run_stream`] admits a [`Workload`]'s timestamped arrivals —
-//! queries **and mutations**, interleaved on one clock — into a
-//! [`StreamEngine`]. This module decides *what runs and when it may
-//! start*; how an admitted job's slice chains then queue on the shared
-//! host channel and the per-lane module servers is the kernel's
-//! business, identical for queries, mutations and the serving layer
-//! (`bbpim-serve`). To the kernel a query arrival and a mutation
-//! arrival are the same kind of job; they differ only here:
+//! [`run_stream`] admits a [`Workload`]'s timestamped queries **and
+//! mutations**, interleaved on one clock. The core resolves and applies
+//! them at admission and plays their chains out; this front-end keeps
+//! only the stream's policy:
 //!
 //! * **Admission control** — at most [`SchedConfig::max_in_flight`]
-//!   queries hold execution state at once; excess arrivals wait in the
-//!   admission queue (backpressure). When a slot frees, the next
-//!   admitted query is picked by [`AdmissionPolicy`]: FIFO, or
-//!   shortest-candidate-set-first (the zone-map planner's candidate
-//!   shard count is a free size estimate, so heavily pruned — short —
-//!   queries overtake broad ones).
-//! * **Streaming ingest** — mutation arrivals queue in strict FIFO
-//!   behind a bounded per-lane ingest buffer: the head admits only
-//!   while every lane it plans to touch holds fewer than
-//!   [`SchedConfig::ingest_buffer`] in-flight mutations; otherwise
-//!   ingest **stalls deterministically** until a lane chain completes
-//!   (nothing overtakes a stalled head). At admission the mutation is
-//!   applied to the engine ([`StreamEngine::apply_mutation`]) — zone
-//!   maps widen, insert cursors advance, cached star join plans fall —
-//!   and its byte-tagged write phases are compiled into per-lane slice
-//!   chains. A mutation is durable when its last lane chain finishes;
-//!   it takes no host-side merge.
-//! * **Snapshot consistency** — a query's answer is resolved *at its
-//!   admission*, against exactly the mutations admitted before it (its
-//!   [`QueryCompletion::epoch`]). Replaying the first `epoch` mutations
-//!   into a fresh engine and running the query reproduces the streamed
-//!   answer — the whole execution, phase logs included —
-//!   bit-identically; the ingest-equivalence suites assert exactly this
-//!   at every admission prefix. Resolutions are cached per (query,
-//!   shard), each shard execution **stamped** with the versions of the
-//!   shard state it read: the shard's insert version and its version
-//!   of every attribute the query references. An admitted UPDATE bumps
-//!   its SET attributes on the lanes it reports, an INSERT the insert
-//!   version of the lane it lands on, so an admission re-plans the
-//!   query's shards and re-runs only the candidates whose stamp moved
-//!   — an UPDATE of an attribute no query reads re-runs nothing. The
-//!   merge is redone when a shard re-ran, the mask changed or an
-//!   INSERT landed anywhere since, pruned shards included: the merged
-//!   report counts every shard's records and pages. *Stated
-//!   exception:* on an engine with auxiliary ingest lanes (the star
-//!   model) any mutation bumps every shard, since applying it drops
-//!   the shared join plan and its prelude is then charged to whichever
-//!   shard leads next.
-//! * **Planning** — each admitted query is planned through the zone-map
-//!   planner ([`StreamEngine::plan_shards`]); pruned shards receive no
-//!   work, and a query whose candidate set is empty is answered by the
-//!   planner alone, completing at admission. Once a query's last shard
-//!   chain finishes, the host-side merge of its partials takes one
-//!   more grant on the shared channel.
-//! * **Lanes** — fact-shard lanes share indices (and module servers)
-//!   between query shard slices and mutation chains; auxiliary ingest
-//!   lanes — star dimension modules — sit above
-//!   [`StreamEngine::active_shards`].
-//! * **Contention model** — with [`StreamEngine::contention`] on (the
-//!   default) every tagged host phase of every in-flight query and
-//!   mutation is compiled to a bus slice
-//!   ([`bbpim_sim::hostbus::phase_occupancy_ns`]); with it off only
-//!   dispatch and merge serialise (the pre-contention optimistic
-//!   model) — useful for A/B latency studies.
+//!   queries hold execution state at once; the next one is picked by
+//!   [`AdmissionPolicy`]: FIFO, or shortest-candidate-set-first (the
+//!   zone-map planner's candidate shard count is a free size estimate,
+//!   so heavily pruned queries overtake broad ones).
+//! * **Streaming ingest** — mutations queue in strict FIFO behind a
+//!   bounded per-lane buffer: the head admits only while every lane it
+//!   plans to touch holds fewer than [`SchedConfig::ingest_buffer`]
+//!   in-flight mutations; otherwise ingest **stalls deterministically**
+//!   until a lane chain completes. Mutations admit before queries
+//!   released by the same event, so admission order defines the epoch.
 //!
-//! Every query service demand is taken from real per-shard executions
-//! ([`StreamEngine::run_on_shard`]) against the admitted-mutation
-//! snapshot, and the merged answers are folded with
-//! [`StreamEngine::merge_executions`] in shard order. For pure-query
-//! workloads the streamed results are bit-identical to
-//! [`Cluster::run_batch`] over the same queries; only timing and
-//! completion order differ. The event timeline is a pure function of
-//! `(cluster, workload, config)`.
+//! Fact-shard lanes share indices (and module servers) between query
+//! shard slices and mutation chains; auxiliary ingest lanes (star
+//! dimension modules) sit above [`StreamEngine::active_shards`]. With
+//! [`StreamEngine::contention`] on every tagged host phase rides the
+//! bus; off, only dispatch and merge serialise. Replaying the first
+//! [`QueryCompletion::epoch`] mutations into a fresh engine reproduces a
+//! streamed answer — phase logs included — bit-identically (for
+//! pure-query workloads: [`Cluster::run_batch`]'s answer). The timeline
+//! is a pure function of `(cluster, workload, config)`.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -87,11 +40,11 @@ use bbpim_sim::config::HostConfig;
 pub use bbpim_sim::endurance::ENDURANCE_YEARS;
 use bbpim_trace::{ArgValue, TraceRecorder, TrackId};
 
-use crate::demand::{
-    compile_mutation_demand, MutationDemand, QueryDemand, Resolution, ResolutionCache, ShardDemand,
+use crate::admission::{
+    Core, Done, EventKind, Front, MutationCompletion, QueryCompletion, Ticket, TimelineEvent,
 };
 use crate::error::SchedError;
-use crate::kernel::{Jobs, Kernel, Moment, SpanArgs, SpanLabels};
+use crate::kernel::SpanArgs;
 use crate::report::{LatencySummary, RunRates};
 use crate::workload::Workload;
 
@@ -276,131 +229,6 @@ impl Default for SchedConfig {
     }
 }
 
-/// What happened at one point of the simulated timeline (determinism
-/// tests compare full traces).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// The query arrived (entered the admission queue).
-    Arrive,
-    /// The query was admitted (left the admission queue).
-    Admit,
-    /// The host bus finished the query's *first* bus slice for a shard
-    /// (the per-page dispatch that opens every shard chain).
-    Dispatched,
-    /// A shard finished the query's entire slice chain.
-    ShardDone,
-    /// The query's partials merged; the query is complete.
-    Complete,
-    /// A mutation arrived (entered the ingest queue). For mutation
-    /// events the `arrival` field indexes
-    /// [`Workload::mutation_arrivals`].
-    MutationArrive,
-    /// The head mutation could not admit — some planned lane's ingest
-    /// buffer is full (`shard` names the first full lane). Recorded
-    /// once per stall episode; strict FIFO holds everything behind it.
-    MutationStall,
-    /// The mutation was admitted: applied to the engine (later-admitted
-    /// queries observe it) and its lane chains started.
-    MutationAdmit,
-    /// One ingest lane finished the mutation's slice chain, freeing its
-    /// buffer slot.
-    MutationLaneDone,
-    /// Every lane chain finished; the mutation is durable and complete.
-    MutationComplete,
-}
-
-/// One record of the simulated event timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimelineEvent {
-    /// Simulated time, nanoseconds.
-    pub t_ns: f64,
-    /// What happened.
-    pub kind: EventKind,
-    /// Which arrival: an index into the workload's query arrival trace,
-    /// or — for `Mutation*` kinds — its mutation arrival trace.
-    pub arrival: usize,
-    /// The shard/lane involved, for [`EventKind::Dispatched`] /
-    /// [`EventKind::ShardDone`] / [`EventKind::MutationStall`] /
-    /// [`EventKind::MutationLaneDone`].
-    pub shard: Option<usize>,
-}
-
-/// Latency accounting for one completed query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryCompletion {
-    /// Index into the workload's arrival trace.
-    pub arrival: usize,
-    /// Query identifier.
-    pub query_id: String,
-    /// When the query arrived.
-    pub arrive_ns: f64,
-    /// When admission control let it in.
-    pub admit_ns: f64,
-    /// When its first bus slice started on the host channel (equals
-    /// `admit_ns` for planner-only answers).
-    pub first_service_ns: f64,
-    /// When its merged answer was ready.
-    pub complete_ns: f64,
-    /// Candidate shards dispatched.
-    pub shards_dispatched: usize,
-    /// Active shards pruned by the zone-map planner.
-    pub shards_pruned: usize,
-    /// Mutations admitted before this query's admission — the snapshot
-    /// its answer reflects. Replaying exactly the first `epoch` arrived
-    /// mutations into a fresh engine reproduces the answer bit-exactly.
-    pub epoch: usize,
-}
-
-impl QueryCompletion {
-    /// End-to-end sojourn time (arrival → merged answer).
-    pub fn latency_ns(&self) -> f64 {
-        self.complete_ns - self.arrive_ns
-    }
-
-    /// Time spent waiting (admission queue + host-bus queue) before any
-    /// service.
-    pub fn wait_ns(&self) -> f64 {
-        self.first_service_ns - self.arrive_ns
-    }
-
-    /// Time from first service to completion.
-    pub fn service_ns(&self) -> f64 {
-        self.complete_ns - self.first_service_ns
-    }
-}
-
-/// Latency accounting for one completed (durable) mutation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MutationCompletion {
-    /// Index into the workload's mutation arrival trace.
-    pub arrival: usize,
-    /// The mutation's label.
-    pub label: String,
-    /// When the mutation arrived (entered the ingest queue).
-    pub arrive_ns: f64,
-    /// When the ingest buffer admitted it (the point later queries
-    /// start observing it).
-    pub admit_ns: f64,
-    /// When its last lane chain finished (durable).
-    pub complete_ns: f64,
-    /// Ingest lanes the mutation occupied.
-    pub lanes: usize,
-    /// Records rewritten (UPDATE), summed over lanes.
-    pub records_updated: u64,
-    /// Records appended (INSERT), summed over lanes.
-    pub records_inserted: u64,
-    /// This mutation's position in admission order, 1-based: queries
-    /// with [`QueryCompletion::epoch`] `>= epoch` observe it.
-    pub epoch: usize,
-}
-
-impl MutationCompletion {
-    /// End-to-end sojourn time (arrival → durable).
-    pub fn latency_ns(&self) -> f64 {
-        self.complete_ns - self.arrive_ns
-    }
-}
-
 /// Everything one streamed run produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamOutcome {
@@ -513,8 +341,8 @@ impl StreamOutcome {
     }
 }
 
-/// One workload arrival of either kind — the scheduler's only kernel
-/// event, and (see [`Sim::job`]) the decoded form of a kernel job id.
+/// One workload arrival of either kind: the stream front-end's only
+/// kernel event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Job {
     /// Index into [`Workload::arrivals`].
@@ -523,111 +351,41 @@ enum Job {
     Mutation(usize),
 }
 
-/// Per-job admission record, held while the job is in flight.
-#[derive(Clone, Copy)]
-struct Progress {
-    admit_ns: f64,
-    first_service_ns: f64,
-    epoch: usize,
-}
-
-/// The admission front-end over the chain kernel.
-struct Sim<'a, E: StreamEngine> {
+/// The stream's admission front-end over the core.
+struct Stream<'a> {
     cfg: &'a SchedConfig,
     workload: &'a Workload,
-    cluster: &'a mut E,
-    /// Mutations admitted so far — the snapshot counter.
-    epoch: usize,
-    /// Resolutions keyed by query index, stamped per shard: repeated
-    /// arrivals share one resolution until an admitted mutation touches
-    /// a shard state it read, and then only that shard re-runs (an
-    /// INSERT anywhere re-merges, since the merged report counts every
-    /// shard's records). Holds at most one merged resolution per
-    /// distinct query and one execution per (query, active shard).
-    by_query: ResolutionCache,
-    /// Per query arrival, filled at admission: its resolved demand and
-    /// merged answer, shared with every arrival the same resolution
-    /// answered.
-    admitted: Vec<Option<Resolution>>,
-    /// SCSF candidate-count estimate, planned at arrival.
+    /// SCSF's candidate-count estimate, planned at arrival.
     cand_est: Vec<usize>,
-    /// Per mutation arrival, filled at admission.
-    mut_demands: Vec<Option<MutationDemand>>,
     waiting: Vec<usize>,
     mut_waiting: VecDeque<usize>,
     in_flight: usize,
-    /// In-flight mutation count per ingest lane (the bounded buffer).
-    lane_inflight: Vec<usize>,
     /// When the current head-of-queue stall began, if stalled.
     stalled_since: Option<f64>,
     ingest_stalls: usize,
     ingest_stall_ns: f64,
-    /// Per kernel job id, while the job runs.
-    progress: Vec<Option<Progress>>,
-    completions: Vec<QueryCompletion>,
-    mutation_completions: Vec<MutationCompletion>,
-    timeline: Vec<TimelineEvent>,
     sched_track: TrackId,
 }
 
-impl<E: StreamEngine> Jobs for Sim<'_, E> {
-    fn chains(&self, job: usize) -> &[Arc<ShardDemand>] {
-        match self.job(job) {
-            Job::Query(ai) => &self.qd(ai).shards,
-            Job::Mutation(mi) => &self.md(mi).lanes,
-        }
-    }
+type StreamCore<'c, E> = Core<'c, E, Job>;
 
-    fn labels(&self, job: usize) -> SpanLabels {
-        let job = self.job(job);
-        let (lane_key, local) = match job {
-            Job::Query(_) => ("shard", "local"),
-            Job::Mutation(_) => ("lane", "ingest"),
-        };
-        SpanLabels { args: self.job_args(job), lane_key, local }
-    }
-}
-
-impl<'a, E: StreamEngine> Sim<'a, E> {
-    /// Kernel job ids: query arrivals keep their index, mutation
-    /// arrivals follow them.
-    fn job(&self, id: usize) -> Job {
-        match id.checked_sub(self.workload.len()) {
-            None => Job::Query(id),
-            Some(mi) => Job::Mutation(mi),
-        }
-    }
-
-    fn record(&mut self, t_ns: f64, kind: EventKind, arrival: usize, shard: Option<usize>) {
-        self.timeline.push(TimelineEvent { t_ns, kind, arrival, shard });
-    }
-
-    /// The admitted demand of a query arrival.
-    fn qd(&self, ai: usize) -> &QueryDemand {
-        &self.admitted[ai].as_ref().expect("demand resolved at admission").0
-    }
-
-    /// The admitted demand of a mutation arrival.
-    fn md(&self, mi: usize) -> &MutationDemand {
-        self.mut_demands[mi].as_ref().expect("mutation compiled at admission")
-    }
-
+impl Stream<'_> {
     /// The mutation a mutation arrival carries.
-    fn mutation(&self, mi: usize) -> &'a Mutation {
+    fn mutation(&self, mi: usize) -> &Mutation {
         &self.workload.mutations()[self.workload.mutation_arrivals()[mi].mutation]
     }
 
-    fn arrive_ns(&self, job: Job) -> f64 {
+    fn ticket(&self, job: Job) -> Ticket {
         match job {
-            Job::Query(ai) => self.workload.arrivals()[ai].at_ns,
-            Job::Mutation(mi) => self.workload.mutation_arrivals()[mi].at_ns,
+            Job::Query(ai) => Ticket::arrival(ai, self.workload.arrivals()[ai].at_ns),
+            Job::Mutation(mi) => Ticket::arrival(mi, self.workload.mutation_arrivals()[mi].at_ns),
         }
     }
 
-    /// Standard event attributes: the arrival index and its query id
-    /// or mutation label.
-    fn job_args(&self, job: Job) -> SpanArgs {
-        match job {
+    /// Trace attributes: the arrival index and its query id or mutation
+    /// label, plus `extra`.
+    fn args(&self, job: Job, extra: Option<(&'static str, ArgValue)>) -> SpanArgs {
+        let mut args = match job {
             Job::Query(ai) => {
                 let id = self.workload.queries()[self.workload.arrivals()[ai].query].id.clone();
                 vec![("arrival", ArgValue::U64(ai as u64)), ("query", ArgValue::Str(id))]
@@ -636,36 +394,16 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
                 let label = self.mutation(mi).label();
                 vec![("ingest", ArgValue::U64(mi as u64)), ("mutation", ArgValue::Str(label))]
             }
-        }
-    }
-
-    /// One scheduler-track instant about `job`: the standard attributes
-    /// plus at most one more.
-    fn trace_instant(
-        &self,
-        k: &mut Kernel<'_, Job>,
-        name: &str,
-        t_ns: f64,
-        job: Job,
-        extra: Option<(&'static str, ArgValue)>,
-    ) {
-        let Some(trace) = k.tracer() else { return };
-        let mut args = self.job_args(job);
+        };
         args.extend(extra);
-        trace.instant(self.sched_track, name, t_ns, args);
-    }
-
-    /// The `key` attribute holding how long `job` has been in the
-    /// system at `t_ns`.
-    fn age(&self, key: &'static str, t_ns: f64, job: Job) -> Option<(&'static str, ArgValue)> {
-        Some((key, ArgValue::F64(t_ns - self.arrive_ns(job))))
+        args
     }
 
     /// Sample the scheduler counters (admission-queue depth, in-flight
     /// count, and — on HTAP workloads — ingest-queue depth) onto the
     /// scheduler track.
-    fn trace_queue_counters(&self, k: &mut Kernel<'_, Job>, t_ns: f64) {
-        let Some(trace) = k.tracer() else { return };
+    fn trace_queue_counters<E: StreamEngine>(&self, core: &mut StreamCore<'_, E>, t_ns: f64) {
+        let Some(trace) = core.tracer() else { return };
         trace.counter(self.sched_track, "admission-queue", t_ns, self.waiting.len() as f64);
         trace.counter(self.sched_track, "in-flight", t_ns, self.in_flight as f64);
         if self.workload.has_mutations() {
@@ -684,29 +422,29 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, &ai)| (self.cand_est[ai], ai))
-                .map(|(pos, _)| pos)
-                .expect("pick_next on an empty queue"),
+                .map_or(0, |(pos, _)| pos),
         }
     }
 
     /// Strict-FIFO ingest admission behind the bounded per-lane buffer.
-    fn try_admit_mutations(
+    fn try_admit_mutations<E: StreamEngine>(
         &mut self,
-        k: &mut Kernel<'_, Job>,
+        core: &mut StreamCore<'_, E>,
         now_ns: f64,
     ) -> Result<(), SchedError> {
         while let Some(&mi) = self.mut_waiting.front() {
-            let lanes = self.cluster.plan_mutation_lanes(self.mutation(mi))?;
-            let full = lanes.iter().find(|&&l| self.lane_inflight[l] >= self.cfg.ingest_buffer);
+            let job = Job::Mutation(mi);
+            let lanes = core.engine().plan_mutation_lanes(self.mutation(mi))?;
+            let full = lanes.iter().find(|&&l| core.mutations_on(l) >= self.cfg.ingest_buffer);
             if let Some(&lane) = full {
                 if self.stalled_since.is_none() {
                     // Head-of-line backpressure: record once per
                     // episode; everything behind the head waits too.
                     self.stalled_since = Some(now_ns);
                     self.ingest_stalls += 1;
-                    self.record(now_ns, EventKind::MutationStall, mi, Some(lane));
-                    let lane = ("lane", ArgValue::U64(lane as u64));
-                    self.trace_instant(k, "ingest-stall", now_ns, Job::Mutation(mi), Some(lane));
+                    let lane_arg = Some(("lane", ArgValue::U64(lane as u64)));
+                    let event = (EventKind::MutationStall, mi, Some(lane));
+                    core.note(now_ns, event, "ingest-stall", || self.args(job, lane_arg));
                 }
                 return Ok(());
             }
@@ -714,229 +452,90 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
                 self.ingest_stall_ns += now_ns - since;
             }
             self.mut_waiting.pop_front();
-            self.admit_mutation(k, now_ns, mi)?;
-        }
-        Ok(())
-    }
-
-    /// Admit one mutation: bump the epoch, apply it to the engine (the
-    /// snapshot point), bump the resolution stamps of what it touched,
-    /// compile its lane chains and start them.
-    fn admit_mutation(
-        &mut self,
-        k: &mut Kernel<'_, Job>,
-        now_ns: f64,
-        mi: usize,
-    ) -> Result<(), SchedError> {
-        self.record(now_ns, EventKind::MutationAdmit, mi, None);
-        let queued = self.age("queued_ns", now_ns, Job::Mutation(mi));
-        self.trace_instant(k, "ingest-admit", now_ns, Job::Mutation(mi), queued);
-        self.epoch += 1;
-        let m = self.mutation(mi);
-        let applied = self.cluster.apply_mutation(m)?;
-        self.by_query.mutated(&*self.cluster, m, &applied);
-        let contention = self.cluster.contention();
-        let demand = match self.cluster.host_config() {
-            Some(host) => {
-                let detail = k.tracer().is_some();
-                compile_mutation_demand(m.label(), &applied, &host, contention, detail)
+            let args = || self.args(job, None);
+            let admitted =
+                core.admit_mutation(now_ns, self.ticket(job), self.mutation(mi), args)?;
+            if admitted.done.is_none() {
+                self.trace_queue_counters(core, now_ns);
             }
-            None => compile_mutation_demand(m.label(), &[], &HostConfig::default(), false, false),
-        };
-        for ld in &demand.lanes {
-            self.lane_inflight[ld.shard] += 1;
         }
-        let idle = demand.lanes.is_empty();
-        self.mut_demands[mi] = Some(demand);
-        let mut p = Progress { admit_ns: now_ns, first_service_ns: now_ns, epoch: self.epoch };
-        if idle {
-            // Zone maps admitted nothing (or the engine absorbed the
-            // mutation without PIM work): durable at admission.
-            self.complete_mutation(k, now_ns, mi, p);
-            return Ok(());
-        }
-        let job = self.workload.len() + mi;
-        p.first_service_ns = k.start(now_ns, &*self, job);
-        self.progress[job] = Some(p);
-        self.trace_queue_counters(k, now_ns);
         Ok(())
     }
 
     /// Admit queries from the queue while in-flight slots are free,
-    /// resolving each one's demand against the current (admitted-
-    /// mutation) engine state.
-    fn try_admit_queries(
+    /// each resolved against the current (admitted-mutation) engine
+    /// state.
+    fn try_admit_queries<E: StreamEngine>(
         &mut self,
-        k: &mut Kernel<'_, Job>,
+        core: &mut StreamCore<'_, E>,
         now_ns: f64,
     ) -> Result<(), SchedError> {
         while self.in_flight < self.cfg.max_in_flight && !self.waiting.is_empty() {
             let ai = self.waiting.remove(self.pick_next());
-            self.record(now_ns, EventKind::Admit, ai, None);
-            let queued = self.age("queued_ns", now_ns, Job::Query(ai));
-            self.trace_instant(k, "admit", now_ns, Job::Query(ai), queued);
-            // Snapshot-consistent resolution: plan and execute against
-            // exactly the mutations admitted so far, re-running only
-            // the shards whose stamp an admitted mutation moved.
+            let job = Job::Query(ai);
             let qi = self.workload.arrivals()[ai].query;
-            let query = &self.workload.queries()[qi];
-            self.admitted[ai] = Some(self.by_query.resolve(&mut *self.cluster, qi, query)?);
-            let mut p = Progress { admit_ns: now_ns, first_service_ns: now_ns, epoch: self.epoch };
-            if self.qd(ai).shards.is_empty() {
-                // The planner answered the query: nothing to dispatch,
-                // the (empty) merge is free, the slot never fills.
-                debug_assert_eq!(self.qd(ai).merge_ns, 0.0, "empty merges cost nothing");
-                self.complete(k, now_ns, ai, p);
-            } else {
+            let resolution = core.resolve(qi, &self.workload.queries()[qi])?;
+            let args = || self.args(job, None);
+            if core.admit_query(now_ns, self.ticket(job), resolution, args).done.is_none() {
                 self.in_flight += 1;
-                // The host opens every candidate shard's chain; the
-                // first slice of each (the per-page dispatch)
-                // serialises on the bus against everything in flight.
-                p.first_service_ns = k.start(now_ns, &*self, ai);
-                self.progress[ai] = Some(p);
             }
-            self.trace_queue_counters(k, now_ns);
+            self.trace_queue_counters(core, now_ns);
         }
         Ok(())
     }
+}
 
-    fn complete(&mut self, k: &mut Kernel<'_, Job>, now_ns: f64, ai: usize, p: Progress) {
-        self.record(now_ns, EventKind::Complete, ai, None);
-        let latency = self.age("latency_ns", now_ns, Job::Query(ai));
-        self.trace_instant(k, "complete", now_ns, Job::Query(ai), latency);
-        let d = self.qd(ai);
-        self.completions.push(QueryCompletion {
-            arrival: ai,
-            query_id: d.query_id.clone(),
-            arrive_ns: self.arrive_ns(Job::Query(ai)),
-            admit_ns: p.admit_ns,
-            first_service_ns: p.first_service_ns,
-            complete_ns: now_ns,
-            shards_dispatched: d.shards.len(),
-            shards_pruned: d.shards_pruned,
-            epoch: p.epoch,
-        });
-    }
+impl<E: StreamEngine> Front<E> for Stream<'_> {
+    type Event = Job;
 
-    fn complete_mutation(&mut self, k: &mut Kernel<'_, Job>, now_ns: f64, mi: usize, p: Progress) {
-        self.record(now_ns, EventKind::MutationComplete, mi, None);
-        let latency = self.age("latency_ns", now_ns, Job::Mutation(mi));
-        self.trace_instant(k, "ingest-complete", now_ns, Job::Mutation(mi), latency);
-        let d = self.md(mi);
-        self.mutation_completions.push(MutationCompletion {
-            arrival: mi,
-            label: d.label.clone(),
-            arrive_ns: self.arrive_ns(Job::Mutation(mi)),
-            admit_ns: p.admit_ns,
-            complete_ns: now_ns,
-            lanes: d.lanes.len(),
-            records_updated: d.records_updated,
-            records_inserted: d.records_inserted,
-            epoch: p.epoch,
-        });
-    }
-
-    /// Play the kernel's events out until every job has completed.
-    fn drive(&mut self, k: &mut Kernel<'_, Job>) -> Result<(), SchedError> {
-        while let Some((t, moment)) = k.next(&*self) {
-            match moment {
-                Moment::Front(Job::Query(ai)) => {
-                    self.record(t, EventKind::Arrive, ai, None);
-                    self.trace_instant(k, "arrive", t, Job::Query(ai), None);
+    fn on_event(
+        &mut self,
+        core: &mut StreamCore<'_, E>,
+        t_ns: f64,
+        ev: Job,
+    ) -> Result<(), SchedError> {
+        match ev {
+            Job::Query(ai) => {
+                core.note(t_ns, (EventKind::Arrive, ai, None), "arrive", || self.args(ev, None));
+                if self.cfg.policy == AdmissionPolicy::ShortestCandidateFirst {
                     // SCSF's size estimate, planned against the zone
                     // maps as they stand at arrival (heuristic only —
                     // the real demand is planned at admission).
                     let qi = self.workload.arrivals()[ai].query;
                     let filter = &self.workload.queries()[qi].filter;
                     self.cand_est[ai] =
-                        self.cluster.plan_shards(filter)?.iter().filter(|&&b| b).count();
-                    self.waiting.push(ai);
+                        core.engine().plan_shards(filter)?.iter().filter(|&&b| b).count();
                 }
-                Moment::Front(Job::Mutation(mi)) => {
-                    self.record(t, EventKind::MutationArrive, mi, None);
-                    self.trace_instant(k, "ingest-arrive", t, Job::Mutation(mi), None);
-                    self.mut_waiting.push_back(mi);
-                }
-                // The timeline records dispatch for query chains only.
-                Moment::Dispatched { job, lane } => {
-                    if let Job::Query(ai) = self.job(job) {
-                        self.record(t, EventKind::Dispatched, ai, Some(lane));
-                    }
-                    continue;
-                }
-                Moment::ChainDone { job, lane, last } => match self.job(job) {
-                    Job::Query(ai) => {
-                        self.record(t, EventKind::ShardDone, ai, Some(lane));
-                        if last {
-                            k.merge(t, &*self, job, self.qd(ai).merge_ns);
-                        }
-                        continue;
-                    }
-                    // A mutation's lane chain finished: free the lane's
-                    // ingest-buffer slot (the stalled head may now
-                    // clear); the mutation is durable at its last lane,
-                    // with no host-side merge.
-                    Job::Mutation(mi) => {
-                        self.record(t, EventKind::MutationLaneDone, mi, Some(lane));
-                        self.lane_inflight[lane] -= 1;
-                        if last {
-                            let p = self.progress[job].take().expect("in-flight mutation");
-                            self.complete_mutation(k, t, mi, p);
-                        }
-                    }
-                },
-                Moment::MergeDone { job: ai } => {
-                    let p = self.progress[ai].take().expect("merging query has progress");
-                    self.complete(k, t, ai, p);
-                    self.in_flight -= 1;
-                }
+                self.waiting.push(ai);
             }
-            // A queue grew or capacity freed: admit while capacity
-            // allows. Mutations admit first so a query and a mutation
-            // released by the same event see the mutation in the
-            // query's snapshot — admission order, not event-processing
-            // luck, defines the epoch.
-            self.trace_queue_counters(k, t);
-            self.try_admit_mutations(k, t)?;
-            self.try_admit_queries(k, t)?;
+            Job::Mutation(mi) => {
+                let event = (EventKind::MutationArrive, mi, None);
+                core.note(t_ns, event, "ingest-arrive", || self.args(ev, None));
+                self.mut_waiting.push_back(mi);
+            }
         }
         Ok(())
     }
 
-    fn run(mut self, mut k: Kernel<'_, Job>) -> Result<StreamOutcome, SchedError> {
-        self.drive(&mut k)?;
-        let makespan_ns = self
-            .completions
-            .iter()
-            .map(|c| c.complete_ns)
-            .chain(self.mutation_completions.iter().map(|c| c.complete_ns))
-            .fold(0.0, f64::max);
-        let executions = self
-            .admitted
-            .into_iter()
-            .map(|e| e.expect("every arrival admits and completes").1)
-            .collect();
-        let lanes = k.into_tallies();
-        Ok(StreamOutcome {
-            policy: self.cfg.policy,
-            completions: self.completions,
-            mutation_completions: self.mutation_completions,
-            executions,
-            timeline: self.timeline,
-            makespan_ns,
-            host_busy_ns: lanes.host_busy_ns,
-            shard_busy_ns: lanes.busy_ns,
-            shard_cell_writes: lanes.cell_writes,
-            shard_required_endurance: lanes.required_endurance,
-            ingest_stalls: self.ingest_stalls,
-            ingest_stall_ns: self.ingest_stall_ns,
-        })
+    fn on_done(&mut self, _: &mut StreamCore<'_, E>, _: f64, done: Done) {
+        if !done.mutation {
+            self.in_flight -= 1;
+        }
+    }
+
+    /// A queue grew or capacity freed: admit while capacity allows.
+    /// Mutations admit first so a query and a mutation released by the
+    /// same event see the mutation in the query's snapshot — admission
+    /// order, not event-processing luck, defines the epoch.
+    fn admit(&mut self, core: &mut StreamCore<'_, E>, t_ns: f64) -> Result<(), SchedError> {
+        self.trace_queue_counters(core, t_ns);
+        self.try_admit_mutations(core, t_ns)?;
+        self.try_admit_queries(core, t_ns)
     }
 }
 
 /// Stream `workload` through `cluster` — any [`StreamEngine`]: the
-/// pre-joined or the star [`Cluster`] —
-/// under `cfg`.
+/// pre-joined or the star [`Cluster`] — under `cfg`.
 ///
 /// Query service demands come from real per-shard executions resolved
 /// *at admission* against exactly the mutations admitted before them,
@@ -945,7 +544,7 @@ impl<'a, E: StreamEngine> Sim<'a, E> {
 /// and ran the query (for pure-query workloads: bit-identical to
 /// [`Cluster::run_batch`] over the same arrived queries). The
 /// admission rules in the module docs decide when each job may start;
-/// the [`kernel`](crate::kernel) then plays its slice chains out.
+/// the [`Core`] plays its slice chains out.
 ///
 /// # Errors
 ///
@@ -978,71 +577,74 @@ pub fn run_stream_traced<E: StreamEngine>(
     cfg: &SchedConfig,
     trace: &mut TraceRecorder,
 ) -> Result<StreamOutcome, SchedError> {
-    let (sim, kernel) = open(cluster, workload, cfg, trace)?;
-    sim.run(kernel)
+    let (mut core, mut front) = open(cluster, workload, cfg, trace)?;
+    core.drive(&mut front)?;
+    let run = core.finish();
+    let makespan_ns = run.makespan_ns();
+    let mut executions = vec![None; workload.len()];
+    for (c, exec) in run.completions.iter().zip(run.executions) {
+        executions[c.arrival] = Some(exec);
+    }
+    Ok(StreamOutcome {
+        policy: cfg.policy,
+        completions: run.completions,
+        mutation_completions: run.mutation_completions,
+        executions: executions
+            .into_iter()
+            .map(|e| e.expect("every arrival admits and completes"))
+            .collect(),
+        timeline: run.timeline,
+        makespan_ns,
+        host_busy_ns: run.host_busy_ns,
+        shard_busy_ns: run.busy_ns,
+        shard_cell_writes: run.cell_writes,
+        shard_required_endurance: run.required_endurance,
+        ingest_stalls: front.ingest_stalls,
+        ingest_stall_ns: front.ingest_stall_ns,
+    })
 }
 
-/// Check `cfg` and set a stream up: the admission front-end with
-/// nothing admitted, and the kernel holding every arrival.
+/// Check `cfg` and set a stream up: the core holding every arrival, and
+/// the front-end with nothing admitted.
 fn open<'a, E: StreamEngine>(
     cluster: &'a mut E,
     workload: &'a Workload,
     cfg: &'a SchedConfig,
     trace: &'a mut TraceRecorder,
-) -> Result<(Sim<'a, E>, Kernel<'a, Job>), SchedError> {
+) -> Result<(Core<'a, E, Job>, Stream<'a>), SchedError> {
     if cfg.max_in_flight == 0 {
         return Err(SchedError::InvalidConfig("max_in_flight must be at least 1".into()));
     }
     if cfg.ingest_buffer == 0 {
         return Err(SchedError::InvalidConfig("ingest_buffer must be at least 1".into()));
     }
-    let active_shards = cluster.active_shards();
-    // Pure-query runs keep the per-shard shape; ingest runs widen the
-    // lane vectors to every ingest lane (star dimension modules after
-    // the fact shards).
-    let lanes = if workload.has_mutations() {
-        cluster.ingest_lanes().max(active_shards)
-    } else {
-        active_shards
-    };
-    let (queries, mutations) = (workload.len(), workload.mutation_arrivals().len());
     let sched_track = trace.track("scheduler");
-    let by_query = ResolutionCache::new(trace.is_enabled());
-    let mut kernel = Kernel::new(trace, active_shards, lanes);
+    let mut core = Core::new(cluster, trace, sched_track, workload.has_mutations());
     for (ai, arrival) in workload.arrivals().iter().enumerate() {
-        kernel.push(arrival.at_ns, Job::Query(ai));
+        core.push(arrival.at_ns, Job::Query(ai));
     }
     for (mi, arrival) in workload.mutation_arrivals().iter().enumerate() {
-        kernel.push(arrival.at_ns, Job::Mutation(mi));
+        core.push(arrival.at_ns, Job::Mutation(mi));
     }
-    let sim = Sim {
+    let front = Stream {
         cfg,
         workload,
-        cluster,
-        epoch: 0,
-        by_query,
-        admitted: vec![None; queries],
-        cand_est: vec![0; queries],
-        mut_demands: vec![None; mutations],
+        cand_est: vec![0; workload.len()],
         waiting: Vec::new(),
         mut_waiting: VecDeque::new(),
         in_flight: 0,
-        lane_inflight: vec![0; lanes],
         stalled_since: None,
         ingest_stalls: 0,
         ingest_stall_ns: 0.0,
-        progress: vec![None; queries + mutations],
-        completions: Vec::with_capacity(queries),
-        mutation_completions: Vec::with_capacity(mutations),
-        timeline: Vec::new(),
         sched_track,
     };
-    Ok((sim, kernel))
+    Ok((core, front))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::collections::BTreeSet;
 
     use bbpim_cluster::{ClusterEngine, Partitioner, StarCluster};
@@ -1106,11 +708,18 @@ mod tests {
 
     /// Forwards to an engine, logging each `run_on_shard` call as
     /// `(mutations applied so far, shard, query id)` and each applied
-    /// mutation's lanes.
+    /// mutation's lanes, and counting `plan_shards` calls.
     struct Counting<E> {
         inner: E,
         lanes: Vec<Vec<usize>>,
         runs: Vec<(usize, usize, String)>,
+        plans: Cell<usize>,
+    }
+
+    impl<E> Counting<E> {
+        fn new(inner: E) -> Self {
+            Counting { inner, lanes: Vec::new(), runs: Vec::new(), plans: Cell::new(0) }
+        }
     }
 
     impl<E: StreamEngine> StreamEngine for Counting<E> {
@@ -1144,6 +753,7 @@ mod tests {
         }
 
         fn plan_shards(&self, filter: &Pred) -> Result<Vec<bool>, ClusterError> {
+            self.plans.set(self.plans.get() + 1);
             self.inner.plan_shards(filter)
         }
 
@@ -1187,7 +797,7 @@ mod tests {
         let mutations = vec![MutationArrival { at_ns: 1e9, mutation: 0 }];
         let workload =
             Workload::with_mutations(queries.clone(), arrivals, vec![mutation.clone()], mutations);
-        let mut engine = Counting { inner: make(), lanes: Vec::new(), runs: Vec::new() };
+        let mut engine = Counting::new(make());
         let out = run_stream(&mut engine, &workload.unwrap(), &SchedConfig::default()).unwrap();
         assert_eq!(out.completions.len(), 2 * n);
         assert!(out.completions.iter().all(|c| c.epoch == usize::from(c.arrival >= n)));
@@ -1296,23 +906,47 @@ mod tests {
         let shards = cluster.active_shards();
         let cfg = SchedConfig::default();
         let mut trace = TraceRecorder::disabled();
-        let (mut sim, mut kernel) = open(&mut cluster, &workload, &cfg, &mut trace).unwrap();
-        sim.drive(&mut kernel).unwrap();
-        assert_eq!(sim.epoch, mutations, "every mutation was admitted");
-        assert_eq!(sim.completions.len(), workload.len());
+        let (mut core, mut front) = open(&mut cluster, &workload, &cfg, &mut trace).unwrap();
+        core.drive(&mut front).unwrap();
+        assert_eq!(core.epoch, mutations, "every mutation was admitted");
+        assert_eq!(core.run.completions.len(), workload.len());
         // What a cache keyed by (query, epoch) would still be holding.
-        let resolved: BTreeSet<(usize, usize)> = sim
+        let resolved: BTreeSet<(usize, usize)> = core
+            .run
             .completions
             .iter()
             .map(|c| (workload.arrivals()[c.arrival].query, c.epoch))
             .collect();
         assert!(resolved.len() > queries.len(), "the stream re-resolves across epochs");
-        let (merged, runs) = sim.by_query.entries();
+        let (merged, runs) = core.by_query.entries();
         assert!(
             merged <= queries.len(),
             "{merged} merged resolutions for {} queries",
             queries.len()
         );
         assert!(runs <= queries.len() * shards, "{runs} shard executions for {shards} shards");
+    }
+
+    /// While no mutation is admitted a resolution is reused without
+    /// re-planning, and FIFO plans nothing at arrival: a query-only burst
+    /// of N arrivals over k distinct queries plans exactly k times (SCSF
+    /// adds one estimate per arrival).
+    #[test]
+    fn a_query_only_fifo_burst_plans_each_distinct_query_once() {
+        let queries = vec![probe(1), probe(4), probe(6)];
+        let arrivals = (0..12).map(|i| Arrival { at_ns: 0.0, query: i % 3 }).collect();
+        let workload = Workload::new(queries.clone(), arrivals).unwrap();
+        for (policy, plans) in
+            [(AdmissionPolicy::Fifo, 3), (AdmissionPolicy::ShortestCandidateFirst, 15)]
+        {
+            let mut engine = Counting::new(cluster(3));
+            let cfg = SchedConfig { policy, ..SchedConfig::default() };
+            let out = run_stream(&mut engine, &workload, &cfg).unwrap();
+            assert_eq!(engine.plans.get(), plans, "{}", policy.label());
+            let batch = cluster(3).run_batch(&workload.arrived_queries()).unwrap();
+            for (streamed, batched) in out.executions.iter().zip(&batch.executions) {
+                assert_eq!(**streamed, *batched);
+            }
+        }
     }
 }

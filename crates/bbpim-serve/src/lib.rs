@@ -13,12 +13,13 @@
 //!   (p95 target, optional per-request deadline), an optional
 //!   [`tenant::WriteMix`] (HTAP tenants issue Mutation API v2 writes as
 //!   first-class requests), and a fair-share weight.
-//! * [`serve::run_serve`] — one deterministic event loop multiplexing
-//!   every tenant's stream: token buckets delay over-rate requests,
-//!   weighted fair queueing picks the next admission (no tenant
-//!   starves), deadline shedding drops requests whose predicted
-//!   completion blows their deadline, and the global in-flight window
-//!   is either static or closed-loop.
+//! * [`serve::run_serve`] — the tenant front-end of the scheduler's one
+//!   admission loop ([`bbpim_sched::Core`]), multiplexing every
+//!   tenant's stream: token buckets delay over-rate requests, weighted
+//!   fair queueing picks the next admission (no tenant starves),
+//!   deadline shedding drops requests whose predicted completion blows
+//!   their deadline, and the global in-flight window is either static
+//!   or closed-loop.
 //! * [`controller::AimdController`] — the closed loop: every
 //!   completion feeds its SLO-normalised latency; the windowed p95 of
 //!   those ratios raises the window additively while promises hold and
@@ -27,14 +28,14 @@
 //! * [`report::tenant_reports`] — per-tenant p50/p95/p99/p999, goodput,
 //!   drop rate and SLO verdict.
 //!
-//! Admission policies decide *which* requests run and *when* — never
-//! *what* they answer: every admitted request's execution is resolved
-//! from real shard runs up front and stays bit-identical to the batch
-//! oracle. Write mixes apply their mutations to the cluster once at
-//! session start — queries answer over the fully-ingested state — and
-//! write requests replay the compiled write-phase chains on the shared
-//! channel and their ingest lanes, feeding the controller and the
-//! per-lane wear accounting ([`ServeOutcome::lane_cell_writes`]).
+//! Admission policies decide *which* requests run and *when*; what a
+//! query answers is fixed at its admission, from real shard runs, by the
+//! writes admitted before it ([`ServeCompletion::epoch`]) — exactly as
+//! on a stream. A write request applies its mutation at its admission,
+//! rides the shared channel and its ingest lanes, and feeds the
+//! controller and the per-lane wear accounting
+//! ([`ServeOutcome::lane_cell_writes`]). Without writes every answer is
+//! bit-identical to the batch oracle.
 //!
 //! ```
 //! use bbpim_cluster::{ClusterEngine, Partitioner};
@@ -99,6 +100,8 @@ mod tests {
     use super::*;
     use bbpim_cluster::{ClusterEngine, Partitioner};
     use bbpim_core::modes::EngineMode;
+    use bbpim_core::mutation::Mutation;
+    use bbpim_db::builder::col;
     use bbpim_db::plan::{AggExpr, AggFunc, Atom, Query};
     use bbpim_db::schema::{Attribute, Schema};
     use bbpim_db::Relation;
@@ -558,12 +561,8 @@ mod tests {
         }
     }
 
-    fn disc_update(y: u64, v: u64) -> bbpim_core::mutation::Mutation {
-        use bbpim_db::builder::col;
-        bbpim_core::mutation::Mutation::update()
-            .filter(col("d_year").eq(y))
-            .set("lo_disc", v)
-            .build_unchecked()
+    fn disc_update(y: u64, v: u64) -> Mutation {
+        Mutation::update().filter(col("d_year").eq(y)).set("lo_disc", v).build_unchecked()
     }
 
     #[test]
@@ -573,17 +572,13 @@ mod tests {
             vec![year_probe(2), broad()],
             ArrivalProcess::OpenPoisson { arrivals: 16, mean_interarrival_ns: 30_000.0 },
         );
-        htap.writes = Some(WriteMix {
-            mutations: vec![disc_update(2, 9), disc_update(5, 1)],
-            write_frac: 0.4,
-        });
+        // Two UPDATEs `broad` reads, with distinct labels.
+        let price = Mutation::update().filter(col("d_year").eq(5u64)).set("lo_price", 1u64);
+        let mutations = vec![disc_update(2, 9), price.build_unchecked()];
+        htap.writes = Some(WriteMix { mutations: mutations.clone(), write_frac: 0.4 });
         let cfg = ServeConfig { seed: 7, window: WindowPolicy::Aimd(Default::default()) };
-        let run = || {
-            let mut c = cluster(5);
-            let out = run_serve(&mut c, &[htap.clone()], &cfg).unwrap();
-            (out, c)
-        };
-        let (out, mut c) = run();
+        let run = || run_serve(&mut cluster(5), &[htap.clone()], &cfg).unwrap();
+        let out = run();
         // Every arrival gets a fate; the coin actually mixed the stream.
         assert_eq!(out.completions.len() + out.write_completions.len(), 16);
         assert!(!out.completions.is_empty(), "the mix keeps query traffic");
@@ -593,18 +588,32 @@ mod tests {
         assert!(out.write_completions.iter().any(|w| w.records_updated > 0));
         assert!(out.lane_cell_writes.iter().any(|&w| w > 0), "UPDATEs wear cells");
         assert!(out.lane_required_endurance.iter().any(|&e| e > 0.0));
-        // Queries answer over the post-ingest state: the batch oracle
-        // on the same (already mutated) cluster matches bit for bit.
-        let batch = c.run_batch(&[year_probe(2), broad()]).unwrap();
-        let oracle: HashMap<&str, _> =
-            ["y2", "broad"].iter().copied().zip(batch.executions.iter()).collect();
-        for (completion, exec) in out.completions.iter().zip(&out.executions) {
-            let want = oracle[completion.query_id.as_str()];
-            assert_eq!(exec.groups, want.groups, "answer drifted for {}", completion.query_id);
+        // Each answer reflects exactly the writes admitted before it: a
+        // fresh cluster that replayed them in admission order matches it
+        // bit for bit.
+        let by_label: HashMap<String, &Mutation> =
+            mutations.iter().map(|m| (m.label(), m)).collect();
+        let mut writes: Vec<_> = out.write_completions.iter().collect();
+        writes.sort_by_key(|w| w.epoch);
+        let mut served: Vec<_> = out.completions.iter().zip(&out.executions).collect();
+        served.sort_by_key(|(c, _)| c.epoch);
+        assert!(served[0].0.epoch < writes.len(), "some answer predates a write");
+        let (mut fresh, mut applied) = (cluster(5), 0);
+        for (completion, exec) in served {
+            for w in &writes[applied..completion.epoch] {
+                fresh.mutate(by_label[&w.label]).unwrap();
+            }
+            applied = completion.epoch;
+            let query = if completion.query_id == "y2" { year_probe(2) } else { broad() };
+            assert_eq!(
+                **exec,
+                fresh.run(&query).unwrap(),
+                "answer drifted for {}",
+                completion.query_id
+            );
         }
         // Same seed, same session — timeline, writes, wear, everything.
-        let (again, _) = run();
-        assert_eq!(out, again);
+        assert_eq!(out, run());
         // The tenant report folds writes into the latency promise.
         let reports = tenant_reports(&[htap], &out);
         assert_eq!(reports[0].writes_completed, out.write_completions.len());

@@ -1,13 +1,15 @@
-//! The multi-tenant server: the admission front-end of [`run_serve`]
-//! over the chain-execution kernel it shares with the streaming
-//! scheduler ([`bbpim_sched::kernel`]).
+//! The multi-tenant server: [`run_serve`], the tenant front-end of the
+//! one admission loop it shares with the streaming scheduler
+//! ([`bbpim_sched::Core`]).
 //!
 //! [`run_serve`] multiplexes every tenant's arrival process — seeded
 //! open Poisson/burst streams *and* closed-loop think-time clients —
 //! into one deterministic timeline over a [`StreamEngine`] cluster.
-//! The kernel plays admitted requests' slice chains out on the shared
-//! host channel and the module servers; this module decides which
-//! requests run and when:
+//! The core resolves each admitted query and applies each admitted
+//! write at its admission, exactly as it does for a stream, and plays
+//! their slice chains out on the shared host channel and the module
+//! servers; this module keeps only the serving policy, which requests
+//! run and when:
 //!
 //! * **Rate limits** — each arrival passes its tenant's token bucket;
 //!   over-rate requests are not rejected, their admission eligibility
@@ -17,35 +19,33 @@
 //!   tenant with the least weighted admitted work
 //!   (`served_work / weight`) goes next, so a heavy tenant cannot
 //!   starve a light one no matter how deep its backlog.
-//! * **Deadline shedding** — at admission, a request whose predicted
+//! * **Deadline shedding** — at admission, a query whose predicted
 //!   completion (now + candidate-shard count × an EWMA of observed
 //!   per-shard service) blows its deadline is dropped instead of
 //!   admitted: under overload it could only waste bus time on an
 //!   answer nobody will count.
-//! * **AIMD window** — the global in-flight bound is either the legacy
-//!   static knob or a closed-loop [`AimdController`] fed every
-//!   completion's SLO-normalised latency.
+//! * **The window** — the global in-flight bound over queries and
+//!   writes is either the legacy static knob or a closed-loop
+//!   [`AimdController`] fed every completion's SLO-normalised latency.
+//! * **Closed-loop clients** issue their next request from their
+//!   completion (or shed) instant plus a seeded think gap, which is why
+//!   serving is a front-end of its own rather than a precomputed
+//!   workload trace handed to `run_stream`.
 //!
-//! Service demands come pre-resolved from real shard executions
-//! ([`bbpim_sched::demand::resolve_query_demand`]), so every admitted
-//! request's answer is fixed *before* any scheduling happens —
-//! bit-identical to the batch oracle; policies only decide which
-//! requests run and when. Closed-loop clients issue their next request
-//! from their completion (or shed) instant plus a seeded think gap,
-//! which is why serving is its own front-end rather than a precomputed
-//! workload trace handed to `run_stream`. Reads and writes alike
-//! complete through a merge grant on the host channel (zero-length for
-//! a write, but still queued behind the bus).
+//! Every answer reflects exactly the writes admitted before it
+//! ([`ServeCompletion::epoch`]): a fresh engine that replayed those
+//! writes answers bit-identically. Without writes that is the batch
+//! oracle's answer.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bbpim_cluster::ClusterExecution;
-use bbpim_sched::demand::{
-    compile_mutation_demand, resolve_query_demand, MutationDemand, QueryDemand, ShardDemand,
+use bbpim_core::mutation::Mutation;
+use bbpim_sched::{
+    Core, Done, EventKind, Front, MutationCompletion, QueryCompletion, RunRates, SchedError,
+    StreamEngine, Ticket, TimelineEvent,
 };
-use bbpim_sched::kernel::{Jobs, Kernel, Moment, SpanArgs, SpanLabels};
-use bbpim_sched::{RunRates, StreamEngine};
 use bbpim_trace::{ArgValue, TraceRecorder, TrackId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,141 +69,20 @@ impl Default for ServeConfig {
     }
 }
 
-/// What happened at one point of the simulated serve timeline
-/// (determinism tests compare full traces).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeEventKind {
-    /// The request arrived (entered its tenant's admission queue).
-    Arrive,
-    /// The request was admitted.
-    Admit,
-    /// The request was shed at admission (predicted deadline miss).
-    Shed,
-    /// The host bus finished the request's first bus slice for a shard.
-    Dispatched,
-    /// A shard finished the request's entire slice chain.
-    ShardDone,
-    /// The request's partials merged; the request is complete.
-    Complete,
-}
+/// What happened at one point of a serve timeline.
+pub type ServeEventKind = EventKind;
 
-/// One record of the simulated serve timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServeTimelineEvent {
-    /// Simulated time, nanoseconds.
-    pub t_ns: f64,
-    /// What happened.
-    pub kind: ServeEventKind,
-    /// Which request (index into the session's request log).
-    pub request: usize,
-    /// The shard involved, for [`ServeEventKind::Dispatched`] /
-    /// [`ServeEventKind::ShardDone`].
-    pub shard: Option<usize>,
-}
+/// One record of a serve timeline; `arrival` indexes the session's
+/// request log.
+pub type ServeTimelineEvent = TimelineEvent;
 
-/// Latency accounting for one completed request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeCompletion {
-    /// Index into the session's request log.
-    pub request: usize,
-    /// Owning tenant (index into the tenant slice).
-    pub tenant: usize,
-    /// The closed-loop client that issued it, if any.
-    pub client: Option<usize>,
-    /// Query identifier.
-    pub query_id: String,
-    /// When the request arrived.
-    pub arrive_ns: f64,
-    /// When the token bucket made it admissible (equals `arrive_ns`
-    /// unless throttled).
-    pub eligible_ns: f64,
-    /// When admission control let it in.
-    pub admit_ns: f64,
-    /// When its first bus slice started (equals `admit_ns` for
-    /// planner-only answers).
-    pub first_service_ns: f64,
-    /// When its merged answer was ready.
-    pub complete_ns: f64,
-    /// Candidate shards dispatched.
-    pub shards_dispatched: usize,
-    /// Active shards pruned by the zone-map planner.
-    pub shards_pruned: usize,
-    /// Absolute deadline, if the tenant's SLO set one.
-    pub deadline_ns: Option<f64>,
-}
+/// Latency accounting for one completed query request; `arrival`
+/// indexes the session's request log.
+pub type ServeCompletion = QueryCompletion;
 
-impl ServeCompletion {
-    /// End-to-end sojourn time (arrival → merged answer).
-    pub fn latency_ns(&self) -> f64 {
-        self.complete_ns - self.arrive_ns
-    }
-
-    /// Time waiting (throttle + admission queue + bus queue) before
-    /// any service.
-    pub fn wait_ns(&self) -> f64 {
-        self.first_service_ns - self.arrive_ns
-    }
-
-    /// Time from first service to completion.
-    pub fn service_ns(&self) -> f64 {
-        self.complete_ns - self.first_service_ns
-    }
-
-    /// Did the answer arrive in time to count toward goodput?
-    /// (Trivially true without a deadline.)
-    pub fn met_deadline(&self) -> bool {
-        self.deadline_ns.is_none_or(|d| self.complete_ns <= d)
-    }
-}
-
-/// Latency accounting for one completed write request (cf.
-/// [`ServeCompletion`] — writes have no merge and no deadline, and
-/// their answer is state, not groups).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeWriteCompletion {
-    /// Index into the session's request log.
-    pub request: usize,
-    /// Owning tenant (index into the tenant slice).
-    pub tenant: usize,
-    /// The closed-loop client that issued it, if any.
-    pub client: Option<usize>,
-    /// The mutation's label.
-    pub label: String,
-    /// When the request arrived.
-    pub arrive_ns: f64,
-    /// When the token bucket made it admissible.
-    pub eligible_ns: f64,
-    /// When admission control let it in.
-    pub admit_ns: f64,
-    /// When its first bus slice started.
-    pub first_service_ns: f64,
-    /// When its last lane chain finished (durable).
-    pub complete_ns: f64,
-    /// Ingest lanes the write occupied.
-    pub lanes: usize,
-    /// Records the mutation rewrites in place (UPDATE).
-    pub records_updated: u64,
-    /// Records the mutation appends (INSERT).
-    pub records_inserted: u64,
-}
-
-impl ServeWriteCompletion {
-    /// End-to-end sojourn time (arrival → durable).
-    pub fn latency_ns(&self) -> f64 {
-        self.complete_ns - self.arrive_ns
-    }
-
-    /// Time waiting (throttle + admission queue + bus queue) before
-    /// any service.
-    pub fn wait_ns(&self) -> f64 {
-        self.first_service_ns - self.arrive_ns
-    }
-
-    /// Time from first service to durable.
-    pub fn service_ns(&self) -> f64 {
-        self.complete_ns - self.first_service_ns
-    }
-}
+/// Latency accounting for one durable write request; `arrival` indexes
+/// the session's request log.
+pub type ServeWriteCompletion = MutationCompletion;
 
 /// One request shed at admission.
 #[derive(Debug, Clone, PartialEq)]
@@ -232,8 +111,9 @@ pub struct ServeOutcome {
     /// Per-request latency records, in completion order.
     pub completions: Vec<ServeCompletion>,
     /// Merged executions parallel to `completions` — each is
-    /// bit-identical to the batch answer for its query, and shared by
-    /// every completion of that query.
+    /// bit-identical to a fresh engine that replayed the writes its
+    /// completion's `epoch` counts, and shared by every completion one
+    /// resolution answered.
     pub executions: Vec<Arc<ClusterExecution>>,
     /// Per-write-request latency records, in completion order (empty
     /// for sessions without write traffic).
@@ -301,29 +181,12 @@ impl ServeOutcome {
 }
 
 /// What one request asks for.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Work {
+#[derive(Debug, Clone, Copy)]
+enum Work<'a> {
     /// Index into the owning tenant's query set.
     Query(usize),
-    /// Index into the owning tenant's write-mix mutation set.
-    Write(usize),
-}
-
-/// One generated request.
-#[derive(Debug, Clone, Copy)]
-struct Request {
-    tenant: usize,
-    work: Work,
-    client: Option<usize>,
-    arrive_ns: f64,
-    /// Set by the token bucket when the arrival fires.
-    eligible_ns: f64,
-    /// Always `None` for writes: durable work is never shed.
-    deadline_ns: Option<f64>,
-    /// Set at admission.
-    admit_ns: f64,
-    /// Set at admission: when the first bus slice started.
-    first_service_ns: f64,
+    /// A mutation of the owning tenant's write mix.
+    Write(&'a Mutation),
 }
 
 /// One closed-loop client: its private think/pick RNG and how many
@@ -362,10 +225,10 @@ impl WindowState {
 /// streams stay byte-identical to pre-HTAP sessions); tenants with a
 /// write mix flip the write coin first, then pick uniformly from the
 /// chosen set.
-fn pick_work(rng: &mut StdRng, n_queries: usize, writes: Option<&WriteMix>) -> Work {
+fn pick_work<'a>(rng: &mut StdRng, n_queries: usize, writes: Option<&'a WriteMix>) -> Work<'a> {
     if let Some(w) = writes {
         if rng.gen::<f64>() < w.write_frac {
-            return Work::Write(rng.gen_range(0..w.mutations.len()));
+            return Work::Write(&w.mutations[rng.gen_range(0..w.mutations.len())]);
         }
     }
     Work::Query(rng.gen_range(0..n_queries))
@@ -378,16 +241,15 @@ fn stream_seed(seed: u64, tenant: u64, stream: u64) -> u64 {
         ^ stream.wrapping_add(1).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
 }
 
-/// The serving state machine.
+/// The serving front-end.
 struct Server<'a> {
     tenants: &'a [TenantSpec],
-    /// `demands[t][q]`: tenant t's query q, resolved once; its answer
-    /// is shared with every completion of it.
-    demands: Vec<Vec<(QueryDemand, Arc<ClusterExecution>)>>,
-    /// `write_demands[t][w]`: tenant t's mutation w, applied to the
-    /// cluster once at session start and compiled to its lane chains.
-    write_demands: Vec<Vec<MutationDemand>>,
-    requests: Vec<Request>,
+    /// Per tenant, the resolution-cache key of its first query (the
+    /// tenant's queries follow it).
+    keys: Vec<usize>,
+    /// Every generated request: who sent it and when (the token bucket
+    /// sets its eligibility when it arrives), and what it asks for.
+    requests: Vec<(Ticket, Work<'a>)>,
     /// Per-tenant FIFO admission queues of request indices.
     queues: Vec<VecDeque<usize>>,
     buckets: Vec<Option<TokenBucket>>,
@@ -402,11 +264,7 @@ struct Server<'a> {
     /// deadline shedder's completion predictor.
     est_per_shard_ns: Option<f64>,
     next_tick_ns: Option<f64>,
-    completions: Vec<ServeCompletion>,
-    executions: Vec<Arc<ClusterExecution>>,
-    write_completions: Vec<ServeWriteCompletion>,
     drops: Vec<ServeDrop>,
-    timeline: Vec<ServeTimelineEvent>,
     window_trajectory: Vec<(f64, usize)>,
     serve_track: TrackId,
     controller_track: TrackId,
@@ -415,77 +273,34 @@ struct Server<'a> {
 /// EWMA weight for new per-shard service observations.
 const EST_ALPHA: f64 = 0.3;
 
-impl Jobs for Server<'_> {
-    /// Candidate shard chains for a query, ingest lane chains for a
-    /// write.
-    fn chains(&self, ri: usize) -> &[Arc<ShardDemand>] {
-        let r = &self.requests[ri];
-        match r.work {
-            Work::Query(q) => &self.demands[r.tenant][q].0.shards,
-            Work::Write(w) => &self.write_demands[r.tenant][w].lanes,
-        }
-    }
+type ServeCore<'c, E> = Core<'c, E, Ev>;
 
-    fn labels(&self, ri: usize) -> SpanLabels {
-        SpanLabels { args: self.request_args(ri), lane_key: "shard", local: "local" }
-    }
-}
-
-impl Server<'_> {
-    fn record(&mut self, t_ns: f64, kind: ServeEventKind, request: usize, shard: Option<usize>) {
-        self.timeline.push(ServeTimelineEvent { t_ns, kind, request, shard });
-    }
-
-    /// The request's host-side merge occupancy (writes have none — a
-    /// write is durable when its last lane chain finishes).
-    fn merge_ns(&self, ri: usize) -> f64 {
-        let r = &self.requests[ri];
-        match r.work {
-            Work::Query(q) => self.demands[r.tenant][q].0.merge_ns,
-            Work::Write(_) => 0.0,
-        }
-    }
-
+impl<'a> Server<'a> {
     /// The request's report/trace label: query id or mutation label.
-    fn label(&self, ri: usize) -> &str {
-        let r = &self.requests[ri];
-        match r.work {
-            Work::Query(q) => &self.demands[r.tenant][q].0.query_id,
-            Work::Write(w) => &self.write_demands[r.tenant][w].label,
+    fn label(&self, ri: usize) -> String {
+        match self.requests[ri] {
+            (ticket, Work::Query(q)) => self.tenants[ticket.tenant].queries[q].id.clone(),
+            (_, Work::Write(m)) => m.label(),
         }
     }
 
-    /// Standard event attributes: request index, tenant name, query id
-    /// or mutation label.
-    fn request_args(&self, ri: usize) -> SpanArgs {
-        let r = &self.requests[ri];
-        vec![
+    /// Trace attributes: request index, tenant name, query id or
+    /// mutation label, then `extra`.
+    fn args(&self, ri: usize, extra: &[(&'static str, f64)]) -> Vec<(&'static str, ArgValue)> {
+        let tenant = &self.tenants[self.requests[ri].0.tenant].name;
+        let mut args = vec![
             ("request", ArgValue::U64(ri as u64)),
-            ("tenant", ArgValue::Str(self.tenants[r.tenant].name.clone())),
-            ("query", ArgValue::Str(self.label(ri).to_string())),
-        ]
-    }
-
-    /// One serve-track instant about request `ri`: the standard
-    /// attributes plus `(key, value)`.
-    fn trace_instant(
-        &self,
-        k: &mut Kernel<'_, Ev>,
-        name: &str,
-        t_ns: f64,
-        ri: usize,
-        extra: &[(&'static str, f64)],
-    ) {
-        let Some(trace) = k.tracer() else { return };
-        let mut args = self.request_args(ri);
+            ("tenant", ArgValue::Str(tenant.clone())),
+            ("query", ArgValue::Str(self.label(ri))),
+        ];
         args.extend(extra.iter().map(|&(key, v)| (key, ArgValue::F64(v))));
-        trace.instant(self.serve_track, name, t_ns, args);
+        args
     }
 
     /// Sample the scheduler counters (total queued, in-flight, window)
     /// onto the serve and controller tracks.
-    fn trace_counters(&self, k: &mut Kernel<'_, Ev>, t_ns: f64) {
-        let Some(trace) = k.tracer() else { return };
+    fn trace_counters<E: StreamEngine>(&self, core: &mut ServeCore<'_, E>, t_ns: f64) {
+        let Some(trace) = core.tracer() else { return };
         let depth: usize = self.queues.iter().map(VecDeque::len).sum();
         trace.counter(self.serve_track, "admission-queue", t_ns, depth as f64);
         trace.counter(self.serve_track, "in-flight", t_ns, self.in_flight as f64);
@@ -494,11 +309,11 @@ impl Server<'_> {
     }
 
     /// Create one request and schedule its arrival.
-    fn create_request(
+    fn create_request<E: StreamEngine>(
         &mut self,
-        k: &mut Kernel<'_, Ev>,
+        core: &mut ServeCore<'_, E>,
         tenant: usize,
-        work: Work,
+        work: Work<'a>,
         client: Option<usize>,
         at_ns: f64,
     ) {
@@ -506,39 +321,34 @@ impl Server<'_> {
             Work::Query(_) => self.tenants[tenant].slo.deadline_ns.map(|d| at_ns + d),
             Work::Write(_) => None,
         };
-        let ri = self.requests.len();
-        self.requests.push(Request {
-            tenant,
-            work,
-            client,
-            arrive_ns: at_ns,
-            eligible_ns: at_ns,
-            deadline_ns,
-            admit_ns: at_ns,
-            first_service_ns: at_ns,
-        });
+        let index = self.requests.len();
+        let ticket =
+            Ticket { index, tenant, client, arrive_ns: at_ns, eligible_ns: at_ns, deadline_ns };
+        self.requests.push((ticket, work));
         self.submitted[tenant] += 1;
-        k.push(at_ns, Ev::Arrive(ri));
+        core.push(at_ns, Ev::Arrive(index));
     }
 
-    /// A closed-loop client learned its request's fate at `now_ns`:
-    /// think, then issue the next request (if it has any left).
-    fn client_next(&mut self, k: &mut Kernel<'_, Ev>, now_ns: f64, ri: usize) {
-        let r = self.requests[ri];
-        let Some(ci) = r.client else { return };
-        let ArrivalProcess::Closed { mean_think_ns, .. } = self.tenants[r.tenant].process else {
-            return;
-        };
-        let tenants: &[TenantSpec] = self.tenants;
-        let spec = &tenants[r.tenant];
-        let st = &mut self.clients[r.tenant][ci];
+    /// Closed client `ci` of `tenant` learned its last request's fate
+    /// at `now_ns` (or starts, at 0): think, then issue the next request
+    /// if it has any left.
+    fn issue<E: StreamEngine>(
+        &mut self,
+        core: &mut ServeCore<'_, E>,
+        tenant: usize,
+        ci: usize,
+        now_ns: f64,
+    ) {
+        let spec = &self.tenants[tenant];
+        let ArrivalProcess::Closed { mean_think_ns, .. } = spec.process else { return };
+        let st = &mut self.clients[tenant][ci];
         if st.remaining == 0 {
             return;
         }
         st.remaining -= 1;
         let gap = exp_gap_ns(&mut st.rng, mean_think_ns);
         let work = pick_work(&mut st.rng, spec.queries.len(), spec.writes.as_ref());
-        self.create_request(k, r.tenant, work, Some(ci), now_ns + gap);
+        self.create_request(core, tenant, work, Some(ci), now_ns + gap);
     }
 
     /// The shedder's completion predictor: candidate shards × the
@@ -548,23 +358,12 @@ impl Server<'_> {
         self.est_per_shard_ns.map_or(0.0, |e| e * candidates as f64)
     }
 
-    fn note_service(&mut self, service_ns: f64, shards: usize) {
-        if shards == 0 {
-            return;
-        }
-        let per = service_ns / shards as f64;
-        self.est_per_shard_ns = Some(match self.est_per_shard_ns {
-            None => per,
-            Some(e) => (1.0 - EST_ALPHA) * e + EST_ALPHA * per,
-        });
-    }
-
     /// Schedule a deferred admission attempt at `at_ns` unless an
     /// earlier one is already pending.
-    fn schedule_tick(&mut self, k: &mut Kernel<'_, Ev>, at_ns: f64) {
+    fn schedule_tick<E: StreamEngine>(&mut self, core: &mut ServeCore<'_, E>, at_ns: f64) {
         if !self.next_tick_ns.is_some_and(|t| t <= at_ns) {
             self.next_tick_ns = Some(at_ns);
-            k.push(at_ns, Ev::AdmitTick);
+            core.push(at_ns, Ev::AdmitTick);
         }
     }
 
@@ -577,7 +376,7 @@ impl Server<'_> {
         let mut next_eligible = f64::INFINITY;
         for (t, q) in self.queues.iter().enumerate() {
             let Some(&head) = q.front() else { continue };
-            let e = self.requests[head].eligible_ns;
+            let e = self.requests[head].0.eligible_ns;
             if e <= now_ns {
                 let key = self.served_work[t] / self.tenants[t].weight;
                 if best.is_none_or(|(bk, _)| key < bk) {
@@ -590,211 +389,154 @@ impl Server<'_> {
         (best.map(|(_, t)| t), next_eligible)
     }
 
-    /// Shed `ri` at admission: its predicted completion blows its
-    /// deadline.
-    fn shed(
+    /// Shed query `ri` at admission: its predicted completion blows its
+    /// deadline. The rejection is a closed client's signal: it thinks,
+    /// then retries with its next request.
+    fn shed<E: StreamEngine>(
         &mut self,
-        k: &mut Kernel<'_, Ev>,
+        core: &mut ServeCore<'_, E>,
         now_ns: f64,
         ri: usize,
         predicted_ns: f64,
         deadline_ns: f64,
     ) {
-        self.record(now_ns, ServeEventKind::Shed, ri, None);
         let extra = [("predicted_ns", predicted_ns), ("deadline_ns", deadline_ns)];
-        self.trace_instant(k, "shed", now_ns, ri, &extra);
-        let r = self.requests[ri];
+        core.note(now_ns, (EventKind::Shed, ri, None), "shed", || self.args(ri, &extra));
+        let ticket = self.requests[ri].0;
         self.drops.push(ServeDrop {
             request: ri,
-            tenant: r.tenant,
-            client: r.client,
-            query_id: self.label(ri).to_string(),
-            arrive_ns: r.arrive_ns,
+            tenant: ticket.tenant,
+            client: ticket.client,
+            query_id: self.label(ri),
+            arrive_ns: ticket.arrive_ns,
             shed_ns: now_ns,
             predicted_complete_ns: predicted_ns,
             deadline_ns,
         });
-        // The rejection is the client's signal: it thinks, then retries
-        // with its next request.
-        self.client_next(k, now_ns, ri);
+        if let Some(ci) = ticket.client {
+            self.issue(core, ticket.tenant, ci, now_ns);
+        }
     }
 
-    /// Admit from the tenant queues while in-flight slots are free.
-    fn try_admit(&mut self, k: &mut Kernel<'_, Ev>, now_ns: f64) {
+    /// Admit from the tenant queues while in-flight slots are free:
+    /// queries resolved against the writes admitted so far, writes
+    /// applied at admission.
+    fn try_admit<E: StreamEngine>(
+        &mut self,
+        core: &mut ServeCore<'_, E>,
+        now_ns: f64,
+    ) -> Result<(), SchedError> {
         while self.in_flight < self.window.window() {
             let (pick, next_eligible) = self.pick_tenant(now_ns);
             let Some(t) = pick else {
                 if next_eligible.is_finite() {
-                    self.schedule_tick(k, next_eligible);
+                    self.schedule_tick(core, next_eligible);
                 }
                 break;
             };
-            let ri = self.queues[t].pop_front().expect("picked tenant has a head");
-            // Deadline shed before the slot is consumed (queries only —
-            // write requests carry no deadline).
-            if let Some(d) = self.requests[ri].deadline_ns {
-                let predicted = now_ns + self.estimate_service_ns(self.chains(ri).len());
-                if now_ns > d || predicted > d {
-                    self.shed(k, now_ns, ri, predicted, d);
-                    continue;
+            let Some(ri) = self.queues[t].pop_front() else { break };
+            let (ticket, work) = self.requests[ri];
+            let args = || self.args(ri, &[]);
+            let admitted = match work {
+                Work::Write(m) => core.admit_mutation(now_ns, ticket, m, args)?,
+                Work::Query(q) => {
+                    let resolution = core.resolve(self.keys[t] + q, &self.tenants[t].queries[q])?;
+                    // Deadline shed before the slot is consumed (queries
+                    // only — write requests carry no deadline).
+                    if let Some(d) = ticket.deadline_ns {
+                        let shards = resolution.0.shards.len();
+                        let predicted = now_ns + self.estimate_service_ns(shards);
+                        if now_ns > d || predicted > d {
+                            self.shed(core, now_ns, ri, predicted, d);
+                            continue;
+                        }
+                    }
+                    core.admit_query(now_ns, ticket, resolution, args)
                 }
+            };
+            self.served_work[t] += admitted.busy_ns;
+            match admitted.done {
+                Some(done) => self.finished(core, now_ns, done),
+                None => self.in_flight += 1,
             }
-            self.record(now_ns, ServeEventKind::Admit, ri, None);
-            let queued = now_ns - self.requests[ri].arrive_ns;
-            self.trace_instant(k, "admit", now_ns, ri, &[("queued_ns", queued)]);
-            let chains = self.chains(ri);
-            let slices: f64 =
-                chains.iter().flat_map(|c| c.slices.iter()).map(|s| s.bus_ns + s.local_ns).sum();
-            let idle = chains.is_empty();
-            self.served_work[t] += slices + self.merge_ns(ri);
-            self.requests[ri].admit_ns = now_ns;
-            if idle {
-                // The planner answered the query: nothing to dispatch,
-                // the (empty) merge is free, the slot never fills.
-                self.requests[ri].first_service_ns = now_ns;
-                self.complete(k, now_ns, ri);
-            } else {
-                self.in_flight += 1;
-                self.requests[ri].first_service_ns = k.start(now_ns, &*self, ri);
-            }
-            self.trace_counters(k, now_ns);
+            self.trace_counters(core, now_ns);
         }
+        Ok(())
     }
 
-    fn complete(&mut self, k: &mut Kernel<'_, Ev>, now_ns: f64, ri: usize) {
-        self.record(now_ns, ServeEventKind::Complete, ri, None);
-        let r = self.requests[ri];
-        let latency_ns = now_ns - r.arrive_ns;
-        self.trace_instant(k, "complete", now_ns, ri, &[("latency_ns", latency_ns)]);
-        match r.work {
-            Work::Query(q) => {
-                let (demand, exec) = &self.demands[r.tenant][q];
-                let completion = ServeCompletion {
-                    request: ri,
-                    tenant: r.tenant,
-                    client: r.client,
-                    query_id: demand.query_id.clone(),
-                    arrive_ns: r.arrive_ns,
-                    eligible_ns: r.eligible_ns,
-                    admit_ns: r.admit_ns,
-                    first_service_ns: r.first_service_ns,
-                    complete_ns: now_ns,
-                    shards_dispatched: demand.shards.len(),
-                    shards_pruned: demand.shards_pruned,
-                    deadline_ns: r.deadline_ns,
-                };
-                self.executions.push(Arc::clone(exec));
-                self.note_service(completion.service_ns(), completion.shards_dispatched);
-                self.completions.push(completion);
-            }
-            Work::Write(w) => {
-                let d = &self.write_demands[r.tenant][w];
-                self.write_completions.push(ServeWriteCompletion {
-                    request: ri,
-                    tenant: r.tenant,
-                    client: r.client,
-                    label: d.label.clone(),
-                    arrive_ns: r.arrive_ns,
-                    eligible_ns: r.eligible_ns,
-                    admit_ns: r.admit_ns,
-                    first_service_ns: r.first_service_ns,
-                    complete_ns: now_ns,
-                    lanes: d.lanes.len(),
-                    records_updated: d.records_updated,
-                    records_inserted: d.records_inserted,
-                });
-            }
+    /// A request completed at `now_ns`: teach the shedder the observed
+    /// per-shard service (queries), feed the controller, release the
+    /// client.
+    fn finished<E: StreamEngine>(&mut self, core: &mut ServeCore<'_, E>, now_ns: f64, done: Done) {
+        if !done.mutation && done.chains > 0 {
+            let per = done.service_ns / done.chains as f64;
+            self.est_per_shard_ns = Some(match self.est_per_shard_ns {
+                None => per,
+                Some(e) => (1.0 - EST_ALPHA) * e + EST_ALPHA * per,
+            });
         }
         // Feed the controller the SLO-normalised latency: write
         // completions count against the same promise, so a congested
         // ingest path cuts the window exactly as slow queries do.
-        let ratio = latency_ns / self.tenants[r.tenant].slo.p95_target_ns;
+        let ticket = self.requests[done.index].0;
+        let ratio = done.latency_ns / self.tenants[ticket.tenant].slo.p95_target_ns;
         if let WindowState::Aimd(ctl) = &mut self.window {
             if let Some(w) = ctl.on_completion(now_ns, ratio) {
                 self.window_trajectory.push((now_ns, w));
-                if let Some(trace) = k.tracer() {
+                if let Some(trace) = core.tracer() {
                     trace.counter(self.controller_track, "in-flight-window", now_ns, w as f64);
                 }
             }
         }
-        // The completion is the closed-loop client's signal.
-        self.client_next(k, now_ns, ri);
+        if let Some(ci) = ticket.client {
+            self.issue(core, ticket.tenant, ci, now_ns);
+        }
+    }
+}
+
+impl<E: StreamEngine> Front<E> for Server<'_> {
+    type Event = Ev;
+
+    fn on_event(
+        &mut self,
+        core: &mut ServeCore<'_, E>,
+        t_ns: f64,
+        ev: Ev,
+    ) -> Result<(), SchedError> {
+        let Ev::Arrive(ri) = ev else {
+            if self.next_tick_ns == Some(t_ns) {
+                self.next_tick_ns = None;
+            }
+            return Ok(());
+        };
+        let tenant = self.requests[ri].0.tenant;
+        let eligible = match &mut self.buckets[tenant] {
+            Some(b) => b.reserve(t_ns),
+            None => t_ns,
+        };
+        self.requests[ri].0.eligible_ns = eligible;
+        if eligible > t_ns {
+            self.throttled[tenant] += 1;
+        }
+        let (kind, name) = match self.requests[ri].1 {
+            Work::Query(_) => (EventKind::Arrive, "arrive"),
+            Work::Write(_) => (EventKind::MutationArrive, "ingest-arrive"),
+        };
+        let throttle = [("throttle_ns", eligible - t_ns)];
+        core.note(t_ns, (kind, ri, None), name, || self.args(ri, &throttle));
+        self.queues[tenant].push_back(ri);
+        self.trace_counters(core, t_ns);
+        Ok(())
     }
 
-    fn run(mut self, mut k: Kernel<'_, Ev>) -> ServeOutcome {
-        self.window_trajectory.push((0.0, self.window.window()));
-        self.trace_counters(&mut k, 0.0);
-        while let Some((t, moment)) = k.next(&self) {
-            match moment {
-                Moment::Front(Ev::Arrive(ri)) => {
-                    let tenant = self.requests[ri].tenant;
-                    let eligible = match &mut self.buckets[tenant] {
-                        Some(b) => b.reserve(t),
-                        None => t,
-                    };
-                    self.requests[ri].eligible_ns = eligible;
-                    if eligible > t {
-                        self.throttled[tenant] += 1;
-                    }
-                    self.record(t, ServeEventKind::Arrive, ri, None);
-                    self.trace_instant(&mut k, "arrive", t, ri, &[("throttle_ns", eligible - t)]);
-                    self.queues[tenant].push_back(ri);
-                    self.trace_counters(&mut k, t);
-                }
-                Moment::Front(Ev::AdmitTick) => {
-                    if self.next_tick_ns == Some(t) {
-                        self.next_tick_ns = None;
-                    }
-                }
-                Moment::Dispatched { job: ri, lane } => {
-                    self.record(t, ServeEventKind::Dispatched, ri, Some(lane));
-                    continue;
-                }
-                // Reads and writes alike end in a merge grant: a write's
-                // is zero-length, yet still waits its turn on the bus.
-                Moment::ChainDone { job: ri, lane, last } => {
-                    self.record(t, ServeEventKind::ShardDone, ri, Some(lane));
-                    if last {
-                        k.merge(t, &self, ri, self.merge_ns(ri));
-                    }
-                    continue;
-                }
-                Moment::MergeDone { job: ri } => {
-                    self.complete(&mut k, t, ri);
-                    self.in_flight -= 1;
-                    self.trace_counters(&mut k, t);
-                }
-            }
-            self.try_admit(&mut k, t);
-        }
-        let makespan_ns = self
-            .completions
-            .iter()
-            .map(|c| c.complete_ns)
-            .chain(self.write_completions.iter().map(|c| c.complete_ns))
-            .chain(self.drops.iter().map(|d| d.shed_ns))
-            .fold(0.0, f64::max);
-        let decisions = match self.window {
-            WindowState::Aimd(ctl) => ctl.decisions().to_vec(),
-            WindowState::Static(_) => Vec::new(),
-        };
-        let lanes = k.into_tallies();
-        ServeOutcome {
-            completions: self.completions,
-            executions: self.executions,
-            write_completions: self.write_completions,
-            drops: self.drops,
-            timeline: self.timeline,
-            window_trajectory: self.window_trajectory,
-            decisions,
-            submitted: self.submitted,
-            throttled: self.throttled,
-            makespan_ns,
-            host_busy_ns: lanes.host_busy_ns,
-            shard_busy_ns: lanes.busy_ns,
-            lane_cell_writes: lanes.cell_writes,
-            lane_required_endurance: lanes.required_endurance,
-        }
+    fn on_done(&mut self, core: &mut ServeCore<'_, E>, t_ns: f64, done: Done) {
+        self.finished(core, t_ns, done);
+        self.in_flight -= 1;
+        self.trace_counters(core, t_ns);
+    }
+
+    fn admit(&mut self, core: &mut ServeCore<'_, E>, t_ns: f64) -> Result<(), SchedError> {
+        self.try_admit(core, t_ns)
     }
 }
 
@@ -803,15 +545,15 @@ impl Server<'_> {
 /// Arrival draws, token buckets, fair sharing, shedding and the window
 /// controller are all pure functions of `(cluster, tenants, cfg)` on
 /// the simulated clock, so the outcome is bit-deterministic per seed.
-/// Every completion's execution in [`ServeOutcome::executions`] is the
-/// pre-resolved batch answer for its query — admission policies decide
-/// *which* requests run and *when*, never *what* they answer.
+/// Admission policies decide *which* requests run and *when*; what a
+/// query answers is fixed at its admission by the writes admitted
+/// before it — without writes, the batch answer for its query.
 ///
 /// # Errors
 ///
 /// [`ServeError::InvalidTenant`] / [`ServeError::InvalidConfig`] for
-/// malformed specs, [`ServeError::Sched`] for planner or shard
-/// execution failures.
+/// malformed specs, [`ServeError::Sched`] for planner, shard execution
+/// or write failures.
 pub fn run_serve<E: StreamEngine>(
     cluster: &mut E,
     tenants: &[TenantSpec],
@@ -823,7 +565,8 @@ pub fn run_serve<E: StreamEngine>(
 
 /// [`run_serve`] with a [`TraceRecorder`]: arrivals, admissions, sheds
 /// and completions land on a `serve` track, bus grants on `host-bus`,
-/// module-local windows on `module-<k>`, and the in-flight window on a
+/// module-local windows on `module-<k>` (write chains on auxiliary
+/// lanes on `ingest-lane-<d>`), and the in-flight window on a
 /// `controller` counter track. The recorder never changes the
 /// simulation.
 ///
@@ -855,67 +598,24 @@ pub fn run_serve_traced<E: StreamEngine>(
         WindowPolicy::Aimd(aimd) => WindowState::Aimd(AimdController::new(aimd.clone())?),
     };
 
-    let want_detail = trace.is_enabled();
-
-    // Apply every tenant's write mix to the cluster once, up front —
-    // tenant order, then list order — compiling each mutation's lane
-    // chains. Queries then resolve against the fully-ingested state:
-    // the batch oracle for a write session is a batch run over that
-    // same state, and write requests replay these chains' bus and lane
-    // costs without re-mutating.
-    let contention = cluster.contention();
-    let mut write_demands = Vec::with_capacity(tenants.len());
-    for t in tenants {
-        let mut per_mutation = Vec::new();
-        if let Some(w) = &t.writes {
-            for m in &w.mutations {
-                let applied = cluster.apply_mutation(m)?;
-                let host = cluster.host_config().unwrap_or_default();
-                per_mutation.push(compile_mutation_demand(
-                    m.label(),
-                    &applied,
-                    &host,
-                    contention,
-                    want_detail,
-                ));
-            }
-        }
-        write_demands.push(per_mutation);
-    }
-    let has_writes = tenants.iter().any(|t| t.writes.is_some());
-
-    // Resolve every tenant query's service demand once, up front —
-    // fixing every possible answer before the first arrival.
-    let mut demands = Vec::with_capacity(tenants.len());
-    for t in tenants {
-        let mut per_query = Vec::with_capacity(t.queries.len());
-        for q in &t.queries {
-            let (demand, exec) = resolve_query_demand(cluster, q, want_detail)?;
-            per_query.push((demand, Arc::new(exec)));
-        }
-        demands.push(per_query);
-    }
-
-    let active_shards = cluster.active_shards();
-    // Query-only sessions keep exactly one lane per active shard;
-    // write traffic adds the cluster's auxiliary ingest lanes.
-    let lanes = if has_writes { cluster.ingest_lanes().max(active_shards) } else { active_shards };
     // Registration order is part of the export bytes: `serve`,
     // `host-bus`, `controller`, then the kernel's lane tracks (its own
     // `host-bus` registration finds this one).
     let serve_track = trace.track("serve");
     trace.track("host-bus");
     let controller_track = trace.track("controller");
-    let mut kernel = Kernel::new(trace, active_shards, lanes);
+    let writes = tenants.iter().any(|t| t.writes.is_some());
+    let mut core = Core::new(cluster, trace, serve_track, writes);
     let n = tenants.len();
+    let keys =
+        tenants.iter().scan(0, |next, t| Some(std::mem::replace(next, *next + t.queries.len())));
     let mut server = Server {
         tenants,
-        demands,
-        write_demands,
+        keys: keys.collect(),
         requests: Vec::new(),
         queues: vec![VecDeque::new(); n],
         buckets: tenants.iter().map(|t| t.rate_limit.as_ref().map(TokenBucket::new)).collect(),
-        clients: Vec::with_capacity(n),
+        clients: (0..n).map(|_| Vec::new()).collect(),
         served_work: vec![0.0; n],
         submitted: vec![0; n],
         throttled: vec![0; n],
@@ -923,11 +623,7 @@ pub fn run_serve_traced<E: StreamEngine>(
         in_flight: 0,
         est_per_shard_ns: None,
         next_tick_ns: None,
-        completions: Vec::new(),
-        executions: Vec::new(),
-        write_completions: Vec::new(),
         drops: Vec::new(),
-        timeline: Vec::new(),
         window_trajectory: Vec::new(),
         serve_track,
         controller_track,
@@ -935,9 +631,7 @@ pub fn run_serve_traced<E: StreamEngine>(
 
     // Seed every tenant's arrival stream.
     for (t, spec) in tenants.iter().enumerate() {
-        let n_queries = spec.queries.len();
-        let writes = spec.writes.as_ref();
-        let mut client_states = Vec::new();
+        let (n_queries, writes) = (spec.queries.len(), spec.writes.as_ref());
         match spec.process {
             ArrivalProcess::OpenPoisson { arrivals, mean_interarrival_ns } => {
                 let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, t as u64, 0));
@@ -945,36 +639,53 @@ pub fn run_serve_traced<E: StreamEngine>(
                 for _ in 0..arrivals {
                     at += exp_gap_ns(&mut rng, mean_interarrival_ns);
                     let work = pick_work(&mut rng, n_queries, writes);
-                    server.create_request(&mut kernel, t, work, None, at);
+                    server.create_request(&mut core, t, work, None, at);
                 }
             }
             ArrivalProcess::Burst { arrivals, at_ns } => {
                 let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, t as u64, 0));
                 for _ in 0..arrivals {
                     let work = pick_work(&mut rng, n_queries, writes);
-                    server.create_request(&mut kernel, t, work, None, at_ns);
+                    server.create_request(&mut core, t, work, None, at_ns);
                 }
             }
-            ArrivalProcess::Closed { clients, queries_per_client, mean_think_ns } => {
-                for c in 0..clients {
-                    let mut st = ClientState {
-                        rng: StdRng::seed_from_u64(stream_seed(cfg.seed, t as u64, 1 + c as u64)),
+            ArrivalProcess::Closed { clients, queries_per_client, .. } => {
+                server.clients[t] = (0..clients as u64)
+                    .map(|c| ClientState {
+                        rng: StdRng::seed_from_u64(stream_seed(cfg.seed, t as u64, 1 + c)),
                         remaining: queries_per_client,
-                    };
-                    if st.remaining > 0 {
-                        st.remaining -= 1;
-                        let gap = exp_gap_ns(&mut st.rng, mean_think_ns);
-                        let work = pick_work(&mut st.rng, n_queries, writes);
-                        client_states.push(st);
-                        server.create_request(&mut kernel, t, work, Some(c), gap);
-                    } else {
-                        client_states.push(st);
-                    }
+                    })
+                    .collect();
+                for c in 0..clients {
+                    server.issue(&mut core, t, c, 0.0);
                 }
             }
         }
-        server.clients.push(client_states);
     }
 
-    Ok(server.run(kernel))
+    server.window_trajectory.push((0.0, server.window.window()));
+    server.trace_counters(&mut core, 0.0);
+    core.drive(&mut server)?;
+    let run = core.finish();
+    let shed_ns = server.drops.iter().map(|d| d.shed_ns);
+    let decisions = match server.window {
+        WindowState::Aimd(ctl) => ctl.decisions().to_vec(),
+        WindowState::Static(_) => Vec::new(),
+    };
+    Ok(ServeOutcome {
+        makespan_ns: shed_ns.fold(run.makespan_ns(), f64::max),
+        completions: run.completions,
+        executions: run.executions,
+        write_completions: run.mutation_completions,
+        drops: server.drops,
+        timeline: run.timeline,
+        window_trajectory: server.window_trajectory,
+        decisions,
+        submitted: server.submitted,
+        throttled: server.throttled,
+        host_busy_ns: run.host_busy_ns,
+        shard_busy_ns: run.busy_ns,
+        lane_cell_writes: run.cell_writes,
+        lane_required_endurance: run.required_endurance,
+    })
 }

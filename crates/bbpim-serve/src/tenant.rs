@@ -72,15 +72,15 @@ pub struct RateLimit {
 
 /// Write traffic mixed into a tenant's request stream.
 ///
-/// Each mutation in the set is applied to the cluster **once, at
-/// session start** (tenant order, then list order), fixing the state
-/// every query answers over; the arrival processes then replay the
-/// mutations' compiled write-phase chains as first-class requests —
-/// each write request rides the shared host channel and its ingest
-/// lane's module queue, charges the tenant's fair share, feeds the
-/// AIMD controller its SLO-normalised latency, and wears its lanes'
-/// cells. Write requests are never deadline-shed: durable work is not
-/// droppable.
+/// Each write request applies its mutation to the cluster **at its
+/// admission**, as a streamed mutation does: queries admitted after it
+/// observe it, queries admitted before it do not, and a mutation drawn
+/// k times is applied k times. The request rides the shared host
+/// channel and its ingest lanes' module queues, holds an in-flight slot
+/// until its last lane chain finishes, charges the tenant's fair share,
+/// feeds the AIMD controller its SLO-normalised latency, and wears its
+/// lanes' cells. Write requests are never deadline-shed: durable work is
+/// not droppable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WriteMix {
     /// The tenant's mutation set; arrival processes pick from it

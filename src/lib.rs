@@ -41,15 +41,16 @@
 //!   queues, a shared host dispatch bus, out-of-order completion, and
 //!   p50/p95/p99 latency + throughput + utilisation accounting —
 //!   deterministic per seed, answers bit-identical to `run_batch`.
-//! * [`serve`] — SLO-aware multi-tenant serving on top of [`sched`]'s
-//!   engine surface: named tenants (seeded open Poisson / burst
-//!   arrivals and closed-loop think-time clients) multiplexed into one
-//!   deterministic event stream, per-tenant token-bucket rate limits
-//!   and SLO specs, weighted fair sharing across tenant admission
+//! * [`serve`] — SLO-aware multi-tenant serving, a second front-end of
+//!   [`sched`]'s one admission loop: named tenants (seeded open Poisson
+//!   / burst arrivals and closed-loop think-time clients) multiplexed
+//!   into one deterministic event stream, per-tenant token-bucket rate
+//!   limits and SLO specs, weighted fair sharing across tenant admission
 //!   queues, deadline-aware shedding at admission, and a closed-loop
 //!   AIMD controller that adapts the global in-flight window from the
 //!   windowed SLO-normalised p95 — per-tenant latency/goodput/drop
-//!   reports, every admitted answer bit-identical to the batch oracle.
+//!   reports, every answer bit-identical to a replay of the writes
+//!   admitted before it.
 //! * [`monet`] — the in-memory column-store baseline (`mnt-reg` /
 //!   `mnt-join`).
 //! * [`trace`] — the tracing substrate: a structured span/event

@@ -181,13 +181,13 @@ fn stream_projection(out: &StreamOutcome) -> String {
 fn serve_projection(out: &ServeOutcome) -> String {
     let mut s = String::new();
     for e in &out.timeline {
-        writeln!(s, "{:?}", (e.t_ns.to_bits(), e.kind, e.request, e.shard)).unwrap();
+        writeln!(s, "{:?}", (e.t_ns.to_bits(), e.kind, e.arrival, e.shard)).unwrap();
     }
     for c in &out.completions {
         let times = [c.arrive_ns, c.admit_ns, c.first_service_ns, c.complete_ns].map(f64::to_bits);
         let shards = (c.shards_dispatched, c.shards_pruned);
         let who = (c.tenant, c.client, c.eligible_ns.to_bits(), c.deadline_ns.map(f64::to_bits));
-        writeln!(s, "{:?}", (c.request, times, shards, &c.query_id, who)).unwrap();
+        writeln!(s, "{:?}", (c.arrival, times, shards, &c.query_id, who)).unwrap();
     }
     writeln!(s, "{:?}", out.write_completions.len()).unwrap();
     for d in &out.drops {
@@ -334,10 +334,10 @@ fn run_stream_matches_the_pinned_digests() {
     assert_pinned(
         &got,
         &[
-            [0x547a_a577_3040_d7ab, 0xbf81_390d_3119_5d85, 0x325d_2b5c_2306_3767],
-            [0xf555_a2b7_babf_619e, 0x78f6_e21e_9187_9d9a, 0x0814_d582_a7f4_37b7],
-            [0x4215_09b7_4882_1acf, 0x0f3e_5fe8_6a64_8a9a, 0x5fef_018a_817a_bcbe],
-            [0x028f_0dd1_be3d_67cd, 0x78f6_e21e_9187_9d9a, 0x0814_d582_a7f4_37b7],
+            [0x4c85_4156_1c2b_e8fd, 0xbf81_390d_3119_5d85, 0x325d_2b5c_2306_3767],
+            [0x4a73_9406_aa51_0dc6, 0x78f6_e21e_9187_9d9a, 0x0814_d582_a7f4_37b7],
+            [0x30a1_a568_c8ce_fcef, 0x0f3e_5fe8_6a64_8a9a, 0x5fef_018a_817a_bcbe],
+            [0x3f0f_8159_5f96_d717, 0x78f6_e21e_9187_9d9a, 0x0814_d582_a7f4_37b7],
         ],
     );
 }
@@ -356,8 +356,8 @@ fn run_serve_matches_the_pinned_digests() {
     assert_pinned(
         &got,
         &[
-            [0x0f89_b3dc_5663_6b3d, 0xc55a_b969_4983_35b8, 0x25d3_e5a3_23b1_71a5],
-            [0x42db_f95b_4761_a6eb, 0xdc5e_7127_9d0b_9c95, 0x1bfd_cc7b_5234_28c3],
+            [0x585c_0df0_44a3_893b, 0x787b_0acd_fd36_8316, 0x0e24_abe9_fff0_3a21],
+            [0x62cd_944e_f208_d6df, 0xfd2c_4161_4b08_59ab, 0xa93d_3905_e7de_bd22],
         ],
     );
 }
@@ -378,8 +378,8 @@ fn query_only_run_serve_matches_the_pinned_digests() {
     assert_pinned(
         &got,
         &[
-            [0xf161_f227_812b_7565, 0x53bd_ab19_20eb_0024, 0xf6a6_c549_5668_0e32],
-            [0x1f57_ced7_486f_ef15, 0x3f6f_97fb_4d2f_3777, 0x39b2_fb08_a813_e13d],
+            [0x6da6_4ff7_3808_1597, 0x53bd_ab19_20eb_0024, 0xf6a6_c549_5668_0e32],
+            [0xac25_4639_0466_a6f5, 0x3f6f_97fb_4d2f_3777, 0x39b2_fb08_a813_e13d],
         ],
     );
 }

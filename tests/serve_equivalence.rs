@@ -6,17 +6,23 @@
 //! pure function of the seed, and at 4× overload the AIMD window must
 //! keep the light tenant's p95 promise while harvesting at least as
 //! much heavy-tenant goodput as the best SLO-respecting static window.
+//! With writes in the session, every answer must equal a fresh engine
+//! that replayed exactly the writes admitted before it, on both models.
 
-use bbpim::cluster::{ClusterEngine, Partitioner};
+use std::collections::HashMap;
+
+use bbpim::cluster::{ClusterEngine, ClusterExecution, Partitioner};
+use bbpim::db::builder::col;
 use bbpim::db::plan::Query;
 use bbpim::db::ssb::{queries, SsbDb, SsbParams};
 use bbpim::engine::groupby::calibration::{run_calibration, CalibrationConfig};
 use bbpim::engine::modes::EngineMode;
+use bbpim::engine::mutation::Mutation;
 use bbpim::join::StarCluster;
 use bbpim::sched::resolve_query_demand;
 use bbpim::serve::{
-    run_serve, tenant_reports, AimdConfig, ArrivalProcess, RateLimit, ServeConfig, ServeOutcome,
-    SloSpec, TenantReport, TenantSpec, WindowPolicy,
+    run_serve, tenant_reports, AimdConfig, ArrivalProcess, RateLimit, ServeConfig, ServeEventKind,
+    ServeOutcome, SloSpec, TenantReport, TenantSpec, WindowPolicy, WriteMix,
 };
 use bbpim::sim::SimConfig;
 
@@ -328,4 +334,141 @@ fn aimd_keeps_the_light_slo_and_beats_every_slo_respecting_static() {
     }
     assert!(heavy.goodput_qps > 0.0, "the heavy tenant made progress");
     assert!(!gate.decisions.is_empty(), "the controller actually adapted during the gate session");
+}
+
+/// A storage model the served-write oracle can drive: apply one write,
+/// answer one query.
+trait Replay {
+    fn apply(&mut self, m: &Mutation);
+    fn answer(&mut self, q: &Query) -> ClusterExecution;
+}
+
+impl Replay for ClusterEngine {
+    fn apply(&mut self, m: &Mutation) {
+        self.mutate(m).expect("replay mutate");
+    }
+    fn answer(&mut self, q: &Query) -> ClusterExecution {
+        self.run(q).expect("replay query")
+    }
+}
+
+impl Replay for StarCluster {
+    fn apply(&mut self, m: &Mutation) {
+        self.mutate(m).expect("replay mutate");
+    }
+    fn answer(&mut self, q: &Query) -> ClusterExecution {
+        self.run(q).expect("replay query")
+    }
+}
+
+/// Served writes apply at their admission, as streamed ones do. An
+/// `htap` tenant's write mix UPDATEs `lo_discount`, which its Q1.1
+/// filters on, and INSERTs one row, beside a read-only tenant. Every
+/// served answer must equal a fresh engine that replayed exactly the
+/// writes admitted before it (its `epoch`); every INSERT drawn lands
+/// its row; the served engine ends where replaying every write leaves a
+/// fresh one; and a write is durable at its last lane chain's end, with
+/// no merge grant after it.
+#[test]
+fn served_writes_match_prefix_replay_on_both_models() {
+    let db = db();
+    let wide = db.prejoin();
+    let lo = &db.lineorder;
+    let wide_writes = vec![
+        Mutation::update()
+            .filter(col("d_year").eq(1993u64))
+            .set("lo_discount", 2u64)
+            .build(wide.schema())
+            .expect("update"),
+        Mutation::insert().row(wide.row(0)).build(wide.schema()).expect("insert"),
+    ];
+    let star_writes = vec![
+        Mutation::update()
+            .filter(col("lo_discount").eq(3u64))
+            .set("lo_discount", 4u64)
+            .build(lo.schema())
+            .expect("fact update"),
+        Mutation::insert().row(lo.row(0)).build(lo.schema()).expect("fact insert"),
+    ];
+    assert_served_writes_replay("wide", wide_writes, || flat_cluster(&db, 4));
+    assert_served_writes_replay("star", star_writes, || star_cluster(&db, 4));
+}
+
+fn assert_served_writes_replay<R: Replay + bbpim::sched::StreamEngine>(
+    label: &str,
+    writes: Vec<Mutation>,
+    build: impl Fn() -> R,
+) {
+    let q = queries::standard_queries();
+    let tenant = |name: &str, queries: Vec<Query>, writes: Option<WriteMix>| TenantSpec {
+        name: name.into(),
+        queries,
+        process: ArrivalProcess::OpenPoisson { arrivals: 16, mean_interarrival_ns: 100_000.0 },
+        writes,
+        rate_limit: None,
+        slo: SloSpec { p95_target_ns: 50.0e6, deadline_ns: None },
+        weight: 1.0,
+    };
+    let mix = WriteMix { mutations: writes.clone(), write_frac: 0.4 };
+    let specs = vec![
+        tenant("htap", vec![q[0].clone()], Some(mix)),
+        tenant("probes", vec![q[2].clone(), q[6].clone()], None),
+    ];
+    let mut served = build();
+    let out = run_serve(&mut served, &specs, &serve_cfg(5)).expect("serve");
+    let fates = out.completions.len() + out.write_completions.len() + out.drops.len();
+    assert_eq!(fates, out.submitted.iter().sum::<usize>(), "{label}: every request has a fate");
+    let by_label: HashMap<String, &Mutation> = writes.iter().map(|m| (m.label(), m)).collect();
+    assert_eq!(by_label.len(), writes.len(), "{label}: write labels must be distinct");
+    let mut admitted: Vec<_> = out.write_completions.iter().collect();
+    admitted.sort_by_key(|w| w.epoch);
+    let epochs: Vec<usize> = admitted.iter().map(|w| w.epoch).collect();
+    assert_eq!(epochs, (1..=admitted.len()).collect::<Vec<_>>(), "{label}: one epoch per write");
+
+    // Every INSERT drawn lands its row, once per draw.
+    let insert = writes.iter().find(|m| matches!(m, Mutation::Insert { .. })).expect("an insert");
+    let drawn = admitted.iter().filter(|w| w.label == insert.label()).count();
+    assert!(drawn >= 2, "{label}: the seed must draw the INSERT more than once, drew {drawn}");
+    let inserted: u64 = admitted.iter().map(|w| w.records_inserted).sum();
+    assert_eq!(inserted, drawn as u64, "{label}: one row per INSERT drawn");
+
+    // Each answer against a fresh engine that replayed its prefix.
+    let all: Vec<&Query> = specs.iter().flat_map(|t| &t.queries).collect();
+    let mut by_epoch: Vec<_> = out.completions.iter().zip(&out.executions).collect();
+    by_epoch.sort_by_key(|(c, _)| c.epoch);
+    assert!(by_epoch[0].0.epoch == 0 && by_epoch.last().unwrap().0.epoch > 0);
+    let (mut fresh, mut applied) = (build(), 0);
+    for (c, exec) in by_epoch {
+        for w in &admitted[applied..c.epoch] {
+            fresh.apply(by_label[&w.label]);
+        }
+        applied = c.epoch;
+        let query = all.iter().find(|q| q.id == c.query_id).expect("a tenant query");
+        assert_eq!(
+            **exec,
+            fresh.answer(query),
+            "{label}: {} (request {}, epoch {}) diverged from its prefix replay",
+            c.query_id,
+            c.arrival,
+            c.epoch
+        );
+    }
+    for w in &admitted[applied..] {
+        fresh.apply(by_label[&w.label]);
+    }
+    assert_eq!(served.answer(&q[0]), fresh.answer(&q[0]), "{label}: the served engine's end state");
+
+    // Durable at the last lane chain's end.
+    for w in &admitted {
+        let lanes_done = out
+            .timeline
+            .iter()
+            .filter(|e| e.arrival == w.arrival && e.kind == ServeEventKind::MutationLaneDone);
+        let last_lane = lanes_done.map(|e| e.t_ns).fold(w.admit_ns, f64::max);
+        assert_eq!(
+            w.complete_ns, last_lane,
+            "{label}: write {} completes at its last lane",
+            w.arrival
+        );
+    }
 }
