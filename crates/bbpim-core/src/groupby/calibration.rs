@@ -10,10 +10,10 @@
 //! aggregation, result read) on a synthetic relation.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use bbpim_db::plan::{AggExpr, PhysFunc};
 use bbpim_db::schema::{Attribute, Schema};
-use bbpim_db::Relation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -106,20 +106,31 @@ pub struct CalibrationData {
     pub pim_points: Vec<PimPoint>,
 }
 
-/// Simulated host-gb latency for a synthetic selection: the same
+/// Simulated host-gb latency for a synthetic selection — `selected`,
+/// the ascending indices of the chosen records of `m` pages: the same
 /// streaming mask read + scattered unique-line record read +
-/// host-aggregation model the real host-gb path charges.
-pub fn host_gb_time_ns(cfg: &SimConfig, m: usize, s: usize, mask: &[bool]) -> f64 {
+/// host-aggregation model the real host-gb path charges. Each record
+/// is marked as it is drawn; no mask is built.
+///
+/// # Panics
+///
+/// Panics on a record past the `m` pages.
+pub fn host_gb_time_ns(
+    cfg: &SimConfig,
+    m: usize,
+    s: usize,
+    selected: impl IntoIterator<Item = usize>,
+) -> f64 {
     let mask_lines = (m * cfg.crossbar_rows) as u64;
-    let mut fetched = ScatteredRead::new(cfg, mask.len());
-    let mut selected = 0.0;
-    for (record, _) in mask.iter().enumerate().filter(|(_, b)| **b) {
+    let mut fetched = ScatteredRead::new(cfg, m * cfg.records_per_page());
+    let mut count = 0u64;
+    for record in selected {
         fetched.mark(record);
-        selected += 1.0;
+        count += 1;
     }
     hostmem::read_time_ns(cfg, mask_lines)
         + hostmem::scattered_read_time_ns(cfg, fetched.lines(s))
-        + selected * cfg.host.host_agg_ns_per_record / cfg.host.threads as f64
+        + count as f64 * cfg.host.host_agg_ns_per_record / cfg.host.threads as f64
 }
 
 /// Does a grid hold two distinct values — what a line fit over it needs?
@@ -162,9 +173,8 @@ pub fn run_calibration(
     for &s in &cal.s_values {
         for &r in &cal.r_values {
             for &m in &cal.ms {
-                let mask: Vec<bool> =
-                    (0..m * records_per_page).map(|_| rng.gen::<f64>() < r).collect();
-                let time_ns = host_gb_time_ns(cfg, m, s, &mask);
+                let selected = (0..m * records_per_page).filter(|_| rng.gen::<f64>() < r);
+                let time_ns = host_gb_time_ns(cfg, m, s, selected);
                 data.host_points.push(HostPoint { m, s, r, time_ns });
             }
         }
@@ -221,13 +231,19 @@ fn measure_pim_point(
         vec![Attribute::numeric("lo_value", value_bits), Attribute::numeric("d_key", 10)],
     )?;
     let records = m * cfg.records_per_page();
-    let mut rel = Relation::with_capacity(schema, records);
-    // values of at most 16 bits fit every `value_bits` (≥ 16)
+    // drawn a record at a time, stored a column at a time; values of at
+    // most 16 bits fit every `value_bits` (≥ 16)
+    let mut columns = [Vec::with_capacity(records), Vec::with_capacity(records)];
     for _ in 0..records {
-        rel.push_row(&[rng.gen::<u64>() & 0xFFFF, rng.gen_range(0..1000u64)])?;
+        columns[0].push(rng.gen::<u64>() & 0xFFFF);
+        columns[1].push(rng.gen_range(0..1000u64));
     }
-    let layout = RecordLayout::build(rel.schema(), cfg, mode, &[])?;
-    let mut table = PimTable::new(cfg.clone(), &rel, layout)?;
+    let layout = RecordLayout::build(&schema, cfg, mode, &[])?;
+    let column = |attr: usize, run: Range<usize>, values: &mut Vec<u64>| {
+        values.clear();
+        values.extend_from_slice(&columns[attr][run]);
+    };
+    let mut table = PimTable::from_columns(cfg.clone(), schema, layout, records, column)?;
 
     // Calibration is always exhaustive — the fitted tables describe
     // per-page costs, which the planner then applies to candidate pages.
@@ -249,6 +265,11 @@ mod tests {
 
     fn cfg() -> SimConfig {
         SimConfig::small_for_tests()
+    }
+
+    /// The selected records of a mask.
+    fn ones(mask: &[bool]) -> Vec<usize> {
+        mask.iter().enumerate().filter(|(_, b)| **b).map(|(record, _)| record).collect()
     }
 
     #[test]
@@ -290,10 +311,10 @@ mod tests {
         let mk_mask = |m: usize, r: f64, rng: &mut StdRng| -> Vec<bool> {
             (0..m * c.records_per_page()).map(|_| rng.gen::<f64>() < r).collect()
         };
-        let base = host_gb_time_ns(&c, 2, 2, &mk_mask(2, 0.2, &mut rng));
-        let more_m = host_gb_time_ns(&c, 4, 2, &mk_mask(4, 0.2, &mut rng));
-        let more_s = host_gb_time_ns(&c, 2, 6, &mk_mask(2, 0.2, &mut rng));
-        let more_r = host_gb_time_ns(&c, 2, 2, &mk_mask(2, 0.9, &mut rng));
+        let base = host_gb_time_ns(&c, 2, 2, ones(&mk_mask(2, 0.2, &mut rng)));
+        let more_m = host_gb_time_ns(&c, 4, 2, ones(&mk_mask(4, 0.2, &mut rng)));
+        let more_s = host_gb_time_ns(&c, 2, 6, ones(&mk_mask(2, 0.2, &mut rng)));
+        let more_r = host_gb_time_ns(&c, 2, 2, ones(&mk_mask(2, 0.9, &mut rng)));
         assert!(more_m > base);
         assert!(more_s > base);
         assert!(more_r > base);
@@ -314,7 +335,7 @@ mod tests {
                 let expected = hostmem::read_time_ns(&c, (m * c.crossbar_rows) as u64)
                     + hostmem::scattered_read_time_ns(&c, data_lines)
                     + selected * c.host.host_agg_ns_per_record / c.host.threads as f64;
-                assert_eq!(host_gb_time_ns(&c, m, s, &mask), expected, "m={m} s={s} r={r}");
+                assert_eq!(host_gb_time_ns(&c, m, s, ones(&mask)), expected, "m={m} s={s} r={r}");
             }
         }
     }

@@ -14,6 +14,15 @@
 //! allocate + write + reset against reserve + write + charge. An INSERT
 //! batch is all-or-nothing: a bad row or a module out of capacity
 //! leaves the table unchanged (see [`append_rows`]).
+//!
+//! The writer puts one attribute's values for one page's run of
+//! records into a buffer, hands it to `PimPage::write_records` — which
+//! transposes it into the column-major crossbars a 64-row word at a
+//! time — and folds the page's zone bounds from the same buffer in one
+//! pass. A load reads its values from a [`Relation`]
+//! ([`load_relation`]) or from plain columns
+//! (`PimTable::from_columns`: calibration draws its synthetic records
+//! straight into columns).
 
 use std::ops::Range;
 use std::sync::Mutex;
@@ -40,8 +49,34 @@ impl PimTable {
     pub fn new(cfg: SimConfig, rel: &Relation, layout: RecordLayout) -> Result<Self, CoreError> {
         let mut module = PimModule::new(cfg)?;
         let loaded = load_relation(&mut module, rel, &layout)?;
-        let domains = Mutex::new(DomainIndex::new(rel.schema(), |name| !layout.is_excluded(name)));
-        Ok(PimTable { module, schema: rel.schema().clone(), layout, loaded, domains })
+        Ok(PimTable::of_image(module, rel.schema().clone(), layout, loaded))
+    }
+
+    /// [`PimTable::new`] for `records` records held as columns rather
+    /// than as a [`Relation`]: `column(attr, run, values)` puts attribute
+    /// `attr` of the records `run` into `values`, each value inside its
+    /// attribute's width (calibration's synthetic data, drawn straight
+    /// into columns).
+    pub(crate) fn from_columns(
+        cfg: SimConfig,
+        schema: Schema,
+        layout: RecordLayout,
+        records: usize,
+        column: impl FnMut(usize, Range<usize>, &mut Vec<u64>),
+    ) -> Result<Self, CoreError> {
+        let mut module = PimModule::new(cfg)?;
+        let loaded = load_columns(&mut module, &schema, &layout, records, column)?;
+        Ok(PimTable::of_image(module, schema, layout, loaded))
+    }
+
+    fn of_image(
+        module: PimModule,
+        schema: Schema,
+        layout: RecordLayout,
+        loaded: LoadedRelation,
+    ) -> Self {
+        let domains = Mutex::new(DomainIndex::new(&schema, |name| !layout.is_excluded(name)));
+        PimTable { module, schema, layout, loaded, domains }
     }
 }
 
@@ -198,8 +233,11 @@ impl LoadedRelation {
                     let page = module.page_mut(self.pages[p.partition][pg]);
                     page.write_records(slot, p.range.lo, p.range.width, &values)?;
                 }
-                for bound in [values.iter().min(), values.iter().max()].into_iter().flatten() {
-                    self.page_zones[pg].widen(attr, *bound);
+                let (lo, hi) =
+                    values.iter().fold((u64::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+                if !values.is_empty() {
+                    self.page_zones[pg].widen(attr, lo);
+                    self.page_zones[pg].widen(attr, hi);
                 }
             }
             touched.push(pg);
@@ -221,15 +259,28 @@ pub fn load_relation(
     rel: &Relation,
     layout: &RecordLayout,
 ) -> Result<LoadedRelation, CoreError> {
+    let column = |attr, run, values: &mut Vec<u64>| rel.column(attr).decode_into(run, values);
+    load_columns(module, rel.schema(), layout, rel.len(), column)
+}
+
+/// [`load_relation`] for `records` records of `schema` that `column`
+/// produces a run of one attribute at a time (see
+/// [`LoadedRelation::store`]).
+fn load_columns(
+    module: &mut PimModule,
+    schema: &Schema,
+    layout: &RecordLayout,
+    records: usize,
+    column: impl FnMut(usize, Range<usize>, &mut Vec<u64>),
+) -> Result<LoadedRelation, CoreError> {
     let mut loaded = LoadedRelation {
         pages: vec![Vec::new(); layout.partitions()],
         page_zones: Vec::new(),
         records: 0,
         records_per_page: module.config().records_per_page(),
     };
-    loaded.reserve(module, rel.len(), rel.schema().arity())?;
-    let column = |attr, run, values: &mut Vec<u64>| rel.column(attr).decode_into(run, values);
-    loaded.store(module, layout, rel.schema(), rel.len(), column)?;
+    loaded.reserve(module, records, schema.arity())?;
+    loaded.store(module, layout, schema, records, column)?;
     // Loading is not part of query endurance.
     module.reset_endurance(&loaded.all_pages());
     Ok(loaded)

@@ -8,13 +8,21 @@
 //! [`BitMatrix`] is purely functional storage — timing, energy and
 //! endurance accounting live in [`crate::crossbar::Crossbar`]. The
 //! kernels here cost what the layout says they should: a column op is
-//! `rows / 64` word ops, a row access strides one word/bit position
-//! down the columns, a column's set rows are walked by
+//! `rows / 64` word ops, a column's set rows are walked by
 //! `trailing_zeros`. Nothing here is per row, and neither is the wear
 //! that goes with it: the crossbar counts a column op as one increment
 //! of its all-rows counter and keeps a per-row vector only for
 //! row-specific writes (row `r` took `all_rows_writes +
 //! row_cell_writes[r]` — see the crossbar's module docs).
+//!
+//! Row access crosses the layout. A single row strides one word/bit
+//! position down the columns ([`BitMatrix::read_row_bits`] /
+//! [`BitMatrix::write_row_bits`]). The 64 rows of one column word move
+//! together instead: a 64 × 64 bit transpose ([`rows_to_columns`] /
+//! [`columns_to_rows`]) turns 64 row values into the `width` column
+//! words that hold them and back, so
+//! [`BitMatrix::write_word_rows`] / [`BitMatrix::read_word_rows`] load
+//! or store each column word once — what the host's record runs use.
 
 /// A `rows × cols` bit matrix stored column-major.
 ///
@@ -212,6 +220,44 @@ impl BitMatrix {
         }
     }
 
+    /// Write `width ≤ 64` bits at `col_lo` into the rows of column word
+    /// `word` that `mask` selects: row `64·word + r` takes `block[r]`
+    /// (LSB first; bits at and above `width` are ignored), and every
+    /// other cell keeps its bits — [`BitMatrix::write_row_bits`] for up
+    /// to 64 rows at once, one store per column. `block` is left
+    /// transposed ([`rows_to_columns`]).
+    pub fn write_word_rows(
+        &mut self,
+        word: usize,
+        mask: u64,
+        col_lo: usize,
+        width: usize,
+        block: &mut [u64; 64],
+    ) {
+        debug_assert!(word < self.wpc && width <= 64 && col_lo + width <= self.cols);
+        rows_to_columns(block, width);
+        let mut at = col_lo * self.wpc + word;
+        for &bits in &block[..width] {
+            let w = &mut self.data[at];
+            *w = (*w & !mask) | (bits & mask);
+            at += self.wpc;
+        }
+    }
+
+    /// Read `width ≤ 64` bits at `col_lo` of the 64 rows of column word
+    /// `word` into `block`: row `64·word + r` into `block[r]` —
+    /// [`BitMatrix::read_row_bits`] for 64 rows at once, one load per
+    /// column ([`columns_to_rows`]).
+    pub fn read_word_rows(&self, word: usize, col_lo: usize, width: usize, block: &mut [u64; 64]) {
+        debug_assert!(word < self.wpc && width <= 64 && col_lo + width <= self.cols);
+        let mut at = col_lo * self.wpc + word;
+        for bits in &mut block[..width] {
+            *bits = self.data[at];
+            at += self.wpc;
+        }
+        columns_to_rows(block, width);
+    }
+
     /// Count set cells in a column.
     pub fn popcount_col(&self, col: usize) -> usize {
         self.col(col).iter().map(|w| w.count_ones() as usize).sum()
@@ -220,6 +266,83 @@ impl BitMatrix {
     /// Iterate the row indices whose cell in `col` is set.
     pub fn ones_in_col(&self, col: usize) -> impl Iterator<Item = usize> + '_ {
         word_ones(self.col(col))
+    }
+}
+
+/// The block-swap rounds of a 64 × 64 bit transpose, from 32 × 32
+/// blocks down to single bits. Round `(j, low)` pairs each word of
+/// every `2j`-word group's upper half with the word `j` below it, and
+/// trades the upper word's high `j` bits of each `2j`-bit group
+/// (`!low`) for the lower word's low `j` bits (`low`): it swaps bit
+/// `log₂ j` of the row index with that of the column index. The rounds
+/// commute, and rounds below `j` never move a bit across a `j`-word
+/// group, which is what lets a narrow field skip most of the work.
+const ROUNDS: [(usize, u64); 6] = [
+    (32, 0x0000_0000_FFFF_FFFF),
+    (16, 0x0000_FFFF_0000_FFFF),
+    (8, 0x00FF_00FF_00FF_00FF),
+    (4, 0x0F0F_0F0F_0F0F_0F0F),
+    (2, 0x3333_3333_3333_3333),
+    (1, 0x5555_5555_5555_5555),
+];
+
+/// One round over `words`.
+#[inline(always)]
+fn swap_round(words: &mut [u64], j: usize, low: u64) {
+    for group in words.chunks_exact_mut(2 * j) {
+        let (upper, lower) = group.split_at_mut(j);
+        for (a, b) in upper.iter_mut().zip(lower) {
+            let t = ((*a >> j) ^ *b) & low;
+            *a ^= t << j;
+            *b ^= t;
+        }
+    }
+}
+
+/// Transpose a 64 × 64 bit block in place, rows to columns: before,
+/// `block[r]` is row `r`'s value; after, `block[c]` for `c < width`
+/// is column `c`, row `r` at bit `r`. Row bits at and above `width`
+/// are ignored and the words from `width` on are left unspecified, so
+/// at `width = 64` this is the plain transpose (bit `c` of word `r`
+/// becomes bit `r` of word `c`).
+///
+/// A round at or above the field's power-of-two span only sorts
+/// unwanted columns away, so it keeps the upper half of its pairs and
+/// drops the other; the remaining rounds run on the span's words.
+pub fn rows_to_columns(block: &mut [u64; 64], width: usize) {
+    let span = width.next_power_of_two();
+    for (j, low) in ROUNDS {
+        if j >= span {
+            let (upper, lower) = block[..2 * j].split_at_mut(j);
+            for (a, b) in upper.iter_mut().zip(&*lower) {
+                *a = (*a & low) | ((*b & low) << j);
+            }
+        } else {
+            swap_round(&mut block[..span], j, low);
+        }
+    }
+}
+
+/// [`rows_to_columns`] backwards: before, `block[c]` for `c < width`
+/// is column `c` (the words from `width` on are ignored); after,
+/// `block[r]` is row `r`'s `width`-bit value.
+///
+/// The rounds inside the field's span run first, on its words; each
+/// round at or above it then splits its upper words' high bits out
+/// into the empty words below them.
+pub fn columns_to_rows(block: &mut [u64; 64], width: usize) {
+    let span = width.next_power_of_two();
+    block[width..span].fill(0);
+    for (j, low) in ROUNDS.into_iter().rev() {
+        if j >= span {
+            let (upper, lower) = block[..2 * j].split_at_mut(j);
+            for (a, b) in upper.iter_mut().zip(lower) {
+                *b = (*a >> j) & low;
+                *a &= low;
+            }
+        } else {
+            swap_round(&mut block[..span], j, low);
+        }
     }
 }
 
@@ -315,6 +438,38 @@ mod tests {
         // neighbours untouched
         assert!(!m.get(10, 2));
         assert!(!m.get(10, 20));
+    }
+
+    /// Both directions against the bit-by-bit statement at every width,
+    /// with bits set above the field in the rows and in the words past
+    /// it.
+    #[test]
+    fn transposes_match_the_bit_by_bit_statement_at_every_width() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for width in 0..=64 {
+            let rows: [u64; 64] = std::array::from_fn(|_| next());
+            let bit = |v: u64, i: usize| (v >> i) & 1;
+            let mut block = rows;
+            rows_to_columns(&mut block, width);
+            for (c, col) in block[..width].iter().enumerate() {
+                for (r, row) in rows.iter().enumerate() {
+                    assert_eq!(bit(*col, r), bit(*row, c), "width {width}: row {r} col {c}");
+                }
+            }
+            // back again, past-the-field words holding garbage
+            let cols: [u64; 64] =
+                std::array::from_fn(|c| if c < width { block[c] } else { next() });
+            let mut back = cols;
+            columns_to_rows(&mut back, width);
+            let field = if width == 64 { u64::MAX } else { (1 << width) - 1 };
+            assert_eq!(back, rows.map(|r| r & field), "width {width}");
+        }
     }
 
     #[test]

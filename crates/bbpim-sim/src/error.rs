@@ -8,11 +8,12 @@ use std::fmt;
 /// Every fallible public function in this crate returns `Result<_, SimError>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// A column index was outside the crossbar geometry.
+    /// A column index was outside the crossbar geometry, or outside the
+    /// 64 columns a record field of one value can span.
     ColumnOutOfRange {
         /// Offending column index.
         col: usize,
-        /// Number of columns in the crossbar.
+        /// Columns in reach: the crossbar's, or the end of a field's 64.
         cols: usize,
     },
     /// A row index was outside the crossbar geometry.
@@ -50,7 +51,7 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::ColumnOutOfRange { col, cols } => {
-                write!(f, "column {col} out of range (crossbar has {cols} columns)")
+                write!(f, "column {col} out of range (columns end at {cols})")
             }
             SimError::RowOutOfRange { row, rows } => {
                 write!(f, "row {row} out of range (crossbar has {rows} rows)")

@@ -122,12 +122,21 @@ impl PimPage {
     /// Host write of one value per record into `[col_lo, col_lo + width)`
     /// of the slots `first..first + values.len()` (endurance-counted:
     /// every written record's row wears `width` cells; the loader and
-    /// INSERT store rows through it).
+    /// INSERT store rows through it). Bits of a value at and above
+    /// `width` are ignored.
+    ///
+    /// The image is column-major and the values come a record at a
+    /// time, so the run is transposed: per crossbar and 64-row column
+    /// word, the run's values for those rows are gathered into a block,
+    /// transposed ([`crate::bitmat::rows_to_columns`]), and each of the
+    /// `width` column words is stored once, under the mask of the rows
+    /// the run covers.
     ///
     /// # Errors
     ///
-    /// [`SimError::RowOutOfRange`] for a run past the page capacity;
-    /// nothing is written.
+    /// [`SimError::ColumnOutOfRange`] for a field past the crossbar or
+    /// wider than 64 bits, [`SimError::RowOutOfRange`] for a run past the
+    /// page capacity; either way nothing is written.
     pub fn write_records(
         &mut self,
         first: usize,
@@ -135,7 +144,8 @@ impl PimPage {
         width: usize,
         values: &[u64],
     ) -> Result<(), SimError> {
-        let end = first + values.len();
+        self.check_field(col_lo, width)?;
+        let end = first.saturating_add(values.len());
         if end > self.record_capacity() {
             return Err(SimError::RowOutOfRange { row: end, rows: self.record_capacity() });
         }
@@ -144,17 +154,29 @@ impl PimPage {
         // every crossbar alike: one all-rows count per crossbar, and no
         // per-row counters come into being for a full page's load.
         let whole_page = values.len() == self.record_capacity();
-        for (slot, v) in (first..).zip(values) {
-            let xb = &mut self.crossbars[slot % n];
-            if whole_page {
-                xb.bits_mut_unaccounted().write_row_bits(slot / n, col_lo, width, *v);
-            } else {
-                xb.write_row_bits(slot / n, col_lo, width, *v);
+        let mut block = [0u64; 64];
+        for (i, xb) in self.crossbars.iter_mut().enumerate() {
+            // crossbar i holds slots i, i + n, …: the run's are its rows
+            // ⌈(first − i)/n⌉ .. ⌈(end − i)/n⌉
+            let rows = first.saturating_sub(i).div_ceil(n)..end.saturating_sub(i).div_ceil(n);
+            if rows.is_empty() {
+                continue;
             }
-        }
-        if whole_page {
-            for xb in &mut self.crossbars {
+            for word in rows.start / 64..rows.end.div_ceil(64) {
+                let base = word * 64;
+                let covered = rows.start.max(base)..rows.end.min(base + 64);
+                for row in covered.clone() {
+                    block[row - base] = values[row * n + i - first];
+                }
+                let mask = (u64::MAX >> (64 - covered.len())) << (covered.start - base);
+                xb.bits_mut_unaccounted().write_word_rows(word, mask, col_lo, width, &mut block);
+            }
+            if whole_page {
                 xb.note_all_rows_writes(width as u64);
+            } else {
+                for row in rows {
+                    xb.note_row_writes(row, width as u64);
+                }
             }
         }
         Ok(())
@@ -173,9 +195,10 @@ impl PimPage {
     ///
     /// # Errors
     ///
-    /// [`SimError::RowOutOfRange`] for `records` past the page capacity
-    /// or a set slot past `records`; on the latter the chunks are
-    /// already cleared.
+    /// [`SimError::ColumnOutOfRange`] for a chunk past the crossbar or
+    /// wider than 64 bits and [`SimError::RowOutOfRange`] for `records`
+    /// past the page capacity, with nothing written; the latter also for
+    /// a set slot past `records`, with the chunks already cleared.
     pub fn write_record_flags(
         &mut self,
         col_lo: usize,
@@ -184,6 +207,7 @@ impl PimPage {
         set: impl Iterator<Item = usize>,
     ) -> Result<(), SimError> {
         assert!(width > 0, "a flag chunk holds at least the flag");
+        self.check_field(col_lo, width)?;
         if records > self.record_capacity() {
             return Err(SimError::RowOutOfRange { row: records, rows: self.record_capacity() });
         }
@@ -218,14 +242,16 @@ impl PimPage {
 
     /// Read `width ≤ 64` bits at `col_lo` of the slots `0..records` into
     /// `out` (cleared first, slot order) — [`PimPage::read_record_bits`]
-    /// for a whole run, a column at a time: each of the `width` columns
-    /// of each crossbar is walked by its set cells, so the cost follows
-    /// the ones stored, not rows × width.
+    /// for a whole run, [`PimPage::write_records`] backwards: per
+    /// crossbar and 64-row column word, the `width` column words are
+    /// loaded once and transposed into the rows' values
+    /// ([`crate::bitmat::columns_to_rows`]).
     ///
     /// # Errors
     ///
-    /// [`SimError::RowOutOfRange`] for a run past the page capacity;
-    /// nothing is read.
+    /// [`SimError::ColumnOutOfRange`] for a field past the crossbar or
+    /// wider than 64 bits, [`SimError::RowOutOfRange`] for a run past the
+    /// page capacity; either way nothing is read.
     pub fn read_records(
         &self,
         col_lo: usize,
@@ -233,21 +259,39 @@ impl PimPage {
         records: usize,
         out: &mut Vec<u64>,
     ) -> Result<(), SimError> {
+        self.check_field(col_lo, width)?;
         if records > self.record_capacity() {
             return Err(SimError::RowOutOfRange { row: records, rows: self.record_capacity() });
         }
-        debug_assert!(width <= 64 && col_lo + width <= self.cols);
         out.clear();
         out.resize(records, 0);
         let n = self.crossbars.len();
+        let mut block = [0u64; 64];
         for (i, xb) in self.crossbars.iter().enumerate() {
             // crossbar i holds slots i, i + n, …: its first ⌈(records − i)/n⌉ rows
             let rows = records.saturating_sub(i).div_ceil(n);
-            for bit in 0..width {
-                for row in xb.bits().ones_in_col(col_lo + bit).take_while(|&row| row < rows) {
-                    out[row * n + i] |= 1 << bit;
+            for word in 0..rows.div_ceil(64) {
+                xb.bits().read_word_rows(word, col_lo, width, &mut block);
+                let base = word * 64;
+                for (row, v) in (base..rows.min(base + 64)).zip(block) {
+                    out[row * n + i] = v;
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// A run's field `[col_lo, col_lo + width)`: inside the crossbar and
+    /// one value of at most 64 bits wide.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::ColumnOutOfRange`] naming the first column past the
+    /// field's reach.
+    fn check_field(&self, col_lo: usize, width: usize) -> Result<(), SimError> {
+        let reach = self.cols.min(col_lo.saturating_add(64));
+        if col_lo.saturating_add(width) > reach {
+            return Err(SimError::ColumnOutOfRange { col: reach.max(col_lo), cols: reach });
         }
         Ok(())
     }
@@ -370,6 +414,45 @@ mod tests {
             }
         }
         assert!(p.read_records(0, 1, capacity + 1, &mut out).is_err());
+    }
+
+    /// A field past the crossbar or wider than a value is refused by all
+    /// three run accessors before any cell or counter moves — in release
+    /// too, where the bounds were only `debug_assert!`s.
+    #[test]
+    fn fields_out_of_reach_are_typed_errors() {
+        let mut p = page();
+        p.write_records(0, 250, 6, &[0x2A; 9]).unwrap();
+        let (before, wear) = (p.clone(), p.max_row_cell_writes());
+        let cols = p.cols;
+        let refused = |col, reach| Err(SimError::ColumnOutOfRange { col, cols: reach });
+        // (col_lo, width) → the error: past the last column, wider than
+        // 64 bits inside the crossbar, starting past it, overflowing
+        let cases = [
+            ((250, 7), refused(cols, cols)),
+            ((0, 65), refused(64, 64)),
+            ((100, 80), refused(164, 164)),
+            ((cols + 3, 1), refused(cols + 3, cols)),
+            ((usize::MAX, 2), refused(usize::MAX, cols)),
+        ];
+        let mut out = vec![7];
+        for ((col_lo, width), want) in cases {
+            assert_eq!(p.write_records(0, col_lo, width, &[u64::MAX; 5]), want, "{col_lo}+{width}");
+            assert_eq!(p.read_records(col_lo, width, 5, &mut out), want, "{col_lo}+{width}");
+            let flags = p.write_record_flags(col_lo, width, 5, [1, 2].into_iter());
+            assert_eq!(flags, want, "{col_lo}+{width}");
+            assert_eq!(out, [7], "nothing read");
+            for (a, b) in p.crossbars().zip(before.crossbars()) {
+                assert_eq!(a.bits(), b.bits(), "nothing written");
+            }
+            assert_eq!(p.max_row_cell_writes(), wear, "nothing worn");
+        }
+        // the edges themselves are fields
+        p.write_records(0, cols - 64, 64, &[u64::MAX]).unwrap();
+        p.read_records(cols - 1, 1, 1, &mut out).unwrap();
+        assert_eq!(out, [1]);
+        p.read_records(cols, 0, 3, &mut out).unwrap();
+        assert_eq!(out, [0; 3]);
     }
 
     #[test]

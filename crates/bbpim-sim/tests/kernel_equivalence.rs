@@ -10,7 +10,10 @@
 //! * aggregation — `masked_reduce` over every row plus a per-row count,
 //!   against `PimModule::aggregate` on both backends;
 //! * row access — cell-by-cell `get` / `set` against
-//!   `read_row_bits` / `write_row_bits`.
+//!   `read_row_bits` / `write_row_bits`;
+//! * record runs — one strided `write_row_bits` / `read_row_bits` per
+//!   slot against the transposing `PimPage::write_records` /
+//!   `read_records`, bits and wear.
 
 use bbpim_sim::aggcircuit::AggRequest;
 use bbpim_sim::bitmat::BitMatrix;
@@ -19,6 +22,7 @@ use bbpim_sim::compiler::ColRange;
 use bbpim_sim::crossbar::Crossbar;
 use bbpim_sim::isa::{MicroOp, Microprogram};
 use bbpim_sim::module::{PageId, PimModule};
+use bbpim_sim::page::PimPage;
 use bbpim_sim::SimConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -319,6 +323,119 @@ fn row_bits_round_trip_across_word_boundaries() {
                 assert_eq!(cell_by_cell, wrap(value, width.max(1)) * u64::from(width > 0));
                 assert_eq!(fast.read_row_bits(row, col_lo, width), cell_by_cell);
             }
+        }
+    }
+}
+
+/// The per-bit writer `PimPage::write_records` replaced: one strided
+/// `write_row_bits` per slot, each wearing its row by `width`; a run
+/// over the whole page writes its bits unaccounted and counts `width`
+/// all-rows writes per crossbar instead.
+fn write_records_per_bit(
+    page: &mut PimPage,
+    first: usize,
+    col_lo: usize,
+    width: usize,
+    values: &[u64],
+) {
+    let n = page.crossbar_count();
+    let whole_page = values.len() == page.record_capacity();
+    for (slot, v) in (first..).zip(values) {
+        let xb = page.crossbar_mut(slot % n);
+        if whole_page {
+            xb.bits_mut_unaccounted().write_row_bits(slot / n, col_lo, width, *v);
+        } else {
+            xb.write_row_bits(slot / n, col_lo, width, *v);
+        }
+    }
+    if whole_page {
+        page.crossbars_mut().for_each(|xb| xb.note_all_rows_writes(width as u64));
+    }
+}
+
+/// Every row's wear total, read through the public counters: adding
+/// `(r + 1) · 2⁴⁰` writes to row `r` of a copy makes it the worst row,
+/// so the maximum is its total plus that probe.
+fn row_totals(xb: &Crossbar) -> Vec<u64> {
+    let mut xb = xb.clone();
+    (0..xb.rows())
+        .map(|r| {
+            let probe = (r as u64 + 1) << 40;
+            xb.note_row_writes(r, probe);
+            xb.max_row_cell_writes() - probe
+        })
+        .collect()
+}
+
+/// Every cell, every row's wear total and the page's worst row alike.
+fn assert_same_page(fast: &PimPage, plain: &PimPage, what: &str) {
+    for (x, (a, b)) in fast.crossbars().zip(plain.crossbars()).enumerate() {
+        assert_eq!(a.bits(), b.bits(), "{what}: cells of crossbar {x}");
+        assert_eq!(row_totals(a), row_totals(b), "{what}: row wear of crossbar {x}");
+    }
+    assert_eq!(fast.max_row_cell_writes(), plain.max_row_cell_writes(), "{what}: worst row");
+}
+
+/// Seeded runs through the transposing writer and reader against the
+/// per-bit reference, on the small and the default geometry: runs of
+/// length 0 and 1, runs across a 64-row column word, whole pages and
+/// random ones; every width from 1 to 64 at random offsets; values with
+/// bits set above the field; and random old contents in every cell, so
+/// neighbouring columns and rows outside a run show what they keep.
+#[test]
+fn record_runs_match_the_per_bit_reference() {
+    for (geometry, cfg) in
+        [("small", SimConfig::small_for_tests()), ("default", SimConfig::default())]
+    {
+        let mut rng = StdRng::seed_from_u64(0x7_2A45_9053);
+        let mut fast = PimPage::new(&cfg);
+        let (capacity, n, cols) =
+            (fast.record_capacity(), fast.crossbar_count(), cfg.crossbar_cols);
+        for xb in fast.crossbars_mut() {
+            for c in 0..cols {
+                xb.bits_mut_unaccounted().col_mut(c).iter_mut().for_each(|w| *w = rng.gen());
+            }
+        }
+        // a whole-page run first: column wear only, no per-row counters
+        let mut plain = fast.clone();
+        let values: Vec<u64> = (0..capacity).map(|_| rng.gen()).collect();
+        fast.write_records(0, 3, 61, &values).unwrap();
+        write_records_per_bit(&mut plain, 0, 3, 61, &values);
+        assert_same_page(&fast, &plain, &format!("{geometry}: whole page"));
+        for xb in fast.crossbars() {
+            assert!(format!("{xb:?}").contains("row_cell_writes: []"), "{geometry}: {xb:?}");
+        }
+        for case in 0..48 {
+            let len = match case % 6 {
+                0 => 0,
+                1 => 1,
+                2 => capacity,
+                _ => rng.gen_range(0..=capacity),
+            };
+            let first = match case % 6 {
+                // across the first 64-row column word of every crossbar
+                3 if capacity > 64 * n => 64 * n - rng.gen_range(1..=n.min(len.max(1))),
+                _ => rng.gen_range(0..=capacity - len),
+            };
+            let len = len.min(capacity - first);
+            let width = 1 + case % 64;
+            let col_lo = rng.gen_range(0..=cols - width);
+            let values: Vec<u64> = (0..len).map(|_| rng.gen()).collect();
+            let what = format!(
+                "{geometry} case {case}: {len} records from {first}, bits {col_lo}+{width}"
+            );
+            fast.write_records(first, col_lo, width, &values).unwrap();
+            write_records_per_bit(&mut plain, first, col_lo, width, &values);
+            assert_same_page(&fast, &plain, &what);
+
+            let (records, width) = (rng.gen_range(0..=capacity), rng.gen_range(0..=64));
+            let col_lo = rng.gen_range(0..=cols - width);
+            let mut out = vec![7; 3];
+            fast.read_records(col_lo, width, records, &mut out).unwrap();
+            let want: Vec<u64> = (0..records)
+                .map(|s| plain.crossbar(s % n).read_row_bits(s / n, col_lo, width))
+                .collect();
+            assert_eq!(out, want, "{what}: read {records} records of bits {col_lo}+{width}");
         }
     }
 }
