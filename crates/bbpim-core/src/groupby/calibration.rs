@@ -107,10 +107,11 @@ pub struct CalibrationData {
 }
 
 /// Simulated host-gb latency for a synthetic selection — `selected`,
-/// the ascending indices of the chosen records of `m` pages: the same
+/// the indices of the chosen records of `m` pages: the same
 /// streaming mask read + scattered unique-line record read +
 /// host-aggregation model the real host-gb path charges. Each record
-/// is marked as it is drawn; no mask is built.
+/// is marked as `selected` yields it, so a sweep that draws its
+/// selection lazily builds no mask.
 ///
 /// # Panics
 ///
@@ -232,16 +233,16 @@ fn measure_pim_point(
     )?;
     let records = m * cfg.records_per_page();
     // drawn a record at a time, stored a column at a time; values of at
-    // most 16 bits fit every `value_bits` (≥ 16)
-    let mut columns = [Vec::with_capacity(records), Vec::with_capacity(records)];
+    // most 16 bits fit every `value_bits` (≥ 16), keys below 1000 fit 10
+    let mut columns: [Vec<u16>; 2] = [Vec::with_capacity(records), Vec::with_capacity(records)];
     for _ in 0..records {
-        columns[0].push(rng.gen::<u64>() & 0xFFFF);
-        columns[1].push(rng.gen_range(0..1000u64));
+        columns[0].push(rng.gen::<u64>() as u16);
+        columns[1].push(rng.gen_range(0..1000u32) as u16);
     }
     let layout = RecordLayout::build(&schema, cfg, mode, &[])?;
     let column = |attr: usize, run: Range<usize>, values: &mut Vec<u64>| {
         values.clear();
-        values.extend_from_slice(&columns[attr][run]);
+        values.extend(columns[attr][run].iter().map(|&v| u64::from(v)));
     };
     let mut table = PimTable::from_columns(cfg.clone(), schema, layout, records, column)?;
 
