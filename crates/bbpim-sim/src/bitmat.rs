@@ -18,8 +18,8 @@
 //! Row access crosses the layout. A single row strides one word/bit
 //! position down the columns ([`BitMatrix::read_row_bits`] /
 //! [`BitMatrix::write_row_bits`]). The 64 rows of one column word move
-//! together instead: a 64 × 64 bit transpose ([`rows_to_columns`] /
-//! [`columns_to_rows`]) turns 64 row values into the `width` column
+//! together instead: a 64 × 64 bit transpose (`rows_to_columns` /
+//! `columns_to_rows`) turns 64 row values into the `width` column
 //! words that hold them and back, so
 //! [`BitMatrix::write_word_rows`] / [`BitMatrix::read_word_rows`] load
 //! or store each column word once — what the host's record runs use.
@@ -225,7 +225,7 @@ impl BitMatrix {
     /// (LSB first; bits at and above `width` are ignored), and every
     /// other cell keeps its bits — [`BitMatrix::write_row_bits`] for up
     /// to 64 rows at once, one store per column. `block` is left
-    /// transposed ([`rows_to_columns`]).
+    /// transposed.
     pub fn write_word_rows(
         &mut self,
         word: usize,
@@ -247,7 +247,7 @@ impl BitMatrix {
     /// Read `width ≤ 64` bits at `col_lo` of the 64 rows of column word
     /// `word` into `block`: row `64·word + r` into `block[r]` —
     /// [`BitMatrix::read_row_bits`] for 64 rows at once, one load per
-    /// column ([`columns_to_rows`]).
+    /// column.
     pub fn read_word_rows(&self, word: usize, col_lo: usize, width: usize, block: &mut [u64; 64]) {
         debug_assert!(word < self.wpc && width <= 64 && col_lo + width <= self.cols);
         let mut at = col_lo * self.wpc + word;
@@ -309,7 +309,7 @@ fn swap_round(words: &mut [u64], j: usize, low: u64) {
 /// A round at or above the field's power-of-two span only sorts
 /// unwanted columns away, so it keeps the upper half of its pairs and
 /// drops the other; the remaining rounds run on the span's words.
-pub fn rows_to_columns(block: &mut [u64; 64], width: usize) {
+fn rows_to_columns(block: &mut [u64; 64], width: usize) {
     let span = width.next_power_of_two();
     for (j, low) in ROUNDS {
         if j >= span {
@@ -330,7 +330,7 @@ pub fn rows_to_columns(block: &mut [u64; 64], width: usize) {
 /// The rounds inside the field's span run first, on its words; each
 /// round at or above it then splits its upper words' high bits out
 /// into the empty words below them.
-pub fn columns_to_rows(block: &mut [u64; 64], width: usize) {
+fn columns_to_rows(block: &mut [u64; 64], width: usize) {
     let span = width.next_power_of_two();
     block[width..span].fill(0);
     for (j, low) in ROUNDS.into_iter().rev() {

@@ -128,9 +128,9 @@ impl PimPage {
     /// The image is column-major and the values come a record at a
     /// time, so the run is transposed: per crossbar and 64-row column
     /// word, the run's values for those rows are gathered into a block,
-    /// transposed ([`crate::bitmat::rows_to_columns`]), and each of the
-    /// `width` column words is stored once, under the mask of the rows
-    /// the run covers.
+    /// transposed, and each of the `width` column words is stored once,
+    /// under the mask of the rows the run covers
+    /// ([`crate::bitmat::BitMatrix::write_word_rows`]).
     ///
     /// # Errors
     ///
@@ -245,7 +245,7 @@ impl PimPage {
     /// for a whole run, [`PimPage::write_records`] backwards: per
     /// crossbar and 64-row column word, the `width` column words are
     /// loaded once and transposed into the rows' values
-    /// ([`crate::bitmat::columns_to_rows`]).
+    /// ([`crate::bitmat::BitMatrix::read_word_rows`]).
     ///
     /// # Errors
     ///

@@ -405,7 +405,7 @@ fn record_runs_match_the_per_bit_reference() {
         for xb in fast.crossbars() {
             assert!(format!("{xb:?}").contains("row_cell_writes: []"), "{geometry}: {xb:?}");
         }
-        for case in 0..48 {
+        for case in 0..64 {
             let len = match case % 6 {
                 0 => 0,
                 1 => 1,
@@ -413,12 +413,13 @@ fn record_runs_match_the_per_bit_reference() {
                 _ => rng.gen_range(0..=capacity),
             };
             let first = match case % 6 {
-                // across the first 64-row column word of every crossbar
+                // from the first 64-row column word into the second
                 3 if capacity > 64 * n => 64 * n - rng.gen_range(1..=n.min(len.max(1))),
                 _ => rng.gen_range(0..=capacity - len),
             };
             let len = len.min(capacity - first);
-            let width = 1 + case % 64;
+            // every width once, in an order that varies it against `len`
+            let width = 1 + (case * 5) % 64;
             let col_lo = rng.gen_range(0..=cols - width);
             let values: Vec<u64> = (0..len).map(|_| rng.gen()).collect();
             let what = format!(
