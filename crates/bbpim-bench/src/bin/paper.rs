@@ -11,22 +11,29 @@
 //! | `all` | Figs. 6–9 and Table II behind a run banner |
 //! | `sweep` | the headline ratios over three scale factors |
 //! | `ablation` | aggregation circuit vs bitwise reduction, two-xb placement, host scattered-read sensitivity (default SF 0.05) |
+//! | `scaling` | the journal follow-up's shard-scaling study over `--shards`, with the byte-diet lever table; star cluster, or the pre-joined one with `--prejoined`; exits 1 on its verdict |
+//! | `pruning` | zone-map pruned vs exhaustive dispatch on a `d_year` range-partitioned cluster over `--shards` |
 //!
 //! Sections print in the order selected. The per-query figures (6–9,
 //! Table II) all render from one [`PaperRuns`] — one set-up, one run of
 //! each PIM mode, one of each baseline if Fig. 6 is selected — and
 //! `--csv <dir>` writes the selected ones' numbers for plotting. A
-//! selection accepts exactly the shared flags its selectors read.
+//! selection accepts exactly the shared flags its selectors read. A
+//! section's failed verdict is `error: …` + exit 1 after every selected
+//! section has printed.
 
 use std::io;
 use std::process::ExitCode;
 
 use bbpim_bench::cli::ValueFlag;
-use bbpim_bench::reports::{Figure, FIG6, FIG7, FIG8, FIG9, TABLE2};
+use bbpim_bench::reports::{self, Figure, FIG6, FIG7, FIG8, FIG9, TABLE2};
 use bbpim_bench::{
-    artifacts, geomean, pim_runs, print_table, run_monet, setup, speedups, Accepts, BenchConfig,
-    BinFlags, CliError, PaperRuns, SsbSetup,
+    artifacts, fit_shared_model, fmt_geomean, fmt_ms, geomean, modelled_cluster, pim_runs,
+    print_table, report_host_bytes, run_cluster_scaling, run_monet, run_pruning_study,
+    scaling_verdict, setup, speedups, Accepts, BenchConfig, BinFlags, CliError, ClusterScalePoint,
+    PaperRuns, SsbSetup,
 };
+use bbpim_cluster::{Cluster, ClusterEngine, ClusterExecution, Partitioner, StarCluster, Storage};
 use bbpim_core::engine::PimQueryEngine;
 use bbpim_core::groupby::calibration::{run_calibration, CalibrationConfig, HostPoint, PimPoint};
 use bbpim_core::groupby::fitting::fit_linear;
@@ -38,15 +45,15 @@ use bbpim_sim::aggcircuit::AggRequest;
 use bbpim_sim::area::AreaModel;
 use bbpim_sim::compiler::reduce::{reduce_cost, ReduceOp};
 use bbpim_sim::compiler::ColRange;
-use bbpim_sim::SimConfig;
+use bbpim_sim::{SimConfig, XferPolicy};
 
 /// What a selector prints.
 #[derive(Clone, Copy)]
 enum Section {
     /// A per-query figure, rendered from the shared [`PaperRuns`].
     Figure(&'static Figure),
-    /// A section that gathers its own data.
-    Standalone(fn(&BenchConfig, &BinFlags)),
+    /// A section that gathers its own data; an `Err` is its verdict.
+    Standalone(fn(&BenchConfig, &BinFlags) -> io::Result<()>),
 }
 
 /// One `--fig` selector: its name, what it prints, the shared flags it
@@ -59,13 +66,14 @@ struct Selector {
 }
 
 const DATA: &str = "--sf --uniform --skewed --seed";
+const CLUSTER: &str = "--sf --uniform --skewed --seed --shards";
 const MODES: &[&str] = &["pimdb", "two_xb", "one_xb"];
 
 const fn selector(name: &'static str, section: Section, reads: &'static str) -> Selector {
     Selector { name, section, reads, default_sf: 0.1 }
 }
 
-static SELECTORS: [Selector; 10] = [
+static SELECTORS: [Selector; 12] = [
     selector("table1", Section::Standalone(table1), ""),
     selector("table2", Section::Figure(&TABLE2), DATA),
     selector("4", Section::Standalone(fig4), ""),
@@ -78,6 +86,8 @@ static SELECTORS: [Selector; 10] = [
     selector("sweep", Section::Standalone(sweep), "--uniform --skewed --seed --threads"),
     // ablations need less data than the figures
     Selector { default_sf: 0.05, ..selector("ablation", Section::Standalone(ablation), DATA) },
+    selector("scaling", Section::Standalone(scaling), CLUSTER),
+    selector("pruning", Section::Standalone(pruning), CLUSTER),
 ];
 
 /// What `all` stands for.
@@ -93,6 +103,8 @@ struct Invocation {
     rest: Vec<String>,
     /// The shared flags the selection reads: the union over selectors.
     shared: String,
+    /// `--prejoined` with `scaling`.
+    switches: Vec<&'static str>,
     /// `--mode` with Fig. 4, `--csv` with a per-query figure.
     values: Vec<ValueFlag<'static>>,
 }
@@ -115,19 +127,21 @@ impl Invocation {
         };
         let selectors = names.into_iter().map(find).collect::<Result<Vec<_>, _>>()?;
         let shared = selectors.iter().map(|s| s.reads).collect::<Vec<_>>().join(" ");
+        let selected = |name| selectors.iter().any(|s| s.name == name);
+        let switches = if selected("scaling") { vec!["--prejoined"] } else { Vec::new() };
         let mut values: Vec<ValueFlag<'static>> = Vec::new();
-        if selectors.iter().any(|s| s.name == "4") {
+        if selected("4") {
             values.push(("--mode", MODES));
         }
         if selectors.iter().any(|s| matches!(s.section, Section::Figure(_))) {
             values.push(("--csv", &[]));
         }
-        Ok(Invocation { selectors, banner, rest, shared, values })
+        Ok(Invocation { selectors, banner, rest, shared, switches, values })
     }
 
     /// What [`Invocation::rest`] may contain.
     fn accepts(&self) -> Accepts<'_> {
-        Accepts { shared: &self.shared, switches: &[], values: &self.values }
+        Accepts { shared: &self.shared, switches: &self.switches, values: &self.values }
     }
 
     /// The configuration a selector running at `default_sf` sees: an
@@ -188,6 +202,7 @@ fn run(inv: &Invocation, cfg: BenchConfig, flags: &BinFlags) -> io::Result<()> {
             artifacts::write_csvs(dir, &tables)?;
         }
     }
+    let mut verdict = Ok(());
     for (i, selector) in inv.selectors.iter().enumerate() {
         if i > 0 {
             rule();
@@ -199,11 +214,11 @@ fn run(inv: &Invocation, cfg: BenchConfig, flags: &BinFlags) -> io::Result<()> {
             }
             Section::Standalone(section) => {
                 let (cfg, flags) = inv.config(selector.default_sf).expect("parsed once already");
-                section(&cfg, &flags);
+                verdict = verdict.and(section(&cfg, &flags));
             }
         }
     }
-    Ok(())
+    verdict
 }
 
 /// The line between two sections.
@@ -218,7 +233,7 @@ fn print_parameters(rows: &[(&str, String)]) {
 }
 
 /// Table I: architecture and system configuration.
-fn table1(_: &BenchConfig, _: &BinFlags) {
+fn table1(_: &BenchConfig, _: &BinFlags) -> io::Result<()> {
     let cfg = SimConfig::default();
     println!("Table I — architecture and system configuration\n");
     println!("Single RRAM PIM module");
@@ -254,6 +269,7 @@ fn table1(_: &BenchConfig, _: &BinFlags) {
         ("memory-level parallelism", format!("{}", cfg.host.mlp)),
         ("host clock", format!("{} GHz", cfg.host.clock_ghz)),
     ]);
+    Ok(())
 }
 
 /// Fig. 4: empirical latency modeling.
@@ -261,7 +277,7 @@ fn table1(_: &BenchConfig, _: &BinFlags) {
 /// * (a) `T_host-gb` vs page count M for representative (s, r) pairs
 /// * (b) `∂T_host-gb/∂M` vs r per s, with the fitted `a(s)·√r + b(s)`
 /// * (c) `T_pim-gb` (single subgroup) vs M per n, with the linear fits
-fn fig4(_: &BenchConfig, flags: &BinFlags) {
+fn fig4(_: &BenchConfig, flags: &BinFlags) -> io::Result<()> {
     let mode = match flags.value("--mode") {
         Some("pimdb") => EngineMode::PimDb,
         Some("two_xb") => EngineMode::TwoXb,
@@ -336,10 +352,11 @@ fn fig4(_: &BenchConfig, flags: &BinFlags) {
     }
     println!("\npaper shape: T_host-gb linear in M; slope concave in r (a·sqrt(r)+b);");
     println!("             T_pim-gb linear in M with n-dependent coefficients.");
+    Ok(())
 }
 
 /// Fig. 5: PIM chip area breakdown.
-fn fig5(_: &BenchConfig, _: &BinFlags) {
+fn fig5(_: &BenchConfig, _: &BinFlags) -> io::Result<()> {
     let cfg = SimConfig::default();
     let model = AreaModel::default();
     let breakdown = model.breakdown();
@@ -365,6 +382,7 @@ fn fig5(_: &BenchConfig, _: &BinFlags) {
     );
     println!("\npaper: aggregation circuits 13.9%, crossbars 19.24%, crossbar peripherals 40.4%,");
     println!("       bank peripherals 18.83%, PIM controllers 6.84%, wires 0.76% (346 mm² chip)");
+    Ok(())
 }
 
 /// Scale-factor sweep: how the paper's headline ratios and the hybrid
@@ -374,7 +392,7 @@ fn fig5(_: &BenchConfig, _: &BinFlags) {
 /// shows the trend that leads there: host-gb cost grows with M while
 /// pim-gb per subgroup stays nearly flat, so PIM-aggregated subgroup
 /// counts and the one_xb advantage both grow with scale.
-fn sweep(base: &BenchConfig, _: &BinFlags) {
+fn sweep(base: &BenchConfig, _: &BinFlags) -> io::Result<()> {
     println!("Scale sweep ({} data)\n", base.data_label());
     let mut rows = Vec::new();
     for sf in [0.02f64, 0.05, 0.1] {
@@ -401,6 +419,7 @@ fn sweep(base: &BenchConfig, _: &BinFlags) {
     );
     println!("\npaper at SF=10 (M=1832): one_xb vs mnt_join 4.65x, vs pimdb 1.83x,");
     println!("and k>0 for Q1.x plus several GROUP BY queries (Table II).");
+    Ok(())
 }
 
 /// Ablations of three design choices:
@@ -413,7 +432,7 @@ fn sweep(base: &BenchConfig, _: &BinFlags) {
 /// 3. **Host scattered-read sensitivity**: how the hybrid GROUP-BY's k
 ///    decision shifts with the host's effective memory-level
 ///    parallelism on data-dependent reads.
-fn ablation(cfg: &BenchConfig, _: &BinFlags) {
+fn ablation(cfg: &BenchConfig, _: &BinFlags) -> io::Result<()> {
     ablation_agg_paths();
     rule();
     let s = setup(cfg.clone());
@@ -421,6 +440,7 @@ fn ablation(cfg: &BenchConfig, _: &BinFlags) {
     ablation_placement(&s, q23);
     rule();
     ablation_scatter(&s, q23);
+    Ok(())
 }
 
 /// 1. Circuit vs reduction tree, per crossbar, paper geometry.
@@ -564,6 +584,173 @@ fn ablation_scatter(s: &SsbSetup, q: &Query) {
     println!(" gem5 host sits in; a faster host keeps the tail on the CPU)");
 }
 
+/// The journal follow-up's cluster scaling study: the 13 SSB queries on
+/// a sharded multi-module cluster at each `--shards` count, plus an A/B
+/// table attributing the host-channel byte diet lever by lever at the
+/// largest count. Every merged answer is checked against the
+/// row-at-a-time oracle before it is reported.
+///
+/// The default path is the normalized **star** cluster (PIM-side
+/// semijoin bitmaps, two-crossbar modules), the storage model the byte
+/// diet was built for. `--prejoined` runs the legacy pre-joined
+/// one-crossbar sweep instead, with its hash-by-group-key partitioner
+/// comparison; one calibration sweep serves every cluster it builds.
+///
+/// # Errors
+///
+/// The study's verdict ([`scaling_verdict`]) fails.
+fn scaling(cfg: &BenchConfig, flags: &BinFlags) -> io::Result<()> {
+    let s = setup(cfg.clone());
+    if !flags.switch("--prejoined") {
+        // dimension filters on their own modules, compressed semijoin
+        // bitmaps over the bus
+        let star = |shards| {
+            StarCluster::new(
+                SimConfig::default(),
+                &s.db,
+                EngineMode::TwoXb,
+                shards,
+                Partitioner::RoundRobin,
+            )
+            .expect("star cluster construction")
+        };
+        let points = run_cluster_scaling(&s, &s.cfg.shards, star);
+        println!("scaling path: star (default)\n");
+        reports::print_scaling(&s, &points, true);
+        return scaling_tail(&s, &points, star);
+    }
+    let model = fit_shared_model(EngineMode::OneXb);
+    let cluster =
+        |shards, partitioner| modelled_cluster(&s, EngineMode::OneXb, shards, partitioner, &model);
+    let round_robin = |shards| cluster(shards, Partitioner::RoundRobin);
+    let points = run_cluster_scaling(&s, &s.cfg.shards, round_robin);
+    println!("scaling path: pre-joined (legacy)\n");
+    reports::print_scaling(&s, &points, false);
+    hash_by_key(&s, &points, cluster);
+    scaling_tail(&s, &points, round_robin)
+}
+
+/// Hash partitioning keeps every subgroup on one shard: the merge is a
+/// disjoint union and each shard's GROUP BY sees k/n subgroups. One hash
+/// cluster per GROUP BY query (the key set differs), each running only
+/// its own query, at 4 shards (or the largest count when 4 was not run).
+fn hash_by_key(
+    s: &SsbSetup,
+    points: &[ClusterScalePoint],
+    cluster: impl Fn(usize, Partitioner) -> ClusterEngine,
+) {
+    let max_shards = points.iter().map(|p| p.shards).max().expect("at least one shard count");
+    let shards = if s.cfg.shards.contains(&4) { 4 } else { max_shards };
+    println!("\nhash-by-group-key vs round-robin at {shards} shards (GROUP BY queries):\n");
+    let rr_point = points.iter().find(|p| p.shards == shards).expect("hash-comparison shard point");
+    let mut rows = Vec::new();
+    for (q, rr) in s.queries.iter().zip(&rr_point.executions) {
+        if !q.has_group_by() {
+            continue;
+        }
+        let mut hashed = cluster(shards, Partitioner::hash_by_group_keys(&q.group_by));
+        let out = hashed.run(q).unwrap_or_else(|e| panic!("hash shards on {}: {e}", q.id));
+        assert_eq!(out.groups, rr.groups, "hash/round-robin mismatch on {}", q.id);
+        let (rr_ns, hash_ns) = (rr.report.time_ns, out.report.time_ns);
+        let ratio = rr_ns / hash_ns;
+        rows.push(vec![
+            q.id.clone(),
+            out.report.partitioner.to_string(),
+            fmt_ms(rr_ns),
+            fmt_ms(hash_ns),
+            // zone-pruned zero-match queries cost ~0 on both layouts
+            if ratio.is_finite() { format!("{ratio:.2}") } else { "-".into() },
+        ]);
+    }
+    print_table(&["query", "partitioner", "round-robin", "hash-by-key", "rr/hash"], &rows);
+}
+
+/// What both scaling paths print after their own tables: the byte-diet
+/// lever table at the largest shard count, the PIM capacity of the wide
+/// relation next to the normalized star catalog, and the verdict.
+fn scaling_tail<S: Storage>(
+    s: &SsbSetup,
+    points: &[ClusterScalePoint],
+    new_cluster: impl Fn(usize) -> Cluster<S>,
+) -> io::Result<()> {
+    let max_shards = points.iter().map(|p| p.shards).max().expect("at least one shard count");
+    lever_table(s, max_shards, new_cluster);
+    println!();
+    let catalog = bbpim_db::ssb::star::StarSchema::of_db(&s.db);
+    reports::print_star_footprint(
+        &catalog.footprints(&catalog.ssb_cold_attrs()),
+        &bbpim_db::ssb::star::table_footprint(&s.wide, &[]),
+    );
+    scaling_verdict(points)
+}
+
+/// The lever attribution table at `shards`: each byte-diet lever
+/// switched off individually against the all-on default, bracketed by
+/// the default and the legacy (all-off) policy — per configuration, mean
+/// host bytes per query and the contended geo-mean speedup over legacy.
+fn lever_table<S: Storage>(s: &SsbSetup, shards: usize, new_cluster: impl Fn(usize) -> Cluster<S>) {
+    println!("\nhost-channel byte diet at {shards} shards, contended (per-lever attribution):\n");
+    let on = XferPolicy::default();
+    let levers = [
+        ("all-on (default)", on),
+        ("compress_masks off", XferPolicy { compress_masks: false, ..on }),
+        ("batch_dispatch off", XferPolicy { batch_dispatch: false, ..on }),
+        ("module_reduce off", XferPolicy { module_reduce: false, ..on }),
+        ("legacy (all off)", XferPolicy::legacy()),
+    ];
+    let run_policy = |(label, policy): (&'static str, XferPolicy)| {
+        let mut c = new_cluster(shards);
+        c.set_xfer_policy(policy);
+        let run = |q: &Query| c.run(q).unwrap_or_else(|e| panic!("{} under lever A/B: {e}", q.id));
+        (label, s.queries.iter().map(run).collect::<Vec<ClusterExecution>>())
+    };
+    let runs: Vec<_> = levers.into_iter().map(run_policy).collect();
+    let legacy = &runs.last().expect("legacy row").1;
+    // answers are lever-independent; the equivalence suite enforces
+    // this against the oracle, the cheap cross-check here is free
+    for (label, execs) in &runs {
+        for (e, l) in execs.iter().zip(legacy) {
+            assert_eq!(e.groups, l.groups, "lever answer drift under {label}");
+        }
+    }
+    let bytes_per_query = |execs: &[ClusterExecution]| {
+        execs.iter().map(|e| report_host_bytes(&e.report)).sum::<u64>() as f64
+            / execs.len().max(1) as f64
+    };
+    let legacy_bytes = bytes_per_query(legacy);
+    let row = |(label, execs): &(&str, Vec<ClusterExecution>)| {
+        let bytes = bytes_per_query(execs);
+        let ratios: Vec<f64> =
+            execs.iter().zip(legacy).map(|(e, l)| l.report.time_ns / e.report.time_ns).collect();
+        let wall: f64 = execs.iter().map(|e| e.report.time_ns).sum();
+        vec![
+            label.to_string(),
+            format!("{bytes:.0}"),
+            format!("{:.2}x", legacy_bytes / bytes.max(1.0)),
+            fmt_ms(wall),
+            fmt_geomean(&ratios),
+        ]
+    };
+    print_table(
+        &["policy", "host B/query", "bytes vs legacy", "total ms", "speedup vs legacy"],
+        &runs.iter().map(row).collect::<Vec<_>>(),
+    );
+}
+
+/// The journal follow-up's zone-map pruning study: pruned vs exhaustive
+/// dispatch over all 13 SSB queries on a cluster range-partitioned on
+/// `d_year` at each `--shards` count. Range placement on the attribute
+/// Q1.x/Q3.x/Q4.x constrain makes shard zone maps narrow, so the planner
+/// skips most shards pre-scatter and most pages inside the survivors;
+/// Q2.x (no date filter) shows the no-pruning baseline. Both executions
+/// of every query are checked against the row-at-a-time oracle.
+fn pruning(cfg: &BenchConfig, _: &BinFlags) -> io::Result<()> {
+    let s = setup(cfg.clone());
+    let points = run_pruning_study(&s, EngineMode::OneXb, &s.cfg.shards, "d_year");
+    reports::print_pruning(&s, &points);
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,6 +786,25 @@ mod tests {
         assert!(invocation("--fig 6,sweep --threads 2 --uniform").unwrap().config(0.1).is_ok());
         assert!(matches!(invocation("--fig 7,fig8"), Err(CliError::BadValue(..))));
         assert!(matches!(invocation("--sf 0.01"), Err(CliError::MissingValue(_))));
+    }
+
+    #[test]
+    fn only_the_cluster_studies_read_shards_and_only_scaling_reads_prejoined() {
+        let config = |line: &str| invocation(line).unwrap().config(0.1);
+        let (cfg, flags) = config("--fig scaling --sf 0.01 --shards 1,4 --prejoined").unwrap();
+        assert_eq!((cfg.shards, flags.switch("--prejoined")), (vec![1, 4], true));
+        let (cfg, flags) = config("--fig pruning --uniform --shards 1,4").unwrap();
+        assert_eq!((cfg.shards, flags.switch("--prejoined")), (vec![1, 4], false));
+        assert!(config("--fig scaling,pruning --shards 2 --prejoined").is_ok());
+        for (line, flag) in [
+            ("--fig pruning --prejoined", "--prejoined"),
+            ("--fig pruning --threads 2", "--threads"),
+            ("--fig scaling --threads 2", "--threads"),
+            ("--fig 7 --shards 4", "--shards"),
+            ("--fig 7 --prejoined", "--prejoined"),
+        ] {
+            assert_eq!(config(line).unwrap_err(), CliError::UnknownFlag(flag.into()), "{line}");
+        }
     }
 
     #[test]

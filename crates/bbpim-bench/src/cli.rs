@@ -1,15 +1,16 @@
-//! The command line every harness binary shares.
+//! The harness command line.
 //!
 //! [`BenchConfig::parse`] reads an argument slice and **rejects
 //! what it does not understand** — an unknown flag, a missing value, an
 //! unparseable or out-of-range value — with a typed [`CliError`];
-//! nothing falls back to a default silently. Each binary declares what
-//! it [`Accepts`]: the shared flags it actually reads (a shared flag it
-//! would ignore is as unknown to it as a typo) plus flags of its own
-//! (`scaling --prejoined`, `paper --csv <dir> --mode <m>`), read back
-//! from [`BinFlags`]. [`BenchConfig::from_args`] is the `main()` entry:
-//! on a rejection it prints the error and one usage line showing only
-//! the flags that apply, then exits 2.
+//! nothing falls back to a default silently. Each `paper --fig`
+//! selection declares what it [`Accepts`]: the shared flags its
+//! selectors actually read (a shared flag they would ignore is as
+//! unknown as a typo) plus flags of their own (`--prejoined` with
+//! `scaling`, `--mode <m>` with Fig. 4, `--csv <dir>` with a per-query
+//! figure), read back from [`BinFlags`]. On a rejection `paper` prints
+//! the error and one usage line showing only the flags that apply
+//! ([`Accepts::usage`]), then exits 2.
 
 use std::fmt;
 use std::ops::RangeInclusive;
@@ -41,7 +42,7 @@ impl Default for BenchConfig {
 /// Why a command line was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
-    /// A flag neither the shared parser nor the binary registered.
+    /// A flag neither the shared parser nor the selection registered.
     UnknownFlag(String),
     /// A value-taking flag at the end of the line.
     MissingValue(String),
@@ -64,11 +65,11 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// A binary-specific value flag: its name and the values it accepts
+/// A selector-specific value flag: its name and the values it accepts
 /// (empty: any value).
 pub type ValueFlag<'a> = (&'a str, &'a [&'a str]);
 
-/// The binary-specific flags one command line carried.
+/// The selector-specific flags one command line carried.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BinFlags(Vec<(String, Option<String>)>);
 
@@ -94,7 +95,7 @@ const SHARED: &[(&str, &str)] = &[
     ("--shards", " <n,n,..>"),
 ];
 
-/// The flags one binary (or one `paper --fig` selection) accepts.
+/// The flags one `paper --fig` selection accepts.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Accepts<'a> {
     /// The shared flags it reads, space-separated (`"--sf --uniform"`);
@@ -106,18 +107,13 @@ pub struct Accepts<'a> {
     pub values: &'a [ValueFlag<'a>],
 }
 
-impl<'a> Accepts<'a> {
-    /// A binary that reads these shared flags and has none of its own.
-    pub const fn shared(shared: &'a str) -> Self {
-        Accepts { shared, switches: &[], values: &[] }
-    }
-
-    /// Is `flag` among the shared flags this binary reads?
+impl Accepts<'_> {
+    /// Is `flag` among the shared flags this selection reads?
     fn reads(&self, flag: &str) -> bool {
         self.shared.split(' ').any(|read| read == flag)
     }
 
-    /// The usage line's flag list: only what this binary accepts.
+    /// The usage line's flag list: only what this selection accepts.
     pub fn usage(&self) -> String {
         let shared = SHARED.iter().filter(|(flag, _)| self.reads(flag));
         let mut usage: Vec<String> =
@@ -196,20 +192,6 @@ impl BenchConfig {
         Ok((cfg, bin))
     }
 
-    /// Parse the process's own command line on top of the defaults; on
-    /// a rejection print the error and one usage line to stderr and
-    /// exit with code 2.
-    pub fn from_args(accepts: &Accepts<'_>) -> (Self, BinFlags) {
-        let mut argv = std::env::args();
-        let program = argv.next().unwrap_or_default();
-        let args: Vec<String> = argv.collect();
-        Self::parse(&args, Self::default(), accepts).unwrap_or_else(|err| {
-            eprintln!("error: {err}");
-            eprintln!("usage: {program} {}", accepts.usage());
-            std::process::exit(2)
-        })
-    }
-
     /// `"skewed"` or `"uniform"`, as the report headers name the data.
     pub fn data_label(&self) -> &'static str {
         if self.skewed {
@@ -244,8 +226,8 @@ mod tests {
         BenchConfig::parse(&args, BenchConfig::default(), accepts)
     }
 
-    /// Parse `line` as a binary reading every shared flag plus the
-    /// `scaling` and `paper` flags would.
+    /// Parse `line` as a selection reading every shared flag plus the
+    /// `scaling`, Fig. 4 and per-query-figure flags would.
     fn parse(line: &str) -> Result<(BenchConfig, BinFlags), CliError> {
         parse_as(line, &ALL)
     }
@@ -271,7 +253,7 @@ mod tests {
     fn an_unknown_flag_is_rejected() {
         // `--shard` is one letter short of `--shards`; `--json` fed the
         // retired snapshot gate and `--trace` the retired streamed-study
-        // export: neither is a flag of any binary now
+        // export: neither is a flag of any selection now
         let lines = [
             ("--shard 4", "--shard"),
             ("--sf 0.01 -v", "-v"),
@@ -282,15 +264,16 @@ mod tests {
         for (line, flag) in lines {
             assert_eq!(parse(line), Err(CliError::UnknownFlag(flag.into())), "{line}");
         }
-        // a binary's own flag is unknown where it is not registered
+        // a selector's own flag is unknown where it is not registered
         let err = parse_as("--prejoined", &Accepts::default()).unwrap_err();
         assert_eq!(err, CliError::UnknownFlag("--prejoined".into()));
     }
 
     #[test]
     fn a_shared_flag_the_binary_does_not_read_is_rejected() {
-        // `pruning` reads the data flags and `--shards`
-        let pruning = Accepts::shared("--sf --uniform --skewed --seed --shards");
+        // `--fig pruning` reads the data flags and `--shards`
+        let pruning =
+            Accepts { shared: "--sf --uniform --skewed --seed --shards", ..Accepts::default() };
         assert!(parse_as("--sf 0.01 --uniform --shards 1,4", &pruning).is_ok());
         let err = parse_as("--uniform --threads 1", &pruning).unwrap_err();
         assert_eq!(err, CliError::UnknownFlag("--threads".into()));
@@ -299,7 +282,7 @@ mod tests {
             pruning.usage(),
             "[--sf <f64>] [--uniform] [--skewed] [--seed <u64>] [--shards <n,n,..>]"
         );
-        // a binary that reads no command line at all accepts none
+        // a selection that reads no command line at all accepts none
         let err = parse_as("--sf 0.01", &Accepts::default()).unwrap_err();
         assert_eq!(err, CliError::UnknownFlag("--sf".into()));
     }

@@ -1,9 +1,11 @@
 //! # bbpim-bench — the experiment harness
 //!
-//! | binary | what it runs |
-//! |--------|--------------|
-//! | `paper --fig <list>` | the paper's tables and figures: `table1`, `table2`, `4`–`9`, the `sweep` and `ablation` studies, or `all` (Figs. 6–9 + Table II in one pass, `--csv <dir>` for the plotted numbers) |
-//! | `scaling`, `pruning` | cluster studies: shard scaling with the byte-diet lever table, zone-map pruning |
+//! One binary, `paper --fig <list>`, prints every result: the paper's
+//! tables and figures (`table1`, `table2`, `4`–`9`, `all` for Figs. 6–9 +
+//! Table II in one pass with `--csv <dir>` for the plotted numbers), the
+//! `sweep` and `ablation` studies, and the cluster studies of the journal
+//! follow-up — `scaling` (shard scaling with the byte-diet lever table)
+//! and `pruning` (zone-map pruned vs exhaustive dispatch).
 //!
 //! The streaming, serving, HTAP and star-join scenarios are `bbpim-perf`
 //! workloads (`bench/perf`), and their properties are integration tests
@@ -11,11 +13,12 @@
 //!
 //! The per-query figures are described once as data
 //! ([`reports::Figure`]) and rendered to the console table and the CSV
-//! from that one description; every file any binary writes goes through
+//! from that one description; every file the binary writes goes through
 //! [`artifacts`]. The shared flags are `--sf <f64>` (default 0.1),
 //! `--uniform` (default is the paper's skewed data), `--seed <u64>`,
-//! `--threads <usize>` and `--shards`; a binary accepts the ones it reads
-//! and rejects anything else with a usage line and exit code 2 ([`cli`]).
+//! `--threads <usize>` and `--shards`; a selection accepts the ones its
+//! selectors read and rejects anything else with a usage line and exit
+//! code 2 ([`cli`]).
 //!
 //! One study carries a verdict of its own and exits 1 on it
 //! ([`scaling_verdict`]). The simulated numbers CI gates are not the
@@ -30,15 +33,15 @@ pub use cli::{Accepts, BenchConfig, BinFlags, CliError};
 
 use std::fmt::Write as _;
 use std::io;
-use std::process::ExitCode;
 use std::time::Duration;
 
+use bbpim_cluster::fold::serial_slice_ns;
 use bbpim_cluster::{Cluster, ClusterEngine, ClusterExecution, Partitioner, Storage};
 use bbpim_core::engine::PimQueryEngine;
 use bbpim_core::groupby::calibration::{run_calibration, CalibrationConfig};
 use bbpim_core::groupby::cost_model::GroupByModel;
 use bbpim_core::modes::EngineMode;
-use bbpim_core::result::QueryExecution;
+use bbpim_core::result::{QueryExecution, QueryReport};
 use bbpim_db::plan::Query;
 use bbpim_db::relation::Relation;
 use bbpim_db::ssb::{queries, SsbDb};
@@ -72,17 +75,6 @@ pub fn setup(cfg: BenchConfig) -> SsbSetup {
         queries::standard_queries()
     };
     SsbSetup { cfg, db, wide, queries }
-}
-
-/// A study binary's `main`: parse the command line against `accepts`
-/// (exit 2 on a rejection), generate, run `study`, and turn a failed
-/// verdict of the study's own into `error: …` + exit 1.
-pub fn study_main(
-    accepts: &Accepts<'_>,
-    study: impl FnOnce(SsbSetup, BinFlags) -> io::Result<()>,
-) -> ExitCode {
-    let (cfg, flags) = BenchConfig::from_args(accepts);
-    artifacts::exit_code(study(setup(cfg), flags))
 }
 
 /// All 13 per-query executions of one PIM mode.
@@ -183,19 +175,19 @@ pub struct ClusterScalePoint {
 
 /// A cluster execution's wall clock: on the contended model as
 /// reported, or — `contended == false` — on the optimistic one with
-/// free per-module channels, recomputed from the per-shard reports as
-/// host-serial dispatch + max-of-shards remaining time + merge. Answers
-/// and per-shard logs are accounting-independent, so one sweep yields
-/// both clocks without re-running anything.
+/// free per-module channels, refolded from the per-shard reports with
+/// the cluster's own serial-slice rule ([`serial_slice_ns`]): serial
+/// slices + max-of-shards remaining time + merge. Answers and
+/// per-shard logs are accounting-independent, so one sweep yields both
+/// clocks without re-running anything.
 pub fn wall_ns(report: &bbpim_cluster::ClusterReport, contended: bool) -> f64 {
-    use bbpim_sim::timeline::PhaseKind;
     if contended {
         return report.time_ns;
     }
-    let dispatch = |r: &bbpim_core::result::QueryReport| r.phases.time_in(PhaseKind::HostDispatch);
-    let d_total: f64 = report.per_shard.iter().map(dispatch).sum();
-    let pim_max = report.per_shard.iter().map(|r| r.time_ns - dispatch(r)).fold(0.0, f64::max);
-    d_total + pim_max + report.merge_time_ns
+    let serial = |r: &QueryReport| serial_slice_ns(false, r.host_bus_ns, &r.phases);
+    let serial_total: f64 = report.per_shard.iter().map(serial).sum();
+    let pim_max = report.per_shard.iter().map(|r| r.time_ns - serial(r)).fold(0.0, f64::max);
+    serial_total + pim_max + report.merge_time_ns
 }
 
 /// Run every query through a cluster at each shard count (full-capacity
@@ -228,7 +220,7 @@ pub fn run_cluster_scaling<S: Storage>(
 /// The contended (`true`) or free-channel (`false`) geo-mean speedup of
 /// scale point `p` over `base`, over the queries with a finite nonzero
 /// ratio (zone-pruned zero-match queries cost ~0 at every shard count);
-/// `None` when the planner answered every query alone. The `scaling`
+/// `None` when the planner answered every query alone. The scaling
 /// report prints it and [`scaling_verdict`] floors it.
 pub fn scaling_geomean(
     base: &ClusterScalePoint,
@@ -241,7 +233,7 @@ pub fn scaling_geomean(
     geomean_filtered(&ratios).0
 }
 
-/// The `scaling` study's verdict: the contended geo-mean speedup of the
+/// The scaling study's verdict: the contended geo-mean speedup of the
 /// largest shard count over the smallest may not drop below 1.0 — below
 /// it the shared host channel eats all module parallelism again, the
 /// regression the byte diet exists to prevent.

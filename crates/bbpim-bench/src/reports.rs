@@ -1,7 +1,7 @@
 //! What the harness prints: the paper's per-query figures described as
 //! data ([`Figure`]: [`FIG6`] … [`TABLE2`]) with one renderer for both the console
-//! table and the CSV, and the report printers of the `scaling` and
-//! `pruning` studies.
+//! table and the CSV, and the report printers of the `paper --fig
+//! scaling` and `pruning` studies.
 
 use std::fmt::Write as _;
 use std::time::Duration;

@@ -659,28 +659,7 @@ impl<S: Storage> Cluster<S> {
             shards,
             join_transfers,
             host_bytes,
-            actuals: None,
         })
-    }
-
-    /// `EXPLAIN ANALYZE`: plan `query`, execute it, and return the
-    /// plan with the run's recorded actuals attached (plus the
-    /// execution itself, so the answer is not thrown away). The
-    /// planned pages/shards/bytes sit next to what the run actually
-    /// did — [`PlanExplain::consistency_errors`] checks the recorded
-    /// run never exceeded the plan on pruned paths.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Cluster::explain`] and [`Cluster::run`].
-    pub fn explain_analyze(
-        &mut self,
-        query: &Query,
-    ) -> Result<(PlanExplain, ClusterExecution), ClusterError> {
-        let mut plan = self.explain(query)?;
-        let exec = self.run(query)?;
-        plan.attach_actuals(&exec.report);
-        Ok((plan, exec))
     }
 
     /// Execute `query` on one active shard alone and return that

@@ -7,10 +7,6 @@
 //! motivates: for selective queries the interesting number is not the
 //! PIM time but how many pages the host never has to orchestrate.
 
-use bbpim_sim::timeline::PhaseKind;
-
-use crate::engine::ClusterReport;
-
 /// One shard's slice of a query plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
@@ -86,56 +82,6 @@ impl HostBytes {
     }
 }
 
-/// What one *executed* query actually did — the `ANALYZE` half of
-/// `EXPLAIN ANALYZE`, recorded from the execution's report and phase
-/// log so it can sit next to the planner's estimates.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PlanActuals {
-    /// Shards that actually executed (dispatched and not pruned).
-    pub shards_executed: usize,
-    /// Pages the dispatched shards' planners actually activated.
-    pub pages_scanned: usize,
-    /// Host-channel bytes tagged on dispatch phases (descriptor
-    /// payloads; zero under legacy per-page doorbells).
-    pub dispatch_bytes: u64,
-    /// Host-channel bytes read off the modules (mask reads, result
-    /// lines, host-gb record fetches).
-    pub read_bytes: u64,
-    /// Host-channel bytes written into the modules (mask broadcasts,
-    /// update masks).
-    pub write_bytes: u64,
-    /// Simulated wall clock of the merged execution, nanoseconds.
-    pub time_ns: f64,
-    /// Total PIM energy over all modules, picojoules.
-    pub energy_pj: f64,
-}
-
-impl PlanActuals {
-    /// Extract the actuals from an executed cluster report: the byte
-    /// categories come from the per-shard phase logs' channel tags,
-    /// so they are exactly what the contention model charged the bus.
-    pub fn from_report(report: &ClusterReport) -> PlanActuals {
-        let mut a = PlanActuals {
-            shards_executed: report.active_shards - report.shards_pruned,
-            pages_scanned: report.pages_scanned,
-            time_ns: report.time_ns,
-            energy_pj: report.energy_pj,
-            ..PlanActuals::default()
-        };
-        for shard in &report.per_shard {
-            a.dispatch_bytes += shard.phases.host_bytes_in(PhaseKind::HostDispatch);
-            a.read_bytes += shard.phases.host_bytes_in(PhaseKind::HostRead);
-            a.write_bytes += shard.phases.host_bytes_in(PhaseKind::HostWrite);
-        }
-        a
-    }
-
-    /// Total host-channel bytes the execution moved.
-    pub fn total_bytes(&self) -> u64 {
-        self.dispatch_bytes + self.read_bytes + self.write_bytes
-    }
-}
-
 /// The full pre-execution plan of one query on a cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanExplain {
@@ -156,9 +102,6 @@ pub struct PlanExplain {
     /// Estimated host-channel bytes, by category, under the engine's
     /// transfer policy at plan time.
     pub host_bytes: HostBytes,
-    /// Recorded actuals of an executed run (`None` for a plain
-    /// `EXPLAIN`; filled by `EXPLAIN ANALYZE`).
-    pub actuals: Option<PlanActuals>,
 }
 
 impl PlanExplain {
@@ -189,48 +132,9 @@ impl PlanExplain {
         )
     }
 
-    /// Attach a run's recorded actuals (turns this `EXPLAIN` into an
-    /// `EXPLAIN ANALYZE`).
-    pub fn attach_actuals(&mut self, report: &ClusterReport) {
-        self.actuals = Some(PlanActuals::from_report(report));
-    }
-
-    /// Plan-vs-actual consistency violations, empty when the recorded
-    /// run stayed within the plan: on pruned paths the executed shard
-    /// and scanned page counts can never exceed what the planner
-    /// dispatched, and the actual dispatch descriptor bytes can never
-    /// exceed the planner's (exact) dispatch ledger.
-    pub fn consistency_errors(&self) -> Vec<String> {
-        let mut errors = Vec::new();
-        let Some(a) = &self.actuals else {
-            return errors;
-        };
-        if a.shards_executed > self.shards_dispatched() {
-            errors.push(format!(
-                "executed {} shards but the plan dispatched only {}",
-                a.shards_executed,
-                self.shards_dispatched(),
-            ));
-        }
-        if a.pages_scanned > self.pages_candidate() {
-            errors.push(format!(
-                "scanned {} pages but the plan admitted only {} candidates",
-                a.pages_scanned,
-                self.pages_candidate(),
-            ));
-        }
-        if a.dispatch_bytes > self.host_bytes.dispatch_bytes {
-            errors.push(format!(
-                "dispatched {} descriptor bytes but the plan ledgered {}",
-                a.dispatch_bytes, self.host_bytes.dispatch_bytes,
-            ));
-        }
-        errors
-    }
-
-    /// Multi-line dump: the resolved filter, its per-attribute pruning
-    /// intervals, the shard/page candidate-vs-pruned counts, and — for
-    /// an `EXPLAIN ANALYZE` — the recorded actuals next to the plan.
+    /// Multi-line dump: the resolved filter, the host-byte ledger, its
+    /// per-attribute pruning intervals, the join transfers and the
+    /// shard/page candidate-vs-pruned counts.
     pub fn detail(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -244,22 +148,6 @@ impl PlanExplain {
             self.host_bytes.result_bytes,
             self.host_bytes.total(),
         );
-        if let Some(a) = &self.actuals {
-            let _ = writeln!(
-                out,
-                "  actual: {}/{} shards, {} pages scanned, {} B moved \
-                 ({} dispatch + {} read + {} write), {:.3} ms, {:.3} µJ",
-                a.shards_executed,
-                self.shards_dispatched(),
-                a.pages_scanned,
-                a.total_bytes(),
-                a.dispatch_bytes,
-                a.read_bytes,
-                a.write_bytes,
-                a.time_ns / 1e6,
-                a.energy_pj / 1e6,
-            );
-        }
         for (attr, intervals) in &self.filter_bounds {
             let _ = writeln!(out, "  bounds: {attr} ∈ {}", render_intervals(intervals));
         }
@@ -304,10 +192,9 @@ impl PlanExplain {
 }
 
 /// Render a sorted `[lo, hi]` interval list as a set-notation union:
-/// `{7}`, `[1, 3]`, `[5, ∞)`, joined with `∪`. Shared by
-/// [`PlanExplain::detail`] and the bench `EXPLAIN` report so the two
-/// renderings cannot drift.
-pub fn render_intervals(intervals: &[(u64, u64)]) -> String {
+/// `{7}`, `[1, 3]`, `[5, ∞)`, joined with `∪` — the `bounds:` rows of
+/// [`PlanExplain::detail`].
+fn render_intervals(intervals: &[(u64, u64)]) -> String {
     let rendered: Vec<String> = intervals
         .iter()
         .map(|(lo, hi)| {
@@ -358,7 +245,6 @@ mod tests {
                 broadcast_shards: 2,
             }],
             host_bytes: HostBytes { dispatch_bytes: 48, mask_wire_bytes: 24, result_bytes: 256 },
-            actuals: None,
         }
     }
 
@@ -395,43 +281,5 @@ mod tests {
         let p = plan();
         assert_eq!(p.join_wire_bytes(), 24);
         assert_eq!(p.join_raw_bytes(), 640);
-    }
-
-    fn actuals() -> PlanActuals {
-        PlanActuals {
-            shards_executed: 1,
-            pages_scanned: 2,
-            dispatch_bytes: 48,
-            read_bytes: 100,
-            write_bytes: 20,
-            time_ns: 2_500_000.0,
-            energy_pj: 1_000_000.0,
-        }
-    }
-
-    #[test]
-    fn analyze_renders_actuals_next_to_the_plan() {
-        let mut p = plan();
-        assert!(!p.detail().contains("actual:"), "plain EXPLAIN has no actuals row");
-        p.actuals = Some(actuals());
-        let d = p.detail();
-        assert!(d.contains("actual: 1/1 shards, 2 pages scanned"));
-        assert!(d.contains("168 B moved (48 dispatch + 100 read + 20 write)"));
-        assert!(d.contains("2.500 ms"));
-    }
-
-    #[test]
-    fn consistency_holds_within_the_plan_and_flags_excess() {
-        let mut p = plan();
-        assert!(p.consistency_errors().is_empty(), "no actuals, nothing to check");
-        p.actuals = Some(actuals());
-        assert!(p.consistency_errors().is_empty(), "{:?}", p.consistency_errors());
-        // exceed each planned ceiling in turn
-        p.actuals = Some(PlanActuals { pages_scanned: 3, ..actuals() });
-        assert_eq!(p.consistency_errors().len(), 1);
-        p.actuals = Some(PlanActuals { shards_executed: 2, ..actuals() });
-        assert_eq!(p.consistency_errors().len(), 1);
-        p.actuals = Some(PlanActuals { dispatch_bytes: 49, ..actuals() });
-        assert_eq!(p.consistency_errors().len(), 1);
     }
 }

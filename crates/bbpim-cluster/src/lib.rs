@@ -76,6 +76,6 @@ pub use engine::{
     BatchExecution, Cluster, ClusterEngine, ClusterExecution, ClusterReport, PreJoined, Storage,
 };
 pub use error::ClusterError;
-pub use explain::{HostBytes, JoinTransfer, PlanActuals, PlanExplain, ShardPlan};
+pub use explain::{HostBytes, JoinTransfer, PlanExplain, ShardPlan};
 pub use partition::Partitioner;
 pub use star::{Star, StarCluster};
