@@ -15,6 +15,15 @@
 //! row-specific writes (row `r` took `all_rows_writes +
 //! row_cell_writes[r]` — see the crossbar's module docs).
 //!
+//! Microprograms run through one kernel, `BitMatrix::run`, over a
+//! program lowered once for the geometry ([`crate::isa`]'s module docs):
+//! per op one `match`, then the op's word ops over the columns in
+//! fixed-size `[u64; W]` blocks. `W` is a const parameter — the largest
+//! power of two up to 16 that divides `rows / 64`, so the paper's
+//! 1024-row column is one 16-word block and a 64-row one a single word —
+//! and the fused `INIT`+NOR (`dst = !(a | b)`) and the clear-only NOR
+//! (`dst &= !(a | b)`) are separate arms, so neither loop tests a flag.
+//!
 //! Row access crosses the layout. A single row strides one word/bit
 //! position down the columns ([`BitMatrix::read_row_bits`] /
 //! [`BitMatrix::write_row_bits`]). The 64 rows of one column word move
@@ -23,6 +32,8 @@
 //! words that hold them and back, so
 //! [`BitMatrix::write_word_rows`] / [`BitMatrix::read_word_rows`] load
 //! or store each column word once — what the host's record runs use.
+
+use crate::isa::{Lowered, LoweredOp};
 
 /// A `rows × cols` bit matrix stored column-major.
 ///
@@ -100,66 +111,6 @@ impl BitMatrix {
             *w |= 1u64 << (row % 64);
         } else {
             *w &= !(1u64 << (row % 64));
-        }
-    }
-
-    /// Set every cell of a column to `value`.
-    pub fn fill_col(&mut self, col: usize, value: bool) {
-        let fill = if value { u64::MAX } else { 0 };
-        for w in self.col_mut(col) {
-            *w = fill;
-        }
-    }
-
-    /// Column `dst` mutably, beside a reader of every *other* column —
-    /// the operands of a column-parallel gate, whose output differs
-    /// from its inputs.
-    fn gate_cols<'a>(&'a mut self, dst: usize) -> (&'a mut [u64], impl Fn(usize) -> &'a [u64]) {
-        let wpc = self.wpc;
-        let (below, rest) = self.data.split_at_mut(dst * wpc);
-        let (out, above) = rest.split_at_mut(wpc);
-        let (below, above): (&'a [u64], &'a [u64]) = (below, above);
-        let input = move |c: usize| {
-            debug_assert!(c != dst, "MAGIC output must differ from inputs");
-            if c < dst {
-                &below[c * wpc..(c + 1) * wpc]
-            } else {
-                &above[(c - dst - 1) * wpc..(c - dst) * wpc]
-            }
-        };
-        (out, input)
-    }
-
-    /// MAGIC column-parallel NOR: `dst &= !(a | b)`.
-    ///
-    /// MAGIC's stateful NOR can only switch a pre-initialised `1` output
-    /// cell to `0`; an output cell already at `0` stays `0`. Callers that
-    /// want a true NOR must [`BitMatrix::fill_col`] `dst` with `1` first
-    /// (that is exactly what the `INIT` micro-op does).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is one of the inputs.
-    pub fn magic_nor_cols(&mut self, a: usize, b: usize, dst: usize) {
-        let (out, input) = self.gate_cols(dst);
-        for ((d, a), b) in out.iter_mut().zip(input(a)).zip(input(b)) {
-            *d &= !(a | b);
-        }
-    }
-
-    /// MAGIC column-parallel multi-input NOR: `dst &= !(c₀ | c₁ | …)`.
-    ///
-    /// Same stateful-output semantics as [`BitMatrix::magic_nor_cols`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is one of the inputs.
-    pub fn magic_nor_many_cols(&mut self, inputs: &[usize], dst: usize) {
-        let (out, input) = self.gate_cols(dst);
-        for &c in inputs {
-            for (d, w) in out.iter_mut().zip(input(c)) {
-                *d &= !w;
-            }
         }
     }
 
@@ -269,6 +220,105 @@ impl BitMatrix {
     }
 }
 
+impl BitMatrix {
+    /// Run a program lowered for this geometry on the cells (the bits
+    /// only: the crossbar counts cycles and wear).
+    pub(crate) fn run(&mut self, program: &Lowered) {
+        debug_assert!(program.rows == self.rows && program.cols == self.cols);
+        match 1 << self.wpc.trailing_zeros().min(4) {
+            16 => self.run_blocks::<16>(program),
+            8 => self.run_blocks::<8>(program),
+            4 => self.run_blocks::<4>(program),
+            2 => self.run_blocks::<2>(program),
+            _ => self.run_blocks::<1>(program),
+        }
+    }
+
+    /// [`BitMatrix::run`] a `W`-word block at a time; `W` divides the
+    /// words per column.
+    fn run_blocks<const W: usize>(&mut self, program: &Lowered) {
+        let blocks = self.wpc / W;
+        let at = |offset: u32, block: usize| offset as usize + block * W;
+        for op in &program.ops {
+            let data = &mut self.data;
+            match *op {
+                LoweredOp::Fill { dst } => {
+                    for k in 0..blocks {
+                        *words_mut::<W>(data, at(dst, k)) = [u64::MAX; W];
+                    }
+                }
+                LoweredOp::Nor { a, b, dst } => {
+                    for k in 0..blocks {
+                        let (a, b) = (words::<W>(data, at(a, k)), words::<W>(data, at(b, k)));
+                        let d = words_mut::<W>(data, at(dst, k));
+                        for i in 0..W {
+                            d[i] = !(a[i] | b[i]);
+                        }
+                    }
+                }
+                LoweredOp::NorInto { a, b, dst } => {
+                    for k in 0..blocks {
+                        let (a, b) = (words::<W>(data, at(a, k)), words::<W>(data, at(b, k)));
+                        let d = words_mut::<W>(data, at(dst, k));
+                        for i in 0..W {
+                            d[i] &= !(a[i] | b[i]);
+                        }
+                    }
+                }
+                LoweredOp::NorMany { lo, hi, dst } => {
+                    let inputs = &program.inputs[lo as usize..hi as usize];
+                    for k in 0..blocks {
+                        let any = any_of::<W>(data, inputs, k);
+                        let d = words_mut::<W>(data, at(dst, k));
+                        for i in 0..W {
+                            d[i] = !any[i];
+                        }
+                    }
+                }
+                LoweredOp::NorManyInto { lo, hi, dst } => {
+                    let inputs = &program.inputs[lo as usize..hi as usize];
+                    for k in 0..blocks {
+                        let any = any_of::<W>(data, inputs, k);
+                        let d = words_mut::<W>(data, at(dst, k));
+                        for i in 0..W {
+                            d[i] &= !any[i];
+                        }
+                    }
+                }
+                LoweredOp::InitRow { dst } => self.fill_row(dst as usize, true),
+                LoweredOp::NorRows { a, b, dst } => {
+                    self.magic_nor_rows(a as usize, b as usize, dst as usize);
+                }
+            }
+        }
+    }
+}
+
+/// The `W` words at `at`, copied.
+#[inline(always)]
+fn words<const W: usize>(data: &[u64], at: usize) -> [u64; W] {
+    data[at..at + W].try_into().expect("W words")
+}
+
+/// The `W` words at `at`.
+#[inline(always)]
+fn words_mut<const W: usize>(data: &mut [u64], at: usize) -> &mut [u64; W] {
+    (&mut data[at..at + W]).try_into().expect("W words")
+}
+
+/// The OR of block `k` of the columns at `inputs`.
+#[inline(always)]
+fn any_of<const W: usize>(data: &[u64], inputs: &[u32], k: usize) -> [u64; W] {
+    let mut any = [0; W];
+    for &c in inputs {
+        let w = words::<W>(data, c as usize + k * W);
+        for i in 0..W {
+            any[i] |= w[i];
+        }
+    }
+    any
+}
+
 /// The block-swap rounds of a 64 × 64 bit transpose, from 32 × 32
 /// blocks down to single bits. Round `(j, low)` pairs each word of
 /// every `2j`-word group's upper half with the word `j` below it, and
@@ -364,6 +414,8 @@ pub fn word_ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crossbar::Crossbar;
+    use crate::isa::Microprogram;
 
     #[test]
     fn new_is_zeroed() {
@@ -388,9 +440,12 @@ mod tests {
         assert!(!m.get(127, 2));
     }
 
+    /// `INIT dst; NOR a b → dst`, run through the crossbar: the fused
+    /// op leaves a true NOR.
     #[test]
     fn magic_nor_cols_on_initialized_output_is_true_nor() {
-        let mut m = BitMatrix::new(64, 3);
+        let mut xb = Crossbar::new(64, 3);
+        let m = xb.bits_mut_unaccounted();
         // a = rows 0..32 set, b = even rows set
         for r in 0..32 {
             m.set(r, 0, true);
@@ -398,8 +453,10 @@ mod tests {
         for r in (0..64).step_by(2) {
             m.set(r, 1, true);
         }
-        m.fill_col(2, true); // INIT
-        m.magic_nor_cols(0, 1, 2);
+        let mut p = Microprogram::new();
+        p.gate_nor(0, 1, 2);
+        xb.execute(&p).unwrap();
+        let m = xb.bits();
         for r in 0..64 {
             let expected = !(m.get(r, 0) | m.get(r, 1));
             assert_eq!(m.get(r, 2), expected, "row {r}");
@@ -408,11 +465,25 @@ mod tests {
 
     #[test]
     fn magic_nor_cols_without_init_only_clears() {
-        let mut m = BitMatrix::new(64, 3);
-        // dst starts all-zero; NOR of two zero inputs would be 1, but MAGIC
-        // cannot switch 0 → 1.
-        m.magic_nor_cols(0, 1, 2);
-        assert_eq!(m.popcount_col(2), 0);
+        // dst starts half set; NOR of two zero inputs would be 1, but MAGIC
+        // cannot switch 0 → 1, and a set input clears its row.
+        let mut xb = Crossbar::new(64, 3);
+        for r in 0..64 {
+            xb.bits_mut_unaccounted().set(r, 2, r < 32);
+            xb.bits_mut_unaccounted().set(r, 0, r % 4 == 0);
+        }
+        let mut p = Microprogram::new();
+        p.nor_cols(0, 1, 2);
+        xb.execute(&p).unwrap();
+        for r in 0..64 {
+            assert_eq!(xb.bits().get(r, 2), r < 32 && r % 4 != 0, "row {r}");
+        }
+        // the multi-input NOR likewise
+        let mut p = Microprogram::new();
+        p.nor_many_cols(vec![0, 1], 2);
+        let mut zeros = Crossbar::new(64, 3);
+        zeros.execute(&p).unwrap();
+        assert_eq!(zeros.bits().popcount_col(2), 0);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //!
 //! Records are stored one per crossbar row; attributes occupy fixed
 //! column ranges (managed by higher layers). The crossbar executes
-//! [`Microprogram`]s gate-by-gate on its real bits and keeps count of the
-//! cell writes each row has experienced, which feeds the paper's
-//! endurance analysis (Fig. 9).
+//! [`Microprogram`]s on its real bits — lowered once, `INIT` fused into
+//! the NOR that follows it, run by the block kernel of
+//! [`crate::bitmat`] — and keeps count of the cell writes each row has
+//! experienced, op by op of the original program, which feeds the
+//! paper's endurance analysis (Fig. 9).
 //!
 //! # Wear representation
 //!
@@ -29,7 +31,7 @@
 
 use crate::bitmat::BitMatrix;
 use crate::error::SimError;
-use crate::isa::{MicroOp, Microprogram};
+use crate::isa::{Lowered, Microprogram};
 
 /// Outcome of running a microprogram on one crossbar (identical across
 /// the crossbars of a page, since they execute in lock-step).
@@ -113,48 +115,34 @@ impl Crossbar {
         &mut self.bits
     }
 
-    /// Execute a microprogram gate-by-gate on the stored bits.
+    /// Execute a microprogram on the stored bits.
     ///
-    /// Updates per-row endurance counters: a column op writes one cell in
-    /// every row, a row op writes `cols` cells of its destination row.
+    /// The program is lowered for this geometry and run by the block
+    /// kernel (see [`crate::isa`]'s module docs): an `INIT` and the NOR
+    /// into its column run as one pass, every other op as itself.
+    /// Updates per-row endurance counters from the original ops: a column
+    /// op writes one cell in every row, a row op writes `cols` cells of
+    /// its destination row.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidProgram`] if the program references
     /// cells outside this crossbar.
     pub fn execute(&mut self, program: &Microprogram) -> Result<ExecSummary, SimError> {
-        program.validate(self.rows(), self.cols())?;
-        Ok(self.execute_validated(program))
+        Ok(self.run(&program.lower(self.rows(), self.cols())?))
     }
 
-    /// [`Crossbar::execute`] for a program the caller has validated
-    /// against this geometry (a page validates once for its lock-step
-    /// crossbars).
-    pub(crate) fn execute_validated(&mut self, program: &Microprogram) -> ExecSummary {
-        let (rows, cols) = (self.rows() as u64, self.cols() as u64);
-        let mut row_ops = 0u64;
-        for op in program.ops() {
-            match *op {
-                MicroOp::InitCol { dst } => self.bits.fill_col(dst, true),
-                MicroOp::NorCols { a, b, dst } => self.bits.magic_nor_cols(a, b, dst),
-                MicroOp::NorManyCols { ref inputs, dst } => {
-                    self.bits.magic_nor_many_cols(inputs, dst);
-                }
-                MicroOp::InitRow { dst } => {
-                    self.bits.fill_row(dst, true);
-                    self.note_row_writes(dst, cols);
-                    row_ops += 1;
-                }
-                MicroOp::NorRows { a, b, dst } => {
-                    self.bits.magic_nor_rows(a, b, dst);
-                    self.note_row_writes(dst, cols);
-                    row_ops += 1;
-                }
-            }
+    /// [`Crossbar::execute`] for a program lowered for this geometry (a
+    /// page lowers once for its lock-step crossbars, the module once for
+    /// all its pages).
+    pub(crate) fn run(&mut self, program: &Lowered) -> ExecSummary {
+        self.bits.run(program);
+        self.all_rows_writes += program.col_ops;
+        let cols = self.cols() as u64;
+        for &row in &program.row_dsts {
+            self.note_row_writes(row, cols);
         }
-        let col_ops = program.cycles() - row_ops;
-        self.all_rows_writes += col_ops;
-        ExecSummary { cycles: program.cycles(), cells_written: col_ops * rows + row_ops * cols }
+        program.summary
     }
 
     /// Host/loader write of `width` bits into a row (endurance-counted).
@@ -232,6 +220,7 @@ impl Crossbar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::MicroOp;
 
     fn nor_reference(a: bool, b: bool) -> bool {
         !(a | b)

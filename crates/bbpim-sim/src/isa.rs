@@ -12,7 +12,23 @@
 //! comparators, multipliers, the Algorithm 1 MUX) is *compiled* to
 //! `INIT`/`NOR` sequences by [`crate::compiler`]. One micro-op costs one
 //! logic cycle (Table I: 30 ns).
+//!
+//! # Lowering
+//!
+//! The simulator does not interpret a [`Microprogram`] op by op. Before
+//! it runs, a program is validated and *lowered* once for the crossbar
+//! geometry into a flat list the crossbar kernel executes
+//! ([`crate::bitmat`]): column indices become word offsets into the
+//! column-major cells, and an `INIT dst` immediately followed by a NOR
+//! into the same `dst` — the 2-cycle MAGIC gate, about half of every
+//! compiled program — becomes one *assigning* op, `dst = !(a | b)`. A
+//! lone `INIT` stays a fill, and a NOR without its `INIT` keeps MAGIC's
+//! clear-only `dst &= !(a | b)`. A page lowers a program once for its
+//! lock-step crossbars and the module once for all the pages it runs on.
+//! Cycles, cells written and wear still count the original ops: lowering
+//! changes how the host computes the cells, not what the hardware does.
 
+use crate::crossbar::ExecSummary;
 use crate::error::SimError;
 
 /// One micro-operation. Costs one bulk-bitwise logic cycle.
@@ -212,11 +228,24 @@ impl Microprogram {
     /// alike only when they are op-for-op identical, so a chain of
     /// these pins everything a module was asked to execute.
     pub fn digest(&self, h: u64) -> u64 {
+        const PRIME: u64 = 0x100_0000_01b3;
+        // Six FNV-1a steps over zero bytes: `h ^ 0 = h`, so only the
+        // multiplies remain.
+        const PRIME_POW_6: u64 = PRIME
+            .wrapping_mul(PRIME)
+            .wrapping_mul(PRIME)
+            .wrapping_mul(PRIME)
+            .wrapping_mul(PRIME)
+            .wrapping_mul(PRIME);
+        let byte = |h: u64, b: u64| (h ^ b).wrapping_mul(PRIME);
         let word = |h: u64, w: usize| {
-            (w as u64)
-                .to_le_bytes()
-                .iter()
-                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+            let w = w as u64;
+            if w < 1 << 16 {
+                // the 8 little-endian bytes, the top six of them zero
+                byte(byte(h, w & 0xff), w >> 8).wrapping_mul(PRIME_POW_6)
+            } else {
+                w.to_le_bytes().iter().fold(h, |h, &b| byte(h, u64::from(b)))
+            }
         };
         self.ops.iter().fold(word(h, self.ops.len()), |h, op| match op {
             MicroOp::InitCol { dst } => [0, *dst].into_iter().fold(h, word),
@@ -229,6 +258,117 @@ impl Microprogram {
             MicroOp::NorRows { a, b, dst } => [4, *a, *b, *dst].into_iter().fold(h, word),
         })
     }
+
+    /// Validate the program against a `rows × cols` crossbar and lower
+    /// it for that geometry (see the module docs).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidProgram`] as [`Microprogram::validate`].
+    pub(crate) fn lower(&self, rows: usize, cols: usize) -> Result<Lowered, SimError> {
+        self.validate(rows, cols)?;
+        let wpc = rows / 64;
+        assert!(
+            u32::try_from(rows.max(cols * wpc)).is_ok(),
+            "a crossbar's rows and words fit 32-bit operands"
+        );
+        // word offset of a column; rows stay rows
+        let at = |col: usize| (col * wpc) as u32;
+        let mut inputs = Vec::new();
+        let mut many = |cols: &[usize]| {
+            let lo = inputs.len() as u32;
+            inputs.extend(cols.iter().map(|&c| at(c)));
+            (lo, inputs.len() as u32)
+        };
+        let mut row_dsts = Vec::new();
+        let mut lowered = Vec::with_capacity(self.ops.len());
+        let mut ops = self.ops.iter().peekable();
+        while let Some(op) = ops.next() {
+            lowered.push(match *op {
+                MicroOp::InitCol { dst } => match ops.next_if(|next| {
+                    matches!(next, MicroOp::NorCols { dst: d, .. }
+                        | MicroOp::NorManyCols { dst: d, .. } if *d == dst)
+                }) {
+                    Some(MicroOp::NorCols { a, b, .. }) => {
+                        LoweredOp::Nor { a: at(*a), b: at(*b), dst: at(dst) }
+                    }
+                    Some(MicroOp::NorManyCols { inputs, .. }) => {
+                        let (lo, hi) = many(inputs);
+                        LoweredOp::NorMany { lo, hi, dst: at(dst) }
+                    }
+                    _ => LoweredOp::Fill { dst: at(dst) },
+                },
+                MicroOp::NorCols { a, b, dst } => {
+                    LoweredOp::NorInto { a: at(a), b: at(b), dst: at(dst) }
+                }
+                MicroOp::NorManyCols { ref inputs, dst } => {
+                    let (lo, hi) = many(inputs);
+                    LoweredOp::NorManyInto { lo, hi, dst: at(dst) }
+                }
+                MicroOp::InitRow { dst } => {
+                    row_dsts.push(dst);
+                    LoweredOp::InitRow { dst: dst as u32 }
+                }
+                MicroOp::NorRows { a, b, dst } => {
+                    row_dsts.push(dst);
+                    LoweredOp::NorRows { a: a as u32, b: b as u32, dst: dst as u32 }
+                }
+            });
+        }
+        Ok(Lowered {
+            rows,
+            cols,
+            ops: lowered,
+            inputs,
+            col_ops: self.cycles() - row_dsts.len() as u64,
+            row_dsts,
+            summary: ExecSummary {
+                cycles: self.cycles(),
+                cells_written: self.cells_written(rows, cols),
+            },
+        })
+    }
+}
+
+/// One op of a [`Lowered`] program. Column operands are word offsets of
+/// the column's first word in the crossbar's column-major cells
+/// (`col · rows / 64`); row operands are row indices.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum LoweredOp {
+    /// `dst = 1…1`: an `INIT` no NOR into its column follows.
+    Fill { dst: u32 },
+    /// `dst = !(a | b)`: `INIT dst; NOR a b → dst`, fused.
+    Nor { a: u32, b: u32, dst: u32 },
+    /// `dst &= !(a | b)`: a NOR without its `INIT` only clears.
+    NorInto { a: u32, b: u32, dst: u32 },
+    /// `dst = !(c₀ | c₁ | …)` over the offsets `inputs[lo..hi]`:
+    /// `INIT dst; NOR inputs → dst`, fused.
+    NorMany { lo: u32, hi: u32, dst: u32 },
+    /// `dst &= !(c₀ | c₁ | …)`: a multi-input NOR without its `INIT`.
+    NorManyInto { lo: u32, hi: u32, dst: u32 },
+    /// Pre-charge row `dst`.
+    InitRow { dst: u32 },
+    /// Row-parallel MAGIC NOR.
+    NorRows { a: u32, b: u32, dst: u32 },
+}
+
+/// A validated [`Microprogram`] lowered for one crossbar geometry — the
+/// op list every crossbar of that geometry runs, plus what the original
+/// program costs there.
+#[derive(Debug, Clone)]
+pub(crate) struct Lowered {
+    /// The geometry it was lowered for.
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) ops: Vec<LoweredOp>,
+    /// The multi-input NORs' input offsets, each op's a range of them.
+    pub(crate) inputs: Vec<u32>,
+    /// Column ops of the original program: each writes every row once.
+    pub(crate) col_ops: u64,
+    /// Destination rows of the original program's row ops, in order.
+    pub(crate) row_dsts: Vec<usize>,
+    /// Cycles and per-crossbar cells written of the original program.
+    pub(crate) summary: ExecSummary,
 }
 
 #[cfg(test)]

@@ -199,6 +199,11 @@ impl PimModule {
 
     /// Execute a microprogram on every crossbar of the given pages.
     ///
+    /// The program is validated and lowered once for the module's
+    /// crossbar geometry, and every page runs the lowered list (see
+    /// [`crate::isa`]'s module docs); cycles, cells written, wear and
+    /// the program digest count the original ops.
+    ///
     /// Time: one bus issue per page plus the program length (pages run in
     /// parallel). Energy: output cells written × logic energy, plus the
     /// per-page controllers. Power: every targeted crossbar switches one
@@ -214,13 +219,13 @@ impl PimModule {
         pages: &[PageId],
         program: &Microprogram,
     ) -> Result<Phase, SimError> {
-        program.validate(self.cfg.crossbar_rows, self.cfg.crossbar_cols)?;
+        let lowered = program.lower(self.cfg.crossbar_rows, self.cfg.crossbar_cols)?;
         self.check_pages(pages)?;
         self.programs = (self.programs.0 + 1, program.digest(self.programs.1));
         let mut cells_total = 0u64;
         for id in pages {
             let page = &mut self.pages[id.0];
-            let summary = page.execute_validated(program);
+            let summary = page.run(&lowered);
             cells_total += summary.cells_written * page.crossbar_count() as u64;
         }
         let time_ns =

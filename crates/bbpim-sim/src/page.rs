@@ -7,11 +7,16 @@
 //! `r div 32`, so 32 consecutive records share one row index and hence
 //! one cache line per chunk — the layout behind both the read
 //! amplification and the dense-scan amortisation the paper describes.
+//!
+//! Since the crossbars share one geometry, a program is lowered once per
+//! page (or once per module request, for all its pages) and the same
+//! flat op list — `INIT`s fused into their NORs, column operands as word
+//! offsets — runs on each crossbar in turn.
 
 use crate::config::SimConfig;
 use crate::crossbar::{Crossbar, ExecSummary};
 use crate::error::SimError;
-use crate::isa::Microprogram;
+use crate::isa::{Lowered, Microprogram};
 
 /// A record's physical slot inside a page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,26 +102,25 @@ impl PimPage {
     /// Execute one microprogram on every crossbar (lock-step).
     ///
     /// The crossbars of a page share one geometry, so the program is
-    /// validated once for all of them. Returns the per-crossbar summary
-    /// (identical for all of them); scale by
+    /// validated and lowered once for all of them (see [`crate::isa`]'s
+    /// module docs) and each crossbar runs the lowered list. Returns the
+    /// per-crossbar summary (identical for all of them); scale by
     /// [`PimPage::crossbar_count`] for energy.
     ///
     /// # Errors
     ///
     /// Propagates program validation failures; no crossbar is touched.
     pub fn execute(&mut self, program: &Microprogram) -> Result<ExecSummary, SimError> {
-        program.validate(self.rows, self.cols)?;
-        Ok(self.execute_validated(program))
+        Ok(self.run(&program.lower(self.rows, self.cols)?))
     }
 
-    /// [`PimPage::execute`] for a program the caller has validated
-    /// against the module's crossbar geometry.
-    pub(crate) fn execute_validated(&mut self, program: &Microprogram) -> ExecSummary {
-        let mut summary = ExecSummary::default();
+    /// [`PimPage::execute`] for a program the caller has lowered for the
+    /// module's crossbar geometry.
+    pub(crate) fn run(&mut self, program: &Lowered) -> ExecSummary {
         for xb in self.crossbars.iter_mut() {
-            summary = xb.execute_validated(program);
+            xb.run(program);
         }
-        summary
+        program.summary
     }
 
     /// Host write of one value per record into `[col_lo, col_lo + width)`

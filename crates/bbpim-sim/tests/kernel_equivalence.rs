@@ -5,6 +5,10 @@
 //! model it replaced as a reference and drives both with seeded random
 //! inputs:
 //!
+//! * microprograms — one `bool` per cell, op at a time with MAGIC's
+//!   semantics (`INIT` sets, a NOR only clears), against the lowered
+//!   block kernel with its fused `INIT`+NOR, at crossbar, page and module
+//!   level: cells, `ExecSummary` and every row's wear;
 //! * wear — one counter per row, bumped row by row, against
 //!   `max_row_cell_writes` at crossbar, page and module level;
 //! * aggregation — `masked_reduce` over every row plus a per-row count,
@@ -19,7 +23,7 @@ use bbpim_sim::aggcircuit::AggRequest;
 use bbpim_sim::bitmat::BitMatrix;
 use bbpim_sim::compiler::reduce::{masked_reduce, ReduceOp};
 use bbpim_sim::compiler::ColRange;
-use bbpim_sim::crossbar::Crossbar;
+use bbpim_sim::crossbar::{Crossbar, ExecSummary};
 use bbpim_sim::isa::{MicroOp, Microprogram};
 use bbpim_sim::module::{PageId, PimModule};
 use bbpim_sim::page::PimPage;
@@ -73,6 +77,208 @@ impl PerRowWear {
 
     fn max(&self) -> u64 {
         self.rows.iter().copied().max().unwrap_or(0)
+    }
+}
+
+/// A crossbar run op at a time, one `bool` per cell (row-major): `INIT`
+/// sets a column or row, a NOR clears the output cells whose inputs
+/// hold a one and leaves the rest — the semantics the simulator's
+/// per-op gates had before programs were lowered.
+#[derive(Clone)]
+struct CellModel {
+    cols: usize,
+    cells: Vec<bool>,
+    wear: PerRowWear,
+}
+
+impl CellModel {
+    /// A model holding `xb`'s cells, with no wear yet.
+    fn of(xb: &Crossbar) -> Self {
+        let (rows, cols) = (xb.rows(), xb.cols());
+        let cells = (0..rows * cols).map(|i| xb.bits().get(i / cols, i % cols)).collect();
+        CellModel { cols, cells, wear: PerRowWear { rows: vec![0; rows], cols: cols as u64 } }
+    }
+
+    fn run(&mut self, program: &Microprogram) -> ExecSummary {
+        let (rows, cols) = (self.wear.rows.len(), self.cols);
+        let mut cells_written = 0;
+        for op in program.ops() {
+            let cell = |r: usize, c: usize| r * cols + c;
+            match op {
+                MicroOp::InitCol { dst } => {
+                    (0..rows).for_each(|r| self.cells[cell(r, *dst)] = true);
+                }
+                MicroOp::NorCols { a, b, dst } => {
+                    for r in 0..rows {
+                        if self.cells[cell(r, *a)] || self.cells[cell(r, *b)] {
+                            self.cells[cell(r, *dst)] = false;
+                        }
+                    }
+                }
+                MicroOp::NorManyCols { inputs, dst } => {
+                    for r in 0..rows {
+                        if inputs.iter().any(|c| self.cells[cell(r, *c)]) {
+                            self.cells[cell(r, *dst)] = false;
+                        }
+                    }
+                }
+                MicroOp::InitRow { dst } => {
+                    (0..cols).for_each(|c| self.cells[cell(*dst, c)] = true);
+                }
+                MicroOp::NorRows { a, b, dst } => {
+                    for c in 0..cols {
+                        if self.cells[cell(*a, c)] || self.cells[cell(*b, c)] {
+                            self.cells[cell(*dst, c)] = false;
+                        }
+                    }
+                }
+            }
+            cells_written += match op {
+                MicroOp::InitRow { .. } | MicroOp::NorRows { .. } => cols,
+                _ => rows,
+            } as u64;
+        }
+        self.wear.run(program);
+        ExecSummary { cycles: program.ops().len() as u64, cells_written }
+    }
+
+    /// Every cell and every row's wear of `xb` equal the model's.
+    fn assert_matches(&self, xb: &Crossbar, what: &str) {
+        for (i, want) in self.cells.iter().enumerate() {
+            let (r, c) = (i / self.cols, i % self.cols);
+            assert_eq!(xb.bits().get(r, c), *want, "{what}: row {r} col {c}");
+        }
+        assert_eq!(row_totals(xb), self.wear.rows, "{what}: row wear");
+    }
+}
+
+/// A random program of every shape lowering tells apart: lone `INIT`s,
+/// `INIT`+NOR gates (two- and 1–40-input), an `INIT` followed by a NOR
+/// into a different column, NORs without an `INIT`, and row ops between
+/// the column ops.
+fn gate_program(rng: &mut StdRng, rows: usize, cols: usize) -> Microprogram {
+    let mut p = Microprogram::new();
+    for _ in 0..rng.gen_range(1usize..40) {
+        let dst = rng.gen_range(0..cols);
+        let other = |rng: &mut StdRng, not: usize| loop {
+            let c = rng.gen_range(0..cols);
+            if c != not {
+                break c;
+            }
+        };
+        let many = |rng: &mut StdRng, dst: usize| {
+            (0..rng.gen_range(1usize..=40)).map(|_| other(rng, dst)).collect::<Vec<_>>()
+        };
+        match rng.gen_range(0u32..9) {
+            0 => p.init_col(dst),
+            1 => p.gate_nor(other(rng, dst), other(rng, dst), dst),
+            2 => {
+                p.init_col(dst);
+                let elsewhere = other(rng, dst);
+                // the INITed column may be one of the inputs
+                p.nor_cols(dst, other(rng, elsewhere), elsewhere);
+            }
+            3 => p.nor_cols(other(rng, dst), other(rng, dst), dst),
+            4 => {
+                p.init_col(dst);
+                p.nor_many_cols(many(rng, dst), dst);
+            }
+            5 => p.nor_many_cols(many(rng, dst), dst),
+            6 => {
+                p.init_col(dst);
+                let elsewhere = other(rng, dst);
+                p.nor_many_cols(many(rng, elsewhere), elsewhere);
+            }
+            7 => p.push(MicroOp::InitRow { dst: rng.gen_range(0..rows) }),
+            _ => {
+                let [a, b, dst] = [(); 3].map(|_| rng.gen_range(0..rows));
+                if a != dst && b != dst {
+                    p.push(MicroOp::NorRows { a, b, dst });
+                }
+            }
+        }
+    }
+    p
+}
+
+/// Seeded random programs through the lowered kernel against
+/// [`CellModel`], on every block width the geometry picks — one word
+/// (64 rows), several one-word blocks (192), a 4-word block (256), 2-word
+/// blocks (384), a 16-word block (1024, the paper's) and two of them
+/// (2048) — at each level: one crossbar, one page, and the module's
+/// `exec_program` over several pages, which shares one lowering. Every
+/// cell and every row's wear is compared after each program, with
+/// `ExecSummary` (at module level: the phase's cycles and logic energy,
+/// with issue time and controller power zeroed so nothing else adds in).
+#[test]
+fn programs_match_the_op_at_a_time_reference() {
+    for rows in [64, 192, 256, 384, 1024, 2048] {
+        let cols = 64;
+        let mut cfg = SimConfig::small_for_tests();
+        (cfg.crossbar_rows, cfg.crossbar_cols) = (rows, cols);
+        cfg.page_bytes = cfg.crossbar_bytes() * 4;
+        cfg.module_capacity_bytes = cfg.page_bytes as u64 * 8;
+        (cfg.request_issue_ns, cfg.controller_power_uw) = (0.0, 0.0);
+        let mut rng = StdRng::seed_from_u64(0x10_3E4D + rows as u64);
+        let mut module = PimModule::new(cfg.clone()).unwrap();
+        let pages = module.alloc_pages(3).unwrap();
+        for &id in &pages {
+            for xb in module.page_mut(id).crossbars_mut() {
+                for c in 0..cols {
+                    xb.bits_mut_unaccounted().col_mut(c).iter_mut().for_each(|w| *w = rng.gen());
+                }
+            }
+        }
+        let mut reference: Vec<Vec<CellModel>> = pages
+            .iter()
+            .map(|&id| module.page(id).crossbars().map(CellModel::of).collect())
+            .collect();
+        for step in 0..18 {
+            let program = gate_program(&mut rng, rows, cols);
+            let what = format!("{rows} rows, step {step}");
+            let p = rng.gen_range(0..pages.len());
+            match step % 3 {
+                0 => {
+                    let x = rng.gen_range(0..reference[p].len());
+                    let xb = module.page_mut(pages[p]).crossbar_mut(x);
+                    let summary = xb.execute(&program).unwrap();
+                    assert_eq!(summary, reference[p][x].run(&program), "{what}: crossbar");
+                }
+                1 => {
+                    let summary = module.page_mut(pages[p]).execute(&program).unwrap();
+                    for model in &mut reference[p] {
+                        assert_eq!(summary, model.run(&program), "{what}: page");
+                    }
+                }
+                _ => {
+                    // all pages, or all but one
+                    let skip = rng.gen_range(0..2 * pages.len());
+                    let subset: Vec<usize> = (0..pages.len()).filter(|&i| i != skip).collect();
+                    let ids: Vec<PageId> = subset.iter().map(|&i| pages[i]).collect();
+                    let phase = module.exec_program(&ids, &program).unwrap();
+                    let mut summary = ExecSummary::default();
+                    for &i in &subset {
+                        for model in &mut reference[i] {
+                            let s = model.run(&program);
+                            (summary.cycles, summary.cells_written) =
+                                (s.cycles, summary.cells_written + s.cells_written);
+                        }
+                    }
+                    assert_eq!(phase.time_ns, summary.cycles as f64 * cfg.logic_cycle_ns, "{what}");
+                    let logic_pj =
+                        summary.cells_written as f64 * cfg.logic_energy_fj_per_bit * 1e-3;
+                    assert_eq!(phase.energy_pj, logic_pj, "{what}: module");
+                }
+            }
+            for (&id, page_ref) in pages.iter().zip(&reference) {
+                let page = module.page(id);
+                for (x, (xb, model)) in page.crossbars().zip(page_ref).enumerate() {
+                    model.assert_matches(xb, &format!("{what}, page {id:?} crossbar {x}"));
+                }
+                let worst = page_ref.iter().map(|m| m.wear.max()).max().unwrap();
+                assert_eq!(page.max_row_cell_writes(), worst, "{what}: worst row");
+            }
+        }
     }
 }
 
