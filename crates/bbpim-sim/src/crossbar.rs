@@ -137,7 +137,9 @@ impl Crossbar {
     /// all its pages).
     pub(crate) fn run(&mut self, program: &Lowered) -> ExecSummary {
         self.bits.run(program);
-        self.all_rows_writes += program.col_ops;
+        // every column op of the original program writes every row once
+        let row_ops = program.row_dsts.len() as u64;
+        self.all_rows_writes += program.summary.cycles - row_ops;
         let cols = self.cols() as u64;
         for &row in &program.row_dsts {
             self.note_row_writes(row, cols);

@@ -320,7 +320,6 @@ impl Microprogram {
             cols,
             ops: lowered,
             inputs,
-            col_ops: self.cycles() - row_dsts.len() as u64,
             row_dsts,
             summary: ExecSummary {
                 cycles: self.cycles(),
@@ -363,8 +362,6 @@ pub(crate) struct Lowered {
     pub(crate) ops: Vec<LoweredOp>,
     /// The multi-input NORs' input offsets, each op's a range of them.
     pub(crate) inputs: Vec<u32>,
-    /// Column ops of the original program: each writes every row once.
-    pub(crate) col_ops: u64,
     /// Destination rows of the original program's row ops, in order.
     pub(crate) row_dsts: Vec<usize>,
     /// Cycles and per-crossbar cells written of the original program.
