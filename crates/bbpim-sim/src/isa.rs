@@ -275,9 +275,9 @@ impl Microprogram {
         // word offset of a column; rows stay rows
         let at = |col: usize| (col * wpc) as u32;
         let mut inputs = Vec::new();
-        let mut many = |cols: &[usize]| {
+        let mut many = |columns: &[usize]| {
             let lo = inputs.len() as u32;
-            inputs.extend(cols.iter().map(|&c| at(c)));
+            inputs.extend(columns.iter().map(|&c| at(c)));
             (lo, inputs.len() as u32)
         };
         let mut row_dsts = Vec::new();
