@@ -129,7 +129,9 @@ impl Crossbar {
     /// Returns [`SimError::InvalidProgram`] if the program references
     /// cells outside this crossbar.
     pub fn execute(&mut self, program: &Microprogram) -> Result<ExecSummary, SimError> {
-        Ok(self.run(&program.lower(self.rows(), self.cols())?))
+        let mut lowered = Lowered::default();
+        program.lower(self.rows(), self.cols(), &mut lowered)?;
+        Ok(self.run(&lowered))
     }
 
     /// [`Crossbar::execute`] for a program lowered for this geometry (a

@@ -24,7 +24,9 @@
 //! compiled program — becomes one *assigning* op, `dst = !(a | b)`. A
 //! lone `INIT` stays a fill, and a NOR without its `INIT` keeps MAGIC's
 //! clear-only `dst &= !(a | b)`. A page lowers a program once for its
-//! lock-step crossbars and the module once for all the pages it runs on.
+//! lock-step crossbars and the module once for all the pages it runs on,
+//! into buffers the module keeps from one request to the next, so
+//! `exec_program` allocates nothing once they have grown.
 //! Cycles, cells written and wear still count the original ops: lowering
 //! changes how the host computes the cells, not what the hardware does.
 
@@ -260,28 +262,40 @@ impl Microprogram {
     }
 
     /// Validate the program against a `rows × cols` crossbar and lower
-    /// it for that geometry (see the module docs).
+    /// it for that geometry into `out` (see the module docs), reusing
+    /// `out`'s buffers. `out` is left untouched if validation fails.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidProgram`] as [`Microprogram::validate`].
-    pub(crate) fn lower(&self, rows: usize, cols: usize) -> Result<Lowered, SimError> {
+    pub(crate) fn lower(
+        &self,
+        rows: usize,
+        cols: usize,
+        out: &mut Lowered,
+    ) -> Result<(), SimError> {
         self.validate(rows, cols)?;
         let wpc = rows / 64;
         assert!(
             u32::try_from(rows.max(cols * wpc)).is_ok(),
             "a crossbar's rows and words fit 32-bit operands"
         );
+        out.rows = rows;
+        out.cols = cols;
+        out.summary =
+            ExecSummary { cycles: self.cycles(), cells_written: self.cells_written(rows, cols) };
+        let Lowered { ops: lowered, inputs, row_dsts, .. } = out;
+        lowered.clear();
+        inputs.clear();
+        row_dsts.clear();
         // word offset of a column; rows stay rows
         let at = |col: usize| (col * wpc) as u32;
-        let mut inputs = Vec::new();
         let mut many = |columns: &[usize]| {
             let lo = inputs.len() as u32;
             inputs.extend(columns.iter().map(|&c| at(c)));
             (lo, inputs.len() as u32)
         };
-        let mut row_dsts = Vec::new();
-        let mut lowered = Vec::with_capacity(self.ops.len());
+        lowered.reserve(self.ops.len());
         let mut ops = self.ops.iter().peekable();
         while let Some(op) = ops.next() {
             lowered.push(match *op {
@@ -315,17 +329,7 @@ impl Microprogram {
                 }
             });
         }
-        Ok(Lowered {
-            rows,
-            cols,
-            ops: lowered,
-            inputs,
-            row_dsts,
-            summary: ExecSummary {
-                cycles: self.cycles(),
-                cells_written: self.cells_written(rows, cols),
-            },
-        })
+        Ok(())
     }
 }
 
@@ -354,7 +358,7 @@ pub(crate) enum LoweredOp {
 /// A validated [`Microprogram`] lowered for one crossbar geometry — the
 /// op list every crossbar of that geometry runs, plus what the original
 /// program costs there.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Lowered {
     /// The geometry it was lowered for.
     pub(crate) rows: usize,

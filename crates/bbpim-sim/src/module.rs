@@ -15,7 +15,7 @@ use crate::compiler::ColRange;
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::hostmem;
-use crate::isa::Microprogram;
+use crate::isa::{Lowered, Microprogram};
 use crate::page::PimPage;
 use crate::timeline::{Phase, PhaseKind};
 
@@ -103,6 +103,9 @@ pub struct PimModule {
     /// `(programs executed, chained op digest)` — see
     /// [`PimModule::program_digest`].
     programs: (u64, u64),
+    /// The latest request's program, lowered for the crossbar geometry;
+    /// kept so that the next request reuses its buffers.
+    lowered: Lowered,
 }
 
 impl PimModule {
@@ -121,6 +124,7 @@ impl PimModule {
             pages: Vec::new(),
             policy: XferPolicy::default(),
             programs: (0, 0xcbf2_9ce4_8422_2325),
+            lowered: Lowered::default(),
         })
     }
 
@@ -200,7 +204,8 @@ impl PimModule {
     /// Execute a microprogram on every crossbar of the given pages.
     ///
     /// The program is validated and lowered once for the module's
-    /// crossbar geometry, and every page runs the lowered list (see
+    /// crossbar geometry, into buffers the module reuses across
+    /// requests, and every page runs the lowered list (see
     /// [`crate::isa`]'s module docs); cycles, cells written, wear and
     /// the program digest count the original ops.
     ///
@@ -219,13 +224,13 @@ impl PimModule {
         pages: &[PageId],
         program: &Microprogram,
     ) -> Result<Phase, SimError> {
-        let lowered = program.lower(self.cfg.crossbar_rows, self.cfg.crossbar_cols)?;
+        program.lower(self.cfg.crossbar_rows, self.cfg.crossbar_cols, &mut self.lowered)?;
         self.check_pages(pages)?;
         self.programs = (self.programs.0 + 1, program.digest(self.programs.1));
         let mut cells_total = 0u64;
         for id in pages {
             let page = &mut self.pages[id.0];
-            let summary = page.run(&lowered);
+            let summary = page.run(&self.lowered);
             cells_total += summary.cells_written * page.crossbar_count() as u64;
         }
         let time_ns =

@@ -111,7 +111,9 @@ impl PimPage {
     ///
     /// Propagates program validation failures; no crossbar is touched.
     pub fn execute(&mut self, program: &Microprogram) -> Result<ExecSummary, SimError> {
-        Ok(self.run(&program.lower(self.rows, self.cols)?))
+        let mut lowered = Lowered::default();
+        program.lower(self.rows, self.cols, &mut lowered)?;
+        Ok(self.run(&lowered))
     }
 
     /// [`PimPage::execute`] for a program the caller has lowered for the
