@@ -22,8 +22,8 @@
 //! A [`Front`] keeps only its policy — which arrivals exist, what is
 //! admitted next and when, what a completion changes: `run_stream`'s
 //! FIFO / SCSF, static bound and per-lane ingest buffer, or
-//! `bbpim_serve::run_serve`'s buckets, fair pick, shedding, window and
-//! closed-loop clients.
+//! [`run_serve`](crate::serve::run_serve)'s buckets, fair pick, shedding,
+//! window and closed-loop clients.
 
 use std::sync::Arc;
 
@@ -80,9 +80,9 @@ pub struct TimelineEvent {
     pub t_ns: f64,
     /// What happened.
     pub kind: EventKind,
-    /// Which job ([`Ticket::index`]): on a stream an index into the
-    /// workload's query arrival trace or — for `Mutation*` kinds — its
-    /// mutation arrival trace; on a served session the request log.
+    /// Which job: on a stream an index into the workload's query arrival
+    /// trace or — for `Mutation*` kinds — its mutation arrival trace; on
+    /// a served session the request log.
     pub arrival: usize,
     /// The shard/lane involved, for [`EventKind::Dispatched`] /
     /// [`EventKind::ShardDone`] / [`EventKind::MutationStall`] /
@@ -202,7 +202,7 @@ impl MutationCompletion {
 /// Who asked for a job and when: what a front-end hands the core with
 /// each admission, and what the job's completion record carries.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ticket {
+pub(crate) struct Ticket {
     /// The front-end's index of the job (see [`TimelineEvent::arrival`]).
     pub index: usize,
     /// Owning tenant.
@@ -234,7 +234,7 @@ impl Ticket {
 
 /// What admitting one job did.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Admitted {
+pub(crate) struct Admitted {
     /// Busy time its chains (and a query's merge) occupy: the work a
     /// fair-share accountant charges, independent of queueing.
     pub busy_ns: f64,
@@ -245,7 +245,7 @@ pub struct Admitted {
 /// A job that just completed, as its front-end hears of it (the whole
 /// record is in [`Finished`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Done {
+pub(crate) struct Done {
     /// The job's [`Ticket::index`].
     pub index: usize,
     /// A durable mutation, not an answered query.
@@ -261,7 +261,7 @@ pub struct Done {
 /// An admission front-end: the policy half of a run. [`Core::drive`]
 /// hands it every moment admission reacts to; the errors it returns end
 /// the run.
-pub trait Front<E: StreamEngine> {
+pub(crate) trait Front<E: StreamEngine> {
     /// The front-end's own events on the simulated clock (arrivals,
     /// admission ticks), pushed with [`Core::push`].
     type Event;
@@ -285,7 +285,7 @@ pub trait Front<E: StreamEngine> {
 
 /// Everything the core recorded over a run.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Finished {
+pub(crate) struct Finished {
     /// Query completions, in completion order.
     pub completions: Vec<QueryCompletion>,
     /// Merged answers parallel to `completions`; completions answered by
@@ -367,7 +367,7 @@ impl Started {
 
 /// The kernel-driving core of every run (see the module docs). `F` is
 /// its front-end's event type.
-pub struct Core<'a, E, F> {
+pub(crate) struct Core<'a, E, F> {
     cluster: &'a mut E,
     kernel: Kernel<'a, F>,
     started: Started,

@@ -6,11 +6,12 @@
 //! is executed ([`StreamEngine::run_on_shard`]) — or reused while
 //! nothing it read has changed — the partials are merged exactly as
 //! `run_batch` would, and each shard execution's phase log is compiled
-//! into a [`SliceChain`]. Whichever front-end admits the query —
-//! [`run_stream`](crate::run_stream) or the multi-tenant server — its
-//! answer is fixed at that admission, bit-identical to a fresh engine
-//! that replayed the mutations admitted before it; only *when* the
-//! slices run is up to the scheduler.
+//! into a slice chain. Whichever front-end admits the query —
+//! [`run_stream`](crate::run_stream) or
+//! [`run_serve`](crate::serve::run_serve) — its answer is fixed at that
+//! admission, bit-identical to a fresh engine that replayed the
+//! mutations admitted before it; only *when* the slices run is up to
+//! the scheduler.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -49,7 +50,7 @@ pub struct Slice {
 /// kind (`detail[i]` decomposes `slices[i].local_ns`), so module
 /// tracks can show *which* PIM phases filled each local window.
 #[derive(Clone, Debug, PartialEq)]
-pub struct SliceChain {
+pub(crate) struct SliceChain {
     /// The alternating bus/local steps, in execution order.
     pub slices: Vec<Slice>,
     /// Per-slice local-part phase composition (empty when compiled
@@ -139,7 +140,7 @@ pub(crate) fn busy_ns(chains: &[Arc<ShardDemand>]) -> f64 {
 /// filter really does re-queue on the bus between two PIM programs.
 /// Without contention the whole log collapses to the optimistic shape:
 /// one bus slice for the per-page dispatch, everything else local.
-pub fn compile_log_slices(
+pub(crate) fn compile_log_slices(
     log: &RunLog,
     total_time_ns: f64,
     host: &HostConfig,
@@ -191,15 +192,12 @@ pub fn compile_log_slices(
             }
         }
     }
-    // Drop empty slices, keeping the detail rows in lockstep.
-    let keep: Vec<bool> = slices.iter().map(|s| s.bus_ns > 0.0 || s.local_ns > 0.0).collect();
-    let mut it = keep.iter();
-    slices.retain(|_| *it.next().expect("lockstep"));
-    let mut it = keep.iter();
-    detail.retain(|_| *it.next().expect("lockstep"));
-    if slices.is_empty() {
-        slices.push(empty_slice);
-        detail.push(Vec::new());
+    // Only the seed slice can be empty (every pushed one has bus time):
+    // drop it unless it is the whole chain.
+    let nonempty = |s: &Slice| s.bus_ns > 0.0 || s.local_ns > 0.0;
+    if slices.len() > 1 && !nonempty(&slices[0]) {
+        slices.remove(0);
+        detail.remove(0);
     }
     if !want_detail {
         detail = Vec::new();

@@ -1,11 +1,12 @@
-//! Error type for the streaming scheduler.
+//! Error type for the streaming scheduler and the multi-tenant server.
 
 use std::error::Error;
 use std::fmt;
 
 use bbpim_cluster::ClusterError;
 
-/// Errors produced by the streaming scheduler.
+/// Errors produced by the streaming scheduler and the multi-tenant
+/// server.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchedError {
     /// The cluster failed while resolving a query's service demand.
@@ -13,8 +14,12 @@ pub enum SchedError {
     /// The workload is malformed (unsorted arrivals, out-of-range query
     /// index, negative time…).
     InvalidWorkload(String),
-    /// The scheduler configuration is unusable (zero in-flight bound…).
+    /// The scheduler, serve or controller configuration is unusable
+    /// (zero in-flight bound, empty window range…).
     InvalidConfig(String),
+    /// A malformed tenant specification (empty query set, duplicate
+    /// name…).
+    InvalidTenant(String),
 }
 
 impl fmt::Display for SchedError {
@@ -23,6 +28,7 @@ impl fmt::Display for SchedError {
             SchedError::Cluster(e) => write!(f, "cluster: {e}"),
             SchedError::InvalidWorkload(msg) => write!(f, "invalid workload: {msg}"),
             SchedError::InvalidConfig(msg) => write!(f, "invalid scheduler config: {msg}"),
+            SchedError::InvalidTenant(msg) => write!(f, "invalid tenant: {msg}"),
         }
     }
 }
@@ -31,7 +37,9 @@ impl Error for SchedError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SchedError::Cluster(e) => Some(e),
-            SchedError::InvalidWorkload(_) | SchedError::InvalidConfig(_) => None,
+            SchedError::InvalidWorkload(_)
+            | SchedError::InvalidConfig(_)
+            | SchedError::InvalidTenant(_) => None,
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The chain-execution kernel: the discrete-event machinery under the
-//! one admission loop ([`Core`](crate::Core)), which is the only thing
-//! that drives it — for [`run_stream`](crate::run_stream) and
-//! `bbpim_serve::run_serve` alike.
+//! one admission loop ([`Core`](crate::admission::Core)), which is the
+//! only thing that drives it — for [`run_stream`](crate::run_stream) and
+//! [`run_serve`](crate::serve::run_serve) alike.
 //!
 //! A *job* is anything whose service demand is a set of per-lane slice
 //! chains ([`ShardDemand`]): a query's candidate-shard chains or a

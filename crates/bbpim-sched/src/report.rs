@@ -29,7 +29,7 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 /// The rates a finished run reports over its makespan, stated once:
 /// [`crate::StreamOutcome`] answers `throughput_qps` / `host_utilisation`
-/// / `host_demand` through it, `bbpim_serve::ServeOutcome` the last two.
+/// / `host_demand` through it, [`crate::serve::ServeOutcome`] the last two.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunRates {
     /// When the last query or mutation completed.

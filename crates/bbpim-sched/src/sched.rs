@@ -1,6 +1,6 @@
 //! The streaming scheduler: [`run_stream`], the stream front-end of the
-//! one admission loop ([`Core`]), and the [`StreamEngine`] surface that
-//! loop drives.
+//! one admission loop (the crate-private core), and the [`StreamEngine`]
+//! surface that loop drives.
 //!
 //! [`run_stream`] admits a [`Workload`]'s timestamped queries **and
 //! mutations**, interleaved on one clock. The core resolves and applies
@@ -544,7 +544,7 @@ impl<E: StreamEngine> Front<E> for Stream<'_> {
 /// and ran the query (for pure-query workloads: bit-identical to
 /// [`Cluster::run_batch`] over the same arrived queries). The
 /// admission rules in the module docs decide when each job may start;
-/// the [`Core`] plays its slice chains out.
+/// the core plays its slice chains out.
 ///
 /// # Errors
 ///

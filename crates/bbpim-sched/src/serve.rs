@@ -1,15 +1,33 @@
-//! The multi-tenant server: [`run_serve`], the tenant front-end of the
-//! one admission loop it shares with the streaming scheduler
-//! ([`bbpim_sched::Core`]).
+//! SLO-aware multi-tenant serving: [`run_serve`], the tenant front-end
+//! of the one admission loop it shares with [`run_stream`](crate::run_stream).
 //!
-//! [`run_serve`] multiplexes every tenant's arrival process — seeded
-//! open Poisson/burst streams *and* closed-loop think-time clients —
-//! into one deterministic timeline over a [`StreamEngine`] cluster.
-//! The core resolves each admitted query and applies each admitted
-//! write at its admission, exactly as it does for a stream, and plays
-//! their slice chains out on the shared host channel and the module
-//! servers; this module keeps only the serving policy, which requests
-//! run and when:
+//! The streaming scheduler answers "what happens when queries arrive
+//! over time"; this module answers the production question on top of
+//! it: what happens when *several tenants* share one PIM cluster, each
+//! with its own traffic shape, rate limit, and latency promise — and
+//! the operator must keep those promises under overload?
+//!
+//! * [`tenant::TenantSpec`] — a named workload: a query set, an
+//!   arrival process (seeded open Poisson / burst, or closed-loop
+//!   think-time clients whose offered load *reacts* to latency), an
+//!   optional token-bucket [`tenant::RateLimit`], an [`tenant::SloSpec`]
+//!   (p95 target, optional per-request deadline), an optional
+//!   [`tenant::WriteMix`] (HTAP tenants issue Mutation API v2 writes as
+//!   first-class requests), and a fair-share weight.
+//! * [`controller::AimdController`] — the closed loop: every
+//!   completion feeds its SLO-normalised latency; the windowed p95 of
+//!   those ratios raises the window additively while promises hold and
+//!   cuts it multiplicatively on violation, replacing the static
+//!   `max_in_flight` guess.
+//! * [`report::tenant_reports`] — per-tenant p50/p95/p99/p999, goodput,
+//!   drop rate and SLO verdict.
+//!
+//! [`run_serve`] multiplexes every tenant's arrival process into one
+//! deterministic timeline over a [`StreamEngine`] cluster. The core
+//! resolves each admitted query and applies each admitted write at its
+//! admission, exactly as it does for a stream, and plays their slice
+//! chains out on the shared host channel and the module servers; this
+//! module keeps only the serving policy, which requests run and when:
 //!
 //! * **Rate limits** — each arrival passes its tenant's token bucket;
 //!   over-rate requests are not rejected, their admission eligibility
@@ -33,26 +51,77 @@
 //!   workload trace handed to `run_stream`.
 //!
 //! Every answer reflects exactly the writes admitted before it
-//! ([`ServeCompletion::epoch`]): a fresh engine that replayed those
+//! ([`QueryCompletion::epoch`]): a fresh engine that replayed those
 //! writes answers bit-identically. Without writes that is the batch
-//! oracle's answer.
+//! oracle's answer. A write request rides the shared channel and its
+//! ingest lanes, and feeds the controller and the per-lane wear
+//! accounting ([`ServeOutcome::lane_cell_writes`]).
+//!
+//! ```
+//! use bbpim_cluster::{ClusterEngine, Partitioner};
+//! use bbpim_core::modes::EngineMode;
+//! use bbpim_db::ssb::{queries, SsbDb, SsbParams};
+//! use bbpim_sched::serve::{
+//!     run_serve, tenant_reports, ArrivalProcess, ServeConfig, SloSpec, TenantSpec,
+//! };
+//! use bbpim_sim::SimConfig;
+//!
+//! let wide = SsbDb::generate(&SsbParams::tiny_for_tests()).prejoin();
+//! let mut cluster = ClusterEngine::new(
+//!     SimConfig::default(), wide, EngineMode::OneXb, 4, Partitioner::range_by_attr("d_year"))?;
+//! let tenants = vec![
+//!     TenantSpec {
+//!         name: "interactive".into(),
+//!         queries: vec![queries::standard_query("Q1.1").unwrap()],
+//!         process: ArrivalProcess::OpenPoisson { arrivals: 6, mean_interarrival_ns: 200_000.0 },
+//!         writes: None,
+//!         rate_limit: None,
+//!         slo: SloSpec { p95_target_ns: 2_000_000.0, deadline_ns: None },
+//!         weight: 4.0,
+//!     },
+//!     TenantSpec {
+//!         name: "batch".into(),
+//!         queries: vec![queries::standard_query("Q1.2").unwrap()],
+//!         process: ArrivalProcess::Closed { clients: 2, queries_per_client: 2, mean_think_ns: 50_000.0 },
+//!         writes: None,
+//!         rate_limit: None,
+//!         slo: SloSpec { p95_target_ns: 20_000_000.0, deadline_ns: None },
+//!         weight: 1.0,
+//!     },
+//! ];
+//! let out = run_serve(&mut cluster, &tenants, &ServeConfig::default())?;
+//! assert_eq!(out.completions.len(), 10);
+//! for r in tenant_reports(&tenants, &out) {
+//!     println!("{:12} p95 {:8.3} ms  goodput {:6.0} q/s  slo_met {}",
+//!         r.name, r.latency.p95_ns / 1e6, r.goodput_qps, r.slo_met);
+//! }
+//! # Ok::<(), bbpim_sched::SchedError>(())
+//! ```
+
+pub mod controller;
+pub mod report;
+pub mod tenant;
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bbpim_cluster::ClusterExecution;
 use bbpim_core::mutation::Mutation;
-use bbpim_sched::{
-    Core, Done, EventKind, Front, MutationCompletion, QueryCompletion, RunRates, SchedError,
-    StreamEngine, Ticket, TimelineEvent,
-};
 use bbpim_trace::{ArgValue, TraceRecorder, TrackId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::controller::{AimdController, WindowDecision, WindowPolicy};
-use crate::error::ServeError;
-use crate::tenant::{exp_gap_ns, ArrivalProcess, TenantSpec, TokenBucket, WriteMix};
+pub use controller::{AimdConfig, AimdController, WindowDecision, WindowPolicy};
+pub use report::{tenant_reports, TenantReport};
+pub use tenant::{ArrivalProcess, RateLimit, SloSpec, TenantSpec, TokenBucket, WriteMix};
+
+use crate::admission::{
+    Core, Done, EventKind, Front, MutationCompletion, QueryCompletion, Ticket, TimelineEvent,
+};
+use crate::error::SchedError;
+use crate::report::RunRates;
+use crate::sched::StreamEngine;
+use tenant::exp_gap_ns;
 
 /// Serve-session configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,21 +137,6 @@ impl Default for ServeConfig {
         ServeConfig { seed: 0, window: WindowPolicy::Aimd(Default::default()) }
     }
 }
-
-/// What happened at one point of a serve timeline.
-pub type ServeEventKind = EventKind;
-
-/// One record of a serve timeline; `arrival` indexes the session's
-/// request log.
-pub type ServeTimelineEvent = TimelineEvent;
-
-/// Latency accounting for one completed query request; `arrival`
-/// indexes the session's request log.
-pub type ServeCompletion = QueryCompletion;
-
-/// Latency accounting for one durable write request; `arrival` indexes
-/// the session's request log.
-pub type ServeWriteCompletion = MutationCompletion;
 
 /// One request shed at admission.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,7 +163,7 @@ pub struct ServeDrop {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeOutcome {
     /// Per-request latency records, in completion order.
-    pub completions: Vec<ServeCompletion>,
+    pub completions: Vec<QueryCompletion>,
     /// Merged executions parallel to `completions` — each is
     /// bit-identical to a fresh engine that replayed the writes its
     /// completion's `epoch` counts, and shared by every completion one
@@ -117,11 +171,11 @@ pub struct ServeOutcome {
     pub executions: Vec<Arc<ClusterExecution>>,
     /// Per-write-request latency records, in completion order (empty
     /// for sessions without write traffic).
-    pub write_completions: Vec<ServeWriteCompletion>,
+    pub write_completions: Vec<MutationCompletion>,
     /// Requests shed at admission, in shed order.
     pub drops: Vec<ServeDrop>,
     /// The full event timeline (deterministic per seed).
-    pub timeline: Vec<ServeTimelineEvent>,
+    pub timeline: Vec<TimelineEvent>,
     /// The in-flight window over time: the initial window at t = 0
     /// plus one entry per controller decision (static windows have
     /// only the initial entry).
@@ -551,14 +605,14 @@ impl<E: StreamEngine> Front<E> for Server<'_> {
 ///
 /// # Errors
 ///
-/// [`ServeError::InvalidTenant`] / [`ServeError::InvalidConfig`] for
-/// malformed specs, [`ServeError::Sched`] for planner, shard execution
+/// [`SchedError::InvalidTenant`] / [`SchedError::InvalidConfig`] for
+/// malformed specs, [`SchedError::Cluster`] for planner, shard execution
 /// or write failures.
 pub fn run_serve<E: StreamEngine>(
     cluster: &mut E,
     tenants: &[TenantSpec],
     cfg: &ServeConfig,
-) -> Result<ServeOutcome, ServeError> {
+) -> Result<ServeOutcome, SchedError> {
     let mut trace = TraceRecorder::disabled();
     run_serve_traced(cluster, tenants, cfg, &mut trace)
 }
@@ -578,20 +632,20 @@ pub fn run_serve_traced<E: StreamEngine>(
     tenants: &[TenantSpec],
     cfg: &ServeConfig,
     trace: &mut TraceRecorder,
-) -> Result<ServeOutcome, ServeError> {
+) -> Result<ServeOutcome, SchedError> {
     if tenants.is_empty() {
-        return Err(ServeError::InvalidConfig("at least one tenant is required".into()));
+        return Err(SchedError::InvalidConfig("at least one tenant is required".into()));
     }
     for (i, t) in tenants.iter().enumerate() {
         t.validate()?;
         if tenants[..i].iter().any(|o| o.name == t.name) {
-            return Err(ServeError::InvalidTenant(format!("duplicate tenant name {}", t.name)));
+            return Err(SchedError::InvalidTenant(format!("duplicate tenant name {}", t.name)));
         }
     }
     let window = match &cfg.window {
         WindowPolicy::Static(w) => {
             if *w == 0 {
-                return Err(ServeError::InvalidConfig("static window must be at least 1".into()));
+                return Err(SchedError::InvalidConfig("static window must be at least 1".into()));
             }
             WindowState::Static(*w)
         }

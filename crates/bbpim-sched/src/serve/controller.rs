@@ -16,9 +16,8 @@
 //! Everything is a pure function of the completion sequence, so serve
 //! sessions stay bit-deterministic per seed.
 
-use bbpim_sched::report::percentile;
-
-use crate::error::ServeError;
+use crate::error::SchedError;
+use crate::report::percentile;
 
 /// How the global in-flight window is set.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,11 +68,11 @@ impl AimdConfig {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] for an empty window range, a
+    /// [`SchedError::InvalidConfig`] for an empty window range, a
     /// decrease factor outside (0, 1), a non-positive target, a zero
     /// increase, or a zero sample window.
-    pub fn validate(&self) -> Result<(), ServeError> {
-        let fail = |m: String| Err(ServeError::InvalidConfig(m));
+    pub fn validate(&self) -> Result<(), SchedError> {
+        let fail = |m: String| Err(SchedError::InvalidConfig(m));
         if self.min_window == 0 {
             return fail("min_window must be at least 1".into());
         }
@@ -134,8 +133,8 @@ impl AimdController {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] per [`AimdConfig::validate`].
-    pub fn new(cfg: AimdConfig) -> Result<AimdController, ServeError> {
+    /// [`SchedError::InvalidConfig`] per [`AimdConfig::validate`].
+    pub fn new(cfg: AimdConfig) -> Result<AimdController, SchedError> {
         cfg.validate()?;
         let window = cfg.initial_window;
         Ok(AimdController { cfg, window, samples: Vec::new(), decisions: Vec::new() })
@@ -200,7 +199,7 @@ mod tests {
         ];
         for cfg in bad {
             assert!(
-                matches!(cfg.validate(), Err(ServeError::InvalidConfig(_))),
+                matches!(cfg.validate(), Err(SchedError::InvalidConfig(_))),
                 "should reject {cfg:?}"
             );
         }

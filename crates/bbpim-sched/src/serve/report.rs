@@ -1,10 +1,8 @@
 //! Per-tenant serving reports: latency percentiles, goodput, drops,
 //! and the SLO verdict.
 
-use bbpim_sched::report::LatencySummary;
-
-use crate::serve::ServeOutcome;
-use crate::tenant::TenantSpec;
+use super::{ServeOutcome, TenantSpec};
+use crate::report::LatencySummary;
 
 /// One tenant's session summary.
 #[derive(Debug, Clone, PartialEq)]

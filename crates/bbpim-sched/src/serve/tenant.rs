@@ -4,9 +4,9 @@
 use bbpim_core::mutation::Mutation;
 use bbpim_db::plan::Query;
 use rand::rngs::StdRng;
-use rand::Rng;
 
-use crate::error::ServeError;
+use crate::error::SchedError;
+use crate::workload::exp_draw;
 
 /// How a tenant's requests are generated.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,10 +132,10 @@ impl TenantSpec {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidTenant`] for an empty query set,
+    /// [`SchedError::InvalidTenant`] for an empty query set,
     /// non-positive weight/targets/rates, or non-finite parameters.
-    pub fn validate(&self) -> Result<(), ServeError> {
-        let fail = |m: String| Err(ServeError::InvalidTenant(format!("{}: {m}", self.name)));
+    pub fn validate(&self) -> Result<(), SchedError> {
+        let fail = |m: String| Err(SchedError::InvalidTenant(format!("{}: {m}", self.name)));
         match &self.writes {
             None => {
                 if self.queries.is_empty() {
@@ -240,15 +240,13 @@ impl TokenBucket {
     }
 }
 
-/// Draw an exponential gap with the given mean from `rng` (inverse
-/// CDF over the open unit interval — the same transform the
-/// scheduler's Poisson workloads use, so seeds compare).
+/// Draw an exponential gap with the given mean from `rng`
+/// ([`exp_draw`]); a zero mean draws nothing and returns zero.
 pub(crate) fn exp_gap_ns(rng: &mut StdRng, mean_ns: f64) -> f64 {
     if mean_ns <= 0.0 {
         return 0.0;
     }
-    let u: f64 = rng.gen();
-    -mean_ns * (1.0 - u).ln()
+    exp_draw(rng, mean_ns)
 }
 
 #[cfg(test)]
@@ -316,7 +314,7 @@ mod tests {
         assert!(tenant().validate().is_ok());
         let mut t = tenant();
         t.queries.clear();
-        assert!(matches!(t.validate(), Err(ServeError::InvalidTenant(_))));
+        assert!(matches!(t.validate(), Err(SchedError::InvalidTenant(_))));
         let mut t = tenant();
         t.weight = 0.0;
         assert!(t.validate().is_err());

@@ -144,9 +144,7 @@ impl Workload {
         let mut t = 0.0f64;
         let arrivals = (0..n)
             .map(|_| {
-                // Inverse-CDF exponential draw; u ∈ [0, 1) keeps ln(1-u) finite.
-                let u: f64 = rng.gen();
-                t += -mean_interarrival_ns * (1.0 - u).ln();
+                t += exp_draw(&mut rng, mean_interarrival_ns);
                 Arrival { at_ns: t, query: rng.gen_range(0..queries.len()) }
             })
             .collect();
@@ -194,8 +192,7 @@ impl Workload {
         let mut arrivals = Vec::new();
         let mut mutation_arrivals = Vec::new();
         for _ in 0..n {
-            let u: f64 = rng.gen();
-            t += -mean_interarrival_ns * (1.0 - u).ln();
+            t += exp_draw(&mut rng, mean_interarrival_ns);
             if rng.gen::<f64>() < mutation_frac {
                 mutation_arrivals.push(MutationArrival {
                     at_ns: t,
@@ -263,6 +260,14 @@ impl Workload {
     pub fn arrived_mutations(&self) -> Vec<Mutation> {
         self.mutation_arrivals.iter().map(|a| self.mutations[a.mutation].clone()).collect()
     }
+}
+
+/// One exponential draw with mean `mean_ns`: the inverse CDF of one
+/// uniform `u` ∈ [0, 1), which keeps `ln(1 - u)` finite. Every Poisson
+/// clock in the crate draws through it, so seeds compare.
+pub(crate) fn exp_draw(rng: &mut StdRng, mean_ns: f64) -> f64 {
+    let u: f64 = rng.gen();
+    -mean_ns * (1.0 - u).ln()
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //! in Bulk-Bitwise Processing-In-Memory"* (Perach, Ronen, Kvatinsky —
 //! SOCC 2023).
 //!
-//! The workspace members are re-exported under short names:
+//! The workspace members (and the scheduler's `serve` module) are
+//! re-exported under short names:
 //!
 //! * [`sim`] — the bit-accurate PIM hardware simulator (crossbars,
 //!   MAGIC-NOR microprograms, aggregation circuit, timing / energy /
@@ -41,10 +42,10 @@
 //!   queues, a shared host dispatch bus, out-of-order completion, and
 //!   p50/p95/p99 latency + throughput + utilisation accounting —
 //!   deterministic per seed, answers bit-identical to `run_batch`.
-//! * [`serve`] — SLO-aware multi-tenant serving, a second front-end of
-//!   [`sched`]'s one admission loop: named tenants (seeded open Poisson
-//!   / burst arrivals and closed-loop think-time clients) multiplexed
-//!   into one deterministic event stream, per-tenant token-bucket rate
+//! * [`serve`] — SLO-aware multi-tenant serving (`bbpim_sched::serve`),
+//!   the second front-end of [`sched`]'s one admission loop: named
+//!   tenants (seeded open Poisson / burst arrivals and closed-loop
+//!   think-time clients) multiplexed into one deterministic event stream, per-tenant token-bucket rate
 //!   limits and SLO specs, weighted fair sharing across tenant admission
 //!   queues, deadline-aware shedding at admission, and a closed-loop
 //!   AIMD controller that adapts the global in-flight window from the
@@ -74,6 +75,6 @@ pub use bbpim_core as engine;
 pub use bbpim_db as db;
 pub use bbpim_monet as monet;
 pub use bbpim_sched as sched;
-pub use bbpim_serve as serve;
+pub use bbpim_sched::serve;
 pub use bbpim_sim as sim;
 pub use bbpim_trace as trace;

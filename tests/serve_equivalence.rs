@@ -19,10 +19,10 @@ use bbpim::engine::groupby::calibration::{run_calibration, CalibrationConfig};
 use bbpim::engine::modes::EngineMode;
 use bbpim::engine::mutation::Mutation;
 use bbpim::join::StarCluster;
-use bbpim::sched::resolve_query_demand;
+use bbpim::sched::{resolve_query_demand, EventKind};
 use bbpim::serve::{
-    run_serve, tenant_reports, AimdConfig, ArrivalProcess, RateLimit, ServeConfig, ServeEventKind,
-    ServeOutcome, SloSpec, TenantReport, TenantSpec, WindowPolicy, WriteMix,
+    run_serve, tenant_reports, AimdConfig, ArrivalProcess, RateLimit, ServeConfig, ServeOutcome,
+    SloSpec, TenantReport, TenantSpec, WindowPolicy, WriteMix,
 };
 use bbpim::sim::SimConfig;
 
@@ -463,7 +463,7 @@ fn assert_served_writes_replay<R: Replay + bbpim::sched::StreamEngine>(
         let lanes_done = out
             .timeline
             .iter()
-            .filter(|e| e.arrival == w.arrival && e.kind == ServeEventKind::MutationLaneDone);
+            .filter(|e| e.arrival == w.arrival && e.kind == EventKind::MutationLaneDone);
         let last_lane = lanes_done.map(|e| e.t_ns).fold(w.admit_ns, f64::max);
         assert_eq!(
             w.complete_ns, last_lane,
