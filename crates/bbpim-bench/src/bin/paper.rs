@@ -4,12 +4,12 @@
 //! |----------|--------|
 //! | `table1` | Table I — architecture and system configuration |
 //! | `table2` | Table II — per-query selectivity / subgroup statistics |
-//! | `4` | Fig. 4 — empirical latency modeling (a, b, c); `--mode pimdb\|two_xb\|one_xb` picks the engine variant (default `one_xb`; the paper repeats the modeling per version) |
+//! | `4` | Fig. 4 — empirical latency modeling (a, b, c): the measurements and the fit every engine of Figs. 6–9 decides with (`fit_shared_model`, `CalibrationConfig::default()` grid); `--mode pimdb\|two_xb\|one_xb` picks the engine variant (default `one_xb`; the paper repeats the modeling per version) |
 //! | `5` | Fig. 5 — PIM chip area breakdown |
 //! | `6` | Fig. 6 — SSB execution latency, all five systems |
 //! | `7` `8` `9` | Figs. 7–9 — PIM energy, peak chip power, required cell endurance |
 //! | `all` | Figs. 6–9 and Table II behind a run banner |
-//! | `sweep` | the headline ratios over three scale factors |
+//! | `sweep` | Fig. 6's five headline speedups and the one_xb k total over three scale factors |
 //! | `ablation` | aggregation circuit vs bitwise reduction, two-xb placement, host scattered-read sensitivity (default SF 0.05) |
 //! | `scaling` | the journal follow-up's shard-scaling study over `--shards`, with the byte-diet lever table; star cluster, or the pre-joined one with `--prejoined`; exits 1 on its verdict |
 //! | `pruning` | zone-map pruned vs exhaustive dispatch on a `d_year` range-partitioned cluster over `--shards` |
@@ -26,17 +26,18 @@ use std::io;
 use std::process::ExitCode;
 
 use bbpim_bench::cli::ValueFlag;
-use bbpim_bench::reports::{self, Figure, FIG6, FIG7, FIG8, FIG9, TABLE2};
+use bbpim_bench::reports::{
+    self, headline_speedups, Figure, FIG6, FIG7, FIG8, FIG9, SPEEDUPS, TABLE2, ZERO_TIME_NOTE,
+};
 use bbpim_bench::{
-    artifacts, fit_shared_model, fmt_geomean, fmt_ms, geomean, modelled_cluster, pim_runs,
-    print_table, report_host_bytes, run_cluster_scaling, run_monet, run_pruning_study,
-    scaling_verdict, setup, speedups, Accepts, BenchConfig, BinFlags, CliError, ClusterScalePoint,
-    PaperRuns, SsbSetup,
+    artifacts, fit_shared_model, fmt_ms, fmt_ratio, modelled_cluster, print_columns, print_table,
+    run_cluster_scaling, run_pruning_study, setup, Accepts, BenchConfig, BinFlags, CliError,
+    ClusterScalePoint, PaperRuns, ScalingVerdict, SsbSetup,
 };
 use bbpim_cluster::{Cluster, ClusterEngine, ClusterExecution, Partitioner, StarCluster, Storage};
 use bbpim_core::engine::PimQueryEngine;
 use bbpim_core::groupby::calibration::{run_calibration, CalibrationConfig, HostPoint, PimPoint};
-use bbpim_core::groupby::fitting::fit_linear;
+use bbpim_core::headline::geomean;
 use bbpim_core::layout::RecordLayout;
 use bbpim_core::modes::EngineMode;
 use bbpim_core::result::QueryExecution;
@@ -272,26 +273,20 @@ fn table1(_: &BenchConfig, _: &BinFlags) -> io::Result<()> {
     Ok(())
 }
 
-/// Fig. 4: empirical latency modeling.
+/// Fig. 4: empirical latency modeling — the measurements and the fit
+/// of [`fit_shared_model`], the one calibration every engine of Figs. 6–9
+/// decides with, on its `CalibrationConfig::default()` grid.
 ///
 /// * (a) `T_host-gb` vs page count M for representative (s, r) pairs
 /// * (b) `∂T_host-gb/∂M` vs r per s, with the fitted `a(s)·√r + b(s)`
 /// * (c) `T_pim-gb` (single subgroup) vs M per n, with the linear fits
 fn fig4(_: &BenchConfig, flags: &BinFlags) -> io::Result<()> {
-    let mode = match flags.value("--mode") {
-        Some("pimdb") => EngineMode::PimDb,
-        Some("two_xb") => EngineMode::TwoXb,
-        _ => EngineMode::OneXb,
-    };
-    let cal = CalibrationConfig {
-        ms: vec![1, 2, 4, 8, 16],
-        s_values: vec![2, 4, 6, 8],
-        r_values: vec![0.01, 0.05, 0.1, 0.2, 0.4, 0.8],
-        n_values: vec![1, 2, 3, 4],
-        seed: 0xF14,
-    };
-    println!("Fig. 4 — empirical latency modeling ({})\n", mode.label());
-    let (data, model) = run_calibration(&SimConfig::default(), mode, &cal).expect("calibration");
+    let picked = EngineMode::all().into_iter().find(|m| Some(m.label()) == flags.value("--mode"));
+    let mode = picked.unwrap_or(EngineMode::OneXb);
+    let cal = CalibrationConfig::default();
+    println!("Fig. 4 — empirical latency modeling ({}): the engines' fit", mode.label());
+    println!("({cal:?})\n");
+    let (data, model) = fit_shared_model(mode);
 
     // One row per page count M, one column per series: (a) and (c).
     let vs_m = |series: Vec<String>, time_ns: &dyn Fn(usize, usize) -> Option<f64>| {
@@ -305,8 +300,8 @@ fn fig4(_: &BenchConfig, flags: &BinFlags) -> io::Result<()> {
     };
 
     println!("(a) T_host-gb [ms] vs page count M");
-    let picks = [(2usize, 0.01f64), (2, 0.4), (2, 0.8), (4, 0.01), (4, 0.2), (4, 0.8)];
-    vs_m(picks.iter().map(|(s, r)| format!("s={s},r={:.0}%", r * 100.0)).collect(), &|m, k| {
+    let picks = [(2usize, 0.001f64), (2, 0.01), (2, 0.8), (4, 0.001), (4, 0.2), (4, 0.8)];
+    vs_m(picks.iter().map(|(s, r)| format!("s={s},r={r}")).collect(), &|m, k| {
         let (s, r) = picks[k];
         let at = |p: &&HostPoint| p.m == m && p.s == s && (p.r - r).abs() < 1e-12;
         data.host_points.iter().find(at).map(|p| p.time_ns)
@@ -317,22 +312,15 @@ fn fig4(_: &BenchConfig, flags: &BinFlags) -> io::Result<()> {
     for &s in &cal.s_values {
         let fit = model.host.fit_for(s).expect("fit");
         for &r in &cal.r_values {
-            // recompute the measured slope for this (s, r)
-            let at_sr = data.host_points.iter().filter(|p| p.s == s && (p.r - r).abs() < 1e-12);
-            let pts: Vec<(f64, f64)> = at_sr.map(|p| (p.m as f64, p.time_ns)).collect();
             rows_b.push(vec![
                 format!("s={s}"),
-                format!("{:.0}%", r * 100.0),
-                format!("{:.5}", fit_linear(&pts).slope / 1e6),
+                format!("{r}"),
+                format!("{:.5}", data.host_slope(s, r) / 1e6),
                 format!("{:.5}", fit.eval(r) / 1e6),
             ]);
         }
-        println!(
-            "  fit s={s}: a = {:.4} ms/page, b = {:.4} ms/page, R² = {:.4}",
-            fit.a / 1e6,
-            fit.b / 1e6,
-            fit.r2
-        );
+        let (a, b, r2) = (fit.a / 1e6, fit.b / 1e6, fit.r2);
+        println!("  fit s={s}: a = {a:.4} ms/page, b = {b:.4} ms/page, R² = {r2:.4}");
     }
     print_table(&["s", "r", "measured slope", "fitted"], &rows_b);
 
@@ -343,12 +331,8 @@ fn fig4(_: &BenchConfig, flags: &BinFlags) -> io::Result<()> {
     });
     for &n in &cal.n_values {
         let fit = model.pim.fit_for(n).expect("fit");
-        println!(
-            "  fit n={n}: dT/dM = {:.5} ms/page, T0 = {:.4} ms, R² = {:.4}",
-            fit.slope / 1e6,
-            fit.intercept / 1e6,
-            fit.r2
-        );
+        let (slope, t0, r2) = (fit.slope / 1e6, fit.intercept / 1e6, fit.r2);
+        println!("  fit n={n}: dT/dM = {slope:.5} ms/page, T0 = {t0:.4} ms, R² = {r2:.4}");
     }
     println!("\npaper shape: T_host-gb linear in M; slope concave in r (a·sqrt(r)+b);");
     println!("             T_pim-gb linear in M with n-dependent coefficients.");
@@ -394,32 +378,30 @@ fn fig5(_: &BenchConfig, _: &BinFlags) -> io::Result<()> {
 /// counts and the one_xb advantage both grow with scale.
 fn sweep(base: &BenchConfig, _: &BinFlags) -> io::Result<()> {
     println!("Scale sweep ({} data)\n", base.data_label());
-    let mut rows = Vec::new();
-    for sf in [0.02f64, 0.05, 0.1] {
-        eprintln!("sf={sf}: generating + running…");
-        let s = setup(BenchConfig { sf, ..base.clone() });
-        let pim = pim_runs(&s);
-        let mnt_join = run_monet(&s, true, 3);
-
-        let one: Vec<f64> = pim[0].executions.iter().map(|e| e.report.time_ns).collect();
-        let pdb: Vec<f64> = pim[2].executions.iter().map(|e| e.report.time_ns).collect();
-        let mj: Vec<f64> = mnt_join.results.iter().map(|(d, _)| d.as_nanos() as f64).collect();
-        let total_k: u64 = pim[0].executions.iter().map(|e| e.report.pim_agg_subgroups).sum();
-        rows.push(vec![
-            format!("{sf}"),
-            pim[0].executions[0].report.pages.to_string(),
-            format!("{:.2}x", geomean(&speedups(&one, &mj))),
-            format!("{:.2}x", geomean(&speedups(&one, &pdb))),
-            total_k.to_string(),
-        ]);
+    let sfs = [0.02f64, 0.05, 0.1];
+    let runs = |sf| PaperRuns::collect(BenchConfig { sf, ..base.clone() }, true);
+    let rows: Vec<Vec<String>> = sfs.into_iter().map(|sf| sweep_row(&runs(sf))).collect();
+    let ratios = SPEEDUPS.map(|(label, _)| label);
+    let headers: Vec<&str> =
+        ["SF", "pages (M)"].into_iter().chain(ratios).chain(["sum of k (one_xb)"]).collect();
+    print_table(&headers, &rows);
+    if rows.iter().flatten().any(|cell| cell.ends_with('*')) {
+        println!("{ZERO_TIME_NOTE}");
     }
-    print_table(
-        &["SF", "pages (M)", "one_xb vs mnt_join", "one_xb vs pimdb", "sum of k (one_xb)"],
-        &rows,
-    );
-    println!("\npaper at SF=10 (M=1832): one_xb vs mnt_join 4.65x, vs pimdb 1.83x,");
-    println!("and k>0 for Q1.x plus several GROUP BY queries (Table II).");
+    let paper: Vec<String> =
+        SPEEDUPS.iter().map(|(label, value)| format!("{label} {value}")).collect();
+    println!("\npaper at SF=10 (M=1832): {};", paper.join(", "));
+    println!("k > 0 for Q1.x plus several GROUP BY queries (Table II).");
     Ok(())
+}
+
+/// One scale factor's sweep row; a ratio marked `*` skipped rows.
+fn sweep_row(runs: &PaperRuns) -> Vec<String> {
+    let one_xb = &runs.pim[0].executions;
+    let total_k: u64 = one_xb.iter().map(|e| e.report.pim_agg_subgroups).sum();
+    let ratios = headline_speedups(runs).map(|ratio| ratio.to_string());
+    let lead = [runs.setup.cfg.sf.to_string(), one_xb[0].report.pages.to_string()];
+    lead.into_iter().chain(ratios).chain([total_k.to_string()]).collect()
 }
 
 /// Ablations of three design choices:
@@ -448,50 +430,36 @@ fn ablation_agg_paths() {
     let cfg = SimConfig::default();
     println!("Ablation 1 — aggregation circuit vs pure bulk-bitwise reduction");
     println!("(per crossbar, 1024x512, paper energy/latency constants)\n");
-    let mut rows = Vec::new();
-    for width in [16usize, 32, 48] {
-        let req = AggRequest {
-            op: ReduceOp::Sum,
-            value: ColRange::new(32, width),
-            mask_col: 1,
-            dst_row: 0,
-            dst: ColRange::new(448, (width + 10).min(64)),
-        };
-        let circuit = req.cost(&cfg);
-        let circuit_energy_pj = circuit.bits_read as f64 * cfg.read_energy_pj_per_bit
-            + circuit.bits_written as f64 * cfg.write_energy_pj_per_bit
-            + cfg.agg_circuit_power_uw * circuit.time_ns * 1e-3;
-        let tree = reduce_cost(cfg.crossbar_rows, cfg.crossbar_cols, width, ReduceOp::Sum);
-        let tree_time = tree.cycles as f64 * cfg.logic_cycle_ns;
-        let tree_energy_pj = (tree.col_ops * cfg.crossbar_rows as u64
-            + tree.row_ops * cfg.crossbar_cols as u64) as f64
-            * cfg.logic_energy_fj_per_bit
-            * 1e-3;
-        rows.push(vec![
-            format!("{width}"),
-            format!("{:.1}", circuit.time_ns / 1e3),
-            format!("{:.1}", tree_time / 1e3),
-            format!("{:.1}x", tree_time / circuit.time_ns),
-            format!("{:.2}", circuit_energy_pj / 1e3),
-            format!("{:.2}", tree_energy_pj / 1e3),
-            format!("{:.1}x", tree_energy_pj / circuit_energy_pj),
-            format!("{}", circuit.bits_written),
-            format!("{}", tree.max_row_cell_writes),
-        ]);
-    }
-    print_table(
+    // (cost, energy pJ) of one aggregation through the circuit
+    let circuit = |width: usize| {
+        let (value, dst) = (ColRange::new(32, width), ColRange::new(448, (width + 10).min(64)));
+        let cost = AggRequest { op: ReduceOp::Sum, value, mask_col: 1, dst_row: 0, dst }.cost(&cfg);
+        let energy_pj = cost.bits_read as f64 * cfg.read_energy_pj_per_bit
+            + cost.bits_written as f64 * cfg.write_energy_pj_per_bit
+            + cfg.agg_circuit_power_uw * cost.time_ns * 1e-3;
+        (cost, energy_pj)
+    };
+    // (cost, time ns, energy pJ) of the pure bulk-bitwise reduction tree
+    let tree = |width: usize| {
+        let cost = reduce_cost(cfg.crossbar_rows, cfg.crossbar_cols, width, ReduceOp::Sum);
+        let cells =
+            cost.col_ops * cfg.crossbar_rows as u64 + cost.row_ops * cfg.crossbar_cols as u64;
+        let time_ns = cost.cycles as f64 * cfg.logic_cycle_ns;
+        (cost, time_ns, cells as f64 * cfg.logic_energy_fj_per_bit * 1e-3)
+    };
+    print_columns(
+        &[16usize, 32, 48],
         &[
-            "value bits",
-            "circuit [us]",
-            "bitwise [us]",
-            "slowdown",
-            "circuit [nJ]",
-            "bitwise [nJ]",
-            "energy x",
-            "circuit cell-writes",
-            "bitwise row-writes",
+            ("value bits", &|w| w.to_string()),
+            ("circuit [us]", &|&w| format!("{:.1}", circuit(w).0.time_ns / 1e3)),
+            ("bitwise [us]", &|&w| format!("{:.1}", tree(w).1 / 1e3)),
+            ("slowdown", &|&w| format!("{:.1}x", tree(w).1 / circuit(w).0.time_ns)),
+            ("circuit [nJ]", &|&w| format!("{:.2}", circuit(w).1 / 1e3)),
+            ("bitwise [nJ]", &|&w| format!("{:.2}", tree(w).2 / 1e3)),
+            ("energy x", &|&w| format!("{:.1}x", tree(w).2 / circuit(w).1)),
+            ("circuit cell-writes", &|&w| circuit(w).0.bits_written.to_string()),
+            ("bitwise row-writes", &|&w| tree(w).0.max_row_cell_writes.to_string()),
         ],
-        &rows,
     );
     println!("\n(the cell-write column is why the circuit also buys endurance: the");
     println!(" reduction tree rewrites thousands of cells per row per aggregation)");
@@ -598,7 +566,7 @@ fn ablation_scatter(s: &SsbSetup, q: &Query) {
 ///
 /// # Errors
 ///
-/// The study's verdict ([`scaling_verdict`]) fails.
+/// The study's verdict ([`ScalingVerdict`]) fails.
 fn scaling(cfg: &BenchConfig, flags: &BinFlags) -> io::Result<()> {
     let s = setup(cfg.clone());
     if !flags.switch("--prejoined") {
@@ -617,9 +585,13 @@ fn scaling(cfg: &BenchConfig, flags: &BinFlags) -> io::Result<()> {
         let points = run_cluster_scaling(&s, &s.cfg.shards, star);
         println!("scaling path: star (default)\n");
         reports::print_scaling(&s, &points, true);
-        return scaling_tail(&s, &points, star);
+        let verdict = ScalingVerdict::of(&points);
+        if let Some(verdict) = &verdict {
+            print!("{}", verdict.shape_check());
+        }
+        return scaling_tail(&s, &points, verdict, star);
     }
-    let model = fit_shared_model(EngineMode::OneXb);
+    let (_, model) = fit_shared_model(EngineMode::OneXb);
     let cluster =
         |shards, partitioner| modelled_cluster(&s, EngineMode::OneXb, shards, partitioner, &model);
     let round_robin = |shards| cluster(shards, Partitioner::RoundRobin);
@@ -627,7 +599,7 @@ fn scaling(cfg: &BenchConfig, flags: &BinFlags) -> io::Result<()> {
     println!("scaling path: pre-joined (legacy)\n");
     reports::print_scaling(&s, &points, false);
     hash_by_key(&s, &points, cluster);
-    scaling_tail(&s, &points, round_robin)
+    scaling_tail(&s, &points, ScalingVerdict::of(&points), round_robin)
 }
 
 /// Hash partitioning keeps every subgroup on one shard: the merge is a
@@ -652,14 +624,13 @@ fn hash_by_key(
         let out = hashed.run(q).unwrap_or_else(|e| panic!("hash shards on {}: {e}", q.id));
         assert_eq!(out.groups, rr.groups, "hash/round-robin mismatch on {}", q.id);
         let (rr_ns, hash_ns) = (rr.report.time_ns, out.report.time_ns);
-        let ratio = rr_ns / hash_ns;
+        let partitioner = out.report.partitioner.to_string();
         rows.push(vec![
             q.id.clone(),
-            out.report.partitioner.to_string(),
+            partitioner,
             fmt_ms(rr_ns),
             fmt_ms(hash_ns),
-            // zone-pruned zero-match queries cost ~0 on both layouts
-            if ratio.is_finite() { format!("{ratio:.2}") } else { "-".into() },
+            fmt_ratio(rr_ns / hash_ns),
         ]);
     }
     print_table(&["query", "partitioner", "round-robin", "hash-by-key", "rr/hash"], &rows);
@@ -671,6 +642,7 @@ fn hash_by_key(
 fn scaling_tail<S: Storage>(
     s: &SsbSetup,
     points: &[ClusterScalePoint],
+    verdict: Option<ScalingVerdict>,
     new_cluster: impl Fn(usize) -> Cluster<S>,
 ) -> io::Result<()> {
     let max_shards = points.iter().map(|p| p.shards).max().expect("at least one shard count");
@@ -681,7 +653,7 @@ fn scaling_tail<S: Storage>(
         &catalog.footprints(&catalog.ssb_cold_attrs()),
         &bbpim_db::ssb::star::table_footprint(&s.wide, &[]),
     );
-    scaling_verdict(points)
+    verdict.map_or(Ok(()), |v| v.check())
 }
 
 /// The lever attribution table at `shards`: each byte-diet lever
@@ -713,22 +685,22 @@ fn lever_table<S: Storage>(s: &SsbSetup, shards: usize, new_cluster: impl Fn(usi
             assert_eq!(e.groups, l.groups, "lever answer drift under {label}");
         }
     }
+    // host-channel bytes on the shared bus, summed over the per-shard logs
     let bytes_per_query = |execs: &[ClusterExecution]| {
-        execs.iter().map(|e| report_host_bytes(&e.report)).sum::<u64>() as f64
-            / execs.len().max(1) as f64
+        let shards = execs.iter().flat_map(|e| &e.report.per_shard);
+        shards.map(|r| r.phases.host_bytes()).sum::<u64>() as f64 / execs.len().max(1) as f64
     };
     let legacy_bytes = bytes_per_query(legacy);
     let row = |(label, execs): &(&str, Vec<ClusterExecution>)| {
         let bytes = bytes_per_query(execs);
-        let ratios: Vec<f64> =
-            execs.iter().zip(legacy).map(|(e, l)| l.report.time_ns / e.report.time_ns).collect();
+        let ratios = execs.iter().zip(legacy).map(|(e, l)| l.report.time_ns / e.report.time_ns);
         let wall: f64 = execs.iter().map(|e| e.report.time_ns).sum();
         vec![
             label.to_string(),
             format!("{bytes:.0}"),
             format!("{:.2}x", legacy_bytes / bytes.max(1.0)),
             fmt_ms(wall),
-            fmt_geomean(&ratios),
+            geomean(ratios).to_string(),
         ]
     };
     print_table(
@@ -805,6 +777,26 @@ mod tests {
         ] {
             assert_eq!(config(line).unwrap_err(), CliError::UnknownFlag(flag.into()), "{line}");
         }
+    }
+
+    /// A query the planner answers alone costs zero in every system;
+    /// the sweep skips its 0/0 ratios and marks the geo-means for the
+    /// footnote instead of panicking.
+    #[test]
+    fn a_zero_time_row_is_skipped_in_the_sweep() {
+        let cfg = BenchConfig { sf: 0.001, skewed: false, ..BenchConfig::default() };
+        let mut runs = PaperRuns::collect(cfg, true);
+        let row = sweep_row(&runs);
+        assert!(row.iter().all(|cell| !cell.ends_with('*')), "{row:?}");
+        for run in &mut runs.pim {
+            run.executions[1].report.time_ns = 0.0;
+        }
+        for run in &mut runs.monet {
+            run.results[1].0 = std::time::Duration::ZERO;
+        }
+        let row = sweep_row(&runs);
+        assert_eq!(row.len(), 8, "{row:?}");
+        assert!(row[2..7].iter().all(|ratio| ratio.ends_with("x*")), "{row:?}");
     }
 
     #[test]

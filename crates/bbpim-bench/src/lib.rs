@@ -1,29 +1,19 @@
 //! # bbpim-bench — the experiment harness
 //!
 //! One binary, `paper --fig <list>`, prints every result: the paper's
-//! tables and figures (`table1`, `table2`, `4`–`9`, `all` for Figs. 6–9 +
-//! Table II in one pass with `--csv <dir>` for the plotted numbers), the
-//! `sweep` and `ablation` studies, and the cluster studies of the journal
-//! follow-up — `scaling` (shard scaling with the byte-diet lever table)
-//! and `pruning` (zone-map pruned vs exhaustive dispatch).
-//!
-//! The streaming, serving, HTAP and star-join scenarios are `bbpim-perf`
-//! workloads (`bench/perf`), and their properties are integration tests
-//! under `tests/`; this crate has no driver of its own for them.
+//! tables and figures, the `sweep` and `ablation` studies, and the
+//! cluster studies `scaling` and `pruning` (the selector table is in
+//! `src/bin/paper.rs`). The streaming, serving, HTAP and star-join
+//! scenarios are `bbpim-perf` workloads, not drivers here.
 //!
 //! The per-query figures are described once as data
-//! ([`reports::Figure`]) and rendered to the console table and the CSV
-//! from that one description; every file the binary writes goes through
-//! [`artifacts`]. The shared flags are `--sf <f64>` (default 0.1),
-//! `--uniform` (default is the paper's skewed data), `--seed <u64>`,
-//! `--threads <usize>` and `--shards`; a selection accepts the ones its
-//! selectors read and rejects anything else with a usage line and exit
-//! code 2 ([`cli`]).
-//!
-//! One study carries a verdict of its own and exits 1 on it
-//! ([`scaling_verdict`]). The simulated numbers CI gates are not the
-//! studies': `bbpim-perf all` is compared by `bbpim-perf check` against
-//! the rows in `bench/sim/`.
+//! ([`reports::Figure`]) and rendered to the console and the CSV from
+//! that description; files are written through [`artifacts`] and the
+//! command line is parsed strictly by [`cli`]. The headline ratios come
+//! from [`bbpim_core::headline`], and every PIM engine decides with
+//! [`fit_shared_model`], the calibration Fig. 4 prints. One study
+//! exits 1 on its own verdict ([`ScalingVerdict`]); the simulated
+//! numbers CI gates are `bbpim-perf`'s rows in `bench/sim/`.
 
 pub mod artifacts;
 pub mod cli;
@@ -38,8 +28,9 @@ use std::time::Duration;
 use bbpim_cluster::fold::serial_slice_ns;
 use bbpim_cluster::{Cluster, ClusterEngine, ClusterExecution, Partitioner, Storage};
 use bbpim_core::engine::PimQueryEngine;
-use bbpim_core::groupby::calibration::{run_calibration, CalibrationConfig};
+use bbpim_core::groupby::calibration::{run_calibration, CalibrationConfig, CalibrationData};
 use bbpim_core::groupby::cost_model::GroupByModel;
+use bbpim_core::headline::{geomean, Headline};
 use bbpim_core::modes::EngineMode;
 use bbpim_core::result::{QueryExecution, QueryReport};
 use bbpim_db::plan::Query;
@@ -85,39 +76,18 @@ pub struct PimModeRun {
     pub executions: Vec<QueryExecution>,
 }
 
-/// Run every query through each PIM mode in turn (each engine is
-/// constructed, calibrated and dropped before the next, keeping peak
-/// memory to one engine).
+/// The one calibration of an engine mode at the default `SimConfig`:
+/// the `CalibrationConfig::default()` sweep's measurements and the
+/// GROUP-BY model fitted to them. Fig. 4 prints both; every engine and
+/// cluster at the default `SimConfig` decides with the model (it is
+/// data-independent, so one fit serves them all).
 ///
 /// # Panics
 ///
-/// Panics on engine errors (the harness runs known-good inputs).
-pub fn pim_runs(setup: &SsbSetup) -> Vec<PimModeRun> {
-    let run_mode = |mode: EngineMode| {
-        let mut engine = PimQueryEngine::new(SimConfig::default(), setup.wide.clone(), mode)
-            .expect("engine construction");
-        engine.calibrate(&CalibrationConfig::default()).expect("calibration");
-        let run = |q| engine.run(q).unwrap_or_else(|e| panic!("{} on {}: {e}", mode.label(), q.id));
-        PimModeRun { mode, executions: setup.queries.iter().map(run).collect() }
-    };
-    EngineMode::all().map(run_mode).into()
-}
-
-/// Fit the GROUP-BY cost model once for an engine mode at the default
-/// `SimConfig`. The calibration is data-independent, so the returned model can
-/// be installed on every cluster instance of a study
-/// ([`ClusterEngine::set_model`]) instead of re-running the sweep per
-/// shard count — the in-memory form of cross-instance calibration
-/// reuse.
-///
-/// # Panics
-///
-/// Panics on calibration failures (the harness runs known-good
-/// configurations).
-pub fn fit_shared_model(mode: EngineMode) -> GroupByModel {
-    let (_, model) = run_calibration(&SimConfig::default(), mode, &CalibrationConfig::default())
-        .expect("calibration");
-    model
+/// Panics on calibration failures (known-good configurations).
+pub fn fit_shared_model(mode: EngineMode) -> (CalibrationData, GroupByModel) {
+    run_calibration(&SimConfig::default(), mode, &CalibrationConfig::default())
+        .expect("calibration")
 }
 
 /// A pre-joined cluster over the set-up's wide relation with an
@@ -191,18 +161,16 @@ pub fn wall_ns(report: &bbpim_cluster::ClusterReport, contended: bool) -> f64 {
 }
 
 /// Run every query through a cluster at each shard count (full-capacity
-/// module per shard; `new_cluster(shards)` constructs the
-/// pre-joined [`ClusterEngine`] or the normalized
-/// [`bbpim_cluster::StarCluster`], and
-/// each is dropped after its point), cross-checking each merged answer
+/// module per shard; `new_cluster(shards)` constructs the pre-joined
+/// [`ClusterEngine`] or the normalized [`bbpim_cluster::StarCluster`],
+/// dropped after its point), cross-checking each merged answer
 /// against the row-at-a-time oracle. Wall clocks use the default
 /// shared-host-channel contention model; [`wall_ns`] recovers the
 /// free-channel A/B timing from the same executions.
 ///
 /// # Panics
 ///
-/// Panics on engine errors or a cluster/oracle mismatch (the harness
-/// runs known-good inputs).
+/// Panics on engine errors or a cluster/oracle mismatch (known-good inputs).
 pub fn run_cluster_scaling<S: Storage>(
     setup: &SsbSetup,
     shard_counts: &[usize],
@@ -220,47 +188,54 @@ pub fn run_cluster_scaling<S: Storage>(
 /// The contended (`true`) or free-channel (`false`) geo-mean speedup of
 /// scale point `p` over `base`, over the queries with a finite nonzero
 /// ratio (zone-pruned zero-match queries cost ~0 at every shard count);
-/// `None` when the planner answered every query alone. The scaling
-/// report prints it and [`scaling_verdict`] floors it.
+/// `None` when the planner answered every query alone.
 pub fn scaling_geomean(
     base: &ClusterScalePoint,
     p: &ClusterScalePoint,
     contended: bool,
 ) -> Option<f64> {
     let wall = |e: &ClusterExecution| wall_ns(&e.report, contended);
-    let ratios: Vec<f64> =
-        base.executions.iter().zip(&p.executions).map(|(b, e)| wall(b) / wall(e)).collect();
-    geomean_filtered(&ratios).0
+    geomean(base.executions.iter().zip(&p.executions).map(|(b, e)| wall(b) / wall(e))).value
 }
 
 /// The scaling study's verdict: the contended geo-mean speedup of the
 /// largest shard count over the smallest may not drop below 1.0 — below
 /// it the shared host channel eats all module parallelism again, the
-/// regression the byte diet exists to prevent.
-///
-/// # Errors
-///
-/// The geo-mean is below 1.0.
-pub fn scaling_verdict(points: &[ClusterScalePoint]) -> io::Result<()> {
-    let by_shards = |p: &&ClusterScalePoint| p.shards;
-    let (Some(base), Some(top)) =
-        (points.iter().min_by_key(by_shards), points.iter().max_by_key(by_shards))
-    else {
-        return Ok(());
-    };
-    match scaling_geomean(base, top, true) {
-        Some(speedup) if speedup < 1.0 => Err(io::Error::other(format!(
-            "contended geo-mean speedup at {} shards is {speedup:.2}x, below 1.0x",
-            top.shards
-        ))),
-        _ => Ok(()),
-    }
+/// regression the byte diet exists to prevent. Computed once: the star
+/// report prints it and `paper` exits on it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScalingVerdict {
+    /// The largest shard count.
+    pub shards: usize,
+    /// Its contended geo-mean speedup over the smallest.
+    pub speedup: f64,
 }
 
-/// Host-channel bytes one cluster execution put on the shared bus,
-/// summed over the per-shard phase logs.
-pub fn report_host_bytes(report: &bbpim_cluster::ClusterReport) -> u64 {
-    report.per_shard.iter().map(|r| r.phases.host_bytes()).sum()
+impl ScalingVerdict {
+    /// `None` with one shard count, or if the planner answered every query.
+    pub fn of(points: &[ClusterScalePoint]) -> Option<Self> {
+        let base = points.iter().min_by_key(|p| p.shards)?;
+        let top = points.iter().max_by_key(|p| p.shards).filter(|t| t.shards > base.shards)?;
+        Some(ScalingVerdict { shards: top.shards, speedup: scaling_geomean(base, top, true)? })
+    }
+
+    /// `Err` below the 1.0x floor.
+    pub fn check(&self) -> io::Result<()> {
+        let (shards, speedup) = (self.shards, self.speedup);
+        if speedup >= 1.0 {
+            return Ok(());
+        }
+        let why = format!("contended geo-mean speedup at {shards} shards is {speedup:.2}x");
+        Err(io::Error::other(format!("{why}, below 1.0x")))
+    }
+
+    /// The verdict as the star report prints it.
+    pub fn shape_check(&self) -> String {
+        let mark = if self.check().is_ok() { "PASS" } else { "FAIL" };
+        let (shards, speedup) = (self.shards, self.speedup);
+        let line = format!("contended geo-mean speedup at {shards} shards: {speedup:.2}x");
+        format!("\nshape check:\n  [{mark}] {line} (byte-diet floor 1.0x)\n")
+    }
 }
 
 /// One shard count's pruned-vs-exhaustive comparison in the pruning
@@ -285,8 +260,7 @@ pub struct PruningPoint {
 ///
 /// # Panics
 ///
-/// Panics on engine errors or an answer/oracle mismatch (the harness
-/// runs known-good inputs).
+/// Panics on engine errors or an answer/oracle mismatch (known-good inputs).
 pub fn run_pruning_study(
     setup: &SsbSetup,
     mode: EngineMode,
@@ -296,7 +270,7 @@ pub fn run_pruning_study(
     let partitioner = Partitioner::range_by_attr(range_attr);
     let oracles = oracle_answers(setup);
     // One calibration sweep serves every shard count.
-    let model = fit_shared_model(mode);
+    let (_, model) = fit_shared_model(mode);
     let point = |&shards: &usize| {
         let mut cluster = modelled_cluster(setup, mode, shards, partitioner.clone(), &model);
         cluster.set_pruning(false);
@@ -308,23 +282,19 @@ pub fn run_pruning_study(
     shard_counts.iter().map(point).collect()
 }
 
-impl PruningPoint {
-    /// Exhaustive-over-pruned ratios of `metric`, over the queries
-    /// whose pruned execution has a positive one (a zero pruned time
-    /// means the planner answered without touching a page).
-    pub fn ratios(&self, metric: fn(&bbpim_cluster::ClusterReport) -> f64) -> Vec<f64> {
-        let pairs = self.exhaustive.iter().zip(&self.pruned);
-        let pairs = pairs.map(|(ex, pr)| (metric(&ex.report), metric(&pr.report)));
-        pairs.filter(|(_, pr)| *pr > 0.0).map(|(ex, pr)| ex / pr).collect()
-    }
-}
-
 /// One baseline measurement.
 pub struct MonetRun {
     /// `mnt_join` or `mnt_reg`.
     pub label: &'static str,
     /// Per-query wall time and groups, in query order.
     pub results: Vec<(Duration, MultiGrouped)>,
+}
+
+impl MonetRun {
+    /// Per-query wall time, nanoseconds.
+    pub fn wall_ns(&self) -> Vec<f64> {
+        self.results.iter().map(|(wall, _)| wall.as_nanos() as f64).collect()
+    }
 }
 
 /// Run every query through one baseline configuration, `repeats` times,
@@ -340,27 +310,20 @@ pub fn run_monet(setup: &SsbSetup, prejoined: bool, repeats: usize) -> MonetRun 
     } else {
         MonetEngine::star(&setup.db, setup.cfg.threads)
     };
-    let results = setup
-        .queries
-        .iter()
-        .map(|q| {
-            let mut best: Option<(Duration, MultiGrouped)> = None;
-            for _ in 0..repeats.max(1) {
-                let r = engine.run(q).expect("baseline run");
-                if best.as_ref().map(|(d, _)| r.wall < *d).unwrap_or(true) {
-                    best = Some((r.wall, r.groups));
-                }
-            }
-            best.expect("at least one repeat")
-        })
-        .collect();
+    let best = |q| {
+        let runs = (0..repeats.max(1)).map(|_| engine.run(q).expect("baseline run"));
+        let best = runs.min_by_key(|r| r.wall).expect("at least one repeat");
+        (best.wall, best.groups)
+    };
+    let results = setup.queries.iter().map(best).collect();
     MonetRun { label: engine.label(), results }
 }
 
-/// What the per-query figures (Figs. 6–9, Table II) render from: one
-/// set-up, one run of each PIM mode and — when Fig. 6 is among them —
-/// one run of each baseline. `paper --fig` collects it at most once per
-/// invocation, whatever the selection.
+/// What the per-query figures (Figs. 6–9, Table II) and each point of
+/// the sweep render from: one set-up, one run of each PIM mode — each
+/// engine deciding with its mode's [`fit_shared_model`] — and, when
+/// Fig. 6 or the sweep is among them, one run of each baseline. `paper
+/// --fig` collects it at most once per invocation, whatever the selection.
 pub struct PaperRuns {
     /// The generated data and queries.
     pub setup: SsbSetup,
@@ -379,10 +342,26 @@ impl PaperRuns {
     pub fn collect(cfg: BenchConfig, with_baselines: bool) -> Self {
         let setup = setup(cfg);
         eprintln!("data generated: {} lineorders; running 3 PIM modes…", setup.wide.len());
-        let pim = pim_runs(&setup);
+        // each engine is dropped before the next: peak memory is one engine
+        let run_mode = |mode: EngineMode| {
+            let mut engine = PimQueryEngine::new(SimConfig::default(), setup.wide.clone(), mode)
+                .expect("engine construction");
+            engine.set_model(fit_shared_model(mode).1);
+            let run =
+                |q| engine.run(q).unwrap_or_else(|e| panic!("{} on {}: {e}", mode.label(), q.id));
+            PimModeRun { mode, executions: setup.queries.iter().map(run).collect() }
+        };
+        let pim = EngineMode::all().map(run_mode).into();
         let prejoined = [true, false].into_iter().filter(|_| with_baselines);
         let monet = prejoined.map(|prejoined| run_monet(&setup, prejoined, 3)).collect();
         PaperRuns { setup, pim, monet }
+    }
+
+    /// The [`Headline`] of the three PIM runs.
+    pub fn headline(&self) -> Headline {
+        let reports =
+            |m: usize| self.pim[m].executions.iter().map(|e| &e.report).collect::<Vec<_>>();
+        Headline::of(&reports(0), &reports(1), &reports(2))
     }
 
     /// Ids of the queries on which some system's answer differs from
@@ -395,42 +374,6 @@ impl PaperRuns {
         };
         let ids = self.setup.queries.iter().enumerate();
         ids.filter(|(i, _)| !agrees(*i)).map(|(_, q)| q.id.clone()).collect()
-    }
-}
-
-/// Geometric mean of positive values.
-///
-/// # Panics
-///
-/// Panics on an empty slice or non-positive values.
-pub fn geomean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "geomean of nothing");
-    assert!(values.iter().all(|v| *v > 0.0), "geomean needs positive values");
-    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
-}
-
-/// Geometric mean over the finite, positive entries of `values`,
-/// plus how many entries were skipped (zero, negative, NaN or
-/// infinite — e.g. ratios of planner-answered queries whose simulated
-/// time is 0). `None` when nothing survives. Reports print the skip
-/// count as a footnote instead of silently rendering `NaN`.
-pub fn geomean_filtered(values: &[f64]) -> (Option<f64>, usize) {
-    let kept: Vec<f64> = values.iter().copied().filter(|v| v.is_finite() && *v > 0.0).collect();
-    let skipped = values.len() - kept.len();
-    if kept.is_empty() {
-        (None, skipped)
-    } else {
-        (Some(geomean(&kept)), skipped)
-    }
-}
-
-/// Render a [`geomean_filtered`] result: `"7.46x"`, `"7.46x*"` (rows
-/// skipped — pair with a footnote), or `"n/a"`.
-pub fn fmt_geomean(values: &[f64]) -> String {
-    match geomean_filtered(values) {
-        (None, _) => "n/a".into(),
-        (Some(m), 0) => format!("{m:.2}x"),
-        (Some(m), _) => format!("{m:.2}x*"),
     }
 }
 
@@ -480,20 +423,23 @@ pub fn fmt_ms(ns: f64) -> String {
     format!("{:.3}", ns / 1e6)
 }
 
-/// Speedups of `base` over `other` per query, as positive ratios.
-pub fn speedups(base_ns: &[f64], other_ns: &[f64]) -> Vec<f64> {
-    base_ns.iter().zip(other_ns).map(|(b, o)| o / b).collect()
+/// A speedup cell: two decimals, or `-` for the 0/0 of a query whose
+/// zone maps pruned every page on both sides.
+pub fn fmt_ratio(ratio: f64) -> String {
+    if ratio.is_finite() {
+        format!("{ratio:.2}")
+    } else {
+        "-".into()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// `scaling` fails itself when the largest shard count is slower
-    /// than the smallest on the contended clock: a real one-query
-    /// execution against a copy whose wall clock is doubled.
-    #[test]
-    fn a_contended_geomean_below_one_fails_the_scaling_study() {
+    /// A real one-query execution at 1 shard, and a copy whose wall
+    /// clock is doubled.
+    fn fast_and_slow() -> (ClusterExecution, ClusterExecution) {
         let s = setup(BenchConfig { sf: 0.001, skewed: false, ..BenchConfig::default() });
         let mut cluster = ClusterEngine::new(
             SimConfig::default(),
@@ -506,28 +452,40 @@ mod tests {
         let fast = cluster.run(&s.queries[0]).unwrap();
         let mut slow = fast.clone();
         slow.report.time_ns *= 2.0;
-        let point = |shards, e: &ClusterExecution| ClusterScalePoint {
-            shards,
-            partitioner: "round-robin",
-            executions: vec![e.clone()],
-        };
-        assert!(scaling_verdict(&[point(1, &slow), point(4, &fast)]).is_ok());
-        assert!(scaling_verdict(&[point(1, &fast), point(4, &fast)]).is_ok(), "1.0x is the floor");
-        assert!(scaling_verdict(&[point(1, &fast)]).is_ok() && scaling_verdict(&[]).is_ok());
-        let err = scaling_verdict(&[point(4, &slow), point(1, &fast)]).unwrap_err().to_string();
+        (fast, slow)
+    }
+
+    fn point(shards: usize, e: &ClusterExecution) -> ClusterScalePoint {
+        ClusterScalePoint { shards, partitioner: "round-robin", executions: vec![e.clone()] }
+    }
+
+    fn verdict(points: &[ClusterScalePoint]) -> io::Result<()> {
+        ScalingVerdict::of(points).map_or(Ok(()), |v| v.check())
+    }
+
+    /// `scaling` fails itself when the largest shard count is slower
+    /// than the smallest on the contended clock.
+    #[test]
+    fn a_contended_geomean_below_one_fails_the_scaling_study() {
+        let (fast, slow) = fast_and_slow();
+        assert!(verdict(&[point(1, &slow), point(4, &fast)]).is_ok());
+        assert!(verdict(&[point(1, &fast)]).is_ok() && verdict(&[]).is_ok());
+        let err = verdict(&[point(4, &slow), point(1, &fast)]).unwrap_err().to_string();
         assert!(err.contains("at 4 shards is 0.50x"), "{err}");
+        let failed = ScalingVerdict::of(&[point(4, &slow), point(1, &fast)]).unwrap();
+        assert!(failed.shape_check().contains("[FAIL]"), "{}", failed.shape_check());
     }
 
+    /// The printed check and the exit status read one value against one
+    /// threshold: exactly 1.0x passes both (it used to print `[FAIL]`
+    /// and exit 0).
     #[test]
-    fn geomean_basics() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((geomean(&[3.0]) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn geomean_rejects_zero() {
-        let _ = geomean(&[0.0, 1.0]);
+    fn exactly_the_floor_passes_the_printed_check_and_the_exit_status() {
+        let (fast, _) = fast_and_slow();
+        let at_floor = ScalingVerdict::of(&[point(1, &fast), point(4, &fast)]).unwrap();
+        assert_eq!(at_floor, ScalingVerdict { shards: 4, speedup: 1.0 });
+        assert!(at_floor.check().is_ok());
+        assert!(at_floor.shape_check().contains("[PASS]"), "{}", at_floor.shape_check());
     }
 
     #[test]
@@ -537,13 +495,6 @@ mod tests {
         assert!((c.sf - 0.1).abs() < 1e-12);
         assert_eq!(c.threads, 4);
         assert_eq!(c.shards, vec![1, 2, 4, 8]);
-    }
-
-    #[test]
-    fn speedup_orientation() {
-        // base twice as fast as other → speedup 2
-        let s = speedups(&[1.0], &[2.0]);
-        assert!((s[0] - 2.0).abs() < 1e-12);
     }
 
     #[test]

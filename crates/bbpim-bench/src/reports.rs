@@ -7,11 +7,12 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use crate::{
-    fmt_geomean, fmt_ms, geomean_filtered, print_columns, print_table, render_table,
-    scaling_geomean, speedups, wall_ns, ClusterScalePoint, MonetRun, PaperRuns, PimModeRun,
-    PruningPoint, SsbSetup,
+    fmt_ms, fmt_ratio, print_columns, print_table, render_table, scaling_geomean, wall_ns,
+    ClusterScalePoint, MonetRun, PaperRuns, PimModeRun, PruningPoint, SsbSetup,
 };
+use bbpim_core::headline::{geomean, speedup, GeoMean, Subset, Subsets, LIFETIME_YEARS};
 use bbpim_core::result::QueryReport;
+use bbpim_db::plan::Query;
 use bbpim_db::ssb::star::TableFootprint;
 
 /// One table cell: the value and the digits its console form keeps.
@@ -125,18 +126,6 @@ fn per_query(runs: &PaperRuns, mode: usize, metric: fn(&QueryReport) -> f64) -> 
     runs.pim[mode].executions.iter().map(|e| metric(&e.report)).collect()
 }
 
-/// `pimdb / one_xb` ratios of `metric` on the queries where both modes
-/// aggregate in PIM (the paper's Q1.1–1.3, Q3.4 comparisons), with the
-/// ids of those queries.
-fn pim_agg_ratios(runs: &PaperRuns, metric: fn(&QueryReport) -> f64) -> (Vec<&str>, Vec<f64>) {
-    let report = |mode: usize, i: usize| &runs.pim[mode].executions[i].report;
-    let in_pim =
-        |i: &usize| report(2, *i).pim_agg_subgroups > 0 && report(0, *i).pim_agg_subgroups > 0;
-    let ratio = |i: usize| metric(report(2, i)) / metric(report(0, i));
-    let both = (0..runs.setup.queries.len()).filter(in_pim);
-    both.map(|i| (runs.setup.queries[i].id.as_str(), ratio(i))).unzip()
-}
-
 fn fig6_title(runs: &PaperRuns) -> String {
     format!(
         "Fig. 6 — SSB execution latency [ms] (SF={}, {} data, {} records, {} pages)",
@@ -147,30 +136,42 @@ fn fig6_title(runs: &PaperRuns) -> String {
     )
 }
 
+/// The footnote of a geo-mean rendered with `*`.
+pub const ZERO_TIME_NOTE: &str =
+    "  * zero-time rows skipped (planner-only queries have no measurable latency)";
+
+/// The geo-mean speedups Fig. 6 and the sweep print, and the paper's
+/// values of them (SF 10).
+pub const SPEEDUPS: [(&str, &str); 5] = [
+    ("one_xb vs mnt_reg", "7.46x"),
+    ("one_xb vs mnt_join", "4.65x"),
+    ("one_xb vs pimdb", "1.83x"),
+    ("one_xb vs two_xb", "3.39x"),
+    ("two_xb vs mnt_join", "1.37x"),
+];
+
+/// [`SPEEDUPS`] on one pass that ran the baselines.
+pub fn headline_speedups(runs: &PaperRuns) -> [GeoMean; 5] {
+    let (one, two) = (per_query(runs, 0, |r| r.time_ns), per_query(runs, 1, |r| r.time_ns));
+    let (mj, mr) = (runs.monet[0].wall_ns(), runs.monet[1].wall_ns());
+    let headline = runs.headline();
+    let (vs_pimdb, vs_two_xb) = (headline.speedup_vs_pimdb, headline.speedup_vs_two_xb);
+    [speedup(&one, &mr), speedup(&one, &mj), vs_pimdb, vs_two_xb, speedup(&two, &mj)]
+}
+
 /// The paper's headline geo-means and the shape checks.
 fn fig6_footer(runs: &PaperRuns) -> String {
     let t = |mode| per_query(runs, mode, |r| r.time_ns);
-    let (one, two, pdb) = (t(0), t(1), t(2));
-    let wall = |r: &MonetRun| r.results.iter().map(|(d, _)| d.as_nanos() as f64).collect();
-    let (mj, mr): (Vec<f64>, Vec<f64>) = (wall(&runs.monet[0]), wall(&runs.monet[1]));
+    let (one, two, pdb, mj) = (t(0), t(1), t(2), runs.monet[0].wall_ns());
+    let ratios = headline_speedups(runs);
     let mut out = String::new();
 
-    let pairs = [
-        ("one_xb vs mnt_reg ", &one, &mr, "7.46x"),
-        ("one_xb vs mnt_join", &one, &mj, "4.65x"),
-        ("one_xb vs pimdb   ", &one, &pdb, "1.83x"),
-        ("one_xb vs two_xb  ", &one, &two, "3.39x"),
-        ("two_xb vs mnt_join", &two, &mj, "1.37x"),
-    ];
     let _ = writeln!(out, "\ngeo-mean speedups (ratio > 1 = first system faster):");
-    for (label, a, b, paper) in pairs {
-        let _ = writeln!(out, "  {label}: {:>8}   (paper: {paper})", fmt_geomean(&speedups(a, b)));
+    for ((label, paper), ratio) in SPEEDUPS.iter().zip(&ratios) {
+        let _ = writeln!(out, "  {label:<18}: {ratio:>8}   (paper: {paper})");
     }
-    if pairs.iter().any(|(_, a, b, _)| geomean_filtered(&speedups(a, b)).1 > 0) {
-        let _ = writeln!(
-            out,
-            "  * zero-time rows skipped (planner-only queries have no measurable latency)"
-        );
+    if ratios.iter().any(|ratio| ratio.skipped > 0) {
+        let _ = writeln!(out, "{ZERO_TIME_NOTE}");
     }
 
     let _ = writeln!(out, "\nshape checks:");
@@ -191,10 +192,7 @@ fn fig6_footer(runs: &PaperRuns) -> String {
         let wins = one.iter().zip(&mj).filter(|(o, m)| o < m).count();
         wins * 2 > one.len()
     });
-    check(
-        "one_xb beats mnt_reg in geo-mean",
-        geomean_filtered(&speedups(&one, &mr)).0.is_some_and(|m| m > 1.0),
-    );
+    check("one_xb beats mnt_reg in geo-mean", ratios[0].value.is_some_and(|m| m > 1.0));
     // GROUP BY queries may pick different k per mode; flag only large
     // self-inflicted regressions of the hybrid decision.
     check(
@@ -208,24 +206,29 @@ fn fig6_footer(runs: &PaperRuns) -> String {
     out
 }
 
+/// A PIMDB-over-one-xb ratio on the paper's fixed query set — the
+/// headline, beside the paper's value — then on the queries where both
+/// modes chose k > 0 in this run, each noting the `zero` rows skipped.
+fn on_both(ratio: &Subsets, zero: &str, paper: &str) -> String {
+    let on = |Subset { ids, ratio }: &Subset| {
+        let value = ratio.value.map_or("n/a".into(), |m| format!("{m:.2}x"));
+        let skipped = ratio.skipped;
+        let note =
+            if skipped > 0 { format!(" ({skipped} {zero} rows skipped)") } else { String::new() };
+        format!("{ids:?}: {value} geo-mean{note}")
+    };
+    format!(
+        " on the paper's PIM-aggregating queries {} ({paper})\n  decision-dependent, on the queries where both modes chose k > 0: {}\n",
+        on(&ratio.fixed),
+        on(&ratio.decided),
+    )
+}
+
 /// paper: on the queries where PIMDB aggregates in PIM it spends 4.31x
 /// more energy (geo-mean) than one_xb.
 fn fig7_footer(runs: &PaperRuns) -> String {
-    let (ids, ratios) = pim_agg_ratios(runs, |r| r.energy_pj);
-    let head = "\npimdb / one_xb energy";
-    match geomean_filtered(&ratios) {
-        _ if ids.is_empty() => String::new(),
-        (Some(m), 0) => format!(
-            "{head} on PIM-aggregating queries {ids:?}: {m:.2}x geo-mean (paper: 4.31x)\n"
-        ),
-        (Some(m), skipped) => format!(
-            "{head} on PIM-aggregating queries {ids:?}: {m:.2}x geo-mean over {} rows ({skipped} zero-energy rows skipped; paper: 4.31x)\n",
-            ratios.len() - skipped
-        ),
-        (None, _) => format!(
-            "{head} comparison skipped: no query drew measurable energy in both modes\n"
-        ),
-    }
+    let energy = runs.headline().energy_vs_pimdb;
+    format!("\npimdb / one_xb energy{}", on_both(&energy, "zero-energy", "paper: 4.31x"))
 }
 
 fn fig8_footer(runs: &PaperRuns) -> String {
@@ -236,23 +239,14 @@ fn fig8_footer(runs: &PaperRuns) -> String {
     )
 }
 
-/// Lifetime comparison on the queries where both one_xb and pimdb
-/// aggregate in PIM (the paper's 3.21x case: Q1.1-1.3, Q3.4).
+/// paper: on the queries where PIMDB aggregates in PIM, one_xb lives
+/// 3.21x longer (geo-mean).
 fn fig9_footer(runs: &PaperRuns) -> String {
-    let mut out =
-        "\nRRAM endurance reference: 1e12 writes per cell (paper ref. [22]).\n".to_string();
-    let (_, ratios) = pim_agg_ratios(runs, |r| r.required_endurance(10.0));
-    if let (Some(m), skipped) = geomean_filtered(&ratios) {
-        let note = match skipped {
-            0 => String::new(),
-            n => format!(" ({n} zero-endurance rows skipped)"),
-        };
-        let _ = writeln!(
-            out,
-            "pimdb / one_xb required endurance on PIM-aggregating queries: {m:.2}x geo-mean{note} (paper lifetime gain: 3.21x)"
-        );
-    }
-    out
+    let lifetime = runs.headline().lifetime_vs_pimdb;
+    format!(
+        "\nRRAM endurance reference: 1e12 writes per cell (paper ref. [22]).\npimdb / one_xb required endurance{}",
+        on_both(&lifetime, "zero-endurance", "paper lifetime gain: 3.21x")
+    )
 }
 
 /// Fig. 6: execution latency of all five systems.
@@ -293,7 +287,7 @@ pub static FIG9: Figure = Figure {
         format!("Fig. 9 — required cell endurance [writes] for 10 years back-to-back (SF={sf})")
     },
     lead: &[],
-    per_system: ("{}", "{}_writes", |r| Cell::Sci(r.required_endurance(10.0), 2)),
+    per_system: ("{}", "{}_writes", |r| Cell::Sci(r.required_endurance(LIFETIME_YEARS), 2)),
     baseline: None,
     footer: fig9_footer,
 };
@@ -330,11 +324,6 @@ pub fn print_pruning(setup: &SsbSetup, points: &[PruningPoint]) {
     );
     for point in points {
         println!("{} shards, {} partitioning:", point.shards, point.partitioner);
-        // A zero pruned time means the planner answered the query
-        // without touching a single page: report it as such and keep
-        // the geo-mean over the queries that did execute.
-        let ratios = point.ratios(|r| r.time_ns);
-        let planner_only = setup.queries.len() - ratios.len();
         let ratio = |ex: f64, pr: f64, zero: &str| {
             if pr > 0.0 {
                 format!("{:.2}", ex / pr)
@@ -358,19 +347,21 @@ pub fn print_pruning(setup: &SsbSetup, points: &[PruningPoint]) {
                 ("energy x", &|(_, ex, pr)| ratio(ex.energy_pj, pr.energy_pj, "-")),
             ],
         );
-        match geomean_filtered(&ratios) {
-            (None, _) => println!("  every query answered by the planner alone\n"),
-            (Some(m), skipped) => {
-                let note = if skipped > 0 {
-                    format!(", {skipped} degenerate ratios skipped")
-                } else {
-                    String::new()
-                };
-                println!(
-                    "  geo-mean wall-clock speedup: {m:.2}x over {} executed queries ({planner_only} answered by the planner alone{note})\n",
-                    ratios.len() - skipped,
-                );
-            }
+        // A zero pruned time means the planner answered the query
+        // without touching a single page: its ratio is skipped, and the
+        // geo-mean is over the queries that did execute.
+        let planner_only = rows.iter().filter(|(.., pr)| pr.time_ns <= 0.0).count();
+        let speedup = geomean(rows.iter().map(|(_, ex, pr)| ex.time_ns / pr.time_ns));
+        let note = match speedup.skipped - planner_only {
+            0 => String::new(),
+            n => format!(", {n} degenerate ratios skipped"),
+        };
+        match speedup.value {
+            None => println!("  every query answered by the planner alone\n"),
+            Some(m) => println!(
+                "  geo-mean wall-clock speedup: {m:.2}x over {} executed queries ({planner_only} answered by the planner alone{note})\n",
+                speedup.rows,
+            ),
         }
     }
     println!(
@@ -387,24 +378,20 @@ pub fn print_pruning(setup: &SsbSetup, points: &[PruningPoint]) {
 pub fn print_star_footprint(normalized: &[TableFootprint], prejoin: &TableFootprint) {
     println!("PIM-resident memory footprint — normalized star schema vs pre-join\n");
     let total: u64 = normalized.iter().map(|f| f.data_bytes).sum();
-    let mut rows = Vec::new();
-    for f in normalized {
-        rows.push(vec![
-            f.table.clone(),
-            f.records.to_string(),
-            f.resident_bits.to_string(),
-            f.data_bytes.to_string(),
-            format!("{:.1}%", 100.0 * f.data_bytes as f64 / total.max(1) as f64),
-        ]);
-    }
-    rows.push(vec![
-        format!("{} (dropped)", prejoin.table),
-        prejoin.records.to_string(),
-        prejoin.resident_bits.to_string(),
-        prejoin.data_bytes.to_string(),
-        "-".into(),
-    ]);
-    print_table(&["table", "records", "resident bits/rec", "data bytes", "share"], &rows);
+    let share =
+        |f: &TableFootprint| format!("{:.1}%", 100.0 * f.data_bytes as f64 / total.max(1) as f64);
+    let mut rows: Vec<_> = normalized.iter().map(|f| (f.table.clone(), f, share(f))).collect();
+    rows.push((format!("{} (dropped)", prejoin.table), prejoin, "-".into()));
+    print_columns(
+        &rows,
+        &[
+            ("table", &|(table, ..)| table.clone()),
+            ("records", &|(_, f, _)| f.records.to_string()),
+            ("resident bits/rec", &|(_, f, _)| f.resident_bits.to_string()),
+            ("data bytes", &|(_, f, _)| f.data_bytes.to_string()),
+            ("share", &|(.., share)| share.clone()),
+        ],
+    );
     println!(
         "\n  normalized total: {total} B — {:.1}% of the {} B pre-join ({:.2}x smaller)",
         100.0 * total as f64 / prejoin.data_bytes.max(1) as f64,
@@ -430,32 +417,20 @@ pub fn print_scaling(setup: &SsbSetup, points: &[ClusterScalePoint], star: bool)
         base.partitioner,
     );
 
-    let mut headers: Vec<String> = vec!["query".into(), "partitioner".into()];
-    for p in points {
-        headers.push(format!("{}-shard", p.shards));
-    }
     let compared: Vec<&ClusterScalePoint> =
         points.iter().filter(|p| p.shards != base.shards).collect();
-    for p in &compared {
-        headers.push(format!("x{}", p.shards));
-    }
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-
-    let mut rows = Vec::new();
-    for (i, q) in setup.queries.iter().enumerate() {
+    let mut headers = vec!["query".to_string(), "partitioner".into()];
+    headers.extend(points.iter().map(|p| format!("{}-shard", p.shards)));
+    headers.extend(compared.iter().map(|p| format!("x{}", p.shards)));
+    let time = |p: &ClusterScalePoint, i: usize| p.executions[i].report.time_ns;
+    let row = |(i, q): (usize, &Query)| {
         let mut row = vec![q.id.clone(), base.executions[i].report.partitioner.to_string()];
-        for p in points {
-            row.push(fmt_ms(p.executions[i].report.time_ns));
-        }
-        let t0 = base.executions[i].report.time_ns;
-        for p in &compared {
-            let ratio = t0 / p.executions[i].report.time_ns;
-            // zone-pruned zero-match queries cost ~0 at every shard count
-            row.push(if ratio.is_finite() { format!("{ratio:.2}") } else { "-".into() });
-        }
-        rows.push(row);
-    }
-    print_table(&header_refs, &rows);
+        row.extend(points.iter().map(|p| fmt_ms(time(p, i))));
+        row.extend(compared.iter().map(|p| fmt_ratio(time(base, i) / time(p, i))));
+        row
+    };
+    let rows: Vec<Vec<String>> = setup.queries.iter().enumerate().map(row).collect();
+    print_table(&headers.iter().map(String::as_str).collect::<Vec<_>>(), &rows);
 
     // Two wall clocks from the one sweep: the contended model as
     // reported, and the optimistic free-channel model recomputed from
@@ -481,20 +456,9 @@ pub fn print_scaling(setup: &SsbSetup, points: &[ClusterScalePoint], star: bool)
 
     if star {
         // The star path answers GROUP BY by host-side gather, so the
-        // pim-gb parallelism target below does not apply; the shape
-        // that matters here (and that `scaling_verdict` floors at 1.0)
-        // is that module parallelism survives the contended host
-        // channel at the widest sweep point.
-        if let Some(p) = compared.iter().max_by_key(|p| p.shards) {
-            if let Some(c) = geomean_speedups(p, true) {
-                println!(
-                    "\nshape check:\n  [{}] contended geo-mean speedup at {} shards: {c:.2}x \
-                     (byte-diet target > 1.0x)",
-                    if c > 1.0 { "PASS" } else { "FAIL" },
-                    p.shards
-                );
-            }
-        }
+        // pim-gb parallelism target below does not apply; its shape
+        // check is the study's verdict (`ScalingVerdict`), printed by
+        // the caller.
         return;
     }
 

@@ -106,6 +106,15 @@ pub struct CalibrationData {
     pub pim_points: Vec<PimPoint>,
 }
 
+impl CalibrationData {
+    /// The measured host-gb slope dT/dM at one `(s, r)`: a point of
+    /// Fig. 4b, through which Eq. (1)'s `a(s)·√r + b(s)` is fitted.
+    pub fn host_slope(&self, s: usize, r: f64) -> f64 {
+        let at_sr = self.host_points.iter().filter(|p| p.s == s && (p.r - r).abs() < 1e-12);
+        fit_linear(&at_sr.map(|p| (p.m as f64, p.time_ns)).collect::<Vec<_>>()).slope
+    }
+}
+
 /// Simulated host-gb latency for a synthetic selection — `selected`,
 /// the indices of the chosen records of `m` pages: the same
 /// streaming mask read + scattered unique-line record read +
@@ -194,18 +203,9 @@ pub fn run_calibration(
     let mut per_s = BTreeMap::new();
     for &s in &cal.s_values {
         // slope dT/dM per r, then a(s)√r + b(s)
-        let mut slope_points = Vec::new();
-        for &r in &cal.r_values {
-            let pts: Vec<(f64, f64)> = data
-                .host_points
-                .iter()
-                .filter(|p| p.s == s && (p.r - r).abs() < 1e-12)
-                .map(|p| (p.m as f64, p.time_ns))
-                .collect();
-            let slope = fit_linear(&pts).slope;
-            slope_points.push((r, slope));
-        }
-        per_s.insert(s, fit_sqrt(&slope_points));
+        let slopes: Vec<(f64, f64)> =
+            cal.r_values.iter().map(|&r| (r, data.host_slope(s, r))).collect();
+        per_s.insert(s, fit_sqrt(&slopes));
     }
     let mut per_n = BTreeMap::new();
     for &n in &cal.n_values {

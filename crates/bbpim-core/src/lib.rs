@@ -50,6 +50,8 @@
 //!   stage (filter, aggregation, GROUP BY, UPDATE) runs only over the
 //!   planned [`planner::PageSet`]; pruned pages are never activated and
 //!   cost no per-page host orchestration.
+//! * **The headline numbers** — [`headline`] computes the paper's
+//!   geo-mean ratios once, over the three modes' reports.
 //!
 //! ```no_run
 //! use bbpim_core::engine::PimQueryEngine;
@@ -73,6 +75,7 @@ pub mod filter_exec;
 #[cfg(test)]
 pub(crate) mod fixture;
 pub mod groupby;
+pub mod headline;
 pub mod layout;
 pub mod loader;
 pub mod modes;

@@ -41,11 +41,11 @@ pub struct ReduceCost {
     pub max_row_cell_writes: u64,
 }
 
-/// Micro-ops for one column-parallel AND gate (INIT+NOR ×3: two NOTs and
-/// the NOR that combines them).
+/// Micro-ops of one column-parallel AND: `CodeBuilder::emit_and`'s three
+/// INIT+NOR gates (two NOTs and the NOR that combines them).
 const AND_OPS_PER_BIT: u64 = 6;
-/// Micro-ops per bit of a column-parallel ripple-carry add, including the
-/// copy-back into the accumulator columns (full adder ≈ 13 gates).
+/// Micro-ops per bit of a ripple-carry add: one `emit_full_adder`, 15
+/// INIT+NOR gates (NOR 2 + AND 6 + NOR 2 + XOR 10 + AND 6 + OR 4), no copy-back.
 const ADD_OPS_PER_BIT: u64 = 30;
 /// Micro-ops per bit of a column-parallel compare-and-select (MIN/MAX).
 const CMP_SEL_OPS_PER_BIT: u64 = 18;
@@ -140,6 +140,20 @@ mod tests {
         // ≈ 13.9 k cycles → ~417 µs at 30 ns: the expense the aggregation
         // circuit eliminates.
         assert!(c.cycles > 13_000 && c.cycles < 15_000);
+    }
+
+    /// The per-bit constants are the emitters' programs, cycle for
+    /// cycle: a cheaper adder or AND has to change this test.
+    #[test]
+    fn per_bit_constants_are_the_emitted_gates() {
+        use crate::compiler::{CodeBuilder, ColRange, ScratchPool};
+        let mut pool = ScratchPool::new(ColRange::new(8, 32));
+        let mut b = CodeBuilder::new(&mut pool);
+        b.emit_and(0, 1).unwrap();
+        assert_eq!(b.finish().cycles(), AND_OPS_PER_BIT);
+        let mut b = CodeBuilder::new(&mut pool);
+        b.emit_full_adder(0, 1, 2).unwrap();
+        assert_eq!(b.finish().cycles(), ADD_OPS_PER_BIT);
     }
 
     #[test]
