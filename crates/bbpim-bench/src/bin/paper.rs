@@ -482,7 +482,7 @@ fn ablation_placement(s: &SsbSetup, q: &Query) {
         PimQueryEngine::new(sim.clone(), s.wide.clone(), EngineMode::TwoXb).expect("engine");
     worst.calibrate(&CalibrationConfig::default()).expect("calibration");
     let m = worst.page_count();
-    let worst_tpim = worst.model().unwrap().pim.time_ns(m, 1);
+    let worst_tpim = worst.model().unwrap().pim.time_ns(m, 1).expect("calibrated");
     let worst_out = worst.run(q).expect("query");
     drop(worst);
 
@@ -499,7 +499,7 @@ fn ablation_placement(s: &SsbSetup, q: &Query) {
     let (_, transfer_free_model) =
         run_calibration(&sim, EngineMode::OneXb, &CalibrationConfig::default())
             .expect("calibration");
-    let opt_tpim = transfer_free_model.pim.time_ns(m, 1);
+    let opt_tpim = transfer_free_model.pim.time_ns(m, 1).expect("calibrated");
     opt.set_model(transfer_free_model);
     let opt_out = opt.run(q).expect("query");
 

@@ -23,7 +23,7 @@ use bbpim_sim::compiler::{CodeBuilder, ColRange, ScratchPool};
 use bbpim_sim::isa::Microprogram;
 use bbpim_sim::maskwire::{self, PackedBits};
 use bbpim_sim::module::MaskPath;
-use bbpim_sim::page::RecordSlot;
+use bbpim_sim::page::{PimPage, RecordSlot};
 
 use crate::error::CoreError;
 use crate::layout::{MASK_COL, TRANSFER_COL, VALID_COL};
@@ -108,25 +108,40 @@ fn page_words<'a>(bits: &'a PackedBits, loaded: &LoadedRelation, page_index: usi
     &bits.words()[records.start / 64..records.end.div_ceil(64)]
 }
 
+/// The record slots of `page` below `records` whose cell in the one-bit
+/// column `col` is set, crossbar by crossbar: only the column's set
+/// cells are visited (a column word at a time), each mapped back to its
+/// slot. Slots past `records` — the padding of a partly filled last
+/// page — are never a record's, whatever their cells hold.
+pub(crate) fn ones_in_col(
+    page: &PimPage,
+    col: usize,
+    records: usize,
+) -> impl Iterator<Item = usize> + '_ {
+    page.crossbars()
+        .enumerate()
+        .flat_map(move |(crossbar, xb)| {
+            xb.bits()
+                .ones_in_col(col)
+                .map(move |row| page.slot_record(RecordSlot { crossbar, row }))
+        })
+        .filter(move |&slot| slot < records)
+}
+
 impl Scan<'_> {
     /// Read a one-bit column of a partition's planned pages into a
     /// per-record bit-vector, free of charge (the simulator peeking,
     /// not the host reading — [`Scan::move_mask`] is the charged read);
     /// records on pruned pages read `false`, the all-false mask
-    /// semantics pruning guarantees. Only the column's set cells are
-    /// visited, each mapped back to its record slot.
+    /// semantics pruning guarantees. Each page's set records come from
+    /// the per-page helper `ones_in_col`, which [`Scan::sample`] shares.
     pub fn mask(&self, partition: usize, col: usize) -> PackedBits {
         let (module, loaded) = (&self.table.module, &self.table.loaded);
         let mut out = PackedBits::zeros(loaded.records());
         for (pg_idx, pid) in self.pages.entries(loaded, partition) {
-            let (page, records) = (module.page(pid), loaded.page_records(pg_idx));
-            for (crossbar, xb) in page.crossbars().enumerate() {
-                for row in xb.bits().ones_in_col(col) {
-                    let slot = page.slot_record(RecordSlot { crossbar, row });
-                    if slot < records.len() {
-                        out.set(records.start + slot);
-                    }
-                }
+            let records = loaded.page_records(pg_idx);
+            for slot in ones_in_col(module.page(pid), col, records.len()) {
+                out.set(records.start + slot);
             }
         }
         out

@@ -363,7 +363,7 @@ mod tests {
         let (_, pimdb) = run_calibration(&cfg(), EngineMode::PimDb, &cal).unwrap();
         let m = 2;
         assert!(
-            pimdb.pim.time_ns(m, 1) > one.pim.time_ns(m, 1),
+            pimdb.pim.time_ns(m, 1).unwrap() > one.pim.time_ns(m, 1).unwrap(),
             "bitwise reduction must dominate the circuit"
         );
     }
@@ -382,6 +382,6 @@ mod tests {
         // the shape is concave-increasing; the √r fit should capture most
         // of the variance even though our line-count law is not exactly √r
         assert!(fit.r2 > 0.6, "R² {}", fit.r2);
-        assert!(model.host.time_ns(4, 2, 0.4) > model.host.time_ns(4, 2, 0.01));
+        assert!(model.host.time_ns(4, 2, 0.4).unwrap() > model.host.time_ns(4, 2, 0.01).unwrap());
     }
 }

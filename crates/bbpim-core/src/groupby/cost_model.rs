@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::error::CoreError;
 use crate::groupby::fitting::{LinFit, SqrtFit};
 
 /// Eq. (1): host-gb latency model with `a(s)`, `b(s)` lookup tables.
@@ -38,12 +39,13 @@ impl HostGbModel {
 
     /// Eq. (1), nanoseconds.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the model has no fits (construct via calibration).
-    pub fn time_ns(&self, m: usize, s: usize, r: f64) -> f64 {
-        let fit = self.fit_for(s).expect("host-gb model has no fits");
-        (m as f64 * fit.eval(r)).max(0.0)
+    /// [`CoreError::NotCalibrated`] when the model has no fits
+    /// (construct via calibration).
+    pub fn time_ns(&self, m: usize, s: usize, r: f64) -> Result<f64, CoreError> {
+        let fit = self.fit_for(s).ok_or(CoreError::NotCalibrated)?;
+        Ok((m as f64 * fit.eval(r)).max(0.0))
     }
 }
 
@@ -71,12 +73,12 @@ impl PimGbModel {
 
     /// Eq. (2), nanoseconds.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the model has no fits.
-    pub fn time_ns(&self, m: usize, n: usize) -> f64 {
-        let fit = self.fit_for(n).expect("pim-gb model has no fits");
-        fit.eval(m as f64).max(0.0)
+    /// [`CoreError::NotCalibrated`] when the model has no fits.
+    pub fn time_ns(&self, m: usize, n: usize) -> Result<f64, CoreError> {
+        let fit = self.fit_for(n).ok_or(CoreError::NotCalibrated)?;
+        Ok(fit.eval(m as f64).max(0.0))
     }
 }
 
@@ -113,25 +115,37 @@ impl GroupByModel {
     /// Eq. (3): total GROUP-BY time for a given `k`, where `r_k` is the
     /// estimated ratio of *relation* records left to host-gb after the
     /// `k` largest subgroups go to PIM.
-    pub fn total_time_ns(&self, p: &GbParams, k: usize, r_k: f64) -> f64 {
-        let pim = k as f64 * self.pim.time_ns(p.m, p.n);
-        let host = if k >= p.kmax { 0.0 } else { self.host.time_ns(p.m, p.s, r_k) };
-        pim + host
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NotCalibrated`] when either table has no fits.
+    pub fn total_time_ns(&self, p: &GbParams, k: usize, r_k: f64) -> Result<f64, CoreError> {
+        let pim = k as f64 * self.pim.time_ns(p.m, p.n)?;
+        let host = if k >= p.kmax { 0.0 } else { self.host.time_ns(p.m, p.s, r_k)? };
+        Ok(pim + host)
     }
 
     /// Choose the `k` (0..=kmax) minimising Eq. (3). `r_of_k(k)` comes
     /// from the sampling estimate. Deterministic tie-break: smaller `k`.
-    pub fn choose_k(&self, p: &GbParams, r_of_k: &dyn Fn(usize) -> f64) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NotCalibrated`] when either table has no fits.
+    pub fn choose_k(
+        &self,
+        p: &GbParams,
+        r_of_k: &dyn Fn(usize) -> f64,
+    ) -> Result<usize, CoreError> {
         let mut best_k = 0;
         let mut best_t = f64::INFINITY;
         for k in 0..=p.kmax {
-            let t = self.total_time_ns(p, k, r_of_k(k));
+            let t = self.total_time_ns(p, k, r_of_k(k))?;
             if t < best_t {
                 best_t = t;
                 best_k = k;
             }
         }
-        best_k
+        Ok(best_k)
     }
 }
 
@@ -151,9 +165,9 @@ mod tests {
     #[test]
     fn host_time_scales_with_m_and_sqrt_r() {
         let m = model(0.0, 100.0, 10.0);
-        let t1 = m.host.time_ns(10, 2, 0.25);
+        let t1 = m.host.time_ns(10, 2, 0.25).unwrap();
         assert!((t1 - 10.0 * (100.0 * 0.5 + 10.0)).abs() < 1e-9);
-        let t2 = m.host.time_ns(20, 2, 0.25);
+        let t2 = m.host.time_ns(20, 2, 0.25).unwrap();
         assert!((t2 - 2.0 * t1).abs() < 1e-9);
     }
 
@@ -161,11 +175,11 @@ mod tests {
     fn nearest_s_lookup() {
         let m = model(0.0, 100.0, 10.0);
         // s=3 → nearest fitted is 2 or 4; BTreeMap order makes 2 the min
-        let t3 = m.host.time_ns(1, 3, 0.0);
-        let t2 = m.host.time_ns(1, 2, 0.0);
+        let t3 = m.host.time_ns(1, 3, 0.0).unwrap();
+        let t2 = m.host.time_ns(1, 2, 0.0).unwrap();
         assert!((t3 - t2).abs() < 1e-9);
         // s=6 → nearest fitted is 4
-        let t6 = m.host.time_ns(1, 6, 0.0);
+        let t6 = m.host.time_ns(1, 6, 0.0).unwrap();
         assert!((t6 - 20.0).abs() < 1e-9);
     }
 
@@ -175,7 +189,7 @@ mod tests {
         let p = GbParams { m: 10, n: 1, s: 2, kmax: 3 };
         // three equal subgroups; sending them all to PIM costs 3 vs host ≥ 1000
         let r = |k: usize| 1.0 - k as f64 / 3.0;
-        assert_eq!(m.choose_k(&p, &r), 3);
+        assert_eq!(m.choose_k(&p, &r).unwrap(), 3);
     }
 
     #[test]
@@ -183,7 +197,7 @@ mod tests {
         let m = model(1e9, 100.0, 10.0);
         let p = GbParams { m: 10, n: 1, s: 2, kmax: 500 };
         let r = |k: usize| 1.0 - k as f64 / 500.0;
-        assert_eq!(m.choose_k(&p, &r), 0);
+        assert_eq!(m.choose_k(&p, &r).unwrap(), 0);
     }
 
     #[test]
@@ -201,7 +215,7 @@ mod tests {
                 0.1 * (1.0 - (k as f64 - 1.0) / 99.0)
             }
         };
-        let k = m.choose_k(&p, &r);
+        let k = m.choose_k(&p, &r).unwrap();
         assert!(k >= 1, "head must go to PIM");
         assert!(k < 100, "tail should stay on the host, got k={k}");
     }
@@ -211,7 +225,22 @@ mod tests {
         let m = model(1.0, 100.0, 10.0);
         let p = GbParams { m: 10, n: 1, s: 2, kmax: 5 };
         // even with r(kmax) > 0 (sample missed records), δ kills the term
-        let t = m.total_time_ns(&p, 5, 0.5);
+        let t = m.total_time_ns(&p, 5, 0.5).unwrap();
         assert!((t - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_model_without_fits_is_not_calibrated() {
+        let unfitted = GroupByModel::default();
+        let p = GbParams { m: 10, n: 1, s: 2, kmax: 3 };
+        let not_calibrated = |r: Result<f64, CoreError>| matches!(r, Err(CoreError::NotCalibrated));
+        assert!(not_calibrated(unfitted.host.time_ns(10, 2, 0.5)));
+        assert!(not_calibrated(unfitted.pim.time_ns(10, 1)));
+        assert!(not_calibrated(unfitted.total_time_ns(&p, 0, 1.0)));
+        assert!(matches!(unfitted.choose_k(&p, &|_| 1.0), Err(CoreError::NotCalibrated)));
+        // one table fitted is not enough either: k = kmax still prices pim-gb
+        let host_only = GroupByModel { pim: PimGbModel::default(), ..model(1.0, 100.0, 10.0) };
+        assert!(not_calibrated(host_only.total_time_ns(&p, 3, 0.0)));
+        assert!(matches!(host_only.choose_k(&p, &|_| 1.0), Err(CoreError::NotCalibrated)));
     }
 }

@@ -142,7 +142,7 @@ impl Scan<'_> {
         // Both gb paths touch only the planned candidate pages, so the cost
         // model's page count `M` is the plan's, not the whole relation's.
         let params = GbParams { m: self.pages.len(), n, s, kmax };
-        let k = model.choose_k(&params, &|k| estimate.r_of_k(k));
+        let k = model.choose_k(&params, &|k| estimate.r_of_k(k))?;
 
         // 4. pim-gb for the k largest candidates: materialise every distinct
         //    expression once (stacked into scratch), then one shared group

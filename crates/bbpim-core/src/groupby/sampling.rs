@@ -9,6 +9,7 @@ use bbpim_db::plan::{PhysAgg, PhysFunc};
 use bbpim_db::stats::GroupedResult;
 
 use crate::error::CoreError;
+use crate::filter_exec::ones_in_col;
 use crate::layout::{Projection, MASK_COL};
 use crate::record::{fold_record, ScatteredRead};
 use crate::scan::Scan;
@@ -61,6 +62,9 @@ impl Scan<'_> {
     /// Read one candidate page's mask and group keys, estimate subgroup
     /// sizes. The sampled page is the plan's first candidate — sampling
     /// a pruned page would see only mask bits the filter never wrote.
+    /// Its selected records come from the mask column's words through
+    /// the per-page helper `ones_in_col`, which [`Scan::mask`] shares;
+    /// each one's keys are then read with [`crate::PimTable::read`].
     ///
     /// Charges the mask lines (one per row) and the key-chunk lines of
     /// the selected sampled records.
@@ -88,13 +92,12 @@ impl Scan<'_> {
         let mut fetched = ScatteredRead::new(cfg, loaded.records());
         let mut counts = [GroupedResult::new()];
         let (mut key, mut sample_selected) = (Vec::new(), 0usize);
-        for (slot, record) in sampled.enumerate() {
-            if mask_page.read_record_bits(slot, MASK_COL, 1)? == 1 {
-                table.read(keys, record, &mut key)?;
-                fetched.mark(record);
-                fold_record(COUNT, &mut counts, &key, &[]);
-                sample_selected += 1;
-            }
+        for slot in ones_in_col(mask_page, MASK_COL, sample_records) {
+            let record = sampled.start + slot;
+            table.read(keys, record, &mut key)?;
+            fetched.mark(record);
+            fold_record(COUNT, &mut counts, &key, &[]);
+            sample_selected += 1;
         }
         self.log.push(module.host_read_scattered_phase(fetched.lines(keys.chunks_per_row())));
         let [counts] = counts;
@@ -126,6 +129,8 @@ mod tests {
     use super::*;
     use crate::fixture;
     use crate::modes::EngineMode;
+    use crate::planner::PageSet;
+    use crate::table::PimTable;
     use bbpim_db::builder::col;
     use bbpim_db::plan::Pred;
 
@@ -136,6 +141,88 @@ mod tests {
         let mut scan = fixture::filtered(&mut t, &filter);
         let keys = scan.table().layout().project(["d_g"]).unwrap();
         scan.sample(&keys).unwrap()
+    }
+
+    /// The sample as it was before the word scan: one mask-bit read per
+    /// slot of the sampled page's records.
+    fn per_slot_reference(scan: &mut Scan<'_>, keys: &Projection) -> SampleEstimate {
+        let table = &*scan.table;
+        let (module, loaded) = (&table.module, &table.loaded);
+        let sample_idx = scan.pages.first().unwrap();
+        let sampled = loaded.page_records(sample_idx);
+        let sample_records = sampled.len();
+        let cfg = module.config();
+        scan.log
+            .push(module.host_read_phase(sample_records.div_ceil(cfg.crossbars_per_page()) as u64));
+        let mask_page = module.page(loaded.pages(0)[sample_idx]);
+        let mut fetched = ScatteredRead::new(cfg, loaded.records());
+        let mut counts = [GroupedResult::new()];
+        let (mut key, mut sample_selected) = (Vec::new(), 0usize);
+        for (slot, record) in sampled.enumerate() {
+            if mask_page.read_record_bits(slot, MASK_COL, 1).unwrap() == 1 {
+                table.read(keys, record, &mut key).unwrap();
+                fetched.mark(record);
+                fold_record(COUNT, &mut counts, &key, &[]);
+                sample_selected += 1;
+            }
+        }
+        scan.log.push(module.host_read_scattered_phase(fetched.lines(keys.chunks_per_row())));
+        let [counts] = counts;
+        let candidate_records: usize =
+            scan.pages.indices().iter().map(|&idx| loaded.page_records(idx).len()).sum();
+        let per_sampled = |n: usize| n as f64 / sample_records.max(1) as f64;
+        let scale = per_sampled(candidate_records);
+        let mut groups: Vec<(Vec<u64>, f64)> =
+            counts.into_iter().map(|(k, c)| (k, c as f64 * scale)).collect();
+        groups.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        SampleEstimate {
+            sample_records,
+            sample_selected,
+            est_selectivity: per_sampled(sample_selected),
+            groups,
+            est_selected_total: sample_selected as f64 * scale,
+        }
+    }
+
+    #[test]
+    fn the_word_scan_equals_the_per_slot_reference() {
+        // three pages of 256 records on the small geometry, the last
+        // holding 88: slots 88..256 are its padding
+        let rows = (0..600u64).map(|i| vec![i % 250, if i % 3 == 0 { 0 } else { 1 + (i % 7) }]);
+        let rows: Vec<Vec<u64>> = rows.collect();
+        for mode in [EngineMode::OneXb, EngineMode::TwoXb, EngineMode::PimDb] {
+            let (mut t, _) = fixture::table(mode, &[("lo_v", 8), ("d_g", 4)], rows.clone());
+            let pages = t.page_count();
+            assert_eq!(pages, 3);
+            let keys = t.layout().project(["d_g"]).unwrap();
+            for (plan, filter) in [
+                (PageSet::all(pages), col("lo_v").lt(125u64)),
+                (PageSet::from_indices(vec![2], pages), col("lo_v").gt(40u64)),
+                (PageSet::from_indices(vec![1, 2], pages), Pred::always()),
+            ] {
+                let last = plan.first() == Some(2);
+                let mut scan = t.begin(plan, None);
+                fixture::filter(&mut scan, &filter);
+                if last {
+                    // set mask cells no record owns
+                    let PimTable { module, loaded, .. } = &mut *scan.table;
+                    let page = module.page_mut(loaded.pages(0)[2]);
+                    for slot in [88, 89, 150, 255] {
+                        let at = page.record_slot(slot).unwrap();
+                        let xb = page.crossbars_mut().nth(at.crossbar).unwrap();
+                        xb.write_row_bits(at.row, MASK_COL, 1, 1);
+                    }
+                }
+                scan.take_log();
+                let got = scan.sample(&keys).unwrap();
+                let got_log = scan.take_log();
+                let want = per_slot_reference(&mut scan, &keys);
+                let what = format!("{mode:?}, {filter}, last page first: {last}");
+                assert_eq!(got, want, "{what}");
+                assert_eq!(got_log, scan.take_log(), "{what}: charged phases");
+                assert!(got.sample_selected > 0, "{what}: nothing sampled");
+            }
+        }
     }
 
     #[test]

@@ -30,6 +30,17 @@
 //! nearly one tuple per record, is the case the rule exists for: kept,
 //! it would cost a catalog's memory and every UPDATE of a fact
 //! attribute would re-read whole fact tuples.
+//!
+//! **Memo.** A kept prefix remembers the domains it answered, keyed by
+//! the GROUP BY key and each disjunct's atoms on the prefix, so a query
+//! asked again is a lookup instead of a walk over every tuple. A domain
+//! depends only on *which* tuples exist, never on how many records hold
+//! them, so the memo is dropped exactly when the tuple set changes: a
+//! tuple is counted for the first time (an INSERT or an UPDATE moving
+//! records to a new tuple) or its last record leaves (an UPDATE), or
+//! the prefix settles to decoded. A count-only change — an INSERT of an
+//! existing tuple, an UPDATE of other attributes or to values some
+//! record already holds — keeps it.
 
 use std::collections::{BTreeSet, HashMap};
 use std::ops::ControlFlow;
@@ -49,6 +60,15 @@ pub fn prefix(name: &str) -> &str {
 /// of the attributes asked for; [`ControlFlow::Break`] stops the walk.
 pub type RecordSink<'a> = dyn FnMut(&[u64]) -> ControlFlow<()> + 'a;
 
+/// The memo's key: a GROUP BY key (schema index) and, per disjunct,
+/// its atoms on the key's prefix.
+type MemoKey = (usize, Vec<Vec<ResolvedAtom>>);
+
+/// Memo entries a prefix keeps at most; a key past them is answered
+/// by the walk, so queries with ever new constants cannot grow it
+/// without bound.
+const MEMO_CAP: usize = 256;
+
 /// Distinct tuples of a fixed attribute list with their record counts.
 /// A tuple is bit-packed LSB-first at the attributes' declared widths
 /// into as many words as it needs, so a tuple wider than 64 bits is two
@@ -64,6 +84,9 @@ struct TupleCounts {
     counts: HashMap<Box<[u64]>, u64>,
     /// The packed form of the tuple being added or removed.
     key: Vec<u64>,
+    /// The ascending domains [`TupleCounts::memoised`] answered since the
+    /// tuple set last changed (see the module docs).
+    memo: HashMap<MemoKey, Vec<u64>>,
 }
 
 impl TupleCounts {
@@ -71,7 +94,8 @@ impl TupleCounts {
         let widths: Vec<usize> = attrs.iter().map(|&a| schema.attrs()[a].bits).collect();
         let offsets = widths.iter().scan(0, |at, w| Some(std::mem::replace(at, *at + w))).collect();
         let words = widths.iter().sum::<usize>().div_ceil(64);
-        TupleCounts { attrs, widths, offsets, counts: HashMap::new(), key: vec![0; words] }
+        let (counts, memo) = (HashMap::new(), HashMap::new());
+        TupleCounts { attrs, widths, offsets, counts, key: vec![0; words], memo }
     }
 
     /// Distinct tuples held.
@@ -109,7 +133,10 @@ impl TupleCounts {
         self.pack(values);
         match self.counts.get_mut(&self.key[..]) {
             Some(count) => *count += n,
-            None => drop(self.counts.insert(self.key.clone().into_boxed_slice(), n)),
+            None => {
+                self.counts.insert(self.key.clone().into_boxed_slice(), n);
+                self.memo.clear();
+            }
         }
     }
 
@@ -121,6 +148,7 @@ impl TupleCounts {
                 *count -= n;
             } else {
                 self.counts.remove(&self.key[..]);
+                self.memo.clear();
             }
         }
     }
@@ -142,26 +170,48 @@ impl TupleCounts {
         })
     }
 
-    /// The filter: add to `seen` the value of attribute `group` in every
-    /// tuple whose values satisfy all of `atoms`.
-    fn collect(
+    /// The filter: the values, ascending, attribute `group` takes in the
+    /// tuples whose values satisfy all atoms of at least one of
+    /// `constraints`.
+    fn filter(
         &self,
         schema: &Schema,
         group: usize,
-        atoms: &[&ResolvedAtom],
-        seen: &mut BTreeSet<u64>,
-    ) -> Result<(), DbError> {
+        constraints: &[Vec<ResolvedAtom>],
+    ) -> Result<Vec<u64>, DbError> {
         let at = self.position(group, schema)?;
-        let checks: Vec<(usize, &ResolvedAtom)> = atoms
-            .iter()
-            .map(|a| Ok((self.position(a.attr_index(), schema)?, *a)))
-            .collect::<Result<_, DbError>>()?;
-        for packed in self.counts.keys() {
-            if checks.iter().all(|(i, atom)| atom.matches_value(self.value(packed, *i))) {
-                seen.insert(self.value(packed, at));
+        let mut seen = BTreeSet::new();
+        for conj in constraints {
+            let checks: Vec<(usize, &ResolvedAtom)> = conj
+                .iter()
+                .map(|a| Ok((self.position(a.attr_index(), schema)?, a)))
+                .collect::<Result<_, DbError>>()?;
+            for packed in self.counts.keys() {
+                if checks.iter().all(|(i, atom)| atom.matches_value(self.value(packed, *i))) {
+                    seen.insert(self.value(packed, at));
+                }
             }
         }
-        Ok(())
+        Ok(seen.into_iter().collect())
+    }
+
+    /// [`TupleCounts::filter`] through the memo: a key answered since
+    /// the tuple set last changed is not walked again.
+    fn memoised(
+        &mut self,
+        schema: &Schema,
+        group: usize,
+        constraints: Vec<Vec<ResolvedAtom>>,
+    ) -> Result<Vec<u64>, DbError> {
+        let key = (group, constraints);
+        if let Some(domain) = self.memo.get(&key) {
+            return Ok(domain.clone());
+        }
+        let domain = self.filter(schema, group, &key.1)?;
+        if self.memo.len() < MEMO_CAP {
+            self.memo.insert(key, domain.clone());
+        }
+        Ok(domain)
     }
 
     /// Count the tuples `decode` yields over `attrs`, stopping as soon
@@ -267,15 +317,10 @@ impl DomainIndex {
                 DbError::InvalidQuery(format!("`{name}` is host-only: no domain index covers it"))
             })?;
             // each disjunct's atoms on the key's prefix
-            let constraints: Vec<Vec<&ResolvedAtom>> = dnf
-                .iter()
-                .map(|conj| {
-                    let same = |a: &&ResolvedAtom| {
-                        prefix(&schema.attrs()[a.attr_index()].name) == prefix(name)
-                    };
-                    conj.iter().filter(same).collect()
-                })
-                .collect();
+            let same =
+                |a: &&ResolvedAtom| prefix(&schema.attrs()[a.attr_index()].name) == prefix(name);
+            let constraints: Vec<Vec<ResolvedAtom>> =
+                dnf.iter().map(|conj| conj.iter().filter(same).cloned().collect()).collect();
             if let State::Unbuilt = self.prefixes[p].state {
                 let attrs = self.prefixes[p].attrs.clone();
                 let tuples = TupleCounts::read(attrs, schema, records, &mut decode)?;
@@ -284,9 +329,8 @@ impl DomainIndex {
                     false => State::Built(tuples),
                 };
             }
-            let read;
-            let tuples = match &self.prefixes[p].state {
-                State::Built(tuples) => tuples,
+            let domain = match &mut self.prefixes[p].state {
+                State::Built(tuples) => tuples.memoised(schema, group, constraints)?,
                 _ => {
                     // past the threshold: the key's and its constraints'
                     // columns, afresh and whole
@@ -295,15 +339,11 @@ impl DomainIndex {
                     attrs.push(group);
                     attrs.sort_unstable();
                     attrs.dedup();
-                    read = TupleCounts::read(attrs, schema, usize::MAX, &mut decode)?;
-                    &read
+                    let read = TupleCounts::read(attrs, schema, usize::MAX, &mut decode)?;
+                    read.filter(schema, group, &constraints)?
                 }
             };
-            let mut seen = BTreeSet::new();
-            for conj in &constraints {
-                tuples.collect(schema, group, conj, &mut seen)?;
-            }
-            out.push(seen.into_iter().collect());
+            out.push(domain);
         }
         Ok(out)
     }
@@ -495,6 +535,98 @@ mod tests {
         // a key on the host-only attribute is refused, not answered
         let q = Query { group_by: vec!["d_phone".into()], ..queries().remove(0) };
         assert!(idx.domains(&q, rel.schema(), rel.len(), decode(&rel)).is_err());
+    }
+
+    /// Memo entries over every kept prefix.
+    fn memo_entries(idx: &DomainIndex) -> usize {
+        let memo = |p: &Prefix| match &p.state {
+            State::Built(tuples) => tuples.memo.len(),
+            _ => 0,
+        };
+        idx.prefixes.iter().map(memo).sum()
+    }
+
+    #[test]
+    fn ever_new_constants_do_not_grow_the_memo_past_its_cap() {
+        let rel = rel(60);
+        let mut idx = index(&rel);
+        for c in 0..MEMO_CAP as u64 + 40 {
+            let q = Query::select([SelectItem::sum("s", AggExpr::attr("lo_v"))])
+                .filter(col("d_h").lt(c % 128).and(col("d_g").gt(c / 128)))
+                .group_by(["d_g"])
+                .build_unchecked();
+            let got = idx.domains(&q, rel.schema(), rel.len(), decode(&rel)).unwrap();
+            assert_eq!(got, group_domains(&q, &rel).unwrap(), "{}", q.filter);
+        }
+        assert_eq!(memo_entries(&idx), MEMO_CAP);
+    }
+
+    #[test]
+    fn the_memo_lives_until_the_tuple_set_changes() {
+        let mut rel = rel(60);
+        let mut idx = index(&rel);
+        // two keys of the `d` prefix: d_h under `d_g < 3`, and under
+        // `d_g = 2 OR (lo_v > 5 AND d_h > 12)`
+        let probes = || queries().into_iter().take(2);
+        let check = |idx: &mut DomainIndex, rel: &Relation, what: &str| {
+            for q in probes() {
+                let got = idx.domains(&q, rel.schema(), rel.len(), decode(rel)).unwrap();
+                assert_eq!(got, group_domains(&q, rel).unwrap(), "{what}: {}", q.filter);
+            }
+        };
+        check(&mut idx, &rel, "built");
+        assert_eq!(memo_entries(&idx), 2);
+        // a repeated query is the memo's answer: mark every entry, ask again
+        let State::Built(d) = &mut idx.prefixes[1].state else { panic!("d is kept") };
+        d.memo.values_mut().for_each(|domain| domain.push(u64::MAX));
+        for q in probes() {
+            let got = idx.domains(&q, rel.schema(), rel.len(), decode(&rel)).unwrap();
+            assert_eq!(got.concat().last(), Some(&u64::MAX), "{} walked the tuples", q.filter);
+        }
+        let State::Built(d) = &mut idx.prefixes[1].state else { panic!("d is kept") };
+        for domain in d.memo.values_mut() {
+            domain.pop();
+        }
+
+        // INSERT of an existing tuple: counts move, the memo stays
+        let row = rel.row(3);
+        rel.push_row(&row).unwrap();
+        idx.insert(&[row], rel.len());
+        assert_eq!(memo_entries(&idx), 2, "a count-only INSERT dropped the memo");
+        check(&mut idx, &rel, "existing tuple inserted");
+
+        // INSERT of a new tuple (d_g 1, d_h 100): dropped
+        let row = vec![1, 1, 0, 100, 1, 3];
+        rel.push_row(&row).unwrap();
+        idx.insert(&[row], rel.len());
+        assert_eq!(memo_entries(&idx), 0, "a new tuple kept the memo");
+        check(&mut idx, &rel, "new tuple inserted");
+        assert_eq!(memo_entries(&idx), 2);
+
+        // UPDATE d_h = 6 WHERE d_g = 2 AND d_h = 7: (2, 7) empties into
+        // the existing (2, 6), so only a tuple leaves
+        let (g, h) = (1, 3);
+        let mut reads = idx.update_reads(&[(h, 6)], rel.schema()).expect("d is kept");
+        let selected = (0..rel.len()).filter(|&r| rel.value(r, g) == 2 && rel.value(r, h) == 7);
+        for row in selected.collect::<Vec<_>>() {
+            let values: Vec<u64> = reads.attrs().iter().map(|&a| rel.value(row, a)).collect();
+            reads.record(&values);
+            rel.set_value(row, h, 6).unwrap();
+        }
+        idx.apply_update(reads, rel.len());
+        assert_eq!(memo_entries(&idx), 0, "an emptied tuple kept the memo");
+        check(&mut idx, &rel, "tuple emptied");
+        assert_eq!(memo_entries(&idx), 2);
+
+        // 35 new tuples push `d` past the threshold: decoded, no memo
+        let rows: Vec<Vec<u64>> = (0..35).map(|j| vec![9, 3, 0, 60 + j, 1, 3]).collect();
+        for row in &rows {
+            rel.push_row(row).unwrap();
+        }
+        idx.insert(&rows, rel.len());
+        assert!(matches!(idx.prefixes[1].state, State::Decoded));
+        assert_eq!(memo_entries(&idx), 0);
+        check(&mut idx, &rel, "settled to decoded");
     }
 
     #[test]

@@ -377,7 +377,7 @@ impl std::fmt::Display for Pred {
 }
 
 /// An atom with the attribute index and constants resolved.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ResolvedAtom {
     /// `attr = value`
     Eq {
