@@ -322,8 +322,9 @@ pub fn run_monet(setup: &SsbSetup, prejoined: bool, repeats: usize) -> MonetRun 
 /// What the per-query figures (Figs. 6–9, Table II) and each point of
 /// the sweep render from: one set-up, one run of each PIM mode — each
 /// engine deciding with its mode's [`fit_shared_model`] — and, when
-/// Fig. 6 or the sweep is among them, one run of each baseline. `paper
-/// --fig` collects it at most once per invocation, whatever the selection.
+/// Fig. 6 or the sweep is among them, one run of each baseline, every
+/// answer checked against the row oracle. `paper --fig` collects it at
+/// most once per invocation, whatever the selection.
 pub struct PaperRuns {
     /// The generated data and queries.
     pub setup: SsbSetup,
@@ -334,12 +335,17 @@ pub struct PaperRuns {
 }
 
 impl PaperRuns {
-    /// Generate the data and run every system once.
+    /// Generate the data, run every system once and check every answer
+    /// ([`PaperRuns::check`]).
+    ///
+    /// # Errors
+    ///
+    /// A system's answer that differs from the row oracle's.
     ///
     /// # Panics
     ///
     /// Panics on engine errors (known-good inputs).
-    pub fn collect(cfg: BenchConfig, with_baselines: bool) -> Self {
+    pub fn collect(cfg: BenchConfig, with_baselines: bool) -> io::Result<Self> {
         let setup = setup(cfg);
         eprintln!("data generated: {} lineorders; running 3 PIM modes…", setup.wide.len());
         // each engine is dropped before the next: peak memory is one engine
@@ -354,7 +360,29 @@ impl PaperRuns {
         let pim = EngineMode::all().map(run_mode).into();
         let prejoined = [true, false].into_iter().filter(|_| with_baselines);
         let monet = prejoined.map(|prejoined| run_monet(&setup, prejoined, 3)).collect();
-        PaperRuns { setup, pim, monet }
+        let runs = PaperRuns { setup, pim, monet };
+        runs.check()?;
+        Ok(runs)
+    }
+
+    /// Check every PIM mode's answers, and each baseline's when it ran,
+    /// against the row oracle's (computed once per query).
+    ///
+    /// # Errors
+    ///
+    /// The first answer that differs, naming the system and the query.
+    pub fn check(&self) -> io::Result<()> {
+        let answers = self.setup.queries.iter().zip(oracle_answers(&self.setup));
+        for (i, (q, oracle)) in answers.enumerate() {
+            let pim = self.pim.iter().map(|r| (r.mode.label(), &r.executions[i].groups));
+            let monet = self.monet.iter().map(|r| (r.label, &r.results[i].1));
+            if let Some((label, _)) = pim.chain(monet).find(|(_, groups)| **groups != oracle) {
+                let msg =
+                    format!("cross-validation: {label} disagrees with the row oracle on {}", q.id);
+                return Err(io::Error::other(msg));
+            }
+        }
+        Ok(())
     }
 
     /// The [`Headline`] of the three PIM runs.
@@ -362,18 +390,6 @@ impl PaperRuns {
         let reports =
             |m: usize| self.pim[m].executions.iter().map(|e| &e.report).collect::<Vec<_>>();
         Headline::of(&reports(0), &reports(1), &reports(2))
-    }
-
-    /// Ids of the queries on which some system's answer differs from
-    /// `one_xb`'s (empty = every system agrees).
-    pub fn mismatches(&self) -> Vec<String> {
-        let reference = &self.pim[0].executions;
-        let agrees = |i: usize| {
-            self.pim.iter().all(|r| r.executions[i].groups == reference[i].groups)
-                && self.monet.iter().all(|r| r.results[i].1 == reference[i].groups)
-        };
-        let ids = self.setup.queries.iter().enumerate();
-        ids.filter(|(i, _)| !agrees(*i)).map(|(_, q)| q.id.clone()).collect()
     }
 }
 
@@ -504,5 +520,26 @@ mod tests {
         assert_eq!(s.queries.len(), 13);
         let mnt = run_monet(&s, true, 1);
         assert_eq!(mnt.results.len(), 13);
+    }
+
+    /// One wrong answer anywhere — a PIM mode's or a baseline's — fails
+    /// the run's check, naming the system and the query.
+    #[test]
+    fn a_tampered_answer_fails_the_check_naming_system_and_query() {
+        let cfg = BenchConfig { sf: 0.001, skewed: false, ..BenchConfig::default() };
+        let mut runs = PaperRuns::collect(cfg, false).expect("every mode matches the oracle");
+        // a baseline answering like the PIM modes passes
+        let answers = runs.pim[0].executions.iter().map(|e| (Duration::ZERO, e.groups.clone()));
+        runs.monet.push(MonetRun { label: "mnt_join", results: answers.collect() });
+        runs.check().expect("every system matches the oracle");
+        let id = runs.setup.queries[3].id.clone();
+        let tampered = |groups: &mut MultiGrouped| groups.insert(vec![u64::MAX], vec![1]);
+        tampered(&mut runs.monet[0].results[3].1);
+        let err = runs.check().unwrap_err().to_string();
+        assert!(err.contains("mnt_join") && err.ends_with(&id), "{err}");
+        runs.monet.clear();
+        tampered(&mut runs.pim[1].executions[3].groups);
+        let err = runs.check().unwrap_err().to_string();
+        assert!(err.contains(EngineMode::TwoXb.label()) && err.ends_with(&id), "{err}");
     }
 }

@@ -9,9 +9,10 @@
 //! ## One cluster, two storage models
 //!
 //! [`Cluster`] is generic over a [`Storage`] model. Everything *around*
-//! per-shard execution — shard bookkeeping, the pruning / contention /
-//! transfer-policy toggles, shard admission, `EXPLAIN`, the threaded
-//! scatter, the report folds, mutation routing — exists once. The
+//! per-shard execution — shard bookkeeping, the contention toggle, the
+//! pruning and transfer-policy switches of every table, shard
+//! admission, `EXPLAIN`, the threaded scatter, the report folds,
+//! mutation routing — exists once. The
 //! storage model supplies what genuinely differs: [`PreJoined`]
 //! ([`ClusterEngine`]) shards the paper's wide pre-joined relation and
 //! runs its cost-model GROUP BY; [`crate::star::Star`]
@@ -28,7 +29,10 @@
 //! *pruned pre-scatter* — no thread, no per-page host dispatch, no PIM
 //! activity. With [`Partitioner::RangeByAttr`] placement, selective
 //! filters on the split attribute touch one or two shards instead of
-//! all of them.
+//! all of them. Each table owns its pruning switch
+//! ([`PimTable::set_pruning`]); [`Cluster::set_pruning`] sets it on
+//! every fact shard and auxiliary table, and the pre-scatter test reads
+//! it from them.
 //!
 //! ## Wall-clock model
 //!
@@ -53,7 +57,6 @@ use bbpim_core::groupby::cost_model::GroupByModel;
 use bbpim_core::layout::RecordLayout;
 use bbpim_core::modes::EngineMode;
 use bbpim_core::mutation::{Mutation, MutationReport};
-use bbpim_core::planner::PageSet;
 use bbpim_core::result::{QueryExecution, QueryReport};
 use bbpim_core::PimTable;
 use bbpim_db::plan::{FilterBounds, Pred, Query, ResolvedAtom};
@@ -65,7 +68,7 @@ use bbpim_sim::config::SimConfig;
 use bbpim_sim::XferPolicy;
 
 use crate::error::ClusterError;
-use crate::explain::{HostBytes, JoinTransfer, PlanExplain, ShardPlan};
+use crate::explain::{JoinTransfer, PlanExplain, ShardPlan};
 use crate::fold::{fold_mutation, serial_slice_ns};
 use crate::partition::Partitioner;
 
@@ -84,7 +87,8 @@ pub(crate) struct Shard {
 /// filter bounds the fact table, how one shard executes a query, and
 /// the per-query state its shards share. Auxiliary tables (the star's
 /// dimension modules; none for the pre-joined model) are owned by the
-/// cluster and handed in.
+/// cluster and handed in. Every table plans its pages under its own
+/// pruning switch ([`PimTable::plan_dnf`]).
 pub trait Storage: Sync {
     /// Per-query state compiled once and shared by every shard (the
     /// star's join plan; nothing for the pre-joined model).
@@ -105,20 +109,22 @@ pub trait Storage: Sync {
         broadcast: usize,
     ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError>;
 
-    /// `EXPLAIN`'s estimate of the host-channel bytes the join work of
-    /// `filter` moves, beyond what the fact shards move themselves.
+    /// The dispatch-descriptor bytes the join work of `filter` puts on
+    /// the channel (the dimension filters of each `transfers` entry),
+    /// beyond what the fact shards dispatch themselves; none for a model
+    /// that does not join.
     ///
     /// # Errors
     ///
     /// Attribute resolution failures.
-    fn join_host_bytes(
+    fn join_dispatch_bytes(
         &self,
-        aux: &[PimTable],
-        filter: &Pred,
-        transfers: &[JoinTransfer],
-        policy: XferPolicy,
-        prune: bool,
-    ) -> Result<HostBytes, ClusterError>;
+        _aux: &[PimTable],
+        _filter: &Pred,
+        _transfers: &[JoinTransfer],
+    ) -> Result<u64, ClusterError> {
+        Ok(0)
+    }
 
     /// Take `query`'s shared plan out of the plan cache, compiling it
     /// when there is none or a `fresh` one is asked for.
@@ -130,7 +136,6 @@ pub trait Storage: Sync {
         &mut self,
         fact: &PimTable,
         aux: &mut [PimTable],
-        prune: bool,
         query: &Query,
         fresh: bool,
     ) -> Result<Self::Plan, ClusterError>;
@@ -142,14 +147,12 @@ pub trait Storage: Sync {
     /// # Errors
     ///
     /// Resolution or substrate failures.
-    #[allow(clippy::too_many_arguments)]
     fn exec_shard(
         &self,
         plan: &Self::Plan,
         table: &mut PimTable,
         aux: &[PimTable],
         mode: EngineMode,
-        prune: bool,
         query: &Query,
         lead: bool,
     ) -> Result<QueryExecution, ClusterError>;
@@ -191,22 +194,10 @@ impl Storage for PreJoined {
         Ok((filter.resolve_dnf(fact)?, Vec::new()))
     }
 
-    fn join_host_bytes(
-        &self,
-        _aux: &[PimTable],
-        _filter: &Pred,
-        _transfers: &[JoinTransfer],
-        _policy: XferPolicy,
-        _prune: bool,
-    ) -> Result<HostBytes, ClusterError> {
-        Ok(HostBytes::default())
-    }
-
     fn take_plan(
         &mut self,
         _fact: &PimTable,
         _aux: &mut [PimTable],
-        _prune: bool,
         _query: &Query,
         _fresh: bool,
     ) -> Result<(), ClusterError> {
@@ -219,11 +210,10 @@ impl Storage for PreJoined {
         table: &mut PimTable,
         _aux: &[PimTable],
         mode: EngineMode,
-        prune: bool,
         query: &Query,
         _lead: bool,
     ) -> Result<QueryExecution, ClusterError> {
-        Ok(run_query(table, mode, self.model.as_ref(), prune, query)?)
+        Ok(run_query(table, mode, self.model.as_ref(), query)?)
     }
 
     fn keep_plan(&mut self, _query: &Query, _plan: ()) {}
@@ -251,7 +241,6 @@ pub struct Cluster<S> {
     partitioner: Partitioner,
     mode: EngineMode,
     records: usize,
-    pruning: bool,
     contention: bool,
 }
 
@@ -469,7 +458,6 @@ impl<S: Storage> Cluster<S> {
             partitioner,
             mode,
             records: fact.len(),
-            pruning: true,
             contention: true,
         })
     }
@@ -500,15 +488,17 @@ impl<S: Storage> Cluster<S> {
     }
 
     /// Is zone-map pruning (shard-level pre-scatter skip + page
-    /// planning on every table) enabled? Defaults to `true`.
+    /// planning on every table) enabled? Defaults to `true`; read from
+    /// the first fact shard, which [`Cluster::set_pruning`] keeps in
+    /// step with every other table.
     pub fn pruning(&self) -> bool {
-        self.pruning
+        self.shards.first().is_none_or(|s| s.table.pruning())
     }
 
-    /// Enable or disable zone-map pruning cluster-wide. Answers are
-    /// bit-identical either way.
+    /// Enable or disable zone-map pruning cluster-wide — fact shards and
+    /// auxiliary tables. Answers are bit-identical either way.
     pub fn set_pruning(&mut self, enabled: bool) {
-        self.pruning = enabled;
+        self.tables_mut().for_each(|table| table.set_pruning(enabled));
         self.storage.invalidate();
     }
 
@@ -529,23 +519,21 @@ impl<S: Storage> Cluster<S> {
         self.contention = enabled;
     }
 
-    /// The host-transfer policy the tables run under (compressed mask
-    /// transfers, batched dispatch descriptors, module-side result
-    /// reduction). Defaults to all levers on.
-    pub fn xfer_policy(&self) -> XferPolicy {
-        self.shards.first().map(|s| s.table.module().policy()).unwrap_or_default()
+    /// Set the host-transfer policy (compressed mask transfers, batched
+    /// dispatch descriptors, module-side result reduction; all on by
+    /// default) cluster-wide — fact shards and auxiliary tables — for
+    /// A/B attribution studies (like [`Cluster::set_contention`]).
+    /// Answers are bit-identical under every lever combination — only
+    /// the bytes on the channel (and hence contended wall clock) change.
+    pub fn set_xfer_policy(&mut self, policy: XferPolicy) {
+        self.tables_mut().for_each(|table| table.set_xfer_policy(policy));
+        self.storage.invalidate();
     }
 
-    /// Set the host-transfer policy cluster-wide — fact shards and
-    /// auxiliary tables — for A/B attribution studies (like
-    /// [`Cluster::set_contention`]). Answers are bit-identical under
-    /// every lever combination — only the bytes on the channel (and
-    /// hence contended wall clock) change.
-    pub fn set_xfer_policy(&mut self, policy: XferPolicy) {
-        for table in self.shards.iter_mut().map(|s| &mut s.table).chain(&mut self.aux) {
-            table.set_xfer_policy(policy);
-        }
-        self.storage.invalidate();
+    /// Every table of the cluster: the fact shards, then the auxiliary
+    /// tables.
+    fn tables_mut(&mut self) -> impl Iterator<Item = &mut PimTable> {
+        self.shards.iter_mut().map(|s| &mut s.table).chain(&mut self.aux)
     }
 
     /// Borrow an active shard's table (inspection in tests/benches);
@@ -591,7 +579,7 @@ impl<S: Storage> Cluster<S> {
     ///
     /// Propagates filter resolution failures.
     pub fn plan_shards(&self, filter: &Pred) -> Result<Vec<bool>, ClusterError> {
-        if !self.pruning || filter.is_always() {
+        if !self.pruning() || filter.is_always() {
             return Ok(vec![true; self.shards.len()]);
         }
         let bounds = FilterBounds::from_dnf(&self.bounds(filter)?.0);
@@ -602,18 +590,19 @@ impl<S: Storage> Cluster<S> {
     /// resolved filter (pretty-printed tree + per-attribute pruning
     /// intervals), which shards the zone maps admit, how many pages
     /// each admitted shard's page-level planner would activate, the
-    /// join-transfer ledger and the estimated host-channel bytes (the
-    /// `EXPLAIN` dump).
+    /// join-transfer ledger and the dispatch bytes those plans put on
+    /// the channel (the `EXPLAIN` dump). The bytes a run actually moves
+    /// are in its phase log.
     ///
     /// # Errors
     ///
-    /// Propagates filter resolution failures.
+    /// Propagates filter resolution failures and an invalid SELECT list.
     pub fn explain(&self, query: &Query) -> Result<PlanExplain, ClusterError> {
         // the filter is evaluated once: its bounds admit the shards
         // (as in `plan_shards`), render below and plan every shard's pages
         let (dnf, join_transfers) = self.bounds(&query.filter)?;
         let bounds = FilterBounds::from_dnf(&dnf);
-        let admit_all = !self.pruning || query.filter.is_always();
+        let admit_all = !self.pruning() || query.filter.is_always();
         // Per-attribute interval union of the filter bounds, rendered
         // with attribute names (what the zone maps are tested against).
         let filter_bounds = match self.shards.first() {
@@ -627,22 +616,17 @@ impl<S: Storage> Cluster<S> {
                     .collect()
             }
         };
-        let mut host_bytes = self.storage.join_host_bytes(
-            &self.aux,
-            &query.filter,
-            &join_transfers,
-            self.xfer_policy(),
-            self.pruning,
-        )?;
-        let aggs = query.physical_plan()?.aggs.len() as u64;
+        let mut dispatch_bytes =
+            self.storage.join_dispatch_bytes(&self.aux, &query.filter, &join_transfers)?;
+        query.physical_plan()?;
         let mut shards = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
             let dispatched = admit_all || bounds.can_match(&shard.zone);
             let mut candidate_pages = 0;
             if dispatched {
-                let plan = shard.table.plan_dnf(&dnf, self.pruning);
+                let plan = shard.table.plan_dnf(&dnf);
                 candidate_pages = plan.len();
-                host_bytes.absorb(&shard_host_bytes(&shard.table, &dnf, aggs, &plan));
+                dispatch_bytes += shard.table.dispatch_bytes(&plan);
             }
             shards.push(ShardPlan {
                 shard_index: shard.index,
@@ -658,7 +642,7 @@ impl<S: Storage> Cluster<S> {
             filter_bounds,
             shards,
             join_transfers,
-            host_bytes,
+            dispatch_bytes,
         })
     }
 
@@ -688,19 +672,12 @@ impl<S: Storage> Cluster<S> {
         if i >= active {
             return Err(ClusterError::InvalidCluster(format!("no active shard {i}/{active}")));
         }
-        let plan = self.storage.take_plan(
-            &self.shards[0].table,
-            &mut self.aux,
-            self.pruning,
-            query,
-            false,
-        )?;
+        let plan = self.storage.take_plan(&self.shards[0].table, &mut self.aux, query, false)?;
         let exec = self.storage.exec_shard(
             &plan,
             &mut self.shards[i].table,
             &self.aux,
             self.mode,
-            self.pruning,
             query,
             true,
         )?;
@@ -726,14 +703,13 @@ impl<S: Storage> Cluster<S> {
                 true => Some(self.storage.take_plan(
                     &self.shards[0].table,
                     &mut self.aux,
-                    self.pruning,
                     query,
                     true,
                 )?),
             });
         }
         let (storage, aux, plans_ref) = (&self.storage, &self.aux[..], &plans);
-        let (mode, prune) = (self.mode, self.pruning);
+        let mode = self.mode;
         let per_shard = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
@@ -751,7 +727,7 @@ impl<S: Storage> Cluster<S> {
                                     let lead = !masks[qi][..s].contains(&true);
                                     let (table, query) = (&mut shard.table, &queries[qi]);
                                     storage
-                                        .exec_shard(plan, table, aux, mode, prune, query, lead)
+                                        .exec_shard(plan, table, aux, mode, query, lead)
                                         .map(|exec| (qi, exec))
                                 })
                                 .collect::<Result<Vec<_>, ClusterError>>()
@@ -944,13 +920,13 @@ impl<S: Storage> Cluster<S> {
         for (lane, part) in parts {
             let report = match lane.checked_sub(active) {
                 Some(d) => {
-                    let report = self.aux[d].mutate(&part, self.pruning)?;
+                    let report = self.aux[d].mutate(&part)?;
                     self.storage.aux_mutated(d, &part)?;
                     report
                 }
                 None => {
                     let shard = &mut self.shards[lane];
-                    let report = shard.table.mutate(&part, self.pruning)?;
+                    let report = shard.table.mutate(&part)?;
                     shard.zone = shard.table.zone_map();
                     self.records += report.records_inserted as usize;
                     report
@@ -979,49 +955,7 @@ impl<S: Storage> Cluster<S> {
     }
 }
 
-/// Planner estimate of one dispatched shard's host-channel bytes under
-/// its module's transfer policy, given the resolved filter `dnf`, the
-/// physical aggregate count and the shard's page plan (see
-/// [`HostBytes`] for the category semantics and the estimate's
-/// assumptions).
-fn shard_host_bytes(
-    table: &PimTable,
-    dnf: &[Vec<ResolvedAtom>],
-    aggs: u64,
-    plan: &PageSet,
-) -> HostBytes {
-    let mut out = HostBytes::default();
-    if plan.is_empty() {
-        return out;
-    }
-    let cfg = table.config();
-    let host = &cfg.host;
-    let policy = table.module().policy();
-    let partitions = table.layout().partitions();
-    out.dispatch_bytes = plan.dispatch_bytes(host, policy, partitions);
-    if partitions > 1 {
-        // one transfer pair per disjunct that touches a dimension
-        // partition (the two-xb inter-partition traffic)
-        let attrs = table.schema().attrs();
-        let in_dim_partition = |a: &ResolvedAtom| {
-            table.layout().placement(&attrs[a.attr_index()].name).is_ok_and(|p| p.partition != 0)
-        };
-        let dim_disjuncts =
-            dnf.iter().filter(|conj| conj.iter().any(in_dim_partition)).count() as u64;
-        let raw_bytes = plan.len() as u64 * cfg.crossbar_rows as u64 * host.line_bytes as u64;
-        let records_per_page = (table.records() as u64).div_ceil(table.page_count().max(1) as u64);
-        let packed = bbpim_sim::maskwire::WIRE_HEADER_BYTES
-            + (plan.len() as u64 * records_per_page).div_ceil(8);
-        let per_transfer = if policy.compress_masks { packed.min(raw_bytes) } else { raw_bytes };
-        out.mask_wire_bytes = dim_disjuncts * 2 * per_transfer;
-    }
-    let chunk_lines = 64u64.div_ceil(cfg.read_width_bits as u64);
-    let per_agg = chunk_lines * host.line_bytes as u64;
-    out.result_bytes = aggs * per_agg * if policy.module_reduce { 1 } else { plan.len() as u64 };
-    out
-}
-
-impl<S> std::fmt::Debug for Cluster<S> {
+impl<S: Storage> std::fmt::Debug for Cluster<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
             .field("shards", &self.shard_count)
@@ -1030,7 +964,7 @@ impl<S> std::fmt::Debug for Cluster<S> {
             .field("partitioner", &self.partitioner.label())
             .field("mode", &self.mode)
             .field("records", &self.records)
-            .field("pruning", &self.pruning)
+            .field("pruning", &self.pruning())
             .finish()
     }
 }

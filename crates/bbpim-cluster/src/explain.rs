@@ -6,6 +6,11 @@
 //! This is the planner side of the reports the journal extension
 //! motivates: for selective queries the interesting number is not the
 //! PIM time but how many pages the host never has to orchestrate.
+//!
+//! The plan reports only what it fixes: shards, pages, bounds, the
+//! join ledger and the dispatch descriptors those page sets put on the
+//! channel. Every other byte a query moves depends on what the run
+//! selects; the run's phase log records it exactly.
 
 /// One shard's slice of a query plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,40 +53,6 @@ pub struct JoinTransfer {
     pub broadcast_shards: usize,
 }
 
-/// Planner estimate of the host-channel bytes one query moves, by
-/// category — the byte diet's itemised bill. Dispatch bytes are exact
-/// (descriptor header plus run list, per partition, per dispatched
-/// shard; zero under legacy per-page doorbells, which carry no
-/// descriptor payload). Mask bytes are the wire-format ceiling of each
-/// inter-partition mask transfer (header + bit-packed payload, both
-/// channel directions; the RLE encoding can only shrink it further).
-/// Result bytes assume one 64-bit accumulator per physical aggregate,
-/// read back in read-width chunks — per shard under module-side
-/// reduction, per candidate page without it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HostBytes {
-    /// Batched dispatch descriptor payloads.
-    pub dispatch_bytes: u64,
-    /// Filter / semijoin mask transfers (read + write/broadcast).
-    pub mask_wire_bytes: u64,
-    /// Aggregate result partials read back by the host.
-    pub result_bytes: u64,
-}
-
-impl HostBytes {
-    /// Sum over the three categories.
-    pub fn total(&self) -> u64 {
-        self.dispatch_bytes + self.mask_wire_bytes + self.result_bytes
-    }
-
-    /// Accumulate another shard's contribution.
-    pub fn absorb(&mut self, other: &HostBytes) {
-        self.dispatch_bytes += other.dispatch_bytes;
-        self.mask_wire_bytes += other.mask_wire_bytes;
-        self.result_bytes += other.result_bytes;
-    }
-}
-
 /// The full pre-execution plan of one query on a cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanExplain {
@@ -99,9 +70,11 @@ pub struct PlanExplain {
     /// Dimension-bitmap transfers of a star join (empty on the
     /// pre-joined storage model, which never joins).
     pub join_transfers: Vec<JoinTransfer>,
-    /// Estimated host-channel bytes, by category, under the engine's
-    /// transfer policy at plan time.
-    pub host_bytes: HostBytes,
+    /// Dispatch-descriptor bytes of the planned page sets under each
+    /// table's transfer policy: the dispatched fact shards plus, on the
+    /// star model, the join's dimension filters — what a run charges to
+    /// its dispatch phases.
+    pub dispatch_bytes: u64,
 }
 
 impl PlanExplain {
@@ -132,7 +105,7 @@ impl PlanExplain {
         )
     }
 
-    /// Multi-line dump: the resolved filter, the host-byte ledger, its
+    /// Multi-line dump: the resolved filter, the dispatch bytes, its
     /// per-attribute pruning intervals, the join transfers and the
     /// shard/page candidate-vs-pruned counts.
     pub fn detail(&self) -> String {
@@ -140,14 +113,7 @@ impl PlanExplain {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.summary());
         let _ = writeln!(out, "  filter: {}", self.filter);
-        let _ = writeln!(
-            out,
-            "  host bytes: {} dispatch + {} mask + {} result = {} B",
-            self.host_bytes.dispatch_bytes,
-            self.host_bytes.mask_wire_bytes,
-            self.host_bytes.result_bytes,
-            self.host_bytes.total(),
-        );
+        let _ = writeln!(out, "  dispatch: {} B", self.dispatch_bytes);
         for (attr, intervals) in &self.filter_bounds {
             let _ = writeln!(out, "  bounds: {attr} ∈ {}", render_intervals(intervals));
         }
@@ -244,7 +210,7 @@ mod tests {
                 wire_bytes: 12,
                 broadcast_shards: 2,
             }],
-            host_bytes: HostBytes { dispatch_bytes: 48, mask_wire_bytes: 24, result_bytes: 256 },
+            dispatch_bytes: 48,
         }
     }
 
@@ -265,15 +231,7 @@ mod tests {
         assert!(d.contains("(pruned pre-scatter)"));
         assert!(d.contains("shard  0"));
         assert!(d.contains("semijoin: date (disjunct 0): 365/2556 keys, 320 B raw → 12 B wire"));
-        assert!(d.contains("host bytes: 48 dispatch + 24 mask + 256 result = 328 B"));
-    }
-
-    #[test]
-    fn host_byte_ledger_totals_and_absorbs() {
-        let mut a = HostBytes { dispatch_bytes: 10, mask_wire_bytes: 20, result_bytes: 30 };
-        assert_eq!(a.total(), 60);
-        a.absorb(&HostBytes { dispatch_bytes: 1, mask_wire_bytes: 2, result_bytes: 3 });
-        assert_eq!(a, HostBytes { dispatch_bytes: 11, mask_wire_bytes: 22, result_bytes: 33 });
+        assert!(d.contains("dispatch: 48 B"));
     }
 
     #[test]

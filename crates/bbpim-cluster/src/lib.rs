@@ -22,7 +22,9 @@
 //!   an answer bit-identical to the single-module engine's. Simulated
 //!   wall clock serialises the host's channel occupancy across shards
 //!   and overlaps the PIM phases (real modules run concurrently);
-//!   energy sums over modules.
+//!   energy sums over modules. Each table owns its zone-map pruning
+//!   switch ([`bbpim_core::PimTable::set_pruning`]);
+//!   [`engine::Cluster::set_pruning`] sets it on every table.
 //! * Two storage models instantiate it: [`ClusterEngine`] shards the
 //!   paper's wide pre-joined relation; [`StarCluster`] ([`star`]) keeps
 //!   the SSB star *normalized* — sharded fact table, four dimension
@@ -43,10 +45,10 @@
 //!   [`engine::Cluster::run_on_shard`] executes one query on one
 //!   shard, [`engine::Cluster::merge_executions`] folds partials into a
 //!   cluster answer, and [`engine::Cluster::explain`] dumps the
-//!   zone-map plan (shards/pages candidate vs pruned) without executing
-//!   — so the streaming scheduler in `bbpim-sched` can interleave
-//!   different queries' shard slices instead of scattering whole
-//!   queries.
+//!   zone-map plan (shards/pages candidate vs pruned, dispatch bytes,
+//!   the join ledger) without executing — so the streaming scheduler
+//!   in `bbpim-sched` can interleave different queries' shard slices
+//!   instead of scattering whole queries.
 //!
 //! ```
 //! use bbpim_cluster::{ClusterEngine, Partitioner};
@@ -76,6 +78,6 @@ pub use engine::{
     BatchExecution, Cluster, ClusterEngine, ClusterExecution, ClusterReport, PreJoined, Storage,
 };
 pub use error::ClusterError;
-pub use explain::{HostBytes, JoinTransfer, PlanExplain, ShardPlan};
+pub use explain::{JoinTransfer, PlanExplain, ShardPlan};
 pub use partition::Partitioner;
 pub use star::{Star, StarCluster};

@@ -79,11 +79,11 @@ use bbpim_db::{DbError, Relation};
 use bbpim_sim::compiler::ColRange;
 use bbpim_sim::maskwire::PackedBits;
 use bbpim_sim::timeline::{Phase, RunLog};
-use bbpim_sim::{SimConfig, XferPolicy};
+use bbpim_sim::SimConfig;
 
 pub use crate::bitmap::KeyBitmap;
 use crate::engine::{Cluster, Storage};
-use crate::explain::{HostBytes, JoinTransfer};
+use crate::explain::JoinTransfer;
 use crate::{ClusterError, Partitioner};
 
 /// The normalized star storage model: which attributes stay
@@ -173,11 +173,10 @@ fn host_dim_bitmap(rel: &Relation, d: usize, atoms: &[Atom]) -> Result<KeyBitmap
 fn filter_conjunction(
     dim: &mut PimTable,
     atoms: &[Atom],
-    prune: bool,
     log: &mut RunLog,
 ) -> Result<PackedBits, ClusterError> {
     let conj = [resolve_all(atoms, dim.schema())?];
-    let mut scan = dim.begin(dim.plan_dnf(&conj, prune), None);
+    let mut scan = dim.begin(dim.plan_dnf(&conj), None);
     scan.filter(&conj)?;
     log.extend(&scan.take_log());
     Ok(scan.mask(0, MASK_COL))
@@ -239,20 +238,19 @@ fn route_filter(
 fn build_join_plan(
     fact: &PimTable,
     dims: &mut [PimTable],
-    prune: bool,
     query: &Query,
 ) -> Result<JoinPlan, ClusterError> {
     let mut prelude = RunLog::new();
     let routed = route_filter(&query.filter, |_, d, atoms| {
         let dim = &mut dims[d];
-        let bits = filter_conjunction(dim, atoms, prune, &mut prelude)?;
+        let bits = filter_conjunction(dim, atoms, &mut prelude)?;
         let bitmap = KeyBitmap::new(DIMENSIONS[d].key_base, bits);
         // the bitmap crosses the channel twice: one read off the
         // dimension module, one broadcast write shared by every fact
         // shard (a single grant) — at the compressed wire size, or
         // bit-packed raw when the compression lever is off (A/B
         // attribution)
-        let line_bytes = dim.config().host.line_bytes as u64;
+        let line_bytes = dim.config().line_bytes() as u64;
         let lines = if dim.module().policy().compress_masks {
             bitmap.wire_lines(line_bytes)
         } else {
@@ -311,51 +309,38 @@ impl Storage for Star {
         Ok((dnf, transfers))
     }
 
-    fn join_host_bytes(
+    /// Every (disjunct, dimension) the ledger names is dispatched once
+    /// on the dimension's module as part of the join prelude, and those
+    /// descriptor bytes ride the channel like any fact dispatch.
+    fn join_dispatch_bytes(
         &self,
         dims: &[PimTable],
         filter: &Pred,
         transfers: &[JoinTransfer],
-        policy: XferPolicy,
-        prune: bool,
-    ) -> Result<HostBytes, ClusterError> {
-        let mut host_bytes = HostBytes::default();
+    ) -> Result<u64, ClusterError> {
         let dnf = filter.dnf();
+        let mut bytes = 0;
         for t in transfers {
-            // semijoin bitmaps: one read + one broadcast each, at the
-            // wire size (or bit-packed raw with the compression lever off)
-            host_bytes.mask_wire_bytes +=
-                2 * if policy.compress_masks { t.wire_bytes } else { t.raw_bytes };
-            // dimension-filter dispatch: every (disjunct, dimension) the
-            // ledger names is dispatched once on the dimension's module as
-            // part of the join prelude, and those descriptor bytes ride the
-            // channel like any fact dispatch
             let d = DIMENSIONS
                 .iter()
                 .position(|meta| meta.name == t.dimension)
                 .expect("the ledger names star dimensions");
             let (dim, atoms) = (&dims[d], &route_conjunct(&dnf[t.disjunct]).1[d]);
-            let pages = dim.plan_dnf(&[resolve_all(atoms, dim.schema())?], prune);
-            host_bytes.dispatch_bytes += pages.dispatch_bytes(
-                &dim.config().host,
-                dim.module().policy(),
-                dim.layout().partitions(),
-            );
+            bytes += dim.dispatch_bytes(&dim.plan_dnf(&[resolve_all(atoms, dim.schema())?]));
         }
-        Ok(host_bytes)
+        Ok(bytes)
     }
 
     fn take_plan(
         &mut self,
         fact: &PimTable,
         dims: &mut [PimTable],
-        prune: bool,
         query: &Query,
         fresh: bool,
     ) -> Result<JoinPlan, ClusterError> {
         match self.join_cache.remove(&plan_key(query)) {
             Some(plan) if !fresh => Ok(plan),
-            _ => build_join_plan(fact, dims, prune, query),
+            _ => build_join_plan(fact, dims, query),
         }
     }
 
@@ -365,7 +350,6 @@ impl Storage for Star {
         table: &mut PimTable,
         dims: &[PimTable],
         mode: EngineMode,
-        prune: bool,
         query: &Query,
         lead: bool,
     ) -> Result<QueryExecution, ClusterError> {
@@ -381,7 +365,7 @@ impl Storage for Star {
                 }
             }
         }
-        let pages = table.plan_dnf(&plan.bounds_dnf, prune);
+        let pages = table.plan_dnf(&plan.bounds_dnf);
         let prelude = (lead && !plan.prelude_charged).then_some(&plan.prelude);
         let mut scan = table.begin(pages, prelude);
         let selected = scan.filter_joined(&plan.disjuncts)?;
@@ -811,7 +795,7 @@ mod tests {
         let t = &mut c.aux[DATE];
         let atom = Atom::Eq { attr: "d_year".into(), value: 1993u64.into() };
         let mut log = RunLog::new();
-        let mask = filter_conjunction(t, std::slice::from_ref(&atom), true, &mut log).unwrap();
+        let mask = filter_conjunction(t, std::slice::from_ref(&atom), &mut log).unwrap();
         let catalog = &c.storage.dims[DATE];
         let year = catalog.schema().index_of("d_year").unwrap();
         for (row, got) in mask.iter().enumerate() {

@@ -1,14 +1,13 @@
 //! The end-to-end PIM query engine.
 //!
 //! [`PimQueryEngine`] is a [`PimTable`] holding the pre-joined relation
-//! plus what the paper's engine adds on top: the mode, the fitted
-//! GROUP-BY model and the pruning switch; it drops the relation it
-//! loads (the image is the table). [`run_query`] executes one
-//! logical query exactly as Section IV describes, as one sequence of
-//! calls on one [`crate::scan::Scan`]: begin → bulk-bitwise filter →
-//! (for GROUP BY) one-page sampling and the Eq. (3) decision → pim-gb /
-//! host-gb → finish. Queries without GROUP BY (SSB Q1.x) aggregate the
-//! whole selection in PIM directly.
+//! plus what the paper's engine adds on top: the mode and the fitted
+//! GROUP-BY model; it drops the relation it loads (the image is the
+//! table). [`run_query`] executes one logical query exactly as Section
+//! IV describes, as one sequence of calls on one [`crate::scan::Scan`]:
+//! begin → bulk-bitwise filter → (for GROUP BY) one-page sampling and
+//! the Eq. (3) decision → pim-gb / host-gb → finish. Queries without
+//! GROUP BY (SSB Q1.x) aggregate the whole selection in PIM directly.
 
 use bbpim_db::plan::Query;
 use bbpim_db::Relation;
@@ -30,7 +29,6 @@ pub struct PimQueryEngine {
     table: PimTable,
     mode: EngineMode,
     model: Option<GroupByModel>,
-    pruning: bool,
 }
 
 impl PimQueryEngine {
@@ -68,7 +66,7 @@ impl PimQueryEngine {
             )));
         }
         let table = PimTable::new(cfg, &relation, layout)?;
-        Ok(PimQueryEngine { table, mode, model: None, pruning: true })
+        Ok(PimQueryEngine { table, mode, model: None })
     }
 
     /// The engine mode.
@@ -88,16 +86,15 @@ impl PimQueryEngine {
     }
 
     /// Is zone-map page pruning enabled (default) or is every query
-    /// dispatched exhaustively to all pages?
+    /// dispatched exhaustively to all pages? ([`PimTable::pruning`])
     pub fn pruning(&self) -> bool {
-        self.pruning
+        self.table.pruning()
     }
 
-    /// Enable or disable zone-map page pruning. Answers are bit-identical
-    /// either way; only which pages are activated (and therefore time,
-    /// energy and endurance) changes.
+    /// Enable or disable zone-map page pruning on the table
+    /// ([`PimTable::set_pruning`]).
     pub fn set_pruning(&mut self, enabled: bool) {
-        self.pruning = enabled;
+        self.table.set_pruning(enabled);
     }
 
     /// Set the host-channel transfer policy. Answers are bit-identical
@@ -114,7 +111,7 @@ impl PimQueryEngine {
     /// Propagates filter resolution failures.
     pub fn plan(&self, query: &Query) -> Result<PageSet, CoreError> {
         let dnf = query.resolve_filter(self.table.schema())?;
-        Ok(self.table.plan_dnf(&dnf, self.pruning))
+        Ok(self.table.plan_dnf(&dnf))
     }
 
     /// The fitted GROUP-BY model, if calibrated.
@@ -146,17 +143,16 @@ impl PimQueryEngine {
     /// [`CoreError::NotCalibrated`] for GROUP BY queries before
     /// [`PimQueryEngine::calibrate`]; substrate failures otherwise.
     pub fn run(&mut self, query: &Query) -> Result<QueryExecution, CoreError> {
-        run_query(&mut self.table, self.mode, self.model.as_ref(), self.pruning, query)
+        run_query(&mut self.table, self.mode, self.model.as_ref(), query)
     }
 
-    /// Execute a mutation ([`PimTable::mutate`] under this engine's
-    /// pruning setting).
+    /// Execute a mutation ([`PimTable::mutate`]).
     ///
     /// # Errors
     ///
     /// Propagates substrate failures.
     pub fn mutate(&mut self, mutation: &Mutation) -> Result<MutationReport, CoreError> {
-        self.table.mutate(mutation, self.pruning)
+        self.table.mutate(mutation)
     }
 }
 
@@ -165,9 +161,9 @@ impl PimQueryEngine {
 /// The physical plan comes first: the filter's bound intervals
 /// (interval union across OR branches) are tested against the per-page
 /// zone maps and only candidate pages are dispatched (every page with
-/// `prune` off) — pruned pages draw no crossbar ops, no host read lines
-/// and no per-page orchestration time, while the answer stays
-/// bit-identical to exhaustive execution.
+/// the table's pruning off) — pruned pages draw no crossbar ops, no
+/// host read lines and no per-page orchestration time, while the answer
+/// stays bit-identical to exhaustive execution.
 ///
 /// The filter mask is computed **once** and shared by every aggregate
 /// of the SELECT list; extra aggregates are charged their own value
@@ -182,12 +178,11 @@ pub fn run_query(
     table: &mut PimTable,
     mode: EngineMode,
     model: Option<&GroupByModel>,
-    prune: bool,
     query: &Query,
 ) -> Result<QueryExecution, CoreError> {
     let plan = query.physical_plan().map_err(CoreError::Db)?;
     let dnf = query.resolve_filter(table.schema())?;
-    let mut scan = table.begin(table.plan_dnf(&dnf, prune), None);
+    let mut scan = table.begin(table.plan_dnf(&dnf), None);
     let selected = scan.filter(&dnf)?;
     let grouped = match query.has_group_by() {
         true => {

@@ -194,7 +194,7 @@ impl Scan<'_> {
             let planned = self.pages.indices().iter();
             let len: usize = planned.clone().map(|&pg| loaded.page_records(pg).len()).sum();
             let payload = planned.flat_map(|&pg| page_words(&bits, loaded, pg)).copied();
-            maskwire::packed_wire_lines(payload, len as u64, cfg.host.line_bytes as u64)
+            maskwire::packed_wire_lines(payload, len as u64, cfg.line_bytes() as u64)
         } else {
             raw_lines
         };
@@ -463,7 +463,7 @@ mod tests {
             .copied()
             .collect();
         let cfg = scan.table.module.config();
-        let wire = maskwire::wire_lines(&payload, cfg.host.line_bytes as u64);
+        let wire = maskwire::wire_lines(&payload, cfg.line_bytes() as u64);
         let raw = (plan.len() * cfg.crossbar_rows) as u64;
         assert!(wire < raw);
         let expected = scan.table.module.mask_phases(raw, wire, MaskPath::ThroughHost);
@@ -491,6 +491,6 @@ mod tests {
         scan.take_log();
         scan.move_mask(0, MASK_COL, None).unwrap();
         let lines = (pages * cfg.crossbar_rows) as u64;
-        assert_eq!(scan.log.host_bytes(), lines * cfg.host.line_bytes as u64);
+        assert_eq!(scan.log.host_bytes(), lines * cfg.line_bytes() as u64);
     }
 }

@@ -76,7 +76,7 @@ impl PimTable {
         loaded: LoadedRelation,
     ) -> Self {
         let domains = Mutex::new(DomainIndex::new(&schema, |name| !layout.is_excluded(name)));
-        PimTable { module, schema, layout, loaded, domains }
+        PimTable { module, schema, layout, loaded, domains, pruning: true }
     }
 }
 
@@ -329,12 +329,12 @@ pub fn append_rows(
 
     // Host-channel accounting: one dispatch over the touched pages plus
     // the row payload itself, written per partition as memory lines.
-    let host = &module.config().host;
+    let cfg = module.config();
     log.push(Phase::host_dispatch(
-        touched.len() as f64 * layout.partitions() as f64 * host.dispatch_ns_per_page,
+        touched.len() as f64 * layout.partitions() as f64 * cfg.host.dispatch_ns_per_page,
     ));
-    let row_bytes = module.config().crossbar_cols.div_ceil(8) as u64;
-    let lines = (rows.len() as u64 * row_bytes).div_ceil(host.line_bytes as u64).max(1);
+    let row_bytes = cfg.crossbar_cols.div_ceil(8) as u64;
+    let lines = (rows.len() as u64 * row_bytes).div_ceil(cfg.line_bytes() as u64).max(1);
     for _ in 0..layout.partitions() {
         log.push(module.host_write_phase(lines));
     }
@@ -683,7 +683,7 @@ mod tests {
             let PimTable { module, schema, layout, loaded, .. } = &mut t;
             let err = append_rows(module, layout, loaded, schema, &rows).unwrap_err();
             assert!(matches!(err, CoreError::Db(_)), "{err}");
-            let err = t.mutate(&Mutation::Insert { rows }, true).unwrap_err();
+            let err = t.mutate(&Mutation::Insert { rows }).unwrap_err();
             assert!(matches!(err, CoreError::Db(_)), "{err}");
             assert_eq!(t.records(), 250);
             assert_eq!(t.page_count(), 1);

@@ -305,8 +305,8 @@ fn resolve_const(schema: &Schema, attr: &str, value: &Const) -> Result<(usize, u
 }
 
 /// Execute a mutation against one table, as the module docs describe:
-/// an UPDATE is planned like a query filter (`prune = false` for
-/// exhaustive execution) and rewrites each SET column under the one
+/// an UPDATE is planned like a query filter (every page when the
+/// table's pruning is off) and rewrites each SET column under the one
 /// shared select mask, which travels to a target's partition at most
 /// once; an INSERT is [`append_rows`].
 ///
@@ -322,11 +322,10 @@ fn resolve_const(schema: &Schema, attr: &str, value: &Const) -> Result<(usize, u
 pub fn run_mutation(
     table: &mut PimTable,
     mutation: &Mutation,
-    prune: bool,
 ) -> Result<MutationReport, CoreError> {
     let (updated, inserted, touched, log) = match mutation {
         Mutation::Insert { rows } => {
-            let PimTable { module, schema, layout, loaded, domains } = &mut *table;
+            let PimTable { module, schema, layout, loaded, domains, .. } = &mut *table;
             // like a scan, report the wear of this mutation alone
             module.reset_endurance(&loaded.all_pages());
             let (log, touched) = append_rows(module, layout, loaded, schema, rows)?;
@@ -335,7 +334,7 @@ pub fn run_mutation(
             (0, rows.len() as u64, touched, log)
         }
         Mutation::Update { filter, set } => {
-            let (updated, touched, log) = run_update(table, filter, set, prune)?;
+            let (updated, touched, log) = run_update(table, filter, set)?;
             (updated, 0, touched, log)
         }
     };
@@ -361,7 +360,6 @@ fn run_update(
     table: &mut PimTable,
     filter: &Pred,
     set: &[(String, Const)],
-    prune: bool,
 ) -> Result<(u64, Vec<usize>, RunLog), CoreError> {
     // Resolve every SET target up front: placement, then attribute
     // index and immediate.
@@ -375,7 +373,7 @@ fn run_update(
     // Filter (the query path, zone maps included): the resolved DNF may
     // have several disjuncts; planning unions their bounds.
     let dnf = filter.resolve_dnf(&table.schema)?;
-    let mut scan = table.begin(table.plan_dnf(&dnf, prune), None);
+    let mut scan = table.begin(table.plan_dnf(&dnf), None);
     let updated = scan.filter(&dnf)?;
 
     if !scan.pages.is_empty() {
@@ -476,7 +474,7 @@ mod tests {
                 .build(t.schema())
                 .unwrap();
             let before: Vec<u64> = (0..rel.len()).map(|r| rel.value(r, 1)).collect();
-            let rep = t.mutate(&m, true).unwrap();
+            let rep = t.mutate(&m).unwrap();
             let expected_hits = before.iter().filter(|v| hits.contains(v)).count() as u64;
             assert_eq!(rep.records_updated, expected_hits);
             assert_eq!(m.apply_to(&mut rel).unwrap(), expected_hits);
@@ -499,7 +497,7 @@ mod tests {
             .build(t.schema())
             .unwrap();
         let hit: Vec<bool> = (0..rel.len()).map(|r| rel.value(r, 0) < 10).collect();
-        let rep = t.mutate(&m, true).unwrap();
+        let rep = t.mutate(&m).unwrap();
         assert_eq!(rep.records_updated, hit.iter().filter(|h| **h).count() as u64);
         for (record, was_hit) in hit.iter().enumerate() {
             if *was_hit {
@@ -527,7 +525,7 @@ mod tests {
             .row(vec![201u64, 62u64])
             .build(t.schema())
             .unwrap();
-        let rep = t.mutate(&m, true).unwrap();
+        let rep = t.mutate(&m).unwrap();
         assert_eq!(rep.records_inserted, 2);
         assert_eq!(t.records(), before + 2);
         assert_eq!(t.read_attr(before, "d_city").unwrap(), 63);
@@ -550,7 +548,7 @@ mod tests {
             b = b.row(vec![i % 256, i % 40]);
         }
         let m = b.build(t.schema()).unwrap();
-        t.mutate(&m, true).unwrap();
+        t.mutate(&m).unwrap();
         assert_eq!(t.loaded().page_count(), pages_before + 1);
         assert_eq!(t.records(), rel.len() + free + 3);
         // new rows are readable from the fresh page
@@ -589,13 +587,13 @@ mod tests {
                 }
                 assert_eq!(t.loaded().page_zones.len(), pages);
                 let count = Query::select([SelectItem::count("n")]).build_unchecked();
-                let out = crate::engine::run_query(t, mode, None, true, &count).unwrap();
+                let out = crate::engine::run_query(t, mode, None, &count).unwrap();
                 assert_eq!(out.groups[&vec![]], vec![records as u64], "{mode:?}: COUNT answers");
                 assert_domains(t, rel, &probes, &format!("{mode:?}, {records} records"));
             };
             consistent(&mut t, &rel, 1);
             // a batch that only partly fits is refused whole
-            let err = t.mutate(&insert(2 * rpp + 1), true).unwrap_err();
+            let err = t.mutate(&insert(2 * rpp + 1)).unwrap_err();
             assert!(matches!(err, CoreError::Sim(SimError::OutOfCapacity { .. })), "{err}");
             consistent(&mut t, &rel, 1);
             // one row at a time until the module is full: two more pages
@@ -603,7 +601,7 @@ mod tests {
             let mut inserted = 0;
             let err = loop {
                 let one = insert(1);
-                match t.mutate(&one, true) {
+                match t.mutate(&one) {
                     Ok(_) => inserted += one.apply_to(&mut rel).unwrap(),
                     Err(err) => break err,
                 }
@@ -613,7 +611,7 @@ mod tests {
             assert_eq!(inserted as usize, fits * rpp, "{mode:?}");
             consistent(&mut t, &rel, 1 + fits);
             // and the refusal repeats, the table still whole
-            assert!(t.mutate(&insert(1), true).is_err());
+            assert!(t.mutate(&insert(1)).is_err());
             consistent(&mut t, &rel, 1 + fits);
         }
     }
@@ -647,7 +645,7 @@ mod tests {
             ];
             for m in updates {
                 let m = m.build(&schema).unwrap();
-                assert!(t.mutate(&m, true).unwrap().records_updated > 0, "{}", m.label());
+                assert!(t.mutate(&m).unwrap().records_updated > 0, "{}", m.label());
                 m.apply_to(&mut rel).unwrap();
                 assert_domains(&mut t, &rel, &probes, &format!("{mode:?}, {}", m.label()));
             }
@@ -661,13 +659,13 @@ mod tests {
         let (mut t, _) = table(EngineMode::OneXb);
         // no existing row has d_city == 63
         let m = Mutation::insert().row(vec![9u64, 63u64]).build(t.schema()).unwrap();
-        t.mutate(&m, true).unwrap();
+        t.mutate(&m).unwrap();
         let upd = Mutation::update()
             .filter(col("d_city").eq(63u64))
             .set("lo_v", 77u64)
             .build(t.schema())
             .unwrap();
-        let rep = t.mutate(&upd, true).unwrap();
+        let rep = t.mutate(&upd).unwrap();
         assert_eq!(rep.records_updated, 1);
         assert_eq!(t.read_attr(t.records() - 1, "lo_v").unwrap(), 77);
     }
@@ -697,7 +695,7 @@ mod tests {
             .set("d_city", 1u64)
             .build(t.schema())
             .unwrap();
-        let report = t.mutate(&m, true).unwrap();
+        let report = t.mutate(&m).unwrap();
         assert!(report.phases.time_in(PhaseKind::HostWrite) > 0.0);
         for record in 0..t.records() {
             let v = t.read_attr(record, "lo_v").unwrap();
@@ -713,7 +711,7 @@ mod tests {
         let zero_city = |filter| {
             let (mut t, _) = table(EngineMode::OneXb);
             let m = Mutation::update().filter(filter).set("d_city", 0u64);
-            t.mutate(&m.build(t.schema()).unwrap(), true).unwrap()
+            t.mutate(&m.build(t.schema()).unwrap()).unwrap()
         };
         let t1 = zero_city(col("lo_v").eq(3u64));
         let t2 = zero_city(col("lo_v").lt(250u64));
@@ -748,7 +746,7 @@ mod tests {
                 .unwrap();
             let insert = Mutation::insert().row([7u64, 7u64]).build(t.schema()).unwrap();
             for m in [&update, &insert] {
-                let reports: Vec<_> = (0..3).map(|_| t.mutate(m, true).unwrap()).collect();
+                let reports: Vec<_> = (0..3).map(|_| t.mutate(m).unwrap()).collect();
                 assert!(reports[0].max_row_cell_writes > 0, "{mode:?} {}", m.label());
                 for r in &reports[1..] {
                     assert_eq!(r.max_row_cell_writes, reports[0].max_row_cell_writes, "{mode:?}");
@@ -778,7 +776,7 @@ mod tests {
                 .unwrap(),
         ];
         for m in &ms {
-            t.mutate(m, true).unwrap();
+            t.mutate(m).unwrap();
             m.apply_to(&mut oracle).unwrap();
             assert_domains(&mut t, &oracle, &probes, &m.label());
         }

@@ -3,12 +3,13 @@
 //! A [`PimTable`] owns a [`PimModule`], the loaded image and the
 //! [`RecordLayout`]. The image *is* the table: the host keeps only the
 //! [`Schema`], the page zone maps and the GROUP-BY [`DomainIndex`]. It
-//! is the storage half every engine shares — the pre-joined wide
-//! relation of the paper, a fact shard or a dimension of the normalized
-//! star — and exposes the primitives they compose: zone-map page
-//! planning, mutations through the PIM multiplexer, reads of the stored
-//! bits ([`crate::record`]), and [`PimTable::begin`], which opens the
-//! [`crate::scan::Scan`] every execution path drives.
+//! owns the zone-map pruning switch, as its module owns the transfer
+//! policy. It is the storage half every engine shares — the pre-joined
+//! wide relation of the paper, a fact shard or a dimension of the
+//! normalized star — and exposes the primitives they compose: zone-map
+//! page planning, mutations through the PIM multiplexer, reads of the
+//! stored bits ([`crate::record`]), and [`PimTable::begin`], which opens
+//! the [`crate::scan::Scan`] every execution path drives.
 
 use std::sync::Mutex;
 
@@ -34,6 +35,8 @@ pub struct PimTable {
     /// Filled on first use by shared readers, hence the lock; a build
     /// stores its prefix only once complete, so poisoning leaves it whole.
     pub(crate) domains: Mutex<DomainIndex>,
+    /// Zone-map page pruning on (the default), or every page planned.
+    pub(crate) pruning: bool,
 }
 
 impl PimTable {
@@ -84,20 +87,39 @@ impl PimTable {
         self.module.set_policy(policy);
     }
 
+    /// Is zone-map page pruning on (the default), or does every query
+    /// and UPDATE plan every page?
+    pub fn pruning(&self) -> bool {
+        self.pruning
+    }
+
+    /// Switch zone-map page pruning. Answers are bit-identical either
+    /// way; only which pages are activated (and therefore time, energy
+    /// and endurance) changes.
+    pub fn set_pruning(&mut self, enabled: bool) {
+        self.pruning = enabled;
+    }
+
     /// Candidate pages of a resolved DNF (zone-map pruned), or every
-    /// page when `prune` is off.
-    pub fn plan_dnf(&self, dnf: &[Vec<ResolvedAtom>], prune: bool) -> PageSet {
-        if prune {
+    /// page with pruning off.
+    pub fn plan_dnf(&self, dnf: &[Vec<ResolvedAtom>]) -> PageSet {
+        if self.pruning {
             plan_pages(&FilterBounds::from_dnf(dnf), &self.loaded)
         } else {
             PageSet::all(self.loaded.page_count())
         }
     }
 
+    /// The descriptor bytes dispatching `pages` puts on the channel under
+    /// this module's transfer policy — what [`PimTable::begin`] charges.
+    pub fn dispatch_bytes(&self, pages: &PageSet) -> u64 {
+        pages.dispatch_bytes(&self.config().host, self.module.policy(), self.layout.partitions())
+    }
+
     /// Apply a mutation: UPDATE through the PIM multiplexer
     /// (Algorithm 1) — full `Pred` filter, multi-column SET, WHERE
-    /// clause zone-map-planned like a query filter unless `prune` is
-    /// off — or INSERT appending rows behind the loaded image. Touched
+    /// clause planned like a query filter ([`PimTable::plan_dnf`]) —
+    /// or INSERT appending rows behind the loaded image. Touched
     /// pages' zone maps widen and the domain index follows, so pruning
     /// and the GROUP-BY enumeration stay sound.
     ///
@@ -105,8 +127,8 @@ impl PimTable {
     ///
     /// Propagates substrate failures (host-resident SET attributes
     /// included — they cannot be rewritten in PIM).
-    pub fn mutate(&mut self, m: &Mutation, prune: bool) -> Result<MutationReport, CoreError> {
-        run_mutation(self, m, prune)
+    pub fn mutate(&mut self, m: &Mutation) -> Result<MutationReport, CoreError> {
+        run_mutation(self, m)
     }
 
     /// Read an attribute of one record straight from the stored bits —

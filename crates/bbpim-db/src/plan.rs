@@ -489,20 +489,22 @@ use crate::zonemap::ZoneMap;
 pub struct ConjunctBounds {
     atoms: Vec<ResolvedAtom>,
     satisfiable: bool,
+    /// Per-attribute intersected `[lo, hi]` intervals (empty when
+    /// unsatisfiable).
+    intervals: std::collections::BTreeMap<usize, (u64, u64)>,
 }
 
 impl ConjunctBounds {
     /// Extract the bounds of one resolved conjunction.
     pub fn from_atoms(atoms: &[ResolvedAtom]) -> Self {
-        let mut per_attr: std::collections::BTreeMap<usize, (u64, u64)> =
-            std::collections::BTreeMap::new();
+        let mut intervals = std::collections::BTreeMap::new();
         let mut satisfiable = true;
         for atom in atoms {
             let Some((lo, hi)) = atom.bounds() else {
                 satisfiable = false;
                 break;
             };
-            let entry = per_attr.entry(atom.attr_index()).or_insert((lo, hi));
+            let entry = intervals.entry(atom.attr_index()).or_insert((lo, hi));
             entry.0 = entry.0.max(lo);
             entry.1 = entry.1.min(hi);
             if entry.0 > entry.1 {
@@ -510,7 +512,10 @@ impl ConjunctBounds {
                 break;
             }
         }
-        ConjunctBounds { atoms: atoms.to_vec(), satisfiable }
+        if !satisfiable {
+            intervals.clear();
+        }
+        ConjunctBounds { atoms: atoms.to_vec(), satisfiable, intervals }
     }
 
     /// False when the interval analysis proved the conjunction can never
@@ -530,23 +535,6 @@ impl ConjunctBounds {
             None => false,
             Some((lo, hi)) => atom.can_match_range(lo, hi),
         })
-    }
-
-    /// Per-attribute intersected `[lo, hi]` intervals (empty when
-    /// unsatisfiable).
-    pub fn intervals(&self) -> std::collections::BTreeMap<usize, (u64, u64)> {
-        let mut per_attr = std::collections::BTreeMap::new();
-        if !self.satisfiable {
-            return per_attr;
-        }
-        for atom in &self.atoms {
-            if let Some((lo, hi)) = atom.bounds() {
-                let entry = per_attr.entry(atom.attr_index()).or_insert((lo, hi));
-                entry.0 = entry.0.max(lo);
-                entry.1 = entry.1.min(hi);
-            }
-        }
-        per_attr
     }
 }
 
@@ -596,12 +584,12 @@ impl FilterBounds {
         let mut union: std::collections::BTreeMap<usize, Vec<(u64, u64)>> =
             std::collections::BTreeMap::new();
         for disjunct in &live {
-            for (idx, iv) in disjunct.intervals() {
+            for (&idx, &iv) in &disjunct.intervals {
                 union.entry(idx).or_default().push(iv);
             }
         }
         // keep attributes every live disjunct constrains
-        union.retain(|idx, _| live.iter().all(|d| d.intervals().contains_key(idx)));
+        union.retain(|idx, _| live.iter().all(|d| d.intervals.contains_key(idx)));
         for intervals in union.values_mut() {
             intervals.sort_unstable();
             let mut merged: Vec<(u64, u64)> = Vec::with_capacity(intervals.len());

@@ -16,8 +16,6 @@ use crate::error::SimError;
 pub struct HostConfig {
     /// Number of worker threads executing a query (paper: 4).
     pub threads: usize,
-    /// Cache line size in bytes (paper: 64).
-    pub line_bytes: usize,
     /// Loaded-latency of one DRAM/PIM line read in nanoseconds.
     pub dram_latency_ns: f64,
     /// Aggregate memory bandwidth to the PIM rank, in GiB/s
@@ -32,8 +30,6 @@ pub struct HostConfig {
     pub scatter_mlp: f64,
     /// Host CPU time to hash-aggregate one record, in nanoseconds.
     pub host_agg_ns_per_record: f64,
-    /// Host clock in GHz (used for miscellaneous per-record work).
-    pub clock_ghz: f64,
     /// Host-side orchestration cost per touched huge page per query, in
     /// nanoseconds: physical-address resolution, request-descriptor
     /// composition and the uncached doorbell write for one page
@@ -59,13 +55,11 @@ impl Default for HostConfig {
     fn default() -> Self {
         HostConfig {
             threads: 4,
-            line_bytes: 64,
             dram_latency_ns: 80.0,
             dram_bandwidth_gib_s: 19.2,
             mlp: 8.0,
             scatter_mlp: 1.0,
             host_agg_ns_per_record: 6.0,
-            clock_ghz: 3.6,
             dispatch_ns_per_page: 600.0,
             dispatch_header_bytes: 16,
             dispatch_run_bytes: 8,
@@ -165,6 +159,12 @@ impl SimConfig {
         self.page_bytes / self.crossbar_bytes()
     }
 
+    /// Bytes of one host cache line: one read-width chunk from each
+    /// crossbar of a page (Table I: 32 × 16 bit = 64 B).
+    pub fn line_bytes(&self) -> usize {
+        self.crossbars_per_page() * self.read_width_bits / 8
+    }
+
     /// Records (crossbar rows) held by one page.
     pub fn records_per_page(&self) -> usize {
         self.crossbars_per_page() * self.crossbar_rows
@@ -223,11 +223,11 @@ impl SimConfig {
         if self.host.threads == 0 {
             return Err(SimError::InvalidConfig("host.threads must be nonzero".into()));
         }
-        if self.host.line_bytes * 8 != self.crossbars_per_page() * self.read_width_bits {
+        let line_bits = self.crossbars_per_page() * self.read_width_bits;
+        if line_bits == 0 || !line_bits.is_multiple_of(8) {
             return Err(SimError::InvalidConfig(format!(
-                "one cache line ({} bits) must gather one {}-bit chunk from each of \
-                 the {} crossbars of a page",
-                self.host.line_bytes * 8,
+                "one cache line gathers one {}-bit chunk from each of the {} crossbars \
+                 of a page: {line_bits} bits is not a positive number of whole bytes",
                 self.read_width_bits,
                 self.crossbars_per_page()
             )));
@@ -239,7 +239,6 @@ impl SimConfig {
             ("host.dram_bandwidth_gib_s", host.dram_bandwidth_gib_s, false),
             ("host.mlp", host.mlp, false),
             ("host.scatter_mlp", host.scatter_mlp, false),
-            ("host.clock_ghz", host.clock_ghz, false),
             ("logic_cycle_ns", self.logic_cycle_ns, true),
             ("read_latency_ns", self.read_latency_ns, true),
             ("write_latency_ns", self.write_latency_ns, true),
@@ -273,7 +272,6 @@ impl SimConfig {
         cfg.page_bytes = cfg.crossbar_bytes() * 4;
         cfg.chips = 2;
         cfg.module_capacity_bytes = (cfg.page_bytes as u64) * 64;
-        cfg.host.line_bytes = 4 * cfg.read_width_bits / 8;
         cfg
     }
 }
@@ -325,21 +323,25 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_line_mismatch() {
-        let mut cfg = SimConfig::default();
-        cfg.host.line_bytes = 32;
-        assert!(matches!(cfg.validate(), Err(SimError::InvalidConfig(_))));
+    fn validation_rejects_a_line_of_no_whole_bytes() {
+        assert_eq!(SimConfig::default().line_bytes(), 64);
+        assert_eq!(SimConfig::small_for_tests().line_bytes(), 8);
+        // a page holding no crossbar, and 4 crossbars × 1 bit
+        let empty = SimConfig { page_bytes: 0, ..SimConfig::default() };
+        let half = SimConfig { read_width_bits: 1, ..SimConfig::small_for_tests() };
+        for cfg in [empty, half] {
+            assert!(matches!(cfg.validate(), Err(SimError::InvalidConfig(_))), "{cfg:?}");
+        }
     }
 
     #[test]
     fn validation_rejects_constants_that_make_time_infinite_or_nan() {
         type Edit = fn(&mut SimConfig, f64);
         // (field, its setter, may be zero)
-        let fields: [(&str, Edit, bool); 17] = [
+        let fields: [(&str, Edit, bool); 16] = [
             ("dram_bandwidth_gib_s", |c, v| c.host.dram_bandwidth_gib_s = v, false),
             ("mlp", |c, v| c.host.mlp = v, false),
             ("scatter_mlp", |c, v| c.host.scatter_mlp = v, false),
-            ("clock_ghz", |c, v| c.host.clock_ghz = v, false),
             ("logic_cycle_ns", |c, v| c.logic_cycle_ns = v, true),
             ("read_latency_ns", |c, v| c.read_latency_ns = v, true),
             ("write_latency_ns", |c, v| c.write_latency_ns = v, true),

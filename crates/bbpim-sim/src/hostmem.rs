@@ -128,7 +128,7 @@ fn transfer_time_ns(cfg: &SimConfig, lines: u64) -> f64 {
     if lines == 0 {
         return 0.0;
     }
-    let bytes = lines as f64 * cfg.host.line_bytes as f64;
+    let bytes = lines as f64 * cfg.line_bytes() as f64;
     let bw_ns = bytes / (cfg.host.dram_bandwidth_gib_s * 1.073_741_824) * 1.0; // GiB/s → B/ns
     let lat_ns = lines as f64 / cfg.host.threads as f64 * cfg.host.dram_latency_ns / cfg.host.mlp;
     bw_ns.max(lat_ns)
@@ -137,12 +137,12 @@ fn transfer_time_ns(cfg: &SimConfig, lines: u64) -> f64 {
 /// PIM-module energy of reading `lines` lines (every bit of a line is a
 /// crossbar cell read), picojoules.
 pub fn read_energy_pj(cfg: &SimConfig, lines: u64) -> f64 {
-    lines as f64 * (cfg.host.line_bytes * 8) as f64 * cfg.read_energy_pj_per_bit
+    lines as f64 * (cfg.line_bytes() * 8) as f64 * cfg.read_energy_pj_per_bit
 }
 
 /// PIM-module energy of writing `lines` lines, picojoules.
 pub fn write_energy_pj(cfg: &SimConfig, lines: u64) -> f64 {
-    lines as f64 * (cfg.host.line_bytes * 8) as f64 * cfg.write_energy_pj_per_bit
+    lines as f64 * (cfg.line_bytes() * 8) as f64 * cfg.write_energy_pj_per_bit
 }
 
 /// Power one PIM chip draws while the host streams `lines` lines over

@@ -362,7 +362,7 @@ impl PimModule {
             time_ns,
             energy_pj,
             chip_power_w: hostmem::chip_power_w(&self.cfg, energy_pj, time_ns),
-            host_bytes: lines * self.cfg.host.line_bytes as u64,
+            host_bytes: lines * self.cfg.line_bytes() as u64,
         }
     }
 
@@ -379,7 +379,7 @@ impl PimModule {
             time_ns,
             energy_pj,
             chip_power_w: hostmem::chip_power_w(&self.cfg, energy_pj, time_ns),
-            host_bytes: lines * self.cfg.host.line_bytes as u64,
+            host_bytes: lines * self.cfg.line_bytes() as u64,
         }
     }
 
@@ -393,7 +393,7 @@ impl PimModule {
             time_ns,
             energy_pj,
             chip_power_w: hostmem::chip_power_w(&self.cfg, energy_pj, time_ns),
-            host_bytes: lines * self.cfg.host.line_bytes as u64,
+            host_bytes: lines * self.cfg.line_bytes() as u64,
         }
     }
 

@@ -49,7 +49,7 @@ fn result_read_amplification_is_one_line_per_row() {
     let module = PimModule::new(cfg.clone()).unwrap();
     let lines_per_page = cfg.crossbar_rows as u64;
     let phase = module.host_read_phase(lines_per_page);
-    let bytes = lines_per_page * cfg.host.line_bytes as u64;
+    let bytes = lines_per_page * cfg.line_bytes() as u64;
     assert_eq!(bytes, 64 * 1024);
     assert!(phase.time_ns > 0.0);
 }

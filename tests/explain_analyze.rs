@@ -41,7 +41,7 @@ fn actuals_stay_within_the_plan<S: Storage>(tag: &str, c: &mut Cluster<S>, wide:
         let dispatch = |r: &QueryReport| r.phases.host_bytes_in(PhaseKind::HostDispatch);
         let dispatch_bytes: u64 = report.per_shard.iter().map(dispatch).sum();
         assert!(
-            dispatch_bytes <= plan.host_bytes.dispatch_bytes,
+            dispatch_bytes <= plan.dispatch_bytes,
             "{tag}: dispatch bytes beyond the plan's ledger"
         );
         assert_eq!(

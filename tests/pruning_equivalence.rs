@@ -14,6 +14,7 @@ use bbpim::db::Relation;
 use bbpim::engine::groupby::calibration::CalibrationConfig;
 use bbpim::engine::modes::EngineMode;
 use bbpim::engine::mutation::Mutation;
+use bbpim::join::StarCluster;
 use bbpim::sim::SimConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,6 +47,40 @@ fn cluster(wide: &Relation, shards: usize, p: &Partitioner) -> ClusterEngine {
     .expect("cluster construction");
     c.calibrate(&CalibrationConfig::tiny_for_tests()).expect("calibration");
     c
+}
+
+/// `set_pruning` reaches every table of a star cluster — each fact shard
+/// and each dimension module — both ways, and every answer stays
+/// oracle-identical under each setting. Pruning is sound, so answers
+/// alone would not notice a table the switch missed.
+#[test]
+fn set_pruning_reaches_every_fact_shard_and_dimension_table() {
+    let db = SsbDb::generate(&SsbParams::tiny_for_tests());
+    let wide = db.prejoin();
+    let mut c = StarCluster::new(
+        SimConfig::small_for_tests(),
+        &db,
+        EngineMode::OneXb,
+        4,
+        Partitioner::range_by_attr("lo_orderdate"),
+    )
+    .expect("star cluster construction");
+    assert!(c.pruning(), "pruning must be the default");
+    for enabled in [false, true] {
+        c.set_pruning(enabled);
+        assert_eq!(c.pruning(), enabled);
+        let shards = (0..c.active_shards()).map(|i| c.shard_table(i).expect("active shard"));
+        let tables: Vec<_> = shards.chain((0..).map_while(|d| c.aux_table(d))).collect();
+        assert_eq!(tables.len(), c.active_shards() + 4, "four dimension tables");
+        for table in tables {
+            assert_eq!(table.pruning(), enabled, "{table:?} after set_pruning({enabled})");
+        }
+        for q in queries::standard_queries() {
+            let out = c.run(&q).unwrap_or_else(|e| panic!("{} pruning={enabled}: {e}", q.id));
+            let oracle = stats::run_oracle(&q, &wide).expect("oracle");
+            assert_eq!(out.groups, oracle, "{} pruning={enabled}", q.id);
+        }
+    }
 }
 
 /// Run `q` pruned and exhaustive on `c`, checking both against `oracle`.
@@ -254,7 +289,6 @@ fn q11_range_by_year_prunes_6_of_8_shards_and_wins_2x() {
     let mut cfg = SimConfig::small_for_tests();
     cfg.crossbar_cols = 512;
     cfg.page_bytes = cfg.crossbar_bytes() * 4;
-    cfg.host.line_bytes = 4 * cfg.read_width_bits / 8;
     cfg.module_capacity_bytes = (cfg.page_bytes as u64) * 4096;
     cfg.validate().expect("consistent test geometry");
 

@@ -114,9 +114,9 @@ fn conforms<S: Storage>(tag: &str, fresh: impl Fn() -> Cluster<S>, fact: &Relati
         assert_eq!(report.pages_scanned, plan.pages_candidate(), "{tag}: pages");
         let dispatch = |r: &QueryReport| r.phases.host_bytes_in(PhaseKind::HostDispatch);
         let dispatch_bytes: u64 = report.per_shard.iter().map(dispatch).sum();
-        assert!(dispatch_bytes <= plan.host_bytes.dispatch_bytes, "{tag}: dispatch bytes");
+        assert!(dispatch_bytes <= plan.dispatch_bytes, "{tag}: dispatch bytes");
         if executed > 0 {
-            assert_eq!(dispatch_bytes, plan.host_bytes.dispatch_bytes, "{tag}: dispatch bytes");
+            assert_eq!(dispatch_bytes, plan.dispatch_bytes, "{tag}: dispatch bytes");
         }
     }
 

@@ -9,7 +9,7 @@
 //! fewer bytes on the shared channel than the legacy (all-off) policy
 //! for the transfer-heavy two-crossbar layout.
 
-use bbpim::cluster::{ClusterEngine, ClusterReport, Partitioner};
+use bbpim::cluster::{Cluster, ClusterEngine, ClusterReport, Partitioner, Storage};
 use bbpim::db::plan::Query;
 use bbpim::db::ssb::{queries, SsbDb, SsbParams};
 use bbpim::db::Relation;
@@ -58,6 +58,15 @@ fn query_set() -> Vec<Query> {
     qs
 }
 
+/// `set_xfer_policy` reached every table: each fact shard and each
+/// auxiliary table (a star dimension) reports `policy`.
+fn assert_policy_on_every_table<S: Storage>(c: &Cluster<S>, policy: XferPolicy) {
+    let shards = (0..c.active_shards()).map(|i| c.shard_table(i).expect("active shard"));
+    for table in shards.chain((0..).map_while(|d| c.aux_table(d))) {
+        assert_eq!(table.module().policy(), policy, "{table:?}");
+    }
+}
+
 fn host_bytes(report: &ClusterReport) -> u64 {
     report.per_shard.iter().map(|r| r.phases.host_bytes()).sum()
 }
@@ -88,7 +97,7 @@ fn all_lever_combinations_match_monet_oracle_prejoined() {
                 .expect("cluster construction");
                 c.set_model(model.clone());
                 c.set_xfer_policy(policy);
-                assert_eq!(c.xfer_policy(), policy);
+                assert_policy_on_every_table(&c, policy);
                 for (qi, (q, oracle)) in qs.iter().zip(&oracles).enumerate() {
                     let tag =
                         format!("{} at {shards} shards, {mode:?}, {}", q.id, policy_label(policy));
@@ -129,7 +138,7 @@ fn all_lever_combinations_match_monet_oracle_star() {
         )
         .expect("star cluster construction");
         c.set_xfer_policy(policy);
-        assert_eq!(c.xfer_policy(), policy);
+        assert_policy_on_every_table(&c, policy);
         for (q, oracle) in qs.iter().zip(&oracles) {
             let out =
                 c.run(q).unwrap_or_else(|e| panic!("{} under {}: {e}", q.id, policy_label(policy)));
