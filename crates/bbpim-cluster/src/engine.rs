@@ -22,10 +22,11 @@
 //!
 //! ## Zone-map shard pruning
 //!
-//! Every shard carries a [`ZoneMap`] (per-attribute min/max, built
-//! during partitioning and widened by mutation fan-out). Before the
-//! scatter, the query's [`FilterBounds`] are tested against each
-//! shard's map: shards that provably hold no matching record are
+//! Every shard's table keeps the zone maps of its pages (per-attribute
+//! min/max, written by the loader and widened by every mutation), and
+//! [`PimTable::zone_map`] is their merge. Before the scatter, the
+//! query's [`FilterBounds`] are tested against each shard's map: shards
+//! that provably hold no matching record are
 //! *pruned pre-scatter* — no thread, no per-page host dispatch, no PIM
 //! activity. With [`Partitioner::RangeByAttr`] placement, selective
 //! filters on the split attribute touch one or two shards instead of
@@ -62,7 +63,6 @@ use bbpim_core::PimTable;
 use bbpim_db::plan::{FilterBounds, Pred, Query, ResolvedAtom};
 use bbpim_db::schema::Schema;
 use bbpim_db::stats::MultiGrouped;
-use bbpim_db::zonemap::ZoneMap;
 use bbpim_db::Relation;
 use bbpim_sim::config::SimConfig;
 use bbpim_sim::XferPolicy;
@@ -72,15 +72,11 @@ use crate::explain::{JoinTransfer, PlanExplain, ShardPlan};
 use crate::fold::{fold_mutation, serial_slice_ns};
 use crate::partition::Partitioner;
 
-/// One fact shard: its position in the cluster plus its table and zone
-/// map.
+/// One fact shard: its position in the cluster plus its table.
 pub(crate) struct Shard {
     /// Shard index in `0..shard_count` (empty shards have no entry).
     index: usize,
     pub(crate) table: PimTable,
-    /// Per-attribute min/max over this shard's records; refreshed after
-    /// mutation fan-out so pre-scatter pruning stays sound.
-    zone: ZoneMap,
 }
 
 /// What a storage model contributes to the one [`Cluster`]: how a
@@ -97,14 +93,16 @@ pub trait Storage: Sync {
     /// The planner's view of `filter`: a DNF resolved against the
     /// `fact` schema that every matching fact record satisfies — what
     /// shard and page zone maps are tested against — plus the ledger of
-    /// join transfers it implies (each broadcast to `broadcast` shards).
+    /// join transfers it implies (each broadcast to `broadcast` shards),
+    /// its dimension bitmaps read off the `aux` tables' stored bits.
     ///
     /// # Errors
     ///
-    /// Attribute resolution failures.
+    /// Attribute resolution failures, host-only attributes included.
     fn bounds(
         &self,
         fact: &Schema,
+        aux: &[PimTable],
         filter: &Pred,
         broadcast: usize,
     ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError>;
@@ -161,14 +159,6 @@ pub trait Storage: Sync {
     /// (its once-per-query charges are spent).
     fn keep_plan(&mut self, query: &Query, plan: Self::Plan);
 
-    /// Bring the model's host-side state in step with `m`, just applied
-    /// to auxiliary table `d` (the star's dimension catalogs).
-    ///
-    /// # Errors
-    ///
-    /// Resolution failures.
-    fn aux_mutated(&mut self, d: usize, m: &Mutation) -> Result<(), ClusterError>;
-
     /// Drop every cached plan: a toggle or a landed write may change
     /// any of them.
     fn invalidate(&mut self);
@@ -188,6 +178,7 @@ impl Storage for PreJoined {
     fn bounds(
         &self,
         fact: &Schema,
+        _aux: &[PimTable],
         filter: &Pred,
         _broadcast: usize,
     ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError> {
@@ -218,10 +209,6 @@ impl Storage for PreJoined {
 
     fn keep_plan(&mut self, _query: &Query, _plan: ()) {}
 
-    fn aux_mutated(&mut self, _d: usize, _m: &Mutation) -> Result<(), ClusterError> {
-        Ok(())
-    }
-
     fn invalidate(&mut self) {}
 }
 
@@ -240,7 +227,6 @@ pub struct Cluster<S> {
     shard_count: usize,
     partitioner: Partitioner,
     mode: EngineMode,
-    records: usize,
     contention: bool,
 }
 
@@ -375,12 +361,11 @@ pub struct ClusterMutationReport {
 
 impl ClusterEngine {
     /// Partition `relation` with `partitioner` into `shards` slices and
-    /// load each non-empty slice into its own module (same `cfg`), each
-    /// paired with the slice's zone map. Empty slices — common when a
-    /// range split has more buckets than distinct values — are dropped:
-    /// they own no module, and [`Cluster::active_shards`] excludes them
-    /// while [`Cluster::shard_count`] keeps reporting the configured
-    /// count.
+    /// load each non-empty slice into its own module (same `cfg`). Empty
+    /// slices — common when a range split has more buckets than distinct
+    /// values — are dropped: they own no module, and
+    /// [`Cluster::active_shards`] excludes them while
+    /// [`Cluster::shard_count`] keeps reporting the configured count.
     ///
     /// Every shard gets `cfg` unchanged: a cluster of full-size modules.
     /// For an iso-capacity scaling experiment divide
@@ -439,16 +424,11 @@ impl<S: Storage> Cluster<S> {
         storage: S,
     ) -> Result<Self, ClusterError> {
         let mut built = Vec::with_capacity(shards);
-        for (index, (part, zone)) in partitioner.split_zoned(fact, shards)?.into_iter().enumerate()
-        {
-            if part.is_empty() {
-                continue;
+        for (index, part) in partitioner.split(fact, shards)?.into_iter().enumerate() {
+            if !part.is_empty() {
+                let table = PimTable::new(cfg.clone(), &part, layout.clone())?;
+                built.push(Shard { index, table });
             }
-            built.push(Shard {
-                index,
-                table: PimTable::new(cfg.clone(), &part, layout.clone())?,
-                zone,
-            });
         }
         Ok(Cluster {
             shards: built,
@@ -457,7 +437,6 @@ impl<S: Storage> Cluster<S> {
             shard_count: shards,
             partitioner,
             mode,
-            records: fact.len(),
             contention: true,
         })
     }
@@ -474,7 +453,7 @@ impl<S: Storage> Cluster<S> {
 
     /// Fact records across the cluster.
     pub fn records(&self) -> usize {
-        self.records
+        self.shards.iter().map(|s| s.table.records()).sum()
     }
 
     /// The engine mode.
@@ -563,7 +542,7 @@ impl<S: Storage> Cluster<S> {
     ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError> {
         match self.shards.first() {
             None => Ok((Vec::new(), Vec::new())),
-            Some(first) => self.storage.bounds(first.table.schema(), filter, self.shards.len()),
+            Some(s) => self.storage.bounds(s.table.schema(), &self.aux, filter, self.shards.len()),
         }
     }
 
@@ -583,7 +562,7 @@ impl<S: Storage> Cluster<S> {
             return Ok(vec![true; self.shards.len()]);
         }
         let bounds = FilterBounds::from_dnf(&self.bounds(filter)?.0);
-        Ok(self.shards.iter().map(|s| bounds.can_match(&s.zone)).collect())
+        Ok(self.shards.iter().map(|s| bounds.can_match(&s.table.zone_map())).collect())
     }
 
     /// The physical plan of `query` without executing anything: the
@@ -621,7 +600,7 @@ impl<S: Storage> Cluster<S> {
         query.physical_plan()?;
         let mut shards = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            let dispatched = admit_all || bounds.can_match(&shard.zone);
+            let dispatched = admit_all || bounds.can_match(&shard.table.zone_map());
             let mut candidate_pages = 0;
             if dispatched {
                 let plan = shard.table.plan_dnf(&dnf);
@@ -858,7 +837,7 @@ impl<S: Storage> Cluster<S> {
                 if active == 0 {
                     return Ok(Vec::new());
                 }
-                let start = self.records % active;
+                let start = self.records() % active;
                 let mut lanes: Vec<usize> =
                     (0..rows.len().min(active)).map(|k| (start + k) % active).collect();
                 lanes.sort_unstable();
@@ -876,10 +855,10 @@ impl<S: Storage> Cluster<S> {
     /// denormalized column on every fact shard) or on every
     /// zone-admitted fact shard; an INSERT routes fact rows round-robin
     /// from the deterministic cursor `records % active`, so a given
-    /// cluster history always lands rows on the same lanes. Touched
-    /// shards' zone maps are refreshed afterwards so later pruning
-    /// decisions account for the written values, and the storage
-    /// model's cached plans are dropped.
+    /// cluster history always lands rows on the same lanes. Each table
+    /// widens its own zone maps as it writes, so later pruning decisions
+    /// account for the written values; the storage model's cached plans
+    /// are dropped.
     ///
     /// # Errors
     ///
@@ -903,7 +882,7 @@ impl<S: Storage> Cluster<S> {
                         "INSERT into a cluster with no active shards".into(),
                     ));
                 }
-                let start = self.records % active;
+                let start = self.records() % active;
                 let mut per_lane: Vec<Vec<Vec<u64>>> = vec![Vec::new(); active];
                 for (k, row) in rows.iter().enumerate() {
                     per_lane[(start + k) % active].push(row.clone());
@@ -918,21 +897,11 @@ impl<S: Storage> Cluster<S> {
         };
         let mut out = Vec::with_capacity(parts.len());
         for (lane, part) in parts {
-            let report = match lane.checked_sub(active) {
-                Some(d) => {
-                    let report = self.aux[d].mutate(&part)?;
-                    self.storage.aux_mutated(d, &part)?;
-                    report
-                }
-                None => {
-                    let shard = &mut self.shards[lane];
-                    let report = shard.table.mutate(&part)?;
-                    shard.zone = shard.table.zone_map();
-                    self.records += report.records_inserted as usize;
-                    report
-                }
+            let table = match lane.checked_sub(active) {
+                Some(d) => &mut self.aux[d],
+                None => &mut self.shards[lane].table,
             };
-            out.push((lane, report));
+            out.push((lane, table.mutate(&part)?));
         }
         Ok(out)
     }
@@ -963,7 +932,7 @@ impl<S: Storage> std::fmt::Debug for Cluster<S> {
             .field("aux", &self.aux.len())
             .field("partitioner", &self.partitioner.label())
             .field("mode", &self.mode)
-            .field("records", &self.records)
+            .field("records", &self.records())
             .field("pruning", &self.pruning())
             .finish()
     }

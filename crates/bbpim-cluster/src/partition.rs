@@ -22,7 +22,6 @@
 //!   at cluster construction.
 
 use bbpim_db::relation::Relation;
-use bbpim_db::zonemap::ZoneMap;
 
 use crate::error::ClusterError;
 
@@ -112,20 +111,14 @@ impl Partitioner {
         }
     }
 
-    /// Split `rel` into `n` shard relations, each paired with its
-    /// [`ZoneMap`] (built in the same pass) — the input the cluster's
-    /// shard-level pruning needs.
+    /// Split `rel` into `n` shard relations.
     ///
     /// # Errors
     ///
     /// See [`Partitioner::assignments`].
-    pub fn split_zoned(
-        &self,
-        rel: &Relation,
-        n: usize,
-    ) -> Result<Vec<(Relation, ZoneMap)>, ClusterError> {
+    pub fn split(&self, rel: &Relation, n: usize) -> Result<Vec<Relation>, ClusterError> {
         let assign = self.assignments(rel, n)?;
-        rel.partition_by_zoned(n, |row| assign[row]).map_err(ClusterError::Db)
+        rel.partition_by(n, |row| assign[row]).map_err(ClusterError::Db)
     }
 
     /// Short label for reports.
@@ -142,6 +135,7 @@ impl Partitioner {
 mod tests {
     use super::*;
     use bbpim_db::schema::{Attribute, Schema};
+    use bbpim_db::zonemap::ZoneMap;
 
     fn rel(rows: u64) -> Relation {
         let schema =
@@ -152,13 +146,6 @@ mod tests {
             r.push_row(&[i % 256, i % 13]).unwrap();
         }
         r
-    }
-
-    impl Partitioner {
-        /// The shard relations of [`Partitioner::split_zoned`], zones dropped.
-        fn split(&self, rel: &Relation, n: usize) -> Result<Vec<Relation>, ClusterError> {
-            Ok(self.split_zoned(rel, n)?.into_iter().map(|(part, _)| part).collect())
-        }
     }
 
     #[test]
@@ -226,14 +213,12 @@ mod tests {
     fn range_by_attr_buckets_are_ordered_and_disjoint() {
         let r = rel(300);
         let p = Partitioner::range_by_attr("lo_v");
-        let parts = p.split_zoned(&r, 4).unwrap();
-        assert_eq!(parts.iter().map(|(part, _)| part.len()).sum::<usize>(), 300);
-        // every record's value falls inside its shard's zone, and zones
-        // of successive shards are disjoint, ascending ranges
+        let parts = p.split(&r, 4).unwrap();
+        assert_eq!(parts.iter().map(Relation::len).sum::<usize>(), 300);
+        // the zones of successive shards are disjoint, ascending ranges
         let mut prev_hi: Option<u64> = None;
-        for (part, zone) in &parts {
-            assert_eq!(zone, &ZoneMap::of(part));
-            if let Some((lo, hi)) = zone.range(0) {
+        for part in &parts {
+            if let Some((lo, hi)) = ZoneMap::of(part).range(0) {
                 if let Some(p) = prev_hi {
                     assert!(lo > p, "ranges must ascend disjointly");
                 }

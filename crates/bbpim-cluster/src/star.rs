@@ -27,13 +27,14 @@
 //! ## Planning
 //!
 //! Shard admission and page planning stay host-side and free of PIM
-//! work: the planner evaluates each dimension conjunction against that
-//! dimension's catalog (zone maps and catalogs are maintained by
-//! UPDATEs, so this is sound) and turns the selected-key hull into a
-//! BETWEEN bound on the fact FK attribute — selective dimension filters
-//! prune fact shards and pages *through the join*. The four small
-//! dimension catalogs are the model's stated exception to keeping no
-//! rows on the host (see [`Star`]); the fact shards hold none.
+//! work: the planner evaluates each dimension conjunction on the
+//! dimension table's stored bits (the unpriced [`PimTable::decode`] the
+//! GROUP-BY domain index also reads through; UPDATEs write those bits,
+//! so this is sound) and turns the selected-key hull into a BETWEEN
+//! bound on the fact FK attribute — selective dimension filters prune
+//! fact shards and pages *through the join*. The host keeps no row of
+//! any table, so a filter on an attribute a dimension keeps host-side
+//! is rejected by planning, `EXPLAIN` and execution alike.
 //!
 //! ## Accounting approximations
 //!
@@ -60,12 +61,12 @@
 //! ```
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use bbpim_core::error::CoreError;
 use bbpim_core::groupby::GroupByOutcome;
 use bbpim_core::layout::{RecordLayout, MASK_COL};
 use bbpim_core::modes::EngineMode;
-use bbpim_core::mutation::Mutation;
 use bbpim_core::record::{fold_record, ScatteredRead};
 use bbpim_core::result::QueryExecution;
 use bbpim_core::semijoin::{SemijoinDisjunct, SemijoinTerm};
@@ -86,22 +87,12 @@ use crate::engine::{Cluster, Storage};
 use crate::explain::JoinTransfer;
 use crate::{ClusterError, Partitioner};
 
-/// The normalized star storage model: which attributes stay
-/// host-resident per table (fact first, then the four dimensions), the
-/// compiled join plans, one per (query, filter) text, and the four
-/// dimension catalogs.
-///
-/// The catalogs are the one stated exception to "the image is the
-/// table": the planner's `host_dim_bitmap` evaluates dimension
-/// conjunctions on them for free, so shard and page pruning through the
-/// join costs no PIM work. They are small (one row per dimension key)
-/// and every dimension UPDATE patches them
-/// ([`Storage::aux_mutated`]); the fact shards keep no rows.
+/// The normalized star storage model: the compiled join plans, one per
+/// (query, filter) text, and no rows — the planner reads dimension key
+/// bitmaps off the dimension images (`image_dim_bitmap`), for free.
 #[derive(Debug)]
 pub struct Star {
-    cold: [Vec<String>; 5],
     join_cache: HashMap<String, JoinPlan>,
-    dims: Vec<Relation>,
 }
 
 /// A sharded PIM OLAP engine over the *normalized* SSB star schema:
@@ -115,8 +106,8 @@ pub type StarCluster = Cluster<Star>;
 /// FK-hull bounds the planner derived from the bitmaps, and the
 /// dimension-side phase log (charged once per query). The transfer
 /// ledger lives on [`crate::PlanExplain`] — [`Cluster::explain`]
-/// rebuilds it from the catalog, which the executed bitmaps provably
-/// match.
+/// rebuilds it from the dimension images, which the executed bitmaps
+/// provably match.
 #[derive(Debug)]
 pub struct JoinPlan {
     disjuncts: Vec<SemijoinDisjunct>,
@@ -155,15 +146,20 @@ fn col_range(table: &PimTable, attr: &str) -> Result<ColRange, ClusterError> {
     Ok(table.layout().placement(attr)?.range)
 }
 
-/// Host-side evaluation of one dimension conjunction against its
-/// catalog — the planner's (free) twin of the on-module filter; both
-/// produce the same bitmap because pruning is a proof of absence and
-/// UPDATEs patch the catalog.
-fn host_dim_bitmap(rel: &Relation, d: usize, atoms: &[Atom]) -> Result<KeyBitmap, ClusterError> {
-    let resolved = resolve_all(atoms, rel.schema())?;
-    let mut bits = PackedBits::zeros(rel.len());
-    let selected = (0..rel.len()).filter(|&row| resolved.iter().all(|a| a.matches(rel, row)));
-    selected.for_each(|row| bits.set(row));
+/// Host-side evaluation of one dimension conjunction on the dimension
+/// table's stored bits — the planner's (free) twin of the on-module
+/// filter; both read the same image, so both produce the same bitmap.
+fn image_dim_bitmap(dim: &PimTable, d: usize, atoms: &[Atom]) -> Result<KeyBitmap, ClusterError> {
+    let resolved = resolve_all(atoms, dim.schema())?;
+    let projection = dim.layout().project(atoms.iter().map(Atom::attr))?;
+    let (mut bits, mut row) = (PackedBits::zeros(dim.records()), 0);
+    dim.decode(&projection, &mut |values| {
+        if resolved.iter().zip(values).all(|(a, &v)| a.matches_value(v)) {
+            bits.set(row);
+        }
+        row += 1;
+        ControlFlow::Continue(())
+    })?;
     Ok(KeyBitmap::new(DIMENSIONS[d].key_base, bits))
 }
 
@@ -207,8 +203,8 @@ impl RoutedDisjunct {
 /// The one walk over a star filter. Per DNF disjunct the atoms are
 /// routed by owning table; per filtered dimension (catalog order)
 /// `bitmap(disjunct, d, atoms)` supplies the key bitmap of that
-/// dimension's conjunction — evaluated on the dimension's catalog when
-/// planning, on the dimension's module when executing. An empty bitmap
+/// dimension's conjunction — decoded off the dimension's image when
+/// planning, run on the dimension's module when executing. An empty bitmap
 /// makes the disjunct false: it is dropped (it can match no fact
 /// record) and its later dimensions are never visited.
 fn route_filter(
@@ -288,12 +284,13 @@ impl Storage for Star {
     fn bounds(
         &self,
         fact: &Schema,
+        dims: &[PimTable],
         filter: &Pred,
         broadcast: usize,
     ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError> {
         let mut transfers = Vec::new();
         let routed = route_filter(filter, |disjunct, d, atoms| {
-            let bitmap = host_dim_bitmap(&self.dims[d], d, atoms)?;
+            let bitmap = image_dim_bitmap(&dims[d], d, atoms)?;
             transfers.push(JoinTransfer {
                 dimension: DIMENSIONS[d].name.to_string(),
                 disjunct,
@@ -381,11 +378,6 @@ impl Storage for Star {
         self.join_cache.insert(plan_key(query), plan);
     }
 
-    fn aux_mutated(&mut self, d: usize, m: &Mutation) -> Result<(), ClusterError> {
-        m.apply_to(&mut self.dims[d])?;
-        Ok(())
-    }
-
     fn invalidate(&mut self) {
         self.join_cache.clear();
     }
@@ -418,14 +410,12 @@ impl StarCluster {
         let layout =
             |rel: &Relation, cold| RecordLayout::build_custom(rel.schema(), &cfg, 1, |_| 0, cold);
         let mut aux = Vec::with_capacity(4);
-        let mut dims = Vec::with_capacity(4);
         for (d, cold) in cold[1..].iter().enumerate() {
-            let rel = catalog.dim(d).clone();
-            aux.push(PimTable::new(cfg.clone(), &rel, layout(&rel, cold)?)?);
-            dims.push(rel);
+            let rel = catalog.dim(d);
+            aux.push(PimTable::new(cfg.clone(), rel, layout(rel, cold)?)?);
         }
         let fact_layout = layout(&db.lineorder, &cold[0])?;
-        let storage = Star { cold, join_cache: HashMap::new(), dims };
+        let storage = Star { join_cache: HashMap::new() };
         let mut cluster =
             Cluster::build(&cfg, &db.lineorder, fact_layout, mode, shards, partitioner, storage)?;
         cluster.aux = aux;
@@ -433,17 +423,17 @@ impl StarCluster {
     }
 
     /// Per-table PIM-resident footprints: the (cluster-wide) fact
-    /// table first, then the four dimensions.
+    /// table first, then the four dimensions — each without what its
+    /// layout keeps host-side.
     pub fn footprints(&self) -> Vec<TableFootprint> {
-        let Star { cold, dims, .. } = &self.storage;
-        let mut out = Vec::with_capacity(5);
-        if let Some(table) = self.shard_table(0) {
-            out.push(star::schema_footprint(table.schema(), self.records(), &cold[0]));
-        }
-        for (dim, cold) in dims.iter().zip(&cold[1..]) {
-            out.push(star::table_footprint(dim, cold));
-        }
-        out
+        let footprint = |table: &PimTable, records| {
+            let names = table.schema().attrs().iter().map(|a| &a.name);
+            let cold: Vec<String> =
+                names.filter(|name| table.layout().is_excluded(name)).cloned().collect();
+            star::schema_footprint(table.schema(), records, &cold)
+        };
+        let fact = self.shard_table(0).map(|table| footprint(table, self.records()));
+        fact.into_iter().chain(self.aux.iter().map(|dim| footprint(dim, dim.records()))).collect()
     }
 
     /// Total PIM-resident data bytes across the five tables.
@@ -553,6 +543,7 @@ fn star_gather(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bbpim_core::mutation::Mutation;
     use bbpim_db::ssb::{queries, SsbParams};
     use bbpim_db::stats;
 
@@ -791,45 +782,45 @@ mod tests {
 
     #[test]
     fn dimension_filter_yields_key_bitmap() {
-        let mut c = cluster(&db(), 1);
+        let db = db();
+        let mut c = cluster(&db, 1);
         let t = &mut c.aux[DATE];
         let atom = Atom::Eq { attr: "d_year".into(), value: 1993u64.into() };
         let mut log = RunLog::new();
         let mask = filter_conjunction(t, std::slice::from_ref(&atom), &mut log).unwrap();
-        let catalog = &c.storage.dims[DATE];
-        let year = catalog.schema().index_of("d_year").unwrap();
+        let year = db.date.schema().index_of("d_year").unwrap();
         for (row, got) in mask.iter().enumerate() {
-            assert_eq!(got, catalog.value(row, year) == 1993, "row {row}");
+            assert_eq!(got, db.date.value(row, year) == 1993, "row {row}");
         }
         assert_eq!(mask.count_ones(), 365);
         assert!(log.total_time_ns() > 0.0);
-        // the planner's catalog-side twin is the same bitmap
+        // the planner's image-side twin is the same bitmap
         let executed = KeyBitmap::new(DIMENSIONS[DATE].key_base, mask);
-        assert_eq!(host_dim_bitmap(catalog, DATE, &[atom]).unwrap(), executed);
+        assert_eq!(image_dim_bitmap(&c.aux[DATE], DATE, &[atom]).unwrap(), executed);
     }
 
     #[test]
-    fn update_patches_module_and_catalog() {
-        let mut c = cluster(&db(), 1);
+    fn the_planner_sees_a_dimension_update_in_the_image() {
+        let db = db();
+        let mut c = cluster(&db, 1);
         let m = Mutation::update()
             .filter(bbpim_db::builder::col("d_year").eq(1995u64))
             .set("d_weeknuminyear", 53u64)
             .build_unchecked();
-        let rep = c.mutate(&m).unwrap();
-        assert_eq!(rep.records_updated, 365);
-        let (t, catalog) = (&c.aux[DATE], &c.storage.dims[DATE]);
-        let schema = catalog.schema();
+        assert_eq!(c.mutate(&m).unwrap().records_updated, 365);
+        // week 53 now holds every day of 1995 beside the days it held
+        let schema = db.date.schema();
         let (year, week) =
             (schema.index_of("d_year").unwrap(), schema.index_of("d_weeknuminyear").unwrap());
-        let mut probe = None;
-        for row in 0..catalog.len() {
-            if catalog.value(row, year) == 1995 {
-                assert_eq!(catalog.value(row, week), 53);
-                probe = Some(row);
+        let mut want = PackedBits::zeros(db.date.len());
+        for row in 0..db.date.len() {
+            if db.date.value(row, year) == 1995 || db.date.value(row, week) == 53 {
+                want.set(row);
             }
         }
-        // stored bits agree with the catalog
-        assert_eq!(t.read_attr(probe.unwrap(), "d_weeknuminyear").unwrap(), 53);
+        let atom = Atom::Eq { attr: "d_weeknuminyear".into(), value: 53u64.into() };
+        let planned = image_dim_bitmap(&c.aux[DATE], DATE, &[atom]).unwrap();
+        assert_eq!(planned, KeyBitmap::new(DIMENSIONS[DATE].key_base, want));
     }
 
     #[test]

@@ -123,11 +123,11 @@ impl Mutation {
         }
     }
 
-    /// Apply this mutation to a host-side [`Relation`] — the oracle's
-    /// half of snapshot consistency: a replayed prefix of admitted
-    /// mutations applied here must leave the relation bit-identical to
-    /// what the PIM engines hold (and it keeps the star's dimension
-    /// catalogs in step with their modules). Returns the records
+    /// Apply this mutation to a host-side [`Relation`] — the replay
+    /// oracle's half of snapshot consistency: a replayed prefix of
+    /// admitted mutations applied here must leave the relation
+    /// bit-identical to what the PIM engines hold. No engine calls it;
+    /// their tables are the only copy of the rows. Returns the records
     /// rewritten or appended.
     ///
     /// # Errors

@@ -1,5 +1,6 @@
 //! The host's read path to stored records: one reader, one unique-line
-//! rule, one fold — and the GROUP-BY domain index's unpriced decoder.
+//! rule, one fold — and the unpriced decoder the GROUP-BY domain index
+//! and the star planner read the image through.
 //!
 //! The paper's host reads selected records back in three places — the
 //! one-page sample and host-gb of Section IV, and the FK-probing gather
@@ -50,11 +51,42 @@ impl PimTable {
         Ok(())
     }
 
+    /// The unpriced decoder: the projection's values of every record, in
+    /// record order, straight from the stored bits, handed to `sink`
+    /// until it breaks. The image is read a page and a column at a time;
+    /// host metadata — what the domain index and the star planner read —
+    /// so nothing is charged.
+    ///
+    /// # Errors
+    ///
+    /// Substrate failures reading a page.
+    pub fn decode(
+        &self,
+        projection: &Projection,
+        sink: &mut RecordSink<'_>,
+    ) -> Result<(), CoreError> {
+        let width = projection.placements().len();
+        let (mut columns, mut values) = (vec![Vec::new(); width], vec![0; width]);
+        for pg in 0..self.loaded.page_count() {
+            let run = self.loaded.page_records(pg);
+            for (column, p) in columns.iter_mut().zip(projection.placements()) {
+                let page = self.module.page(self.loaded.pages(p.partition)[pg]);
+                page.read_records(p.range.lo, p.range.width, run.len(), column)?;
+            }
+            for slot in 0..run.len() {
+                values.iter_mut().zip(&columns).for_each(|(v, column)| *v = column[slot]);
+                if sink(&values).is_break() {
+                    return Ok(());
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Per GROUP BY key of `query`, the values it can take under the
     /// query's same-prefix constraints, from the domain index
     /// ([`bbpim_db::domain::DomainIndex`]). Where the index reads the
-    /// image, the attributes it asks for are decoded a page and a column
-    /// at a time; host metadata, so nothing is charged.
+    /// image, it reads it through [`PimTable::decode`].
     ///
     /// # Errors
     ///
@@ -62,22 +94,7 @@ impl PimTable {
     pub fn group_domains(&self, query: &Query) -> Result<Vec<Vec<u64>>, CoreError> {
         let decode = |attrs: &[usize], sink: &mut RecordSink<'_>| -> Result<(), CoreError> {
             let names = attrs.iter().map(|&a| self.schema.attrs()[a].name.as_str());
-            let projection = self.layout.project(names)?;
-            let (mut columns, mut values) = (vec![Vec::new(); attrs.len()], vec![0; attrs.len()]);
-            for pg in 0..self.loaded.page_count() {
-                let run = self.loaded.page_records(pg);
-                for (column, p) in columns.iter_mut().zip(projection.placements()) {
-                    let page = self.module.page(self.loaded.pages(p.partition)[pg]);
-                    page.read_records(p.range.lo, p.range.width, run.len(), column)?;
-                }
-                for slot in 0..run.len() {
-                    values.iter_mut().zip(&columns).for_each(|(v, column)| *v = column[slot]);
-                    if sink(&values).is_break() {
-                        return Ok(());
-                    }
-                }
-            }
-            Ok(())
+            self.decode(&self.layout.project(names)?, sink)
         };
         let mut index = self.domains.lock().unwrap_or_else(PoisonError::into_inner);
         index.domains(query, &self.schema, self.records(), decode)

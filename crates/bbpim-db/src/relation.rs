@@ -5,7 +5,6 @@ use std::sync::Arc;
 use crate::column::Column;
 use crate::error::DbError;
 use crate::schema::Schema;
-use crate::zonemap::ZoneMap;
 
 /// A columnar relation: a [`Schema`] plus one [`Column`] per attribute.
 ///
@@ -147,13 +146,8 @@ impl Relation {
     /// Horizontally partition the relation into `n` relations by a
     /// per-row assignment function (`assign(row) -> shard`, called once
     /// per row in row order), preserving relative row order within each
-    /// part, and build each part's [`ZoneMap`] (per-attribute min/max)
-    /// in the same pass over the values. Each part keeps the full
-    /// schema, so every shard can answer the same logical queries over
-    /// its slice of the records. This is the load-time half of
-    /// zone-map-driven pruning: the cluster layer keeps the per-shard
-    /// maps and skips shards whose ranges cannot satisfy a query's
-    /// filter.
+    /// part. Each part keeps the full schema, so every shard can answer
+    /// the same logical queries over its slice of the records.
     ///
     /// The values come out of a valid relation and go into columns of
     /// the same widths, so nothing is re-validated: each part's columns
@@ -164,11 +158,7 @@ impl Relation {
     ///
     /// [`DbError::InvalidQuery`] when `n` is zero or `assign` returns an
     /// out-of-range shard.
-    pub fn partition_by_zoned<F>(
-        &self,
-        n: usize,
-        mut assign: F,
-    ) -> Result<Vec<(Relation, ZoneMap)>, DbError>
+    pub fn partition_by<F>(&self, n: usize, mut assign: F) -> Result<Vec<Relation>, DbError>
     where
         F: FnMut(usize) -> usize,
     {
@@ -189,8 +179,7 @@ impl Relation {
         }
         let arity = self.schema.arity();
         let mut columns: Vec<Vec<Column>> = (0..n).map(|_| Vec::with_capacity(arity)).collect();
-        let mut zones = vec![ZoneMap::empty(arity); n];
-        for (attr, source) in self.columns.iter().enumerate() {
+        for source in self.columns.iter() {
             let mut split: Vec<Column> = rows_in
                 .iter()
                 .map(|&rows| {
@@ -199,21 +188,14 @@ impl Relation {
                     col
                 })
                 .collect();
-            source.read(0..source.len(), |row, v| {
-                let shard = shard_of[row];
-                split[shard].push_checked(v);
-                zones[shard].widen(attr, v);
-            });
+            source.read(0..source.len(), |row, v| split[shard_of[row]].push_checked(v));
             for (part, col) in columns.iter_mut().zip(split) {
                 part.push(col);
             }
         }
         Ok(columns
             .into_iter()
-            .zip(zones)
-            .map(|(cols, zone)| {
-                (Relation { schema: self.schema.clone(), columns: Arc::new(cols) }, zone)
-            })
+            .map(|cols| Relation { schema: self.schema.clone(), columns: Arc::new(cols) })
             .collect())
     }
 }
@@ -296,13 +278,13 @@ mod tests {
         for i in 0..10u64 {
             r.push_row(&[i, i % 2]).unwrap();
         }
-        let parts = r.partition_by_zoned(3, |row| row % 3).unwrap();
+        let parts = r.partition_by(3, |row| row % 3).unwrap();
         assert_eq!(parts.len(), 3);
-        assert_eq!(parts.iter().map(|(p, _)| p.len()).sum::<usize>(), 10);
+        assert_eq!(parts.iter().map(Relation::len).sum::<usize>(), 10);
         // shard 0 got rows 0,3,6,9 in order
-        assert_eq!(parts[0].0.row(0), vec![0, 0]);
-        assert_eq!(parts[0].0.row(3), vec![9, 1]);
-        for (p, _) in &parts {
+        assert_eq!(parts[0].row(0), vec![0, 0]);
+        assert_eq!(parts[0].row(3), vec![9, 1]);
+        for p in &parts {
             assert_eq!(p.schema(), r.schema());
         }
     }
@@ -311,32 +293,16 @@ mod tests {
     fn partition_by_rejects_bad_arguments() {
         let mut r = rel();
         r.push_row(&[1, 0]).unwrap();
-        assert!(matches!(r.partition_by_zoned(0, |_| 0), Err(DbError::InvalidQuery(_))));
-        assert!(matches!(r.partition_by_zoned(2, |_| 5), Err(DbError::InvalidQuery(_))));
+        assert!(matches!(r.partition_by(0, |_| 0), Err(DbError::InvalidQuery(_))));
+        assert!(matches!(r.partition_by(2, |_| 5), Err(DbError::InvalidQuery(_))));
     }
 
     #[test]
     fn partition_by_allows_empty_parts() {
         let mut r = rel();
         r.push_row(&[1, 0]).unwrap();
-        let parts = r.partition_by_zoned(4, |_| 2).unwrap();
-        assert_eq!(parts[2].0.len(), 1);
-        assert!([0, 1, 3].iter().all(|&i| parts[i].0.is_empty()));
-    }
-
-    #[test]
-    fn partition_by_zoned_summarises_each_part() {
-        let mut r = rel();
-        for i in 0..10u64 {
-            r.push_row(&[10 * i, i % 2]).unwrap();
-        }
-        let parts = r.partition_by_zoned(2, |row| row % 2).unwrap();
-        // part 0 got rows 0,2,4,6,8 → n ∈ {0,20,40,60,80}
-        assert_eq!(parts[0].1.range(0), Some((0, 80)));
-        assert_eq!(parts[1].1.range(0), Some((10, 90)));
-        // zones match recomputation from the part itself
-        for (part, zone) in &parts {
-            assert_eq!(zone, &ZoneMap::of(part));
-        }
+        let parts = r.partition_by(4, |_| 2).unwrap();
+        assert_eq!(parts[2].len(), 1);
+        assert!([0, 1, 3].iter().all(|&i| parts[i].is_empty()));
     }
 }

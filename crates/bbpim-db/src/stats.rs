@@ -393,10 +393,10 @@ mod tests {
             q.select[0].func = func;
             let whole = run_oracle(&q, &rel).unwrap();
             let plan = q.physical_plan().unwrap();
-            let parts = rel.partition_by_zoned(3, |row| row % 3).unwrap();
+            let parts = rel.partition_by(3, |row| row % 3).unwrap();
             // merge each physical component across partitions, then derive
             let mut merged: Vec<GroupedResult> = vec![GroupedResult::new(); plan.aggs.len()];
-            for (p, _) in &parts {
+            for p in &parts {
                 let partial = run_oracle_physical(&q, p).unwrap();
                 for (acc, (part, agg)) in merged.iter_mut().zip(partial.into_iter().zip(&plan.aggs))
                 {

@@ -30,7 +30,6 @@ use std::sync::Arc;
 use bbpim_cluster::ClusterExecution;
 use bbpim_core::mutation::Mutation;
 use bbpim_db::plan::Query;
-use bbpim_sim::config::HostConfig;
 use bbpim_trace::{ArgValue, TraceRecorder, TrackId};
 
 use crate::demand::{
@@ -497,12 +496,10 @@ impl<'a, E: StreamEngine, F> Core<'a, E, F> {
         let applied = self.cluster.apply_mutation(mutation)?;
         self.by_query.mutated(&*self.cluster, mutation, &applied);
         let (label, contention) = (mutation.label(), self.cluster.contention());
-        let demand = match self.cluster.host_config() {
-            Some(host) => {
-                compile_mutation_demand(label, &applied, &host, contention, self.kernel.tracing())
-            }
-            None => compile_mutation_demand(label, &[], &HostConfig::default(), false, false),
-        };
+        // a cluster without tables applies nothing
+        let host = self.cluster.host_config().unwrap_or_default();
+        let demand =
+            compile_mutation_demand(label, &applied, &host, contention, self.kernel.tracing());
         for lane in &demand.lanes {
             self.lane_mutations[lane.shard] += 1;
         }

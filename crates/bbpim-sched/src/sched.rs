@@ -57,8 +57,9 @@ pub trait StreamEngine {
     /// Is the shared-host-channel contention model on?
     fn contention(&self) -> bool;
 
-    /// The host-channel parameters (`None` only for an empty cluster,
-    /// which can never produce candidate shards).
+    /// The host-channel parameters (`None` only for a cluster with no
+    /// table of either kind, which has no candidate shard and applies
+    /// no mutation).
     fn host_config(&self) -> Option<HostConfig>;
 
     /// Fact shards actually holding records.
@@ -134,7 +135,8 @@ impl<S: Storage> StreamEngine for Cluster<S> {
     }
 
     fn host_config(&self) -> Option<HostConfig> {
-        self.shard_table(0).map(|t| t.config().host.clone())
+        let table = self.shard_table(0).or_else(|| self.aux_table(0));
+        table.map(|t| t.config().host.clone())
     }
 
     fn active_shards(&self) -> usize {

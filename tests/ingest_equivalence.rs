@@ -271,8 +271,8 @@ fn mixed_stream_matches_prefix_replay_on_the_star_model() {
 /// UPDATE, so the scheduler's per-attribute stamps are held here: on
 /// the wide model every shard the UPDATE lands on re-runs the queries
 /// that read the year (and enumerates their GROUP BY d_year subgroups
-/// anew); on the star model the date module and its catalog take the
-/// write. Both must still match the whole-execution prefix replay.
+/// anew); on the star model the date module takes the write, and the
+/// planner reads the moved years off its image. Both must still match the whole-execution prefix replay.
 #[test]
 fn a_d_year_update_matches_prefix_replay_on_both_models() {
     let db = ssb();
@@ -297,6 +297,37 @@ fn assert_year_updates_replay<R: Replay>(label: &str, insert: Mutation, build: i
     let moved: u64 = out.mutation_completions.iter().map(|m| m.records_updated).sum();
     assert!(moved > 0, "{label}: the year updates must land records");
     assert_prefix_replay(&format!("{label}, d_year updates"), &out, &workload, &mut build());
+}
+
+/// A star cluster whose fact table is empty still owns its dimension
+/// modules, and a streamed dimension UPDATE is recorded as what it
+/// did: the lanes, records and time `mutate` reports for the same
+/// write on a twin cluster.
+#[test]
+fn a_streamed_dimension_update_without_fact_rows_reports_its_work() {
+    let mut db = ssb();
+    db.lineorder = Relation::new(db.lineorder.schema().clone());
+    let m = Mutation::update()
+        .filter(col("d_year").eq(1995u64))
+        .set("d_weeknuminyear", 53u64)
+        .build_unchecked();
+    let want = star_cluster(&db, 2).mutate(&m).expect("mutate");
+    let workload = Workload::with_mutations(
+        Vec::new(),
+        Vec::new(),
+        vec![m],
+        vec![MutationArrival { at_ns: 0.0, mutation: 0 }],
+    )
+    .expect("workload");
+    let mut c = star_cluster(&db, 2);
+    assert_eq!(c.active_shards(), 0, "no fact row, no fact shard");
+    let out = run_stream(&mut c, &workload, &SchedConfig::default()).expect("stream");
+    let [done] = &out.mutation_completions[..] else { panic!("one mutation completes") };
+    assert_eq!(done.lanes, 1, "the date module's lane");
+    assert_eq!(done.records_updated, want.records_updated);
+    assert_eq!(done.records_updated, 365);
+    assert_eq!(done.complete_ns - done.admit_ns, want.time_ns);
+    assert!(want.time_ns > 0.0);
 }
 
 /// Ingest wears cells beyond what the queries write: one seeded query

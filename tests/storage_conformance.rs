@@ -14,7 +14,9 @@
 //!   pruned;
 //! * a filter no shard can match is answered by the planner alone;
 //! * an invalid shard index is a typed error that leaves every later
-//!   result unchanged.
+//!   result unchanged;
+//! * planning, `EXPLAIN` and execution reject a filter on an attribute
+//!   the star's dimension layout keeps host-side with one error.
 
 use bbpim::cluster::{
     Cluster, ClusterEngine, ClusterError, ClusterExecution, Partitioner, StarCluster, Storage,
@@ -27,6 +29,7 @@ use bbpim::engine::groupby::calibration::{run_calibration, CalibrationConfig};
 use bbpim::engine::modes::EngineMode;
 use bbpim::engine::mutation::Mutation;
 use bbpim::engine::result::{QueryExecution, QueryReport};
+use bbpim::engine::CoreError;
 use bbpim::sim::timeline::PhaseKind;
 use bbpim::sim::{SimConfig, XferPolicy};
 
@@ -199,4 +202,28 @@ fn star_storage_conforms() {
         .expect("star cluster construction")
     };
     conforms("star", fresh, &db.lineorder);
+}
+
+#[test]
+fn a_host_only_dimension_attribute_is_rejected_alike_by_plan_explain_and_run() {
+    let db = SsbDb::generate(&SsbParams::tiny_for_tests());
+    let mut c = StarCluster::new(
+        SimConfig::small_for_tests(),
+        &db,
+        EngineMode::OneXb,
+        SHARDS,
+        Partitioner::RoundRobin,
+    )
+    .expect("star cluster construction");
+    let mut q = queries::standard_query("Q1.1").expect("standard query");
+    q.filter = col("d_dayofweek").eq(1u64);
+    let planned = c.plan_shards(&q.filter).expect_err("planning a host-only attribute");
+    match &planned {
+        ClusterError::Core(CoreError::Unsupported(msg)) => {
+            assert!(msg.contains("d_dayofweek") && msg.contains("host-only"), "{msg}");
+        }
+        other => panic!("expected a host-only error, got {other}"),
+    }
+    assert_eq!(c.explain(&q).expect_err("explaining a host-only attribute"), planned);
+    assert_eq!(c.run(&q).expect_err("running a host-only attribute"), planned);
 }
