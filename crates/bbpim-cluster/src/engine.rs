@@ -12,13 +12,15 @@
 //! per-shard execution — shard bookkeeping, the contention toggle, the
 //! pruning and transfer-policy switches of every table, shard
 //! admission, `EXPLAIN`, the threaded scatter, the report folds,
-//! mutation routing — exists once. The
-//! storage model supplies what genuinely differs: [`PreJoined`]
-//! ([`ClusterEngine`]) shards the paper's wide pre-joined relation and
-//! runs its cost-model GROUP BY; [`crate::star::Star`]
-//! ([`crate::StarCluster`]) shards the normalized fact table, keeps the
-//! dimensions on auxiliary modules and joins through PIM-side semijoin
-//! bitmaps. Answers are bit-identical between the two.
+//! mutation routing, the cache of compiled per-query plans and which
+//! shard charges a plan's once-per-query work — exists once. The
+//! storage model supplies what genuinely differs, and holds no state
+//! beyond a shared cost model: [`PreJoined`] ([`ClusterEngine`]) shards
+//! the paper's wide pre-joined relation and runs its cost-model GROUP
+//! BY; [`crate::star::Star`] ([`crate::StarCluster`]) shards the
+//! normalized fact table, keeps the dimensions on auxiliary modules and
+//! joins through PIM-side semijoin bitmaps. Answers are bit-identical
+//! between the two.
 //!
 //! ## Zone-map shard pruning
 //!
@@ -50,7 +52,7 @@
 //! transfer rides a free per-module channel) for A/B studies; answers
 //! are bit-identical either way.
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 
 use bbpim_core::engine::run_query;
 use bbpim_core::groupby::calibration::{run_calibration, CalibrationConfig};
@@ -80,11 +82,12 @@ pub(crate) struct Shard {
 }
 
 /// What a storage model contributes to the one [`Cluster`]: how a
-/// filter bounds the fact table, how one shard executes a query, and
-/// the per-query state its shards share. Auxiliary tables (the star's
+/// filter bounds the fact table, how a query's shared plan compiles and
+/// how one shard executes under it. Auxiliary tables (the star's
 /// dimension modules; none for the pre-joined model) are owned by the
-/// cluster and handed in. Every table plans its pages under its own
-/// pruning switch ([`PimTable::plan_dnf`]).
+/// cluster and handed in, and so is the plan: the cluster decides when
+/// a plan is compiled, cached and charged. Every table plans its pages
+/// under its own pruning switch ([`PimTable::plan_dnf`]).
 pub trait Storage: Sync {
     /// Per-query state compiled once and shared by every shard (the
     /// star's join plan; nothing for the pre-joined model).
@@ -93,8 +96,9 @@ pub trait Storage: Sync {
     /// The planner's view of `filter`: a DNF resolved against the
     /// `fact` schema that every matching fact record satisfies — what
     /// shard and page zone maps are tested against — plus the ledger of
-    /// join transfers it implies (each broadcast to `broadcast` shards),
-    /// its dimension bitmaps read off the `aux` tables' stored bits.
+    /// join transfers it implies (each broadcast to `broadcast` shards,
+    /// with the dispatch bytes of its dimension filter), its dimension
+    /// bitmaps read off the `aux` tables' stored bits.
     ///
     /// # Errors
     ///
@@ -107,40 +111,22 @@ pub trait Storage: Sync {
         broadcast: usize,
     ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError>;
 
-    /// The dispatch-descriptor bytes the join work of `filter` puts on
-    /// the channel (the dimension filters of each `transfers` entry),
-    /// beyond what the fact shards dispatch themselves; none for a model
-    /// that does not join.
-    ///
-    /// # Errors
-    ///
-    /// Attribute resolution failures.
-    fn join_dispatch_bytes(
-        &self,
-        _aux: &[PimTable],
-        _filter: &Pred,
-        _transfers: &[JoinTransfer],
-    ) -> Result<u64, ClusterError> {
-        Ok(0)
-    }
-
-    /// Take `query`'s shared plan out of the plan cache, compiling it
-    /// when there is none or a `fresh` one is asked for.
+    /// Compile `query`'s shared plan against the `fact` layout and the
+    /// `aux` tables (the star runs its dimension filters there and logs
+    /// them as the plan's once-per-query prelude).
     ///
     /// # Errors
     ///
     /// Resolution or substrate failures.
-    fn take_plan(
-        &mut self,
+    fn plan(
+        &self,
         fact: &PimTable,
         aux: &mut [PimTable],
         query: &Query,
-        fresh: bool,
     ) -> Result<Self::Plan, ClusterError>;
 
-    /// Execute `query` on one fact shard. The `lead` shard — the first
-    /// one dispatched — carries whatever the plan still has to charge
-    /// once per query.
+    /// Execute `query` on one fact shard under `plan`. The `lead` shard
+    /// carries whatever the plan charges once per query.
     ///
     /// # Errors
     ///
@@ -154,14 +140,6 @@ pub trait Storage: Sync {
         query: &Query,
         lead: bool,
     ) -> Result<QueryExecution, ClusterError>;
-
-    /// Put `query`'s plan back once a lead shard has executed under it
-    /// (its once-per-query charges are spent).
-    fn keep_plan(&mut self, query: &Query, plan: Self::Plan);
-
-    /// Drop every cached plan: a toggle or a landed write may change
-    /// any of them.
-    fn invalidate(&mut self);
 }
 
 /// The paper's storage model: one wide pre-joined relation, sharded.
@@ -185,13 +163,7 @@ impl Storage for PreJoined {
         Ok((filter.resolve_dnf(fact)?, Vec::new()))
     }
 
-    fn take_plan(
-        &mut self,
-        _fact: &PimTable,
-        _aux: &mut [PimTable],
-        _query: &Query,
-        _fresh: bool,
-    ) -> Result<(), ClusterError> {
+    fn plan(&self, _: &PimTable, _: &mut [PimTable], _: &Query) -> Result<(), ClusterError> {
         Ok(())
     }
 
@@ -206,10 +178,6 @@ impl Storage for PreJoined {
     ) -> Result<QueryExecution, ClusterError> {
         Ok(run_query(table, mode, self.model.as_ref(), query)?)
     }
-
-    fn keep_plan(&mut self, _query: &Query, _plan: ()) {}
-
-    fn invalidate(&mut self) {}
 }
 
 /// A sharded PIM OLAP engine: `n` fact shards, each a [`PimTable`] on
@@ -218,12 +186,20 @@ impl Storage for PreJoined {
 /// Presents the same `run(&Query)` surface as the single-module
 /// [`bbpim_core::PimQueryEngine`], returning bit-identical grouped
 /// results.
-pub struct Cluster<S> {
+pub struct Cluster<S: Storage> {
     pub(crate) shards: Vec<Shard>,
     /// Auxiliary tables on modules of their own (the star's four
     /// dimensions); table `d` is ingest lane `shards.len() + d`.
     pub(crate) aux: Vec<PimTable>,
     pub(crate) storage: S,
+    /// The fact schema and the layout every fact shard is loaded under
+    /// (what the cluster plans and reports against, shards or none).
+    pub(crate) fact: Schema,
+    pub(crate) layout: RecordLayout,
+    /// Shared plans by (query id, filter). The one [`Cluster::run_on_shard`]
+    /// call that compiled a plan charged its prelude; every toggle and
+    /// write drops them all.
+    plans: Vec<(String, Pred, S::Plan)>,
     shard_count: usize,
     partitioner: Partitioner,
     mode: EngineMode,
@@ -434,6 +410,9 @@ impl<S: Storage> Cluster<S> {
             shards: built,
             aux: Vec::new(),
             storage,
+            fact: fact.schema().clone(),
+            layout,
+            plans: Vec::new(),
             shard_count: shards,
             partitioner,
             mode,
@@ -468,17 +447,17 @@ impl<S: Storage> Cluster<S> {
 
     /// Is zone-map pruning (shard-level pre-scatter skip + page
     /// planning on every table) enabled? Defaults to `true`; read from
-    /// the first fact shard, which [`Cluster::set_pruning`] keeps in
-    /// step with every other table.
+    /// every fact shard and auxiliary table, which
+    /// [`Cluster::set_pruning`] keeps in step.
     pub fn pruning(&self) -> bool {
-        self.shards.first().is_none_or(|s| s.table.pruning())
+        self.shards.iter().map(|s| &s.table).chain(&self.aux).all(PimTable::pruning)
     }
 
     /// Enable or disable zone-map pruning cluster-wide — fact shards and
     /// auxiliary tables. Answers are bit-identical either way.
     pub fn set_pruning(&mut self, enabled: bool) {
         self.tables_mut().for_each(|table| table.set_pruning(enabled));
-        self.storage.invalidate();
+        self.plans.clear();
     }
 
     /// Is the shared-host-channel contention model enabled (default)?
@@ -506,7 +485,7 @@ impl<S: Storage> Cluster<S> {
     /// the bytes on the channel (and hence contended wall clock) change.
     pub fn set_xfer_policy(&mut self, policy: XferPolicy) {
         self.tables_mut().for_each(|table| table.set_xfer_policy(policy));
-        self.storage.invalidate();
+        self.plans.clear();
     }
 
     /// Every table of the cluster: the fact shards, then the auxiliary
@@ -534,16 +513,12 @@ impl<S: Storage> Cluster<S> {
         self.shards.len() + self.aux.len()
     }
 
-    /// The storage model's bounds of `filter` on the fact table (empty
-    /// for a cluster with no active shard).
+    /// The storage model's bounds of `filter` on the fact table.
     fn bounds(
         &self,
         filter: &Pred,
     ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError> {
-        match self.shards.first() {
-            None => Ok((Vec::new(), Vec::new())),
-            Some(s) => self.storage.bounds(s.table.schema(), &self.aux, filter, self.shards.len()),
-        }
+        self.storage.bounds(&self.fact, &self.aux, filter, self.shards.len())
     }
 
     /// The pre-scatter plan of a filter tree: `true` per active shard
@@ -558,11 +533,22 @@ impl<S: Storage> Cluster<S> {
     ///
     /// Propagates filter resolution failures.
     pub fn plan_shards(&self, filter: &Pred) -> Result<Vec<bool>, ClusterError> {
+        self.admit(filter, || Ok(FilterBounds::from_dnf(&self.bounds(filter)?.0)))
+    }
+
+    /// The one shard-admission test: every active shard with pruning off
+    /// or an always-true filter, otherwise each shard whose zone map the
+    /// filter's `bounds` — only then asked for — can match.
+    fn admit<B: Borrow<FilterBounds>>(
+        &self,
+        filter: &Pred,
+        bounds: impl FnOnce() -> Result<B, ClusterError>,
+    ) -> Result<Vec<bool>, ClusterError> {
         if !self.pruning() || filter.is_always() {
             return Ok(vec![true; self.shards.len()]);
         }
-        let bounds = FilterBounds::from_dnf(&self.bounds(filter)?.0);
-        Ok(self.shards.iter().map(|s| bounds.can_match(&s.table.zone_map())).collect())
+        let bounds = bounds()?;
+        Ok(self.shards.iter().map(|s| bounds.borrow().can_match(&s.table.zone_map())).collect())
     }
 
     /// The physical plan of `query` without executing anything: the
@@ -581,26 +567,19 @@ impl<S: Storage> Cluster<S> {
         // (as in `plan_shards`), render below and plan every shard's pages
         let (dnf, join_transfers) = self.bounds(&query.filter)?;
         let bounds = FilterBounds::from_dnf(&dnf);
-        let admit_all = !self.pruning() || query.filter.is_always();
+        let admitted = self.admit(&query.filter, || Ok(&bounds))?;
         // Per-attribute interval union of the filter bounds, rendered
         // with attribute names (what the zone maps are tested against).
-        let filter_bounds = match self.shards.first() {
-            None => Vec::new(),
-            Some(first) => {
-                let attrs = first.table.schema().attrs();
-                bounds
-                    .intervals()
-                    .into_iter()
-                    .map(|(idx, intervals)| (attrs[idx].name.clone(), intervals))
-                    .collect()
-            }
-        };
-        let mut dispatch_bytes =
-            self.storage.join_dispatch_bytes(&self.aux, &query.filter, &join_transfers)?;
+        let attrs = self.fact.attrs();
+        let filter_bounds = bounds
+            .intervals()
+            .into_iter()
+            .map(|(idx, intervals)| (attrs[idx].name.clone(), intervals))
+            .collect();
+        let mut dispatch_bytes = join_transfers.iter().map(|t| t.dispatch_bytes).sum();
         query.physical_plan()?;
         let mut shards = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let dispatched = admit_all || bounds.can_match(&shard.table.zone_map());
+        for (shard, dispatched) in self.shards.iter().zip(admitted) {
             let mut candidate_pages = 0;
             if dispatched {
                 let plan = shard.table.plan_dnf(&dnf);
@@ -632,9 +611,10 @@ impl<S: Storage> Cluster<S> {
     /// queries' shard slices on different modules; folding the
     /// per-shard partials through [`Cluster::merge_executions`] in
     /// shard order yields answers bit-identical to [`Cluster::run`].
-    /// The first shard to execute a given (query, filter) is its lead
-    /// (a star join's prelude rides in its log); later shards reuse the
-    /// cached plan for free.
+    /// The call that finds no cached plan for the (query id, filter)
+    /// compiles one, leads with it (a star join's prelude rides in its
+    /// log) and caches it once the shard ran; later calls reuse it for
+    /// free. A failed call caches nothing it compiled.
     ///
     /// `i` indexes active shards (like [`Cluster::shard_table`]).
     ///
@@ -651,25 +631,31 @@ impl<S: Storage> Cluster<S> {
         if i >= active {
             return Err(ClusterError::InvalidCluster(format!("no active shard {i}/{active}")));
         }
-        let plan = self.storage.take_plan(&self.shards[0].table, &mut self.aux, query, false)?;
-        let exec = self.storage.exec_shard(
-            &plan,
-            &mut self.shards[i].table,
-            &self.aux,
-            self.mode,
-            query,
-            true,
-        )?;
-        self.storage.keep_plan(query, plan);
-        Ok(exec)
+        let cached = self.plans.iter().position(|(id, f, _)| *id == query.id && *f == query.filter);
+        let at = match cached {
+            Some(at) => at,
+            None => {
+                let plan = self.storage.plan(&self.shards[0].table, &mut self.aux, query)?;
+                self.plans.push((query.id.clone(), query.filter.clone(), plan));
+                self.plans.len() - 1
+            }
+        };
+        let (plan, table) = (&self.plans[at].2, &mut self.shards[i].table);
+        let lead = cached.is_none();
+        let exec = self.storage.exec_shard(plan, table, &self.aux, self.mode, query, lead);
+        if exec.is_err() && lead {
+            self.plans.pop();
+        }
+        exec
     }
 
     /// Scatter: every shard drains *its own* queue — the queries whose
     /// mask admits it, in admission order — on its own OS thread, under
-    /// per-query plans compiled up front (a query no shard admits
-    /// compiles nothing). Returns each shard's `(query index,
-    /// execution)` list in shard order. The first shard error aborts
-    /// the cluster operation.
+    /// per-query plans compiled afresh up front (a query no shard admits
+    /// compiles nothing; the plan cache is neither read nor written).
+    /// Each query's first dispatched shard leads. Returns each shard's
+    /// `(query index, execution)` list in shard order. The first shard
+    /// error aborts the cluster operation.
     fn scatter(
         &mut self,
         queries: &[Query],
@@ -679,12 +665,7 @@ impl<S: Storage> Cluster<S> {
         for (query, mask) in queries.iter().zip(masks) {
             plans.push(match mask.contains(&true) {
                 false => None,
-                true => Some(self.storage.take_plan(
-                    &self.shards[0].table,
-                    &mut self.aux,
-                    query,
-                    true,
-                )?),
+                true => Some(self.storage.plan(&self.shards[0].table, &mut self.aux, query)?),
             });
         }
         let (storage, aux, plans_ref) = (&self.storage, &self.aux[..], &plans);
@@ -719,11 +700,6 @@ impl<S: Storage> Cluster<S> {
                 .map(|h| h.map_or(Ok(Vec::new()), |h| h.join().expect("shard worker panicked")))
                 .collect::<Result<Vec<_>, ClusterError>>()
         })?;
-        for (query, plan) in queries.iter().zip(plans) {
-            if let Some(plan) = plan {
-                self.storage.keep_plan(query, plan);
-            }
-        }
         Ok(per_shard)
     }
 
@@ -857,8 +833,7 @@ impl<S: Storage> Cluster<S> {
     /// from the deterministic cursor `records % active`, so a given
     /// cluster history always lands rows on the same lanes. Each table
     /// widens its own zone maps as it writes, so later pruning decisions
-    /// account for the written values; the storage model's cached plans
-    /// are dropped.
+    /// account for the written values; the cached plans are dropped.
     ///
     /// # Errors
     ///
@@ -870,7 +845,7 @@ impl<S: Storage> Cluster<S> {
         &mut self,
         m: &Mutation,
     ) -> Result<Vec<(usize, MutationReport)>, ClusterError> {
-        self.storage.invalidate();
+        self.plans.clear();
         let active = self.shards.len();
         let parts: Vec<(usize, Cow<'_, Mutation>)> = match m {
             Mutation::Update { .. } => {

@@ -51,6 +51,10 @@ pub struct JoinTransfer {
     pub wire_bytes: u64,
     /// Fact shards the single broadcast grant reaches.
     pub broadcast_shards: usize,
+    /// Dispatch-descriptor bytes of the dimension filter that selects
+    /// the keys: it runs once, on the dimension's module, in the join
+    /// prelude.
+    pub dispatch_bytes: u64,
 }
 
 /// The full pre-execution plan of one query on a cluster.
@@ -209,6 +213,7 @@ mod tests {
                 raw_bytes: 320,
                 wire_bytes: 12,
                 broadcast_shards: 2,
+                dispatch_bytes: 16,
             }],
             dispatch_bytes: 48,
         }

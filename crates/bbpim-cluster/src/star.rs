@@ -39,11 +39,16 @@
 //! ## Accounting approximations
 //!
 //! The dimension-filter phases of a query (its *join prelude*) are
-//! charged once per query, prepended to the lead shard's log; under
-//! the contention model their bus slices serialise like any other host
-//! transfer. Other shards may in reality overlap the dimension filter
-//! with their own dispatch — the model keeps the whole prelude on one
-//! timeline, a conservative simplification.
+//! charged once per query, prepended to the lead shard's log. The
+//! cluster decides which shard leads: [`Cluster::run`] and
+//! [`Cluster::run_batch`] compile every plan afresh and lead with each
+//! query's first dispatched shard; [`Cluster::run_on_shard`] leads with
+//! the call that compiles the plan its cache lacked, so stepwise
+//! execution charges what `run` does. Under the contention model the
+//! prelude's bus slices serialise like any other host transfer. Other
+//! shards may in reality overlap the dimension filter with their own
+//! dispatch — the model keeps the whole prelude on one timeline, a
+//! conservative simplification.
 //!
 //! ```
 //! use bbpim_cluster::{Partitioner, StarCluster};
@@ -60,7 +65,6 @@
 //! # Ok::<(), bbpim_cluster::ClusterError>(())
 //! ```
 
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 
 use bbpim_core::error::CoreError;
@@ -87,13 +91,12 @@ use crate::engine::{Cluster, Storage};
 use crate::explain::JoinTransfer;
 use crate::{ClusterError, Partitioner};
 
-/// The normalized star storage model: the compiled join plans, one per
-/// (query, filter) text, and no rows — the planner reads dimension key
-/// bitmaps off the dimension images (`image_dim_bitmap`), for free.
+/// The normalized star storage model. It holds nothing: the cluster
+/// owns the tables and caches the join plans, and the planner reads
+/// dimension key bitmaps off the dimension images (`image_dim_bitmap`),
+/// for free.
 #[derive(Debug)]
-pub struct Star {
-    join_cache: HashMap<String, JoinPlan>,
-}
+pub struct Star;
 
 /// A sharded PIM OLAP engine over the *normalized* SSB star schema:
 /// the one [`Cluster`] with the four dimensions as its auxiliary
@@ -104,21 +107,15 @@ pub type StarCluster = Cluster<Star>;
 
 /// A query's compiled join: the fact-side semijoin program inputs, the
 /// FK-hull bounds the planner derived from the bitmaps, and the
-/// dimension-side phase log (charged once per query). The transfer
-/// ledger lives on [`crate::PlanExplain`] — [`Cluster::explain`]
-/// rebuilds it from the dimension images, which the executed bitmaps
-/// provably match.
+/// dimension-side phase log (charged once per query, by the lead
+/// shard). The transfer ledger lives on [`crate::PlanExplain`] —
+/// [`Cluster::explain`] rebuilds it from the dimension images, which the
+/// executed bitmaps provably match.
 #[derive(Debug)]
 pub struct JoinPlan {
     disjuncts: Vec<SemijoinDisjunct>,
     bounds_dnf: Vec<Vec<ResolvedAtom>>,
     prelude: RunLog,
-    prelude_charged: bool,
-}
-
-/// Join-plan cache key: one compiled plan per (query, filter) text.
-fn plan_key(query: &Query) -> String {
-    format!("{}|{}", query.id, query.filter)
 }
 
 /// Split a conjunction by owning table: fact atoms plus per-dimension
@@ -227,60 +224,13 @@ fn route_filter(
     Ok(routed)
 }
 
-/// Compile a query's join: run each disjunct's dimension filters on
-/// their modules, decompose the bitmaps into semijoin runs, and charge
-/// the dimension phases plus the two bitmap transfers (read + one
-/// broadcast grant) to the plan's prelude log.
-fn build_join_plan(
-    fact: &PimTable,
-    dims: &mut [PimTable],
-    query: &Query,
-) -> Result<JoinPlan, ClusterError> {
-    let mut prelude = RunLog::new();
-    let routed = route_filter(&query.filter, |_, d, atoms| {
-        let dim = &mut dims[d];
-        let bits = filter_conjunction(dim, atoms, &mut prelude)?;
-        let bitmap = KeyBitmap::new(DIMENSIONS[d].key_base, bits);
-        // the bitmap crosses the channel twice: one read off the
-        // dimension module, one broadcast write shared by every fact
-        // shard (a single grant) — at the compressed wire size, or
-        // bit-packed raw when the compression lever is off (A/B
-        // attribution)
-        let line_bytes = dim.config().line_bytes() as u64;
-        let lines = if dim.module().policy().compress_masks {
-            bitmap.wire_lines(line_bytes)
-        } else {
-            bitmap.raw_bytes().div_ceil(line_bytes.max(1)).max(1)
-        };
-        prelude.push(dim.module().host_read_phase(lines));
-        prelude.push(dim.module().host_write_phase(lines));
-        Ok(bitmap)
-    })?;
-    let mut disjuncts = Vec::with_capacity(routed.len());
-    let mut bounds_dnf = Vec::with_capacity(routed.len());
-    for r in routed {
-        let bounds = r.bounds(fact.schema())?;
-        let mut atoms = Vec::with_capacity(r.fact_atoms.len());
-        for (a, resolved) in r.fact_atoms.iter().zip(&bounds) {
-            atoms.push((resolved.clone(), col_range(fact, a.attr())?));
-        }
-        let mut semijoins = Vec::with_capacity(r.bitmaps.len());
-        for (d, bitmap) in &r.bitmaps {
-            let fk = col_range(fact, DIMENSIONS[*d].fk)?;
-            semijoins.push(SemijoinTerm { fk_range: fk, runs: bitmap.runs().collect() });
-        }
-        disjuncts.push(SemijoinDisjunct { atoms, semijoins });
-        bounds_dnf.push(bounds);
-    }
-    Ok(JoinPlan { disjuncts, bounds_dnf, prelude, prelude_charged: false })
-}
-
 impl Storage for Star {
     type Plan = JoinPlan;
 
     /// Per surviving disjunct, the fact atoms plus one FK-hull BETWEEN
     /// per filtered dimension, and the transfer ledger of every bitmap
-    /// the walk asked for.
+    /// the walk asked for: its sizes and the descriptor bytes its
+    /// dimension filter dispatches as part of the join prelude.
     fn bounds(
         &self,
         fact: &Schema,
@@ -290,7 +240,9 @@ impl Storage for Star {
     ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError> {
         let mut transfers = Vec::new();
         let routed = route_filter(filter, |disjunct, d, atoms| {
-            let bitmap = image_dim_bitmap(&dims[d], d, atoms)?;
+            let dim = &dims[d];
+            let bitmap = image_dim_bitmap(dim, d, atoms)?;
+            let pages = dim.plan_dnf(&[resolve_all(atoms, dim.schema())?]);
             transfers.push(JoinTransfer {
                 dimension: DIMENSIONS[d].name.to_string(),
                 disjunct,
@@ -299,6 +251,7 @@ impl Storage for Star {
                 raw_bytes: bitmap.raw_bytes(),
                 wire_bytes: bitmap.wire_bytes(),
                 broadcast_shards: broadcast,
+                dispatch_bytes: dim.dispatch_bytes(&pages),
             });
             Ok(bitmap)
         })?;
@@ -306,39 +259,53 @@ impl Storage for Star {
         Ok((dnf, transfers))
     }
 
-    /// Every (disjunct, dimension) the ledger names is dispatched once
-    /// on the dimension's module as part of the join prelude, and those
-    /// descriptor bytes ride the channel like any fact dispatch.
-    fn join_dispatch_bytes(
+    /// Compile a query's join: run each disjunct's dimension filters on
+    /// their modules, decompose the bitmaps into semijoin runs, and
+    /// charge the dimension phases plus the two bitmap transfers (read +
+    /// one broadcast grant) to the plan's prelude log.
+    fn plan(
         &self,
-        dims: &[PimTable],
-        filter: &Pred,
-        transfers: &[JoinTransfer],
-    ) -> Result<u64, ClusterError> {
-        let dnf = filter.dnf();
-        let mut bytes = 0;
-        for t in transfers {
-            let d = DIMENSIONS
-                .iter()
-                .position(|meta| meta.name == t.dimension)
-                .expect("the ledger names star dimensions");
-            let (dim, atoms) = (&dims[d], &route_conjunct(&dnf[t.disjunct]).1[d]);
-            bytes += dim.dispatch_bytes(&dim.plan_dnf(&[resolve_all(atoms, dim.schema())?]));
-        }
-        Ok(bytes)
-    }
-
-    fn take_plan(
-        &mut self,
         fact: &PimTable,
         dims: &mut [PimTable],
         query: &Query,
-        fresh: bool,
     ) -> Result<JoinPlan, ClusterError> {
-        match self.join_cache.remove(&plan_key(query)) {
-            Some(plan) if !fresh => Ok(plan),
-            _ => build_join_plan(fact, dims, query),
+        let mut prelude = RunLog::new();
+        let routed = route_filter(&query.filter, |_, d, atoms| {
+            let dim = &mut dims[d];
+            let bits = filter_conjunction(dim, atoms, &mut prelude)?;
+            let bitmap = KeyBitmap::new(DIMENSIONS[d].key_base, bits);
+            // the bitmap crosses the channel twice: one read off the
+            // dimension module, one broadcast write shared by every fact
+            // shard (a single grant) — at the compressed wire size, or
+            // bit-packed raw when the compression lever is off (A/B
+            // attribution)
+            let line_bytes = dim.config().line_bytes() as u64;
+            let lines = if dim.module().policy().compress_masks {
+                bitmap.wire_lines(line_bytes)
+            } else {
+                bitmap.raw_bytes().div_ceil(line_bytes.max(1)).max(1)
+            };
+            prelude.push(dim.module().host_read_phase(lines));
+            prelude.push(dim.module().host_write_phase(lines));
+            Ok(bitmap)
+        })?;
+        let mut disjuncts = Vec::with_capacity(routed.len());
+        let mut bounds_dnf = Vec::with_capacity(routed.len());
+        for r in routed {
+            let bounds = r.bounds(fact.schema())?;
+            let mut atoms = Vec::with_capacity(r.fact_atoms.len());
+            for (a, resolved) in r.fact_atoms.iter().zip(&bounds) {
+                atoms.push((resolved.clone(), col_range(fact, a.attr())?));
+            }
+            let mut semijoins = Vec::with_capacity(r.bitmaps.len());
+            for (d, bitmap) in &r.bitmaps {
+                let fk = col_range(fact, DIMENSIONS[*d].fk)?;
+                semijoins.push(SemijoinTerm { fk_range: fk, runs: bitmap.runs().collect() });
+            }
+            disjuncts.push(SemijoinDisjunct { atoms, semijoins });
+            bounds_dnf.push(bounds);
         }
+        Ok(JoinPlan { disjuncts, bounds_dnf, prelude })
     }
 
     fn exec_shard(
@@ -363,23 +330,13 @@ impl Storage for Star {
             }
         }
         let pages = table.plan_dnf(&plan.bounds_dnf);
-        let prelude = (lead && !plan.prelude_charged).then_some(&plan.prelude);
-        let mut scan = table.begin(pages, prelude);
+        let mut scan = table.begin(pages, lead.then_some(&plan.prelude));
         let selected = scan.filter_joined(&plan.disjuncts)?;
         let grouped = match query.has_group_by() {
             true => Some(star_gather(&mut scan, dims, query, &qplan)?),
             false => None,
         };
         Ok(scan.finish(mode, query, &qplan, selected, grouped)?)
-    }
-
-    fn keep_plan(&mut self, query: &Query, mut plan: JoinPlan) {
-        plan.prelude_charged = true;
-        self.join_cache.insert(plan_key(query), plan);
-    }
-
-    fn invalidate(&mut self) {
-        self.join_cache.clear();
     }
 }
 
@@ -415,25 +372,24 @@ impl StarCluster {
             aux.push(PimTable::new(cfg.clone(), rel, layout(rel, cold)?)?);
         }
         let fact_layout = layout(&db.lineorder, &cold[0])?;
-        let storage = Star { join_cache: HashMap::new() };
         let mut cluster =
-            Cluster::build(&cfg, &db.lineorder, fact_layout, mode, shards, partitioner, storage)?;
+            Cluster::build(&cfg, &db.lineorder, fact_layout, mode, shards, partitioner, Star)?;
         cluster.aux = aux;
         Ok(cluster)
     }
 
     /// Per-table PIM-resident footprints: the (cluster-wide) fact
-    /// table first, then the four dimensions — each without what its
-    /// layout keeps host-side.
+    /// table first — zero records when no shard holds any — then the
+    /// four dimensions, each without what its layout keeps host-side.
     pub fn footprints(&self) -> Vec<TableFootprint> {
-        let footprint = |table: &PimTable, records| {
-            let names = table.schema().attrs().iter().map(|a| &a.name);
+        let footprint = |schema: &Schema, layout: &RecordLayout, records| {
+            let names = schema.attrs().iter().map(|a| &a.name);
             let cold: Vec<String> =
-                names.filter(|name| table.layout().is_excluded(name)).cloned().collect();
-            star::schema_footprint(table.schema(), records, &cold)
+                names.filter(|name| layout.is_excluded(name)).cloned().collect();
+            star::schema_footprint(schema, records, &cold)
         };
-        let fact = self.shard_table(0).map(|table| footprint(table, self.records()));
-        fact.into_iter().chain(self.aux.iter().map(|dim| footprint(dim, dim.records()))).collect()
+        let dims = self.aux.iter().map(|dim| footprint(dim.schema(), dim.layout(), dim.records()));
+        std::iter::once(footprint(&self.fact, &self.layout, self.records())).chain(dims).collect()
     }
 
     /// Total PIM-resident data bytes across the five tables.
@@ -737,6 +693,42 @@ mod tests {
         assert_eq!(fps[0].table, "lineorder");
         assert_eq!(fps[0].records, db.lineorder.len());
         assert!(c.total_data_bytes() > 0);
+    }
+
+    #[test]
+    fn a_cluster_without_fact_rows_still_reports_every_table() {
+        let mut db = db();
+        let loaded = cluster(&db, 2).footprints();
+        db.lineorder = Relation::new(db.lineorder.schema().clone());
+        let mut c = cluster(&db, 2);
+        assert_eq!(c.active_shards(), 0);
+        c.set_pruning(false);
+        assert!(!c.pruning());
+        assert!((0..4).all(|d| !c.aux_table(d).unwrap().pruning()));
+        let fps = c.footprints();
+        assert_eq!(fps.len(), 5);
+        assert_eq!((fps[0].table.as_str(), fps[0].records, fps[0].data_bytes), ("lineorder", 0, 0));
+        assert_eq!(fps[0].resident_bits, loaded[0].resident_bits);
+        assert_eq!(fps[1..], loaded[1..]);
+    }
+
+    #[test]
+    fn a_failed_shard_run_leaves_no_charged_plan() {
+        let db = db();
+        let q = queries::standard_query("Q1.1").unwrap();
+        // same (id, filter), but its aggregate names a dimension attribute
+        let bad = Query {
+            select: vec![bbpim_db::plan::SelectItem::sum(
+                "year",
+                bbpim_db::plan::AggExpr::attr("d_year"),
+            )],
+            ..q.clone()
+        };
+        let mut c = cluster(&db, 2);
+        assert!(c.run_on_shard(0, &bad).is_err());
+        // the next call compiles the plan again and charges its prelude
+        let want = cluster(&db, 2).run_on_shard(0, &q).unwrap();
+        assert_eq!(c.run_on_shard(0, &q).unwrap(), want);
     }
 
     #[test]

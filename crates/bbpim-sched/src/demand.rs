@@ -45,19 +45,6 @@ pub struct Slice {
     pub bus_bytes: u64,
 }
 
-/// A compiled shard chain: the slices the event loop plays out, plus —
-/// only when tracing — each slice's local-part composition by phase
-/// kind (`detail[i]` decomposes `slices[i].local_ns`), so module
-/// tracks can show *which* PIM phases filled each local window.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct SliceChain {
-    /// The alternating bus/local steps, in execution order.
-    pub slices: Vec<Slice>,
-    /// Per-slice local-part phase composition (empty when compiled
-    /// without detail).
-    pub detail: Vec<Vec<(PhaseKind, f64)>>,
-}
-
 /// The service demand of one query on one shard: its execution's phase
 /// log compiled to an alternating bus/local slice chain.
 #[derive(Clone, Debug)]
@@ -69,17 +56,31 @@ pub struct ShardDemand {
     /// Required cell endurance (write cycles) to sustain this query
     /// back-to-back on this shard for [`ENDURANCE_YEARS`].
     pub required_endurance: f64,
-    /// The compiled slice chain.
+    /// The compiled slice chain: the alternating bus/local steps the
+    /// event loop plays out, in execution order.
     pub slices: Vec<Slice>,
-    /// Per-slice local-part phase composition (empty when not tracing).
+    /// Per-slice local-part phase composition (empty when not tracing):
+    /// `detail[i]` decomposes `slices[i].local_ns` by phase kind, so
+    /// module tracks can show *which* PIM phases filled each local
+    /// window.
     pub detail: Vec<Vec<(PhaseKind, f64)>>,
 }
 
 impl ShardDemand {
     /// The one per-lane compile, shared by a query's shard executions
-    /// and a mutation's lanes: `log` (`time_ns` long) becomes the lane's
-    /// slice chain, and the run's `(worst-row cell writes, required
-    /// endurance)` travel with it.
+    /// and a mutation's lanes ([`MutationReport`]): `log` (`time_ns`
+    /// long) becomes the lane's slice chain the discrete-event
+    /// simulation plays out, so byte-tagged write phases ride the same
+    /// shared channel query transfers do, and the run's `(worst-row
+    /// cell writes, required endurance)` travel with it.
+    ///
+    /// Under contention every phase contributes its channel occupancy
+    /// ([`phase_occupancy_ns`]) as a bus slice and the remainder as
+    /// local time, preserving phase order — a transfer in the middle of
+    /// a two-xb filter really does re-queue on the bus between two PIM
+    /// programs. Without contention the whole log collapses to the
+    /// optimistic shape: one bus slice for the per-page dispatch,
+    /// everything else local.
     fn compile(
         shard: usize,
         log: &RunLog,
@@ -89,14 +90,64 @@ impl ShardDemand {
         contention: bool,
         want_detail: bool,
     ) -> ShardDemand {
-        let chain = compile_log_slices(log, time_ns, host, contention, want_detail);
-        ShardDemand {
-            shard,
-            cell_writes: wear.0,
-            required_endurance: wear.1,
-            slices: chain.slices,
-            detail: chain.detail,
+        let (cell_writes, required_endurance) = wear;
+        let demand =
+            |slices, detail| ShardDemand { shard, cell_writes, required_endurance, slices, detail };
+        if !contention {
+            let dispatch = log.time_in(PhaseKind::HostDispatch);
+            let slice = Slice {
+                bus_ns: dispatch,
+                local_ns: time_ns - dispatch,
+                bus_kind: (dispatch > 0.0).then_some(PhaseKind::HostDispatch),
+                bus_bytes: log.host_bytes_in(PhaseKind::HostDispatch),
+            };
+            let detail = if want_detail {
+                vec![log
+                    .phases()
+                    .iter()
+                    .filter(|p| p.kind != PhaseKind::HostDispatch && p.time_ns > 0.0)
+                    .map(|p| (p.kind, p.time_ns))
+                    .collect()]
+            } else {
+                Vec::new()
+            };
+            return demand(vec![slice], detail);
         }
+        let mut slices = vec![Slice { bus_ns: 0.0, local_ns: 0.0, bus_kind: None, bus_bytes: 0 }];
+        let mut detail: Vec<Vec<(PhaseKind, f64)>> = vec![Vec::new()];
+        for phase in log.phases() {
+            let bus = phase_occupancy_ns(host, phase);
+            let local = phase.time_ns - bus;
+            if bus > 0.0 {
+                slices.push(Slice {
+                    bus_ns: bus,
+                    local_ns: local,
+                    bus_kind: Some(phase.kind),
+                    bus_bytes: phase.host_bytes,
+                });
+                detail.push(if want_detail && local > 0.0 {
+                    vec![(phase.kind, local)]
+                } else {
+                    Vec::new()
+                });
+            } else {
+                slices.last_mut().expect("seeded with one slice").local_ns += local;
+                if want_detail && local > 0.0 {
+                    detail.last_mut().expect("seeded with one slice").push((phase.kind, local));
+                }
+            }
+        }
+        // Only the seed slice can be empty (every pushed one has bus time):
+        // drop it unless it is the whole chain.
+        let nonempty = |s: &Slice| s.bus_ns > 0.0 || s.local_ns > 0.0;
+        if slices.len() > 1 && !nonempty(&slices[0]) {
+            slices.remove(0);
+            detail.remove(0);
+        }
+        if !want_detail {
+            detail = Vec::new();
+        }
+        demand(slices, detail)
     }
 }
 
@@ -127,82 +178,6 @@ impl QueryDemand {
 /// Busy time `chains` occupy on the host channel and their lanes.
 pub(crate) fn busy_ns(chains: &[Arc<ShardDemand>]) -> f64 {
     chains.iter().flat_map(|sd| sd.slices.iter()).map(|s| s.bus_ns + s.local_ns).sum()
-}
-
-/// Compile one phase log — a query shard execution's or a mutation
-/// lane's ([`MutationReport`]) — and its total time into the slice
-/// chain the discrete-event simulation plays out, so byte-tagged write
-/// phases ride the same shared channel query transfers do.
-///
-/// Under contention every phase contributes its channel occupancy
-/// ([`phase_occupancy_ns`]) as a bus slice and the remainder as local
-/// time, preserving phase order — a transfer in the middle of a two-xb
-/// filter really does re-queue on the bus between two PIM programs.
-/// Without contention the whole log collapses to the optimistic shape:
-/// one bus slice for the per-page dispatch, everything else local.
-pub(crate) fn compile_log_slices(
-    log: &RunLog,
-    total_time_ns: f64,
-    host: &HostConfig,
-    contention: bool,
-    want_detail: bool,
-) -> SliceChain {
-    let empty_slice = Slice { bus_ns: 0.0, local_ns: 0.0, bus_kind: None, bus_bytes: 0 };
-    if !contention {
-        let dispatch = log.time_in(PhaseKind::HostDispatch);
-        let slice = Slice {
-            bus_ns: dispatch,
-            local_ns: total_time_ns - dispatch,
-            bus_kind: (dispatch > 0.0).then_some(PhaseKind::HostDispatch),
-            bus_bytes: log.host_bytes_in(PhaseKind::HostDispatch),
-        };
-        let detail = if want_detail {
-            vec![log
-                .phases()
-                .iter()
-                .filter(|p| p.kind != PhaseKind::HostDispatch && p.time_ns > 0.0)
-                .map(|p| (p.kind, p.time_ns))
-                .collect()]
-        } else {
-            Vec::new()
-        };
-        return SliceChain { slices: vec![slice], detail };
-    }
-    let mut slices: Vec<Slice> = vec![empty_slice];
-    let mut detail: Vec<Vec<(PhaseKind, f64)>> = vec![Vec::new()];
-    for phase in log.phases() {
-        let bus = phase_occupancy_ns(host, phase);
-        let local = phase.time_ns - bus;
-        if bus > 0.0 {
-            slices.push(Slice {
-                bus_ns: bus,
-                local_ns: local,
-                bus_kind: Some(phase.kind),
-                bus_bytes: phase.host_bytes,
-            });
-            detail.push(if want_detail && local > 0.0 {
-                vec![(phase.kind, local)]
-            } else {
-                Vec::new()
-            });
-        } else {
-            slices.last_mut().expect("seeded with one slice").local_ns += local;
-            if want_detail && local > 0.0 {
-                detail.last_mut().expect("seeded with one slice").push((phase.kind, local));
-            }
-        }
-    }
-    // Only the seed slice can be empty (every pushed one has bus time):
-    // drop it unless it is the whole chain.
-    let nonempty = |s: &Slice| s.bus_ns > 0.0 || s.local_ns > 0.0;
-    if slices.len() > 1 && !nonempty(&slices[0]) {
-        slices.remove(0);
-        detail.remove(0);
-    }
-    if !want_detail {
-        detail = Vec::new();
-    }
-    SliceChain { slices, detail }
 }
 
 /// A resolved query: its compiled service demand and its merged answer,
@@ -254,8 +229,9 @@ struct ShardVersions {
 /// reports: an UPDATE its SET attributes, an INSERT the insert version.
 /// One stated exception: on an engine with auxiliary ingest lanes (the
 /// star model, `ingest_lanes() > active_shards()`) any mutation bumps
-/// every shard, because applying it drops the shared join plan and the
-/// plan's prelude is then charged to whichever shard leads next.
+/// every shard: applying it drops the cluster's cached join plans, so
+/// the next `run_on_shard` of each query, on whichever shard, compiles
+/// the plan again and carries its prelude.
 ///
 /// A merge also reads cluster-wide state the shard executions do not:
 /// the record and page counts of every shard, pruned ones included
@@ -519,8 +495,9 @@ mod slice_tests {
         host: &HostConfig,
         contention: bool,
         want_detail: bool,
-    ) -> SliceChain {
-        compile_log_slices(&exec.report.phases, exec.report.time_ns, host, contention, want_detail)
+    ) -> ShardDemand {
+        let (log, time_ns) = (&exec.report.phases, exec.report.time_ns);
+        ShardDemand::compile(0, log, time_ns, (0, 0.0), host, contention, want_detail)
     }
 
     fn exec_with(phases: Vec<Phase>) -> QueryExecution {

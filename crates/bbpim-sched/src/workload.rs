@@ -76,46 +76,10 @@ impl Workload {
         mutations: Vec<Mutation>,
         mutation_arrivals: Vec<MutationArrival>,
     ) -> Result<Workload, SchedError> {
-        for (i, a) in arrivals.iter().enumerate() {
-            if a.query >= queries.len() {
-                return Err(SchedError::InvalidWorkload(format!(
-                    "arrival {i} references query {} of {}",
-                    a.query,
-                    queries.len()
-                )));
-            }
-            if !a.at_ns.is_finite() || a.at_ns < 0.0 {
-                return Err(SchedError::InvalidWorkload(format!(
-                    "arrival {i} at invalid time {}",
-                    a.at_ns
-                )));
-            }
-            if i > 0 && arrivals[i - 1].at_ns > a.at_ns {
-                return Err(SchedError::InvalidWorkload(format!(
-                    "arrivals must be sorted by time (index {i})"
-                )));
-            }
-        }
-        for (i, a) in mutation_arrivals.iter().enumerate() {
-            if a.mutation >= mutations.len() {
-                return Err(SchedError::InvalidWorkload(format!(
-                    "mutation arrival {i} references mutation {} of {}",
-                    a.mutation,
-                    mutations.len()
-                )));
-            }
-            if !a.at_ns.is_finite() || a.at_ns < 0.0 {
-                return Err(SchedError::InvalidWorkload(format!(
-                    "mutation arrival {i} at invalid time {}",
-                    a.at_ns
-                )));
-            }
-            if i > 0 && mutation_arrivals[i - 1].at_ns > a.at_ns {
-                return Err(SchedError::InvalidWorkload(format!(
-                    "mutation arrivals must be sorted by time (index {i})"
-                )));
-            }
-        }
+        let trace = arrivals.iter().map(|a| (a.at_ns, a.query));
+        check_trace("", "query", queries.len(), trace)?;
+        let trace = mutation_arrivals.iter().map(|a| (a.at_ns, a.mutation));
+        check_trace("mutation ", "mutation", mutations.len(), trace)?;
         Ok(Workload { queries, arrivals, mutations, mutation_arrivals })
     }
 
@@ -270,6 +234,33 @@ pub(crate) fn exp_draw(rng: &mut StdRng, mean_ns: f64) -> f64 {
     -mean_ns * (1.0 - u).ln()
 }
 
+/// Validate one arrival trace, `(time, index)` per arrival, whose
+/// indices name one of `len` items of kind `item`: every index in range,
+/// every time finite and non-negative, times sorted. `trace` (`""` or
+/// `"mutation "`) names the trace in the error.
+fn check_trace(
+    trace: &str,
+    item: &str,
+    len: usize,
+    arrivals: impl Iterator<Item = (f64, usize)>,
+) -> Result<(), SchedError> {
+    let mut last = f64::NEG_INFINITY;
+    for (i, (at_ns, index)) in arrivals.enumerate() {
+        let err = if index >= len {
+            format!("{trace}arrival {i} references {item} {index} of {len}")
+        } else if !at_ns.is_finite() || at_ns < 0.0 {
+            format!("{trace}arrival {i} at invalid time {at_ns}")
+        } else if last > at_ns {
+            format!("{trace}arrivals must be sorted by time (index {i})")
+        } else {
+            last = at_ns;
+            continue;
+        };
+        return Err(SchedError::InvalidWorkload(err));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,6 +273,14 @@ mod tests {
 
     fn m() -> Mutation {
         Mutation::update().filter(col("x").eq(1u64)).set("x", 2u64).build_unchecked()
+    }
+
+    /// The message of an [`SchedError::InvalidWorkload`].
+    fn invalid(w: Result<Workload, SchedError>) -> String {
+        match w {
+            Err(SchedError::InvalidWorkload(msg)) => msg,
+            other => panic!("expected an invalid workload, got {other:?}"),
+        }
     }
 
     #[test]
@@ -348,13 +347,19 @@ mod tests {
     #[test]
     fn new_validates_the_trace() {
         let qs = vec![q("a")];
-        assert!(Workload::new(qs.clone(), vec![Arrival { at_ns: 0.0, query: 1 }]).is_err());
-        assert!(Workload::new(qs.clone(), vec![Arrival { at_ns: -1.0, query: 0 }]).is_err());
-        assert!(Workload::new(
-            qs.clone(),
-            vec![Arrival { at_ns: 5.0, query: 0 }, Arrival { at_ns: 1.0, query: 0 }]
-        )
-        .is_err());
+        assert_eq!(
+            invalid(Workload::new(qs.clone(), vec![Arrival { at_ns: 0.0, query: 1 }])),
+            "arrival 0 references query 1 of 1"
+        );
+        assert_eq!(
+            invalid(Workload::new(qs.clone(), vec![Arrival { at_ns: -1.0, query: 0 }])),
+            "arrival 0 at invalid time -1"
+        );
+        let unsorted = vec![Arrival { at_ns: 5.0, query: 0 }, Arrival { at_ns: 1.0, query: 0 }];
+        assert_eq!(
+            invalid(Workload::new(qs.clone(), unsorted)),
+            "arrivals must be sorted by time (index 1)"
+        );
         let ok = Workload::new(qs, vec![Arrival { at_ns: 1.0, query: 0 }]).unwrap();
         assert!(!ok.is_empty());
     }
@@ -369,14 +374,14 @@ mod tests {
             ms.clone(),
             vec![MutationArrival { at_ns: 0.0, mutation: 1 }],
         );
-        assert!(bad_idx.is_err());
+        assert_eq!(invalid(bad_idx), "mutation arrival 0 references mutation 1 of 1");
         let bad_time = Workload::with_mutations(
             qs.clone(),
             vec![],
             ms.clone(),
             vec![MutationArrival { at_ns: f64::NAN, mutation: 0 }],
         );
-        assert!(bad_time.is_err());
+        assert_eq!(invalid(bad_time), "mutation arrival 0 at invalid time NaN");
         let unsorted = Workload::with_mutations(
             qs.clone(),
             vec![],
@@ -386,7 +391,7 @@ mod tests {
                 MutationArrival { at_ns: 1.0, mutation: 0 },
             ],
         );
-        assert!(unsorted.is_err());
+        assert_eq!(invalid(unsorted), "mutation arrivals must be sorted by time (index 1)");
         let ok = Workload::with_mutations(
             qs,
             vec![],

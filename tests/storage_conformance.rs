@@ -2,9 +2,9 @@
 //! `Cluster<S>` must keep, written once and instantiated for the
 //! pre-joined wide store and the normalized star store.
 //!
-//! * stepwise `plan_shards` → `run_on_shard` → `merge_executions` on a
-//!   fresh cluster equals `run` — the full `ClusterExecution`, not just
-//!   the groups;
+//! * stepwise `plan_shards` → `run_on_shard` → `merge_executions` equals
+//!   `run` — the full `ClusterExecution`, not just the groups — on a
+//!   fresh cluster and on one that just ran the query;
 //! * flipping `pruning`, `contention` or any `XferPolicy` lever never
 //!   changes the groups;
 //! * on every SSB query, `run` stays inside what `explain` planned:
@@ -76,6 +76,10 @@ fn conforms<S: Storage>(tag: &str, fresh: impl Fn() -> Cluster<S>, fact: &Relati
         let want = fresh().run(q).expect("run");
         assert!(want.report.selected > 0, "{tag}: the probe must select something");
         assert_eq!(stepwise(&mut fresh(), q), want, "{tag}: stepwise != run");
+        // `run` leaves no plan behind that a later stepwise run reuses
+        let mut c = fresh();
+        assert_eq!(c.run(q).expect("run"), want, "{tag}: run on a fresh cluster");
+        assert_eq!(stepwise(&mut c, q), want, "{tag}: stepwise after run != run");
 
         // the toggles move clocks and bytes, never answers
         let on = XferPolicy::default();
