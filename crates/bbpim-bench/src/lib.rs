@@ -25,14 +25,14 @@ use std::fmt::Write as _;
 use std::io;
 use std::time::Duration;
 
-use bbpim_cluster::fold::serial_slice_ns;
+use bbpim_cluster::fold::one_host_ns;
 use bbpim_cluster::{Cluster, ClusterEngine, ClusterExecution, Partitioner, Storage};
 use bbpim_core::engine::PimQueryEngine;
 use bbpim_core::groupby::calibration::{run_calibration, CalibrationConfig, CalibrationData};
 use bbpim_core::groupby::cost_model::GroupByModel;
 use bbpim_core::headline::{geomean, Headline};
 use bbpim_core::modes::EngineMode;
-use bbpim_core::result::{QueryExecution, QueryReport};
+use bbpim_core::result::QueryExecution;
 use bbpim_db::plan::Query;
 use bbpim_db::relation::Relation;
 use bbpim_db::ssb::{queries, SsbDb};
@@ -146,18 +146,16 @@ pub struct ClusterScalePoint {
 /// A cluster execution's wall clock: on the contended model as
 /// reported, or — `contended == false` — on the optimistic one with
 /// free per-module channels, refolded from the per-shard reports with
-/// the cluster's own serial-slice rule ([`serial_slice_ns`]): serial
-/// slices + max-of-shards remaining time + merge. Answers and
-/// per-shard logs are accounting-independent, so one sweep yields both
-/// clocks without re-running anything.
+/// the cluster's own one-host clock ([`one_host_ns`]): serial slices +
+/// max-of-shards remaining time + merge. Answers and per-shard logs are
+/// accounting-independent, so one sweep yields both clocks without
+/// re-running anything.
 pub fn wall_ns(report: &bbpim_cluster::ClusterReport, contended: bool) -> f64 {
     if contended {
         return report.time_ns;
     }
-    let serial = |r: &QueryReport| serial_slice_ns(false, r.host_bus_ns, &r.phases);
-    let serial_total: f64 = report.per_shard.iter().map(serial).sum();
-    let pim_max = report.per_shard.iter().map(|r| r.time_ns - serial(r)).fold(0.0, f64::max);
-    serial_total + pim_max + report.merge_time_ns
+    let shards = report.per_shard.iter().map(|r| (r.time_ns, r.host_bus_ns, &r.phases));
+    one_host_ns(false, shards) + report.merge_time_ns
 }
 
 /// Run every query through a cluster at each shard count (full-capacity

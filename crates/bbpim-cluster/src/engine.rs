@@ -810,16 +810,25 @@ impl<S: Storage> Cluster<S> {
                 }
             },
             Mutation::Insert { rows } => {
-                if active == 0 {
-                    return Ok(Vec::new());
-                }
-                let start = self.records() % active;
-                let mut lanes: Vec<usize> =
-                    (0..rows.len().min(active)).map(|k| (start + k) % active).collect();
-                lanes.sort_unstable();
-                Ok(lanes)
+                let split = self.split_insert(rows.len()).unwrap_or_default();
+                Ok(split.into_iter().map(|(lane, _)| lane).collect())
             }
         }
+    }
+
+    /// INSERT's row routing, decided here alone: fact rows go
+    /// round-robin from the deterministic cursor `records % active`, so
+    /// a given cluster history always lands rows on the same lanes.
+    /// Returns each receiving lane with the indices of its rows, in lane
+    /// order; `None` without an active shard.
+    fn split_insert(&self, rows: usize) -> Option<Vec<(usize, Vec<usize>)>> {
+        let active = self.shards.len();
+        let start = self.records().checked_rem(active)?;
+        let mut per_lane = vec![Vec::new(); active];
+        for k in 0..rows {
+            per_lane[(start + k) % active].push(k);
+        }
+        Some(per_lane.into_iter().enumerate().filter(|(_, lane)| !lane.is_empty()).collect())
     }
 
     /// Lane-indexed mutation fan-out: execute `m` on each involved lane
@@ -830,10 +839,9 @@ impl<S: Storage> Cluster<S> {
     /// table's cardinality — the normalization win over rewriting a
     /// denormalized column on every fact shard) or on every
     /// zone-admitted fact shard; an INSERT routes fact rows round-robin
-    /// from the deterministic cursor `records % active`, so a given
-    /// cluster history always lands rows on the same lanes. Each table
-    /// widens its own zone maps as it writes, so later pruning decisions
-    /// account for the written values; the cached plans are dropped.
+    /// from the cursor `records % active`. Each table widens its own
+    /// zone maps as it writes, so later pruning decisions account for
+    /// the written values; the cached plans are dropped.
     ///
     /// # Errors
     ///
@@ -852,22 +860,17 @@ impl<S: Storage> Cluster<S> {
                 self.plan_mutation_lanes(m)?.into_iter().map(|l| (l, Cow::Borrowed(m))).collect()
             }
             Mutation::Insert { rows } => {
-                if active == 0 {
-                    return Err(ClusterError::InvalidCluster(
+                let split = self.split_insert(rows.len()).ok_or_else(|| {
+                    ClusterError::InvalidCluster(
                         "INSERT into a cluster with no active shards".into(),
-                    ));
-                }
-                let start = self.records() % active;
-                let mut per_lane: Vec<Vec<Vec<u64>>> = vec![Vec::new(); active];
-                for (k, row) in rows.iter().enumerate() {
-                    per_lane[(start + k) % active].push(row.clone());
-                }
-                per_lane
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, rows)| !rows.is_empty())
-                    .map(|(l, rows)| (l, Cow::Owned(Mutation::Insert { rows })))
-                    .collect()
+                    )
+                })?;
+                let part = |lane: Vec<usize>| {
+                    Cow::Owned(Mutation::Insert {
+                        rows: lane.into_iter().map(|k| rows[k].clone()).collect(),
+                    })
+                };
+                split.into_iter().map(|(l, lane)| (l, part(lane))).collect()
             }
         };
         let mut out = Vec::with_capacity(parts.len());

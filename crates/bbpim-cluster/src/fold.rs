@@ -28,6 +28,20 @@ pub fn serial_slice_ns(contention: bool, host_bus_ns: f64, log: &RunLog) -> f64 
     }
 }
 
+/// The one-host wall clock of shards run side by side, before any host
+/// merge: `Σ serial slices + max over shards of the overlappable rest`.
+/// Each shard is `(time_ns, host_bus_ns, log)`, summed in the order
+/// given. Queries, mutations and the free-channel refold all call it.
+pub fn one_host_ns<'a>(
+    contention: bool,
+    shards: impl Iterator<Item = (f64, f64, &'a RunLog)> + Clone,
+) -> f64 {
+    let serial = |&(_, bus, log): &(f64, f64, &RunLog)| serial_slice_ns(contention, bus, log);
+    let serial_total: f64 = shards.clone().map(|s| serial(&s)).sum();
+    let pim_max = shards.map(|s| s.0 - serial(&s)).fold(0.0, f64::max);
+    serial_total + pim_max
+}
+
 impl<S: Storage> Cluster<S> {
     /// Gather: merge per-shard partial executions (in shard order, as
     /// produced by [`Cluster::run_on_shard`]) into one cluster
@@ -66,15 +80,9 @@ impl<S: Storage> Cluster<S> {
             self.shards.first().map_or(0.0, |s| s.table.config().host.host_agg_ns_per_record);
         let merge_time_ns = merged_entries as f64 * host_agg_ns_per_entry;
 
-        // One host: the serialised slice of each shard is its whole
-        // channel occupancy under the contention model, or just its
-        // per-page dispatch under the optimistic one; everything else
-        // overlaps across modules.
-        let serial = |e: &&QueryExecution| {
-            serial_slice_ns(self.contention(), e.report.host_bus_ns, &e.report.phases)
-        };
-        let serial_total: f64 = executions.iter().map(serial).sum();
-        let pim_max = executions.iter().map(|e| e.report.time_ns - serial(e)).fold(0.0, f64::max);
+        let shards =
+            executions.iter().map(|e| (e.report.time_ns, e.report.host_bus_ns, &e.report.phases));
+        let wall_ns = one_host_ns(self.contention(), shards);
         let selected: u64 = executions.iter().map(|e| e.report.selected).sum();
         let records = self.records();
         let report = ClusterReport {
@@ -84,7 +92,7 @@ impl<S: Storage> Cluster<S> {
             active_shards: self.shards.len(),
             shards_pruned,
             partitioner: self.partitioner().label(),
-            time_ns: serial_total + pim_max + merge_time_ns,
+            time_ns: wall_ns + merge_time_ns,
             dispatch_time_ns: executions.iter().map(|e| dispatch_ns(&e.report.phases)).sum(),
             host_bus_time_ns: executions.iter().map(|e| e.report.host_bus_ns).sum(),
             merge_time_ns,
@@ -121,14 +129,13 @@ pub fn fold_mutation(
     reports: Vec<MutationReport>,
     shards_pruned: usize,
 ) -> ClusterMutationReport {
-    let serial = |r: &MutationReport| serial_slice_ns(contention, r.host_bus_ns, &r.phases);
-    let serial_total: f64 = reports.iter().map(serial).sum();
-    let pim_max = reports.iter().map(|r| r.time_ns - serial(r)).fold(0.0, f64::max);
+    let lanes = reports.iter().map(|r| (r.time_ns, r.host_bus_ns, &r.phases));
+    let time_ns = one_host_ns(contention, lanes);
     ClusterMutationReport {
         records_updated: reports.iter().map(|r| r.records_updated).sum(),
         records_inserted: reports.iter().map(|r| r.records_inserted).sum(),
         shards_pruned,
-        time_ns: serial_total + pim_max,
+        time_ns,
         dispatch_time_ns: reports.iter().map(|r| dispatch_ns(&r.phases)).sum(),
         total_shard_time_ns: reports.iter().map(|r| r.time_ns).sum(),
         energy_pj: reports.iter().map(|r| r.energy_pj).sum(),

@@ -18,11 +18,13 @@
 //! one [`Cluster`], and answers are bit-identical to the pre-joined
 //! oracle.
 //!
-//! GROUP BY keys naming dimension attributes are joined at gather
-//! time: the host reads the selected fact records' FK chunks off the
-//! fact shards and the referenced dimension chunks off the dimension
-//! modules (both with exact unique-line accounting — hot dimension
-//! rows amortise across fact records), then hash-aggregates.
+//! GROUP BY keys naming dimension attributes are joined at gather time
+//! by [`bbpim_core::Scan::host_gb`], the one host gather of both storage
+//! models, given a [`DimProbe`] per dimension a key names: the host
+//! reads the selected fact records' FK chunks off the fact shards and
+//! the referenced dimension chunks off the dimension modules (both with
+//! exact unique-line accounting — hot dimension rows amortise across
+//! fact records), then hash-aggregates.
 //!
 //! ## Planning
 //!
@@ -65,25 +67,26 @@
 //! # Ok::<(), bbpim_cluster::ClusterError>(())
 //! ```
 
+use std::collections::HashSet;
 use std::ops::ControlFlow;
 
 use bbpim_core::error::CoreError;
+use bbpim_core::groupby::host_gb::DimProbe;
 use bbpim_core::groupby::GroupByOutcome;
 use bbpim_core::layout::{RecordLayout, MASK_COL};
 use bbpim_core::modes::EngineMode;
-use bbpim_core::record::{fold_record, ScatteredRead};
 use bbpim_core::result::QueryExecution;
 use bbpim_core::semijoin::{SemijoinDisjunct, SemijoinTerm};
-use bbpim_core::{PimTable, Scan};
-use bbpim_db::plan::{Atom, PhysAgg, PhysicalPlan, Pred, Query, ResolvedAtom};
+use bbpim_core::PimTable;
+use bbpim_db::plan::{Atom, Pred, Query, ResolvedAtom};
 use bbpim_db::schema::Schema;
 use bbpim_db::ssb::star::{self, StarSchema, TableFootprint, DIMENSIONS};
 use bbpim_db::ssb::SsbDb;
 use bbpim_db::stats::GroupedResult;
-use bbpim_db::{DbError, Relation};
+use bbpim_db::Relation;
 use bbpim_sim::compiler::ColRange;
 use bbpim_sim::maskwire::PackedBits;
-use bbpim_sim::timeline::{Phase, RunLog};
+use bbpim_sim::timeline::RunLog;
 use bbpim_sim::SimConfig;
 
 pub use crate::bitmap::KeyBitmap;
@@ -224,6 +227,17 @@ fn route_filter(
     Ok(routed)
 }
 
+/// The dimensions a GROUP BY joins at gather time, catalog order: each
+/// one that serves a key, probed through its fact FK.
+fn dim_probes<'d>(dims: &'d [PimTable], group_by: &'d [String]) -> Vec<DimProbe<'d>> {
+    let served = DIMENSIONS.iter().zip(dims).enumerate().map(|(d, (meta, table))| {
+        let keys = group_by.iter().map(String::as_str);
+        let keys: Vec<&str> = keys.filter(|g| StarSchema::dim_of_attr(g) == Some(d)).collect();
+        DimProbe { table, fk: meta.fk, key_base: meta.key_base, relation: meta.name, keys }
+    });
+    served.filter(|probe| !probe.keys.is_empty()).collect()
+}
+
 impl Storage for Star {
     type Plan = JoinPlan;
 
@@ -333,7 +347,13 @@ impl Storage for Star {
         let mut scan = table.begin(pages, lead.then_some(&plan.prelude));
         let selected = scan.filter_joined(&plan.disjuncts)?;
         let grouped = match query.has_group_by() {
-            true => Some(star_gather(&mut scan, dims, query, &qplan)?),
+            true => {
+                let probes = dim_probes(dims, &query.group_by);
+                let per_agg =
+                    scan.host_gb(&query.group_by, &qplan.aggs, &HashSet::new(), &probes)?;
+                let kmax = per_agg.first().map_or(0, GroupedResult::len);
+                Some(GroupByOutcome { per_agg, k: 0, kmax, sampled: 0 })
+            }
             false => None,
         };
         Ok(scan.finish(mode, query, &qplan, selected, grouped)?)
@@ -398,110 +418,13 @@ impl StarCluster {
     }
 }
 
-/// Where one GROUP BY key comes from: its position among the fact
-/// values, or a dimension and its position among that dimension's.
-enum KeySource {
-    Fact(usize),
-    Dim(usize, usize),
-}
-
-/// The one positional FK probe: the row of dimension `d` a foreign key
-/// references. Dimension keys are dense from `key_base`, so a key below
-/// it or past the dimension's last row dangles.
-fn probe_row(d: usize, fk: u64, dim: &PimTable) -> Result<usize, CoreError> {
-    fk.checked_sub(DIMENSIONS[d].key_base)
-        .and_then(|row| usize::try_from(row).ok())
-        .filter(|&row| row < dim.loaded().records())
-        .ok_or_else(|| DbError::DanglingKey { relation: DIMENSIONS[d].name.into(), key: fk }.into())
-}
-
-/// Star host-gather: the host reads the mask, the selected fact
-/// records' key/FK/operand chunks, and — for dimension group keys —
-/// the referenced dimension rows' chunks (positional FK probe), then
-/// hash-aggregates every SELECT item in one pass. [`Scan::host_gb`]
-/// with a second projection per probed dimension: same reader, same
-/// line rule (on each module's own rows), same fold.
-fn star_gather(
-    scan: &mut Scan<'_>,
-    dims: &[PimTable],
-    query: &Query,
-    qplan: &PhysicalPlan,
-) -> Result<GroupByOutcome, CoreError> {
-    // 1. filter-result bit-vector off the fact shard (wire-compressed
-    //    under the byte diet: the mask packs module-side and only the
-    //    wire bytes occupy the shared channel)
-    let mask = scan.move_mask(0, MASK_COL, None)?;
-    let fact = scan.table();
-
-    // 2. what is read per table: fact group keys, the FK of every
-    //    probed dimension and the aggregate operands on the fact side;
-    //    the referenced attributes on each dimension side
-    let mut fact_attrs: Vec<&str> = Vec::new();
-    let mut dim_attrs: [Vec<&str>; 4] = Default::default();
-    let mut sources = Vec::with_capacity(query.group_by.len());
-    for g in &query.group_by {
-        let dim = StarSchema::dim_of_attr(g);
-        let attrs = dim.map_or(&mut fact_attrs, |d| &mut dim_attrs[d]);
-        sources.push(dim.map_or(KeySource::Fact(attrs.len()), |d| KeySource::Dim(d, attrs.len())));
-        attrs.push(g);
-    }
-    // (dimension, its projection, where its FK sits among the fact
-    // values, its rows read so far)
-    let mut probes = Vec::new();
-    for (d, attrs) in dim_attrs.iter().enumerate().filter(|(_, attrs)| !attrs.is_empty()) {
-        let projection = dims[d].layout().project(attrs.iter().copied())?;
-        let fetched = ScatteredRead::new(dims[d].config(), dims[d].loaded().records());
-        probes.push((d, projection, fact_attrs.len(), fetched));
-        fact_attrs.push(DIMENSIONS[d].fk);
-    }
-    let operands_at = fact_attrs.len();
-    let fact_attrs = fact_attrs.into_iter().chain(qplan.aggs.iter().flat_map(PhysAgg::attrs));
-    let fact_projection = fact.layout().project(fact_attrs)?;
-
-    // 3. hash aggregation: dimension keys resolved through the dense
-    //    positional probe, every SELECT item folded in one pass
-    let cfg = fact.config();
-    let mut fetched = ScatteredRead::new(cfg, fact.loaded().records());
-    let mut per_agg = vec![GroupedResult::new(); qplan.aggs.len()];
-    let mut dim_values: [Vec<u64>; 4] = Default::default();
-    let (mut values, mut key) = (Vec::new(), Vec::with_capacity(sources.len()));
-    for record in mask.ones() {
-        fact.read(&fact_projection, record, &mut values)?;
-        fetched.mark(record);
-        for (d, projection, fk_at, fetched) in &mut probes {
-            let row = probe_row(*d, values[*fk_at], &dims[*d])?;
-            dims[*d].read(projection, row, &mut dim_values[*d])?;
-            fetched.mark(row);
-        }
-        key.clear();
-        key.extend(sources.iter().map(|source| match *source {
-            KeySource::Fact(at) => values[at],
-            KeySource::Dim(d, at) => dim_values[d][at],
-        }));
-        fold_record(&qplan.aggs, &mut per_agg, &key, &values[operands_at..]);
-    }
-
-    // 4. the unique lines of the selection on the fact shard and of the
-    //    probed rows on each dimension module (hot dimension rows
-    //    amortise across fact records)
-    let mut lines = fetched.lines(fact_projection.chunks_per_row());
-    for (_, projection, _, fetched) in &probes {
-        lines += fetched.lines(projection.chunks_per_row());
-    }
-    let fetch = fact.module().host_read_scattered_phase(lines);
-    let per_record = cfg.host.host_agg_ns_per_record / cfg.host.threads as f64;
-    scan.push(fetch);
-    scan.push(Phase::host_compute(mask.count_ones() as f64 * per_record));
-    let kmax = per_agg.first().map_or(0, GroupedResult::len);
-    Ok(GroupByOutcome { per_agg, k: 0, kmax, sampled: 0 })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bbpim_core::mutation::Mutation;
     use bbpim_db::ssb::{queries, SsbParams};
     use bbpim_db::stats;
+    use bbpim_db::DbError;
 
     fn db() -> SsbDb {
         SsbDb::generate(&SsbParams::tiny_for_tests())
@@ -549,12 +472,21 @@ mod tests {
 
     #[test]
     fn grouped_query_with_dimension_keys_matches_oracle() {
+        use bbpim_db::plan::{AggExpr, SelectItem};
         let db = db();
         let mut c = cluster(&db, 2);
-        // Q2.1 groups by d_year, p_brand1 — both dimension attributes
-        let q = queries::standard_query("Q2.1").unwrap();
-        let out = c.run(&q).unwrap();
-        assert_eq!(out.groups, oracle(&db, &q));
+        // Q2.1 groups by d_year, p_brand1 — both dimension attributes;
+        // the second query puts a fact key between two dimension keys,
+        // each read off its own table and placed in GROUP BY order
+        let mixed = Query::select([SelectItem::sum("revenue", AggExpr::attr("lo_revenue"))])
+            .filter(bbpim_db::builder::col("lo_quantity").lt(25u64))
+            .group_by(["c_nation", "lo_discount", "d_year"])
+            .build_unchecked();
+        for q in [queries::standard_query("Q2.1").unwrap(), mixed] {
+            let out = c.run(&q).unwrap();
+            assert!(!out.groups.is_empty());
+            assert_eq!(out.groups, oracle(&db, &q), "GROUP BY {:?}", q.group_by);
+        }
     }
 
     #[test]

@@ -9,68 +9,132 @@
 //! is already in a host register; extra aggregates cost host ALU work,
 //! not extra reads). Records whose key belongs to a PIM-aggregated
 //! subgroup are read (the key must be seen to be skipped) but not
-//! folded.
+//! folded. It is the one host gather of both storage models: a star
+//! join's dimension keys are read through [`DimProbe`]s, on each
+//! dimension's own module and by the same reader, line rule and fold.
 
 use std::collections::HashSet;
 
 use bbpim_db::plan::PhysAgg;
 use bbpim_db::stats::GroupedResult;
+use bbpim_db::DbError;
 use bbpim_sim::timeline::Phase;
 
 use crate::error::CoreError;
 use crate::layout::MASK_COL;
 use crate::record::{fold_record, ScatteredRead};
 use crate::scan::Scan;
+use crate::table::PimTable;
+
+/// A dimension joined at gather time: the GROUP BY `keys` it serves are
+/// read off its `table`, at the row the fact record's foreign key `fk`
+/// references. Dimension keys are dense from `key_base`, so the probe is
+/// positional; a dangling key is reported against `relation`.
+#[derive(Debug)]
+pub struct DimProbe<'d> {
+    pub table: &'d PimTable,
+    pub fk: &'d str,
+    pub key_base: u64,
+    pub relation: &'d str,
+    /// In GROUP BY order.
+    pub keys: Vec<&'d str>,
+}
+
+impl DimProbe<'_> {
+    /// The one positional FK probe: the row foreign key `fk` references.
+    fn row(&self, fk: u64) -> Result<usize, CoreError> {
+        fk.checked_sub(self.key_base)
+            .and_then(|row| usize::try_from(row).ok())
+            .filter(|&row| row < self.table.loaded.records())
+            .ok_or_else(|| DbError::DanglingKey { relation: self.relation.into(), key: fk }.into())
+    }
+}
 
 impl Scan<'_> {
     /// Execute host-gb: group the selected records by `group_by` (key
     /// order = plan order) and evaluate the physical aggregates `aggs`
     /// host-side, leaving out the keys in `skip` — already aggregated
-    /// in PIM, read but not folded. Charges mask-read, record-read and
+    /// in PIM, read but not folded — and reading the keys a probe
+    /// serves off its dimension. Charges mask-read, record-read and
     /// host-compute phases and returns the aggregated tail groups — one
     /// [`GroupedResult`] per requested physical aggregate, in request
     /// order.
     ///
     /// # Errors
     ///
-    /// Propagates placement/slot failures.
+    /// Placement/slot failures; [`DbError::DanglingKey`] for a foreign
+    /// key a probed dimension does not hold.
     pub fn host_gb(
         &mut self,
         group_by: &[String],
         aggs: &[PhysAgg],
         skip: &HashSet<Vec<u64>>,
+        probes: &[DimProbe<'_>],
     ) -> Result<Vec<GroupedResult>, CoreError> {
         // 1. Filter-result bit-vector of the planned pages only (pruned
         //    pages hold no selected records and are not read).
         let mask = self.move_mask(0, MASK_COL, None)?;
         let table = &*self.table;
 
-        // 2. What is read per record: group keys + every aggregate's
-        //    operands (the chunks they share are charged once).
+        // 2. What is read per record: on probe `p`'s dimension the keys
+        //    it serves (read `1 + p`); on this table (read 0) the other
+        //    group keys, each probe's FK and every aggregate's operands
+        //    (the chunks they share are charged once). `sources` places
+        //    each group key as (read, position).
+        let fetched = |t: &PimTable| ScatteredRead::new(t.config(), t.records());
+        let mut reads = Vec::with_capacity(1 + probes.len());
+        for probe in probes {
+            let projection = probe.table.layout.project(probe.keys.iter().copied())?;
+            reads.push((projection, fetched(probe.table)));
+        }
+        let (mut attrs, mut sources) = (Vec::new(), Vec::with_capacity(group_by.len()));
+        for g in group_by {
+            let at = |probe: &DimProbe| probe.keys.iter().position(|k| k == g);
+            let served = probes.iter().enumerate().find_map(|(p, probe)| Some((1 + p, at(probe)?)));
+            sources.push(served.unwrap_or((0, attrs.len())));
+            attrs.extend(served.is_none().then_some(g.as_str()));
+        }
+        let fks_at = attrs.len();
+        attrs.extend(probes.iter().map(|probe| probe.fk));
+        let operands_at = attrs.len();
         let operands = aggs.iter().flat_map(PhysAgg::attrs);
-        let attrs = group_by.iter().map(String::as_str).chain(operands);
-        let projection = table.layout.project(attrs)?;
+        reads.insert(0, (table.layout.project(attrs.into_iter().chain(operands))?, fetched(table)));
 
         // 3. Hash aggregation at the host, all physical aggregates folded
         //    in one pass over the selected records.
-        let cfg = table.module.config();
-        let mut fetched = ScatteredRead::new(cfg, table.loaded.records());
         let mut per_agg = vec![GroupedResult::new(); aggs.len()];
-        let mut values = Vec::new();
+        let (mut values, mut joined) = (vec![Vec::new(); reads.len()], Vec::new());
         for record in mask.ones() {
-            table.read(&projection, record, &mut values)?;
+            let (projection, fetched) = &mut reads[0];
+            table.read(projection, record, &mut values[0])?;
             fetched.mark(record);
-            let (key, operands) = values.split_at(group_by.len());
+            for (p, probe) in probes.iter().enumerate() {
+                let row = probe.row(values[0][fks_at + p])?;
+                let (projection, fetched) = &mut reads[1 + p];
+                probe.table.read(projection, row, &mut values[1 + p])?;
+                fetched.mark(row);
+            }
+            // without probes the key is this table's leading values
+            let key = match probes.is_empty() {
+                true => &values[0][..group_by.len()],
+                false => {
+                    joined.clear();
+                    joined.extend(sources.iter().map(|&(read, at)| values[read][at]));
+                    &joined[..]
+                }
+            };
             if !skip.contains(key) {
-                fold_record(aggs, &mut per_agg, key, operands);
+                fold_record(aggs, &mut per_agg, key, &values[0][operands_at..]);
             }
         }
 
         // 4. Record fetches are mask-directed (data-dependent addresses):
         //    latency-bound scattered reads, per the paper's host-gb
-        //    behaviour, over the unique lines of the selection.
-        let lines = fetched.lines(projection.chunks_per_row());
-        self.log.push(table.module.host_read_scattered_phase(lines));
+        //    behaviour, over the unique lines of the selection and of the
+        //    probed rows, each on its own module's rows.
+        let lines = reads.iter().map(|(projection, read)| read.lines(projection.chunks_per_row()));
+        self.log.push(table.module.host_read_scattered_phase(lines.sum()));
+        let cfg = table.module.config();
         let per_record = cfg.host.host_agg_ns_per_record / cfg.host.threads as f64;
         self.log.push(Phase::host_compute(mask.count_ones() as f64 * per_record));
         Ok(per_agg)
@@ -112,7 +176,7 @@ mod tests {
     ) -> (Vec<GroupedResult>, RunLog) {
         let mut scan = fixture::filtered(t, &q.filter);
         scan.take_log();
-        (scan.host_gb(&q.group_by, aggs, skip).unwrap(), scan.take_log())
+        (scan.host_gb(&q.group_by, aggs, skip, &[]).unwrap(), scan.take_log())
     }
 
     fn oracle(rel: &Relation, q: &Query) -> GroupedResult {

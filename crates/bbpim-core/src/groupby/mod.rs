@@ -185,7 +185,7 @@ impl Scan<'_> {
 
         // 5. host-gb for the tail, all aggregates in one read pass.
         if k < kmax {
-            let tail = self.host_gb(&query.group_by, &plan.aggs, &skip)?;
+            let tail = self.host_gb(&query.group_by, &plan.aggs, &skip, &[])?;
             for (grouped, tail_col) in per_agg.iter_mut().zip(tail) {
                 grouped.extend(tail_col);
             }

@@ -31,8 +31,10 @@
 //!   goes through a [`layout::Projection`]: a set of attributes resolved
 //!   once per request to their placements and the 16-bit chunks they
 //!   span (the paper's `s`). Load and INSERT are the callers of one
-//!   column-at-a-time writer ([`loader`]); the sample, host-gb and the
-//!   star gather of one reader and one fold ([`record`]), charged by one
+//!   column-at-a-time writer ([`loader`]); the sample and host-gb of
+//!   one reader and one fold ([`record`]) — one host-gb for both
+//!   storage models, probing a star join's dimensions through their
+//!   foreign keys ([`groupby::host_gb::DimProbe`]) — charged by one
 //!   rule — a scattered read costs `distinct(record /
 //!   crossbars-per-page) × chunks per row` lines, Section V-B's "reading
 //!   a single record brings 32 records" counted exactly.

@@ -2,13 +2,14 @@
 //! rule, one fold — and the unpriced decoder the GROUP-BY domain index
 //! and the star planner read the image through.
 //!
-//! The paper's host reads selected records back in three places — the
-//! one-page sample and host-gb of Section IV, and the FK-probing gather
-//! of a star join — and each is "which records, which [`Projection`],
-//! which charge" over the primitives here: [`PimTable::read`] turns a
-//! record into the projection's values, [`ScatteredRead`] prices the
-//! fetch, and [`fold_record`] folds key and operand values into the
-//! per-aggregate groups. (The write path — load and INSERT — is
+//! The paper's host reads selected records back in two places — the
+//! one-page sample and host-gb of Section IV, which on a star join also
+//! probes dimension rows through their foreign keys — and each is
+//! "which records, which [`Projection`], which charge" over the
+//! primitives here: [`PimTable::read`] turns a record into the
+//! projection's values, [`ScatteredRead`] prices the fetch, and
+//! [`fold_record`] folds key and operand values into the per-aggregate
+//! groups. (The write path — load and INSERT — is
 //! [`crate::loader`].)
 
 use std::sync::PoisonError;

@@ -15,7 +15,9 @@
 //! * [`Scan::group_by`] — Section IV's hybrid GROUP BY
 //!   ([`crate::groupby`]): [`Scan::sample`] one page, decide `k` by
 //!   Eq. (3), [`Scan::pim_gb`] for the `k` largest subgroups,
-//!   [`Scan::host_gb`] for the tail.
+//!   [`Scan::host_gb`] for the tail. A star join's GROUP BY is
+//!   [`Scan::host_gb`] alone (`k = 0`), probing the dimensions its
+//!   keys name — the one host gather of both storage models.
 //! * [`Scan::materialize`] / [`Scan::aggregate`] — in-crossbar
 //!   arithmetic and the reduction through the per-crossbar aggregation
 //!   circuit or PIMDB's reduction tree ([`crate::agg_exec`]).
@@ -31,7 +33,7 @@
 use bbpim_db::plan::{PhysicalPlan, Query};
 use bbpim_db::stats::GroupedResult;
 use bbpim_sim::isa::Microprogram;
-use bbpim_sim::timeline::{Phase, RunLog};
+use bbpim_sim::timeline::RunLog;
 
 use crate::error::CoreError;
 use crate::groupby::GroupByOutcome;
@@ -76,12 +78,6 @@ impl Scan<'_> {
     /// The table under the scan (stored bits, layout, schema).
     pub fn table(&self) -> &PimTable {
         self.table
-    }
-
-    /// Charge a phase a caller accounted itself (a gather that also
-    /// reads other modules).
-    pub fn push(&mut self, phase: Phase) {
-        self.log.push(phase);
     }
 
     /// Hand over the phases charged so far and start an empty log —
