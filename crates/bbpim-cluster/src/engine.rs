@@ -810,8 +810,10 @@ impl<S: Storage> Cluster<S> {
                 }
             },
             Mutation::Insert { rows } => {
-                let split = self.split_insert(rows.len()).unwrap_or_default();
-                Ok(split.into_iter().map(|(lane, _)| lane).collect())
+                let first = self.insert_lanes(rows.len().min(active));
+                let mut lanes: Vec<usize> = first.into_iter().flatten().collect();
+                lanes.sort_unstable();
+                Ok(lanes)
             }
         }
     }
@@ -819,16 +821,12 @@ impl<S: Storage> Cluster<S> {
     /// INSERT's row routing, decided here alone: fact rows go
     /// round-robin from the deterministic cursor `records % active`, so
     /// a given cluster history always lands rows on the same lanes.
-    /// Returns each receiving lane with the indices of its rows, in lane
+    /// Yields the lane of each of the first `rows` INSERT rows, in row
     /// order; `None` without an active shard.
-    fn split_insert(&self, rows: usize) -> Option<Vec<(usize, Vec<usize>)>> {
+    fn insert_lanes(&self, rows: usize) -> Option<impl Iterator<Item = usize>> {
         let active = self.shards.len();
         let start = self.records().checked_rem(active)?;
-        let mut per_lane = vec![Vec::new(); active];
-        for k in 0..rows {
-            per_lane[(start + k) % active].push(k);
-        }
-        Some(per_lane.into_iter().enumerate().filter(|(_, lane)| !lane.is_empty()).collect())
+        Some((0..rows).map(move |k| (start + k) % active))
     }
 
     /// Lane-indexed mutation fan-out: execute `m` on each involved lane
@@ -860,17 +858,21 @@ impl<S: Storage> Cluster<S> {
                 self.plan_mutation_lanes(m)?.into_iter().map(|l| (l, Cow::Borrowed(m))).collect()
             }
             Mutation::Insert { rows } => {
-                let split = self.split_insert(rows.len()).ok_or_else(|| {
+                let lanes = self.insert_lanes(rows.len()).ok_or_else(|| {
                     ClusterError::InvalidCluster(
                         "INSERT into a cluster with no active shards".into(),
                     )
                 })?;
-                let part = |lane: Vec<usize>| {
-                    Cow::Owned(Mutation::Insert {
-                        rows: lane.into_iter().map(|k| rows[k].clone()).collect(),
-                    })
-                };
-                split.into_iter().map(|(l, lane)| (l, part(lane))).collect()
+                let mut per_lane: Vec<Vec<Vec<u64>>> = vec![Vec::new(); active];
+                for (lane, row) in lanes.zip(rows) {
+                    per_lane[lane].push(row.clone());
+                }
+                per_lane
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, rows)| !rows.is_empty())
+                    .map(|(l, rows)| (l, Cow::Owned(Mutation::Insert { rows })))
+                    .collect()
             }
         };
         let mut out = Vec::with_capacity(parts.len());

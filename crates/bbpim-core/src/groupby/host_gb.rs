@@ -103,7 +103,7 @@ impl Scan<'_> {
         // 3. Hash aggregation at the host, all physical aggregates folded
         //    in one pass over the selected records.
         let mut per_agg = vec![GroupedResult::new(); aggs.len()];
-        let (mut values, mut joined) = (vec![Vec::new(); reads.len()], Vec::new());
+        let (mut values, mut key) = (vec![Vec::new(); reads.len()], Vec::new());
         for record in mask.ones() {
             let (projection, fetched) = &mut reads[0];
             table.read(projection, record, &mut values[0])?;
@@ -114,17 +114,10 @@ impl Scan<'_> {
                 probe.table.read(projection, row, &mut values[1 + p])?;
                 fetched.mark(row);
             }
-            // without probes the key is this table's leading values
-            let key = match probes.is_empty() {
-                true => &values[0][..group_by.len()],
-                false => {
-                    joined.clear();
-                    joined.extend(sources.iter().map(|&(read, at)| values[read][at]));
-                    &joined[..]
-                }
-            };
-            if !skip.contains(key) {
-                fold_record(aggs, &mut per_agg, key, &values[0][operands_at..]);
+            key.clear();
+            key.extend(sources.iter().map(|&(read, at)| values[read][at]));
+            if !skip.contains(&key) {
+                fold_record(aggs, &mut per_agg, &key, &values[0][operands_at..]);
             }
         }
 
