@@ -645,9 +645,8 @@ fn scaling_tail<S: Storage>(
     let max_shards = points.iter().map(|p| p.shards).max().expect("at least one shard count");
     lever_table(s, max_shards, new_cluster);
     println!();
-    let catalog = bbpim_db::ssb::star::StarSchema::of_db(&s.db);
     reports::print_star_footprint(
-        &catalog.footprints(&catalog.ssb_cold_attrs()),
+        &bbpim_db::ssb::star::footprints(&s.db),
         &bbpim_db::ssb::star::table_footprint(&s.wide, &[]),
     );
     verdict.map_or(Ok(()), |v| v.check())

@@ -80,7 +80,7 @@ use bbpim_core::semijoin::{SemijoinDisjunct, SemijoinTerm};
 use bbpim_core::PimTable;
 use bbpim_db::plan::{Atom, Pred, Query, ResolvedAtom};
 use bbpim_db::schema::Schema;
-use bbpim_db::ssb::star::{self, StarSchema, TableFootprint, DIMENSIONS};
+use bbpim_db::ssb::star::{self, dim_of_attr, route_conjunct, TableFootprint, DIMENSIONS};
 use bbpim_db::ssb::SsbDb;
 use bbpim_db::stats::GroupedResult;
 use bbpim_db::Relation;
@@ -119,20 +119,6 @@ pub struct JoinPlan {
     disjuncts: Vec<SemijoinDisjunct>,
     bounds_dnf: Vec<Vec<ResolvedAtom>>,
     prelude: RunLog,
-}
-
-/// Split a conjunction by owning table: fact atoms plus per-dimension
-/// atom lists (catalog order).
-fn route_conjunct(conj: &[Atom]) -> (Vec<Atom>, [Vec<Atom>; 4]) {
-    let mut fact = Vec::new();
-    let mut dims: [Vec<Atom>; 4] = Default::default();
-    for atom in conj {
-        match StarSchema::dim_of_attr(atom.attr()) {
-            None => fact.push(atom.clone()),
-            Some(d) => dims[d].push(atom.clone()),
-        }
-    }
-    (fact, dims)
 }
 
 /// Resolve a conjunction against a table's schema.
@@ -232,7 +218,7 @@ fn route_filter(
 fn dim_probes<'d>(dims: &'d [PimTable], group_by: &'d [String]) -> Vec<DimProbe<'d>> {
     let served = DIMENSIONS.iter().zip(dims).enumerate().map(|(d, (meta, table))| {
         let keys = group_by.iter().map(String::as_str);
-        let keys: Vec<&str> = keys.filter(|g| StarSchema::dim_of_attr(g) == Some(d)).collect();
+        let keys: Vec<&str> = keys.filter(|g| dim_of_attr(g) == Some(d)).collect();
         DimProbe { table, fk: meta.fk, key_base: meta.key_base, relation: meta.name, keys }
     });
     served.filter(|probe| !probe.keys.is_empty()).collect()
@@ -336,7 +322,7 @@ impl Storage for Star {
         // joined for grouping, never materialised per fact row
         for agg in &qplan.aggs {
             for a in agg.attrs() {
-                if StarSchema::dim_of_attr(a).is_some() {
+                if dim_of_attr(a).is_some() {
                     return Err(ClusterError::Core(CoreError::Unsupported(format!(
                         "aggregating dimension attribute {a} on the normalized schema"
                     ))));
@@ -365,8 +351,8 @@ impl StarCluster {
     /// four dimensions each on their own module, the fact table
     /// partitioned into `shards` (empty slices dropped, as in
     /// [`crate::ClusterEngine::new`]). Residency is workload-derived
-    /// ([`StarSchema::ssb_cold_attrs`]): attributes no SSB query
-    /// touches stay host-side, dimension keys are positional.
+    /// ([`star::ssb_cold_attrs`]): attributes no SSB query touches stay
+    /// host-side, dimension keys are positional.
     ///
     /// `mode` labels reports and selects the aggregation circuit;
     /// normalized records are single-partition either way (the two-xb
@@ -382,13 +368,12 @@ impl StarCluster {
         shards: usize,
         partitioner: Partitioner,
     ) -> Result<Self, ClusterError> {
-        let catalog = StarSchema::of_db(db);
-        let cold = catalog.ssb_cold_attrs();
+        let cold = star::ssb_cold_attrs(db);
         let layout =
             |rel: &Relation, cold| RecordLayout::build_custom(rel.schema(), &cfg, 1, |_| 0, cold);
         let mut aux = Vec::with_capacity(4);
         for (d, cold) in cold[1..].iter().enumerate() {
-            let rel = catalog.dim(d);
+            let rel = db.dim(d);
             aux.push(PimTable::new(cfg.clone(), rel, layout(rel, cold)?)?);
         }
         let fact_layout = layout(&db.lineorder, &cold[0])?;
@@ -554,7 +539,7 @@ mod tests {
                         touch(&mut lines[0], fact, record, attr);
                     }
                     for g in &q.group_by {
-                        let Some(d) = StarSchema::dim_of_attr(g) else {
+                        let Some(d) = dim_of_attr(g) else {
                             touch(&mut lines[0], fact, record, g);
                             continue;
                         };
@@ -620,10 +605,9 @@ mod tests {
     fn footprints_stay_below_a_third_of_prejoin() {
         let db = db();
         let c = cluster(&db, 2);
-        let fps = c.footprints();
-        assert_eq!(fps.len(), 5);
-        assert_eq!(fps[0].table, "lineorder");
-        assert_eq!(fps[0].records, db.lineorder.len());
+        // the loaded layouts keep exactly the catalog's derivation
+        // host-side
+        assert_eq!(c.footprints(), star::footprints(&db));
         assert!(c.total_data_bytes() > 0);
     }
 

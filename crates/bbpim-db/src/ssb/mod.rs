@@ -117,22 +117,25 @@ impl SsbDb {
         SsbDb { params: params.clone(), customer, supplier, part, date, lineorder }
     }
 
-    /// Pre-join the fact relation with all four dimensions (Section III).
+    /// One dimension relation by catalog index, in
+    /// [`star::DIMENSIONS`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `d >= 4`.
+    pub fn dim(&self, d: usize) -> &Relation {
+        [&self.customer, &self.supplier, &self.part, &self.date][d]
+    }
+
+    /// Pre-join the fact relation with all four dimensions (Section III),
+    /// in [`star::DIMENSIONS`] order.
     ///
     /// # Panics
     ///
     /// Panics on dangling keys, which the generator cannot produce.
     pub fn prejoin(&self) -> Relation {
-        prejoin::prejoin(
-            &self.lineorder,
-            &[
-                (&self.customer, "lo_custkey"),
-                (&self.supplier, "lo_suppkey"),
-                (&self.part, "lo_partkey"),
-                (&self.date, "lo_orderdate"),
-            ],
-        )
-        .expect("pre-join over generated data")
+        let dims = std::array::from_fn::<_, 4, _>(|d| (self.dim(d), &star::DIMENSIONS[d]));
+        prejoin::prejoin(&self.lineorder, &dims).expect("pre-join over generated data")
     }
 }
 

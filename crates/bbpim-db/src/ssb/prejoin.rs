@@ -7,41 +7,28 @@
 //! record *width*, which bulk-bitwise PIM absorbs in the unused crossbar
 //! row space.
 //!
-//! The duplicate key columns of the dimensions are dropped (their values
-//! equal `lo_custkey` / `lo_suppkey` / `lo_partkey` / `lo_orderdate`).
+//! Each dimension's FK, key and key base come from its
+//! [`DimMeta`] (see [`crate::ssb::star::DIMENSIONS`]). The duplicate key
+//! columns of the dimensions are dropped: their values equal the fact
+//! FKs.
 
 use crate::error::DbError;
 use crate::relation::Relation;
 use crate::schema::Schema;
-
-/// Dimension key columns omitted from the wide schema.
-const DROPPED_KEYS: [&str; 4] = ["c_custkey", "s_suppkey", "p_partkey", "d_datekey"];
+use crate::ssb::star::DimMeta;
 
 /// Build the pre-joined (denormalised) relation.
 ///
-/// `dims` pairs each dimension with the fact attribute holding its key:
-/// customer via `lo_custkey`, supplier via `lo_suppkey`, part via
-/// `lo_partkey`, date via `lo_orderdate`. Dimension keys are dense and
-/// 1-based except the date dimension, whose key is the 0-based day
-/// index.
+/// `dims` pairs each dimension with its [`DimMeta`]: the fact attribute
+/// holding its key, its key attribute and its key base (keys are dense,
+/// key `k` at row `k - key_base`).
 ///
 /// # Errors
 ///
 /// [`DbError::DanglingKey`] if a fact row references a missing
-/// dimension row; attribute errors if schemas do not line up.
-pub fn prejoin(fact: &Relation, dims: &[(&Relation, &str)]) -> Result<Relation, DbError> {
-    // Wide schema: all fact attributes, then each dimension's attributes
-    // minus its key column.
-    let mut attrs = fact.schema().attrs().to_vec();
-    for (dim, _) in dims {
-        for a in dim.schema().attrs() {
-            if !DROPPED_KEYS.contains(&a.name.as_str()) {
-                attrs.push(a.clone());
-            }
-        }
-    }
-    let wide_schema = Schema::new(format!("{}_prejoined", fact.schema().name), attrs)?;
-
+/// dimension row; [`DbError::NoSuchAttribute`] if a FK or key is not in
+/// its schema.
+pub fn prejoin(fact: &Relation, dims: &[(&Relation, &DimMeta)]) -> Result<Relation, DbError> {
     // Resolve indices once.
     let fact_arity = fact.schema().arity();
     struct DimPlan<'a> {
@@ -49,29 +36,23 @@ pub fn prejoin(fact: &Relation, dims: &[(&Relation, &str)]) -> Result<Relation, 
         fk_idx: usize,
         kept_cols: Vec<usize>,
         key_idx: usize,
-        one_based: bool,
+        key_base: u64,
     }
     let mut plans = Vec::with_capacity(dims.len());
-    for (dim, fk_name) in dims {
-        let fk_idx = fact.schema().index_of(fk_name)?;
-        let key_name = dim
-            .schema()
-            .attrs()
-            .iter()
-            .find(|a| DROPPED_KEYS.contains(&a.name.as_str()))
-            .map(|a| a.name.clone())
-            .ok_or_else(|| {
-                DbError::InvalidQuery(format!(
-                    "dimension `{}` has no recognised key column",
-                    dim.schema().name
-                ))
-            })?;
-        let key_idx = dim.schema().index_of(&key_name)?;
+    for (dim, meta) in dims {
+        let fk_idx = fact.schema().index_of(meta.fk)?;
+        let key_idx = dim.schema().index_of(meta.key)?;
         let kept_cols: Vec<usize> = (0..dim.schema().arity()).filter(|i| *i != key_idx).collect();
-        // The date dimension keys rows by 0-based day index.
-        let one_based = key_name != "d_datekey";
-        plans.push(DimPlan { rel: dim, fk_idx, kept_cols, key_idx, one_based });
+        plans.push(DimPlan { rel: dim, fk_idx, kept_cols, key_idx, key_base: meta.key_base });
     }
+
+    // Wide schema: all fact attributes, then each dimension's attributes
+    // minus its key column.
+    let mut attrs = fact.schema().attrs().to_vec();
+    for plan in &plans {
+        attrs.extend(plan.kept_cols.iter().map(|&c| plan.rel.schema().attrs()[c].clone()));
+    }
+    let wide_schema = Schema::new(format!("{}_prejoined", fact.schema().name), attrs)?;
 
     let mut wide = Relation::with_capacity(wide_schema, fact.len());
     let mut row_buf: Vec<u64> = Vec::with_capacity(fact.schema().arity() + 32);
@@ -82,7 +63,8 @@ pub fn prejoin(fact: &Relation, dims: &[(&Relation, &str)]) -> Result<Relation, 
         }
         for plan in &plans {
             let key = fact.value(row, plan.fk_idx);
-            let dim_row = if plan.one_based { key.checked_sub(1) } else { Some(key) }
+            let dim_row = key
+                .checked_sub(plan.key_base)
                 .map(|k| k as usize)
                 .filter(|k| *k < plan.rel.len())
                 .ok_or_else(|| DbError::DanglingKey {
@@ -107,6 +89,7 @@ pub fn prejoin(fact: &Relation, dims: &[(&Relation, &str)]) -> Result<Relation, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ssb::star::DIMENSIONS;
     use crate::ssb::{SsbDb, SsbParams};
 
     fn db() -> SsbDb {
@@ -118,18 +101,6 @@ mod tests {
         let db = db();
         let wide = db.prejoin();
         assert_eq!(wide.len(), db.lineorder.len());
-    }
-
-    #[test]
-    fn wide_arity_is_union_minus_keys() {
-        let db = db();
-        let wide = db.prejoin();
-        let expected = db.lineorder.schema().arity()
-            + (db.customer.schema().arity() - 1)
-            + (db.supplier.schema().arity() - 1)
-            + (db.part.schema().arity() - 1)
-            + (db.date.schema().arity() - 1);
-        assert_eq!(wide.schema().arity(), expected);
     }
 
     #[test]
@@ -155,9 +126,39 @@ mod tests {
     fn dimension_key_columns_dropped() {
         let db = db();
         let wide = db.prejoin();
-        for key in DROPPED_KEYS {
-            assert!(wide.schema().index_of(key).is_err(), "{key} should be dropped");
+        for meta in DIMENSIONS {
+            assert!(wide.schema().index_of(meta.key).is_err(), "{} should be dropped", meta.key);
         }
+    }
+
+    #[test]
+    fn wide_arity_is_union_minus_keys() {
+        // the fact's names, then each dimension's names minus its key
+        let db = db();
+        let names = |rel: &Relation| -> Vec<String> {
+            rel.schema().attrs().iter().map(|a| a.name.clone()).collect()
+        };
+        let mut expected = names(&db.lineorder);
+        for (d, meta) in DIMENSIONS.iter().enumerate() {
+            expected.extend(names(db.dim(d)).into_iter().filter(|n| n != meta.key));
+        }
+        assert_eq!(names(&db.prejoin()), expected);
+    }
+
+    #[test]
+    fn an_unrecognised_dimension_key_is_a_typed_error() {
+        let db = db();
+        let meta = DIMENSIONS[0];
+        let renamed = DimMeta { key: "c_nokey", ..meta };
+        let err = prejoin(&db.lineorder, &[(&db.customer, &renamed)]).unwrap_err();
+        assert!(matches!(err, DbError::NoSuchAttribute { ref name, .. } if name == "c_nokey"));
+        // a fact row whose FK has no dimension row
+        let mut fact = Relation::new(db.lineorder.schema().clone());
+        let mut row = db.lineorder.row(0);
+        row[db.lineorder.schema().index_of(meta.fk).unwrap()] = 0;
+        fact.push_row(&row).unwrap();
+        let err = prejoin(&fact, &[(&db.customer, &meta)]).unwrap_err();
+        assert_eq!(err, DbError::DanglingKey { relation: "customer".into(), key: 0 });
     }
 
     #[test]

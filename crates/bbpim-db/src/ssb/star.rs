@@ -1,14 +1,17 @@
-//! Normalized star-schema catalog: the fact table plus the four
-//! dimension tables as *separate* relations, with the foreign-key
-//! metadata a join executor needs.
+//! The SSB star schema's one statement: [`DIMENSIONS`] names each
+//! dimension's attribute prefix, fact foreign key, key and key base,
+//! and everything that joins the fact table to its dimensions reads it
+//! — the pre-join ([`crate::ssb::prejoin`]), the star storage model of
+//! the PIM cluster and the column-store baseline's `mnt_reg`.
 //!
-//! This is the storage model the pre-join ([`crate::ssb::prejoin`])
-//! deliberately avoids: the paper denormalises SSB into one wide
-//! relation so queries never join. The normalized catalog keeps each
-//! table at its own cardinality instead — dimension attributes are
-//! stored once per dimension row, not once per fact row — and records
-//! which fact column carries each dimension's key so joins can run as
+//! The normalized storage model keeps each table at its own
+//! cardinality — dimension attributes are stored once per dimension
+//! row, not once per fact row — and joins through the fact FK as
 //! semijoin bitmaps (dimension filter → key bitmap → fact FK probe).
+//! This module derives what such a model needs from the generated
+//! [`SsbDb`] itself ([`SsbDb::dim`]): which table an attribute belongs
+//! to, which attributes the SSB workload leaves host-resident, and the
+//! per-table PIM-resident footprint.
 //!
 //! Attribute names are globally unique across the five tables (`lo_*`,
 //! `c_*`, `s_*`, `p_*`, `d_*`), so the same logical [`crate::plan::Query`]
@@ -16,7 +19,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::plan::Query;
+use crate::plan::Atom;
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::ssb::SsbDb;
@@ -39,8 +42,8 @@ pub struct DimMeta {
 }
 
 /// The four SSB dimensions, in catalog order (customer, supplier,
-/// part, date) — the same order [`crate::ssb::SsbDb::prejoin`] joins
-/// them in.
+/// part, date) — the order of [`SsbDb::dim`] and the order
+/// [`SsbDb::prejoin`] appends them in.
 pub const DIMENSIONS: [DimMeta; 4] = [
     DimMeta { name: "customer", prefix: "c_", fk: "lo_custkey", key: "c_custkey", key_base: 1 },
     DimMeta { name: "supplier", prefix: "s_", fk: "lo_suppkey", key: "s_suppkey", key_base: 1 },
@@ -48,53 +51,56 @@ pub const DIMENSIONS: [DimMeta; 4] = [
     DimMeta { name: "date", prefix: "d_", fk: "lo_orderdate", key: "d_datekey", key_base: 0 },
 ];
 
-/// Fact attributes no SSB query (standard or combined) ever reads —
-/// filter, GROUP BY or aggregate. A PIM layout for the normalized fact
-/// table may leave them off the module (no query can reach them there),
-/// shrinking the PIM-resident record the same way the engine already
-/// drops `*_phone`. Matches [`cold_attrs`] derived from the SSB
-/// workload with the four foreign keys kept (tested below).
-pub const COLD_FACT_ATTRS: [&str; 8] = [
-    "lo_orderkey",
-    "lo_linenumber",
-    "lo_orderpriority",
-    "lo_shippriority",
-    "lo_ordtotalprice",
-    "lo_tax",
-    "lo_commitdate",
-    "lo_shipmode",
-];
-
-/// Every attribute some query of `workload` touches (filter, GROUP BY
-/// or aggregate input).
-pub fn workload_attrs(workload: &[Query]) -> BTreeSet<String> {
-    workload.iter().flat_map(|q| q.referenced_attrs().into_iter().map(str::to_string)).collect()
+/// Which dimension owns an attribute name (`None` = the fact table).
+/// Resolution is purely by prefix, exploiting SSB's globally unique
+/// attribute names.
+pub fn dim_of_attr(attr: &str) -> Option<usize> {
+    if attr.starts_with("lo_") {
+        return None;
+    }
+    DIMENSIONS.iter().position(|m| attr.starts_with(m.prefix))
 }
 
-/// Attributes of `rel` a PIM layout can leave host-resident for a
-/// given workload: everything not in `hot`, not in `keep`, and not a
-/// `*_phone` column (the layout already excludes those on its own).
+/// Split a conjunction by owning table: fact atoms plus per-dimension
+/// atom lists (catalog order).
+pub fn route_conjunct(conj: &[Atom]) -> (Vec<Atom>, [Vec<Atom>; 4]) {
+    let mut fact = Vec::new();
+    let mut dims: [Vec<Atom>; 4] = Default::default();
+    for atom in conj {
+        match dim_of_attr(atom.attr()) {
+            None => fact.push(atom.clone()),
+            Some(d) => dims[d].push(atom.clone()),
+        }
+    }
+    (fact, dims)
+}
+
+/// Cold (host-resident) attribute lists for the five tables under the
+/// full SSB workload (standard + combined queries): index 0 is the fact
+/// table, indices 1–4 the dimensions in catalog order. An attribute is
+/// cold when no query touches it (filter, GROUP BY or aggregate input),
+/// it is not a fact FK and it is not a `*_phone` column (the layout
+/// already excludes those on its own).
 ///
-/// `keep` pins attributes the executor needs on-module even though no
-/// query names them — the fact table's foreign keys, which semijoin
-/// probes read. Dimension *keys* need no pin: keys are dense
+/// The FKs stay on-module because semijoin probes read them although
+/// no query names them. Dimension *keys* need no pin: keys are dense
 /// (`row = key − key_base`), so the record's position already encodes
 /// the key and the stored column is redundant on-module.
-pub fn cold_attrs(rel: &Relation, hot: &BTreeSet<String>, keep: &[&str]) -> Vec<String> {
-    rel.schema()
-        .attrs()
-        .iter()
-        .map(|a| a.name.clone())
-        .filter(|n| !hot.contains(n) && !keep.contains(&n.as_str()) && !n.ends_with("_phone"))
-        .collect()
-}
-
-/// The full SSB workload (standard + combined queries) the catalog's
-/// residency decisions are derived from.
-pub fn ssb_workload() -> Vec<Query> {
-    let mut qs = crate::ssb::queries::standard_queries();
-    qs.extend(crate::ssb::queries::combined_queries());
-    qs
+pub fn ssb_cold_attrs(db: &SsbDb) -> [Vec<String>; 5] {
+    let mut workload = crate::ssb::queries::standard_queries();
+    workload.extend(crate::ssb::queries::combined_queries());
+    let hot: BTreeSet<&str> = workload.iter().flat_map(|q| q.referenced_attrs()).collect();
+    let fks = DIMENSIONS.map(|m| m.fk);
+    let cold = |rel: &Relation, keep: &[&str]| -> Vec<String> {
+        let names = rel.schema().attrs().iter().map(|a| a.name.as_str());
+        let cold =
+            names.filter(|n| !hot.contains(n) && !keep.contains(n) && !n.ends_with("_phone"));
+        cold.map(str::to_string).collect()
+    };
+    std::array::from_fn(|t| match t {
+        0 => cold(&db.lineorder, &fks),
+        t => cold(db.dim(t - 1), &[]),
+    })
 }
 
 /// PIM-resident storage footprint of one table under a given layout
@@ -140,71 +146,12 @@ pub fn schema_footprint(schema: &Schema, records: usize, excluded: &[String]) ->
     }
 }
 
-/// The normalized star-schema catalog: one fact relation and the four
-/// dimension relations, each with its own zone map.
-#[derive(Debug, Clone)]
-pub struct StarSchema {
-    fact: Relation,
-    dims: [Relation; 4],
-}
-
-impl StarSchema {
-    /// Build the catalog from a generated SSB instance (clones the
-    /// tables — the catalog owns mutable copies so UPDATEs can patch
-    /// them).
-    pub fn of_db(db: &SsbDb) -> StarSchema {
-        StarSchema {
-            fact: db.lineorder.clone(),
-            dims: [db.customer.clone(), db.supplier.clone(), db.part.clone(), db.date.clone()],
-        }
-    }
-
-    /// One dimension relation by catalog index (see [`DIMENSIONS`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `d >= 4`.
-    pub fn dim(&self, d: usize) -> &Relation {
-        &self.dims[d]
-    }
-
-    /// Which dimension owns an attribute name (`None` = the fact
-    /// table). Resolution is purely by prefix, exploiting SSB's
-    /// globally unique attribute names.
-    pub fn dim_of_attr(attr: &str) -> Option<usize> {
-        if attr.starts_with("lo_") {
-            return None;
-        }
-        DIMENSIONS.iter().position(|m| attr.starts_with(m.prefix))
-    }
-
-    /// Cold (host-resident) attribute lists for the five tables under
-    /// the SSB workload: index 0 is the fact table (foreign keys
-    /// pinned on-module), indices 1–4 the dimensions in catalog order
-    /// (keys cold — dense keys make the stored column redundant).
-    pub fn ssb_cold_attrs(&self) -> [Vec<String>; 5] {
-        let hot = workload_attrs(&ssb_workload());
-        let fks: Vec<&str> = DIMENSIONS.iter().map(|m| m.fk).collect();
-        [
-            cold_attrs(&self.fact, &hot, &fks),
-            cold_attrs(&self.dims[0], &hot, &[]),
-            cold_attrs(&self.dims[1], &hot, &[]),
-            cold_attrs(&self.dims[2], &hot, &[]),
-            cold_attrs(&self.dims[3], &hot, &[]),
-        ]
-    }
-
-    /// Per-table PIM-resident footprints: the fact table first, then
-    /// the four dimensions, each with the matching entry of `excluded`
-    /// (see [`StarSchema::ssb_cold_attrs`]) host-resident.
-    pub fn footprints(&self, excluded: &[Vec<String>; 5]) -> Vec<TableFootprint> {
-        let mut out = Vec::with_capacity(5);
-        out.push(table_footprint(&self.fact, &excluded[0]));
-        for (d, dim) in self.dims.iter().enumerate() {
-            out.push(table_footprint(dim, &excluded[d + 1]));
-        }
-        out
-    }
+/// Per-table PIM-resident footprints of the normalized star schema:
+/// the fact table first, then the four dimensions in catalog order,
+/// each without its [`ssb_cold_attrs`] entry.
+pub fn footprints(db: &SsbDb) -> Vec<TableFootprint> {
+    let tables = std::iter::once(&db.lineorder).chain((0..DIMENSIONS.len()).map(|d| db.dim(d)));
+    tables.zip(&ssb_cold_attrs(db)).map(|(rel, cold)| table_footprint(rel, cold)).collect()
 }
 
 #[cfg(test)]
@@ -212,46 +159,60 @@ mod tests {
     use super::*;
     use crate::ssb::SsbParams;
 
-    fn star() -> StarSchema {
-        StarSchema::of_db(&SsbDb::generate(&SsbParams::tiny_for_tests()))
+    /// The fact attributes no SSB query (standard or combined) ever
+    /// reads — filter, GROUP BY or aggregate: what [`ssb_cold_attrs`]
+    /// leaves off the fact table's module.
+    const COLD_FACT: [&str; 8] = [
+        "lo_orderkey",
+        "lo_linenumber",
+        "lo_orderpriority",
+        "lo_shippriority",
+        "lo_ordtotalprice",
+        "lo_tax",
+        "lo_commitdate",
+        "lo_shipmode",
+    ];
+
+    fn db() -> SsbDb {
+        SsbDb::generate(&SsbParams::tiny_for_tests())
     }
 
     #[test]
     fn attr_resolution_routes_by_prefix() {
-        assert_eq!(StarSchema::dim_of_attr("lo_revenue"), None);
-        assert_eq!(StarSchema::dim_of_attr("c_region"), Some(0));
-        assert_eq!(StarSchema::dim_of_attr("s_city"), Some(1));
-        assert_eq!(StarSchema::dim_of_attr("p_brand1"), Some(2));
-        assert_eq!(StarSchema::dim_of_attr("d_year"), Some(3));
+        assert_eq!(dim_of_attr("lo_revenue"), None);
+        assert_eq!(dim_of_attr("c_region"), Some(0));
+        assert_eq!(dim_of_attr("s_city"), Some(1));
+        assert_eq!(dim_of_attr("p_brand1"), Some(2));
+        assert_eq!(dim_of_attr("d_year"), Some(3));
     }
 
     #[test]
     fn fk_metadata_matches_prejoin_wiring() {
-        let s = star();
+        let db = db();
         for (d, meta) in DIMENSIONS.iter().enumerate() {
-            assert!(s.fact.schema().index_of(meta.fk).is_ok(), "{}", meta.fk);
-            let key_idx = s.dim(d).schema().index_of(meta.key).unwrap();
+            assert_eq!(db.dim(d).schema().name, meta.name);
+            assert!(db.lineorder.schema().index_of(meta.fk).is_ok(), "{}", meta.fk);
+            let key_idx = db.dim(d).schema().index_of(meta.key).unwrap();
             // dense, key_base-based: key k at row k - key_base
-            for row in [0usize, s.dim(d).len() - 1] {
-                assert_eq!(s.dim(d).value(row, key_idx), row as u64 + meta.key_base);
+            for row in [0usize, db.dim(d).len() - 1] {
+                assert_eq!(db.dim(d).value(row, key_idx), row as u64 + meta.key_base);
             }
         }
     }
 
     #[test]
     fn dim_value_agrees_with_prejoined_row() {
-        let db = SsbDb::generate(&SsbParams::tiny_for_tests());
+        let db = db();
         let wide = db.prejoin();
-        let s = StarSchema::of_db(&db);
-        let city_col = s.dim(0).schema().index_of("c_city").unwrap();
-        let year_col = s.dim(3).schema().index_of("d_year").unwrap();
+        let city_col = db.dim(0).schema().index_of("c_city").unwrap();
+        let year_col = db.dim(3).schema().index_of("d_year").unwrap();
         // the positional probe: dense keys make the "hash" lookup an index
         let probe =
-            |d: usize, fk: u64, col| s.dim(d).value((fk - DIMENSIONS[d].key_base) as usize, col);
+            |d: usize, fk: u64, col| db.dim(d).value((fk - DIMENSIONS[d].key_base) as usize, col);
         for row in (0..wide.len()).step_by(131) {
-            let ck = wide.value_by_name(row, "lo_custkey").unwrap();
+            let ck = wide.value_by_name(row, DIMENSIONS[0].fk).unwrap();
             assert_eq!(probe(0, ck, city_col), wide.value_by_name(row, "c_city").unwrap());
-            let day = wide.value_by_name(row, "lo_orderdate").unwrap();
+            let day = wide.value_by_name(row, DIMENSIONS[3].fk).unwrap();
             assert_eq!(probe(3, day, year_col), wide.value_by_name(row, "d_year").unwrap());
         }
     }
@@ -263,21 +224,18 @@ mod tests {
             .chain(&crate::ssb::queries::combined_queries())
         {
             for attr in q.referenced_attrs() {
-                assert!(!COLD_FACT_ATTRS.contains(&attr), "{} reads cold attr {attr}", q.id);
+                assert!(!COLD_FACT.contains(&attr), "{} reads cold attr {attr}", q.id);
             }
         }
     }
 
     #[test]
     fn cold_fact_attrs_match_workload_derivation() {
-        let s = star();
-        assert_eq!(
-            s.ssb_cold_attrs()[0],
-            COLD_FACT_ATTRS.iter().map(|a| a.to_string()).collect::<Vec<_>>()
-        );
+        let cold = ssb_cold_attrs(&db());
+        assert_eq!(cold[0], COLD_FACT.map(str::to_string));
         // dim keys go cold (positional), referenced dim attrs stay hot
-        let c_cold = &s.ssb_cold_attrs()[1];
-        assert!(c_cold.contains(&"c_custkey".to_string()));
+        let c_cold = &cold[1];
+        assert!(c_cold.contains(&DIMENSIONS[0].key.to_string()));
         assert!(c_cold.contains(&"c_mktsegment".to_string()));
         assert!(!c_cold.contains(&"c_region".to_string()));
     }
@@ -288,8 +246,7 @@ mod tests {
         // the ratio scale-sensitive below ~10 K fact rows)
         let db = SsbDb::generate(&SsbParams::uniform(0.002));
         let wide = db.prejoin();
-        let s = StarSchema::of_db(&db);
-        let normalized: u64 = s.footprints(&s.ssb_cold_attrs()).iter().map(|f| f.data_bytes).sum();
+        let normalized: u64 = footprints(&db).iter().map(|f| f.data_bytes).sum();
         let prejoined = table_footprint(&wide, &[]).data_bytes;
         assert!(
             normalized * 3 <= prejoined,
@@ -299,25 +256,29 @@ mod tests {
 
     #[test]
     fn footprints_cover_all_five_tables() {
-        let s = star();
-        let none: [Vec<String>; 5] = Default::default();
-        let fps = s.footprints(&none);
+        let db = db();
+        let fps = footprints(&db);
         assert_eq!(fps.len(), 5);
         assert_eq!(fps[0].table, "lineorder");
-        assert_eq!(fps[1].table, "customer");
-        assert_eq!(fps[4].table, "date");
+        assert_eq!(fps[0].records, db.lineorder.len());
+        for (d, meta) in DIMENSIONS.iter().enumerate() {
+            assert_eq!(
+                (fps[d + 1].table.as_str(), fps[d + 1].records),
+                (meta.name, db.dim(d).len())
+            );
+        }
         for f in &fps {
             assert!(f.resident_bits > 0 && f.data_bytes > 0, "{}", f.table);
         }
         // phones never count as resident
-        let with_phones: usize = s.dim(0).schema().attrs().iter().map(|a| a.bits).sum();
+        let with_phones: usize = db.dim(0).schema().attrs().iter().map(|a| a.bits).sum();
         assert!(fps[1].resident_bits < with_phones);
     }
 
     #[test]
     fn zone_maps_reflect_table_contents() {
-        let s = star();
-        let year_idx = s.dim(3).schema().index_of("d_year").unwrap();
-        assert_eq!(crate::ZoneMap::of(s.dim(3)).range(year_idx), Some((1992, 1998)));
+        let db = db();
+        let year_idx = db.dim(3).schema().index_of("d_year").unwrap();
+        assert_eq!(crate::ZoneMap::of(db.dim(3)).range(year_idx), Some((1992, 1998)));
     }
 }

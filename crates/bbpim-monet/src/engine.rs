@@ -10,7 +10,10 @@
 //! selections are unioned, and dimension group keys are fetched
 //! positionally (the invisible-join plan a column store uses for star
 //! schemas — dimension keys are dense, so the "hash" lookup is an array
-//! index).
+//! index). Which table owns an attribute, and each dimension's FK, key
+//! and key base, come from [`bbpim_db::ssb::star::DIMENSIONS`]; a fact
+//! row whose FK has no dimension row fails a GROUP BY probe with
+//! [`DbError::DanglingKey`] and is never selected by a dimension filter.
 //!
 //! Latencies are wall-clock (`std::time::Instant`), measured around
 //! execution only — plan resolution (the optimizer's job) is excluded,
@@ -19,7 +22,9 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use bbpim_db::plan::{PhysFunc, Query, ResolvedAtom};
+use bbpim_db::plan::{Atom, PhysFunc, Query, ResolvedAtom};
+use bbpim_db::schema::Schema;
+use bbpim_db::ssb::star::{dim_of_attr, route_conjunct, DIMENSIONS};
 use bbpim_db::ssb::SsbDb;
 use bbpim_db::stats::{GroupedResult, MultiGrouped};
 use bbpim_db::{DbError, Relation};
@@ -49,15 +54,6 @@ pub struct MonetEngine<'a> {
     threads: usize,
 }
 
-/// The four dimensions of the star schema, with their fact foreign key
-/// and key base (date keys are 0-based day indices).
-const DIMS: [(&str, &str, u64); 4] = [
-    ("c_", "lo_custkey", 1),
-    ("s_", "lo_suppkey", 1),
-    ("p_", "lo_partkey", 1),
-    ("d_", "lo_orderdate", 0),
-];
-
 impl<'a> MonetEngine<'a> {
     /// `mnt_join`: run on the pre-joined relation.
     pub fn prejoined(wide: &'a Relation, threads: usize) -> Self {
@@ -81,7 +77,9 @@ impl<'a> MonetEngine<'a> {
     ///
     /// # Errors
     ///
-    /// Resolution failures (unknown attributes/constants).
+    /// Resolution failures (unknown attributes/constants), and on the
+    /// star schema [`DbError::DanglingKey`] when a GROUP BY key is
+    /// fetched through a FK with no dimension row.
     pub fn run(&self, query: &Query) -> Result<MonetResult, DbError> {
         match self.plan {
             PlanKind::Prejoined(rel) => self.run_prejoined(rel, query),
@@ -107,8 +105,8 @@ impl<'a> MonetEngine<'a> {
                 let key: Vec<u64> = key_cols.iter().map(|&c| rel.value(row, c)).collect();
                 fold_row(&mut table, key, aggs.row_values(rel, row), &aggs.funcs);
             }
-            table
-        });
+            Ok(table)
+        })?;
         let groups = plan.finalize(&per_agg);
         let wall = start.elapsed();
         Ok(MonetResult { groups, wall })
@@ -120,57 +118,42 @@ impl<'a> MonetEngine<'a> {
         let dnf = query.filter.dnf();
 
         /// One DNF disjunct's star plan: fact-side atoms stay on the
-        /// scan; each dimension's atoms collapse into a key bitmap.
+        /// scan; each filtered dimension's atoms collapse into a key
+        /// bitmap, probed through the fact FK column (catalog order).
         struct DisjunctPlan {
             fact_atoms: Vec<ResolvedAtom>,
-            bitmaps: Vec<Option<KeyBitmap>>,
-            probe_cols: Vec<Option<usize>>,
+            probes: Vec<(KeyBitmap, usize)>,
         }
 
         let mut disjuncts: Vec<DisjunctPlan> = Vec::with_capacity(dnf.len());
         for conj in &dnf {
-            let mut fact_atoms: Vec<ResolvedAtom> = Vec::new();
-            let mut dim_atoms: Vec<Vec<ResolvedAtom>> = vec![Vec::new(); 4];
-            for atom in conj {
-                match dim_index(atom.attr()) {
-                    None => fact_atoms.push(atom.resolve(fact.schema())?),
-                    Some(d) => dim_atoms[d].push(atom.resolve(dim_relation(db, d).schema())?),
-                }
+            let (fact_atoms, dim_atoms) = route_conjunct(conj);
+            let fact_atoms = resolve_all(&fact_atoms, fact.schema())?;
+            let mut probes = Vec::new();
+            for (d, atoms) in dim_atoms.iter().enumerate().filter(|(_, atoms)| !atoms.is_empty()) {
+                let (meta, dim) = (&DIMENSIONS[d], db.dim(d));
+                let sel = crate::exec::filter(dim, &resolve_all(atoms, dim.schema())?);
+                let key_col = dim.column(dim.schema().index_of(meta.key)?);
+                let bitmap = KeyBitmap::from_selection(key_col, &sel, dim.len(), meta.key_base);
+                probes.push((bitmap, fact.schema().index_of(meta.fk)?));
             }
-            let mut bitmaps: Vec<Option<KeyBitmap>> = vec![None; 4];
-            let mut probe_cols: Vec<Option<usize>> = vec![None; 4];
-            for d in 0..4 {
-                if dim_atoms[d].is_empty() {
-                    continue;
-                }
-                let dim = dim_relation(db, d);
-                let sel = crate::exec::filter(dim, &dim_atoms[d]);
-                let key_col_idx = dim_key_index(dim)?;
-                bitmaps[d] = Some(KeyBitmap::from_selection(
-                    dim.column(key_col_idx),
-                    &sel,
-                    dim.len(),
-                    DIMS[d].2,
-                ));
-                probe_cols[d] = Some(fact.schema().index_of(DIMS[d].1)?);
-            }
-            disjuncts.push(DisjunctPlan { fact_atoms, bitmaps, probe_cols });
+            disjuncts.push(DisjunctPlan { fact_atoms, probes });
         }
 
         // Group-key sources: fact column or positional dimension fetch.
-        enum KeySource {
+        enum KeySource<'r> {
             Fact(usize),
-            Dim { dim: usize, col: usize, fk_col: usize, base: u64 },
+            Dim { d: usize, dim: &'r Relation, col: usize, fk_col: usize },
         }
         let mut key_sources = Vec::with_capacity(query.group_by.len());
         for g in &query.group_by {
-            match dim_index(g) {
+            match dim_of_attr(g) {
                 None => key_sources.push(KeySource::Fact(fact.schema().index_of(g)?)),
                 Some(d) => key_sources.push(KeySource::Dim {
-                    dim: d,
-                    col: dim_relation(db, d).schema().index_of(g)?,
-                    fk_col: fact.schema().index_of(DIMS[d].1)?,
-                    base: DIMS[d].2,
+                    d,
+                    dim: db.dim(d),
+                    col: db.dim(d).schema().index_of(g)?,
+                    fk_col: fact.schema().index_of(DIMENSIONS[d].fk)?,
                 }),
             }
         }
@@ -186,11 +169,9 @@ impl<'a> MonetEngine<'a> {
                     .iter()
                     .map(|d| {
                         let mut sel = refine_conj(fact, &d.fact_atoms, &base);
-                        for dim in 0..4 {
-                            if let (Some(bm), Some(fk_col)) = (&d.bitmaps[dim], d.probe_cols[dim]) {
-                                let col = fact.column(fk_col);
-                                sel.retain(|&row| bm.contains(col.get(row as usize)));
-                            }
+                        for (bm, fk_col) in &d.probes {
+                            let col = fact.column(*fk_col);
+                            sel.retain(|&row| bm.contains(col.get(row as usize)));
                         }
                         sel
                     })
@@ -201,18 +182,25 @@ impl<'a> MonetEngine<'a> {
                 let row = row as usize;
                 let key: Vec<u64> = key_sources
                     .iter()
-                    .map(|src| match src {
-                        KeySource::Fact(c) => fact.value(row, *c),
-                        KeySource::Dim { dim, col, fk_col, base } => {
-                            let fk = fact.value(row, *fk_col);
-                            dim_relation(db, *dim).value((fk - base) as usize, *col)
+                    .map(|src| match *src {
+                        KeySource::Fact(c) => Ok(fact.value(row, c)),
+                        KeySource::Dim { d, dim, col, fk_col } => {
+                            let fk = fact.value(row, fk_col);
+                            let dim_row = fk.checked_sub(DIMENSIONS[d].key_base);
+                            match dim_row.map(|r| r as usize).filter(|&r| r < dim.len()) {
+                                Some(r) => Ok(dim.value(r, col)),
+                                None => Err(DbError::DanglingKey {
+                                    relation: DIMENSIONS[d].name.to_string(),
+                                    key: fk,
+                                }),
+                            }
                         }
                     })
-                    .collect();
+                    .collect::<Result<_, _>>()?;
                 fold_row(&mut table, key, aggs.row_values(fact, row), &aggs.funcs);
             }
-            table
-        });
+            Ok(table)
+        })?;
         let groups = plan.finalize(&per_agg);
         let wall = start.elapsed();
         Ok(MonetResult { groups, wall })
@@ -228,52 +216,28 @@ impl std::fmt::Debug for MonetEngine<'_> {
     }
 }
 
-/// Which dimension an attribute belongs to (None = fact).
-fn dim_index(attr: &str) -> Option<usize> {
-    if attr.starts_with("lo_") {
-        return None;
-    }
-    DIMS.iter().position(|(p, _, _)| attr.starts_with(p))
-}
-
-fn dim_relation(db: &SsbDb, d: usize) -> &Relation {
-    match d {
-        0 => &db.customer,
-        1 => &db.supplier,
-        2 => &db.part,
-        3 => &db.date,
-        _ => unreachable!("only four dimensions"),
-    }
-}
-
-fn dim_key_index(dim: &Relation) -> Result<usize, DbError> {
-    for key in ["c_custkey", "s_suppkey", "p_partkey", "d_datekey"] {
-        if let Ok(idx) = dim.schema().index_of(key) {
-            return Ok(idx);
-        }
-    }
-    Err(DbError::InvalidQuery(format!(
-        "relation `{}` has no recognised dimension key",
-        dim.schema().name
-    )))
+/// Resolve a conjunction against a table's schema.
+fn resolve_all(atoms: &[Atom], schema: &Schema) -> Result<Vec<ResolvedAtom>, DbError> {
+    atoms.iter().map(|a| a.resolve(schema)).collect()
 }
 
 /// Run `work(lo, hi)` over `threads` row partitions and merge the
 /// thread-local multi-column tables per physical aggregate (this is the
-/// engine's parallel scan driver).
+/// engine's parallel scan driver). The first partition's error, in
+/// row order, fails the scan.
 fn scan_partitions(
     len: usize,
     threads: usize,
     funcs: &[PhysFunc],
-    work: impl Fn(usize, usize) -> HashMap<Vec<u64>, Vec<u64>> + Sync,
-) -> Vec<GroupedResult> {
+    work: impl Fn(usize, usize) -> Result<HashMap<Vec<u64>, Vec<u64>>, DbError> + Sync,
+) -> Result<Vec<GroupedResult>, DbError> {
     let mut per_agg = vec![GroupedResult::new(); funcs.len()];
     if len == 0 {
-        return per_agg;
+        return Ok(per_agg);
     }
     let threads = threads.min(len).max(1);
     let chunk = len.div_ceil(threads);
-    let tables: Vec<HashMap<Vec<u64>, Vec<u64>>> = std::thread::scope(|scope| {
+    let tables: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let lo = t * chunk;
@@ -285,9 +249,9 @@ fn scan_partitions(
         handles.into_iter().map(|h| h.join().expect("scan worker panicked")).collect()
     });
     for table in tables {
-        merge_table(&mut per_agg, table, funcs);
+        merge_table(&mut per_agg, table?, funcs);
     }
-    per_agg
+    Ok(per_agg)
 }
 
 #[cfg(test)]
@@ -378,6 +342,37 @@ mod tests {
             let expected = stats::run_oracle(&q, &wide).unwrap();
             assert_eq!(MonetEngine::prejoined(&wide, 4).run(&q).unwrap().groups, expected);
             assert_eq!(MonetEngine::star(&db, 4).run(&q).unwrap().groups, expected);
+        }
+    }
+
+    #[test]
+    fn dangling_foreign_key_is_a_typed_error() {
+        // a fact row can reference a customer that does not exist: key 0
+        // sits below the dimension's key base, the widest key past its
+        // last row
+        let clean = db();
+        let fk = clean.lineorder.schema().index_of(DIMENSIONS[0].fk).unwrap();
+        let widest = (1u64 << clean.lineorder.schema().attrs()[fk].bits) - 1;
+        assert!(widest > clean.customer.len() as u64);
+        for key in [0, widest] {
+            let mut db = clean.clone();
+            let mut row = db.lineorder.row(0);
+            row[fk] = key;
+            db.lineorder.push_row(&row).unwrap();
+            let engine = MonetEngine::star(&db, 2);
+            let q = Query::select([SelectItem::sum("revenue", AggExpr::attr("lo_revenue"))])
+                .filter(col("lo_quantity").lt(60u64))
+                .group_by(["c_nation"])
+                .build_unchecked();
+            let dangling = DbError::DanglingKey { relation: "customer".into(), key };
+            assert_eq!(engine.run(&q).unwrap_err(), dangling);
+            // the fact-only grouping of the same selection still answers
+            let by_discount = Query { group_by: vec!["lo_discount".into()], ..q.clone() };
+            assert!(!engine.run(&by_discount).unwrap().groups.is_empty());
+            // a customer filter leaves the dangling row unselected
+            let asia = Query { filter: col("c_region").eq("ASIA"), ..by_discount };
+            let expected = MonetEngine::star(&clean, 2).run(&asia).unwrap().groups;
+            assert_eq!(engine.run(&asia).unwrap().groups, expected);
         }
     }
 

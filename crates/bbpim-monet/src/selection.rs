@@ -63,10 +63,11 @@ impl KeyBitmap {
         KeyBitmap { bits, base }
     }
 
-    /// Does a foreign key hit a surviving dimension row?
+    /// Does a foreign key hit a surviving dimension row? A key outside
+    /// the key space (below the base or past the last row) hits none.
     #[inline]
     pub fn contains(&self, fk: u64) -> bool {
-        self.bits.get((fk - self.base) as usize).copied().unwrap_or(false)
+        fk.checked_sub(self.base).and_then(|k| self.bits.get(k as usize)).is_some_and(|&b| b)
     }
 }
 
@@ -117,6 +118,9 @@ mod tests {
         assert!(bm.contains(2));
         assert!(bm.contains(4));
         assert!(!bm.contains(5));
+        // keys outside the key space select nothing
+        assert!(!bm.contains(0));
+        assert!(!bm.contains(u64::MAX));
     }
 
     #[test]
