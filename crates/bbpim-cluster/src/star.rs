@@ -80,7 +80,9 @@ use bbpim_core::semijoin::{SemijoinDisjunct, SemijoinTerm};
 use bbpim_core::PimTable;
 use bbpim_db::plan::{Atom, Pred, Query, ResolvedAtom};
 use bbpim_db::schema::Schema;
-use bbpim_db::ssb::star::{self, dim_of_attr, route_conjunct, TableFootprint, DIMENSIONS};
+use bbpim_db::ssb::star::{
+    self, dim_of_attr, resolve_all, route_conjunct, TableFootprint, DIMENSIONS,
+};
 use bbpim_db::ssb::SsbDb;
 use bbpim_db::stats::GroupedResult;
 use bbpim_db::Relation;
@@ -119,11 +121,6 @@ pub struct JoinPlan {
     disjuncts: Vec<SemijoinDisjunct>,
     bounds_dnf: Vec<Vec<ResolvedAtom>>,
     prelude: RunLog,
-}
-
-/// Resolve a conjunction against a table's schema.
-fn resolve_all(atoms: &[Atom], schema: &Schema) -> Result<Vec<ResolvedAtom>, ClusterError> {
-    Ok(atoms.iter().map(|a| a.resolve(schema)).collect::<Result<_, _>>()?)
 }
 
 /// An attribute's column range, erroring on cold (host-resident)
@@ -219,7 +216,7 @@ fn dim_probes<'d>(dims: &'d [PimTable], group_by: &'d [String]) -> Vec<DimProbe<
     let served = DIMENSIONS.iter().zip(dims).enumerate().map(|(d, (meta, table))| {
         let keys = group_by.iter().map(String::as_str);
         let keys: Vec<&str> = keys.filter(|g| dim_of_attr(g) == Some(d)).collect();
-        DimProbe { table, fk: meta.fk, key_base: meta.key_base, relation: meta.name, keys }
+        DimProbe { table, meta, keys }
     });
     served.filter(|probe| !probe.keys.is_empty()).collect()
 }
@@ -545,7 +542,7 @@ mod tests {
                         };
                         touch(&mut lines[0], fact, record, DIMENSIONS[d].fk);
                         let fk = fact.read_attr(record, DIMENSIONS[d].fk).unwrap();
-                        let row = (fk - DIMENSIONS[d].key_base) as usize;
+                        let row = DIMENSIONS[d].row(fk, c.aux[d].records()).unwrap();
                         touch(&mut lines[1 + d], &c.aux[d], row, g);
                     }
                 }

@@ -16,8 +16,8 @@
 use std::collections::HashSet;
 
 use bbpim_db::plan::PhysAgg;
+use bbpim_db::ssb::star::DimMeta;
 use bbpim_db::stats::GroupedResult;
-use bbpim_db::DbError;
 use bbpim_sim::timeline::Phase;
 
 use crate::error::CoreError;
@@ -27,27 +27,14 @@ use crate::scan::Scan;
 use crate::table::PimTable;
 
 /// A dimension joined at gather time: the GROUP BY `keys` it serves are
-/// read off its `table`, at the row the fact record's foreign key `fk`
-/// references. Dimension keys are dense from `key_base`, so the probe is
-/// positional; a dangling key is reported against `relation`.
+/// read off its `table`, at the row [`DimMeta::row`] finds for the fact
+/// record's foreign key `meta.fk`.
 #[derive(Debug)]
 pub struct DimProbe<'d> {
     pub table: &'d PimTable,
-    pub fk: &'d str,
-    pub key_base: u64,
-    pub relation: &'d str,
+    pub meta: &'d DimMeta,
     /// In GROUP BY order.
     pub keys: Vec<&'d str>,
-}
-
-impl DimProbe<'_> {
-    /// The one positional FK probe: the row foreign key `fk` references.
-    fn row(&self, fk: u64) -> Result<usize, CoreError> {
-        fk.checked_sub(self.key_base)
-            .and_then(|row| usize::try_from(row).ok())
-            .filter(|&row| row < self.table.loaded.records())
-            .ok_or_else(|| DbError::DanglingKey { relation: self.relation.into(), key: fk }.into())
-    }
 }
 
 impl Scan<'_> {
@@ -62,8 +49,8 @@ impl Scan<'_> {
     ///
     /// # Errors
     ///
-    /// Placement/slot failures; [`DbError::DanglingKey`] for a foreign
-    /// key a probed dimension does not hold.
+    /// Placement/slot failures; [`bbpim_db::DbError::DanglingKey`] for a
+    /// foreign key a probed dimension does not hold.
     pub fn host_gb(
         &mut self,
         group_by: &[String],
@@ -95,7 +82,7 @@ impl Scan<'_> {
             attrs.extend(served.is_none().then_some(g.as_str()));
         }
         let fks_at = attrs.len();
-        attrs.extend(probes.iter().map(|probe| probe.fk));
+        attrs.extend(probes.iter().map(|probe| probe.meta.fk));
         let operands_at = attrs.len();
         let operands = aggs.iter().flat_map(PhysAgg::attrs);
         reads.insert(0, (table.layout.project(attrs.into_iter().chain(operands))?, fetched(table)));
@@ -109,7 +96,7 @@ impl Scan<'_> {
             table.read(projection, record, &mut values[0])?;
             fetched.mark(record);
             for (p, probe) in probes.iter().enumerate() {
-                let row = probe.row(values[0][fks_at + p])?;
+                let row = probe.meta.row(values[0][fks_at + p], probe.table.loaded.records())?;
                 let (projection, fetched) = &mut reads[1 + p];
                 probe.table.read(projection, row, &mut values[1 + p])?;
                 fetched.mark(row);

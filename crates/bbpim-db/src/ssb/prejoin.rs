@@ -36,14 +36,14 @@ pub fn prejoin(fact: &Relation, dims: &[(&Relation, &DimMeta)]) -> Result<Relati
         fk_idx: usize,
         kept_cols: Vec<usize>,
         key_idx: usize,
-        key_base: u64,
+        meta: &'a DimMeta,
     }
     let mut plans = Vec::with_capacity(dims.len());
     for (dim, meta) in dims {
         let fk_idx = fact.schema().index_of(meta.fk)?;
         let key_idx = dim.schema().index_of(meta.key)?;
         let kept_cols: Vec<usize> = (0..dim.schema().arity()).filter(|i| *i != key_idx).collect();
-        plans.push(DimPlan { rel: dim, fk_idx, kept_cols, key_idx, key_base: meta.key_base });
+        plans.push(DimPlan { rel: dim, fk_idx, kept_cols, key_idx, meta });
     }
 
     // Wide schema: all fact attributes, then each dimension's attributes
@@ -63,14 +63,7 @@ pub fn prejoin(fact: &Relation, dims: &[(&Relation, &DimMeta)]) -> Result<Relati
         }
         for plan in &plans {
             let key = fact.value(row, plan.fk_idx);
-            let dim_row = key
-                .checked_sub(plan.key_base)
-                .map(|k| k as usize)
-                .filter(|k| *k < plan.rel.len())
-                .ok_or_else(|| DbError::DanglingKey {
-                    relation: plan.rel.schema().name.clone(),
-                    key,
-                })?;
+            let dim_row = plan.meta.row(key, plan.rel.len())?;
             // dense keys: verify the row really holds this key
             debug_assert_eq!(
                 plan.rel.value(dim_row, plan.key_idx),

@@ -19,7 +19,8 @@
 
 use std::collections::BTreeSet;
 
-use crate::plan::Atom;
+use crate::error::DbError;
+use crate::plan::{Atom, ResolvedAtom};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::ssb::SsbDb;
@@ -39,6 +40,22 @@ pub struct DimMeta {
     /// (1-based except the date dimension's 0-based day index), so key
     /// `k` lives at row `k - key_base`.
     pub key_base: u64,
+}
+
+impl DimMeta {
+    /// The one positional FK probe: the row of a `rows`-row dimension
+    /// table that foreign key `fk` references (key `k` at row
+    /// `k - key_base`).
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::DanglingKey`] if no row holds `fk`.
+    pub fn row(&self, fk: u64, rows: usize) -> Result<usize, DbError> {
+        fk.checked_sub(self.key_base)
+            .and_then(|row| usize::try_from(row).ok())
+            .filter(|&row| row < rows)
+            .ok_or_else(|| DbError::DanglingKey { relation: self.name.into(), key: fk })
+    }
 }
 
 /// The four SSB dimensions, in catalog order (customer, supplier,
@@ -73,6 +90,15 @@ pub fn route_conjunct(conj: &[Atom]) -> (Vec<Atom>, [Vec<Atom>; 4]) {
         }
     }
     (fact, dims)
+}
+
+/// Resolve a routed conjunction against its table's schema.
+///
+/// # Errors
+///
+/// The first atom's resolution failure (unknown attribute or constant).
+pub fn resolve_all(atoms: &[Atom], schema: &Schema) -> Result<Vec<ResolvedAtom>, DbError> {
+    atoms.iter().map(|a| a.resolve(schema)).collect()
 }
 
 /// Cold (host-resident) attribute lists for the five tables under the
@@ -270,9 +296,28 @@ mod tests {
         for f in &fps {
             assert!(f.resident_bits > 0 && f.data_bytes > 0, "{}", f.table);
         }
-        // phones never count as resident
-        let with_phones: usize = db.dim(0).schema().attrs().iter().map(|a| a.bits).sum();
-        assert!(fps[1].resident_bits < with_phones);
+        // phones never count as resident, even with nothing excluded
+        let bits = |phones: bool| -> usize {
+            let attrs = db.dim(0).schema().attrs().iter();
+            attrs.filter(|a| phones || !a.name.ends_with("_phone")).map(|a| a.bits).sum()
+        };
+        assert!(bits(false) < bits(true));
+        assert_eq!(table_footprint(db.dim(0), &[]).resident_bits, bits(false));
+    }
+
+    #[test]
+    fn the_positional_probe_reports_dangling_keys() {
+        let db = db();
+        for (d, meta) in DIMENSIONS.iter().enumerate() {
+            let rows = db.dim(d).len();
+            assert_eq!(meta.row(meta.key_base, rows), Ok(0));
+            let last = meta.key_base + rows as u64 - 1;
+            assert_eq!(meta.row(last, rows), Ok(rows - 1));
+            for key in [last + 1].into_iter().chain(meta.key_base.checked_sub(1)) {
+                let dangling = DbError::DanglingKey { relation: meta.name.into(), key };
+                assert_eq!(meta.row(key, rows), Err(dangling));
+            }
+        }
     }
 
     #[test]

@@ -22,9 +22,8 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use bbpim_db::plan::{Atom, PhysFunc, Query, ResolvedAtom};
-use bbpim_db::schema::Schema;
-use bbpim_db::ssb::star::{dim_of_attr, route_conjunct, DIMENSIONS};
+use bbpim_db::plan::{PhysFunc, Query, ResolvedAtom};
+use bbpim_db::ssb::star::{dim_of_attr, resolve_all, route_conjunct, DimMeta, DIMENSIONS};
 use bbpim_db::ssb::SsbDb;
 use bbpim_db::stats::{GroupedResult, MultiGrouped};
 use bbpim_db::{DbError, Relation};
@@ -143,14 +142,14 @@ impl<'a> MonetEngine<'a> {
         // Group-key sources: fact column or positional dimension fetch.
         enum KeySource<'r> {
             Fact(usize),
-            Dim { d: usize, dim: &'r Relation, col: usize, fk_col: usize },
+            Dim { meta: &'static DimMeta, dim: &'r Relation, col: usize, fk_col: usize },
         }
         let mut key_sources = Vec::with_capacity(query.group_by.len());
         for g in &query.group_by {
             match dim_of_attr(g) {
                 None => key_sources.push(KeySource::Fact(fact.schema().index_of(g)?)),
                 Some(d) => key_sources.push(KeySource::Dim {
-                    d,
+                    meta: &DIMENSIONS[d],
                     dim: db.dim(d),
                     col: db.dim(d).schema().index_of(g)?,
                     fk_col: fact.schema().index_of(DIMENSIONS[d].fk)?,
@@ -184,16 +183,8 @@ impl<'a> MonetEngine<'a> {
                     .iter()
                     .map(|src| match *src {
                         KeySource::Fact(c) => Ok(fact.value(row, c)),
-                        KeySource::Dim { d, dim, col, fk_col } => {
-                            let fk = fact.value(row, fk_col);
-                            let dim_row = fk.checked_sub(DIMENSIONS[d].key_base);
-                            match dim_row.map(|r| r as usize).filter(|&r| r < dim.len()) {
-                                Some(r) => Ok(dim.value(r, col)),
-                                None => Err(DbError::DanglingKey {
-                                    relation: DIMENSIONS[d].name.to_string(),
-                                    key: fk,
-                                }),
-                            }
+                        KeySource::Dim { meta, dim, col, fk_col } => {
+                            Ok(dim.value(meta.row(fact.value(row, fk_col), dim.len())?, col))
                         }
                     })
                     .collect::<Result<_, _>>()?;
@@ -214,11 +205,6 @@ impl std::fmt::Debug for MonetEngine<'_> {
             .field("threads", &self.threads)
             .finish()
     }
-}
-
-/// Resolve a conjunction against a table's schema.
-fn resolve_all(atoms: &[Atom], schema: &Schema) -> Result<Vec<ResolvedAtom>, DbError> {
-    atoms.iter().map(|a| a.resolve(schema)).collect()
 }
 
 /// Run `work(lo, hi)` over `threads` row partitions and merge the
