@@ -271,19 +271,12 @@ impl Storage for Star {
             let dim = &mut dims[d];
             let bits = filter_conjunction(dim, atoms, &mut prelude)?;
             let bitmap = KeyBitmap::new(DIMENSIONS[d].key_base, bits);
-            // the bitmap crosses the channel twice: one read off the
-            // dimension module, one broadcast write shared by every fact
-            // shard (a single grant) — at the compressed wire size, or
-            // bit-packed raw when the compression lever is off (A/B
-            // attribution)
-            let line_bytes = dim.config().line_bytes() as u64;
-            let lines = if dim.module().policy().compress_masks {
-                bitmap.wire_lines(line_bytes)
-            } else {
-                bitmap.raw_bytes().div_ceil(line_bytes.max(1)).max(1)
-            };
-            prelude.push(dim.module().host_read_phase(lines));
-            prelude.push(dim.module().host_write_phase(lines));
+            // the bitmap crosses the channel twice (a read and one
+            // broadcast grant), at the dimension module's price
+            let wire_lines = |line_bytes| bitmap.wire_lines(line_bytes);
+            for phase in dim.module().key_bitmap_phases(bitmap.raw_bytes(), wire_lines) {
+                prelude.push(phase);
+            }
             Ok(bitmap)
         })?;
         let mut disjuncts = Vec::with_capacity(routed.len());

@@ -8,21 +8,20 @@
 //! region. [`Scan::aggregate`] then reduces the (possibly computed)
 //! value under a mask column: through the aggregation circuit
 //! (`one-xb`/`two-xb`) or the PIMDB bulk-bitwise reduction tree
-//! (`pimdb`), followed by one cache line per result chunk per page and a
-//! trivial host-side combine of the per-crossbar partials.
+//! (`pimdb`). Getting the partials to the host — one cache line per
+//! result chunk per page and a host-side fold, or a module-side fold and
+//! one read — is priced by the module
+//! ([`bbpim_sim::module::PimModule::result_phases`]); this file passes it
+//! the page, line and partial counts.
 
 use bbpim_db::plan::{AggExpr, PhysFunc};
 use bbpim_sim::aggcircuit::AggRequest;
 use bbpim_sim::compiler::reduce::ReduceOp;
 use bbpim_sim::compiler::{arith, CodeBuilder, ColRange, ScratchPool};
-use bbpim_sim::timeline::Phase;
 
 use crate::error::CoreError;
 use crate::modes::EngineMode;
 use crate::scan::Scan;
-
-/// Host nanoseconds to fold one per-crossbar partial into the total.
-const COMBINE_NS_PER_PARTIAL: f64 = 2.0;
 
 /// Where the value being aggregated lives after preparation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +52,15 @@ pub fn reads_per_value(layout_cols_chunk_bits: usize, value: ColRange) -> usize 
     let first = value.lo / layout_cols_chunk_bits;
     let last = (value.end() - 1) / layout_cols_chunk_bits;
     last - first + 1
+}
+
+/// Result width of a computed expression whose operands are `a` and `b`
+/// bits wide: a product takes both widths, a difference the wider one.
+pub(crate) fn computed_width(expr: &AggExpr, a: usize, b: usize) -> usize {
+    match expr {
+        AggExpr::Mul(..) => a + b,
+        _ => a.max(b),
+    }
 }
 
 impl Scan<'_> {
@@ -98,10 +106,7 @@ impl Scan<'_> {
                     "aggregate expression operands `{a}` and `{b}` live in different partitions"
                 )));
             }
-            let width = match expr {
-                AggExpr::Mul(..) => pa.range.width + pb.range.width,
-                _ => pa.range.width.max(pb.range.width),
-            };
+            let width = computed_width(expr, pa.range.width, pb.range.width);
             let scratch = layout.scratch(pa.partition);
             let offset = used.entry(pa.partition).or_insert(0);
             if *offset + width + crate::layout::MIN_SCRATCH_COLS > scratch.width {
@@ -166,8 +171,8 @@ impl Scan<'_> {
     /// Aggregate `input` under `mask_col` over the planned pages of its
     /// partition — through the aggregation circuit, or under
     /// [`EngineMode::PimDb`] the reduction tree — returning the
-    /// combined value. Charges the PIM aggregation, the result-line
-    /// reads and the host combine.
+    /// combined value. Charges the PIM aggregation and the module's
+    /// price for getting the partials to the host.
     ///
     /// With `counted` the request also returns the selected-row count —
     /// what pim-gb needs, since SQL must tell an empty subgroup from a
@@ -211,19 +216,12 @@ impl Scan<'_> {
         let values: Vec<u64> = partials.values.into_iter().flatten().collect();
         let counts: Option<Vec<u64>> =
             counted.then(|| partials.counts.into_iter().flatten().collect());
-        if module.policy().module_reduce {
-            // Page controllers fold the per-crossbar partials (both
-            // streams, value + count) locally, so one finalised partial
-            // crosses the channel instead of one result line per page.
-            let streams = 1 + u64::from(counted);
-            self.log.push(module.partial_combine_phase(pages.len(), streams * values.len() as u64));
-            self.log.push(module.host_read_phase(if pages.is_empty() { 0 } else { chunks }));
-            self.log.push(Phase::host_compute(values.len().min(1) as f64 * COMBINE_NS_PER_PARTIAL));
-        } else {
-            // Host fetches one line per result chunk per page and folds the
-            // per-crossbar partials itself.
-            self.log.push(module.host_read_phase(pages.len() as u64 * chunks));
-            self.log.push(Phase::host_compute(values.len() as f64 * COMBINE_NS_PER_PARTIAL));
+        // one per-crossbar partial per stream (value + count); the host
+        // folds the value stream's
+        let crossbar_partials = (1 + u64::from(counted)) * values.len() as u64;
+        let folds = Some(values.len() as u64);
+        for phase in module.result_phases(pages.len(), chunks, crossbar_partials, folds) {
+            self.log.push(phase);
         }
         // MIN/MAX must skip crossbars that selected nothing, when known
         let live = |i: usize| counts.as_ref().is_none_or(|c| c[i] > 0);

@@ -166,16 +166,16 @@ impl Scan<'_> {
     /// host writes whole 16-bit chunks, so each record's row takes a
     /// 16-cell write).
     ///
-    /// Raw, each direction costs one line per (page, row) — 1024 lines
-    /// per 2 MB page, the paper's 32× read reduction. With
-    /// [`bbpim_sim::XferPolicy::compress_masks`] the movement is
-    /// charged at the [`maskwire`] size of the planned pages' mask bits
-    /// (8-byte header + min(bit-packed, RLE)) whenever that is smaller,
-    /// and the leftover cell traffic becomes a module-local pack /
-    /// unpack phase that never touches the channel
-    /// ([`bbpim_sim::module::PimModule::mask_phases`]). Answers are
-    /// unaffected either way — the mask bits are moved exactly; only
-    /// their wire *size* is computed, from the packed words.
+    /// The module prices the movement
+    /// ([`bbpim_sim::module::PimModule::mask_phases`]): raw, each
+    /// direction costs one line per (page, row) — 1024 lines per 2 MB
+    /// page, the paper's 32× read reduction; under
+    /// [`bbpim_sim::XferPolicy::compress_masks`] it asks this method for
+    /// the [`maskwire`] size of the planned pages' mask bits (8-byte
+    /// header + min(bit-packed, RLE)), which is computed only then.
+    /// Answers are unaffected either way — the mask bits are moved
+    /// exactly; only their wire *size* is computed, from the packed
+    /// words.
     ///
     /// # Errors
     ///
@@ -189,14 +189,12 @@ impl Scan<'_> {
         let bits = self.mask(from, col);
         let (cfg, loaded) = (self.table.module.config(), &self.table.loaded);
         let raw_lines = self.pages.len() as u64 * cfg.crossbar_rows as u64;
-        let wire_lines = if self.table.module.policy().compress_masks {
+        let wire_lines = || {
             // what the movement carries: the planned pages' bits, page order
             let planned = self.pages.indices().iter();
             let len: usize = planned.clone().map(|&pg| loaded.page_records(pg).len()).sum();
             let payload = planned.flat_map(|&pg| page_words(&bits, loaded, pg)).copied();
             maskwire::packed_wire_lines(payload, len as u64, cfg.line_bytes() as u64)
-        } else {
-            raw_lines
         };
         let path = if to.is_some() { MaskPath::ThroughHost } else { MaskPath::ToHost };
         for phase in self.table.module.mask_phases(raw_lines, wire_lines, path) {
@@ -466,7 +464,7 @@ mod tests {
         let wire = maskwire::wire_lines(&payload, cfg.line_bytes() as u64);
         let raw = (plan.len() * cfg.crossbar_rows) as u64;
         assert!(wire < raw);
-        let expected = scan.table.module.mask_phases(raw, wire, MaskPath::ThroughHost);
+        let expected = scan.table.module.mask_phases(raw, || wire, MaskPath::ThroughHost);
         assert_eq!(scan.log.phases(), expected.as_slice());
         // every planned record's chunk holds its bit, zero above it;
         // the pruned page's chunks were never written

@@ -140,7 +140,7 @@ pub fn host_gb_time_ns(
     }
     hostmem::read_time_ns(cfg, mask_lines)
         + hostmem::scattered_read_time_ns(cfg, fetched.lines(s))
-        + count as f64 * cfg.host.host_agg_ns_per_record / cfg.host.threads as f64
+        + hostmem::fold_time_ns(cfg, count)
 }
 
 /// Does a grid hold two distinct values — what a line fit over it needs?

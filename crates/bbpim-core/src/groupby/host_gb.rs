@@ -18,6 +18,7 @@ use std::collections::HashSet;
 use bbpim_db::plan::PhysAgg;
 use bbpim_db::ssb::star::DimMeta;
 use bbpim_db::stats::GroupedResult;
+use bbpim_sim::hostmem;
 use bbpim_sim::timeline::Phase;
 
 use crate::error::CoreError;
@@ -114,9 +115,8 @@ impl Scan<'_> {
         //    probed rows, each on its own module's rows.
         let lines = reads.iter().map(|(projection, read)| read.lines(projection.chunks_per_row()));
         self.log.push(table.module.host_read_scattered_phase(lines.sum()));
-        let cfg = table.module.config();
-        let per_record = cfg.host.host_agg_ns_per_record / cfg.host.threads as f64;
-        self.log.push(Phase::host_compute(mask.count_ones() as f64 * per_record));
+        let fold_ns = hostmem::fold_time_ns(table.module.config(), mask.count_ones());
+        self.log.push(Phase::host_compute(fold_ns));
         Ok(per_agg)
     }
 }

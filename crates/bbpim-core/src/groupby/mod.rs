@@ -27,7 +27,7 @@ use std::collections::HashSet;
 use bbpim_db::plan::{PhysicalPlan, Query};
 use bbpim_db::stats::GroupedResult;
 
-use crate::agg_exec::reads_per_value;
+use crate::agg_exec::{computed_width, reads_per_value};
 use crate::error::CoreError;
 use crate::layout::RecordLayout;
 use crate::modes::EngineMode;
@@ -65,10 +65,7 @@ pub fn plan_n(
         AggExpr::Attr(a) => layout.placement(a)?.range,
         AggExpr::Mul(a, b) | AggExpr::Sub(a, b) => {
             let (pa, pb) = (layout.placement(a)?, layout.placement(b)?);
-            let width = match expr {
-                AggExpr::Mul(..) => pa.range.width + pb.range.width,
-                _ => pa.range.width.max(pb.range.width),
-            };
+            let width = computed_width(expr, pa.range.width, pb.range.width);
             bbpim_sim::compiler::ColRange::new(layout.scratch(pa.partition).lo, width)
         }
     };

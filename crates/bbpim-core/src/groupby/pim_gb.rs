@@ -163,15 +163,12 @@ impl Scan<'_> {
             let count = match count {
                 Some(c) => c,
                 None => {
-                    // Pure COUNT: the host reads the per-page count lines —
-                    // or, under module-side reduction, the module folds them
-                    // first and one finalised line crosses the channel.
+                    // Pure COUNT: one count line per page, one partial
+                    // each, at the module's result price; the host's
+                    // popcount fold is not charged.
                     let module = &self.table.module;
-                    if module.policy().module_reduce {
-                        self.log.push(module.partial_combine_phase(fact_pages, fact_pages as u64));
-                        self.log.push(module.host_read_phase(fact_pages.min(1) as u64));
-                    } else {
-                        self.log.push(module.host_read_phase(fact_pages as u64));
+                    for phase in module.result_phases(fact_pages, 1, fact_pages as u64, None) {
+                        self.log.push(phase);
                     }
                     self.count(GROUP_MASK_COL)
                 }

@@ -82,7 +82,8 @@ impl Scan<'_> {
         let sampled = loaded.page_records(sample_idx);
         let sample_records = sampled.len();
 
-        // Mask of the sampled page (partition 0): one line per occupied row.
+        // Mask of the sampled page (partition 0): one line per occupied
+        // row, read raw even under compressed mask moves.
         let cfg = module.config();
         self.log
             .push(module.host_read_phase(sample_records.div_ceil(cfg.crossbars_per_page()) as u64));

@@ -33,7 +33,7 @@ use bbpim_db::schema::Schema;
 use bbpim_db::zonemap::ZoneMap;
 use bbpim_sim::config::SimConfig;
 use bbpim_sim::module::{PageId, PimModule};
-use bbpim_sim::timeline::{Phase, RunLog};
+use bbpim_sim::timeline::RunLog;
 
 use crate::error::CoreError;
 use crate::layout::{RecordLayout, VALID_COL};
@@ -329,10 +329,9 @@ pub fn append_rows(
 
     // Host-channel accounting: one dispatch over the touched pages plus
     // the row payload itself, written per partition as memory lines.
+    // The dispatch rings per-page doorbells even under batched dispatch.
+    log.push(module.doorbell_phase(touched.len(), layout.partitions()));
     let cfg = module.config();
-    log.push(Phase::host_dispatch(
-        touched.len() as f64 * layout.partitions() as f64 * cfg.host.dispatch_ns_per_page,
-    ));
     let row_bytes = cfg.crossbar_cols.div_ceil(8) as u64;
     let lines = (rows.len() as u64 * row_bytes).div_ceil(cfg.line_bytes() as u64).max(1);
     for _ in 0..layout.partitions() {

@@ -14,11 +14,15 @@
 //! Page indices are shared across vertical partitions (record *i* sits
 //! at the same page offset in every partition), so one `PageSet` plans
 //! all partitions of a query.
+//!
+//! The planner plans pages; it does not price them. What posting a
+//! plan costs on the host channel — per-page doorbells or batched
+//! run-list descriptors — is the module's to say
+//! ([`bbpim_sim::module::PimModule::dispatch_phase`]), from the plan's
+//! [`PageSet::len`] and [`PageSet::run_count`].
 
 use bbpim_db::plan::FilterBounds;
-use bbpim_sim::config::HostConfig;
-use bbpim_sim::module::{PageId, XferPolicy};
-use bbpim_sim::timeline::Phase;
+use bbpim_sim::module::PageId;
 
 use crate::loader::LoadedRelation;
 
@@ -83,66 +87,12 @@ impl PageSet {
         self.indices.iter().map(move |&i| (i, pages[i]))
     }
 
-    /// Maximal runs of consecutive candidate page indices, as inclusive
-    /// `[lo, hi]` ranges — the run-list a batched dispatch descriptor
-    /// carries.
-    pub fn runs(&self) -> Vec<(usize, usize)> {
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        for &i in &self.indices {
-            match runs.last_mut() {
-                Some((_, hi)) if *hi + 1 == i => *hi = i,
-                _ => runs.push((i, i)),
-            }
-        }
-        runs
-    }
-
-    /// Number of contiguous runs in the candidate set.
+    /// Number of maximal runs of consecutive candidate page indices —
+    /// the length of the run-list a batched dispatch descriptor
+    /// carries ([`bbpim_sim::module::PimModule::dispatch_phase`]).
     pub fn run_count(&self) -> usize {
-        self.runs().len()
-    }
-
-    /// The descriptor bytes posting this plan to `partitions` vertical
-    /// partitions puts on the host channel under `policy`: one
-    /// descriptor per partition, `header + runs × run_bytes` each, under
-    /// batched dispatch; none for an empty plan or per-page doorbells
-    /// (which carry no byte tag). The dispatch phase charges exactly
-    /// this and both `EXPLAIN` estimators call it, so planned equals
-    /// recorded by construction.
-    pub fn dispatch_bytes(&self, host: &HostConfig, policy: XferPolicy, partitions: usize) -> u64 {
-        if self.indices.is_empty() || !policy.batch_dispatch {
-            return 0;
-        }
-        let runs = self.run_count() as u64;
-        partitions as u64 * (host.dispatch_header_bytes + runs * host.dispatch_run_bytes)
-    }
-
-    /// The host-dispatch phase for posting this plan to `partitions`
-    /// vertical partitions under `policy`.
-    ///
-    /// Legacy: one doorbell per page per partition
-    /// (`len × partitions × dispatch_ns_per_page`, no byte tag — the
-    /// occupancy is the duration). Batched: one descriptor per
-    /// partition whose run-list covers the candidate set, costing one
-    /// doorbell per *run* and tagging the descriptor bytes
-    /// ([`PageSet::dispatch_bytes`]) for the ledger. All-singleton runs
-    /// degenerate to exactly the legacy cost.
-    pub fn dispatch_phase(
-        &self,
-        host: &HostConfig,
-        policy: XferPolicy,
-        partitions: usize,
-    ) -> Phase {
-        if self.indices.is_empty() {
-            return Phase::host_dispatch(0.0);
-        }
-        if !policy.batch_dispatch {
-            return Phase::host_dispatch(
-                (self.indices.len() * partitions) as f64 * host.dispatch_ns_per_page,
-            );
-        }
-        let time_ns = (self.run_count() * partitions) as f64 * host.dispatch_ns_per_page;
-        Phase::host_dispatch_batched(time_ns, self.dispatch_bytes(host, policy, partitions))
+        let breaks = self.indices.windows(2).filter(|w| w[0] + 1 != w[1]).count();
+        breaks + usize::from(!self.indices.is_empty())
     }
 }
 
@@ -194,6 +144,16 @@ mod tests {
             bbpim_db::plan::AggExpr::attr("lo_v"),
         );
         FilterBounds::from_dnf(&q.resolve_filter(rel.schema()).unwrap())
+    }
+
+    #[test]
+    fn run_count_counts_maximal_runs_of_consecutive_pages() {
+        let runs = |indices: Vec<usize>| PageSet::from_indices(indices, 10).run_count();
+        assert_eq!(runs(vec![]), 0);
+        assert_eq!(runs(vec![4]), 1);
+        assert_eq!(runs(vec![0, 1, 2, 5, 7, 8]), 3);
+        assert_eq!(runs(vec![1, 3, 5, 7]), 4);
+        assert_eq!(PageSet::all(10).run_count(), 1);
     }
 
     #[test]

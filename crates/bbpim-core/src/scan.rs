@@ -57,17 +57,17 @@ impl PimTable {
     /// the scan reports, a query's or a mutation's, is the wear of this
     /// scan alone — then charge `prelude` (work done elsewhere on this
     /// query's behalf — a star join's dimension filters) and the host's
-    /// dispatch of the plan — per-page doorbells, or one run-list
-    /// descriptor per partition under batched dispatch.
+    /// dispatch of the plan, at the module's price
+    /// ([`bbpim_sim::module::PimModule::dispatch_phase`]).
     pub fn begin(&mut self, pages: PageSet, prelude: Option<&RunLog>) -> Scan<'_> {
         self.module.reset_endurance(&self.loaded.all_pages());
         let mut log = RunLog::new();
         if let Some(prelude) = prelude {
             log.extend(prelude);
         }
-        log.push(pages.dispatch_phase(
-            &self.module.config().host,
-            self.module.policy(),
+        log.push(self.module.dispatch_phase(
+            pages.len(),
+            pages.run_count(),
             self.layout.partitions(),
         ));
         Scan { table: self, pages, log }

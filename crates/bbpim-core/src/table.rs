@@ -113,7 +113,7 @@ impl PimTable {
     /// The descriptor bytes dispatching `pages` puts on the channel under
     /// this module's transfer policy — what [`PimTable::begin`] charges.
     pub fn dispatch_bytes(&self, pages: &PageSet) -> u64 {
-        pages.dispatch_bytes(&self.config().host, self.module.policy(), self.layout.partitions())
+        self.module.dispatch_bytes(pages.len(), pages.run_count(), self.layout.partitions())
     }
 
     /// Apply a mutation: UPDATE through the PIM multiplexer

@@ -134,6 +134,13 @@ fn transfer_time_ns(cfg: &SimConfig, lines: u64) -> f64 {
     bw_ns.max(lat_ns)
 }
 
+/// Host time to fold `records` fetched records into their groups,
+/// spread over the configured threads, nanoseconds — the per-record
+/// aggregation term of host-gb's cost.
+pub fn fold_time_ns(cfg: &SimConfig, records: u64) -> f64 {
+    records as f64 * (cfg.host.host_agg_ns_per_record / cfg.host.threads as f64)
+}
+
 /// PIM-module energy of reading `lines` lines (every bit of a line is a
 /// crossbar cell read), picojoules.
 pub fn read_energy_pj(cfg: &SimConfig, lines: u64) -> f64 {
@@ -161,6 +168,17 @@ mod tests {
 
     fn cfg() -> SimConfig {
         SimConfig::default()
+    }
+
+    #[test]
+    fn the_host_fold_spreads_records_over_the_threads() {
+        let mut c = cfg();
+        c.host.host_agg_ns_per_record = 6.0;
+        c.host.threads = 4;
+        assert_eq!(fold_time_ns(&c, 0), 0.0);
+        assert_eq!(fold_time_ns(&c, 10), 15.0);
+        c.host.threads = 1;
+        assert_eq!(fold_time_ns(&c, 10), 60.0);
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! all targeted pages run the program in parallel. Each page is
 //! interleaved over all chips, `crossbars_per_page / chips` crossbars
 //! per chip, which determines the per-chip power draw.
+//!
+//! The module is also the host channel's one price list: every
+//! host↔module movement is priced by a method here from the sizes its
+//! caller passes, and only these methods read the [`XferPolicy`].
 
 use crate::aggcircuit::AggRequest;
 use crate::compiler::reduce::{reduce_cost, ReduceCost, ReduceOp};
@@ -18,6 +22,9 @@ use crate::hostmem;
 use crate::isa::{Lowered, Microprogram};
 use crate::page::PimPage;
 use crate::timeline::{Phase, PhaseKind};
+
+/// Host nanoseconds to fold one partial that crossed the channel.
+const HOST_COMBINE_NS_PER_PARTIAL: f64 = 2.0;
 
 /// Identifier of an allocated page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -131,11 +138,6 @@ impl PimModule {
     /// The configuration this module was built with.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    /// The host-channel transfer policy in effect.
-    pub fn policy(&self) -> XferPolicy {
-        self.policy
     }
 
     /// Set the host-channel transfer policy (A/B attribution of the
@@ -351,19 +353,15 @@ impl PimModule {
         Ok((partials, phase))
     }
 
+    // ------------------------------------------------------------------
+    // The host channel: the only readers of the transfer policy
+    // ------------------------------------------------------------------
+
     /// Phase for the host reading `lines` cache lines from this module.
     /// The phase is byte-tagged (`lines × line_bytes`) so the shared
     /// host channel can account its bus occupancy under contention.
     pub fn host_read_phase(&self, lines: u64) -> Phase {
-        let time_ns = hostmem::read_time_ns(&self.cfg, lines);
-        let energy_pj = hostmem::read_energy_pj(&self.cfg, lines);
-        Phase {
-            kind: PhaseKind::HostRead,
-            time_ns,
-            energy_pj,
-            chip_power_w: hostmem::chip_power_w(&self.cfg, energy_pj, time_ns),
-            host_bytes: lines * self.cfg.line_bytes() as u64,
-        }
+        self.line_phase(PhaseKind::HostRead, lines, hostmem::read_time_ns)
     }
 
     /// Phase for the host reading `lines` *scattered* (data-dependent)
@@ -372,61 +370,75 @@ impl PimModule {
     /// [`PimModule::host_read_phase`]; the latency-stall excess over
     /// the bandwidth term does not occupy the shared channel.
     pub fn host_read_scattered_phase(&self, lines: u64) -> Phase {
-        let time_ns = hostmem::scattered_read_time_ns(&self.cfg, lines);
-        let energy_pj = hostmem::read_energy_pj(&self.cfg, lines);
-        Phase {
-            kind: PhaseKind::HostRead,
-            time_ns,
-            energy_pj,
-            chip_power_w: hostmem::chip_power_w(&self.cfg, energy_pj, time_ns),
-            host_bytes: lines * self.cfg.line_bytes() as u64,
-        }
+        self.line_phase(PhaseKind::HostRead, lines, hostmem::scattered_read_time_ns)
     }
 
     /// Phase for the host writing `lines` cache lines into this module
     /// (byte-tagged, see [`PimModule::host_read_phase`]).
     pub fn host_write_phase(&self, lines: u64) -> Phase {
-        let time_ns = hostmem::write_time_ns(&self.cfg, lines);
-        let energy_pj = hostmem::write_energy_pj(&self.cfg, lines);
-        Phase {
-            kind: PhaseKind::HostWrite,
-            time_ns,
-            energy_pj,
-            chip_power_w: hostmem::chip_power_w(&self.cfg, energy_pj, time_ns),
-            host_bytes: lines * self.cfg.line_bytes() as u64,
-        }
+        self.line_phase(PhaseKind::HostWrite, lines, hostmem::write_time_ns)
     }
 
-    /// The host-channel phases of moving a one-bit mask column of
-    /// `raw_lines` (one line per page row) along `path`, when its wire
-    /// encoding ([`crate::maskwire`]) takes `wire_lines`.
+    /// Posting a plan of `pages` candidate pages, in `runs` maximal runs
+    /// of consecutive page indices, to `partitions` vertical partitions:
+    /// per-page doorbells ([`PimModule::doorbell_phase`]), or under
+    /// [`XferPolicy::batch_dispatch`] one descriptor per partition whose
+    /// run-list costs one doorbell per *run* and carries
+    /// [`PimModule::dispatch_bytes`]. An empty plan costs nothing.
+    pub fn dispatch_phase(&self, pages: usize, runs: usize, partitions: usize) -> Phase {
+        let batched = pages > 0 && self.policy.batch_dispatch;
+        let doorbells = self.doorbell_phase(if batched { runs } else { pages }, partitions);
+        Phase { host_bytes: self.dispatch_bytes(pages, runs, partitions), ..doorbells }
+    }
+
+    /// The descriptor bytes of [`PimModule::dispatch_phase`]'s plan:
+    /// `partitions × (header + runs × run_bytes)` when batched, none for
+    /// an empty plan or doorbells. Both `EXPLAIN` estimators call it, so
+    /// planned equals recorded by construction.
+    pub fn dispatch_bytes(&self, pages: usize, runs: usize, partitions: usize) -> u64 {
+        if pages == 0 || !self.policy.batch_dispatch {
+            return 0;
+        }
+        let host = &self.cfg.host;
+        partitions as u64 * (host.dispatch_header_bytes + runs as u64 * host.dispatch_run_bytes)
+    }
+
+    /// One doorbell per page per partition whatever the policy, with no
+    /// byte tag — the occupancy is the duration.
+    pub fn doorbell_phase(&self, pages: usize, partitions: usize) -> Phase {
+        Phase::host_dispatch((pages * partitions) as f64 * self.cfg.host.dispatch_ns_per_page)
+    }
+
+    /// The phases of moving a one-bit mask column of `raw` lines (one
+    /// per page row) along `path`; `wire` gives its wire encoding's
+    /// lines ([`crate::maskwire`]) and is asked only under
+    /// [`XferPolicy::compress_masks`].
     ///
     /// Raw, the host reads (and for a transfer rewrites) every line.
-    /// When the wire format wins (`wire_lines < raw_lines`; tiny masks
-    /// where the header dominates fall back to raw) only `wire_lines`
-    /// are byte-tagged and cross the channel, and a module-local phase
-    /// — [`PhaseKind::PimPack`] before a read-back,
-    /// [`PhaseKind::PimUnpack`] after a transfer — covers the same
-    /// crossbar cell traffic the raw lines would have driven from the
-    /// host. Constructed so the phases together cost exactly what the
+    /// When the wire format wins (tiny masks where the header dominates
+    /// fall back to raw) only the wire lines are byte-tagged and cross
+    /// the channel, and a module-local phase — [`PhaseKind::PimPack`]
+    /// before a read-back, [`PhaseKind::PimUnpack`] after a transfer —
+    /// covers the same crossbar cell traffic the raw lines would have
+    /// driven from the host. The phases together cost exactly what the
     /// raw movement did in time and energy: compression moves work off
     /// the shared channel, it does not change the cell reads/writes the
     /// mask movement requires.
-    pub fn mask_phases(&self, raw_lines: u64, wire_lines: u64, path: MaskPath) -> Vec<Phase> {
+    pub fn mask_phases(&self, raw: u64, wire: impl FnOnce() -> u64, path: MaskPath) -> Vec<Phase> {
+        let wire = if self.policy.compress_masks { wire() } else { raw };
         let transfer = path == MaskPath::ThroughHost;
         let legs: &[fn(&Self, u64) -> Phase] = match transfer {
             true => &[Self::host_read_phase, Self::host_write_phase],
             false => &[Self::host_read_phase],
         };
-        let mut phases: Vec<Phase> =
-            legs.iter().map(|leg| leg(self, raw_lines.min(wire_lines))).collect();
-        if wire_lines < raw_lines {
+        let mut phases: Vec<Phase> = legs.iter().map(|leg| leg(self, raw.min(wire))).collect();
+        if wire < raw {
             // what the raw legs would have cost beyond the wire-sized ones
             let (mut time_ns, mut energy_pj) = (0.0, 0.0);
-            for (leg, wire) in legs.iter().zip(&phases) {
-                let raw = leg(self, raw_lines);
-                time_ns = time_ns + raw.time_ns - wire.time_ns;
-                energy_pj = energy_pj + raw.energy_pj - wire.energy_pj;
+            for (leg, sent) in legs.iter().zip(&phases) {
+                let full = leg(self, raw);
+                time_ns = time_ns + full.time_ns - sent.time_ns;
+                energy_pj = energy_pj + full.energy_pj - sent.energy_pj;
             }
             let (time_ns, energy_pj) = (time_ns.max(0.0), energy_pj.max(0.0));
             phases.push(Phase {
@@ -440,11 +452,47 @@ impl PimModule {
         phases
     }
 
+    /// A star join's key bitmap crossing the channel twice: a read off
+    /// this (dimension) module and one broadcast write every fact shard
+    /// shares. Each leg takes `wire(line_bytes)` lines under
+    /// [`XferPolicy::compress_masks`], else the `bytes` of its
+    /// bit-packed payload in whole lines, at least one.
+    pub fn key_bitmap_phases(&self, bytes: u64, wire: impl FnOnce(u64) -> u64) -> [Phase; 2] {
+        let line_bytes = self.cfg.line_bytes() as u64;
+        let packed = || bytes.div_ceil(line_bytes.max(1)).max(1);
+        let lines = if self.policy.compress_masks { wire(line_bytes) } else { packed() };
+        [self.host_read_phase(lines), self.host_write_phase(lines)]
+    }
+
+    /// Getting one aggregation request's results off `pages` pages:
+    /// `lines` result lines per page holding `partials` partials in all.
+    /// Under [`XferPolicy::module_reduce`] the page controllers fold
+    /// them ([`PhaseKind::PimCombine`]) and one set of `lines` crosses
+    /// the channel; otherwise the host reads `pages × lines`. With
+    /// `folds`, the partials the host would fold itself, the host folds
+    /// what crossed: one of them, or all.
+    pub fn result_phases(
+        &self,
+        pages: usize,
+        lines: u64,
+        partials: u64,
+        folds: Option<u64>,
+    ) -> Vec<Phase> {
+        let (mut phases, folds) = if self.policy.module_reduce {
+            let read = self.host_read_phase(lines * u64::from(pages > 0));
+            (vec![self.combine_phase(pages, partials), read], folds.map(|n| n.min(1)))
+        } else {
+            (vec![self.host_read_phase(pages as u64 * lines)], folds)
+        };
+        phases.extend(folds.map(|n| Phase::host_compute(n as f64 * HOST_COMBINE_NS_PER_PARTIAL)));
+        phases
+    }
+
     /// Module-side fold of `partials` aggregation partials into one
     /// finalised partial per physical aggregate: the page controllers
     /// combine their crossbars' results locally so only the final slot
     /// is read over the channel.
-    pub fn partial_combine_phase(&self, pages: usize, partials: u64) -> Phase {
+    fn combine_phase(&self, pages: usize, partials: u64) -> Phase {
         let time_ns = partials as f64 * self.cfg.combine_ns_per_partial;
         let energy_pj = self.controller_energy_pj(pages, time_ns);
         Phase {
@@ -453,6 +501,23 @@ impl PimModule {
             energy_pj,
             chip_power_w: pages as f64 * self.cfg.controller_power_uw * 1e-6,
             host_bytes: 0,
+        }
+    }
+
+    /// A byte-tagged host movement of `lines` lines that takes `time`.
+    fn line_phase(&self, kind: PhaseKind, lines: u64, time: fn(&SimConfig, u64) -> f64) -> Phase {
+        let (cfg, time_ns) = (&self.cfg, time(&self.cfg, lines));
+        let energy_pj = match kind {
+            PhaseKind::HostWrite => hostmem::write_energy_pj(cfg, lines),
+            _ => hostmem::read_energy_pj(cfg, lines),
+        };
+        let chip_power_w = hostmem::chip_power_w(cfg, energy_pj, time_ns);
+        Phase {
+            kind,
+            time_ns,
+            energy_pj,
+            chip_power_w,
+            host_bytes: lines * cfg.line_bytes() as u64,
         }
     }
 
@@ -750,6 +815,115 @@ mod tests {
         let wr = m.host_write_phase(1000);
         assert!(wr.energy_pj > rd.energy_pj);
         assert_eq!(m.host_read_phase(0).time_ns, 0.0);
+    }
+
+    /// Test modules under the legacy policy and with one lever on.
+    fn levers(on: fn(&mut XferPolicy)) -> [PimModule; 2] {
+        let mut policy = XferPolicy::legacy();
+        on(&mut policy);
+        [XferPolicy::legacy(), policy].map(|policy| {
+            let mut m = module();
+            m.set_policy(policy);
+            m
+        })
+    }
+
+    #[test]
+    fn an_empty_plan_costs_nothing() {
+        for m in levers(|p| p.batch_dispatch = true) {
+            assert_eq!(m.dispatch_phase(0, 0, 3), Phase::host_dispatch(0.0));
+            assert_eq!(m.dispatch_bytes(0, 0, 3), 0);
+        }
+    }
+
+    #[test]
+    fn doorbells_cost_every_page_of_every_partition_and_carry_no_bytes() {
+        let [legacy, batched] = levers(|p| p.batch_dispatch = true);
+        let per_page = legacy.config().host.dispatch_ns_per_page;
+        let (pages, runs, partitions) = (7, 2, 3);
+        let doorbells = Phase::host_dispatch(21.0 * per_page);
+        assert_eq!(legacy.dispatch_phase(pages, runs, partitions), doorbells);
+        assert_eq!(legacy.dispatch_bytes(pages, runs, partitions), 0);
+        // the explicit doorbell price ignores the lever
+        assert_eq!(batched.doorbell_phase(pages, partitions), doorbells);
+        assert_eq!(legacy.doorbell_phase(pages, partitions), doorbells);
+    }
+
+    #[test]
+    fn batched_dispatch_costs_one_doorbell_per_run_and_carries_its_descriptors() {
+        let [_, m] = levers(|p| p.batch_dispatch = true);
+        let host = m.config().host.clone();
+        let (pages, runs, partitions) = (7, 2, 3);
+        let bytes = 3 * (host.dispatch_header_bytes + 2 * host.dispatch_run_bytes);
+        let phase = m.dispatch_phase(pages, runs, partitions);
+        let doorbells = Phase::host_dispatch(6.0 * host.dispatch_ns_per_page);
+        assert_eq!(phase, Phase { host_bytes: bytes, ..doorbells });
+        assert_eq!(m.dispatch_bytes(pages, runs, partitions), bytes);
+        // all-singleton runs: the doorbell time, plus the descriptors
+        let singletons = m.dispatch_phase(pages, pages, partitions);
+        assert_eq!(singletons.time_ns, m.doorbell_phase(pages, partitions).time_ns);
+        assert!(singletons.host_bytes > 0);
+    }
+
+    #[test]
+    fn the_module_fold_reads_one_set_of_result_lines() {
+        let [legacy, reduce] = levers(|p| p.module_reduce = true);
+        let line_bytes = legacy.config().line_bytes() as u64;
+        let (pages, chunks, partials) = (5, 3, 40);
+        let fold = |n: u64| Phase::host_compute(n as f64 * HOST_COMBINE_NS_PER_PARTIAL);
+
+        let host_side = legacy.result_phases(pages, chunks, partials, Some(20));
+        assert_eq!(host_side, [legacy.host_read_phase(15), fold(20)]);
+        assert_eq!(host_side[0].host_bytes, 15 * line_bytes);
+
+        let module_side = reduce.result_phases(pages, chunks, partials, Some(20));
+        let combine = reduce.combine_phase(pages, partials);
+        assert_eq!(combine.kind, PhaseKind::PimCombine);
+        assert_eq!(combine.time_ns, 40.0 * reduce.config().combine_ns_per_partial);
+        assert_eq!(module_side, [combine, reduce.host_read_phase(3), fold(1)]);
+
+        // no host fold charged, and nothing read off an empty plan
+        assert_eq!(legacy.result_phases(pages, 1, 5, None), [legacy.host_read_phase(5)]);
+        let empty = reduce.result_phases(0, chunks, 0, Some(0));
+        assert_eq!(empty[1], reduce.host_read_phase(0));
+        assert_eq!(empty[2], fold(0));
+    }
+
+    #[test]
+    fn the_key_bitmap_moves_at_its_wire_or_packed_size() {
+        let [raw, compressed] = levers(|p| p.compress_masks = true);
+        let line_bytes = raw.config().line_bytes() as u64;
+        let packed_bytes = 5 * line_bytes + 1;
+        let never = |_| -> u64 { unreachable!("the wire size is not asked for") };
+        let raw_phases = raw.key_bitmap_phases(packed_bytes, never);
+        assert_eq!(raw_phases, [raw.host_read_phase(6), raw.host_write_phase(6)]);
+        // at least one line, however small the payload
+        assert_eq!(raw.key_bitmap_phases(0, never)[0], raw.host_read_phase(1));
+        let wire = compressed.key_bitmap_phases(packed_bytes, |lb| {
+            assert_eq!(lb, line_bytes);
+            2
+        });
+        assert_eq!(wire, [compressed.host_read_phase(2), compressed.host_write_phase(2)]);
+    }
+
+    #[test]
+    fn mask_moves_ask_for_the_wire_size_only_when_compressing() {
+        let [raw, compressed] = levers(|p| p.compress_masks = true);
+        let never = || -> u64 { unreachable!("the wire size is not asked for") };
+        for path in [MaskPath::ToHost, MaskPath::ThroughHost] {
+            let phases = raw.mask_phases(64, never, path);
+            assert_eq!(phases.len(), 1 + usize::from(path == MaskPath::ThroughHost));
+            assert!(phases.iter().all(|p| p.host_bytes == 64 * raw.config().line_bytes() as u64));
+            let packed = compressed.mask_phases(64, || 4, path);
+            let kind =
+                if path == MaskPath::ToHost { PhaseKind::PimPack } else { PhaseKind::PimUnpack };
+            assert_eq!(packed.last().map(|p| p.kind), Some(kind));
+            // the phases together cost what the raw movement did
+            let time = |ps: &[Phase]| ps.iter().map(|p| p.time_ns).sum::<f64>();
+            assert!((time(&packed) - time(&phases)).abs() < 1e-9);
+            // a wire size that does not win moves raw
+            assert_eq!(compressed.mask_phases(64, || 80, path), phases);
+        }
     }
 
     #[test]

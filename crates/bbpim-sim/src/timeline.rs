@@ -110,7 +110,10 @@ impl Phase {
     }
 
     /// A host-dispatch phase (query orchestration): the host works, the
-    /// PIM module idles, so no module energy is drawn.
+    /// PIM module idles, so no module energy is drawn. Batched run-list
+    /// descriptors tag their bytes on top
+    /// ([`crate::module::PimModule::dispatch_phase`]); the channel
+    /// occupancy remains the phase duration.
     pub fn host_dispatch(time_ns: f64) -> Self {
         Phase {
             kind: PhaseKind::HostDispatch,
@@ -118,20 +121,6 @@ impl Phase {
             energy_pj: 0.0,
             chip_power_w: 0.0,
             host_bytes: 0,
-        }
-    }
-
-    /// A batched host-dispatch phase: one descriptor per (query, shard)
-    /// carrying a page-ID run-list instead of one doorbell per page.
-    /// `descriptor_bytes` tags the descriptor size for the byte ledger;
-    /// channel occupancy remains the phase duration.
-    pub fn host_dispatch_batched(time_ns: f64, descriptor_bytes: u64) -> Self {
-        Phase {
-            kind: PhaseKind::HostDispatch,
-            time_ns,
-            energy_pj: 0.0,
-            chip_power_w: 0.0,
-            host_bytes: descriptor_bytes,
         }
     }
 }

@@ -17,6 +17,7 @@ use bbpim::engine::groupby::calibration::{run_calibration, CalibrationConfig};
 use bbpim::engine::modes::EngineMode;
 use bbpim::join::StarCluster;
 use bbpim::monet::MonetEngine;
+use bbpim::sim::module::{MaskPath, PimModule};
 use bbpim::sim::{SimConfig, XferPolicy};
 
 const SHARD_COUNTS: [usize; 2] = [1, 4];
@@ -58,12 +59,24 @@ fn query_set() -> Vec<Query> {
     qs
 }
 
+/// The levers a module prices under, read back from its prices: a
+/// mask that packs into one wire line moves in fewer phases than raw,
+/// a batched plan carries descriptor bytes, and a module-side fold adds
+/// a combine phase to the result read.
+fn priced_policy(m: &PimModule) -> XferPolicy {
+    XferPolicy {
+        compress_masks: m.mask_phases(2, || 1, MaskPath::ToHost).len() == 2,
+        batch_dispatch: m.dispatch_bytes(1, 1, 1) > 0,
+        module_reduce: m.result_phases(1, 1, 1, None).len() == 2,
+    }
+}
+
 /// `set_xfer_policy` reached every table: each fact shard and each
-/// auxiliary table (a star dimension) reports `policy`.
+/// auxiliary table (a star dimension) prices under `policy`.
 fn assert_policy_on_every_table<S: Storage>(c: &Cluster<S>, policy: XferPolicy) {
     let shards = (0..c.active_shards()).map(|i| c.shard_table(i).expect("active shard"));
     for table in shards.chain((0..).map_while(|d| c.aux_table(d))) {
-        assert_eq!(table.module().policy(), policy, "{table:?}");
+        assert_eq!(priced_policy(table.module()), policy, "{table:?}");
     }
 }
 
