@@ -10,10 +10,11 @@ use crate::{
     fmt_ms, fmt_ratio, print_columns, print_table, render_table, scaling_geomean, wall_ns,
     ClusterScalePoint, MonetRun, PaperRuns, PimModeRun, PruningPoint, SsbSetup,
 };
-use bbpim_core::headline::{geomean, speedup, GeoMean, Subset, Subsets, LIFETIME_YEARS};
+use bbpim_core::headline::{geomean, speedup, GeoMean, Subset, Subsets};
 use bbpim_core::result::QueryReport;
 use bbpim_db::plan::Query;
 use bbpim_db::ssb::star::TableFootprint;
+use bbpim_sim::endurance::ENDURANCE_YEARS;
 
 /// One table cell: the value and the digits its console form keeps.
 /// The CSV form always keeps six, so plots do not inherit the console's
@@ -287,7 +288,7 @@ pub static FIG9: Figure = Figure {
         format!("Fig. 9 — required cell endurance [writes] for 10 years back-to-back (SF={sf})")
     },
     lead: &[],
-    per_system: ("{}", "{}_writes", |r| Cell::Sci(r.required_endurance(LIFETIME_YEARS), 2)),
+    per_system: ("{}", "{}_writes", |r| Cell::Sci(r.required_endurance(ENDURANCE_YEARS), 2)),
     baseline: None,
     footer: fig9_footer,
 };

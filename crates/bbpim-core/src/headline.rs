@@ -6,13 +6,11 @@
 use std::fmt;
 
 use crate::result::QueryReport;
+use bbpim_sim::endurance::ENDURANCE_YEARS;
 
 /// The queries the paper's energy and lifetime ratios average over:
 /// those on which PIMDB and one-xb both aggregate in PIM at its scale.
 pub const PIM_AGG_QUERIES: [&str; 4] = ["Q1.1", "Q1.2", "Q1.3", "Q3.4"];
-
-/// Fig. 9's horizon: the endurance ten years of back-to-back runs need.
-pub const LIFETIME_YEARS: f64 = 10.0;
 
 /// A geo-mean of per-query ratios.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,7 +105,7 @@ impl Headline {
             speedup_vs_pimdb: time(pimdb),
             speedup_vs_two_xb: time(two_xb),
             energy_vs_pimdb: subsets(|r| r.energy_pj),
-            lifetime_vs_pimdb: subsets(|r| r.required_endurance(LIFETIME_YEARS)),
+            lifetime_vs_pimdb: subsets(|r| r.required_endurance(ENDURANCE_YEARS)),
         }
     }
 }

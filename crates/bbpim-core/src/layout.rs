@@ -20,14 +20,13 @@
 //! group keys are dimension attributes while aggregated attributes are
 //! fact attributes.
 //!
-//! Attributes listed in `exclude` (by default the synthetic `*_phone`
-//! columns, which no SSB query reads) stay in host memory only; this is
-//! what lets the wide record meet the paper's fits-in-one-row claim
-//! with honest bit widths.
+//! Attributes listed in `exclude`, and the synthetic `*_phone` columns
+//! ([`host_only`]), stay in host memory only; this is what lets the wide
+//! record meet the paper's fits-in-one-row claim with honest bit widths.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bbpim_db::schema::Schema;
+use bbpim_db::schema::{host_only, Schema};
 use bbpim_sim::compiler::ColRange;
 use bbpim_sim::config::SimConfig;
 
@@ -67,11 +66,6 @@ pub struct RecordLayout {
     excluded: BTreeSet<String>,
     scratch: Vec<ColRange>,
     result_slot: Vec<ColRange>,
-}
-
-/// Default exclusion predicate: host-only attributes.
-pub fn default_excluded(name: &str) -> bool {
-    name.ends_with("_phone")
 }
 
 impl RecordLayout {
@@ -119,7 +113,7 @@ impl RecordLayout {
         let mut placements = BTreeMap::new();
         let mut excluded = BTreeSet::new();
         for attr in schema.attrs() {
-            if default_excluded(&attr.name) || extra_exclude.contains(&attr.name) {
+            if host_only(&attr.name) || extra_exclude.contains(&attr.name) {
                 excluded.insert(attr.name.clone());
                 continue;
             }

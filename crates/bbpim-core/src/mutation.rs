@@ -37,12 +37,12 @@ use bbpim_db::schema::Schema;
 use bbpim_db::stats::row_matches_dnf;
 use bbpim_db::Relation;
 use bbpim_sim::compiler::{mux, CodeBuilder, ScratchPool};
-use bbpim_sim::endurance;
 use bbpim_sim::timeline::RunLog;
 
 use crate::error::CoreError;
 use crate::layout::{MASK_COL, TRANSFER_COL};
 use crate::loader::append_rows;
+use crate::result::run_endurance;
 use crate::table::PimTable;
 
 /// One logical mutation against a PIM-resident relation.
@@ -284,13 +284,9 @@ pub struct MutationReport {
 
 impl MutationReport {
     /// Required cell endurance (write cycles) to sustain this mutation
-    /// back-to-back for `years` — mirrors
-    /// [`crate::result::QueryReport::required_endurance`].
+    /// back-to-back for `years` (Fig. 9's metric).
     pub fn required_endurance(&self, years: f64) -> f64 {
-        if self.time_ns <= 0.0 {
-            return 0.0;
-        }
-        endurance::required_endurance(self.max_row_cell_writes, self.row_cells, self.time_ns, years)
+        run_endurance(self.max_row_cell_writes, self.row_cells, self.time_ns, years)
     }
 }
 

@@ -56,10 +56,16 @@ impl QueryReport {
     /// Required cell endurance to run this query back-to-back for
     /// `years` (Fig. 9's metric).
     pub fn required_endurance(&self, years: f64) -> f64 {
-        if self.time_ns <= 0.0 {
-            return 0.0;
-        }
-        endurance::required_endurance(self.max_row_cell_writes, self.row_cells, self.time_ns, years)
+        run_endurance(self.max_row_cell_writes, self.row_cells, self.time_ns, years)
+    }
+}
+
+/// [`endurance::required_endurance`] of one run; a run that took no time wore nothing.
+pub(crate) fn run_endurance(writes: u64, cells: usize, time_ns: f64, years: f64) -> f64 {
+    if time_ns > 0.0 {
+        endurance::required_endurance(writes, cells, time_ns, years)
+    } else {
+        0.0
     }
 }
 

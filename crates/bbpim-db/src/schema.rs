@@ -165,6 +165,11 @@ impl Schema {
     }
 }
 
+/// Whether `name` stays host-side under every PIM layout: no query reads a `*_phone`.
+pub fn host_only(name: &str) -> bool {
+    name.ends_with("_phone")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

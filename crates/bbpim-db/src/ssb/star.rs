@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 use crate::error::DbError;
 use crate::plan::{Atom, ResolvedAtom};
 use crate::relation::Relation;
-use crate::schema::Schema;
+use crate::schema::{host_only, Schema};
 use crate::ssb::SsbDb;
 
 /// Static metadata of one dimension of the SSB star schema.
@@ -105,8 +105,8 @@ pub fn resolve_all(atoms: &[Atom], schema: &Schema) -> Result<Vec<ResolvedAtom>,
 /// full SSB workload (standard + combined queries): index 0 is the fact
 /// table, indices 1–4 the dimensions in catalog order. An attribute is
 /// cold when no query touches it (filter, GROUP BY or aggregate input),
-/// it is not a fact FK and it is not a `*_phone` column (the layout
-/// already excludes those on its own).
+/// it is not a fact FK and it is not [`host_only`] (the layout already
+/// excludes those on its own).
 ///
 /// The FKs stay on-module because semijoin probes read them although
 /// no query names them. Dimension *keys* need no pin: keys are dense
@@ -119,8 +119,7 @@ pub fn ssb_cold_attrs(db: &SsbDb) -> [Vec<String>; 5] {
     let fks = DIMENSIONS.map(|m| m.fk);
     let cold = |rel: &Relation, keep: &[&str]| -> Vec<String> {
         let names = rel.schema().attrs().iter().map(|a| a.name.as_str());
-        let cold =
-            names.filter(|n| !hot.contains(n) && !keep.contains(n) && !n.ends_with("_phone"));
+        let cold = names.filter(|n| !hot.contains(n) && !keep.contains(n) && !host_only(n));
         cold.map(str::to_string).collect()
     };
     std::array::from_fn(|t| match t {
@@ -161,7 +160,7 @@ pub fn schema_footprint(schema: &Schema, records: usize, excluded: &[String]) ->
     let resident_bits: usize = schema
         .attrs()
         .iter()
-        .filter(|a| !a.name.ends_with("_phone") && !excluded.iter().any(|e| e == &a.name))
+        .filter(|a| !host_only(&a.name) && !excluded.iter().any(|e| e == &a.name))
         .map(|a| a.bits)
         .sum();
     TableFootprint {

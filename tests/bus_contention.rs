@@ -16,22 +16,21 @@
 //!    host bus ≥ 90 % utilised — the journal extension's point that the
 //!    off-chip interface, not the crossbars, bounds throughput.
 
+mod common;
+
 use bbpim::cluster::{ClusterEngine, Partitioner};
 use bbpim::db::builder::col;
 use bbpim::db::plan::{AggExpr, Query, SelectItem};
-use bbpim::db::ssb::{queries, SsbDb, SsbParams};
+use bbpim::db::ssb::queries;
 use bbpim::db::Relation;
 use bbpim::engine::groupby::calibration::{run_calibration, CalibrationConfig};
 use bbpim::engine::modes::EngineMode;
 use bbpim::monet::MonetEngine;
 use bbpim::sched::{run_stream, SchedConfig, Workload};
 use bbpim::sim::SimConfig;
+use common::ssb_wide;
 
 const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
-
-fn ssb_wide() -> Relation {
-    SsbDb::generate(&SsbParams::tiny_for_tests()).prejoin()
-}
 
 /// A representative query subset: Q1.x (no GROUP BY, expression
 /// aggregates), a GROUP BY from each flight, and a disjunctive

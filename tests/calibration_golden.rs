@@ -7,16 +7,12 @@
 //! `GroupByModel`'s `Debug` rendering. A digest may only change
 //! together with a deliberate, explained model change.
 
+mod common;
+
 use bbpim::engine::groupby::calibration::{run_calibration, CalibrationConfig};
 use bbpim::engine::modes::EngineMode;
 use bbpim::sim::SimConfig;
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
-}
+use common::{assert_pinned, fnv1a};
 
 /// `[host points, pim points, model]` digests of one calibration.
 fn digests(cfg: &SimConfig, mode: EngineMode, cal: &CalibrationConfig) -> [u64; 3] {
@@ -29,17 +25,6 @@ fn digests(cfg: &SimConfig, mode: EngineMode, cal: &CalibrationConfig) -> [u64; 
         bits(&mut data.pim_points.iter().map(|p| p.time_ns)),
         fnv1a(format!("{model:?}").as_bytes()),
     ]
-}
-
-/// Compare every case at once, so a failing run lists all of them in
-/// pasteable form.
-fn assert_pinned(got: &[(String, [u64; 3])], want: &[[u64; 3]]) {
-    let rendered: Vec<String> = got
-        .iter()
-        .map(|(case, [h, p, m])| format!("[{h:#018x}, {p:#018x}, {m:#018x}], // {case}"))
-        .collect();
-    let got: Vec<[u64; 3]> = got.iter().map(|(_, d)| *d).collect();
-    assert_eq!(got, want, "calibration moved:\n{}", rendered.join("\n"));
 }
 
 const MODES: [EngineMode; 3] = [EngineMode::PimDb, EngineMode::TwoXb, EngineMode::OneXb];
@@ -55,6 +40,7 @@ fn tiny_sweeps_match_the_pinned_digests() {
         }
     }
     assert_pinned(
+        "tiny calibration sweeps",
         &got,
         &[
             [0x663575e5bf9e0022, 0xaa5a0e612013a6b8, 0xf77c4221179d71de], // small config, PimDb
@@ -73,6 +59,7 @@ fn tiny_sweeps_match_the_pinned_digests() {
 fn the_default_sweep_matches_the_pinned_digests() {
     let got = digests(&SimConfig::default(), EngineMode::OneXb, &CalibrationConfig::default());
     assert_pinned(
+        "default calibration sweep",
         &[("default config, default sweep, OneXb".into(), got)],
         &[[0xab133c37dc7a48f0, 0xc5aa1e4499a87a1d, 0x934441c656fb46bd]],
     );

@@ -3,17 +3,19 @@
 //! oracle for every shard count and partitioner, on generated SSB data,
 //! including UPDATE-then-query sequences.
 
+mod common;
+
 use bbpim::cluster::{ClusterEngine, Partitioner};
 use bbpim::db::builder::col;
 use bbpim::db::plan::{AggExpr, AggFunc, Atom, Query};
-use bbpim::db::ssb::{queries, SsbDb, SsbParams};
+use bbpim::db::ssb::queries;
 use bbpim::db::stats;
 use bbpim::db::Relation;
-use bbpim::engine::engine::PimQueryEngine;
 use bbpim::engine::groupby::calibration::CalibrationConfig;
 use bbpim::engine::modes::EngineMode;
 use bbpim::engine::mutation::Mutation;
 use bbpim::sim::SimConfig;
+use common::{prejoined_cluster_by, single_engine, ssb_wide};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,29 +32,10 @@ fn partitioners(group_by: &[String]) -> Vec<Partitioner> {
     ps
 }
 
-fn ssb_wide() -> Relation {
-    SsbDb::generate(&SsbParams::tiny_for_tests()).prejoin()
-}
-
-fn cluster(wide: &Relation, shards: usize, p: &Partitioner) -> ClusterEngine {
-    let mut c = ClusterEngine::new(
-        SimConfig::default(),
-        wide.clone(),
-        EngineMode::OneXb,
-        shards,
-        p.clone(),
-    )
-    .expect("cluster construction");
-    c.calibrate(&CalibrationConfig::tiny_for_tests()).expect("calibration");
-    c
-}
-
 #[test]
 fn all_13_ssb_queries_agree_with_single_engine_and_oracle() {
     let wide = ssb_wide();
-    let mut single =
-        PimQueryEngine::new(SimConfig::default(), wide.clone(), EngineMode::OneXb).unwrap();
-    single.calibrate(&CalibrationConfig::tiny_for_tests()).unwrap();
+    let mut single = single_engine(wide.clone(), EngineMode::OneXb);
     let query_set = queries::standard_queries();
     let singles: Vec<_> =
         query_set.iter().map(|q| single.run(q).expect("single engine").groups).collect();
@@ -60,7 +43,7 @@ fn all_13_ssb_queries_agree_with_single_engine_and_oracle() {
     for shards in SHARD_COUNTS {
         for (qi, q) in query_set.iter().enumerate() {
             for p in partitioners(&q.group_by) {
-                let mut c = cluster(&wide, shards, &p);
+                let mut c = prejoined_cluster_by(&wide, shards, p.clone());
                 let out = c.run(q).unwrap_or_else(|e| {
                     panic!("{} shards, {} on {}: {e}", shards, p.label(), q.id)
                 });
@@ -154,15 +137,13 @@ fn update_then_query_agrees_with_single_engine() {
         .expect("update");
 
     // single-module reference
-    let mut single =
-        PimQueryEngine::new(SimConfig::default(), wide.clone(), EngineMode::OneXb).unwrap();
-    single.calibrate(&CalibrationConfig::tiny_for_tests()).unwrap();
+    let mut single = single_engine(wide.clone(), EngineMode::OneXb);
     let single_updated = single.mutate(&m).unwrap().records_updated;
     let reference = single.run(&probe).unwrap().groups;
 
     for shards in SHARD_COUNTS {
         for p in partitioners(&probe.group_by) {
-            let mut c = cluster(&wide, shards, &p);
+            let mut c = prejoined_cluster_by(&wide, shards, p.clone());
             let rep = c.mutate(&m).unwrap();
             assert_eq!(rep.records_updated, single_updated, "{shards} shards {}", p.label());
             let out = c.run(&probe).unwrap();
@@ -175,7 +156,7 @@ fn update_then_query_agrees_with_single_engine() {
 fn batch_results_match_individual_runs() {
     let wide = ssb_wide();
     let query_set: Vec<Query> = queries::standard_queries().into_iter().take(5).collect();
-    let mut c = cluster(&wide, 4, &Partitioner::RoundRobin);
+    let mut c = prejoined_cluster_by(&wide, 4, Partitioner::RoundRobin);
     let batch = c.run_batch(&query_set).unwrap();
     assert!(batch.wall_time_ns <= batch.serial_time_ns + 1e-9);
     for (q, e) in query_set.iter().zip(&batch.executions) {

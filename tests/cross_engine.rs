@@ -2,21 +2,17 @@
 //! results through the PIM engine (all three modes), the column-store
 //! baseline (both plans), and the row-at-a-time oracle.
 
+mod common;
+
 use bbpim::db::ssb::{queries, SsbDb, SsbParams};
 use bbpim::db::stats;
-use bbpim::engine::engine::PimQueryEngine;
-use bbpim::engine::groupby::calibration::CalibrationConfig;
 use bbpim::engine::modes::EngineMode;
 use bbpim::monet::MonetEngine;
-use bbpim::sim::SimConfig;
-
-fn tiny_db() -> SsbDb {
-    SsbDb::generate(&SsbParams::tiny_for_tests())
-}
+use common::{single_engine, ssb};
 
 #[test]
 fn all_13_queries_agree_across_all_engines_uniform() {
-    let db = tiny_db();
+    let db = ssb();
     let wide = db.prejoin();
     let query_set = queries::standard_queries();
 
@@ -25,9 +21,7 @@ fn all_13_queries_agree_across_all_engines_uniform() {
     let mnt_reg = MonetEngine::star(&db, 2);
 
     for mode in EngineMode::all() {
-        let mut engine =
-            PimQueryEngine::new(SimConfig::default(), wide.clone(), mode).expect("engine");
-        engine.calibrate(&CalibrationConfig::tiny_for_tests()).expect("calibration");
+        let mut engine = single_engine(wide.clone(), mode);
         for q in &query_set {
             let oracle = stats::run_oracle(q, &wide).expect("oracle");
             let pim = engine.run(q).unwrap_or_else(|e| panic!("{} {}: {e}", mode.label(), q.id));
@@ -48,9 +42,7 @@ fn skewed_data_with_adjusted_queries_agrees() {
     let wide = db.prejoin();
     let query_set = queries::adjusted_queries(&wide).expect("adjustment");
 
-    let mut engine =
-        PimQueryEngine::new(SimConfig::default(), wide.clone(), EngineMode::OneXb).expect("engine");
-    engine.calibrate(&CalibrationConfig::tiny_for_tests()).expect("calibration");
+    let mut engine = single_engine(wide.clone(), EngineMode::OneXb);
     let mnt_reg = MonetEngine::star(&db, 2);
 
     for q in &query_set {
@@ -62,14 +54,10 @@ fn skewed_data_with_adjusted_queries_agrees() {
 
 #[test]
 fn two_xb_transfers_are_invisible_in_results() {
-    let db = tiny_db();
+    let db = ssb();
     let wide = db.prejoin();
-    let mut one =
-        PimQueryEngine::new(SimConfig::default(), wide.clone(), EngineMode::OneXb).unwrap();
-    let mut two =
-        PimQueryEngine::new(SimConfig::default(), wide.clone(), EngineMode::TwoXb).unwrap();
-    one.calibrate(&CalibrationConfig::tiny_for_tests()).unwrap();
-    two.calibrate(&CalibrationConfig::tiny_for_tests()).unwrap();
+    let mut one = single_engine(wide.clone(), EngineMode::OneXb);
+    let mut two = single_engine(wide.clone(), EngineMode::TwoXb);
     for q in queries::standard_queries() {
         let a = one.run(&q).expect("one_xb");
         let b = two.run(&q).expect("two_xb");
@@ -79,11 +67,10 @@ fn two_xb_transfers_are_invisible_in_results() {
 
 #[test]
 fn reports_carry_consistent_metadata() {
-    let db = tiny_db();
+    let db = ssb();
     let wide = db.prejoin();
     let records = wide.len();
-    let mut engine = PimQueryEngine::new(SimConfig::default(), wide, EngineMode::OneXb).unwrap();
-    engine.calibrate(&CalibrationConfig::tiny_for_tests()).unwrap();
+    let mut engine = single_engine(wide, EngineMode::OneXb);
     for q in queries::standard_queries() {
         let out = engine.run(&q).unwrap();
         let r = &out.report;

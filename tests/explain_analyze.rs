@@ -5,27 +5,16 @@
 //! storage models, and the answer stays oracle-identical (planning
 //! first does not change the run).
 
-use bbpim::cluster::{Cluster, ClusterEngine, Partitioner, Storage};
-use bbpim::db::ssb::{queries, SsbDb, SsbParams};
+mod common;
+
+use bbpim::cluster::{Cluster, Storage};
+use bbpim::db::ssb::queries;
 use bbpim::db::{stats, Relation};
-use bbpim::engine::groupby::calibration::{run_calibration, CalibrationConfig};
-use bbpim::engine::modes::EngineMode;
 use bbpim::engine::result::QueryReport;
-use bbpim::join::StarCluster;
 use bbpim::sim::timeline::PhaseKind;
-use bbpim::sim::SimConfig;
+use common::{prejoined_cluster, ssb, ssb_wide, star_cluster};
 
 const SHARDS: usize = 4;
-
-fn shared_model() -> bbpim::engine::groupby::cost_model::GroupByModel {
-    let (_, model) = run_calibration(
-        &SimConfig::default(),
-        EngineMode::OneXb,
-        &CalibrationConfig::tiny_for_tests(),
-    )
-    .expect("calibration");
-    model
-}
 
 /// Explains then runs every SSB query on `c`, in turn, and holds each
 /// run to its plan and to the oracle over `wide`.
@@ -54,30 +43,13 @@ fn actuals_stay_within_the_plan<S: Storage>(tag: &str, c: &mut Cluster<S>, wide:
 
 #[test]
 fn actuals_stay_within_the_plan_on_the_prejoined_cluster() {
-    let wide = SsbDb::generate(&SsbParams::tiny_for_tests()).prejoin();
-    let mut c = ClusterEngine::new(
-        SimConfig::default(),
-        wide.clone(),
-        EngineMode::OneXb,
-        SHARDS,
-        Partitioner::range_by_attr("d_year"),
-    )
-    .expect("cluster construction");
-    c.set_model(shared_model());
-    actuals_stay_within_the_plan("pre-joined", &mut c, &wide);
+    let wide = ssb_wide();
+    actuals_stay_within_the_plan("pre-joined", &mut prejoined_cluster(&wide, SHARDS), &wide);
 }
 
 #[test]
 fn actuals_stay_within_the_plan_on_the_star_cluster() {
-    let db = SsbDb::generate(&SsbParams::tiny_for_tests());
+    let db = ssb();
     let wide = db.prejoin();
-    let mut c = StarCluster::new(
-        SimConfig::small_for_tests(),
-        &db,
-        EngineMode::OneXb,
-        SHARDS,
-        Partitioner::RoundRobin,
-    )
-    .expect("star cluster construction");
-    actuals_stay_within_the_plan("star", &mut c, &wide);
+    actuals_stay_within_the_plan("star", &mut star_cluster(&db, SHARDS), &wide);
 }

@@ -12,20 +12,18 @@
 //! buffer must stall arrivals (backpressure) without deadlocking the
 //! stream.
 
-use bbpim::cluster::{ClusterEngine, ClusterExecution, Partitioner};
+mod common;
+
+use bbpim::cluster::{Cluster, Storage};
 use bbpim::db::builder::col;
 use bbpim::db::plan::Query;
-use bbpim::db::ssb::{queries, SsbDb, SsbParams};
+use bbpim::db::ssb::queries;
 use bbpim::db::Relation;
-use bbpim::engine::groupby::calibration::{run_calibration, CalibrationConfig};
-use bbpim::engine::groupby::cost_model::GroupByModel;
-use bbpim::engine::modes::EngineMode;
 use bbpim::engine::mutation::Mutation;
-use bbpim::join::StarCluster;
-use bbpim::sched::{
-    run_stream, MutationArrival, QueryCompletion, SchedConfig, StreamOutcome, Workload,
+use bbpim::sched::{run_stream, MutationArrival, SchedConfig, StreamOutcome, Workload};
+use common::{
+    assert_prefix_replay, prejoined_cluster, ssb, star_cluster, star_mutations, wide_mutations,
 };
-use bbpim::sim::SimConfig;
 
 /// The ingest matrix runs the interesting ends of the shard range; the
 /// pure-query matrix in `streaming_equivalence.rs` covers 8.
@@ -35,45 +33,6 @@ const SHARD_COUNTS: [usize; 2] = [1, 4];
 /// 200µs — twice the load, as the acceptance bar demands — so queries
 /// genuinely queue behind mutation write phases.
 const MEAN_INTERARRIVAL_NS: f64 = 100_000.0;
-
-fn ssb() -> SsbDb {
-    SsbDb::generate(&SsbParams::tiny_for_tests())
-}
-
-/// One calibration sweep shared by every wide cluster in this file.
-fn shared_model() -> GroupByModel {
-    let (_, model) = run_calibration(
-        &SimConfig::default(),
-        EngineMode::OneXb,
-        &CalibrationConfig::tiny_for_tests(),
-    )
-    .expect("calibration");
-    model
-}
-
-fn wide_cluster(wide: &Relation, shards: usize, model: &GroupByModel) -> ClusterEngine {
-    let mut c = ClusterEngine::new(
-        SimConfig::default(),
-        wide.clone(),
-        EngineMode::OneXb,
-        shards,
-        Partitioner::range_by_attr("d_year"),
-    )
-    .expect("cluster construction");
-    c.set_model(model.clone());
-    c
-}
-
-fn star_cluster(db: &SsbDb, shards: usize) -> StarCluster {
-    StarCluster::new(
-        SimConfig::small_for_tests(),
-        db,
-        EngineMode::OneXb,
-        shards,
-        Partitioner::RoundRobin,
-    )
-    .expect("star cluster construction")
-}
 
 /// Probes that the mutation sets below visibly perturb: Q1.1 filters
 /// on `d_year`/`lo_discount`/`lo_quantity`, Q2.1 groups by `d_year`,
@@ -85,105 +44,19 @@ fn probe_queries() -> Vec<Query> {
         .collect()
 }
 
-/// The wide model's mutation set: a point UPDATE, a DNF (OR-filtered)
-/// UPDATE, and an INSERT replaying an existing row (already encoded,
-/// so it validates against the wide schema).
-fn wide_mutations(wide: &Relation) -> Vec<Mutation> {
-    vec![
-        Mutation::update()
-            .filter(col("d_year").eq(1993u64))
-            .set("lo_discount", 2u64)
-            .build(wide.schema())
-            .expect("point update"),
-        Mutation::update()
-            .filter(col("d_year").eq(1994u64).or(col("d_year").eq(1995u64)))
-            .set("lo_quantity", 10u64)
-            .build(wide.schema())
-            .expect("DNF update"),
-        Mutation::insert().row(wide.row(0)).build(wide.schema()).expect("insert"),
-    ]
-}
-
-/// The star model's mutation set: a fact UPDATE, a dimension UPDATE
-/// (one small module rewrite that invalidates cached semijoin plans),
-/// and a two-row fact INSERT.
-fn star_mutations(db: &SsbDb) -> Vec<Mutation> {
-    let lo = &db.lineorder;
-    vec![
-        Mutation::update()
-            .filter(col("lo_discount").eq(3u64))
-            .set("lo_discount", 4u64)
-            .build(lo.schema())
-            .expect("fact update"),
-        Mutation::update()
-            .filter(col("d_year").eq(1994u64))
-            .set("d_year", 1993u64)
-            .build_unchecked(),
-        Mutation::insert().row(lo.row(0)).row(lo.row(1)).build(lo.schema()).expect("fact insert"),
-    ]
-}
-
-/// A storage model the prefix-replay oracle can drive: apply one
-/// mutation, answer one query, or run a whole stream. Implemented by
-/// both engines under test.
-trait Replay {
-    fn apply(&mut self, m: &Mutation);
-    fn answer(&mut self, q: &Query) -> ClusterExecution;
-    fn stream(&mut self, w: &Workload) -> StreamOutcome;
-}
-
-impl Replay for ClusterEngine {
-    fn apply(&mut self, m: &Mutation) {
-        self.mutate(m).expect("replay mutate");
-    }
-    fn answer(&mut self, q: &Query) -> ClusterExecution {
-        self.run(q).expect("replay query")
-    }
-    fn stream(&mut self, w: &Workload) -> StreamOutcome {
-        run_stream(self, w, &SchedConfig::default()).expect("stream")
-    }
-}
-
-impl Replay for StarCluster {
-    fn apply(&mut self, m: &Mutation) {
-        self.mutate(m).expect("replay mutate");
-    }
-    fn answer(&mut self, q: &Query) -> ClusterExecution {
-        self.run(q).expect("replay query")
-    }
-    fn stream(&mut self, w: &Workload) -> StreamOutcome {
-        run_stream(self, w, &SchedConfig::default()).expect("stream")
-    }
-}
-
-/// Every streamed execution must equal that of a fresh engine that
-/// replayed exactly the first `epoch` arrived mutations. Completions
-/// are walked in epoch order so one replay engine serves the whole
-/// stream.
-fn assert_prefix_replay(
+/// Every streamed execution must equal that of `fresh` after it
+/// replayed exactly the first `epoch` arrived mutations.
+fn assert_stream_replays<S: Storage>(
     label: &str,
     out: &StreamOutcome,
     workload: &Workload,
-    fresh: &mut dyn Replay,
+    fresh: &mut Cluster<S>,
 ) {
-    let muts = workload.arrived_mutations();
-    let mut by_epoch: Vec<&QueryCompletion> = out.completions.iter().collect();
-    by_epoch.sort_by_key(|c| c.epoch);
-    let mut applied = 0usize;
-    for c in by_epoch {
-        assert!(c.epoch <= muts.len(), "{label}: epoch beyond the arrived-mutation count");
-        while applied < c.epoch {
-            fresh.apply(&muts[applied]);
-            applied += 1;
-        }
-        let q = &workload.queries()[workload.arrivals()[c.arrival].query];
-        let oracle = fresh.answer(q);
-        assert_eq!(
-            *out.executions[c.arrival], oracle,
-            "{label}: {} (arrival {}, epoch {}) diverged from its prefix-replay oracle",
-            c.query_id, c.arrival, c.epoch
-        );
-    }
+    let answers = out.completions.iter().map(|c| {
+        let query = &workload.queries()[workload.arrivals()[c.arrival].query];
+        (c, &*out.executions[c.arrival], query)
+    });
+    assert_prefix_replay(label, fresh, &workload.arrived_mutations(), answers);
 }
 
 /// The mixed stream both models run: one seeded interleaving with at
@@ -203,11 +76,10 @@ fn mixed_workload(qs: Vec<Query>, muts: Vec<Mutation>) -> Workload {
 fn mixed_stream_matches_prefix_replay_on_the_wide_model() {
     let db = ssb();
     let wide = db.prejoin();
-    let model = shared_model();
     let workload = mixed_workload(probe_queries(), wide_mutations(&wide));
     for shards in SHARD_COUNTS {
         for contention in [false, true] {
-            let mut c = wide_cluster(&wide, shards, &model);
+            let mut c = prejoined_cluster(&wide, shards);
             c.set_contention(contention);
             let out = run_stream(&mut c, &workload, &SchedConfig::default())
                 .unwrap_or_else(|e| panic!("{shards} shards, contention {contention}: {e}"));
@@ -221,9 +93,9 @@ fn mixed_stream_matches_prefix_replay_on_the_wide_model() {
                 .sum();
             assert!(written > 0, "mutations must land records");
             assert!(out.shard_cell_writes.iter().sum::<u64>() > 0, "ingest must wear cells");
-            let mut fresh = wide_cluster(&wide, shards, &model);
+            let mut fresh = prejoined_cluster(&wide, shards);
             fresh.set_contention(contention);
-            assert_prefix_replay(
+            assert_stream_replays(
                 &format!("wide, {shards} shards, contention {contention}"),
                 &out,
                 &workload,
@@ -255,7 +127,7 @@ fn mixed_stream_matches_prefix_replay_on_the_star_model() {
             );
             let mut fresh = star_cluster(&db, shards);
             fresh.set_contention(contention);
-            assert_prefix_replay(
+            assert_stream_replays(
                 &format!("star, {shards} shards, contention {contention}"),
                 &out,
                 &workload,
@@ -277,26 +149,29 @@ fn mixed_stream_matches_prefix_replay_on_the_star_model() {
 fn a_d_year_update_matches_prefix_replay_on_both_models() {
     let db = ssb();
     let wide = db.prejoin();
-    let model = shared_model();
     let lo = &db.lineorder;
     let wide_insert = Mutation::insert().row(wide.row(0)).build(wide.schema()).expect("insert");
     let fact_insert = Mutation::insert().row(lo.row(3)).build(lo.schema()).expect("fact insert");
-    assert_year_updates_replay("wide", wide_insert, || wide_cluster(&wide, 4, &model));
+    assert_year_updates_replay("wide", wide_insert, || prejoined_cluster(&wide, 4));
     assert_year_updates_replay("star", fact_insert, || star_cluster(&db, 4));
 }
 
 /// Stream the probes beside two `d_year` UPDATEs and `insert` on an
 /// engine from `build`, then hold every execution against a fresh one.
-fn assert_year_updates_replay<R: Replay>(label: &str, insert: Mutation, build: impl Fn() -> R) {
+fn assert_year_updates_replay<S: Storage>(
+    label: &str,
+    insert: Mutation,
+    build: impl Fn() -> Cluster<S>,
+) {
     let year = |from: u64, to: u64| {
         Mutation::update().filter(col("d_year").eq(from)).set("d_year", to).build_unchecked()
     };
     let workload =
         mixed_workload(probe_queries(), vec![year(1994, 1993), year(1993, 1997), insert]);
-    let out = build().stream(&workload);
+    let out = run_stream(&mut build(), &workload, &SchedConfig::default()).expect("stream");
     let moved: u64 = out.mutation_completions.iter().map(|m| m.records_updated).sum();
     assert!(moved > 0, "{label}: the year updates must land records");
-    assert_prefix_replay(&format!("{label}, d_year updates"), &out, &workload, &mut build());
+    assert_stream_replays(&format!("{label}, d_year updates"), &out, &workload, &mut build());
 }
 
 /// A star cluster whose fact table is empty still owns its dimension
@@ -338,14 +213,17 @@ fn a_streamed_dimension_update_without_fact_rows_reports_its_work() {
 fn a_mutation_overlay_wears_more_than_its_query_trace_alone() {
     let db = ssb();
     let wide = db.prejoin();
-    let model = shared_model();
-    assert_overlay_wears_more("wide", wide_mutations(&wide), || wide_cluster(&wide, 4, &model));
+    assert_overlay_wears_more("wide", wide_mutations(&wide), || prejoined_cluster(&wide, 4));
     assert_overlay_wears_more("star", star_mutations(&db), || star_cluster(&db, 4));
 }
 
 /// Stream a seeded probe trace on an engine from `build`, bare and with
 /// `muts` overlaid evenly over its horizon, and compare the wear.
-fn assert_overlay_wears_more<R: Replay>(label: &str, muts: Vec<Mutation>, build: impl Fn() -> R) {
+fn assert_overlay_wears_more<S: Storage>(
+    label: &str,
+    muts: Vec<Mutation>,
+    build: impl Fn() -> Cluster<S>,
+) {
     let bare = Workload::poisson(probe_queries(), 24, MEAN_INTERARRIVAL_NS, 0xA11_CE0);
     let horizon_ns = bare.arrivals().last().map_or(0.0, |a| a.at_ns);
     let overlay = (0..6)
@@ -353,7 +231,10 @@ fn assert_overlay_wears_more<R: Replay>(label: &str, muts: Vec<Mutation>, build:
         .collect();
     let ingest = Workload::with_mutations(probe_queries(), bare.arrivals().to_vec(), muts, overlay)
         .expect("workload");
-    let wear = |w: &Workload| build().stream(w).shard_cell_writes.iter().sum::<u64>();
+    let wear = |w: &Workload| {
+        let out = run_stream(&mut build(), w, &SchedConfig::default()).expect("stream");
+        out.shard_cell_writes.iter().sum::<u64>()
+    };
     let (queries_only, with_ingest) = (wear(&bare), wear(&ingest));
     assert!(
         with_ingest > queries_only,
@@ -365,10 +246,9 @@ fn assert_overlay_wears_more<R: Replay>(label: &str, muts: Vec<Mutation>, build:
 fn the_interleaving_is_a_pure_function_of_the_seed() {
     let db = ssb();
     let wide = db.prejoin();
-    let model = shared_model();
     let workload = mixed_workload(probe_queries(), wide_mutations(&wide));
     let run = |w: &Workload| {
-        let mut c = wide_cluster(&wide, 4, &model);
+        let mut c = prejoined_cluster(&wide, 4);
         run_stream(&mut c, w, &SchedConfig::default()).expect("stream")
     };
     let a = run(&workload);
@@ -398,7 +278,6 @@ fn the_interleaving_is_a_pure_function_of_the_seed() {
 fn a_full_ingest_buffer_stalls_without_deadlock() {
     let db = ssb();
     let wide = db.prejoin();
-    let model = shared_model();
     // every mutation routes to the same range-partitioned lane
     // (d_year = 1993), and they arrive nose-to-tail: with a one-deep
     // buffer the later arrivals must stall at the door
@@ -416,7 +295,7 @@ fn a_full_ingest_buffer_stalls_without_deadlock() {
     )
     .expect("workload");
     let cfg = SchedConfig { ingest_buffer: 1, ..SchedConfig::default() };
-    let mut c = wide_cluster(&wide, 4, &model);
+    let mut c = prejoined_cluster(&wide, 4);
     let out = run_stream(&mut c, &workload, &cfg).expect("backpressure must not deadlock");
     assert!(out.ingest_stalls > 0, "a one-deep buffer under a burst must stall");
     assert!(out.ingest_stall_ns > 0.0);
@@ -427,6 +306,6 @@ fn a_full_ingest_buffer_stalls_without_deadlock() {
     epochs.sort_unstable();
     assert_eq!(epochs, vec![1, 2, 3, 4]);
     // and the stalled stream still answers from a well-defined prefix
-    let mut fresh = wide_cluster(&wide, 4, &model);
-    assert_prefix_replay("backpressure", &out, &workload, &mut fresh);
+    let mut fresh = prejoined_cluster(&wide, 4);
+    assert_stream_replays("backpressure", &out, &workload, &mut fresh);
 }

@@ -7,10 +7,12 @@
 //! pre-joined two-crossbar path for the selective Q1.x class: a
 //! compressed dimension bitmap replaces per-disjunct wide-mask traffic.
 
-use bbpim::cluster::{ClusterEngine, ClusterReport, Partitioner};
+mod common;
+
+use bbpim::cluster::{ClusterEngine, Partitioner};
 use bbpim::db::builder::col;
 use bbpim::db::plan::Query;
-use bbpim::db::ssb::{queries, SsbDb, SsbParams};
+use bbpim::db::ssb::{queries, SsbDb};
 use bbpim::db::stats;
 use bbpim::engine::groupby::calibration::CalibrationConfig;
 use bbpim::engine::modes::EngineMode;
@@ -18,12 +20,9 @@ use bbpim::engine::mutation::Mutation;
 use bbpim::join::StarCluster;
 use bbpim::monet::MonetEngine;
 use bbpim::sim::SimConfig;
+use common::{host_bytes, ssb};
 
 const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
-
-fn db() -> SsbDb {
-    SsbDb::generate(&SsbParams::tiny_for_tests())
-}
 
 /// Normalized records are narrow enough for the small test config —
 /// answers are config-independent, so the big matrix runs on it. Tests
@@ -52,15 +51,9 @@ fn prejoin_cluster(db: &SsbDb, mode: EngineMode, shards: usize) -> ClusterEngine
     c
 }
 
-/// Host-channel bytes a cluster execution put on the shared bus, from
-/// the per-shard phase logs (join preludes ride the first shard's log).
-fn host_bytes(report: &ClusterReport) -> u64 {
-    report.per_shard.iter().map(|r| r.phases.host_bytes()).sum()
-}
-
 #[test]
 fn all_13_queries_match_prejoin_and_monet_across_the_matrix() {
-    let db = db();
+    let db = ssb();
     let wide = db.prejoin();
     let query_set = queries::standard_queries();
 
@@ -111,7 +104,7 @@ fn all_13_queries_match_prejoin_and_monet_across_the_matrix() {
 
 #[test]
 fn dimension_update_then_query_agrees_with_patched_oracle() {
-    let db = db();
+    let db = ssb();
     // move 1994 into 1993 on the *date dimension*: one small module
     // rewrite instead of a replicated-column rewrite on every shard
     let m = Mutation::update()
@@ -146,7 +139,7 @@ fn dimension_update_then_query_agrees_with_patched_oracle() {
 
 #[test]
 fn selective_queries_put_fewer_bytes_on_the_bus_than_prejoin() {
-    let db = db();
+    let db = ssb();
     let shards = 4;
     let mut star_cluster = star_with(SimConfig::default(), &db, EngineMode::TwoXb, shards);
     let mut prejoined = prejoin_cluster(&db, EngineMode::TwoXb, shards);
@@ -163,7 +156,7 @@ fn selective_queries_put_fewer_bytes_on_the_bus_than_prejoin() {
 
 #[test]
 fn explain_ledger_matches_the_executed_win() {
-    let db = db();
+    let db = ssb();
     let c = star(&db, EngineMode::TwoXb, 4);
     let q = queries::standard_query("Q1.1").unwrap();
     let ex = c.explain(&q).unwrap();
@@ -180,7 +173,7 @@ fn explain_ledger_matches_the_executed_win() {
 #[test]
 fn streamed_star_workload_is_bit_identical_to_batch_runs() {
     use bbpim::sched::{run_stream, SchedConfig, Workload};
-    let db = db();
+    let db = ssb();
     let query_set: Vec<Query> =
         ["Q1.1", "Q2.1", "Q3.1"].iter().map(|id| queries::standard_query(id).unwrap()).collect();
     let workload = Workload::poisson(query_set.clone(), 6, 40_000.0, 13);

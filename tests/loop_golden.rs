@@ -7,23 +7,19 @@
 //! is checked against the commit *before* it. A digest may only change
 //! together with a deliberate, explained model change.
 //!
-//! The `Debug` digest moves whenever a record type gains a field. The
-//! *projection* digests do not: they hash a fixed selection of every
-//! outcome — events, completions, drops, the window, the lane tallies
-//! (floats as bits) and each execution's `Debug` — read field by field
-//! and rendered as plain tuples, so they name no type and no field.
+//! The `Debug` digest moves whenever a record type gains or loses a
+//! field. The *projection* digests move less: they hash a fixed
+//! selection of every outcome — events, completions, drops, the window,
+//! the lane tallies (floats as bits) and each execution's `Debug` —
+//! read field by field and rendered as plain tuples, so they name no
+//! type and no field outside the merged executions. A field added to or
+//! removed from `ClusterExecution` or its reports moves them too.
 
-use bbpim::cluster::{ClusterEngine, Partitioner};
-use bbpim::db::builder::col;
+mod common;
+
 use bbpim::db::plan::Query;
-use bbpim::db::ssb::{queries, SsbDb, SsbParams};
-use bbpim::db::Relation;
-use bbpim::engine::groupby::calibration::{run_calibration, CalibrationConfig};
-use bbpim::engine::modes::EngineMode;
+use bbpim::db::ssb::queries;
 use bbpim::engine::mutation::Mutation;
-use bbpim::join::StarCluster;
-use std::fmt::Write;
-
 use bbpim::sched::{
     run_stream_traced, AdmissionPolicy, SchedConfig, StreamEngine, StreamOutcome, Workload,
 };
@@ -31,18 +27,14 @@ use bbpim::serve::{
     run_serve_traced, AimdConfig, ArrivalProcess, RateLimit, ServeConfig, ServeOutcome, SloSpec,
     TenantSpec, WindowPolicy, WriteMix,
 };
-use bbpim::sim::SimConfig;
 use bbpim::trace::export::{jsonl, perfetto_json};
 use bbpim::trace::TraceRecorder;
+use common::{
+    assert_pinned, fnv1a, prejoined_cluster, ssb, star_cluster, star_mutations, wide_mutations,
+};
+use std::fmt::Write;
 
 const SHARDS: usize = 4;
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
-}
 
 /// `[outcome, perfetto, jsonl]` digests of one traced run.
 fn digests(outcome: &impl std::fmt::Debug, trace: &TraceRecorder) -> [u64; 3] {
@@ -54,80 +46,11 @@ fn digests(outcome: &impl std::fmt::Debug, trace: &TraceRecorder) -> [u64; 3] {
     ]
 }
 
-fn ssb() -> SsbDb {
-    SsbDb::generate(&SsbParams::tiny_for_tests())
-}
-
-fn wide_cluster(wide: &Relation) -> ClusterEngine {
-    let (_, model) = run_calibration(
-        &SimConfig::default(),
-        EngineMode::OneXb,
-        &CalibrationConfig::tiny_for_tests(),
-    )
-    .expect("calibration");
-    let mut c = ClusterEngine::new(
-        SimConfig::default(),
-        wide.clone(),
-        EngineMode::OneXb,
-        SHARDS,
-        Partitioner::range_by_attr("d_year"),
-    )
-    .expect("cluster construction");
-    c.set_model(model);
-    c
-}
-
-fn star_cluster(db: &SsbDb) -> StarCluster {
-    StarCluster::new(
-        SimConfig::small_for_tests(),
-        db,
-        EngineMode::OneXb,
-        SHARDS,
-        Partitioner::RoundRobin,
-    )
-    .expect("star cluster construction")
-}
-
 fn probe_queries() -> Vec<Query> {
     ["Q1.1", "Q2.1", "Q3.1", "Q4.1"]
         .iter()
         .map(|id| queries::standard_query(id).expect("standard query"))
         .collect()
-}
-
-/// A point UPDATE, a DNF UPDATE and an INSERT on the wide relation.
-fn wide_mutations(wide: &Relation) -> Vec<Mutation> {
-    vec![
-        Mutation::update()
-            .filter(col("d_year").eq(1993u64))
-            .set("lo_discount", 2u64)
-            .build(wide.schema())
-            .expect("point update"),
-        Mutation::update()
-            .filter(col("d_year").eq(1994u64).or(col("d_year").eq(1995u64)))
-            .set("lo_quantity", 10u64)
-            .build(wide.schema())
-            .expect("DNF update"),
-        Mutation::insert().row(wide.row(0)).build(wide.schema()).expect("insert"),
-    ]
-}
-
-/// A fact UPDATE, a dimension UPDATE (its write chain runs on an
-/// auxiliary `ingest-lane-<d>`) and a two-row fact INSERT.
-fn star_mutations(db: &SsbDb) -> Vec<Mutation> {
-    let lo = &db.lineorder;
-    vec![
-        Mutation::update()
-            .filter(col("lo_discount").eq(3u64))
-            .set("lo_discount", 4u64)
-            .build(lo.schema())
-            .expect("fact update"),
-        Mutation::update()
-            .filter(col("d_year").eq(1994u64))
-            .set("d_year", 1993u64)
-            .build_unchecked(),
-        Mutation::insert().row(lo.row(0)).row(lo.row(1)).build(lo.schema()).expect("fact insert"),
-    ]
 }
 
 /// One HTAP stream under `policy`: a tight in-flight bound so SCSF can
@@ -301,28 +224,22 @@ fn serve<E: StreamEngine>(
     (out, trace)
 }
 
-/// Compare every scenario at once, so one failing run lists all the
-/// digests that moved.
-fn assert_pinned<const N: usize>(got: &[(String, [u64; N])], want: &[[u64; N]]) {
-    let rendered: Vec<String> = got.iter().map(|(n, d)| format!("{d:#018x?} // {n}")).collect();
-    let got: Vec<[u64; N]> = got.iter().map(|(_, d)| *d).collect();
-    assert_eq!(got, want, "digests moved:\n{}", rendered.join("\n"));
-}
-
 #[test]
 fn run_stream_matches_the_pinned_digests() {
     let db = ssb();
     let wide = db.prejoin();
     let (mut got, mut projections) = (Vec::new(), Vec::new());
     for policy in AdmissionPolicy::all() {
-        let (d, p) = stream_digests(&mut wide_cluster(&wide), wide_mutations(&wide), policy);
+        let (d, p) =
+            stream_digests(&mut prejoined_cluster(&wide, SHARDS), wide_mutations(&wide), policy);
         got.push((format!("ClusterEngine, {}", policy.label()), d));
         projections.push((format!("ClusterEngine, {}", policy.label()), [p]));
-        let (d, p) = stream_digests(&mut star_cluster(&db), star_mutations(&db), policy);
+        let (d, p) = stream_digests(&mut star_cluster(&db, SHARDS), star_mutations(&db), policy);
         got.push((format!("StarCluster, {}", policy.label()), d));
         projections.push((format!("StarCluster, {}", policy.label()), [p]));
     }
     assert_pinned(
+        "run_stream projections",
         &projections,
         &[
             [0x3e1c_1c9e_cc96_78fb], // ClusterEngine, fifo
@@ -332,6 +249,7 @@ fn run_stream_matches_the_pinned_digests() {
         ],
     );
     assert_pinned(
+        "run_stream digests",
         &got,
         &[
             [0x4c85_4156_1c2b_e8fd, 0xbf81_390d_3119_5d85, 0x325d_2b5c_2306_3767],
@@ -349,11 +267,15 @@ fn run_serve_matches_the_pinned_digests() {
     let got = [
         (
             "ClusterEngine".to_string(),
-            serve_digests(&mut wide_cluster(&wide), wide_mutations(&wide)),
+            serve_digests(&mut prejoined_cluster(&wide, SHARDS), wide_mutations(&wide)),
         ),
-        ("StarCluster".to_string(), serve_digests(&mut star_cluster(&db), star_mutations(&db))),
+        (
+            "StarCluster".to_string(),
+            serve_digests(&mut star_cluster(&db, SHARDS), star_mutations(&db)),
+        ),
     ];
     assert_pinned(
+        "run_serve digests",
         &got,
         &[
             [0x585c_0df0_44a3_893b, 0x787b_0acd_fd36_8316, 0x0e24_abe9_fff0_3a21],
@@ -368,14 +290,19 @@ fn query_only_run_serve_matches_the_pinned_digests() {
     let wide = db.prejoin();
     let (mut got, mut projections) = (Vec::new(), Vec::new());
     for (name, (d, p)) in [
-        ("ClusterEngine", query_only_serve_digests(&mut wide_cluster(&wide))),
-        ("StarCluster", query_only_serve_digests(&mut star_cluster(&db))),
+        ("ClusterEngine", query_only_serve_digests(&mut prejoined_cluster(&wide, SHARDS))),
+        ("StarCluster", query_only_serve_digests(&mut star_cluster(&db, SHARDS))),
     ] {
         got.push((name.to_string(), d));
         projections.push((name.to_string(), [p]));
     }
-    assert_pinned(&projections, &[[0xa439_be83_d21e_8daf], [0x4e8a_09f6_5314_022c]]);
     assert_pinned(
+        "query-only run_serve projections",
+        &projections,
+        &[[0xa439_be83_d21e_8daf], [0x4e8a_09f6_5314_022c]],
+    );
+    assert_pinned(
+        "query-only run_serve digests",
         &got,
         &[
             [0x6da6_4ff7_3808_1597, 0x53bd_ab19_20eb_0024, 0xf6a6_c549_5668_0e32],

@@ -10,40 +10,26 @@
 //! program changed. A digest may only change together with a
 //! deliberate, explained change to what the engine compiles.
 
-use bbpim::cluster::Partitioner;
+mod common;
+
 use bbpim::db::builder::col;
 use bbpim::db::plan::Query;
-use bbpim::db::ssb::{queries, SsbDb, SsbParams};
-use bbpim::engine::engine::PimQueryEngine;
-use bbpim::engine::groupby::calibration::CalibrationConfig;
+use bbpim::db::ssb::queries;
 use bbpim::engine::groupby::cost_model::{GroupByModel, HostGbModel, PimGbModel};
 use bbpim::engine::groupby::fitting::{LinFit, SqrtFit};
 use bbpim::engine::modes::EngineMode;
 use bbpim::engine::mutation::Mutation;
 use bbpim::engine::PimTable;
 use bbpim::join::StarCluster;
-use bbpim::sim::SimConfig;
+use common::{assert_pinned, fnv1a, single_engine, ssb, ssb_wide, star_cluster};
 
 /// `(programs executed so far, chained op digest)` after one step.
 type Pin = (u64, u64);
-
-fn ssb() -> SsbDb {
-    SsbDb::generate(&SsbParams::tiny_for_tests())
-}
 
 /// The 13 SSB queries plus the combined ones (a multi-aggregate SELECT
 /// list, an OR filter over dimension attributes, a stats GROUP BY).
 fn probe_queries() -> Vec<Query> {
     queries::standard_queries().into_iter().chain(queries::combined_queries()).collect()
-}
-
-/// Compare a whole scenario at once, so a failing run lists every row
-/// in pasteable form.
-fn assert_pinned(scenario: &str, got: &[(String, Pin)], want: &[Pin]) {
-    let rendered: Vec<String> =
-        got.iter().map(|(step, (n, d))| format!("({n}, {d:#018x}), // {step}")).collect();
-    let got: Vec<Pin> = got.iter().map(|(_, pin)| *pin).collect();
-    assert_eq!(got, want, "{scenario}: compiled programs moved:\n{}", rendered.join("\n"));
 }
 
 /// A model under which Eq. (3) sends every subgroup to pim-gb.
@@ -61,15 +47,14 @@ fn free_pim_model() -> GroupByModel {
 /// program), then an OR-filtered two-column UPDATE whose SET list spans
 /// the fact and the dimension side, on one pre-joined engine.
 fn engine_pins(mode: EngineMode) -> Vec<(String, Pin)> {
-    let wide = ssb().prejoin();
+    let wide = ssb_wide();
     let update = Mutation::update()
         .filter(col("d_year").eq(1993u64).or(col("lo_discount").lt(2u64)))
         .set("lo_quantity", 7u64)
         .set("c_region", "ASIA")
         .build(wide.schema())
         .expect("update");
-    let mut engine = PimQueryEngine::new(SimConfig::default(), wide, mode).expect("engine");
-    engine.calibrate(&CalibrationConfig::tiny_for_tests()).expect("calibration");
+    let mut engine = single_engine(wide, mode);
     let mut pins = Vec::new();
     for q in probe_queries() {
         engine.run(&q).expect("query");
@@ -168,17 +153,17 @@ const STAR: &[Pin] = &[
 
 #[test]
 fn pimdb_engine_programs_match_the_pinned_digests() {
-    assert_pinned("pimdb", &engine_pins(EngineMode::PimDb), ONE_PARTITION);
+    assert_pinned("pimdb programs", &engine_pins(EngineMode::PimDb), ONE_PARTITION);
 }
 
 #[test]
 fn two_xb_engine_programs_match_the_pinned_digests() {
-    assert_pinned("two_xb", &engine_pins(EngineMode::TwoXb), TWO_XB);
+    assert_pinned("two_xb programs", &engine_pins(EngineMode::TwoXb), TWO_XB);
 }
 
 #[test]
 fn one_xb_engine_programs_match_the_pinned_digests() {
-    assert_pinned("one_xb", &engine_pins(EngineMode::OneXb), ONE_PARTITION);
+    assert_pinned("one_xb programs", &engine_pins(EngineMode::OneXb), ONE_PARTITION);
 }
 
 /// One pin over all of a star cluster's modules: the four fact shards,
@@ -187,16 +172,11 @@ fn star_pin(star: &StarCluster) -> Pin {
     let tables = (0..star.active_shards())
         .map(|i| star.shard_table(i))
         .chain((0..4).map(|d| star.aux_table(d)));
-    tables.map(|t| t.map(PimTable::module).expect("table").program_digest()).fold(
-        (0, 0xcbf2_9ce4_8422_2325),
-        |(programs, h), (n, d)| {
-            let h = [n, d]
-                .iter()
-                .flat_map(|w| w.to_le_bytes())
-                .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
-            (programs + n, h)
-        },
-    )
+    let pins: Vec<Pin> =
+        tables.map(|t| t.map(PimTable::module).expect("table").program_digest()).collect();
+    let bytes: Vec<u8> =
+        pins.iter().flat_map(|&(n, d)| [n, d]).flat_map(u64::to_le_bytes).collect();
+    (pins.iter().map(|&(n, _)| n).sum(), fnv1a(&bytes))
 }
 
 /// The probe queries on the 4-shard star (dimension mask programs on
@@ -205,14 +185,7 @@ fn star_pin(star: &StarCluster) -> Pin {
 #[test]
 fn star_programs_match_the_pinned_digests() {
     let db = ssb();
-    let mut star = StarCluster::new(
-        SimConfig::small_for_tests(),
-        &db,
-        EngineMode::OneXb,
-        4,
-        Partitioner::RoundRobin,
-    )
-    .expect("star cluster");
+    let mut star = star_cluster(&db, 4);
     let mut pins = Vec::new();
     for q in probe_queries() {
         star.run(&q).expect("query");
@@ -233,5 +206,5 @@ fn star_programs_match_the_pinned_digests() {
         star.mutate(m).expect("mutation");
         pins.push((m.label(), star_pin(&star)));
     }
-    assert_pinned("star", &pins, STAR);
+    assert_pinned("star programs", &pins, STAR);
 }

@@ -5,17 +5,18 @@
 //! prune (and win wall clock) on the range-partitioned placements the
 //! planner was built for.
 
+mod common;
+
 use bbpim::cluster::{ClusterEngine, Partitioner};
 use bbpim::db::builder::col;
 use bbpim::db::plan::{AggExpr, AggFunc, Atom, Query};
 use bbpim::db::ssb::{queries, SsbDb, SsbParams};
 use bbpim::db::stats;
-use bbpim::db::Relation;
-use bbpim::engine::groupby::calibration::CalibrationConfig;
 use bbpim::engine::modes::EngineMode;
 use bbpim::engine::mutation::Mutation;
 use bbpim::join::StarCluster;
 use bbpim::sim::SimConfig;
+use common::{prejoined_cluster, prejoined_cluster_by, ssb, ssb_wide};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,30 +33,13 @@ fn partitioners(group_by: &[String]) -> Vec<Partitioner> {
     ps
 }
 
-fn ssb_wide() -> Relation {
-    SsbDb::generate(&SsbParams::tiny_for_tests()).prejoin()
-}
-
-fn cluster(wide: &Relation, shards: usize, p: &Partitioner) -> ClusterEngine {
-    let mut c = ClusterEngine::new(
-        SimConfig::default(),
-        wide.clone(),
-        EngineMode::OneXb,
-        shards,
-        p.clone(),
-    )
-    .expect("cluster construction");
-    c.calibrate(&CalibrationConfig::tiny_for_tests()).expect("calibration");
-    c
-}
-
 /// `set_pruning` reaches every table of a star cluster — each fact shard
 /// and each dimension module — both ways, and every answer stays
 /// oracle-identical under each setting. Pruning is sound, so answers
 /// alone would not notice a table the switch missed.
 #[test]
 fn set_pruning_reaches_every_fact_shard_and_dimension_table() {
-    let db = SsbDb::generate(&SsbParams::tiny_for_tests());
+    let db = ssb();
     let wide = db.prejoin();
     let mut c = StarCluster::new(
         SimConfig::small_for_tests(),
@@ -113,7 +97,7 @@ fn all_13_queries_pruned_equals_oracle_all_partitioners() {
     for shards in SHARD_COUNTS {
         // query-independent partitioners: one calibrated cluster each
         for p in [Partitioner::RoundRobin, Partitioner::range_by_attr("d_year")] {
-            let mut c = cluster(&wide, shards, &p);
+            let mut c = prejoined_cluster_by(&wide, shards, p.clone());
             assert!(c.pruning(), "pruning must be the default");
             for (q, oracle) in query_set.iter().zip(&oracles) {
                 check_pruned_vs_exhaustive(
@@ -131,7 +115,7 @@ fn all_13_queries_pruned_equals_oracle_all_partitioners() {
             } else {
                 Partitioner::hash_by_group_keys(&q.group_by)
             };
-            let mut c = cluster(&wide, shards, &p);
+            let mut c = prejoined_cluster_by(&wide, shards, p.clone());
             check_pruned_vs_exhaustive(
                 &mut c,
                 q,
@@ -180,7 +164,7 @@ fn update_then_query_keeps_pruning_sound() {
 
     for shards in SHARD_COUNTS {
         for p in partitioners(&probe.group_by) {
-            let mut c = cluster(&wide, shards, &p);
+            let mut c = prejoined_cluster_by(&wide, shards, p.clone());
             let rep = c.mutate(&m).unwrap();
             assert_eq!(rep.records_updated, expected_updates, "{shards} shards {}", p.label());
             let out = c.run(&probe).unwrap();
@@ -252,7 +236,7 @@ fn dnf_update_then_query_keeps_pruning_sound() {
         let oracle = stats::run_oracle(&probe, &reference).expect("oracle");
 
         for shards in [4usize, 8] {
-            let mut c = cluster(&wide, shards, &Partitioner::range_by_attr("d_year"));
+            let mut c = prejoined_cluster(&wide, shards);
             let rep = c.mutate(&m).unwrap();
             assert_eq!(
                 rep.records_updated,

@@ -9,62 +9,26 @@
 //! With writes in the session, every answer must equal a fresh engine
 //! that replayed exactly the writes admitted before it, on both models.
 
+mod common;
+
 use std::collections::HashMap;
 
-use bbpim::cluster::{ClusterEngine, ClusterExecution, Partitioner};
+use bbpim::cluster::{Cluster, ClusterEngine, Partitioner, Storage};
 use bbpim::db::builder::col;
 use bbpim::db::plan::Query;
 use bbpim::db::ssb::{queries, SsbDb, SsbParams};
 use bbpim::engine::groupby::calibration::{run_calibration, CalibrationConfig};
 use bbpim::engine::modes::EngineMode;
 use bbpim::engine::mutation::Mutation;
-use bbpim::join::StarCluster;
 use bbpim::sched::{resolve_query_demand, EventKind};
 use bbpim::serve::{
     run_serve, tenant_reports, AimdConfig, ArrivalProcess, RateLimit, ServeConfig, ServeOutcome,
     SloSpec, TenantReport, TenantSpec, WindowPolicy, WriteMix,
 };
 use bbpim::sim::SimConfig;
+use common::{assert_prefix_replay, prejoined_cluster, ssb, ssb_wide, star_cluster};
 
 const SHARD_COUNTS: [usize; 2] = [1, 4];
-
-fn db() -> SsbDb {
-    SsbDb::generate(&SsbParams::tiny_for_tests())
-}
-
-fn shared_model() -> bbpim::engine::groupby::cost_model::GroupByModel {
-    let (_, model) = run_calibration(
-        &SimConfig::default(),
-        EngineMode::OneXb,
-        &CalibrationConfig::tiny_for_tests(),
-    )
-    .expect("calibration");
-    model
-}
-
-fn flat_cluster(db: &SsbDb, shards: usize) -> ClusterEngine {
-    let mut c = ClusterEngine::new(
-        SimConfig::default(),
-        db.prejoin(),
-        EngineMode::OneXb,
-        shards,
-        Partitioner::range_by_attr("d_year"),
-    )
-    .expect("cluster construction");
-    c.set_model(shared_model());
-    c
-}
-
-fn star_cluster(db: &SsbDb, shards: usize) -> StarCluster {
-    StarCluster::new(
-        SimConfig::small_for_tests(),
-        db,
-        EngineMode::OneXb,
-        shards,
-        Partitioner::RoundRobin,
-    )
-    .expect("star cluster construction")
-}
 
 /// A mix exercising every arrival process, a rate limit and a deadline:
 /// open Poisson probes, a mid-session burst behind a token bucket with
@@ -124,10 +88,10 @@ fn check_conservation(outcome: &ServeOutcome) {
 
 #[test]
 fn served_answers_match_the_prejoined_batch_path_across_shards() {
-    let db = db();
+    let wide = ssb_wide();
     let specs = tenants();
     for shards in SHARD_COUNTS {
-        let mut cluster = flat_cluster(&db, shards);
+        let mut cluster = prejoined_cluster(&wide, shards);
         let distinct: Vec<_> = specs.iter().flat_map(|t| t.queries.clone()).collect();
         let batch = cluster.run_batch(&distinct).expect("batch oracle");
         let outcome = run_serve(&mut cluster, &specs, &serve_cfg(11)).expect("serve");
@@ -146,7 +110,7 @@ fn served_answers_match_the_prejoined_batch_path_across_shards() {
 
 #[test]
 fn served_answers_match_the_normalized_star_path_across_shards() {
-    let db = db();
+    let db = ssb();
     let specs = tenants();
     for shards in SHARD_COUNTS {
         let mut star = star_cluster(&db, shards);
@@ -169,10 +133,10 @@ fn served_answers_match_the_normalized_star_path_across_shards() {
 
 #[test]
 fn serve_outcome_is_a_pure_function_of_the_seed() {
-    let db = db();
+    let wide = ssb_wide();
     let specs = tenants();
-    let mut a = flat_cluster(&db, 4);
-    let mut b = flat_cluster(&db, 4);
+    let mut a = prejoined_cluster(&wide, 4);
+    let mut b = prejoined_cluster(&wide, 4);
     let oa = run_serve(&mut a, &specs, &serve_cfg(23)).expect("serve a");
     let ob = run_serve(&mut b, &specs, &serve_cfg(23)).expect("serve b");
     assert_eq!(oa.timeline, ob.timeline, "same seed, same event timeline");
@@ -180,7 +144,7 @@ fn serve_outcome_is_a_pure_function_of_the_seed() {
     assert_eq!(oa.drops, ob.drops);
     assert_eq!(oa.window_trajectory, ob.window_trajectory);
 
-    let mut c = flat_cluster(&db, 4);
+    let mut c = prejoined_cluster(&wide, 4);
     let oc = run_serve(&mut c, &specs, &serve_cfg(24)).expect("serve c");
     assert_ne!(oa.timeline, oc.timeline, "a different seed reshuffles the session");
 }
@@ -336,31 +300,6 @@ fn aimd_keeps_the_light_slo_and_beats_every_slo_respecting_static() {
     assert!(!gate.decisions.is_empty(), "the controller actually adapted during the gate session");
 }
 
-/// A storage model the served-write oracle can drive: apply one write,
-/// answer one query.
-trait Replay {
-    fn apply(&mut self, m: &Mutation);
-    fn answer(&mut self, q: &Query) -> ClusterExecution;
-}
-
-impl Replay for ClusterEngine {
-    fn apply(&mut self, m: &Mutation) {
-        self.mutate(m).expect("replay mutate");
-    }
-    fn answer(&mut self, q: &Query) -> ClusterExecution {
-        self.run(q).expect("replay query")
-    }
-}
-
-impl Replay for StarCluster {
-    fn apply(&mut self, m: &Mutation) {
-        self.mutate(m).expect("replay mutate");
-    }
-    fn answer(&mut self, q: &Query) -> ClusterExecution {
-        self.run(q).expect("replay query")
-    }
-}
-
 /// Served writes apply at their admission, as streamed ones do. An
 /// `htap` tenant's write mix UPDATEs `lo_discount`, which its Q1.1
 /// filters on, and INSERTs one row, beside a read-only tenant. Every
@@ -371,7 +310,7 @@ impl Replay for StarCluster {
 /// no merge grant after it.
 #[test]
 fn served_writes_match_prefix_replay_on_both_models() {
-    let db = db();
+    let db = ssb();
     let wide = db.prejoin();
     let lo = &db.lineorder;
     let wide_writes = vec![
@@ -390,14 +329,14 @@ fn served_writes_match_prefix_replay_on_both_models() {
             .expect("fact update"),
         Mutation::insert().row(lo.row(0)).build(lo.schema()).expect("fact insert"),
     ];
-    assert_served_writes_replay("wide", wide_writes, || flat_cluster(&db, 4));
+    assert_served_writes_replay("wide", wide_writes, || prejoined_cluster(&wide, 4));
     assert_served_writes_replay("star", star_writes, || star_cluster(&db, 4));
 }
 
-fn assert_served_writes_replay<R: Replay + bbpim::sched::StreamEngine>(
+fn assert_served_writes_replay<S: Storage>(
     label: &str,
     writes: Vec<Mutation>,
-    build: impl Fn() -> R,
+    build: impl Fn() -> Cluster<S>,
 ) {
     let q = queries::standard_queries();
     let tenant = |name: &str, queries: Vec<Query>, writes: Option<WriteMix>| TenantSpec {
@@ -432,31 +371,24 @@ fn assert_served_writes_replay<R: Replay + bbpim::sched::StreamEngine>(
     let inserted: u64 = admitted.iter().map(|w| w.records_inserted).sum();
     assert_eq!(inserted, drawn as u64, "{label}: one row per INSERT drawn");
 
-    // Each answer against a fresh engine that replayed its prefix.
+    // Each answer against a fresh engine that replayed its prefix, and
+    // the served engine's end state against one that replayed them all.
+    let epochs = || out.completions.iter().map(|c| c.epoch);
+    assert!(epochs().min() == Some(0) && epochs().max() > Some(0));
     let all: Vec<&Query> = specs.iter().flat_map(|t| &t.queries).collect();
-    let mut by_epoch: Vec<_> = out.completions.iter().zip(&out.executions).collect();
-    by_epoch.sort_by_key(|(c, _)| c.epoch);
-    assert!(by_epoch[0].0.epoch == 0 && by_epoch.last().unwrap().0.epoch > 0);
-    let (mut fresh, mut applied) = (build(), 0);
-    for (c, exec) in by_epoch {
-        for w in &admitted[applied..c.epoch] {
-            fresh.apply(by_label[&w.label]);
-        }
-        applied = c.epoch;
+    let answers = out.completions.iter().zip(&out.executions).map(|(c, exec)| {
         let query = all.iter().find(|q| q.id == c.query_id).expect("a tenant query");
-        assert_eq!(
-            **exec,
-            fresh.answer(query),
-            "{label}: {} (request {}, epoch {}) diverged from its prefix replay",
-            c.query_id,
-            c.arrival,
-            c.epoch
-        );
-    }
-    for w in &admitted[applied..] {
-        fresh.apply(by_label[&w.label]);
-    }
-    assert_eq!(served.answer(&q[0]), fresh.answer(&q[0]), "{label}: the served engine's end state");
+        (c, &**exec, *query)
+    });
+    let in_order: Vec<Mutation> = admitted.iter().map(|w| by_label[&w.label].clone()).collect();
+    let mut fresh = build();
+    assert_prefix_replay(label, &mut fresh, &in_order, answers);
+    let end_state = |c: &mut Cluster<S>| c.run(&q[0]).expect("end-state query");
+    assert_eq!(
+        end_state(&mut served),
+        end_state(&mut fresh),
+        "{label}: the served engine's end state"
+    );
 
     // Durable at the last lane chain's end.
     for w in &admitted {

@@ -18,20 +18,20 @@
 //! * planning, `EXPLAIN` and execution reject a filter on an attribute
 //!   the star's dimension layout keeps host-side with one error.
 
-use bbpim::cluster::{
-    Cluster, ClusterEngine, ClusterError, ClusterExecution, Partitioner, StarCluster, Storage,
-};
+mod common;
+
+use bbpim::cluster::{Cluster, ClusterError, ClusterExecution, Partitioner, StarCluster, Storage};
 use bbpim::db::builder::col;
 use bbpim::db::plan::Query;
-use bbpim::db::ssb::{queries, SsbDb, SsbParams};
+use bbpim::db::ssb::queries;
 use bbpim::db::Relation;
-use bbpim::engine::groupby::calibration::{run_calibration, CalibrationConfig};
 use bbpim::engine::modes::EngineMode;
 use bbpim::engine::mutation::Mutation;
 use bbpim::engine::result::{QueryExecution, QueryReport};
 use bbpim::engine::CoreError;
 use bbpim::sim::timeline::PhaseKind;
 use bbpim::sim::{SimConfig, XferPolicy};
+use common::{prejoined_cluster, ssb, ssb_wide, star_cluster};
 
 const SHARDS: usize = 4;
 
@@ -168,31 +168,13 @@ fn conforms<S: Storage>(tag: &str, fresh: impl Fn() -> Cluster<S>, fact: &Relati
 
 #[test]
 fn prejoined_storage_conforms() {
-    let wide = SsbDb::generate(&SsbParams::tiny_for_tests()).prejoin();
-    let (_, model) = run_calibration(
-        &SimConfig::default(),
-        EngineMode::OneXb,
-        &CalibrationConfig::tiny_for_tests(),
-    )
-    .expect("calibration");
-    let fresh = || {
-        let mut c = ClusterEngine::new(
-            SimConfig::default(),
-            wide.clone(),
-            EngineMode::OneXb,
-            SHARDS,
-            Partitioner::range_by_attr("d_year"),
-        )
-        .expect("cluster construction");
-        c.set_model(model.clone());
-        c
-    };
-    conforms("pre-joined", fresh, &wide);
+    let wide = ssb_wide();
+    conforms("pre-joined", || prejoined_cluster(&wide, SHARDS), &wide);
 }
 
 #[test]
 fn star_storage_conforms() {
-    let db = SsbDb::generate(&SsbParams::tiny_for_tests());
+    let db = ssb();
     // range placement on the date FK: dimension filters prune fact
     // shards through the join
     let fresh = || {
@@ -210,15 +192,8 @@ fn star_storage_conforms() {
 
 #[test]
 fn a_host_only_dimension_attribute_is_rejected_alike_by_plan_explain_and_run() {
-    let db = SsbDb::generate(&SsbParams::tiny_for_tests());
-    let mut c = StarCluster::new(
-        SimConfig::small_for_tests(),
-        &db,
-        EngineMode::OneXb,
-        SHARDS,
-        Partitioner::RoundRobin,
-    )
-    .expect("star cluster construction");
+    let db = ssb();
+    let mut c = star_cluster(&db, SHARDS);
     let mut q = queries::standard_query("Q1.1").expect("standard query");
     q.filter = col("d_dayofweek").eq(1u64);
     let planned = c.plan_shards(&q.filter).expect_err("planning a host-only attribute");

@@ -4,46 +4,15 @@
 //! be a pure function of the seed; and zone-map pruning must let short
 //! queries overtake long ones under load.
 
-use bbpim::cluster::{ClusterEngine, Partitioner};
+mod common;
+
 use bbpim::db::plan::{AggExpr, AggFunc, Atom, Query};
-use bbpim::db::ssb::{queries, SsbDb, SsbParams};
+use bbpim::db::ssb::queries;
 use bbpim::db::stats;
-use bbpim::db::Relation;
-use bbpim::engine::groupby::calibration::{run_calibration, CalibrationConfig};
-use bbpim::engine::modes::EngineMode;
 use bbpim::sched::{run_stream, AdmissionPolicy, SchedConfig, Workload};
-use bbpim::sim::SimConfig;
+use common::{prejoined_cluster, ssb_wide};
 
 const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
-
-fn ssb_wide() -> Relation {
-    SsbDb::generate(&SsbParams::tiny_for_tests()).prejoin()
-}
-
-/// One calibration sweep shared by every cluster in this file (the
-/// model depends on config + mode only, not on data or shard count).
-fn shared_model() -> bbpim::engine::groupby::cost_model::GroupByModel {
-    let (_, model) = run_calibration(
-        &SimConfig::default(),
-        EngineMode::OneXb,
-        &CalibrationConfig::tiny_for_tests(),
-    )
-    .expect("calibration");
-    model
-}
-
-fn cluster(wide: &Relation, shards: usize) -> ClusterEngine {
-    let mut c = ClusterEngine::new(
-        SimConfig::default(),
-        wide.clone(),
-        EngineMode::OneXb,
-        shards,
-        Partitioner::range_by_attr("d_year"),
-    )
-    .expect("cluster construction");
-    c.set_model(shared_model());
-    c
-}
 
 #[test]
 fn streamed_equals_batch_equals_oracle_all_shard_counts_and_policies() {
@@ -55,7 +24,7 @@ fn streamed_equals_batch_equals_oracle_all_shard_counts_and_policies() {
         .map(|q| stats::run_oracle(q, &wide).expect("oracle"))
         .collect();
     for shards in SHARD_COUNTS {
-        let mut c = cluster(&wide, shards);
+        let mut c = prejoined_cluster(&wide, shards);
         let batch = c.run_batch(&workload.arrived_queries()).expect("batch");
         for policy in AdmissionPolicy::all() {
             let out = run_stream(
@@ -89,7 +58,7 @@ fn same_seed_reproduces_timeline_and_latencies_exactly() {
     let workload = Workload::poisson(queries::standard_queries(), 26, 100_000.0, 42);
     for policy in AdmissionPolicy::all() {
         let run = || {
-            let mut c = cluster(&wide, 4);
+            let mut c = prejoined_cluster(&wide, 4);
             run_stream(
                 &mut c,
                 &workload,
@@ -113,7 +82,7 @@ fn same_seed_reproduces_timeline_and_latencies_exactly() {
 #[test]
 fn pruned_short_query_overtakes_long_one_under_load() {
     let wide = ssb_wide();
-    let mut c = cluster(&wide, 8);
+    let mut c = prejoined_cluster(&wide, 8);
     // The long query materialises a product expression over years
     // 1992–1997 — every shard except the 1998 one, with several times
     // the probe's per-shard PIM work. The 1998 probe's candidate set is
@@ -157,7 +126,7 @@ fn admission_policies_change_order_not_answers() {
     let wide = ssb_wide();
     let workload = Workload::poisson(queries::standard_queries(), 16, 50_000.0, 7);
     let run = |policy| {
-        let mut c = cluster(&wide, 4);
+        let mut c = prejoined_cluster(&wide, 4);
         run_stream(
             &mut c,
             &workload,

@@ -7,53 +7,20 @@
 //! host-bus spans are serialised (single shared channel) while module
 //! spans overlap (independent modules).
 
-use bbpim::cluster::{ClusterEngine, Partitioner};
-use bbpim::db::ssb::{queries, SsbDb, SsbParams};
-use bbpim::db::Relation;
-use bbpim::engine::groupby::calibration::{run_calibration, CalibrationConfig};
-use bbpim::engine::modes::EngineMode;
-use bbpim::join::StarCluster;
+mod common;
+
+use bbpim::cluster::{Cluster, Storage};
+use bbpim::db::ssb::queries;
 use bbpim::sched::{run_stream_traced, SchedConfig, StreamEngine, StreamOutcome, Workload};
-use bbpim::sim::SimConfig;
 use bbpim::trace::export::{jsonl, perfetto_json};
 use bbpim::trace::{EventShape, TraceRecorder};
+use common::{prejoined_cluster, ssb, ssb_wide, star_cluster};
 
 const SHARDS: usize = 4;
 
-fn shared_model() -> bbpim::engine::groupby::cost_model::GroupByModel {
-    let (_, model) = run_calibration(
-        &SimConfig::default(),
-        EngineMode::OneXb,
-        &CalibrationConfig::tiny_for_tests(),
-    )
-    .expect("calibration");
-    model
-}
-
-fn flat_cluster(wide: &Relation, contention: bool) -> ClusterEngine {
-    let mut c = ClusterEngine::new(
-        SimConfig::default(),
-        wide.clone(),
-        EngineMode::OneXb,
-        SHARDS,
-        Partitioner::range_by_attr("d_year"),
-    )
-    .expect("cluster construction");
-    c.set_model(shared_model());
-    c.set_contention(contention);
-    c
-}
-
-fn star_cluster(db: &SsbDb, contention: bool) -> StarCluster {
-    let mut c = StarCluster::new(
-        SimConfig::small_for_tests(),
-        db,
-        EngineMode::OneXb,
-        SHARDS,
-        Partitioner::RoundRobin,
-    )
-    .expect("star cluster construction");
-    c.set_contention(contention);
+/// `c` with the host-channel contention model switched `on` or off.
+fn contended<S: Storage>(mut c: Cluster<S>, on: bool) -> Cluster<S> {
+    c.set_contention(on);
     c
 }
 
@@ -91,10 +58,10 @@ fn assert_deterministic<E: StreamEngine, F: FnMut() -> E>(mut mk: F, tag: &str) 
 
 #[test]
 fn exports_are_bit_identical_on_the_prejoined_cluster() {
-    let wide = SsbDb::generate(&SsbParams::tiny_for_tests()).prejoin();
+    let wide = ssb_wide();
     for contention in [true, false] {
         assert_deterministic(
-            || flat_cluster(&wide, contention),
+            || contended(prejoined_cluster(&wide, SHARDS), contention),
             &format!("prejoined, contention={contention}"),
         );
     }
@@ -102,10 +69,10 @@ fn exports_are_bit_identical_on_the_prejoined_cluster() {
 
 #[test]
 fn exports_are_bit_identical_on_the_star_cluster() {
-    let db = SsbDb::generate(&SsbParams::tiny_for_tests());
+    let db = ssb();
     for contention in [true, false] {
         assert_deterministic(
-            || star_cluster(&db, contention),
+            || contended(star_cluster(&db, SHARDS), contention),
             &format!("star, contention={contention}"),
         );
     }
@@ -113,8 +80,8 @@ fn exports_are_bit_identical_on_the_star_cluster() {
 
 #[test]
 fn host_bus_spans_serialise_while_module_spans_overlap() {
-    let wide = SsbDb::generate(&SsbParams::tiny_for_tests()).prejoin();
-    let (_, trace) = traced(&mut flat_cluster(&wide, true), true);
+    let wide = ssb_wide();
+    let (_, trace) = traced(&mut contended(prejoined_cluster(&wide, SHARDS), true), true);
 
     let track_id = |name: &str| {
         trace.tracks().iter().position(|t| t == name).unwrap_or_else(|| panic!("track {name}"))

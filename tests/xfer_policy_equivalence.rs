@@ -9,9 +9,11 @@
 //! fewer bytes on the shared channel than the legacy (all-off) policy
 //! for the transfer-heavy two-crossbar layout.
 
-use bbpim::cluster::{Cluster, ClusterEngine, ClusterReport, Partitioner, Storage};
+mod common;
+
+use bbpim::cluster::{Cluster, ClusterEngine, Partitioner, Storage};
 use bbpim::db::plan::Query;
-use bbpim::db::ssb::{queries, SsbDb, SsbParams};
+use bbpim::db::ssb::queries;
 use bbpim::db::Relation;
 use bbpim::engine::groupby::calibration::{run_calibration, CalibrationConfig};
 use bbpim::engine::modes::EngineMode;
@@ -19,6 +21,7 @@ use bbpim::join::StarCluster;
 use bbpim::monet::MonetEngine;
 use bbpim::sim::module::{MaskPath, PimModule};
 use bbpim::sim::{SimConfig, XferPolicy};
+use common::{host_bytes, ssb, ssb_wide};
 
 const SHARD_COUNTS: [usize; 2] = [1, 4];
 
@@ -40,10 +43,6 @@ fn policy_label(p: XferPolicy) -> String {
         "compress={} batch={} reduce={}",
         p.compress_masks as u8, p.batch_dispatch as u8, p.module_reduce as u8
     )
-}
-
-fn ssb() -> SsbDb {
-    SsbDb::generate(&SsbParams::tiny_for_tests())
 }
 
 /// A query subset exercising every lever: Q1.1 (selective, expression
@@ -80,13 +79,9 @@ fn assert_policy_on_every_table<S: Storage>(c: &Cluster<S>, policy: XferPolicy) 
     }
 }
 
-fn host_bytes(report: &ClusterReport) -> u64 {
-    report.per_shard.iter().map(|r| r.phases.host_bytes()).sum()
-}
-
 #[test]
 fn all_lever_combinations_match_monet_oracle_prejoined() {
-    let wide: Relation = ssb().prejoin();
+    let wide: Relation = ssb_wide();
     let qs = query_set();
     let monet = MonetEngine::prejoined(&wide, 4);
     let oracles: Vec<_> = qs.iter().map(|q| monet.run(q).expect("monet oracle").groups).collect();
