@@ -14,10 +14,11 @@
 //! admission, `EXPLAIN`, the threaded scatter, the report folds,
 //! mutation routing, the cache of compiled per-query plans and which
 //! shard charges a plan's once-per-query work — exists once. The
-//! storage model supplies what genuinely differs, and holds no state
-//! beyond a shared cost model: [`PreJoined`] ([`ClusterEngine`]) shards
-//! the paper's wide pre-joined relation and runs its cost-model GROUP
-//! BY; [`crate::star::Star`] ([`crate::StarCluster`]) shards the
+//! storage model supplies what genuinely differs, and holds no state:
+//! every table owns its mode and GROUP-BY model, as it owns its pruning
+//! switch. [`PreJoined`] ([`ClusterEngine`]) shards the paper's wide
+//! pre-joined relation and runs its cost-model GROUP BY;
+//! [`crate::star::Star`] ([`crate::StarCluster`]) shards the
 //! normalized fact table, keeps the dimensions on auxiliary modules and
 //! joins through PIM-side semijoin bitmaps. Answers are bit-identical
 //! between the two.
@@ -125,8 +126,9 @@ pub trait Storage: Sync {
         query: &Query,
     ) -> Result<Self::Plan, ClusterError>;
 
-    /// Execute `query` on one fact shard under `plan`. The `lead` shard
-    /// carries whatever the plan charges once per query.
+    /// Execute `query` on one fact shard under `plan`, in the shard
+    /// table's mode. The `lead` shard carries whatever the plan charges
+    /// once per query.
     ///
     /// # Errors
     ///
@@ -136,7 +138,6 @@ pub trait Storage: Sync {
         plan: &Self::Plan,
         table: &mut PimTable,
         aux: &[PimTable],
-        mode: EngineMode,
         query: &Query,
         lead: bool,
     ) -> Result<QueryExecution, ClusterError>;
@@ -144,11 +145,9 @@ pub trait Storage: Sync {
 
 /// The paper's storage model: one wide pre-joined relation, sharded.
 /// Nothing joins at query time, so there is no shared plan; GROUP BY
-/// runs the cost model the shards share.
-#[derive(Debug, Default)]
-pub struct PreJoined {
-    model: Option<GroupByModel>,
-}
+/// runs the cost model each shard's table holds.
+#[derive(Debug)]
+pub struct PreJoined;
 
 impl Storage for PreJoined {
     type Plan = ();
@@ -172,11 +171,10 @@ impl Storage for PreJoined {
         _plan: &(),
         table: &mut PimTable,
         _aux: &[PimTable],
-        mode: EngineMode,
         query: &Query,
         _lead: bool,
     ) -> Result<QueryExecution, ClusterError> {
-        Ok(run_query(table, mode, self.model.as_ref(), query)?)
+        Ok(run_query(table, query)?)
     }
 }
 
@@ -202,6 +200,9 @@ pub struct Cluster<S: Storage> {
     plans: Vec<(String, Pred, S::Plan)>,
     shard_count: usize,
     partitioner: Partitioner,
+    /// The mode the tables were built with — what [`Cluster::mode`]
+    /// reports for a cluster without a shard; execution reads each
+    /// table's own.
     mode: EngineMode,
     contention: bool,
 }
@@ -360,30 +361,31 @@ impl ClusterEngine {
         partitioner: Partitioner,
     ) -> Result<Self, ClusterError> {
         let layout = RecordLayout::build(relation.schema(), &cfg, mode, &[])?;
-        Cluster::build(&cfg, &relation, layout, mode, shards, partitioner, PreJoined::default())
+        Cluster::build(&cfg, &relation, layout, mode, shards, partitioner, PreJoined)
     }
 
-    /// Run the GROUP-BY calibration once for every shard (all shards
-    /// have identical hardware, so one sweep suffices).
+    /// Run the GROUP-BY calibration once and install the model on every
+    /// fact shard (all shards have identical hardware, so one sweep
+    /// suffices).
     ///
     /// # Errors
     ///
     /// Propagates calibration failures.
     pub fn calibrate(&mut self, cal: &CalibrationConfig) -> Result<(), ClusterError> {
         if let Some(first) = self.shards.first() {
-            let (_, model) = run_calibration(first.table.config(), self.mode, cal)?;
+            let (_, model) = run_calibration(first.table.config(), first.table.mode(), cal)?;
             self.set_model(model);
         }
         Ok(())
     }
 
-    /// Install a pre-fitted model. The calibration is a pure function
-    /// of the hardware configuration and engine mode — not of the data
-    /// — so a model fitted once (by any engine or cluster with the same
-    /// `SimConfig` + [`EngineMode`]) is valid for every cluster
-    /// instance: fit once, share everywhere.
+    /// Install a pre-fitted model on every fact shard. The calibration
+    /// is a pure function of the hardware configuration and engine mode
+    /// — not of the data — so a model fitted once (by any engine or
+    /// cluster with the same `SimConfig` + [`EngineMode`]) is valid for
+    /// every cluster instance: fit once, share everywhere.
     pub fn set_model(&mut self, model: GroupByModel) {
-        self.storage.model = Some(model);
+        self.tables_mut().for_each(|table| table.set_model(model.clone()));
     }
 }
 
@@ -402,7 +404,7 @@ impl<S: Storage> Cluster<S> {
         let mut built = Vec::with_capacity(shards);
         for (index, part) in partitioner.split(fact, shards)?.into_iter().enumerate() {
             if !part.is_empty() {
-                let table = PimTable::new(cfg.clone(), &part, layout.clone())?;
+                let table = PimTable::load(cfg.clone(), &part, mode, layout.clone())?;
                 built.push(Shard { index, table });
             }
         }
@@ -435,9 +437,9 @@ impl<S: Storage> Cluster<S> {
         self.shards.iter().map(|s| s.table.records()).sum()
     }
 
-    /// The engine mode.
+    /// The engine mode the tables were built with.
     pub fn mode(&self) -> EngineMode {
-        self.mode
+        self.shards.first().map_or(self.mode, |s| s.table.mode())
     }
 
     /// The fact partitioning strategy.
@@ -642,7 +644,7 @@ impl<S: Storage> Cluster<S> {
         };
         let (plan, table) = (&self.plans[at].2, &mut self.shards[i].table);
         let lead = cached.is_none();
-        let exec = self.storage.exec_shard(plan, table, &self.aux, self.mode, query, lead);
+        let exec = self.storage.exec_shard(plan, table, &self.aux, query, lead);
         if exec.is_err() && lead {
             self.plans.pop();
         }
@@ -669,7 +671,6 @@ impl<S: Storage> Cluster<S> {
             });
         }
         let (storage, aux, plans_ref) = (&self.storage, &self.aux[..], &plans);
-        let mode = self.mode;
         let per_shard = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
@@ -687,7 +688,7 @@ impl<S: Storage> Cluster<S> {
                                     let lead = !masks[qi][..s].contains(&true);
                                     let (table, query) = (&mut shard.table, &queries[qi]);
                                     storage
-                                        .exec_shard(plan, table, aux, mode, query, lead)
+                                        .exec_shard(plan, table, aux, query, lead)
                                         .map(|exec| (qi, exec))
                                 })
                                 .collect::<Result<Vec<_>, ClusterError>>()
@@ -711,8 +712,10 @@ impl<S: Storage> Cluster<S> {
     ///
     /// # Errors
     ///
-    /// Propagates the first shard failure.
+    /// An invalid SELECT list, before anything is dispatched (so also
+    /// when every shard is pruned); otherwise the first shard failure.
     pub fn run(&mut self, query: &Query) -> Result<ClusterExecution, ClusterError> {
+        query.physical_plan()?;
         let mask = self.plan_shards(&query.filter)?;
         let per_shard = self.scatter(std::slice::from_ref(query), std::slice::from_ref(&mask))?;
         let refs: Vec<&QueryExecution> = per_shard.iter().flatten().map(|(_, e)| e).collect();
@@ -729,11 +732,15 @@ impl<S: Storage> Cluster<S> {
     ///
     /// # Errors
     ///
-    /// Propagates the first shard failure.
+    /// Any query's invalid SELECT list, before anything is dispatched;
+    /// otherwise the first shard failure.
     pub fn run_batch(&mut self, queries: &[Query]) -> Result<BatchExecution, ClusterError> {
         let masks: Vec<Vec<bool>> = queries
             .iter()
-            .map(|q| self.plan_shards(&q.filter))
+            .map(|q| {
+                q.physical_plan()?;
+                self.plan_shards(&q.filter)
+            })
             .collect::<Result<_, ClusterError>>()?;
         let per_shard = self.scatter(queries, &masks)?;
 
@@ -911,7 +918,7 @@ impl<S: Storage> std::fmt::Debug for Cluster<S> {
             .field("active", &self.shards.len())
             .field("aux", &self.aux.len())
             .field("partitioner", &self.partitioner.label())
-            .field("mode", &self.mode)
+            .field("mode", &self.mode())
             .field("records", &self.records())
             .field("pruning", &self.pruning())
             .finish()

@@ -303,7 +303,6 @@ impl Storage for Star {
         plan: &JoinPlan,
         table: &mut PimTable,
         dims: &[PimTable],
-        mode: EngineMode,
         query: &Query,
         lead: bool,
     ) -> Result<QueryExecution, ClusterError> {
@@ -332,7 +331,7 @@ impl Storage for Star {
             }
             false => None,
         };
-        Ok(scan.finish(mode, query, &qplan, selected, grouped)?)
+        Ok(scan.finish(query, &qplan, selected, grouped)?)
     }
 }
 
@@ -364,7 +363,7 @@ impl StarCluster {
         let mut aux = Vec::with_capacity(4);
         for (d, cold) in cold[1..].iter().enumerate() {
             let rel = db.dim(d);
-            aux.push(PimTable::new(cfg.clone(), rel, layout(rel, cold)?)?);
+            aux.push(PimTable::load(cfg.clone(), rel, mode, layout(rel, cold)?)?);
         }
         let fact_layout = layout(&db.lineorder, &cold[0])?;
         let mut cluster =

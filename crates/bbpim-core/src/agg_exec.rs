@@ -20,7 +20,6 @@ use bbpim_sim::compiler::reduce::ReduceOp;
 use bbpim_sim::compiler::{arith, CodeBuilder, ColRange, ScratchPool};
 
 use crate::error::CoreError;
-use crate::modes::EngineMode;
 use crate::scan::Scan;
 
 /// Where the value being aggregated lives after preparation.
@@ -169,8 +168,9 @@ impl Scan<'_> {
     }
 
     /// Aggregate `input` under `mask_col` over the planned pages of its
-    /// partition — through the aggregation circuit, or under
-    /// [`EngineMode::PimDb`] the reduction tree — returning the
+    /// partition — through the aggregation circuit, or on a
+    /// [`crate::modes::EngineMode::PimDb`] table the reduction tree —
+    /// returning the
     /// combined value. Charges the PIM aggregation and the module's
     /// price for getting the partials to the host.
     ///
@@ -190,7 +190,6 @@ impl Scan<'_> {
     /// Propagates simulator failures.
     pub fn aggregate(
         &mut self,
-        mode: EngineMode,
         input: &AggInput,
         mask_col: usize,
         func: PhysFunc,
@@ -207,7 +206,7 @@ impl Scan<'_> {
         let req = AggRequest { op: reduce_op(func), value: input.value, mask_col, dst_row: 0, dst };
         let pages = self.pages.ids(&self.table.loaded, input.partition);
         let (partials, phase) =
-            module.aggregate(&pages, &req, count_dst, mode.uses_agg_circuit())?;
+            module.aggregate(&pages, &req, count_dst, self.table.mode.uses_agg_circuit())?;
         self.log.push(phase);
 
         // value chunks + the count chunk
@@ -243,6 +242,7 @@ mod tests {
     use crate::filter_exec::build_conjunction_program;
     use crate::fixture;
     use crate::layout::{MASK_COL, VALID_COL};
+    use crate::modes::EngineMode;
     use crate::table::PimTable;
     use bbpim_db::builder::col;
     use bbpim_db::plan::Pred;
@@ -254,16 +254,10 @@ mod tests {
     }
 
     /// Filter by `pred`, then reduce `expr` under the query mask.
-    fn aggregate(
-        t: &mut PimTable,
-        mode: EngineMode,
-        pred: &Pred,
-        expr: &AggExpr,
-        f: PhysFunc,
-    ) -> u64 {
+    fn aggregate(t: &mut PimTable, pred: &Pred, expr: &AggExpr, f: PhysFunc) -> u64 {
         let mut scan = fixture::filtered(t, pred);
         let input = scan.materialize(&[expr]).unwrap()[0];
-        scan.aggregate(mode, &input, MASK_COL, f, false).unwrap().0
+        scan.aggregate(&input, MASK_COL, f, false).unwrap().0
     }
 
     #[test]
@@ -271,7 +265,7 @@ mod tests {
         for mode in [EngineMode::OneXb, EngineMode::PimDb] {
             let (mut t, rel) = table(mode);
             let (pred, expr) = (col("lo_price").lt(100u64), AggExpr::attr("lo_price"));
-            let total = aggregate(&mut t, mode, &pred, &expr, PhysFunc::Sum);
+            let total = aggregate(&mut t, &pred, &expr, PhysFunc::Sum);
             let prices = rel.column_by_name("lo_price").unwrap();
             let expected: u64 = (0..prices.len()).map(|r| prices.get(r)).filter(|v| *v < 100).sum();
             assert_eq!(total, expected, "{mode:?}");
@@ -285,8 +279,7 @@ mod tests {
         let mut scan = fixture::filtered(&mut t, &Pred::always());
         let input = scan.materialize(&[&expr]).unwrap()[0];
         assert_eq!(input.value.width, 12);
-        let total =
-            scan.aggregate(EngineMode::OneXb, &input, MASK_COL, PhysFunc::Sum, false).unwrap().0;
+        let total = scan.aggregate(&input, MASK_COL, PhysFunc::Sum, false).unwrap().0;
         let expected: u64 = (0..rel.len()).map(|r| rel.value(r, 0) * rel.value(r, 1)).sum();
         assert_eq!(total, expected);
     }
@@ -297,7 +290,7 @@ mod tests {
         // restrict to rows where price ≥ disc to stay in unsigned range.
         let (mut t, rel) = table(EngineMode::OneXb);
         let (pred, expr) = (col("lo_price").gt(15u64), AggExpr::sub("lo_price", "lo_disc"));
-        let total = aggregate(&mut t, EngineMode::OneXb, &pred, &expr, PhysFunc::Sum);
+        let total = aggregate(&mut t, &pred, &expr, PhysFunc::Sum);
         let expected: u64 = (0..rel.len())
             .filter(|&r| rel.value(r, 0) > 15)
             .map(|r| rel.value(r, 0) - rel.value(r, 1))
@@ -309,8 +302,8 @@ mod tests {
     fn min_max_aggregation() {
         let (mut t, rel) = table(EngineMode::OneXb);
         let (all, expr) = (Pred::always(), AggExpr::attr("lo_price"));
-        let min = aggregate(&mut t, EngineMode::OneXb, &all, &expr, PhysFunc::Min);
-        let max = aggregate(&mut t, EngineMode::OneXb, &all, &expr, PhysFunc::Max);
+        let min = aggregate(&mut t, &all, &expr, PhysFunc::Min);
+        let max = aggregate(&mut t, &all, &expr, PhysFunc::Max);
         let prices = rel.column_by_name("lo_price").unwrap();
         let values = || (0..prices.len()).map(|r| prices.get(r));
         assert_eq!(min, values().min().unwrap());
@@ -324,7 +317,7 @@ mod tests {
             let mut scan = fixture::filtered(&mut t, &Pred::always());
             let input = scan.materialize(&[&AggExpr::attr("lo_price")]).unwrap()[0];
             scan.take_log();
-            let value = scan.aggregate(mode, &input, MASK_COL, PhysFunc::Sum, false).unwrap().0;
+            let value = scan.aggregate(&input, MASK_COL, PhysFunc::Sum, false).unwrap().0;
             (value, scan.take_log())
         };
         let (v1, a1) = run(EngineMode::OneXb);

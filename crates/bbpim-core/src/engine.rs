@@ -1,108 +1,28 @@
 //! The end-to-end PIM query engine.
 //!
-//! [`PimQueryEngine`] is a [`PimTable`] holding the pre-joined relation
-//! plus what the paper's engine adds on top: the mode and the fitted
-//! GROUP-BY model; it drops the relation it loads (the image is the
-//! table). [`run_query`] executes one logical query exactly as Section
-//! IV describes, as one sequence of calls on one [`crate::scan::Scan`]:
-//! begin → bulk-bitwise filter → (for GROUP BY) one-page sampling and
-//! the Eq. (3) decision → pim-gb / host-gb → finish. Queries without
-//! GROUP BY (SSB Q1.x) aggregate the whole selection in PIM directly.
+//! The paper's engine is one [`PimTable`] holding the pre-joined
+//! relation: [`PimQueryEngine`] is that type. The table owns its mode
+//! and its fitted GROUP-BY model, so running a query needs nothing but
+//! the table. [`run_query`] executes one logical query exactly as
+//! Section IV describes, as one sequence of calls on one
+//! [`crate::scan::Scan`]: begin → bulk-bitwise filter → (for GROUP BY)
+//! one-page sampling and the Eq. (3) decision → pim-gb / host-gb →
+//! finish. Queries without GROUP BY (SSB Q1.x) aggregate the whole
+//! selection in PIM directly.
 
 use bbpim_db::plan::Query;
-use bbpim_db::Relation;
-use bbpim_sim::config::SimConfig;
 
 use crate::error::CoreError;
 use crate::groupby::calibration::{run_calibration, CalibrationConfig, CalibrationData};
-use crate::groupby::cost_model::GroupByModel;
-use crate::layout::RecordLayout;
-use crate::modes::EngineMode;
-use crate::mutation::{Mutation, MutationReport};
 use crate::planner::PageSet;
 use crate::result::QueryExecution;
 use crate::table::PimTable;
 
-/// A PIM-resident OLAP engine over one (pre-joined) relation.
-#[derive(Debug)]
-pub struct PimQueryEngine {
-    table: PimTable,
-    mode: EngineMode,
-    model: Option<GroupByModel>,
-}
+/// A PIM-resident OLAP engine over one (pre-joined) relation: the table
+/// itself, built by [`PimTable::new`] or [`PimTable::with_layout`].
+pub type PimQueryEngine = PimTable;
 
-impl PimQueryEngine {
-    /// Build the layout, allocate pages, and load `relation`.
-    ///
-    /// # Errors
-    ///
-    /// Layout failures (record too wide) and module capacity failures.
-    pub fn new(cfg: SimConfig, relation: Relation, mode: EngineMode) -> Result<Self, CoreError> {
-        let layout = RecordLayout::build(relation.schema(), &cfg, mode, &[])?;
-        Self::with_layout(cfg, relation, mode, layout)
-    }
-
-    /// Like [`PimQueryEngine::new`] but with a caller-supplied layout —
-    /// e.g. a [`RecordLayout::build_custom`] placement that co-locates
-    /// hot subgroup identifiers with the fact attributes (the paper's
-    /// Section V-A placement optimisation).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Layout`] when the layout's partition count does not
-    /// match the mode; loader failures otherwise.
-    pub fn with_layout(
-        cfg: SimConfig,
-        relation: Relation,
-        mode: EngineMode,
-        layout: RecordLayout,
-    ) -> Result<Self, CoreError> {
-        if layout.partitions() != mode.partitions() {
-            return Err(CoreError::Layout(format!(
-                "layout has {} partitions but mode {} needs {}",
-                layout.partitions(),
-                mode.label(),
-                mode.partitions()
-            )));
-        }
-        let table = PimTable::new(cfg, &relation, layout)?;
-        Ok(PimQueryEngine { table, mode, model: None })
-    }
-
-    /// The engine mode.
-    pub fn mode(&self) -> EngineMode {
-        self.mode
-    }
-
-    /// The table-on-a-module underneath (module, layout, loaded image,
-    /// zone map).
-    pub fn table(&self) -> &PimTable {
-        &self.table
-    }
-
-    /// Pages per partition (`M`).
-    pub fn page_count(&self) -> usize {
-        self.table.page_count()
-    }
-
-    /// Is zone-map page pruning enabled (default) or is every query
-    /// dispatched exhaustively to all pages? ([`PimTable::pruning`])
-    pub fn pruning(&self) -> bool {
-        self.table.pruning()
-    }
-
-    /// Enable or disable zone-map page pruning on the table
-    /// ([`PimTable::set_pruning`]).
-    pub fn set_pruning(&mut self, enabled: bool) {
-        self.table.set_pruning(enabled);
-    }
-
-    /// Set the host-channel transfer policy. Answers are bit-identical
-    /// under every lever combination; only bytes, time and energy move.
-    pub fn set_xfer_policy(&mut self, policy: bbpim_sim::XferPolicy) {
-        self.table.set_xfer_policy(policy);
-    }
-
+impl PimTable {
     /// Plan the pages a query's filter must touch under the current
     /// pruning setting.
     ///
@@ -110,53 +30,36 @@ impl PimQueryEngine {
     ///
     /// Propagates filter resolution failures.
     pub fn plan(&self, query: &Query) -> Result<PageSet, CoreError> {
-        let dnf = query.resolve_filter(self.table.schema())?;
-        Ok(self.table.plan_dnf(&dnf))
+        let dnf = query.resolve_filter(self.schema())?;
+        Ok(self.plan_dnf(&dnf))
     }
 
-    /// The fitted GROUP-BY model, if calibrated.
-    pub fn model(&self) -> Option<&GroupByModel> {
-        self.model.as_ref()
-    }
-
-    /// Install a pre-fitted model (e.g. shared across engines).
-    pub fn set_model(&mut self, model: GroupByModel) {
-        self.model = Some(model);
-    }
-
-    /// Run the Section IV calibration and install the fitted model.
-    /// Returns the raw measurements (the data behind Fig. 4).
+    /// Run the Section IV calibration for this table's configuration and
+    /// mode and install the fitted model. Returns the raw measurements
+    /// (the data behind Fig. 4).
     ///
     /// # Errors
     ///
     /// Propagates calibration failures.
     pub fn calibrate(&mut self, cal: &CalibrationConfig) -> Result<CalibrationData, CoreError> {
-        let (data, model) = run_calibration(self.table.config(), self.mode, cal)?;
+        let (data, model) = run_calibration(self.config(), self.mode, cal)?;
         self.model = Some(model);
         Ok(data)
     }
 
-    /// Execute one query ([`run_query`] on this engine's table).
+    /// Execute one query ([`run_query`] on this table).
     ///
     /// # Errors
     ///
     /// [`CoreError::NotCalibrated`] for GROUP BY queries before
-    /// [`PimQueryEngine::calibrate`]; substrate failures otherwise.
+    /// [`PimTable::calibrate`]; substrate failures otherwise.
     pub fn run(&mut self, query: &Query) -> Result<QueryExecution, CoreError> {
-        run_query(&mut self.table, self.mode, self.model.as_ref(), query)
-    }
-
-    /// Execute a mutation ([`PimTable::mutate`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates substrate failures.
-    pub fn mutate(&mut self, mutation: &Mutation) -> Result<MutationReport, CoreError> {
-        self.table.mutate(mutation)
+        run_query(self, query)
     }
 }
 
-/// Execute one query on a table holding the pre-joined relation.
+/// Execute one query on a table holding the pre-joined relation, in the
+/// table's mode and with its GROUP-BY model.
 ///
 /// The physical plan comes first: the filter's bound intervals
 /// (interval union across OR branches) are tested against the per-page
@@ -171,36 +74,32 @@ impl PimQueryEngine {
 ///
 /// # Errors
 ///
-/// [`CoreError::NotCalibrated`] for a GROUP BY query without a
-/// [fitted](GroupByModel::is_fitted) `model`; substrate failures
-/// otherwise.
-pub fn run_query(
-    table: &mut PimTable,
-    mode: EngineMode,
-    model: Option<&GroupByModel>,
-    query: &Query,
-) -> Result<QueryExecution, CoreError> {
+/// [`CoreError::NotCalibrated`] for a GROUP BY query on a table without
+/// a [fitted](crate::groupby::cost_model::GroupByModel::is_fitted)
+/// model; substrate failures otherwise.
+pub fn run_query(table: &mut PimTable, query: &Query) -> Result<QueryExecution, CoreError> {
     let plan = query.physical_plan().map_err(CoreError::Db)?;
     let dnf = query.resolve_filter(table.schema())?;
     let mut scan = table.begin(table.plan_dnf(&dnf), None);
     let selected = scan.filter(&dnf)?;
     let grouped = match query.has_group_by() {
-        true => {
-            let model = model.filter(|m| m.is_fitted()).ok_or(CoreError::NotCalibrated)?;
-            Some(scan.group_by(mode, query, &plan, model)?)
-        }
+        true => Some(scan.group_by(query, &plan)?),
         false => None,
     };
-    scan.finish(mode, query, &plan, selected, grouped)
+    scan.finish(query, &plan, selected, grouped)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::groupby::cost_model::GroupByModel;
+    use crate::modes::EngineMode;
+    use crate::mutation::Mutation;
     use bbpim_db::builder::col;
     use bbpim_db::plan::{AggExpr, AggFunc, Atom, SelectItem};
     use bbpim_db::schema::{Attribute, Schema};
-    use bbpim_db::stats;
+    use bbpim_db::{stats, Relation};
+    use bbpim_sim::config::SimConfig;
     use bbpim_sim::timeline::PhaseKind;
 
     fn relation(rows: u64) -> Relation {
@@ -312,9 +211,9 @@ mod tests {
         }
 
         assert_eq!(wide, pristine, "the caller's relation is untouched");
-        assert_eq!(engines[0].table().records(), wide.len() + 2);
+        assert_eq!(engines[0].records(), wide.len() + 2);
         for (e, before) in engines[1..].iter_mut().zip(&before) {
-            assert_eq!(e.table().records(), wide.len(), "{:?}", e.mode());
+            assert_eq!(e.records(), wide.len(), "{:?}", e.mode());
             for (q, before) in queries.iter().zip(before) {
                 assert_eq!(e.run_checked(&wide, q).unwrap().groups, before.groups, "{}", q.id);
             }

@@ -28,7 +28,7 @@ pub(crate) fn table(
         rel.push_row(&row).unwrap();
     }
     let layout = RecordLayout::build(rel.schema(), &cfg, mode, &[]).unwrap();
-    (PimTable::new(cfg, &rel, layout).unwrap(), rel)
+    (PimTable::load(cfg, &rel, mode, layout).unwrap(), rel)
 }
 
 /// Open a scan over every page.

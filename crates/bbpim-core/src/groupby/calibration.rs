@@ -244,7 +244,7 @@ fn measure_pim_point(
         values.clear();
         values.extend(columns[attr][run].iter().map(|&v| u64::from(v)));
     };
-    let mut table = PimTable::from_columns(cfg.clone(), schema, layout, records, column)?;
+    let mut table = PimTable::from_columns(cfg.clone(), schema, mode, layout, records, column)?;
 
     // Calibration is always exhaustive — the fitted tables describe
     // per-page costs, which the planner then applies to candidate pages.
@@ -256,7 +256,7 @@ fn measure_pim_point(
     // Dispatch and filter cost are not part of T_pim-gb.
     scan.take_log();
     let aggs = [PreparedAgg::Reduce { func: PhysFunc::Sum, input }];
-    scan.pim_gb(mode, &gp, &[vec![42u64]], &aggs, input.scratch_left)?;
+    scan.pim_gb(&gp, &[vec![42u64]], &aggs, input.scratch_left)?;
     Ok(scan.take_log().total_time_ns())
 }
 

@@ -30,9 +30,8 @@ use bbpim_db::stats::GroupedResult;
 use crate::agg_exec::{computed_width, reads_per_value};
 use crate::error::CoreError;
 use crate::layout::RecordLayout;
-use crate::modes::EngineMode;
 use crate::scan::Scan;
-use cost_model::{GbParams, GroupByModel};
+use cost_model::GbParams;
 use pim_gb::PreparedAgg;
 
 /// GROUP-BY execution summary (feeds Table II).
@@ -74,22 +73,25 @@ pub fn plan_n(
 
 impl Scan<'_> {
     /// Execute the hybrid GROUP-BY over the planned pages for every
-    /// physical aggregate of `plan`. The filter must already have
-    /// produced the mask in partition 0 of those pages. The table's
-    /// domain index serves the potential-subgroup enumeration (`k_MAX`).
-    /// An empty plan returns the empty outcome without touching the
-    /// module — the planner proved no record matches.
+    /// physical aggregate of `plan`, deciding `k` with the table's
+    /// model. The filter must already have produced the mask in
+    /// partition 0 of those pages. The table's domain index serves the
+    /// potential-subgroup enumeration (`k_MAX`). An empty plan returns
+    /// the empty outcome without touching the module — the planner
+    /// proved no record matches.
     ///
     /// # Errors
     ///
-    /// Propagates substrate failures.
+    /// [`CoreError::NotCalibrated`] when the table has no fitted model;
+    /// substrate failures otherwise.
     pub fn group_by(
         &mut self,
-        mode: EngineMode,
         query: &Query,
         plan: &PhysicalPlan,
-        model: &GroupByModel,
     ) -> Result<GroupByOutcome, CoreError> {
+        // checked before the empty-plan answer, so an uncalibrated GROUP
+        // BY fails alike on every plan
+        self.table.fitted_model()?;
         if self.pages.is_empty() {
             return Ok(GroupByOutcome {
                 per_agg: vec![GroupedResult::new(); plan.aggs.len()],
@@ -139,7 +141,7 @@ impl Scan<'_> {
         // Both gb paths touch only the planned candidate pages, so the cost
         // model's page count `M` is the plan's, not the whole relation's.
         let params = GbParams { m: self.pages.len(), n, s, kmax };
-        let k = model.choose_k(&params, &|k| estimate.r_of_k(k))?;
+        let k = self.table.fitted_model()?.choose_k(&params, &|k| estimate.r_of_k(k))?;
 
         // 4. pim-gb for the k largest candidates: materialise every distinct
         //    expression once (stacked into scratch), then one shared group
@@ -170,7 +172,7 @@ impl Scan<'_> {
                     PreparedAgg::Count => None,
                 })
                 .unwrap_or_else(|| self.table.layout.scratch(0));
-            for e in self.pim_gb(mode, &keys, &candidates[..k], &prepared, mask_scratch)? {
+            for e in self.pim_gb(&keys, &candidates[..k], &prepared, mask_scratch)? {
                 if e.count > 0 {
                     for (grouped, value) in per_agg.iter_mut().zip(&e.values) {
                         grouped.insert(e.key.clone(), *value);
@@ -206,8 +208,9 @@ mod tests {
     use super::*;
     use crate::fixture;
     use crate::groupby::calibration::{run_calibration, CalibrationConfig};
-    use crate::groupby::cost_model::{HostGbModel, PimGbModel};
+    use crate::groupby::cost_model::{GroupByModel, HostGbModel, PimGbModel};
     use crate::groupby::fitting::{LinFit, SqrtFit};
+    use crate::modes::EngineMode;
     use crate::table::PimTable;
     use bbpim_db::plan::{AggExpr, AggFunc, Atom, SelectItem};
     use bbpim_db::{stats, Relation};
@@ -250,17 +253,19 @@ mod tests {
         }
     }
 
-    /// Filter, then the hybrid GROUP BY, as the engine runs them.
-    fn run(t: &mut PimTable, mode: EngineMode, q: &Query, model: &GroupByModel) -> GroupByOutcome {
+    /// Install `model`, then filter and run the hybrid GROUP BY, as the
+    /// engine runs them.
+    fn run(t: &mut PimTable, q: &Query, model: GroupByModel) -> GroupByOutcome {
+        t.set_model(model);
         let mut scan = fixture::filtered(t, &q.filter);
-        scan.group_by(mode, q, &q.physical_plan().unwrap(), model).unwrap()
+        scan.group_by(q, &q.physical_plan().unwrap()).unwrap()
     }
 
     #[test]
     fn hybrid_group_by_matches_oracle_all_modes() {
         for mode in [EngineMode::OneXb, EngineMode::TwoXb, EngineMode::PimDb] {
             let ((mut t, rel), q) = (table(mode), query());
-            let out = run(&mut t, mode, &q, &fitted(mode));
+            let out = run(&mut t, &q, fitted(mode));
             let expected = stats::column(&stats::run_oracle(&q, &rel).unwrap(), 0);
             assert_eq!(out.per_agg.len(), 1);
             assert_eq!(out.per_agg[0], expected, "{mode:?} (k={})", out.k);
@@ -282,7 +287,7 @@ mod tests {
                 ],
                 ..query()
             };
-            let out = run(&mut t, mode, &q, &fitted(mode));
+            let out = run(&mut t, &q, fitted(mode));
             let finalized = q.physical_plan().unwrap().finalize(&out.per_agg);
             let expected = stats::run_oracle(&q, &rel).unwrap();
             assert_eq!(finalized, expected, "{mode:?} (k={})", out.k);
@@ -293,7 +298,7 @@ mod tests {
     fn forced_all_pim_still_matches_oracle() {
         // A model with free PIM and absurdly expensive host forces k=kmax.
         let ((mut t, rel), q) = (table(EngineMode::OneXb), query());
-        let out = run(&mut t, EngineMode::OneXb, &q, &forced(1e12, 1.0));
+        let out = run(&mut t, &q, forced(1e12, 1.0));
         assert_eq!(out.k, out.kmax, "everything must go to PIM");
         assert_eq!(out.per_agg[0], stats::column(&stats::run_oracle(&q, &rel).unwrap(), 0));
     }
@@ -301,7 +306,7 @@ mod tests {
     #[test]
     fn forced_all_host_still_matches_oracle() {
         let ((mut t, rel), q) = (table(EngineMode::OneXb), query());
-        let out = run(&mut t, EngineMode::OneXb, &q, &forced(1.0, 1e12));
+        let out = run(&mut t, &q, forced(1.0, 1e12));
         assert_eq!(out.k, 0);
         assert_eq!(out.per_agg[0], stats::column(&stats::run_oracle(&q, &rel).unwrap(), 0));
     }
@@ -320,7 +325,7 @@ mod tests {
         let mut q = query();
         q.filter =
             bbpim_db::plan::Pred::all(vec![Atom::Lt { attr: "lo_v".into(), value: 0u64.into() }]);
-        let out = run(&mut t, EngineMode::OneXb, &q, &fitted(EngineMode::OneXb));
+        let out = run(&mut t, &q, fitted(EngineMode::OneXb));
         assert!(out.per_agg[0].is_empty());
     }
 }

@@ -21,7 +21,6 @@ use crate::agg_exec::AggInput;
 use crate::error::CoreError;
 use crate::filter_exec::build_conjunction_program;
 use crate::layout::{Projection, GROUP_MASK_COL, MASK_COL, TRANSFER_COL, VALID_COL};
-use crate::modes::EngineMode;
 use crate::scan::Scan;
 
 /// One physical aggregate prepared for in-PIM GROUP BY.
@@ -68,7 +67,6 @@ impl Scan<'_> {
     /// inputs span partitions.
     pub fn pim_gb(
         &mut self,
-        mode: EngineMode,
         group_by: &Projection,
         keys: &[Vec<u64>],
         aggs: &[PreparedAgg],
@@ -155,7 +153,7 @@ impl Scan<'_> {
             let mut count: Option<u64> = None;
             for (i, agg) in aggs.iter().enumerate() {
                 if let PreparedAgg::Reduce { func, input } = agg {
-                    let (value, c) = self.aggregate(mode, input, GROUP_MASK_COL, *func, true)?;
+                    let (value, c) = self.aggregate(input, GROUP_MASK_COL, *func, true)?;
                     values[i] = value;
                     count = count.or(c);
                 }
@@ -188,6 +186,7 @@ impl Scan<'_> {
 mod tests {
     use super::*;
     use crate::fixture;
+    use crate::modes::EngineMode;
     use crate::table::PimTable;
     use bbpim_db::builder::col;
     use bbpim_db::plan::{AggExpr, Query, SelectItem};
@@ -222,7 +221,6 @@ mod tests {
     /// phases alone.
     fn run(
         t: &mut PimTable,
-        mode: EngineMode,
         exprs: &[&AggExpr],
         aggs: impl Fn(&[AggInput]) -> Vec<PreparedAgg>,
         keys: &[u64],
@@ -234,7 +232,7 @@ mod tests {
             inputs.last().map_or_else(|| scan.table().layout().scratch(0), |i| i.scratch_left);
         let keys: Vec<Vec<u64>> = keys.iter().map(|g| vec![*g]).collect();
         scan.take_log();
-        let entries = scan.pim_gb(mode, &gp, &keys, &aggs(&inputs), scratch).unwrap();
+        let entries = scan.pim_gb(&gp, &keys, &aggs(&inputs), scratch).unwrap();
         (entries, scan.take_log())
     }
 
@@ -248,7 +246,7 @@ mod tests {
     fn per_group_aggregates_match_oracle() {
         for mode in [EngineMode::OneXb, EngineMode::TwoXb, EngineMode::PimDb] {
             let (mut t, rel) = table(mode);
-            let (entries, _) = run(&mut t, mode, &[&lo_v()], sum, &ALL_KEYS);
+            let (entries, _) = run(&mut t, &[&lo_v()], sum, &ALL_KEYS);
             let expected = oracle(&rel, SelectItem::sum("v", lo_v()));
             for e in &entries {
                 assert_eq!(Some(&e.values[0]), expected.get(&e.key), "{mode:?} key {:?}", e.key);
@@ -269,7 +267,7 @@ mod tests {
                 PreparedAgg::Count,
             ]
         };
-        let (entries, log) = run(&mut t, EngineMode::OneXb, &[&lo_v()], aggs, &ALL_KEYS);
+        let (entries, log) = run(&mut t, &[&lo_v()], aggs, &ALL_KEYS);
         let sums = oracle(&rel, SelectItem::sum("v", lo_v()));
         let maxs = oracle(&rel, SelectItem::max("v", lo_v()));
         for e in &entries {
@@ -288,8 +286,7 @@ mod tests {
     #[test]
     fn count_only_group_by_reads_popcount() {
         let (mut t, rel) = table(EngineMode::OneXb);
-        let (entries, _) =
-            run(&mut t, EngineMode::OneXb, &[], |_| vec![PreparedAgg::Count], &ALL_KEYS);
+        let (entries, _) = run(&mut t, &[], |_| vec![PreparedAgg::Count], &ALL_KEYS);
         let expected = oracle(&rel, SelectItem::count("n"));
         for e in &entries {
             assert_eq!(Some(&e.count), expected.get(&e.key), "key {:?}", e.key);
@@ -309,7 +306,7 @@ mod tests {
                 PreparedAgg::Reduce { func: PhysFunc::Sum, input: i[1] },
             ]
         };
-        let (entries, _) = run(&mut t, EngineMode::OneXb, &[&attr, &prod], aggs, &ALL_KEYS);
+        let (entries, _) = run(&mut t, &[&attr, &prod], aggs, &ALL_KEYS);
         // oracle both columns
         let mut sum_v = std::collections::BTreeMap::new();
         let mut sum_p = std::collections::BTreeMap::new();
@@ -330,7 +327,7 @@ mod tests {
     fn empty_subgroup_reports_zero_count() {
         // group 15 never occurs (d_g < 6)
         let (mut t, _) = table(EngineMode::OneXb);
-        let (entries, _) = run(&mut t, EngineMode::OneXb, &[&lo_v()], sum, &[15]);
+        let (entries, _) = run(&mut t, &[&lo_v()], sum, &[15]);
         assert_eq!(entries[0].count, 0);
         assert_eq!(entries[0].values, vec![0]);
     }
@@ -338,7 +335,7 @@ mod tests {
     #[test]
     fn two_xb_charges_transfer_per_subgroup() {
         let logs = [EngineMode::OneXb, EngineMode::TwoXb]
-            .map(|mode| run(&mut table(mode).0, mode, &[&lo_v()], sum, &ALL_KEYS[..4]).1);
+            .map(|mode| run(&mut table(mode).0, &[&lo_v()], sum, &ALL_KEYS[..4]).1);
         assert_eq!(logs[0].time_in(PhaseKind::HostWrite), 0.0);
         assert!(logs[1].time_in(PhaseKind::HostWrite) > 0.0);
         assert!(logs[1].total_time_ns() > logs[0].total_time_ns());
@@ -351,8 +348,8 @@ mod tests {
         // key 8 is empty. The equality program's cycle count depends on
         // the key's set bits, so popcount must match for the comparison.
         let (mut t, _) = table(EngineMode::OneXb);
-        let (a, log_a) = run(&mut t, EngineMode::OneXb, &[&lo_v()], sum, &[1]);
-        let (b, log_b) = run(&mut t, EngineMode::OneXb, &[&lo_v()], sum, &[8]);
+        let (a, log_a) = run(&mut t, &[&lo_v()], sum, &[1]);
+        let (b, log_b) = run(&mut t, &[&lo_v()], sum, &[8]);
         assert!(a[0].count > 0);
         assert_eq!(b[0].count, 0);
         assert!((log_a.total_time_ns() - log_b.total_time_ns()).abs() < 1e-6);

@@ -37,22 +37,69 @@ use bbpim_sim::timeline::RunLog;
 
 use crate::error::CoreError;
 use crate::layout::{RecordLayout, VALID_COL};
+use crate::modes::EngineMode;
 use crate::table::PimTable;
 
 impl PimTable {
-    /// Allocate pages on a fresh module and load `rel` under `layout`.
+    /// Build `mode`'s layout for `relation`, allocate pages on a fresh
+    /// module and load it; the relation is dropped (the image is the
+    /// table).
+    ///
+    /// # Errors
+    ///
+    /// A configuration that fails `SimConfig::validate`, layout failures
+    /// (record too wide), module capacity and loader failures.
+    pub fn new(cfg: SimConfig, relation: Relation, mode: EngineMode) -> Result<Self, CoreError> {
+        let layout = RecordLayout::build(relation.schema(), &cfg, mode, &[])?;
+        Self::with_layout(cfg, relation, mode, layout)
+    }
+
+    /// Like [`PimTable::new`] but with a caller-supplied layout — e.g. a
+    /// [`RecordLayout::build_custom`] placement that co-locates hot
+    /// subgroup identifiers with the fact attributes (the paper's
+    /// Section V-A placement optimisation).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Layout`] when the layout's partition count does not
+    /// match the mode; loader failures otherwise.
+    pub fn with_layout(
+        cfg: SimConfig,
+        relation: Relation,
+        mode: EngineMode,
+        layout: RecordLayout,
+    ) -> Result<Self, CoreError> {
+        if layout.partitions() != mode.partitions() {
+            return Err(CoreError::Layout(format!(
+                "layout has {} partitions but mode {} needs {}",
+                layout.partitions(),
+                mode.label(),
+                mode.partitions()
+            )));
+        }
+        Self::load(cfg, &relation, mode, layout)
+    }
+
+    /// Allocate pages on a fresh module and load `rel` under `layout`,
+    /// whatever its partition count: the star's tables are
+    /// single-partition under every mode.
     ///
     /// # Errors
     ///
     /// A configuration that fails `SimConfig::validate`, module capacity
     /// and loader failures.
-    pub fn new(cfg: SimConfig, rel: &Relation, layout: RecordLayout) -> Result<Self, CoreError> {
+    pub fn load(
+        cfg: SimConfig,
+        rel: &Relation,
+        mode: EngineMode,
+        layout: RecordLayout,
+    ) -> Result<Self, CoreError> {
         let mut module = PimModule::new(cfg)?;
         let loaded = load_relation(&mut module, rel, &layout)?;
-        Ok(PimTable::of_image(module, rel.schema().clone(), layout, loaded))
+        Ok(PimTable::of_image(module, rel.schema().clone(), mode, layout, loaded))
     }
 
-    /// [`PimTable::new`] for `records` records held as columns rather
+    /// [`PimTable::load`] for `records` records held as columns rather
     /// than as a [`Relation`]: `column(attr, run, values)` puts attribute
     /// `attr` of the records `run` into `values`, each value inside its
     /// attribute's width (calibration's synthetic data, drawn straight
@@ -60,23 +107,25 @@ impl PimTable {
     pub(crate) fn from_columns(
         cfg: SimConfig,
         schema: Schema,
+        mode: EngineMode,
         layout: RecordLayout,
         records: usize,
         column: impl FnMut(usize, Range<usize>, &mut Vec<u64>),
     ) -> Result<Self, CoreError> {
         let mut module = PimModule::new(cfg)?;
         let loaded = load_columns(&mut module, &schema, &layout, records, column)?;
-        Ok(PimTable::of_image(module, schema, layout, loaded))
+        Ok(PimTable::of_image(module, schema, mode, layout, loaded))
     }
 
     fn of_image(
         module: PimModule,
         schema: Schema,
+        mode: EngineMode,
         layout: RecordLayout,
         loaded: LoadedRelation,
     ) -> Self {
         let domains = Mutex::new(DomainIndex::new(&schema, |name| !layout.is_excluded(name)));
-        PimTable { module, schema, layout, loaded, domains, pruning: true }
+        PimTable { module, schema, layout, loaded, domains, mode, model: None, pruning: true }
     }
 }
 
@@ -343,7 +392,6 @@ pub fn append_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modes::EngineMode;
     use bbpim_db::schema::Attribute;
 
     fn small_setup(records: usize) -> (PimModule, Relation, RecordLayout) {
@@ -668,7 +716,8 @@ mod tests {
         use crate::mutation::Mutation;
         use bbpim_db::plan::{Query, SelectItem};
         let (_, rel, layout) = small_setup(250);
-        let mut t = PimTable::new(SimConfig::small_for_tests(), &rel, layout).unwrap();
+        let mut t =
+            PimTable::load(SimConfig::small_for_tests(), &rel, EngineMode::OneXb, layout).unwrap();
         // builds the d_b prefix: 61 tuples over 250 records are kept
         let by_b = Query::select([SelectItem::count("n")]).group_by(["d_b"]).build_unchecked();
         let domains = t.group_domains(&by_b).unwrap();

@@ -573,7 +573,7 @@ mod tests {
                 rel.push_row(&[i % 256, i % 40]).unwrap();
             }
             let layout = crate::layout::RecordLayout::build(rel.schema(), &cfg, mode, &[]).unwrap();
-            let mut t = PimTable::new(cfg, &rel, layout).unwrap();
+            let mut t = PimTable::load(cfg, &rel, mode, layout).unwrap();
             let insert = |rows: usize| Mutation::Insert { rows: vec![vec![9, 41]; rows] };
             let consistent = |t: &mut PimTable, rel: &Relation, pages: usize| {
                 let records = rel.len();
@@ -583,7 +583,7 @@ mod tests {
                 }
                 assert_eq!(t.loaded().page_zones.len(), pages);
                 let count = Query::select([SelectItem::count("n")]).build_unchecked();
-                let out = crate::engine::run_query(t, mode, None, &count).unwrap();
+                let out = crate::engine::run_query(t, &count).unwrap();
                 assert_eq!(out.groups[&vec![]], vec![records as u64], "{mode:?}: COUNT answers");
                 assert_domains(t, rel, &probes, &format!("{mode:?}, {records} records"));
             };

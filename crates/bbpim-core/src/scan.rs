@@ -14,19 +14,22 @@
 //!   [`Scan::move_mask`] moves a mask column over the host channel.
 //! * [`Scan::group_by`] — Section IV's hybrid GROUP BY
 //!   ([`crate::groupby`]): [`Scan::sample`] one page, decide `k` by
-//!   Eq. (3), [`Scan::pim_gb`] for the `k` largest subgroups,
-//!   [`Scan::host_gb`] for the tail. A star join's GROUP BY is
-//!   [`Scan::host_gb`] alone (`k = 0`), probing the dimensions its
-//!   keys name — the one host gather of both storage models.
+//!   Eq. (3) with the table's fitted model, [`Scan::pim_gb`] for the
+//!   `k` largest subgroups, [`Scan::host_gb`] for the tail. A star
+//!   join's GROUP BY is [`Scan::host_gb`] alone (`k = 0`), probing the
+//!   dimensions its keys name — the one host gather of both storage
+//!   models.
 //! * [`Scan::materialize`] / [`Scan::aggregate`] — in-crossbar
 //!   arithmetic and the reduction through the per-crossbar aggregation
-//!   circuit or PIMDB's reduction tree ([`crate::agg_exec`]).
+//!   circuit or, on a pimdb table, PIMDB's reduction tree
+//!   ([`crate::agg_exec`]).
 //! * [`Scan::finish`] — aggregate what is left to aggregate and
-//!   assemble the [`QueryExecution`].
+//!   assemble the [`QueryExecution`], reported under the table's mode.
 //!
 //! Every stage runs over the scan's planned pages only and charges its
 //! phases to the scan's one log, so a stage takes what it decides on
-//! and nothing else. UPDATE's filter pass (Algorithm 1's select bit),
+//! and nothing else: how the table computes — its mode and its GROUP-BY
+//! model — it reads from the table it scans. UPDATE's filter pass (Algorithm 1's select bit),
 //! a star join's dimension filters and the calibration sweep drive the
 //! same bracket and end it with [`Scan::take_log`].
 
@@ -38,7 +41,6 @@ use bbpim_sim::timeline::RunLog;
 use crate::error::CoreError;
 use crate::groupby::GroupByOutcome;
 use crate::layout::MASK_COL;
-use crate::modes::EngineMode;
 use crate::planner::PageSet;
 use crate::result::{PartialGroups, QueryExecution, QueryReport};
 use crate::table::PimTable;
@@ -118,7 +120,6 @@ impl Scan<'_> {
     /// outside partition 0; substrate failures otherwise.
     pub fn finish(
         mut self,
-        mode: EngineMode,
         query: &Query,
         plan: &PhysicalPlan,
         selected: u64,
@@ -146,7 +147,7 @@ impl Scan<'_> {
                                             .into(),
                                     ));
                                 }
-                                self.aggregate(mode, &input, MASK_COL, agg.func, false)?.0
+                                self.aggregate(&input, MASK_COL, agg.func, false)?.0
                             }
                         };
                         grouped.insert(Vec::new(), value);
@@ -163,11 +164,11 @@ impl Scan<'_> {
             .zip(gb.per_agg)
             .map(|(agg, groups)| PartialGroups { func: agg.func, groups })
             .collect();
-        let Scan { table: PimTable { module, loaded, .. }, pages, log } = self;
+        let Scan { table: PimTable { module, loaded, mode, .. }, pages, log } = self;
         let records = loaded.records();
         let report = QueryReport {
             query_id: query.id.clone(),
-            mode,
+            mode: *mode,
             host_bus_ns: bbpim_sim::hostbus::log_occupancy_ns(&module.config().host, &log),
             time_ns: log.total_time_ns(),
             energy_pj: log.total_energy_pj(),

@@ -2,14 +2,22 @@
 //!
 //! A [`PimTable`] owns a [`PimModule`], the loaded image and the
 //! [`RecordLayout`]. The image *is* the table: the host keeps only the
-//! [`Schema`], the page zone maps and the GROUP-BY [`DomainIndex`]. It
-//! owns the zone-map pruning switch, as its module owns the transfer
-//! policy. It is the storage half every engine shares — the pre-joined
-//! wide relation of the paper, a fact shard or a dimension of the
-//! normalized star — and exposes the primitives they compose: zone-map
-//! page planning, mutations through the PIM multiplexer, reads of the
-//! stored bits ([`crate::record`]), and [`PimTable::begin`], which opens
-//! the [`crate::scan::Scan`] every execution path drives.
+//! [`Schema`], the page zone maps and the GROUP-BY [`DomainIndex`].
+//!
+//! The table also owns how it computes: the [`EngineMode`] it was built
+//! for (its partition split, and whether its module reduces through the
+//! aggregation circuit), the fitted Eq. (3) [`GroupByModel`] its GROUP
+//! BY decides with, and the zone-map pruning switch — as its module owns
+//! the transfer policy. Every execution path reads them from the table
+//! it scans; nothing passes them along.
+//!
+//! It is the one engine of every storage model — the paper's pre-joined
+//! wide relation ([`crate::PimQueryEngine`] is this type), a fact shard
+//! or a dimension of the normalized star — and exposes the primitives
+//! they compose: zone-map page planning, mutations through the PIM
+//! multiplexer, reads of the stored bits ([`crate::record`]), and
+//! [`PimTable::begin`], which opens the [`crate::scan::Scan`] every
+//! execution path drives.
 
 use std::sync::Mutex;
 
@@ -21,8 +29,10 @@ use bbpim_sim::config::SimConfig;
 use bbpim_sim::module::PimModule;
 
 use crate::error::CoreError;
+use crate::groupby::cost_model::GroupByModel;
 use crate::layout::RecordLayout;
 use crate::loader::LoadedRelation;
+use crate::modes::EngineMode;
 use crate::mutation::{run_mutation, Mutation, MutationReport};
 use crate::planner::{plan_pages, PageSet};
 
@@ -35,6 +45,10 @@ pub struct PimTable {
     /// Filled on first use by shared readers, hence the lock; a build
     /// stores its prefix only once complete, so poisoning leaves it whole.
     pub(crate) domains: Mutex<DomainIndex>,
+    /// The engine mode the table was built for.
+    pub(crate) mode: EngineMode,
+    /// The fitted GROUP-BY model, once calibrated or installed.
+    pub(crate) model: Option<GroupByModel>,
     /// Zone-map page pruning on (the default), or every page planned.
     pub(crate) pruning: bool,
 }
@@ -85,6 +99,33 @@ impl PimTable {
     /// dispatch, module-side reduction) on this table's module.
     pub fn set_xfer_policy(&mut self, policy: bbpim_sim::XferPolicy) {
         self.module.set_policy(policy);
+    }
+
+    /// The engine mode the table was built for.
+    pub fn mode(&self) -> EngineMode {
+        self.mode
+    }
+
+    /// The fitted GROUP-BY model, if calibrated.
+    pub fn model(&self) -> Option<&GroupByModel> {
+        self.model.as_ref()
+    }
+
+    /// Install a pre-fitted model. The calibration is a pure function of
+    /// the hardware configuration and the mode, not of the data, so one
+    /// fit serves every table built with both.
+    pub fn set_model(&mut self, model: GroupByModel) {
+        self.model = Some(model);
+    }
+
+    /// The model a GROUP BY decides with.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NotCalibrated`] without a
+    /// [fitted](GroupByModel::is_fitted) model.
+    pub(crate) fn fitted_model(&self) -> Result<&GroupByModel, CoreError> {
+        self.model.as_ref().filter(|m| m.is_fitted()).ok_or(CoreError::NotCalibrated)
     }
 
     /// Is zone-map page pruning on (the default), or does every query
@@ -148,6 +189,7 @@ impl std::fmt::Debug for PimTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PimTable")
             .field("table", &self.schema.name)
+            .field("mode", &self.mode)
             .field("records", &self.loaded.records())
             .field("pages", &self.loaded.page_count())
             .finish()

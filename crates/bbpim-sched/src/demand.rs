@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bbpim_cluster::ClusterExecution;
+use bbpim_cluster::{ClusterError, ClusterExecution};
 use bbpim_core::mutation::{Mutation, MutationReport};
 use bbpim_core::result::QueryExecution;
 use bbpim_db::plan::Query;
@@ -335,8 +335,9 @@ impl ResolutionCache {
     ///
     /// # Errors
     ///
-    /// Planner attribute-resolution failures or shard execution
-    /// failures, as [`SchedError::Cluster`].
+    /// An invalid SELECT list (before any shard runs, so also when
+    /// every shard is pruned), planner attribute-resolution failures or
+    /// shard execution failures, as [`SchedError::Cluster`].
     pub(crate) fn resolve<E: StreamEngine>(
         &mut self,
         cluster: &mut E,
@@ -346,6 +347,7 @@ impl ResolutionCache {
         if let Some(m) = self.merged.get(&key).filter(|m| m.clock == self.clock) {
             return Ok(m.resolution.clone());
         }
+        query.physical_plan().map_err(ClusterError::Db)?;
         let mask = cluster.plan_shards(&query.filter)?;
         let candidates: Vec<usize> =
             mask.iter().enumerate().filter(|(_, &d)| d).map(|(s, _)| s).collect();

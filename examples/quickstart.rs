@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .and(col("lo_discount").between(1u64, 3u64))
             .and(col("lo_quantity").lt(25u64)),
     )
-    .build(engine.table().schema())?;
+    .build(engine.schema())?;
     let out = engine.run(&q11)?;
     let revenue = out.groups.get(&Vec::new()).map(|row| row[0]).unwrap_or(0);
     let r = &out.report;

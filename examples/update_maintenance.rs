@@ -49,11 +49,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Verify through the engine's own storage: the stored bits of every
     // purchase the customer made.
-    let table = engine.table();
     let city_dict =
-        table.schema().attr("c_city")?.dictionary().expect("city is dictionary-encoded").clone();
+        engine.schema().attr("c_city")?.dictionary().expect("city is dictionary-encoded").clone();
     for &record in &purchases {
-        let city = table.read_attr(record, "c_city")?;
+        let city = engine.read_attr(record, "c_city")?;
         assert_eq!(city_dict.decode(city), Some("UNITED KI1"));
     }
     println!("\nverified {} records now read c_city = UNITED KI1", purchases.len());

@@ -58,16 +58,16 @@ fn engine_pins(mode: EngineMode) -> Vec<(String, Pin)> {
     let mut pins = Vec::new();
     for q in probe_queries() {
         engine.run(&q).expect("query");
-        pins.push((q.id.clone(), engine.table().module().program_digest()));
+        pins.push((q.id.clone(), engine.module().program_digest()));
     }
     engine.set_model(free_pim_model());
     for id in ["Q2.1", "Q3.1", "Q4.1"] {
         let out = engine.run(&queries::standard_query(id).expect("standard query")).expect("query");
         assert!(out.report.pim_agg_subgroups > 0, "{id} must aggregate in PIM");
-        pins.push((format!("{id}, all pim-gb"), engine.table().module().program_digest()));
+        pins.push((format!("{id}, all pim-gb"), engine.module().program_digest()));
     }
     engine.mutate(&update).expect("mutation");
-    pins.push((update.label(), engine.table().module().program_digest()));
+    pins.push((update.label(), engine.module().program_digest()));
     pins
 }
 

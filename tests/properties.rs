@@ -167,7 +167,7 @@ fn update_via_mux_equals_host_rewrite() {
         assert_eq!(report.records_updated, updated, "case {case}");
         // the stored bits and the reference agree
         for row in 0..reference.len() {
-            let stored = engine.table().read_attr(row, "d_g").unwrap();
+            let stored = engine.read_attr(row, "d_g").unwrap();
             assert_eq!(stored, reference.value(row, g), "case {case}");
         }
     }
@@ -470,12 +470,7 @@ fn domain_index_equals_the_row_scan() {
                     let out =
                         e.run(q).unwrap_or_else(|err| panic!("{what}, {:?}: {err}", e.mode()));
                     assert_eq!(out.groups, want, "{what}: {:?} answer", e.mode());
-                    assert_eq!(
-                        e.table().group_domains(q).unwrap(),
-                        domains,
-                        "{what}: {:?}",
-                        e.mode()
-                    );
+                    assert_eq!(e.group_domains(q).unwrap(), domains, "{what}: {:?}", e.mode());
                 }
                 if let Some(c) = &mut cluster {
                     assert_eq!(c.run(q).unwrap().groups, want, "{what}: cluster answer");

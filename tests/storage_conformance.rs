@@ -16,22 +16,31 @@
 //! * an invalid shard index is a typed error that leaves every later
 //!   result unchanged;
 //! * planning, `EXPLAIN` and execution reject a filter on an attribute
-//!   the star's dimension layout keeps host-side with one error.
+//!   the star's dimension layout keeps host-side with one error;
+//! * an invalid SELECT list is a typed error before the scatter — on
+//!   `run`, `run_batch`, the stream and the tenant server — also when
+//!   every shard is pruned;
+//! * every shard computes in the mode its table was built with and
+//!   decides GROUP BY with the model its table holds.
 
 mod common;
 
-use bbpim::cluster::{Cluster, ClusterError, ClusterExecution, Partitioner, StarCluster, Storage};
+use bbpim::cluster::{
+    Cluster, ClusterEngine, ClusterError, ClusterExecution, Partitioner, StarCluster, Storage,
+};
 use bbpim::db::builder::col;
-use bbpim::db::plan::Query;
+use bbpim::db::plan::{Pred, Query};
 use bbpim::db::ssb::queries;
-use bbpim::db::Relation;
+use bbpim::db::{DbError, Relation};
 use bbpim::engine::modes::EngineMode;
 use bbpim::engine::mutation::Mutation;
 use bbpim::engine::result::{QueryExecution, QueryReport};
 use bbpim::engine::CoreError;
+use bbpim::sched::{run_stream, SchedConfig, SchedError, Workload};
+use bbpim::serve::{run_serve, ArrivalProcess, ServeConfig, SloSpec, TenantSpec};
 use bbpim::sim::timeline::PhaseKind;
 use bbpim::sim::{SimConfig, XferPolicy};
-use common::{prejoined_cluster, ssb, ssb_wide, star_cluster};
+use common::{prejoined_cluster, shared_model, ssb, ssb_wide, star_cluster};
 
 const SHARDS: usize = 4;
 
@@ -205,4 +214,109 @@ fn a_host_only_dimension_attribute_is_rejected_alike_by_plan_explain_and_run() {
     }
     assert_eq!(c.explain(&q).expect_err("explaining a host-only attribute"), planned);
     assert_eq!(c.run(&q).expect_err("running a host-only attribute"), planned);
+}
+
+/// An empty SELECT list is the typed `InvalidQuery` on every front-end
+/// of fresh clusters from `fresh`, before anything runs: whether its
+/// filter dispatches every shard or, like `never`, prunes every one.
+fn rejects_an_empty_select_list<S: Storage>(
+    tag: &str,
+    fresh: impl Fn() -> Cluster<S>,
+    never: Pred,
+) {
+    assert!(!fresh().plan_shards(&never).unwrap().contains(&true), "{tag}: every shard pruned");
+    let invalid = |e: &ClusterError| matches!(e, ClusterError::Db(DbError::InvalidQuery(_)));
+    for filter in [never, Pred::always()] {
+        let q = Query { id: "no-select".into(), filter, group_by: Vec::new(), select: Vec::new() };
+        let err = fresh().run(&q).expect_err("run");
+        assert!(invalid(&err), "{tag}: run gave {err}");
+        let err = fresh().run_batch(std::slice::from_ref(&q)).expect_err("run_batch");
+        assert!(invalid(&err), "{tag}: run_batch gave {err}");
+        let workload = Workload::burst(vec![q.clone()]);
+        match run_stream(&mut fresh(), &workload, &SchedConfig::default()).expect_err("stream") {
+            SchedError::Cluster(e) => assert!(invalid(&e), "{tag}: run_stream gave {e}"),
+            other => panic!("{tag}: run_stream gave {other}"),
+        }
+        let tenant = TenantSpec {
+            name: "no-select".into(),
+            queries: vec![q],
+            process: ArrivalProcess::Burst { arrivals: 1, at_ns: 0.0 },
+            writes: None,
+            rate_limit: None,
+            slo: SloSpec { p95_target_ns: 1.0e9, deadline_ns: None },
+            weight: 1.0,
+        };
+        match run_serve(&mut fresh(), &[tenant], &ServeConfig::default()).expect_err("serve") {
+            SchedError::Cluster(e) => assert!(invalid(&e), "{tag}: run_serve gave {e}"),
+            other => panic!("{tag}: run_serve gave {other}"),
+        }
+    }
+}
+
+/// The gather never sees an invalid SELECT list, even when the planner
+/// alone would have answered the query.
+#[test]
+fn an_invalid_select_list_is_a_typed_error_even_when_every_shard_is_pruned() {
+    let (db, wide) = (ssb(), ssb_wide());
+    let never = col("d_year").eq(1800u64);
+    rejects_an_empty_select_list("pre-joined", || prejoined_cluster(&wide, SHARDS), never);
+    let never = col("lo_quantity").eq(1000u64);
+    rejects_an_empty_select_list("star", || star_cluster(&db, SHARDS), never);
+}
+
+/// The tables own how they compute: a GROUP BY on any shard is
+/// `NotCalibrated` until `set_model` installs the model on every shard,
+/// and every report carries the mode the tables were built with.
+#[test]
+fn every_shard_computes_with_its_tables_mode_and_model() {
+    let wide = ssb_wide();
+    let q = queries::standard_query("Q2.1").expect("standard query");
+    for mode in EngineMode::all() {
+        let by_year = Partitioner::range_by_attr("d_year");
+        let mut c = ClusterEngine::new(SimConfig::default(), wide.clone(), mode, SHARDS, by_year)
+            .expect("cluster construction");
+        assert_eq!(c.mode(), mode);
+        for i in 0..c.active_shards() {
+            assert_eq!(c.shard_table(i).unwrap().mode(), mode, "{mode:?} shard {i}");
+            let err = c.run_on_shard(i, &q).expect_err("uncalibrated GROUP BY");
+            assert_eq!(err, ClusterError::Core(CoreError::NotCalibrated), "{mode:?} shard {i}");
+        }
+        c.set_model(shared_model());
+        for i in 0..c.active_shards() {
+            let exec = c.run_on_shard(i, &q).expect("calibrated GROUP BY");
+            assert_eq!(exec.report.mode, mode, "{mode:?} shard {i}");
+        }
+        let out = c.run(&q).expect("run");
+        assert_eq!(out.report.mode, mode);
+        assert!(out.report.per_shard.iter().all(|r| r.mode == mode), "{mode:?}");
+    }
+}
+
+/// The star's tables are single-partition under every mode, yet a two-xb
+/// star is still a two-xb engine: it reports two_xb and reduces through
+/// the aggregation circuit, which a pimdb star never drives.
+#[test]
+fn a_two_xb_star_keeps_its_mode_and_the_circuit() {
+    let db = ssb();
+    let q = queries::standard_query("Q1.1").expect("standard query");
+    let circuit_ns = |mode: EngineMode| {
+        let mut c = StarCluster::new(
+            SimConfig::small_for_tests(),
+            &db,
+            mode,
+            SHARDS,
+            Partitioner::RoundRobin,
+        )
+        .expect("star cluster construction");
+        for i in 0..c.active_shards() {
+            let table = c.shard_table(i).unwrap();
+            assert_eq!((table.mode(), table.layout().partitions()), (mode, 1), "shard {i}");
+        }
+        let out = c.run(&q).expect("run");
+        assert_eq!(out.report.mode, mode);
+        assert!(out.report.per_shard.iter().all(|r| r.mode == mode), "{mode:?}");
+        out.report.per_shard.iter().map(|r| r.phases.time_in(PhaseKind::PimAggCircuit)).sum::<f64>()
+    };
+    assert!(circuit_ns(EngineMode::TwoXb) > 0.0, "two_xb reduces through the circuit");
+    assert_eq!(circuit_ns(EngineMode::PimDb), 0.0, "pimdb has no circuit");
 }
