@@ -19,7 +19,10 @@
 //!   widened per written attribute, so OR-filter mutations keep pruning
 //!   sound (the bounds of a DNF plan are the per-attribute interval
 //!   *union* of its disjuncts, and every page that union admits gets
-//!   widened).
+//!   widened). Every SET constant is checked against its attribute's
+//!   width before anything is written, and the table's GROUP-BY domain
+//!   index forgets the prefixes the SET list writes (the next GROUP BY
+//!   rebuilds them from the image), so the UPDATE reads no record.
 //! * [`Mutation::Insert`] — encoded rows appended behind the loaded
 //!   image ([`crate::loader::append_rows`]): byte-tagged host writes,
 //!   fresh pages reserved when the image is full, zone maps grown to
@@ -90,9 +93,9 @@ impl Mutation {
         }
     }
 
-    /// Validate against a schema: SET attributes exist with encodable
-    /// constants and no duplicates, the filter resolves, INSERT rows
-    /// have the right arity and in-range values.
+    /// Validate against a schema: SET attributes exist with encodable,
+    /// in-range constants and no duplicates, the filter resolves, INSERT
+    /// rows have the right arity and in-range values.
     ///
     /// # Errors
     ///
@@ -290,13 +293,16 @@ impl MutationReport {
     }
 }
 
-/// Resolve one SET target: attribute index plus encoded immediate.
+/// Resolve one SET target: attribute index plus encoded immediate,
+/// which must fit the attribute's width.
 fn resolve_const(schema: &Schema, attr: &str, value: &Const) -> Result<(usize, u64), CoreError> {
     let attr_idx = schema.index_of(attr)?;
+    let attr = &schema.attrs()[attr_idx];
     let imm = match value {
         Const::Num(v) => *v,
-        Const::Str(s) => schema.attrs()[attr_idx].encode_str(s)?,
+        Const::Str(s) => attr.encode_str(s)?,
     };
+    attr.check(imm)?;
     Ok((attr_idx, imm))
 }
 
@@ -307,10 +313,11 @@ fn resolve_const(schema: &Schema, attr: &str, value: &Const) -> Result<(usize, u
 /// once; an INSERT is [`append_rows`].
 ///
 /// Both arms keep the table's domain index in step with the image: an
-/// INSERT counts its rows in once the image holds them, and an UPDATE of
-/// an indexed prefix reads the selected records' pre-update tuples
-/// before the MUX rewrites them (host metadata, unpriced) and moves
-/// their counts after. A refused mutation leaves the index as it was.
+/// INSERT adds its rows' tuples once the image holds them, and an UPDATE
+/// forgets every built prefix its SET list writes before it writes
+/// anything, so the next GROUP BY that names one builds it again from
+/// the image and the UPDATE reads no record. A mutation refused before
+/// it writes leaves the index as it was.
 ///
 /// # Errors
 ///
@@ -363,28 +370,17 @@ fn run_update(
     let placements = set.iter().map(place).collect::<Result<Vec<_>, _>>()?;
     let resolve = |(attr, value): &(String, Const)| resolve_const(&table.schema, attr, value);
     let assigned = set.iter().map(resolve).collect::<Result<Vec<_>, _>>()?;
-    let domains = table.domains.get_mut().unwrap_or_else(PoisonError::into_inner);
-    let mut reads = domains.update_reads(&assigned, &table.schema);
-
     // Filter (the query path, zone maps included): the resolved DNF may
     // have several disjuncts; planning unions their bounds.
     let dnf = filter.resolve_dnf(&table.schema)?;
+    // Resolved, and before the first write: the next GROUP BY that
+    // names a written prefix builds it again from the image.
+    let domains = table.domains.get_mut().unwrap_or_else(PoisonError::into_inner);
+    domains.forget(assigned.iter().map(|&(attr, _)| attr));
     let mut scan = table.begin(table.plan_dnf(&dnf), None);
     let updated = scan.filter(&dnf)?;
 
     if !scan.pages.is_empty() {
-        // The selected records' tuples of every indexed prefix the SET
-        // list moves, read under the mask before the rewrite below.
-        if let Some(reads) = &mut reads {
-            let t = scan.table();
-            let names = reads.attrs().iter().map(|&a| t.schema.attrs()[a].name.as_str());
-            let projection = t.layout.project(names)?;
-            let mut values = Vec::with_capacity(reads.attrs().len());
-            for record in scan.mask(0, MASK_COL).ones() {
-                t.read(&projection, record, &mut values)?;
-                reads.record(&values);
-            }
-        }
         // The select bit lives in partition 0's mask column; transfer
         // it at most once per other partition a target lives in, then
         // rewrite each SET column under the shared mask (Algorithm 1).
@@ -411,10 +407,6 @@ fn run_update(
     // immediate.
     for &(attr_idx, imm) in &assigned {
         table.loaded.widen_zones(&touched, attr_idx, imm);
-    }
-    if let Some(reads) = reads {
-        let domains = table.domains.get_mut().unwrap_or_else(PoisonError::into_inner);
-        domains.apply_update(reads, table.loaded.records());
     }
     Ok((updated, touched, log))
 }
@@ -612,10 +604,10 @@ mod tests {
         }
     }
 
-    /// An UPDATE whose SET list falls in an indexed prefix moves the
-    /// prefix's counts: the selected records' tuples are read before the
-    /// MUX rewrites them. Read after it, the tuples of `d_year = 2` would
-    /// never leave the index, and `2` would stay in the year domain.
+    /// An UPDATE whose SET list falls in an indexed prefix forgets the
+    /// prefix, and the next GROUP BY builds it again from the rewritten
+    /// image. Kept instead, the tuples of `d_year = 2` would never leave
+    /// the index, and `2` would stay in the year domain.
     #[test]
     fn an_update_of_an_indexed_prefix_moves_its_domains() {
         let probes = [

@@ -8,41 +8,40 @@
 //! ([`crate::stats::group_domains`] is the row-at-a-time reference).
 //! Within one dimension the records repeat a small set of tuples (every
 //! purchase of one part carries that part's brand, category and
-//! colour), so a [`DomainIndex`] keeps, per prefix, one count per
-//! distinct tuple of the prefix's indexed attributes, and the domain
-//! filter walks those tuples instead of the records: at most one
-//! dimension's cardinality, whatever the fact row count.
+//! colour), so a [`DomainIndex`] keeps, per prefix, the set of distinct
+//! tuples of the prefix's indexed attributes, and the domain filter
+//! walks those tuples instead of the records: at most one dimension's
+//! cardinality, whatever the fact row count.
 //!
 //! The index does not read the records itself: a prefix is built the
 //! first time a GROUP BY names one of its attributes, through a
 //! `decode` callback that walks the named attributes of every record
-//! (the PIM engine decodes them from the stored bits), and kept up to
-//! date by [`DomainIndex::insert`] and [`DomainIndex::update_reads`] /
-//! [`DomainIndex::apply_update`].
+//! (the PIM engine decodes them from the stored bits). An INSERT adds
+//! its rows' tuples ([`DomainIndex::insert`]); an UPDATE that writes an
+//! attribute of a built prefix forgets the prefix
+//! ([`DomainIndex::forget`]), and the next GROUP BY that names it builds
+//! it again from the image, so the UPDATE itself reads no record.
 //!
 //! **Threshold.** A prefix is kept only while it holds at most half as
 //! many distinct tuples as the table has records. A build that finds
 //! more stops early and marks the prefix *decoded*, and so does an
-//! INSERT or UPDATE that pushes a kept prefix past the bound; the
-//! decision is final for that table. A GROUP BY key of a decoded prefix
-//! decodes the key's and its constraints' columns afresh on every query
-//! and runs the same filter over what it read. The fact prefix (`lo_`),
-//! nearly one tuple per record, is the case the rule exists for: kept,
-//! it would cost a catalog's memory and every UPDATE of a fact
-//! attribute would re-read whole fact tuples.
+//! INSERT that pushes a kept prefix past the bound; the decision is
+//! final for that table. A GROUP BY key of a decoded prefix decodes the
+//! key's and its constraints' columns afresh on every query and runs
+//! the same filter over what it read. The fact prefix (`lo_`), nearly
+//! one tuple per record, is the case the rule exists for: kept, it
+//! would cost a catalog's memory and every UPDATE of a fact attribute
+//! would rebuild it.
 //!
 //! **Memo.** A kept prefix remembers the domains it answered, keyed by
 //! the GROUP BY key and each disjunct's atoms on the prefix, so a query
 //! asked again is a lookup instead of a walk over every tuple. A domain
-//! depends only on *which* tuples exist, never on how many records hold
-//! them, so the memo is dropped exactly when the tuple set changes: a
-//! tuple is counted for the first time (an INSERT or an UPDATE moving
-//! records to a new tuple) or its last record leaves (an UPDATE), or
-//! the prefix settles to decoded. A count-only change — an INSERT of an
-//! existing tuple, an UPDATE of other attributes or to values some
-//! record already holds — keeps it.
+//! depends only on *which* tuples exist, so the memo is dropped when an
+//! INSERT adds a new tuple, and it goes with a prefix that an UPDATE
+//! forgets or that settles to decoded. An INSERT of a tuple the prefix
+//! already holds, or an UPDATE of other prefixes' attributes, keeps it.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::ControlFlow;
 
 use crate::error::DbError;
@@ -69,49 +68,38 @@ type MemoKey = (usize, Vec<Vec<ResolvedAtom>>);
 /// without bound.
 const MEMO_CAP: usize = 256;
 
-/// Distinct tuples of a fixed attribute list with their record counts.
-/// A tuple is bit-packed LSB-first at the attributes' declared widths
-/// into as many words as it needs, so a tuple wider than 64 bits is two
-/// words, not one word per attribute.
+/// The distinct tuples of a fixed attribute list. A tuple is bit-packed
+/// LSB-first at the attributes' declared widths into as many words as
+/// it needs, so a tuple wider than 64 bits is two words, not one word
+/// per attribute.
 #[derive(Debug, Clone)]
-struct TupleCounts {
+struct TupleSet {
     /// Schema indices of the attributes, in tuple order.
     attrs: Vec<usize>,
     /// Declared width of each attribute, bits.
     widths: Vec<usize>,
     /// Bit offset of each attribute in the packed tuple.
     offsets: Vec<usize>,
-    counts: HashMap<Box<[u64]>, u64>,
-    /// The packed form of the tuple being added or removed.
+    tuples: HashSet<Box<[u64]>>,
+    /// The packed form of the tuple being added.
     key: Vec<u64>,
-    /// The ascending domains [`TupleCounts::memoised`] answered since the
+    /// The ascending domains [`TupleSet::memoised`] answered since the
     /// tuple set last changed (see the module docs).
     memo: HashMap<MemoKey, Vec<u64>>,
 }
 
-impl TupleCounts {
+impl TupleSet {
     fn new(attrs: Vec<usize>, schema: &Schema) -> Self {
         let widths: Vec<usize> = attrs.iter().map(|&a| schema.attrs()[a].bits).collect();
         let offsets = widths.iter().scan(0, |at, w| Some(std::mem::replace(at, *at + w))).collect();
         let words = widths.iter().sum::<usize>().div_ceil(64);
-        let (counts, memo) = (HashMap::new(), HashMap::new());
-        TupleCounts { attrs, widths, offsets, counts, key: vec![0; words], memo }
+        let (tuples, memo) = (HashSet::new(), HashMap::new());
+        TupleSet { attrs, widths, offsets, tuples, key: vec![0; words], memo }
     }
 
     /// Distinct tuples held.
     fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    fn pack(&mut self, values: impl IntoIterator<Item = u64>) {
-        self.key.fill(0);
-        for ((v, &at), &width) in values.into_iter().zip(&self.offsets).zip(&self.widths) {
-            let (word, shift) = (at / 64, at % 64);
-            self.key[word] |= v << shift;
-            if shift + width > 64 {
-                self.key[word + 1] |= v >> (64 - shift);
-            }
-        }
+        self.tuples.len()
     }
 
     /// The value at tuple position `i` of a packed tuple.
@@ -128,36 +116,20 @@ impl TupleCounts {
         v
     }
 
-    /// Count `n` more records holding the tuple `values` (tuple order).
-    fn add(&mut self, values: impl IntoIterator<Item = u64>, n: u64) {
-        self.pack(values);
-        match self.counts.get_mut(&self.key[..]) {
-            Some(count) => *count += n,
-            None => {
-                self.counts.insert(self.key.clone().into_boxed_slice(), n);
-                self.memo.clear();
+    /// Hold the tuple `values` (tuple order); a new one drops the memo.
+    fn add(&mut self, values: impl IntoIterator<Item = u64>) {
+        self.key.fill(0);
+        for ((v, &at), &width) in values.into_iter().zip(&self.offsets).zip(&self.widths) {
+            let (word, shift) = (at / 64, at % 64);
+            self.key[word] |= v << shift;
+            if shift + width > 64 {
+                self.key[word + 1] |= v >> (64 - shift);
             }
         }
-    }
-
-    /// Count `n` records fewer holding `values`; the tuple goes at zero.
-    fn remove(&mut self, values: impl IntoIterator<Item = u64>, n: u64) {
-        self.pack(values);
-        if let Some(count) = self.counts.get_mut(&self.key[..]) {
-            if *count > n {
-                *count -= n;
-            } else {
-                self.counts.remove(&self.key[..]);
-                self.memo.clear();
-            }
+        if !self.tuples.contains(&self.key[..]) {
+            self.tuples.insert(self.key.clone().into_boxed_slice());
+            self.memo.clear();
         }
-    }
-
-    /// Every tuple, unpacked, with its count.
-    fn tuples(&self) -> impl Iterator<Item = (Vec<u64>, u64)> + '_ {
-        self.counts
-            .iter()
-            .map(|(packed, &n)| ((0..self.attrs.len()).map(|i| self.value(packed, i)).collect(), n))
     }
 
     /// The tuple position of schema attribute `attr`.
@@ -186,7 +158,7 @@ impl TupleCounts {
                 .iter()
                 .map(|a| Ok((self.position(a.attr_index(), schema)?, a)))
                 .collect::<Result<_, DbError>>()?;
-            for packed in self.counts.keys() {
+            for packed in &self.tuples {
                 if checks.iter().all(|(i, atom)| atom.matches_value(self.value(packed, *i))) {
                     seen.insert(self.value(packed, at));
                 }
@@ -195,8 +167,8 @@ impl TupleCounts {
         Ok(seen.into_iter().collect())
     }
 
-    /// [`TupleCounts::filter`] through the memo: a key answered since
-    /// the tuple set last changed is not walked again.
+    /// [`TupleSet::filter`] through the memo: a key answered since the
+    /// tuple set last changed is not walked again.
     fn memoised(
         &mut self,
         schema: &Schema,
@@ -214,7 +186,7 @@ impl TupleCounts {
         Ok(domain)
     }
 
-    /// Count the tuples `decode` yields over `attrs`, stopping as soon
+    /// Collect the tuples `decode` yields over `attrs`, stopping as soon
     /// as they pass the threshold of a `records`-record table.
     fn read<E>(
         attrs: Vec<usize>,
@@ -222,9 +194,9 @@ impl TupleCounts {
         records: usize,
         decode: &mut impl FnMut(&[usize], &mut RecordSink<'_>) -> Result<(), E>,
     ) -> Result<Self, E> {
-        let mut tuples = TupleCounts::new(attrs.clone(), schema);
+        let mut tuples = TupleSet::new(attrs.clone(), schema);
         decode(&attrs, &mut |values| {
-            tuples.add(values.iter().copied(), 1);
+            tuples.add(values.iter().copied());
             match over_threshold(tuples.len(), records) {
                 true => ControlFlow::Break(()),
                 false => ControlFlow::Continue(()),
@@ -242,10 +214,11 @@ fn over_threshold(tuples: usize, records: usize) -> bool {
 /// Where one prefix stands.
 #[derive(Debug, Clone)]
 enum State {
-    /// No GROUP BY has named the prefix yet.
+    /// No GROUP BY has named the prefix since the table was loaded or
+    /// an UPDATE last wrote one of its attributes.
     Unbuilt,
-    /// Kept and maintained.
-    Built(TupleCounts),
+    /// Kept, and grown by INSERTs.
+    Built(TupleSet),
     /// Past the threshold: read from the records on every use.
     Decoded,
 }
@@ -257,9 +230,10 @@ struct Prefix {
     state: State,
 }
 
-/// Per attribute prefix, a count per distinct tuple of the prefix's
-/// indexed attributes — built on first use, maintained by mutations,
-/// dropped past the threshold (see the module docs).
+/// Per attribute prefix, the set of distinct tuples of the prefix's
+/// indexed attributes — built on first use, grown by INSERTs, forgotten
+/// by UPDATEs that write it, dropped past the threshold (see the module
+/// docs).
 #[derive(Debug, Clone, Default)]
 pub struct DomainIndex {
     prefixes: Vec<Prefix>,
@@ -323,7 +297,7 @@ impl DomainIndex {
                 dnf.iter().map(|conj| conj.iter().filter(same).cloned().collect()).collect();
             if let State::Unbuilt = self.prefixes[p].state {
                 let attrs = self.prefixes[p].attrs.clone();
-                let tuples = TupleCounts::read(attrs, schema, records, &mut decode)?;
+                let tuples = TupleSet::read(attrs, schema, records, &mut decode)?;
                 self.prefixes[p].state = match over_threshold(tuples.len(), records) {
                     true => State::Decoded,
                     false => State::Built(tuples),
@@ -339,7 +313,7 @@ impl DomainIndex {
                     attrs.push(group);
                     attrs.sort_unstable();
                     attrs.dedup();
-                    let read = TupleCounts::read(attrs, schema, usize::MAX, &mut decode)?;
+                    let read = TupleSet::read(attrs, schema, usize::MAX, &mut decode)?;
                     read.filter(schema, group, &constraints)?
                 }
             };
@@ -348,94 +322,33 @@ impl DomainIndex {
         Ok(out)
     }
 
-    /// Count appended rows (full rows, schema order) into every built
-    /// prefix; `records` is the table's record count after the append.
+    /// Add appended rows' tuples (full rows, schema order) to every
+    /// built prefix; `records` is the table's record count after the
+    /// append.
     pub fn insert(&mut self, rows: &[Vec<u64>], records: usize) {
         for prefix in &mut self.prefixes {
             if let State::Built(tuples) = &mut prefix.state {
                 for row in rows {
-                    tuples.add(prefix.attrs.iter().map(|&a| row[a]), 1);
+                    tuples.add(prefix.attrs.iter().map(|&a| row[a]));
                 }
-            }
-        }
-        self.settle(records);
-    }
-
-    /// What an UPDATE with the SET list `set` (schema index, new value)
-    /// must read before it rewrites anything: `None` when no built
-    /// prefix holds a SET attribute, else the pre-update tuples of those
-    /// prefixes, to be filled record by record through
-    /// [`UpdateReads::record`].
-    pub fn update_reads(&self, set: &[(usize, u64)], schema: &Schema) -> Option<UpdateReads> {
-        let mut prefixes = Vec::new();
-        for (p, prefix) in self.prefixes.iter().enumerate() {
-            let touched = set.iter().any(|&(a, _)| self.prefix_of.get(a) == Some(&Some(p)));
-            if touched && matches!(prefix.state, State::Built(_)) {
-                prefixes.push((p, TupleCounts::new(prefix.attrs.clone(), schema)));
-            }
-        }
-        let attrs = prefixes.iter().flat_map(|(_, t)| t.attrs.iter().copied()).collect();
-        (!prefixes.is_empty()).then(|| UpdateReads { attrs, prefixes, set: set.to_vec() })
-    }
-
-    /// Move the counts an UPDATE changed: every pre-update tuple in
-    /// `reads` leaves its prefix and comes back with the SET values; a
-    /// tuple left with no record goes. `records` is the table's record
-    /// count.
-    pub fn apply_update(&mut self, reads: UpdateReads, records: usize) {
-        for (p, old) in reads.prefixes {
-            let State::Built(tuples) = &mut self.prefixes[p].state else { continue };
-            for (mut values, n) in old.tuples() {
-                tuples.remove(values.iter().copied(), n);
-                for (at, &attr) in old.attrs.iter().enumerate() {
-                    if let Some(&(_, v)) = reads.set.iter().find(|(a, _)| *a == attr) {
-                        values[at] = v;
-                    }
-                }
-                tuples.add(values, n);
-            }
-        }
-        self.settle(records);
-    }
-
-    /// Drop every built prefix past the threshold.
-    fn settle(&mut self, records: usize) {
-        for prefix in &mut self.prefixes {
-            if let State::Built(tuples) = &prefix.state {
                 if over_threshold(tuples.len(), records) {
                     prefix.state = State::Decoded;
                 }
             }
         }
     }
-}
 
-/// The pre-update tuples of the built prefixes an UPDATE moves (see
-/// [`DomainIndex::update_reads`]).
-#[derive(Debug, Clone)]
-pub struct UpdateReads {
-    /// Schema indices to read per selected record, prefix by prefix.
-    attrs: Vec<usize>,
-    prefixes: Vec<(usize, TupleCounts)>,
-    /// The SET list.
-    set: Vec<(usize, u64)>,
-}
-
-impl UpdateReads {
-    /// The attributes (schema indices) to read of every record the
-    /// UPDATE selects, in the order [`UpdateReads::record`] takes them.
-    pub fn attrs(&self) -> &[usize] {
-        &self.attrs
-    }
-
-    /// One selected record's pre-update values, in
-    /// [`UpdateReads::attrs`] order.
-    pub fn record(&mut self, values: &[u64]) {
-        let mut rest = values;
-        for (_, tuples) in &mut self.prefixes {
-            let (mine, others) = rest.split_at(tuples.attrs.len().min(rest.len()));
-            tuples.add(mine.iter().copied(), 1);
-            rest = others;
+    /// Forget every built prefix holding one of `attrs` (schema indices:
+    /// an UPDATE's SET attributes). It goes back to unbuilt, memo and
+    /// all, and the next GROUP BY that names it builds it again from the
+    /// records; decoded and unbuilt prefixes stay as they are.
+    pub fn forget(&mut self, attrs: impl IntoIterator<Item = usize>) {
+        for attr in attrs {
+            if let Some(&Some(p)) = self.prefix_of.get(attr) {
+                if let State::Built(_) = self.prefixes[p].state {
+                    self.prefixes[p].state = State::Unbuilt;
+                }
+            }
         }
     }
 }
@@ -604,16 +517,15 @@ mod tests {
         assert_eq!(memo_entries(&idx), 2);
 
         // UPDATE d_h = 6 WHERE d_g = 2 AND d_h = 7: (2, 7) empties into
-        // the existing (2, 6), so only a tuple leaves
+        // the existing (2, 6); the UPDATE forgets `d`, memo and all, and
+        // the next GROUP BY builds it again without (2, 7)
         let (g, h) = (1, 3);
-        let mut reads = idx.update_reads(&[(h, 6)], rel.schema()).expect("d is kept");
         let selected = (0..rel.len()).filter(|&r| rel.value(r, g) == 2 && rel.value(r, h) == 7);
         for row in selected.collect::<Vec<_>>() {
-            let values: Vec<u64> = reads.attrs().iter().map(|&a| rel.value(row, a)).collect();
-            reads.record(&values);
             rel.set_value(row, h, 6).unwrap();
         }
-        idx.apply_update(reads, rel.len());
+        idx.forget([h]);
+        assert!(matches!(idx.prefixes[1].state, State::Unbuilt));
         assert_eq!(memo_entries(&idx), 0, "an emptied tuple kept the memo");
         check(&mut idx, &rel, "tuple emptied");
         assert_eq!(memo_entries(&idx), 2);
@@ -635,17 +547,19 @@ mod tests {
         let mut idx = index(&rel);
         let q = || queries().remove(1);
         idx.domains(&q(), rel.schema(), rel.len(), decode(&rel)).unwrap();
-        // UPDATE d_h = 99 WHERE d_g = 2: read the selected rows first
+        // UPDATE d_h = 99 WHERE d_g = 2: `d` is forgotten and built
+        // again by the next GROUP BY
         let (g, h) = (1, 3);
-        let mut reads = idx.update_reads(&[(h, 99)], rel.schema()).expect("d is built");
         let selected: Vec<usize> = (0..rel.len()).filter(|&r| rel.value(r, g) == 2).collect();
         for row in selected {
-            let values: Vec<u64> = reads.attrs().iter().map(|&a| rel.value(row, a)).collect();
-            reads.record(&values);
             rel.set_value(row, h, 99).unwrap();
         }
-        idx.apply_update(reads, rel.len());
-        assert!(idx.update_reads(&[(0, 1)], rel.schema()).is_none(), "lo is not built");
+        idx.forget([h]);
+        assert!(matches!(idx.prefixes[1].state, State::Unbuilt));
+        idx.forget([0]);
+        assert!(matches!(idx.prefixes[0].state, State::Unbuilt), "lo is not built");
+        idx.domains(&q(), rel.schema(), rel.len(), decode(&rel)).unwrap();
+        assert!(matches!(idx.prefixes[1].state, State::Built(_)));
         // INSERT two rows, one with a fresh d tuple
         let rows = vec![vec![1, 6, 0, 100, 1, 3], rel.row(0)];
         for row in &rows {
@@ -656,5 +570,62 @@ mod tests {
             let got = idx.domains(&q, rel.schema(), rel.len(), decode(&rel)).unwrap();
             assert_eq!(got, group_domains(&q, &rel).unwrap(), "{}", q.filter);
         }
+    }
+
+    /// Ask every probe, each answer held against the row scan; returns
+    /// how many times the index called `decode`.
+    fn decodes(idx: &mut DomainIndex, rel: &Relation, probes: &[Query]) -> usize {
+        let mut calls = 0;
+        for q in probes {
+            let mut inner = decode(rel);
+            let counted = |attrs: &[usize], sink: &mut RecordSink<'_>| {
+                calls += 1;
+                inner(attrs, sink)
+            };
+            let got = idx.domains(q, rel.schema(), rel.len(), counted).unwrap();
+            assert_eq!(got, group_domains(q, rel).unwrap(), "{}", q.filter);
+        }
+        calls
+    }
+
+    #[test]
+    fn an_update_forgets_only_the_prefixes_it_writes() {
+        let mut rel = rel(300);
+        let mut idx = index(&rel);
+        // keys on `d` and `w` only: both prefixes are kept
+        let probes: Vec<Query> = queries().into_iter().take(3).collect();
+        assert_eq!(decodes(&mut idx, &rel, &probes), 2, "one build per prefix");
+        assert_eq!(decodes(&mut idx, &rel, &probes), 0, "a repeat is the memo's");
+        let memo = memo_entries(&idx);
+        // UPDATE `attr` = `value` WHERE `d_g` = `g`, on the relation
+        let set = |rel: &mut Relation, attr: usize, value: u64, g: u64| {
+            let rows: Vec<usize> = (0..rel.len()).filter(|&r| rel.value(r, 1) == g).collect();
+            rows.iter().for_each(|&r| rel.set_value(r, attr, value).unwrap());
+        };
+
+        // UPDATE lo_v = 1 WHERE d_g = 4 names no attribute of a kept
+        // prefix: both stay, memo and all, and nothing is decoded
+        set(&mut rel, 0, 1, 4);
+        idx.forget([0]);
+        assert!(idx.prefixes[1..].iter().all(|p| matches!(p.state, State::Built(_))));
+        assert_eq!(memo_entries(&idx), memo);
+        assert_eq!(decodes(&mut idx, &rel, &probes), 0, "a fact-side UPDATE cost a decode");
+
+        // UPDATE d_h = 99 WHERE d_g = 2 costs one rebuild of `d` on the
+        // next GROUP BY, and none after it; `w` keeps its memo
+        set(&mut rel, 3, 99, 2);
+        idx.forget([3]);
+        assert!(matches!(idx.prefixes[1].state, State::Unbuilt));
+        assert!(matches!(idx.prefixes[2].state, State::Built(_)));
+        assert_eq!(decodes(&mut idx, &rel, &probes), 1, "one rebuild of d");
+        assert_eq!(decodes(&mut idx, &rel, &probes), 0);
+        assert_eq!(memo_entries(&idx), memo);
+
+        // an INSERT of a tuple every kept prefix already holds keeps the memo
+        let row = rel.row(5);
+        rel.push_row(&row).unwrap();
+        idx.insert(&[row], rel.len());
+        assert_eq!(memo_entries(&idx), memo, "an existing tuple dropped the memo");
+        assert_eq!(decodes(&mut idx, &rel, &probes), 0);
     }
 }

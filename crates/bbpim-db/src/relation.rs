@@ -110,14 +110,8 @@ impl Relation {
     ///
     /// Panics when either index is out of bounds.
     pub fn set_value(&mut self, row: usize, attr_index: usize, value: u64) -> Result<(), DbError> {
-        Arc::make_mut(&mut self.columns)[attr_index].set(row, value).map_err(|e| match e {
-            DbError::ValueOutOfRange { value, bits, .. } => DbError::ValueOutOfRange {
-                attr: self.schema.attrs()[attr_index].name.clone(),
-                value,
-                bits,
-            },
-            other => other,
-        })
+        self.schema.attrs()[attr_index].check(value)?;
+        Arc::make_mut(&mut self.columns)[attr_index].set(row, value)
     }
 
     /// Borrow a column by attribute index.

@@ -54,6 +54,23 @@ impl Attribute {
         }
     }
 
+    /// Whether `value` fits this attribute's width.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::ValueOutOfRange`], naming the attribute, when it does
+    /// not.
+    pub fn check(&self, value: u64) -> Result<(), DbError> {
+        if self.bits < 64 && value >> self.bits != 0 {
+            return Err(DbError::ValueOutOfRange {
+                attr: self.name.clone(),
+                value,
+                bits: self.bits,
+            });
+        }
+        Ok(())
+    }
+
     /// Encode a string through this attribute's dictionary.
     ///
     /// # Errors
@@ -152,16 +169,7 @@ impl Schema {
         if values.len() != self.arity() {
             return Err(DbError::ArityMismatch { got: values.len(), expected: self.arity() });
         }
-        for (attr, &v) in self.attrs.iter().zip(values) {
-            if attr.bits < 64 && v >> attr.bits != 0 {
-                return Err(DbError::ValueOutOfRange {
-                    attr: attr.name.clone(),
-                    value: v,
-                    bits: attr.bits,
-                });
-            }
-        }
-        Ok(())
+        self.attrs.iter().zip(values).try_for_each(|(attr, &v)| attr.check(v))
     }
 }
 

@@ -151,6 +151,14 @@ no_mode_or_model_parameter() {
   if printf '%s\n' "$run" "$exec" "$scan" | grep -wE 'EngineMode|GroupByModel'; then return 1; fi
 }
 
+# An UPDATE is PIM work only: the non-test code of `mutation.rs` reads no
+# record under the mask (its domain-index upkeep forgets the prefixes it
+# writes), and the domain index has no pre-update read list.
+no_host_read_in_update() {
+  if nontest crates/bbpim-core/src/mutation.rs | grep -nF -e '.read(' -e '.mask('; then return 1; fi
+  if grep -nw 'UpdateReads' crates/bbpim-db/src/domain.rs; then return 1; fi
+}
+
 # --- tests ---------------------------------------------------------------
 
 # The integration suites share one fixture module: no suite defines a
@@ -191,6 +199,7 @@ for rule in \
   no_dangling_key_outside_the_fk_probe \
   no_transfer_lever_read_outside_pim_module \
   no_mode_or_model_parameter \
+  no_host_read_in_update \
   no_shared_fixture_copy_outside_tests_common \
   one_kernel_driving_loop \
   no_kernel_in_the_serve_module; do

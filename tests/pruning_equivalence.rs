@@ -7,16 +7,19 @@
 
 mod common;
 
-use bbpim::cluster::{ClusterEngine, Partitioner};
+use bbpim::cluster::{ClusterEngine, ClusterError, Partitioner};
 use bbpim::db::builder::col;
-use bbpim::db::plan::{AggExpr, AggFunc, Atom, Query};
+use bbpim::db::error::DbError;
+use bbpim::db::plan::{AggExpr, AggFunc, Atom, Query, SelectItem};
+use bbpim::db::schema::{Attribute, Schema};
 use bbpim::db::ssb::{queries, SsbDb, SsbParams};
-use bbpim::db::stats;
+use bbpim::db::{stats, Relation};
+use bbpim::engine::error::CoreError;
 use bbpim::engine::modes::EngineMode;
 use bbpim::engine::mutation::Mutation;
 use bbpim::join::StarCluster;
 use bbpim::sim::SimConfig;
-use common::{prejoined_cluster, prejoined_cluster_by, ssb, ssb_wide};
+use common::{prejoined_cluster, prejoined_cluster_by, single_engine, ssb, ssb_wide};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -169,6 +172,71 @@ fn update_then_query_keeps_pruning_sound() {
             assert_eq!(rep.records_updated, expected_updates, "{shards} shards {}", p.label());
             let out = c.run(&probe).unwrap();
             assert_eq!(out.groups, oracle, "{shards} shards {}", p.label());
+        }
+    }
+}
+
+/// An UPDATE whose SET list holds a numeric constant wider than its
+/// attribute is refused whole, with nothing written. `build` names the
+/// attribute; unchecked, the mutation fails on a single engine in every
+/// mode and on a range-partitioned cluster before its first write, and
+/// every probe, pruned and exhaustive, still answers as the unchanged
+/// relation does. Had `lo_a = 200` been written before `lo_b = 1000`
+/// failed, records would hold a `lo_a` no zone map admits, and the
+/// pruned `lo_a = 200` count would miss them.
+#[test]
+fn an_out_of_range_set_constant_writes_nothing() {
+    let attrs = vec![
+        Attribute::numeric("lo_a", 8),
+        Attribute::numeric("lo_b", 4),
+        Attribute::numeric("d_year", 3),
+    ];
+    let mut rel = Relation::new(Schema::new("t", attrs).unwrap());
+    for i in 0..5000u64 {
+        rel.push_row(&[i % 199, i % 16, (i / 700) % 8]).unwrap();
+    }
+    let update = || {
+        let m = Mutation::update().filter(col("lo_b").eq(3u64));
+        m.set("lo_a", 200u64).set("lo_b", 1000u64)
+    };
+    let out_of_range = |err: &CoreError| matches!(err, CoreError::Db(DbError::ValueOutOfRange { attr, value: 1000, bits: 4 }) if attr == "lo_b");
+    let err = update().build(rel.schema()).unwrap_err();
+    assert!(out_of_range(&err), "{err}");
+    let m = update().build_unchecked();
+    let mut replayed = rel.clone();
+    assert!(m.apply_to(&mut replayed).is_err(), "the replay oracle applied it");
+    assert_eq!(replayed, rel, "the replay oracle wrote before refusing");
+
+    let count = |filter| Query::select([SelectItem::count("n")]).filter(filter).build_unchecked();
+    let by_year = Query::select([SelectItem::sum("s", AggExpr::attr("lo_a"))])
+        .filter(col("lo_b").lt(8u64))
+        .group_by(["d_year"])
+        .build_unchecked();
+    let probes = [count(col("lo_a").eq(200u64)), count(col("lo_b").eq(3u64)), by_year];
+    let oracles: Vec<_> = probes.iter().map(|q| stats::run_oracle(q, &rel).unwrap()).collect();
+
+    for mode in [EngineMode::OneXb, EngineMode::TwoXb, EngineMode::PimDb] {
+        let mut engine = single_engine(rel.clone(), mode);
+        let err = engine.mutate(&m).unwrap_err();
+        assert!(out_of_range(&err), "{mode:?}: {err}");
+        for pruning in [true, false] {
+            engine.set_pruning(pruning);
+            for (q, oracle) in probes.iter().zip(&oracles) {
+                let got = engine.run(q).unwrap().groups;
+                assert_eq!(&got, oracle, "{mode:?} pruning={pruning}: {}", q.filter);
+            }
+        }
+    }
+    let mut c = prejoined_cluster_by(&rel, 4, Partitioner::range_by_attr("d_year"));
+    match c.mutate(&m).unwrap_err() {
+        ClusterError::Core(err) => assert!(out_of_range(&err), "cluster: {err}"),
+        err => panic!("cluster: {err}"),
+    }
+    for pruning in [true, false] {
+        c.set_pruning(pruning);
+        for (q, oracle) in probes.iter().zip(&oracles) {
+            let got = c.run(q).unwrap().groups;
+            assert_eq!(&got, oracle, "cluster pruning={pruning}: {}", q.filter);
         }
     }
 }
