@@ -23,6 +23,20 @@
 //! joins through PIM-side semijoin bitmaps. Answers are bit-identical
 //! between the two.
 //!
+//! ## One scatter/gather surface
+//!
+//! [`StreamEngine`] is declared here and implemented once, by
+//! [`Cluster`], for both storage models: shard admission
+//! ([`StreamEngine::plan_shards`]), one shard's slice of a query
+//! ([`StreamEngine::run_on_shard`]), the gather
+//! ([`StreamEngine::merge_executions`]) and the lane-indexed mutation
+//! fan-out ([`StreamEngine::plan_mutation_lanes`],
+//! [`StreamEngine::apply_mutation`]). [`Cluster::run`],
+//! [`Cluster::run_batch`] and [`Cluster::mutate`] are built from these
+//! pieces; the streaming scheduler in `bbpim-sched` drives them to
+//! interleave different queries' shard slices. Calling them needs the
+//! trait in scope (`use bbpim_cluster::StreamEngine`).
+//!
 //! ## Zone-map shard pruning
 //!
 //! Every shard's table keeps the zone maps of its pages (per-attribute
@@ -61,18 +75,18 @@ use bbpim_core::groupby::cost_model::GroupByModel;
 use bbpim_core::layout::RecordLayout;
 use bbpim_core::modes::EngineMode;
 use bbpim_core::mutation::{Mutation, MutationReport};
-use bbpim_core::result::{QueryExecution, QueryReport};
+use bbpim_core::result::{PartialGroups, QueryExecution, QueryReport};
 use bbpim_core::PimTable;
 use bbpim_db::plan::{FilterBounds, Pred, Query, ResolvedAtom};
 use bbpim_db::schema::Schema;
-use bbpim_db::stats::MultiGrouped;
+use bbpim_db::stats::{GroupedResult, MultiGrouped};
 use bbpim_db::Relation;
-use bbpim_sim::config::SimConfig;
+use bbpim_sim::config::{HostConfig, SimConfig};
 use bbpim_sim::XferPolicy;
 
 use crate::error::ClusterError;
 use crate::explain::{JoinTransfer, PlanExplain, ShardPlan};
-use crate::fold::{fold_mutation, serial_slice_ns};
+use crate::fold::{dispatch_ns, fold_mutation, one_host_ns, serial_slice_ns};
 use crate::partition::Partitioner;
 
 /// One fact shard: its position in the cluster plus its table.
@@ -194,9 +208,9 @@ pub struct Cluster<S: Storage> {
     /// (what the cluster plans and reports against, shards or none).
     pub(crate) fact: Schema,
     pub(crate) layout: RecordLayout,
-    /// Shared plans by (query id, filter). The one [`Cluster::run_on_shard`]
-    /// call that compiled a plan charged its prelude; every toggle and
-    /// write drops them all.
+    /// Shared plans by (query id, filter). The one
+    /// [`StreamEngine::run_on_shard`] call that compiled a plan charged
+    /// its prelude; every toggle and write drops them all.
     plans: Vec<(String, Pred, S::Plan)>,
     shard_count: usize,
     partitioner: Partitioner,
@@ -341,7 +355,7 @@ impl ClusterEngine {
     /// load each non-empty slice into its own module (same `cfg`). Empty
     /// slices — common when a range split has more buckets than distinct
     /// values — are dropped: they own no module, and
-    /// [`Cluster::active_shards`] excludes them while
+    /// [`StreamEngine::active_shards`] excludes them while
     /// [`Cluster::shard_count`] keeps reporting the configured count.
     ///
     /// Every shard gets `cfg` unchanged: a cluster of full-size modules.
@@ -427,11 +441,6 @@ impl<S: Storage> Cluster<S> {
         self.shard_count
     }
 
-    /// Fact shards actually holding records.
-    pub fn active_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Fact records across the cluster.
     pub fn records(&self) -> usize {
         self.shards.iter().map(|s| s.table.records()).sum()
@@ -460,15 +469,6 @@ impl<S: Storage> Cluster<S> {
     pub fn set_pruning(&mut self, enabled: bool) {
         self.tables_mut().for_each(|table| table.set_pruning(enabled));
         self.plans.clear();
-    }
-
-    /// Is the shared-host-channel contention model enabled (default)?
-    /// When on, every host↔module transfer serialises across shards in
-    /// the wall clock; when off, only per-page dispatch does (the
-    /// pre-contention optimistic model). Answers are bit-identical
-    /// either way — only time accounting changes.
-    pub fn contention(&self) -> bool {
-        self.contention
     }
 
     /// Enable or disable the shared-host-channel contention model for
@@ -508,34 +508,12 @@ impl<S: Storage> Cluster<S> {
         self.aux.get(d)
     }
 
-    /// Total ingest lanes the scheduler sees: one per active fact shard
-    /// plus one per auxiliary table (table `d` is lane
-    /// `active_shards() + d`).
-    pub fn ingest_lanes(&self) -> usize {
-        self.shards.len() + self.aux.len()
-    }
-
     /// The storage model's bounds of `filter` on the fact table.
     fn bounds(
         &self,
         filter: &Pred,
     ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError> {
         self.storage.bounds(&self.fact, &self.aux, filter, self.shards.len())
-    }
-
-    /// The pre-scatter plan of a filter tree: `true` per active shard
-    /// that must be dispatched, `false` where the shard's zone map
-    /// proves no record can match any DNF branch (the bounds of an OR
-    /// are the per-attribute interval union of its branches; a star
-    /// filter bounds the fact table through its FK hulls, so dimension
-    /// selectivity prunes fact shards through the join). With pruning
-    /// disabled every shard is dispatched.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filter resolution failures.
-    pub fn plan_shards(&self, filter: &Pred) -> Result<Vec<bool>, ClusterError> {
-        self.admit(filter, || Ok(FilterBounds::from_dnf(&self.bounds(filter)?.0)))
     }
 
     /// The one shard-admission test: every active shard with pruning off
@@ -604,51 +582,6 @@ impl<S: Storage> Cluster<S> {
             join_transfers,
             dispatch_bytes,
         })
-    }
-
-    /// Execute `query` on one active shard alone and return that
-    /// shard's partial execution — the scatter half of
-    /// [`Cluster::run`] as a reusable building block. The streaming
-    /// scheduler (`bbpim-sched`) uses it to interleave *different*
-    /// queries' shard slices on different modules; folding the
-    /// per-shard partials through [`Cluster::merge_executions`] in
-    /// shard order yields answers bit-identical to [`Cluster::run`].
-    /// The call that finds no cached plan for the (query id, filter)
-    /// compiles one, leads with it (a star join's prelude rides in its
-    /// log) and caches it once the shard ran; later calls reuse it for
-    /// free. A failed call caches nothing it compiled.
-    ///
-    /// `i` indexes active shards (like [`Cluster::shard_table`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::InvalidCluster`] for an unknown shard index;
-    /// shard failures otherwise.
-    pub fn run_on_shard(
-        &mut self,
-        i: usize,
-        query: &Query,
-    ) -> Result<QueryExecution, ClusterError> {
-        let active = self.shards.len();
-        if i >= active {
-            return Err(ClusterError::InvalidCluster(format!("no active shard {i}/{active}")));
-        }
-        let cached = self.plans.iter().position(|(id, f, _)| *id == query.id && *f == query.filter);
-        let at = match cached {
-            Some(at) => at,
-            None => {
-                let plan = self.storage.plan(&self.shards[0].table, &mut self.aux, query)?;
-                self.plans.push((query.id.clone(), query.filter.clone(), plan));
-                self.plans.len() - 1
-            }
-        };
-        let (plan, table) = (&self.plans[at].2, &mut self.shards[i].table);
-        let lead = cached.is_none();
-        let exec = self.storage.exec_shard(plan, table, &self.aux, query, lead);
-        if exec.is_err() && lead {
-            self.plans.pop();
-        }
-        exec
     }
 
     /// Scatter: every shard drains *its own* queue — the queries whose
@@ -794,19 +727,148 @@ impl<S: Storage> Cluster<S> {
         Ok(target)
     }
 
-    /// The ingest *lanes* a mutation will touch, in lane order — the
-    /// scheduler's ingest-buffer admission check. An UPDATE of an
-    /// auxiliary table occupies that table's lane; a fact UPDATE the
-    /// shards whose zone maps admit the WHERE clause (the full DNF: the
-    /// bounds of an OR are the per-attribute interval union of its
-    /// branches); an INSERT (fact rows only) the lanes its
-    /// deterministic round-robin row routing — cursor
-    /// `records % active` — will land the rows on.
+    /// INSERT's row routing, decided here alone: fact rows go
+    /// round-robin from the deterministic cursor `records % active`, so
+    /// a given cluster history always lands rows on the same lanes.
+    /// Yields the lane of each of the first `rows` INSERT rows, in row
+    /// order; `None` without an active shard.
+    fn insert_lanes(&self, rows: usize) -> Option<impl Iterator<Item = usize>> {
+        let active = self.shards.len();
+        let start = self.records().checked_rem(active)?;
+        Some((0..rows).map(move |k| (start + k) % active))
+    }
+
+    /// Fan a mutation out across the cluster and aggregate one report
+    /// (same wall-clock model as [`Cluster::run`]: host-serial channel
+    /// occupancy plus max-over-lanes of the overlappable PIM-side
+    /// time).
     ///
     /// # Errors
     ///
-    /// Cross-table UPDATEs and filter resolution failures.
-    pub fn plan_mutation_lanes(&self, m: &Mutation) -> Result<Vec<usize>, ClusterError> {
+    /// Same failure modes as [`StreamEngine::apply_mutation`].
+    pub fn mutate(&mut self, m: &Mutation) -> Result<ClusterMutationReport, ClusterError> {
+        let lanes = self.apply_mutation(m)?;
+        let active = self.shards.len();
+        let on_aux = lanes.iter().any(|(lane, _)| *lane >= active);
+        let shards_pruned = if on_aux { 0 } else { active - lanes.len() };
+        let reports = lanes.into_iter().map(|(_, r)| r).collect();
+        Ok(fold_mutation(self.contention, reports, shards_pruned))
+    }
+}
+
+/// The scatter/gather surface the streaming scheduler needs from a
+/// sharded engine. [`Cluster`] implements it once for every storage
+/// model — the scheduler interleaves shard slices identically on the
+/// pre-joined and the star store, so streamed answers stay
+/// bit-identical to batch runs whichever one is underneath.
+pub trait StreamEngine {
+    /// Is the shared-host-channel contention model on?
+    fn contention(&self) -> bool;
+
+    /// The host-channel parameters (`None` only for a cluster with no
+    /// table of either kind, which has no candidate shard and applies
+    /// no mutation).
+    fn host_config(&self) -> Option<HostConfig>;
+
+    /// Fact shards actually holding records.
+    fn active_shards(&self) -> usize;
+
+    /// Every lane a mutation may occupy: the fact shards plus any
+    /// auxiliary ingest lanes (the star cluster adds one per dimension
+    /// table). Lane indices in [`StreamEngine::apply_mutation`] reports
+    /// are always below this; fact-shard lanes share indices — and
+    /// per-module queues — with query shard slices.
+    fn ingest_lanes(&self) -> usize {
+        self.active_shards()
+    }
+
+    /// The lanes a mutation would occupy *right now* — the
+    /// ingest-buffer admission check. Re-planned on every admission
+    /// attempt: earlier admissions widen zone maps and advance insert
+    /// cursors, so a stalled mutation's lane set may shrink or move by
+    /// the time it clears the buffer.
+    ///
+    /// # Errors
+    ///
+    /// Attribute resolution / routing failures.
+    fn plan_mutation_lanes(&self, mutation: &Mutation) -> Result<Vec<usize>, ClusterError>;
+
+    /// Apply `mutation` to the engine state (zone maps widen, domain
+    /// indexes follow, cached plans invalidate) and return the per-lane
+    /// reports whose phase logs become the mutation's slice chains.
+    ///
+    /// Implementers must report **every lane they changed**, including
+    /// lanes where zero records matched (an UPDATE may still rewrite
+    /// page zones there): the scheduler re-runs cached shard executions
+    /// only on the lanes this list names.
+    ///
+    /// # Errors
+    ///
+    /// Validation or substrate failures.
+    fn apply_mutation(
+        &mut self,
+        mutation: &Mutation,
+    ) -> Result<Vec<(usize, MutationReport)>, ClusterError>;
+
+    /// Zone-map shard admission: one flag per active shard.
+    ///
+    /// # Errors
+    ///
+    /// Attribute resolution failures.
+    fn plan_shards(&self, filter: &Pred) -> Result<Vec<bool>, ClusterError>;
+
+    /// Execute one query on one active shard (the scatter half).
+    ///
+    /// # Errors
+    ///
+    /// Unknown shard index or substrate failures.
+    fn run_on_shard(&mut self, shard: usize, query: &Query)
+        -> Result<QueryExecution, ClusterError>;
+
+    /// Fold per-shard partials into a cluster answer (the gather half).
+    fn merge_executions(
+        &self,
+        query: &Query,
+        executions: &[&QueryExecution],
+        shards_pruned: usize,
+    ) -> ClusterExecution;
+}
+
+/// Both storage models are the one [`Cluster`]: a star join's prelude
+/// is ordinary phases in its lead shard's log, so dimension filters and
+/// bitmap broadcasts queue on the shared channel like any transfer.
+impl<S: Storage> StreamEngine for Cluster<S> {
+    /// On by default: every host↔module transfer serialises across
+    /// shards in the wall clock; off, only per-page dispatch does (the
+    /// pre-contention optimistic model, [`Cluster::set_contention`]).
+    /// Answers are bit-identical either way.
+    fn contention(&self) -> bool {
+        self.contention
+    }
+
+    fn host_config(&self) -> Option<HostConfig> {
+        let table = self.shard_table(0).or_else(|| self.aux_table(0));
+        table.map(|t| t.config().host.clone())
+    }
+
+    fn active_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// One lane per active fact shard plus one per auxiliary table
+    /// (table `d` is lane `active_shards() + d`).
+    fn ingest_lanes(&self) -> usize {
+        self.shards.len() + self.aux.len()
+    }
+
+    /// In lane order. An UPDATE of an auxiliary table occupies that
+    /// table's lane; a fact UPDATE the shards whose zone maps admit the
+    /// WHERE clause (the full DNF: the bounds of an OR are the
+    /// per-attribute interval union of its branches); an INSERT (fact
+    /// rows only) the lanes its deterministic round-robin row routing —
+    /// cursor `records % active` — will land the rows on. A cross-table
+    /// UPDATE is an error.
+    fn plan_mutation_lanes(&self, m: &Mutation) -> Result<Vec<usize>, ClusterError> {
         let active = self.shards.len();
         match m {
             Mutation::Update { filter, set } => match self.route_update(filter, set)? {
@@ -825,36 +887,20 @@ impl<S: Storage> Cluster<S> {
         }
     }
 
-    /// INSERT's row routing, decided here alone: fact rows go
-    /// round-robin from the deterministic cursor `records % active`, so
-    /// a given cluster history always lands rows on the same lanes.
-    /// Yields the lane of each of the first `rows` INSERT rows, in row
-    /// order; `None` without an active shard.
-    fn insert_lanes(&self, rows: usize) -> Option<impl Iterator<Item = usize>> {
-        let active = self.shards.len();
-        let start = self.records().checked_rem(active)?;
-        Some((0..rows).map(move |k| (start + k) % active))
-    }
-
-    /// Lane-indexed mutation fan-out: execute `m` on each involved lane
-    /// *serially* and return the per-lane reports in lane order — the
-    /// scheduler's building block (each lane's write phases then
-    /// serialise independently on the shared bus). An UPDATE runs on
-    /// the one auxiliary table it names (cost proportional to that
-    /// table's cardinality — the normalization win over rewriting a
-    /// denormalized column on every fact shard) or on every
-    /// zone-admitted fact shard; an INSERT routes fact rows round-robin
-    /// from the cursor `records % active`. Each table widens its own
-    /// zone maps as it writes, so later pruning decisions account for
-    /// the written values; the cached plans are dropped.
+    /// Executes `m` on each involved lane *serially*, in lane order
+    /// (each lane's write phases then serialise independently on the
+    /// shared bus). An UPDATE runs on the one auxiliary table it names
+    /// (cost proportional to that table's cardinality — the
+    /// normalization win over rewriting a denormalized column on every
+    /// fact shard) or on every zone-admitted fact shard; an INSERT
+    /// routes fact rows round-robin from the cursor `records % active`.
+    /// Each table widens its own zone maps as it writes; the cached
+    /// plans are dropped.
     ///
-    /// # Errors
-    ///
-    /// [`ClusterError::InvalidCluster`] for a cross-table UPDATE or an
-    /// INSERT into a cluster with no active shards; shard failures
-    /// otherwise. Mutations are not atomic: on a mid-fan-out error
-    /// earlier lanes have applied.
-    pub fn mutate_on_lanes(
+    /// A cross-table UPDATE or an INSERT into a cluster with no active
+    /// shards is [`ClusterError::InvalidCluster`]. Mutations are not
+    /// atomic: on a mid-fan-out error earlier lanes have applied.
+    fn apply_mutation(
         &mut self,
         m: &Mutation,
     ) -> Result<Vec<(usize, MutationReport)>, ClusterError> {
@@ -893,21 +939,120 @@ impl<S: Storage> Cluster<S> {
         Ok(out)
     }
 
-    /// Fan a mutation out across the cluster and aggregate one report
-    /// (same wall-clock model as [`Cluster::run`]: host-serial channel
-    /// occupancy plus max-over-lanes of the overlappable PIM-side
-    /// time).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Cluster::mutate_on_lanes`].
-    pub fn mutate(&mut self, m: &Mutation) -> Result<ClusterMutationReport, ClusterError> {
-        let lanes = self.mutate_on_lanes(m)?;
+    /// `false` where the shard's zone map proves no record can match
+    /// any DNF branch (the bounds of an OR are the per-attribute
+    /// interval union of its branches; a star filter bounds the fact
+    /// table through its FK hulls, so dimension selectivity prunes fact
+    /// shards through the join). With pruning disabled every shard is
+    /// dispatched.
+    fn plan_shards(&self, filter: &Pred) -> Result<Vec<bool>, ClusterError> {
+        self.admit(filter, || Ok(FilterBounds::from_dnf(&self.bounds(filter)?.0)))
+    }
+
+    /// The scatter half of [`Cluster::run`] as a reusable building
+    /// block: folding the per-shard partials through
+    /// [`StreamEngine::merge_executions`] in shard order yields answers
+    /// bit-identical to `run`. The call that finds no cached plan for
+    /// the (query id, filter) compiles one, leads with it (a star
+    /// join's prelude rides in its log) and caches it once the shard
+    /// ran; later calls reuse it for free. A failed call caches nothing
+    /// it compiled. `i` indexes active shards (like
+    /// [`Cluster::shard_table`]); an unknown one is
+    /// [`ClusterError::InvalidCluster`].
+    fn run_on_shard(&mut self, i: usize, query: &Query) -> Result<QueryExecution, ClusterError> {
         let active = self.shards.len();
-        let on_aux = lanes.iter().any(|(lane, _)| *lane >= active);
-        let shards_pruned = if on_aux { 0 } else { active - lanes.len() };
-        let reports = lanes.into_iter().map(|(_, r)| r).collect();
-        Ok(fold_mutation(self.contention, reports, shards_pruned))
+        if i >= active {
+            return Err(ClusterError::InvalidCluster(format!("no active shard {i}/{active}")));
+        }
+        let cached = self.plans.iter().position(|(id, f, _)| *id == query.id && *f == query.filter);
+        let at = match cached {
+            Some(at) => at,
+            None => {
+                let plan = self.storage.plan(&self.shards[0].table, &mut self.aux, query)?;
+                self.plans.push((query.id.clone(), query.filter.clone(), plan));
+                self.plans.len() - 1
+            }
+        };
+        let (plan, table) = (&self.plans[at].2, &mut self.shards[i].table);
+        let lead = cached.is_none();
+        let exec = self.storage.exec_shard(plan, table, &self.aux, query, lead);
+        if exec.is_err() && lead {
+            self.plans.pop();
+        }
+        exec
+    }
+
+    /// The gather half of [`Cluster::run`]; `shards_pruned` is
+    /// reporting-only. Each *physical* component (sum / min / max /
+    /// count) merges per named output column; derived outputs (`AVG`)
+    /// are computed only afterwards, so they stay bit-exact under
+    /// sharding. Merging commutes with how the partials were obtained,
+    /// so a scheduler that executed the shard slices out of order still
+    /// gets the bit-identical merged result.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a query whose SELECT list is invalid — impossible for
+    /// executions the shards produced (they validate at run time).
+    fn merge_executions(
+        &self,
+        query: &Query,
+        executions: &[&QueryExecution],
+        shards_pruned: usize,
+    ) -> ClusterExecution {
+        let plan = query.physical_plan().expect("executed queries have a valid SELECT list");
+        let mut partials: Vec<PartialGroups> =
+            plan.aggs.iter().map(|a| PartialGroups::new(a.func)).collect();
+        let mut merged_entries = 0u64;
+        for exec in executions {
+            for (acc, part) in partials.iter_mut().zip(&exec.partials) {
+                merged_entries += part.groups.len() as u64;
+                acc.absorb_ref(part);
+            }
+        }
+        // Host-side gather cost: the host folds every (shard, group)
+        // partial into the final table, at its hash-aggregation rate.
+        let host_agg_ns_per_entry =
+            self.shards.first().map_or(0.0, |s| s.table.config().host.host_agg_ns_per_record);
+        let merge_time_ns = merged_entries as f64 * host_agg_ns_per_entry;
+
+        let shards =
+            executions.iter().map(|e| (e.report.time_ns, e.report.host_bus_ns, &e.report.phases));
+        let wall_ns = one_host_ns(self.contention, shards);
+        let selected: u64 = executions.iter().map(|e| e.report.selected).sum();
+        let records = self.records();
+        let report = ClusterReport {
+            query_id: query.id.clone(),
+            mode: self.mode(),
+            shards: self.shard_count(),
+            active_shards: self.shards.len(),
+            shards_pruned,
+            partitioner: self.partitioner().label(),
+            time_ns: wall_ns + merge_time_ns,
+            dispatch_time_ns: executions.iter().map(|e| dispatch_ns(&e.report.phases)).sum(),
+            host_bus_time_ns: executions.iter().map(|e| e.report.host_bus_ns).sum(),
+            merge_time_ns,
+            total_shard_time_ns: executions.iter().map(|e| e.report.time_ns).sum(),
+            energy_pj: executions.iter().map(|e| e.report.energy_pj).sum(),
+            peak_chip_power_w: executions
+                .iter()
+                .map(|e| e.report.peak_chip_power_w)
+                .fold(0.0, f64::max),
+            records,
+            pages_total: self.shards.iter().map(|s| s.table.page_count()).sum(),
+            pages_scanned: executions.iter().map(|e| e.report.pages_scanned).sum(),
+            selected,
+            selectivity: if records == 0 { 0.0 } else { selected as f64 / records as f64 },
+            max_shard_subgroups: executions
+                .iter()
+                .map(|e| e.report.total_subgroups)
+                .max()
+                .unwrap_or(0),
+            per_shard: executions.iter().map(|e| e.report.clone()).collect(),
+        };
+        let per_agg: Vec<GroupedResult> =
+            partials.into_iter().map(PartialGroups::into_groups).collect();
+        ClusterExecution { groups: plan.finalize(&per_agg), report }
     }
 }
 

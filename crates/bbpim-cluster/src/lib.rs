@@ -41,14 +41,14 @@
 //!   multiplexer rewrites the records it owns; INSERT rows route
 //!   round-robin. The touched shards' zone maps widen so pruning stays
 //!   sound after writes.
-//! * Scatter and gather are also exposed as building blocks —
-//!   [`engine::Cluster::run_on_shard`] executes one query on one
-//!   shard, [`engine::Cluster::merge_executions`] folds partials into a
-//!   cluster answer, and [`engine::Cluster::explain`] dumps the
+//! * [`StreamEngine`] — the one scatter/gather surface, implemented by
+//!   the cluster: [`StreamEngine::run_on_shard`] executes one query on
+//!   one shard and [`StreamEngine::merge_executions`] folds partials
+//!   into a cluster answer, so the streaming scheduler in `bbpim-sched`
+//!   can interleave different queries' shard slices instead of
+//!   scattering whole queries. [`engine::Cluster::explain`] dumps the
 //!   zone-map plan (shards/pages candidate vs pruned, dispatch bytes,
-//!   the join ledger) without executing — so the streaming scheduler
-//!   in `bbpim-sched` can interleave different queries' shard slices
-//!   instead of scattering whole queries.
+//!   the join ledger) without executing.
 //!
 //! ```
 //! use bbpim_cluster::{ClusterEngine, Partitioner};
@@ -76,6 +76,7 @@ pub mod star;
 pub use bitmap::KeyBitmap;
 pub use engine::{
     BatchExecution, Cluster, ClusterEngine, ClusterExecution, ClusterReport, PreJoined, Storage,
+    StreamEngine,
 };
 pub use error::ClusterError;
 pub use explain::{JoinTransfer, PlanExplain, ShardPlan};

@@ -44,9 +44,10 @@
 //! charged once per query, prepended to the lead shard's log. The
 //! cluster decides which shard leads: [`Cluster::run`] and
 //! [`Cluster::run_batch`] compile every plan afresh and lead with each
-//! query's first dispatched shard; [`Cluster::run_on_shard`] leads with
-//! the call that compiles the plan its cache lacked, so stepwise
-//! execution charges what `run` does. Under the contention model the
+//! query's first dispatched shard;
+//! [`StreamEngine::run_on_shard`](crate::StreamEngine::run_on_shard)
+//! leads with the call that compiles the plan its cache lacked, so
+//! stepwise execution charges what `run` does. Under the contention model the
 //! prelude's bus slices serialise like any other host transfer. Other
 //! shards may in reality overlap the dimension filter with their own
 //! dispatch — the model keeps the whole prelude on one timeline, a
@@ -395,6 +396,7 @@ impl StarCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StreamEngine;
     use bbpim_core::mutation::Mutation;
     use bbpim_db::ssb::{queries, SsbParams};
     use bbpim_db::stats;

@@ -38,7 +38,7 @@ use std::sync::PoisonError;
 use bbpim_db::plan::{Const, Pred};
 use bbpim_db::schema::Schema;
 use bbpim_db::stats::row_matches_dnf;
-use bbpim_db::Relation;
+use bbpim_db::{DbError, Relation};
 use bbpim_sim::compiler::{mux, CodeBuilder, ScratchPool};
 use bbpim_sim::timeline::RunLog;
 
@@ -232,23 +232,14 @@ impl InsertBuilder {
     /// numerics.
     pub fn build(self, schema: &Schema) -> Result<Mutation, CoreError> {
         let mut rows = Vec::with_capacity(self.rows.len());
-        for (i, row) in self.rows.iter().enumerate() {
-            if row.len() != schema.arity() {
-                return Err(CoreError::Unsupported(format!(
-                    "insert row {i} has {} values, schema {} has {}",
-                    row.len(),
-                    schema.name,
-                    schema.arity()
-                )));
+        for row in &self.rows {
+            // before encoding: `zip` would drop a long row's extra values
+            let (got, expected) = (row.len(), schema.arity());
+            if got != expected {
+                return Err(DbError::ArityMismatch { got, expected }.into());
             }
-            let mut encoded = Vec::with_capacity(row.len());
-            for (attr, value) in schema.attrs().iter().zip(row) {
-                encoded.push(match value {
-                    Const::Num(v) => *v,
-                    Const::Str(s) => attr.encode_str(s)?,
-                });
-            }
-            rows.push(encoded);
+            let encoded = schema.attrs().iter().zip(row).map(|(attr, value)| attr.encode(value));
+            rows.push(encoded.collect::<Result<Vec<u64>, DbError>>()?);
         }
         let m = Mutation::Insert { rows };
         m.validate(schema)?;
@@ -298,10 +289,7 @@ impl MutationReport {
 fn resolve_const(schema: &Schema, attr: &str, value: &Const) -> Result<(usize, u64), CoreError> {
     let attr_idx = schema.index_of(attr)?;
     let attr = &schema.attrs()[attr_idx];
-    let imm = match value {
-        Const::Num(v) => *v,
-        Const::Str(s) => attr.encode_str(s)?,
-    };
+    let imm = attr.encode(value)?;
     attr.check(imm)?;
     Ok((attr_idx, imm))
 }
@@ -672,6 +660,19 @@ mod tests {
             .set("d_city", 5u64)
             .build(schema)
             .is_ok());
+    }
+
+    #[test]
+    fn insert_builder_rejects_wrong_arity_like_a_raw_insert() {
+        let (t, _) = table(EngineMode::OneXb);
+        let schema = t.schema();
+        for row in [vec![1u64], vec![1, 2, 3]] {
+            let want = DbError::ArityMismatch { got: row.len(), expected: 2 };
+            let built = Mutation::insert().row(row.clone()).build(schema);
+            assert!(matches!(built, Err(CoreError::Db(ref e)) if *e == want), "{built:?}");
+            let raw = Mutation::Insert { rows: vec![row] }.validate(schema);
+            assert!(matches!(raw, Err(CoreError::Db(ref e)) if *e == want), "{raw:?}");
+        }
     }
 
     #[test]

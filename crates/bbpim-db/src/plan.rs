@@ -123,12 +123,7 @@ impl Atom {
     /// inverted `BETWEEN` bounds.
     pub fn resolve(&self, schema: &Schema) -> Result<ResolvedAtom, DbError> {
         let idx = schema.index_of(self.attr())?;
-        let enc = |c: &Const| -> Result<u64, DbError> {
-            match c {
-                Const::Num(v) => Ok(*v),
-                Const::Str(s) => schema.attrs()[idx].encode_str(s),
-            }
-        };
+        let enc = |c: &Const| schema.attrs()[idx].encode(c);
         Ok(match self {
             Atom::Eq { value, .. } => ResolvedAtom::Eq { idx, value: enc(value)? },
             Atom::Between { lo, hi, .. } => {

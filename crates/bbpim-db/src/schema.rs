@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use crate::dict::Dictionary;
 use crate::error::DbError;
+use crate::plan::Const;
 
 /// How an attribute's integer codes should be interpreted.
 #[derive(Debug, Clone)]
@@ -71,21 +72,26 @@ impl Attribute {
         Ok(())
     }
 
-    /// Encode a string through this attribute's dictionary.
+    /// Encode a constant as this attribute's code: a number is its own
+    /// code, a string goes through the dictionary. The width is not
+    /// checked — a predicate constant may exceed it (`lo_quantity <
+    /// 1000`); a stored value must also pass [`Attribute::check`].
     ///
     /// # Errors
     ///
-    /// [`DbError::KindMismatch`] for numeric attributes,
-    /// [`DbError::NotInDictionary`] for unknown strings.
-    pub fn encode_str(&self, value: &str) -> Result<u64, DbError> {
+    /// [`DbError::KindMismatch`] for a string on a numeric attribute,
+    /// [`DbError::NotInDictionary`] for an unknown string.
+    pub fn encode(&self, value: &Const) -> Result<u64, DbError> {
+        let s = match value {
+            Const::Num(v) => return Ok(*v),
+            Const::Str(s) => s,
+        };
         let dict = self.dictionary().ok_or_else(|| DbError::KindMismatch {
             attr: self.name.clone(),
             detail: "string constant on a numeric attribute".into(),
         })?;
-        dict.encode(value).ok_or_else(|| DbError::NotInDictionary {
-            attr: self.name.clone(),
-            value: value.into(),
-        })
+        dict.encode(s)
+            .ok_or_else(|| DbError::NotInDictionary { attr: self.name.clone(), value: s.clone() })
     }
 }
 
@@ -239,12 +245,25 @@ mod tests {
     #[test]
     fn encode_str_through_dictionary() {
         let s = schema();
-        assert_eq!(s.attr("b").unwrap().encode_str("y").unwrap(), 1);
+        assert_eq!(s.attr("b").unwrap().encode(&"y".into()).unwrap(), 1);
         assert!(matches!(
-            s.attr("b").unwrap().encode_str("nope"),
+            s.attr("b").unwrap().encode(&"nope".into()),
             Err(DbError::NotInDictionary { .. })
         ));
-        assert!(matches!(s.attr("a").unwrap().encode_str("y"), Err(DbError::KindMismatch { .. })));
+        assert!(matches!(
+            s.attr("a").unwrap().encode(&"y".into()),
+            Err(DbError::KindMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn encode_num_is_its_own_code_unchecked() {
+        let a = schema().attr("a").unwrap().clone();
+        assert_eq!(a.encode(&5u64.into()).unwrap(), 5);
+        // a predicate constant may exceed the width; storing it may not
+        let wide = 1u64 << a.bits;
+        assert_eq!(a.encode(&wide.into()).unwrap(), wide);
+        assert!(a.check(wide).is_err());
     }
 
     #[test]

@@ -291,7 +291,8 @@ pub fn adjust_pred(pred: &mut Pred, rel: &Relation) -> Result<(), DbError> {
                 }
             }
             Atom::Between { lo, hi, .. } => {
-                let (lo_code, hi_code) = resolve_bounds(rel, idx, lo, hi)?;
+                let attr = &rel.schema().attrs()[idx];
+                let (lo_code, hi_code) = (attr.encode(lo)?, attr.encode(hi)?);
                 let width = (hi_code - lo_code + 1) as usize;
                 if let Some((new_lo, new_hi)) = best_window(&freqs, width, target) {
                     *lo = recode(rel, idx, new_lo)?;
@@ -338,20 +339,6 @@ fn best_window(freqs: &HashMap<u64, f64>, width: usize, target: f64) -> Option<(
         }
     }
     best.map(|(lo, _)| (lo, lo + width as u64 - 1))
-}
-
-fn resolve_bounds(
-    rel: &Relation,
-    idx: usize,
-    lo: &Const,
-    hi: &Const,
-) -> Result<(u64, u64), DbError> {
-    let attr = &rel.schema().attrs()[idx];
-    let enc = |c: &Const| match c {
-        Const::Num(v) => Ok(*v),
-        Const::Str(s) => attr.encode_str(s),
-    };
-    Ok((enc(lo)?, enc(hi)?))
 }
 
 /// Turn a code back into the constant form the attribute expects.

@@ -1,6 +1,8 @@
 //! The streaming scheduler: [`run_stream`], the stream front-end of the
-//! one admission loop (the crate-private core), and the [`StreamEngine`]
-//! surface that loop drives.
+//! one admission loop (the crate-private core). The loop drives any
+//! [`StreamEngine`], the scatter/gather surface `bbpim-cluster` declares
+//! and implements once for [`Cluster`](bbpim_cluster::Cluster); it is
+//! re-exported here.
 //!
 //! [`run_stream`] admits a [`Workload`]'s timestamped queries **and
 //! mutations**, interleaved on one clock. The core resolves and applies
@@ -26,17 +28,16 @@
 //! bus; off, only dispatch and merge serialise. Replaying the first
 //! [`QueryCompletion::epoch`] mutations into a fresh engine reproduces a
 //! streamed answer — phase logs included — bit-identically (for
-//! pure-query workloads: [`Cluster::run_batch`]'s answer). The timeline
+//! pure-query workloads:
+//! [`Cluster::run_batch`](bbpim_cluster::Cluster::run_batch)'s answer). The timeline
 //! is a pure function of `(cluster, workload, config)`.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use bbpim_cluster::{Cluster, ClusterError, ClusterExecution, Storage};
-use bbpim_core::mutation::{Mutation, MutationReport};
-use bbpim_core::result::QueryExecution;
-use bbpim_db::plan::{Pred, Query};
-use bbpim_sim::config::HostConfig;
+use bbpim_cluster::ClusterExecution;
+pub use bbpim_cluster::StreamEngine;
+use bbpim_core::mutation::Mutation;
 pub use bbpim_sim::endurance::ENDURANCE_YEARS;
 use bbpim_trace::{ArgValue, TraceRecorder, TrackId};
 
@@ -47,138 +48,6 @@ use crate::error::SchedError;
 use crate::kernel::SpanArgs;
 use crate::report::{LatencySummary, RunRates};
 use crate::workload::Workload;
-
-/// The scatter/gather surface the streaming scheduler needs from a
-/// sharded engine. [`Cluster`] implements it once for every storage
-/// model — the scheduler interleaves shard slices identically on the
-/// pre-joined and the star store, so streamed answers stay
-/// bit-identical to batch runs whichever one is underneath.
-pub trait StreamEngine {
-    /// Is the shared-host-channel contention model on?
-    fn contention(&self) -> bool;
-
-    /// The host-channel parameters (`None` only for a cluster with no
-    /// table of either kind, which has no candidate shard and applies
-    /// no mutation).
-    fn host_config(&self) -> Option<HostConfig>;
-
-    /// Fact shards actually holding records.
-    fn active_shards(&self) -> usize;
-
-    /// Every lane a mutation may occupy: the fact shards plus any
-    /// auxiliary ingest lanes (the star cluster adds one per dimension
-    /// table). Lane indices in [`StreamEngine::apply_mutation`] reports
-    /// are always below this; fact-shard lanes share indices — and
-    /// per-module queues — with query shard slices.
-    fn ingest_lanes(&self) -> usize {
-        self.active_shards()
-    }
-
-    /// The lanes a mutation would occupy *right now* — the
-    /// ingest-buffer admission check. Re-planned on every admission
-    /// attempt: earlier admissions widen zone maps and advance insert
-    /// cursors, so a stalled mutation's lane set may shrink or move by
-    /// the time it clears the buffer.
-    ///
-    /// # Errors
-    ///
-    /// Attribute resolution / routing failures.
-    fn plan_mutation_lanes(&self, mutation: &Mutation) -> Result<Vec<usize>, ClusterError>;
-
-    /// Apply `mutation` to the engine state (zone maps widen, domain
-    /// indexes follow, cached plans invalidate) and return the per-lane
-    /// reports whose phase logs become the mutation's slice chains.
-    ///
-    /// Implementers must report **every lane they changed**, including
-    /// lanes where zero records matched (an UPDATE may still rewrite
-    /// page zones there): the scheduler re-runs cached shard executions
-    /// only on the lanes this list names.
-    ///
-    /// # Errors
-    ///
-    /// Validation or substrate failures.
-    fn apply_mutation(
-        &mut self,
-        mutation: &Mutation,
-    ) -> Result<Vec<(usize, MutationReport)>, ClusterError>;
-
-    /// Zone-map shard admission: one flag per active shard.
-    ///
-    /// # Errors
-    ///
-    /// Attribute resolution failures.
-    fn plan_shards(&self, filter: &Pred) -> Result<Vec<bool>, ClusterError>;
-
-    /// Execute one query on one active shard (the scatter half).
-    ///
-    /// # Errors
-    ///
-    /// Unknown shard index or substrate failures.
-    fn run_on_shard(&mut self, shard: usize, query: &Query)
-        -> Result<QueryExecution, ClusterError>;
-
-    /// Fold per-shard partials into a cluster answer (the gather half).
-    fn merge_executions(
-        &self,
-        query: &Query,
-        executions: &[&QueryExecution],
-        shards_pruned: usize,
-    ) -> ClusterExecution;
-}
-
-/// Both storage models are the one [`Cluster`]: a star join's prelude
-/// is ordinary phases in its lead shard's log, so dimension filters and
-/// bitmap broadcasts queue on the shared channel like any transfer.
-impl<S: Storage> StreamEngine for Cluster<S> {
-    fn contention(&self) -> bool {
-        Cluster::contention(self)
-    }
-
-    fn host_config(&self) -> Option<HostConfig> {
-        let table = self.shard_table(0).or_else(|| self.aux_table(0));
-        table.map(|t| t.config().host.clone())
-    }
-
-    fn active_shards(&self) -> usize {
-        Cluster::active_shards(self)
-    }
-
-    fn ingest_lanes(&self) -> usize {
-        Cluster::ingest_lanes(self)
-    }
-
-    fn plan_mutation_lanes(&self, mutation: &Mutation) -> Result<Vec<usize>, ClusterError> {
-        Cluster::plan_mutation_lanes(self, mutation)
-    }
-
-    fn apply_mutation(
-        &mut self,
-        mutation: &Mutation,
-    ) -> Result<Vec<(usize, MutationReport)>, ClusterError> {
-        Cluster::mutate_on_lanes(self, mutation)
-    }
-
-    fn plan_shards(&self, filter: &Pred) -> Result<Vec<bool>, ClusterError> {
-        Cluster::plan_shards(self, filter)
-    }
-
-    fn run_on_shard(
-        &mut self,
-        shard: usize,
-        query: &Query,
-    ) -> Result<QueryExecution, ClusterError> {
-        Cluster::run_on_shard(self, shard, query)
-    }
-
-    fn merge_executions(
-        &self,
-        query: &Query,
-        executions: &[&QueryExecution],
-        shards_pruned: usize,
-    ) -> ClusterExecution {
-        Cluster::merge_executions(self, query, executions, shards_pruned)
-    }
-}
 
 /// How the admission queue picks the next query when a slot frees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -537,16 +406,17 @@ impl<E: StreamEngine> Front<E> for Stream<'_> {
 }
 
 /// Stream `workload` through `cluster` — any [`StreamEngine`]: the
-/// pre-joined or the star [`Cluster`] — under `cfg`.
+/// pre-joined or the star [`Cluster`](bbpim_cluster::Cluster) — under
+/// `cfg`.
 ///
 /// Query service demands come from real per-shard executions resolved
 /// *at admission* against exactly the mutations admitted before them,
 /// so each merged answer in [`StreamOutcome::executions`] is
 /// bit-identical to a fresh engine that replayed that admission prefix
 /// and ran the query (for pure-query workloads: bit-identical to
-/// [`Cluster::run_batch`] over the same arrived queries). The
-/// admission rules in the module docs decide when each job may start;
-/// the core plays its slice chains out.
+/// [`Cluster::run_batch`](bbpim_cluster::Cluster::run_batch) over the
+/// same arrived queries). The admission rules in the module docs
+/// decide when each job may start; the core plays its slice chains out.
 ///
 /// # Errors
 ///
@@ -649,15 +519,16 @@ mod tests {
     use std::cell::Cell;
     use std::collections::BTreeSet;
 
-    use bbpim_cluster::{ClusterEngine, Partitioner, StarCluster};
+    use bbpim_cluster::{Cluster, ClusterEngine, ClusterError, Partitioner, StarCluster, Storage};
     use bbpim_core::modes::EngineMode;
-    use bbpim_core::mutation::Mutation;
+    use bbpim_core::mutation::{Mutation, MutationReport};
+    use bbpim_core::result::QueryExecution;
     use bbpim_db::builder::col;
-    use bbpim_db::plan::{AggExpr, AggFunc, Atom, Query};
+    use bbpim_db::plan::{AggExpr, AggFunc, Atom, Pred, Query};
     use bbpim_db::schema::{Attribute, Schema};
     use bbpim_db::ssb::{queries, SsbDb, SsbParams};
     use bbpim_db::Relation;
-    use bbpim_sim::config::SimConfig;
+    use bbpim_sim::config::{HostConfig, SimConfig};
 
     use crate::workload::{Arrival, MutationArrival};
 

@@ -183,6 +183,22 @@ no_kernel_in_the_serve_module() {
   if grep -rnE 'Kernel|apply_mutation\(|resolve_query_demand\(|compile_mutation_demand\(' crates/bbpim-sched/src/serve.rs crates/bbpim-sched/src/serve; then return 1; fi
 }
 
+# One scatter/gather surface: `StreamEngine` is declared once, in
+# `bbpim-cluster`, whose `Cluster` implements it with the real bodies —
+# no inherent twin of its methods on the cluster and no forwarding impl
+# in the scheduler (the declaration must be found, so a renamed trait
+# cannot pass vacuously).
+one_scatter_gather_surface() {
+  local status=0
+  if ! grep -rq '^pub trait StreamEngine\b' crates/bbpim-cluster/src; then echo "no pub trait StreamEngine in bbpim-cluster"; status=1; fi
+  if grep -rn 'trait StreamEngine\b' crates src tests examples bench/perf/src | grep -v '^crates/bbpim-cluster/src/'; then echo "StreamEngine declared outside bbpim-cluster"; status=1; fi
+  for f in $(find crates/bbpim-sched/src -name '*.rs'); do
+    if nontest "$f" | grep -nE 'StreamEngine for [A-Za-z]*Cluster\b'; then echo "in $f: the cluster implements StreamEngine itself"; status=1; fi
+  done
+  if grep -rnE '^\s*pub fn (plan_shards|run_on_shard|merge_executions|mutate_on_lanes|plan_mutation_lanes|ingest_lanes)\b' crates/bbpim-cluster/src; then echo "an inherent twin of a StreamEngine method in bbpim-cluster"; status=1; fi
+  return $status
+}
+
 failed=()
 for rule in \
   no_argument_list_allows \
@@ -202,7 +218,8 @@ for rule in \
   no_host_read_in_update \
   no_shared_fixture_copy_outside_tests_common \
   one_kernel_driving_loop \
-  no_kernel_in_the_serve_module; do
+  no_kernel_in_the_serve_module \
+  one_scatter_gather_surface; do
   if "$rule"; then
     echo "ok   $rule"
   else

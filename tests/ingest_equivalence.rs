@@ -14,7 +14,7 @@
 
 mod common;
 
-use bbpim::cluster::{Cluster, Storage};
+use bbpim::cluster::{Cluster, Storage, StreamEngine};
 use bbpim::db::builder::col;
 use bbpim::db::plan::Query;
 use bbpim::db::ssb::queries;

@@ -12,6 +12,7 @@
 
 mod common;
 
+use bbpim::cluster::StreamEngine;
 use bbpim::db::builder::col;
 use bbpim::db::plan::Query;
 use bbpim::db::ssb::queries;

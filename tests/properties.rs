@@ -10,7 +10,7 @@
 //! minimal `rand` stand-in. Each case is a pure function of the loop
 //! index, so failures reproduce exactly.
 
-use bbpim::cluster::{ClusterEngine, Partitioner};
+use bbpim::cluster::{ClusterEngine, Partitioner, StreamEngine};
 use bbpim::db::builder::col;
 use bbpim::db::plan::{AggExpr, AggFunc, Atom, Pred, Query, SelectItem};
 use bbpim::db::schema::{Attribute, Schema};

@@ -7,7 +7,7 @@
 
 mod common;
 
-use bbpim::cluster::{ClusterEngine, ClusterError, Partitioner};
+use bbpim::cluster::{ClusterEngine, ClusterError, Partitioner, StreamEngine};
 use bbpim::db::builder::col;
 use bbpim::db::error::DbError;
 use bbpim::db::plan::{AggExpr, AggFunc, Atom, Query, SelectItem};

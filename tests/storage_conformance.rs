@@ -9,7 +9,7 @@
 //!   changes the groups;
 //! * on every SSB query, `run` stays inside what `explain` planned:
 //!   executed shards, scanned pages and dispatch descriptor bytes;
-//! * `plan_mutation_lanes` names exactly the lanes `mutate_on_lanes`
+//! * `plan_mutation_lanes` names exactly the lanes `apply_mutation`
 //!   then touches, and `mutate` reports the untouched fact shards as
 //!   pruned;
 //! * a filter no shard can match is answered by the planner alone;
@@ -27,6 +27,7 @@ mod common;
 
 use bbpim::cluster::{
     Cluster, ClusterEngine, ClusterError, ClusterExecution, Partitioner, StarCluster, Storage,
+    StreamEngine,
 };
 use bbpim::db::builder::col;
 use bbpim::db::plan::{Pred, Query};
@@ -155,7 +156,7 @@ fn conforms<S: Storage>(tag: &str, fresh: impl Fn() -> Cluster<S>, fact: &Relati
         let mut c = fresh();
         let planned = c.plan_mutation_lanes(m).expect("lane plan");
         let touched: Vec<usize> =
-            c.mutate_on_lanes(m).expect("fan-out").into_iter().map(|(lane, _)| lane).collect();
+            c.apply_mutation(m).expect("fan-out").into_iter().map(|(lane, _)| lane).collect();
         assert_eq!(planned, touched, "{tag}: {label}");
         if let Some(n) = lanes_touched {
             assert_eq!(touched.len(), n, "{tag}: {label}");

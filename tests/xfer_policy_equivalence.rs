@@ -11,7 +11,7 @@
 
 mod common;
 
-use bbpim::cluster::{Cluster, ClusterEngine, Partitioner, Storage};
+use bbpim::cluster::{Cluster, ClusterEngine, Partitioner, Storage, StreamEngine};
 use bbpim::db::plan::Query;
 use bbpim::db::ssb::queries;
 use bbpim::db::Relation;
