@@ -201,3 +201,172 @@ fn between_and_in_match_semantics() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Exhaustive verifier at ≤ 6-bit operands.
+//
+// Every program runs on a crossbar whose scratch region starts out
+// holding random bits, so an emitter that reads a scratch cell before
+// writing it, or NORs onto a cell it never INITed (MAGIC's NOR only
+// clears), turns into a wrong answer. Every column outside the
+// destination and the scratch region must come back unchanged.
+
+/// Attribute columns of the exhaustive checks: lhs, rhs, destination.
+const X_LHS: usize = 0;
+const X_RHS: usize = 8;
+const X_DST: usize = 16;
+/// The scratch region, right of every attribute.
+const X_SCRATCH: ColRange = ColRange { lo: 32, width: 64 };
+const X_COLS: usize = 96;
+
+/// A crossbar of `rows` rows (a multiple of 64) whose row `r` holds
+/// `fill(r)` as `(column, width, value)` triples, and whose scratch
+/// region holds random bits drawn from `seed`.
+fn verifier_crossbar(
+    rows: usize,
+    seed: u64,
+    fill: impl Fn(usize) -> Vec<(usize, usize, u64)>,
+) -> Crossbar {
+    let mut xb = Crossbar::new(rows, X_COLS);
+    for r in 0..rows {
+        for (col, width, value) in fill(r) {
+            xb.write_row_bits(r, col, width, value);
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    for col in X_SCRATCH.lo..X_SCRATCH.end() {
+        for w in xb.bits_mut_unaccounted().col_mut(col) {
+            *w = rng.gen();
+        }
+    }
+    xb
+}
+
+/// Run `emit`'s program on `xb` and check that no column outside
+/// `dst` and the scratch region changed. Returns `emit`'s output.
+fn run_checked<T>(
+    xb: &mut Crossbar,
+    dst: ColRange,
+    what: &str,
+    emit: impl FnOnce(&mut CodeBuilder<'_>) -> T,
+) -> T {
+    let before: Vec<Vec<u64>> = (0..X_COLS).map(|c| xb.bits().col(c).to_vec()).collect();
+    let mut pool = ScratchPool::new(X_SCRATCH);
+    let mut b = CodeBuilder::new(&mut pool);
+    let out = emit(&mut b);
+    let prog = b.finish();
+    prog.validate(xb.rows(), xb.cols()).unwrap();
+    xb.execute(&prog).unwrap();
+    let writable =
+        |c: usize| (c >= dst.lo && c < dst.end()) || (c >= X_SCRATCH.lo && c < X_SCRATCH.end());
+    for (c, col) in before.iter().enumerate().filter(|&(c, _)| !writable(c)) {
+        assert_eq!(xb.bits().col(c), &col[..], "{what}: column {c} outside dst and scratch moved");
+    }
+    out
+}
+
+/// Rows that enumerate every `(a, b)` pair of a `wa`-bit lhs and a
+/// `wb`-bit rhs: row `r` holds `a = r mod 2^wa`, `b = (r >> wa) mod 2^wb`.
+fn pair_rows(wa: usize, wb: usize) -> usize {
+    (1usize << (wa + wb)).max(64)
+}
+
+fn pair_of(r: usize, wa: usize, wb: usize) -> (u64, u64) {
+    ((r & ((1 << wa) - 1)) as u64, ((r >> wa) & ((1 << wb) - 1)) as u64)
+}
+
+#[test]
+fn arithmetic_is_exact_at_every_small_width() {
+    type Emit =
+        fn(&mut CodeBuilder<'_>, ColRange, ColRange, ColRange) -> Result<(), bbpim_sim::SimError>;
+    let ops: [(&str, Emit, fn(u64, u64) -> u64); 3] = [
+        ("add", arith::compile_add, |a, b| a.wrapping_add(b)),
+        ("sub", arith::compile_sub, |a, b| a.wrapping_sub(b)),
+        ("mul", arith::compile_mul, |a, b| a.wrapping_mul(b)),
+    ];
+    for wa in 1..=6 {
+        for wb in 1..=6 {
+            let rows = pair_rows(wa, wb);
+            for wd in 1..=12 {
+                let (lhs, rhs, dst) =
+                    (ColRange::new(X_LHS, wa), ColRange::new(X_RHS, wb), ColRange::new(X_DST, wd));
+                for (k, (name, emit, reference)) in ops.iter().enumerate() {
+                    let seed = ((wa * 7 + wb) * 13 + wd) as u64 * 3 + k as u64;
+                    let mut xb = verifier_crossbar(rows, seed, |r| {
+                        let (a, b) = pair_of(r, wa, wb);
+                        vec![(X_LHS, wa, a), (X_RHS, wb, b), (X_DST, wd, !(a ^ b))]
+                    });
+                    let what = format!("{name} {wa}x{wb}->{wd}");
+                    run_checked(&mut xb, dst, &what, |b| emit(b, lhs, rhs, dst).unwrap());
+                    let modulus = (1u64 << wd) - 1;
+                    for r in 0..rows {
+                        let (a, b) = pair_of(r, wa, wb);
+                        assert_eq!(
+                            xb.read_row_bits(r, X_DST, wd),
+                            reference(a, b) & modulus,
+                            "{what}: a={a} b={b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn full_adder_truth_table_over_dirty_scratch() {
+    // rows 0..8 enumerate (a, b, cin); the rest repeat them
+    let mut xb = verifier_crossbar(64, 0xFA, |r| {
+        vec![(0, 1, r as u64 & 1), (1, 1, (r as u64 >> 1) & 1), (2, 1, (r as u64 >> 2) & 1)]
+    });
+    let (sum, cout) = run_checked(&mut xb, ColRange::new(0, 0), "full adder", |b| {
+        b.emit_full_adder(0, 1, 2).unwrap()
+    });
+    for r in 0..64 {
+        let total = (r & 1) + ((r >> 1) & 1) + ((r >> 2) & 1);
+        assert_eq!(xb.bits().get(r, sum), total & 1 == 1, "sum row {r}");
+        assert_eq!(xb.bits().get(r, cout), total >= 2, "cout row {r}");
+    }
+}
+
+#[test]
+fn predicates_are_exact_against_every_small_constant() {
+    for width in 1..=6usize {
+        let attr = ColRange::new(X_LHS, width);
+        let values = |r: usize| (r % (1 << width)) as u64;
+        let fresh = |seed: u64| verifier_crossbar(64, seed, |r| vec![(X_LHS, width, values(r))]);
+        let check = |xb: &Crossbar, out: usize, what: &str, want: &dyn Fn(u64) -> bool| {
+            for r in 0..64 {
+                assert_eq!(xb.bits().get(r, out), want(values(r)), "{what}: value {}", values(r));
+            }
+        };
+        let none = ColRange::new(X_DST, 0);
+        for c in 0..(1u64 << width) {
+            let seed = (width as u64) << 8 | c;
+            let mut xb = fresh(seed);
+            let out = run_checked(&mut xb, none, "eq", |b| {
+                predicate::compile_eq_const(b, attr, c).unwrap()
+            });
+            check(&xb, out, &format!("eq {width}-bit {c}"), &|v| v == c);
+            let mut xb = fresh(seed ^ 1);
+            let out = run_checked(&mut xb, none, "lt", |b| {
+                predicate::compile_lt_const(b, attr, c).unwrap()
+            });
+            check(&xb, out, &format!("lt {width}-bit {c}"), &|v| v < c);
+            let mut xb = fresh(seed ^ 2);
+            let out = run_checked(&mut xb, none, "gt", |b| {
+                predicate::compile_gt_const(b, attr, c).unwrap()
+            });
+            check(&xb, out, &format!("gt {width}-bit {c}"), &|v| v > c);
+            for hi in c..(1u64 << width) {
+                let mut xb = fresh(seed << 8 | hi);
+                let out = run_checked(&mut xb, none, "between", |b| {
+                    predicate::compile_between_const(b, attr, c, hi).unwrap()
+                });
+                check(&xb, out, &format!("between {width}-bit {c}..={hi}"), &|v| {
+                    (c..=hi).contains(&v)
+                });
+            }
+        }
+    }
+}
