@@ -272,9 +272,6 @@ pub struct ClusterReport {
     pub selected: u64,
     /// Cluster-wide selectivity.
     pub selectivity: f64,
-    /// Largest per-shard potential-subgroup count (`k_MAX` of the
-    /// busiest shard).
-    pub max_shard_subgroups: u64,
     /// Full per-shard reports of the dispatched shards, in shard order.
     pub per_shard: Vec<QueryReport>,
 }
@@ -778,9 +775,7 @@ pub trait StreamEngine {
     /// table). Lane indices in [`StreamEngine::apply_mutation`] reports
     /// are always below this; fact-shard lanes share indices — and
     /// per-module queues — with query shard slices.
-    fn ingest_lanes(&self) -> usize {
-        self.active_shards()
-    }
+    fn ingest_lanes(&self) -> usize;
 
     /// The lanes a mutation would occupy *right now* — the
     /// ingest-buffer admission check. Re-planned on every admission
@@ -1043,11 +1038,6 @@ impl<S: Storage> StreamEngine for Cluster<S> {
             pages_scanned: executions.iter().map(|e| e.report.pages_scanned).sum(),
             selected,
             selectivity: if records == 0 { 0.0 } else { selected as f64 / records as f64 },
-            max_shard_subgroups: executions
-                .iter()
-                .map(|e| e.report.total_subgroups)
-                .max()
-                .unwrap_or(0),
             per_shard: executions.iter().map(|e| e.report.clone()).collect(),
         };
         let per_agg: Vec<GroupedResult> =

@@ -242,20 +242,20 @@ fn run_stream_matches_the_pinned_digests() {
         "run_stream projections",
         &projections,
         &[
-            [0x3e1c_1c9e_cc96_78fb], // ClusterEngine, fifo
-            [0x2523_5925_65a3_9444], // StarCluster, fifo
-            [0x89b7_aa9b_942a_bb33], // ClusterEngine, scsf
-            [0x2523_5925_65a3_9444], // StarCluster, scsf
+            [0xd479_8870_c46a_9843], // ClusterEngine, fifo
+            [0x0883_c893_d775_4df5], // StarCluster, fifo
+            [0xb74d_15ad_4ceb_5e70], // ClusterEngine, scsf
+            [0x0883_c893_d775_4df5], // StarCluster, scsf
         ],
     );
     assert_pinned(
         "run_stream digests",
         &got,
         &[
-            [0x4c85_4156_1c2b_e8fd, 0xbf81_390d_3119_5d85, 0x325d_2b5c_2306_3767],
-            [0x4a73_9406_aa51_0dc6, 0x78f6_e21e_9187_9d9a, 0x0814_d582_a7f4_37b7],
-            [0x30a1_a568_c8ce_fcef, 0x0f3e_5fe8_6a64_8a9a, 0x5fef_018a_817a_bcbe],
-            [0x3f0f_8159_5f96_d717, 0x78f6_e21e_9187_9d9a, 0x0814_d582_a7f4_37b7],
+            [0x3747_a92f_0177_0bb7, 0xbf81_390d_3119_5d85, 0x325d_2b5c_2306_3767],
+            [0xc1c7_ecd1_a843_bf5b, 0x78f6_e21e_9187_9d9a, 0x0814_d582_a7f4_37b7],
+            [0x8cf2_7a94_c770_4558, 0x0f3e_5fe8_6a64_8a9a, 0x5fef_018a_817a_bcbe],
+            [0xfdc4_8582_977b_711e, 0x78f6_e21e_9187_9d9a, 0x0814_d582_a7f4_37b7],
         ],
     );
 }
@@ -278,8 +278,8 @@ fn run_serve_matches_the_pinned_digests() {
         "run_serve digests",
         &got,
         &[
-            [0x585c_0df0_44a3_893b, 0x787b_0acd_fd36_8316, 0x0e24_abe9_fff0_3a21],
-            [0x62cd_944e_f208_d6df, 0xfd2c_4161_4b08_59ab, 0xa93d_3905_e7de_bd22],
+            [0x1d7a_74c4_96c0_2f8e, 0x787b_0acd_fd36_8316, 0x0e24_abe9_fff0_3a21],
+            [0xb21a_dcd0_96d3_7800, 0xfd2c_4161_4b08_59ab, 0xa93d_3905_e7de_bd22],
         ],
     );
 }
@@ -299,14 +299,14 @@ fn query_only_run_serve_matches_the_pinned_digests() {
     assert_pinned(
         "query-only run_serve projections",
         &projections,
-        &[[0xa439_be83_d21e_8daf], [0x4e8a_09f6_5314_022c]],
+        &[[0x46e3_c175_d647_4f0a], [0x7fdd_207f_16d9_b219]],
     );
     assert_pinned(
         "query-only run_serve digests",
         &got,
         &[
-            [0x6da6_4ff7_3808_1597, 0x53bd_ab19_20eb_0024, 0xf6a6_c549_5668_0e32],
-            [0xac25_4639_0466_a6f5, 0x3f6f_97fb_4d2f_3777, 0x39b2_fb08_a813_e13d],
+            [0xb209_6798_d3da_125a, 0x53bd_ab19_20eb_0024, 0xf6a6_c549_5668_0e32],
+            [0x2c6f_cd66_1d5e_3a72, 0x3f6f_97fb_4d2f_3777, 0x39b2_fb08_a813_e13d],
         ],
     );
 }
