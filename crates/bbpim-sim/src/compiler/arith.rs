@@ -5,6 +5,14 @@
 //! `revenue − supplycost` are computed into the scratch region by one
 //! column-parallel program, for all records of a page at once.
 //!
+//! Every sum bit is written straight into its destination column by the
+//! last NOR of a nine-NOR full adder
+//! ([`CodeBuilder::emit_full_adder_into`]), so no bit is copied back: an
+//! add or sub costs 18 cycles per destination bit plus a few cycles of
+//! constants and complements. The multiply complements each operand bit
+//! once, forms every partial-product bit with one 2-cycle NOR, adds it
+//! in place, and skips the adder inputs it knows to be zero.
+//!
 //! All arithmetic is unsigned with wrap-around at the destination width
 //! (callers size destinations so overflow cannot occur; `compile_sub`
 //! documents the borrow semantics).
@@ -36,17 +44,11 @@ pub fn compile_add(
     for i in 0..dst.width {
         let abit = if i < lhs.width { lhs.bit(i) } else { zero };
         let bbit = if i < rhs.width { rhs.bit(i) } else { zero };
-        let (sum, cout) = b.emit_full_adder(abit, bbit, carry)?;
-        if carry != zero {
-            b.release(carry);
-        }
-        carry = cout;
-        copy_into(b, sum, dst.bit(i))?;
-        b.release(sum);
-    }
-    if carry != zero {
+        let cout = b.emit_full_adder_into(abit, bbit, carry, dst.bit(i))?;
         b.release(carry);
+        carry = cout;
     }
+    b.release(carry);
     Ok(())
 }
 
@@ -75,29 +77,34 @@ pub fn compile_sub(
         let abit = if i < lhs.width { lhs.bit(i) } else { zero };
         // ¬b_i; beyond rhs.width the complement of 0 is 1.
         let nb = if i < rhs.width { b.emit_not(rhs.bit(i))? } else { one };
-        let (sum, cout) = b.emit_full_adder(abit, nb, carry)?;
-        if nb != one {
-            b.release(nb);
-        }
-        if carry != one {
-            b.release(carry);
-        }
-        carry = cout;
-        copy_into(b, sum, dst.bit(i))?;
-        b.release(sum);
-    }
-    if carry != one {
+        let cout = b.emit_full_adder_into(abit, nb, carry, dst.bit(i))?;
+        b.release(nb);
         b.release(carry);
+        carry = cout;
     }
+    b.release(carry);
     Ok(())
 }
+
+/// Scratch columns [`compile_mul`] needs beside its cached lhs
+/// complements: `¬b_j`, a partial-product bit, a carry-in and the full
+/// adder's five live temporaries.
+const MUL_WORKSPACE: usize = 8;
 
 /// Compile `dst := (a · b) mod 2^dst.width` by shift-add over the bits of
 /// `rhs` (cheapest when `rhs` is the narrow operand, e.g. a 4-bit
 /// discount).
 ///
-/// Internally accumulates into `dst`: partial product
-/// `p_j = a AND b_j` is added at offset `j`.
+/// Each lhs bit is complemented once (while the scratch region has
+/// room; the rest are complemented per row) and each rhs bit once per
+/// row, so every partial-product bit `a_i AND b_j = NOR(¬a_i, ¬b_j)` is
+/// one 2-cycle NOR. Row `j` adds `a · b_j` into `dst` at offset `j`, in
+/// place, tracking which destination bits and carries are known zero:
+/// a bit with one live input is written straight into `dst` (row 0 is
+/// all such bits), two live inputs take a half adder, three a full
+/// adder, and a row stops once its partial product and its carry are
+/// both known zero. Destination bits still known zero at the end are
+/// cleared.
 ///
 /// # Errors
 ///
@@ -113,30 +120,73 @@ pub fn compile_mul(
     if dst.width == 0 {
         return Err(SimError::InvalidProgram("zero-width mul destination".into()));
     }
-    let zero = b.zero()?;
-    // dst := 0
-    for i in 0..dst.width {
-        copy_into(b, zero, dst.bit(i))?;
+    let wa = lhs.width.min(dst.width);
+    let cached = wa.min(b.available().saturating_sub(MUL_WORKSPACE));
+    let mut not_a = Vec::with_capacity(cached);
+    for i in 0..cached {
+        not_a.push(b.emit_not(lhs.bit(i))?);
     }
-    // For each multiplier bit j: dst[j..] += (a AND b_j)
+    // dst[..live] may hold a one; dst[live..] is known zero.
+    let mut live = 0;
     for j in 0..rhs.width.min(dst.width) {
-        let bj = rhs.bit(j);
-        let mut carry = zero;
-        for i in 0..(dst.width - j) {
-            let pbit = if i < lhs.width { b.emit_and(lhs.bit(i), bj)? } else { zero };
-            let (sum, cout) = b.emit_full_adder(dst.bit(i + j), pbit, carry)?;
-            if pbit != zero {
-                b.release(pbit);
+        let not_bj = b.emit_not(rhs.bit(j))?;
+        let mut carry: Option<usize> = None;
+        for k in j..dst.width {
+            let i = k - j;
+            if i >= wa && carry.is_none() {
+                break;
             }
-            if carry != zero {
-                b.release(carry);
+            let sum = dst.bit(k);
+            let dst_live = k < live;
+            // the partial-product bit, straight into `dst` when it is
+            // the only live input there
+            let p = if i < wa {
+                let target = if dst_live || carry.is_some() { b.alloc()? } else { sum };
+                match not_a.get(i) {
+                    Some(&na) => b.program_mut().gate_nor(na, not_bj, target),
+                    None => {
+                        let na = b.emit_not(lhs.bit(i))?;
+                        b.program_mut().gate_nor(na, not_bj, target);
+                        b.release(na);
+                    }
+                }
+                (target != sum).then_some(target)
+            } else {
+                None
+            };
+            // the live inputs of this bit, the in-place addend first
+            let (mut inputs, mut n) = ([0; 3], 0);
+            for x in [dst_live.then_some(sum), p, carry].into_iter().flatten() {
+                inputs[n] = x;
+                n += 1;
+            }
+            let cout = match inputs[..n] {
+                [x, y, c] => Some(b.emit_full_adder_into(x, y, c, sum)?),
+                [x, y] => Some(b.emit_half_adder_into(x, y, sum)?),
+                [x] if x != sum => {
+                    copy_into(b, x, sum)?;
+                    None
+                }
+                _ => None,
+            };
+            for t in p.into_iter().chain(carry) {
+                b.release(t);
             }
             carry = cout;
-            copy_into(b, sum, dst.bit(i + j))?;
-            b.release(sum);
+            live = live.max(k + 1);
         }
-        if carry != zero {
-            b.release(carry);
+        if let Some(c) = carry {
+            b.release(c); // carried out of dst: wraps
+        }
+        b.release(not_bj);
+    }
+    for na in not_a {
+        b.release(na);
+    }
+    if live < dst.width {
+        let one = b.one()?;
+        for k in live..dst.width {
+            b.program_mut().gate_nor(one, one, dst.bit(k));
         }
     }
     Ok(())
@@ -275,5 +325,63 @@ mod tests {
         compile_mul(&mut b, A, B, DST).unwrap();
         let full = b.finish().cycles();
         assert!(cheap * 2 < full, "2-bit rhs {cheap} vs 8-bit rhs {full}");
+    }
+
+    /// `compile_mul`'s cycles as a closed form of the widths, for
+    /// `dst` at least `lhs + rhs` bits wide (`wa, wb ≥ 2`):
+    ///
+    /// * `2·wa` complements of lhs, `2·wb` of rhs (one per row);
+    /// * row 0: `2·wa`, every partial-product bit straight into `dst`;
+    /// * row 1: `2·wa` partial products, a half adder (12) at bit 1,
+    ///   `wa − 2` full adders (18), a half adder of the top partial
+    ///   product and the carry into a known-zero bit, and a 4-cycle
+    ///   copy of the last carry: `20·wa − 8`;
+    /// * rows 2.. : a half adder, `wa − 1` full adders and the carry
+    ///   copy: `20·wa − 2` each;
+    /// * bits past `wa + wb` stay known zero: one `1` constant, then
+    ///   2 cycles each.
+    fn mul_cycles(wa: u64, wb: u64, wd: u64) -> u64 {
+        let zero_fill = if wd > wa + wb { 1 + 2 * (wd - wa - wb) } else { 0 };
+        4 * wa + 2 * wb + (20 * wa - 8) + (wb - 2) * (20 * wa - 2) + zero_fill
+    }
+
+    #[test]
+    fn mul_cycles_follow_the_closed_form() {
+        let cycles = |wa: usize, wb: usize, wd: usize| {
+            let mut pool = ScratchPool::new(ColRange::new(200, 200));
+            let mut b = CodeBuilder::new(&mut pool);
+            let (lhs, rhs, dst) =
+                (ColRange::new(0, wa), ColRange::new(64, wb), ColRange::new(100, wd));
+            compile_mul(&mut b, lhs, rhs, dst).unwrap();
+            b.finish().cycles()
+        };
+        for wa in 2..=32 {
+            for wb in 2..=8 {
+                for wd in [wa + wb, wa + wb + 3] {
+                    let want = mul_cycles(wa as u64, wb as u64, wd as u64);
+                    assert_eq!(cycles(wa, wb, wd), want, "{wa}x{wb}->{wd}");
+                }
+            }
+        }
+        // SSB Q1's lo_extendedprice × lo_discount
+        assert_eq!(cycles(19, 4, 23), 1212);
+        assert!(cycles(19, 4, 23) <= 1400);
+    }
+
+    #[test]
+    fn mul_is_exact_when_scratch_holds_only_some_complements() {
+        let pairs: Vec<(u64, u64)> = (0..64).map(|r| (r * 37 % 256, (r * 11 + 5) % 256)).collect();
+        // none, three and all eight lhs complements cached
+        for extra in [0, 3, 8] {
+            let mut xb = crossbar_with(&pairs);
+            let mut pool = ScratchPool::new(ColRange::new(40, MUL_WORKSPACE + extra));
+            let mut b = CodeBuilder::new(&mut pool);
+            compile_mul(&mut b, A, B, DST).unwrap();
+            xb.execute(&b.finish()).unwrap();
+            for (r, (a, bb)) in pairs.iter().enumerate() {
+                let got = xb.read_row_bits(r, DST.lo, DST.width);
+                assert_eq!(got, a * bb, "{extra} spare columns, row {r}");
+            }
+        }
     }
 }

@@ -301,7 +301,9 @@ impl<'a> CodeBuilder<'a> {
         Ok(dst)
     }
 
-    /// Full adder on columns: returns `(sum, carry_out)` in fresh columns.
+    /// Full adder on columns: returns `(sum, carry_out)` in fresh columns
+    /// (nine 2-input NORs, 18 cycles; see
+    /// [`CodeBuilder::emit_full_adder_into`]).
     ///
     /// # Errors
     ///
@@ -312,21 +314,88 @@ impl<'a> CodeBuilder<'a> {
         b: usize,
         cin: usize,
     ) -> Result<(usize, usize), SimError> {
-        let nor_ab = self.emit_nor(a, b)?;
-        let and_ab = self.emit_and(a, b)?;
-        let xor_ab = self.emit_nor(nor_ab, and_ab)?; // a XOR b
-        self.release(nor_ab);
-
-        // sum = xor_ab XOR cin
-        let sum = self.emit_xor(xor_ab, cin)?;
-
-        // cout = and_ab OR (cin AND xor_ab)
-        let cin_and_x = self.emit_and(cin, xor_ab)?;
-        let cout = self.emit_or(and_ab, cin_and_x)?;
-        self.release(and_ab);
-        self.release(xor_ab);
-        self.release(cin_and_x);
+        let sum = self.alloc()?;
+        let cout = self.emit_full_adder_into(a, b, cin, sum)?;
         Ok((sum, cout))
+    }
+
+    /// Full adder whose last NOR writes `a + b + cin`'s sum bit into the
+    /// column `sum` the caller names; returns the carry-out in a fresh
+    /// column. Nine 2-input NORs, 18 cycles:
+    ///
+    /// ```text
+    /// n1 = NOR(a, b)     n2 = NOR(a, n1)    n3 = NOR(b, n1)
+    /// x  = NOR(n2, n3)   (a XNOR b)         n5 = NOR(x, cin)
+    /// cout = NOR(n1, n5) n6 = NOR(x, n5)    n7 = NOR(cin, n5)
+    /// sum  = NOR(n6, n7)
+    /// ```
+    ///
+    /// Every read of `a`, `b` and `cin` precedes the last NOR, so `sum`
+    /// may be one of them — an accumulator bit added in place.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scratch exhaustion.
+    pub fn emit_full_adder_into(
+        &mut self,
+        a: usize,
+        b: usize,
+        cin: usize,
+        sum: usize,
+    ) -> Result<usize, SimError> {
+        let n1 = self.emit_nor(a, b)?;
+        let xnor = self.emit_xnor_from(a, b, n1)?;
+        let n5 = self.emit_nor(xnor, cin)?;
+        let cout = self.emit_nor(n1, n5)?;
+        self.release(n1);
+        let n6 = self.emit_nor(xnor, n5)?;
+        let n7 = self.emit_nor(cin, n5)?;
+        self.release(xnor);
+        self.release(n5);
+        self.prog.gate_nor(n6, n7, sum);
+        self.release(n6);
+        self.release(n7);
+        Ok(cout)
+    }
+
+    /// Half adder whose fifth NOR writes `a + b`'s sum bit into the
+    /// column `sum` the caller names (which may be `a` or `b`); returns
+    /// the carry-out `NOR(n1, sum) = a AND b` in a fresh column. Six
+    /// 2-input NORs, 12 cycles: the full adder's first four, then
+    /// `sum = NOT(a XNOR b)`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scratch exhaustion.
+    pub fn emit_half_adder_into(
+        &mut self,
+        a: usize,
+        b: usize,
+        sum: usize,
+    ) -> Result<usize, SimError> {
+        let n1 = self.emit_nor(a, b)?;
+        let xnor = self.emit_xnor_from(a, b, n1)?;
+        self.prog.gate_not(xnor, sum);
+        self.release(xnor);
+        let cout = self.emit_nor(n1, sum)?;
+        self.release(n1);
+        Ok(cout)
+    }
+
+    /// `a XNOR b` into a fresh column, given `n1 = NOR(a, b)`: three
+    /// NORs, `NOR(NOR(a, n1), NOR(b, n1))`.
+    fn emit_xnor_from(&mut self, a: usize, b: usize, n1: usize) -> Result<usize, SimError> {
+        let n2 = self.emit_nor(a, n1)?;
+        let n3 = self.emit_nor(b, n1)?;
+        let xnor = self.emit_nor(n2, n3)?;
+        self.release(n2);
+        self.release(n3);
+        Ok(xnor)
+    }
+
+    /// Scratch columns still free in the pool.
+    pub fn available(&self) -> usize {
+        self.pool.free.len()
     }
 }
 

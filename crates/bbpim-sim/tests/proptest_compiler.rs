@@ -279,7 +279,8 @@ fn pair_of(r: usize, wa: usize, wb: usize) -> (u64, u64) {
 fn arithmetic_is_exact_at_every_small_width() {
     type Emit =
         fn(&mut CodeBuilder<'_>, ColRange, ColRange, ColRange) -> Result<(), bbpim_sim::SimError>;
-    let ops: [(&str, Emit, fn(u64, u64) -> u64); 3] = [
+    type Reference = fn(u64, u64) -> u64;
+    let ops: [(&str, Emit, Reference); 3] = [
         ("add", arith::compile_add, |a, b| a.wrapping_add(b)),
         ("sub", arith::compile_sub, |a, b| a.wrapping_sub(b)),
         ("mul", arith::compile_mul, |a, b| a.wrapping_mul(b)),
@@ -313,19 +314,51 @@ fn arithmetic_is_exact_at_every_small_width() {
     }
 }
 
+/// A crossbar whose columns 0, 1, 2 enumerate `(a, b, cin)` (rows
+/// 0..8, repeated), over dirty scratch.
+fn adder_inputs(seed: u64) -> Crossbar {
+    verifier_crossbar(64, seed, |r| (0..3).map(|c| (c, 1, (r as u64 >> c) & 1)).collect())
+}
+
 #[test]
 fn full_adder_truth_table_over_dirty_scratch() {
-    // rows 0..8 enumerate (a, b, cin); the rest repeat them
-    let mut xb = verifier_crossbar(64, 0xFA, |r| {
-        vec![(0, 1, r as u64 & 1), (1, 1, (r as u64 >> 1) & 1), (2, 1, (r as u64 >> 2) & 1)]
-    });
+    let check = |xb: &Crossbar, sum: usize, cout: usize, what: &str| {
+        for r in 0..64 {
+            let total = (r & 1) + ((r >> 1) & 1) + ((r >> 2) & 1);
+            assert_eq!(xb.bits().get(r, sum), total & 1 == 1, "{what}: sum row {r}");
+            assert_eq!(xb.bits().get(r, cout), total >= 2, "{what}: cout row {r}");
+        }
+    };
+    let mut xb = adder_inputs(0xFA);
     let (sum, cout) = run_checked(&mut xb, ColRange::new(0, 0), "full adder", |b| {
         b.emit_full_adder(0, 1, 2).unwrap()
     });
-    for r in 0..64 {
-        let total = (r & 1) + ((r >> 1) & 1) + ((r >> 2) & 1);
-        assert_eq!(xb.bits().get(r, sum), total & 1 == 1, "sum row {r}");
-        assert_eq!(xb.bits().get(r, cout), total >= 2, "cout row {r}");
+    check(&xb, sum, cout, "full adder");
+    // the in-place form: the sum overwrites one of its own inputs
+    for target in 0..3 {
+        let mut xb = adder_inputs(0xFB + target as u64);
+        let what = format!("full adder into input {target}");
+        let cout = run_checked(&mut xb, ColRange::new(target, 1), &what, |b| {
+            b.emit_full_adder_into(0, 1, 2, target).unwrap()
+        });
+        check(&xb, target, cout, &what);
+    }
+}
+
+#[test]
+fn half_adder_truth_table_over_dirty_scratch() {
+    // a fresh sum column, then the sum over `a`, then over `b`
+    for target in [X_DST, 0, 1] {
+        let mut xb = adder_inputs(0x4A + target as u64);
+        let what = format!("half adder into column {target}");
+        let cout = run_checked(&mut xb, ColRange::new(target, 1), &what, |b| {
+            b.emit_half_adder_into(0, 1, target).unwrap()
+        });
+        for r in 0..64 {
+            let total = (r & 1) + ((r >> 1) & 1);
+            assert_eq!(xb.bits().get(r, target), total & 1 == 1, "{what}: sum row {r}");
+            assert_eq!(xb.bits().get(r, cout), total == 2, "{what}: cout row {r}");
+        }
     }
 }
 
