@@ -43,10 +43,10 @@ fn tiny_sweeps_match_the_pinned_digests() {
         "tiny calibration sweeps",
         &got,
         &[
-            [0x663575e5bf9e0022, 0xaa5a0e612013a6b8, 0xf77c4221179d71de], // small config, PimDb
+            [0x663575e5bf9e0022, 0x592bfb95a27cb4d5, 0x9715a37483449f7b], // small config, PimDb
             [0x663575e5bf9e0022, 0x4b42b05c2fa95e06, 0x21dce047736a399e], // small config, TwoXb
             [0x663575e5bf9e0022, 0x0673ea47a432ef3a, 0xf9658b75b6b304bb], // small config, OneXb
-            [0x0191388e4bb163ae, 0x34f9267657d3d715, 0x8ce5849bdcb896c8], // default config, PimDb
+            [0x0191388e4bb163ae, 0x7f44a367b163714d, 0x44f7328454bde420], // default config, PimDb
             [0x0191388e4bb163ae, 0xb23d6e1c5863aeef, 0x9668b8265f7aa229], // default config, TwoXb
             [0x0191388e4bb163ae, 0x62c90767579fdab9, 0x2710b862d314eafb], // default config, OneXb
         ],

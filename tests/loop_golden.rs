@@ -242,20 +242,20 @@ fn run_stream_matches_the_pinned_digests() {
         "run_stream projections",
         &projections,
         &[
-            [0xd479_8870_c46a_9843], // ClusterEngine, fifo
-            [0x0883_c893_d775_4df5], // StarCluster, fifo
-            [0xb74d_15ad_4ceb_5e70], // ClusterEngine, scsf
-            [0x0883_c893_d775_4df5], // StarCluster, scsf
+            [0x20be_a34a_7c67_6a13], // ClusterEngine, fifo
+            [0xe5d8_9258_599c_b5d2], // StarCluster, fifo
+            [0xfabc_3604_6f47_72ff], // ClusterEngine, scsf
+            [0xe5d8_9258_599c_b5d2], // StarCluster, scsf
         ],
     );
     assert_pinned(
         "run_stream digests",
         &got,
         &[
-            [0x3747_a92f_0177_0bb7, 0xbf81_390d_3119_5d85, 0x325d_2b5c_2306_3767],
-            [0xc1c7_ecd1_a843_bf5b, 0x78f6_e21e_9187_9d9a, 0x0814_d582_a7f4_37b7],
-            [0x8cf2_7a94_c770_4558, 0x0f3e_5fe8_6a64_8a9a, 0x5fef_018a_817a_bcbe],
-            [0xfdc4_8582_977b_711e, 0x78f6_e21e_9187_9d9a, 0x0814_d582_a7f4_37b7],
+            [0x7ea4_a71f_d3bd_33b4, 0xf9e4_626f_943d_1ab9, 0x9775_7b5d_c2ed_5f9b],
+            [0xbea2_af85_c470_69ef, 0x8464_8f89_1157_3828, 0x4b29_8814_ee70_465b],
+            [0xdd22_3eca_8904_f97d, 0x81f3_ec2b_b0df_940d, 0xb3b5_50ab_3a3a_1a04],
+            [0x1adc_13da_51cf_8dda, 0x8464_8f89_1157_3828, 0x4b29_8814_ee70_465b],
         ],
     );
 }
@@ -278,8 +278,8 @@ fn run_serve_matches_the_pinned_digests() {
         "run_serve digests",
         &got,
         &[
-            [0x1d7a_74c4_96c0_2f8e, 0x787b_0acd_fd36_8316, 0x0e24_abe9_fff0_3a21],
-            [0xb21a_dcd0_96d3_7800, 0xfd2c_4161_4b08_59ab, 0xa93d_3905_e7de_bd22],
+            [0x7bfe_0404_5b7e_d991, 0x638f_6ee4_7dc2_8f6e, 0x184a_bf79_d4d4_fee5],
+            [0x9bdd_4fa5_08d7_4d46, 0x4fe8_e64c_7d58_d9b3, 0xa6fd_f04f_a473_a1fa],
         ],
     );
 }
@@ -299,14 +299,14 @@ fn query_only_run_serve_matches_the_pinned_digests() {
     assert_pinned(
         "query-only run_serve projections",
         &projections,
-        &[[0x46e3_c175_d647_4f0a], [0x7fdd_207f_16d9_b219]],
+        &[[0x5d47_8575_3cdc_2391], [0x9882_1e63_8906_7fec]],
     );
     assert_pinned(
         "query-only run_serve digests",
         &got,
         &[
-            [0xb209_6798_d3da_125a, 0x53bd_ab19_20eb_0024, 0xf6a6_c549_5668_0e32],
-            [0x2c6f_cd66_1d5e_3a72, 0x3f6f_97fb_4d2f_3777, 0x39b2_fb08_a813_e13d],
+            [0x6151_b770_d778_c80d, 0x05b1_4225_fcf3_887a, 0xc1aa_7081_e6d6_84c4],
+            [0x11e5_376d_96c5_8590, 0x6e96_cdf8_462b_0d21, 0x809d_0419_861d_2532],
         ],
     );
 }

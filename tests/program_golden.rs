@@ -76,80 +76,80 @@ fn engine_pins(mode: EngineMode) -> Vec<(String, Pin)> {
 /// aggregation backend, which is a circuit or a costed tree, not a
 /// microprogram.
 const ONE_PARTITION: &[Pin] = &[
-    (2, 0xa70b3ad22b22f8b8),   // Q1.1
-    (4, 0x868a78ac725ba13c),   // Q1.2
-    (6, 0xf9433bdf5281c9d2),   // Q1.3
-    (7, 0xa8a07028b45adb1f),   // Q2.1
-    (8, 0x9007c7ad8968f1c8),   // Q2.2
-    (9, 0x7d75f1cf6430ad6a),   // Q2.3
-    (10, 0x00e8bc9a6f0789c9),  // Q3.1
-    (11, 0x90b3dd35375e86f0),  // Q3.2
-    (12, 0x2eca926f6bdf4b2d),  // Q3.3
-    (13, 0x76ae5f4ce8b8189f),  // Q3.4
-    (14, 0x950e84e032065305),  // Q4.1
-    (15, 0x58d90cc4bf7df680),  // Q4.2
-    (16, 0x0ce764a5c0b67ed6),  // Q4.3
-    (18, 0x0aac5b5cf845aae3),  // Q1.1-combined
-    (20, 0x17933ec5fff233a7),  // Q1.2-combined
-    (22, 0xaf552c16655d0969),  // Q1.3-combined
-    (24, 0x93b4f6fcb36fa058),  // Q1.hol
-    (25, 0xf76ee384a9e8c95d),  // Q2.1-stats
-    (40, 0x34c9ba7c348e62f7),  // Q2.1, all pim-gb
-    (77, 0x554fc64b570e2b46),  // Q3.1, all pim-gb
-    (107, 0x1f1ae7f62b8f731a), // Q4.1, all pim-gb
-    (110, 0xab056e40e35c5ba2), // update[lo_quantity,c_region]
+    (2, 0xec2816baa61efde0),   // Q1.1
+    (4, 0x99d7bf1fb33eb604),   // Q1.2
+    (6, 0x1581585e25abc61a),   // Q1.3
+    (7, 0xd8a945f739329027),   // Q2.1
+    (8, 0xa39e7a7de5b5b970),   // Q2.2
+    (9, 0x5cd844276f2d24b2),   // Q2.3
+    (10, 0x4848154c4478e991),  // Q3.1
+    (11, 0x1d814d570660c898),  // Q3.2
+    (12, 0x09f6fd9e5b6f9e75),  // Q3.3
+    (13, 0x2e1560a2c6b52047),  // Q3.4
+    (14, 0xc9402f85b52ebf0d),  // Q4.1
+    (15, 0x025f11724f584298),  // Q4.2
+    (16, 0x3f132f76c113ba8e),  // Q4.3
+    (18, 0xdd529cc5063513bb),  // Q1.1-combined
+    (20, 0x130acc79bed2d007),  // Q1.2-combined
+    (22, 0x93278f18ac9f89c1),  // Q1.3-combined
+    (24, 0x6fba96721834a7c8),  // Q1.hol
+    (25, 0xc80b745564de7dcd),  // Q2.1-stats
+    (40, 0xebca89eb10a39ae7),  // Q2.1, all pim-gb
+    (77, 0xbbaa76f9d2068276),  // Q3.1, all pim-gb
+    (107, 0x4c402177cf69529e), // Q4.1, all pim-gb
+    (110, 0xeccd26d48d4bddc6), // update[lo_quantity,c_region]
 ];
 
 /// `two_xb`: per disjunct a dimension-side program and a fact-side
 /// accumulate step; per pim-gb key three programs.
 const TWO_XB: &[Pin] = &[
-    (3, 0x1fe717b3464885eb),   // Q1.1
-    (6, 0x0c8c2c879b392218),   // Q1.2
-    (9, 0xf7c0ff4910dc9d86),   // Q1.3
-    (11, 0xbcf49eb76153df3a),  // Q2.1
-    (13, 0x7d20bafbcd3fe459),  // Q2.2
-    (15, 0xa8bcb3206c84e70c),  // Q2.3
-    (17, 0x5b827fd6dfaaaed6),  // Q3.1
-    (19, 0x27aae181324dee9d),  // Q3.2
-    (21, 0x0cc4540adef8fa6b),  // Q3.3
-    (23, 0x119b28f8b9482096),  // Q3.4
-    (25, 0x483fed01659b4059),  // Q4.1
-    (27, 0xd6399bf5fefe4ec9),  // Q4.2
-    (29, 0x5c5396b6d8af9f96),  // Q4.3
-    (32, 0x899de3003693ae78),  // Q1.1-combined
-    (35, 0xbf53c15d673785f3),  // Q1.2-combined
-    (38, 0x0d9c77877a3a6efd),  // Q1.3-combined
-    (43, 0x15beae89dbef77b2),  // Q1.hol
-    (45, 0x8cf14ea64e19f44e),  // Q2.1-stats
-    (75, 0x16172861c3a3d4d5),  // Q2.1, all pim-gb
-    (149, 0x00d5e589a4af5395), // Q3.1, all pim-gb
-    (208, 0xa5ba0afbef4f1a4a), // Q4.1, all pim-gb
-    (213, 0xe397a9c1c6055579), // update[lo_quantity,c_region]
+    (3, 0x5af0d57d89cdcca1),   // Q1.1
+    (6, 0xaa11fc33eb6805fc),   // Q1.2
+    (9, 0xb1347b851aca4b5c),   // Q1.3
+    (11, 0xea4192927d2ccca0),  // Q2.1
+    (13, 0x5c71b2f4a4f9b597),  // Q2.2
+    (15, 0x7c7cb3f1208450c2),  // Q2.3
+    (17, 0xbe8be6f857438494),  // Q3.1
+    (19, 0xff67adfddfcfbedb),  // Q3.2
+    (21, 0x902da31bf7224a21),  // Q3.3
+    (23, 0xf229b959ca0b879c),  // Q3.4
+    (25, 0x29f13916f6393293),  // Q4.1
+    (27, 0xe8a62fa3c7d41343),  // Q4.2
+    (29, 0x2bce92ef2e0c781c),  // Q4.3
+    (32, 0xd592335028c1fdc0),  // Q1.1-combined
+    (35, 0xfdcbeae6b61d48b1),  // Q1.2-combined
+    (38, 0x793267815b5d66ad),  // Q1.3-combined
+    (43, 0x79e0ea413374f324),  // Q1.hol
+    (45, 0x81e274fc3fa62098),  // Q2.1-stats
+    (75, 0xf4c21ca6365da4c3),  // Q2.1, all pim-gb
+    (149, 0x76a2663387c22d1f), // Q3.1, all pim-gb
+    (208, 0xa8b7055b1cd2e908), // Q4.1, all pim-gb
+    (213, 0x069e0d2bef076a3b), // update[lo_quantity,c_region]
 ];
 
 /// The star: dimension filters that select nothing at this scale are
 /// planner-answered and compile nothing (the rows that repeat).
 const STAR: &[Pin] = &[
-    (9, 0x870b1aba1ea35f75),   // Q1.1
-    (17, 0x60b433ae769f9be6),  // Q1.2
-    (23, 0xd864daff71b15171),  // Q1.3
-    (29, 0x62108ec062c591a4),  // Q2.1
-    (29, 0x62108ec062c591a4),  // Q2.2
-    (29, 0x62108ec062c591a4),  // Q2.3
-    (36, 0xff368bf606502d28),  // Q3.1
-    (36, 0xff368bf606502d28),  // Q3.2
-    (36, 0xff368bf606502d28),  // Q3.3
-    (36, 0xff368bf606502d28),  // Q3.4
-    (43, 0x75c5df1ad234464f),  // Q4.1
-    (51, 0x553b478056aabdce),  // Q4.2
-    (51, 0x553b478056aabdce),  // Q4.3
-    (60, 0x47adc0556e8bbe38),  // Q1.1-combined
-    (68, 0xed7075989003d5a7),  // Q1.2-combined
-    (74, 0x2e28c5a1df29cf74),  // Q1.3-combined
-    (84, 0x89319b9f848a82ed),  // Q1.hol
-    (90, 0xffe13110e6abd5f1),  // Q2.1-stats
-    (98, 0x08020318ad45ffcc),  // update[lo_discount]
-    (100, 0xdffe081a90073cf1), // update[d_year]
+    (9, 0xa97889ef793fe555),   // Q1.1
+    (17, 0x529b5be144631510),  // Q1.2
+    (23, 0x941c56b60772aafe),  // Q1.3
+    (29, 0xe285b71ea257b86e),  // Q2.1
+    (29, 0xe285b71ea257b86e),  // Q2.2
+    (29, 0xe285b71ea257b86e),  // Q2.3
+    (36, 0xab921ccda1676681),  // Q3.1
+    (36, 0xab921ccda1676681),  // Q3.2
+    (36, 0xab921ccda1676681),  // Q3.3
+    (36, 0xab921ccda1676681),  // Q3.4
+    (43, 0x83dabf51ea04e4e8),  // Q4.1
+    (51, 0x73f0cdfc6d6a829a),  // Q4.2
+    (51, 0x73f0cdfc6d6a829a),  // Q4.3
+    (60, 0x541ac64a27a21a41),  // Q1.1-combined
+    (68, 0x5f25386e025db15a),  // Q1.2-combined
+    (74, 0x8ce0e290c0420d71),  // Q1.3-combined
+    (84, 0x5440b4442b996898),  // Q1.hol
+    (90, 0xc735f445fdeaf187),  // Q2.1-stats
+    (98, 0x747c304365c8e8e9),  // update[lo_discount]
+    (100, 0xbe41c38e1b14f86c), // update[d_year]
 ];
 
 #[test]
