@@ -860,7 +860,14 @@ mod tests {
     /// converges back under the target.
     #[test]
     fn aimd_converges_under_step_load_where_the_static_mean_window_violates() {
-        let probe_target_ns = 450_000.0;
+        // The promise follows the burst's own measured service: a probe
+        // may queue behind one broad scan's whole busy time and half of
+        // the next one's.
+        let broad_busy_ns = resolve_query_demand(&mut cluster(7), &broad(), false)
+            .expect("demand probe")
+            .0
+            .total_busy_ns();
+        let probe_target_ns = 1.5 * broad_busy_ns;
         // The burst lands at 300 us; "converged" is judged on probes
         // arriving after 1.5 ms — several controller decision windows
         // past the step, while the burst backlog is still draining.
@@ -916,10 +923,20 @@ mod tests {
         .unwrap();
         let (aimd_p95, static_p95) = (settled_probe_p95(&out_aimd), settled_probe_p95(&out_static));
         eprintln!(
-            "settled probe p95: aimd {:.1} us (window {:?}), static16 {:.1} us",
+            "settled probe p95 against a {:.1} us promise: aimd {:.1} us (window {:?}), \
+             static16 {:.1} us",
+            probe_target_ns / 1e3,
             aimd_p95 / 1e3,
             out_aimd.window_bounds(),
             static_p95 / 1e3,
+        );
+        // the premise: the static window keeps violating the promise
+        assert!(
+            static_p95 > probe_target_ns,
+            "the static window sized for the pre-step load keeps violating: {:.1} us vs the \
+             {:.1} us promise",
+            static_p95 / 1e3,
+            probe_target_ns / 1e3
         );
         let (lo, _) = out_aimd.window_bounds();
         assert!(lo < 8, "the controller cut below the pre-step window, got floor {lo}");
@@ -928,11 +945,6 @@ mod tests {
             "AIMD converges: settled probe p95 {:.1} us within the {:.1} us promise",
             aimd_p95 / 1e3,
             probe_target_ns / 1e3
-        );
-        assert!(
-            static_p95 > probe_target_ns,
-            "the static window sized for the pre-step load keeps violating: {:.1} us",
-            static_p95 / 1e3
         );
     }
 
