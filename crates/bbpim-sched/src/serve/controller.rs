@@ -8,7 +8,11 @@
 //! latency (observed latency over the owning tenant's p95 target), and
 //! every `sample_window` completions the controller compares the
 //! windowed p95 of those ratios against [`AimdConfig::target`] —
-//! additive raise while under it, multiplicative cut on violation.
+//! a raise while under it, a multiplicative cut on violation. As in
+//! TCP's slow start, each raise doubles the last until the first
+//! violation (a window that starts small would otherwise spend most of
+//! a short session climbing one step per sample); from then on every
+//! raise is [`AimdConfig::additive_increase`].
 //! Normalising by the per-tenant target makes one global window serve
 //! mixed SLOs: a light tenant's tight promise and a heavy tenant's
 //! loose one pull the same signal in commensurable units.
@@ -41,7 +45,8 @@ pub struct AimdConfig {
     pub min_window: usize,
     /// Hard ceiling.
     pub max_window: usize,
-    /// Additive raise per under-target decision.
+    /// Additive raise per under-target decision (after the first
+    /// violation; before it, the raise doubles from this value).
     pub additive_increase: usize,
     /// Multiplicative cut factor per violation, in (0, 1).
     pub multiplicative_decrease: f64,
@@ -124,6 +129,10 @@ pub struct WindowDecision {
 pub struct AimdController {
     cfg: AimdConfig,
     window: usize,
+    /// The next under-target raise: `additive_increase`, doubled after
+    /// each raise until the first violation (slow start), then fixed.
+    raise: usize,
+    slow_start: bool,
     samples: Vec<f64>,
     decisions: Vec<WindowDecision>,
 }
@@ -136,8 +145,15 @@ impl AimdController {
     /// [`SchedError::InvalidConfig`] per [`AimdConfig::validate`].
     pub fn new(cfg: AimdConfig) -> Result<AimdController, SchedError> {
         cfg.validate()?;
-        let window = cfg.initial_window;
-        Ok(AimdController { cfg, window, samples: Vec::new(), decisions: Vec::new() })
+        let (window, raise) = (cfg.initial_window, cfg.additive_increase);
+        Ok(AimdController {
+            cfg,
+            window,
+            raise,
+            slow_start: true,
+            samples: Vec::new(),
+            decisions: Vec::new(),
+        })
     }
 
     /// The current in-flight window.
@@ -163,12 +179,20 @@ impl AimdController {
         sorted.sort_by(f64::total_cmp);
         let p95_ratio = percentile(&sorted, 95.0);
         self.window = if p95_ratio > self.cfg.target {
-            // Violation: multiplicative cut, floored.
+            // Violation: multiplicative cut, floored; slow start is over.
+            self.slow_start = false;
+            self.raise = self.cfg.additive_increase;
             let cut = (self.window as f64 * self.cfg.multiplicative_decrease).floor() as usize;
             cut.max(self.cfg.min_window)
         } else {
-            // Under target: additive raise, capped.
-            (self.window + self.cfg.additive_increase).min(self.cfg.max_window)
+            // Under target: raise, capped. Until the first violation each
+            // raise is twice the last, so a window that starts too small
+            // climbs to its level in log steps rather than linear ones.
+            let raised = (self.window + self.raise).min(self.cfg.max_window);
+            if self.slow_start {
+                self.raise = (2 * self.raise).min(self.cfg.max_window);
+            }
+            raised
         };
         self.decisions.push(WindowDecision { t_ns, p95_ratio, window: self.window });
         Some(self.window)
@@ -217,6 +241,22 @@ mod tests {
         assert_eq!(c.decisions().len(), 2);
         assert_eq!(c.decisions()[1].window, 4);
         assert!(c.decisions()[1].p95_ratio > 1.0);
+    }
+
+    #[test]
+    fn raises_double_until_the_first_violation_then_stay_additive() {
+        let mut c = ctl(AimdConfig {
+            sample_window: 1,
+            initial_window: 2,
+            max_window: 64,
+            ..Default::default()
+        });
+        let windows: Vec<usize> = [0.5, 0.5, 0.5, 2.0, 0.5, 0.5]
+            .iter()
+            .map(|&r| c.on_completion(0.0, r).unwrap())
+            .collect();
+        // +1, +2, +4; the cut halves 9; then +1 each
+        assert_eq!(windows, [3, 5, 9, 4, 5, 6]);
     }
 
     #[test]
