@@ -278,8 +278,8 @@ fn run_serve_matches_the_pinned_digests() {
         "run_serve digests",
         &got,
         &[
-            [0x7bfe_0404_5b7e_d991, 0x638f_6ee4_7dc2_8f6e, 0x184a_bf79_d4d4_fee5],
-            [0x9bdd_4fa5_08d7_4d46, 0x4fe8_e64c_7d58_d9b3, 0xa6fd_f04f_a473_a1fa],
+            [0xe436_f576_d5de_77ac, 0x8ac2_1001_6056_3d0f, 0xe7b8_97da_7800_00ab],
+            [0x3c20_baeb_69e7_8c72, 0x1bf9_4da2_d88e_4673, 0xaaf5_7f17_9f66_21c0],
         ],
     );
 }
@@ -299,14 +299,14 @@ fn query_only_run_serve_matches_the_pinned_digests() {
     assert_pinned(
         "query-only run_serve projections",
         &projections,
-        &[[0x5d47_8575_3cdc_2391], [0x9882_1e63_8906_7fec]],
+        &[[0xa79f_3f74_68de_026b], [0x195b_822b_0bb9_6054]],
     );
     assert_pinned(
         "query-only run_serve digests",
         &got,
         &[
-            [0x6151_b770_d778_c80d, 0x05b1_4225_fcf3_887a, 0xc1aa_7081_e6d6_84c4],
-            [0x11e5_376d_96c5_8590, 0x6e96_cdf8_462b_0d21, 0x809d_0419_861d_2532],
+            [0xbed0_e337_3a0c_914d, 0xe71f_4064_6385_4f82, 0xa5d0_22cd_7ba7_4cd4],
+            [0x2063_8095_ca69_bfa2, 0x65ce_f724_c123_8ac1, 0xe822_873e_634d_f970],
         ],
     );
 }
