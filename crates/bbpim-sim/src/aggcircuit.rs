@@ -8,7 +8,7 @@
 //! fetches it with a standard memory read.
 //!
 //! Compared to the pure bulk-bitwise reduction
-//! ([`crate::compiler::reduce`]) this trades ~13 k logic cycles of cell
+//! ([`crate::compiler::reduce`]) this trades ~10 k logic cycles of cell
 //! writes for ~2 k cell *reads* — the source of the paper's 1.83×
 //! latency, 4.31× energy and 3.21× lifetime improvements.
 

@@ -9,7 +9,7 @@
 //! circuit removes (Section IV: aggregation is "expensive in terms of
 //! execution time, power, and cell endurance").
 //!
-//! Executing ~13 k micro-ops per crossbar gate-by-gate adds nothing over
+//! Executing ~10 k micro-ops per crossbar gate-by-gate adds nothing over
 //! the closed-form count (the sequence is data-independent), so this
 //! module provides a **modeled** operation: [`reduce_cost`] charges the
 //! exact op counts of the sequence described above, and

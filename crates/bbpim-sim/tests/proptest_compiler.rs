@@ -346,6 +346,29 @@ fn full_adder_truth_table_over_dirty_scratch() {
 }
 
 #[test]
+fn gates_are_exact_over_dirty_scratch() {
+    type Gate = fn(&mut CodeBuilder<'_>) -> usize;
+    type Reference = fn(bool, bool) -> bool;
+    let gates: [(&str, Gate, Reference); 7] = [
+        ("not", |b| b.emit_not(0).unwrap(), |a, _| !a),
+        ("and", |b| b.emit_and(0, 1).unwrap(), |a, c| a && c),
+        ("or", |b| b.emit_or(0, 1).unwrap(), |a, c| a || c),
+        ("xor", |b| b.emit_xor(0, 1).unwrap(), |a, c| a ^ c),
+        ("nor_many", |b| b.emit_nor_many(vec![0, 1]).unwrap(), |a, c| !(a || c)),
+        ("and_many", |b| b.emit_and_many(&[0, 1]).unwrap(), |a, c| a && c),
+        ("or_many", |b| b.emit_or_many(vec![0, 1]).unwrap(), |a, c| a || c),
+    ];
+    for (k, (name, emit, reference)) in gates.iter().enumerate() {
+        let mut xb = adder_inputs(0x6A7E + k as u64);
+        let out = run_checked(&mut xb, ColRange::new(0, 0), name, emit);
+        for r in 0..64 {
+            let want = reference(r & 1 == 1, r & 2 == 2);
+            assert_eq!(xb.bits().get(r, out), want, "{name}: row {r}");
+        }
+    }
+}
+
+#[test]
 fn half_adder_truth_table_over_dirty_scratch() {
     // a fresh sum column, then the sum over `a`, then over `b`
     for target in [X_DST, 0, 1] {
