@@ -8,6 +8,7 @@
 
 use bbpim_sim::compiler::{arith, mux, predicate, CodeBuilder, ColRange, ScratchPool};
 use bbpim_sim::crossbar::Crossbar;
+use bbpim_sim::isa::{MicroOp, Microprogram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -209,7 +210,8 @@ fn between_and_in_match_semantics() {
 // holding random bits, so an emitter that reads a scratch cell before
 // writing it, or NORs onto a cell it never INITed (MAGIC's NOR only
 // clears), turns into a wrong answer. Every column outside the
-// destination and the scratch region must come back unchanged.
+// destination and the scratch region must come back unchanged, and no
+// NOR may take more than `MAX_FAN_IN` inputs.
 
 /// Attribute columns of the exhaustive checks: lhs, rhs, destination.
 const X_LHS: usize = 0;
@@ -218,6 +220,18 @@ const X_DST: usize = 16;
 /// The scratch region, right of every attribute.
 const X_SCRATCH: ColRange = ColRange { lo: 32, width: 64 };
 const X_COLS: usize = 96;
+/// The widest NOR a program may emit: an equality on a 64-bit
+/// attribute. Wider ORs split into several NORs.
+const MAX_FAN_IN: usize = 64;
+
+/// Assert the fan-in rule on every op of `prog`.
+fn assert_fan_in(prog: &Microprogram, what: &str) {
+    for (i, op) in prog.ops().iter().enumerate() {
+        if let MicroOp::NorManyCols { inputs, .. } = op {
+            assert!(inputs.len() <= MAX_FAN_IN, "{what}: op {i} NORs {} inputs", inputs.len());
+        }
+    }
+}
 
 /// A crossbar of `rows` rows (a multiple of 64) whose row `r` holds
 /// `fill(r)` as `(column, width, value)` triples, and whose scratch
@@ -256,6 +270,7 @@ fn run_checked<T>(
     let out = emit(&mut b);
     let prog = b.finish();
     prog.validate(xb.rows(), xb.cols()).unwrap();
+    assert_fan_in(&prog, what);
     xb.execute(&prog).unwrap();
     let writable =
         |c: usize| (c >= dst.lo && c < dst.end()) || (c >= X_SCRATCH.lo && c < X_SCRATCH.end());
@@ -422,6 +437,34 @@ fn predicates_are_exact_against_every_small_constant() {
                 check(&xb, out, &format!("between {width}-bit {c}..={hi}"), &|v| {
                     (c..=hi).contains(&v)
                 });
+            }
+        }
+    }
+}
+
+#[test]
+fn in_set_is_exact_against_every_small_member_list() {
+    for width in 1..=3usize {
+        let domain = 1u64 << width;
+        let attr = ColRange::new(X_LHS, width);
+        let values = |r: usize| r as u64 % domain;
+        let none = ColRange::new(X_DST, 0);
+        for subset in 1u64..(1 << domain) {
+            let members: Vec<u64> = (0..domain).filter(|v| subset >> v & 1 == 1).collect();
+            // the members ascending, then descending with the first repeated
+            let mut shuffled: Vec<u64> = members.iter().rev().copied().collect();
+            shuffled.push(members[0]);
+            for (k, list) in [members.clone(), shuffled].iter().enumerate() {
+                let seed = (width as u64) << 12 | subset << 1 | k as u64;
+                let mut xb = verifier_crossbar(64, seed, |r| vec![(X_LHS, width, values(r))]);
+                let what = format!("in {width}-bit {list:?}");
+                let out = run_checked(&mut xb, none, &what, |b| {
+                    predicate::compile_in_set(b, attr, list).unwrap()
+                });
+                for r in 0..64 {
+                    let v = values(r);
+                    assert_eq!(xb.bits().get(r, out), members.contains(&v), "{what}: value {v}");
+                }
             }
         }
     }
