@@ -18,7 +18,7 @@
 
 use bbpim_db::plan::ResolvedAtom;
 use bbpim_sim::bitmat::word_ones;
-use bbpim_sim::compiler::predicate;
+use bbpim_sim::compiler::predicate::{Cmp, Conjunction};
 use bbpim_sim::compiler::{CodeBuilder, ColRange, ScratchPool};
 use bbpim_sim::isa::Microprogram;
 use bbpim_sim::maskwire::{self, PackedBits};
@@ -32,33 +32,27 @@ use crate::scan::Scan;
 use crate::semijoin::{build_dnf_mask_program, SemijoinDisjunct};
 use crate::table::PimTable;
 
-/// Emit one atom's predicate program; returns the result column.
+/// AND one atom into `acc`: the atom's comparison as value runs over
+/// its column range ([`Cmp::runs`]), through the one range
+/// emitter.
 ///
 /// # Errors
 ///
 /// Propagates compiler failures (scratch exhaustion, bad constants).
-pub fn compile_atom(
+pub fn and_atom(
     b: &mut CodeBuilder<'_>,
+    acc: &mut Conjunction,
     atom: &ResolvedAtom,
     range: ColRange,
-) -> Result<usize, CoreError> {
-    let col = match atom {
-        ResolvedAtom::Eq { value, .. } => predicate::compile_eq_const(b, range, *value)?,
-        ResolvedAtom::Between { lo, hi, .. } => {
-            predicate::compile_between_const(b, range, *lo, *hi)?
-        }
-        ResolvedAtom::Lt { value, .. } => predicate::compile_lt_const(b, range, *value)?,
-        ResolvedAtom::Gt { value, .. } => predicate::compile_gt_const(b, range, *value)?,
-        ResolvedAtom::In { values, .. } => predicate::compile_in_set(b, range, values)?,
+) -> Result<(), CoreError> {
+    let cmp = match atom {
+        ResolvedAtom::Eq { value, .. } => Cmp::Eq(*value),
+        ResolvedAtom::Between { lo, hi, .. } => Cmp::Between(*lo, *hi),
+        ResolvedAtom::Lt { value, .. } => Cmp::Lt(*value),
+        ResolvedAtom::Gt { value, .. } => Cmp::Gt(*value),
+        ResolvedAtom::In { values, .. } => Cmp::In(values),
     };
-    Ok(col)
-}
-
-/// Copy a one-bit column into `dst` (INIT + double NOT, 4 cycles).
-pub fn copy_col(b: &mut CodeBuilder<'_>, src: usize, dst: usize) -> Result<(), CoreError> {
-    let t = b.emit_not(src)?;
-    b.program_mut().gate_nor(t, t, dst);
-    b.release(t);
+    acc.and_ranges(b, range, &cmp.runs(range.width)?)?;
     Ok(())
 }
 
@@ -68,6 +62,12 @@ pub fn copy_col(b: &mut CodeBuilder<'_>, src: usize, dst: usize) -> Result<(), C
 /// (the accumulation step of multi-disjunct two-xb filtering). The
 /// workspace is `scratch`: the partition's whole scratch region, or
 /// what a materialised aggregate expression left of it.
+///
+/// The AND is built by clear-only MAGIC NORs into one INITed column
+/// ([`Conjunction`]): each atom NORs in its cube's literals or the
+/// complement of its runs, and `and_cols` one NOR of their shared
+/// complements. Plain, that column is `dst_col` itself; accumulating,
+/// a scratch term, then `dst_col := NOT NOR(dst_col, term)`.
 ///
 /// # Errors
 ///
@@ -81,21 +81,17 @@ pub fn build_conjunction_program(
 ) -> Result<Microprogram, CoreError> {
     let mut pool = ScratchPool::new(scratch);
     let mut b = CodeBuilder::new(&mut pool);
-    let mut terms: Vec<usize> = Vec::with_capacity(atoms.len() + and_cols.len());
+    let mut conj = if accumulate { Conjunction::fresh() } else { Conjunction::into_col(dst_col) };
     for (atom, range) in atoms {
-        terms.push(compile_atom(&mut b, atom, *range)?);
+        and_atom(&mut b, &mut conj, atom, *range)?;
     }
-    terms.extend_from_slice(and_cols);
-    let conj = b.emit_and_many(&terms)?;
-    let result = if accumulate {
-        let ored = b.emit_or(conj, dst_col)?;
-        b.release(conj);
-        ored
-    } else {
-        conj
-    };
-    copy_col(&mut b, result, dst_col)?;
-    b.release(result);
+    let positive: Vec<(usize, bool)> = and_cols.iter().map(|&c| (c, true)).collect();
+    conj.and_literals(&mut b, &positive)?;
+    let term = conj.finish(&mut b)?;
+    if accumulate {
+        let either_not = b.emit_nor(dst_col, term)?;
+        b.program_mut().gate_not(either_not, dst_col);
+    }
     Ok(b.finish())
 }
 

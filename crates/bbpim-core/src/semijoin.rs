@@ -7,35 +7,38 @@
 //! against millions of fact rows must NOT — the host would have to
 //! write a bit per fact record, which is exactly the wide-mask traffic
 //! the normalized storage model exists to avoid. Instead the bitmap is
-//! decomposed into *runs* of consecutive selected keys, and each run
-//! compiles to a range predicate over the fact table's FK column: a
-//! run of width 1 is an equality, wider runs a BETWEEN. The fact-side
-//! program then evaluates
+//! decomposed into *runs* of consecutive selected keys, and the whole
+//! run list compiles to one range predicate over the fact table's FK
+//! column ([`Conjunction::and_ranges`]): every run splits into aligned
+//! prefix cubes, one multi-input NOR each over complements of the FK
+//! bits that every cube of the program shares. The fact-side program
+//! then evaluates
 //!
 //! ```text
 //! mask = OR over disjuncts ( AND(fact atoms)
-//!                            AND per-dim OR(run predicates) )
+//!                            AND per-dim OR(run cubes) )
 //!        AND validity
 //! ```
 //!
 //! in one [`Microprogram`] — bulk-bitwise cycles on the fact module,
-//! zero channel bytes. Selective dimension filters (the Q1.x class)
-//! produce few runs and tiny programs; scattered bitmaps (a region
-//! filter selecting every fifth customer) produce many runs, which
-//! costs PIM-logic time but still no bus traffic — the trade the
-//! paper's channel-bound analysis argues for.
+//! zero channel bytes. A run costs two cycles per cube (at most two
+//! cubes per FK bit, usually a handful), and the FK's complements are
+//! paid once per program, so a scattered bitmap (a region filter
+//! selecting every fifth customer) costs about two cycles per
+//! single-key run — no bus traffic, and no comparator chain per run.
 //!
 //! [`build_dnf_mask_program`] is the one DNF builder: a plain
 //! single-partition query filter is the case where no disjunct carries
-//! a semijoin term. Run predicates reuse the compiled-predicate library
-//! via [`compile_atom`].
+//! a semijoin term. Local atoms go through the same emitter via
+//! [`and_atom`].
 
 use bbpim_db::plan::ResolvedAtom;
+use bbpim_sim::compiler::predicate::{Conjunction, Disjunction};
 use bbpim_sim::compiler::{CodeBuilder, ColRange, ScratchPool};
 use bbpim_sim::isa::Microprogram;
 
 use crate::error::CoreError;
-use crate::filter_exec::{compile_atom, copy_col};
+use crate::filter_exec::and_atom;
 
 /// One dimension's contribution to a disjunct: the key runs its
 /// filtered bitmap decomposed into, anchored at the fact FK column.
@@ -62,43 +65,19 @@ pub struct SemijoinDisjunct {
     pub semijoins: Vec<SemijoinTerm>,
 }
 
-/// Emit the OR of a term's run predicates; returns the result column.
-///
-/// Runs are OR-accumulated pairwise so at most one accumulator and one
-/// fresh predicate are live at a time — the program length grows with
-/// the run count but scratch occupancy does not.
-fn compile_runs(b: &mut CodeBuilder<'_>, term: &SemijoinTerm) -> Result<usize, CoreError> {
-    if term.runs.is_empty() {
-        return Ok(b.zero()?);
-    }
-    let mut acc: Option<usize> = None;
-    for &(lo, hi) in &term.runs {
-        let atom = if lo == hi {
-            ResolvedAtom::Eq { idx: 0, value: lo }
-        } else {
-            ResolvedAtom::Between { idx: 0, lo, hi }
-        };
-        let col = compile_atom(b, &atom, term.fk_range)?;
-        acc = Some(match acc {
-            None => col,
-            Some(a) => {
-                let ored = b.emit_or(a, col)?;
-                b.release(a);
-                b.release(col);
-                ored
-            }
-        });
-    }
-    Ok(acc.expect("at least one run"))
-}
-
 /// Build one program evaluating a whole DNF inside a single partition
 /// (`scratch` is its workspace): per disjunct, AND the local atoms with
-/// every semijoin term's run-OR; OR across disjuncts; AND `and_cols`
+/// every semijoin term's runs; OR across disjuncts; AND `and_cols`
 /// (validity); write the result to `dst_col`. A disjunct with no atoms
-/// and no semijoins contributes constant true; zero disjuncts write an
-/// all-false mask — an executed filter must still leave a well-defined
-/// mask on the touched pages.
+/// and no semijoins is constant true; zero disjuncts write an all-false
+/// mask — an executed filter must still leave a well-defined mask on
+/// the touched pages.
+///
+/// Every AND is clear-only NORs into one INITed column
+/// ([`Conjunction`]). One disjunct builds straight into `dst_col`;
+/// several build one scratch term each, whose NOR ([`Disjunction`], the
+/// complement of their OR) then goes into `dst_col` in the same NOR as
+/// the complements of `and_cols`. No copy, no NOT per term.
 ///
 /// # Errors
 ///
@@ -111,47 +90,43 @@ pub fn build_dnf_mask_program(
 ) -> Result<Microprogram, CoreError> {
     let mut pool = ScratchPool::new(scratch);
     let mut b = CodeBuilder::new(&mut pool);
-    if disjuncts.is_empty() {
-        let zero = b.zero()?;
-        copy_col(&mut b, zero, dst_col)?;
-        return Ok(b.finish());
+    let mut mask = Conjunction::into_col(dst_col);
+    let mut literals: Vec<(usize, bool)> = and_cols.iter().map(|&c| (c, true)).collect();
+    let always = disjuncts.iter().any(|d| d.atoms.is_empty() && d.semijoins.is_empty());
+    match disjuncts {
+        _ if always => {}
+        [] => literals.push((b.one()?, false)),
+        [d] => and_disjunct(&mut b, &mut mask, d)?,
+        _ => {
+            let mut any = Disjunction::new();
+            for d in disjuncts {
+                let mut term = Conjunction::fresh();
+                and_disjunct(&mut b, &mut term, d)?;
+                let col = term.finish(&mut b)?;
+                any.push(&mut b, col, true)?;
+            }
+            literals.push((any.finish_complement(&mut b)?, false));
+        }
     }
-    let mut terms: Vec<usize> = Vec::with_capacity(disjuncts.len());
-    for d in disjuncts {
-        if d.atoms.is_empty() && d.semijoins.is_empty() {
-            terms.push(b.one()?);
-            continue;
-        }
-        let mut cols: Vec<usize> = Vec::with_capacity(d.atoms.len() + d.semijoins.len());
-        for (atom, range) in &d.atoms {
-            cols.push(compile_atom(&mut b, atom, *range)?);
-        }
-        for sj in &d.semijoins {
-            cols.push(compile_runs(&mut b, sj)?);
-        }
-        let term = b.emit_and_many(&cols)?;
-        for c in cols {
-            b.release(c);
-        }
-        terms.push(term);
-    }
-    let selected = if terms.len() == 1 {
-        terms[0]
-    } else {
-        let ored = b.emit_or_many(terms.clone())?;
-        for c in terms {
-            b.release(c);
-        }
-        ored
-    };
-    let mut all: Vec<usize> = Vec::with_capacity(1 + and_cols.len());
-    all.push(selected);
-    all.extend_from_slice(and_cols);
-    let combined = b.emit_and_many(&all)?;
-    b.release(selected);
-    copy_col(&mut b, combined, dst_col)?;
-    b.release(combined);
+    mask.and_literals(&mut b, &literals)?;
+    mask.finish(&mut b)?;
     Ok(b.finish())
+}
+
+/// AND one disjunct's atoms and semijoin terms into `acc`: a term's
+/// runs go through the range emitter as they are.
+fn and_disjunct(
+    b: &mut CodeBuilder<'_>,
+    acc: &mut Conjunction,
+    d: &SemijoinDisjunct,
+) -> Result<(), CoreError> {
+    for (atom, range) in &d.atoms {
+        and_atom(b, acc, atom, *range)?;
+    }
+    for sj in &d.semijoins {
+        acc.and_ranges(b, sj.fk_range, &sj.runs)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

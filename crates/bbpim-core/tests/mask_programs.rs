@@ -4,13 +4,14 @@
 //! small attributes, over a scratch region pre-filled with random bits.
 //! The mask must equal a row-at-a-time reference, no column outside the
 //! destination and the scratch region may change, and no NOR may take
-//! more than 64 inputs.
+//! more than 64 inputs — with a roomy pool, with the 24 columns every
+//! layout reserves, and with the builders' whole working set alone.
 
 use bbpim_core::filter_exec::build_conjunction_program;
 use bbpim_core::layout::{MASK_COL, TRANSFER_COL, VALID_COL};
 use bbpim_core::semijoin::{build_dnf_mask_program, SemijoinDisjunct, SemijoinTerm};
 use bbpim_db::plan::ResolvedAtom;
-use bbpim_sim::compiler::ColRange;
+use bbpim_sim::compiler::{ColRange, WORKING_COLS};
 use bbpim_sim::crossbar::Crossbar;
 use bbpim_sim::isa::{MicroOp, Microprogram};
 use rand::rngs::StdRng;
@@ -24,6 +25,9 @@ const A: ColRange = ColRange { lo: 32, width: 3 };
 const B: ColRange = ColRange { lo: 40, width: 3 };
 const FK: ColRange = ColRange { lo: 48, width: 6 };
 const SCRATCH: ColRange = ColRange { lo: 64, width: 64 };
+/// The scratch pools every program is built for, inside `SCRATCH`.
+const POOLS: [ColRange; 3] =
+    [SCRATCH, ColRange { lo: 64, width: 24 }, ColRange { lo: 64, width: WORKING_COLS }];
 const MAX_FAN_IN: usize = 64;
 
 fn a_of(r: usize) -> u64 {
@@ -35,7 +39,7 @@ fn b_of(r: usize) -> u64 {
 }
 
 fn valid(r: usize) -> bool {
-    (r * 37) % 7 != 0
+    !r.is_multiple_of(7)
 }
 
 fn transfer(r: usize) -> bool {
@@ -64,9 +68,15 @@ fn crossbar(seed: u64) -> Crossbar {
 }
 
 /// Run `prog` on a fresh crossbar drawn from `seed`, checking the fan-in
-/// rule and that nothing outside `dst` and the scratch region moved;
-/// returns the crossbar and `dst`'s bits before the run.
-fn run(prog: &Microprogram, seed: u64, dst: usize, what: &str) -> (Crossbar, Vec<bool>) {
+/// rule and that nothing outside `dst` and `scratch` moved; returns the
+/// crossbar and `dst`'s bits before the run.
+fn run(
+    prog: &Microprogram,
+    scratch: ColRange,
+    seed: u64,
+    dst: usize,
+    what: &str,
+) -> (Crossbar, Vec<bool>) {
     let mut xb = crossbar(seed);
     let dst_before: Vec<bool> = (0..ROWS).map(|r| xb.bits().get(r, dst)).collect();
     let before: Vec<Vec<u64>> = (0..COLS).map(|c| xb.bits().col(c).to_vec()).collect();
@@ -76,7 +86,7 @@ fn run(prog: &Microprogram, seed: u64, dst: usize, what: &str) -> (Crossbar, Vec
         }
     }
     xb.execute(prog).unwrap();
-    let writable = |c: usize| c == dst || (c >= SCRATCH.lo && c < SCRATCH.end());
+    let writable = |c: usize| c == dst || (c >= scratch.lo && c < scratch.end());
     for (c, col) in before.iter().enumerate().filter(|&(c, _)| !writable(c)) {
         assert_eq!(xb.bits().col(c), &col[..], "{what}: column {c} outside dst and scratch moved");
     }
@@ -119,14 +129,17 @@ fn conjunctions_are_exact_over_every_small_atom() {
                     && atom.matches_value(a_of(r))
                     && (n == 1 || other.matches_value(b_of(r)))
             };
-            for accumulate in [false, true] {
-                let what = format!("{conj:?} and {and_cols:?}, accumulate {accumulate}");
-                let prog = build_conjunction_program(SCRATCH, conj, and_cols, MASK_COL, accumulate)
+            for (accumulate, scratch) in
+                [false, true].into_iter().flat_map(|a| POOLS.map(|p| (a, p)))
+            {
+                let what =
+                    format!("{conj:?} and {and_cols:?}, accumulate {accumulate}, {scratch:?}");
+                let prog = build_conjunction_program(scratch, conj, and_cols, MASK_COL, accumulate)
                     .unwrap();
                 let seed = (k as u64) << 2 | (n as u64) << 1 | u64::from(accumulate);
-                let (xb, old) = run(&prog, seed, MASK_COL, &what);
-                for r in 0..ROWS {
-                    let expect = want(r) || (accumulate && old[r]);
+                let (xb, old) = run(&prog, scratch, seed, MASK_COL, &what);
+                for (r, &was) in old.iter().enumerate() {
+                    let expect = want(r) || (accumulate && was);
                     assert_eq!(xb.bits().get(r, MASK_COL), expect, "{what}: row {r}");
                 }
             }
@@ -146,19 +159,16 @@ fn conjunctions_on_a_six_bit_attribute_are_exact() {
         }
     }
     for (k, atom) in atoms.iter().enumerate() {
-        let what = format!("{atom:?}");
-        let prog = build_conjunction_program(
-            SCRATCH,
-            &[(atom.clone(), FK)],
-            &[VALID_COL],
-            MASK_COL,
-            false,
-        )
-        .unwrap();
-        let (xb, _) = run(&prog, 0x6B17 + k as u64, MASK_COL, &what);
-        for r in 0..ROWS {
-            let expect = valid(r) && atom.matches_value(r as u64);
-            assert_eq!(xb.bits().get(r, MASK_COL), expect, "{what}: row {r}");
+        for scratch in POOLS {
+            let what = format!("{atom:?} in {scratch:?}");
+            let conj = [(atom.clone(), FK)];
+            let prog =
+                build_conjunction_program(scratch, &conj, &[VALID_COL], MASK_COL, false).unwrap();
+            let (xb, _) = run(&prog, scratch, 0x6B17 + k as u64, MASK_COL, &what);
+            for r in 0..ROWS {
+                let expect = valid(r) && atom.matches_value(r as u64);
+                assert_eq!(xb.bits().get(r, MASK_COL), expect, "{what}: row {r}");
+            }
         }
     }
 }
@@ -166,11 +176,13 @@ fn conjunctions_on_a_six_bit_attribute_are_exact() {
 #[test]
 fn a_conjunction_without_atoms_ands_its_columns() {
     // pim-gb's two-xb combine step: query mask AND transferred mask
-    let prog =
-        build_conjunction_program(SCRATCH, &[], &[VALID_COL, TRANSFER_COL], 2, false).unwrap();
-    let (xb, _) = run(&prog, 0xA0, 2, "no atoms");
-    for r in 0..ROWS {
-        assert_eq!(xb.bits().get(r, 2), valid(r) && transfer(r), "row {r}");
+    for scratch in POOLS {
+        let prog =
+            build_conjunction_program(scratch, &[], &[VALID_COL, TRANSFER_COL], 2, false).unwrap();
+        let (xb, _) = run(&prog, scratch, 0xA0, 2, "no atoms");
+        for r in 0..ROWS {
+            assert_eq!(xb.bits().get(r, 2), valid(r) && transfer(r), "row {r}");
+        }
     }
 }
 
@@ -200,12 +212,14 @@ fn runs_of(keys: u64) -> Vec<(u64, u64)> {
 }
 
 fn check_dnf(disjuncts: &[SemijoinDisjunct], seed: u64) {
-    let what = format!("{disjuncts:?}");
-    let prog = build_dnf_mask_program(SCRATCH, disjuncts, &[VALID_COL], MASK_COL).unwrap();
-    let (xb, _) = run(&prog, seed, MASK_COL, &what);
-    for r in 0..ROWS {
-        let expect = valid(r) && disjuncts.iter().any(|d| disjunct_selects(d, r));
-        assert_eq!(xb.bits().get(r, MASK_COL), expect, "{what}: row {r}");
+    for scratch in POOLS {
+        let what = format!("{disjuncts:?} in {scratch:?}");
+        let prog = build_dnf_mask_program(scratch, disjuncts, &[VALID_COL], MASK_COL).unwrap();
+        let (xb, _) = run(&prog, scratch, seed, MASK_COL, &what);
+        for r in 0..ROWS {
+            let expect = valid(r) && disjuncts.iter().any(|d| disjunct_selects(d, r));
+            assert_eq!(xb.bits().get(r, MASK_COL), expect, "{what}: row {r}");
+        }
     }
 }
 

@@ -8,9 +8,12 @@
 //! and endurance are those of the real gate sequence, not an estimate.
 //!
 //! * [`CodeBuilder`] — gate-level emission with scratch-column
-//!   allocation (NOT/OR/AND/XOR built from MAGIC NOR).
-//! * [`predicate`] — `=`, `<`, `>`, `BETWEEN`, `IN` against constants,
-//!   plus conjunction/disjunction of result columns.
+//!   allocation (NOT/OR/AND/XOR built from MAGIC NOR), and the
+//!   per-program complements of the columns a program only reads.
+//! * [`predicate`] — one range emitter for `=`, `<`, `>`, `BETWEEN`,
+//!   `IN` and semijoin key runs (aligned prefix cubes over shared
+//!   complements), and the clear-only AND / OR of result columns the
+//!   mask builders use.
 //! * [`arith`] — ripple-carry add/sub and shift-add multiply between
 //!   attribute column ranges.
 //! * [`mux`] — the paper's Algorithm 1: select-bit-controlled overwrite
@@ -124,12 +127,27 @@ pub struct CodeBuilder<'a> {
     pool: &'a mut ScratchPool,
     const_one: Option<usize>,
     const_zero: Option<usize>,
+    /// `(column, its complement)` pairs kept for the rest of the program.
+    complements: Vec<(usize, usize)>,
 }
+
+/// Scratch columns the predicate emitters and the mask builders
+/// ([`predicate`]) hold at most at once besides the complements they
+/// share: a program keeps a new complement only while more than this
+/// many columns are free, so any predicate compiles in a pool of this
+/// size.
+pub const WORKING_COLS: usize = 6;
 
 impl<'a> CodeBuilder<'a> {
     /// Start a builder over a scratch pool.
     pub fn new(pool: &'a mut ScratchPool) -> Self {
-        CodeBuilder { prog: Microprogram::new(), pool, const_one: None, const_zero: None }
+        CodeBuilder {
+            prog: Microprogram::new(),
+            pool,
+            const_one: None,
+            const_zero: None,
+            complements: Vec::new(),
+        }
     }
 
     /// Finish and take the program.
@@ -151,12 +169,37 @@ impl<'a> CodeBuilder<'a> {
         self.pool.alloc()
     }
 
-    /// Release a scratch column. Constants are never released.
+    /// Release a scratch column. Constants and shared complements are
+    /// never released.
     pub fn release(&mut self, col: usize) {
-        if Some(col) == self.const_one || Some(col) == self.const_zero {
+        if Some(col) == self.const_one
+            || Some(col) == self.const_zero
+            || self.complements.iter().any(|&(_, c)| c == col)
+        {
             return;
         }
         self.pool.release(col);
+    }
+
+    /// The shared complement of `col`, a column this program only
+    /// reads: `NOT col` is emitted on first use into a column kept until
+    /// the program ends, so every later use costs nothing — while more
+    /// than [`WORKING_COLS`] scratch columns are free. `None` once
+    /// scratch runs short: the caller complements into a temporary.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scratch exhaustion.
+    pub fn complement(&mut self, col: usize) -> Result<Option<usize>, SimError> {
+        if let Some(&(_, c)) = self.complements.iter().find(|&&(src, _)| src == col) {
+            return Ok(Some(c));
+        }
+        if self.available() <= WORKING_COLS {
+            return Ok(None);
+        }
+        let c = self.emit_not(col)?;
+        self.complements.push((col, c));
+        Ok(Some(c))
     }
 
     /// A column holding constant `1` in every row (created on first use).
@@ -264,40 +307,6 @@ impl<'a> CodeBuilder<'a> {
         let dst = self.alloc()?;
         self.prog.init_col(dst);
         self.prog.nor_many_cols(inputs, dst);
-        Ok(dst)
-    }
-
-    /// Multi-input AND: `dst := AND(inputs…) = NOR(¬input…)` into a fresh
-    /// column.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scratch exhaustion; empty input rejected.
-    pub fn emit_and_many(&mut self, inputs: &[usize]) -> Result<usize, SimError> {
-        if inputs.is_empty() {
-            return Err(SimError::InvalidProgram("AND of zero inputs".into()));
-        }
-        let mut nots = Vec::with_capacity(inputs.len());
-        for &c in inputs {
-            nots.push(self.emit_not(c)?);
-        }
-        let dst = self.emit_nor_many(nots.clone())?;
-        for c in nots {
-            self.release(c);
-        }
-        Ok(dst)
-    }
-
-    /// Multi-input OR: `dst := OR(inputs…) = ¬NOR(inputs…)` into a fresh
-    /// column.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scratch exhaustion; empty input rejected.
-    pub fn emit_or_many(&mut self, inputs: Vec<usize>) -> Result<usize, SimError> {
-        let n = self.emit_nor_many(inputs)?;
-        let dst = self.emit_not(n)?;
-        self.release(n);
         Ok(dst)
     }
 

@@ -1,58 +1,434 @@
-//! Predicate compilers: `=`, `<`, `>`, `BETWEEN`, `IN` against constants.
+//! Predicate compilers: `=`, `<`, `>`, `BETWEEN`, `IN` against
+//! constants, and the semijoin's key runs — all one emitter.
+//!
+//! Every comparison against constants selects a sorted list of
+//! disjoint inclusive *runs* of attribute values ([`Cmp::runs`]), and
+//! [`Conjunction::and_ranges`] compiles any run list:
+//!
+//! * each run splits into its maximal aligned prefix cubes — the
+//!   values whose high bits equal a prefix and whose low bits are free
+//!   — at most `2·w` of them on a `w`-bit attribute;
+//! * a cube is one multi-input NOR over the complements of its fixed
+//!   bits' literals: the attribute bit itself where the prefix has a 0,
+//!   the bit's complement where it has a 1. A complement is emitted at
+//!   most once per program ([`CodeBuilder::complement`]), so BETWEEN
+//!   bounds, IN members, every run of a semijoin term and every atom on
+//!   the same attribute share it;
+//! * a cube with one literal is that literal's column, no gate at all;
+//! * the runs' OR is kept as its complement, the NOR of the cubes,
+//!   folded clear-only into one INITed column in NORs of at most
+//!   [`MAX_FAN_IN`] inputs ([`Disjunction`]);
+//! * a [`Conjunction`] ANDs terms by clear-only MAGIC NORs into one
+//!   column, INITed once: a one-cube term NORs its literals straight
+//!   in, a wider one its cubes' NOR (the complement of the term).
 //!
 //! A compiled predicate leaves a one-bit *result column* (1 = record
-//! matches) that higher layers AND into the page's filter mask. All
-//! programs are column-parallel, so one execution evaluates the
-//! predicate for every record of every crossbar of a page.
+//! matches); `bbpim-core`'s mask builders AND atoms, semijoin terms and
+//! the validity bit into the mask column itself. All programs are
+//! column-parallel, so one execution evaluates the predicate for every
+//! record of every crossbar of a page.
+//!
+//! # Cost
+//!
+//! [`compile_ranges`] on a fresh builder with room to keep every
+//! complement, for `Q` cubes: with no cube (nothing selected) 3 cycles;
+//! with one cube, `2·ones + 2` (its prefix's 1 bits complemented, one
+//! NOR), or 1 when the cube is the whole domain; with `Q ≥ 2`,
+//!
+//! ```text
+//! 2·|S| + 2·Q₂ + 1 + ⌈Q / 64⌉ + 2
+//! ```
+//!
+//! where `Q₂` counts the cubes with at least two literals and `S` the
+//! bits complemented: a 1 bit of a `Q₂` cube's prefix, or the 0 bit of a
+//! one-literal cube. `2·|S|` is at most `2·w`.
+//!
+//! # Scratch
+//!
+//! A complement is kept only while more than [`WORKING_COLS`] (6)
+//! scratch columns are free; once scratch runs short, complements
+//! become per-cube temporaries and pending cubes fold early. So every
+//! predicate — any width ≤ 64, any run count — and both of
+//! `bbpim-core`'s mask builders compile in a pool of 6 columns, a
+//! quarter of the 24 every layout reserves (`MIN_SCRATCH_COLS`);
+//! columns beyond that only hold shared complements and pending cubes.
 
-use crate::compiler::{CodeBuilder, ColRange};
+use crate::compiler::{CodeBuilder, ColRange, WORKING_COLS};
 use crate::error::SimError;
 
-/// Compile `attr == value` into a fresh result column.
+/// The widest NOR the emitters issue: an equality on a 64-bit
+/// attribute. A wider OR splits into clear-only NORs into one column.
+pub const MAX_FAN_IN: usize = 64;
+
+/// A comparison of an attribute against constants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cmp<'a> {
+    /// `attr = v`
+    Eq(u64),
+    /// `attr < v`
+    Lt(u64),
+    /// `attr > v`
+    Gt(u64),
+    /// `lo <= attr <= hi`
+    Between(u64, u64),
+    /// `attr IN (…)`, members in any order, repeats allowed
+    In(&'a [u64]),
+}
+
+impl Cmp<'_> {
+    /// The sorted, disjoint, inclusive runs of `width`-bit values this
+    /// comparison selects (empty when none does).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidProgram`] if a constant does not fit
+    /// in `width` bits, on `lo > hi`, on an empty IN list, or on an
+    /// equality over a zero-width attribute.
+    pub fn runs(&self, width: usize) -> Result<Vec<(u64, u64)>, SimError> {
+        let max = span(width);
+        let fits = |v: u64| {
+            if v > max {
+                return Err(SimError::InvalidProgram(format!(
+                    "constant {v} does not fit in {width}-bit attribute"
+                )));
+            }
+            Ok(v)
+        };
+        Ok(match *self {
+            Cmp::Eq(_) if width == 0 => {
+                return Err(SimError::InvalidProgram("equality on zero-width attribute".into()));
+            }
+            Cmp::Eq(v) => vec![(fits(v)?, v)],
+            Cmp::Lt(v) => fits(v)?.checked_sub(1).map(|hi| (0, hi)).into_iter().collect(),
+            Cmp::Gt(v) => (fits(v)? < max).then(|| (v + 1, max)).into_iter().collect(),
+            Cmp::Between(lo, hi) if lo > hi => {
+                return Err(SimError::InvalidProgram(format!("BETWEEN with lo {lo} > hi {hi}")));
+            }
+            Cmp::Between(lo, hi) => vec![(fits(lo)?, fits(hi)?)],
+            Cmp::In([]) => return Err(SimError::InvalidProgram("IN over empty set".into())),
+            Cmp::In(set) => {
+                let mut members = set.iter().map(|&v| fits(v)).collect::<Result<Vec<_>, _>>()?;
+                members.sort_unstable();
+                let mut runs: Vec<(u64, u64)> = Vec::with_capacity(members.len());
+                for v in members {
+                    match runs.last_mut() {
+                        Some(last) if v <= last.1.saturating_add(1) => last.1 = last.1.max(v),
+                        _ => runs.push((v, v)),
+                    }
+                }
+                runs
+            }
+        })
+    }
+}
+
+/// The largest `width`-bit value (`2^width − 1`).
+fn span(width: usize) -> u64 {
+    if width >= 64 {
+        u64::MAX
+    } else {
+        (1 << width) - 1
+    }
+}
+
+/// The maximal aligned prefix cubes covering `runs`, each as its first
+/// value and its count of free low bits. A run `[lo, hi]` takes at most
+/// `2·width` of them.
+fn cubes(width: usize, runs: &[(u64, u64)]) -> Vec<(u64, usize)> {
+    let mut out = Vec::new();
+    for &(first, hi) in runs {
+        let mut lo = first;
+        loop {
+            let mut free = if lo == 0 { width } else { (lo.trailing_zeros() as usize).min(width) };
+            while span(free) > hi - lo {
+                free -= 1;
+            }
+            out.push((lo, free));
+            let last = lo + span(free);
+            if last == hi {
+                break;
+            }
+            lo = last + 1;
+        }
+    }
+    out
+}
+
+/// A cube's literals as `(column, positive)`, LSB first: bit `i` of the
+/// prefix set asks for the attribute bit, clear for its complement.
+fn literals(attr: ColRange, (value, free): (u64, usize)) -> Vec<(usize, bool)> {
+    (free..attr.width).map(|i| (attr.bit(i), value >> i & 1 == 1)).collect()
+}
+
+/// Reject a run list that is not sorted, disjoint and inside the
+/// attribute's domain.
+fn check_runs(attr: ColRange, runs: &[(u64, u64)]) -> Result<(), SimError> {
+    let max = span(attr.width);
+    let mut floor = 0u64;
+    for (k, &(lo, hi)) in runs.iter().enumerate() {
+        if lo > hi || hi > max || (k > 0 && lo < floor) {
+            return Err(SimError::InvalidProgram(format!(
+                "run {k} [{lo}, {hi}] is not a sorted, disjoint run of {}-bit values",
+                attr.width
+            )));
+        }
+        floor = hi.saturating_add(1);
+        if hi == u64::MAX && k + 1 < runs.len() {
+            return Err(SimError::InvalidProgram(format!("run {k} ends the domain early")));
+        }
+    }
+    Ok(())
+}
+
+/// A one-bit column built as the AND of terms by clear-only MAGIC NORs
+/// (`col &= NOR(…)`): INITed once, right before the first NOR into it.
+/// A conjunction no term narrowed is constant true.
+#[derive(Debug)]
+pub struct Conjunction {
+    col: Option<usize>,
+    inited: bool,
+}
+
+impl Conjunction {
+    /// Build into `col`, a column outside scratch (a mask column).
+    pub fn into_col(col: usize) -> Self {
+        Conjunction { col: Some(col), inited: false }
+    }
+
+    /// Build into a scratch column, allocated at the first NOR.
+    pub fn fresh() -> Self {
+        Conjunction { col: None, inited: false }
+    }
+
+    /// `col &= NOR(inputs…)`, in NORs of at most [`MAX_FAN_IN`] inputs.
+    fn nor(&mut self, b: &mut CodeBuilder<'_>, inputs: &[usize]) -> Result<(), SimError> {
+        for chunk in inputs.chunks(MAX_FAN_IN) {
+            let col = match self.col {
+                Some(col) => col,
+                None => {
+                    self.col = Some(b.emit_nor_many(chunk.to_vec())?);
+                    self.inited = true;
+                    continue;
+                }
+            };
+            if !self.inited {
+                b.program_mut().init_col(col);
+                self.inited = true;
+            }
+            b.program_mut().nor_many_cols(chunk.to_vec(), col);
+        }
+        Ok(())
+    }
+
+    /// AND the literals `(column, positive)`: a positive literal ANDs the
+    /// column, a negative one its complement. A negative literal's NOR
+    /// input is the column itself, a positive one's the column's shared
+    /// complement — or, once scratch runs short, a temporary (the NOR
+    /// then splits wherever scratch fills).
+    ///
+    /// # Errors
+    ///
+    /// Propagates scratch exhaustion.
+    pub fn and_literals(
+        &mut self,
+        b: &mut CodeBuilder<'_>,
+        literals: &[(usize, bool)],
+    ) -> Result<(), SimError> {
+        let mut inputs = Vec::with_capacity(literals.len());
+        let mut temps = Vec::new();
+        // a scratch conjunction's own column is allocated at its first NOR
+        let room = usize::from(self.col.is_none());
+        for &(col, positive) in literals {
+            if !positive {
+                inputs.push(col);
+            } else if let Some(c) = b.complement(col)? {
+                inputs.push(c);
+            } else {
+                if b.available() <= room && !temps.is_empty() {
+                    self.nor(b, &inputs)?;
+                    inputs.clear();
+                    temps.drain(..).for_each(|t| b.release(t));
+                }
+                let t = b.emit_not(col)?;
+                temps.push(t);
+                inputs.push(t);
+            }
+        }
+        if !inputs.is_empty() {
+            self.nor(b, &inputs)?;
+        }
+        temps.into_iter().for_each(|t| b.release(t));
+        Ok(())
+    }
+
+    /// AND `attr ∈ runs`, for sorted, disjoint, inclusive runs: nothing
+    /// for a run covering the whole domain, constant false for none,
+    /// one cube's literals NORed straight in, or the NOR of two or more
+    /// cubes (the complement of their OR) as one input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidProgram`] for an unsorted, overlapping
+    /// or out-of-domain run list; propagates scratch exhaustion.
+    pub fn and_ranges(
+        &mut self,
+        b: &mut CodeBuilder<'_>,
+        attr: ColRange,
+        runs: &[(u64, u64)],
+    ) -> Result<(), SimError> {
+        check_runs(attr, runs)?;
+        match cubes(attr.width, runs).as_slice() {
+            [] => {
+                let one = b.one()?;
+                self.nor(b, &[one])
+            }
+            [cube] => self.and_literals(b, &literals(attr, *cube)),
+            many => {
+                let mut any = Disjunction::new();
+                for &cube in many {
+                    let lits = literals(attr, cube);
+                    // a one-literal cube is a column already there
+                    let shared = match lits.as_slice() {
+                        [(col, true)] => Some(*col),
+                        [(col, false)] => b.complement(*col)?,
+                        _ => None,
+                    };
+                    if let Some(col) = shared {
+                        any.push(b, col, false)?;
+                    } else {
+                        let mut term = Conjunction::fresh();
+                        term.and_literals(b, &lits)?;
+                        let col = term.finish(b)?;
+                        any.push(b, col, true)?;
+                    }
+                }
+                let miss = any.finish_complement(b)?;
+                self.nor(b, &[miss])?;
+                b.release(miss);
+                Ok(())
+            }
+        }
+    }
+
+    /// The column, INITed (constant true) if no term was ANDed in.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scratch exhaustion.
+    pub fn finish(self, b: &mut CodeBuilder<'_>) -> Result<usize, SimError> {
+        let col = match self.col {
+            Some(col) => col,
+            None => b.alloc()?,
+        };
+        if !self.inited {
+            b.program_mut().init_col(col);
+        }
+        Ok(col)
+    }
+}
+
+/// The OR of one-bit columns, kept as its complement: pushed columns
+/// wait for one clear-only NOR of up to [`MAX_FAN_IN`] inputs into an
+/// INITed column, and fold early once scratch runs short.
+#[derive(Debug)]
+pub struct Disjunction {
+    miss: Conjunction,
+    /// Columns not yet folded, each with whether it is a temporary to
+    /// release once folded.
+    pending: Vec<(usize, bool)>,
+}
+
+impl Disjunction {
+    /// An empty disjunction (its complement: constant true).
+    pub fn new() -> Self {
+        Disjunction { miss: Conjunction::fresh(), pending: Vec::new() }
+    }
+
+    /// OR `col` in; `owned` marks a scratch temporary the disjunction
+    /// releases once folded.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scratch exhaustion.
+    pub fn push(
+        &mut self,
+        b: &mut CodeBuilder<'_>,
+        col: usize,
+        owned: bool,
+    ) -> Result<(), SimError> {
+        self.pending.push((col, owned));
+        if self.pending.len() == MAX_FAN_IN || b.available() < WORKING_COLS {
+            self.fold(b)?;
+        }
+        Ok(())
+    }
+
+    fn fold(&mut self, b: &mut CodeBuilder<'_>) -> Result<(), SimError> {
+        let inputs: Vec<usize> = self.pending.iter().map(|&(c, _)| c).collect();
+        self.miss.nor(b, &inputs)?;
+        for (c, owned) in self.pending.drain(..) {
+            if owned {
+                b.release(c);
+            }
+        }
+        Ok(())
+    }
+
+    /// The scratch column holding the complement of the OR: 1 where no
+    /// pushed column is set.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scratch exhaustion.
+    pub fn finish_complement(mut self, b: &mut CodeBuilder<'_>) -> Result<usize, SimError> {
+        if !self.pending.is_empty() {
+            self.fold(b)?;
+        }
+        self.miss.finish(b)
+    }
+}
+
+impl Default for Disjunction {
+    fn default() -> Self {
+        Disjunction::new()
+    }
+}
+
+/// Compile `attr ∈ runs` — the OR of sorted, disjoint, inclusive runs
+/// — into a fresh result column (see the module docs for its cost).
 ///
-/// Uses the multi-input NOR form `AND_i t_i = NOR_i ¬t_i` where `t_i` is
-/// the attribute bit (for a 1 in `value`) or its complement (for a 0):
-/// cost is 2 cycles per set bit of `value` plus one wide NOR.
+/// # Errors
+///
+/// As [`Conjunction::and_ranges`].
+pub fn compile_ranges(
+    b: &mut CodeBuilder<'_>,
+    attr: ColRange,
+    runs: &[(u64, u64)],
+) -> Result<usize, SimError> {
+    let mut out = Conjunction::fresh();
+    out.and_ranges(b, attr, runs)?;
+    out.finish(b)
+}
+
+/// Compile `attr == value` into a fresh result column: one cube, so
+/// `AND_i t_i = NOR_i ¬t_i` over every bit — 2 cycles per set bit of
+/// `value` (its complement) plus one wide NOR.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::InvalidProgram`] if `value` does not fit in
-/// `attr.width` bits, or on scratch exhaustion.
+/// `attr.width` bits or the attribute has no bits, or on scratch
+/// exhaustion.
 pub fn compile_eq_const(
     b: &mut CodeBuilder<'_>,
     attr: ColRange,
     value: u64,
 ) -> Result<usize, SimError> {
-    check_fits(attr, value)?;
-    if attr.width == 0 {
-        return Err(SimError::InvalidProgram("equality on zero-width attribute".into()));
-    }
-    // ¬t_i: for value bit 1 → ¬b_i (needs a NOT); for value bit 0 → b_i.
-    let mut nor_inputs = Vec::with_capacity(attr.width);
-    let mut temporaries = Vec::new();
-    for i in 0..attr.width {
-        let bit_col = attr.bit(i);
-        if (value >> i) & 1 == 1 {
-            let n = b.emit_not(bit_col)?;
-            temporaries.push(n);
-            nor_inputs.push(n);
-        } else {
-            nor_inputs.push(bit_col);
-        }
-    }
-    let out = b.emit_nor_many(nor_inputs)?;
-    for t in temporaries {
-        b.release(t);
-    }
-    Ok(out)
+    compile_ranges(b, attr, &Cmp::Eq(value).runs(attr.width)?)
 }
 
-/// Compile `attr < value` (unsigned) into a fresh result column.
-///
-/// MSB-to-LSB scan maintaining `lt` (already strictly less) and `eq`
-/// (prefix equal so far):
-/// for a constant bit 1: `lt |= eq & ¬b_i; eq &= b_i`;
-/// for a constant bit 0: `eq &= ¬b_i`.
+/// Compile `attr < value` (unsigned) into a fresh result column: the
+/// run `[0, value − 1]`.
 ///
 /// # Errors
 ///
@@ -63,41 +439,11 @@ pub fn compile_lt_const(
     attr: ColRange,
     value: u64,
 ) -> Result<usize, SimError> {
-    check_fits(attr, value)?;
-    let one = b.one()?;
-    let zero = b.zero()?;
-    // lt starts false, eq starts true.
-    let mut lt = b.emit_not(one)?; // 0
-    let mut eq = b.emit_not(zero)?; // 1
-    for i in (0..attr.width).rev() {
-        let bit_col = attr.bit(i);
-        if (value >> i) & 1 == 1 {
-            let nb = b.emit_not(bit_col)?;
-            let eq_and_nb = b.emit_and(eq, nb)?;
-            let new_lt = b.emit_or(lt, eq_and_nb)?;
-            let new_eq = b.emit_and(eq, bit_col)?;
-            b.release(nb);
-            b.release(eq_and_nb);
-            b.release(lt);
-            b.release(eq);
-            lt = new_lt;
-            eq = new_eq;
-        } else {
-            let nb = b.emit_not(bit_col)?;
-            let new_eq = b.emit_and(eq, nb)?;
-            b.release(nb);
-            b.release(eq);
-            eq = new_eq;
-        }
-    }
-    b.release(eq);
-    Ok(lt)
+    compile_ranges(b, attr, &Cmp::Lt(value).runs(attr.width)?)
 }
 
-/// Compile `attr > value` (unsigned) into a fresh result column.
-///
-/// Symmetric scan: for a constant bit 0: `gt |= eq & b_i; eq &= ¬b_i`;
-/// for a constant bit 1: `eq &= b_i`.
+/// Compile `attr > value` (unsigned) into a fresh result column: the
+/// run `[value + 1, 2^w − 1]`.
 ///
 /// # Errors
 ///
@@ -107,36 +453,11 @@ pub fn compile_gt_const(
     attr: ColRange,
     value: u64,
 ) -> Result<usize, SimError> {
-    check_fits(attr, value)?;
-    let one = b.one()?;
-    let zero = b.zero()?;
-    let mut gt = b.emit_not(one)?; // 0
-    let mut eq = b.emit_not(zero)?; // 1
-    for i in (0..attr.width).rev() {
-        let bit_col = attr.bit(i);
-        if (value >> i) & 1 == 1 {
-            let new_eq = b.emit_and(eq, bit_col)?;
-            b.release(eq);
-            eq = new_eq;
-        } else {
-            let eq_and_b = b.emit_and(eq, bit_col)?;
-            let new_gt = b.emit_or(gt, eq_and_b)?;
-            let nb = b.emit_not(bit_col)?;
-            let new_eq = b.emit_and(eq, nb)?;
-            b.release(eq_and_b);
-            b.release(nb);
-            b.release(gt);
-            b.release(eq);
-            gt = new_gt;
-            eq = new_eq;
-        }
-    }
-    b.release(eq);
-    Ok(gt)
+    compile_ranges(b, attr, &Cmp::Gt(value).runs(attr.width)?)
 }
 
 /// Compile `lo <= attr <= hi` (unsigned, inclusive) into a fresh result
-/// column: `¬(attr < lo) AND ¬(attr > hi)`.
+/// column: one run, whose cubes share the complements.
 ///
 /// # Errors
 ///
@@ -148,22 +469,11 @@ pub fn compile_between_const(
     lo: u64,
     hi: u64,
 ) -> Result<usize, SimError> {
-    if lo > hi {
-        return Err(SimError::InvalidProgram(format!("BETWEEN with lo {lo} > hi {hi}")));
-    }
-    let lt_lo = compile_lt_const(b, attr, lo)?;
-    let gt_hi = compile_gt_const(b, attr, hi)?;
-    let below = b.emit_not(lt_lo)?;
-    let above = b.emit_not(gt_hi)?;
-    let out = b.emit_and(below, above)?;
-    b.release(lt_lo);
-    b.release(gt_hi);
-    b.release(below);
-    b.release(above);
-    Ok(out)
+    compile_ranges(b, attr, &Cmp::Between(lo, hi).runs(attr.width)?)
 }
 
-/// Compile `attr IN (set…)` into a fresh result column (OR of equalities).
+/// Compile `attr IN (set…)` into a fresh result column: the members as
+/// runs (adjacent members merge), every cube sharing the complements.
 ///
 /// # Errors
 ///
@@ -174,28 +484,7 @@ pub fn compile_in_set(
     attr: ColRange,
     set: &[u64],
 ) -> Result<usize, SimError> {
-    if set.is_empty() {
-        return Err(SimError::InvalidProgram("IN over empty set".into()));
-    }
-    let mut eqs = Vec::with_capacity(set.len());
-    for &v in set {
-        eqs.push(compile_eq_const(b, attr, v)?);
-    }
-    let out = b.emit_or_many(eqs.clone())?;
-    for c in eqs {
-        b.release(c);
-    }
-    Ok(out)
-}
-
-fn check_fits(attr: ColRange, value: u64) -> Result<(), SimError> {
-    if attr.width < 64 && value >> attr.width != 0 {
-        return Err(SimError::InvalidProgram(format!(
-            "constant {value} does not fit in {}-bit attribute",
-            attr.width
-        )));
-    }
-    Ok(())
+    compile_ranges(b, attr, &Cmp::In(set).runs(attr.width)?)
 }
 
 #[cfg(test)]

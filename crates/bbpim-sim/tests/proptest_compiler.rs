@@ -6,7 +6,9 @@
 //! seed-driven loops (see `tests/properties.rs` at the workspace root
 //! for the rationale).
 
-use bbpim_sim::compiler::{arith, mux, predicate, CodeBuilder, ColRange, ScratchPool};
+use bbpim_sim::compiler::{
+    arith, mux, predicate, CodeBuilder, ColRange, ScratchPool, WORKING_COLS,
+};
 use bbpim_sim::crossbar::Crossbar;
 use bbpim_sim::isa::{MicroOp, Microprogram};
 use rand::rngs::StdRng;
@@ -264,8 +266,20 @@ fn run_checked<T>(
     what: &str,
     emit: impl FnOnce(&mut CodeBuilder<'_>) -> T,
 ) -> T {
-    let before: Vec<Vec<u64>> = (0..X_COLS).map(|c| xb.bits().col(c).to_vec()).collect();
-    let mut pool = ScratchPool::new(X_SCRATCH);
+    run_checked_in(xb, X_SCRATCH, dst, what, emit).0
+}
+
+/// [`run_checked`] with the scratch pool over `scratch`; also returns
+/// the program.
+fn run_checked_in<T>(
+    xb: &mut Crossbar,
+    scratch: ColRange,
+    dst: ColRange,
+    what: &str,
+    emit: impl FnOnce(&mut CodeBuilder<'_>) -> T,
+) -> (T, Microprogram) {
+    let before: Vec<Vec<u64>> = (0..xb.cols()).map(|c| xb.bits().col(c).to_vec()).collect();
+    let mut pool = ScratchPool::new(scratch);
     let mut b = CodeBuilder::new(&mut pool);
     let out = emit(&mut b);
     let prog = b.finish();
@@ -273,11 +287,11 @@ fn run_checked<T>(
     assert_fan_in(&prog, what);
     xb.execute(&prog).unwrap();
     let writable =
-        |c: usize| (c >= dst.lo && c < dst.end()) || (c >= X_SCRATCH.lo && c < X_SCRATCH.end());
+        |c: usize| (c >= dst.lo && c < dst.end()) || (c >= scratch.lo && c < scratch.end());
     for (c, col) in before.iter().enumerate().filter(|&(c, _)| !writable(c)) {
         assert_eq!(xb.bits().col(c), &col[..], "{what}: column {c} outside dst and scratch moved");
     }
-    out
+    (out, prog)
 }
 
 /// Rows that enumerate every `(a, b)` pair of a `wa`-bit lhs and a
@@ -364,14 +378,12 @@ fn full_adder_truth_table_over_dirty_scratch() {
 fn gates_are_exact_over_dirty_scratch() {
     type Gate = fn(&mut CodeBuilder<'_>) -> usize;
     type Reference = fn(bool, bool) -> bool;
-    let gates: [(&str, Gate, Reference); 7] = [
+    let gates: [(&str, Gate, Reference); 5] = [
         ("not", |b| b.emit_not(0).unwrap(), |a, _| !a),
         ("and", |b| b.emit_and(0, 1).unwrap(), |a, c| a && c),
         ("or", |b| b.emit_or(0, 1).unwrap(), |a, c| a || c),
         ("xor", |b| b.emit_xor(0, 1).unwrap(), |a, c| a ^ c),
         ("nor_many", |b| b.emit_nor_many(vec![0, 1]).unwrap(), |a, c| !(a || c)),
-        ("and_many", |b| b.emit_and_many(&[0, 1]).unwrap(), |a, c| a && c),
-        ("or_many", |b| b.emit_or_many(vec![0, 1]).unwrap(), |a, c| a || c),
     ];
     for (k, (name, emit, reference)) in gates.iter().enumerate() {
         let mut xb = adder_inputs(0x6A7E + k as u64);
@@ -466,6 +478,234 @@ fn in_set_is_exact_against_every_small_member_list() {
                     assert_eq!(xb.bits().get(r, out), members.contains(&v), "{what}: value {v}");
                 }
             }
+        }
+    }
+}
+
+/// Every list of sorted, disjoint, inclusive runs over `0..domain`.
+fn every_run_list(domain: u64) -> Vec<Vec<(u64, u64)>> {
+    fn from(floor: u64, domain: u64, prefix: &mut Vec<(u64, u64)>, out: &mut Vec<Vec<(u64, u64)>>) {
+        out.push(prefix.clone());
+        for lo in floor..domain {
+            for hi in lo..domain {
+                prefix.push((lo, hi));
+                from(hi + 1, domain, prefix, out);
+                prefix.pop();
+            }
+        }
+    }
+    let mut out = Vec::new();
+    from(0, domain, &mut Vec::new(), &mut out);
+    out
+}
+
+/// The prefix cubes covering `[lo, hi]` over `width` bits, as (first
+/// value, free bits), found top-down: a node of the binary value tree
+/// inside the run is a cube, one straddling it splits.
+fn reference_cubes(width: usize, lo: u64, hi: u64) -> Vec<(u64, usize)> {
+    fn node(first: u64, free: usize, lo: u64, hi: u64, out: &mut Vec<(u64, usize)>) {
+        let last = first + ((1u128 << free) - 1) as u64;
+        if last < lo || first > hi {
+            return;
+        }
+        if lo <= first && last <= hi {
+            out.push((first, free));
+            return;
+        }
+        node(first, free - 1, lo, hi, out);
+        node(first + (1 << (free - 1)), free - 1, lo, hi, out);
+    }
+    let mut out = Vec::new();
+    node(0, width, lo, hi, &mut out);
+    out
+}
+
+/// The closed form of `compile_ranges`' cycles on a fresh builder with
+/// room for every complement and 64 pending cubes (see `predicate`'s
+/// module docs), from the reference cubes.
+fn ranges_cycles(width: usize, runs: &[(u64, u64)]) -> u64 {
+    let cubes: Vec<(u64, usize)> =
+        runs.iter().flat_map(|&(lo, hi)| reference_cubes(width, lo, hi)).collect();
+    let ones = |(v, free): (u64, usize)| -> Vec<usize> {
+        (free..width).filter(|i| v >> i & 1 == 1).collect()
+    };
+    match cubes.as_slice() {
+        [] => 3,
+        [(_, free)] if *free == width => 1,
+        [cube] => 2 * ones(*cube).len() as u64 + 2,
+        many => {
+            let mut complemented = std::collections::BTreeSet::new();
+            let mut wide = 0;
+            for &(v, free) in many {
+                if width - free >= 2 {
+                    wide += 1;
+                    complemented.extend(ones((v, free)));
+                } else if v >> free & 1 == 0 {
+                    complemented.insert(free);
+                }
+            }
+            let q = many.len() as u64;
+            2 * complemented.len() as u64 + 2 * wide + 1 + q.div_ceil(64) + 2
+        }
+    }
+}
+
+#[test]
+fn ranges_are_exact_against_every_small_run_list() {
+    for width in 1..=3usize {
+        let domain = 1u64 << width;
+        let attr = ColRange::new(X_LHS, width);
+        let values = |r: usize| r as u64 % domain;
+        let none = ColRange::new(X_DST, 0);
+        for (k, runs) in every_run_list(domain).iter().enumerate() {
+            let seed = (width as u64) << 20 | k as u64;
+            let mut xb = verifier_crossbar(64, seed, |r| vec![(X_LHS, width, values(r))]);
+            let what = format!("ranges {width}-bit {runs:?}");
+            let (out, prog) = run_checked_in(&mut xb, X_SCRATCH, none, &what, |b| {
+                predicate::compile_ranges(b, attr, runs).unwrap()
+            });
+            assert_eq!(prog.cycles(), ranges_cycles(width, runs), "{what}: cycles");
+            for r in 0..64 {
+                let v = values(r);
+                let want = runs.iter().any(|&(lo, hi)| (lo..=hi).contains(&v));
+                assert_eq!(xb.bits().get(r, out), want, "{what}: value {v}");
+            }
+        }
+    }
+}
+
+/// Seeded run lists over a `width`-bit attribute: the maximal runs of a
+/// random key set, some split where they are adjacent.
+fn seeded_runs(rng: &mut StdRng, width: usize) -> Vec<(u64, u64)> {
+    let domain = 1u64 << width;
+    let density = rng.gen_range(1u64..=8);
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    for v in 0..domain {
+        if rng.gen_range(0u64..8) >= density {
+            continue;
+        }
+        match runs.last_mut() {
+            Some(last) if last.1 + 1 == v && rng.gen_range(0u64..4) > 0 => last.1 = v,
+            _ => runs.push((v, v)),
+        }
+    }
+    runs
+}
+
+#[test]
+fn ranges_are_exact_on_seeded_run_lists_up_to_twelve_bits() {
+    const WIDE: ColRange = ColRange { lo: 96, width: 160 };
+    for case in 0..96u64 {
+        let mut rng = StdRng::seed_from_u64(0x5A9 + case);
+        let width = rng.gen_range(1usize..=12);
+        let runs = seeded_runs(&mut rng, width);
+        let rows = (1usize << width).max(64);
+        let attr = ColRange::new(0, width);
+        let mut xb = Crossbar::new(rows, COLS);
+        for r in 0..rows {
+            xb.write_row_bits(r, 0, width, (r % (1 << width)) as u64);
+        }
+        for col in WIDE.lo..WIDE.end() {
+            for w in xb.bits_mut_unaccounted().col_mut(col) {
+                *w = rng.gen();
+            }
+        }
+        let what = format!("case {case}: {width}-bit, {} runs", runs.len());
+        let (out, prog) = run_checked_in(&mut xb, WIDE, ColRange::new(0, 0), &what, |b| {
+            predicate::compile_ranges(b, attr, &runs).unwrap()
+        });
+        assert_eq!(prog.cycles(), ranges_cycles(width, &runs), "{what}: cycles");
+        for r in 0..rows {
+            let v = (r % (1 << width)) as u64;
+            let want = runs.iter().any(|&(lo, hi)| (lo..=hi).contains(&v));
+            assert_eq!(xb.bits().get(r, out), want, "{what}: value {v}");
+        }
+    }
+}
+
+#[test]
+fn comparison_cycles_follow_the_closed_form() {
+    for width in 1..=6usize {
+        let attr = ColRange::new(X_LHS, width);
+        let max = (1u64 << width) - 1;
+        let cycles = |emit: &dyn Fn(&mut CodeBuilder<'_>) -> usize| {
+            let mut pool = scratch();
+            let mut b = CodeBuilder::new(&mut pool);
+            emit(&mut b);
+            b.finish().cycles()
+        };
+        for c in 0..=max {
+            let eq = cycles(&|b| predicate::compile_eq_const(b, attr, c).unwrap());
+            assert_eq!(eq, ranges_cycles(width, &[(c, c)]), "eq {width}-bit {c}");
+            let lt = cycles(&|b| predicate::compile_lt_const(b, attr, c).unwrap());
+            let below: Vec<_> = c.checked_sub(1).map(|hi| (0, hi)).into_iter().collect();
+            assert_eq!(lt, ranges_cycles(width, &below), "lt {width}-bit {c}");
+            let gt = cycles(&|b| predicate::compile_gt_const(b, attr, c).unwrap());
+            let above: Vec<_> = (c < max).then_some((c + 1, max)).into_iter().collect();
+            assert_eq!(gt, ranges_cycles(width, &above), "gt {width}-bit {c}");
+            for hi in c..=max {
+                let between =
+                    cycles(&|b| predicate::compile_between_const(b, attr, c, hi).unwrap());
+                assert_eq!(between, ranges_cycles(width, &[(c, hi)]), "between {c}..={hi}");
+            }
+        }
+    }
+}
+
+/// Every predicate compiles in `WORKING_COLS` scratch columns and in
+/// the 24 every layout reserves (`MIN_SCRATCH_COLS`), at 64 bits and at
+/// any run count: 64 seeded 64-bit values per crossbar, run lists drawn
+/// around them.
+#[test]
+fn ranges_compile_in_the_working_set_at_sixty_four_bits() {
+    for pool_cols in [WORKING_COLS, 24] {
+        let scratch = ColRange::new(64, pool_cols);
+        for case in 0..48u64 {
+            let mut rng = StdRng::seed_from_u64(0x64B + case);
+            let values: Vec<u64> = (0..ROWS).map(|_| rng.gen()).collect();
+            let mut bounds: Vec<u64> =
+                values.iter().map(|&v| v ^ (rng.gen::<u64>() >> rng.gen_range(0u32..64))).collect();
+            bounds.extend(&values);
+            bounds.extend([0, u64::MAX]);
+            bounds.sort_unstable();
+            bounds.dedup();
+            // consecutive bound pairs, every other one kept
+            let runs: Vec<(u64, u64)> = bounds
+                .chunks_exact(2)
+                .map(|p| (p[0], p[1]))
+                .filter(|_| rng.gen_range(0u64..3) > 0)
+                .take(1 + case as usize * 2)
+                .collect();
+            let mut xb = Crossbar::new(ROWS, 64 + pool_cols);
+            for (r, v) in values.iter().enumerate() {
+                xb.write_row_bits(r, 0, 64, *v);
+            }
+            for col in scratch.lo..scratch.end() {
+                for w in xb.bits_mut_unaccounted().col_mut(col) {
+                    *w = rng.gen();
+                }
+            }
+            let what = format!("{pool_cols} columns, case {case}: {} runs", runs.len());
+            let (out, _) = run_checked_in(&mut xb, scratch, ColRange::new(0, 0), &what, |b| {
+                predicate::compile_ranges(b, ColRange::new(0, 64), &runs).unwrap()
+            });
+            for (r, v) in values.iter().enumerate() {
+                let want = runs.iter().any(|&(lo, hi)| (lo..=hi).contains(v));
+                assert_eq!(xb.bits().get(r, out), want, "{what}: value {v:#x}");
+            }
+        }
+        // an equality on all-ones: 64 complements, in any pool
+        let mut xb = Crossbar::new(ROWS, 64 + pool_cols);
+        for r in 0..ROWS {
+            xb.write_row_bits(r, 0, 64, if r % 3 == 0 { u64::MAX } else { u64::MAX << (r % 64) });
+        }
+        let what = format!("eq u64::MAX in {pool_cols} columns");
+        let (out, _) = run_checked_in(&mut xb, scratch, ColRange::new(0, 0), &what, |b| {
+            predicate::compile_eq_const(b, ColRange::new(0, 64), u64::MAX).unwrap()
+        });
+        for r in 0..ROWS {
+            let want = r % 3 == 0 || r % 64 == 0;
+            assert_eq!(xb.bits().get(r, out), want, "{what}: row {r}");
         }
     }
 }
