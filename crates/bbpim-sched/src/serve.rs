@@ -531,9 +531,15 @@ impl<'a> Server<'a> {
         }
         // Feed the controller the SLO-normalised latency: write
         // completions count against the same promise, so a congested
-        // ingest path cuts the window exactly as slow queries do.
+        // ingest path cuts the window exactly as slow queries do. A
+        // request with a deadline is held to the tighter of its
+        // deadline and its tenant's promise: a late answer is no
+        // goodput, however far inside the p95 promise it lands.
         let ticket = self.requests[done.index].0;
-        let ratio = done.latency_ns / self.tenants[ticket.tenant].slo.p95_target_ns;
+        let mut ratio = done.latency_ns / self.tenants[ticket.tenant].slo.p95_target_ns;
+        if let Some(deadline) = ticket.deadline_ns {
+            ratio = ratio.max(done.latency_ns / (deadline - ticket.arrive_ns));
+        }
         if let WindowState::Aimd(ctl) = &mut self.window {
             if let Some(w) = ctl.on_completion(now_ns, ratio) {
                 self.window_trajectory.push((now_ns, w));

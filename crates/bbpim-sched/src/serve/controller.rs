@@ -5,14 +5,23 @@
 //! time-slices the shared host channel (tail latency inflates with the
 //! window), too narrow and modules idle. The controller closes the
 //! loop instead: each completion contributes its **SLO-normalised**
-//! latency (observed latency over the owning tenant's p95 target), and
+//! latency (observed latency over the owning tenant's p95 target, or
+//! over the request's own deadline where that is tighter), and
 //! every `sample_window` completions the controller compares the
-//! windowed p95 of those ratios against [`AimdConfig::target`] —
-//! a raise while under it, a multiplicative cut on violation. As in
-//! TCP's slow start, each raise doubles the last until the first
-//! violation (a window that starts small would otherwise spend most of
-//! a short session climbing one step per sample); from then on every
-//! raise is [`AimdConfig::additive_increase`].
+//! windowed p95 of those ratios against [`AimdConfig::target`]:
+//!
+//! * at or below half the target it raises. As in TCP's slow start,
+//!   each raise doubles the last until the p95 first leaves that band
+//!   (a window that starts small would otherwise spend most of a short
+//!   session climbing one step per sample); from then on every raise is
+//!   [`AimdConfig::additive_increase`];
+//! * between half the target and the target it holds — the hold band
+//!   that keeps a window near its knee from overshooting;
+//! * above the target it cuts multiplicatively — at most once per
+//!   window of completions: the requests in flight when it cut report
+//!   the window it cut, so their samples hold instead of cutting again
+//!   (as TCP cuts at most once per round trip).
+//!
 //! Normalising by the per-tenant target makes one global window serve
 //! mixed SLOs: a light tenant's tight promise and a heavy tenant's
 //! loose one pull the same signal in commensurable units.
@@ -36,7 +45,8 @@ pub enum WindowPolicy {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AimdConfig {
     /// Threshold on the windowed SLO-normalised p95 (observed p95
-    /// latency / tenant p95 target): cut above, raise at or below.
+    /// latency / tenant p95 target): cut above, hold down to half of
+    /// it, raise at or below half.
     /// 1.0 means "track the SLO exactly"; below 1.0 leaves headroom.
     pub target: f64,
     /// Window at session start.
@@ -45,8 +55,8 @@ pub struct AimdConfig {
     pub min_window: usize,
     /// Hard ceiling.
     pub max_window: usize,
-    /// Additive raise per under-target decision (after the first
-    /// violation; before it, the raise doubles from this value).
+    /// Additive raise per raising decision (once the p95 has left the
+    /// raise band; until then, the raise doubles from this value).
     pub additive_increase: usize,
     /// Multiplicative cut factor per violation, in (0, 1).
     pub multiplicative_decrease: f64,
@@ -133,9 +143,17 @@ pub struct AimdController {
     /// each raise until the first violation (slow start), then fixed.
     raise: usize,
     slow_start: bool,
+    /// Completions still owed by requests admitted before the last cut:
+    /// they report the window that was cut, so they cannot cut again.
+    stale: usize,
     samples: Vec<f64>,
     decisions: Vec<WindowDecision>,
 }
+
+/// The hold band's floor, as a share of [`AimdConfig::target`]: a
+/// windowed p95 above it but within the target keeps the window (and
+/// ends slow start); only a p95 at or below it raises.
+const HOLD_FLOOR: f64 = 0.5;
 
 impl AimdController {
     /// Start at [`AimdConfig::initial_window`].
@@ -151,6 +169,7 @@ impl AimdController {
             window,
             raise,
             slow_start: true,
+            stale: 0,
             samples: Vec::new(),
             decisions: Vec::new(),
         })
@@ -172,6 +191,7 @@ impl AimdController {
     /// decision, `None` otherwise.
     pub fn on_completion(&mut self, t_ns: f64, latency_ratio: f64) -> Option<usize> {
         self.samples.push(latency_ratio);
+        self.stale = self.stale.saturating_sub(1);
         if self.samples.len() < self.cfg.sample_window {
             return None;
         }
@@ -179,11 +199,23 @@ impl AimdController {
         sorted.sort_by(f64::total_cmp);
         let p95_ratio = percentile(&sorted, 95.0);
         self.window = if p95_ratio > self.cfg.target {
-            // Violation: multiplicative cut, floored; slow start is over.
+            if self.stale > 0 {
+                // The requests admitted under the window already cut
+                // are still reporting: hold.
+                self.window
+            } else {
+                // Violation: multiplicative cut, floored; slow start is over.
+                self.slow_start = false;
+                self.raise = self.cfg.additive_increase;
+                self.stale = self.window;
+                let cut = (self.window as f64 * self.cfg.multiplicative_decrease).floor() as usize;
+                cut.max(self.cfg.min_window)
+            }
+        } else if p95_ratio > HOLD_FLOOR * self.cfg.target {
+            // Close to the target: hold, and climb no faster from here.
             self.slow_start = false;
             self.raise = self.cfg.additive_increase;
-            let cut = (self.window as f64 * self.cfg.multiplicative_decrease).floor() as usize;
-            cut.max(self.cfg.min_window)
+            self.window
         } else {
             // Under target: raise, capped. Until the first violation each
             // raise is twice the last, so a window that starts too small
@@ -317,5 +349,27 @@ mod tests {
         feed(&mut b);
         assert_eq!(a.decisions(), b.decisions());
         assert_eq!(a.window(), b.window());
+    }
+
+    #[test]
+    fn the_hold_band_keeps_the_window_and_ends_slow_start() {
+        let mut c = ctl(AimdConfig { sample_window: 1, initial_window: 4, ..Default::default() });
+        assert_eq!(c.on_completion(0.0, 0.2), Some(5), "raise band");
+        assert_eq!(c.on_completion(1.0, 0.7), Some(5), "hold band");
+        assert_eq!(c.on_completion(2.0, 1.0), Some(5), "the target itself holds");
+        assert_eq!(c.on_completion(3.0, 0.5), Some(6), "half the target raises, additively");
+        assert_eq!(c.on_completion(4.0, 0.1), Some(7));
+    }
+
+    #[test]
+    fn one_cut_per_window_of_completions() {
+        let mut c = ctl(AimdConfig { sample_window: 1, initial_window: 8, ..Default::default() });
+        assert_eq!(c.on_completion(0.0, 3.0), Some(4), "the first violation cuts");
+        // the eight requests in flight at the cut report it: seven
+        // more violations hold, the eighth completion may cut again
+        for i in 1..8 {
+            assert_eq!(c.on_completion(i as f64, 3.0), Some(4), "stale sample {i}");
+        }
+        assert_eq!(c.on_completion(8.0, 3.0), Some(2));
     }
 }

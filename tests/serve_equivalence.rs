@@ -275,6 +275,16 @@ fn aimd_keeps_the_light_slo_and_beats_every_slo_respecting_static() {
             (cfg.window, outcome, reports)
         })
         .collect();
+    for (window, outcome, reports) in &rows {
+        let (light, heavy) = (tenant(reports, "light"), tenant(reports, "heavy"));
+        println!(
+            "{window:?}: light p95 {:.3} ms vs promise {:.3} ms, heavy goodput {:.1}/s, {} decisions",
+            light.latency.p95_ns / 1e6,
+            light.p95_target_ns / 1e6,
+            heavy.goodput_qps,
+            outcome.decisions.len()
+        );
+    }
     let (_, gate, gate_reports) = &rows[0];
     let (light, heavy) = (tenant(gate_reports, "light"), tenant(gate_reports, "heavy"));
     assert!(
