@@ -43,12 +43,12 @@ fn tiny_sweeps_match_the_pinned_digests() {
         "tiny calibration sweeps",
         &got,
         &[
-            [0x663575e5bf9e0022, 0x592bfb95a27cb4d5, 0x9715a37483449f7b], // small config, PimDb
-            [0x663575e5bf9e0022, 0x4b42b05c2fa95e06, 0x21dce047736a399e], // small config, TwoXb
-            [0x663575e5bf9e0022, 0x0673ea47a432ef3a, 0xf9658b75b6b304bb], // small config, OneXb
-            [0x0191388e4bb163ae, 0x7f44a367b163714d, 0x44f7328454bde420], // default config, PimDb
-            [0x0191388e4bb163ae, 0xb23d6e1c5863aeef, 0x9668b8265f7aa229], // default config, TwoXb
-            [0x0191388e4bb163ae, 0x62c90767579fdab9, 0x2710b862d314eafb], // default config, OneXb
+            [0x663575e5bf9e0022, 0xb4c11a9adca9f8d2, 0x1b6551178e7b37a6], // small config, PimDb
+            [0x663575e5bf9e0022, 0x10034936e486f711, 0x3c49a477043f6bd2], // small config, TwoXb
+            [0x663575e5bf9e0022, 0x5dc0f6d78bcc5670, 0x6ce8a3e6ea163eeb], // small config, OneXb
+            [0x0191388e4bb163ae, 0x69eeb71b37b19237, 0xd272fe51a807ed77], // default config, PimDb
+            [0x0191388e4bb163ae, 0xd1226335863ddd31, 0x71bdd7ce3452c9d0], // default config, TwoXb
+            [0x0191388e4bb163ae, 0x541d1cc50371ea63, 0xd0339b4872957418], // default config, OneXb
         ],
     );
 }
@@ -61,6 +61,6 @@ fn the_default_sweep_matches_the_pinned_digests() {
     assert_pinned(
         "default calibration sweep",
         &[("default config, default sweep, OneXb".into(), got)],
-        &[[0xab133c37dc7a48f0, 0xc5aa1e4499a87a1d, 0x934441c656fb46bd]],
+        &[[0xab133c37dc7a48f0, 0x31063ffcf8c564b5, 0x5f6b0c3c93075bf0]],
     );
 }

@@ -242,20 +242,20 @@ fn run_stream_matches_the_pinned_digests() {
         "run_stream projections",
         &projections,
         &[
-            [0x20be_a34a_7c67_6a13], // ClusterEngine, fifo
-            [0xe5d8_9258_599c_b5d2], // StarCluster, fifo
-            [0xfabc_3604_6f47_72ff], // ClusterEngine, scsf
-            [0xe5d8_9258_599c_b5d2], // StarCluster, scsf
+            [0x0c80_8e4c_b55c_8f7e], // ClusterEngine, fifo
+            [0x625d_ece8_b77d_117b], // StarCluster, fifo
+            [0xb369_c16e_7910_848b], // ClusterEngine, scsf
+            [0x625d_ece8_b77d_117b], // StarCluster, scsf
         ],
     );
     assert_pinned(
         "run_stream digests",
         &got,
         &[
-            [0x7ea4_a71f_d3bd_33b4, 0xf9e4_626f_943d_1ab9, 0x9775_7b5d_c2ed_5f9b],
-            [0xbea2_af85_c470_69ef, 0x8464_8f89_1157_3828, 0x4b29_8814_ee70_465b],
-            [0xdd22_3eca_8904_f97d, 0x81f3_ec2b_b0df_940d, 0xb3b5_50ab_3a3a_1a04],
-            [0x1adc_13da_51cf_8dda, 0x8464_8f89_1157_3828, 0x4b29_8814_ee70_465b],
+            [0x95bc_4a53_5fa1_9d26, 0xd955_04b3_1eae_e836, 0x92a4_8752_d011_2e9e],
+            [0xc4b6_3d06_a38a_7afd, 0xd23d_7c02_5220_4320, 0x703c_5e66_7b50_8b36],
+            [0x156d_5015_3513_e963, 0xd2f9_0526_187f_29c9, 0x00d9_66b2_4703_6780],
+            [0x810a_a3fd_7934_9b68, 0xd23d_7c02_5220_4320, 0x703c_5e66_7b50_8b36],
         ],
     );
 }
@@ -278,8 +278,8 @@ fn run_serve_matches_the_pinned_digests() {
         "run_serve digests",
         &got,
         &[
-            [0xe436_f576_d5de_77ac, 0x8ac2_1001_6056_3d0f, 0xe7b8_97da_7800_00ab],
-            [0x3c20_baeb_69e7_8c72, 0x1bf9_4da2_d88e_4673, 0xaaf5_7f17_9f66_21c0],
+            [0xbd4d_5ba3_9e6b_dcd8, 0x28d6_f794_f1f9_f835, 0xad56_eea1_e4e9_f23a],
+            [0x8d4a_2b0c_ca0b_d60f, 0x1510_a711_e480_0121, 0x41e2_3ad0_13b5_787b],
         ],
     );
 }
@@ -299,14 +299,14 @@ fn query_only_run_serve_matches_the_pinned_digests() {
     assert_pinned(
         "query-only run_serve projections",
         &projections,
-        &[[0xa79f_3f74_68de_026b], [0x195b_822b_0bb9_6054]],
+        &[[0xcbe8_0f5f_8434_1fb7], [0xb44d_021f_2de4_784b]],
     );
     assert_pinned(
         "query-only run_serve digests",
         &got,
         &[
-            [0xbed0_e337_3a0c_914d, 0xe71f_4064_6385_4f82, 0xa5d0_22cd_7ba7_4cd4],
-            [0x2063_8095_ca69_bfa2, 0x65ce_f724_c123_8ac1, 0xe822_873e_634d_f970],
+            [0x08f1_2f94_3a98_2fb1, 0xc035_dc69_4fc6_ee0e, 0xc7e6_393b_684b_3b82],
+            [0x7a91_58e8_08fe_577c, 0x1aed_265b_c126_7ef3, 0x1002_0e49_5f6a_5230],
         ],
     );
 }

@@ -76,80 +76,80 @@ fn engine_pins(mode: EngineMode) -> Vec<(String, Pin)> {
 /// aggregation backend, which is a circuit or a costed tree, not a
 /// microprogram.
 const ONE_PARTITION: &[Pin] = &[
-    (2, 0xec2816baa61efde0),   // Q1.1
-    (4, 0x99d7bf1fb33eb604),   // Q1.2
-    (6, 0x1581585e25abc61a),   // Q1.3
-    (7, 0xd8a945f739329027),   // Q2.1
-    (8, 0xa39e7a7de5b5b970),   // Q2.2
-    (9, 0x5cd844276f2d24b2),   // Q2.3
-    (10, 0x4848154c4478e991),  // Q3.1
-    (11, 0x1d814d570660c898),  // Q3.2
-    (12, 0x09f6fd9e5b6f9e75),  // Q3.3
-    (13, 0x2e1560a2c6b52047),  // Q3.4
-    (14, 0xc9402f85b52ebf0d),  // Q4.1
-    (15, 0x025f11724f584298),  // Q4.2
-    (16, 0x3f132f76c113ba8e),  // Q4.3
-    (18, 0xdd529cc5063513bb),  // Q1.1-combined
-    (20, 0x130acc79bed2d007),  // Q1.2-combined
-    (22, 0x93278f18ac9f89c1),  // Q1.3-combined
-    (24, 0x6fba96721834a7c8),  // Q1.hol
-    (25, 0xc80b745564de7dcd),  // Q2.1-stats
-    (40, 0xebca89eb10a39ae7),  // Q2.1, all pim-gb
-    (77, 0xbbaa76f9d2068276),  // Q3.1, all pim-gb
-    (107, 0x4c402177cf69529e), // Q4.1, all pim-gb
-    (110, 0xeccd26d48d4bddc6), // update[lo_quantity,c_region]
+    (2, 0xdd159a86415c092c),   // Q1.1
+    (4, 0x0172b8cdb6c7064e),   // Q1.2
+    (6, 0x2df1f10cbf3bb702),   // Q1.3
+    (7, 0xc4675bf82849a5ae),   // Q2.1
+    (8, 0xd230ab7ed533a6d8),   // Q2.2
+    (9, 0x4ef91dda2bd82488),   // Q2.3
+    (10, 0x043ce97b61389f9e),  // Q3.1
+    (11, 0x7d8f152d0e29d25c),  // Q3.2
+    (12, 0x819663a12d5bddb9),  // Q3.3
+    (13, 0x1968d617577deb75),  // Q3.4
+    (14, 0x9c10054677329d6b),  // Q4.1
+    (15, 0x524e274422ec254c),  // Q4.2
+    (16, 0x0c96494b05375e60),  // Q4.3
+    (18, 0xfdbf0895858f5741),  // Q1.1-combined
+    (20, 0xa6e025b59b2b4403),  // Q1.2-combined
+    (22, 0x4a6bf7fb98f268bf),  // Q1.3-combined
+    (24, 0x025e66ac8508bfc6),  // Q1.hol
+    (25, 0x4935950a87edb052),  // Q2.1-stats
+    (40, 0x890b7004cab361a1),  // Q2.1, all pim-gb
+    (77, 0x79f3e30b3ee879ec),  // Q3.1, all pim-gb
+    (107, 0x835cdc13516a7365), // Q4.1, all pim-gb
+    (110, 0x10234c85eb76a0f3), // update[lo_quantity,c_region]
 ];
 
 /// `two_xb`: per disjunct a dimension-side program and a fact-side
 /// accumulate step; per pim-gb key three programs.
 const TWO_XB: &[Pin] = &[
-    (3, 0x5af0d57d89cdcca1),   // Q1.1
-    (6, 0xaa11fc33eb6805fc),   // Q1.2
-    (9, 0xb1347b851aca4b5c),   // Q1.3
-    (11, 0xea4192927d2ccca0),  // Q2.1
-    (13, 0x5c71b2f4a4f9b597),  // Q2.2
-    (15, 0x7c7cb3f1208450c2),  // Q2.3
-    (17, 0xbe8be6f857438494),  // Q3.1
-    (19, 0xff67adfddfcfbedb),  // Q3.2
-    (21, 0x902da31bf7224a21),  // Q3.3
-    (23, 0xf229b959ca0b879c),  // Q3.4
-    (25, 0x29f13916f6393293),  // Q4.1
-    (27, 0xe8a62fa3c7d41343),  // Q4.2
-    (29, 0x2bce92ef2e0c781c),  // Q4.3
-    (32, 0xd592335028c1fdc0),  // Q1.1-combined
-    (35, 0xfdcbeae6b61d48b1),  // Q1.2-combined
-    (38, 0x793267815b5d66ad),  // Q1.3-combined
-    (43, 0x79e0ea413374f324),  // Q1.hol
-    (45, 0x81e274fc3fa62098),  // Q2.1-stats
-    (75, 0xf4c21ca6365da4c3),  // Q2.1, all pim-gb
-    (149, 0x76a2663387c22d1f), // Q3.1, all pim-gb
-    (208, 0xa8b7055b1cd2e908), // Q4.1, all pim-gb
-    (213, 0x069e0d2bef076a3b), // update[lo_quantity,c_region]
+    (3, 0x249c383b8db8054c),   // Q1.1
+    (6, 0x9957e79cb020702d),   // Q1.2
+    (9, 0x4767855288740559),   // Q1.3
+    (11, 0x4c8768a56bc8dd95),  // Q2.1
+    (13, 0x197cb49e10fa716b),  // Q2.2
+    (15, 0xfed58df50df1fcdb),  // Q2.3
+    (17, 0xe0aafbaca1dc04f5),  // Q3.1
+    (19, 0x3c3013b5fc517f8f),  // Q3.2
+    (21, 0x6b4f1aca62b6a7c6),  // Q3.3
+    (23, 0xae0e6c6e7df2a80e),  // Q3.4
+    (25, 0x635537c6fb628b68),  // Q4.1
+    (27, 0x389ceeeef139c1f4),  // Q4.2
+    (29, 0xca1ae80cb4d15cf0),  // Q4.3
+    (32, 0xe107d7afadfc9e41),  // Q1.1-combined
+    (35, 0x87ee7c129fbb2158),  // Q1.2-combined
+    (38, 0x27d8f70f1fd56fa4),  // Q1.3-combined
+    (43, 0xdf8a71ba1ab6120f),  // Q1.hol
+    (45, 0xc13232012f890a03),  // Q2.1-stats
+    (75, 0x37109b8deeb33148),  // Q2.1, all pim-gb
+    (149, 0x09fa681e45b42b15), // Q3.1, all pim-gb
+    (208, 0x2321fdb603fef828), // Q4.1, all pim-gb
+    (213, 0x8d2c800c72fe687d), // update[lo_quantity,c_region]
 ];
 
 /// The star: dimension filters that select nothing at this scale are
 /// planner-answered and compile nothing (the rows that repeat).
 const STAR: &[Pin] = &[
-    (9, 0xa97889ef793fe555),   // Q1.1
-    (17, 0x529b5be144631510),  // Q1.2
-    (23, 0x941c56b60772aafe),  // Q1.3
-    (29, 0xe285b71ea257b86e),  // Q2.1
-    (29, 0xe285b71ea257b86e),  // Q2.2
-    (29, 0xe285b71ea257b86e),  // Q2.3
-    (36, 0xab921ccda1676681),  // Q3.1
-    (36, 0xab921ccda1676681),  // Q3.2
-    (36, 0xab921ccda1676681),  // Q3.3
-    (36, 0xab921ccda1676681),  // Q3.4
-    (43, 0x83dabf51ea04e4e8),  // Q4.1
-    (51, 0x73f0cdfc6d6a829a),  // Q4.2
-    (51, 0x73f0cdfc6d6a829a),  // Q4.3
-    (60, 0x541ac64a27a21a41),  // Q1.1-combined
-    (68, 0x5f25386e025db15a),  // Q1.2-combined
-    (74, 0x8ce0e290c0420d71),  // Q1.3-combined
-    (84, 0x5440b4442b996898),  // Q1.hol
-    (90, 0xc735f445fdeaf187),  // Q2.1-stats
-    (98, 0x747c304365c8e8e9),  // update[lo_discount]
-    (100, 0xbe41c38e1b14f86c), // update[d_year]
+    (9, 0xa36366fa0d0e2625),   // Q1.1
+    (17, 0x9cc02d460f8e44fb),  // Q1.2
+    (23, 0xf87a34d0118a8e08),  // Q1.3
+    (29, 0x46a930c97f687838),  // Q2.1
+    (29, 0x46a930c97f687838),  // Q2.2
+    (29, 0x46a930c97f687838),  // Q2.3
+    (36, 0x8a90004aa5b7bcfe),  // Q3.1
+    (36, 0x8a90004aa5b7bcfe),  // Q3.2
+    (36, 0x8a90004aa5b7bcfe),  // Q3.3
+    (36, 0x8a90004aa5b7bcfe),  // Q3.4
+    (43, 0x5ba1bdbd87a78d9c),  // Q4.1
+    (51, 0x85093f2b52c1ab65),  // Q4.2
+    (51, 0x85093f2b52c1ab65),  // Q4.3
+    (60, 0x55acdd557b9ed3aa),  // Q1.1-combined
+    (68, 0xbc5aeb28ebede9ac),  // Q1.2-combined
+    (74, 0xb2bf73146d624a53),  // Q1.3-combined
+    (84, 0xe0d07bbcf0e8ae8e),  // Q1.hol
+    (90, 0xf4100e80781c8249),  // Q2.1-stats
+    (98, 0x58a3e16b45ff70df),  // update[lo_discount]
+    (100, 0xe69b0b6738269846), // update[d_year]
 ];
 
 #[test]
