@@ -164,18 +164,16 @@ fn literals(attr: ColRange, (value, free): (u64, usize)) -> Vec<(usize, bool)> {
 /// attribute's domain.
 fn check_runs(attr: ColRange, runs: &[(u64, u64)]) -> Result<(), SimError> {
     let max = span(attr.width);
-    let mut floor = 0u64;
+    // the least value the next run may start at; `None` past `u64::MAX`
+    let mut next = Some(0u64);
     for (k, &(lo, hi)) in runs.iter().enumerate() {
-        if lo > hi || hi > max || (k > 0 && lo < floor) {
+        if lo > hi || hi > max || next.is_none_or(|n| lo < n) {
             return Err(SimError::InvalidProgram(format!(
                 "run {k} [{lo}, {hi}] is not a sorted, disjoint run of {}-bit values",
                 attr.width
             )));
         }
-        floor = hi.saturating_add(1);
-        if hi == u64::MAX && k + 1 < runs.len() {
-            return Err(SimError::InvalidProgram(format!("run {k} ends the domain early")));
-        }
+        next = hi.checked_add(1);
     }
     Ok(())
 }
@@ -582,6 +580,17 @@ mod tests {
         let mut pool = ScratchPool::new(SCRATCH);
         let mut b = CodeBuilder::new(&mut pool);
         assert!(compile_in_set(&mut b, ATTR, &[]).is_err());
+    }
+
+    #[test]
+    fn ranges_reject_unsorted_overlapping_and_out_of_domain_runs() {
+        let bad: [&[(u64, u64)]; 4] =
+            [&[(5, 3)], &[(0, 10), (10, 12)], &[(4, 6), (0, 2)], &[(0, 256)]];
+        for runs in bad {
+            let mut pool = ScratchPool::new(SCRATCH);
+            let mut b = CodeBuilder::new(&mut pool);
+            assert!(compile_ranges(&mut b, ATTR, runs).is_err(), "{runs:?}");
+        }
     }
 
     #[test]
