@@ -72,12 +72,12 @@ use std::collections::HashSet;
 use std::ops::ControlFlow;
 
 use bbpim_core::error::CoreError;
+use bbpim_core::filter_exec::RangeTerm;
 use bbpim_core::groupby::host_gb::DimProbe;
 use bbpim_core::groupby::GroupByOutcome;
 use bbpim_core::layout::{RecordLayout, MASK_COL};
 use bbpim_core::modes::EngineMode;
 use bbpim_core::result::QueryExecution;
-use bbpim_core::semijoin::{SemijoinDisjunct, SemijoinTerm};
 use bbpim_core::PimTable;
 use bbpim_db::plan::{Atom, Pred, Query, ResolvedAtom};
 use bbpim_db::schema::Schema;
@@ -119,7 +119,7 @@ pub type StarCluster = Cluster<Star>;
 /// executed bitmaps provably match.
 #[derive(Debug)]
 pub struct JoinPlan {
-    disjuncts: Vec<SemijoinDisjunct>,
+    disjuncts: Vec<Vec<RangeTerm>>,
     bounds_dnf: Vec<Vec<ResolvedAtom>>,
     prelude: RunLog,
 }
@@ -284,16 +284,18 @@ impl Storage for Star {
         let mut bounds_dnf = Vec::with_capacity(routed.len());
         for r in routed {
             let bounds = r.bounds(fact.schema())?;
-            let mut atoms = Vec::with_capacity(r.fact_atoms.len());
+            // the fact atoms' terms, then one FK term per filtered
+            // dimension, catalog order
+            let mut terms = Vec::with_capacity(r.fact_atoms.len() + r.bitmaps.len());
             for (a, resolved) in r.fact_atoms.iter().zip(&bounds) {
-                atoms.push((resolved.clone(), col_range(fact, a.attr())?));
+                let range = col_range(fact, a.attr())?;
+                terms.push(RangeTerm { range, runs: resolved.runs(range.width) });
             }
-            let mut semijoins = Vec::with_capacity(r.bitmaps.len());
             for (d, bitmap) in &r.bitmaps {
-                let fk = col_range(fact, DIMENSIONS[*d].fk)?;
-                semijoins.push(SemijoinTerm { fk_range: fk, runs: bitmap.runs().collect() });
+                let range = col_range(fact, DIMENSIONS[*d].fk)?;
+                terms.push(RangeTerm { range, runs: bitmap.runs().collect() });
             }
-            disjuncts.push(SemijoinDisjunct { atoms, semijoins });
+            disjuncts.push(terms);
             bounds_dnf.push(bounds);
         }
         Ok(JoinPlan { disjuncts, bounds_dnf, prelude })

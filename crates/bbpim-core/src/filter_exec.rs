@@ -2,6 +2,12 @@
 //! form) to bulk-bitwise microprograms and leave a one-bit mask per
 //! record.
 //!
+//! Every atom reaches the crossbar as one [`RangeTerm`]: its column
+//! range and the value runs the planner resolved it to
+//! ([`ResolvedAtom::runs`], clipped to the attribute's width, so a
+//! constant wider than the attribute selects what the oracle selects).
+//! The mask builders never look at the atom itself.
+//!
 //! In `one-xb` mode a single program evaluates every DNF disjunct (a
 //! conjunction of atoms), ORs the disjunct terms together and ANDs in
 //! the validity bit. In `two-xb` mode each disjunct is evaluated in
@@ -18,7 +24,7 @@
 
 use bbpim_db::plan::ResolvedAtom;
 use bbpim_sim::bitmat::word_ones;
-use bbpim_sim::compiler::predicate::{Cmp, Conjunction};
+use bbpim_sim::compiler::predicate::Conjunction;
 use bbpim_sim::compiler::{CodeBuilder, ColRange, ScratchPool};
 use bbpim_sim::isa::Microprogram;
 use bbpim_sim::maskwire::{self, PackedBits};
@@ -29,42 +35,32 @@ use crate::error::CoreError;
 use crate::layout::{MASK_COL, TRANSFER_COL, VALID_COL};
 use crate::loader::LoadedRelation;
 use crate::scan::Scan;
-use crate::semijoin::{build_dnf_mask_program, SemijoinDisjunct};
+use crate::semijoin::build_dnf_mask_program;
 use crate::table::PimTable;
 
-/// AND one atom into `acc`: the atom's comparison as value runs over
-/// its column range ([`Cmp::runs`]), through the one range
-/// emitter.
-///
-/// # Errors
-///
-/// Propagates compiler failures (scratch exhaustion, bad constants).
-pub fn and_atom(
-    b: &mut CodeBuilder<'_>,
-    acc: &mut Conjunction,
-    atom: &ResolvedAtom,
-    range: ColRange,
-) -> Result<(), CoreError> {
-    let cmp = match atom {
-        ResolvedAtom::Eq { value, .. } => Cmp::Eq(*value),
-        ResolvedAtom::Between { lo, hi, .. } => Cmp::Between(*lo, *hi),
-        ResolvedAtom::Lt { value, .. } => Cmp::Lt(*value),
-        ResolvedAtom::Gt { value, .. } => Cmp::Gt(*value),
-        ResolvedAtom::In { values, .. } => Cmp::In(values),
-    };
-    acc.and_ranges(b, range, &cmp.runs(range.width)?)?;
-    Ok(())
+/// One term of a mask program: the attribute in `range` holds one of
+/// `runs`, sorted, disjoint, inclusive value runs — an atom's selected
+/// values ([`ResolvedAtom::runs`]), a dimension's selected keys on the
+/// fact FK, or a group key's value. No run makes the term false. Both
+/// mask builders AND a term in through the one range emitter
+/// ([`Conjunction::and_ranges`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RangeTerm {
+    /// The column range the term reads.
+    pub range: ColRange,
+    /// The selected values.
+    pub runs: Vec<(u64, u64)>,
 }
 
 /// Build the program for one conjunction inside a partition:
-/// `conj(atoms) AND and_cols` (validity, transferred masks…) written to
+/// `AND(terms) AND and_cols` (validity, transferred masks…) written to
 /// `dst_col` — or, with `accumulate`, ORed into what `dst_col` holds
 /// (the accumulation step of multi-disjunct two-xb filtering). The
 /// workspace is `scratch`: the partition's whole scratch region, or
 /// what a materialised aggregate expression left of it.
 ///
 /// The AND is built by clear-only MAGIC NORs into one INITed column
-/// ([`Conjunction`]): each atom NORs in its cube's literals or the
+/// ([`Conjunction`]): each term NORs in its cube's literals or the
 /// complement of its runs, and `and_cols` one NOR of their shared
 /// complements. Plain, that column is `dst_col` itself; accumulating,
 /// a scratch term, then `dst_col := NOT NOR(dst_col, term)`.
@@ -74,7 +70,7 @@ pub fn and_atom(
 /// Propagates compiler failures.
 pub fn build_conjunction_program(
     scratch: ColRange,
-    atoms: &[(ResolvedAtom, ColRange)],
+    terms: &[RangeTerm],
     and_cols: &[usize],
     dst_col: usize,
     accumulate: bool,
@@ -82,8 +78,8 @@ pub fn build_conjunction_program(
     let mut pool = ScratchPool::new(scratch);
     let mut b = CodeBuilder::new(&mut pool);
     let mut conj = if accumulate { Conjunction::fresh() } else { Conjunction::into_col(dst_col) };
-    for (atom, range) in atoms {
-        and_atom(&mut b, &mut conj, atom, *range)?;
+    for t in terms {
+        conj.and_ranges(&mut b, t.range, &t.runs)?;
     }
     let positive: Vec<(usize, bool)> = and_cols.iter().map(|&c| (c, true)).collect();
     conj.and_literals(&mut b, &positive)?;
@@ -225,12 +221,13 @@ impl Scan<'_> {
         let (layout, schema) = (&self.table.layout, &self.table.schema);
         let mut disjuncts = Vec::with_capacity(dnf.len());
         for conj in dnf {
-            // the conjunction's atoms with their column ranges, split
-            // into the fact side (partition 0) and the dimension side
+            // the conjunction's atoms as terms over their column ranges,
+            // split into the fact side (partition 0) and the dimension side
             let mut sides = [Vec::new(), Vec::new()];
             for atom in conj {
                 let placement = layout.placement(&schema.attrs()[atom.attr_index()].name)?;
-                sides[usize::from(placement.partition != 0)].push((atom.clone(), placement.range));
+                let (range, side) = (placement.range, usize::from(placement.partition != 0));
+                sides[side].push(RangeTerm { range, runs: atom.runs(range.width) });
             }
             disjuncts.push(sides);
         }
@@ -238,10 +235,7 @@ impl Scan<'_> {
             // one program for the whole DNF (FALSE for an empty one: an
             // exhaustively dispatched filter must still leave an
             // all-false mask)
-            let joined: Vec<SemijoinDisjunct> = disjuncts
-                .into_iter()
-                .map(|[atoms, _]| SemijoinDisjunct { atoms, semijoins: vec![] })
-                .collect();
+            let joined: Vec<Vec<RangeTerm>> = disjuncts.into_iter().map(|[fact, _]| fact).collect();
             return self.filter_joined(&joined);
         }
         if self.pages.is_empty() {
@@ -273,14 +267,15 @@ impl Scan<'_> {
         Ok(self.count(MASK_COL))
     }
 
-    /// [`Scan::filter`] for a single-partition table whose disjuncts
-    /// may carry semijoin terms (a star join's fact shard): one program
+    /// [`Scan::filter`] for a single-partition table, over disjuncts
+    /// already resolved to terms — on a star join's fact shard the fact
+    /// atoms' terms and one FK term per filtered dimension: one program
     /// evaluates the whole DNF into [`MASK_COL`].
     ///
     /// # Errors
     ///
     /// Propagates compiler/simulator failures.
-    pub fn filter_joined(&mut self, disjuncts: &[SemijoinDisjunct]) -> Result<u64, CoreError> {
+    pub fn filter_joined(&mut self, disjuncts: &[Vec<RangeTerm>]) -> Result<u64, CoreError> {
         if self.pages.is_empty() {
             return Ok(0);
         }

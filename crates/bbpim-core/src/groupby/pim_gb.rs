@@ -14,12 +14,12 @@
 //! shared by all aggregates (the worst-case-partitioning overhead of
 //! Section V-A).
 
-use bbpim_db::plan::{PhysFunc, ResolvedAtom};
+use bbpim_db::plan::PhysFunc;
 use bbpim_sim::compiler::ColRange;
 
 use crate::agg_exec::AggInput;
 use crate::error::CoreError;
-use crate::filter_exec::build_conjunction_program;
+use crate::filter_exec::{build_conjunction_program, RangeTerm};
 use crate::layout::{Projection, GROUP_MASK_COL, MASK_COL, TRANSFER_COL, VALID_COL};
 use crate::scan::Scan;
 
@@ -106,17 +106,17 @@ impl Scan<'_> {
         let fact_pages = self.pages.len();
         let mut out = Vec::with_capacity(keys.len());
         for key in keys {
-            let eq_atoms: Vec<(ResolvedAtom, ColRange)> = group_by
+            let eq_terms: Vec<RangeTerm> = group_by
                 .iter()
                 .zip(key)
-                .map(|(p, v)| (ResolvedAtom::Eq { idx: 0, value: *v }, p.range))
+                .map(|(p, &v)| RangeTerm { range: p.range, runs: vec![(v, v)] })
                 .collect();
 
             if key_partition == fact_partition {
                 // Same crossbar: one program forms the group mask.
                 let prog = build_conjunction_program(
                     mask_scratch,
-                    &eq_atoms,
+                    &eq_terms,
                     &[MASK_COL],
                     GROUP_MASK_COL,
                     false,
@@ -126,7 +126,7 @@ impl Scan<'_> {
                 // two-xb: key equality in the dimension partition…
                 let prog = build_conjunction_program(
                     self.table.layout.scratch(key_partition),
-                    &eq_atoms,
+                    &eq_terms,
                     &[VALID_COL],
                     GROUP_MASK_COL,
                     false,

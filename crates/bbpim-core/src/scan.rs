@@ -10,7 +10,8 @@
 //! ```
 //!
 //! * [`Scan::filter`] / [`Scan::filter_joined`] — the bulk-bitwise
-//!   filter ([`crate::filter_exec`]), leaving the query mask;
+//!   filter ([`crate::filter_exec`]) over the planner's value runs,
+//!   leaving the query mask;
 //!   [`Scan::move_mask`] moves a mask column over the host channel.
 //! * [`Scan::group_by`] — Section IV's hybrid GROUP BY
 //!   ([`crate::groupby`]): [`Scan::sample`] one page, decide `k` by

@@ -27,51 +27,26 @@
 //! selecting every fifth customer) costs about two cycles per
 //! single-key run — no bus traffic, and no comparator chain per run.
 //!
-//! [`build_dnf_mask_program`] is the one DNF builder: a plain
-//! single-partition query filter is the case where no disjunct carries
-//! a semijoin term. Local atoms go through the same emitter via
-//! [`and_atom`].
+//! [`build_dnf_mask_program`] is the one DNF builder. A disjunct is a
+//! list of [`RangeTerm`]s whose runs the planner decided: the fact
+//! atoms' selected values ([`bbpim_db::plan::ResolvedAtom::runs`]) and
+//! one FK term per filtered dimension, its runs the dimension bitmap's
+//! ([`bbpim_sim::maskwire::PackedBits::runs`]) offset by the key base.
+//! A plain single-partition query filter is the case with no FK term.
 
-use bbpim_db::plan::ResolvedAtom;
 use bbpim_sim::compiler::predicate::{Conjunction, Disjunction};
 use bbpim_sim::compiler::{CodeBuilder, ColRange, ScratchPool};
 use bbpim_sim::isa::Microprogram;
 
 use crate::error::CoreError;
-use crate::filter_exec::and_atom;
-
-/// One dimension's contribution to a disjunct: the key runs its
-/// filtered bitmap decomposed into, anchored at the fact FK column.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SemijoinTerm {
-    /// The fact-partition column range holding the foreign key.
-    pub fk_range: ColRange,
-    /// Inclusive `[lo, hi]` runs of selected key *values* (not rows),
-    /// ascending and non-overlapping — the runs of the dimension's key
-    /// bitmap ([`bbpim_sim::maskwire::PackedBits::runs`]) offset by its
-    /// key base. Empty = the dimension filter selected nothing, so the
-    /// term (and its disjunct) is false.
-    pub runs: Vec<(u64, u64)>,
-}
-
-/// One disjunct of a filter as a single-partition module sees it:
-/// local atoms plus — on a star join's fact shard — one semijoin term
-/// per participating dimension.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SemijoinDisjunct {
-    /// Local atoms, pre-resolved to column ranges.
-    pub atoms: Vec<(ResolvedAtom, ColRange)>,
-    /// Semijoin terms (one per dimension this disjunct filters).
-    pub semijoins: Vec<SemijoinTerm>,
-}
+use crate::filter_exec::RangeTerm;
 
 /// Build one program evaluating a whole DNF inside a single partition
-/// (`scratch` is its workspace): per disjunct, AND the local atoms with
-/// every semijoin term's runs; OR across disjuncts; AND `and_cols`
-/// (validity); write the result to `dst_col`. A disjunct with no atoms
-/// and no semijoins is constant true; zero disjuncts write an all-false
-/// mask — an executed filter must still leave a well-defined mask on
-/// the touched pages.
+/// (`scratch` is its workspace): per disjunct, AND its terms; OR across
+/// disjuncts; AND `and_cols` (validity); write the result to `dst_col`.
+/// A disjunct with no term is constant true; zero disjuncts write an
+/// all-false mask — an executed filter must still leave a well-defined
+/// mask on the touched pages.
 ///
 /// Every AND is clear-only NORs into one INITed column
 /// ([`Conjunction`]). One disjunct builds straight into `dst_col`;
@@ -84,7 +59,7 @@ pub struct SemijoinDisjunct {
 /// Propagates compiler failures (scratch exhaustion, bad constants).
 pub fn build_dnf_mask_program(
     scratch: ColRange,
-    disjuncts: &[SemijoinDisjunct],
+    disjuncts: &[Vec<RangeTerm>],
     and_cols: &[usize],
     dst_col: usize,
 ) -> Result<Microprogram, CoreError> {
@@ -92,17 +67,23 @@ pub fn build_dnf_mask_program(
     let mut b = CodeBuilder::new(&mut pool);
     let mut mask = Conjunction::into_col(dst_col);
     let mut literals: Vec<(usize, bool)> = and_cols.iter().map(|&c| (c, true)).collect();
-    let always = disjuncts.iter().any(|d| d.atoms.is_empty() && d.semijoins.is_empty());
+    let always = disjuncts.iter().any(Vec::is_empty);
     match disjuncts {
         _ if always => {}
         [] => literals.push((b.one()?, false)),
-        [d] => and_disjunct(&mut b, &mut mask, d)?,
+        [terms] => {
+            for t in terms {
+                mask.and_ranges(&mut b, t.range, &t.runs)?;
+            }
+        }
         _ => {
             let mut any = Disjunction::new();
-            for d in disjuncts {
-                let mut term = Conjunction::fresh();
-                and_disjunct(&mut b, &mut term, d)?;
-                let col = term.finish(&mut b)?;
+            for terms in disjuncts {
+                let mut conj = Conjunction::fresh();
+                for t in terms {
+                    conj.and_ranges(&mut b, t.range, &t.runs)?;
+                }
+                let col = conj.finish(&mut b)?;
                 any.push(&mut b, col, true)?;
             }
             literals.push((any.finish_complement(&mut b)?, false));
@@ -113,22 +94,6 @@ pub fn build_dnf_mask_program(
     Ok(b.finish())
 }
 
-/// AND one disjunct's atoms and semijoin terms into `acc`: a term's
-/// runs go through the range emitter as they are.
-fn and_disjunct(
-    b: &mut CodeBuilder<'_>,
-    acc: &mut Conjunction,
-    d: &SemijoinDisjunct,
-) -> Result<(), CoreError> {
-    for (atom, range) in &d.atoms {
-        and_atom(b, acc, atom, *range)?;
-    }
-    for sj in &d.semijoins {
-        acc.and_ranges(b, sj.fk_range, &sj.runs)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,6 +101,7 @@ mod tests {
     use crate::layout::MASK_COL;
     use crate::modes::EngineMode;
     use crate::table::PimTable;
+    use bbpim_db::plan::ResolvedAtom;
     use bbpim_db::Relation;
     use bbpim_sim::maskwire::PackedBits;
 
@@ -146,11 +112,11 @@ mod tests {
 
     /// The term of the key bitmap `bits` over keys from `key_base`, as
     /// the star path builds it: the bitmap's runs as key values.
-    fn term_of(fk_range: ColRange, bits: &[bool], key_base: u64) -> SemijoinTerm {
+    fn term_of(range: ColRange, bits: &[bool], key_base: u64) -> RangeTerm {
         let mut packed = PackedBits::zeros(bits.len());
         bits.iter().enumerate().filter(|(_, set)| **set).for_each(|(i, _)| packed.set(i));
         let runs = packed.runs().map(|(lo, hi)| (key_base + lo, key_base + hi)).collect();
-        SemijoinTerm { fk_range, runs }
+        RangeTerm { range, runs }
     }
 
     /// The column range of `attr`.
@@ -160,7 +126,7 @@ mod tests {
 
     /// Filter by `disjuncts` over every page; the selected count must be
     /// the mask's popcount. Returns the per-record mask.
-    fn run(t: &mut PimTable, disjuncts: &[SemijoinDisjunct]) -> Vec<bool> {
+    fn run(t: &mut PimTable, disjuncts: &[Vec<RangeTerm>]) -> Vec<bool> {
         let mut scan = fixture::scan(t);
         let selected = scan.filter_joined(disjuncts).unwrap();
         let mask = scan.mask(0, MASK_COL);
@@ -189,8 +155,7 @@ mod tests {
         let fk_range = range(&t, "fk");
         let term = term_of(fk_range, &bits, 0);
         assert_eq!(term.runs.len(), 3);
-        let d = SemijoinDisjunct { atoms: vec![], semijoins: vec![term] };
-        let mask = run(&mut t, &[d]);
+        let mask = run(&mut t, &[vec![term]]);
         for (row, got) in mask.iter().enumerate() {
             let fk = rel.value(row, 0) as usize;
             assert_eq!(*got, bits[fk], "row {row} fk {fk}");
@@ -202,12 +167,10 @@ mod tests {
         let (mut t, rel) = table();
         let fk_range = range(&t, "fk");
         let v_range = range(&t, "v");
-        let term = SemijoinTerm { fk_range, runs: vec![(0, 49)] };
-        let d = SemijoinDisjunct {
-            atoms: vec![(ResolvedAtom::Lt { idx: 1, value: 30 }, v_range)],
-            semijoins: vec![term],
-        };
-        let mask = run(&mut t, &[d]);
+        let runs = ResolvedAtom::Lt { idx: 1, value: 30 }.runs(v_range.width);
+        let atom = RangeTerm { range: v_range, runs };
+        let term = RangeTerm { range: fk_range, runs: vec![(0, 49)] };
+        let mask = run(&mut t, &[vec![atom, term]]);
         for (row, got) in mask.iter().enumerate() {
             let expect = rel.value(row, 0) < 50 && rel.value(row, 1) < 30;
             assert_eq!(*got, expect, "row {row}");
@@ -218,14 +181,8 @@ mod tests {
     fn disjuncts_or_together() {
         let (mut t, rel) = table();
         let fk_range = range(&t, "fk");
-        let d1 = SemijoinDisjunct {
-            atoms: vec![],
-            semijoins: vec![SemijoinTerm { fk_range, runs: vec![(0, 9)] }],
-        };
-        let d2 = SemijoinDisjunct {
-            atoms: vec![],
-            semijoins: vec![SemijoinTerm { fk_range, runs: vec![(150, 199)] }],
-        };
+        let d1 = vec![RangeTerm { range: fk_range, runs: vec![(0, 9)] }];
+        let d2 = vec![RangeTerm { range: fk_range, runs: vec![(150, 199)] }];
         let mask = run(&mut t, &[d1, d2]);
         for (row, got) in mask.iter().enumerate() {
             let fk = rel.value(row, 0);
@@ -237,10 +194,7 @@ mod tests {
     fn empty_runs_make_disjunct_false_and_no_disjuncts_make_all_false() {
         let (mut t, _) = table();
         let fk_range = range(&t, "fk");
-        let d = SemijoinDisjunct {
-            atoms: vec![],
-            semijoins: vec![SemijoinTerm { fk_range, runs: vec![] }],
-        };
+        let d = vec![RangeTerm { range: fk_range, runs: vec![] }];
         assert!(run(&mut t, &[d]).iter().all(|b| !b));
         assert!(run(&mut t, &[]).iter().all(|b| !b));
     }
@@ -248,8 +202,7 @@ mod tests {
     #[test]
     fn empty_disjunct_selects_all_valid() {
         let (mut t, rel) = table();
-        let d = SemijoinDisjunct { atoms: vec![], semijoins: vec![] };
-        let mask = run(&mut t, &[d]);
+        let mask = run(&mut t, &[vec![]]);
         assert_eq!(mask.iter().filter(|b| **b).count(), rel.len());
     }
 
@@ -261,8 +214,7 @@ mod tests {
         let bits: Vec<bool> = (0..200).map(|k| k % 3 == 0).collect();
         let term = term_of(fk_range, &bits, 0);
         assert!(term.runs.len() > 60);
-        let d = SemijoinDisjunct { atoms: vec![], semijoins: vec![term] };
-        let mask = run(&mut t, &[d]);
+        let mask = run(&mut t, &[vec![term]]);
         for (row, got) in mask.iter().enumerate() {
             assert_eq!(*got, rel.value(row, 0).is_multiple_of(3), "row {row}");
         }

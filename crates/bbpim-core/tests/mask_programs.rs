@@ -2,14 +2,17 @@
 //! `build_conjunction_program` (plain and accumulating) and
 //! `build_dnf_mask_program` emit runs on a crossbar whose rows enumerate
 //! small attributes, over a scratch region pre-filled with random bits.
-//! The mask must equal a row-at-a-time reference, no column outside the
+//! Every term comes from the planner's runs (`ResolvedAtom::runs`, also
+//! for constants past the attribute's width); the mask must equal a
+//! row-at-a-time reference (`matches_value` for an atom, run
+//! membership for a key term), no column outside the
 //! destination and the scratch region may change, and no NOR may take
 //! more than 64 inputs — with a roomy pool, with the 24 columns every
 //! layout reserves, and with the builders' whole working set alone.
 
-use bbpim_core::filter_exec::build_conjunction_program;
+use bbpim_core::filter_exec::{build_conjunction_program, RangeTerm};
 use bbpim_core::layout::{MASK_COL, TRANSFER_COL, VALID_COL};
-use bbpim_core::semijoin::{build_dnf_mask_program, SemijoinDisjunct, SemijoinTerm};
+use bbpim_core::semijoin::build_dnf_mask_program;
 use bbpim_db::plan::ResolvedAtom;
 use bbpim_sim::compiler::{ColRange, WORKING_COLS};
 use bbpim_sim::crossbar::Crossbar;
@@ -94,22 +97,30 @@ fn run(
 }
 
 /// Every atom over a 3-bit attribute: each comparison against each
-/// constant, each BETWEEN, each IN member set.
+/// constant up to 17 (past the width from 8 on), each BETWEEN, each IN
+/// member set — alone and beside an out-of-width member.
 fn every_small_atom() -> Vec<ResolvedAtom> {
     let mut atoms = Vec::new();
-    for c in 0..8u64 {
+    for c in 0..=17u64 {
         atoms.push(ResolvedAtom::Eq { idx: 0, value: c });
         atoms.push(ResolvedAtom::Lt { idx: 0, value: c });
         atoms.push(ResolvedAtom::Gt { idx: 0, value: c });
-        for hi in c..8 {
+        for hi in c..=17 {
             atoms.push(ResolvedAtom::Between { idx: 0, lo: c, hi });
         }
     }
     for set in 1u64..256 {
-        let values = (0..8).filter(|v| set >> v & 1 == 1).collect();
-        atoms.push(ResolvedAtom::In { idx: 0, values });
+        let values: Vec<u64> = (0..8).filter(|v| set >> v & 1 == 1).collect();
+        atoms.push(ResolvedAtom::In { idx: 0, values: values.clone() });
+        atoms.push(ResolvedAtom::In { idx: 0, values: [values, vec![9, 1000]].concat() });
     }
+    atoms.push(ResolvedAtom::In { idx: 0, values: vec![8, 1000] });
     atoms
+}
+
+/// `atom` as the term over `range` the planner builds.
+fn term(atom: &ResolvedAtom, range: ColRange) -> RangeTerm {
+    RangeTerm { range, runs: atom.runs(range.width) }
 }
 
 #[test]
@@ -120,7 +131,7 @@ fn conjunctions_are_exact_over_every_small_atom() {
         let other = &atoms[rng.gen_range(0..atoms.len())];
         // alone, and beside an atom on the other attribute; validity
         // alone, and with the transfer chunk
-        let with_other = [(atom.clone(), A), (other.clone(), B)];
+        let with_other = [term(atom, A), term(other, B)];
         for (n, and_cols) in [(1, &[VALID_COL][..]), (2, &[VALID_COL, TRANSFER_COL][..])] {
             let conj = &with_other[..n];
             let want = |r: usize| {
@@ -132,8 +143,10 @@ fn conjunctions_are_exact_over_every_small_atom() {
             for (accumulate, scratch) in
                 [false, true].into_iter().flat_map(|a| POOLS.map(|p| (a, p)))
             {
-                let what =
-                    format!("{conj:?} and {and_cols:?}, accumulate {accumulate}, {scratch:?}");
+                let what = format!(
+                    "{atom:?} and {other:?}: {conj:?} and {and_cols:?}, accumulate {accumulate}, \
+                     {scratch:?}"
+                );
                 let prog = build_conjunction_program(scratch, conj, and_cols, MASK_COL, accumulate)
                     .unwrap();
                 let seed = (k as u64) << 2 | (n as u64) << 1 | u64::from(accumulate);
@@ -150,18 +163,19 @@ fn conjunctions_are_exact_over_every_small_atom() {
 #[test]
 fn conjunctions_on_a_six_bit_attribute_are_exact() {
     let mut atoms = Vec::new();
-    for c in 0..64u64 {
+    // constants up to 129, past the width from 64 on
+    for c in 0..=129u64 {
         atoms.push(ResolvedAtom::Eq { idx: 0, value: c });
         atoms.push(ResolvedAtom::Lt { idx: 0, value: c });
         atoms.push(ResolvedAtom::Gt { idx: 0, value: c });
-        for hi in (c..64).step_by(5) {
+        for hi in (c..=129).step_by(5) {
             atoms.push(ResolvedAtom::Between { idx: 0, lo: c, hi });
         }
     }
     for (k, atom) in atoms.iter().enumerate() {
         for scratch in POOLS {
             let what = format!("{atom:?} in {scratch:?}");
-            let conj = [(atom.clone(), FK)];
+            let conj = [term(atom, FK)];
             let prog =
                 build_conjunction_program(scratch, &conj, &[VALID_COL], MASK_COL, false).unwrap();
             let (xb, _) = run(&prog, scratch, 0x6B17 + k as u64, MASK_COL, &what);
@@ -186,17 +200,32 @@ fn a_conjunction_without_atoms_ands_its_columns() {
     }
 }
 
-/// Does `d` select row `r`?
-fn disjunct_selects(d: &SemijoinDisjunct, r: usize) -> bool {
-    let value = |range: ColRange| match range.lo {
-        lo if lo == A.lo => a_of(r),
-        lo if lo == B.lo => b_of(r),
-        _ => r as u64,
-    };
-    d.atoms.iter().all(|(atom, range)| atom.matches_value(value(*range)))
-        && d.semijoins
-            .iter()
-            .all(|t| t.runs.iter().any(|&(lo, hi)| (lo..=hi).contains(&(r as u64))))
+/// One conjunct of a reference disjunct: an atom over `A`, `B` or
+/// `FK`, or a key term's runs over `FK`.
+#[derive(Debug, Clone)]
+enum Conjunct {
+    Atom(ResolvedAtom, ColRange),
+    Keys(Vec<(u64, u64)>),
+}
+
+impl Conjunct {
+    /// The term the planner builds for it.
+    fn term(&self) -> RangeTerm {
+        match self {
+            Conjunct::Atom(atom, range) => term(atom, *range),
+            Conjunct::Keys(runs) => RangeTerm { range: FK, runs: runs.clone() },
+        }
+    }
+
+    /// Does it select row `r`?
+    fn selects(&self, r: usize) -> bool {
+        match self {
+            Conjunct::Atom(atom, range) if range.lo == A.lo => atom.matches_value(a_of(r)),
+            Conjunct::Atom(atom, range) if range.lo == B.lo => atom.matches_value(b_of(r)),
+            Conjunct::Atom(atom, _) => atom.matches_value(r as u64),
+            Conjunct::Keys(runs) => runs.iter().any(|&(lo, hi)| (lo..=hi).contains(&(r as u64))),
+        }
+    }
 }
 
 /// The maximal runs of the set bits of `keys` (bit k = key k).
@@ -211,22 +240,23 @@ fn runs_of(keys: u64) -> Vec<(u64, u64)> {
     runs
 }
 
-fn check_dnf(disjuncts: &[SemijoinDisjunct], seed: u64) {
+fn check_dnf(disjuncts: &[Vec<Conjunct>], seed: u64) {
+    let terms: Vec<Vec<RangeTerm>> =
+        disjuncts.iter().map(|d| d.iter().map(Conjunct::term).collect()).collect();
     for scratch in POOLS {
         let what = format!("{disjuncts:?} in {scratch:?}");
-        let prog = build_dnf_mask_program(scratch, disjuncts, &[VALID_COL], MASK_COL).unwrap();
+        let prog = build_dnf_mask_program(scratch, &terms, &[VALID_COL], MASK_COL).unwrap();
         let (xb, _) = run(&prog, scratch, seed, MASK_COL, &what);
         for r in 0..ROWS {
-            let expect = valid(r) && disjuncts.iter().any(|d| disjunct_selects(d, r));
+            let expect = valid(r) && disjuncts.iter().any(|d| d.iter().all(|c| c.selects(r)));
             assert_eq!(xb.bits().get(r, MASK_COL), expect, "{what}: row {r}");
         }
     }
 }
 
-fn semijoin(runs: Vec<(u64, u64)>) -> SemijoinDisjunct {
-    SemijoinDisjunct { atoms: vec![], semijoins: vec![SemijoinTerm { fk_range: FK, runs }] }
+fn semijoin(runs: Vec<(u64, u64)>) -> Vec<Conjunct> {
+    vec![Conjunct::Keys(runs)]
 }
-
 #[test]
 fn semijoin_runs_are_exact() {
     // empty runs, every single key, every prefix and suffix range
@@ -253,27 +283,27 @@ fn disjunctions_are_exact() {
     // zero disjuncts select nothing; an empty disjunct selects every
     // valid record, beside others or alone
     check_dnf(&[], 0xD0);
-    check_dnf(&[SemijoinDisjunct { atoms: vec![], semijoins: vec![] }], 0xD1);
+    check_dnf(&[vec![]], 0xD1);
     let mut rng = StdRng::seed_from_u64(0xD15);
     let random_disjunct = |rng: &mut StdRng| {
-        let mut d = SemijoinDisjunct { atoms: vec![], semijoins: vec![] };
+        let mut d = Vec::new();
         if rng.gen_range(0..10usize) < 7 {
-            d.atoms.push((atoms[rng.gen_range(0..atoms.len())].clone(), A));
+            d.push(Conjunct::Atom(atoms[rng.gen_range(0..atoms.len())].clone(), A));
         }
         if rng.gen::<bool>() {
-            d.atoms.push((atoms[rng.gen_range(0..atoms.len())].clone(), B));
+            d.push(Conjunct::Atom(atoms[rng.gen_range(0..atoms.len())].clone(), B));
         }
         for _ in 0..rng.gen_range(0..3usize) {
             let keys = rng.gen::<u64>() & rng.gen::<u64>();
-            d.semijoins.push(SemijoinTerm { fk_range: FK, runs: runs_of(keys) });
+            d.push(Conjunct::Keys(runs_of(keys)));
         }
         d
     };
     for case in 0..300u64 {
         let n = 1 + (case % 4) as usize;
-        let mut ds: Vec<SemijoinDisjunct> = (0..n).map(|_| random_disjunct(&mut rng)).collect();
+        let mut ds: Vec<Vec<Conjunct>> = (0..n).map(|_| random_disjunct(&mut rng)).collect();
         if case % 23 == 0 {
-            ds.push(SemijoinDisjunct { atoms: vec![], semijoins: vec![] });
+            ds.push(vec![]);
         }
         check_dnf(&ds, 0xD200 + case);
     }

@@ -459,6 +459,30 @@ impl ResolvedAtom {
         }
     }
 
+    /// The values of a `width`-bit attribute this atom selects, as
+    /// sorted, disjoint, inclusive runs — the one input of the mask
+    /// programs' range emitter. Constants clip to the domain `[0,
+    /// 2^width − 1]` (on 6 bits `< 1000` is the run `(0, 63)`, `> 1000`
+    /// no run at all), and adjacent `In` members merge into one run.
+    /// Empty when no value of the domain matches.
+    pub fn runs(&self, width: usize) -> Vec<(u64, u64)> {
+        let max = if width >= 64 { u64::MAX } else { (1 << width) - 1 };
+        let clip = |(lo, hi): (u64, u64)| (lo <= hi.min(max)).then_some((lo, hi.min(max)));
+        match self {
+            ResolvedAtom::In { values, .. } => {
+                let mut runs: Vec<(u64, u64)> = Vec::with_capacity(values.len());
+                for &v in values.iter().filter(|&&v| v <= max) {
+                    match runs.last_mut() {
+                        Some(last) if v <= last.1.saturating_add(1) => last.1 = last.1.max(v),
+                        _ => runs.push((v, v)),
+                    }
+                }
+                runs
+            }
+            _ => self.bounds().and_then(clip).into_iter().collect(),
+        }
+    }
+
     /// Could *any* value in the inclusive `[lo, hi]` range satisfy this
     /// atom? Exact (for `In`, checks actual membership in the range) —
     /// the zone-pruning primitive: `false` proves a zone whose attribute
@@ -1099,6 +1123,58 @@ mod tests {
         assert_eq!(ResolvedAtom::Gt { idx: 0, value: 4 }.bounds(), Some((5, u64::MAX)));
         assert_eq!(ResolvedAtom::Gt { idx: 0, value: u64::MAX }.bounds(), None);
         assert_eq!(ResolvedAtom::In { idx: 0, values: vec![3, 8, 20] }.bounds(), Some((3, 20)));
+    }
+
+    /// Every atom on widths 0–4 with constants to `2^(w+1) + 1`: its runs
+    /// are sorted, disjoint and inside the domain, and hold exactly the
+    /// domain values `matches_value` accepts.
+    #[test]
+    fn runs_hold_exactly_the_matching_values_of_the_domain() {
+        for width in 0..=4usize {
+            let max = (1u64 << width) - 1;
+            let top = (1u64 << (width + 1)) + 1;
+            let mut atoms = Vec::new();
+            for c in 0..=top {
+                atoms.push(ResolvedAtom::Eq { idx: 0, value: c });
+                atoms.push(ResolvedAtom::Lt { idx: 0, value: c });
+                atoms.push(ResolvedAtom::Gt { idx: 0, value: c });
+                for d in 0..=top {
+                    atoms.push(ResolvedAtom::Between { idx: 0, lo: c, hi: d });
+                    let mut values = vec![c, c + 1, d];
+                    values.sort_unstable();
+                    values.dedup();
+                    atoms.push(ResolvedAtom::In { idx: 0, values });
+                }
+            }
+            if top < 10 {
+                for set in 1u64..1 << (top + 1) {
+                    let values = (0..=top).filter(|v| set >> v & 1 == 1).collect();
+                    atoms.push(ResolvedAtom::In { idx: 0, values });
+                }
+            }
+            for atom in atoms {
+                let runs = atom.runs(width);
+                let sorted = runs.windows(2).all(|p| p[0].1 + 1 < p[1].0);
+                let inside = runs.iter().all(|&(lo, hi)| lo <= hi && hi <= max);
+                assert!(sorted && inside, "{atom:?} on {width} bits: {runs:?}");
+                for v in 0..=max {
+                    let held = runs.iter().any(|&(lo, hi)| (lo..=hi).contains(&v));
+                    assert_eq!(held, atom.matches_value(v), "{atom:?} on {width} bits: {v}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_members_merge_into_runs_and_clip_to_the_domain() {
+        let a = ResolvedAtom::In { idx: 0, values: vec![2, 3, 4, 7, 9, 10, 1000] };
+        assert_eq!(a.runs(4), vec![(2, 4), (7, 7), (9, 10)]);
+        assert_eq!(a.runs(3), vec![(2, 4), (7, 7)]);
+        assert_eq!(ResolvedAtom::In { idx: 0, values: vec![64, 1000] }.runs(6), vec![]);
+        assert_eq!(ResolvedAtom::Lt { idx: 0, value: 1000 }.runs(6), vec![(0, 63)]);
+        assert_eq!(ResolvedAtom::Gt { idx: 0, value: 1000 }.runs(6), vec![]);
+        assert_eq!(ResolvedAtom::Between { idx: 0, lo: 3, hi: 1000 }.runs(6), vec![(3, 63)]);
+        assert_eq!(ResolvedAtom::Gt { idx: 0, value: 5 }.runs(64), vec![(6, u64::MAX)]);
     }
 
     #[test]

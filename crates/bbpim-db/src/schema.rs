@@ -75,7 +75,9 @@ impl Attribute {
     /// Encode a constant as this attribute's code: a number is its own
     /// code, a string goes through the dictionary. The width is not
     /// checked — a predicate constant may exceed it (`lo_quantity <
-    /// 1000`); a stored value must also pass [`Attribute::check`].
+    /// 1000`, answered on every engine: the atom's value runs clip to
+    /// the attribute's domain, [`crate::plan::ResolvedAtom::runs`]); a
+    /// stored value must also pass [`Attribute::check`].
     ///
     /// # Errors
     ///

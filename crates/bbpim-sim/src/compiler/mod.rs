@@ -10,10 +10,11 @@
 //! * [`CodeBuilder`] — gate-level emission with scratch-column
 //!   allocation (NOT/OR/AND/XOR built from MAGIC NOR), and the
 //!   per-program complements of the columns a program only reads.
-//! * [`predicate`] — one range emitter for `=`, `<`, `>`, `BETWEEN`,
-//!   `IN` and semijoin key runs (aligned prefix cubes over shared
-//!   complements), and the clear-only AND / OR of result columns the
-//!   mask builders use.
+//! * [`predicate`] — one range emitter for sorted value runs (aligned
+//!   prefix cubes over shared complements), and the clear-only AND / OR
+//!   of result columns the mask builders use. The runs come from the
+//!   planner: an atom's selected values clipped to its width, a
+//!   semijoin's key runs, a group key's value.
 //! * [`arith`] — ripple-carry add/sub and shift-add multiply between
 //!   attribute column ranges.
 //! * [`mux`] — the paper's Algorithm 1: select-bit-controlled overwrite

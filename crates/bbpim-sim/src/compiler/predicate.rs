@@ -1,8 +1,10 @@
-//! Predicate compilers: `=`, `<`, `>`, `BETWEEN`, `IN` against
-//! constants, and the semijoin's key runs — all one emitter.
+//! The predicate compiler: one emitter for every mask term.
 //!
-//! Every comparison against constants selects a sorted list of
-//! disjoint inclusive *runs* of attribute values ([`Cmp::runs`]), and
+//! A term reads "this column range holds one of these values", the
+//! values a sorted list of disjoint inclusive *runs*. The planner
+//! decides the runs — an atom's selected values clipped to the
+//! attribute's domain (`bbpim_db::plan::ResolvedAtom::runs`), a
+//! semijoin's selected key runs, a group key's one value — and
 //! [`Conjunction::and_ranges`] compiles any run list:
 //!
 //! * each run splits into its maximal aligned prefix cubes — the
@@ -11,9 +13,8 @@
 //! * a cube is one multi-input NOR over the complements of its fixed
 //!   bits' literals: the attribute bit itself where the prefix has a 0,
 //!   the bit's complement where it has a 1. A complement is emitted at
-//!   most once per program ([`CodeBuilder::complement`]), so BETWEEN
-//!   bounds, IN members, every run of a semijoin term and every atom on
-//!   the same attribute share it;
+//!   most once per program ([`CodeBuilder::complement`]), so every run
+//!   and every term on the same attribute share it;
 //! * a cube with one literal is that literal's column, no gate at all;
 //! * the runs' OR is kept as its complement, the NOR of the cubes,
 //!   folded clear-only into one INITed column in NORs of at most
@@ -23,8 +24,8 @@
 //!   in, a wider one its cubes' NOR (the complement of the term).
 //!
 //! A compiled predicate leaves a one-bit *result column* (1 = record
-//! matches); `bbpim-core`'s mask builders AND atoms, semijoin terms and
-//! the validity bit into the mask column itself. All programs are
+//! matches); `bbpim-core`'s mask builders AND every term and the
+//! validity bit into the mask column itself. All programs are
 //! column-parallel, so one execution evaluates the predicate for every
 //! record of every crossbar of a page.
 //!
@@ -59,68 +60,6 @@ use crate::error::SimError;
 /// The widest NOR the emitters issue: an equality on a 64-bit
 /// attribute. A wider OR splits into clear-only NORs into one column.
 pub const MAX_FAN_IN: usize = 64;
-
-/// A comparison of an attribute against constants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cmp<'a> {
-    /// `attr = v`
-    Eq(u64),
-    /// `attr < v`
-    Lt(u64),
-    /// `attr > v`
-    Gt(u64),
-    /// `lo <= attr <= hi`
-    Between(u64, u64),
-    /// `attr IN (…)`, members in any order, repeats allowed
-    In(&'a [u64]),
-}
-
-impl Cmp<'_> {
-    /// The sorted, disjoint, inclusive runs of `width`-bit values this
-    /// comparison selects (empty when none does).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidProgram`] if a constant does not fit
-    /// in `width` bits, on `lo > hi`, on an empty IN list, or on an
-    /// equality over a zero-width attribute.
-    pub fn runs(&self, width: usize) -> Result<Vec<(u64, u64)>, SimError> {
-        let max = span(width);
-        let fits = |v: u64| {
-            if v > max {
-                return Err(SimError::InvalidProgram(format!(
-                    "constant {v} does not fit in {width}-bit attribute"
-                )));
-            }
-            Ok(v)
-        };
-        Ok(match *self {
-            Cmp::Eq(_) if width == 0 => {
-                return Err(SimError::InvalidProgram("equality on zero-width attribute".into()));
-            }
-            Cmp::Eq(v) => vec![(fits(v)?, v)],
-            Cmp::Lt(v) => fits(v)?.checked_sub(1).map(|hi| (0, hi)).into_iter().collect(),
-            Cmp::Gt(v) => (fits(v)? < max).then(|| (v + 1, max)).into_iter().collect(),
-            Cmp::Between(lo, hi) if lo > hi => {
-                return Err(SimError::InvalidProgram(format!("BETWEEN with lo {lo} > hi {hi}")));
-            }
-            Cmp::Between(lo, hi) => vec![(fits(lo)?, fits(hi)?)],
-            Cmp::In([]) => return Err(SimError::InvalidProgram("IN over empty set".into())),
-            Cmp::In(set) => {
-                let mut members = set.iter().map(|&v| fits(v)).collect::<Result<Vec<_>, _>>()?;
-                members.sort_unstable();
-                let mut runs: Vec<(u64, u64)> = Vec::with_capacity(members.len());
-                for v in members {
-                    match runs.last_mut() {
-                        Some(last) if v <= last.1.saturating_add(1) => last.1 = last.1.max(v),
-                        _ => runs.push((v, v)),
-                    }
-                }
-                runs
-            }
-        })
-    }
-}
 
 /// The largest `width`-bit value (`2^width − 1`).
 fn span(width: usize) -> u64 {
@@ -408,81 +347,37 @@ pub fn compile_ranges(
     out.finish(b)
 }
 
-/// Compile `attr == value` into a fresh result column: one cube, so
-/// `AND_i t_i = NOR_i ¬t_i` over every bit — 2 cycles per set bit of
-/// `value` (its complement) plus one wide NOR.
+/// Compile `attr == value` into a fresh result column: the one run
+/// `[value, value]`, one cube, so `AND_i t_i = NOR_i ¬t_i` over every
+/// bit — 2 cycles per set bit of `value` (its complement) plus one wide
+/// NOR.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InvalidProgram`] if `value` does not fit in
-/// `attr.width` bits or the attribute has no bits, or on scratch
-/// exhaustion.
+/// As [`compile_ranges`]: `value` past the attribute's domain is an
+/// out-of-domain run.
 pub fn compile_eq_const(
     b: &mut CodeBuilder<'_>,
     attr: ColRange,
     value: u64,
 ) -> Result<usize, SimError> {
-    compile_ranges(b, attr, &Cmp::Eq(value).runs(attr.width)?)
-}
-
-/// Compile `attr < value` (unsigned) into a fresh result column: the
-/// run `[0, value − 1]`.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidProgram`] if `value` does not fit, or on
-/// scratch exhaustion.
-pub fn compile_lt_const(
-    b: &mut CodeBuilder<'_>,
-    attr: ColRange,
-    value: u64,
-) -> Result<usize, SimError> {
-    compile_ranges(b, attr, &Cmp::Lt(value).runs(attr.width)?)
-}
-
-/// Compile `attr > value` (unsigned) into a fresh result column: the
-/// run `[value + 1, 2^w − 1]`.
-///
-/// # Errors
-///
-/// Same conditions as [`compile_lt_const`].
-pub fn compile_gt_const(
-    b: &mut CodeBuilder<'_>,
-    attr: ColRange,
-    value: u64,
-) -> Result<usize, SimError> {
-    compile_ranges(b, attr, &Cmp::Gt(value).runs(attr.width)?)
+    compile_ranges(b, attr, &[(value, value)])
 }
 
 /// Compile `lo <= attr <= hi` (unsigned, inclusive) into a fresh result
-/// column: one run, whose cubes share the complements.
+/// column: the one run `[lo, hi]`, whose cubes share the complements.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InvalidProgram`] if `lo > hi`, a bound does not
-/// fit, or on scratch exhaustion.
+/// As [`compile_ranges`]: `lo > hi` or `hi` past the attribute's domain
+/// is not a run.
 pub fn compile_between_const(
     b: &mut CodeBuilder<'_>,
     attr: ColRange,
     lo: u64,
     hi: u64,
 ) -> Result<usize, SimError> {
-    compile_ranges(b, attr, &Cmp::Between(lo, hi).runs(attr.width)?)
-}
-
-/// Compile `attr IN (set…)` into a fresh result column: the members as
-/// runs (adjacent members merge), every cube sharing the complements.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidProgram`] on an empty set, a non-fitting
-/// member, or scratch exhaustion.
-pub fn compile_in_set(
-    b: &mut CodeBuilder<'_>,
-    attr: ColRange,
-    set: &[u64],
-) -> Result<usize, SimError> {
-    compile_ranges(b, attr, &Cmp::In(set).runs(attr.width)?)
+    compile_ranges(b, attr, &[(lo, hi)])
 }
 
 #[cfg(test)]
@@ -534,7 +429,8 @@ mod tests {
     #[test]
     fn lt_const_matches_reference() {
         for threshold in [0u64, 1, 2, 100, 128, 255] {
-            let (xb, out) = run(|b| compile_lt_const(b, ATTR, threshold));
+            let below: Vec<_> = threshold.checked_sub(1).map(|hi| (0, hi)).into_iter().collect();
+            let (xb, out) = run(|b| compile_ranges(b, ATTR, &below));
             for r in 0..256 {
                 assert_eq!(xb.bits().get(r, out), (r as u64) < threshold, "r={r} t={threshold}");
             }
@@ -544,7 +440,9 @@ mod tests {
     #[test]
     fn gt_const_matches_reference() {
         for threshold in [0u64, 1, 127, 254, 255] {
-            let (xb, out) = run(|b| compile_gt_const(b, ATTR, threshold));
+            let above: Vec<_> =
+                (threshold < 255).then_some((threshold + 1, 255)).into_iter().collect();
+            let (xb, out) = run(|b| compile_ranges(b, ATTR, &above));
             for r in 0..256 {
                 assert_eq!(xb.bits().get(r, out), (r as u64) > threshold, "r={r} t={threshold}");
             }
@@ -569,17 +467,16 @@ mod tests {
     #[test]
     fn in_set_matches_members_only() {
         let set = [3u64, 77, 200];
-        let (xb, out) = run(|b| compile_in_set(b, ATTR, &set));
+        let (xb, out) = run(|b| compile_ranges(b, ATTR, &set.map(|v| (v, v))));
         for r in 0..256 {
             assert_eq!(xb.bits().get(r, out), set.contains(&(r as u64)), "row {r}");
         }
     }
 
     #[test]
-    fn in_set_rejects_empty() {
-        let mut pool = ScratchPool::new(SCRATCH);
-        let mut b = CodeBuilder::new(&mut pool);
-        assert!(compile_in_set(&mut b, ATTR, &[]).is_err());
+    fn no_run_selects_nothing() {
+        let (xb, out) = run(|b| compile_ranges(b, ATTR, &[]));
+        assert_eq!(xb.bits().popcount_col(out), 0);
     }
 
     #[test]
@@ -604,8 +501,8 @@ mod tests {
     fn conjunction_of_predicates() {
         // (attr > 50) AND (attr < 60): rows 51..=59
         let (xb, out) = run(|b| {
-            let gt = compile_gt_const(b, ATTR, 50)?;
-            let lt = compile_lt_const(b, ATTR, 60)?;
+            let gt = compile_ranges(b, ATTR, &[(51, 255)])?;
+            let lt = compile_ranges(b, ATTR, &[(0, 59)])?;
             let out = b.emit_and(gt, lt)?;
             b.release(gt);
             b.release(lt);

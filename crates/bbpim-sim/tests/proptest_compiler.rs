@@ -35,6 +35,16 @@ fn random_values(rng: &mut StdRng, mask: u64) -> Vec<u64> {
     (0..ROWS).map(|_| rng.gen::<u64>() & mask).collect()
 }
 
+/// The run of `attr < c`: none for `c = 0`.
+fn below(c: u64) -> Vec<(u64, u64)> {
+    c.checked_sub(1).map(|hi| (0, hi)).into_iter().collect()
+}
+
+/// The run of `attr > c` on an attribute whose largest value is `max`.
+fn above(c: u64, max: u64) -> Vec<(u64, u64)> {
+    (c < max).then_some((c + 1, max)).into_iter().collect()
+}
+
 #[test]
 fn eq_matches_semantics() {
     for case in 0..CASES {
@@ -66,8 +76,9 @@ fn lt_gt_match_semantics() {
         let mut xb = crossbar_with(&values, width);
         let mut pool = scratch();
         let mut b = CodeBuilder::new(&mut pool);
-        let lt = predicate::compile_lt_const(&mut b, ColRange::new(0, width), constant).unwrap();
-        let gt = predicate::compile_gt_const(&mut b, ColRange::new(0, width), constant).unwrap();
+        let attr = ColRange::new(0, width);
+        let lt = predicate::compile_ranges(&mut b, attr, &below(constant)).unwrap();
+        let gt = predicate::compile_ranges(&mut b, attr, &above(constant, mask)).unwrap();
         xb.execute(&b.finish()).unwrap();
         for (r, v) in values.iter().enumerate() {
             assert_eq!(xb.bits().get(r, lt), *v < constant, "case {case} lt row {r}");
@@ -189,14 +200,24 @@ fn between_and_in_match_semantics() {
             let b = rng.gen::<u64>() & mask;
             (a.min(b), a.max(b))
         };
-        let members: Vec<u64> =
+        let mut members: Vec<u64> =
             (0..rng.gen_range(1usize..5)).map(|_| rng.gen::<u64>() & mask).collect();
+        members.sort_unstable();
+        members.dedup();
+        // the members as runs, adjacent ones merged
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        for &v in &members {
+            match runs.last_mut() {
+                Some(last) if last.1 + 1 == v => last.1 = v,
+                _ => runs.push((v, v)),
+            }
+        }
         let values = random_values(&mut rng, mask);
         let mut xb = crossbar_with(&values, width);
         let mut pool = scratch();
         let mut b = CodeBuilder::new(&mut pool);
         let bw = predicate::compile_between_const(&mut b, ColRange::new(0, width), lo, hi).unwrap();
-        let inn = predicate::compile_in_set(&mut b, ColRange::new(0, width), &members).unwrap();
+        let inn = predicate::compile_ranges(&mut b, ColRange::new(0, width), &runs).unwrap();
         xb.execute(&b.finish()).unwrap();
         for (r, v) in values.iter().enumerate() {
             assert_eq!(xb.bits().get(r, bw), (lo..=hi).contains(v), "case {case} between row {r}");
@@ -428,55 +449,27 @@ fn predicates_are_exact_against_every_small_constant() {
             let seed = (width as u64) << 8 | c;
             let mut xb = fresh(seed);
             let out = run_checked(&mut xb, none, "eq", |b| {
-                predicate::compile_eq_const(b, attr, c).unwrap()
+                predicate::compile_ranges(b, attr, &[(c, c)]).unwrap()
             });
             check(&xb, out, &format!("eq {width}-bit {c}"), &|v| v == c);
             let mut xb = fresh(seed ^ 1);
             let out = run_checked(&mut xb, none, "lt", |b| {
-                predicate::compile_lt_const(b, attr, c).unwrap()
+                predicate::compile_ranges(b, attr, &below(c)).unwrap()
             });
             check(&xb, out, &format!("lt {width}-bit {c}"), &|v| v < c);
             let mut xb = fresh(seed ^ 2);
             let out = run_checked(&mut xb, none, "gt", |b| {
-                predicate::compile_gt_const(b, attr, c).unwrap()
+                predicate::compile_ranges(b, attr, &above(c, (1 << width) - 1)).unwrap()
             });
             check(&xb, out, &format!("gt {width}-bit {c}"), &|v| v > c);
             for hi in c..(1u64 << width) {
                 let mut xb = fresh(seed << 8 | hi);
                 let out = run_checked(&mut xb, none, "between", |b| {
-                    predicate::compile_between_const(b, attr, c, hi).unwrap()
+                    predicate::compile_ranges(b, attr, &[(c, hi)]).unwrap()
                 });
                 check(&xb, out, &format!("between {width}-bit {c}..={hi}"), &|v| {
                     (c..=hi).contains(&v)
                 });
-            }
-        }
-    }
-}
-
-#[test]
-fn in_set_is_exact_against_every_small_member_list() {
-    for width in 1..=3usize {
-        let domain = 1u64 << width;
-        let attr = ColRange::new(X_LHS, width);
-        let values = |r: usize| r as u64 % domain;
-        let none = ColRange::new(X_DST, 0);
-        for subset in 1u64..(1 << domain) {
-            let members: Vec<u64> = (0..domain).filter(|v| subset >> v & 1 == 1).collect();
-            // the members ascending, then descending with the first repeated
-            let mut shuffled: Vec<u64> = members.iter().rev().copied().collect();
-            shuffled.push(members[0]);
-            for (k, list) in [members.clone(), shuffled].iter().enumerate() {
-                let seed = (width as u64) << 12 | subset << 1 | k as u64;
-                let mut xb = verifier_crossbar(64, seed, |r| vec![(X_LHS, width, values(r))]);
-                let what = format!("in {width}-bit {list:?}");
-                let out = run_checked(&mut xb, none, &what, |b| {
-                    predicate::compile_in_set(b, attr, list).unwrap()
-                });
-                for r in 0..64 {
-                    let v = values(r);
-                    assert_eq!(xb.bits().get(r, out), members.contains(&v), "{what}: value {v}");
-                }
             }
         }
     }
@@ -635,17 +628,12 @@ fn comparison_cycles_follow_the_closed_form() {
             b.finish().cycles()
         };
         for c in 0..=max {
-            let eq = cycles(&|b| predicate::compile_eq_const(b, attr, c).unwrap());
-            assert_eq!(eq, ranges_cycles(width, &[(c, c)]), "eq {width}-bit {c}");
-            let lt = cycles(&|b| predicate::compile_lt_const(b, attr, c).unwrap());
-            let below: Vec<_> = c.checked_sub(1).map(|hi| (0, hi)).into_iter().collect();
-            assert_eq!(lt, ranges_cycles(width, &below), "lt {width}-bit {c}");
-            let gt = cycles(&|b| predicate::compile_gt_const(b, attr, c).unwrap());
-            let above: Vec<_> = (c < max).then_some((c + 1, max)).into_iter().collect();
-            assert_eq!(gt, ranges_cycles(width, &above), "gt {width}-bit {c}");
+            for (what, runs) in [("eq", vec![(c, c)]), ("lt", below(c)), ("gt", above(c, max))] {
+                let got = cycles(&|b| predicate::compile_ranges(b, attr, &runs).unwrap());
+                assert_eq!(got, ranges_cycles(width, &runs), "{what} {width}-bit {c}");
+            }
             for hi in c..=max {
-                let between =
-                    cycles(&|b| predicate::compile_between_const(b, attr, c, hi).unwrap());
+                let between = cycles(&|b| predicate::compile_ranges(b, attr, &[(c, hi)]).unwrap());
                 assert_eq!(between, ranges_cycles(width, &[(c, hi)]), "between {c}..={hi}");
             }
         }

@@ -241,6 +241,58 @@ fn an_out_of_range_set_constant_writes_nothing() {
     }
 }
 
+/// A predicate constant wider than its attribute selects what the oracle
+/// selects: the atom's value runs clip to the attribute's domain
+/// (`lo_quantity` is 6 bits, `d_year` 11), so `lo_quantity < 1000` is
+/// every record and `= 1000` none. Each atom — a fact atom, and the
+/// dimension atom `d_year < 100000` — answers as the oracle does on the
+/// single engine in every mode with pruning on and off, on a 4-shard
+/// range-partitioned cluster and on the 4-shard star cluster.
+#[test]
+fn constants_wider_than_the_attribute_answer_as_the_oracle_does() {
+    let db = ssb();
+    let wide = db.prejoin();
+    let filters = [
+        col("lo_quantity").lt(1000u64),
+        col("lo_quantity").gt(1000u64),
+        col("lo_quantity").eq(1000u64),
+        col("lo_quantity").between(3u64, 1000u64),
+        col("lo_quantity").is_in([2u64, 1000]),
+        col("d_year").lt(100_000u64),
+    ];
+    let probes: Vec<Query> = filters
+        .iter()
+        .map(|f| {
+            let revenue = SelectItem::sum("r", AggExpr::attr("lo_revenue"));
+            Query::select([SelectItem::count("n"), revenue]).filter(f.clone()).build_unchecked()
+        })
+        .collect();
+    let oracles: Vec<_> = probes.iter().map(|q| stats::run_oracle(q, &wide).unwrap()).collect();
+    let check = |what: &str, run: &mut dyn FnMut(&Query) -> stats::MultiGrouped| {
+        for (q, oracle) in probes.iter().zip(&oracles) {
+            assert_eq!(&run(q), oracle, "{what}: {}", q.filter);
+        }
+    };
+    for mode in [EngineMode::OneXb, EngineMode::TwoXb, EngineMode::PimDb] {
+        let mut engine = single_engine(wide.clone(), mode);
+        for pruning in [true, false] {
+            engine.set_pruning(pruning);
+            let what = format!("{mode:?} pruning={pruning}");
+            check(&what, &mut |q| engine.run(q).unwrap_or_else(|e| panic!("{what}: {e}")).groups);
+        }
+    }
+    let mut c = prejoined_cluster(&wide, 4);
+    let mut star = common::star_cluster(&db, 4);
+    for pruning in [true, false] {
+        c.set_pruning(pruning);
+        star.set_pruning(pruning);
+        let what = format!("cluster pruning={pruning}");
+        check(&what, &mut |q| c.run(q).unwrap_or_else(|e| panic!("{what}: {e}")).groups);
+        let what = format!("star pruning={pruning}");
+        check(&what, &mut |q| star.run(q).unwrap_or_else(|e| panic!("{what}: {e}")).groups);
+    }
+}
+
 /// Property test for OR-filtered (DNF) UPDATE widening: random
 /// disjunctive filters and SET targets, applied to a range-partitioned
 /// cluster, must leave every zone map wide enough that a pruned probe
