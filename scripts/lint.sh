@@ -159,6 +159,20 @@ no_host_read_in_update() {
   if grep -nw 'UpdateReads' crates/bbpim-db/src/domain.rs; then return 1; fi
 }
 
+# An atom has one meaning from planner to crossbar: `ResolvedAtom::runs`
+# turns it into value runs clipped to the attribute's width, and the mask
+# builders take only terms of runs (`filter_exec::RangeTerm`). No mirror
+# comparison enum comes back in `bbpim-sim`, and no non-test code of
+# `bbpim-core` matches on or builds a `ResolvedAtom` variant.
+one_atom_meaning() {
+  local status=0
+  if grep -rnE '\benum Cmp\b' crates/bbpim-sim/src; then echo "a comparison enum in bbpim-sim: compile the planner's runs"; status=1; fi
+  for f in $(find crates/bbpim-core/src -name '*.rs'); do
+    if nontest "$f" | grep -nE 'ResolvedAtom::[A-Z]'; then echo "in $f: build a RangeTerm from ResolvedAtom::runs"; status=1; fi
+  done
+  return $status
+}
+
 # --- tests ---------------------------------------------------------------
 
 # The integration suites share one fixture module: no suite defines a
@@ -216,6 +230,7 @@ for rule in \
   no_transfer_lever_read_outside_pim_module \
   no_mode_or_model_parameter \
   no_host_read_in_update \
+  one_atom_meaning \
   no_shared_fixture_copy_outside_tests_common \
   one_kernel_driving_loop \
   no_kernel_in_the_serve_module \
