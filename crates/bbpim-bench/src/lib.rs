@@ -25,19 +25,21 @@ use std::fmt::Write as _;
 use std::io;
 use std::time::Duration;
 
-use bbpim_cluster::fold::one_host_ns;
-use bbpim_cluster::{Cluster, ClusterEngine, ClusterExecution, Partitioner, Storage};
+use bbpim_cluster::{
+    Cluster, ClusterEngine, ClusterExecution, ClusterReport, Partitioner, Storage,
+};
 use bbpim_core::engine::PimQueryEngine;
 use bbpim_core::groupby::calibration::{run_calibration, CalibrationConfig, CalibrationData};
 use bbpim_core::groupby::cost_model::GroupByModel;
 use bbpim_core::headline::{geomean, Headline};
 use bbpim_core::modes::EngineMode;
-use bbpim_core::result::QueryExecution;
+use bbpim_core::result::{QueryExecution, QueryReport};
 use bbpim_db::plan::Query;
 use bbpim_db::relation::Relation;
 use bbpim_db::ssb::{queries, SsbDb};
 use bbpim_db::stats::MultiGrouped;
 use bbpim_monet::MonetEngine;
+use bbpim_sim::timeline::PhaseKind;
 use bbpim_sim::SimConfig;
 
 /// Generated data plus the (skew-adjusted) queries.
@@ -143,28 +145,30 @@ pub struct ClusterScalePoint {
     pub executions: Vec<ClusterExecution>,
 }
 
-/// A cluster execution's wall clock: on the contended model as
-/// reported, or — `contended == false` — on the optimistic one with
-/// free per-module channels, refolded from the per-shard reports with
-/// the cluster's own one-host clock ([`one_host_ns`]): serial slices +
-/// max-of-shards remaining time + merge. Answers and per-shard logs are
-/// accounting-independent, so one sweep yields both clocks without
-/// re-running anything.
-pub fn wall_ns(report: &bbpim_cluster::ClusterReport, contended: bool) -> f64 {
+/// A cluster execution's wall clock: on the cluster's one host-channel
+/// model as reported, or — `contended == false` — refolded as if every
+/// module had a free channel of its own, so only per-page dispatch
+/// serialises: `Σ dispatch + max over shards of (time − its dispatch) +
+/// merge`, read straight from the report's per-shard logs in shard
+/// order. Answers and per-shard logs do not depend on the clock, so one
+/// sweep yields both without re-running anything.
+pub fn wall_ns(report: &ClusterReport, contended: bool) -> f64 {
     if contended {
         return report.time_ns;
     }
-    let shards = report.per_shard.iter().map(|r| (r.time_ns, r.host_bus_ns, &r.phases));
-    one_host_ns(false, shards) + report.merge_time_ns
+    let dispatch = |r: &QueryReport| r.phases.time_in(PhaseKind::HostDispatch);
+    let serial: f64 = report.per_shard.iter().map(dispatch).sum();
+    let rest = report.per_shard.iter().map(|r| r.time_ns - dispatch(r)).fold(0.0, f64::max);
+    serial + rest + report.merge_time_ns
 }
 
 /// Run every query through a cluster at each shard count (full-capacity
 /// module per shard; `new_cluster(shards)` constructs the pre-joined
 /// [`ClusterEngine`] or the normalized [`bbpim_cluster::StarCluster`],
 /// dropped after its point), cross-checking each merged answer
-/// against the row-at-a-time oracle. Wall clocks use the default
-/// shared-host-channel contention model; [`wall_ns`] recovers the
-/// free-channel A/B timing from the same executions.
+/// against the row-at-a-time oracle. Wall clocks are the cluster's one
+/// shared-host-channel model; [`wall_ns`] refolds the free-channel A/B
+/// timing from the same executions.
 ///
 /// # Panics
 ///
@@ -500,6 +504,43 @@ mod tests {
         assert_eq!(at_floor, ScalingVerdict { shards: 4, speedup: 1.0 });
         assert!(at_floor.check().is_ok());
         assert!(at_floor.shape_check().contains("[PASS]"), "{}", at_floor.shape_check());
+    }
+
+    /// The free-channel refold serialises only dispatch: it is the
+    /// per-shard logs' dispatch sum plus the largest remainder plus the
+    /// merge, never above the reported clock, and leaves energy alone.
+    #[test]
+    fn free_channel_refold_serialises_only_dispatch() {
+        let s = setup(BenchConfig { sf: 0.001, skewed: false, ..BenchConfig::default() });
+        let mut cluster = ClusterEngine::new(
+            SimConfig::default(),
+            s.wide.clone(),
+            EngineMode::OneXb,
+            3,
+            Partitioner::RoundRobin,
+        )
+        .unwrap();
+        cluster.calibrate(&CalibrationConfig::tiny_for_tests()).unwrap();
+        let mut refolded_below = 0;
+        for q in &s.queries {
+            let report = cluster.run(q).unwrap().report;
+            let dispatch: Vec<f64> = report
+                .per_shard
+                .iter()
+                .map(|r| r.phases.time_in(PhaseKind::HostDispatch))
+                .collect();
+            let rest = report.per_shard.iter().zip(&dispatch).map(|(r, d)| r.time_ns - d);
+            let expect =
+                dispatch.iter().sum::<f64>() + rest.fold(0.0, f64::max) + report.merge_time_ns;
+            let free = wall_ns(&report, false);
+            assert!((free - expect).abs() < 1e-9, "{}: {free} vs {expect}", q.id);
+            assert!(free <= report.time_ns + 1e-9, "{}: {free} > {}", q.id, report.time_ns);
+            refolded_below += usize::from(free < report.time_ns);
+            assert_eq!(wall_ns(&report, true), report.time_ns);
+            let energy: f64 = report.per_shard.iter().map(|r| r.energy_pj).sum();
+            assert!((report.energy_pj - energy).abs() < 1e-9, "{}", q.id);
+        }
+        assert!(refolded_below > 0, "result reads must put bytes beyond dispatch on the channel");
     }
 
     #[test]

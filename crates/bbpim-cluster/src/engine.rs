@@ -9,8 +9,8 @@
 //! ## One cluster, two storage models
 //!
 //! [`Cluster`] is generic over a [`Storage`] model. Everything *around*
-//! per-shard execution — shard bookkeeping, the contention toggle, the
-//! pruning and transfer-policy switches of every table, shard
+//! per-shard execution — shard bookkeeping, the pruning and
+//! transfer-policy switches of every table, shard
 //! admission, `EXPLAIN`, the threaded scatter, the report folds,
 //! mutation routing, the cache of compiled per-query plans and which
 //! shard charges a plan's once-per-query work — exists once. The
@@ -54,18 +54,17 @@
 //!
 //! ## Wall-clock model
 //!
-//! Real modules execute concurrently, but the *host* is one resource.
-//! Under the default **contention model**, *everything* that crosses
-//! the host↔module channel serialises across shards: per-page dispatch
+//! Real modules execute concurrently, but the *host* is one resource,
+//! and there is one model of its channel: *everything* that crosses
+//! the host↔module channel serialises across shards — per-page dispatch
 //! ([`bbpim_sim::timeline::PhaseKind::HostDispatch`]) *and* the
 //! bandwidth term of every byte-tagged transfer (mask transfers, result-line reads, host-gb
 //! record fetches — `QueryReport::host_bus_ns`). The wall clock for
 //! one query is `Σ host-bus occupancy + max over shards of (shard time
 //! − its occupancy) + host merge`; energy — drawn by every module — is
-//! the *sum*. [`Cluster::set_contention`]`(false)` restores the
-//! pre-contention optimistic model (only dispatch serialises, every
-//! transfer rides a free per-module channel) for A/B studies; answers
-//! are bit-identical either way.
+//! the *sum*. A free-channel A/B (only dispatch serialises) needs no
+//! second model: it refolds from the per-shard phase logs a report
+//! already carries.
 
 use std::borrow::{Borrow, Cow};
 
@@ -86,7 +85,7 @@ use bbpim_sim::XferPolicy;
 
 use crate::error::ClusterError;
 use crate::explain::{JoinTransfer, PlanExplain, ShardPlan};
-use crate::fold::{dispatch_ns, fold_mutation, one_host_ns, serial_slice_ns};
+use crate::fold::{dispatch_ns, fold_mutation, one_host_ns};
 use crate::partition::Partitioner;
 
 /// One fact shard: its position in the cluster plus its table.
@@ -218,7 +217,6 @@ pub struct Cluster<S: Storage> {
     /// reports for a cluster without a shard; execution reads each
     /// table's own.
     mode: EngineMode,
-    contention: bool,
 }
 
 /// The sharded engine over the paper's wide pre-joined relation.
@@ -243,16 +241,15 @@ pub struct ClusterReport {
     pub partitioner: &'static str,
     /// Simulated wall clock: host-serial channel occupancy plus max
     /// over shards of the overlappable time plus the host-side merge,
-    /// nanoseconds (see the module docs for the contention model).
+    /// nanoseconds (see the module docs for the wall-clock model).
     pub time_ns: f64,
     /// Host-side per-page orchestration summed over dispatched shards
     /// (serialised on the one host), nanoseconds.
     pub dispatch_time_ns: f64,
     /// Total shared host-channel occupancy summed over dispatched
     /// shards (dispatch + the bandwidth term of every byte-tagged
-    /// transfer), nanoseconds. Under the contention model this whole
-    /// slice serialises; the optimistic model serialises only
-    /// `dispatch_time_ns`.
+    /// transfer), nanoseconds. This whole slice serialises on the one
+    /// host channel.
     pub host_bus_time_ns: f64,
     /// Host-side gather/merge slice of `time_ns`.
     pub merge_time_ns: f64,
@@ -305,8 +302,8 @@ pub struct BatchExecution {
     pub executions: Vec<ClusterExecution>,
     /// Pipelined wall clock: every shard drains its own (pruned) queue
     /// without waiting for stragglers on other shards, so the batch
-    /// finishes at host-serial dispatch plus max-over-shards of the
-    /// per-shard PIM queue time (plus merges).
+    /// finishes at host-serial channel occupancy plus max-over-shards
+    /// of the per-shard PIM queue time (plus merges).
     pub wall_time_ns: f64,
     /// Reference wall clock if queries ran one at a time with a
     /// cluster-wide barrier between them (sum of per-query maxima).
@@ -429,7 +426,6 @@ impl<S: Storage> Cluster<S> {
             shard_count: shards,
             partitioner,
             mode,
-            contention: true,
         })
     }
 
@@ -468,18 +464,10 @@ impl<S: Storage> Cluster<S> {
         self.plans.clear();
     }
 
-    /// Enable or disable the shared-host-channel contention model for
-    /// A/B studies. Propagates to the streaming scheduler, which reads
-    /// this flag to decide whether tagged transfer phases ride the
-    /// shared bus.
-    pub fn set_contention(&mut self, enabled: bool) {
-        self.contention = enabled;
-    }
-
     /// Set the host-transfer policy (compressed mask transfers, batched
     /// dispatch descriptors, module-side result reduction; all on by
     /// default) cluster-wide — fact shards and auxiliary tables — for
-    /// A/B attribution studies (like [`Cluster::set_contention`]).
+    /// A/B attribution studies.
     /// Answers are bit-identical under every lever combination — only
     /// the bytes on the channel (and hence contended wall clock) change.
     pub fn set_xfer_policy(&mut self, policy: XferPolicy) {
@@ -657,8 +645,8 @@ impl<S: Storage> Cluster<S> {
     /// the queries its zone map cannot refuse — on its own module
     /// without cluster-wide barriers (shard `a` may be on query 3 while
     /// shard `b` is still on query 1). The batch's wall clock is the
-    /// host-serial dispatch total plus max-over-shards of the PIM queue
-    /// time rather than the sum of per-query maxima.
+    /// host-serial channel occupancy total plus max-over-shards of the
+    /// PIM queue time rather than the sum of per-query maxima.
     ///
     /// # Errors
     ///
@@ -689,13 +677,12 @@ impl<S: Storage> Cluster<S> {
             })
             .collect();
 
-        let serial = |e: &QueryExecution| {
-            serial_slice_ns(self.contention, e.report.host_bus_ns, &e.report.phases)
-        };
-        let serial_total: f64 =
-            per_shard.iter().flat_map(|execs| execs.iter().map(|(_, e)| serial(e))).sum();
+        let serial_total: f64 = per_shard
+            .iter()
+            .flat_map(|execs| execs.iter().map(|(_, e)| e.report.host_bus_ns))
+            .sum();
         let pim_queue = |shard_execs: &Vec<(usize, QueryExecution)>| -> f64 {
-            shard_execs.iter().map(|(_, e)| e.report.time_ns - serial(e)).sum()
+            shard_execs.iter().map(|(_, e)| e.report.time_ns - e.report.host_bus_ns).sum()
         };
         let merge_time: f64 = executions.iter().map(|e| e.report.merge_time_ns).sum();
         let wall_time_ns =
@@ -749,7 +736,7 @@ impl<S: Storage> Cluster<S> {
         let on_aux = lanes.iter().any(|(lane, _)| *lane >= active);
         let shards_pruned = if on_aux { 0 } else { active - lanes.len() };
         let reports = lanes.into_iter().map(|(_, r)| r).collect();
-        Ok(fold_mutation(self.contention, reports, shards_pruned))
+        Ok(fold_mutation(reports, shards_pruned))
     }
 }
 
@@ -759,8 +746,14 @@ impl<S: Storage> Cluster<S> {
 /// pre-joined and the star store, so streamed answers stay
 /// bit-identical to batch runs whichever one is underneath.
 pub trait StreamEngine {
-    /// Is the shared-host-channel contention model on?
-    fn contention(&self) -> bool;
+    /// Always `true`: there is one host-channel model, in which every
+    /// host↔module transfer serialises across shards. Nothing in the
+    /// workspace reads it; it stays only because the benchmark
+    /// harness's engine wrapper forwards it, and ROADMAP item 22's
+    /// `[benchmark]` change deletes it with that wrapper.
+    fn contention(&self) -> bool {
+        true
+    }
 
     /// The host-channel parameters (`None` only for a cluster with no
     /// table of either kind, which has no candidate shard and applies
@@ -833,14 +826,6 @@ pub trait StreamEngine {
 /// is ordinary phases in its lead shard's log, so dimension filters and
 /// bitmap broadcasts queue on the shared channel like any transfer.
 impl<S: Storage> StreamEngine for Cluster<S> {
-    /// On by default: every host↔module transfer serialises across
-    /// shards in the wall clock; off, only per-page dispatch does (the
-    /// pre-contention optimistic model, [`Cluster::set_contention`]).
-    /// Answers are bit-identical either way.
-    fn contention(&self) -> bool {
-        self.contention
-    }
-
     fn host_config(&self) -> Option<HostConfig> {
         let table = self.shard_table(0).or_else(|| self.aux_table(0));
         table.map(|t| t.config().host.clone())
@@ -1011,9 +996,8 @@ impl<S: Storage> StreamEngine for Cluster<S> {
             self.shards.first().map_or(0.0, |s| s.table.config().host.host_agg_ns_per_record);
         let merge_time_ns = merged_entries as f64 * host_agg_ns_per_entry;
 
-        let shards =
-            executions.iter().map(|e| (e.report.time_ns, e.report.host_bus_ns, &e.report.phases));
-        let wall_ns = one_host_ns(self.contention, shards);
+        let shards = executions.iter().map(|e| (e.report.time_ns, e.report.host_bus_ns));
+        let wall_ns = one_host_ns(shards);
         let selected: u64 = executions.iter().map(|e| e.report.selected).sum();
         let records = self.records();
         let report = ClusterReport {
@@ -1191,34 +1175,6 @@ mod tests {
         assert!(out.report.merge_time_ns > 0.0);
         assert!(out.report.dispatch_time_ns > 0.0);
         assert!(out.report.time_ns < sum_t, "parallel shards must beat serial execution");
-    }
-
-    #[test]
-    fn contention_off_restores_optimistic_model_with_identical_answers() {
-        let q = q2_like(AggFunc::Sum);
-        let mut c = cluster(3, Partitioner::RoundRobin);
-        let contended = c.run(&q).unwrap();
-        c.set_contention(false);
-        assert!(!c.contention());
-        let optimistic = c.run(&q).unwrap();
-        assert_eq!(contended.groups, optimistic.groups, "answers are accounting-independent");
-        assert_eq!(contended.report.selected, optimistic.report.selected);
-        // the optimistic model serialises only dispatch
-        let d_total = optimistic.report.dispatch_time_ns;
-        let pim_max = optimistic
-            .report
-            .per_shard
-            .iter()
-            .map(|r| r.time_ns - r.phases.time_in(PhaseKind::HostDispatch))
-            .fold(0.0, f64::max);
-        assert!(
-            (optimistic.report.time_ns - (d_total + pim_max + optimistic.report.merge_time_ns))
-                .abs()
-                < 1e-9
-        );
-        // contention can only lengthen the wall clock; energy is identical
-        assert!(contended.report.time_ns >= optimistic.report.time_ns - 1e-9);
-        assert!((contended.report.energy_pj - optimistic.report.energy_pj).abs() < 1e-9);
     }
 
     #[test]

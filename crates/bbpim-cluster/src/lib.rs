@@ -69,7 +69,7 @@ pub mod bitmap;
 pub mod engine;
 pub mod error;
 pub mod explain;
-pub mod fold;
+mod fold;
 pub mod partition;
 pub mod star;
 

@@ -47,8 +47,8 @@
 //! query's first dispatched shard;
 //! [`StreamEngine::run_on_shard`](crate::StreamEngine::run_on_shard)
 //! leads with the call that compiles the plan its cache lacked, so
-//! stepwise execution charges what `run` does. Under the contention model the
-//! prelude's bus slices serialise like any other host transfer. Other
+//! stepwise execution charges what `run` does. On the one host channel
+//! the prelude's bus slices serialise like any other host transfer. Other
 //! shards may in reality overlap the dimension filter with their own
 //! dispatch — the model keeps the whole prelude on one timeline, a
 //! conservative simplification.

@@ -78,11 +78,14 @@ impl Scan<'_> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Unsupported`] when an expression's operands sit in
-    /// different partitions (cannot happen for SSB: expression operands
-    /// are fact attributes); [`CoreError::Layout`] when the stacked
-    /// widths leave less than the minimum program workspace; compiler
-    /// and simulator failures otherwise.
+    /// [`CoreError::Unsupported`] when an input lives outside partition
+    /// 0 (every PIM reduction runs under the query mask, which only
+    /// partition 0 holds; this is the one place that rule is checked)
+    /// or an expression's operands sit in different partitions (cannot
+    /// happen for SSB: expression operands are fact attributes);
+    /// [`CoreError::Layout`] when the stacked widths leave less than the
+    /// minimum program workspace; compiler and simulator failures
+    /// otherwise.
     pub fn materialize(&mut self, exprs: &[&AggExpr]) -> Result<Vec<AggInput>, CoreError> {
         let layout = &self.table.layout;
         // Pass 1: place every computed expression (deduplicated), tracking
@@ -142,6 +145,15 @@ impl Scan<'_> {
                         (*partition, *dst)
                     }
                 };
+                // the query mask lives in partition 0 only; a value
+                // stored elsewhere cannot be reduced under it
+                if partition != 0 {
+                    return Err(CoreError::Unsupported(
+                        "aggregating dimension-partition attributes (the query mask lives in \
+                         the fact partition)"
+                            .into(),
+                    ));
+                }
                 Ok(AggInput { partition, value, scratch_left: remaining(partition) })
             })
             .collect::<Result<Vec<_>, CoreError>>()?;

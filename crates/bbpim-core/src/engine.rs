@@ -569,6 +569,25 @@ mod tests {
         assert!(matches!(e.run(&q), Err(CoreError::Unsupported(_))));
     }
 
+    /// The query mask lives in partition 0 only: a two-xb SUM of a
+    /// dimension-partition attribute with no GROUP BY is refused, never
+    /// reduced under a mask that did not see the fact-side predicates.
+    #[test]
+    fn two_xb_sum_of_a_dimension_attribute_is_unsupported() {
+        let (mut e, _) = engine(EngineMode::TwoXb);
+        let q = Query::single(
+            "dim-sum",
+            vec![Atom::Gt { attr: "lo_price".into(), value: 60u64.into() }],
+            vec![],
+            AggFunc::Sum,
+            AggExpr::attr("d_brand"),
+        );
+        let got = e.run(&q);
+        let refused =
+            matches!(&got, Err(CoreError::Unsupported(m)) if m.contains("dimension-partition"));
+        assert!(refused, "{got:?}");
+    }
+
     #[test]
     fn unknown_attribute_is_a_db_error() {
         let (mut e, _) = engine(EngineMode::OneXb);

@@ -203,6 +203,27 @@ impl Scan<'_> {
         Ok(bits)
     }
 
+    /// The two-xb hop of a dimension-side conjunction — a filter
+    /// disjunct's dimension atoms, a pim-gb subgroup's key equality:
+    /// AND `terms` with the validity bit into the one-bit column `col`
+    /// of partition `from`, then move that column through the host into
+    /// the fact partition's [`TRANSFER_COL`] ([`Scan::move_mask`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates compiler/simulator failures.
+    pub(crate) fn move_conjunction(
+        &mut self,
+        from: usize,
+        terms: &[RangeTerm],
+        col: usize,
+    ) -> Result<(), CoreError> {
+        let scratch = self.table.layout.scratch(from);
+        self.exec(from, &build_conjunction_program(scratch, terms, &[VALID_COL], col, false)?)?;
+        self.move_mask(from, col, Some(0))?;
+        Ok(())
+    }
+
     /// Execute the query filter — a DNF resolved against the table's
     /// schema; the layout placement of every atom is attached here —
     /// over the planned pages, leaving the final mask in partition 0's
@@ -245,23 +266,15 @@ impl Scan<'_> {
         // mask. Each disjunct's dimension-side conjunction travels
         // through the host once, in the compressed wire format when the
         // policy allows.
-        let scratch = [self.table.layout.scratch(0), self.table.layout.scratch(1)];
+        let scratch = self.table.layout.scratch(0);
         for (i, sides) in disjuncts.iter().enumerate() {
             let mut fact_and = vec![VALID_COL];
             if !sides[1].is_empty() {
-                let dim_side = build_conjunction_program(
-                    scratch[1],
-                    &sides[1],
-                    &[VALID_COL],
-                    MASK_COL,
-                    false,
-                )?;
-                self.exec(1, &dim_side)?;
-                self.move_mask(1, MASK_COL, Some(0))?;
+                self.move_conjunction(1, &sides[1], MASK_COL)?;
                 fact_and.push(TRANSFER_COL);
             }
             let fact_side =
-                build_conjunction_program(scratch[0], &sides[0], &fact_and, MASK_COL, i > 0)?;
+                build_conjunction_program(scratch, &sides[0], &fact_and, MASK_COL, i > 0)?;
             self.exec(0, &fact_side)?;
         }
         Ok(self.count(MASK_COL))

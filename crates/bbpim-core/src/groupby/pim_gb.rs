@@ -20,7 +20,7 @@ use bbpim_sim::compiler::ColRange;
 use crate::agg_exec::AggInput;
 use crate::error::CoreError;
 use crate::filter_exec::{build_conjunction_program, RangeTerm};
-use crate::layout::{Projection, GROUP_MASK_COL, MASK_COL, TRANSFER_COL, VALID_COL};
+use crate::layout::{Projection, GROUP_MASK_COL, MASK_COL, TRANSFER_COL};
 use crate::scan::Scan;
 
 /// One physical aggregate prepared for in-PIM GROUP BY.
@@ -57,14 +57,16 @@ impl Scan<'_> {
     /// every prepared aggregate's value. The group mask is formed once
     /// per key and shared across aggregates.
     ///
-    /// `mask_scratch` is the free scratch of the partition holding the
-    /// query/group masks (past any materialised expression values).
+    /// Every reduced input comes from [`Scan::materialize`], which
+    /// places them all in partition 0 beside the query mask, so the
+    /// group mask is formed there too. `mask_scratch` is partition 0's
+    /// free scratch (past any materialised expression values).
     ///
     /// # Errors
     ///
     /// Propagates compiler/simulator failures;
-    /// [`CoreError::Unsupported`] when group attributes or aggregate
-    /// inputs span partitions.
+    /// [`CoreError::Unsupported`] when group attributes span
+    /// partitions.
     pub fn pim_gb(
         &mut self,
         group_by: &Projection,
@@ -72,33 +74,8 @@ impl Scan<'_> {
         aggs: &[PreparedAgg],
         mask_scratch: ColRange,
     ) -> Result<Vec<PimGbEntry>, CoreError> {
-        // The partition holding the aggregated values (and the final group
-        // mask). With no value reductions (pure COUNT) it is the fact
-        // partition 0, where the query mask lives.
-        let fact_partition = aggs
-            .iter()
-            .find_map(|a| match a {
-                PreparedAgg::Reduce { input, .. } => Some(input.partition),
-                PreparedAgg::Count => None,
-            })
-            .unwrap_or(0);
-        if aggs.iter().any(
-            |a| matches!(a, PreparedAgg::Reduce { input, .. } if input.partition != fact_partition),
-        ) {
-            return Err(CoreError::Unsupported("aggregate inputs spanning partitions".into()));
-        }
-        // The query mask only exists in partition 0 (the filter's contract);
-        // aggregating a value stored in another partition would AND the
-        // group key with a column that never saw the fact-side predicates.
-        if fact_partition != 0 {
-            return Err(CoreError::Unsupported(
-                "aggregating dimension-partition attributes (the query mask lives in the fact \
-                 partition)"
-                    .into(),
-            ));
-        }
         let group_by = group_by.placements();
-        let key_partition = group_by.first().map_or(fact_partition, |p| p.partition);
+        let key_partition = group_by.first().map_or(0, |p| p.partition);
         if group_by.iter().any(|p| p.partition != key_partition) {
             return Err(CoreError::Unsupported("GROUP BY attributes spanning partitions".into()));
         }
@@ -112,7 +89,7 @@ impl Scan<'_> {
                 .map(|(p, &v)| RangeTerm { range: p.range, runs: vec![(v, v)] })
                 .collect();
 
-            if key_partition == fact_partition {
+            if key_partition == 0 {
                 // Same crossbar: one program forms the group mask.
                 let prog = build_conjunction_program(
                     mask_scratch,
@@ -121,20 +98,12 @@ impl Scan<'_> {
                     GROUP_MASK_COL,
                     false,
                 )?;
-                self.exec(fact_partition, &prog)?;
+                self.exec(0, &prog)?;
             } else {
-                // two-xb: key equality in the dimension partition…
-                let prog = build_conjunction_program(
-                    self.table.layout.scratch(key_partition),
-                    &eq_terms,
-                    &[VALID_COL],
-                    GROUP_MASK_COL,
-                    false,
-                )?;
-                self.exec(key_partition, &prog)?;
-                // …travels through the host per subgroup (compressed wire
-                // format when the policy allows)…
-                self.move_mask(key_partition, GROUP_MASK_COL, Some(fact_partition))?;
+                // two-xb: key equality in the dimension partition travels
+                // through the host per subgroup (compressed wire format
+                // when the policy allows)…
+                self.move_conjunction(key_partition, &eq_terms, GROUP_MASK_COL)?;
                 // …and combines with the query mask in the fact partition.
                 let prog = build_conjunction_program(
                     mask_scratch,
@@ -143,7 +112,7 @@ impl Scan<'_> {
                     GROUP_MASK_COL,
                     false,
                 )?;
-                self.exec(fact_partition, &prog)?;
+                self.exec(0, &prog)?;
             }
 
             // One reduction per physical aggregate under the shared mask;

@@ -260,7 +260,7 @@ pub struct MutationReport {
     pub time_ns: f64,
     /// Shared host-channel occupancy (dispatch + transfer bandwidth),
     /// nanoseconds — the slice of `time_ns` serialised across shards
-    /// under contention (see `QueryReport::host_bus_ns`).
+    /// (see `QueryReport::host_bus_ns`).
     pub host_bus_ns: f64,
     /// PIM energy, picojoules.
     pub energy_pj: f64,

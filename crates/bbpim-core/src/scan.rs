@@ -118,7 +118,8 @@ impl Scan<'_> {
     /// # Errors
     ///
     /// [`CoreError::Unsupported`] for an aggregate over attributes
-    /// outside partition 0; substrate failures otherwise.
+    /// outside partition 0 ([`Scan::materialize`]); substrate failures
+    /// otherwise.
     pub fn finish(
         mut self,
         query: &Query,
@@ -138,16 +139,6 @@ impl Scan<'_> {
                             None => selected,
                             Some(_) => {
                                 let input = inputs.next().expect("one input per expression");
-                                // the query mask lives in partition 0
-                                // only; a value stored elsewhere cannot
-                                // be reduced under it
-                                if input.partition != 0 {
-                                    return Err(CoreError::Unsupported(
-                                        "aggregating dimension-partition attributes (the query \
-                                         mask lives in the fact partition)"
-                                            .into(),
-                                    ));
-                                }
                                 self.aggregate(&input, MASK_COL, agg.func, false)?.0
                             }
                         };

@@ -495,11 +495,10 @@ impl<'a, E: StreamEngine, F> Core<'a, E, F> {
         self.epoch += 1;
         let applied = self.cluster.apply_mutation(mutation)?;
         self.by_query.mutated(&*self.cluster, mutation, &applied);
-        let (label, contention) = (mutation.label(), self.cluster.contention());
         // a cluster without tables applies nothing
         let host = self.cluster.host_config().unwrap_or_default();
         let demand =
-            compile_mutation_demand(label, &applied, &host, contention, self.kernel.tracing());
+            compile_mutation_demand(mutation.label(), &applied, &host, self.kernel.tracing());
         for lane in &demand.lanes {
             self.lane_mutations[lane.shard] += 1;
         }

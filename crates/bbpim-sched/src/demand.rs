@@ -68,51 +68,25 @@ pub struct ShardDemand {
 
 impl ShardDemand {
     /// The one per-lane compile, shared by a query's shard executions
-    /// and a mutation's lanes ([`MutationReport`]): `log` (`time_ns`
-    /// long) becomes the lane's slice chain the discrete-event
-    /// simulation plays out, so byte-tagged write phases ride the same
-    /// shared channel query transfers do, and the run's `(worst-row
-    /// cell writes, required endurance)` travel with it.
+    /// and a mutation's lanes ([`MutationReport`]): `log` becomes the
+    /// lane's slice chain the discrete-event simulation plays out, so
+    /// byte-tagged write phases ride the same shared channel query
+    /// transfers do, and the run's `(worst-row cell writes, required
+    /// endurance)` travel with it.
     ///
-    /// Under contention every phase contributes its channel occupancy
+    /// Every phase contributes its channel occupancy
     /// ([`phase_occupancy_ns`]) as a bus slice and the remainder as
     /// local time, preserving phase order — a transfer in the middle of
     /// a two-xb filter really does re-queue on the bus between two PIM
-    /// programs. Without contention the whole log collapses to the
-    /// optimistic shape: one bus slice for the per-page dispatch,
-    /// everything else local.
+    /// programs.
     fn compile(
         shard: usize,
         log: &RunLog,
-        time_ns: f64,
         wear: (u64, f64),
         host: &HostConfig,
-        contention: bool,
         want_detail: bool,
     ) -> ShardDemand {
         let (cell_writes, required_endurance) = wear;
-        let demand =
-            |slices, detail| ShardDemand { shard, cell_writes, required_endurance, slices, detail };
-        if !contention {
-            let dispatch = log.time_in(PhaseKind::HostDispatch);
-            let slice = Slice {
-                bus_ns: dispatch,
-                local_ns: time_ns - dispatch,
-                bus_kind: (dispatch > 0.0).then_some(PhaseKind::HostDispatch),
-                bus_bytes: log.host_bytes_in(PhaseKind::HostDispatch),
-            };
-            let detail = if want_detail {
-                vec![log
-                    .phases()
-                    .iter()
-                    .filter(|p| p.kind != PhaseKind::HostDispatch && p.time_ns > 0.0)
-                    .map(|p| (p.kind, p.time_ns))
-                    .collect()]
-            } else {
-                Vec::new()
-            };
-            return demand(vec![slice], detail);
-        }
         let mut slices = vec![Slice { bus_ns: 0.0, local_ns: 0.0, bus_kind: None, bus_bytes: 0 }];
         let mut detail: Vec<Vec<(PhaseKind, f64)>> = vec![Vec::new()];
         for phase in log.phases() {
@@ -147,7 +121,7 @@ impl ShardDemand {
         if !want_detail {
             detail = Vec::new();
         }
-        demand(slices, detail)
+        ShardDemand { shard, cell_writes, required_endurance, slices, detail }
     }
 }
 
@@ -364,10 +338,8 @@ impl ResolutionCache {
             let demand = ShardDemand::compile(
                 s,
                 &report.phases,
-                report.time_ns,
                 (report.max_row_cell_writes, report.required_endurance(ENDURANCE_YEARS)),
                 &cluster.host_config().expect("candidate shards imply an active shard"),
-                cluster.contention(),
                 self.want_detail,
             );
             let demand = Arc::new(demand);
@@ -449,22 +421,13 @@ pub(crate) fn compile_mutation_demand(
     label: String,
     applied: &[(usize, MutationReport)],
     host: &HostConfig,
-    contention: bool,
     want_detail: bool,
 ) -> MutationDemand {
     let lanes = applied
         .iter()
         .map(|(lane, rep)| {
             let wear = (rep.max_row_cell_writes, rep.required_endurance(ENDURANCE_YEARS));
-            Arc::new(ShardDemand::compile(
-                *lane,
-                &rep.phases,
-                rep.time_ns,
-                wear,
-                host,
-                contention,
-                want_detail,
-            ))
+            Arc::new(ShardDemand::compile(*lane, &rep.phases, wear, host, want_detail))
         })
         .collect();
     MutationDemand {
@@ -492,14 +455,8 @@ mod slice_tests {
         Phase { kind, time_ns, energy_pj: 0.0, chip_power_w: 0.0, host_bytes }
     }
 
-    fn compile_slices(
-        exec: &QueryExecution,
-        host: &HostConfig,
-        contention: bool,
-        want_detail: bool,
-    ) -> ShardDemand {
-        let (log, time_ns) = (&exec.report.phases, exec.report.time_ns);
-        ShardDemand::compile(0, log, time_ns, (0, 0.0), host, contention, want_detail)
+    fn compile_slices(exec: &QueryExecution, host: &HostConfig, want_detail: bool) -> ShardDemand {
+        ShardDemand::compile(0, &exec.report.phases, (0, 0.0), host, want_detail)
     }
 
     fn exec_with(phases: Vec<Phase>) -> QueryExecution {
@@ -544,7 +501,7 @@ mod slice_tests {
             phase(PhaseKind::HostWrite, 700.0, 4096),
             phase(PhaseKind::PimLogic, 1000.0, 0),
         ]);
-        let slices = compile_slices(&exec, &host, true, false).slices;
+        let slices = compile_slices(&exec, &host, false).slices;
         // dispatch opens the chain, then read and write each re-queue
         assert_eq!(slices.len(), 3);
         assert_eq!(slices[0].bus_kind, Some(PhaseKind::HostDispatch));
@@ -565,24 +522,10 @@ mod slice_tests {
     }
 
     #[test]
-    fn no_contention_collapses_to_dispatch_plus_local() {
-        let host = HostConfig::default();
-        let exec = exec_with(vec![
-            Phase::host_dispatch(600.0),
-            phase(PhaseKind::HostRead, 500.0, 64 * 1024),
-            phase(PhaseKind::PimLogic, 1000.0, 0),
-        ]);
-        let slices = compile_slices(&exec, &host, false, false).slices;
-        assert_eq!(slices.len(), 1);
-        assert_eq!(slices[0].bus_ns, 600.0);
-        assert!((slices[0].local_ns - 1500.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_log_still_yields_a_chain() {
         let host = HostConfig::default();
         let exec = exec_with(Vec::new());
-        let slices = compile_slices(&exec, &host, true, false).slices;
+        let slices = compile_slices(&exec, &host, false).slices;
         assert_eq!(slices.len(), 1);
         assert_eq!(slices[0], Slice { bus_ns: 0.0, local_ns: 0.0, bus_kind: None, bus_bytes: 0 });
     }
@@ -597,21 +540,19 @@ mod slice_tests {
             phase(PhaseKind::HostRead, 500.0, 4096),
             phase(PhaseKind::PimLogic, 1000.0, 0),
         ]);
-        for contention in [true, false] {
-            let chain = compile_slices(&exec, &host, contention, true);
-            assert_eq!(chain.detail.len(), chain.slices.len());
-            for (slice, d) in chain.slices.iter().zip(&chain.detail) {
-                let sum: f64 = d.iter().map(|(_, t)| t).sum();
-                assert!(
-                    (sum - slice.local_ns).abs() < 1e-9,
-                    "detail must decompose the local window: {sum} vs {}",
-                    slice.local_ns
-                );
-            }
-            // detail never changes the slice boundaries
-            let bare = compile_slices(&exec, &host, contention, false);
-            assert_eq!(bare.slices, chain.slices);
+        let chain = compile_slices(&exec, &host, true);
+        assert_eq!(chain.detail.len(), chain.slices.len());
+        for (slice, d) in chain.slices.iter().zip(&chain.detail) {
+            let sum: f64 = d.iter().map(|(_, t)| t).sum();
+            assert!(
+                (sum - slice.local_ns).abs() < 1e-9,
+                "detail must decompose the local window: {sum} vs {}",
+                slice.local_ns
+            );
         }
+        // detail never changes the slice boundaries
+        let bare = compile_slices(&exec, &host, false);
+        assert_eq!(bare.slices, chain.slices);
     }
 
     #[test]

@@ -326,7 +326,7 @@ mod tests {
         assert!(out.host_utilisation() > 0.0 && out.host_utilisation() <= 1.0);
         assert!(out.mean_shard_utilisation() > 0.0 && out.mean_shard_utilisation() <= 1.0);
         // host busy time equals the channel-occupancy + merge demand
-        // total (under contention every tagged transfer rides the bus)
+        // total (every tagged transfer rides the bus)
         let demand: f64 =
             out.executions.iter().map(|e| e.report.host_bus_time_ns + e.report.merge_time_ns).sum();
         assert!((out.host_busy_ns - demand).abs() < 1e-6);
@@ -517,7 +517,7 @@ mod tests {
 
     #[test]
     fn mutation_write_phases_ride_the_shared_bus() {
-        // With contention on, a mutation's host bus occupancy joins
+        // A mutation's host bus occupancy joins
         // host_busy_ns: the streamed busy time must exceed what the
         // queries alone account for.
         let workload_q =

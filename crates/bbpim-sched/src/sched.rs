@@ -23,9 +23,9 @@
 //!
 //! Fact-shard lanes share indices (and module servers) between query
 //! shard slices and mutation chains; auxiliary ingest lanes (star
-//! dimension modules) sit above [`StreamEngine::active_shards`]. With
-//! [`StreamEngine::contention`] on every tagged host phase rides the
-//! bus; off, only dispatch and merge serialise. Replaying the first
+//! dimension modules) sit above [`StreamEngine::active_shards`]. Every
+//! tagged host phase — dispatch, transfers, mutation writes — and every
+//! merge rides the one host bus. Replaying the first
 //! [`QueryCompletion::epoch`] mutations into a fresh engine reproduces a
 //! streamed answer — phase logs included — bit-identically (for
 //! pure-query workloads:
@@ -120,8 +120,8 @@ pub struct StreamOutcome {
     pub timeline: Vec<TimelineEvent>,
     /// When the last query or mutation completed.
     pub makespan_ns: f64,
-    /// Host-channel busy time: dispatch, every tagged transfer slice
-    /// (under contention), mutation write phases and merges.
+    /// Host-channel busy time: dispatch, every tagged transfer slice,
+    /// mutation write phases and merges.
     pub host_busy_ns: f64,
     /// Per-lane module-local busy time. For pure-query workloads one
     /// entry per active shard; with ingest, one per ingest lane
@@ -596,10 +596,6 @@ mod tests {
     }
 
     impl<E: StreamEngine> StreamEngine for Counting<E> {
-        fn contention(&self) -> bool {
-            self.inner.contention()
-        }
-
         fn host_config(&self) -> Option<HostConfig> {
             self.inner.host_config()
         }

@@ -31,8 +31,7 @@ const HOST_COMBINE_NS_PER_PARTIAL: f64 = 2.0;
 pub struct PageId(pub usize);
 
 /// Independent toggles for the host-channel byte-diet levers. Each can
-/// be flipped on its own (like the cluster's `set_contention`) so the
-/// bench tables can attribute byte/time savings per lever. All levers
+/// be flipped on its own so the bench tables can attribute byte/time savings per lever. All levers
 /// are on by default; [`XferPolicy::legacy`] is the pre-diet model.
 ///
 /// Answers are bit-identical under every combination — the levers move
@@ -359,7 +358,7 @@ impl PimModule {
 
     /// Phase for the host reading `lines` cache lines from this module.
     /// The phase is byte-tagged (`lines × line_bytes`) so the shared
-    /// host channel can account its bus occupancy under contention.
+    /// host channel can account its bus occupancy.
     pub fn host_read_phase(&self, lines: u64) -> Phase {
         self.line_phase(PhaseKind::HostRead, lines, hostmem::read_time_ns)
     }

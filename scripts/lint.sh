@@ -213,6 +213,20 @@ one_scatter_gather_surface() {
   return $status
 }
 
+# One host-channel model: every host↔module transfer serialises on the
+# shared bus. The optimistic second model stays gone — no `set_contention`
+# switch, no `serial_slice_ns` fold — and no non-test library code reads
+# `StreamEngine::contention`, which only the benchmark harness's engine
+# wrapper still forwards.
+one_host_channel_model() {
+  local status=0
+  if grep -rnE 'set_contention|serial_slice_ns' crates src tests examples; then echo "there is one host-channel model"; status=1; fi
+  for f in $(find crates -name '*.rs'); do
+    if nontest "$f" | grep -nE '\.contention\(\)'; then echo "in $f: nothing reads StreamEngine::contention"; status=1; fi
+  done
+  return $status
+}
+
 failed=()
 for rule in \
   no_argument_list_allows \
@@ -234,7 +248,8 @@ for rule in \
   no_shared_fixture_copy_outside_tests_common \
   one_kernel_driving_loop \
   no_kernel_in_the_serve_module \
-  one_scatter_gather_surface; do
+  one_scatter_gather_surface \
+  one_host_channel_model; do
   if "$rule"; then
     echo "ok   $rule"
   else

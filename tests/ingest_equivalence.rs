@@ -1,10 +1,9 @@
 //! HTAP ingest equivalence: an interleaved query/mutation stream must
 //! answer every query bit-identically to a prefix-replay oracle — a
-//! fresh engine under the same contention setting that applies exactly
-//! the first [`QueryCompletion::epoch`] arrived mutations and then runs
-//! the query — on both storage models (pre-joined wide cluster and
-//! normalized star cluster), across shard counts and contention
-//! settings. The whole [`ClusterExecution`] must match — groups, report
+//! fresh engine that applies exactly the first
+//! [`QueryCompletion::epoch`] arrived mutations and then runs the query
+//! — on both storage models (pre-joined wide cluster and normalized
+//! star cluster), across shard counts. The whole [`ClusterExecution`] must match — groups, report
 //! and per-shard phase logs — so a shard execution the scheduler reused
 //! after a mutation it should have re-run fails here even where the
 //! groups happen to agree. On top of snapshot equivalence: the
@@ -78,30 +77,18 @@ fn mixed_stream_matches_prefix_replay_on_the_wide_model() {
     let wide = db.prejoin();
     let workload = mixed_workload(probe_queries(), wide_mutations(&wide));
     for shards in SHARD_COUNTS {
-        for contention in [false, true] {
-            let mut c = prejoined_cluster(&wide, shards);
-            c.set_contention(contention);
-            let out = run_stream(&mut c, &workload, &SchedConfig::default())
-                .unwrap_or_else(|e| panic!("{shards} shards, contention {contention}: {e}"));
-            assert_eq!(out.completions.len(), workload.arrivals().len());
-            assert_eq!(out.mutation_completions.len(), workload.mutation_arrivals().len());
-            // the stream must have genuinely written, not no-opped
-            let written: u64 = out
-                .mutation_completions
-                .iter()
-                .map(|m| m.records_updated + m.records_inserted)
-                .sum();
-            assert!(written > 0, "mutations must land records");
-            assert!(out.shard_cell_writes.iter().sum::<u64>() > 0, "ingest must wear cells");
-            let mut fresh = prejoined_cluster(&wide, shards);
-            fresh.set_contention(contention);
-            assert_stream_replays(
-                &format!("wide, {shards} shards, contention {contention}"),
-                &out,
-                &workload,
-                &mut fresh,
-            );
-        }
+        let mut c = prejoined_cluster(&wide, shards);
+        let out = run_stream(&mut c, &workload, &SchedConfig::default())
+            .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
+        assert_eq!(out.completions.len(), workload.arrivals().len());
+        assert_eq!(out.mutation_completions.len(), workload.mutation_arrivals().len());
+        // the stream must have genuinely written, not no-opped
+        let written: u64 =
+            out.mutation_completions.iter().map(|m| m.records_updated + m.records_inserted).sum();
+        assert!(written > 0, "mutations must land records");
+        assert!(out.shard_cell_writes.iter().sum::<u64>() > 0, "ingest must wear cells");
+        let mut fresh = prejoined_cluster(&wide, shards);
+        assert_stream_replays(&format!("wide, {shards} shards"), &out, &workload, &mut fresh);
     }
 }
 
@@ -110,30 +97,21 @@ fn mixed_stream_matches_prefix_replay_on_the_star_model() {
     let db = ssb();
     let workload = mixed_workload(probe_queries(), star_mutations(&db));
     for shards in SHARD_COUNTS {
-        for contention in [false, true] {
-            let mut c = star_cluster(&db, shards);
-            c.set_contention(contention);
-            let out = run_stream(&mut c, &workload, &SchedConfig::default())
-                .unwrap_or_else(|e| panic!("{shards} shards, contention {contention}: {e}"));
-            assert_eq!(out.completions.len(), workload.arrivals().len());
-            assert_eq!(out.mutation_completions.len(), workload.mutation_arrivals().len());
-            // lanes extend past the fact shards: dimension modules get
-            // their own ingest lanes, and the dimension UPDATE must
-            // wear one of them
-            assert_eq!(out.shard_cell_writes.len(), c.ingest_lanes());
-            assert!(
-                out.shard_cell_writes[shards..].iter().sum::<u64>() > 0,
-                "the dimension UPDATE must wear a dimension-module lane"
-            );
-            let mut fresh = star_cluster(&db, shards);
-            fresh.set_contention(contention);
-            assert_stream_replays(
-                &format!("star, {shards} shards, contention {contention}"),
-                &out,
-                &workload,
-                &mut fresh,
-            );
-        }
+        let mut c = star_cluster(&db, shards);
+        let out = run_stream(&mut c, &workload, &SchedConfig::default())
+            .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
+        assert_eq!(out.completions.len(), workload.arrivals().len());
+        assert_eq!(out.mutation_completions.len(), workload.mutation_arrivals().len());
+        // lanes extend past the fact shards: dimension modules get
+        // their own ingest lanes, and the dimension UPDATE must
+        // wear one of them
+        assert_eq!(out.shard_cell_writes.len(), c.ingest_lanes());
+        assert!(
+            out.shard_cell_writes[shards..].iter().sum::<u64>() > 0,
+            "the dimension UPDATE must wear a dimension-module lane"
+        );
+        let mut fresh = star_cluster(&db, shards);
+        assert_stream_replays(&format!("star, {shards} shards"), &out, &workload, &mut fresh);
     }
 }
 

@@ -1,7 +1,7 @@
 //! Star-join equivalence: the normalized star cluster must return
 //! bit-identical answers to the pre-joined cluster, the pre-joined
 //! oracle and both MonetDB stand-ins for every SSB query, across shard
-//! counts, engine modes and contention settings — including
+//! counts and engine modes — including
 //! UPDATE-then-query on a dimension table. On top of equivalence, the
 //! normalized path must put *fewer* bytes on the host channel than the
 //! pre-joined two-crossbar path for the selective Q1.x class: a
@@ -77,25 +77,15 @@ fn all_13_queries_match_prejoin_and_monet_across_the_matrix() {
     for shards in SHARD_COUNTS {
         for mode in [EngineMode::OneXb, EngineMode::TwoXb] {
             let mut c = star(&db, mode, shards);
-            for contention in [true, false] {
-                c.set_contention(contention);
-                for (q, reference) in query_set.iter().zip(&references) {
-                    let out = c.run(q).unwrap_or_else(|e| {
-                        panic!(
-                            "{} on {shards} shards, {mode:?}, contention {contention}: {e}",
-                            q.id
-                        )
-                    });
-                    assert_eq!(
-                        &out.groups, reference,
-                        "{} on {shards} shards, {mode:?}, contention {contention}",
-                        q.id
-                    );
-                    // planner-only answers (empty dimension selection)
-                    // legitimately cost nothing
-                    if out.report.selected > 0 {
-                        assert!(out.report.time_ns > 0.0, "{}", q.id);
-                    }
+            for (q, reference) in query_set.iter().zip(&references) {
+                let out = c
+                    .run(q)
+                    .unwrap_or_else(|e| panic!("{} on {shards} shards, {mode:?}: {e}", q.id));
+                assert_eq!(&out.groups, reference, "{} on {shards} shards, {mode:?}", q.id);
+                // planner-only answers (empty dimension selection)
+                // legitimately cost nothing
+                if out.report.selected > 0 {
+                    assert!(out.report.time_ns > 0.0, "{}", q.id);
                 }
             }
         }

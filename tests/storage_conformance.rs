@@ -5,7 +5,7 @@
 //! * stepwise `plan_shards` → `run_on_shard` → `merge_executions` equals
 //!   `run` — the full `ClusterExecution`, not just the groups — on a
 //!   fresh cluster and on one that just ran the query;
-//! * flipping `pruning`, `contention` or any `XferPolicy` lever never
+//! * flipping `pruning` or any `XferPolicy` lever never
 //!   changes the groups;
 //! * on every SSB query, `run` stays inside what `explain` planned:
 //!   executed shards, scanned pages and dispatch descriptor bytes;
@@ -94,16 +94,14 @@ fn conforms<S: Storage>(tag: &str, fresh: impl Fn() -> Cluster<S>, fact: &Relati
         // the toggles move clocks and bytes, never answers
         let on = XferPolicy::default();
         let toggles = [
-            ("pruning off", false, true, on),
-            ("contention off", true, false, on),
-            ("raw masks", true, true, XferPolicy { compress_masks: false, ..on }),
-            ("page doorbells", true, true, XferPolicy { batch_dispatch: false, ..on }),
-            ("host reduce", true, true, XferPolicy { module_reduce: false, ..on }),
+            ("pruning off", false, on),
+            ("raw masks", true, XferPolicy { compress_masks: false, ..on }),
+            ("page doorbells", true, XferPolicy { batch_dispatch: false, ..on }),
+            ("host reduce", true, XferPolicy { module_reduce: false, ..on }),
         ];
-        for (label, pruning, contention, policy) in toggles {
+        for (label, pruning, policy) in toggles {
             let mut c = fresh();
             c.set_pruning(pruning);
-            c.set_contention(contention);
             c.set_xfer_policy(policy);
             assert_eq!(c.run(q).expect("toggled run").groups, want.groups, "{tag}: {label}");
         }

@@ -1,15 +1,13 @@
 //! Trace determinism, plus the no-observer guarantee: with a fixed seed
 //! and config the Perfetto and JSONL exports are byte-identical across
 //! two runs — for both storage models (pre-joined `ClusterEngine` and
-//! normalized `StarCluster`) and with the host-channel contention model
-//! on and off — and enabling tracing changes no answer, no timeline and
-//! no simulated total. The recorded shape is also checked structurally:
+//! normalized `StarCluster`) — and enabling tracing changes no answer,
+//! no timeline and no simulated total. The recorded shape is also checked structurally:
 //! host-bus spans are serialised (single shared channel) while module
 //! spans overlap (independent modules).
 
 mod common;
 
-use bbpim::cluster::{Cluster, Storage};
 use bbpim::db::ssb::queries;
 use bbpim::sched::{run_stream_traced, SchedConfig, StreamEngine, StreamOutcome, Workload};
 use bbpim::trace::export::{jsonl, perfetto_json};
@@ -17,12 +15,6 @@ use bbpim::trace::{EventShape, TraceRecorder};
 use common::{prejoined_cluster, ssb, ssb_wide, star_cluster};
 
 const SHARDS: usize = 4;
-
-/// `c` with the host-channel contention model switched `on` or off.
-fn contended<S: Storage>(mut c: Cluster<S>, on: bool) -> Cluster<S> {
-    c.set_contention(on);
-    c
-}
 
 fn workload() -> Workload {
     Workload::poisson(queries::standard_queries(), 20, 120_000.0, 0xB1_7B17)
@@ -59,29 +51,19 @@ fn assert_deterministic<E: StreamEngine, F: FnMut() -> E>(mut mk: F, tag: &str) 
 #[test]
 fn exports_are_bit_identical_on_the_prejoined_cluster() {
     let wide = ssb_wide();
-    for contention in [true, false] {
-        assert_deterministic(
-            || contended(prejoined_cluster(&wide, SHARDS), contention),
-            &format!("prejoined, contention={contention}"),
-        );
-    }
+    assert_deterministic(|| prejoined_cluster(&wide, SHARDS), "prejoined");
 }
 
 #[test]
 fn exports_are_bit_identical_on_the_star_cluster() {
     let db = ssb();
-    for contention in [true, false] {
-        assert_deterministic(
-            || contended(star_cluster(&db, SHARDS), contention),
-            &format!("star, contention={contention}"),
-        );
-    }
+    assert_deterministic(|| star_cluster(&db, SHARDS), "star");
 }
 
 #[test]
 fn host_bus_spans_serialise_while_module_spans_overlap() {
     let wide = ssb_wide();
-    let (_, trace) = traced(&mut contended(prejoined_cluster(&wide, SHARDS), true), true);
+    let (_, trace) = traced(&mut prejoined_cluster(&wide, SHARDS), true);
 
     let track_id = |name: &str| {
         trace.tracks().iter().position(|t| t == name).unwrap_or_else(|| panic!("track {name}"))
